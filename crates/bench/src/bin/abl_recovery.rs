@@ -1,6 +1,6 @@
 //! Ablation F: parallel crash recovery and fuzzy checkpoints.
 //!
-//! Two questions, one binary:
+//! Three questions, one binary:
 //!
 //! 1. **Does the recovery pipeline pay for itself?** Build one write-heavy
 //!    crash image — 2 000 rows, a checkpoint, then an update storm that is
@@ -23,6 +23,15 @@
 //!    `min(recLSN)` near the log tail. The gate demands the fuzzy image's
 //!    `scanned_records` be at least **3× smaller** at the same interval.
 //!
+//! 3. **Is the read-back one sequential sweep on a rotating disk?** Crash
+//!    the guest of a stock RapiLog `Machine` (log on `hdd_7200`) with
+//!    ≈ 0.5 MiB of un-checkpointed log and recover it. The log disk must
+//!    serve the superblock, one read per [`CHUNK`] of log and at most
+//!    `queue_depth` discarded read-ahead — nothing else — and recovery must
+//!    fit in the superblock positioning + one rotation + 1.5 × the log's
+//!    transfer time. Both figures are simulated, hence exact; they land in
+//!    the summary row as `hdd_recovery_us` / `hdd_log_reads`.
+//!
 //! Every cell is one closed deterministic simulation, fanned out over host
 //! threads (`RAPILOG_BENCH_THREADS`). `QUICK=1` shrinks the storm and the
 //! load window. A summary row goes into `BENCH_sweeps.json`; exit status is
@@ -34,8 +43,10 @@ use std::time::Instant;
 
 use rapilog_bench::table::{f1, TextTable};
 use rapilog_bench::{run_parallel, thread_count, Json};
+use rapilog_dbengine::recovery::CHUNK;
 use rapilog_dbengine::{Database, DbConfig, RecoveryMode, RecoveryReport, TableDef};
-use rapilog_simcore::{DomainId, Sim, SimDuration, SimTime};
+use rapilog_faultsim::{run_trial_traced, ExplorerConfig, FaultKind, RecoverySweep};
+use rapilog_simcore::{DomainId, SchedulerKind, Sim, SimDuration, SimTime};
 use rapilog_simdisk::{specs, BlockDevice, Disk, DiskSpec, SECTOR_SIZE};
 
 const TABLE_ROWS: u64 = 2_000;
@@ -235,6 +246,25 @@ fn ckpt_cell(fuzzy: bool, quick: bool) -> RecoveryReport {
     recover_image(spec, &images, RecoveryMode::Parallel, fuzzy)
 }
 
+/// One platter rotation of `hdd_7200`.
+const ROTATION: SimDuration = SimDuration::from_nanos(60_000_000_000 / 7200);
+
+/// Crashes the guest of the stock single-tenant RapiLog machine (the
+/// crash-point grid's, minus the background transient-fault lottery so the
+/// read count is the scan's alone) after 290 ms of load — ≈ 0.5 MiB of log,
+/// never checkpointed — and returns the recovery report with the log disk's
+/// side of it.
+fn hdd_cell() -> (RecoveryReport, RecoverySweep) {
+    let seed = 0x5EED;
+    let mut cfg = ExplorerConfig::rapilog_default();
+    cfg.log_fault = None;
+    let trial = cfg.trial(seed, FaultKind::GuestCrash, SimDuration::from_millis(290));
+    let (result, _, trace) = run_trial_traced(seed, trial, SchedulerKind::TimerWheel);
+    assert!(result.ok, "violations: {:?}", result.violations);
+    let sweep = RecoverySweep::from_trace(&trace).expect("the recover span is in the ring");
+    (result.recovery, sweep)
+}
+
 enum Job {
     Speedup(RecoveryMode),
     Ckpt { fuzzy: bool },
@@ -244,8 +274,8 @@ fn main() {
     let quick = std::env::var("QUICK").is_ok();
     let threads = thread_count();
     println!(
-        "Ablation F: parallel recovery vs serial, fuzzy checkpoints vs sharp \
-         ({threads} threads{})\n",
+        "Ablation F: parallel recovery vs serial, fuzzy checkpoints vs sharp, \
+         one-sweep read-back on a rotating log ({threads} threads{})\n",
         if quick { ", QUICK" } else { "" }
     );
 
@@ -256,7 +286,7 @@ fn main() {
         Job::Ckpt { fuzzy: true },
         Job::Ckpt { fuzzy: false },
     ];
-    let n_jobs = jobs.len();
+    let n_jobs = jobs.len() + 1;
     let reports = run_parallel(jobs, threads, move |job| match job {
         Job::Speedup(mode) => {
             let images = storm_images(quick);
@@ -264,6 +294,8 @@ fn main() {
         }
         Job::Ckpt { fuzzy } => ckpt_cell(fuzzy, quick),
     });
+    // One 20 ms trial: not worth a thread of its own.
+    let (hdd, sweep) = hdd_cell();
     let wall = wall_start.elapsed();
     let (serial, parallel, fuzzy, sharp) = (&reports[0], &reports[1], &reports[2], &reports[3]);
 
@@ -317,7 +349,25 @@ fn main() {
     println!("fuzzy scan cut at a fixed 25 ms interval: {scan_cut:.2}x (gate: >= 3.00x)");
     println!("Expected shape: the sharp checkpoint chases a pool it can never clean, so its");
     println!("superblock never advances and recovery rescans the whole log; fuzzy completes");
-    println!("every interval and redo starts near the tail.");
+    println!("every interval and redo starts near the tail.\n");
+
+    // The scan starts in the log's first sectors (the trial never
+    // checkpoints after install), so `log_end` is the scanned length.
+    let chunks = hdd.log_end.0.div_ceil(CHUNK as u64);
+    let hdd_log_reads = 1 + sweep.reads.len() as u64;
+    let discarded = sweep.reads.len() as u64 - sweep.consumed as u64;
+    let hdd_bound = sweep.time_bound(ROTATION);
+    println!(
+        "hdd_7200 log, guest crash, {} KiB un-checkpointed: recovered in {:.2} ms \
+         (gate: <= {:.2} ms = superblock {:.2} + one rotation + 1.5 x {:.2} transfer); \
+         {hdd_log_reads} log-disk reads = superblock + {} chunks consumed + {discarded} discarded",
+        hdd.log_end.0 / 1024,
+        hdd.duration.as_millis_f64(),
+        hdd_bound.as_millis_f64(),
+        sweep.superblock.as_millis_f64(),
+        sweep.transfer().as_millis_f64(),
+        sweep.consumed,
+    );
 
     let row = Json::obj([
         ("bench", Json::str("abl_recovery")),
@@ -330,6 +380,8 @@ fn main() {
         ("serial_scanned", Json::int(serial.scanned_records)),
         ("sharp_scanned", Json::int(sharp.scanned_records)),
         ("fuzzy_scanned", Json::int(fuzzy.scanned_records)),
+        ("hdd_recovery_us", Json::int(hdd.duration.as_micros())),
+        ("hdd_log_reads", Json::int(hdd_log_reads)),
         ("wall_ms", Json::int(wall.as_millis() as u64)),
         (
             "trials_per_sec",
@@ -351,6 +403,25 @@ fn main() {
     }
     if scan_cut < 3.0 {
         println!("\nFAIL: fuzzy checkpoints must cut scanned records >= 3x (got {scan_cut:.2}x)");
+        failed = true;
+    }
+    if hdd.duration > hdd_bound {
+        println!(
+            "\nFAIL: recovery from the rotating log took {:?}, over its one-sweep budget {hdd_bound:?}",
+            hdd.duration
+        );
+        failed = true;
+    }
+    let whole_chunks = sweep
+        .reads
+        .iter()
+        .all(|r| r.sectors as usize * SECTOR_SIZE == CHUNK);
+    if sweep.consumed as u64 != chunks || discarded > 1 || !whole_chunks {
+        println!(
+            "\nFAIL: the log disk must serve 1 superblock + {chunks} chunk reads + at most \
+             queue_depth (1) discarded, got {:?}",
+            sweep.reads
+        );
         failed = true;
     }
     if failed {

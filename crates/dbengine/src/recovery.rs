@@ -6,10 +6,12 @@
 //! 1. **Scan** the log from the superblock's checkpoint position,
 //!    validating CRC and LSN continuity; the first invalid frame is the
 //!    torn tail — the durable end of the log. In
-//!    [`RecoveryMode::Parallel`] the scan keeps up to
-//!    `Geometry::queue_depth` chunk reads in flight through the queued
-//!    device API, overlapping CRC validation and frame decode with media
-//!    latency.
+//!    [`RecoveryMode::Parallel`] the scan keeps `Geometry::queue_depth + 1`
+//!    chunk reads submitted through the queued device API, overlapping CRC
+//!    validation and frame decode with media latency and letting a
+//!    rotating disk stream from one chunk into the next. The read-ahead
+//!    past the torn tail is discarded, not waited for, and the partial
+//!    tail sector the rebuilt WAL needs comes from the scan buffer.
 //! 2. **Analysis** classifies transactions into committed, aborted and
 //!    *losers* (active at the crash), seeding the loser set from the
 //!    checkpoint record's active-transaction table, and picks up the
@@ -25,15 +27,17 @@
 //! 4. **Undo** rolls every loser back through its `prev` chain, writing
 //!    compensation records, and closes it with an abort record.
 //!
-//! Serial mode is the pinned reference: it consumes the same filtered
-//! record list in log order, and must produce counter-identical reports
-//! and byte-identical media images — the property
-//! `serial_and_parallel_recovery_agree` verifies across random crash
-//! points.
+//! Serial mode is the pinned reference: it reads one chunk at a time,
+//! consumes the same filtered record list in log order, and must produce
+//! counter-identical reports and byte-identical media images — the
+//! property `serial_and_parallel_recovery_agree` verifies across random
+//! crash points.
 //!
 //! Recovery ends with a checkpoint, and reports the work it did — the
 //! recovery-time figures in EXPERIMENTS.md come straight from
-//! [`RecoveryReport`], including the per-phase scan/redo/undo split.
+//! [`RecoveryReport`], whose scan/redo/undo/finish split sums to the
+//! duration exactly and is mirrored by four `Layer::Engine` trace spans
+//! (`recover_scan`, `recover_redo`, `recover_undo`, `recover_finish`).
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -41,6 +45,7 @@ use std::rc::Rc;
 
 use rapilog_simcore::hash::{FastMap, FastSet};
 use rapilog_simcore::sync::Event;
+use rapilog_simcore::trace::{Layer, Payload};
 use rapilog_simcore::{DomainId, SimCtx, SimDuration};
 use rapilog_simdisk::{BlockDevice, SECTOR_SIZE};
 
@@ -48,7 +53,13 @@ use crate::buffer::BufferPool;
 use crate::engine::{Database, DbConfig, TableMeta};
 use crate::error::{DbError, DbResult};
 use crate::types::{Lsn, PageId, TxnId};
-use crate::wal::{read_stream, ClrAction, Record, StreamReader, Superblock, Wal, RECORD_HEADER};
+use crate::wal::{ClrAction, Record, StreamReader, Superblock, Wal, RECORD_HEADER};
+
+/// Bytes per scan read: the unit [`Database::open`] reads the log back in.
+/// Large enough that a rotating disk spends its time transferring (2.2 ms
+/// per chunk at 116 MB/s) rather than on per-request overhead, small
+/// enough that the read-ahead discarded past the torn tail stays cheap.
+pub const CHUNK: usize = 256 * 1024;
 
 /// How [`Database::open`] drives the scan and redo phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +67,8 @@ pub enum RecoveryMode {
     /// Read one chunk, decode it, read the next; replay records one at a
     /// time in log order. The pinned reference mode.
     Serial,
-    /// Windowed scan reads up to `Geometry::queue_depth` chunks ahead;
-    /// redo partitions records into per-page chains replayed as
+    /// Windowed scan keeps `Geometry::queue_depth + 1` chunk reads
+    /// submitted; redo partitions records into per-page chains replayed as
     /// concurrent tasks. Counter- and media-identical to `Serial`.
     Parallel,
 }
@@ -79,15 +90,18 @@ pub struct RecoveryReport {
     pub committed_seen: u64,
     /// End of the durable log (new streams append here).
     pub log_end: Lsn,
-    /// Virtual time the whole recovery took (scan + redo + undo +
-    /// index rebuild + final checkpoint).
+    /// Virtual time the whole recovery took: exactly
+    /// `scan_time + redo_time + undo_time + finish_time`.
     pub duration: SimDuration,
-    /// Virtual time in the scan phase (log reads, CRC, decode, analysis).
+    /// Virtual time in the scan phase (catalog and superblock reads, log
+    /// read-back, CRC, decode, analysis, WAL manager rebuild).
     pub scan_time: SimDuration,
     /// Virtual time in the redo phase (page reads + replay).
     pub redo_time: SimDuration,
     /// Virtual time in the undo phase (loser rollback + CLR appends).
     pub undo_time: SimDuration,
+    /// Virtual time closing recovery (index rebuild + final checkpoint).
+    pub finish_time: SimDuration,
     /// Committed transaction ids seen in the scan range (the durability
     /// auditor intersects this with the client-side ack journal).
     pub committed_txns: Vec<TxnId>,
@@ -110,6 +124,12 @@ impl RecoveryReport {
     }
 }
 
+/// Size guess for a record fetched by LSN. Undo chains hold row-level
+/// records (at most two row images, a few hundred bytes in every table the
+/// suite loads), never full-page images, so 4 KiB is generous: eight extra
+/// sectors cost 35 µs of transfer on the rotating disk, a second read 8.3 ms.
+const RECORD_GUESS: usize = 4096;
+
 fn meta_for_page(tables: &[TableMeta], page: PageId) -> DbResult<&TableMeta> {
     tables
         .iter()
@@ -117,14 +137,21 @@ fn meta_for_page(tables: &[TableMeta], page: PageId) -> DbResult<&TableMeta> {
         .ok_or_else(|| DbError::Corrupt(format!("page {page:?} belongs to no table")))
 }
 
+/// Fetches one record from below the scan start (undo of a loser whose
+/// chain reaches under the checkpoint). One device read of the header plus
+/// [`RECORD_GUESS`] bytes covers every row-level record an undo chain
+/// holds; only a longer frame goes back to the device, because on a
+/// rotating log each dependent read costs a rotation.
 async fn read_record_at(wal: &Wal, lsn: Lsn) -> DbResult<Record> {
-    let head = wal.read_stream(lsn, RECORD_HEADER).await?;
-    let total = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+    let mut bytes = wal.read_stream(lsn, RECORD_HEADER + RECORD_GUESS).await?;
+    let total = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
     if !(RECORD_HEADER..16 * 1024 * 1024).contains(&total) {
         return Err(DbError::Corrupt(format!("bad record length at {lsn}")));
     }
-    let bytes = wal.read_stream(lsn, total).await?;
-    Record::decode(&bytes, lsn)
+    if total > bytes.len() {
+        bytes = wal.read_stream(lsn, total).await?;
+    }
+    Record::decode(&bytes[..total], lsn)
         .map(|(rec, _)| rec)
         .ok_or_else(|| DbError::Corrupt(format!("undecodable record at {lsn}")))
 }
@@ -178,6 +205,86 @@ async fn apply_page_record(
     Ok(false)
 }
 
+/// What the scan phase read back from the log.
+struct Scan {
+    /// Every valid record from the scan start to the torn tail.
+    records: Vec<(Lsn, Record)>,
+    /// End of the durable log: the position of the first invalid frame.
+    log_end: Lsn,
+    /// The bytes of the sector `log_end` sits in, from the sector's first
+    /// byte up to `log_end` (empty when `log_end` is sector aligned): the
+    /// partial tail sector future WAL flushes rewrite.
+    tail: Vec<u8>,
+}
+
+/// Reads the log back from `from`, validating CRC and LSN continuity, until
+/// the first invalid frame — one sequential sweep with up to `window` chunk
+/// reads submitted.
+async fn scan_log(log_dev: &dyn BlockDevice, from: Lsn, window: usize) -> DbResult<Scan> {
+    let region_sectors = log_dev.geometry().sectors - 1;
+    let region_bytes = region_sectors * SECTOR_SIZE as u64;
+    let mut reader = StreamReader::new(log_dev, region_sectors, from, CHUNK, window);
+    let mut records: Vec<(Lsn, Record)> = Vec::new();
+    // The buffer is consumed through `off` rather than drained per record:
+    // a drain memmoves the whole remainder, which turns a scan of n small
+    // records into O(n·CHUNK) byte shuffling. Consumed bytes are reclaimed
+    // in one amortised drain per chunk instead.
+    //
+    // `buf[0]` always sits on a sector boundary of the stream (the reader
+    // yields whole sectors and the drain drops whole sectors), so the
+    // sector the cursor is in is always buffered from its first byte: when
+    // the scan stops, that is the WAL's partial tail sector, with no need
+    // to read it again.
+    let mut buf: Vec<u8> = Vec::new();
+    let mut off = (from.0 % SECTOR_SIZE as u64) as usize;
+    let mut pos = from;
+    'scan: loop {
+        if pos.0 - from.0 >= region_bytes {
+            break; // wrapped the whole region: cannot happen in a sane log
+        }
+        if off >= CHUNK {
+            let consumed = off / SECTOR_SIZE * SECTOR_SIZE;
+            buf.drain(..consumed);
+            off -= consumed;
+        }
+        // Ensure a frame header, then the whole frame, is buffered.
+        while buf.len() < off + RECORD_HEADER {
+            if reader.fill(&mut buf).await? == 0 {
+                break 'scan; // region exhausted mid-frame: torn tail
+            }
+        }
+        let total =
+            u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]) as usize;
+        if !(RECORD_HEADER..16 * 1024 * 1024).contains(&total) {
+            break; // torn tail / end of log
+        }
+        while buf.len() < off + total {
+            if reader.fill(&mut buf).await? == 0 {
+                break 'scan;
+            }
+        }
+        match Record::decode(&buf[off..off + total], pos) {
+            Some((rec, n)) => {
+                records.push((pos, rec));
+                off += n;
+                pos = pos.advance(n as u64);
+            }
+            None => break, // CRC/LSN failure: torn tail
+        }
+    }
+    // The read-ahead past the torn tail is not waited for: its completions
+    // are dropped as they arrive.
+    reader.abandon();
+    // A mid-sector cursor implies at least one fill succeeded, so the
+    // sector's leading bytes are in the buffer.
+    let tail_len = (pos.0 % SECTOR_SIZE as u64) as usize;
+    Ok(Scan {
+        records,
+        log_end: pos,
+        tail: buf[off - tail_len..off].to_vec(),
+    })
+}
+
 impl Database {
     /// Opens an existing database, running full crash recovery.
     pub async fn open(
@@ -187,7 +294,18 @@ impl Database {
         log_dev: Rc<dyn BlockDevice>,
         domain: DomainId,
     ) -> DbResult<(Database, RecoveryReport)> {
+        // The four phases are consecutive `Layer::Engine` spans whose
+        // boundaries are the very instants the report's per-phase times are
+        // cut at, so trace and report cannot disagree.
+        let tracer = ctx.tracer();
         let t0 = ctx.now();
+        tracer.begin(t0, Layer::Engine, "recover_scan", Payload::None);
+        let phase = |ended: &'static str, began: &'static str| {
+            let now = ctx.now();
+            tracer.end(now, Layer::Engine, ended, Payload::None);
+            tracer.begin(now, Layer::Engine, began, Payload::None);
+            now
+        };
         // The OS block layer: bounded transient-error retry on both
         // devices. Media errors are not retryable and surface as typed
         // [`DbError::Io`] from whichever phase hit them.
@@ -199,66 +317,22 @@ impl Database {
         let sb = Superblock::read(&*log_dev)
             .await?
             .ok_or_else(|| DbError::Corrupt("no superblock: not a database".to_string()))?;
-        let region_sectors = log_dev.geometry().sectors - 1;
-        let region_bytes = region_sectors * SECTOR_SIZE as u64;
 
         // --- 1. Scan -----------------------------------------------------
-        // The buffer is consumed through `off` rather than drained per
-        // record: a drain memmoves the whole remainder, which turns a scan
-        // of n small records into O(n·CHUNK) byte shuffling. Consumed bytes
-        // are reclaimed in one amortised drain per chunk instead.
-        //
-        // Reads go through a windowed `StreamReader`: in parallel mode up
-        // to `queue_depth` chunk reads are in flight while this loop
-        // decodes, so validation overlaps media latency. The torn-tail
-        // decision depends only on the bytes, so serial and parallel scans
-        // land on the same record list.
+        // Parallel mode keeps one chunk read per device channel in flight
+        // plus one more already waiting at the device, so validation
+        // overlaps media latency and a rotating disk streams from one chunk
+        // into the next. The torn-tail decision depends only on the bytes,
+        // so serial and parallel scans land on the same record list.
         let window = match cfg.recovery {
             RecoveryMode::Serial => 1,
-            RecoveryMode::Parallel => (log_dev.geometry().queue_depth as usize).max(1),
+            RecoveryMode::Parallel => log_dev.geometry().queue_depth as usize + 1,
         };
-        const CHUNK: usize = 256 * 1024;
-        let mut reader = StreamReader::new(&*log_dev, region_sectors, sb.checkpoint, CHUNK, window);
-        let mut records: Vec<(Lsn, Record)> = Vec::new();
-        let mut buf: Vec<u8> = Vec::new();
-        let mut off = 0usize;
-        let mut pos = sb.checkpoint;
-        'scan: loop {
-            if pos.0 - sb.checkpoint.0 >= region_bytes {
-                break; // wrapped the whole region: cannot happen in a sane log
-            }
-            if off >= CHUNK {
-                buf.drain(..off);
-                off = 0;
-            }
-            // Ensure a frame header, then the whole frame, is buffered.
-            while buf.len() - off < RECORD_HEADER {
-                if reader.fill(&mut buf).await? == 0 {
-                    break 'scan; // region exhausted mid-frame: torn tail
-                }
-            }
-            let total =
-                u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]) as usize;
-            if !(RECORD_HEADER..16 * 1024 * 1024).contains(&total) {
-                break; // torn tail / end of log
-            }
-            while buf.len() - off < total {
-                if reader.fill(&mut buf).await? == 0 {
-                    break 'scan;
-                }
-            }
-            match Record::decode(&buf[off..off + total], pos) {
-                Some((rec, n)) => {
-                    records.push((pos, rec));
-                    off += n;
-                    pos = pos.advance(n as u64);
-                }
-                None => break, // CRC/LSN failure: torn tail
-            }
-        }
-        // Claim whatever the readahead window still has in flight.
-        reader.abandon().await;
-        let log_end = pos;
+        let Scan {
+            records,
+            log_end,
+            tail,
+        } = scan_log(&*log_dev, sb.checkpoint, window).await?;
 
         // --- 2. Analysis --------------------------------------------------
         let mut committed: Vec<TxnId> = Vec::new();
@@ -298,7 +372,6 @@ impl Database {
                 }
             }
         }
-        let scan_done = ctx.now();
 
         // --- Reconstruct the WAL manager at the durable end ---------------
         let wal = Wal::new(
@@ -309,18 +382,13 @@ impl Database {
             sb.recovery_start,
             domain,
         );
-        let tail_start = log_end.0 / SECTOR_SIZE as u64 * SECTOR_SIZE as u64;
-        if tail_start < log_end.0 {
-            let tail = read_stream(
-                &*log_dev,
-                region_sectors,
-                Lsn(tail_start),
-                (log_end.0 - tail_start) as usize,
-            )
-            .await?;
+        // Future flushes rewrite the partial tail sector, so the WAL must
+        // hold the bytes already in it — straight from the scan buffer.
+        if !tail.is_empty() {
             wal.preload_tail(&tail);
         }
         let pool = BufferPool::new(Rc::clone(&data_dev), wal.clone(), cfg.pool_pages);
+        let scan_done = phase("recover_scan", "recover_redo");
 
         // --- 3. Redo -------------------------------------------------------
         // Partition the page-touching records into per-page chains (scan
@@ -415,7 +483,7 @@ impl Database {
                 applied.get()
             }
         };
-        let redo_done = ctx.now();
+        let redo_done = phase("recover_redo", "recover_undo");
 
         // --- 4. Undo -------------------------------------------------------
         let losers: Vec<(TxnId, Lsn)> = last_lsn.into_iter().collect();
@@ -506,7 +574,7 @@ impl Database {
             wal.append(&Record::Abort { txn })?;
         }
         wal.kick();
-        let undo_done = ctx.now();
+        let undo_done = phase("recover_undo", "recover_finish");
 
         // --- Rebuild the derived state (index, free lists) ----------------
         let db = Database::assemble(ctx, cfg, tables, wal, pool, Rc::clone(&log_dev));
@@ -514,6 +582,8 @@ impl Database {
         // Close recovery with a checkpoint: pages flushed, superblock moved.
         db.checkpoint().await?;
         db.start_checkpointer(domain);
+        let finished = ctx.now();
+        tracer.end(finished, Layer::Engine, "recover_finish", Payload::None);
 
         let report = RecoveryReport {
             scanned_records: records.len() as u64,
@@ -522,10 +592,11 @@ impl Database {
             losers_undone: losers.len() as u64,
             committed_seen: committed.len() as u64,
             log_end,
-            duration: ctx.now() - t0,
+            duration: finished - t0,
             scan_time: scan_done - t0,
             redo_time: redo_done - scan_done,
             undo_time: undo_done - redo_done,
+            finish_time: finished - undo_done,
             committed_txns: committed,
         };
         Ok((db, report))
@@ -944,7 +1015,8 @@ mod checkpoint_spanning_tests {
         let c2 = ctx.clone();
         sim.spawn(async move {
             let data: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::instant(64 << 20)));
-            let log: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::instant(64 << 20)));
+            let log_disk = Disk::new(&c2, specs::instant(64 << 20));
+            let log: Rc<dyn BlockDevice> = Rc::new(log_disk.clone());
             let defs = [TableDef {
                 name: "t".to_string(),
                 slot_size: 64,
@@ -979,9 +1051,20 @@ mod checkpoint_spanning_tests {
             db.commit(other).await.unwrap();
             // Crash with `long` still open.
             db.stop();
+            let reads_before = log_disk.stats().reads;
             let (db2, report) = Database::open(&c2, DbConfig::default(), data, log, DomainId::ROOT)
                 .await
                 .expect("recovery");
+            // The superblock, the scan's chunk reads (the log is far
+            // shorter than a chunk, so just the read-ahead window), and
+            // exactly one read per record the undo chain fetched from below
+            // the scan start: `long`'s update and its begin record.
+            let window = log_disk.geometry().queue_depth as u64 + 1;
+            assert_eq!(
+                log_disk.stats().reads - reads_before,
+                1 + window + 2,
+                "each below-horizon undo record costs one device read, not two"
+            );
             assert_eq!(
                 report.losers_undone, 1,
                 "the spanning transaction was identified from the checkpoint's active list"
@@ -1087,10 +1170,16 @@ mod parity_tests {
         buf
     }
 
+    /// Log-disk size of the wrap trials: a 128 KiB circular region, which
+    /// the checkpointed workload laps within a few dozen transactions.
+    const WRAP_LOG_BYTES: u64 = 257 * SECTOR_SIZE as u64;
+
     /// One random workload → crash → recover the **same** media snapshot
     /// under both modes, then compare report counters and the media images
-    /// both recoveries leave behind.
-    fn parity_trial(seed: u64) {
+    /// both recoveries leave behind. With `wrap`, the log region is tiny
+    /// and the workload checkpoints every few transactions until the
+    /// un-checkpointed log straddles the end of the circular region.
+    fn parity_trial(seed: u64, wrap: bool) {
         let mut sim = Sim::new(seed);
         let ctx = sim.ctx();
         let done = Rc::new(StdCell::new(false));
@@ -1103,8 +1192,10 @@ mod parity_tests {
                 fuzzy_checkpoints: seed.is_multiple_of(2),
                 ..Default::default()
             };
+            let log_bytes = if wrap { WRAP_LOG_BYTES } else { 4 << 20 };
+            let region_bytes = log_bytes - SECTOR_SIZE as u64;
             let data = Disk::new(&c2, nvme(4 << 20));
-            let log = Disk::new(&c2, nvme(4 << 20));
+            let log = Disk::new(&c2, nvme(log_bytes));
             let defs = vec![TableDef {
                 name: "t".to_string(),
                 slot_size: 64,
@@ -1135,8 +1226,23 @@ mod parity_tests {
             let ops = 40 + rng.next() % 60;
             // Half the trials crash without any mid-run checkpoint.
             let ckpt_at = rng.next() % (ops * 2);
-            for i in 0..ops {
-                if i == ckpt_at {
+            // Wrap trials checkpoint every few transactions instead (the
+            // region holds only a handful of full-page images) and run
+            // until the log past the last checkpoint crosses the region end.
+            let ckpt_every = 4 + rng.next() % 5;
+            let mut last_ckpt = db.wal().end();
+            for i in 0.. {
+                if wrap {
+                    let end = db.wal().end();
+                    if end.0 / region_bytes > last_ckpt.0 / region_bytes && i % ckpt_every != 0 {
+                        break;
+                    }
+                    assert!(i < 5_000, "seed {seed}: the log never lapped its region");
+                } else if i == ops {
+                    break;
+                }
+                if wrap && i % ckpt_every == 0 || !wrap && i == ckpt_at {
+                    last_ckpt = db.wal().end();
                     db.checkpoint().await.unwrap();
                 }
                 let txn = db.begin().await.unwrap();
@@ -1180,10 +1286,43 @@ mod parity_tests {
             // recover the same image under each mode.
             let data_img = media_image(&data);
             let log_img = media_image(&log);
+            // The tail the scan hands to `preload_tail` comes out of its
+            // own buffer; it must be byte-for-byte what a fresh device read
+            // of that sector returns, at every read-ahead depth.
+            let sb = Superblock::decode(&log_img[..SECTOR_SIZE]).expect("superblock");
+            let log = Disk::new(&c2, nvme(log_bytes));
+            log.poke_media(0, &log_img);
+            for window in [1, 2, 5] {
+                let scan = scan_log(&log, sb.checkpoint, window).await.unwrap();
+                let tail_start = scan.log_end.0 - scan.tail.len() as u64;
+                assert_eq!(tail_start % SECTOR_SIZE as u64, 0);
+                assert!(scan.tail.len() < SECTOR_SIZE);
+                let reread = crate::wal::read_stream(
+                    &log,
+                    region_bytes / SECTOR_SIZE as u64,
+                    Lsn(tail_start),
+                    scan.tail.len(),
+                )
+                .await
+                .unwrap();
+                assert!(
+                    scan.tail == reread,
+                    "seed {seed} window {window}: scanned tail differs from a device re-read"
+                );
+                if wrap {
+                    assert!(
+                        scan.log_end.0 / region_bytes > sb.checkpoint.0 / region_bytes,
+                        "seed {seed}: the scanned range was meant to straddle the region end \
+                         ({:?}..{:?} in a {region_bytes}-byte region)",
+                        sb.checkpoint,
+                        scan.log_end
+                    );
+                }
+            }
             let mut outcomes = Vec::new();
             for mode in [RecoveryMode::Serial, RecoveryMode::Parallel] {
                 let rdata = Disk::new(&c2, nvme(4 << 20));
-                let rlog = Disk::new(&c2, nvme(4 << 20));
+                let rlog = Disk::new(&c2, nvme(log_bytes));
                 rdata.poke_media(0, &data_img);
                 rlog.poke_media(0, &log_img);
                 let mut rcfg = cfg.clone();
@@ -1198,6 +1337,12 @@ mod parity_tests {
                 .await
                 .expect("recovery");
                 rdb.stop();
+                assert_eq!(
+                    report.scan_time + report.redo_time + report.undo_time + report.finish_time,
+                    report.duration,
+                    "seed {seed} {mode:?}: the four phases tile the recovery exactly"
+                );
+                assert!(!report.scan_time.is_zero() && !report.finish_time.is_zero());
                 outcomes.push((report.counters(), media_image(&rdata), media_image(&rlog)));
             }
             assert_eq!(
@@ -1221,11 +1366,16 @@ mod parity_tests {
     /// Serial and parallel recovery of the same crash image are
     /// indistinguishable — counter-identical reports, byte-identical media —
     /// across random crash points (random op mixes, checkpoint positions,
-    /// open losers, and torn vs durable log tails).
+    /// open losers, torn vs durable log tails, and logs that straddle the
+    /// end of the circular region) — and in every one of them the tail
+    /// sector the scan keeps equals a device re-read.
     #[test]
     fn serial_and_parallel_recovery_agree() {
         for seed in [2, 3, 17, 42, 71, 104] {
-            parity_trial(seed);
+            parity_trial(seed, false);
+        }
+        for seed in [5, 8, 23, 60] {
+            parity_trial(seed, true);
         }
     }
 

@@ -102,6 +102,10 @@ impl BlockDevice for RetryingDevice {
         Box::pin(self.queue.wait(token))
     }
 
+    fn discard(&self, token: ReqToken) {
+        self.queue.forget(token);
+    }
+
     fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
         Box::pin(async move {
             let mut attempt = 0u32;

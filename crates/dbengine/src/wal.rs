@@ -715,10 +715,20 @@ pub async fn read_stream(
 }
 
 /// Windowed log-stream reader used by recovery's scan phase: keeps up to
-/// `window` chunk reads in flight through the queued device API, so CRC
+/// `window` chunk reads submitted through the queued device API, so CRC
 /// validation and frame decode of one chunk overlap the media latency of
 /// the next. `window = 1` degenerates to the serial read-one-decode-one
-/// loop; `window = Geometry::queue_depth` fills every device channel.
+/// loop. Recovery's parallel mode passes `Geometry::queue_depth + 1`: one
+/// read per device channel plus one already waiting at the device, so a
+/// single-actuator disk starts the next chunk the instant the previous one
+/// completes instead of a request round-trip later — on a rotating disk
+/// that round-trip is the difference between a sequential continuation and
+/// a full rotation (DESIGN §16.1).
+///
+/// The reader yields whole sectors, starting at the sector floor of `from`:
+/// the caller skips the leading `from % SECTOR_SIZE` bytes itself, and in
+/// exchange always holds the complete sector its cursor is in — which is
+/// the partial tail sector the rebuilt WAL needs once the scan stops.
 pub struct StreamReader<'a> {
     dev: &'a dyn BlockDevice,
     region_sectors: u64,
@@ -726,10 +736,7 @@ pub struct StreamReader<'a> {
     next_stream_sector: u64,
     /// Stream sectors not yet submitted (at most one full region circle).
     unsubmitted: u64,
-    /// Bytes dropped from the front of the first completed chunk (the scan
-    /// may start mid-sector).
-    skip: usize,
-    /// In-flight chunks, oldest first; a chunk split by the circular wrap
+    /// Submitted chunks, oldest first; a chunk split by the circular wrap
     /// carries one token per contiguous device run.
     inflight: VecDeque<Vec<ReqToken>>,
     chunk_sectors: u64,
@@ -737,8 +744,9 @@ pub struct StreamReader<'a> {
 }
 
 impl<'a> StreamReader<'a> {
-    /// Starts a reader at stream position `from`, covering at most one full
-    /// circle of the `region_sectors`-sector circular log region.
+    /// Starts a reader at the sector containing stream position `from`,
+    /// covering at most one full circle of the `region_sectors`-sector
+    /// circular log region.
     pub fn new(
         dev: &'a dyn BlockDevice,
         region_sectors: u64,
@@ -753,7 +761,6 @@ impl<'a> StreamReader<'a> {
             region_sectors,
             next_stream_sector: from.0 / SECTOR_SIZE as u64,
             unsubmitted: region_sectors,
-            skip: (from.0 % SECTOR_SIZE as u64) as usize,
             inflight: VecDeque::new(),
             chunk_sectors: (chunk_bytes / SECTOR_SIZE) as u64,
             window,
@@ -788,38 +795,32 @@ impl<'a> StreamReader<'a> {
             return Ok(0);
         };
         let before = out.len();
-        let mut err = None;
-        for token in tokens {
+        let mut tokens = tokens.into_iter();
+        for token in tokens.by_ref() {
             match self.dev.wait(token).await {
-                Ok(data) if err.is_none() => {
+                Ok(data) => {
                     let data = data.expect("read completion must carry data");
-                    let skip = std::mem::take(&mut self.skip);
-                    out.extend_from_slice(&data.as_slice()[skip..]);
+                    out.extend_from_slice(data.as_slice());
                 }
-                Ok(_) => {}
-                Err(e) if err.is_none() => err = Some(e),
-                Err(_) => {}
+                Err(e) => {
+                    tokens.for_each(|t| self.dev.discard(t));
+                    self.abandon();
+                    return Err(e);
+                }
             }
         }
-        match err {
-            Some(e) => {
-                self.abandon().await;
-                Err(e)
-            }
-            None => Ok(out.len() - before),
-        }
+        Ok(out.len() - before)
     }
 
-    /// Claims every in-flight completion, discarding the results. Must be
+    /// Gives up every submitted read without waiting for it. Must be
     /// called before dropping the reader mid-stream (e.g. once the torn
-    /// tail is found): tokens are claimed exactly once, and the readahead
-    /// window usually runs past the point the scan stops at.
-    pub async fn abandon(&mut self) {
+    /// tail is found): the read-ahead usually runs past the point the scan
+    /// stops at, and a discarded token's completion is dropped on arrival
+    /// rather than parked unclaimed in the device's mailbox.
+    pub fn abandon(&mut self) {
         self.unsubmitted = 0;
-        for tokens in std::mem::take(&mut self.inflight) {
-            for token in tokens {
-                let _ = self.dev.wait(token).await;
-            }
+        for token in std::mem::take(&mut self.inflight).into_iter().flatten() {
+            self.dev.discard(token);
         }
     }
 }

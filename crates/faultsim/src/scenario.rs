@@ -20,7 +20,7 @@ use std::rc::Rc;
 use rapilog::TenantId;
 use rapilog_dbengine::recovery::RecoveryReport;
 use rapilog_simcore::stats::Histogram;
-use rapilog_simcore::trace::{LatencyAttribution, Layer, Payload, TraceSnapshot};
+use rapilog_simcore::trace::{LatencyAttribution, Layer, MediaRead, Payload, TraceSnapshot};
 use rapilog_simcore::{RunReport, SchedulerKind, Sim, SimDuration, SimTime};
 use rapilog_simdisk::{BlockDevice, SECTOR_SIZE};
 use rapilog_workload::micro;
@@ -521,6 +521,61 @@ pub fn run_trial_traced(
         report,
         trace,
     )
+}
+
+/// What a rotating log disk was asked to do while one traced trial
+/// recovered: the evidence behind "recovery is one sequential sweep".
+///
+/// Trials keep their data on `specs::instant`, whose reads carry an
+/// all-zero timing breakdown, so the log disk's reads are the ones that
+/// paid a controller overhead.
+#[derive(Debug, Clone)]
+pub struct RecoverySweep {
+    /// Recovery start to superblock in memory: the first positioning, plus
+    /// any queueing behind drain writes still landing after a guest crash.
+    pub superblock: SimDuration,
+    /// Every log-disk read begun during recovery after the superblock's,
+    /// in media order.
+    pub reads: Vec<MediaRead>,
+    /// How many of `reads` the scan consumed; the rest is read-ahead past
+    /// the torn tail, discarded while still in flight.
+    pub consumed: usize,
+}
+
+impl RecoverySweep {
+    /// Extracts the sweep from a trial's trace; `None` if the ring no
+    /// longer holds the whole `recover` span or the log disk does not
+    /// rotate.
+    pub fn from_trace(trace: &TraceSnapshot) -> Option<RecoverySweep> {
+        let (began, _) = trace.span(Layer::Fault, "recover")?;
+        let (_, scan_end) = trace.span(Layer::Engine, "recover_scan")?;
+        let mut reads = trace.media_reads_in(Layer::Fault, "recover");
+        reads.retain(|r| !r.seek.is_zero());
+        let superblock = reads.first()?.end() - began;
+        reads.remove(0);
+        let consumed = reads.iter().filter(|r| r.end() <= scan_end).count();
+        Some(RecoverySweep {
+            superblock,
+            reads,
+            consumed,
+        })
+    }
+
+    /// Media transfer time of the consumed reads: the one cost of reading
+    /// the log back that no ordering of requests can avoid.
+    pub fn transfer(&self) -> SimDuration {
+        self.reads[..self.consumed]
+            .iter()
+            .fold(SimDuration::ZERO, |sum, r| sum + r.transfer)
+    }
+
+    /// The budget a single-sweep recovery of up to five chunks fits in:
+    /// the superblock, one `rotation` (the drive model absorbs the command
+    /// overhead of two back-to-back continuations, so every third chunk of
+    /// a long log pays one), and 1.5 × the log's transfer time.
+    pub fn time_bound(&self, rotation: SimDuration) -> SimDuration {
+        self.superblock + rotation + self.transfer().mul_f64(1.5)
+    }
 }
 
 #[cfg(test)]

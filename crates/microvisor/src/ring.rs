@@ -263,6 +263,10 @@ impl BlockDevice for VirtioBlk {
         Box::pin(self.queue.wait(token))
     }
 
+    fn discard(&self, token: ReqToken) {
+        self.queue.forget(token);
+    }
+
     fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
         Box::pin(async move {
             if buf.is_empty() || !buf.len().is_multiple_of(self.geometry.sector_size) {

@@ -307,6 +307,10 @@ impl BlockDevice for RapiLogDevice {
         Box::pin(self.queue.wait(token))
     }
 
+    fn discard(&self, token: ReqToken) {
+        self.queue.forget(token);
+    }
+
     fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
         Box::pin(async move {
             let count = self.check(sector, buf.len())?;

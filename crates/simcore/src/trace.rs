@@ -539,6 +539,74 @@ impl TraceSnapshot {
         out.push_str("\n]\n");
         out
     }
+
+    /// The first `name` span on `layer` as `(begin, end)` times; `None`
+    /// unless both ends are in the snapshot.
+    pub fn span(&self, layer: Layer, name: &str) -> Option<(SimTime, SimTime)> {
+        let at = |phase| {
+            self.events
+                .iter()
+                .find(|ev| ev.layer == layer && ev.name == name && ev.phase == phase)
+                .map(|ev| ev.time)
+        };
+        Some((at(Phase::Begin)?, at(Phase::End)?))
+    }
+
+    /// Every media read that began inside the first `name` span on `layer`,
+    /// in trace order, with the timing model's breakdown — the question
+    /// "what did the disk do while this was going on" (which reads paid a
+    /// rotation, which [`end`](MediaRead::end) only after the span closed).
+    pub fn media_reads_in(&self, layer: Layer, name: &str) -> Vec<MediaRead> {
+        let Some((from, to)) = self.span(layer, name) else {
+            return Vec::new();
+        };
+        self.events
+            .iter()
+            .filter(|ev| ev.phase == Phase::Begin && ev.time >= from && ev.time <= to)
+            .filter_map(|ev| match ev.payload {
+                Payload::Io {
+                    sector,
+                    sectors,
+                    write: false,
+                    seek,
+                    rotation,
+                    transfer,
+                } if ev.layer == Layer::Disk => Some(MediaRead {
+                    begin: ev.time,
+                    sector,
+                    sectors,
+                    seek: SimDuration::from_nanos(seek),
+                    rotation: SimDuration::from_nanos(rotation),
+                    transfer: SimDuration::from_nanos(transfer),
+                }),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+/// One media read found by [`TraceSnapshot::media_reads_in`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MediaRead {
+    /// When the media started on the read (after any queueing).
+    pub begin: SimTime,
+    /// First sector of the access.
+    pub sector: u64,
+    /// Sectors read.
+    pub sectors: u64,
+    /// Seek (or fixed controller overhead).
+    pub seek: SimDuration,
+    /// Rotational wait.
+    pub rotation: SimDuration,
+    /// Media transfer.
+    pub transfer: SimDuration,
+}
+
+impl MediaRead {
+    /// When the media finished the read.
+    pub fn end(&self) -> SimTime {
+        self.begin + self.seek + self.rotation + self.transfer
+    }
 }
 
 /// Busy time of one layer, folded from matched spans.

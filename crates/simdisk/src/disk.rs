@@ -1049,6 +1049,10 @@ impl BlockDevice for Disk {
         Box::pin(self.inner.queue.wait(token))
     }
 
+    fn discard(&self, token: ReqToken) {
+        self.inner.queue.forget(token);
+    }
+
     fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
         Box::pin(self.read(sector, buf))
     }

@@ -169,7 +169,8 @@ pub enum IoReq {
 /// Opaque handle identifying a submitted request.
 ///
 /// Tokens are unique per device instance and must be claimed exactly once,
-/// via [`BlockDevice::wait`] or [`BlockDevice::completions`].
+/// via [`BlockDevice::wait`], [`BlockDevice::completions`] or
+/// [`BlockDevice::discard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReqToken(pub(crate) u64);
 
@@ -231,6 +232,20 @@ pub trait BlockDevice {
     /// Waits for one specific request and takes its result; a completed
     /// read yields `Some(data)`.
     fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>>;
+
+    /// Gives up the claim on `token` without waiting: the request still
+    /// runs on the device, but its result (and a read's payload) is dropped
+    /// on arrival instead of being held for a `wait` that never comes.
+    /// This is how a reader abandons read-ahead it turned out not to need.
+    /// Counts as the token's one claim.
+    ///
+    /// The default does nothing, which leaves the completion in the
+    /// device's mailbox until [`completions`](BlockDevice::completions)
+    /// drains it; every device built on [`IoQueue`] overrides it with
+    /// [`IoQueue::forget`].
+    fn discard(&self, token: ReqToken) {
+        let _ = token;
+    }
 
     /// Reads `buf.len() / sector_size` sectors starting at `sector`.
     /// The buffer length must be a positive multiple of the sector size.

@@ -12,7 +12,7 @@
 //! [`BlockDevice::submit`]: crate::BlockDevice::submit
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::sync::Notify;
@@ -30,11 +30,15 @@ type Finished = (IoResult<()>, Option<SectorBuf>);
 /// from `submit` and [`finish`](IoQueue::finish) when the spawned request
 /// task resolves; submitters call [`wait`](IoQueue::wait) for one token or
 /// [`completions`](IoQueue::completions) to drain everything that has
-/// finished.
+/// finished. A submitter that no longer wants a result calls
+/// [`forget`](IoQueue::forget) instead of claiming it.
 #[derive(Default)]
 pub struct IoQueue {
     next_token: Cell<u64>,
     done: RefCell<HashMap<u64, Finished>>,
+    /// Tokens forgotten while still in flight: their completions are
+    /// dropped on arrival.
+    forgotten: RefCell<HashSet<u64>>,
     outstanding: Cell<u32>,
     max_outstanding: Cell<u32>,
     notify: Notify,
@@ -63,10 +67,25 @@ impl IoQueue {
     /// carries the payload of a completed read; writes and flushes pass
     /// `None`.
     pub fn finish(&self, token: ReqToken, result: IoResult<()>, data: Option<SectorBuf>) {
-        self.done.borrow_mut().insert(token.0, (result, data));
         self.outstanding
             .set(self.outstanding.get().saturating_sub(1));
+        if self.forgotten.borrow_mut().remove(&token.0) {
+            return; // nobody will claim it: free the payload now
+        }
+        self.done.borrow_mut().insert(token.0, (result, data));
         self.notify.notify_all();
+    }
+
+    /// Gives up the claim on `token` without waiting for it. A result that
+    /// has already arrived is dropped now; one still in flight is dropped
+    /// when the device [`finish`](IoQueue::finish)es it, so neither
+    /// [`wait`](IoQueue::wait) nor [`completions`](IoQueue::completions)
+    /// ever sees it. The request itself still runs to completion on the
+    /// device. Counts as the token's one claim.
+    pub fn forget(&self, token: ReqToken) {
+        if self.done.borrow_mut().remove(&token.0).is_none() {
+            self.forgotten.borrow_mut().insert(token.0);
+        }
     }
 
     /// Requests submitted but not yet finished.
@@ -162,5 +181,52 @@ mod tests {
             assert_eq!(got[1].data.as_ref().map(|d| d.len()), Some(512));
         });
         sim.run();
+    }
+
+    #[test]
+    fn forget_before_finish_drops_the_completion_on_arrival() {
+        let q = IoQueue::new();
+        let a = q.issue();
+        q.forget(a);
+        assert_eq!(q.outstanding(), 1, "the request itself still runs");
+        q.finish(a, Ok(()), Some(SectorBuf::from_vec(vec![7u8; 512])));
+        assert_eq!(q.outstanding(), 0);
+        assert!(q.done.borrow().is_empty(), "payload freed, not parked");
+        assert!(q.forgotten.borrow().is_empty());
+    }
+
+    #[test]
+    fn forget_after_finish_removes_the_completion() {
+        let q = IoQueue::new();
+        let a = q.issue();
+        q.finish(a, Err(IoError::Transient), None);
+        assert_eq!(q.done.borrow().len(), 1);
+        q.forget(a);
+        assert_eq!(q.outstanding(), 0);
+        assert!(q.done.borrow().is_empty());
+        assert!(q.forgotten.borrow().is_empty());
+    }
+
+    #[test]
+    fn forgotten_tokens_are_invisible_to_completions() {
+        let mut sim = Sim::new(7);
+        let q = Rc::new(IoQueue::new());
+        let kept = q.issue();
+        let early = q.issue(); // forgotten while in flight
+        let late = q.issue(); // forgotten after it finished
+        q.forget(early);
+        q.finish(late, Ok(()), None);
+        q.forget(late);
+        q.finish(early, Ok(()), Some(SectorBuf::from_vec(vec![1u8; 512])));
+        q.finish(kept, Ok(()), None);
+        let q2 = Rc::clone(&q);
+        sim.spawn(async move {
+            let got = q2.completions().await;
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].token, kept);
+        });
+        sim.run();
+        assert_eq!(q.outstanding(), 0);
+        assert!(q.done.borrow().is_empty());
     }
 }

@@ -93,3 +93,40 @@ fn trial_attribution_is_deterministic() {
         "a traced trial must attribute busy time to some layer"
     );
 }
+
+#[test]
+fn recovery_phase_spans_equal_the_recovery_report() {
+    use rapilog_suite::faultsim::{run_trial_traced, ExplorerConfig, FaultKind};
+    use rapilog_suite::simcore::SchedulerKind;
+    // One crash point of the stock grid (it leaves a loser for undo).
+    let trial = ExplorerConfig::rapilog_default().trial(
+        0x5EED,
+        FaultKind::GuestCrash,
+        SimDuration::from_millis(260),
+    );
+    let (result, _, trace) = run_trial_traced(0x5EED, trial, SchedulerKind::TimerWheel);
+    assert!(result.ok, "violations: {:?}", result.violations);
+    let report = &result.recovery;
+    let (outer_begin, outer_end) = trace
+        .span(Layer::Fault, "recover")
+        .expect("faultsim's recover span");
+    let mut cursor = outer_begin;
+    for (name, expected) in [
+        ("recover_scan", report.scan_time),
+        ("recover_redo", report.redo_time),
+        ("recover_undo", report.undo_time),
+        ("recover_finish", report.finish_time),
+    ] {
+        let (begin, end) = trace
+            .span(Layer::Engine, name)
+            .unwrap_or_else(|| panic!("no {name} span"));
+        assert_eq!(
+            begin, cursor,
+            "{name} starts where the previous phase ended"
+        );
+        assert_eq!(end - begin, expected, "{name} duration");
+        cursor = end;
+    }
+    assert_eq!(cursor, outer_end, "the phases tile the recover span");
+    assert_eq!(outer_end - outer_begin, report.duration);
+}
