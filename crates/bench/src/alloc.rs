@@ -14,18 +14,21 @@
 //! static ALLOC: rapilog_bench::alloc::CountingAlloc = rapilog_bench::alloc::CountingAlloc;
 //! ```
 //!
-//! then measure regions with [`snapshot`] deltas. Counters are atomic, so
-//! the measurement itself allocates nothing.
+//! then measure regions with [`snapshot`] deltas, or hunt leaks with
+//! [`live_bytes`] deltas. Counters are atomic, so the measurement itself
+//! allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// System allocator wrapper that counts allocations and allocated bytes.
 /// Reallocation that grows counts as one allocation (the copy it implies is
-/// the cost being tracked); `dealloc` is free.
+/// the cost being tracked); `dealloc` is free in those two counters and
+/// only lowers [`live_bytes`].
 pub struct CountingAlloc;
 
 // SAFETY: defers entirely to `System`; the counters are lock-free atomics
@@ -34,10 +37,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -46,6 +51,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
             ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
             ALLOC_BYTES.fetch_add((new_size - layout.size()) as u64, Ordering::Relaxed);
         }
+        // Wrapping: a shrink adds the two's complement of what it freed.
+        LIVE_BYTES.fetch_add(
+            (new_size as u64).wrapping_sub(layout.size() as u64),
+            Ordering::Relaxed,
+        );
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -76,6 +86,14 @@ pub fn snapshot() -> AllocSnapshot {
         calls: ALLOC_CALLS.load(Ordering::Relaxed),
         bytes: ALLOC_BYTES.load(Ordering::Relaxed),
     }
+}
+
+/// Bytes currently allocated and not yet freed. A region that frees
+/// everything it allocated leaves this where it found it; the delta across
+/// a dropped simulation is what that simulation leaked. Meaningful only
+/// when [`CountingAlloc`] is the global allocator.
+pub fn live_bytes() -> u64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

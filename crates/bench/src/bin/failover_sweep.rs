@@ -17,8 +17,9 @@
 //! Trials fan out over host threads (`RAPILOG_BENCH_THREADS`, default all
 //! cores); results merge in canonical grid order, so the report is
 //! bit-identical at any thread count. A machine-readable summary row —
-//! wall-clock, trials/sec, p99 commit latency with shipping enabled, worst
-//! recovery time — is upserted into `BENCH_sweeps.json`.
+//! wall-clock, trials/sec, p50/p99 synchronous commit latency, p99 ack
+//! latency over every trial, worst recovery time — is upserted into
+//! `BENCH_sweeps.json`.
 //!
 //! Exit status is non-zero on any failure, so this binary doubles as the
 //! CI gate (`scripts/check.sh`).
@@ -73,6 +74,14 @@ fn summarize(report: &FailoverReport) {
             report.commit_latency.count()
         );
     }
+    if report.sync_commit_latency.count() > 0 {
+        println!(
+            "  sync commit (fault-free links): p50={}us p99={}us ({} samples)",
+            report.sync_commit_latency.percentile(50.0),
+            report.sync_commit_latency.percentile(99.0),
+            report.sync_commit_latency.count()
+        );
+    }
     for ce in &report.counterexamples {
         println!("  {}", ce.replay_line());
     }
@@ -96,7 +105,7 @@ fn main() {
     let report = explore_failovers_parallel(&cfg, threads);
     let wall = wall_start.elapsed();
     let trials_per_sec = report.trials as f64 / wall.as_secs_f64();
-    println!("replicated pair, strict drain (must be clean):");
+    println!("replicated pair (must be clean):");
     summarize(&report);
     println!(
         "\n  wall-clock: {:.2} s on {threads} threads ({trials_per_sec:.1} trials/s)",
@@ -149,6 +158,14 @@ fn main() {
         (
             "p99_commit_us",
             Json::int(report.commit_latency.percentile(99.0)),
+        ),
+        (
+            "sync_commit_p50_us",
+            Json::int(report.sync_commit_latency.percentile(50.0)),
+        ),
+        (
+            "sync_commit_p99_us",
+            Json::int(report.sync_commit_latency.percentile(99.0)),
         ),
         ("recovery_max_us", Json::int(report.recovery_us_max)),
         (

@@ -2,8 +2,8 @@
 //! audit decides whether the pair kept its promise.
 //!
 //! One trial assembles a replicated pair — a primary RapiLog instance
-//! whose drain tees retired batches over a faulty simulated network to a
-//! [`Standby`] applying into its own disk image — runs an audited client
+//! whose device tees every admitted write over a faulty simulated network
+//! to a [`Standby`] applying into its own disk image — runs an audited client
 //! load, injects one failover-class fault, promotes the standby and then
 //! audits **both media images** against the clients' acknowledgement
 //! journals:
@@ -11,24 +11,24 @@
 //! * **Sync mode** — every write the primary ever acknowledged must be
 //!   servable by the promoted standby (byte-exact on its media image).
 //! * **Async mode** — the pair must report an *exact* replication lag:
-//!   the committed-but-unreplicated count derived from the primary's
+//!   the admitted-but-unreplicated count derived from the primary's
 //!   offered prefix and the standby's applied prefix must equal the
 //!   number of committed sectors actually missing from the standby image.
 //! * **Both modes** — the standby never runs ahead of the primary (no
 //!   phantoms), never diverges byte-wise, and a promoted standby refuses
 //!   (and never acknowledges) frames from a zombie primary.
 //!
-//! Trials use the `Strict` drain ordering so "on the primary's media" and
-//! "offered to the shipper" are the same prefix — that identity is what
-//! makes the async lag check an equality rather than an inequality.
+//! The primary is audited quiesced or dead, and by then every admitted
+//! write is on its media (the drain, or the emergency drain — the
+//! single-box guarantee, checked in the same trial). So at audit time
+//! "offered to the shipper" ≡ "admitted" ≡ "on the primary's media", under
+//! any drain ordering — that identity is what makes the async lag check an
+//! equality rather than an inequality.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rapilog::{
-    DrainConfig, OrderingMode, RapiLog, RapiLogConfig, ReplicationConfig, ReplicationMode,
-    Replicator, Standby,
-};
+use rapilog::{RapiLog, ReplicationConfig, ReplicationMode, Replicator, Standby};
 use rapilog_microvisor::{Hypervisor, Trust};
 use rapilog_simcore::stats::Histogram;
 use rapilog_simcore::trace::{Layer, Payload};
@@ -146,7 +146,8 @@ pub struct FailoverResult {
     /// Writes submitted (acknowledged or not).
     pub attempted_writes: u64,
     /// The pair's reported replication lag at promotion: the primary's
-    /// committed prefix minus the standby's applied prefix, in writes.
+    /// admitted (offered) prefix minus the standby's applied prefix, in
+    /// writes.
     pub reported_lag: u64,
     /// Committed sectors present on the primary image but missing from the
     /// standby image — the ground truth the reported lag must equal.
@@ -229,10 +230,6 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
         let mut builder = RapiLog::builder(&c2)
             .cell(&pcell)
             .disk(primary_disk.clone())
-            .config(RapiLogConfig {
-                drain: DrainConfig::new().ordering(OrderingMode::Strict),
-                ..RapiLogConfig::default()
-            })
             .replicate(&repl);
         if let Some(p) = &psu {
             builder = builder.supply(p);
@@ -375,8 +372,8 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
                 "stale ack: primary believes {acked_hi:?} durable, standby applied {applied_hi:?}"
             ));
         }
-        // The pair's reported lag: committed prefix minus applied prefix.
-        // Sequence spaces are dense from 0, so `hi` is a count − 1.
+        // The pair's reported lag: admitted (offered) prefix minus applied
+        // prefix. Sequence spaces are dense from 0, so `hi` is a count − 1.
         let reported_lag = offered_hi
             .map_or(0, |o| o + 1)
             .saturating_sub(applied_hi.map_or(0, |a| a + 1));
@@ -429,9 +426,9 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
             }
         }
         // The exactness check (both modes): the reported lag must equal the
-        // ground-truth count of committed-but-unreplicated sectors. Strict
-        // ordering makes "on primary media" ≡ "offered", so this is an
-        // equality, not a bound.
+        // ground-truth count of committed-but-unreplicated sectors. The
+        // primary is quiesced or dead here, so every offered (= admitted)
+        // write is on its media and this is an equality, not a bound.
         if media_missing != reported_lag {
             violations.push(format!(
                 "lag misreported: pair reports {reported_lag}, media audit counts \
@@ -626,6 +623,10 @@ pub struct FailoverReport {
     pub recovery_us: Histogram,
     /// Client ack latency (µs) merged over every trial's pre-fault load.
     pub commit_latency: Histogram,
+    /// The same, over sync-mode trials on fault-free links only: what a
+    /// client of the pair pays for a replicated commit. (Async acks are
+    /// buffer-speed and chaos-link acks measure the retransmission timer.)
+    pub sync_commit_latency: Histogram,
     /// Grid points that violated an invariant.
     pub counterexamples: Vec<FailoverCounterexample>,
 }
@@ -663,6 +664,9 @@ impl FailoverReport {
         self.recovery_us_total += rec_us;
         self.recovery_us.record(rec_us);
         self.commit_latency.merge(&r.commit_latency);
+        if point.mode == ReplicationMode::Sync && point.kind != FailoverKind::ShipmentChaos {
+            self.sync_commit_latency.merge(&r.commit_latency);
+        }
         if !r.ok {
             self.counterexamples.push(FailoverCounterexample {
                 point: *point,
@@ -794,6 +798,11 @@ mod tests {
             "the split-brain probe ran"
         );
         assert!(report.commit_latency.count() > 0);
+        assert!(report.sync_commit_latency.count() > 0);
+        assert!(
+            report.sync_commit_latency.count() < report.commit_latency.count(),
+            "sync-only: async and chaos samples stay out"
+        );
         assert!(report.recovery_us_max > 0);
     }
 }

@@ -18,7 +18,6 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rapilog_simcore::{SimCtx, SimTime};
-use rapilog_simpower::PowerSupply;
 
 /// Outcome of one power-failure episode.
 #[derive(Debug, Clone, Copy)]
@@ -150,13 +149,14 @@ impl AuditSt {
 pub struct Audit {
     ctx: SimCtx,
     st: Rc<RefCell<AuditSt>>,
-    #[allow(dead_code)]
-    supply: Option<PowerSupply>,
 }
 
 impl Audit {
-    /// Creates an auditor.
-    pub fn new(ctx: &SimCtx, supply: Option<PowerSupply>) -> Audit {
+    /// Creates an auditor. It holds no handle to the power supply (the
+    /// watcher hands it the deadline with the warning): the supply's
+    /// death hook may own a [`Replicator`](crate::Replicator), which owns
+    /// this auditor, so a handle back would be a reference cycle.
+    pub fn new(ctx: &SimCtx) -> Audit {
         Audit {
             ctx: ctx.clone(),
             st: Rc::new(RefCell::new(AuditSt {
@@ -164,7 +164,6 @@ impl Audit {
                 report: AuditReport::default(),
                 pending_emergency: None,
             })),
-            supply,
         }
     }
 
@@ -303,7 +302,7 @@ mod tests {
     #[test]
     fn ordering_violation_detected() {
         let sim = Sim::new(0);
-        let audit = Audit::new(&sim.ctx(), None);
+        let audit = Audit::new(&sim.ctx());
         audit.record_commit(1);
         audit.record_commit(2);
         assert!(audit.report().guarantee_held());
@@ -316,7 +315,7 @@ mod tests {
     fn emergency_met_iff_drained_before_deadline() {
         let mut sim = Sim::new(0);
         let ctx = sim.ctx();
-        let audit = Audit::new(&ctx, None);
+        let audit = Audit::new(&ctx);
         let a2 = audit.clone();
         sim.spawn({
             let ctx = ctx.clone();
@@ -341,7 +340,7 @@ mod tests {
     fn late_drain_fails_the_guarantee() {
         let mut sim = Sim::new(0);
         let ctx = sim.ctx();
-        let audit = Audit::new(&ctx, None);
+        let audit = Audit::new(&ctx);
         let a2 = audit.clone();
         sim.spawn({
             let ctx = ctx.clone();
@@ -363,7 +362,7 @@ mod tests {
     fn unfinished_emergency_fails() {
         let sim = Sim::new(0);
         let ctx = sim.ctx();
-        let audit = Audit::new(&ctx, None);
+        let audit = Audit::new(&ctx);
         audit.record_warning(10, SimTime::from_millis(5));
         assert!(!audit.report().guarantee_held());
     }
@@ -371,7 +370,7 @@ mod tests {
     #[test]
     fn drain_failure_with_zero_bytes_is_tolerated() {
         let sim = Sim::new(0);
-        let audit = Audit::new(&sim.ctx(), None);
+        let audit = Audit::new(&sim.ctx());
         audit.record_drain_failure(0);
         assert!(audit.report().guarantee_held(), "nothing was lost");
         audit.record_drain_failure(512);
@@ -381,7 +380,7 @@ mod tests {
     #[test]
     fn tenant_sections_check_ordering_per_tenant() {
         let sim = Sim::new(0);
-        let audit = Audit::new(&sim.ctx(), None);
+        let audit = Audit::new(&sim.ctx());
         audit.register_tenant(0);
         audit.register_tenant(1);
         // Interleaved commits from independent sequence spaces: each
@@ -408,7 +407,7 @@ mod tests {
     #[test]
     fn tenant_loss_fails_only_that_section_and_the_headline() {
         let sim = Sim::new(0);
-        let audit = Audit::new(&sim.ctx(), None);
+        let audit = Audit::new(&sim.ctx());
         audit.record_tenant_commit(7, 1);
         audit.record_tenant_loss(7, 4096);
         let r = audit.report();

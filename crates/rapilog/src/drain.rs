@@ -45,7 +45,6 @@ use rapilog_simpower::PowerSupply;
 
 use crate::audit::Audit;
 use crate::buffer::{DependableBuffer, Extent};
-use crate::replicate::Replicator;
 use crate::shard::{ShardedBuffer, TenantId};
 use crate::{
     AdaptiveBatchConfig, BatchPolicy, DrainConfig, DrainStats, ModeState, OrderingMode,
@@ -306,9 +305,6 @@ struct BatchEntry {
     /// Per-extent admission stamps, consumed for commit-latency samples
     /// when the batch reaches the contiguous durable prefix.
     admits: Vec<u64>,
-    /// The batch's extents, kept for the replication tee. Empty (and
-    /// allocation-free) when log shipping is off.
-    extents: Vec<Extent>,
 }
 
 /// Retirement accounting: batches are registered in sequence order and may
@@ -332,13 +328,11 @@ impl BatchLedger {
     /// (with `backlog`, the bytes still queued behind it), and every extent
     /// reaching the contiguous durable prefix records its admission →
     /// commit latency.
-    #[allow(clippy::too_many_arguments)]
     fn run_done(
         &mut self,
         id: u64,
         buffer: &DependableBuffer,
         audit: &Audit,
-        repl: Option<&Replicator>,
         ctrl: &DrainController,
         now_ns: u64,
         backlog: u64,
@@ -367,9 +361,7 @@ impl BatchLedger {
         if jumped {
             audit.record_ooo_retirement();
         }
-        // The audit ledger advances only with the contiguous prefix — and
-        // so does the replication tee: the standby receives exactly the
-        // durable prefix, in order, never an out-of-order island.
+        // The audit ledger advances only with the contiguous prefix.
         while self.batches.front().is_some_and(|b| b.retired) {
             let front = self.batches.pop_front().expect("checked non-empty");
             for &admit_ns in &front.admits {
@@ -380,10 +372,6 @@ impl BatchLedger {
             match self.tenant {
                 Some(t) => audit.record_tenant_commit(t.0, front.hi),
                 None => audit.record_commit(front.hi),
-            }
-            if let Some(r) = repl {
-                let tenant = self.tenant.unwrap_or(TenantId::DEFAULT);
-                r.offer(tenant.0, front.lo, front.hi, &front.extents);
             }
         }
         (Some(payload), jumped)
@@ -672,16 +660,13 @@ pub(crate) fn start(
     audit: Audit,
     mode: Rc<ModeState>,
     tenant: TenantId,
-    repl: Option<Replicator>,
     ctrl: Rc<DrainController>,
 ) {
     match cfg.drain.ordering {
-        OrderingMode::Strict => {
-            start_strict(ctx, cell, &buffer, disk, cfg, &audit, mode, tenant, repl)
+        OrderingMode::Strict => start_strict(ctx, cell, &buffer, disk, cfg, &audit, mode, tenant),
+        OrderingMode::PartiallyConstrained => {
+            start_windowed(ctx, cell, &buffer, disk, cfg, &audit, mode, tenant, ctrl)
         }
-        OrderingMode::PartiallyConstrained => start_windowed(
-            ctx, cell, &buffer, disk, cfg, &audit, mode, tenant, repl, ctrl,
-        ),
     }
     if let Some(psu) = supply {
         start_power_watcher(ctx, cell, buffer, psu, audit);
@@ -690,8 +675,7 @@ pub(crate) fn start(
 
 /// The paper's original serial drain: one run on media at a time, in exact
 /// sequence order. Kept verbatim — [`OrderingMode::Strict`] must stay
-/// trace-identical release over release (with shipping off, the replication
-/// tee is a dead branch and emits no events).
+/// trace-identical release over release.
 #[allow(clippy::too_many_arguments)]
 fn start_strict(
     ctx: &SimCtx,
@@ -702,7 +686,6 @@ fn start_strict(
     audit: &Audit,
     mode: Rc<ModeState>,
     tenant: TenantId,
-    repl: Option<Replicator>,
 ) {
     let drain_buffer = buffer.clone();
     let drain_audit = audit.clone();
@@ -722,7 +705,6 @@ fn start_strict(
                 if batch.is_empty() {
                     break;
                 }
-                let first_seq = batch.first().expect("non-empty batch").seq;
                 let last_seq = batch.last().expect("non-empty batch").seq;
                 let runs = consolidate(&batch);
                 let batch_payload = Payload::Batch {
@@ -783,9 +765,6 @@ fn start_strict(
                 } else {
                     drain_audit.record_tenant_commit(tenant.0, last_seq);
                 }
-                if let Some(r) = &repl {
-                    r.offer(tenant.0, first_seq, last_seq, &batch);
-                }
                 drain_buffer.complete(last_seq);
             }
         }
@@ -821,7 +800,6 @@ fn start_windowed(
     audit: &Audit,
     mode: Rc<ModeState>,
     tenant: TenantId,
-    repl: Option<Replicator>,
     ctrl: Rc<DrainController>,
 ) {
     let drain_buffer = buffer.clone();
@@ -886,11 +864,6 @@ fn start_windowed(
                     bytes,
                     dispatched_ns: drain_ctx.now().as_nanos(),
                     admits: batch.iter().map(|e| e.admit_ns).collect(),
-                    extents: if repl.is_some() {
-                        batch.clone()
-                    } else {
-                        Vec::new()
-                    },
                 });
                 for run in runs {
                     // Backpressure: the window cap bounds runs in flight.
@@ -929,7 +902,6 @@ fn start_windowed(
                     let task_ledger = Rc::clone(&ledger);
                     let task_buffer = drain_buffer.clone();
                     let task_tracer = Rc::clone(&tracer);
-                    let task_repl = repl.clone();
                     let task_ctrl = Rc::clone(&ctrl);
                     drain_ctx.spawn(async move {
                         let _permit = permit;
@@ -966,7 +938,6 @@ fn start_windowed(
                                     batch_id,
                                     &task_buffer,
                                     &task_audit,
-                                    task_repl.as_ref(),
                                     &task_ctrl,
                                     task_ctx.now().as_nanos(),
                                     task_buffer.queued_bytes(),
@@ -1032,10 +1003,9 @@ pub(crate) fn start_sharded(
     supply: Option<PowerSupply>,
     audit: Audit,
     mode: Rc<ModeState>,
-    repl: Option<Replicator>,
     ctrl: Rc<DrainController>,
 ) {
-    start_fair_share(ctx, cell, sharded, disk, cfg, &audit, mode, repl, ctrl);
+    start_fair_share(ctx, cell, sharded, disk, cfg, &audit, mode, ctrl);
     if let Some(psu) = supply {
         start_power_watcher_sharded(ctx, cell, sharded.clone(), psu, audit);
     }
@@ -1076,7 +1046,6 @@ fn start_fair_share(
     cfg: RapiLogConfig,
     audit: &Audit,
     mode: Rc<ModeState>,
-    repl: Option<Replicator>,
     ctrl: Rc<DrainController>,
 ) {
     let drain_sharded = sharded.clone();
@@ -1145,11 +1114,6 @@ fn start_fair_share(
                         bytes,
                         dispatched_ns: drain_ctx.now().as_nanos(),
                         admits: batch.iter().map(|e| e.admit_ns).collect(),
-                        extents: if repl.is_some() {
-                            batch.clone()
-                        } else {
-                            Vec::new()
-                        },
                     });
                     for run in runs {
                         let permit = window.acquire(1).await;
@@ -1187,7 +1151,6 @@ fn start_fair_share(
                         let task_buffer = shard_buf.clone();
                         let task_sharded = drain_sharded.clone();
                         let task_tracer = Rc::clone(&tracer);
-                        let task_repl = repl.clone();
                         let task_ctrl = Rc::clone(&ctrl);
                         drain_ctx.spawn(async move {
                             let _permit = permit;
@@ -1220,7 +1183,6 @@ fn start_fair_share(
                                         batch_id,
                                         &task_buffer,
                                         &task_audit,
-                                        task_repl.as_ref(),
                                         &task_ctrl,
                                         task_ctx.now().as_nanos(),
                                         task_sharded.total_queued_bytes(),
@@ -2201,7 +2163,7 @@ mod window_tests {
                 .window_depth(2)
                 .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig::default()));
             let ctrl = DrainController::new(&ctx, &cfg, &disk);
-            let audit = Audit::new(&ctx, None);
+            let audit = Audit::new(&ctx);
             let buffer = DependableBuffer::new(64 << 20);
             buffer.set_clock(&ctx);
             let batches_seen = Rc::new(StdCell::new(0u64));
@@ -2257,7 +2219,6 @@ mod window_tests {
                             bytes: runs.iter().map(|r| r.bytes() as u64).sum(),
                             dispatched_ns: t_ctx.now().as_nanos(),
                             admits: batch.iter().map(|e| e.admit_ns).collect(),
-                            extents: Vec::new(),
                         });
                         pending.push((next_batch_id, runs.len() as u64));
                         next_batch_id += 1;
@@ -2275,7 +2236,6 @@ mod window_tests {
                             id,
                             &t_buffer,
                             &t_audit,
-                            None,
                             &t_ctrl,
                             t_ctx.now().as_nanos(),
                             t_buffer.queued_bytes(),

@@ -537,11 +537,14 @@ impl<'a> RapiLogBuilder<'a> {
         self
     }
 
-    /// Ships every retired batch to a standby cell through `repl`; see
+    /// Ships every admitted write to a standby cell through `repl`; see
     /// [`Replicator`](replicate::Replicator). The builder attaches the
-    /// shipper's send/ack loops to this instance's trusted cell; in
+    /// shipper's send/ack loops to this instance's trusted cell and hands
+    /// the shipper to each tenant's device, which offers every extent the
+    /// moment the dependable buffer admits it — the drain never sees it. In
     /// [`Sync`](replicate::ReplicationMode::Sync) mode, guest
-    /// acknowledgements additionally wait for the standby's ack.
+    /// acknowledgements additionally wait for the standby's ack (and for
+    /// nothing else: local durability is the buffer's promise).
     pub fn replicate(mut self, repl: &replicate::Replicator) -> Self {
         self.repl = Some(repl.clone());
         self
@@ -615,9 +618,9 @@ impl<'a> RapiLogBuilder<'a> {
             // deployments detect this case up front.
             assert!(
                 self.repl.is_none(),
-                "log shipping requires a buffered instance; write-through has no drain to tee"
+                "log shipping requires a buffered instance; write-through admits nothing to tee"
             );
-            let audit = audit::Audit::new(ctx, supply.cloned());
+            let audit = audit::Audit::new(ctx);
             if tenant_id != TenantId::DEFAULT {
                 audit.register_tenant(tenant_id.0);
             }
@@ -639,7 +642,7 @@ impl<'a> RapiLogBuilder<'a> {
                 drain_ctrl,
             };
         }
-        let audit = audit::Audit::new(ctx, supply.cloned());
+        let audit = audit::Audit::new(ctx);
         // An explicitly named tenant gets its audit section up front, so
         // the report still testifies for it even if it never writes.
         if tenant_id != TenantId::DEFAULT {
@@ -670,7 +673,6 @@ impl<'a> RapiLogBuilder<'a> {
             audit.clone(),
             Rc::clone(&mode),
             tenant_id,
-            self.repl.clone(),
             Rc::clone(&drain_ctrl),
         );
         RapiLog {
@@ -703,7 +705,7 @@ impl<'a> RapiLogBuilder<'a> {
     ) -> RapiLog {
         let weights: Vec<u32> = specs.iter().map(|s| s.weight.max(1)).collect();
         let shard_caps = shard::split_capacity(capacity, &weights);
-        let audit = audit::Audit::new(ctx, supply.cloned());
+        let audit = audit::Audit::new(ctx);
         for spec in specs {
             audit.register_tenant(spec.id.0);
         }
@@ -718,7 +720,7 @@ impl<'a> RapiLogBuilder<'a> {
             // rather than buffering for some tenants and lying to others.
             assert!(
                 repl.is_none(),
-                "log shipping requires a buffered instance; write-through has no drain to tee"
+                "log shipping requires a buffered instance; write-through admits nothing to tee"
             );
             let tenants: Vec<TenantHandle> = specs
                 .iter()
@@ -789,7 +791,6 @@ impl<'a> RapiLogBuilder<'a> {
             supply.cloned(),
             audit.clone(),
             Rc::clone(&mode),
-            repl.clone(),
             Rc::clone(&drain_ctrl),
         );
         RapiLog {

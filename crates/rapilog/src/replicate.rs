@@ -3,11 +3,21 @@
 //! The single-box guarantee ends where the box does: a fire takes the
 //! trusted cell and its disk together. This module extends the dependable
 //! pipeline over a (simulated, faulty) network: a primary-side
-//! [`Replicator`] tees the drain's *retired* batches — exactly the
-//! contiguous durable prefix, in order — onto a [`Link`], and a [`Standby`]
-//! applies them into its own disk image, acknowledging with its durable
-//! prefix. The standby can then be [promoted](Standby::promote) after the
-//! primary fails.
+//! [`Replicator`] tees every write the dependable buffer *admits* — one
+//! frame per extent, in admission (= sequence) order, offered by the
+//! device in the same poll as the admission — onto a [`Link`], and a
+//! [`Standby`] applies them into its own disk image, acknowledging with
+//! its durable prefix. The standby can then be
+//! [promoted](Standby::promote) after the primary fails.
+//!
+//! Shipping at admission keeps the primary's disk off the replicated
+//! commit path: an admitted write is already dependable locally (the
+//! buffer's guarantee), so the local media write and the ship → apply →
+//! ack round trip overlap instead of chaining. Between admission and
+//! drain the standby may therefore hold a write the primary's *media*
+//! does not yet — never one the primary's *admitted log* lacks — and a
+//! quiesced or dead primary has closed that gap (drain, or emergency
+//! drain) by the time anyone audits it.
 //!
 //! The protocol is deliberately minimal — frames carry a contiguous
 //! sequence range `[lo, hi]` per tenant, the standby applies only at its
@@ -16,24 +26,26 @@
 //! its ack deadline lapses (capped exponential backoff, reusing
 //! [`RetryPolicy`]). Reliability is therefore end-to-end: the link may
 //! drop, duplicate, reorder within a bound, or partition, and the replica
-//! still converges to a prefix of the primary's committed log.
+//! still converges to a prefix of the primary's admitted log.
 //!
 //! Two guarantee levels (see [`ReplicationMode`]):
 //!
 //! * **Sync** — the guest's write acknowledgement additionally waits until
-//!   the standby has acknowledged the write's sequence number. Every commit
+//!   the standby has acknowledged the write's sequence number (and for
+//!   nothing else — not for the primary's own media write). Every commit
 //!   the primary ever acked is then servable by the promoted standby.
 //! * **Async** — acks stay early (buffer-speed); on failover the pair
-//!   reports an exact replication lag: the count of locally committed
-//!   sequence numbers the standby has not applied. Because the standby
-//!   only ever applies its contiguous prefix, what is missing is exactly a
-//!   suffix of the committed log.
+//!   reports an exact replication lag: the count of admitted sequence
+//!   numbers the standby has not applied. Because the standby only ever
+//!   applies its contiguous prefix, what is missing is exactly a suffix
+//!   `(applied_hi, offered_hi]` of the admitted log.
 
 use std::cell::{Cell as StdCell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use rapilog_microvisor::cell::Cell;
+use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::sync::Notify;
 use rapilog_simcore::trace::{Layer, Payload};
 use rapilog_simcore::{SimCtx, SimDuration};
@@ -49,7 +61,9 @@ use crate::RetryPolicy;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicationMode {
     /// The device ack waits for the standby's ack: primary-acked implies
-    /// standby-durable, at the cost of one network round trip per write.
+    /// standby-durable, at the cost of one ship → apply → ack round trip
+    /// per write. The primary's own media write is not on that path — the
+    /// frame leaves at admission and the drain runs beside it.
     Sync,
     /// Acks stay buffer-speed; the replica trails by a reported, exact lag.
     Async,
@@ -111,6 +125,17 @@ impl ShipFrame {
             .map(|e| e.data.len() as u64)
             .sum::<u64>()
     }
+
+    /// What the frame's `ship` and `standby_apply` spans carry: the last
+    /// sequence it covers (the one a `repl_wait` span names), where it
+    /// starts on disk and its wire size.
+    fn trace_payload(&self) -> Payload {
+        Payload::Extent {
+            seq: self.hi,
+            sector: self.extents.first().map_or(0, |e| e.sector),
+            bytes: self.wire_bytes(),
+        }
+    }
 }
 
 /// The standby's cumulative acknowledgement for one tenant.
@@ -147,11 +172,13 @@ fn lookup(v: &[(u64, u64)], tenant: u64) -> Option<u64> {
 pub struct ReplTenantStatus {
     /// The tenant (`TenantId` raw value).
     pub tenant: u64,
-    /// Highest locally committed sequence handed to the shipper.
+    /// Highest admitted sequence handed to the shipper. Admission, not
+    /// local commit: the primary's media may trail this until the drain
+    /// (or a dying primary's emergency drain) catches up.
     pub offered_hi: Option<u64>,
     /// Highest sequence the standby has acknowledged durable.
     pub acked_hi: Option<u64>,
-    /// Committed-but-unacknowledged sequence count: `offered − acked`.
+    /// Admitted-but-unacknowledged sequence count: `offered − acked`.
     /// Sequence spaces are dense from 0, so this is an exact count.
     pub lag: u64,
 }
@@ -181,7 +208,7 @@ impl ReplicationReport {
         self.tenants.iter().find(|t| t.tenant == tenant)
     }
 
-    /// Total committed-but-unacknowledged sequence count across tenants.
+    /// Total admitted-but-unacknowledged sequence count across tenants.
     pub fn total_lag(&self) -> u64 {
         self.tenants.iter().map(|t| t.lag).sum()
     }
@@ -192,7 +219,7 @@ struct ReplInner {
     cfg: ReplicationConfig,
     ship: Link<ShipFrame>,
     acks: Link<ShipAck>,
-    /// Offered by the drain, not yet put on the wire.
+    /// Offered at admission, not yet put on the wire.
     pending: RefCell<VecDeque<ShipFrame>>,
     /// On the wire (at least once), awaiting acknowledgement.
     unacked: RefCell<VecDeque<ShipFrame>>,
@@ -216,8 +243,13 @@ struct ReplInner {
 ///
 /// Create it with the two link directions, hand it to
 /// [`RapiLogBuilder::replicate`](crate::RapiLogBuilder::replicate); the
-/// builder attaches it to the instance's trusted cell and the drain then
-/// tees every retired batch through [`ShipFrame`]s.
+/// builder attaches it to the instance's trusted cell and hands it to each
+/// tenant's [`RapiLogDevice`](crate::RapiLogDevice), which then offers every
+/// extent the dependable buffer admits as one [`ShipFrame`] — in both
+/// modes; only the wait for the standby's ack is [`Sync`]-only. The drain
+/// does not know shipping exists.
+///
+/// [`Sync`]: ReplicationMode::Sync
 #[derive(Clone)]
 pub struct Replicator {
     inner: Rc<ReplInner>,
@@ -317,28 +349,32 @@ impl Replicator {
         }
     }
 
-    /// The drain's tee: called with each retired batch as the contiguous
-    /// durable prefix advances, in order, per tenant.
-    pub(crate) fn offer(&self, tenant: u64, lo: u64, hi: u64, extents: &[Extent]) {
+    /// The admission tee: the device calls this with each extent the
+    /// dependable buffer admitted, in the same poll as the admission — so
+    /// per tenant the offers arrive in sequence order, one frame each.
+    /// Opens the frame's `ship` span; the ack that covers it closes it.
+    pub(crate) fn offer(&self, tenant: u64, seq: u64, sector: u64, data: SectorBuf) {
         let inner = &self.inner;
-        upsert_max(&mut inner.offered_hi.borrow_mut(), tenant, hi);
+        upsert_max(&mut inner.offered_hi.borrow_mut(), tenant, seq);
         if inner.halted.get() {
             return;
         }
+        let now = inner.ctx.now();
         let frame = ShipFrame {
             tenant,
-            lo,
-            hi,
-            extents: extents.to_vec(),
+            lo: seq,
+            hi: seq,
+            extents: vec![Extent {
+                seq,
+                sector,
+                admit_ns: now.as_nanos(),
+                data,
+            }],
         };
-        inner.ctx.tracer().instant(
-            inner.ctx.now(),
-            Layer::Net,
-            "ship_offer",
-            Payload::Bytes {
-                bytes: frame.wire_bytes(),
-            },
-        );
+        inner
+            .ctx
+            .tracer()
+            .begin(now, Layer::Net, "ship", frame.trace_payload());
         inner.pending.borrow_mut().push_back(frame);
         inner.wake.notify_all();
     }
@@ -434,10 +470,15 @@ impl Replicator {
                     if let Some(audit) = inner.audit.borrow().as_ref() {
                         audit.record_replicated(ack.tenant, ack.durable_hi);
                     }
-                    inner
-                        .unacked
-                        .borrow_mut()
-                        .retain(|f| f.tenant != ack.tenant || f.hi > ack.durable_hi);
+                    let tracer = inner.ctx.tracer();
+                    let now = inner.ctx.now();
+                    inner.unacked.borrow_mut().retain(|f| {
+                        let covered = f.tenant == ack.tenant && f.hi <= ack.durable_hi;
+                        if covered {
+                            tracer.end(now, Layer::Net, "ship", f.trace_payload());
+                        }
+                        !covered
+                    });
                 }
                 inner.wake.notify_all();
             }
@@ -520,12 +561,14 @@ impl StandbyInner {
         f(&mut tenants[idx])
     }
 
-    /// Writes `frame`'s extents from sequence `from` onward to the image.
+    /// Writes `frame`'s extents from sequence `from` onward to the image,
+    /// inside a `standby_apply` span.
     async fn apply_extents(&self, frame: &ShipFrame, from: u64) -> Result<(), ()> {
-        for e in &frame.extents {
-            if e.seq < from {
-                continue;
-            }
+        let tracer = self.ctx.tracer();
+        let payload = frame.trace_payload();
+        tracer.begin(self.ctx.now(), Layer::Net, "standby_apply", payload);
+        let mut applied = Ok(());
+        for e in frame.extents.iter().filter(|e| e.seq >= from) {
             if self
                 .disk
                 .write_segments(e.sector, vec![e.data.clone()], true)
@@ -533,11 +576,15 @@ impl StandbyInner {
                 .is_err()
             {
                 self.wedged.set(true);
-                return Err(());
+                applied = Err(());
+                break;
             }
         }
-        self.frames_applied.set(self.frames_applied.get() + 1);
-        Ok(())
+        tracer.end(self.ctx.now(), Layer::Net, "standby_apply", payload);
+        if applied.is_ok() {
+            self.frames_applied.set(self.frames_applied.get() + 1);
+        }
+        applied
     }
 }
 
@@ -706,11 +753,12 @@ impl StandbyInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CapacitySpec, RapiLog};
+    use crate::{CapacitySpec, DrainConfig, OrderingMode, RapiLog};
     use rapilog_microvisor::{Hypervisor, Trust};
     use rapilog_simcore::{Sim, SimTime};
-    use rapilog_simdisk::{specs, BlockDevice, SECTOR_SIZE};
+    use rapilog_simdisk::{specs, BlockDevice, DiskSpec, IoError, SECTOR_SIZE};
     use rapilog_simnet::{LinkFaults, LinkSpec};
+    use rapilog_simpower::{supplies, PowerSupply};
     use std::cell::Cell as StdCell;
 
     struct Fixture {
@@ -723,11 +771,25 @@ mod tests {
     }
 
     fn fixture(sim: &mut Sim, cfg: ReplicationConfig, faults: LinkFaults) -> Fixture {
+        let primary = specs::instant(1 << 24);
+        fixture_on(sim, cfg, faults, primary, 16 << 20, DrainConfig::new())
+    }
+
+    /// The pair with a chosen primary: its log disk, buffer capacity and
+    /// drain discipline. The standby always applies into an instant disk.
+    fn fixture_on(
+        sim: &mut Sim,
+        cfg: ReplicationConfig,
+        faults: LinkFaults,
+        primary: DiskSpec,
+        capacity: u64,
+        drain: DrainConfig,
+    ) -> Fixture {
         let ctx = sim.ctx();
         let hv = Hypervisor::new(&ctx);
         let pcell = hv.create_cell("primary", Trust::Trusted);
         let scell = hv.create_cell("standby", Trust::Trusted);
-        let primary_disk = Disk::new(&ctx, specs::instant(1 << 24));
+        let primary_disk = Disk::new(&ctx, primary);
         let standby_disk = Disk::new(&ctx, specs::instant(1 << 24));
         let ship = Link::new(&ctx, LinkSpec::lan("ship").with_faults(faults.clone()));
         let acks = Link::new(&ctx, LinkSpec::lan("acks").with_faults(faults));
@@ -736,7 +798,8 @@ mod tests {
         let rl = RapiLog::builder(&ctx)
             .cell(&pcell)
             .disk(primary_disk.clone())
-            .capacity(CapacitySpec::Fixed(16 << 20))
+            .capacity(CapacitySpec::Fixed(capacity))
+            .drain_config(drain)
             .replicate(&repl)
             .build();
         std::mem::forget(pcell);
@@ -934,5 +997,266 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(outcome.get(), Some(true), "halt failed the blocked write");
         assert!(f.repl.is_halted());
+    }
+
+    #[test]
+    fn sync_ack_does_not_wait_for_the_primarys_own_disk() {
+        let mut sim = Sim::new(46);
+        let ctx = sim.ctx();
+        // The paper's log disk: a media write costs a seek plus rotation.
+        let f = fixture_on(
+            &mut sim,
+            ReplicationConfig::sync(),
+            LinkFaults::default(),
+            specs::hdd_7200(1 << 30),
+            16 << 20,
+            DrainConfig::new(),
+        );
+        let dev = f.rl.device();
+        let primary_disk = f.primary_disk.clone();
+        let payload = vec![0xA7u8; SECTOR_SIZE];
+        // (ack latency in ns, was the write on primary media at the ack)
+        let at_ack = Rc::new(StdCell::new(None));
+        let a2 = Rc::clone(&at_ack);
+        let p2 = payload.clone();
+        sim.spawn(async move {
+            let t0 = ctx.now();
+            dev.write(20_000, &p2, true).await.unwrap();
+            let mut media = vec![0u8; SECTOR_SIZE];
+            primary_disk.peek_media(20_000, &mut media);
+            a2.set(Some(((ctx.now() - t0).as_nanos(), media == p2)));
+        });
+        sim.run_until(SimTime::from_secs(1));
+        let (ack_ns, on_media_at_ack) = at_ack.get().expect("the write was acknowledged");
+        assert!(
+            ack_ns < 1_000_000,
+            "the sync ack is the network round trip, not a disk rotation ({ack_ns} ns)"
+        );
+        assert!(
+            !on_media_at_ack,
+            "the primary's own media write lands after the ack, beside the round trip"
+        );
+        assert_eq!(f.standby.applied_hi(0), Some(0));
+        let mut media = vec![0u8; SECTOR_SIZE];
+        f.primary_disk.peek_media(20_000, &mut media);
+        assert_eq!(media, payload, "the drain still took it to primary media");
+        assert!(f.rl.audit_report().guarantee_held());
+    }
+
+    #[test]
+    fn windowed_drain_standby_holds_exactly_the_admitted_prefix() {
+        // The configuration the lag equality used to exclude: a windowed
+        // drain retiring disjoint runs out of order on a 4-channel disk.
+        // The tee sits at admission, so the equality no longer depends on
+        // the drain's discipline at all.
+        const WRITERS: u64 = 4;
+        const WRITES: u64 = 48;
+        let mut sim = Sim::new(47);
+        let ctx = sim.ctx();
+        let f = fixture_on(
+            &mut sim,
+            ReplicationConfig::asynchronous(),
+            LinkFaults::default(),
+            specs::ssd_nvme(1 << 26).with_channels(4),
+            16 << 20,
+            DrainConfig::new()
+                .ordering(OrderingMode::PartiallyConstrained)
+                .window_depth(4),
+        );
+        // Each write owns a private, non-adjacent slot, so runs never merge
+        // and every sector belongs to exactly one sequence number; mixed
+        // sizes give the channels runs that finish out of dispatch order.
+        let slot = |w: u64, k: u64| w * 8192 + k * 128;
+        let fill = |w: u64, k: u64| {
+            let sectors = [1, 64, 2, 16][((w + k) % 4) as usize];
+            vec![(1 + w * WRITES + k) as u8; sectors * SECTOR_SIZE]
+        };
+        // In async mode nothing is awaited between admission and the
+        // write's return, so this log is in sequence order: log[seq].
+        let log: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
+        let mut writers = Vec::new();
+        for w in 0..WRITERS {
+            let dev = f.rl.device();
+            let log = Rc::clone(&log);
+            let ctx = ctx.clone();
+            writers.push(sim.spawn(async move {
+                for k in 0..WRITES {
+                    dev.write(slot(w, k), &fill(w, k), true).await.unwrap();
+                    log.borrow_mut().push((w, k));
+                    ctx.sleep(SimDuration::from_micros(3 + w)).await;
+                }
+            }));
+        }
+        // Cut the ship link mid-load: the primary keeps admitting into the
+        // partition, so the standby ends on a strict prefix.
+        let ship = f.ship.clone();
+        let c2 = ctx.clone();
+        sim.spawn(async move {
+            c2.sleep(SimDuration::from_micros(400)).await;
+            ship.partition(true);
+        });
+        let rl = f.rl.clone();
+        let quiesced = Rc::new(StdCell::new(false));
+        let q2 = Rc::clone(&quiesced);
+        sim.spawn(async move {
+            for w in writers {
+                let _ = w.await;
+            }
+            rl.quiesce().await;
+            q2.set(true);
+        });
+        sim.run_until(SimTime::from_millis(50));
+        assert!(quiesced.get(), "every admitted write reached primary media");
+        let audit = f.rl.audit_report();
+        assert!(audit.guarantee_held());
+        assert!(
+            audit.ooo_retirements > 0,
+            "the windowed drain really retired out of order (potency)"
+        );
+        let log = log.borrow();
+        assert_eq!(log.len() as u64, WRITERS * WRITES);
+        let offered_hi = f.repl.report().tenant(0).and_then(|t| t.offered_hi);
+        assert_eq!(offered_hi, Some(log.len() as u64 - 1), "offered ≡ admitted");
+        let applied = f.standby.applied_hi(0).map_or(0, |a| a + 1);
+        assert!(
+            applied > 0 && applied < log.len() as u64,
+            "the partition left a real, partial prefix (applied {applied})"
+        );
+        // Standby image == apply(prefix), sector for sector; the writes it
+        // lacks are exactly the suffix (applied_hi, offered_hi].
+        let peek = |disk: &Disk, sector: u64, len: usize| {
+            let mut image = vec![0u8; len];
+            for (i, chunk) in image.chunks_exact_mut(SECTOR_SIZE).enumerate() {
+                disk.peek_media(sector + i as u64, chunk);
+            }
+            image
+        };
+        let mut media_diff = 0u64;
+        for (seq, &(w, k)) in log.iter().enumerate() {
+            let expected = fill(w, k);
+            let p = peek(&f.primary_disk, slot(w, k), expected.len());
+            let s = peek(&f.standby_disk, slot(w, k), expected.len());
+            assert_eq!(p, expected, "seq {seq} is on primary media");
+            if (seq as u64) < applied {
+                assert_eq!(s, p, "seq {seq} is inside the applied prefix");
+            } else {
+                assert_eq!(s, vec![0u8; s.len()], "seq {seq} is beyond it");
+                media_diff += 1;
+            }
+        }
+        assert_eq!(log.len() as u64 - applied, media_diff);
+        assert_eq!(f.repl.report().total_lag(), media_diff);
+    }
+
+    #[test]
+    fn split_write_offers_one_frame_per_chunk_in_sequence_order() {
+        let mut sim = Sim::new(48);
+        // A 2-sector buffer splits an 8-sector write into four chunks.
+        let f = fixture_on(
+            &mut sim,
+            ReplicationConfig::asynchronous(),
+            LinkFaults::default(),
+            specs::instant(1 << 24),
+            2 * SECTOR_SIZE as u64,
+            DrainConfig::new(),
+        );
+        // Nothing is ever acknowledged, so every frame stays listed in
+        // `unacked`, in the order the send loop took it from the offers.
+        f.ship.partition(true);
+        let dev = f.rl.device();
+        let data: Vec<u8> = (0..8 * SECTOR_SIZE).map(|i| (i % 251) as u8).collect();
+        let d2 = data.clone();
+        sim.spawn(async move {
+            dev.write(100, &d2, true).await.unwrap();
+        });
+        sim.run_until(SimTime::from_millis(2));
+        let frames = f.repl.inner.unacked.borrow();
+        assert_eq!(frames.len(), 4, "one frame per chunk");
+        for (i, frame) in frames.iter().enumerate() {
+            assert_eq!((frame.lo, frame.hi), (i as u64, i as u64));
+            assert_eq!(frame.extents.len(), 1);
+            let e = &frame.extents[0];
+            assert_eq!((e.seq, e.sector), (i as u64, 100 + 2 * i as u64));
+            assert_eq!(
+                e.data.as_slice(),
+                &data[i * 2 * SECTOR_SIZE..(i + 1) * 2 * SECTOR_SIZE]
+            );
+        }
+        assert_eq!(f.repl.report().tenant(0).unwrap().offered_hi, Some(3));
+    }
+
+    #[test]
+    fn refused_admission_offers_nothing() {
+        let mut sim = Sim::new(49);
+        let f = fixture(
+            &mut sim,
+            ReplicationConfig::asynchronous(),
+            LinkFaults::default(),
+        );
+        let dev = f.rl.device();
+        let buffer = f.rl.tenants[0].buffer.clone();
+        let refused = Rc::new(StdCell::new(None));
+        let r2 = Rc::clone(&refused);
+        sim.spawn(async move {
+            dev.write(0, &vec![1u8; SECTOR_SIZE], true).await.unwrap();
+            // The power-fail warning: no admissions from here on.
+            buffer.freeze();
+            r2.set(Some(dev.write(1, &vec![2u8; SECTOR_SIZE], true).await));
+        });
+        sim.run_until(SimTime::from_millis(10));
+        assert_eq!(refused.get(), Some(Err(IoError::PowerLoss)));
+        let report = f.repl.report();
+        assert_eq!(
+            report.tenant(0).unwrap().offered_hi,
+            Some(0),
+            "the refused write moved nothing"
+        );
+        assert_eq!(report.frames_shipped, 1);
+        assert_eq!(report.frames_pending, 0);
+        assert_eq!(f.standby.applied_hi(0), Some(0));
+    }
+
+    #[test]
+    fn a_death_hook_owning_the_replicator_does_not_leak_the_supply() {
+        // The failover harness's wiring: the supply's death hook owns the
+        // replicator (to halt it), the replicator owns the instance's
+        // auditor. If anything on that chain held the supply, supply →
+        // hook → replicator → … → supply would be a cycle and every
+        // power-kind trial would leak its frames. The sentinel lives in
+        // the hook, so it dies exactly when the supply does.
+        let sentinel = Rc::new(());
+        let supply_alive = Rc::downgrade(&sentinel);
+        {
+            let mut sim = Sim::new(50);
+            let ctx = sim.ctx();
+            let hv = Hypervisor::new(&ctx);
+            let cell = hv.create_cell("primary", Trust::Trusted);
+            let disk = Disk::new(&ctx, specs::ssd_sata(1 << 24));
+            let ship = Link::new(&ctx, LinkSpec::lan("ship"));
+            let acks = Link::new(&ctx, LinkSpec::lan("acks"));
+            let repl = Replicator::new(&ctx, ReplicationConfig::sync(), ship, acks);
+            let psu = PowerSupply::new(&ctx, supplies::atx_psu());
+            let rl = RapiLog::builder(&ctx)
+                .cell(&cell)
+                .disk(disk.clone())
+                .supply(&psu)
+                .replicate(&repl)
+                .build();
+            let r = repl.clone();
+            psu.on_death(move || {
+                let _owned = &sentinel;
+                disk.power_cut();
+                r.halt();
+            });
+            let dev = rl.device();
+            sim.spawn(async move {
+                let _ = dev.write(0, &vec![5u8; SECTOR_SIZE], true).await;
+            });
+            sim.run_until(SimTime::from_millis(1));
+        }
+        assert!(
+            supply_alive.upgrade().is_none(),
+            "dropping the trial's world must free the supply and its death hook"
+        );
     }
 }

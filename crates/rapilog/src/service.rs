@@ -325,7 +325,7 @@ mod tests {
     fn client_bounds_a_stalled_service_and_counts_timeouts() {
         let mut sim = Sim::new(31);
         let ctx = sim.ctx();
-        let audit = Audit::new(&ctx, None);
+        let audit = Audit::new(&ctx);
         // A wedged service: it accepts every request and keeps the reply
         // channel alive but never answers — the raw cap.call would hang
         // this session forever.
@@ -369,7 +369,7 @@ mod tests {
     fn client_recovers_when_the_service_unstalls_mid_retry() {
         let mut sim = Sim::new(32);
         let ctx = sim.ctx();
-        let audit = Audit::new(&ctx, None);
+        let audit = Audit::new(&ctx);
         // The service swallows the first two requests, then serves.
         let ep = Rc::new(Endpoint::new());
         let held = Rc::new(RefCell::new(Vec::new()));

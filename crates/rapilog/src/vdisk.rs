@@ -45,9 +45,9 @@ pub struct RapiLogDevice {
     audit: Audit,
     /// Shared with the drain: while degraded, acks wait for media.
     mode: Rc<ModeState>,
-    /// Sync-replication gate: the tenant this device writes as, plus the
-    /// shipper whose standby ack the write must wait for. `None` when
-    /// shipping is off or asynchronous.
+    /// The replication tee: the tenant this device writes as, plus the
+    /// shipper every admitted extent is offered to (and, in sync mode,
+    /// whose standby ack the write waits for). `None` when shipping is off.
     repl: Option<(u64, Replicator)>,
     geometry: Geometry,
     tracer: Rc<Tracer>,
@@ -65,7 +65,6 @@ impl RapiLogDevice {
         repl: Option<(u64, Replicator)>,
     ) -> RapiLogDevice {
         let geometry = backing.geometry();
-        let repl = repl.filter(|(_, r)| r.mode() == ReplicationMode::Sync);
         RapiLogDevice {
             ctx: ctx.clone(),
             buffer: Some(buffer),
@@ -193,6 +192,14 @@ impl RapiLogDevice {
                             bytes: take as u64,
                         },
                     );
+                    // The replication tee sits at the one point every
+                    // write passes, in the same poll as the admission (no
+                    // await since `push` returned): an admitted extent is
+                    // already dependable locally, so it ships now and the
+                    // drain's media write overlaps the round trip.
+                    if let Some((tenant, repl)) = &self.repl {
+                        repl.offer(*tenant, seq, first, data.slice(offset..offset + take));
+                    }
                 }
                 // Frozen buffer means the power-fail warning has fired:
                 // from the guest's perspective the machine is dying.
@@ -228,10 +235,15 @@ impl RapiLogDevice {
         }
         // Synchronous replication: the acknowledgement is a promise about
         // the *standby* too, so hold it until the standby has acked this
-        // write's sequence. A halted shipper (primary power death) fails
+        // write's sequence — the standby's ack only; local durability is
+        // the buffer's job. A halted shipper (primary power death) fails
         // the write instead — a dying box must not promise remote
         // durability it can no longer deliver.
-        if let Some((tenant, repl)) = &self.repl {
+        let sync_repl = self
+            .repl
+            .as_ref()
+            .filter(|(_, r)| r.mode() == ReplicationMode::Sync);
+        if let Some((tenant, repl)) = sync_repl {
             if let Some(seq) = last_seq {
                 self.tracer.begin(
                     self.ctx.now(),

@@ -8,6 +8,7 @@
 //! JSON-lines and the Chrome exports must match exactly, not just
 //! statistically.
 
+use rapilog_simnet::{Link, LinkSpec};
 use rapilog_suite::prelude::*;
 
 /// Drives a small but layer-rich scenario: a RapiLog stack over an HDD
@@ -129,4 +130,64 @@ fn recovery_phase_spans_equal_the_recovery_report() {
     }
     assert_eq!(cursor, outer_end, "the phases tile the recover span");
     assert_eq!(outer_end - outer_begin, report.duration);
+}
+
+/// One synchronous write through a replicated pair on fault-free LAN
+/// links: primary on the paper's rotating log disk, standby on an SSD.
+fn traced_sync_write(seed: u64) -> TraceSnapshot {
+    let mut sim = Sim::new(seed);
+    let ctx = sim.ctx();
+    ctx.tracer().set_enabled(true);
+    let c2 = ctx.clone();
+    sim.spawn(async move {
+        let hv = Hypervisor::new(&c2);
+        let pcell = hv.create_cell("primary", Trust::Trusted);
+        let scell = hv.create_cell("standby", Trust::Trusted);
+        let ship = Link::new(&c2, LinkSpec::lan("ship"));
+        let acks = Link::new(&c2, LinkSpec::lan("acks"));
+        let repl = Replicator::new(&c2, ReplicationConfig::sync(), ship.clone(), acks.clone());
+        let standby_disk = Disk::new(&c2, specs::ssd_sata(1 << 24));
+        let _standby = Standby::start(&c2, &scell, standby_disk, ship, acks);
+        let rl = RapiLog::builder(&c2)
+            .cell(&pcell)
+            .disk(Disk::new(&c2, specs::hdd_7200(1 << 30)))
+            .replicate(&repl)
+            .build();
+        rl.device()
+            .write(64, &vec![0x5Cu8; 4 * SECTOR_SIZE], true)
+            .await
+            .unwrap();
+        rl.quiesce().await;
+        std::mem::forget(pcell);
+        std::mem::forget(scell);
+    });
+    sim.run_until(SimTime::from_secs(1));
+    ctx.tracer().snapshot()
+}
+
+#[test]
+fn sync_commit_decomposes_into_ship_apply_ack() {
+    let trace = traced_sync_write(0x51C);
+    let again = traced_sync_write(0x51C);
+    assert_eq!(trace.to_jsonl(), again.to_jsonl(), "JSON-lines export");
+    assert_eq!(trace.to_chrome(), again.to_chrome(), "Chrome export");
+    let span = |name| {
+        trace
+            .span(Layer::Net, name)
+            .unwrap_or_else(|| panic!("no {name} span"))
+    };
+    let (wait, ship, apply) = (span("repl_wait"), span("ship"), span("standby_apply"));
+    // repl_wait ⊇ ship ⊇ standby_apply: the guest waits from the offer to
+    // the covering ack; inside that, the frame crosses the link, is
+    // applied, and the ack crosses back.
+    assert!(wait.0 <= ship.0 && ship.1 <= wait.1, "{wait:?} ⊉ {ship:?}");
+    assert!(
+        ship.0 < apply.0 && apply.1 < ship.1,
+        "a link crossing on each side of the apply: {ship:?} vs {apply:?}"
+    );
+    // The primary's own (rotating) media write is not inside the wait.
+    let (_, media_done) = trace
+        .span(Layer::Drain, "drain_batch")
+        .expect("the drain ran");
+    assert!(wait.1 < media_done, "the ack did not wait for the disk");
 }
