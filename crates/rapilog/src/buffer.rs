@@ -87,6 +87,11 @@ struct BufSt {
     /// into the owning extent's allocation.
     overlay: FastMap<u64, (u64, SectorBuf)>,
     frozen: bool,
+    /// Set when a `push` goes to sleep for want of space, cleared by
+    /// [`DependableBuffer::take_stalled`]: while it keeps coming back set,
+    /// every ack is gated by the drain's next release. A plain flag, so a
+    /// push future dropped mid-wait (guest crash) leaves nothing to undo.
+    stalled: bool,
     stats: BufferStats,
 }
 
@@ -155,6 +160,7 @@ impl DependableBuffer {
                 next_seq: 0,
                 overlay: FastMap::default(),
                 frozen: false,
+                stalled: false,
                 stats: BufferStats::default(),
             })),
             space: Notify::new(),
@@ -172,6 +178,12 @@ impl DependableBuffer {
     /// adaptive batching controller reacts to.
     pub(crate) fn queued_bytes(&self) -> u64 {
         self.st.borrow().queued_bytes
+    }
+
+    /// True if a writer has had to wait for space since the previous call
+    /// — the drain asks at every pop whether it is the commit path.
+    pub(crate) fn take_stalled(&self) -> bool {
+        std::mem::take(&mut self.st.borrow_mut().stalled)
     }
 
     /// Attaches the sim clock so admissions are stamped with `admit_ns`.
@@ -265,6 +277,7 @@ impl DependableBuffer {
                 }
             }
             waited = true;
+            self.st.borrow_mut().stalled = true;
             self.space.notified().await;
         }
     }
@@ -317,13 +330,34 @@ impl DependableBuffer {
 
     /// Out-of-order completion: marks every extent with `lo <= seq <= hi`
     /// as committed, regardless of whether older extents are still pending.
-    /// Used by the windowed drain when a later batch retires before an
-    /// earlier one — its space and overlay entries are released
-    /// immediately (the bytes *are* on media, so they no longer weigh on
-    /// the residual-energy budget), while
-    /// [`wait_completed`](Self::wait_completed) keeps its strict
-    /// oldest-pending semantics for degraded-mode acknowledgement.
+    /// Its space and overlay entries are released immediately (the bytes
+    /// *are* on media, so they no longer weigh on the residual-energy
+    /// budget), while [`wait_completed`](Self::wait_completed) keeps its
+    /// strict oldest-pending semantics for degraded-mode acknowledgement.
     pub fn complete_seqs(&self, lo: u64, hi: u64) {
+        self.complete_run(&[(lo, hi)]);
+    }
+
+    /// Completion of one landed run: `seqs` are the extents the run
+    /// carried, as ascending, disjoint, inclusive `(lo, hi)` ranges — a run
+    /// gathers one stream's extents out of an interleaved batch, so they
+    /// need not be contiguous. Same release and same oldest-pending
+    /// semantics as [`complete_seqs`](Self::complete_seqs), which is the
+    /// one-range case; this is what lets the windowed drain hand space back
+    /// a run at a time.
+    pub fn complete_run(&self, seqs: &[(u64, u64)]) {
+        let Some(&(_, hi)) = seqs.last() else {
+            return;
+        };
+        // Pending seqs are visited ascending, so one cursor over the
+        // ranges is the membership test.
+        let mut next = 0;
+        let mut hit = |seq: u64| {
+            while seqs.get(next).is_some_and(|r| r.1 < seq) {
+                next += 1;
+            }
+            seqs.get(next).is_some_and(|r| r.0 <= seq)
+        };
         let became_empty = {
             let mut st = self.st.borrow_mut();
             let mut i = 0;
@@ -332,7 +366,7 @@ impl DependableBuffer {
                 if seq > hi {
                     break; // sorted: nothing further matches
                 }
-                if seq >= lo {
+                if hit(seq) {
                     let r = st.inflight.remove(i).expect("indexed entry vanished");
                     st.release(r.seq, r.sector, r.len);
                 } else {
@@ -345,7 +379,7 @@ impl DependableBuffer {
                 if seq > hi {
                     break;
                 }
-                if seq >= lo {
+                if hit(seq) {
                     let e = st.queue.remove(i).expect("indexed entry vanished");
                     st.queued_bytes -= e.data.len() as u64;
                     st.release(e.seq, e.sector, e.data.len() as u64);
@@ -616,6 +650,61 @@ mod tests {
         });
         sim.run();
         assert_eq!(done_at.get(), 5, "prefix wait held until s0 retired");
+    }
+
+    #[test]
+    fn a_landed_run_releases_its_own_non_contiguous_extents() {
+        // Two interleaved streams popped as one batch: the run carrying
+        // seqs {0, 2, 4} lands first. Exactly those are released; the other
+        // stream's extents stay charged and readable, and the prefix wait
+        // on seq 2 still waits for seq 1.
+        let mut sim = Sim::new(0);
+        let buf = DependableBuffer::new(1 << 20);
+        let b2 = buf.clone();
+        sim.spawn(async move {
+            for i in 0..5u64 {
+                let sector = (i % 2) * 100 + i / 2;
+                assert_eq!(b2.push(sector, sector_data(i as u8, 1)).await, Ok(i));
+            }
+            b2.pop_batch(usize::MAX);
+            b2.complete_run(&[(0, 0), (2, 2), (4, 4)]);
+            assert_eq!(b2.occupancy(), 2 * SECTOR_SIZE as u64);
+            assert_eq!(b2.queued(), 2);
+            assert_eq!(b2.read_overlay(1), None, "seq 2's sector is on media");
+            assert_eq!(b2.read_overlay(100), Some(sector_data(1, 1)));
+            assert_eq!(b2.st.borrow().oldest_pending_seq(), Some(1));
+            // Landing it again releases nothing twice; an empty run nothing.
+            b2.complete_run(&[(0, 0), (2, 2), (4, 4)]);
+            b2.complete_run(&[]);
+            assert_eq!(b2.stats().drained_bytes, 3 * SECTOR_SIZE as u64);
+            b2.complete_run(&[(1, 1), (3, 3)]);
+            assert_eq!(b2.occupancy(), 0);
+            b2.drained().await;
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn take_stalled_reports_a_blocked_writer_once_and_survives_its_cancellation() {
+        let mut sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let buf = DependableBuffer::new(SECTOR_SIZE as u64);
+        let b2 = buf.clone();
+        let guest = ctx.create_domain();
+        let blocked = ctx.spawn_in(guest, async move {
+            b2.push(0, sector_data(1, 1)).await.unwrap();
+            b2.push(1, sector_data(2, 1)).await.unwrap();
+        });
+        sim.run();
+        assert!(!blocked.is_finished(), "the second push waits for space");
+        assert!(buf.take_stalled(), "a writer went to sleep for space");
+        assert!(!buf.take_stalled(), "and is reported once");
+        // The waiter is cancelled mid-push (guest crash): nothing to undo.
+        assert_eq!(ctx.kill_domain(guest), 1);
+        buf.pop_batch(usize::MAX);
+        buf.complete(0);
+        assert!(!buf.take_stalled());
+        assert_eq!(buf.occupancy(), 0);
     }
 
     #[test]

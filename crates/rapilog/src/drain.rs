@@ -25,10 +25,11 @@
 //!   once across the device's channels. A run must wait for every earlier
 //!   in-flight run whose sector range overlaps its own (media order is the
 //!   newest-wins tiebreak, so overlapping rewrites must land in order);
-//!   disjoint runs carry no edge and retire out of order. Batches retire
-//!   whole — space is released the moment a batch's last run lands — but
-//!   the audit ledger only advances with the contiguous durable prefix, so
-//!   invariant I3 is untouched.
+//!   disjoint runs carry no edge and retire out of order. Space is
+//!   released run by run — the extents a run carried stop weighing on the
+//!   buffer the moment it lands — while the batch stays the unit of the
+//!   audit: the ledger only advances with the contiguous durable prefix of
+//!   whole batches, so invariant I3 is untouched.
 
 use std::cell::{Cell as StdCell, RefCell};
 use std::collections::VecDeque;
@@ -71,49 +72,92 @@ fn truncate_run(run: &mut IoRun, keep_sectors: u64) {
     run.segments.truncate(keep_segments);
 }
 
+/// The extents one run carries: ascending, disjoint, inclusive `(lo, hi)`
+/// ranges of sequence numbers.
+pub(crate) type SeqRanges = Vec<(u64, u64)>;
+
 /// Consolidates a batch of extents into scatter-gather runs holding the
-/// *newest* bytes per sector.
+/// *newest* bytes per sector, and says which extents each run carries.
 ///
 /// This is the drain's key trick: a log stream contains endless rewrites of
 /// its tail sector (every group-commit flush re-forces it). Replaying those
 /// rewrites verbatim would cost one disk rotation each — exactly the cost
-/// RapiLog exists to remove. Because the batch is committed (and
-/// acknowledged to [`complete`](crate::buffer::DependableBuffer::complete))
-/// only as a whole, writing the per-sector union preserves the durability
-/// guarantee while turning the batch into a single sequential stream.
+/// RapiLog exists to remove. An extent's space is handed back only when the
+/// run carrying it has landed, so writing the per-sector union preserves
+/// the durability guarantee while turning each stream in the batch into a
+/// single sequential write.
 ///
 /// The builder is a single sort-free pass in sequence order, appending O(1)
-/// views of extent memory (no per-sector re-copying):
+/// views of extent memory (no per-sector re-copying). Each extent looks for
+/// its run from the newest run backwards:
 ///
-/// * an extent starting exactly at the current run's end extends it;
-/// * a *tail rewrite* — an extent overlapping the current run's tail and
-///   reaching at least its end — truncates the superseded tail views and
-///   extends the run, so the group-commit hot pattern still yields one run;
-/// * anything else starts a new run. Runs are written to the device **in
-///   order**, so a later run overlapping an earlier one lands newest-last
-///   on the media — newest-wins without any per-sector map.
-pub(crate) fn consolidate(batch: &[Extent]) -> Vec<IoRun> {
+/// * an extent starting exactly at a run's end extends it — unless that
+///   would take the run past `run_bound` bytes (see
+///   [`DrainController::run_bound`]; `usize::MAX` is "no bound");
+/// * a *tail rewrite* — an extent overlapping a run's tail and reaching at
+///   least its end — truncates the superseded tail views and extends the
+///   run, so the group-commit hot pattern still yields one run;
+/// * the search stops at the first run whose sectors *overlap* the extent
+///   any other way: that run holds older bytes for them, and joining a run
+///   before it would land the newer bytes first. The extent opens a new
+///   run, as it does when the search runs out.
+///
+/// Only writes to overlapping sectors are ordered, so interleaved
+/// sequential streams regroup freely — each collapses to its own run, and a
+/// single stream finds its run at the first probe. Overlapping runs are
+/// written to the device **in order**, so a later run lands newest-last on
+/// the media: newest-wins without any per-sector map.
+///
+/// Returns the runs and, index for index, the seqs each carries as
+/// ascending inclusive ranges ([`SeqRanges`]): a run gathering one stream
+/// out of an interleaved batch carries every n-th seq, a single stream's
+/// run one range however many extents it merged.
+pub(crate) fn consolidate(batch: &[Extent], run_bound: usize) -> (Vec<IoRun>, Vec<SeqRanges>) {
     let mut runs: Vec<IoRun> = Vec::new();
+    let mut seqs: Vec<SeqRanges> = Vec::new();
+    // Each run's end sector, kept beside it so a probe costs O(1).
+    let mut ends: Vec<u64> = Vec::new();
     for e in batch {
-        let nsectors = (e.data.len() / SECTOR_SIZE) as u64;
-        if let Some(run) = runs.last_mut() {
-            let run_end = run.sector + run.sectors();
+        let end = e.sector + (e.data.len() / SECTOR_SIZE) as u64;
+        let mut home = None;
+        for i in (0..runs.len()).rev() {
+            let (run_start, run_end) = (runs[i].sector, ends[i]);
             if e.sector == run_end {
-                run.segments.push(e.data.clone());
-                continue;
+                let run_bytes = (run_end - run_start) as usize * SECTOR_SIZE;
+                if run_bytes.saturating_add(e.data.len()) <= run_bound {
+                    home = Some(i);
+                }
+                break;
             }
-            if e.sector >= run.sector && e.sector < run_end && e.sector + nsectors >= run_end {
-                truncate_run(run, e.sector - run.sector);
-                run.segments.push(e.data.clone());
-                continue;
+            if e.sector >= run_start && e.sector < run_end && end >= run_end {
+                truncate_run(&mut runs[i], e.sector - run_start);
+                home = Some(i);
+                break;
+            }
+            if e.sector < run_end && run_start < end {
+                break;
             }
         }
-        runs.push(IoRun {
-            sector: e.sector,
-            segments: vec![e.data.clone()],
-        });
+        match home {
+            Some(i) => {
+                runs[i].segments.push(e.data.clone());
+                match seqs[i].last_mut() {
+                    Some(last) if last.1 + 1 == e.seq => last.1 = e.seq,
+                    _ => seqs[i].push((e.seq, e.seq)),
+                }
+                ends[i] = end;
+            }
+            None => {
+                runs.push(IoRun {
+                    sector: e.sector,
+                    segments: vec![e.data.clone()],
+                });
+                seqs.push(vec![(e.seq, e.seq)]);
+                ends.push(end);
+            }
+        }
     }
-    runs
+    (runs, seqs)
 }
 
 /// The ordering edges over one consolidated batch: run `j` must wait for
@@ -291,8 +335,8 @@ struct InflightRun {
 /// One popped batch awaiting retirement under the windowed drain.
 struct BatchEntry {
     id: u64,
-    /// Sequence range `[lo, hi]` the batch covers.
-    lo: u64,
+    /// Highest sequence number in the batch — what the durable prefix
+    /// advances to when the batch reaches it.
     hi: u64,
     /// Runs still in flight; the batch retires when this reaches zero.
     remaining: u64,
@@ -313,30 +357,43 @@ struct BatchEntry {
 /// the sharded drain each tenant has its own ledger (`tenant` set), so each
 /// tenant's audit section advances with its own contiguous prefix.
 struct BatchLedger {
+    /// The buffer whose popped batches this ledger tracks.
+    buffer: DependableBuffer,
     batches: VecDeque<BatchEntry>,
     tenant: Option<TenantId>,
 }
 
 impl BatchLedger {
-    /// Marks one run of batch `id` complete. Returns the trace payloads of
-    /// batches newly retired plus the sequence numbers whose durable-prefix
-    /// commits should be recorded, and whether this retirement jumped ahead
-    /// of an older still-pending batch.
+    fn new(buffer: &DependableBuffer, tenant: Option<TenantId>) -> Rc<RefCell<BatchLedger>> {
+        Rc::new(RefCell::new(BatchLedger {
+            buffer: buffer.clone(),
+            batches: VecDeque::new(),
+            tenant,
+        }))
+    }
+
+    /// Marks one run of batch `id` landed and releases the extents it
+    /// carried (`seqs`): space and the read overlay come back run by run —
+    /// the bytes are on media whether or not the rest of the batch, or
+    /// older batches, still fly. Returns the batch's trace payload if this
+    /// was its last run, and whether that retirement jumped ahead of an
+    /// older still-pending batch.
     ///
-    /// Retirement is also the controller's sensor: the batch's dispatch →
-    /// retirement service time feeds [`DrainController::observe_batch`]
-    /// (with `backlog`, the bytes still queued behind it), and every extent
-    /// reaching the contiguous durable prefix records its admission →
-    /// commit latency.
+    /// Batch retirement is also the controller's sensor: the batch's
+    /// dispatch → retirement service time feeds
+    /// [`DrainController::observe_batch`] (with `backlog`, the bytes still
+    /// queued behind it), and every extent reaching the contiguous durable
+    /// prefix records its admission → commit latency.
     fn run_done(
         &mut self,
         id: u64,
-        buffer: &DependableBuffer,
+        seqs: &[(u64, u64)],
         audit: &Audit,
         ctrl: &DrainController,
         now_ns: u64,
         backlog: u64,
     ) -> (Option<Payload>, bool) {
+        self.buffer.complete_run(seqs);
         let idx = self
             .batches
             .iter()
@@ -349,14 +406,7 @@ impl BatchLedger {
         }
         entry.retired = true;
         let payload = entry.payload;
-        ctrl.observe_batch(
-            entry.bytes,
-            now_ns.saturating_sub(entry.dispatched_ns),
-            backlog,
-        );
-        // Space (and the read overlay) release immediately: the bytes are
-        // on media whether or not older batches still fly.
-        buffer.complete_seqs(entry.lo, entry.hi);
+        ctrl.observe_batch(entry.bytes, entry.dispatched_ns, now_ns, backlog);
         let jumped = idx != 0;
         if jumped {
             audit.record_ooo_retirement();
@@ -403,11 +453,20 @@ impl BatchLedger {
 ///   improved ≥ 2% since the last grow — past the knee, marginal
 ///   bandwidth gain vanishes and growth stops on its own.
 ///
+/// A bandwidth sample belongs to the regime it was dispatched in: a shrink
+/// or decay restarts the bandwidth EWMA, and batches popped before it —
+/// still retiring, at the old target's bandwidth — no longer feed it, so
+/// the first grow afterwards captures a reference the new regime can beat.
+///
 /// Window autotuning rides the same signal: with backlog for more than the
 /// current depth and latency inside budget, the window widens one permit at
 /// a time toward the device's [`Geometry::queue_depth`]; when the budget is
 /// exceeded it narrows back toward the configured depth by parking permits
 /// (never below — the configured depth is the operator's floor).
+///
+/// A second sensor, each run's own submit → complete time
+/// ([`observe_run`](Self::observe_run)), feeds the **run bound** — see
+/// [`run_bound`](Self::run_bound).
 pub(crate) struct DrainController {
     ctx: SimCtx,
     adaptive: Option<AdaptiveBatchConfig>,
@@ -426,6 +485,16 @@ pub(crate) struct DrainController {
     /// Bandwidth EWMA captured at the last grow — the marginal-gain
     /// reference; 0 means "no reference, first grow is free".
     grow_ref_bps: StdCell<u64>,
+    /// When the target last shrank or decayed: batches dispatched before
+    /// this belong to the previous regime and stay out of `ewma_bps`.
+    regime_start_ns: StdCell<u64>,
+    /// EWMA of per-run device bandwidth (run bytes over the run's own
+    /// submit → complete time — no window queueing in it).
+    ewma_run_bps: StdCell<u64>,
+    /// The run-length bound the last pop consolidated under; 0 = off.
+    run_bound: StdCell<usize>,
+    /// The bound last reported by a `run_bound` trace instant.
+    run_bound_traced: StdCell<usize>,
     batch_grows: StdCell<u64>,
     batch_shrinks: StdCell<u64>,
     window_widens: StdCell<u64>,
@@ -433,6 +502,10 @@ pub(crate) struct DrainController {
     hold_fires: StdCell<u64>,
     latency: RefCell<Histogram>,
 }
+
+/// Granularity of the run bound: it moves in 4 KiB steps, so EWMA jitter
+/// does not reshape every batch (or flood the trace).
+const RUN_BOUND_STEP: usize = 8 * SECTOR_SIZE;
 
 /// Integer EWMA with α = ¼: `e + (x − e)/4`, seeding from the first
 /// sample. Signed arithmetic so the estimate tracks downward too.
@@ -488,6 +561,10 @@ impl DrainController {
             ewma_service_ns: StdCell::new(0),
             ewma_bps: StdCell::new(0),
             grow_ref_bps: StdCell::new(0),
+            regime_start_ns: StdCell::new(0),
+            ewma_run_bps: StdCell::new(0),
+            run_bound: StdCell::new(0),
+            run_bound_traced: StdCell::new(0),
             batch_grows: StdCell::new(0),
             batch_shrinks: StdCell::new(0),
             window_widens: StdCell::new(0),
@@ -527,17 +604,70 @@ impl DrainController {
         );
     }
 
+    /// Feeds one landed run's device-side service time (submit → complete)
+    /// into the per-run bandwidth EWMA behind [`run_bound`](Self::run_bound).
+    pub(crate) fn observe_run(&self, bytes: u64, service_ns: u64) {
+        let bps = bytes.saturating_mul(1_000_000_000) / service_ns.max(1);
+        self.ewma_run_bps
+            .set(ewma_update(self.ewma_run_bps.get(), bps));
+    }
+
+    /// The longest run the next batch may be consolidated into, asked at
+    /// every pop. `stalled` says a writer has had to wait for space since
+    /// the previous pop: the drain is then the commit path — every ack is
+    /// gated by the next release, and space comes back a run at a time — so
+    /// a run may not take longer to retire than `max_hold`, the longest the
+    /// drain may delay bytes in order to coalesce them:
+    /// `max(min_batch, ewma_run_bytes_per_sec × max_hold)`, rounded down to
+    /// [`RUN_BOUND_STEP`]. With no stalled writer (and under Fixed or
+    /// Strict, always) the bound is off and runs grow to the batch target.
+    pub(crate) fn run_bound(&self, stalled: bool) -> usize {
+        let bound = match self.adaptive {
+            Some(a) if stalled => {
+                let held =
+                    self.ewma_run_bps.get() as u128 * a.max_hold.as_nanos() as u128 / 1_000_000_000;
+                let held = usize::try_from(held).unwrap_or(usize::MAX);
+                (held - held % RUN_BOUND_STEP).max(self.min_batch)
+            }
+            _ => 0,
+        };
+        self.run_bound.set(bound);
+        // Traced when the bound engages, disengages, or has drifted more
+        // than a step from the value last reported.
+        let traced = self.run_bound_traced.get();
+        if (bound == 0) != (traced == 0) || bound.abs_diff(traced) > RUN_BOUND_STEP {
+            self.run_bound_traced.set(bound);
+            self.ctx.tracer().instant(
+                self.ctx.now(),
+                Layer::Drain,
+                "run_bound",
+                Payload::Mark {
+                    value: bound as u64,
+                },
+            );
+        }
+        if bound == 0 {
+            usize::MAX
+        } else {
+            bound
+        }
+    }
+
     /// Feeds one batch retirement into the EWMAs and, when adaptive, walks
     /// the batch target and window depth (see the type-level doc for the
-    /// control law). `service_ns` spans dispatch (pop) to retirement (last
-    /// run landed); `backlog` is the bytes still queued at retirement.
-    pub(crate) fn observe_batch(&self, bytes: u64, service_ns: u64, backlog: u64) {
-        let service_ns = service_ns.max(1);
-        let bps = bytes.saturating_mul(1_000_000_000) / service_ns;
+    /// control law). The service time spans `dispatched_ns` (pop) to
+    /// `now_ns` (last run landed); `backlog` is the bytes still queued at
+    /// retirement.
+    pub(crate) fn observe_batch(&self, bytes: u64, dispatched_ns: u64, now_ns: u64, backlog: u64) {
+        let service_ns = now_ns.saturating_sub(dispatched_ns).max(1);
         let svc = ewma_update(self.ewma_service_ns.get(), service_ns);
-        let ebps = ewma_update(self.ewma_bps.get(), bps);
         self.ewma_service_ns.set(svc);
-        self.ewma_bps.set(ebps);
+        // Bandwidth is a property of the regime the batch was popped in.
+        if dispatched_ns >= self.regime_start_ns.get() {
+            let bps = bytes.saturating_mul(1_000_000_000) / service_ns;
+            self.ewma_bps.set(ewma_update(self.ewma_bps.get(), bps));
+        }
+        let ebps = self.ewma_bps.get();
         let Some(a) = self.adaptive else {
             return;
         };
@@ -552,9 +682,11 @@ impl DrainController {
             // landed. Decay to the floor so the next lone commit rides a
             // small, fast run instead of a saturation-sized one.
             self.retarget(self.min_batch, false);
-        } else if tgt < self.max_batch && backlog >= 4 * tgt as u64 && svc <= budget / 2 {
-            // Saturation headroom: only grow while the bandwidth EWMA says
-            // the last grow actually bought throughput (≥ 2% — the knee).
+        } else if tgt < self.max_batch && backlog >= 4 * tgt as u64 && svc <= budget / 2 && ebps > 0
+        {
+            // Saturation headroom: only grow while the bandwidth EWMA — of
+            // this regime's batches — says the last grow actually bought
+            // throughput (≥ 2% — the knee).
             let marginal_ok = match self.grow_ref_bps.get() {
                 0 => true,
                 r => ebps > r + r / 50,
@@ -598,7 +730,11 @@ impl DrainController {
             self.batch_grows.set(self.batch_grows.get() + 1);
         } else {
             self.batch_shrinks.set(self.batch_shrinks.get() + 1);
+            // A new regime: no marginal-gain reference, and no bandwidth
+            // estimate until a batch popped from here on retires.
             self.grow_ref_bps.set(0);
+            self.ewma_bps.set(0);
+            self.regime_start_ns.set(self.ctx.now().as_nanos());
         }
         self.ctx.tracer().instant(
             self.ctx.now(),
@@ -641,6 +777,8 @@ impl DrainController {
             window_widens: self.window_widens.get(),
             window_narrows: self.window_narrows.get(),
             hold_fires: self.hold_fires.get(),
+            run_bound_bytes: self.run_bound.get() as u64,
+            ewma_run_bytes_per_sec: self.ewma_run_bps.get(),
             commit_p50_ns: lat.percentile(50.0),
             commit_p99_ns: lat.percentile(99.0),
             commits_measured: lat.count(),
@@ -669,13 +807,14 @@ pub(crate) fn start(
         }
     }
     if let Some(psu) = supply {
-        start_power_watcher(ctx, cell, buffer, psu, audit);
+        start_power_watcher(ctx, cell, Backlog::Single(buffer), psu, audit);
     }
 }
 
-/// The paper's original serial drain: one run on media at a time, in exact
-/// sequence order. Kept verbatim — [`OrderingMode::Strict`] must stay
-/// trace-identical release over release.
+/// The paper's original serial drain: one run on media at a time, batches
+/// in exact sequence order, space released when the whole batch has landed.
+/// Its pops, awaits and trace events are kept as they were —
+/// [`OrderingMode::Strict`] must stay trace-identical release over release.
 #[allow(clippy::too_many_arguments)]
 fn start_strict(
     ctx: &SimCtx,
@@ -706,7 +845,7 @@ fn start_strict(
                     break;
                 }
                 let last_seq = batch.last().expect("non-empty batch").seq;
-                let runs = consolidate(&batch);
+                let (runs, _) = consolidate(&batch, usize::MAX);
                 let batch_payload = Payload::Batch {
                     extents: batch.len() as u64,
                     runs: runs.len() as u64,
@@ -734,29 +873,7 @@ fn start_strict(
                     }
                 }
                 if failed {
-                    // The disk is gone for good (power collapse, or the
-                    // resilience policy is switched off). Whatever remains
-                    // buffered is lost with the machine; the audit decides
-                    // whether that violated the guarantee (it must not,
-                    // if sizing was honest and the warning fired).
-                    tracer.end(
-                        drain_ctx.now(),
-                        Layer::Drain,
-                        "drain_batch",
-                        Payload::Text {
-                            text: "drain_failure",
-                        },
-                    );
-                    tracer.instant(
-                        drain_ctx.now(),
-                        Layer::Drain,
-                        "freeze",
-                        Payload::Bytes {
-                            bytes: drain_buffer.occupancy(),
-                        },
-                    );
-                    drain_audit.record_drain_failure(drain_buffer.occupancy());
-                    drain_buffer.freeze();
+                    Backlog::Single(drain_buffer).abandon(&drain_ctx, &drain_audit);
                     return;
                 }
                 tracer.end(drain_ctx.now(), Layer::Drain, "drain_batch", batch_payload);
@@ -771,15 +888,272 @@ fn start_strict(
     });
 }
 
-/// The windowed drain: pops batches continuously and keeps up to
-/// `window_depth` consolidated runs in flight at once. Each run waits for
-/// every earlier in-flight run overlapping its sector range (see
-/// [`dep_edges`] for the declarative form of the constraint — here it is
-/// enforced online, across batch boundaries too) and then commits through
-/// [`write_run_resilient`], so the full retry/remap/degraded machinery
-/// applies per run. Disjoint runs ride separate device channels and retire
-/// out of order; [`BatchLedger`] keeps the audit ledger on the contiguous
+/// What a drain loop empties: one buffer, or the tenant shards of one
+/// instance. The run tasks read the controller's backlog signal from it,
+/// and the power watcher and a fatal device error act on all of it at once.
+#[derive(Clone)]
+enum Backlog {
+    Single(DependableBuffer),
+    Sharded(ShardedBuffer),
+}
+
+impl Backlog {
+    /// Bytes queued behind the runs in flight — the controller's backlog.
+    fn queued_bytes(&self) -> u64 {
+        match self {
+            Backlog::Single(buffer) => buffer.queued_bytes(),
+            Backlog::Sharded(sharded) => sharded.total_queued_bytes(),
+        }
+    }
+
+    /// Bytes acknowledged and not yet on media — what an emergency drain
+    /// must land, or what a dead device loses.
+    fn occupancy(&self) -> u64 {
+        match self {
+            Backlog::Single(buffer) => buffer.occupancy(),
+            Backlog::Sharded(sharded) => sharded.total_occupancy(),
+        }
+    }
+
+    fn freeze(&self) {
+        match self {
+            Backlog::Single(buffer) => buffer.freeze(),
+            Backlog::Sharded(sharded) => sharded.freeze_all(),
+        }
+    }
+
+    async fn drained(&self) {
+        match self {
+            Backlog::Single(buffer) => buffer.drained().await,
+            Backlog::Sharded(sharded) => sharded.all_drained().await,
+        }
+    }
+
+    /// The disk is gone for good (power collapse, or the resilience policy
+    /// is switched off): closes the open batch span, records what is still
+    /// buffered as lost and stops admissions. The audit decides whether
+    /// that violated the guarantee (it must not, if sizing was honest and
+    /// the warning fired).
+    fn abandon(&self, ctx: &SimCtx, audit: &Audit) {
+        let tracer = ctx.tracer();
+        let failure = Payload::Text {
+            text: "drain_failure",
+        };
+        tracer.end(ctx.now(), Layer::Drain, "drain_batch", failure);
+        let bytes = self.occupancy();
+        tracer.instant(ctx.now(), Layer::Drain, "freeze", Payload::Bytes { bytes });
+        audit.record_drain_failure(bytes);
+        if let Backlog::Sharded(sharded) = self {
+            // The aggregate is the global loss; the per-shard snapshots
+            // attribute it so every tenant's section can testify.
+            for s in sharded.shards() {
+                audit.record_tenant_loss(s.id.0, s.buf.occupancy());
+            }
+        }
+        self.freeze();
+    }
+}
+
+/// The windowed out-of-order engine both [`start_windowed`] and
+/// [`start_sharded`] drive: it keeps up to `window_depth` consolidated
+/// runs in flight at once. Each run waits for every earlier in-flight run
+/// overlapping its sector range (see [`dep_edges`] for the declarative form
+/// of the constraint — here it is enforced online, across batch boundaries
+/// and tenants too: one disk, one newest-wins media order) and then commits
+/// through [`write_run_resilient`], so the full retry/remap/degraded
+/// machinery applies per run. Disjoint runs ride separate device channels
+/// and retire out of order; a landed run hands its extents' space back at
+/// once, and [`BatchLedger`] keeps the audit ledger on the contiguous
 /// durable prefix.
+struct WindowedDrain {
+    ctx: SimCtx,
+    disk: Disk,
+    policy: RetryPolicy,
+    audit: Audit,
+    mode: Rc<ModeState>,
+    ctrl: Rc<DrainController>,
+    backlog: Backlog,
+    /// Degraded-mode hysteresis, shared by every run task (one disk, one
+    /// health signal).
+    consecutive_ok: StdCell<u32>,
+    /// Set by the run task that lost the device; everyone else stands down.
+    failed: StdCell<bool>,
+    inflight: RefCell<Vec<InflightRun>>,
+    next_run_id: StdCell<u64>,
+    next_batch_id: StdCell<u64>,
+}
+
+impl WindowedDrain {
+    fn new(
+        ctx: &SimCtx,
+        disk: Disk,
+        cfg: &RapiLogConfig,
+        audit: &Audit,
+        mode: Rc<ModeState>,
+        ctrl: &Rc<DrainController>,
+        backlog: Backlog,
+    ) -> Rc<WindowedDrain> {
+        Rc::new(WindowedDrain {
+            ctx: ctx.clone(),
+            disk,
+            policy: cfg.drain.retry,
+            audit: audit.clone(),
+            mode,
+            ctrl: Rc::clone(ctrl),
+            backlog,
+            consecutive_ok: StdCell::new(0),
+            failed: StdCell::new(false),
+            inflight: RefCell::new(Vec::new()),
+            next_run_id: StdCell::new(0),
+            next_batch_id: StdCell::new(0),
+        })
+    }
+
+    /// Consolidates one (non-empty) batch popped from `ledger`'s buffer,
+    /// registers it and puts its runs in flight, waiting for a window
+    /// permit per run. Returns false once the device is lost.
+    async fn dispatch(
+        self: &Rc<Self>,
+        batch: Vec<Extent>,
+        ledger: &Rc<RefCell<BatchLedger>>,
+    ) -> bool {
+        let stalled = ledger.borrow().buffer.take_stalled();
+        let run_bound = self.ctrl.run_bound(stalled);
+        let (runs, seqs) = consolidate(&batch, run_bound);
+        let bytes: u64 = runs.iter().map(|r| r.bytes() as u64).sum();
+        let payload = Payload::Batch {
+            extents: batch.len() as u64,
+            runs: runs.len() as u64,
+            bytes,
+        };
+        self.ctx
+            .tracer()
+            .begin(self.ctx.now(), Layer::Drain, "drain_batch", payload);
+        let batch_id = self.next_batch_id.get();
+        self.next_batch_id.set(batch_id + 1);
+        ledger.borrow_mut().batches.push_back(BatchEntry {
+            id: batch_id,
+            hi: batch.last().expect("non-empty batch").seq,
+            remaining: runs.len() as u64,
+            retired: false,
+            payload,
+            bytes,
+            dispatched_ns: self.ctx.now().as_nanos(),
+            admits: batch.iter().map(|e| e.admit_ns).collect(),
+        });
+        let window = self.ctrl.window();
+        for (run, seqs) in runs.into_iter().zip(seqs) {
+            // Backpressure: the window cap bounds runs in flight.
+            let permit = window.acquire(1).await;
+            if self.failed.get() {
+                return false;
+            }
+            self.spawn_run(permit, run, seqs, batch_id, ledger);
+        }
+        !self.failed.get()
+    }
+
+    /// The one run task: deps wait → resilient write → wake dependents →
+    /// release the run's extents and account the batch → or, if the device
+    /// went down with this run, abandon the backlog.
+    fn spawn_run(
+        self: &Rc<Self>,
+        permit: SemPermit,
+        run: IoRun,
+        seqs: SeqRanges,
+        batch_id: u64,
+        ledger: &Rc<RefCell<BatchLedger>>,
+    ) {
+        let run_id = self.next_run_id.get();
+        self.next_run_id.set(run_id + 1);
+        // Ordering edges: every in-flight run overlapping this one —
+        // including earlier runs of this very batch, and other tenants' —
+        // must land first, or newest-wins media order breaks.
+        let (run_lo, run_hi) = (run.sector, run.sector + run.sectors());
+        let deps: Vec<Rc<Event>> = self
+            .inflight
+            .borrow()
+            .iter()
+            .filter(|f| run_lo < f.sector + f.sectors && f.sector < run_hi)
+            .map(|f| Rc::clone(&f.done))
+            .collect();
+        let done = Rc::new(Event::new());
+        self.inflight.borrow_mut().push(InflightRun {
+            id: run_id,
+            sector: run.sector,
+            sectors: run_hi - run_lo,
+            done: Rc::clone(&done),
+        });
+        // RNG forked at dispatch, in deterministic order.
+        let mut rng = self.ctx.fork_rng();
+        let this = Rc::clone(self);
+        let ledger = Rc::clone(ledger);
+        self.ctx.spawn(async move {
+            let _permit = permit;
+            let (ctx, tracer) = (&this.ctx, this.ctx.tracer());
+            for dep in &deps {
+                dep.wait().await;
+            }
+            // A sibling writer lost the device: the buffers are frozen,
+            // nothing more may touch media coherently.
+            let submitted = ctx.now();
+            let result = if this.failed.get() {
+                None
+            } else {
+                Some(
+                    write_run_resilient(
+                        ctx,
+                        &this.disk,
+                        &run,
+                        &this.policy,
+                        &mut rng,
+                        &this.audit,
+                        &this.mode,
+                        &this.consecutive_ok,
+                        true,
+                    )
+                    .await,
+                )
+            };
+            // Dependents proceed (and observe `failed`) even when this run
+            // went down with the device.
+            done.set();
+            this.inflight.borrow_mut().retain(|f| f.id != run_id);
+            match result {
+                Some(Ok(())) if !this.failed.get() => {
+                    this.ctrl.observe_run(
+                        (run_hi - run_lo) * SECTOR_SIZE as u64,
+                        (ctx.now() - submitted).as_nanos(),
+                    );
+                    let (retired, jumped) = ledger.borrow_mut().run_done(
+                        batch_id,
+                        &seqs,
+                        &this.audit,
+                        &this.ctrl,
+                        ctx.now().as_nanos(),
+                        this.backlog.queued_bytes(),
+                    );
+                    if let Some(payload) = retired {
+                        tracer.end(ctx.now(), Layer::Drain, "drain_batch", payload);
+                        if jumped {
+                            tracer.instant(ctx.now(), Layer::Drain, "ooo_retire", payload);
+                        }
+                    }
+                }
+                Some(Err(RunFatal::DeviceLost)) if !this.failed.replace(true) => {
+                    this.backlog.abandon(ctx, &this.audit);
+                }
+                // Skipped (device already lost) or landed after the
+                // failure: leave the ledger alone — the occupancy snapshot
+                // at failure is the loss.
+                _ => {}
+            }
+        });
+    }
+}
+
+/// The single-buffer windowed drain: pops batches continuously and feeds
+/// them to the [`WindowedDrain`] engine.
 ///
 /// The pop target and the window both belong to the [`DrainController`]:
 /// under [`BatchPolicy::Fixed`] they are constants (`max_batch`,
@@ -802,28 +1176,19 @@ fn start_windowed(
     tenant: TenantId,
     ctrl: Rc<DrainController>,
 ) {
-    let drain_buffer = buffer.clone();
-    let drain_audit = audit.clone();
+    let buffer = buffer.clone();
     let drain_ctx = ctx.clone();
-    let tracer = ctx.tracer();
+    let window = ctrl.window();
+    let backlog = Backlog::Single(buffer.clone());
+    let engine = WindowedDrain::new(ctx, disk, &cfg, audit, mode, &ctrl, backlog);
     cell.spawn(async move {
-        let policy = cfg.drain.retry;
-        let window = ctrl.window();
-        let consecutive_ok = Rc::new(StdCell::new(0u32));
-        let failed = Rc::new(StdCell::new(false));
-        let inflight: Rc<RefCell<Vec<InflightRun>>> = Rc::new(RefCell::new(Vec::new()));
-        let ledger = Rc::new(RefCell::new(BatchLedger {
-            batches: VecDeque::new(),
-            // A non-default tenant gets its own audit section even on the
-            // single-tenant path.
-            tenant: (tenant != TenantId::DEFAULT).then_some(tenant),
-        }));
-        let mut next_run_id = 0u64;
-        let mut next_batch_id = 0u64;
+        // A non-default tenant gets its own audit section even on the
+        // single-tenant path.
+        let ledger = BatchLedger::new(&buffer, (tenant != TenantId::DEFAULT).then_some(tenant));
         loop {
-            drain_buffer.wait_avail().await;
+            buffer.wait_avail().await;
             loop {
-                if failed.get() {
+                if engine.failed.get() {
                     return;
                 }
                 // Adaptive hold: the window is saturated (the batch could
@@ -831,188 +1196,28 @@ fn start_windowed(
                 // one target — wait briefly for the batch to fill out.
                 if let Some(a) = ctrl.adaptive_cfg() {
                     if window.available() == 0
-                        && drain_buffer.queued_bytes() < ctrl.pop_target() as u64
-                        && !drain_buffer.is_frozen()
+                        && buffer.queued_bytes() < ctrl.pop_target() as u64
+                        && !buffer.is_frozen()
                     {
                         drain_ctx.sleep(a.max_hold).await;
                         ctrl.note_hold_fire();
                     }
                 }
-                let batch = drain_buffer.pop_batch(ctrl.pop_target());
+                let batch = buffer.pop_batch(ctrl.pop_target());
                 if batch.is_empty() {
                     break;
                 }
-                let lo = batch.first().expect("non-empty batch").seq;
-                let hi = batch.last().expect("non-empty batch").seq;
-                let runs = consolidate(&batch);
-                let bytes: u64 = runs.iter().map(|r| r.bytes() as u64).sum();
-                let batch_payload = Payload::Batch {
-                    extents: batch.len() as u64,
-                    runs: runs.len() as u64,
-                    bytes,
-                };
-                tracer.begin(drain_ctx.now(), Layer::Drain, "drain_batch", batch_payload);
-                let batch_id = next_batch_id;
-                next_batch_id += 1;
-                ledger.borrow_mut().batches.push_back(BatchEntry {
-                    id: batch_id,
-                    lo,
-                    hi,
-                    remaining: runs.len() as u64,
-                    retired: false,
-                    payload: batch_payload,
-                    bytes,
-                    dispatched_ns: drain_ctx.now().as_nanos(),
-                    admits: batch.iter().map(|e| e.admit_ns).collect(),
-                });
-                for run in runs {
-                    // Backpressure: the window cap bounds runs in flight.
-                    let permit = window.acquire(1).await;
-                    if failed.get() {
-                        return;
-                    }
-                    let run_id = next_run_id;
-                    next_run_id += 1;
-                    // Ordering edges: every in-flight run overlapping this
-                    // one — including earlier runs of this very batch —
-                    // must land first, or newest-wins media order breaks.
-                    let (run_lo, run_hi) = (run.sector, run.sector + run.sectors());
-                    let deps: Vec<Rc<Event>> = inflight
-                        .borrow()
-                        .iter()
-                        .filter(|f| run_lo < f.sector + f.sectors && f.sector < run_hi)
-                        .map(|f| Rc::clone(&f.done))
-                        .collect();
-                    let done = Rc::new(Event::new());
-                    inflight.borrow_mut().push(InflightRun {
-                        id: run_id,
-                        sector: run.sector,
-                        sectors: run.sectors(),
-                        done: Rc::clone(&done),
-                    });
-                    // RNG forked at dispatch, in deterministic order.
-                    let mut rng = drain_ctx.fork_rng();
-                    let task_ctx = drain_ctx.clone();
-                    let task_disk = disk.clone();
-                    let task_audit = drain_audit.clone();
-                    let task_mode = Rc::clone(&mode);
-                    let task_ok = Rc::clone(&consecutive_ok);
-                    let task_failed = Rc::clone(&failed);
-                    let task_inflight = Rc::clone(&inflight);
-                    let task_ledger = Rc::clone(&ledger);
-                    let task_buffer = drain_buffer.clone();
-                    let task_tracer = Rc::clone(&tracer);
-                    let task_ctrl = Rc::clone(&ctrl);
-                    drain_ctx.spawn(async move {
-                        let _permit = permit;
-                        for dep in &deps {
-                            dep.wait().await;
-                        }
-                        // A sibling writer lost the device: the buffer is
-                        // frozen, nothing more may touch media coherently.
-                        let result = if task_failed.get() {
-                            None
-                        } else {
-                            Some(
-                                write_run_resilient(
-                                    &task_ctx,
-                                    &task_disk,
-                                    &run,
-                                    &policy,
-                                    &mut rng,
-                                    &task_audit,
-                                    &task_mode,
-                                    &task_ok,
-                                    true,
-                                )
-                                .await,
-                            )
-                        };
-                        // Dependents proceed (and observe `failed`) even
-                        // when this run went down with the device.
-                        done.set();
-                        task_inflight.borrow_mut().retain(|f| f.id != run_id);
-                        match result {
-                            Some(Ok(())) if !task_failed.get() => {
-                                let (retired, jumped) = task_ledger.borrow_mut().run_done(
-                                    batch_id,
-                                    &task_buffer,
-                                    &task_audit,
-                                    &task_ctrl,
-                                    task_ctx.now().as_nanos(),
-                                    task_buffer.queued_bytes(),
-                                );
-                                if let Some(payload) = retired {
-                                    task_tracer.end(
-                                        task_ctx.now(),
-                                        Layer::Drain,
-                                        "drain_batch",
-                                        payload,
-                                    );
-                                    if jumped {
-                                        task_tracer.instant(
-                                            task_ctx.now(),
-                                            Layer::Drain,
-                                            "ooo_retire",
-                                            payload,
-                                        );
-                                    }
-                                }
-                            }
-                            Some(Err(RunFatal::DeviceLost)) if !task_failed.replace(true) => {
-                                task_tracer.end(
-                                    task_ctx.now(),
-                                    Layer::Drain,
-                                    "drain_batch",
-                                    Payload::Text {
-                                        text: "drain_failure",
-                                    },
-                                );
-                                task_tracer.instant(
-                                    task_ctx.now(),
-                                    Layer::Drain,
-                                    "freeze",
-                                    Payload::Bytes {
-                                        bytes: task_buffer.occupancy(),
-                                    },
-                                );
-                                task_audit.record_drain_failure(task_buffer.occupancy());
-                                task_buffer.freeze();
-                            }
-                            // Skipped (device already lost) or landed after
-                            // the failure: leave the ledger alone — the
-                            // occupancy snapshot at failure is the loss.
-                            _ => {}
-                        }
-                    });
+                if !engine.dispatch(batch, &ledger).await {
+                    return;
                 }
             }
         }
     });
 }
 
-/// Spawns the multi-tenant fair-share drain and (with a supply) the
-/// sharded power watcher.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn start_sharded(
-    ctx: &SimCtx,
-    cell: &Cell,
-    sharded: &ShardedBuffer,
-    disk: Disk,
-    cfg: RapiLogConfig,
-    supply: Option<PowerSupply>,
-    audit: Audit,
-    mode: Rc<ModeState>,
-    ctrl: Rc<DrainController>,
-) {
-    start_fair_share(ctx, cell, sharded, disk, cfg, &audit, mode, ctrl);
-    if let Some(psu) = supply {
-        start_power_watcher_sharded(ctx, cell, sharded.clone(), psu, audit);
-    }
-}
-
-/// The fair-share drain: a deficit-round-robin scheduler over tenant
-/// shards feeding the windowed out-of-order engine of [`start_windowed`].
+/// Spawns the multi-tenant fair-share drain — a deficit-round-robin
+/// scheduler over tenant shards feeding the same [`WindowedDrain`] engine as
+/// [`start_windowed`] — and (with a supply) the power watcher.
 ///
 /// Each scheduling cycle visits every shard once (the start position
 /// rotates so no shard gets a standing head-of-line advantage) and grants
@@ -1038,203 +1243,45 @@ pub(crate) fn start_sharded(
 /// interleaves pops, and delaying one tenant's pop would hold the cursor
 /// against the others.
 #[allow(clippy::too_many_arguments)]
-fn start_fair_share(
+pub(crate) fn start_sharded(
     ctx: &SimCtx,
     cell: &Cell,
     sharded: &ShardedBuffer,
     disk: Disk,
     cfg: RapiLogConfig,
-    audit: &Audit,
+    supply: Option<PowerSupply>,
+    audit: Audit,
     mode: Rc<ModeState>,
     ctrl: Rc<DrainController>,
 ) {
-    let drain_sharded = sharded.clone();
-    let drain_audit = audit.clone();
-    let drain_ctx = ctx.clone();
-    let tracer = ctx.tracer();
+    let sharded = sharded.clone();
+    let backlog = Backlog::Sharded(sharded.clone());
+    let engine = WindowedDrain::new(ctx, disk, &cfg, &audit, mode, &ctrl, backlog.clone());
     cell.spawn(async move {
-        let policy = cfg.drain.retry;
-        let window = ctrl.window();
-        let consecutive_ok = Rc::new(StdCell::new(0u32));
-        let failed = Rc::new(StdCell::new(false));
-        let inflight: Rc<RefCell<Vec<InflightRun>>> = Rc::new(RefCell::new(Vec::new()));
-        let shard_info: Vec<(TenantId, u32, DependableBuffer)> = drain_sharded
+        // Per shard: its weight and its own ledger (which holds its buffer).
+        let shards: Vec<(u32, Rc<RefCell<BatchLedger>>)> = sharded
             .shards()
             .iter()
-            .map(|s| (s.id, s.weight, s.buf.clone()))
+            .map(|s| (s.weight, BatchLedger::new(&s.buf, Some(s.id))))
             .collect();
-        let ledgers: Vec<Rc<RefCell<BatchLedger>>> = shard_info
-            .iter()
-            .map(|(id, _, _)| {
-                Rc::new(RefCell::new(BatchLedger {
-                    batches: VecDeque::new(),
-                    tenant: Some(*id),
-                }))
-            })
-            .collect();
-        let n = shard_info.len();
-        let mut next_run_id = 0u64;
-        let mut next_batch_id = 0u64;
+        let n = shards.len();
         let mut cursor = 0usize;
         loop {
-            drain_sharded.wait_any_avail().await;
+            sharded.wait_any_avail().await;
             loop {
-                if failed.get() {
+                if engine.failed.get() {
                     return;
                 }
                 let mut popped_any = false;
                 for off in 0..n {
-                    let idx = (cursor + off) % n;
-                    let (_, weight, ref shard_buf) = shard_info[idx];
+                    let (weight, ref ledger) = shards[(cursor + off) % n];
                     let quantum = ctrl.pop_target().saturating_mul(weight as usize);
-                    let batch = shard_buf.pop_batch(quantum);
+                    let batch = ledger.borrow().buffer.pop_batch(quantum);
                     if batch.is_empty() {
                         continue;
                     }
                     popped_any = true;
-                    let lo = batch.first().expect("non-empty batch").seq;
-                    let hi = batch.last().expect("non-empty batch").seq;
-                    let runs = consolidate(&batch);
-                    let bytes: u64 = runs.iter().map(|r| r.bytes() as u64).sum();
-                    let batch_payload = Payload::Batch {
-                        extents: batch.len() as u64,
-                        runs: runs.len() as u64,
-                        bytes,
-                    };
-                    tracer.begin(drain_ctx.now(), Layer::Drain, "drain_batch", batch_payload);
-                    let batch_id = next_batch_id;
-                    next_batch_id += 1;
-                    ledgers[idx].borrow_mut().batches.push_back(BatchEntry {
-                        id: batch_id,
-                        lo,
-                        hi,
-                        remaining: runs.len() as u64,
-                        retired: false,
-                        payload: batch_payload,
-                        bytes,
-                        dispatched_ns: drain_ctx.now().as_nanos(),
-                        admits: batch.iter().map(|e| e.admit_ns).collect(),
-                    });
-                    for run in runs {
-                        let permit = window.acquire(1).await;
-                        if failed.get() {
-                            return;
-                        }
-                        let run_id = next_run_id;
-                        next_run_id += 1;
-                        // Overlap edges are computed across ALL tenants'
-                        // in-flight runs: tenants share the disk, so
-                        // newest-wins media order is a global constraint.
-                        let (run_lo, run_hi) = (run.sector, run.sector + run.sectors());
-                        let deps: Vec<Rc<Event>> = inflight
-                            .borrow()
-                            .iter()
-                            .filter(|f| run_lo < f.sector + f.sectors && f.sector < run_hi)
-                            .map(|f| Rc::clone(&f.done))
-                            .collect();
-                        let done = Rc::new(Event::new());
-                        inflight.borrow_mut().push(InflightRun {
-                            id: run_id,
-                            sector: run.sector,
-                            sectors: run.sectors(),
-                            done: Rc::clone(&done),
-                        });
-                        let mut rng = drain_ctx.fork_rng();
-                        let task_ctx = drain_ctx.clone();
-                        let task_disk = disk.clone();
-                        let task_audit = drain_audit.clone();
-                        let task_mode = Rc::clone(&mode);
-                        let task_ok = Rc::clone(&consecutive_ok);
-                        let task_failed = Rc::clone(&failed);
-                        let task_inflight = Rc::clone(&inflight);
-                        let task_ledger = Rc::clone(&ledgers[idx]);
-                        let task_buffer = shard_buf.clone();
-                        let task_sharded = drain_sharded.clone();
-                        let task_tracer = Rc::clone(&tracer);
-                        let task_ctrl = Rc::clone(&ctrl);
-                        drain_ctx.spawn(async move {
-                            let _permit = permit;
-                            for dep in &deps {
-                                dep.wait().await;
-                            }
-                            let result = if task_failed.get() {
-                                None
-                            } else {
-                                Some(
-                                    write_run_resilient(
-                                        &task_ctx,
-                                        &task_disk,
-                                        &run,
-                                        &policy,
-                                        &mut rng,
-                                        &task_audit,
-                                        &task_mode,
-                                        &task_ok,
-                                        true,
-                                    )
-                                    .await,
-                                )
-                            };
-                            done.set();
-                            task_inflight.borrow_mut().retain(|f| f.id != run_id);
-                            match result {
-                                Some(Ok(())) if !task_failed.get() => {
-                                    let (retired, jumped) = task_ledger.borrow_mut().run_done(
-                                        batch_id,
-                                        &task_buffer,
-                                        &task_audit,
-                                        &task_ctrl,
-                                        task_ctx.now().as_nanos(),
-                                        task_sharded.total_queued_bytes(),
-                                    );
-                                    if let Some(payload) = retired {
-                                        task_tracer.end(
-                                            task_ctx.now(),
-                                            Layer::Drain,
-                                            "drain_batch",
-                                            payload,
-                                        );
-                                        if jumped {
-                                            task_tracer.instant(
-                                                task_ctx.now(),
-                                                Layer::Drain,
-                                                "ooo_retire",
-                                                payload,
-                                            );
-                                        }
-                                    }
-                                }
-                                Some(Err(RunFatal::DeviceLost)) if !task_failed.replace(true) => {
-                                    task_tracer.end(
-                                        task_ctx.now(),
-                                        Layer::Drain,
-                                        "drain_batch",
-                                        Payload::Text {
-                                            text: "drain_failure",
-                                        },
-                                    );
-                                    task_tracer.instant(
-                                        task_ctx.now(),
-                                        Layer::Drain,
-                                        "freeze",
-                                        Payload::Bytes {
-                                            bytes: task_sharded.total_occupancy(),
-                                        },
-                                    );
-                                    // The aggregate is the global loss; the
-                                    // per-shard snapshots attribute it so
-                                    // every tenant's section can testify.
-                                    task_audit.record_drain_failure(task_sharded.total_occupancy());
-                                    for s in task_sharded.shards() {
-                                        task_audit.record_tenant_loss(s.id.0, s.buf.occupancy());
-                                    }
-                                    task_sharded.freeze_all();
-                                }
-                                _ => {}
-                            }
-                        });
-                    }
-                    if failed.get() {
+                    if !engine.dispatch(batch, ledger).await {
                         return;
                     }
                 }
@@ -1245,101 +1292,45 @@ fn start_fair_share(
             }
         }
     });
-}
-
-/// The power watcher for a sharded instance: freezes every shard on the
-/// supply's warning and audits the *aggregate* emergency drain — the
-/// residual-energy window was sized for the sum of the shard capacities,
-/// so the deadline applies to the sum of their occupancies.
-fn start_power_watcher_sharded(
-    ctx: &SimCtx,
-    cell: &Cell,
-    sharded: ShardedBuffer,
-    psu: PowerSupply,
-    audit: Audit,
-) {
-    let watcher_ctx = ctx.clone();
-    let tracer = ctx.tracer();
-    cell.spawn(async move {
-        let warning = psu.warning_event();
-        warning.wait().await;
-        sharded.freeze_all();
-        let remaining = sharded.total_occupancy();
-        tracer.instant(
-            watcher_ctx.now(),
-            Layer::Power,
-            "power_warning",
-            Payload::Bytes { bytes: remaining },
-        );
-        let deadline = watcher_ctx.now()
-            + psu
-                .time_until_death()
-                .expect("warning implies residual state");
-        audit.record_warning(remaining, deadline);
-        tracer.begin(
-            watcher_ctx.now(),
-            Layer::Drain,
-            "emergency_drain",
-            Payload::Bytes { bytes: remaining },
-        );
-        sharded.all_drained().await;
-        tracer.end(
-            watcher_ctx.now(),
-            Layer::Drain,
-            "emergency_drain",
-            Payload::Bytes { bytes: remaining },
-        );
-        audit.record_emergency_drained();
-    });
+    if let Some(psu) = supply {
+        start_power_watcher(ctx, cell, backlog, psu, audit);
+    }
 }
 
 /// Spawns the power watcher: freezes admissions on the supply's warning
-/// and audits whether the drain beat the residual-energy deadline.
+/// and audits whether the drain beat the residual-energy deadline. For a
+/// sharded instance that is the *aggregate* emergency drain — the window
+/// was sized for the sum of the shard capacities, so the deadline applies
+/// to the sum of their occupancies.
 fn start_power_watcher(
     ctx: &SimCtx,
     cell: &Cell,
-    buffer: DependableBuffer,
+    backlog: Backlog,
     psu: PowerSupply,
     audit: Audit,
 ) {
-    let watcher_ctx = ctx.clone();
-    let watch_audit = audit;
+    let ctx = ctx.clone();
     let tracer = ctx.tracer();
     cell.spawn(async move {
         // One power episode per RapiLog instance: after power loss the
         // instance is frozen and must be replaced by the operator (the
         // fault harness rebuilds the device stack on reboot).
-        let warning = psu.warning_event();
-        warning.wait().await;
+        psu.warning_event().wait().await;
         // Power is failing: stop admitting, note the state, and watch
         // the (already eager) drain race the deadline.
-        buffer.freeze();
-        let remaining = buffer.occupancy();
-        tracer.instant(
-            watcher_ctx.now(),
-            Layer::Power,
-            "power_warning",
-            Payload::Bytes { bytes: remaining },
-        );
-        let deadline = watcher_ctx.now()
+        backlog.freeze();
+        let bytes = backlog.occupancy();
+        let remaining = Payload::Bytes { bytes };
+        tracer.instant(ctx.now(), Layer::Power, "power_warning", remaining);
+        let deadline = ctx.now()
             + psu
                 .time_until_death()
                 .expect("warning implies residual state");
-        watch_audit.record_warning(remaining, deadline);
-        tracer.begin(
-            watcher_ctx.now(),
-            Layer::Drain,
-            "emergency_drain",
-            Payload::Bytes { bytes: remaining },
-        );
-        buffer.drained().await;
-        tracer.end(
-            watcher_ctx.now(),
-            Layer::Drain,
-            "emergency_drain",
-            Payload::Bytes { bytes: remaining },
-        );
-        watch_audit.record_emergency_drained();
+        audit.record_warning(bytes, deadline);
+        tracer.begin(ctx.now(), Layer::Drain, "emergency_drain", remaining);
+        backlog.drained().await;
+        tracer.end(ctx.now(), Layer::Drain, "emergency_drain", remaining);
+        audit.record_emergency_drained();
     });
 }
 
@@ -1371,7 +1362,7 @@ mod tests {
 
     #[test]
     fn consolidate_merges_contiguous_runs() {
-        let runs = consolidate(&[ext(0, 0, 2), ext(1, 2, 3), ext(2, 5, 1)]);
+        let runs = consolidate(&[ext(0, 0, 2), ext(1, 2, 3), ext(2, 5, 1)], usize::MAX).0;
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].sector, 0);
         assert_eq!(runs[0].bytes(), 6 * SECTOR_SIZE);
@@ -1382,7 +1373,11 @@ mod tests {
     fn consolidate_dedupes_tail_rewrites_keeping_newest() {
         // Extents 1 and 2 both write sector 10; the union must hold the
         // newest bytes (tag 2), and everything becomes ONE ascending run.
-        let runs = consolidate(&[ext(0, 9, 1), ext(1, 10, 1), ext(2, 10, 1), ext(3, 11, 1)]);
+        let runs = consolidate(
+            &[ext(0, 9, 1), ext(1, 10, 1), ext(2, 10, 1), ext(3, 11, 1)],
+            usize::MAX,
+        )
+        .0;
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].sector, 9);
         assert_eq!(runs[0].bytes(), 3 * SECTOR_SIZE);
@@ -1396,7 +1391,7 @@ mod tests {
 
     #[test]
     fn consolidate_splits_on_gaps() {
-        let runs = consolidate(&[ext(0, 0, 1), ext(1, 5, 2)]);
+        let runs = consolidate(&[ext(0, 0, 1), ext(1, 5, 2)], usize::MAX).0;
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].sector, 0);
         assert_eq!(runs[1].sector, 5);
@@ -1405,13 +1400,13 @@ mod tests {
 
     #[test]
     fn consolidate_empty() {
-        assert!(consolidate(&[]).is_empty());
+        assert!(consolidate(&[], usize::MAX).0.is_empty());
     }
 
     #[test]
     fn consolidate_whole_run_rewrite_keeps_one_run() {
         // Extent 1 rewrites everything extent 0 covered and extends it.
-        let runs = consolidate(&[ext(0, 4, 2), ext(1, 4, 3)]);
+        let runs = consolidate(&[ext(0, 4, 2), ext(1, 4, 3)], usize::MAX).0;
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].sector, 4);
         assert_eq!(runs[0].bytes(), 3 * SECTOR_SIZE);
@@ -1424,7 +1419,7 @@ mod tests {
         // Extent 0 covers sectors 0..4; extent 1 rewrites 2..5. The cut
         // falls inside extent 0's single segment, which must be re-viewed
         // (sliced), not copied.
-        let runs = consolidate(&[ext(0, 0, 4), ext(1, 2, 3)]);
+        let runs = consolidate(&[ext(0, 0, 4), ext(1, 2, 3)], usize::MAX).0;
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].sector, 0);
         assert_eq!(runs[0].bytes(), 5 * SECTOR_SIZE);
@@ -1438,7 +1433,7 @@ mod tests {
         // Extent 1 rewrites a sector in the *middle* of extent 0's run;
         // truncating would lose extent 0's tail, so it becomes a separate
         // run written after — media order keeps newest-wins.
-        let runs = consolidate(&[ext(0, 0, 4), ext(1, 1, 1)]);
+        let runs = consolidate(&[ext(0, 0, 4), ext(1, 1, 1)], usize::MAX).0;
         assert_eq!(runs.len(), 2);
         let media = apply_and_read(&runs, 0, 4);
         assert_eq!(&media[..SECTOR_SIZE], &vec![0u8; SECTOR_SIZE][..]);
@@ -1449,13 +1444,141 @@ mod tests {
         assert_eq!(&media[2 * SECTOR_SIZE..], &vec![0u8; 2 * SECTOR_SIZE][..]);
     }
 
+    /// `consolidate` as it was before it searched past the newest run: an
+    /// extent joins the *last* run or opens a new one. The reference the
+    /// single-stream identity is checked against.
+    fn consolidate_last_run_only(batch: &[Extent]) -> Vec<IoRun> {
+        let mut runs: Vec<IoRun> = Vec::new();
+        for e in batch {
+            let nsectors = (e.data.len() / SECTOR_SIZE) as u64;
+            if let Some(run) = runs.last_mut() {
+                let run_end = run.sector + run.sectors();
+                if e.sector == run_end {
+                    run.segments.push(e.data.clone());
+                    continue;
+                }
+                if e.sector >= run.sector && e.sector < run_end && e.sector + nsectors >= run_end {
+                    truncate_run(run, e.sector - run.sector);
+                    run.segments.push(e.data.clone());
+                    continue;
+                }
+            }
+            runs.push(IoRun {
+                sector: e.sector,
+                segments: vec![e.data.clone()],
+            });
+        }
+        runs
+    }
+
+    #[test]
+    fn four_interleaved_sequential_streams_collapse_to_four_runs() {
+        // Round-robin arrivals from four writers, each appending to its own
+        // region: only overlapping writes are ordered, so each stream
+        // regroups into one run carrying every fourth seq.
+        let mut batch = Vec::new();
+        for round in 0..8u64 {
+            for stream in 0..4u64 {
+                batch.push(ext(round * 4 + stream, stream * 1000 + round * 2, 2));
+            }
+        }
+        let (runs, seqs) = consolidate(&batch, usize::MAX);
+        assert_eq!(runs.len(), 4, "one run per stream");
+        for (stream, (run, seqs)) in runs.iter().zip(&seqs).enumerate() {
+            assert_eq!(run.sector, stream as u64 * 1000);
+            assert_eq!(run.bytes(), 16 * SECTOR_SIZE);
+            let expect: SeqRanges = (0..8)
+                .map(|round| round * 4 + stream as u64)
+                .map(|seq| (seq, seq))
+                .collect();
+            assert_eq!(seqs, &expect, "ascending, non-contiguous seqs");
+        }
+        assert_eq!(
+            consolidate_last_run_only(&batch).len(),
+            32,
+            "the last-run-only builder never coalesced them"
+        );
+    }
+
+    #[test]
+    fn an_extent_is_not_merged_past_a_later_run_that_overlaps_it() {
+        // Run A (sectors 0..4), then B rewriting 5..7 — part of what will be
+        // A's continuation — then the continuation 4..8 itself. It abuts A,
+        // but B holds older bytes for 5..7: joining A would land them first
+        // and B's stale bytes last.
+        let batch = [ext(1, 0, 4), ext(2, 5, 2), ext(3, 4, 4)];
+        let (runs, seqs) = consolidate(&batch, usize::MAX);
+        assert_eq!(runs.len(), 3, "the continuation opens its own run");
+        assert_eq!(seqs, vec![vec![(1, 1)], vec![(2, 2)], vec![(3, 3)]]);
+        assert_eq!(
+            (runs[1].sector, runs[2].sector),
+            (5, 4),
+            "B stays before the continuation"
+        );
+        let media = apply_and_read(&runs, 0, 8);
+        assert_eq!(&media[..4 * SECTOR_SIZE], &vec![1u8; 4 * SECTOR_SIZE][..]);
+        assert_eq!(&media[4 * SECTOR_SIZE..], &vec![3u8; 4 * SECTOR_SIZE][..]);
+        // A disjoint stream in between does not stop the search.
+        let batch = [ext(1, 0, 4), ext(2, 100, 2), ext(3, 4, 4)];
+        let (runs, seqs) = consolidate(&batch, usize::MAX);
+        assert_eq!(runs.len(), 2);
+        assert_eq!(seqs, vec![vec![(1, 1), (3, 3)], vec![(2, 2)]]);
+    }
+
+    #[test]
+    fn a_single_stream_consolidates_exactly_as_before() {
+        // WAL-shaped: appends, tail-sector rewrites (every group-commit
+        // flush re-forces the tail), a whole-run rewrite, a mid-run rewrite
+        // and a gap. Every extent finds its run at the first probe, so the
+        // runs are the last-run-only builder's, view for view.
+        let batch = [
+            ext(0, 10, 2),
+            ext(1, 11, 2),
+            ext(2, 12, 1),
+            ext(3, 13, 3),
+            ext(4, 15, 1),
+            ext(5, 15, 2),
+            ext(6, 12, 1),
+            ext(7, 40, 2),
+            ext(8, 42, 1),
+            ext(9, 40, 4),
+        ];
+        let (runs, seqs) = consolidate(&batch, usize::MAX);
+        let before = consolidate_last_run_only(&batch);
+        assert_eq!(runs.len(), before.len());
+        for (new, old) in runs.iter().zip(&before) {
+            assert_eq!(new.sector, old.sector);
+            assert_eq!(new.segments.len(), old.segments.len());
+            for (a, b) in new.segments.iter().zip(&old.segments) {
+                assert_eq!((a.as_ptr(), a.len()), (b.as_ptr(), b.len()));
+            }
+        }
+        assert_eq!(seqs.concat(), vec![(0, 5), (6, 6), (7, 9)]);
+    }
+
+    #[test]
+    fn the_run_bound_stops_appends_but_never_tail_rewrites() {
+        // 2-sector extents under a 4-sector bound: the stream splits into
+        // runs of two extents each.
+        let batch: Vec<Extent> = (0..6).map(|i| ext(i, i * 2, 2)).collect();
+        let (runs, seqs) = consolidate(&batch, 4 * SECTOR_SIZE);
+        assert_eq!(seqs, vec![vec![(0, 1)], vec![(2, 3)], vec![(4, 5)]]);
+        assert!(runs.iter().all(|r| r.bytes() == 4 * SECTOR_SIZE));
+        // A tail rewrite merges even when it takes the run past the bound:
+        // splitting it off would only add a run that must wait for this one.
+        let batch = [ext(0, 0, 4), ext(1, 3, 3)];
+        let (runs, seqs) = consolidate(&batch, 4 * SECTOR_SIZE);
+        assert_eq!(seqs, vec![vec![(0, 1)]]);
+        assert_eq!(runs[0].bytes(), 6 * SECTOR_SIZE);
+    }
+
     #[test]
     fn consolidated_runs_share_extent_allocations() {
         // The zero-copy invariant inside the drain: run segments are views
         // of the very allocations the extents carry.
         let e = ext(0, 0, 2);
         let admitted_ptr = e.data.as_ptr();
-        let runs = consolidate(&[e, ext(1, 2, 1)]);
+        let runs = consolidate(&[e, ext(1, 2, 1)], usize::MAX).0;
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].segments[0].as_ptr(), admitted_ptr);
     }
@@ -1477,7 +1600,7 @@ mod tests {
                 .await
                 .unwrap();
             let batch = b2.pop_batch(usize::MAX);
-            let runs = consolidate(&batch);
+            let runs = consolidate(&batch, usize::MAX).0;
             assert_eq!(runs.len(), 1, "contiguous extents consolidate");
             assert_eq!(
                 runs[0].segments[0].as_ptr(),
@@ -1845,7 +1968,7 @@ mod resilience_tests {
 
 #[cfg(test)]
 mod window_tests {
-    use super::{consolidate, dep_edges, BatchEntry, BatchLedger, DrainController};
+    use super::{consolidate, dep_edges, BatchEntry, BatchLedger, DrainController, SeqRanges};
     use crate::audit::Audit;
     use crate::buffer::Extent;
     use crate::prelude::*;
@@ -1854,9 +1977,9 @@ mod window_tests {
     use rapilog_simcore::rng::SimRng;
     use rapilog_simcore::trace::Payload;
     use rapilog_simcore::{Sim, SimDuration, SimTime};
+    use rapilog_simdisk::IoRun;
     use rapilog_simdisk::{specs, BlockDevice, Disk, DiskSpec, SectorStore, SECTOR_SIZE};
     use std::cell::Cell as StdCell;
-    use std::collections::VecDeque;
     use std::rc::Rc;
 
     fn setup(sim: &mut Sim, spec: DiskSpec, drain: DrainConfig) -> (RapiLog, Disk) {
@@ -2098,32 +2221,86 @@ mod window_tests {
         order
     }
 
+    fn tagged(seq: u64, sector: u64, sectors: usize) -> Extent {
+        Extent {
+            seq,
+            sector,
+            admit_ns: 0,
+            data: SectorBuf::from_vec(vec![(seq + 1) as u8; sectors * SECTOR_SIZE]),
+        }
+    }
+
+    /// A batch of random extents anywhere in `span` sectors.
+    fn scattered_batch(rng: &mut SimRng, span: u64) -> Vec<Extent> {
+        let n = 4 + rng.next_u64() % 12;
+        (0..n)
+            .map(|seq| {
+                let sectors = 1 + rng.next_u64() % 4;
+                tagged(seq, rng.next_u64() % (span - sectors), sectors as usize)
+            })
+            .collect()
+    }
+
+    /// A batch of three interleaved sequential streams over neighbouring
+    /// regions of `span` sectors: each arrival extends a random stream,
+    /// half the time re-forcing its tail sector first (the group-commit
+    /// pattern), and now and then a stray rewrite lands in the middle of
+    /// what another stream wrote — the case the overlap rule exists for.
+    fn interleaved_batch(rng: &mut SimRng, span: u64) -> Vec<Extent> {
+        let region = span / 3;
+        let mut cursor = [0u64; 3];
+        let mut batch = Vec::new();
+        for seq in 0..(10 + rng.next_u64() % 14) {
+            let stream = (rng.next_u64() % 3) as usize;
+            let sectors = 1 + rng.next_u64() % 3;
+            let extent = if rng.next_u64().is_multiple_of(8) {
+                tagged(seq, rng.next_u64() % (span - sectors), sectors as usize)
+            } else {
+                let rewrite = u64::from(cursor[stream] > 0 && rng.next_u64().is_multiple_of(2));
+                let at = cursor[stream] - rewrite;
+                if at + sectors > region {
+                    continue;
+                }
+                cursor[stream] = at + sectors;
+                tagged(seq, stream as u64 * region + at, sectors as usize)
+            };
+            batch.push(extent);
+        }
+        batch
+    }
+
     #[test]
     fn any_edge_respecting_completion_order_yields_the_same_media_state() {
-        // Property: for random batches of log extents, every completion
-        // order permitted by dep_edges() recovers to the same committed
-        // media state as the serial drain. 16 seeded batches × 8 sampled
-        // linearizations each.
+        // Property: for random batches of log extents — scattered, or
+        // interleaved sequential streams with tail rewrites, consolidated
+        // with and without a run bound — every completion order of the
+        // merged runs permitted by dep_edges() leaves the media state of
+        // applying the *extents* one by one in seq order. 32 seeded batches
+        // × 8 sampled linearizations each.
         const SECTOR_SPAN: u64 = 48;
-        for seed in 0..16u64 {
+        let mut merged_across_streams = 0;
+        for seed in 0..32u64 {
             let mut rng = SimRng::seed_from_u64(0xD0_0D + seed);
-            let n_extents = 4 + (rng.next_u64() % 12) as usize;
-            let mut extents = Vec::with_capacity(n_extents);
-            for seq in 0..n_extents as u64 {
-                let sectors = 1 + (rng.next_u64() % 4) as usize;
-                let sector = rng.next_u64() % (SECTOR_SPAN - sectors as u64);
-                extents.push(Extent {
-                    seq,
-                    sector,
-                    admit_ns: 0,
-                    data: SectorBuf::from_vec(vec![(seq + 1) as u8; sectors * SECTOR_SIZE]),
-                });
-            }
-            let runs = consolidate(&extents);
+            let extents = if seed % 2 == 0 {
+                scattered_batch(&mut rng, SECTOR_SPAN)
+            } else {
+                interleaved_batch(&mut rng, SECTOR_SPAN)
+            };
+            let run_bound = match seed % 4 {
+                3 => 4 * SECTOR_SIZE,
+                _ => usize::MAX,
+            };
+            let (runs, seqs) = consolidate(&extents, run_bound);
+            merged_across_streams += seqs.iter().filter(|ranges| ranges.len() > 1).count();
             let edges = dep_edges(&runs);
-            // Ground truth: serial media order.
+            // Ground truth: the extents themselves, in sequence order.
             let mut serial = SectorStore::new();
-            serial.write_runs(&runs);
+            for e in &extents {
+                serial.write_runs(&[IoRun {
+                    sector: e.sector,
+                    segments: vec![e.data.clone()],
+                }]);
+            }
             let mut expect = vec![0u8; SECTOR_SPAN as usize * SECTOR_SIZE];
             serial.read_run(0, &mut expect);
             for sample in 0..8u64 {
@@ -2141,6 +2318,11 @@ mod window_tests {
                 );
             }
         }
+        assert!(
+            merged_across_streams >= 16,
+            "the batches must exercise the multi-stream merge \
+             ({merged_across_streams} runs gathered non-adjacent extents)"
+        );
     }
 
     // ---- adaptive-resize ledger property test ----
@@ -2148,12 +2330,15 @@ mod window_tests {
     #[test]
     fn adaptive_resizing_never_breaks_the_durable_prefix_or_leaks_space() {
         // Property: popping with a batch target that shrinks and grows
-        // mid-stream (what the adaptive controller does), then retiring the
-        // resulting batches' runs in ANY order, must still (a) feed the
-        // audit only a contiguous, monotonic durable prefix — one commit
-        // per batch, in sequence order — and (b) release every byte back
-        // through `complete_seqs` (occupancy returns to zero, nothing
-        // double-released or stranded).
+        // mid-stream (what the adaptive controller does), consolidating the
+        // interleaved streams into multi-run batches, then retiring those
+        // runs one by one in ANY order, must (a) hand back exactly the
+        // landed run's extents at each step — occupancy drops by their
+        // bytes, no more, no less, and ends at zero; (b) feed the audit
+        // only a contiguous, monotonic durable prefix — one commit per
+        // batch, in sequence order; and (c) keep `wait_completed` on its
+        // oldest-pending semantics: a waiter on seq s wakes only once every
+        // extent up to s has been released, however the runs interleave.
         for seed in 0..12u64 {
             let mut sim = Sim::new(seed);
             let ctx = sim.ctx();
@@ -2167,22 +2352,24 @@ mod window_tests {
             let buffer = DependableBuffer::new(64 << 20);
             buffer.set_clock(&ctx);
             let batches_seen = Rc::new(StdCell::new(0u64));
+            let multi_run_batches = Rc::new(StdCell::new(0u64));
             let done = Rc::new(StdCell::new(false));
             let t_buffer = buffer.clone();
             let t_audit = audit.clone();
             let t_ctrl = Rc::clone(&ctrl);
             let t_batches = Rc::clone(&batches_seen);
+            let t_multi = Rc::clone(&multi_run_batches);
             let t_done = Rc::clone(&done);
             let t_ctx = ctx.clone();
             sim.spawn(async move {
                 let mut rng = SimRng::seed_from_u64(0xADA7 + seed);
-                let mut ledger = BatchLedger {
-                    batches: VecDeque::new(),
-                    tenant: None,
-                };
-                // (batch id, runs still to retire) for the random scheduler.
-                let mut pending: Vec<(u64, u64)> = Vec::new();
-                let mut next_seq_sector = 0u64;
+                let ledger = BatchLedger::new(&t_buffer, None);
+                // Bytes per seq, and the seqs not yet released — the model
+                // the buffer is checked against.
+                let mut len_of: Vec<u64> = Vec::new();
+                let mut unreleased: std::collections::BTreeSet<u64> = Default::default();
+                // Three interleaved sequential streams, far apart.
+                let mut cursor = [0u64; 3];
                 let mut next_batch_id = 0u64;
                 // Several push/pop rounds so resized pops interleave with
                 // arrivals, as they do mid-stream in the real drain. The
@@ -2191,11 +2378,18 @@ mod window_tests {
                 for _round in 0..6 {
                     t_ctx.sleep(SimDuration::from_micros(10)).await;
                     for _ in 0..(8 + rng.next_u64() % 12) {
-                        let sectors = 1 + (rng.next_u64() % 3) as usize;
-                        let data = SectorBuf::from_vec(vec![7u8; sectors * SECTOR_SIZE]);
-                        t_buffer.push(next_seq_sector * 8, data).await.unwrap();
-                        next_seq_sector += 1;
+                        let stream = (rng.next_u64() % 3) as usize;
+                        let sectors = 1 + rng.next_u64() % 3;
+                        let data = SectorBuf::from_vec(vec![7u8; sectors as usize * SECTOR_SIZE]);
+                        let sector = stream as u64 * 1_000_000 + cursor[stream];
+                        cursor[stream] += sectors;
+                        let seq = t_buffer.push(sector, data).await.unwrap();
+                        assert_eq!(seq as usize, len_of.len());
+                        len_of.push(sectors * SECTOR_SIZE as u64);
+                        unreleased.insert(seq);
                     }
+                    // (batch id, seqs of one run) for the random scheduler.
+                    let mut pending: Vec<(u64, SeqRanges)> = Vec::new();
                     loop {
                         // The resizing under test: every pop uses a fresh
                         // random target between 1 and 8 sectors.
@@ -2204,54 +2398,93 @@ mod window_tests {
                         if batch.is_empty() {
                             break;
                         }
-                        let runs = consolidate(&batch);
-                        ledger.batches.push_back(BatchEntry {
+                        let (runs, seqs) = consolidate(&batch, usize::MAX);
+                        if runs.len() > 1 {
+                            t_multi.set(t_multi.get() + 1);
+                        }
+                        let bytes = runs.iter().map(|r| r.bytes() as u64).sum();
+                        ledger.borrow_mut().batches.push_back(BatchEntry {
                             id: next_batch_id,
-                            lo: batch.first().unwrap().seq,
                             hi: batch.last().unwrap().seq,
                             remaining: runs.len() as u64,
                             retired: false,
                             payload: Payload::Batch {
                                 extents: batch.len() as u64,
                                 runs: runs.len() as u64,
-                                bytes: runs.iter().map(|r| r.bytes() as u64).sum(),
+                                bytes,
                             },
-                            bytes: runs.iter().map(|r| r.bytes() as u64).sum(),
+                            bytes,
                             dispatched_ns: t_ctx.now().as_nanos(),
                             admits: batch.iter().map(|e| e.admit_ns).collect(),
                         });
-                        pending.push((next_batch_id, runs.len() as u64));
+                        pending.extend(seqs.into_iter().map(|s| (next_batch_id, s)));
                         next_batch_id += 1;
+                    }
+                    // A degraded-mode ack waiting on a seq in the middle of
+                    // what is in flight.
+                    let probe = {
+                        let all: Vec<u64> = unreleased.iter().copied().collect();
+                        all[all.len() / 2]
+                    };
+                    let woke = Rc::new(StdCell::new(false));
+                    {
+                        let (buffer, woke) = (t_buffer.clone(), Rc::clone(&woke));
+                        t_ctx.spawn(async move {
+                            assert!(buffer.wait_completed(probe).await);
+                            woke.set(true);
+                        });
                     }
                     // Retire this round's runs in a random global order.
                     while !pending.is_empty() {
                         let pick = (rng.next_u64() as usize) % pending.len();
-                        let (id, left) = pending[pick];
-                        if left == 1 {
-                            pending.swap_remove(pick);
-                        } else {
-                            pending[pick].1 -= 1;
-                        }
-                        let _ = ledger.run_done(
+                        let (id, seqs) = pending.swap_remove(pick);
+                        let before = t_buffer.occupancy();
+                        let _ = ledger.borrow_mut().run_done(
                             id,
-                            &t_buffer,
+                            &seqs,
                             &t_audit,
                             &t_ctrl,
                             t_ctx.now().as_nanos(),
                             t_buffer.queued_bytes(),
                         );
+                        let seqs: Vec<u64> = seqs.iter().flat_map(|&(lo, hi)| lo..=hi).collect();
+                        let landed: u64 = seqs.iter().map(|&s| len_of[s as usize]).sum();
+                        assert_eq!(
+                            before - t_buffer.occupancy(),
+                            landed,
+                            "seed {seed}: a landed run releases exactly its own extents"
+                        );
+                        for s in &seqs {
+                            assert!(unreleased.remove(s), "seed {seed}: seq {s} released twice");
+                        }
+                        // Let the waiter observe the release.
+                        t_ctx.sleep(SimDuration::from_nanos(1)).await;
+                        let prefix_done = unreleased.first().is_none_or(|&s| s > probe);
+                        assert_eq!(
+                            woke.get(),
+                            prefix_done,
+                            "seed {seed}: wait_completed({probe}) vs oldest pending {:?}",
+                            unreleased.first()
+                        );
                     }
                 }
-                assert!(ledger.batches.is_empty(), "every batch must retire");
+                assert!(
+                    ledger.borrow().batches.is_empty(),
+                    "every batch must retire"
+                );
                 t_batches.set(next_batch_id);
                 t_done.set(true);
             });
             sim.run();
             assert!(done.get(), "seed {seed}: scenario must complete");
+            assert!(
+                multi_run_batches.get() > 0,
+                "seed {seed}: the scenario must produce multi-run batches"
+            );
             assert_eq!(
                 buffer.occupancy(),
                 0,
-                "seed {seed}: complete_seqs leaked space"
+                "seed {seed}: complete_run leaked space"
             );
             let report = audit.report();
             assert!(
@@ -2270,28 +2503,204 @@ mod window_tests {
         }
     }
 
+    // ---- controller: regime rule and run bound ----
+
+    #[test]
+    fn the_target_regrows_after_a_decay_with_old_regime_batches_in_flight() {
+        // The wedge: the controller has climbed to 2 MiB batches at
+        // 2.4 GB/s, the queue empties once (decay to 64 KiB), and load
+        // comes straight back. Batches popped at 2 MiB are still retiring;
+        // if they feed the bandwidth EWMA, the first grow captures a
+        // reference (≈ 2.4 GB/s) the small-batch regime can never beat and
+        // the target sticks at 128 KiB. A sample belongs to the regime it
+        // was dispatched in, so the target must climb again.
+        let mut sim = Sim::new(7);
+        let ctx = sim.ctx();
+        let disk = Disk::new(&ctx, specs::ssd_nvme(1 << 30).with_channels(4));
+        let cfg = DrainConfig::new()
+            .ordering(OrderingMode::PartiallyConstrained)
+            .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig::default()));
+        let ctrl = DrainController::new(&ctx, &cfg, &disk);
+        let t_ctrl = Rc::clone(&ctrl);
+        let t_ctx = ctx.clone();
+        sim.spawn(async move {
+            let backlog = 32u64 << 20;
+            // A batch of `bytes` popped now, retiring at `bps`.
+            let retire = |bytes: u64, dispatched_ns: u64, bps: u64| {
+                let service_ns = bytes * 1_000_000_000 / bps;
+                (dispatched_ns, dispatched_ns + service_ns)
+            };
+            // Climb: each doubling buys bandwidth, up to 2 MiB at 2.4 GB/s.
+            let mut bps = 1_000_000_000u64;
+            while t_ctrl.pop_target() < 2 << 20 {
+                let bytes = t_ctrl.pop_target() as u64;
+                let (d, n) = retire(bytes, t_ctx.now().as_nanos(), bps);
+                t_ctx.sleep(SimDuration::from_nanos(n - d)).await;
+                t_ctrl.observe_batch(bytes, d, n, backlog);
+                bps = (bps + bps / 5).min(2_400_000_000);
+            }
+            // Three more 2 MiB batches are popped and in flight...
+            let old_regime: Vec<u64> = (0..3).map(|_| t_ctx.now().as_nanos()).collect();
+            t_ctx.sleep(SimDuration::from_micros(900)).await;
+            // ...when one batch retires onto an empty queue: decay.
+            t_ctrl.observe_batch(2 << 20, old_regime[0] - 1, t_ctx.now().as_nanos(), 0);
+            assert_eq!(t_ctrl.pop_target(), 64 << 10, "decayed to the floor");
+            // Load is back. The old-regime stragglers retire at 2.4 GB/s
+            // while the new regime's small batches deliver less — but more
+            // with every doubling: 1.2, 1.5, 1.8 GB/s ...
+            for d in old_regime {
+                t_ctx.sleep(SimDuration::from_micros(50)).await;
+                t_ctrl.observe_batch(2 << 20, d, t_ctx.now().as_nanos(), backlog);
+            }
+            for _ in 0..40 {
+                let bytes = t_ctrl.pop_target() as u64;
+                let bps = 1_200_000_000 + 300_000_000 * (bytes >> 16).ilog2() as u64;
+                let (d, n) = retire(bytes, t_ctx.now().as_nanos(), bps.min(2_400_000_000));
+                t_ctx.sleep(SimDuration::from_nanos(n - d)).await;
+                t_ctrl.observe_batch(bytes, d, n, backlog);
+            }
+        });
+        sim.run();
+        assert!(
+            ctrl.pop_target() > 128 << 10,
+            "the grow gate wedged at {} KiB",
+            ctrl.pop_target() >> 10
+        );
+    }
+
+    /// Four writers append 32–96 KiB extents to private regions as fast
+    /// as the device acks. Returns the instance, the controller's view in
+    /// mid-run and, from there to the end, the mean media-op service time
+    /// and bytes per media op.
+    fn four_writers(capacity: u64, adaptive: bool) -> (RapiLog, DrainStats, SimDuration, u64) {
+        let mut sim = Sim::new(41);
+        let ctx = sim.ctx();
+        let hv = Hypervisor::new(&ctx);
+        let cell = hv.create_cell("rapilog", Trust::Trusted);
+        let disk = Disk::new(&ctx, specs::ssd_nvme(1 << 30).with_channels(4));
+        let batch = match adaptive {
+            true => BatchPolicy::Adaptive(AdaptiveBatchConfig::default()),
+            false => BatchPolicy::Fixed,
+        };
+        let rl = RapiLog::builder(&ctx)
+            .cell(&cell)
+            .disk(disk.clone())
+            .capacity(CapacitySpec::Fixed(capacity))
+            .drain_config(
+                DrainConfig::new()
+                    .ordering(OrderingMode::PartiallyConstrained)
+                    .batch_policy(batch),
+            )
+            .build();
+        std::mem::forget(cell);
+        for w in 0..4u64 {
+            let dev = rl.device();
+            let mut rng = SimRng::seed_from_u64(w);
+            sim.spawn(async move {
+                let mut at = w << 18;
+                for i in 0..1500u64 {
+                    let sectors = 64 + rng.next_u64() % 129;
+                    let data = vec![(i % 251 + 1) as u8; sectors as usize * SECTOR_SIZE];
+                    dev.write(at, &data, true).await.unwrap();
+                    at += sectors;
+                }
+            });
+        }
+        // Saturated, the device moves ≈ 6 GB/s: 6 000 × 64 KiB takes
+        // ≈ 60 ms. Sample the steady state from 20 ms on.
+        sim.run_until(SimTime::from_millis(20));
+        let (mid, drain) = (disk.stats(), rl.snapshot().drain);
+        sim.run_until(SimTime::from_secs(5));
+        let end = disk.stats();
+        assert_eq!(rl.occupancy(), 0, "everything drained");
+        assert!(rl.audit_report().guarantee_held());
+        let ops = end.media_ops - mid.media_ops;
+        let service = SimDuration::from_nanos((end.busy - mid.busy).as_nanos() / ops);
+        let bytes_per_op = (end.sectors_written - mid.sectors_written) * SECTOR_SIZE as u64 / ops;
+        (rl, drain, service, bytes_per_op)
+    }
+
+    #[test]
+    fn blocked_writers_bound_the_run_to_what_retires_within_max_hold() {
+        let max_hold = AdaptiveBatchConfig::default().max_hold;
+        // 4 MiB of buffer under ≈ 6 GB/s of demand: writers block on space
+        // for the whole run, so the drain is the commit path.
+        let (rl, drain, service, bytes_per_op) = four_writers(4 << 20, true);
+        assert!(
+            rl.stats().backpressure_events > 1000,
+            "writers were blocked"
+        );
+        assert!(
+            drain.ewma_run_bytes_per_sec > 0,
+            "runs feed the second sensor"
+        );
+        // What the bound converged to, priced at the run EWMA, and what the
+        // device actually spent per media op: both within max_hold + 10 %.
+        let settled = SimDuration::from_nanos(
+            (drain.run_bound_bytes as u128 * 1_000_000_000 / drain.ewma_run_bytes_per_sec as u128)
+                as u64,
+        );
+        let limit = max_hold + max_hold / 10;
+        assert!(
+            drain.run_bound_bytes >= 64 << 10,
+            "the bound engaged (and never below min_batch)"
+        );
+        assert!(
+            settled <= limit,
+            "run bound priced at {settled}, over {limit}"
+        );
+        assert!(service <= limit, "media ops took {service}, over {limit}");
+        assert!(
+            bytes_per_op > 100 << 10,
+            "interleaved streams still coalesce under the bound ({bytes_per_op} B/op)"
+        );
+    }
+
+    #[test]
+    fn without_blocked_writers_the_run_bound_is_off() {
+        // Same writers, but the buffer holds the whole run: nobody waits
+        // for space, the drain is off the commit path, and runs grow to
+        // what the batch target gives each of the four streams.
+        let (rl, drain, _, bytes_per_op) = four_writers(1 << 30, true);
+        assert_eq!(rl.stats().backpressure_events, 0);
+        assert_eq!(drain.run_bound_bytes, 0, "no stalled writer, no bound");
+        assert!(drain.batch_target >= 1 << 20, "the target climbed");
+        assert!(
+            bytes_per_op > 256 << 10,
+            "runs reach the batch target's share ({bytes_per_op} B/op)"
+        );
+        // Fixed never bounds, blocked writers or not.
+        let (rl, drain, _, _) = four_writers(4 << 20, false);
+        assert!(rl.stats().backpressure_events > 1000);
+        assert_eq!(drain.run_bound_bytes, 0);
+    }
+
     #[test]
     fn dep_edges_order_overlaps_and_free_disjoint_runs() {
-        let runs = consolidate(&[
-            Extent {
-                seq: 0,
-                sector: 0,
-                admit_ns: 0,
-                data: SectorBuf::from_vec(vec![1; 4 * SECTOR_SIZE]),
-            },
-            Extent {
-                seq: 1,
-                sector: 1,
-                admit_ns: 0,
-                data: SectorBuf::from_vec(vec![2; SECTOR_SIZE]),
-            },
-            Extent {
-                seq: 2,
-                sector: 100,
-                admit_ns: 0,
-                data: SectorBuf::from_vec(vec![3; SECTOR_SIZE]),
-            },
-        ]);
+        let runs = consolidate(
+            &[
+                Extent {
+                    seq: 0,
+                    sector: 0,
+                    admit_ns: 0,
+                    data: SectorBuf::from_vec(vec![1; 4 * SECTOR_SIZE]),
+                },
+                Extent {
+                    seq: 1,
+                    sector: 1,
+                    admit_ns: 0,
+                    data: SectorBuf::from_vec(vec![2; SECTOR_SIZE]),
+                },
+                Extent {
+                    seq: 2,
+                    sector: 100,
+                    admit_ns: 0,
+                    data: SectorBuf::from_vec(vec![3; SECTOR_SIZE]),
+                },
+            ],
+            usize::MAX,
+        )
+        .0;
         assert_eq!(runs.len(), 3, "middle overlap + gap split the batch");
         let edges = dep_edges(&runs);
         assert!(edges[0].is_empty());

@@ -190,10 +190,14 @@ pub struct AdaptiveBatchConfig {
     /// (and marginal bandwidth still improves), and shrinks as soon as the
     /// EWMA exceeds it.
     pub latency_budget: SimDuration,
-    /// Longest the drain loop may hold a pop to coalesce a fuller batch.
-    /// The hold timer only arms while the in-flight window is saturated
-    /// (the held bytes could not dispatch anyway); an idle window pops
-    /// immediately, so a lone commit never waits at all.
+    /// Longest the drain may delay bytes in order to coalesce them. Two
+    /// uses. The drain loop may hold a pop this long for a fuller batch;
+    /// the hold timer only arms while the in-flight window is saturated
+    /// (the held bytes could not dispatch anyway), and an idle window pops
+    /// immediately, so a lone commit never waits at all. And while writers
+    /// are blocked on buffer space — the drain is then the commit path, and
+    /// space comes back a run at a time — no run is built longer than the
+    /// device retires in this time (never below `min_batch`).
     pub max_hold: SimDuration,
 }
 
@@ -426,6 +430,12 @@ pub struct DrainStats {
     pub window_narrows: u64,
     /// Times the hold timer armed and expired before a pop.
     pub hold_fires: u64,
+    /// The run-length bound the last pop consolidated under, bytes; 0 means
+    /// off (no writer was blocked on the drain, or the policy is Fixed).
+    pub run_bound_bytes: u64,
+    /// EWMA of per-run device bandwidth (run bytes over the run's own
+    /// submit → complete time), bytes per second.
+    pub ewma_run_bytes_per_sec: u64,
     /// Median commit latency (admission → contiguous durable prefix), ns.
     pub commit_p50_ns: u64,
     /// 99th-percentile commit latency, ns.

@@ -22,7 +22,7 @@ echo "==> crash-point sweep (200 trials + broken-drain control)"
 echo "==> failover sweep (replicated pair: sync/async x 4 failure kinds)"
 ./target/release/failover_sweep
 
-echo "==> adaptive batching ablation (saturation + tail-latency gates, QUICK)"
+echo "==> adaptive batching ablation (saturation + tail-latency + back-pressure gates, QUICK)"
 QUICK=1 ./target/release/abl_adaptive_batching
 
 echo "==> parallel recovery ablation (speedup + fuzzy scan-cut gates, QUICK)"

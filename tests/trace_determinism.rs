@@ -191,3 +191,68 @@ fn sync_commit_decomposes_into_ship_apply_ack() {
         .expect("the drain ran");
     assert!(wait.1 < media_done, "the ack did not wait for the disk");
 }
+
+/// Four writers appending 64 KiB extents to private regions through a
+/// 2 MiB buffer on a 4-channel NVMe: blocked on space almost from the
+/// start. Returns the `run_bound` instants' values, in order.
+fn run_bound_instants(policy: BatchPolicy) -> Vec<u64> {
+    let mut sim = Sim::new(0xB0B);
+    let ctx = sim.ctx();
+    ctx.tracer().set_capacity(1 << 18);
+    ctx.tracer().set_enabled(true);
+    let hv = Hypervisor::new(&ctx);
+    let cell = hv.create_cell("rapilog", Trust::Trusted);
+    let rl = RapiLog::builder(&ctx)
+        .cell(&cell)
+        .disk(Disk::new(&ctx, specs::ssd_nvme(1 << 30).with_channels(4)))
+        .capacity(CapacitySpec::Fixed(2 << 20))
+        .drain_config(
+            DrainConfig::new()
+                .ordering(OrderingMode::PartiallyConstrained)
+                .batch_policy(policy),
+        )
+        .build();
+    std::mem::forget(cell);
+    for w in 0..4u64 {
+        let dev = rl.device();
+        sim.spawn(async move {
+            for i in 0..200u64 {
+                let data = vec![(i % 251 + 1) as u8; 64 << 10];
+                dev.write((w << 18) + i * 128, &data, true).await.unwrap();
+            }
+        });
+    }
+    sim.run_until(SimTime::from_secs(2));
+    assert_eq!(rl.occupancy(), 0);
+    assert!(rl.stats().backpressure_events > 100, "writers were blocked");
+    let snap = ctx.tracer().snapshot();
+    assert_eq!(snap.dropped, 0, "the ring must hold the whole run");
+    snap.events
+        .iter()
+        .filter(|e| e.layer == Layer::Drain && e.name == "run_bound")
+        .map(|e| match e.payload {
+            Payload::Mark { value } => value,
+            other => panic!("run_bound carries a Mark, got {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn run_bound_is_traced_under_back_pressure_and_never_under_fixed() {
+    let adaptive = BatchPolicy::Adaptive(AdaptiveBatchConfig::default());
+    let bounds = run_bound_instants(adaptive);
+    // Engages (a byte count of at least min_batch) once writers block, and
+    // the last instant is the disengage when the writers are done.
+    assert!(bounds.len() >= 2, "engage and disengage: {bounds:?}");
+    assert!(bounds[0] >= 64 << 10, "first instant engages: {bounds:?}");
+    assert_eq!(bounds.last(), Some(&0), "last instant disengages");
+    assert!(
+        bounds.len() < 100,
+        "only moves of more than a step are reported, got {}",
+        bounds.len()
+    );
+    assert_eq!(bounds, run_bound_instants(adaptive), "seed-deterministic");
+    // Fixed: same blocked writers, no bound, no instant — its traces stay
+    // bit-identical to releases that never had one.
+    assert_eq!(run_bound_instants(BatchPolicy::Fixed), Vec::<u64>::new());
+}
