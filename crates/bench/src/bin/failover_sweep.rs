@@ -9,6 +9,10 @@
 //!   replication lag exactly equals the committed sectors missing from
 //!   the standby image; in both modes the standby never runs ahead,
 //!   never diverges, and refuses a zombie primary after promotion;
+//! * **one round trip per sync commit**: the mean synchronous commit on
+//!   fault-free links stays within 1.1× the link time the trials measured
+//!   (mean ship transit + mean ack transit) — a disk creeping back onto
+//!   the replicated commit path fails here, not in the next benchmark run;
 //! * **potency**: the partition trials produce a real non-zero async lag,
 //!   the chaos links actually drop frames, retransmission actually runs,
 //!   and the split-brain probe actually refuses frames — a sweep whose
@@ -39,6 +43,18 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// The most a sync commit may cost relative to the measured network round
+/// trip: the two admissions and the wire time fit, a media write does not.
+const MAX_COMMIT_OVER_LINK: f64 = 1.1;
+
+fn link_round_trip_us(report: &FailoverReport) -> f64 {
+    report.sync_link_round_trip.mean() / 1e3
+}
+
+fn commit_over_link(report: &FailoverReport) -> f64 {
+    report.sync_commit_latency.mean() / link_round_trip_us(report)
 }
 
 fn summarize(report: &FailoverReport) {
@@ -76,10 +92,14 @@ fn summarize(report: &FailoverReport) {
     }
     if report.sync_commit_latency.count() > 0 {
         println!(
-            "  sync commit (fault-free links): p50={}us p99={}us ({} samples)",
+            "  sync commit (fault-free links): mean={:.1}us p50={}us p99={}us ({} samples) \
+             over ship+ack link time {:.1}us = {:.3}x",
+            report.sync_commit_latency.mean(),
             report.sync_commit_latency.percentile(50.0),
             report.sync_commit_latency.percentile(99.0),
-            report.sync_commit_latency.count()
+            report.sync_commit_latency.count(),
+            link_round_trip_us(report),
+            commit_over_link(report),
         );
     }
     for ce in &report.counterexamples {
@@ -139,6 +159,14 @@ fn main() {
         println!("\nFAIL: the split-brain probe never saw a refusal");
         failed = true;
     }
+    if commit_over_link(&report) > MAX_COMMIT_OVER_LINK {
+        println!(
+            "\nFAIL: a sync commit costs {:.3}x the link round trip (limit {MAX_COMMIT_OVER_LINK}) \
+             — something slower than the network is on the replicated commit path",
+            commit_over_link(&report)
+        );
+        failed = true;
+    }
     if failed {
         std::process::exit(1);
     }
@@ -167,6 +195,11 @@ fn main() {
             "sync_commit_p99_us",
             Json::int(report.sync_commit_latency.percentile(99.0)),
         ),
+        (
+            "sync_commit_mean_us",
+            Json::Num(report.sync_commit_latency.mean()),
+        ),
+        ("link_round_trip_us", Json::Num(link_round_trip_us(&report))),
         ("recovery_max_us", Json::int(report.recovery_us_max)),
         (
             "recovery_p99_us",

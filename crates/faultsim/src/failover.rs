@@ -3,10 +3,11 @@
 //!
 //! One trial assembles a replicated pair — a primary RapiLog instance
 //! whose device tees every admitted write over a faulty simulated network
-//! to a [`Standby`] applying into its own disk image — runs an audited client
-//! load, injects one failover-class fault, promotes the standby and then
-//! audits **both media images** against the clients' acknowledgement
-//! journals:
+//! to a [`Standby`] applying into a *second* RapiLog instance on its own
+//! box (own cell, disk and power supply) — runs an audited client load,
+//! injects one failover-class fault, promotes the standby, quiesces its
+//! instance and then audits **both media images** against the clients'
+//! acknowledgement journals:
 //!
 //! * **Sync mode** — every write the primary ever acknowledged must be
 //!   servable by the promoted standby (byte-exact on its media image).
@@ -16,24 +17,40 @@
 //!   number of committed sectors actually missing from the standby image.
 //! * **Both modes** — the standby never runs ahead of the primary (no
 //!   phantoms), never diverges byte-wise, and a promoted standby refuses
-//!   (and never acknowledges) frames from a zombie primary.
+//!   (and never acknowledges) frames from a zombie primary. Both
+//!   instances' own single-box guarantees held.
 //!
 //! The primary is audited quiesced or dead, and by then every admitted
 //! write is on its media (the drain, or the emergency drain — the
 //! single-box guarantee, checked in the same trial). So at audit time
 //! "offered to the shipper" ≡ "admitted" ≡ "on the primary's media", under
 //! any drain ordering — that identity is what makes the async lag check an
-//! equality rather than an inequality.
+//! equality rather than an inequality. The standby is audited quiesced for
+//! the same reason on its side: "applied" ≡ "admitted to the standby's
+//! buffer" ≡ "on the standby's media".
+//!
+//! [`run_standby_trial`] turns the fault around: the *standby's* box loses
+//! power (or merely has a tiny buffer over a slow disk) while the primary
+//! stays healthy, and the audit checks that what the standby acknowledged
+//! is worth what a RapiLog acknowledgement is worth.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rapilog::{RapiLog, ReplicationConfig, ReplicationMode, Replicator, Standby};
+use rapilog::{
+    ApplyStop, CapacitySpec, RapiLog, RapiLogDevice, ReplicationConfig, ReplicationMode,
+    ReplicationReport, Replicator, ShipAck, ShipFrame, Standby,
+};
+use rapilog_microvisor::cell::Cell;
 use rapilog_microvisor::{Hypervisor, Trust};
+use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::stats::Histogram;
 use rapilog_simcore::trace::{Layer, Payload};
-use rapilog_simcore::{Sim, SimDuration, SimTime};
-use rapilog_simdisk::{specs, BlockDevice, Disk, SECTOR_SIZE};
+use rapilog_simcore::{DomainId, JoinHandle, Sim, SimCtx, SimDuration, SimTime};
+use rapilog_simdisk::{
+    specs, BlockDevice, Completion, Disk, DiskSpec, Geometry, IoReq, IoResult, LocalBoxFuture,
+    ReqToken, SECTOR_SIZE,
+};
 use rapilog_simnet::{Link, LinkFaults, LinkSpec};
 use rapilog_simpower::{supplies, PowerSupply};
 
@@ -45,6 +62,11 @@ const SLOT_BASE: u64 = 1024;
 const SLOTS_PER_CLIENT: u64 = 256;
 /// The sector a zombie primary writes after promotion (split-brain probe).
 const ZOMBIE_SLOT: u64 = 64;
+/// How many times the zombie's frame may go out before a standby that has
+/// refused none of them is declared broken. Each send is lost to a 15 %
+/// chaos link independently, so a healthy standby misses all of them once
+/// in 10^13 trials.
+const ZOMBIE_PROBE_SENDS: u64 = 16;
 
 /// The failover-class faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +174,7 @@ pub struct FailoverResult {
     /// Committed sectors present on the primary image but missing from the
     /// standby image — the ground truth the reported lag must equal.
     pub media_missing: u64,
-    /// Fault injection → standby promotion.
+    /// Fault injection → the promoted standby's image complete on media.
     pub recovery_time: SimDuration,
     /// Frames the shipper re-sent after ack deadlines lapsed.
     pub retransmits: u64,
@@ -167,6 +189,12 @@ pub struct FailoverResult {
     /// The primary's own single-box guarantee verdict (emergency drain met
     /// its deadline, no acknowledged byte unaccounted).
     pub primary_guarantee: bool,
+    /// The standby instance's own single-box guarantee verdict — what its
+    /// acknowledgements to the primary were backed by.
+    pub standby_guarantee: bool,
+    /// Mean time a frame spent on the ship link plus mean time an ack spent
+    /// on the ack link: the part of a synchronous commit that is network.
+    pub link_round_trip: SimDuration,
     /// Client ack latency (µs) over the pre-fault load.
     pub commit_latency: Histogram,
 }
@@ -180,6 +208,16 @@ fn slot_payload(client: u64, k: u64, slot: u64) -> Vec<u8> {
     data
 }
 
+fn slot_of(client: u64, k: u64) -> u64 {
+    SLOT_BASE + client * SLOTS_PER_CLIENT + k
+}
+
+fn media_sector(disk: &Disk, sector: u64) -> Vec<u8> {
+    let mut buf = vec![0u8; SECTOR_SIZE];
+    disk.peek_media(sector, &mut buf);
+    buf
+}
+
 /// Per-client acknowledgement journal. Writes are submitted in order and
 /// a client stops at its first failure, so both counters are prefix
 /// lengths over `k = 0..`.
@@ -187,55 +225,65 @@ fn slot_payload(client: u64, k: u64, slot: u64) -> Vec<u8> {
 struct ClientJournal {
     attempted: u64,
     acked: u64,
+    /// The write that ended this client's run came back as an error.
+    failed: bool,
 }
 
-/// Runs one complete failover trial in its own deterministic simulation.
-pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
-    assert!(
-        cfg.writes_per_client as u64 <= SLOTS_PER_CLIENT,
-        "at most {SLOTS_PER_CLIENT} writes per client"
-    );
-    let mut sim = Sim::new(seed);
-    let ctx = sim.ctx();
-    ctx.tracer().set_enabled(true);
-    let result: Rc<RefCell<Option<FailoverResult>>> = Rc::new(RefCell::new(None));
-    let out = Rc::clone(&result);
-    let c2 = ctx.clone();
-    sim.spawn(async move {
-        // ---- Assembly: primary cell + standby cell, two disks, two links.
-        let hv = Hypervisor::new(&c2);
+/// What a pair is assembled from: the parts a trial varies.
+struct PairSpec {
+    mode: ReplicationMode,
+    ship_faults: LinkFaults,
+    ack_faults: LinkFaults,
+    /// Whether the primary box has a supply (the kinds that cut it).
+    primary_supply: bool,
+    standby_disk: DiskSpec,
+    standby_capacity: CapacitySpec,
+}
+
+/// A replicated pair, assembled but for the [`Standby`] itself: two boxes
+/// (cell, disk, RapiLog instance, supply) and the two links between them.
+/// The trial starts the standby over whichever view of `standby_log`'s
+/// device it wants to audit through.
+struct Pair {
+    hv: Hypervisor,
+    scell: Cell,
+    primary_disk: Disk,
+    standby_disk: Disk,
+    ship: Link<ShipFrame>,
+    acks: Link<ShipAck>,
+    repl: Replicator,
+    primary: RapiLog,
+    standby_log: RapiLog,
+    primary_psu: Option<PowerSupply>,
+    standby_psu: PowerSupply,
+}
+
+impl Pair {
+    fn assemble(ctx: &SimCtx, spec: PairSpec) -> Pair {
+        let hv = Hypervisor::new(ctx);
         let pcell = hv.create_cell("primary-io", Trust::Trusted);
         let scell = hv.create_cell("standby-io", Trust::Trusted);
-        let primary_disk = Disk::new(&c2, specs::ssd_sata(64 << 20));
-        let standby_disk = Disk::new(&c2, specs::ssd_sata(64 << 20));
-        let (ship_faults, ack_faults) = match cfg.kind {
-            FailoverKind::ShipmentChaos => (
-                LinkFaults::chaos(seed ^ 0xC4A0, 0.15, 0.08, 0.25),
-                LinkFaults::chaos(seed ^ 0x0AC5, 0.10, 0.05, 0.20),
-            ),
-            _ => (LinkFaults::default(), LinkFaults::default()),
-        };
-        let ship = Link::new(&c2, LinkSpec::lan("ship").with_faults(ship_faults));
-        let acks = Link::new(&c2, LinkSpec::lan("acks").with_faults(ack_faults));
-        let rcfg = match cfg.mode {
+        let primary_disk = Disk::new(ctx, specs::ssd_sata(64 << 20));
+        let standby_disk = Disk::new(ctx, spec.standby_disk);
+        let ship = Link::new(ctx, LinkSpec::lan("ship").with_faults(spec.ship_faults));
+        let acks = Link::new(ctx, LinkSpec::lan("acks").with_faults(spec.ack_faults));
+        let rcfg = match spec.mode {
             ReplicationMode::Sync => ReplicationConfig::sync(),
             ReplicationMode::Async => ReplicationConfig::asynchronous(),
         };
-        let repl = Replicator::new(&c2, rcfg, ship.clone(), acks.clone());
-        let standby = Standby::start(&c2, &scell, standby_disk.clone(), ship.clone(), acks);
-        let psu = cfg
-            .kind
-            .needs_power()
-            .then(|| PowerSupply::new(&c2, supplies::atx_psu()));
-        let mut builder = RapiLog::builder(&c2)
+        let repl = Replicator::new(ctx, rcfg, ship.clone(), acks.clone());
+        let primary_psu = spec
+            .primary_supply
+            .then(|| PowerSupply::new(ctx, supplies::atx_psu()));
+        let mut builder = RapiLog::builder(ctx)
             .cell(&pcell)
             .disk(primary_disk.clone())
             .replicate(&repl);
-        if let Some(p) = &psu {
+        if let Some(p) = &primary_psu {
             builder = builder.supply(p);
         }
-        let rl = builder.build();
-        if let Some(p) = &psu {
+        let primary = builder.build();
+        if let Some(p) = &primary_psu {
             // Power death takes the primary box: disk dark, shipper halted
             // (a dead primary neither promises nor believes anything more).
             let disk = primary_disk.clone();
@@ -245,23 +293,80 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
                 r.halt();
             });
         }
+        // The standby is a RapiLog like any other: its own supply sizes its
+        // buffer and arms its emergency drain, and takes its disk with it.
+        let standby_psu = PowerSupply::new(ctx, supplies::atx_psu());
+        let standby_log = RapiLog::builder(ctx)
+            .cell(&scell)
+            .disk(standby_disk.clone())
+            .supply(&standby_psu)
+            .capacity(spec.standby_capacity)
+            .build();
+        let disk = standby_disk.clone();
+        standby_psu.on_death(move || disk.power_cut());
+        Pair {
+            hv,
+            scell,
+            primary_disk,
+            standby_disk,
+            ship,
+            acks,
+            repl,
+            primary,
+            standby_log,
+            primary_psu,
+            standby_psu,
+        }
+    }
 
-        // ---- Client load: each write goes to its own private sector.
-        let guest = c2.create_domain();
-        let journals: Rc<RefCell<Vec<ClientJournal>>> =
-            Rc::new(RefCell::new(vec![ClientJournal::default(); cfg.clients]));
-        let commit_latency: Rc<RefCell<Histogram>> = Rc::new(RefCell::new(Histogram::new()));
-        let mut client_handles = Vec::new();
-        for client in 0..cfg.clients as u64 {
-            let dev = rl.device();
-            let ctx3 = c2.clone();
+    fn start_standby(&self, ctx: &SimCtx, device: Rc<dyn BlockDevice>) -> Standby {
+        Standby::start(
+            ctx,
+            &self.scell,
+            device,
+            self.ship.clone(),
+            self.acks.clone(),
+        )
+    }
+
+    /// Mean ship transit plus mean ack transit, as the links measured it.
+    fn link_round_trip(&self) -> SimDuration {
+        self.ship.stats().mean_transit() + self.acks.stats().mean_transit()
+    }
+}
+
+/// The audited client load: each write goes to its own private sector.
+struct Load {
+    guest: DomainId,
+    journals: Rc<RefCell<Vec<ClientJournal>>>,
+    commit_latency: Rc<RefCell<Histogram>>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Load {
+    fn spawn(
+        ctx: &SimCtx,
+        dev: &RapiLogDevice,
+        clients: usize,
+        writes: usize,
+        think: SimDuration,
+    ) -> Load {
+        assert!(
+            writes as u64 <= SLOTS_PER_CLIENT,
+            "at most {SLOTS_PER_CLIENT} writes per client"
+        );
+        let guest = ctx.create_domain();
+        let journals = Rc::new(RefCell::new(vec![ClientJournal::default(); clients]));
+        let commit_latency = Rc::new(RefCell::new(Histogram::new()));
+        let mut handles = Vec::new();
+        for client in 0..clients as u64 {
+            let dev = dev.clone();
+            let ctx3 = ctx.clone();
             let journals = Rc::clone(&journals);
             let lat = Rc::clone(&commit_latency);
-            let think = cfg.think_time;
-            let writes = cfg.writes_per_client as u64;
-            client_handles.push(c2.spawn_in(guest, async move {
-                for k in 0..writes {
-                    let slot = SLOT_BASE + client * SLOTS_PER_CLIENT + k;
+            handles.push(ctx.spawn_in(guest, async move {
+                for k in 0..writes as u64 {
+                    let slot = slot_of(client, k);
                     journals.borrow_mut()[client as usize].attempted = k + 1;
                     let t0 = ctx3.now();
                     match dev.write(slot, &slot_payload(client, k, slot), true).await {
@@ -272,7 +377,10 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
                         }
                         // Frozen buffer, halted shipper or dead disk: the
                         // machine is dying, this client is done.
-                        Err(_) => break,
+                        Err(_) => {
+                            journals.borrow_mut()[client as usize].failed = true;
+                            break;
+                        }
                     }
                     if !think.is_zero() {
                         let ns = rapilog_simcore::rng::exponential(
@@ -284,22 +392,83 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
                 }
             }));
         }
+        Load {
+            guest,
+            journals,
+            commit_latency,
+            handles,
+        }
+    }
+
+    async fn finish(&mut self) {
+        for h in self.handles.drain(..) {
+            let _ = h.await;
+        }
+    }
+}
+
+fn trace_fault(ctx: &SimCtx, label: &'static str) -> SimTime {
+    let at = ctx.now();
+    ctx.tracer().instant(
+        at,
+        Layer::Fault,
+        "fault_inject",
+        Payload::Text { text: label },
+    );
+    at
+}
+
+/// Frames the shipper has put on the wire, first sends and re-sends alike.
+fn frames_sent(r: &ReplicationReport) -> u64 {
+    r.frames_shipped + r.retransmits
+}
+
+/// Runs one complete failover trial in its own deterministic simulation.
+pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
+    let mut sim = Sim::new(seed);
+    let ctx = sim.ctx();
+    ctx.tracer().set_enabled(true);
+    let result: Rc<RefCell<Option<FailoverResult>>> = Rc::new(RefCell::new(None));
+    let out = Rc::clone(&result);
+    let c2 = ctx.clone();
+    sim.spawn(async move {
+        // ---- Assembly: two boxes, two links; the standby applies into its
+        // own RapiLog instance.
+        let (ship_faults, ack_faults) = match cfg.kind {
+            FailoverKind::ShipmentChaos => (
+                LinkFaults::chaos(seed ^ 0xC4A0, 0.15, 0.08, 0.25),
+                LinkFaults::chaos(seed ^ 0x0AC5, 0.10, 0.05, 0.20),
+            ),
+            _ => (LinkFaults::default(), LinkFaults::default()),
+        };
+        let pair = Pair::assemble(
+            &c2,
+            PairSpec {
+                mode: cfg.mode,
+                ship_faults,
+                ack_faults,
+                primary_supply: cfg.kind.needs_power(),
+                standby_disk: specs::ssd_sata(64 << 20),
+                standby_capacity: CapacitySpec::FromSupply,
+            },
+        );
+        let standby = pair.start_standby(&c2, Rc::new(pair.standby_log.device()));
+        let (rl, repl) = (&pair.primary, &pair.repl);
+        let mut load = Load::spawn(
+            &c2,
+            &rl.device(),
+            cfg.clients,
+            cfg.writes_per_client,
+            cfg.think_time,
+        );
 
         // ---- Fault choreography → promotion.
         let fault_at;
         match cfg.kind {
             FailoverKind::GuestCrash => {
                 c2.sleep(cfg.fault_after).await;
-                fault_at = c2.now();
-                c2.tracer().instant(
-                    fault_at,
-                    Layer::Fault,
-                    "fault_inject",
-                    Payload::Text {
-                        text: cfg.kind.label(),
-                    },
-                );
-                c2.kill_domain(guest);
+                fault_at = trace_fault(&c2, cfg.kind.label());
+                c2.kill_domain(load.guest);
                 // The storage stack survived: let the drain retire what the
                 // dead guest already submitted, and the replica catch up,
                 // before the operator flips the switch.
@@ -308,26 +477,21 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
             }
             FailoverKind::PowerCut | FailoverKind::PartitionPowerCut => {
                 c2.sleep(cfg.fault_after).await;
-                fault_at = c2.now();
-                c2.tracer().instant(
-                    fault_at,
-                    Layer::Fault,
-                    "fault_inject",
-                    Payload::Text {
-                        text: cfg.kind.label(),
-                    },
-                );
+                fault_at = trace_fault(&c2, cfg.kind.label());
                 if cfg.kind == FailoverKind::PartitionPowerCut {
                     // The replication channel dies first; the primary keeps
                     // committing into the partition for a while, then the
                     // power goes too.
-                    ship.partition(true);
+                    pair.ship.partition(true);
                     c2.sleep(SimDuration::from_millis(5)).await;
                 }
-                let p = psu.as_ref().expect("power kinds carry a supply");
+                let p = pair
+                    .primary_psu
+                    .as_ref()
+                    .expect("power kinds carry a supply");
                 p.cut_mains();
                 p.death_event().wait().await;
-                c2.kill_domain(guest);
+                c2.kill_domain(load.guest);
                 // A beat for frames already in flight to land (or die in
                 // the partition) before promotion freezes the standby.
                 c2.sleep(SimDuration::from_millis(2)).await;
@@ -335,32 +499,25 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
             FailoverKind::ShipmentChaos => {
                 // No machine fault: the network itself is the adversary.
                 // The load runs to completion through the chaos.
-                for h in client_handles.drain(..) {
-                    let _ = h.await;
-                }
-                fault_at = c2.now();
-                c2.tracer().instant(
-                    fault_at,
-                    Layer::Fault,
-                    "fault_inject",
-                    Payload::Text {
-                        text: cfg.kind.label(),
-                    },
-                );
+                load.finish().await;
+                fault_at = trace_fault(&c2, cfg.kind.label());
                 rl.quiesce().await;
                 repl.wait_settled().await;
             }
         }
+        // Promotion stops the applies; what was applied is dependable on
+        // the standby, and its drain puts the rest of it on media before
+        // the image is served (or audited).
         let standby_report = standby.promote();
+        pair.standby_log.quiesce().await;
         let recovery_time = c2.now().duration_since(fault_at);
         let repl_report = repl.report();
-        let prim_audit = rl.audit_report();
-        let journals = journals.borrow().clone();
+        let journals = load.journals.borrow().clone();
 
         // ---- The audit: both media images against the journals.
         let mut violations = Vec::new();
-        if standby_report.wedged {
-            violations.push("standby image wedged (apply write failed)".to_string());
+        if let Some(stop) = standby_report.stopped {
+            violations.push(format!("standby stopped applying: {stop:?}"));
         }
         let applied_hi = standby_report.tenant(0).and_then(|t| t.applied_hi);
         let offered_hi = repl_report.tenant(0).and_then(|t| t.offered_hi);
@@ -386,10 +543,10 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
             acked_writes += j.acked;
             attempted_writes += j.attempted;
             for k in 0..j.attempted {
-                let slot = SLOT_BASE + client as u64 * SLOTS_PER_CLIENT + k;
+                let slot = slot_of(client as u64, k);
                 let expected = slot_payload(client as u64, k, slot);
-                primary_disk.peek_media(slot, &mut pbuf);
-                standby_disk.peek_media(slot, &mut sbuf);
+                pair.primary_disk.peek_media(slot, &mut pbuf);
+                pair.standby_disk.peek_media(slot, &mut sbuf);
                 let primary_has = pbuf == expected;
                 let standby_has = sbuf == expected;
                 if !standby_has && sbuf.iter().any(|&b| b != 0) {
@@ -428,16 +585,23 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
         // The exactness check (both modes): the reported lag must equal the
         // ground-truth count of committed-but-unreplicated sectors. The
         // primary is quiesced or dead here, so every offered (= admitted)
-        // write is on its media and this is an equality, not a bound.
+        // write is on its media — and the standby is quiesced, so every
+        // applied write is on its — and this is an equality, not a bound.
         if media_missing != reported_lag {
             violations.push(format!(
                 "lag misreported: pair reports {reported_lag}, media audit counts \
                  {media_missing} committed sectors missing from the standby"
             ));
         }
-        let primary_guarantee = prim_audit.guarantee_held();
+        let primary_guarantee = rl.audit_report().guarantee_held();
         if !primary_guarantee {
             violations.push("primary single-box guarantee violated".to_string());
+        }
+        // The standby's acks were promises about its buffer: they are worth
+        // exactly what its own guarantee is worth.
+        let standby_guarantee = pair.standby_log.audit_report().guarantee_held();
+        if !standby_guarantee {
+            violations.push("standby single-box guarantee violated".to_string());
         }
 
         // ---- Split-brain probe (kinds whose primary survives): a zombie
@@ -448,28 +612,43 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
             let dev = rl.device();
             let zombie = slot_payload(u64::MAX, u64::MAX, ZOMBIE_SLOT);
             let z = zombie.clone();
+            let sent_before = frames_sent(&repl.report());
             // Detached: in sync mode this write blocks forever (the
             // promoted standby never acks), which is itself correct.
             c2.spawn(async move {
                 let _ = dev.write(ZOMBIE_SLOT, &z, true).await;
             });
-            c2.sleep(SimDuration::from_millis(20)).await;
-            let post = standby.report();
-            refused_after_promotion = post.refused_after_promotion;
-            if post.refused_after_promotion == 0 {
+            // Wait for the first refusal, however many retransmissions a
+            // lossy link makes that take — and give up only once the frame
+            // has gone out ZOMBIE_PROBE_SENDS times (the last of them with
+            // a whole ack deadline to arrive in) and none was refused.
+            loop {
+                c2.sleep(SimDuration::from_micros(100)).await;
+                refused_after_promotion = standby.report().refused_after_promotion;
+                let sent = frames_sent(&repl.report()) - sent_before;
+                if refused_after_promotion > 0 || sent > ZOMBIE_PROBE_SENDS {
+                    break;
+                }
+            }
+            if refused_after_promotion == 0 {
                 violations.push("zombie frames were not refused after promotion".to_string());
             }
             if standby.applied_hi(0) != applied_hi {
                 violations.push("standby applied frames after promotion".to_string());
             }
-            standby_disk.peek_media(ZOMBIE_SLOT, &mut sbuf);
-            if sbuf == zombie {
+            pair.standby_disk.peek_media(ZOMBIE_SLOT, &mut sbuf);
+            if sbuf == zombie || pair.standby_log.occupancy() != 0 {
                 violations.push("zombie write reached the replica image".to_string());
             }
         }
-        hv.assert_trusted_intact();
+        pair.hv.assert_trusted_intact();
+        // The verdict is in. Put the zombie down, or its shipper goes on
+        // retransmitting into the promoted standby until the simulation's
+        // horizon — thousands of events nobody reads.
+        repl.halt();
 
-        let ship_stats = ship.stats();
+        let ship_stats = pair.ship.stats();
+        let commit_latency = load.commit_latency.borrow().clone();
         *out.borrow_mut() = Some(FailoverResult {
             ok: violations.is_empty(),
             violations,
@@ -484,12 +663,271 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
             ship_duplicated: ship_stats.duplicated,
             ship_reordered: ship_stats.reordered,
             primary_guarantee,
-            commit_latency: commit_latency.borrow().clone(),
+            standby_guarantee,
+            link_round_trip: pair.link_round_trip(),
+            commit_latency,
         });
     });
     sim.run_until(SimTime::from_secs(60));
     let r = result.borrow_mut().take();
     r.expect("failover trial did not complete — deadlock or runaway scenario")
+}
+
+/// The standby-side trial's load: enough synchronous writers, close enough
+/// together, to keep an SSD-backed standby's drain busy without pause.
+const STANDBY_TRIAL_CLIENTS: usize = 4;
+const STANDBY_TRIAL_WRITES: usize = 200;
+const STANDBY_TRIAL_THINK: SimDuration = SimDuration::from_micros(50);
+
+/// One standby-side trial's parameters: the primary stays healthy and
+/// replicates synchronously, the *standby's* box is what the trial
+/// stresses.
+#[derive(Debug, Clone)]
+pub struct StandbyTrialConfig {
+    /// The standby's log disk.
+    pub standby_disk: DiskSpec,
+    /// The standby instance's buffer sizing.
+    pub standby_capacity: CapacitySpec,
+    /// When to cut the standby's mains, if at all. Without a cut the load
+    /// runs to completion and both instances are quiesced.
+    pub cut_standby_after: Option<SimDuration>,
+    /// Whether the standby's disk stays powered through its supply's
+    /// residual window. `false` is the potency control: the disk goes dark
+    /// with the mains, so nothing buffered can be drained — a standby that
+    /// acknowledged from a buffer with no emergency drain behind it.
+    pub emergency_drain: bool,
+}
+
+impl StandbyTrialConfig {
+    /// The stock standby power cut: the failover pair's own standby (an
+    /// `ssd_sata` log disk, buffer sized from its supply), mains gone at
+    /// 5 ms, mid-load.
+    pub fn power_cut() -> StandbyTrialConfig {
+        StandbyTrialConfig {
+            standby_disk: specs::ssd_sata(64 << 20),
+            standby_capacity: CapacitySpec::FromSupply,
+            cut_standby_after: Some(SimDuration::from_millis(5)),
+            emergency_drain: true,
+        }
+    }
+}
+
+/// The outcome of one standby-side trial.
+#[derive(Debug, Clone)]
+pub struct StandbyTrialResult {
+    /// True iff no invariant was violated.
+    pub ok: bool,
+    /// Human-readable violations (empty when `ok`).
+    pub violations: Vec<String>,
+    /// Writes acknowledged to clients.
+    pub acked_writes: u64,
+    /// Writes submitted (acknowledged or not).
+    pub attempted_writes: u64,
+    /// Client writes that returned an error. The primary is healthy
+    /// throughout, so a standby in trouble must show as waiting, never as
+    /// this.
+    pub write_errors: u64,
+    /// The standby's applied prefix at the end: no `durable_hi` it ever
+    /// sent exceeds it.
+    pub durable_hi: Option<u64>,
+    /// Sequences inside that prefix that are not byte-exact on the
+    /// standby's media.
+    pub lost_acked_frames: u64,
+    /// The standby instance's own single-box guarantee verdict.
+    pub standby_guarantee: bool,
+    /// Why the standby stopped applying, if it did.
+    pub standby_stopped: Option<ApplyStop>,
+    /// Bytes the standby had buffered when its power-fail warning fired —
+    /// what its emergency drain had to land (0 without a power cut).
+    pub occupancy_at_warning: u64,
+    /// Times an apply had to wait for space in the standby's buffer.
+    pub standby_backpressure_events: u64,
+    /// Client ack latency (µs).
+    pub commit_latency: Histogram,
+}
+
+/// The standby's device with a notebook: every write the standby submits is
+/// noted, in order, and passed on. The standby applies one extent per
+/// sequence number, in sequence order, each exactly once — so entry `n` is
+/// what the acknowledgement for sequence `n` vouched for.
+struct ApplyLog {
+    device: RapiLogDevice,
+    writes: RefCell<Vec<(u64, SectorBuf)>>,
+}
+
+impl BlockDevice for ApplyLog {
+    fn geometry(&self) -> Geometry {
+        self.device.geometry()
+    }
+
+    fn submit(&self, req: IoReq) -> ReqToken {
+        if let IoReq::Write {
+            sector, segments, ..
+        } = &req
+        {
+            self.writes
+                .borrow_mut()
+                .push((*sector, segments[0].clone()));
+        }
+        self.device.submit(req)
+    }
+
+    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
+        self.device.completions()
+    }
+
+    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+        self.device.wait(token)
+    }
+
+    fn discard(&self, token: ReqToken) {
+        self.device.discard(token)
+    }
+}
+
+/// Runs one standby-side trial in its own deterministic simulation: an
+/// audited synchronous load on a healthy primary while the standby's box
+/// loses power (or just struggles), then an audit of what the standby
+/// acknowledged against what its media holds.
+pub fn run_standby_trial(seed: u64, cfg: StandbyTrialConfig) -> StandbyTrialResult {
+    let mut sim = Sim::new(seed);
+    let ctx = sim.ctx();
+    ctx.tracer().set_enabled(true);
+    let result: Rc<RefCell<Option<StandbyTrialResult>>> = Rc::new(RefCell::new(None));
+    let out = Rc::clone(&result);
+    let c2 = ctx.clone();
+    sim.spawn(async move {
+        let pair = Pair::assemble(
+            &c2,
+            PairSpec {
+                mode: ReplicationMode::Sync,
+                ship_faults: LinkFaults::default(),
+                ack_faults: LinkFaults::default(),
+                primary_supply: false,
+                standby_disk: cfg.standby_disk.clone(),
+                standby_capacity: cfg.standby_capacity,
+            },
+        );
+        let applies = Rc::new(ApplyLog {
+            device: pair.standby_log.device(),
+            writes: RefCell::new(Vec::new()),
+        });
+        let standby = pair.start_standby(&c2, applies.clone());
+        let mut load = Load::spawn(
+            &c2,
+            &pair.primary.device(),
+            STANDBY_TRIAL_CLIENTS,
+            STANDBY_TRIAL_WRITES,
+            STANDBY_TRIAL_THINK,
+        );
+
+        if let Some(after) = cfg.cut_standby_after {
+            c2.sleep(after).await;
+            trace_fault(&c2, "standby_power_cut");
+            pair.standby_psu.cut_mains();
+            if !cfg.emergency_drain {
+                pair.standby_disk.power_cut();
+            }
+            pair.standby_psu.death_event().wait().await;
+            // The standby is gone and stays silent: sync writers are
+            // blocked on it, which is the correct thing for them to be.
+            c2.kill_domain(load.guest);
+        } else {
+            load.finish().await;
+            pair.primary.quiesce().await;
+            pair.repl.wait_settled().await;
+            pair.standby_log.quiesce().await;
+        }
+
+        // ---- The audit: the standby's word against the standby's media.
+        let mut violations = Vec::new();
+        let report = standby.report();
+        if report.wedged() {
+            violations.push(format!("standby image wedged: {:?}", report.stopped));
+        }
+        let durable_hi = standby.applied_hi(0);
+        let repl_report = pair.repl.report();
+        let acked_hi = repl_report.tenant(0).and_then(|t| t.acked_hi);
+        if acked_hi > durable_hi {
+            violations.push(format!(
+                "stale ack: primary believes {acked_hi:?} durable, standby applied {durable_hi:?}"
+            ));
+        }
+        let applies = applies.writes.borrow();
+        let vouched = durable_hi.map_or(0, |hi| hi + 1);
+        let lost_acked_frames = applies
+            .iter()
+            .take(vouched as usize)
+            .filter(|(sector, data)| media_sector(&pair.standby_disk, *sector) != data.as_slice())
+            .count() as u64
+            // (An applied prefix longer than the notebook would be a
+            // standby acknowledging writes it never submitted.)
+            + vouched.saturating_sub(applies.len() as u64);
+        if lost_acked_frames > 0 {
+            violations.push(format!(
+                "{lost_acked_frames} of the {vouched} frames the standby acknowledged \
+                 are not on its media"
+            ));
+        }
+        let standby_audit = pair.standby_log.audit_report();
+        let standby_guarantee = standby_audit.guarantee_held();
+        if !standby_guarantee {
+            violations.push("standby single-box guarantee violated".to_string());
+        }
+        if !pair.primary.audit_report().guarantee_held() {
+            violations.push("primary single-box guarantee violated".to_string());
+        }
+        let journals = load.journals.borrow();
+        let acked_writes: u64 = journals.iter().map(|j| j.acked).sum();
+        let attempted_writes: u64 = journals.iter().map(|j| j.attempted).sum();
+        let write_errors = journals.iter().filter(|j| j.failed).count() as u64;
+        if write_errors > 0 {
+            violations.push(format!(
+                "{write_errors} clients saw a write fail on a healthy primary"
+            ));
+        }
+        if cfg.cut_standby_after.is_none() && acked_writes != attempted_writes {
+            violations.push(format!(
+                "{acked_writes} of {attempted_writes} writes acknowledged with nothing cut"
+            ));
+        }
+        // What a client was told is on the standby's media too (its box is
+        // dead or quiesced by now).
+        for (client, j) in journals.iter().enumerate() {
+            for k in 0..j.acked {
+                let slot = slot_of(client as u64, k);
+                if media_sector(&pair.standby_disk, slot) != slot_payload(client as u64, k, slot) {
+                    violations.push(format!(
+                        "client {client} write {k}: acked in sync mode but missing \
+                         from the standby's media"
+                    ));
+                }
+            }
+        }
+        pair.hv.assert_trusted_intact();
+        pair.repl.halt();
+
+        *out.borrow_mut() = Some(StandbyTrialResult {
+            ok: violations.is_empty(),
+            violations,
+            acked_writes,
+            attempted_writes,
+            write_errors,
+            durable_hi,
+            lost_acked_frames,
+            standby_guarantee,
+            standby_stopped: report.stopped,
+            occupancy_at_warning: standby_audit
+                .emergencies
+                .first()
+                .map_or(0, |e| e.occupancy_at_warning),
+            standby_backpressure_events: pair.standby_log.stats().backpressure_events,
+            commit_latency: load.commit_latency.borrow().clone(),
+        });
+    });
+    sim.run_until(SimTime::from_secs(60));
+    let r = result.borrow_mut().take();
+    r.expect("standby trial did not complete — deadlock or runaway scenario")
 }
 
 /// The failover grid: seeds × modes × kinds, one trial each.
@@ -627,6 +1065,11 @@ pub struct FailoverReport {
     /// client of the pair pays for a replicated commit. (Async acks are
     /// buffer-speed and chaos-link acks measure the retransmission timer.)
     pub sync_commit_latency: Histogram,
+    /// Over the same trials, each trial's measured link round trip (mean
+    /// ship transit + mean ack transit, ns): the floor under
+    /// `sync_commit_latency`. A mean commit well above it means something
+    /// slower than the network is on the replicated commit path.
+    pub sync_link_round_trip: Histogram,
     /// Grid points that violated an invariant.
     pub counterexamples: Vec<FailoverCounterexample>,
 }
@@ -666,6 +1109,8 @@ impl FailoverReport {
         self.commit_latency.merge(&r.commit_latency);
         if point.mode == ReplicationMode::Sync && point.kind != FailoverKind::ShipmentChaos {
             self.sync_commit_latency.merge(&r.commit_latency);
+            self.sync_link_round_trip
+                .record(r.link_round_trip.as_nanos());
         }
         if !r.ok {
             self.counterexamples.push(FailoverCounterexample {
@@ -803,6 +1248,10 @@ mod tests {
             report.sync_commit_latency.count() < report.commit_latency.count(),
             "sync-only: async and chaos samples stay out"
         );
+        // One round trip per commit, and little else: no disk on the path.
+        let link_us = report.sync_link_round_trip.mean() / 1e3;
+        assert!((100.0..140.0).contains(&link_us), "two LAN hops: {link_us}");
+        assert!(report.sync_commit_latency.mean() / link_us < 1.1);
         assert!(report.recovery_us_max > 0);
     }
 }

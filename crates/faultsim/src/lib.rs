@@ -33,8 +33,9 @@ pub use explorer::{
     explore_crash_points, replay_crash_point, Counterexample, ExplorationReport, ExplorerConfig,
 };
 pub use failover::{
-    explore_failovers, mode_label, run_failover_trial, FailoverConfig, FailoverCounterexample,
-    FailoverExplorerConfig, FailoverKind, FailoverPoint, FailoverReport, FailoverResult,
+    explore_failovers, mode_label, run_failover_trial, run_standby_trial, FailoverConfig,
+    FailoverCounterexample, FailoverExplorerConfig, FailoverKind, FailoverPoint, FailoverReport,
+    FailoverResult, StandbyTrialConfig, StandbyTrialResult,
 };
 pub use machine::{Machine, MachineConfig, Setup};
 pub use scenario::{

@@ -66,8 +66,8 @@ pub mod vdisk;
 pub use audit::{AuditReport, TenantAudit};
 pub use buffer::{BufferStats, DependableBuffer};
 pub use replicate::{
-    ReplicationConfig, ReplicationMode, ReplicationReport, Replicator, ShipAck, ShipFrame, Standby,
-    StandbyReport,
+    ApplyStop, ReplicationConfig, ReplicationMode, ReplicationReport, Replicator, ShipAck,
+    ShipFrame, Standby, StandbyReport,
 };
 pub use service::{LogClient, LogService, SubmitError};
 pub use shard::{ShardedBuffer, TenantId, TenantSpec};
@@ -82,8 +82,8 @@ pub mod prelude {
     pub use crate::audit::{AuditReport, TenantAudit};
     pub use crate::buffer::{BufferStats, DependableBuffer};
     pub use crate::replicate::{
-        ReplicationConfig, ReplicationMode, ReplicationReport, Replicator, ShipAck, ShipFrame,
-        Standby, StandbyReport,
+        ApplyStop, ReplicationConfig, ReplicationMode, ReplicationReport, Replicator, ShipAck,
+        ShipFrame, Standby, StandbyReport,
     };
     pub use crate::service::{LogClient, LogService, SubmitError};
     pub use crate::shard::{ShardedBuffer, TenantId, TenantSpec};

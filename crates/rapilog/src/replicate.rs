@@ -6,8 +6,12 @@
 //! [`Replicator`] tees every write the dependable buffer *admits* — one
 //! frame per extent, in admission (= sequence) order, offered by the
 //! device in the same poll as the admission — onto a [`Link`], and a
-//! [`Standby`] applies them into its own disk image, acknowledging with
-//! its durable prefix. The standby can then be
+//! [`Standby`] applies them through its own block device, acknowledging
+//! the prefix that device has accepted. Hand it a second RapiLog
+//! instance's device and an apply returns at admission to the standby's
+//! dependable buffer: the acknowledgement then promises exactly what a
+//! RapiLog acknowledgement always promises, and a replicated commit costs
+//! the network round trip and nothing else. The standby can then be
 //! [promoted](Standby::promote) after the primary fails.
 //!
 //! Shipping at admission keeps the primary's disk off the replicated
@@ -49,7 +53,7 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::sync::Notify;
 use rapilog_simcore::trace::{Layer, Payload};
 use rapilog_simcore::{SimCtx, SimDuration};
-use rapilog_simdisk::Disk;
+use rapilog_simdisk::{BlockDevice, IoError, IoReq, ReqToken, SECTOR_SIZE};
 use rapilog_simnet::Link;
 
 use crate::audit::Audit;
@@ -61,9 +65,11 @@ use crate::RetryPolicy;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicationMode {
     /// The device ack waits for the standby's ack: primary-acked implies
-    /// standby-durable, at the cost of one ship → apply → ack round trip
-    /// per write. The primary's own media write is not on that path — the
-    /// frame leaves at admission and the drain runs beside it.
+    /// accepted by the standby's device, at the cost of one ship → apply →
+    /// ack round trip per write. No media write is on that path: the
+    /// frame leaves at the primary's admission and its drain runs beside
+    /// it, and a standby that applies into a RapiLog device acknowledges
+    /// at admission too.
     Sync,
     /// Acks stay buffer-speed; the replica trails by a reported, exact lag.
     Async,
@@ -143,8 +149,10 @@ impl ShipFrame {
 pub struct ShipAck {
     /// The tenant being acknowledged.
     pub tenant: u64,
-    /// Every sequence number up to and including this one is durable on
-    /// the standby's image.
+    /// Every sequence number up to and including this one has been
+    /// accepted by the standby's device with a forced write: on media for
+    /// a raw disk, dependable (admitted to a buffer that is guaranteed to
+    /// drain) for a RapiLog device.
     pub durable_hi: u64,
 }
 
@@ -491,8 +499,26 @@ impl Replicator {
 pub struct StandbyTenantStatus {
     /// The tenant (`TenantId` raw value).
     pub tenant: u64,
-    /// Highest sequence applied to the standby image (its durable prefix).
+    /// Highest sequence the standby's device has accepted (its applied
+    /// prefix).
     pub applied_hi: Option<u64>,
+}
+
+/// Why a standby stopped applying (and acknowledging) for good.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ApplyStop {
+    /// The device turned a write away ([`IoError::PowerLoss`]: a frozen
+    /// dependable buffer, a disk gone dark) and accepted nothing after it.
+    /// The image is the applied prefix — at most followed by the leading
+    /// part of the one refused write, cut short as any unacknowledged write
+    /// may be by a power failure — so it is still a valid prefix of the
+    /// primary's admitted log: the standby's box is going down, the replica
+    /// is not damaged.
+    Refused(IoError),
+    /// A write failed for any other reason (media error, transient command
+    /// failure, malformed frame), or landed behind one that did not: the
+    /// image may hold part of a write or a hole, and is suspect.
+    Wedged(IoError),
 }
 
 /// Point-in-time view of the standby's apply loop.
@@ -500,8 +526,9 @@ pub struct StandbyTenantStatus {
 pub struct StandbyReport {
     /// True once [`Standby::promote`] ran.
     pub promoted: bool,
-    /// True if an apply write failed: the replica image is suspect.
-    pub wedged: bool,
+    /// Set once an apply write failed: the loop has stopped, and this says
+    /// whether the image is still a valid prefix or suspect.
+    pub stopped: Option<ApplyStop>,
     /// Frames applied (fully or partially, after de-duplication).
     pub frames_applied: u64,
     /// Frames ignored as pure duplicates (their range was already applied).
@@ -521,6 +548,12 @@ impl StandbyReport {
     pub fn tenant(&self, tenant: u64) -> Option<&StandbyTenantStatus> {
         self.tenants.iter().find(|t| t.tenant == tenant)
     }
+
+    /// True if an apply write failed in a way that leaves the image
+    /// suspect ([`ApplyStop::Wedged`]).
+    pub fn wedged(&self) -> bool {
+        matches!(self.stopped, Some(ApplyStop::Wedged(_)))
+    }
 }
 
 struct TenantApply {
@@ -534,11 +567,11 @@ struct TenantApply {
 
 struct StandbyInner {
     ctx: SimCtx,
-    disk: Disk,
+    device: Rc<dyn BlockDevice>,
     acks: Link<ShipAck>,
     tenants: RefCell<Vec<TenantApply>>,
     promoted: StdCell<bool>,
-    wedged: StdCell<bool>,
+    stopped: StdCell<Option<ApplyStop>>,
     frames_applied: StdCell<u64>,
     duplicates_ignored: StdCell<u64>,
     refused_after_promotion: StdCell<u64>,
@@ -561,58 +594,112 @@ impl StandbyInner {
         f(&mut tenants[idx])
     }
 
-    /// Writes `frame`'s extents from sequence `from` onward to the image,
-    /// inside a `standby_apply` span.
-    async fn apply_extents(&self, frame: &ShipFrame, from: u64) -> Result<(), ()> {
+    /// Writes `frame`'s extents from the tenant's expected sequence onward
+    /// through the device, inside a `standby_apply` span, advancing the
+    /// applied prefix over each one the device accepts. The extents are
+    /// submitted together and then awaited; one that rewrites sectors of an
+    /// extent still in flight waits for it first, because completion order
+    /// is not submission order and media order is the newest-wins tiebreak.
+    async fn apply_extents(&self, frame: &ShipFrame) -> Result<(), ApplyStop> {
         let tracer = self.ctx.tracer();
         let payload = frame.trace_payload();
         tracer.begin(self.ctx.now(), Layer::Net, "standby_apply", payload);
-        let mut applied = Ok(());
+        let from = self.with_tenant(frame.tenant, |t| t.expected);
+        let mut inflight: Vec<(&Extent, ReqToken)> = Vec::new();
+        let mut stop = None;
         for e in frame.extents.iter().filter(|e| e.seq >= from) {
-            if self
-                .disk
-                .write_segments(e.sector, vec![e.data.clone()], true)
-                .await
-                .is_err()
+            let end = |x: &Extent| x.sector + (x.data.len() / SECTOR_SIZE) as u64;
+            if inflight
+                .iter()
+                .any(|(p, _)| p.sector < end(e) && e.sector < end(p))
             {
-                self.wedged.set(true);
-                applied = Err(());
+                self.settle(frame.tenant, &mut inflight, &mut stop).await;
+            }
+            if stop.is_some() {
                 break;
             }
+            let token = self.device.submit(IoReq::Write {
+                sector: e.sector,
+                segments: vec![e.data.clone()],
+                fua: true,
+            });
+            inflight.push((e, token));
         }
+        self.settle(frame.tenant, &mut inflight, &mut stop).await;
         tracer.end(self.ctx.now(), Layer::Net, "standby_apply", payload);
-        if applied.is_ok() {
-            self.frames_applied.set(self.frames_applied.get() + 1);
+        match stop {
+            None => {
+                self.frames_applied.set(self.frames_applied.get() + 1);
+                Ok(())
+            }
+            Some(stop) => Err(stop),
         }
-        applied
+    }
+
+    /// Claims every write in flight, in sequence order. The applied prefix
+    /// advances over each success that has nothing failed before it; the
+    /// first failure decides why the standby stops.
+    async fn settle(
+        &self,
+        tenant: u64,
+        inflight: &mut Vec<(&Extent, ReqToken)>,
+        stop: &mut Option<ApplyStop>,
+    ) {
+        for (e, token) in inflight.drain(..) {
+            match (self.device.wait(token).await, *stop) {
+                (Ok(_), None) => self.with_tenant(tenant, |t| t.expected = e.seq + 1),
+                // Accepted behind a write that was turned away: the image
+                // now has a hole before this extent.
+                (Ok(_), Some(ApplyStop::Refused(err))) => *stop = Some(ApplyStop::Wedged(err)),
+                (Err(IoError::PowerLoss), None) => {
+                    *stop = Some(ApplyStop::Refused(IoError::PowerLoss))
+                }
+                (Err(err), None) => *stop = Some(ApplyStop::Wedged(err)),
+                (_, Some(_)) => {}
+            }
+        }
+    }
+
+    fn send_ack(&self, tenant: u64, durable_hi: u64) {
+        self.acks.send(ShipAck { tenant, durable_hi }, 16);
     }
 }
 
-/// The standby cell: applies shipped frames into its own disk image and
-/// acknowledges its durable prefix; promotable after primary failure.
+/// The standby cell: applies shipped frames through its own block device
+/// and acknowledges the prefix that device has accepted; promotable after
+/// primary failure.
+///
+/// The device decides what an acknowledgement is worth. Over a raw
+/// [`Disk`](rapilog_simdisk::Disk) every apply is a forced media write and
+/// the ack says "on media". Over the [`RapiLogDevice`](crate::RapiLogDevice)
+/// of a second instance the apply returns at admission to that instance's
+/// dependable buffer and the ack says "dependable on the standby": its
+/// drain lands the bytes behind the ack, its supply's residual window
+/// covers a power cut, and [`quiesce`](crate::RapiLog::quiesce) of that
+/// instance is what makes the media image complete before it is served.
 #[derive(Clone)]
 pub struct Standby {
     inner: Rc<StandbyInner>,
 }
 
 impl Standby {
-    /// Spawns the apply loop in `cell`, applying into `disk`, receiving
-    /// frames from `ship` and acknowledging over `acks`.
+    /// Spawns the apply loop in `cell`, applying through `device`,
+    /// receiving frames from `ship` and acknowledging over `acks`.
     pub fn start(
         ctx: &SimCtx,
         cell: &Cell,
-        disk: Disk,
+        device: Rc<dyn BlockDevice>,
         ship: Link<ShipFrame>,
         acks: Link<ShipAck>,
     ) -> Standby {
         let standby = Standby {
             inner: Rc::new(StandbyInner {
                 ctx: ctx.clone(),
-                disk,
+                device,
                 acks,
                 tenants: RefCell::new(Vec::new()),
                 promoted: StdCell::new(false),
-                wedged: StdCell::new(false),
+                stopped: StdCell::new(None),
                 frames_applied: StdCell::new(0),
                 duplicates_ignored: StdCell::new(0),
                 refused_after_promotion: StdCell::new(0),
@@ -628,9 +715,6 @@ impl Standby {
                     inner
                         .refused_after_promotion
                         .set(inner.refused_after_promotion.get() + 1);
-                    continue;
-                }
-                if inner.wedged.get() {
                     continue;
                 }
                 let tenant = frame.tenant;
@@ -653,54 +737,46 @@ impl Standby {
                     });
                     continue;
                 }
-                // frame.lo <= expected <= frame.hi: apply the new suffix.
-                if inner.apply_extents(&frame, expected).await.is_err() {
-                    return;
-                }
-                let mut durable = frame.hi;
-                inner.with_tenant(tenant, |t| t.expected = durable + 1);
-                // Drain any held frames the prefix now reaches.
-                loop {
-                    let next = inner.with_tenant(tenant, |t| {
-                        let lo = t.held.keys().next().copied()?;
-                        if lo <= t.expected {
-                            t.held.remove(&lo)
-                        } else {
-                            None
-                        }
-                    });
-                    let Some(held) = next else { break };
-                    let expected = inner.with_tenant(tenant, |t| t.expected);
-                    if held.hi < expected {
+                // frame.lo <= expected <= frame.hi: apply the new suffix,
+                // then any held frames the prefix now reaches.
+                let mut next = Some(frame);
+                while let Some(frame) = next {
+                    if frame.hi < inner.with_tenant(tenant, |t| t.expected) {
                         inner
                             .duplicates_ignored
                             .set(inner.duplicates_ignored.get() + 1);
-                        continue;
-                    }
-                    if inner.apply_extents(&held, expected).await.is_err() {
+                    } else if let Err(stop) = inner.apply_extents(&frame).await {
+                        // No ack, now or ever: an ack never sent is always
+                        // safe, and the primary's sync writers see silence,
+                        // not an error.
+                        inner.stopped.set(Some(stop));
                         return;
                     }
-                    durable = held.hi;
-                    inner.with_tenant(tenant, |t| t.expected = durable + 1);
+                    next = inner.with_tenant(tenant, |t| {
+                        let lo = t.held.keys().next().copied()?;
+                        (lo <= t.expected).then(|| t.held.remove(&lo)).flatten()
+                    });
                 }
-                inner.send_ack(tenant, durable);
+                // (A frame whose extents did not reach its own range moves
+                // nothing; there is then nothing new to acknowledge.)
+                if let Some(hi) = inner.with_tenant(tenant, |t| t.expected).checked_sub(1) {
+                    inner.send_ack(tenant, hi);
+                }
             }
         });
         standby
     }
 
-    /// The replica image.
-    pub fn disk(&self) -> Disk {
-        self.inner.disk.clone()
-    }
-
-    /// The applied (durable) prefix for `tenant`, if anything applied.
+    /// The applied prefix for `tenant` — what the device has accepted and
+    /// the standby has (or is about to have) acknowledged — if anything
+    /// applied.
     pub fn applied_hi(&self, tenant: u64) -> Option<u64> {
         self.inner
             .tenants
             .borrow()
             .iter()
-            .find_map(|t| (t.tenant == tenant && t.expected > 0).then_some(t.expected - 1))
+            .find(|t| t.tenant == tenant)
+            .and_then(|t| t.expected.checked_sub(1))
     }
 
     /// True once promoted.
@@ -710,7 +786,9 @@ impl Standby {
 
     /// Promotes the standby: it stops applying and stops acknowledging —
     /// frames from a zombie primary are refused and counted. Returns the
-    /// report at the instant of promotion.
+    /// report at the instant of promotion. Over a RapiLog device the
+    /// applied prefix is dependable, not yet all on media: quiesce that
+    /// instance before reading its disk image.
     pub fn promote(&self) -> StandbyReport {
         self.inner.promoted.set(true);
         self.inner.ctx.tracer().instant(
@@ -728,7 +806,7 @@ impl Standby {
         let tenants_st = inner.tenants.borrow();
         StandbyReport {
             promoted: inner.promoted.get(),
-            wedged: inner.wedged.get(),
+            stopped: inner.stopped.get(),
             frames_applied: inner.frames_applied.get(),
             duplicates_ignored: inner.duplicates_ignored.get(),
             frames_held: tenants_st.iter().map(|t| t.held.len() as u64).sum(),
@@ -737,16 +815,10 @@ impl Standby {
                 .iter()
                 .map(|t| StandbyTenantStatus {
                     tenant: t.tenant,
-                    applied_hi: (t.expected > 0).then(|| t.expected - 1),
+                    applied_hi: t.expected.checked_sub(1),
                 })
                 .collect(),
         }
-    }
-}
-
-impl StandbyInner {
-    fn send_ack(&self, tenant: u64, durable_hi: u64) {
-        self.acks.send(ShipAck { tenant, durable_hi }, 16);
     }
 }
 
@@ -756,7 +828,7 @@ mod tests {
     use crate::{CapacitySpec, DrainConfig, OrderingMode, RapiLog};
     use rapilog_microvisor::{Hypervisor, Trust};
     use rapilog_simcore::{Sim, SimTime};
-    use rapilog_simdisk::{specs, BlockDevice, DiskSpec, IoError, SECTOR_SIZE};
+    use rapilog_simdisk::{specs, Disk, DiskSpec};
     use rapilog_simnet::{LinkFaults, LinkSpec};
     use rapilog_simpower::{supplies, PowerSupply};
     use std::cell::Cell as StdCell;
@@ -794,7 +866,13 @@ mod tests {
         let ship = Link::new(&ctx, LinkSpec::lan("ship").with_faults(faults.clone()));
         let acks = Link::new(&ctx, LinkSpec::lan("acks").with_faults(faults));
         let repl = Replicator::new(&ctx, cfg, ship.clone(), acks.clone());
-        let standby = Standby::start(&ctx, &scell, standby_disk.clone(), ship.clone(), acks);
+        let standby = Standby::start(
+            &ctx,
+            &scell,
+            Rc::new(standby_disk.clone()),
+            ship.clone(),
+            acks,
+        );
         let rl = RapiLog::builder(&ctx)
             .cell(&pcell)
             .disk(primary_disk.clone())
@@ -922,7 +1000,7 @@ mod tests {
             report.retransmits > 0,
             "drops forced retransmission (the test would be vacuous otherwise)"
         );
-        assert!(!f.standby.report().wedged);
+        assert_eq!(f.standby.report().stopped, None);
         assert_eq!(report.total_lag(), 0);
     }
 
@@ -1214,6 +1292,208 @@ mod tests {
         assert_eq!(report.frames_shipped, 1);
         assert_eq!(report.frames_pending, 0);
         assert_eq!(f.standby.applied_hi(0), Some(0));
+    }
+
+    /// A standby on its own, fed frames by hand over its ship link.
+    struct Lone {
+        standby: Standby,
+        ship: Link<ShipFrame>,
+        acks: Link<ShipAck>,
+    }
+
+    fn lone_standby(sim: &mut Sim, device: Rc<dyn BlockDevice>) -> Lone {
+        let ctx = sim.ctx();
+        let hv = Hypervisor::new(&ctx);
+        let scell = hv.create_cell("standby", Trust::Trusted);
+        let ship = Link::new(&ctx, LinkSpec::lan("ship"));
+        let acks = Link::new(&ctx, LinkSpec::lan("acks"));
+        let standby = Standby::start(&ctx, &scell, device, ship.clone(), acks.clone());
+        std::mem::forget(scell);
+        Lone {
+            standby,
+            ship,
+            acks,
+        }
+    }
+
+    /// A second RapiLog instance for the standby to apply into.
+    fn standby_instance(sim: &mut Sim, spec: DiskSpec) -> (RapiLog, Disk) {
+        let ctx = sim.ctx();
+        let hv = Hypervisor::new(&ctx);
+        let cell = hv.create_cell("standby-log", Trust::Trusted);
+        let disk = Disk::new(&ctx, spec);
+        let rl = RapiLog::builder(&ctx)
+            .cell(&cell)
+            .disk(disk.clone())
+            .capacity(CapacitySpec::Fixed(1 << 20))
+            .build();
+        std::mem::forget(cell);
+        (rl, disk)
+    }
+
+    /// A frame for tenant 0 starting at sequence `lo`: one extent per
+    /// `(sector, sectors, fill)`.
+    fn frame(lo: u64, extents: &[(u64, usize, u8)]) -> ShipFrame {
+        ShipFrame {
+            tenant: 0,
+            lo,
+            hi: lo + extents.len() as u64 - 1,
+            extents: extents
+                .iter()
+                .enumerate()
+                .map(|(i, &(sector, sectors, fill))| Extent {
+                    seq: lo + i as u64,
+                    sector,
+                    admit_ns: 0,
+                    data: SectorBuf::from_vec(vec![fill; sectors * SECTOR_SIZE]),
+                })
+                .collect(),
+        }
+    }
+
+    fn send(link: &Link<ShipFrame>, frame: ShipFrame) {
+        let bytes = frame.wire_bytes();
+        link.send(frame, bytes);
+    }
+
+    fn media(disk: &Disk, sector: u64) -> Vec<u8> {
+        let mut buf = vec![0u8; SECTOR_SIZE];
+        disk.peek_media(sector, &mut buf);
+        buf
+    }
+
+    #[test]
+    fn a_rapilog_standby_acks_at_admission_and_its_drain_lands_the_bytes() {
+        let mut sim = Sim::new(51);
+        let ctx = sim.ctx();
+        // The standby's log disk costs a seek and a rotation per write.
+        let (srl, disk) = standby_instance(&mut sim, specs::hdd_7200(1 << 30));
+        let lone = lone_standby(&mut sim, Rc::new(srl.device()));
+        send(&lone.ship, frame(0, &[(20_000, 1, 0xB4)]));
+        // (ack arrival in ns, was the write on standby media by then)
+        let at_ack = Rc::new(StdCell::new(None));
+        let a2 = Rc::clone(&at_ack);
+        let (acks, d2) = (lone.acks.clone(), disk.clone());
+        sim.spawn(async move {
+            let ack = acks.recv().await.expect("the standby acknowledged");
+            assert_eq!(ack.durable_hi, 0);
+            let landed = media(&d2, 20_000) == vec![0xB4; SECTOR_SIZE];
+            a2.set(Some((ctx.now().as_nanos(), landed)));
+        });
+        sim.run_until(SimTime::from_millis(1));
+        let (ack_ns, on_media_at_ack) = at_ack.get().expect("acked inside a millisecond");
+        assert!(
+            ack_ns < 150_000,
+            "two link crossings and one admission, no rotation ({ack_ns} ns)"
+        );
+        assert!(!on_media_at_ack, "the media write is behind the ack");
+        // The ack was a promise about the buffer; the drain keeps it.
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(srl.occupancy(), 0);
+        assert_eq!(media(&disk, 20_000), vec![0xB4; SECTOR_SIZE]);
+        assert!(srl.audit_report().guarantee_held());
+        assert_eq!(lone.standby.report().stopped, None);
+    }
+
+    #[test]
+    fn a_refused_apply_stops_the_acks_but_does_not_wedge_the_image() {
+        let mut sim = Sim::new(52);
+        let (srl, disk) = standby_instance(&mut sim, specs::ssd_sata(1 << 24));
+        let lone = lone_standby(&mut sim, Rc::new(srl.device()));
+        send(&lone.ship, frame(0, &[(100, 1, 1)]));
+        sim.run_until(SimTime::from_millis(1));
+        assert_eq!(lone.acks.try_recv().map(|a| a.durable_hi), Some(0));
+        // The standby box's power-fail warning: no admissions from here on.
+        srl.tenants[0].buffer.freeze();
+        send(&lone.ship, frame(1, &[(101, 1, 2)]));
+        send(&lone.ship, frame(2, &[(102, 1, 3)]));
+        sim.run_until(SimTime::from_millis(2));
+        let report = lone.standby.report();
+        assert_eq!(
+            report.stopped,
+            Some(ApplyStop::Refused(IoError::PowerLoss)),
+            "turned away whole"
+        );
+        assert!(!report.wedged(), "a refusal leaves a valid prefix");
+        assert_eq!(lone.standby.applied_hi(0), Some(0));
+        assert!(lone.acks.try_recv().is_none(), "nothing refused is acked");
+        assert_eq!(media(&disk, 100), vec![1u8; SECTOR_SIZE]);
+        assert_eq!(media(&disk, 101), vec![0u8; SECTOR_SIZE]);
+    }
+
+    #[test]
+    fn a_media_error_wedges_the_image() {
+        let mut sim = Sim::new(53);
+        let disk = Disk::new(&sim.ctx(), specs::ssd_sata(1 << 24));
+        disk.mark_bad(201);
+        let lone = lone_standby(&mut sim, Rc::new(disk.clone()));
+        send(&lone.ship, frame(0, &[(200, 1, 1)]));
+        send(&lone.ship, frame(1, &[(201, 1, 2)]));
+        sim.run_until(SimTime::from_millis(2));
+        let report = lone.standby.report();
+        assert_eq!(
+            report.stopped,
+            Some(ApplyStop::Wedged(IoError::MediaError { sector: 201 }))
+        );
+        assert!(report.wedged());
+        assert_eq!(lone.standby.applied_hi(0), Some(0));
+    }
+
+    #[test]
+    fn an_extent_admitted_behind_a_refused_one_wedges() {
+        let mut sim = Sim::new(54);
+        let ctx = sim.ctx();
+        let (srl, _disk) = standby_instance(&mut sim, specs::ssd_sata(1 << 24));
+        let lone = lone_standby(&mut sim, Rc::new(srl.device()));
+        // One frame, two extents: admission of the first costs 16 us more
+        // than the second's (the per-KiB copy), so the second is in the
+        // buffer first — and the freeze falls between the two.
+        send(&lone.ship, frame(0, &[(300, 128, 1), (500, 1, 2)]));
+        let rl = srl.clone();
+        sim.spawn(async move {
+            while rl.stats().accepted_writes == 0 {
+                ctx.sleep(SimDuration::from_micros(1)).await;
+            }
+            rl.tenants[0].buffer.freeze();
+        });
+        sim.run_until(SimTime::from_millis(2));
+        assert_eq!(
+            srl.stats().accepted_writes,
+            1,
+            "only the small extent got in"
+        );
+        let report = lone.standby.report();
+        assert_eq!(
+            report.stopped,
+            Some(ApplyStop::Wedged(IoError::PowerLoss)),
+            "sequence 1 is in the image without sequence 0: a hole, not a prefix"
+        );
+        assert_eq!(lone.standby.applied_hi(0), None);
+        assert!(lone.acks.try_recv().is_none());
+    }
+
+    #[test]
+    fn a_multi_extent_frame_is_in_flight_together_and_rewrites_stay_ordered() {
+        let mut sim = Sim::new(55);
+        let disk = Disk::new(&sim.ctx(), specs::ssd_nvme(1 << 24).with_channels(4));
+        let lone = lone_standby(&mut sim, Rc::new(disk.clone()));
+        // Sequence 2 rewrites a sector of sequence 0 and, being shorter,
+        // would finish first on a free channel: it must wait its turn.
+        send(
+            &lone.ship,
+            frame(0, &[(10, 2, 1), (20, 1, 2), (11, 1, 3), (30, 1, 4)]),
+        );
+        sim.run_until(SimTime::from_millis(1));
+        assert_eq!(lone.acks.try_recv().map(|a| a.durable_hi), Some(3));
+        assert_eq!(lone.standby.applied_hi(0), Some(3));
+        assert_eq!(lone.standby.report().frames_applied, 1);
+        for (sector, fill) in [(10, 1u8), (11, 3), (20, 2), (30, 4)] {
+            assert_eq!(media(&disk, sector), vec![fill; SECTOR_SIZE], "{sector}");
+        }
+        assert!(
+            disk.stats().max_outstanding >= 2,
+            "disjoint extents were submitted before any was awaited"
+        );
     }
 
     #[test]

@@ -141,6 +141,16 @@ pub struct LinkStats {
     pub partition_drops: u64,
     /// Payload bytes handed to [`Link::send`].
     pub bytes_sent: u64,
+    /// Time on the wire, summed over delivered messages (latency, jitter,
+    /// serialisation and any reorder hold), in nanoseconds.
+    pub transit_ns: u64,
+}
+
+impl LinkStats {
+    /// Mean time a delivered message spent on the wire.
+    pub fn mean_transit(&self) -> SimDuration {
+        SimDuration::from_nanos(self.transit_ns / self.delivered.max(1))
+    }
 }
 
 struct LinkInner<T> {
@@ -306,7 +316,10 @@ impl<T: Clone + 'static> Link<T> {
                 inner.stats.borrow_mut().partition_drops += 1;
                 return;
             }
-            inner.stats.borrow_mut().delivered += 1;
+            let mut stats = inner.stats.borrow_mut();
+            stats.delivered += 1;
+            stats.transit_ns += delay.as_nanos();
+            drop(stats);
             // Unbounded channel: try_send cannot fail while the link lives.
             let _ = inner.tx.try_send(msg);
         });
@@ -375,6 +388,12 @@ mod tests {
             (0..50).collect::<Vec<_>>(),
             "no reorder fault, no reorder"
         );
+        // Message i leaves at i x 10 us, so the arrival stamps give the
+        // transit times the counter must have summed.
+        let transit: u64 = a.iter().map(|&(i, at)| at - i * 10_000).sum();
+        assert_eq!(sa.transit_ns, transit);
+        let mean = sa.mean_transit().as_nanos();
+        assert!((50_128..55_128).contains(&mean), "50 us + <5 us + 128 B");
     }
 
     #[test]

@@ -19,7 +19,7 @@ cargo fmt --all -- --check
 echo "==> crash-point sweep (200 trials + broken-drain control)"
 ./target/release/crashpoint_sweep
 
-echo "==> failover sweep (replicated pair: sync/async x 4 failure kinds)"
+echo "==> failover sweep (replicated pair: sync/async x 4 failure kinds; sync commit <= 1.1x link round trip)"
 ./target/release/failover_sweep
 
 echo "==> adaptive batching ablation (saturation + tail-latency + back-pressure gates, QUICK)"

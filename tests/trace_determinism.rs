@@ -8,8 +8,12 @@
 //! JSON-lines and the Chrome exports must match exactly, not just
 //! statistically.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rapilog_simnet::{Link, LinkSpec};
 use rapilog_suite::prelude::*;
+use rapilog_suite::simcore::trace::Phase;
 
 /// Drives a small but layer-rich scenario: a RapiLog stack over an HDD
 /// with a real power supply, a burst of writes, an emergency-drain power
@@ -132,34 +136,49 @@ fn recovery_phase_spans_equal_the_recovery_report() {
     assert_eq!(outer_end - outer_begin, report.duration);
 }
 
-/// One synchronous write through a replicated pair on fault-free LAN
-/// links: primary on the paper's rotating log disk, standby on an SSD.
+/// A synchronously replicated pair on fault-free LAN links: the primary
+/// logs to `primary_disk`; the standby has an `ssd_sata` and applies either
+/// straight into it — what every standby did before it could be a RapiLog —
+/// or into a second RapiLog instance over it. Returns the primary.
+fn sync_pair(ctx: &SimCtx, primary_disk: Disk, rapilog_standby: bool) -> RapiLog {
+    let hv = Hypervisor::new(ctx);
+    let pcell = hv.create_cell("primary", Trust::Trusted);
+    let scell = hv.create_cell("standby", Trust::Trusted);
+    let ship = Link::new(ctx, LinkSpec::lan("ship"));
+    let acks = Link::new(ctx, LinkSpec::lan("acks"));
+    let repl = Replicator::new(ctx, ReplicationConfig::sync(), ship.clone(), acks.clone());
+    let standby_disk = Disk::new(ctx, specs::ssd_sata(1 << 24));
+    let device: Rc<dyn BlockDevice> = if rapilog_standby {
+        let instance = RapiLog::builder(ctx)
+            .cell(&scell)
+            .disk(standby_disk)
+            .build();
+        Rc::new(instance.device())
+    } else {
+        Rc::new(standby_disk)
+    };
+    Standby::start(ctx, &scell, device, ship, acks);
+    RapiLog::builder(ctx)
+        .cell(&pcell)
+        .disk(primary_disk)
+        .replicate(&repl)
+        .build()
+}
+
+/// One synchronous write through a pair whose primary is on the paper's
+/// rotating log disk and whose standby applies straight into its SSD.
 fn traced_sync_write(seed: u64) -> TraceSnapshot {
     let mut sim = Sim::new(seed);
     let ctx = sim.ctx();
     ctx.tracer().set_enabled(true);
     let c2 = ctx.clone();
     sim.spawn(async move {
-        let hv = Hypervisor::new(&c2);
-        let pcell = hv.create_cell("primary", Trust::Trusted);
-        let scell = hv.create_cell("standby", Trust::Trusted);
-        let ship = Link::new(&c2, LinkSpec::lan("ship"));
-        let acks = Link::new(&c2, LinkSpec::lan("acks"));
-        let repl = Replicator::new(&c2, ReplicationConfig::sync(), ship.clone(), acks.clone());
-        let standby_disk = Disk::new(&c2, specs::ssd_sata(1 << 24));
-        let _standby = Standby::start(&c2, &scell, standby_disk, ship, acks);
-        let rl = RapiLog::builder(&c2)
-            .cell(&pcell)
-            .disk(Disk::new(&c2, specs::hdd_7200(1 << 30)))
-            .replicate(&repl)
-            .build();
+        let rl = sync_pair(&c2, Disk::new(&c2, specs::hdd_7200(1 << 30)), false);
         rl.device()
             .write(64, &vec![0x5Cu8; 4 * SECTOR_SIZE], true)
             .await
             .unwrap();
         rl.quiesce().await;
-        std::mem::forget(pcell);
-        std::mem::forget(scell);
     });
     sim.run_until(SimTime::from_secs(1));
     ctx.tracer().snapshot()
@@ -190,6 +209,146 @@ fn sync_commit_decomposes_into_ship_apply_ack() {
         .span(Layer::Drain, "drain_batch")
         .expect("the drain ran");
     assert!(wait.1 < media_done, "the ack did not wait for the disk");
+}
+
+/// Mean simulated time of each stage of a synchronous replicated commit,
+/// in microseconds, folded from the trace of [`COMMITS`] back-to-back
+/// writes by one client.
+#[derive(Debug)]
+struct CommitStages {
+    /// Client call → admitted to the primary's buffer (where the frame is
+    /// offered and the wait for the standby begins).
+    admit: f64,
+    /// Offer → the standby starts applying: the ship link.
+    ship_out: f64,
+    /// The `standby_apply` span.
+    apply: f64,
+    /// Apply done → the covering ack is back at the primary: the ack link.
+    ack_back: f64,
+    /// What the client saw, call to return.
+    commit: f64,
+}
+
+const COMMITS: usize = 400;
+
+/// The failover pair's hardware (`ssd_sata` on both sides, LAN links),
+/// with either kind of standby.
+fn sync_commit_stages(rapilog_standby: bool) -> CommitStages {
+    let mut sim = Sim::new(0x57A6);
+    let ctx = sim.ctx();
+    ctx.tracer().set_enabled(true);
+    let commits = Rc::new(RefCell::new(Vec::new()));
+    let (c2, log) = (ctx.clone(), Rc::clone(&commits));
+    sim.spawn(async move {
+        let primary_disk = Disk::new(&c2, specs::ssd_sata(1 << 24));
+        let dev = sync_pair(&c2, primary_disk, rapilog_standby).device();
+        for i in 0..COMMITS as u64 {
+            let t0 = c2.now();
+            dev.write(i, &vec![0x5Cu8; SECTOR_SIZE], true)
+                .await
+                .unwrap();
+            log.borrow_mut().push((t0, c2.now()));
+        }
+    });
+    sim.run_until(SimTime::from_secs(1));
+    let trace = ctx.tracer().snapshot();
+    assert_eq!(trace.dropped, 0, "the ring must hold the whole run");
+    // One client, one write at a time: the i-th begin and end of each span
+    // name belong to the i-th commit.
+    let times = |name: &str, phase: Phase| -> Vec<SimTime> {
+        trace
+            .events
+            .iter()
+            .filter(|e| e.layer == Layer::Net && e.name == name && e.phase == phase)
+            .map(|e| e.time)
+            .collect()
+    };
+    let (wait_b, wait_e) = (
+        times("repl_wait", Phase::Begin),
+        times("repl_wait", Phase::End),
+    );
+    let (ship_b, ship_e) = (times("ship", Phase::Begin), times("ship", Phase::End));
+    let (apply_b, apply_e) = (
+        times("standby_apply", Phase::Begin),
+        times("standby_apply", Phase::End),
+    );
+    let commits = commits.borrow();
+    assert_eq!(commits.len(), COMMITS, "every write was acknowledged");
+    let mut sums = [0u64; 5];
+    for (i, &(t0, t1)) in commits.iter().enumerate() {
+        // repl_wait ⊇ ship ⊇ standby_apply, for every commit.
+        assert!(t0 <= wait_b[i] && wait_b[i] == ship_b[i], "commit {i}");
+        assert!(
+            ship_b[i] < apply_b[i] && apply_b[i] <= apply_e[i],
+            "commit {i}"
+        );
+        assert!(
+            apply_e[i] < ship_e[i] && ship_e[i] == wait_e[i],
+            "commit {i}"
+        );
+        assert_eq!(wait_e[i], t1, "nothing after the standby's ack, commit {i}");
+        let stages = [
+            wait_b[i] - t0,
+            apply_b[i] - ship_b[i],
+            apply_e[i] - apply_b[i],
+            ship_e[i] - apply_e[i],
+            t1 - t0,
+        ];
+        for (sum, stage) in sums.iter_mut().zip(stages) {
+            *sum += stage.as_nanos();
+        }
+    }
+    let [admit, ship_out, apply, ack_back, commit] =
+        sums.map(|ns| ns as f64 / 1e3 / COMMITS as f64);
+    CommitStages {
+        admit,
+        ship_out,
+        apply,
+        ack_back,
+        commit,
+    }
+}
+
+/// The per-layer row of a replicated commit (`--nocapture` prints it): the
+/// stages tile the commit exactly, and making the standby a RapiLog takes
+/// the media write — and nothing else — out of it.
+#[test]
+fn sync_commit_stages_sum_to_the_commit_and_the_apply_is_an_admission() {
+    let disk = sync_commit_stages(false);
+    let rapilog = sync_commit_stages(true);
+    for (standby, s) in [("Rc<Disk>", &disk), ("RapiLogDevice", &rapilog)] {
+        println!(
+            "standby {standby:<13} admit {:6.2} + ship-out {:6.2} + standby_apply {:6.2} + \
+             ack-back {:6.2} = {:7.2} us; commit {:7.2} us",
+            s.admit,
+            s.ship_out,
+            s.apply,
+            s.ack_back,
+            s.admit + s.ship_out + s.apply + s.ack_back,
+            s.commit
+        );
+        let sum = s.admit + s.ship_out + s.apply + s.ack_back;
+        assert!(
+            (sum - s.commit).abs() < 0.001,
+            "the stages tile the commit: {s:?}"
+        );
+    }
+    // An ssd_sata media write (70 us + transfer) against one admission.
+    assert!((71.0..74.0).contains(&disk.apply), "{disk:?}");
+    assert!((2.0..3.0).contains(&rapilog.apply), "{rapilog:?}");
+    // The saving end to end is the saving in that one stage.
+    let saved = disk.commit - rapilog.commit;
+    assert!(
+        (saved - (disk.apply - rapilog.apply)).abs() < 1.0,
+        "commit fell {saved:.2} us, standby_apply {:.2} us",
+        disk.apply - rapilog.apply
+    );
+    // What is left is the two link crossings and the two admissions.
+    assert!(rapilog.commit < 130.0, "{rapilog:?}");
+    assert!(
+        rapilog.commit / (rapilog.ship_out + rapilog.ack_back) < 1.1,
+        "a disk is back on the replicated commit path: {rapilog:?}"
+    );
 }
 
 /// Four writers appending 64 KiB extents to private regions through a
