@@ -20,7 +20,7 @@ use std::rc::Rc;
 use rapilog::TenantId;
 use rapilog_dbengine::recovery::RecoveryReport;
 use rapilog_simcore::stats::Histogram;
-use rapilog_simcore::trace::{LatencyAttribution, Layer, MediaRead, Payload, TraceSnapshot};
+use rapilog_simcore::trace::{LatencyAttribution, Layer, MediaOp, Payload, TraceSnapshot};
 use rapilog_simcore::{RunReport, SchedulerKind, Sim, SimDuration, SimTime};
 use rapilog_simdisk::{BlockDevice, SECTOR_SIZE};
 use rapilog_workload::micro;
@@ -526,17 +526,26 @@ pub fn run_trial_traced(
 /// What a rotating log disk was asked to do while one traced trial
 /// recovered: the evidence behind "recovery is one sequential sweep".
 ///
-/// Trials keep their data on `specs::instant`, whose reads carry an
-/// all-zero timing breakdown, so the log disk's reads are the ones that
-/// paid a controller overhead.
+/// Trials keep their data on `specs::instant`, whose accesses carry an
+/// all-zero timing breakdown, so the log disk's are the ones that paid a
+/// controller overhead.
 #[derive(Debug, Clone)]
 pub struct RecoverySweep {
     /// Recovery start to superblock in memory: the first positioning, plus
-    /// any queueing behind drain writes still landing after a guest crash.
+    /// whatever [`inflight_write`](Self::inflight_write) had left.
     pub superblock: SimDuration,
+    /// What was left, when recovery began, of a drain write already on the
+    /// media after a guest crash — the one wait no arbitration can spare
+    /// the superblock read. Zero when the disk was idle.
+    pub inflight_write: SimDuration,
+    /// Log-disk writes that *began* between recovery's start (when the
+    /// superblock read was issued) and the last consumed chunk's end: drain
+    /// writes the scan's dependent reads queued behind, each costing them a
+    /// repositioning. The drain stands aside for guest reads, so this is 0.
+    pub interleaved_writes: usize,
     /// Every log-disk read begun during recovery after the superblock's,
     /// in media order.
-    pub reads: Vec<MediaRead>,
+    pub reads: Vec<MediaOp>,
     /// How many of `reads` the scan consumed; the rest is read-ahead past
     /// the torn tail, discarded while still in flight.
     pub consumed: usize,
@@ -551,11 +560,23 @@ impl RecoverySweep {
         let (_, scan_end) = trace.span(Layer::Engine, "recover_scan")?;
         let mut reads = trace.media_reads_in(Layer::Fault, "recover");
         reads.retain(|r| !r.seek.is_zero());
-        let superblock = reads.first()?.end() - began;
+        let first = *reads.first()?;
         reads.remove(0);
         let consumed = reads.iter().filter(|r| r.end() <= scan_end).count();
+        let swept = reads[..consumed].last().map_or(first.end(), MediaOp::end);
+        let mut inflight_write = SimDuration::ZERO;
+        let mut interleaved_writes = 0;
+        for w in trace.media_ops(true).filter(|w| !w.seek.is_zero()) {
+            if w.begin < began && w.end() > began {
+                inflight_write = w.end() - began;
+            } else if w.begin >= began && w.begin < swept {
+                interleaved_writes += 1;
+            }
+        }
         Some(RecoverySweep {
-            superblock,
+            superblock: first.end() - began,
+            inflight_write,
+            interleaved_writes,
             reads,
             consumed,
         })

@@ -30,6 +30,8 @@ use rapilog_simcore::sync::Notify;
 use rapilog_simcore::SimCtx;
 use rapilog_simdisk::SECTOR_SIZE;
 
+use crate::{ModeState, Waiting};
+
 /// One accepted write.
 #[derive(Debug, Clone)]
 pub struct Extent {
@@ -79,6 +81,10 @@ struct BufSt {
     queued_bytes: u64,
     /// Stamps `Extent::admit_ns`; attached by the builder.
     clock: Option<SimCtx>,
+    /// The owning instance's drain/device state, attached with the clock:
+    /// whoever blocks on this buffer is counted there as waiting on the
+    /// drain, which then stops standing aside for guest reads.
+    mode: Option<Rc<ModeState>>,
     occupancy: u64,
     capacity: u64,
     next_seq: u64,
@@ -155,6 +161,7 @@ impl DependableBuffer {
                 inflight: VecDeque::new(),
                 queued_bytes: 0,
                 clock: None,
+                mode: None,
                 occupancy: 0,
                 capacity,
                 next_seq: 0,
@@ -186,11 +193,21 @@ impl DependableBuffer {
         std::mem::take(&mut self.st.borrow_mut().stalled)
     }
 
-    /// Attaches the sim clock so admissions are stamped with `admit_ns`.
-    /// Without a clock (unit tests building the buffer directly) extents
-    /// carry `admit_ns == 0` and commit latency simply isn't measured.
-    pub(crate) fn set_clock(&self, ctx: &SimCtx) {
-        self.st.borrow_mut().clock = Some(ctx.clone());
+    /// Attaches the buffer to its instance: the sim clock, so admissions
+    /// are stamped with `admit_ns`, and the state shared with the drain, so
+    /// it knows when somebody is blocked here. Without them (unit tests
+    /// building the buffer directly) extents carry `admit_ns == 0`, commit
+    /// latency simply isn't measured and nobody counts the waiters.
+    pub(crate) fn attach(&self, ctx: &SimCtx, mode: &Rc<ModeState>) {
+        let mut st = self.st.borrow_mut();
+        st.clock = Some(ctx.clone());
+        st.mode = Some(Rc::clone(mode));
+    }
+
+    /// Counts the caller as blocked on the drain while the guard lives:
+    /// taken at a call's first sleep and kept until it returns.
+    fn blocked(&self) -> Option<Waiting> {
+        self.st.borrow().mode.as_ref().map(ModeState::waiting)
     }
 
     /// The admission cap.
@@ -239,6 +256,7 @@ impl DependableBuffer {
             "single extent of {len} bytes exceeds buffer capacity"
         );
         let mut waited = false;
+        let mut blocked = None;
         loop {
             {
                 let mut st = self.st.borrow_mut();
@@ -278,6 +296,7 @@ impl DependableBuffer {
             }
             waited = true;
             self.st.borrow_mut().stalled = true;
+            blocked = blocked.or_else(|| self.blocked());
             self.space.notified().await;
         }
     }
@@ -400,6 +419,7 @@ impl DependableBuffer {
     /// if the buffer froze with the extent still pending — the drain died
     /// and the commit will never happen on this instance.
     pub async fn wait_completed(&self, seq: u64) -> bool {
+        let mut blocked = None;
         loop {
             {
                 let st = self.st.borrow();
@@ -412,6 +432,7 @@ impl DependableBuffer {
                 }
             }
             // complete() and freeze() both notify `space`.
+            blocked = blocked.or_else(|| self.blocked());
             self.space.notified().await;
         }
     }
@@ -419,6 +440,7 @@ impl DependableBuffer {
     /// Waits until the buffer is fully drained (nothing queued and nothing
     /// popped-but-uncommitted).
     pub async fn drained(&self) {
+        let mut blocked = None;
         loop {
             {
                 let st = self.st.borrow();
@@ -426,6 +448,7 @@ impl DependableBuffer {
                     return;
                 }
             }
+            blocked = blocked.or_else(|| self.blocked());
             self.empty.notified().await;
         }
     }
@@ -438,6 +461,14 @@ impl DependableBuffer {
             .overlay
             .get(&sector)
             .map(|(_, d)| d.clone())
+    }
+
+    /// True if every one of the `count` sectors from `sector` has acked
+    /// bytes buffered — a read of them need not touch the disk. Looks only;
+    /// [`read_overlay`](Self::read_overlay) hands out the views.
+    pub(crate) fn covers(&self, sector: u64, count: u64) -> bool {
+        let st = self.st.borrow();
+        (sector..sector + count).all(|s| st.overlay.contains_key(&s))
     }
 
     /// Extents currently accounted for (queued plus in flight with the
@@ -525,6 +556,25 @@ mod tests {
             let overlay = b2.read_overlay(1).unwrap();
             assert!(overlay.same_allocation(&batch[0].data));
             assert_eq!(overlay.as_ptr(), unsafe { admitted_ptr.add(SECTOR_SIZE) });
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn covers_only_a_range_buffered_end_to_end() {
+        let mut sim = Sim::new(0);
+        let buf = DependableBuffer::new(1 << 20);
+        let b2 = buf.clone();
+        sim.spawn(async move {
+            let s0 = b2.push(10, sector_data(1, 2)).await.unwrap();
+            b2.push(13, sector_data(2, 1)).await.unwrap();
+            assert!(b2.covers(10, 2) && b2.covers(11, 1) && b2.covers(13, 1));
+            assert!(!b2.covers(10, 3), "sector 12 was never written");
+            assert!(!b2.covers(9, 2) && !b2.covers(13, 2));
+            // Landed bytes leave the overlay: the disk has them now.
+            b2.pop_batch(usize::MAX);
+            b2.complete(s0);
+            assert!(!b2.covers(10, 1) && b2.covers(13, 1));
         });
         sim.run();
     }

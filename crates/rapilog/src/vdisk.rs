@@ -28,7 +28,6 @@ use rapilog_simdisk::{
     SECTOR_SIZE,
 };
 
-use crate::audit::Audit;
 use crate::buffer::{DependableBuffer, PushError};
 use crate::replicate::{ReplicationMode, Replicator};
 use crate::{ModeState, RapiLogConfig};
@@ -41,9 +40,8 @@ pub struct RapiLogDevice {
     buffer: Option<DependableBuffer>,
     backing: Rc<dyn BlockDevice>,
     cfg: RapiLogConfig,
-    #[allow(dead_code)]
-    audit: Audit,
-    /// Shared with the drain: while degraded, acks wait for media.
+    /// Shared with the drain: while degraded, acks wait for media; and the
+    /// drain sees here which reads went to the backing disk.
     mode: Rc<ModeState>,
     /// The replication tee: the tenant this device writes as, plus the
     /// shipper every admitted extent is offered to (and, in sync mode,
@@ -60,7 +58,6 @@ impl RapiLogDevice {
         buffer: DependableBuffer,
         backing: Rc<dyn BlockDevice>,
         cfg: RapiLogConfig,
-        audit: Audit,
         mode: Rc<ModeState>,
         repl: Option<(u64, Replicator)>,
     ) -> RapiLogDevice {
@@ -70,7 +67,6 @@ impl RapiLogDevice {
             buffer: Some(buffer),
             backing,
             cfg,
-            audit,
             mode,
             repl,
             geometry,
@@ -86,7 +82,6 @@ impl RapiLogDevice {
         ctx: &SimCtx,
         backing: Rc<dyn BlockDevice>,
         cfg: RapiLogConfig,
-        audit: Audit,
     ) -> RapiLogDevice {
         let geometry = backing.geometry();
         RapiLogDevice {
@@ -94,7 +89,6 @@ impl RapiLogDevice {
             buffer: None,
             backing,
             cfg,
-            audit,
             // Write-through is already synchronous; it never degrades.
             mode: ModeState::new(),
             repl: None,
@@ -330,11 +324,16 @@ impl BlockDevice for RapiLogDevice {
                 return self.backing.read(sector, buf).await;
             };
             // Fast path: everything in the overlay (tail re-reads).
-            let fully_buffered = (0..count).all(|i| buffer.read_overlay(sector + i).is_some());
-            if !fully_buffered {
-                self.backing.read(sector, buf).await?;
-            } else {
+            if buffer.covers(sector, count) {
                 self.ctx.sleep(self.ack_cost(buf.len())).await;
+            } else {
+                // Counted while it is on the backing disk, so the drain can
+                // stand aside for it; a future dropped mid-read (guest
+                // crash) gives the count back.
+                let reading = self.mode.reading();
+                let read = self.backing.read(sector, buf).await;
+                reading.returned(self.ctx.now());
+                read?;
             }
             for (i, chunk) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
                 if let Some(newer) = buffer.read_overlay(sector + i as u64) {

@@ -552,47 +552,53 @@ impl TraceSnapshot {
         Some((at(Phase::Begin)?, at(Phase::End)?))
     }
 
-    /// Every media read that began inside the first `name` span on `layer`,
-    /// in trace order, with the timing model's breakdown — the question
-    /// "what did the disk do while this was going on" (which reads paid a
-    /// rotation, which [`end`](MediaRead::end) only after the span closed).
-    pub fn media_reads_in(&self, layer: Layer, name: &str) -> Vec<MediaRead> {
-        let Some((from, to)) = self.span(layer, name) else {
-            return Vec::new();
-        };
-        self.events
-            .iter()
-            .filter(|ev| ev.phase == Phase::Begin && ev.time >= from && ev.time <= to)
-            .filter_map(|ev| match ev.payload {
-                Payload::Io {
-                    sector,
-                    sectors,
-                    write: false,
-                    seek,
-                    rotation,
-                    transfer,
-                } if ev.layer == Layer::Disk => Some(MediaRead {
+    /// Every media operation of one direction (`write`) in the snapshot, in
+    /// trace order, with the timing model's breakdown.
+    pub fn media_ops(&self, write: bool) -> impl Iterator<Item = MediaOp> + '_ {
+        self.events.iter().filter_map(move |ev| match ev.payload {
+            Payload::Io {
+                sector,
+                sectors,
+                write: w,
+                seek,
+                rotation,
+                transfer,
+            } if ev.layer == Layer::Disk && ev.phase == Phase::Begin && w == write => {
+                Some(MediaOp {
                     begin: ev.time,
                     sector,
                     sectors,
                     seek: SimDuration::from_nanos(seek),
                     rotation: SimDuration::from_nanos(rotation),
                     transfer: SimDuration::from_nanos(transfer),
-                }),
-                _ => None,
-            })
+                })
+            }
+            _ => None,
+        })
+    }
+
+    /// Every media read that began inside the first `name` span on `layer`,
+    /// in trace order — the question "what did the disk do while this was
+    /// going on" (which reads paid a rotation, which
+    /// [`end`](MediaOp::end) only after the span closed).
+    pub fn media_reads_in(&self, layer: Layer, name: &str) -> Vec<MediaOp> {
+        let Some((from, to)) = self.span(layer, name) else {
+            return Vec::new();
+        };
+        self.media_ops(false)
+            .filter(|r| r.begin >= from && r.begin <= to)
             .collect()
     }
 }
 
-/// One media read found by [`TraceSnapshot::media_reads_in`].
+/// One media read or write found by [`TraceSnapshot::media_ops`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MediaRead {
-    /// When the media started on the read (after any queueing).
+pub struct MediaOp {
+    /// When the media started on the operation (after any queueing).
     pub begin: SimTime,
     /// First sector of the access.
     pub sector: u64,
-    /// Sectors read.
+    /// Sectors read or written.
     pub sectors: u64,
     /// Seek (or fixed controller overhead).
     pub seek: SimDuration,
@@ -602,8 +608,8 @@ pub struct MediaRead {
     pub transfer: SimDuration,
 }
 
-impl MediaRead {
-    /// When the media finished the read.
+impl MediaOp {
+    /// When the media finished the operation.
     pub fn end(&self) -> SimTime {
         self.begin + self.seek + self.rotation + self.transfer
     }

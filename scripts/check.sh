@@ -25,7 +25,7 @@ echo "==> failover sweep (replicated pair: sync/async x 4 failure kinds; sync co
 echo "==> adaptive batching ablation (saturation + tail-latency + back-pressure gates, QUICK)"
 QUICK=1 ./target/release/abl_adaptive_batching
 
-echo "==> parallel recovery ablation (speedup + fuzzy scan-cut gates, QUICK)"
+echo "==> recovery ablation (speedup + fuzzy scan-cut + one-sweep read-back with the drain standing aside, QUICK)"
 QUICK=1 ./target/release/abl_recovery
 
 echo "==> hot-path bench + allocation budget (check mode)"

@@ -16,22 +16,18 @@ use rapilog_suite::simcore::SchedulerKind;
 const ROTATION: SimDuration = SimDuration::from_nanos(60_000_000_000 / 7200);
 const CHUNK_SECTORS: u64 = (CHUNK / SECTOR_SIZE) as u64;
 
-/// Runs the stock single-tenant power-cut trial (the benchmark's
-/// `crash_recover` cell, minus the background transient-fault lottery so
-/// the read pattern is the scan's alone) and checks what holds for a log
-/// of any length: after the superblock the log disk serves whole chunks
-/// only — no short read for a tail sector, no header probe — in one
-/// sequential sweep, the scan consumes exactly the chunks the log covers,
-/// and at most `queue_depth` read-ahead is left in flight.
-fn recover_after_power_cut(fault_ms: u64) -> (RecoveryReport, RecoverySweep) {
+/// Runs one stock single-tenant trial (the benchmark's `crash_recover`
+/// cell, minus the background transient-fault lottery so the read pattern
+/// is the scan's alone) and checks what holds for a log of any length:
+/// after the superblock the log disk serves whole chunks only — no short
+/// read for a tail sector, no header probe — in one sequential sweep, the
+/// scan consumes exactly the chunks the log covers, and at most
+/// `queue_depth` read-ahead is left in flight.
+fn recover_after(fault: FaultKind, fault_ms: u64) -> (RecoveryReport, RecoverySweep) {
     let seed = 0x1234 + fault_ms;
     let mut cfg = ExplorerConfig::rapilog_default();
     cfg.log_fault = None;
-    let trial = cfg.trial(
-        seed,
-        FaultKind::PowerCut,
-        SimDuration::from_millis(fault_ms),
-    );
+    let trial = cfg.trial(seed, fault, SimDuration::from_millis(fault_ms));
     let (result, _, trace) = run_trial_traced(seed, trial, SchedulerKind::TimerWheel);
     assert!(result.ok, "violations: {:?}", result.violations);
     let report = result.recovery;
@@ -56,6 +52,13 @@ fn recover_after_power_cut(fault_ms: u64) -> (RecoveryReport, RecoverySweep) {
     );
     assert!(sweep.reads.len() - sweep.consumed <= 1);
     (report, sweep)
+}
+
+/// The power cut leaves the drain nothing to do by the time the machine is
+/// back: the emergency drain emptied the buffer, so the scan has the disk
+/// to itself.
+fn recover_after_power_cut(fault_ms: u64) -> (RecoveryReport, RecoverySweep) {
+    recover_after(FaultKind::PowerCut, fault_ms)
 }
 
 fn rotations_paid(sweep: &RecoverySweep) -> usize {
@@ -95,5 +98,31 @@ fn a_600_kb_log_recovers_in_one_rotation_plus_its_transfer_time() {
         report.duration,
         sweep.superblock,
         sweep.transfer(),
+    );
+}
+
+/// The same log after a *guest crash*: the instance lives on, and the drain
+/// still holds acknowledged bytes when the rebooted guest starts reading.
+/// Nobody is waiting for those writes, so they stand aside: the one already
+/// on the media finishes, then the superblock and both chunks go through as
+/// one sweep with no drain write between them, and recovery costs what it
+/// costs with an idle drain.
+#[test]
+fn after_a_guest_crash_the_drain_stands_aside_for_the_recovery_sweep() {
+    let (_, idle) = recover_after_power_cut(270);
+    let (report, sweep) = recover_after(FaultKind::GuestCrash, 270);
+    assert_eq!(sweep.consumed, 2);
+    assert_eq!(
+        sweep.interleaved_writes, 0,
+        "a drain write cut into the sweep: superblock {:?}, reads {:?}",
+        sweep.superblock, sweep.reads
+    );
+    assert_eq!(rotations_paid(&sweep), 0, "{:?}", sweep.reads);
+    let bound = idle.time_bound(ROTATION) + sweep.inflight_write;
+    assert!(
+        report.duration <= bound,
+        "recovery took {:?}, bound {bound:?} (the idle-drain budget + {:?} of in-flight write)",
+        report.duration,
+        sweep.inflight_write,
     );
 }

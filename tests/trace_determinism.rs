@@ -58,6 +58,50 @@ fn same_seed_runs_produce_byte_identical_traces() {
     assert_eq!(chrome_a, chrome_b, "Chrome export must be byte-identical");
 }
 
+/// The drain stands aside only for guest reads that reach the backing
+/// disk. A run without one — the power episode above, or a guest that reads
+/// back what it just wrote, served from the buffer's overlay — emits no
+/// `defer_to_reads` event and counts none: every trace that predates the
+/// rule is unchanged by it.
+#[test]
+fn a_run_with_no_backing_disk_read_never_stands_aside() {
+    let (jsonl, _) = traced_run(0x7ACE);
+    assert!(jsonl.contains("drain_batch") && !jsonl.contains("defer_to_reads"));
+
+    let mut sim = Sim::new(0x7ACE);
+    let ctx = sim.ctx();
+    ctx.tracer().set_enabled(true);
+    let hv = Hypervisor::new(&ctx);
+    let cell = hv.create_cell("rapilog", Trust::Trusted);
+    let disk = Disk::new(&ctx, specs::hdd_7200(1 << 30));
+    let rl = RapiLog::builder(&ctx)
+        .cell(&cell)
+        .disk(disk.clone())
+        .build();
+    let (dev, c2) = (rl.device(), ctx.clone());
+    sim.spawn(async move {
+        for i in 0..32u64 {
+            let data = vec![i as u8; 2 * SECTOR_SIZE];
+            dev.write(i * 4, &data, true).await.unwrap();
+            let mut back = vec![0u8; 2 * SECTOR_SIZE];
+            dev.read(i * 4, &mut back).await.unwrap();
+            assert_eq!(back, data);
+            c2.sleep(SimDuration::from_micros(200)).await;
+        }
+    });
+    sim.run_until(SimTime::from_secs(5));
+    std::mem::forget(cell);
+    assert_eq!(disk.stats().reads, 0, "every read was an overlay hit");
+    let snap = rl.snapshot();
+    assert_eq!(snap.occupancy, 0);
+    assert_eq!((snap.drain.read_defers, snap.drain.read_defer_ns), (0, 0));
+    assert!(!ctx
+        .tracer()
+        .snapshot()
+        .to_jsonl()
+        .contains("defer_to_reads"));
+}
+
 #[test]
 fn different_seeds_may_diverge_but_stay_well_formed() {
     // Different seeds: not required to differ (the scenario is mostly
