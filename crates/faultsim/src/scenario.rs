@@ -30,7 +30,9 @@ use crate::machine::{Machine, MachineConfig};
 
 /// First log-disk sector of the co-tenant writer region. Far above anything
 /// the database WAL touches on the 128 MiB+ log disks the trials use, so
-/// tenant slots and WAL never alias.
+/// tenant slots and WAL never alias — which `RapiLogBuilder::tenants`
+/// requires of the tenants of one instance, and every multi-tenant trial
+/// checks of its WAL once it has recovered.
 const TENANT_BASE_SECTOR: u64 = 200_000;
 /// Sectors (= journal slots) per co-tenant writer.
 const TENANT_SLOT_COUNT: u64 = 64;
@@ -428,6 +430,12 @@ pub fn run_trial_traced(
             .reboot_and_recover()
             .await
             .expect("recovery must succeed");
+        // Sector 0 is the superblock's; the log starts in sector 1.
+        debug_assert!(
+            n_tenants == 1 || TENANT_BASE_SECTOR > 1 + recovery.log_end.0 / SECTOR_SIZE as u64,
+            "the WAL reached the co-tenant writers' sectors: {:?}",
+            recovery.log_end
+        );
         let table = micro::registers_table(&db).expect("registers table");
         let mut violations = Vec::new();
         let mut recovered = Vec::new();
@@ -532,38 +540,48 @@ pub fn run_trial_traced(
 #[derive(Debug, Clone)]
 pub struct RecoverySweep {
     /// Recovery start to superblock in memory: the first positioning, plus
-    /// whatever [`inflight_write`](Self::inflight_write) had left.
+    /// whatever [`inflight_write`](Self::inflight_write) had left. Zero
+    /// when the log disk was not asked for it — the RapiLog instance that
+    /// outlived the guest still held the sector.
     pub superblock: SimDuration,
     /// What was left, when recovery began, of a drain write already on the
     /// media after a guest crash — the one wait no arbitration can spare
-    /// the superblock read. Zero when the disk was idle.
+    /// the first read. Zero when the disk was idle.
     pub inflight_write: SimDuration,
-    /// Log-disk writes that *began* between recovery's start (when the
-    /// superblock read was issued) and the last consumed chunk's end: drain
-    /// writes the scan's dependent reads queued behind, each costing them a
-    /// repositioning. The drain stands aside for guest reads, so this is 0.
+    /// Log-disk writes that *began* between recovery's start and the last
+    /// consumed read's end: drain writes the scan's dependent reads queued
+    /// behind, each costing them a repositioning. The drain stands aside
+    /// for guest reads, so this is 0.
     pub interleaved_writes: usize,
-    /// Every log-disk read begun during recovery after the superblock's,
-    /// in media order.
+    /// Every log-disk read begun during recovery other than the
+    /// superblock's (sector 0), in media order: what the scan asked for
+    /// that the instance did not hold.
     pub reads: Vec<MediaOp>,
     /// How many of `reads` the scan consumed; the rest is read-ahead past
     /// the torn tail, discarded while still in flight.
     pub consumed: usize,
+    /// Bytes the scan's reads of the log device took from the dependable
+    /// buffer instead (the superblock's included).
+    pub from_memory: u64,
 }
 
 impl RecoverySweep {
     /// Extracts the sweep from a trial's trace; `None` if the ring no
-    /// longer holds the whole `recover` span or the log disk does not
-    /// rotate.
+    /// longer holds the whole `recover` span.
     pub fn from_trace(trace: &TraceSnapshot) -> Option<RecoverySweep> {
         let (began, _) = trace.span(Layer::Fault, "recover")?;
         let (_, scan_end) = trace.span(Layer::Engine, "recover_scan")?;
         let mut reads = trace.media_reads_in(Layer::Fault, "recover");
         reads.retain(|r| !r.seek.is_zero());
-        let first = *reads.first()?;
-        reads.remove(0);
+        // The superblock is sector 0 and the first thing recovery reads.
+        let superblock = match reads.first() {
+            Some(first) if first.sector == 0 => reads.remove(0).end() - began,
+            _ => SimDuration::ZERO,
+        };
         let consumed = reads.iter().filter(|r| r.end() <= scan_end).count();
-        let swept = reads[..consumed].last().map_or(first.end(), MediaOp::end);
+        let swept = reads[..consumed]
+            .last()
+            .map_or(began + superblock, MediaOp::end);
         let mut inflight_write = SimDuration::ZERO;
         let mut interleaved_writes = 0;
         for w in trace.media_ops(true).filter(|w| !w.seek.is_zero()) {
@@ -573,13 +591,29 @@ impl RecoverySweep {
                 interleaved_writes += 1;
             }
         }
+        let from_memory = trace
+            .events
+            .iter()
+            .filter(|ev| ev.layer == Layer::Buffer && ev.time >= began && ev.time <= scan_end)
+            .filter_map(|ev| match ev.payload {
+                Payload::Read { memory, .. } => Some(memory),
+                _ => None,
+            })
+            .sum();
         Some(RecoverySweep {
-            superblock: first.end() - began,
+            superblock,
             inflight_write,
             interleaved_writes,
             reads,
             consumed,
+            from_memory,
         })
+    }
+
+    /// Bytes of the consumed reads: what the log disk served the scan.
+    pub fn from_disk(&self) -> u64 {
+        let sectors: u64 = self.reads[..self.consumed].iter().map(|r| r.sectors).sum();
+        sectors * SECTOR_SIZE as u64
     }
 
     /// Media transfer time of the consumed reads: the one cost of reading

@@ -690,6 +690,13 @@ impl<'a> RapiLogBuilder<'a> {
     /// runs the weighted-round-robin fair-share scheduler; with zero or
     /// one, the instance is single-tenant and behaves (and traces) exactly
     /// as before sharding existed. See [`TenantSpec`].
+    ///
+    /// Tenants must keep to disjoint sectors of the shared disk. Nothing
+    /// orders one shard's write to a sector against another's, and each
+    /// shard answers its tenant's reads from what *it* holds for a sector
+    /// — acked bytes on their way to the media, and landed ones it still
+    /// keeps — so a sector two tenants wrote would read differently through
+    /// their two devices.
     pub fn tenants(mut self, specs: &[TenantSpec]) -> Self {
         self.tenants = specs.to_vec();
         self
@@ -811,6 +818,9 @@ impl<'a> RapiLogBuilder<'a> {
         let buffer = DependableBuffer::new(capacity);
         let mode = ModeState::new();
         buffer.attach(ctx, &mode);
+        if disk.spec().rotation_period().is_zero() {
+            buffer.keep_nothing();
+        }
         let device = RapiLogDevice::new(
             ctx,
             buffer.clone(),
@@ -902,6 +912,9 @@ impl<'a> RapiLogBuilder<'a> {
         let sharded = ShardedBuffer::new(specs, capacity);
         for s in sharded.shards() {
             s.buf.attach(ctx, &mode);
+            if disk.spec().rotation_period().is_zero() {
+                s.buf.keep_nothing();
+            }
         }
         if let Some(psu) = supply {
             // The sizing rule must hold for the AGGREGATE: the emergency
@@ -1018,6 +1031,9 @@ impl RapiLog {
             agg.drained_bytes += s.drained_bytes;
             agg.peak_occupancy += s.peak_occupancy;
             agg.backpressure_events += s.backpressure_events;
+            agg.kept_bytes += s.kept_bytes;
+            agg.read_memory_bytes += s.read_memory_bytes;
+            agg.read_disk_bytes += s.read_disk_bytes;
         }
         agg
     }

@@ -11,9 +11,10 @@
 //!   exists to provide.
 //! * `flush` returns immediately: there is never acknowledged-but-
 //!   undependable data.
-//! * `read` sees the newest acknowledged bytes (buffer overlay first, then
-//!   the physical disk) — so a rebooted guest reading its log tail gets
-//!   exactly what was acknowledged before the crash.
+//! * `read` sees the newest acknowledged bytes (what the buffer holds
+//!   first — dirty, or kept since it landed — then the physical disk for
+//!   the rest) — so a rebooted guest reading its log back gets exactly what
+//!   was acknowledged before the crash, mostly without a disk access.
 //! * When the buffer is full, `write` waits: RapiLog degrades to the
 //!   drain's (= the disk's sequential) throughput, never below the raw
 //!   synchronous path.
@@ -319,27 +320,43 @@ impl BlockDevice for RapiLogDevice {
 
     fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
         Box::pin(async move {
-            let count = self.check(sector, buf.len())?;
+            self.check(sector, buf.len())?;
             let Some(buffer) = &self.buffer else {
                 return self.backing.read(sector, buf).await;
             };
-            // Fast path: everything in the overlay (tail re-reads).
-            if buffer.covers(sector, count) {
-                self.ctx.sleep(self.ack_cost(buf.len())).await;
-            } else {
-                // Counted while it is on the backing disk, so the drain can
-                // stand aside for it; a future dropped mid-read (guest
-                // crash) gives the count back.
-                let reading = self.mode.reading();
-                let read = self.backing.read(sector, buf).await;
-                reading.returned(self.ctx.now());
-                read?;
-            }
-            for (i, chunk) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
-                if let Some(newer) = buffer.read_overlay(sector + i as u64) {
-                    chunk.copy_from_slice(&newer);
+            // What the buffer holds needs no disk: acked bytes on their way
+            // to it, and landed ones still kept (a rebooted guest's log).
+            let disk = match buffer.read_held(sector, buf) {
+                None => {
+                    self.ctx.sleep(self.ack_cost(buf.len())).await;
+                    0
                 }
-            }
+                // One read, from the first to the last sector not held.
+                Some((first, last)) => {
+                    let from = (first - sector) as usize * SECTOR_SIZE;
+                    let span = &mut buf[from..(last + 1 - sector) as usize * SECTOR_SIZE];
+                    // Counted while it is on the backing disk, so the drain
+                    // can stand aside for it; a future dropped mid-read
+                    // (guest crash) gives the count back.
+                    let reading = self.mode.reading();
+                    let read = self.backing.read(first, span).await;
+                    reading.returned(self.ctx.now());
+                    read?;
+                    // Sectors held inside the span are as new as the disk's
+                    // or newer, whatever was admitted or landed meanwhile.
+                    buffer.read_held(first, span);
+                    span.len() as u64
+                }
+            };
+            let memory = buf.len() as u64 - disk;
+            buffer.note_read(memory, disk);
+            let served = Payload::Read {
+                sector,
+                memory,
+                disk,
+            };
+            self.tracer
+                .instant(self.ctx.now(), Layer::Buffer, "read", served);
             Ok(())
         })
     }
@@ -475,6 +492,155 @@ mod tests {
         });
         sim.run_until(SimTime::from_secs(1));
         assert!(done.get());
+    }
+
+    /// Writes `written` (first sector, count) through the device over media
+    /// that holds something else everywhere, lets it all land, then reads
+    /// sectors 100..116 in one request. The backing disk must be asked for
+    /// `span` (first, last) and nothing else, and every sector must read as
+    /// the newest bytes acknowledged for it, else the media's.
+    fn read_with_holes(written: &'static [(u64, u64)], span: (u64, u64)) {
+        let mut sim = Sim::new(3);
+        sim.ctx().tracer().set_enabled(true);
+        let (rl, dev, disk) = setup(&mut sim, CapacitySpec::Fixed(16 << 20));
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        let rl2 = rl.clone();
+        sim.spawn(async move {
+            let media = |s: u64| vec![s as u8; SECTOR_SIZE];
+            let acked = |s: u64| vec![0x80 | s as u8; SECTOR_SIZE];
+            for s in 100..116 {
+                disk.poke_media(s, &media(s));
+            }
+            for &(first, count) in written {
+                let data: Vec<u8> = (first..first + count).flat_map(acked).collect();
+                dev.write(first, &data, true).await.unwrap();
+            }
+            rl2.quiesce().await;
+            // The media under a kept sector is not what a read returns:
+            // scribble on one to prove the span's held sectors are the
+            // buffer's, before and after the disk has answered.
+            let held = |s: u64| written.iter().any(|&(f, n)| (f..f + n).contains(&s));
+            for s in (100..116).filter(|s| held(*s)) {
+                disk.poke_media(s, &[0xEE; SECTOR_SIZE]);
+            }
+            let before = disk.stats();
+            let mut buf = vec![0u8; 16 * SECTOR_SIZE];
+            dev.read(100, &mut buf).await.unwrap();
+            let after = disk.stats();
+            assert_eq!(after.reads - before.reads, 1, "one backing read");
+            assert_eq!(
+                after.sectors_read - before.sectors_read,
+                span.1 + 1 - span.0
+            );
+            for (s, got) in (100..116).zip(buf.chunks_exact(SECTOR_SIZE)) {
+                let want = if held(s) { acked(s) } else { media(s) };
+                assert_eq!(got, want, "sector {s}");
+            }
+            d2.set(true);
+        });
+        sim.run_until(SimTime::from_secs(1));
+        assert!(done.get());
+        let disk_bytes = (span.1 + 1 - span.0) * SECTOR_SIZE as u64;
+        let stats = rl.snapshot().buffer;
+        assert_eq!(stats.read_disk_bytes, disk_bytes);
+        assert_eq!(
+            stats.read_memory_bytes,
+            16 * SECTOR_SIZE as u64 - disk_bytes
+        );
+        let reads: Vec<Payload> = sim
+            .ctx()
+            .tracer()
+            .snapshot()
+            .events
+            .iter()
+            .filter(|ev| ev.layer == Layer::Buffer && ev.name == "read")
+            .map(|ev| ev.payload)
+            .collect();
+        let (memory, disk) = (stats.read_memory_bytes, stats.read_disk_bytes);
+        let sector = 100;
+        assert_eq!(
+            reads,
+            [Payload::Read {
+                sector,
+                memory,
+                disk
+            }]
+        );
+    }
+
+    #[test]
+    fn a_hole_at_the_front_is_read_alone() {
+        read_with_holes(&[(104, 12)], (100, 103));
+    }
+
+    #[test]
+    fn holes_in_the_middle_are_one_read_from_the_first_to_the_last() {
+        read_with_holes(&[(100, 2), (103, 7), (111, 5)], (102, 110));
+    }
+
+    #[test]
+    fn a_hole_at_the_end_is_read_alone() {
+        read_with_holes(&[(100, 9)], (109, 115));
+    }
+
+    #[test]
+    fn a_landed_range_is_read_back_without_the_disk_at_the_cost_of_an_ack() {
+        let mut sim = Sim::new(3);
+        let (rl, dev, disk) = setup(&mut sim, CapacitySpec::Fixed(16 << 20));
+        let ctx = sim.ctx();
+        let took = Rc::new(StdCell::new(None));
+        let t2 = Rc::clone(&took);
+        let rl2 = rl.clone();
+        sim.spawn(async move {
+            let data = vec![0x42u8; 64 * SECTOR_SIZE];
+            dev.write(200, &data, true).await.unwrap();
+            let t0 = ctx.now();
+            rl2.quiesce().await;
+            assert!((ctx.now() - t0).as_micros() > 100, "the bytes did land");
+            let reads = disk.stats().reads;
+            let t0 = ctx.now();
+            let mut buf = vec![0u8; 64 * SECTOR_SIZE];
+            dev.read(200, &mut buf).await.unwrap();
+            assert_eq!(buf, data);
+            assert_eq!(disk.stats().reads, reads, "no backing read");
+            t2.set(Some(ctx.now() - t0));
+        });
+        sim.run_until(SimTime::from_secs(1));
+        // 2 us + 32 KiB at 250 ns per KiB: what acknowledging them cost.
+        assert_eq!(took.get(), Some(SimDuration::from_micros(10)));
+        let snap = rl.snapshot();
+        assert_eq!((snap.occupancy, snap.buffer.kept_bytes), (0, 32 << 10));
+        assert_eq!(snap.buffer.read_memory_bytes, 32 << 10);
+        assert_eq!(snap.buffer.read_disk_bytes, 0);
+    }
+
+    #[test]
+    fn over_a_disk_that_does_not_rotate_landed_sectors_are_not_kept() {
+        let mut sim = Sim::new(3);
+        let ctx = sim.ctx();
+        let hv = Hypervisor::new(&ctx);
+        let cell = hv.create_cell("rapilog", Trust::Trusted);
+        let disk = Disk::new(&ctx, specs::ssd_sata(1 << 30));
+        let rl = RapiLog::builder(&ctx)
+            .cell(&cell)
+            .disk(disk.clone())
+            .build();
+        let (dev, rl2) = (rl.device(), rl.clone());
+        std::mem::forget(cell);
+        sim.spawn(async move {
+            let data = vec![0x42u8; 8 * SECTOR_SIZE];
+            dev.write(200, &data, true).await.unwrap();
+            rl2.quiesce().await;
+            let mut buf = vec![0u8; 8 * SECTOR_SIZE];
+            dev.read(200, &mut buf).await.unwrap();
+            assert_eq!(buf, data);
+            assert_eq!(disk.stats().sectors_read, 8, "from the disk");
+        });
+        sim.run_until(SimTime::from_secs(1));
+        let stats = rl.snapshot().buffer;
+        assert_eq!((stats.kept_bytes, stats.read_memory_bytes), (0, 0));
+        assert_eq!(stats.read_disk_bytes, 8 * SECTOR_SIZE as u64);
     }
 
     #[test]

@@ -1,42 +1,93 @@
 //! Model-based randomised test for the dependable buffer.
 //!
 //! A reference model (plain maps) shadows every `push`/`complete` the real
-//! buffer sees; after each step the overlay, occupancy and queue length
-//! must agree exactly. Operation sequences come from a seeded [`SimRng`],
-//! so any divergence reproduces exactly by case number.
+//! buffer sees; after each step occupancy and queue length must agree
+//! exactly, and every sector must read as the model says: the newest acked
+//! bytes while they are dirty, and once they have landed either nothing or
+//! exactly what the media holds — the kept set may forget, it may never
+//! lie. Capacities are a few sectors, so admissions evict kept sectors all
+//! the time, and extents complete by prefix and by out-of-order
+//! `complete_run` range lists alike. Operation sequences come from a seeded
+//! [`SimRng`], so any divergence reproduces exactly by case number.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rapilog::DependableBuffer;
 use rapilog_simcore::rng::SimRng;
 use rapilog_simcore::Sim;
 use rapilog_simdisk::SECTOR_SIZE;
 
+/// Sectors the operations touch: pushes start below 12 and are at most
+/// three sectors long.
+const SECTORS: u64 = 16;
+
 #[derive(Debug, Clone)]
 enum Op {
     /// Push `sectors` sectors at `sector` (tag makes contents unique).
     Push { sector: u64, sectors: usize },
+    /// Hand the head of the queue to the drain, up to `sectors` sectors.
+    Pop { sectors: usize },
     /// Complete through the `frac`-quantile of issued sequence numbers.
     Complete { frac: u8 },
+    /// Land one run: the issued sequence numbers whose bit in `picks` is
+    /// set (by issue order, modulo 64), as `complete_run` range lists.
+    CompleteRun { picks: u64 },
 }
 
 fn arb_ops(rng: &mut SimRng) -> Vec<Op> {
     let n = rng.gen_range(1..60usize);
     (0..n)
-        .map(|_| {
-            // Pushes outweigh completes 3:1, mirroring real drain behaviour.
-            if rng.gen_range(0..4u32) < 3 {
-                Op::Push {
-                    sector: rng.gen_range(0..12u64),
-                    sectors: rng.gen_range(1..4usize),
-                }
-            } else {
-                Op::Complete {
-                    frac: rng.gen_range(0..=100u8),
-                }
-            }
+        .map(|_| match rng.gen_range(0..8u32) {
+            // Pushes outweigh completions, mirroring real drain behaviour.
+            0..=4 => Op::Push {
+                sector: rng.gen_range(0..12u64),
+                sectors: rng.gen_range(1..4usize),
+            },
+            5 => Op::Pop {
+                sectors: rng.gen_range(1..8usize),
+            },
+            6 => Op::Complete {
+                frac: rng.gen_range(0..=100u8),
+            },
+            _ => Op::CompleteRun {
+                picks: rng.next_u64() & rng.next_u64(),
+            },
         })
         .collect()
+}
+
+/// Ascending, disjoint, inclusive ranges covering exactly `seqs`.
+fn ranges(seqs: &BTreeSet<u64>) -> Vec<(u64, u64)> {
+    let mut out: Vec<(u64, u64)> = Vec::new();
+    for &seq in seqs {
+        match out.last_mut() {
+            Some((_, hi)) if *hi + 1 == seq => *hi = seq,
+            _ => out.push((seq, seq)),
+        }
+    }
+    out
+}
+
+/// What the model expects a sector to read as.
+enum Expect {
+    /// Acked and not landed: exactly these bytes.
+    Dirty(Vec<u8>),
+    /// The newest write has landed: these bytes are on the media, and the
+    /// buffer returns them or nothing.
+    Media(Vec<u8>),
+    /// Never written.
+    Nothing,
+}
+
+impl std::fmt::Debug for Expect {
+    /// A push's bytes all equal its tag: the first one names them.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Expect::Dirty(bytes) => write!(f, "dirty, tag {}", bytes[0]),
+            Expect::Media(bytes) => write!(f, "on the media, tag {}", bytes[0]),
+            Expect::Nothing => write!(f, "never written"),
+        }
+    }
 }
 
 /// Reference model of the buffer's externally visible state.
@@ -44,16 +95,15 @@ fn arb_ops(rng: &mut SimRng) -> Vec<Op> {
 struct Model {
     /// All extents ever pushed: seq → (first sector, data).
     extents: BTreeMap<u64, (u64, Vec<u8>)>,
-    /// Highest completed sequence (exclusive horizon: all ≤ are done).
-    completed: Option<u64>,
+    /// Sequence numbers committed to media.
+    completed: BTreeSet<u64>,
 }
 
 impl Model {
     fn live(&self) -> impl Iterator<Item = (&u64, &(u64, Vec<u8>))> {
-        let horizon = self.completed;
         self.extents
             .iter()
-            .filter(move |(seq, _)| horizon.is_none_or(|h| **seq > h))
+            .filter(|(seq, _)| !self.completed.contains(seq))
     }
 
     fn occupancy(&self) -> u64 {
@@ -64,42 +114,119 @@ impl Model {
         self.live().count()
     }
 
-    /// The newest acked bytes for `sector`: taken from the *latest* extent
-    /// ever to write it, visible only while that extent is incomplete.
-    fn overlay(&self, sector: u64) -> Option<Vec<u8>> {
+    fn complete(&mut self, seqs: impl IntoIterator<Item = u64>) {
+        let known = seqs.into_iter().filter(|s| self.extents.contains_key(s));
+        self.completed.extend(known);
+    }
+
+    /// The *latest* extent ever to write `sector` decides: its bytes are
+    /// the newest acked ones, dirty until it completes and the media's
+    /// from then on (the drain orders overlapping writes, so the newest
+    /// completed write is what the media holds).
+    fn expect(&self, sector: u64) -> Expect {
         let newest = self.extents.iter().rev().find(|(_, (first, data))| {
             let n = (data.len() / SECTOR_SIZE) as u64;
             (*first..first + n).contains(&sector)
-        })?;
-        let (seq, (first, data)) = newest;
-        if self.completed.is_some_and(|h| *seq <= h) {
-            return None;
-        }
+        });
+        let Some((seq, (first, data))) = newest else {
+            return Expect::Nothing;
+        };
         let off = ((sector - first) as usize) * SECTOR_SIZE;
-        Some(data[off..off + SECTOR_SIZE].to_vec())
+        let bytes = data[off..off + SECTOR_SIZE].to_vec();
+        if self.completed.contains(seq) {
+            Expect::Media(bytes)
+        } else {
+            Expect::Dirty(bytes)
+        }
     }
+}
+
+/// Compares the full visible state; `Err` names the first divergence.
+fn compare(buf: &DependableBuffer, model: &Model) -> Result<(), String> {
+    if buf.occupancy() != model.occupancy() {
+        return Err(format!(
+            "occupancy: real {} vs model {}",
+            buf.occupancy(),
+            model.occupancy()
+        ));
+    }
+    if buf.queued() != model.queued() {
+        return Err(format!(
+            "queued: real {} vs model {}",
+            buf.queued(),
+            model.queued()
+        ));
+    }
+    let mut kept = 0;
+    for sector in 0..SECTORS {
+        let real = buf.read_overlay(sector).map(|b| b.as_slice().to_vec());
+        let want = model.expect(sector);
+        let agrees = match (&real, &want) {
+            (Some(real), Expect::Dirty(bytes)) => real == bytes,
+            (Some(real), Expect::Media(bytes)) => {
+                kept += SECTOR_SIZE as u64;
+                real == bytes
+            }
+            (None, Expect::Media(_) | Expect::Nothing) => true,
+            _ => false,
+        };
+        if !agrees {
+            return Err(format!(
+                "sector {sector}: real tag {:?} vs model {want:?}",
+                real.map(|b| b[0])
+            ));
+        }
+    }
+    let stats = buf.stats();
+    if stats.kept_bytes != kept {
+        return Err(format!(
+            "kept_bytes says {}, {kept} bytes read back as kept",
+            stats.kept_bytes
+        ));
+    }
+    if buf.occupancy() + kept > buf.capacity() {
+        return Err(format!(
+            "occupancy {} + kept {kept} exceeds capacity {}",
+            buf.occupancy(),
+            buf.capacity()
+        ));
+    }
+    Ok(())
 }
 
 #[test]
 fn buffer_matches_reference_model() {
     let mut case_rng = SimRng::seed_from_u64(0xB0FF);
-    for case in 0..128 {
+    let (mut kept_seen, mut evicting_pushes) = (0u64, 0u64);
+    for case in 0..1024 {
         let ops = arb_ops(&mut case_rng);
+        // Four sectors hold any one push; two dozen are soon full.
+        let capacity = case_rng.gen_range(4..=24u64) * SECTOR_SIZE as u64;
         let mut sim = Sim::new(1);
-        let buf = DependableBuffer::new(1 << 20); // ample: pushes never block
+        let buf = DependableBuffer::new(capacity);
         let b2 = buf.clone();
-        let ops2 = ops.clone();
-        let failed = std::rc::Rc::new(std::cell::RefCell::new(None::<String>));
-        let f2 = std::rc::Rc::clone(&failed);
+        let outcome = std::rc::Rc::new(std::cell::RefCell::new(None::<Result<(u64, u64), String>>));
+        let o2 = std::rc::Rc::clone(&outcome);
         sim.spawn(async move {
             let mut model = Model::default();
             let mut tag = 0u8;
             let mut seqs: Vec<u64> = Vec::new();
-            for op in ops2 {
+            let (mut kept_seen, mut evicting_pushes) = (0u64, 0u64);
+            for op in ops {
                 match op {
                     Op::Push { sector, sectors } => {
                         tag = tag.wrapping_add(1);
                         let data = vec![tag; sectors * SECTOR_SIZE];
+                        if model.occupancy() + data.len() as u64 > capacity {
+                            // No room among the dirty bytes: the drain
+                            // catches up first. The push below must then
+                            // get in without waiting on kept ones.
+                            b2.complete(u64::MAX);
+                            model.complete(seqs.iter().copied());
+                        }
+                        let kept = b2.stats().kept_bytes;
+                        let idle = capacity - model.occupancy() - data.len() as u64;
+                        evicting_pushes += u64::from(kept > idle);
                         let seq = b2
                             .push(sector, data.clone().into())
                             .await
@@ -107,52 +234,51 @@ fn buffer_matches_reference_model() {
                         model.extents.insert(seq, (sector, data));
                         seqs.push(seq);
                     }
+                    Op::Pop { sectors } => {
+                        b2.pop_batch(sectors * SECTOR_SIZE);
+                    }
                     Op::Complete { frac } => {
                         if seqs.is_empty() {
                             continue;
                         }
                         let idx = (frac as usize * (seqs.len() - 1)) / 100;
-                        let upto = seqs[idx];
-                        b2.complete(upto);
-                        model.completed = Some(model.completed.map_or(upto, |h| h.max(upto)));
+                        b2.complete(seqs[idx]);
+                        model.complete(seqs[..=idx].iter().copied());
+                    }
+                    Op::CompleteRun { picks } => {
+                        let run: BTreeSet<u64> = seqs
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| picks >> (i % 64) & 1 == 1)
+                            .map(|(_, seq)| *seq)
+                            .collect();
+                        b2.complete_run(&ranges(&run));
+                        model.complete(run);
                     }
                 }
-                // Compare the full visible state after every step.
-                if b2.occupancy() != model.occupancy() {
-                    *f2.borrow_mut() = Some(format!(
-                        "occupancy: real {} vs model {}",
-                        b2.occupancy(),
-                        model.occupancy()
-                    ));
+                if let Err(divergence) = compare(&b2, &model) {
+                    *o2.borrow_mut() = Some(Err(divergence));
                     return;
                 }
-                if b2.queued() != model.queued() {
-                    *f2.borrow_mut() = Some(format!(
-                        "queued: real {} vs model {}",
-                        b2.queued(),
-                        model.queued()
-                    ));
-                    return;
-                }
-                for sector in 0..16u64 {
-                    let real = b2.read_overlay(sector).map(|b| b.as_slice().to_vec());
-                    let want = model.overlay(sector);
-                    if real != want {
-                        *f2.borrow_mut() = Some(format!(
-                            "overlay[{sector}]: real {real:?} vs model {want:?}"
-                        ));
-                        return;
-                    }
-                }
+                kept_seen += b2.stats().kept_bytes;
             }
+            *o2.borrow_mut() = Some(Ok((kept_seen, evicting_pushes)));
         });
         sim.run();
-        let err = failed.borrow().clone();
-        assert!(
-            err.is_none(),
-            "case {case}: model divergence: {}",
-            err.unwrap()
-        );
-        drop(buf);
+        let outcome = outcome.borrow_mut().take();
+        match outcome.expect("a push slept although its bytes fitted the capacity") {
+            Ok((kept, evicting)) => {
+                kept_seen += kept;
+                evicting_pushes += evicting;
+            }
+            Err(divergence) => panic!("case {case}: model divergence: {divergence}"),
+        }
+        assert_eq!(buf.stats().backpressure_events, 0, "case {case}");
     }
+    // The cases did exercise what they are for.
+    assert!(kept_seen > 0, "nothing was ever kept");
+    assert!(
+        evicting_pushes > 1000,
+        "only {evicting_pushes} pushes needed room the kept set was using"
+    );
 }

@@ -185,6 +185,15 @@ pub enum Payload {
         /// Sector the fault hit (0 when not sector-addressed).
         sector: u64,
     },
+    /// A guest read of the virtual log disk, by where it was served.
+    Read {
+        /// First sector asked for.
+        sector: u64,
+        /// Bytes taken from the dependable buffer.
+        memory: u64,
+        /// Bytes the backing disk served.
+        disk: u64,
+    },
     /// A bare numeric annotation.
     Mark {
         /// The value.
@@ -428,6 +437,16 @@ fn payload_args(out: &mut String, payload: &Payload) {
         }
         Payload::Fault { kind, sector } => {
             let _ = write!(out, "{{\"kind\":\"{kind}\",\"sector\":{sector}}}");
+        }
+        Payload::Read {
+            sector,
+            memory,
+            disk,
+        } => {
+            let _ = write!(
+                out,
+                "{{\"sector\":{sector},\"memory\":{memory},\"disk\":{disk}}}"
+            );
         }
         Payload::Mark { value } => {
             let _ = write!(out, "{{\"value\":{value}}}");

@@ -25,7 +25,7 @@ echo "==> failover sweep (replicated pair: sync/async x 4 failure kinds; sync co
 echo "==> adaptive batching ablation (saturation + tail-latency + back-pressure gates, QUICK)"
 QUICK=1 ./target/release/abl_adaptive_batching
 
-echo "==> recovery ablation (speedup + fuzzy scan-cut + one-sweep read-back with the drain standing aside, QUICK)"
+echo "==> recovery ablation (speedup + fuzzy scan-cut + log read back from the buffer that outlived the guest, QUICK)"
 QUICK=1 ./target/release/abl_recovery
 
 echo "==> hot-path bench + allocation budget (check mode)"
@@ -33,5 +33,8 @@ BENCH_CHECK=1 cargo bench -q -p rapilog-bench --bench hotpaths
 
 echo "==> trials/sec regression gate (QUICK sweeps vs BENCH_baseline.json)"
 scripts/perf_gate.sh
+
+echo "==> benchmark's simulated-time metrics, five workloads at seed 1 (vs BENCH_expect.json)"
+scripts/bench_expect.sh
 
 echo "==> all checks passed"

@@ -94,3 +94,46 @@ fn fixing_the_drain_fixes_the_counterexample() {
         r.violations
     );
 }
+
+/// Open finding 1 (`benchmark/README.md`, ROADMAP's first item): four
+/// tenants on one instance lose acknowledged writes to a power cut late in
+/// the load. These are the counterexamples the benchmark's findings
+/// campaign prints today (`benchmark/run.sh --workload crash_recover --seed
+/// 1 --seconds 10 --trace 1`: 3 of 140 trials), replayed from the
+/// coordinates on their `FAILED trial:` lines. They assert what the fix has
+/// to make true, so they are red, and ignored until it lands:
+/// `cargo test --test crash_points -- --ignored` is where that PR starts.
+fn open_finding_1(seed: u64, kind: FaultKind) {
+    let cfg = ExplorerConfig::multi_tenant();
+    let r = replay_crash_point(&cfg, seed, kind, SimDuration::from_millis(420));
+    assert!(
+        r.ok,
+        "{} violations, first: {:?}",
+        r.violations.len(),
+        r.violations.first()
+    );
+}
+
+/// Today: 16 violations, first "tenant 3: slot 17 media seq 1298 outside
+/// acked..attempted [1362, 1362]".
+#[test]
+#[ignore = "open finding 1"]
+fn open_finding_1_power_cut_leaves_a_tenant_slot_behind_its_ack() {
+    open_finding_1(0x7c78_0396_7531_18fd, FaultKind::PowerCut);
+}
+
+/// Today: 13 violations, first "client 0: durability violated: acked 1204
+/// but recovered 1171".
+#[test]
+#[ignore = "open finding 1"]
+fn open_finding_1_power_cut_loses_acknowledged_commits() {
+    open_finding_1(0xba70_06e6_d870_8eaa, FaultKind::PowerCut);
+}
+
+/// Today: 1 violation, "rapilog internal guarantee violated".
+#[test]
+#[ignore = "open finding 1"]
+fn open_finding_1_power_flicker_misses_the_emergency_deadline() {
+    let flicker = SimDuration::from_millis(100);
+    open_finding_1(0xc60e_180e_4d19_235e, FaultKind::PowerFlicker { flicker });
+}

@@ -62,11 +62,15 @@ fn same_seed_runs_produce_byte_identical_traces() {
 /// disk. A run without one — the power episode above, or a guest that reads
 /// back what it just wrote, served from the buffer's overlay — emits no
 /// `defer_to_reads` event and counts none: every trace that predates the
-/// rule is unchanged by it.
+/// rule is unchanged by it. Likewise the buffer's `read` event, which says
+/// where a guest read of the log device was served: none without such a
+/// read, one per request with one, naming the buffer for all of it here.
 #[test]
 fn a_run_with_no_backing_disk_read_never_stands_aside() {
+    const READ: &str = "\"layer\":\"buffer\",\"name\":\"read\"";
     let (jsonl, _) = traced_run(0x7ACE);
     assert!(jsonl.contains("drain_batch") && !jsonl.contains("defer_to_reads"));
+    assert!(jsonl.contains("\"name\":\"admit\"") && !jsonl.contains(READ));
 
     let mut sim = Sim::new(0x7ACE);
     let ctx = sim.ctx();
@@ -95,11 +99,15 @@ fn a_run_with_no_backing_disk_read_never_stands_aside() {
     let snap = rl.snapshot();
     assert_eq!(snap.occupancy, 0);
     assert_eq!((snap.drain.read_defers, snap.drain.read_defer_ns), (0, 0));
-    assert!(!ctx
-        .tracer()
-        .snapshot()
-        .to_jsonl()
-        .contains("defer_to_reads"));
+    let reads = (snap.buffer.read_memory_bytes, snap.buffer.read_disk_bytes);
+    assert_eq!(reads, (32 * 2 * SECTOR_SIZE as u64, 0));
+    let jsonl = ctx.tracer().snapshot().to_jsonl();
+    assert!(!jsonl.contains("defer_to_reads"));
+    let served: Vec<&str> = jsonl.lines().filter(|l| l.contains(READ)).collect();
+    assert_eq!(served.len(), 32, "one event per request");
+    assert!(served
+        .iter()
+        .all(|l| l.contains("\"memory\":1024,\"disk\":0")));
 }
 
 #[test]
