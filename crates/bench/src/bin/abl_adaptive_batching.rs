@@ -128,7 +128,6 @@ struct LowCell {
     p50_us: f64,
     p99_us: f64,
     commits: u64,
-    hold_fires: u64,
     guarantee_held: bool,
 }
 
@@ -165,7 +164,6 @@ fn run_low_load(seed: u64, adaptive: bool, bursts: u64, period: SimDuration) -> 
         p50_us: drain.commit_p50_ns as f64 / 1e3,
         p99_us: drain.commit_p99_ns as f64 / 1e3,
         commits: drain.commits_measured,
-        hold_fires: drain.hold_fires,
         guarantee_held: rl.audit_report().guarantee_held(),
     }
 }
@@ -310,7 +308,6 @@ fn main() {
         "final depth",
         "low-load p50 us",
         "low-load p99 us",
-        "hold fires",
     ]);
     for (name, sat, low) in [
         ("fixed", sat_fixed, low_fixed),
@@ -323,7 +320,6 @@ fn main() {
             format!("{}", sat.final_depth),
             f1(low.p50_us),
             f1(low.p99_us),
-            format!("{}", low.hold_fires),
         ]);
     }
     println!("{}", t.render());

@@ -514,8 +514,8 @@ impl DependableBuffer {
     /// gathers one stream's extents out of an interleaved batch, so they
     /// need not be contiguous. Same release and same oldest-pending
     /// semantics as [`complete_seqs`](Self::complete_seqs), which is the
-    /// one-range case; this is what lets the windowed drain hand space back
-    /// a run at a time.
+    /// one-range case; this is what lets the drain hand space back a run at
+    /// a time.
     pub fn complete_run(&self, seqs: &[(u64, u64)]) {
         let Some(&(_, hi)) = seqs.last() else {
             return;

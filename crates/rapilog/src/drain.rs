@@ -14,25 +14,29 @@
 //!   hit the disk before the residual window expired. With correct sizing
 //!   this is guaranteed; the audit exists to prove it run after run.
 //!
-//! The drain loop comes in two disciplines (see
-//! [`OrderingMode`](crate::OrderingMode)):
+//! There is one drain loop (`start`) over one or more tenant shards, and
+//! one rule in it: **take a slot in the drain window first, then decide
+//! what to write**. The window holds up to
+//! [`window_depth`](crate::DrainConfig::window_depth) runs in flight at once
+//! across the device's channels. A run must wait for every earlier
+//! in-flight run whose sector range overlaps its own (media order is the
+//! newest-wins tiebreak, so overlapping rewrites must land in order);
+//! disjoint runs carry no edge and retire out of order. Space is released
+//! run by run — the extents a run carried stop weighing on the buffer the
+//! moment it lands — while the batch stays the unit of the audit: the
+//! ledger only advances with the contiguous durable prefix of whole
+//! batches, so invariant I3 is untouched.
 //!
-//! * **Strict** — one run on media at a time, in exact sequence order: the
-//!   paper's original serial drain, byte- and trace-identical to previous
-//!   releases.
-//! * **PartiallyConstrained** — a **drain window**: up to
-//!   [`window_depth`](crate::DrainConfig::window_depth) runs in flight at
-//!   once across the device's channels. A run must wait for every earlier
-//!   in-flight run whose sector range overlaps its own (media order is the
-//!   newest-wins tiebreak, so overlapping rewrites must land in order);
-//!   disjoint runs carry no edge and retire out of order. Space is
-//!   released run by run — the extents a run carried stop weighing on the
-//!   buffer the moment it lands — while the batch stays the unit of the
-//!   audit: the ledger only advances with the contiguous durable prefix of
-//!   whole batches, so invariant I3 is untouched.
+//! [`OrderingMode`](crate::OrderingMode) is a parameter of that engine, not
+//! a second one. `Strict` is a window of one: the loop pops when the
+//! previous write has landed, one run is on media at a time and batches go
+//! in exact sequence order — the paper's serial drain. A total order is the
+//! fully constrained case of the partial one. (A window of one skips only
+//! what lets runs overlap: see `DrainController::serial`.)
 
 use std::cell::{Cell as StdCell, RefCell};
 use std::collections::VecDeque;
+use std::future::Future;
 use std::rc::Rc;
 
 use rapilog_microvisor::cell::Cell;
@@ -46,10 +50,9 @@ use rapilog_simpower::PowerSupply;
 
 use crate::audit::Audit;
 use crate::buffer::{DependableBuffer, Extent};
-use crate::shard::{ShardedBuffer, TenantId};
+use crate::shard::{Shard, ShardedBuffer, TenantId};
 use crate::{
-    AdaptiveBatchConfig, BatchPolicy, DrainConfig, DrainStats, ModeState, OrderingMode,
-    RapiLogConfig, RetryPolicy,
+    AdaptiveBatchConfig, BatchPolicy, DrainConfig, DrainStats, ModeState, OrderingMode, RetryPolicy,
 };
 
 /// Truncates `run` to its first `keep_sectors` sectors, slicing the
@@ -160,30 +163,6 @@ pub(crate) fn consolidate(batch: &[Extent], run_bound: usize) -> (Vec<IoRun>, Ve
     (runs, seqs)
 }
 
-/// The ordering edges over one consolidated batch: run `j` must wait for
-/// every earlier run `i` whose sector range overlaps its own. A later run
-/// overlapping an earlier one carries the *newer* bytes for the shared
-/// sectors, so media order is the newest-wins tiebreak; disjoint runs
-/// carry no edge and may land in any order.
-///
-/// This is the declarative spec of the constraint the windowed drain
-/// enforces online (against every in-flight run, including runs of earlier
-/// batches); the permutation property test exercises it directly.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn dep_edges(runs: &[IoRun]) -> Vec<Vec<usize>> {
-    let mut edges = vec![Vec::new(); runs.len()];
-    for j in 1..runs.len() {
-        let (js, je) = (runs[j].sector, runs[j].sector + runs[j].sectors());
-        for (i, earlier) in runs.iter().enumerate().take(j) {
-            let (is, ie) = (earlier.sector, earlier.sector + earlier.sectors());
-            if js < ie && is < je {
-                edges[j].push(i);
-            }
-        }
-    }
-    edges
-}
-
 /// Computes the delay before retry number `attempt` (0-based): capped
 /// exponential backoff plus bounded jitter from the drain's forked RNG.
 /// Deterministic: the same policy, attempt and RNG state give the same
@@ -213,9 +192,10 @@ enum RunFatal {
 /// disk into a broken promise.
 ///
 /// `consecutive_ok` is the degraded-mode hysteresis counter, shared by
-/// every concurrent writer under the windowed drain (one disk, one health
+/// every concurrent writer in the drain window (one disk, one health
 /// signal): any writer's failure resets it, any writer's successes count
-/// toward the exit threshold.
+/// toward the exit threshold. `rng` is the drain's one jitter stream,
+/// shared the same way and borrowed only to draw a delay.
 ///
 /// Before each attempt the run gives way to guest reads of the disk, unless
 /// somebody is blocked on the drain ([`ModeState::reads_hold_disk`]).
@@ -224,16 +204,16 @@ enum RunFatal {
 ///
 /// With `queued`, each attempt rides the queued device interface
 /// ([`BlockDevice::submit`] + [`BlockDevice::wait`]) so the device's
-/// outstanding-request accounting sees the drain window; without it, the
-/// legacy direct vectored write is used — byte- and trace-identical to the
-/// pre-window serial drain, which [`OrderingMode::Strict`] promises.
+/// outstanding-request accounting sees the drain window; without it — a
+/// window of one, see [`DrainController::serial`] — the caller's task
+/// performs one direct vectored write.
 #[allow(clippy::too_many_arguments)]
 async fn write_run_resilient(
     ctx: &SimCtx,
     disk: &Disk,
     run: &IoRun,
     policy: &RetryPolicy,
-    rng: &mut SimRng,
+    rng: &RefCell<SimRng>,
     audit: &Audit,
     mode: &ModeState,
     consecutive_ok: &StdCell<u32>,
@@ -323,7 +303,9 @@ async fn write_run_resilient(
                         },
                     );
                 }
-                ctx.sleep(backoff_delay(policy, attempt, rng)).await;
+                // Drawn before the sleep: no borrow is held across it.
+                let delay = backoff_delay(policy, attempt, &mut rng.borrow_mut());
+                ctx.sleep(delay).await;
                 attempt = attempt.saturating_add(1);
             }
             Err(IoError::MediaError { sector }) if policy.enabled => {
@@ -354,16 +336,16 @@ async fn write_run_resilient(
     }
 }
 
-/// One run in flight under the windowed drain: its sector range, and the
-/// event dependents (later overlapping runs) wait on before touching media.
+/// One run in flight in the drain window: its sector range, and the event
+/// dependents (later overlapping runs) wait on before touching media.
 struct InflightRun {
     id: u64,
     sector: u64,
     sectors: u64,
-    done: Rc<Event>,
+    done: Event,
 }
 
-/// One popped batch awaiting retirement under the windowed drain.
+/// One popped batch awaiting retirement.
 struct BatchEntry {
     id: u64,
     /// Highest sequence number in the batch — what the durable prefix
@@ -386,9 +368,10 @@ struct BatchEntry {
 
 /// Retirement accounting: batches are registered in sequence order and may
 /// finish out of order, but [`Audit::record_commit`] is fed only the
-/// contiguous durable prefix — exactly what invariant I3 promises. Under
-/// the sharded drain each tenant has its own ledger (`tenant` set), so each
-/// tenant's audit section advances with its own contiguous prefix.
+/// contiguous durable prefix — exactly what invariant I3 promises. Each
+/// shard has its own ledger, so each tenant's audit section (`tenant` set)
+/// advances with its own contiguous prefix; the unnamed single tenant's
+/// ledger (`None`) advances the audit's headline.
 struct BatchLedger {
     /// The buffer whose popped batches this ledger tracks.
     buffer: DependableBuffer,
@@ -468,12 +451,14 @@ impl BatchLedger {
 /// drain loop, every run task, and [`RapiLog::snapshot`](crate::RapiLog).
 ///
 /// The controller owns the in-flight window semaphore and the batch-size
-/// target the drain pops with. Under [`BatchPolicy::Fixed`] (or
-/// [`OrderingMode::Strict`], which pins batching regardless of policy) it
-/// is inert: the target stays at `max_batch`, the window at its configured
-/// depth, and `observe_batch` only updates the EWMAs and commit-latency
-/// histogram for observability — no decision, no trace event, so Fixed and
-/// Strict traces stay bit-identical to previous releases.
+/// target the drain pops with, and this is the one place that reads
+/// [`OrderingMode`] and [`BatchPolicy`]: to the drain loop they are a window
+/// depth and a target. Under [`BatchPolicy::Fixed`] (or
+/// [`OrderingMode::Strict`], which pins batching regardless of policy) the
+/// controller is inert: the target stays at `max_batch`, the window at its
+/// base depth — one, under Strict — and `observe_batch` only updates the
+/// EWMAs and commit-latency histogram for observability: no decision, no
+/// trace event.
 ///
 /// Under [`BatchPolicy::Adaptive`] + `PartiallyConstrained`, each batch
 /// retirement updates an integer EWMA (α = ¼) of per-batch service time
@@ -535,7 +520,6 @@ pub(crate) struct DrainController {
     batch_shrinks: StdCell<u64>,
     window_widens: StdCell<u64>,
     window_narrows: StdCell<u64>,
-    hold_fires: StdCell<u64>,
     latency: RefCell<Histogram>,
 }
 
@@ -563,8 +547,8 @@ impl DrainController {
             OrderingMode::Strict => 1,
             OrderingMode::PartiallyConstrained => cfg.window_depth.max(1),
         };
-        // Strict pins the batch target fixed: the serial drain's trace is a
-        // compatibility promise, and a moving target would break it.
+        // Strict pins the batch target: it is the paper's serial drain, one
+        // batch size, whatever policy was asked for beside it.
         let adaptive = match (cfg.ordering, cfg.batch) {
             (OrderingMode::PartiallyConstrained, BatchPolicy::Adaptive(a)) => Some(a),
             _ => None,
@@ -577,7 +561,7 @@ impl DrainController {
             .map(|a| a.min_batch.max(SECTOR_SIZE).min(cfg.max_batch))
             .unwrap_or(cfg.max_batch);
         // Adaptive starts small and earns its way up; Fixed starts (and
-        // stays) at max_batch — today's behaviour.
+        // stays) at max_batch.
         let target = if adaptive.is_some() {
             min_batch
         } else {
@@ -605,7 +589,6 @@ impl DrainController {
             batch_shrinks: StdCell::new(0),
             window_widens: StdCell::new(0),
             window_narrows: StdCell::new(0),
-            hold_fires: StdCell::new(0),
             latency: RefCell::new(Histogram::new()),
         })
     }
@@ -621,23 +604,15 @@ impl DrainController {
         self.target.get()
     }
 
-    /// The adaptive tuning, when the controller is live (Adaptive policy
-    /// under PartiallyConstrained ordering).
-    pub(crate) fn adaptive_cfg(&self) -> Option<AdaptiveBatchConfig> {
-        self.adaptive
-    }
-
-    /// Counts (and traces) one hold-timer expiry in the drain loop.
-    pub(crate) fn note_hold_fire(&self) {
-        self.hold_fires.set(self.hold_fires.get() + 1);
-        self.ctx.tracer().instant(
-            self.ctx.now(),
-            Layer::Drain,
-            "hold_fire",
-            Payload::Mark {
-                value: self.hold_fires.get(),
-            },
-        );
+    /// True if the window can never hold more than one run. Nothing can
+    /// then overlap a run, so what lets runs overlap — a task and a queued
+    /// device request for each — buys nothing and costs about 0.9 µs of host
+    /// time per media write (+ 25 to 40 % on `pair_failover`'s set-up, bound
+    /// 25 %; simulated-time results the same to the last digit, DESIGN.md
+    /// §12): the drain loop awaits such a run itself. Everything decided
+    /// about a run is the same either way; only who awaits the write differs.
+    pub(crate) fn serial(&self) -> bool {
+        self.max_depth == 1
     }
 
     /// Feeds one landed run's device-side service time (submit → complete)
@@ -813,7 +788,7 @@ impl DrainController {
             batch_shrinks: self.batch_shrinks.get(),
             window_widens: self.window_widens.get(),
             window_narrows: self.window_narrows.get(),
-            hold_fires: self.hold_fires.get(),
+            hold_fires: 0,
             run_bound_bytes: self.run_bound.get() as u64,
             ewma_run_bytes_per_sec: self.ewma_run_bps.get(),
             commit_p50_ns: lat.percentile(50.0),
@@ -825,185 +800,16 @@ impl DrainController {
     }
 }
 
-/// Spawns the drain loop and (with a supply) the power watcher.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn start(
-    ctx: &SimCtx,
-    cell: &Cell,
-    buffer: DependableBuffer,
-    disk: Disk,
-    cfg: RapiLogConfig,
-    supply: Option<PowerSupply>,
-    audit: Audit,
-    mode: Rc<ModeState>,
-    tenant: TenantId,
-    ctrl: Rc<DrainController>,
-) {
-    match cfg.drain.ordering {
-        OrderingMode::Strict => start_strict(ctx, cell, &buffer, disk, cfg, &audit, mode, tenant),
-        OrderingMode::PartiallyConstrained => {
-            start_windowed(ctx, cell, &buffer, disk, cfg, &audit, mode, tenant, ctrl)
-        }
-    }
-    if let Some(psu) = supply {
-        start_power_watcher(ctx, cell, Backlog::Single(buffer), psu, audit);
-    }
-}
-
-/// The paper's original serial drain: one run on media at a time, batches
-/// in exact sequence order, space released when the whole batch has landed.
-/// Its pops, awaits and trace events are kept as they were —
-/// [`OrderingMode::Strict`] must stay trace-identical release over release.
-#[allow(clippy::too_many_arguments)]
-fn start_strict(
-    ctx: &SimCtx,
-    cell: &Cell,
-    buffer: &DependableBuffer,
-    disk: Disk,
-    cfg: RapiLogConfig,
-    audit: &Audit,
-    mode: Rc<ModeState>,
-    tenant: TenantId,
-) {
-    let drain_buffer = buffer.clone();
-    let drain_audit = audit.clone();
-    let drain_ctx = ctx.clone();
-    let tracer = ctx.tracer();
-    let mut rng = ctx.fork_rng();
-    cell.spawn(async move {
-        let policy = cfg.drain.retry;
-        let consecutive_ok = StdCell::new(0u32);
-        loop {
-            drain_buffer.wait_avail().await;
-            loop {
-                // Extents move out of the queue; the buffer's in-flight
-                // ledger keeps occupancy and read-your-writes alive until
-                // complete().
-                let batch = drain_buffer.pop_batch(cfg.drain.max_batch);
-                if batch.is_empty() {
-                    break;
-                }
-                let last_seq = batch.last().expect("non-empty batch").seq;
-                let (runs, _) = consolidate(&batch, usize::MAX);
-                let batch_payload = Payload::Batch {
-                    extents: batch.len() as u64,
-                    runs: runs.len() as u64,
-                    bytes: runs.iter().map(|r| r.bytes() as u64).sum(),
-                };
-                tracer.begin(drain_ctx.now(), Layer::Drain, "drain_batch", batch_payload);
-                let mut failed = false;
-                for run in runs {
-                    if write_run_resilient(
-                        &drain_ctx,
-                        &disk,
-                        &run,
-                        &policy,
-                        &mut rng,
-                        &drain_audit,
-                        &mode,
-                        &consecutive_ok,
-                        false,
-                    )
-                    .await
-                    .is_err()
-                    {
-                        failed = true;
-                        break;
-                    }
-                }
-                if failed {
-                    Backlog::Single(drain_buffer).abandon(&drain_ctx, &drain_audit);
-                    return;
-                }
-                tracer.end(drain_ctx.now(), Layer::Drain, "drain_batch", batch_payload);
-                if tenant == TenantId::DEFAULT {
-                    drain_audit.record_commit(last_seq);
-                } else {
-                    drain_audit.record_tenant_commit(tenant.0, last_seq);
-                }
-                drain_buffer.complete(last_seq);
-            }
-        }
-    });
-}
-
-/// What a drain loop empties: one buffer, or the tenant shards of one
-/// instance. The run tasks read the controller's backlog signal from it,
-/// and the power watcher and a fatal device error act on all of it at once.
-#[derive(Clone)]
-enum Backlog {
-    Single(DependableBuffer),
-    Sharded(ShardedBuffer),
-}
-
-impl Backlog {
-    /// Bytes queued behind the runs in flight — the controller's backlog.
-    fn queued_bytes(&self) -> u64 {
-        match self {
-            Backlog::Single(buffer) => buffer.queued_bytes(),
-            Backlog::Sharded(sharded) => sharded.total_queued_bytes(),
-        }
-    }
-
-    /// Bytes acknowledged and not yet on media — what an emergency drain
-    /// must land, or what a dead device loses.
-    fn occupancy(&self) -> u64 {
-        match self {
-            Backlog::Single(buffer) => buffer.occupancy(),
-            Backlog::Sharded(sharded) => sharded.total_occupancy(),
-        }
-    }
-
-    fn freeze(&self) {
-        match self {
-            Backlog::Single(buffer) => buffer.freeze(),
-            Backlog::Sharded(sharded) => sharded.freeze_all(),
-        }
-    }
-
-    async fn drained(&self) {
-        match self {
-            Backlog::Single(buffer) => buffer.drained().await,
-            Backlog::Sharded(sharded) => sharded.all_drained().await,
-        }
-    }
-
-    /// The disk is gone for good (power collapse, or the resilience policy
-    /// is switched off): closes the open batch span, records what is still
-    /// buffered as lost and stops admissions. The audit decides whether
-    /// that violated the guarantee (it must not, if sizing was honest and
-    /// the warning fired).
-    fn abandon(&self, ctx: &SimCtx, audit: &Audit) {
-        let tracer = ctx.tracer();
-        let failure = Payload::Text {
-            text: "drain_failure",
-        };
-        tracer.end(ctx.now(), Layer::Drain, "drain_batch", failure);
-        let bytes = self.occupancy();
-        tracer.instant(ctx.now(), Layer::Drain, "freeze", Payload::Bytes { bytes });
-        audit.record_drain_failure(bytes);
-        if let Backlog::Sharded(sharded) = self {
-            // The aggregate is the global loss; the per-shard snapshots
-            // attribute it so every tenant's section can testify.
-            for s in sharded.shards() {
-                audit.record_tenant_loss(s.id.0, s.buf.occupancy());
-            }
-        }
-        self.freeze();
-    }
-}
-
-/// The windowed out-of-order engine both [`start_windowed`] and
-/// [`start_sharded`] drive: it keeps up to `window_depth` consolidated
-/// runs in flight at once. Each run waits for every earlier in-flight run
-/// overlapping its sector range (see [`dep_edges`] for the declarative form
-/// of the constraint — here it is enforced online, across batch boundaries
-/// and tenants too: one disk, one newest-wins media order) and then commits
-/// through [`write_run_resilient`], so the full retry/remap/degraded
-/// machinery applies per run. Disjoint runs ride separate device channels
-/// and retire out of order; a landed run hands its extents' space back at
-/// once, and [`BatchLedger`] keeps the audit ledger on the contiguous
-/// durable prefix.
+/// The run engine the drain loop ([`start`]) feeds: it keeps up to
+/// `window_depth` consolidated runs in flight at once. Each run waits for
+/// every earlier in-flight run overlapping its sector range (the tests'
+/// `dep_edges` is the declarative form of the constraint — here it is
+/// enforced online, across batch boundaries and tenants too: one disk, one
+/// newest-wins media order) and then commits through
+/// [`write_run_resilient`], so the full retry/remap/degraded machinery
+/// applies per run. Disjoint runs ride separate device channels and retire
+/// out of order; a landed run hands its extents' space back at once, and
+/// [`BatchLedger`] keeps the audit ledger on the contiguous durable prefix.
 struct WindowedDrain {
     ctx: SimCtx,
     disk: Disk,
@@ -1011,7 +817,14 @@ struct WindowedDrain {
     audit: Audit,
     mode: Rc<ModeState>,
     ctrl: Rc<DrainController>,
-    backlog: Backlog,
+    /// Everything the drain empties. The run tasks read the controller's
+    /// backlog signal from it, and a fatal device error acts on all of it
+    /// at once.
+    shards: ShardedBuffer,
+    /// The drain's one jitter stream, forked once when the drain starts, so
+    /// what the drain does never moves what other tasks draw from the
+    /// simulation's stream.
+    rng: RefCell<SimRng>,
     /// Degraded-mode hysteresis, shared by every run task (one disk, one
     /// health signal).
     consecutive_ok: StdCell<u32>,
@@ -1023,36 +836,15 @@ struct WindowedDrain {
 }
 
 impl WindowedDrain {
-    fn new(
-        ctx: &SimCtx,
-        disk: Disk,
-        cfg: &RapiLogConfig,
-        audit: &Audit,
-        mode: Rc<ModeState>,
-        ctrl: &Rc<DrainController>,
-        backlog: Backlog,
-    ) -> Rc<WindowedDrain> {
-        Rc::new(WindowedDrain {
-            ctx: ctx.clone(),
-            disk,
-            policy: cfg.drain.retry,
-            audit: audit.clone(),
-            mode,
-            ctrl: Rc::clone(ctrl),
-            backlog,
-            consecutive_ok: StdCell::new(0),
-            failed: StdCell::new(false),
-            inflight: RefCell::new(Vec::new()),
-            next_run_id: StdCell::new(0),
-            next_batch_id: StdCell::new(0),
-        })
-    }
-
     /// Consolidates one (non-empty) batch popped from `ledger`'s buffer,
-    /// registers it and puts its runs in flight, waiting for a window
-    /// permit per run. Returns false once the device is lost.
+    /// registers it and puts its runs in flight: the first rides `permit`,
+    /// the window slot the loop took before it popped, and each later one
+    /// waits for its own. A run in flight is a task of its own, unless the
+    /// window is [`serial`](DrainController::serial): then the caller (the
+    /// drain loop) awaits it here. Returns false once the device is lost.
     async fn dispatch(
         self: &Rc<Self>,
+        permit: SemPermit,
         batch: Vec<Extent>,
         ledger: &Rc<RefCell<BatchLedger>>,
     ) -> bool {
@@ -1079,56 +871,66 @@ impl WindowedDrain {
             bytes,
             dispatched_ns: self.ctx.now().as_nanos(),
             aside_ns: self.mode.stood_aside_ns(self.ctx.now()),
-            admits: batch.iter().map(|e| e.admit_ns).collect(),
+            // The runs view the bytes now; the stamps take over the
+            // batch's allocation.
+            admits: batch.into_iter().map(|e| e.admit_ns).collect(),
         });
         let window = self.ctrl.window();
+        let mut permit = Some(permit);
         for (run, seqs) in runs.into_iter().zip(seqs) {
             // Backpressure: the window cap bounds runs in flight.
-            let permit = window.acquire(1).await;
+            let permit = match permit.take() {
+                Some(first) => first,
+                None => window.acquire(1).await,
+            };
             if self.failed.get() {
                 return false;
             }
-            self.spawn_run(permit, run, seqs, batch_id, ledger);
+            let landing = self.run(permit, run, seqs, batch_id, ledger);
+            if self.ctrl.serial() {
+                landing.await;
+            } else {
+                self.ctx.spawn(landing);
+            }
         }
         !self.failed.get()
     }
 
-    /// The one run task: deps wait → resilient write → wake dependents →
-    /// release the run's extents and account the batch → or, if the device
-    /// went down with this run, abandon the backlog.
-    fn spawn_run(
+    /// One run, registered in flight now and landed by the future returned:
+    /// deps wait → resilient write → wake dependents → release the run's
+    /// extents and account the batch → or, if the device went down with
+    /// this run, abandon the backlog.
+    fn run(
         self: &Rc<Self>,
         permit: SemPermit,
         run: IoRun,
         seqs: SeqRanges,
         batch_id: u64,
         ledger: &Rc<RefCell<BatchLedger>>,
-    ) {
+    ) -> impl Future<Output = ()> {
         let run_id = self.next_run_id.get();
         self.next_run_id.set(run_id + 1);
         // Ordering edges: every in-flight run overlapping this one —
         // including earlier runs of this very batch, and other tenants' —
         // must land first, or newest-wins media order breaks.
         let (run_lo, run_hi) = (run.sector, run.sector + run.sectors());
-        let deps: Vec<Rc<Event>> = self
+        let deps: Vec<Event> = self
             .inflight
             .borrow()
             .iter()
             .filter(|f| run_lo < f.sector + f.sectors && f.sector < run_hi)
-            .map(|f| Rc::clone(&f.done))
+            .map(|f| f.done.clone())
             .collect();
-        let done = Rc::new(Event::new());
+        let done = Event::new();
         self.inflight.borrow_mut().push(InflightRun {
             id: run_id,
             sector: run.sector,
             sectors: run_hi - run_lo,
-            done: Rc::clone(&done),
+            done: done.clone(),
         });
-        // RNG forked at dispatch, in deterministic order.
-        let mut rng = self.ctx.fork_rng();
         let this = Rc::clone(self);
         let ledger = Rc::clone(ledger);
-        self.ctx.spawn(async move {
+        async move {
             let _permit = permit;
             let (ctx, tracer) = (&this.ctx, this.ctx.tracer());
             for dep in &deps {
@@ -1145,11 +947,11 @@ impl WindowedDrain {
                         &this.disk,
                         &run,
                         &this.policy,
-                        &mut rng,
+                        &this.rng,
                         &this.audit,
                         &this.mode,
                         &this.consecutive_ok,
-                        true,
+                        !this.ctrl.serial(),
                     )
                     .await,
                 )
@@ -1169,7 +971,7 @@ impl WindowedDrain {
                         &this.ctrl,
                         ctx.now().as_nanos(),
                         this.mode.stood_aside_ns(ctx.now()),
-                        this.backlog.queued_bytes(),
+                        this.shards.total_queued_bytes(),
                     );
                     if let Some(payload) = retired {
                         tracer.end(ctx.now(), Layer::Drain, "drain_batch", payload);
@@ -1178,148 +980,122 @@ impl WindowedDrain {
                         }
                     }
                 }
-                Some(Err(RunFatal::DeviceLost)) if !this.failed.replace(true) => {
-                    this.backlog.abandon(ctx, &this.audit);
-                }
+                Some(Err(RunFatal::DeviceLost)) if !this.failed.replace(true) => this.abandon(),
                 // Skipped (device already lost) or landed after the
                 // failure: leave the ledger alone — the occupancy snapshot
                 // at failure is the loss.
                 _ => {}
             }
-        });
+        }
+    }
+
+    /// The disk is gone for good (power collapse, or the resilience policy
+    /// is switched off): closes the open batch span, records what is still
+    /// buffered as lost and stops admissions. The audit decides whether
+    /// that violated the guarantee (it must not, if sizing was honest and
+    /// the warning fired).
+    fn abandon(&self) {
+        let (now, tracer) = (self.ctx.now(), self.ctx.tracer());
+        let failure = Payload::Text {
+            text: "drain_failure",
+        };
+        tracer.end(now, Layer::Drain, "drain_batch", failure);
+        let bytes = self.shards.total_occupancy();
+        tracer.instant(now, Layer::Drain, "freeze", Payload::Bytes { bytes });
+        self.audit.record_drain_failure(bytes);
+        if self.shards.has_sections() {
+            // The aggregate is the global loss; the per-shard snapshots
+            // attribute it so every tenant's section can testify.
+            for s in self.shards.shards() {
+                self.audit.record_tenant_loss(s.id.0, s.buf.occupancy());
+            }
+        }
+        self.shards.freeze_all();
     }
 }
 
-/// The single-buffer windowed drain: pops batches continuously and feeds
-/// them to the [`WindowedDrain`] engine.
+/// Spawns the drain loop and (with a supply) the power watcher.
 ///
-/// The pop target and the window both belong to the [`DrainController`]:
-/// under [`BatchPolicy::Fixed`] they are constants (`max_batch`,
-/// `window_depth`) and the loop behaves — and traces — exactly as before;
-/// under [`BatchPolicy::Adaptive`] they move with the observed operating
-/// point, and a **hold timer** arms when the window is saturated but the
-/// backlog would make a fractional batch: the loop waits up to `max_hold`
-/// for more bytes to coalesce (free, since no permit is available anyway),
-/// then pops whatever arrived. With a free permit the pop is immediate, so
-/// a lone commit at idle never waits on the timer.
+/// The loop is a deficit-round-robin scheduler over the tenant shards — one
+/// shard when the instance has one tenant, and then simply "drain the
+/// buffer". Each cycle visits every shard once (the start position rotates
+/// so no shard gets a standing head-of-line advantage); a shard with bytes
+/// queued is granted one batch of up to `weight × target` bytes, the
+/// weighted quantum. **The loop takes a window slot first and pops
+/// second.** With one slot that is the paper's serial drain: the next batch
+/// is decided when the previous write has landed, so it holds everything
+/// admitted meanwhile, and each shard's batches go in its own sequence
+/// order. With several slots a pop is immediate while one is free — a lone
+/// commit at idle never waits — and bytes coalesce in the queue for exactly
+/// as long as none is: no batch is cut earlier than it could be written.
+///
+/// The runs of all tenants share one window and one overlap-dependency set
+/// (one disk, one newest-wins media order), but retirement bookkeeping is
+/// **per tenant**: each shard has its own [`BatchLedger`], so a slow tenant
+/// never holds back another tenant's space release or commit ledger. All
+/// ledgers feed the **one shared** [`DrainController`] — one disk, one
+/// latency/bandwidth operating point — which sees the *aggregate* backlog
+/// and whose target scales every quantum together (relative fair shares are
+/// untouched).
 #[allow(clippy::too_many_arguments)]
-fn start_windowed(
+pub(crate) fn start(
     ctx: &SimCtx,
     cell: &Cell,
-    buffer: &DependableBuffer,
+    shards: &ShardedBuffer,
     disk: Disk,
-    cfg: RapiLogConfig,
-    audit: &Audit,
-    mode: Rc<ModeState>,
-    tenant: TenantId,
-    ctrl: Rc<DrainController>,
-) {
-    let buffer = buffer.clone();
-    let drain_ctx = ctx.clone();
-    let window = ctrl.window();
-    let backlog = Backlog::Single(buffer.clone());
-    let engine = WindowedDrain::new(ctx, disk, &cfg, audit, mode, &ctrl, backlog);
-    cell.spawn(async move {
-        // A non-default tenant gets its own audit section even on the
-        // single-tenant path.
-        let ledger = BatchLedger::new(&buffer, (tenant != TenantId::DEFAULT).then_some(tenant));
-        loop {
-            buffer.wait_avail().await;
-            loop {
-                if engine.failed.get() {
-                    return;
-                }
-                // Adaptive hold: the window is saturated (the batch could
-                // not dispatch yet anyway) and the queue holds less than
-                // one target — wait briefly for the batch to fill out.
-                if let Some(a) = ctrl.adaptive_cfg() {
-                    if window.available() == 0
-                        && buffer.queued_bytes() < ctrl.pop_target() as u64
-                        && !buffer.is_frozen()
-                    {
-                        drain_ctx.sleep(a.max_hold).await;
-                        ctrl.note_hold_fire();
-                    }
-                }
-                let batch = buffer.pop_batch(ctrl.pop_target());
-                if batch.is_empty() {
-                    break;
-                }
-                if !engine.dispatch(batch, &ledger).await {
-                    return;
-                }
-            }
-        }
-    });
-}
-
-/// Spawns the multi-tenant fair-share drain — a deficit-round-robin
-/// scheduler over tenant shards feeding the same [`WindowedDrain`] engine as
-/// [`start_windowed`] — and (with a supply) the power watcher.
-///
-/// Each scheduling cycle visits every shard once (the start position
-/// rotates so no shard gets a standing head-of-line advantage) and grants
-/// it one batch of up to `weight × max_batch` bytes — the weighted
-/// quantum. The runs of all tenants share one in-flight window and one
-/// overlap-dependency set (one disk, one newest-wins media order), but
-/// retirement bookkeeping is **per tenant**: each shard has its own
-/// [`BatchLedger`], so space release and the audit's contiguous durable
-/// prefix advance independently per tenant, and a slow tenant never holds
-/// back another tenant's commit ledger.
-///
-/// [`OrderingMode::Strict`] is honoured by clamping the window to depth 1:
-/// runs then land serially in dispatch order, which — because every shard's
-/// batches are dispatched in its own sequence order — preserves the strict
-/// per-tenant discipline.
-///
-/// All tenants' ledgers feed the **one shared** [`DrainController`]: there
-/// is one disk, so there is one latency/bandwidth operating point, and the
-/// adaptive pop target scales every tenant's quantum together (quantum =
-/// target × weight, so relative fair shares are untouched). The controller
-/// sees the *aggregate* queued backlog across shards. The hold timer is
-/// not armed here — with multiple tenants the round-robin cursor already
-/// interleaves pops, and delaying one tenant's pop would hold the cursor
-/// against the others.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn start_sharded(
-    ctx: &SimCtx,
-    cell: &Cell,
-    sharded: &ShardedBuffer,
-    disk: Disk,
-    cfg: RapiLogConfig,
+    policy: RetryPolicy,
     supply: Option<PowerSupply>,
     audit: Audit,
     mode: Rc<ModeState>,
     ctrl: Rc<DrainController>,
 ) {
-    let sharded = sharded.clone();
-    let backlog = Backlog::Sharded(sharded.clone());
-    let engine = WindowedDrain::new(ctx, disk, &cfg, &audit, mode, &ctrl, backlog.clone());
+    let engine = Rc::new(WindowedDrain {
+        ctx: ctx.clone(),
+        disk,
+        policy,
+        audit: audit.clone(),
+        mode,
+        ctrl,
+        shards: shards.clone(),
+        rng: RefCell::new(ctx.fork_rng()),
+        consecutive_ok: StdCell::new(0),
+        failed: StdCell::new(false),
+        inflight: RefCell::new(Vec::new()),
+        next_run_id: StdCell::new(0),
+        next_batch_id: StdCell::new(0),
+    });
     cell.spawn(async move {
-        // Per shard: its weight and its own ledger (which holds its buffer).
-        let shards: Vec<(u32, Rc<RefCell<BatchLedger>>)> = sharded
+        let (shards, ctrl) = (&engine.shards, &engine.ctrl);
+        // An unnamed single tenant reports through the audit's headline.
+        let sections = shards.has_sections();
+        let ledgers: Vec<(&Shard, Rc<RefCell<BatchLedger>>)> = shards
             .shards()
             .iter()
-            .map(|s| (s.weight, BatchLedger::new(&s.buf, Some(s.id))))
+            .map(|s| (s, BatchLedger::new(&s.buf, sections.then_some(s.id))))
             .collect();
-        let n = shards.len();
+        let window = ctrl.window();
+        let n = ledgers.len();
         let mut cursor = 0usize;
         loop {
-            sharded.wait_any_avail().await;
+            shards.wait_any_avail().await;
             loop {
-                if engine.failed.get() {
-                    return;
-                }
                 let mut popped_any = false;
                 for off in 0..n {
-                    let (weight, ref ledger) = shards[(cursor + off) % n];
-                    let quantum = ctrl.pop_target().saturating_mul(weight as usize);
-                    let batch = ledger.borrow().buffer.pop_batch(quantum);
-                    if batch.is_empty() {
+                    let (shard, ref ledger) = ledgers[(cursor + off) % n];
+                    if !shard.buf.has_queued() {
                         continue;
                     }
+                    let permit = window.acquire(1).await;
+                    if engine.failed.get() {
+                        return;
+                    }
+                    let quantum = ctrl.pop_target().saturating_mul(shard.weight as usize);
+                    // Extents move out of the queue; the buffer's in-flight
+                    // ledger keeps occupancy and read-your-writes alive
+                    // until the run carrying them lands.
+                    let batch = shard.buf.pop_batch(quantum);
                     popped_any = true;
-                    if !engine.dispatch(batch, ledger).await {
+                    if !engine.dispatch(permit, batch, ledger).await {
                         return;
                     }
                 }
@@ -1331,19 +1107,19 @@ pub(crate) fn start_sharded(
         }
     });
     if let Some(psu) = supply {
-        start_power_watcher(ctx, cell, backlog, psu, audit);
+        start_power_watcher(ctx, cell, shards.clone(), psu, audit);
     }
 }
 
 /// Spawns the power watcher: freezes admissions on the supply's warning
-/// and audits whether the drain beat the residual-energy deadline. For a
-/// sharded instance that is the *aggregate* emergency drain — the window
-/// was sized for the sum of the shard capacities, so the deadline applies
-/// to the sum of their occupancies.
+/// and audits whether the drain beat the residual-energy deadline. That is
+/// the *aggregate* emergency drain — the window was sized for the sum of
+/// the shard capacities, so the deadline applies to the sum of their
+/// occupancies.
 fn start_power_watcher(
     ctx: &SimCtx,
     cell: &Cell,
-    backlog: Backlog,
+    shards: ShardedBuffer,
     psu: PowerSupply,
     audit: Audit,
 ) {
@@ -1356,8 +1132,8 @@ fn start_power_watcher(
         psu.warning_event().wait().await;
         // Power is failing: stop admitting, note the state, and watch
         // the (already eager) drain race the deadline.
-        backlog.freeze();
-        let bytes = backlog.occupancy();
+        shards.freeze_all();
+        let bytes = shards.total_occupancy();
         let remaining = Payload::Bytes { bytes };
         tracer.instant(ctx.now(), Layer::Power, "power_warning", remaining);
         let deadline = ctx.now()
@@ -1366,7 +1142,7 @@ fn start_power_watcher(
                 .expect("warning implies residual state");
         audit.record_warning(bytes, deadline);
         tracer.begin(ctx.now(), Layer::Drain, "emergency_drain", remaining);
-        backlog.drained().await;
+        shards.all_drained().await;
         tracer.end(ctx.now(), Layer::Drain, "emergency_drain", remaining);
         audit.record_emergency_drained();
     });
@@ -2006,7 +1782,7 @@ mod resilience_tests {
 
 #[cfg(test)]
 mod window_tests {
-    use super::{consolidate, dep_edges, BatchEntry, BatchLedger, DrainController, SeqRanges};
+    use super::{consolidate, BatchEntry, BatchLedger, DrainController, SeqRanges};
     use crate::audit::Audit;
     use crate::buffer::Extent;
     use crate::prelude::*;
@@ -2019,6 +1795,29 @@ mod window_tests {
     use rapilog_simdisk::{specs, BlockDevice, Disk, DiskSpec, SectorStore, SECTOR_SIZE};
     use std::cell::Cell as StdCell;
     use std::rc::Rc;
+
+    /// The ordering edges over one consolidated batch: run `j` must wait for
+    /// every earlier run `i` whose sector range overlaps its own. A later run
+    /// overlapping an earlier one carries the *newer* bytes for the shared
+    /// sectors, so media order is the newest-wins tiebreak; disjoint runs
+    /// carry no edge and may land in any order.
+    ///
+    /// This is the declarative spec of the constraint the drain enforces online
+    /// (against every in-flight run, including runs of earlier batches); the
+    /// permutation property test exercises it directly.
+    fn dep_edges(runs: &[IoRun]) -> Vec<Vec<usize>> {
+        let mut edges = vec![Vec::new(); runs.len()];
+        for j in 1..runs.len() {
+            let (js, je) = (runs[j].sector, runs[j].sector + runs[j].sectors());
+            for (i, earlier) in runs.iter().enumerate().take(j) {
+                let (is, ie) = (earlier.sector, earlier.sector + earlier.sectors());
+                if js < ie && is < je {
+                    edges[j].push(i);
+                }
+            }
+        }
+        edges
+    }
 
     fn setup(sim: &mut Sim, spec: DiskSpec, drain: DrainConfig) -> (RapiLog, Disk) {
         let ctx = sim.ctx();

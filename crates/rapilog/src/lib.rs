@@ -163,19 +163,22 @@ impl Default for RetryPolicy {
 }
 
 /// How strictly the drain orders media writes relative to the log's
-/// sequence order.
+/// sequence order. A parameter of the one drain engine — how many runs its
+/// window holds in flight — not a choice between two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderingMode {
-    /// One run on media at a time, in exact sequence order — the paper's
-    /// original serial drain. Trace-identical to previous releases.
+    /// A window of one: one run on media at a time, in exact sequence
+    /// order, the next batch decided when the previous write has landed —
+    /// the paper's original serial drain. Also pins the batch size (see
+    /// [`BatchPolicy::Adaptive`]).
     #[default]
     Strict,
-    /// Runs are issued out of order across the device's channels wherever
-    /// their sector ranges are disjoint; overlapping rewrites and batch
-    /// boundaries still order. Durability is unchanged (the audit ledger
-    /// only advances with the contiguous durable prefix) but disjoint runs
-    /// overlap in flight, so SSD-class devices drain at channel-scaled
-    /// bandwidth.
+    /// A window of [`DrainConfig::window_depth`]: runs are issued out of
+    /// order across the device's channels wherever their sector ranges are
+    /// disjoint; overlapping rewrites still order. Durability is unchanged
+    /// (the audit ledger only advances with the contiguous durable prefix)
+    /// but disjoint runs overlap in flight, so SSD-class devices drain at
+    /// channel-scaled bandwidth.
     PartiallyConstrained,
 }
 
@@ -192,14 +195,12 @@ pub struct AdaptiveBatchConfig {
     /// (and marginal bandwidth still improves), and shrinks as soon as the
     /// EWMA exceeds it.
     pub latency_budget: SimDuration,
-    /// Longest the drain may delay bytes in order to coalesce them. Two
-    /// uses. The drain loop may hold a pop this long for a fuller batch;
-    /// the hold timer only arms while the in-flight window is saturated
-    /// (the held bytes could not dispatch anyway), and an idle window pops
-    /// immediately, so a lone commit never waits at all. And while writers
-    /// are blocked on buffer space — the drain is then the commit path, and
-    /// space comes back a run at a time — no run is built longer than the
-    /// device retires in this time (never below `min_batch`).
+    /// Longest the drain may delay bytes in order to coalesce them: while
+    /// writers are blocked on buffer space — the drain is then the commit
+    /// path, and space comes back a run at a time — no run is built longer
+    /// than the device retires in this time (never below `min_batch`).
+    /// Nothing else holds bytes back: a batch is cut the moment a window
+    /// slot is free to write it, so a lone commit never waits at all.
     pub max_hold: SimDuration,
 }
 
@@ -216,8 +217,9 @@ impl Default for AdaptiveBatchConfig {
 /// How the drain sizes its group-commit batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchPolicy {
-    /// Every pop takes up to [`DrainConfig::max_batch`] bytes — today's
-    /// behaviour, bit-identical trace for trace to previous releases.
+    /// Every pop takes up to [`DrainConfig::max_batch`] bytes: the
+    /// controller with its target pinned there and its window pinned at the
+    /// configured depth. It still measures (see [`DrainStats`]).
     #[default]
     Fixed,
     /// An EWMA controller tracks per-batch drain service time and achieved
@@ -229,8 +231,8 @@ pub enum BatchPolicy {
     /// in-flight window between [`DrainConfig::window_depth`] and the
     /// device's [`Geometry::queue_depth`](rapilog_simdisk::Geometry).
     /// [`OrderingMode::Strict`] pins the batch target to `max_batch` and
-    /// ignores the controller entirely, preserving the serial drain's
-    /// trace bit for bit.
+    /// the window to one whatever the policy: Strict + Adaptive is
+    /// Strict + Fixed.
     Adaptive(AdaptiveBatchConfig),
 }
 
@@ -294,7 +296,8 @@ impl DrainConfig {
         self
     }
 
-    /// Runs kept in flight under the windowed drain (default: 4).
+    /// Runs kept in flight under [`OrderingMode::PartiallyConstrained`]
+    /// (default: 4).
     ///
     /// A depth of 0 is meaningless — the window could never dispatch — so
     /// the setter **silently clamps to 1** rather than erroring: the field
@@ -364,8 +367,8 @@ pub(crate) struct ModeState {
     /// aside re-decides at once instead of sleeping its grace out.
     turn: Notify,
     /// Drain runs standing aside right now, and since when the first of
-    /// them has been: the windowed engines hold several at once, and a
-    /// stretch is counted once however many runs sat it out.
+    /// them has been: a window deeper than one holds several at once, and
+    /// a stretch is counted once however many runs sat it out.
     aside_runs: StdCell<u32>,
     aside_since: StdCell<SimTime>,
     read_defers: StdCell<u64>,
@@ -531,7 +534,8 @@ pub struct RapiLogSnapshot {
     /// disk is misbehaving (see [`RetryPolicy`]).
     pub degraded: bool,
     /// The backing disk's counters, including queued-request depth
-    /// (`outstanding` / `max_outstanding`) under the windowed drain.
+    /// (`outstanding` / `max_outstanding`): the runs in flight in a drain
+    /// window deeper than one.
     pub disk: rapilog_simdisk::DiskStats,
     /// Per-tenant views, in shard order. A single-tenant instance has one
     /// entry for [`TenantId::DEFAULT`]; the aggregate fields above are the
@@ -545,9 +549,12 @@ pub struct RapiLogSnapshot {
 }
 
 /// The drain controller's point-in-time view: what the batching policy is
-/// currently doing and what it has observed. Populated for every instance;
-/// under [`BatchPolicy::Fixed`] the target and window never move but the
-/// EWMA and commit-latency fields still measure the drain.
+/// currently doing and what it has observed. Every buffered instance runs
+/// the one drain engine, so every one measures: under [`BatchPolicy::Fixed`]
+/// or [`OrderingMode::Strict`] — the default configuration included — the
+/// target and window never move, but the EWMAs and the commit-latency
+/// percentiles (how long an acknowledged byte lives only in RAM) are fed by
+/// every retirement all the same.
 #[derive(Debug, Clone, Default)]
 pub struct DrainStats {
     /// Bytes the next `pop_batch` will aim for.
@@ -570,7 +577,9 @@ pub struct DrainStats {
     pub window_widens: u64,
     /// Times the window narrowed by one permit.
     pub window_narrows: u64,
-    /// Times the hold timer armed and expired before a pop.
+    /// Always 0: there is no hold timer since the drain takes its window
+    /// slot before it pops (bytes coalesce while none is free). The field
+    /// stays because the benchmark reads it.
     pub hold_fires: u64,
     /// The run-length bound the last pop consolidated under, bytes; 0 means
     /// off (no writer was blocked on the drain, or the policy is Fixed).
@@ -685,11 +694,13 @@ impl<'a> RapiLogBuilder<'a> {
         self
     }
 
-    /// The tenants sharing this instance. With two or more specs, the
-    /// capacity is split into per-tenant shards by weight and the drain
-    /// runs the weighted-round-robin fair-share scheduler; with zero or
-    /// one, the instance is single-tenant and behaves (and traces) exactly
-    /// as before sharding existed. See [`TenantSpec`].
+    /// The tenants sharing this instance: the capacity is split into one
+    /// shard per spec by weight (rounded down to whole sectors), and the
+    /// drain's round robin grants each shard a quantum of its weight. No
+    /// spec at all is one shard for [`TenantId::DEFAULT`], and is the same
+    /// instance as naming that tenant alone; a single tenant under any
+    /// other id differs only in getting its own audit section, as every
+    /// tenant of two or more does. See [`TenantSpec`].
     ///
     /// Tenants must keep to disjoint sectors of the shared disk. Nothing
     /// orders one shard's write to a sector against another's, and each
@@ -754,208 +765,89 @@ impl<'a> RapiLogBuilder<'a> {
             }
             (CapacitySpec::FromSupply, None) => 16 * 1024 * 1024,
         };
-        // Zero or one tenant spec is the single-tenant instance — same
-        // construction sequence as before sharding existed, so Strict
-        // traces stay bit-identical. Two or more go through the shards.
-        if self.tenants.len() >= 2 {
-            return Self::build_sharded(
-                ctx,
-                cell,
-                disk,
-                supply,
-                cfg,
-                capacity,
-                &self.tenants,
-                self.repl,
-            );
-        }
-        let tenant_id = self
-            .tenants
-            .first()
-            .map(|s| s.id)
-            .unwrap_or(TenantId::DEFAULT);
-        let drain_ctrl = drain::DrainController::new(ctx, &cfg.drain, &disk);
-        if capacity < rapilog_simdisk::SECTOR_SIZE as u64 {
-            // The residual window cannot cover even one sector's drain:
-            // fall back to write-through — the device forwards every write
-            // synchronously and RapiLog adds nothing but also risks
-            // nothing. The paper's sizing rule exists exactly so that
-            // deployments detect this case up front.
-            assert!(
-                self.repl.is_none(),
-                "log shipping requires a buffered instance; write-through admits nothing to tee"
-            );
-            let audit = audit::Audit::new(ctx);
-            if tenant_id != TenantId::DEFAULT {
-                audit.register_tenant(tenant_id.0);
-            }
-            let buffer = DependableBuffer::new(0);
-            let mode = ModeState::new();
-            let device = RapiLogDevice::new_write_through(ctx, Rc::new(disk.clone()), cfg);
-            return RapiLog {
-                tenants: Rc::new(vec![TenantHandle {
-                    id: tenant_id,
-                    weight: 1,
-                    buffer,
-                    device,
-                }]),
-                audit,
-                mode,
-                disk,
-                replication: None,
-                drain_ctrl,
-            };
-        }
-        let audit = audit::Audit::new(ctx);
-        // An explicitly named tenant gets its audit section up front, so
-        // the report still testifies for it even if it never writes.
-        if tenant_id != TenantId::DEFAULT {
-            audit.register_tenant(tenant_id.0);
-        }
-        if let Some(repl) = &self.repl {
-            repl.attach(cell, audit.clone());
-        }
-        let buffer = DependableBuffer::new(capacity);
-        let mode = ModeState::new();
-        buffer.attach(ctx, &mode);
-        if disk.spec().rotation_period().is_zero() {
-            buffer.keep_nothing();
-        }
-        let device = RapiLogDevice::new(
-            ctx,
-            buffer.clone(),
-            Rc::new(disk.clone()),
-            cfg,
-            Rc::clone(&mode),
-            self.repl.clone().map(|r| (tenant_id.0, r)),
-        );
-        drain::start(
-            ctx,
-            cell,
-            buffer.clone(),
-            disk.clone(),
-            cfg,
-            supply.cloned(),
-            audit.clone(),
-            Rc::clone(&mode),
-            tenant_id,
-            Rc::clone(&drain_ctrl),
-        );
-        RapiLog {
-            tenants: Rc::new(vec![TenantHandle {
-                id: tenant_id,
-                weight: 1,
-                buffer,
-                device,
-            }]),
-            audit,
-            mode,
-            disk,
-            replication: self.repl,
-            drain_ctrl,
-        }
-    }
-
-    /// The multi-tenant assembly: capacity split into weighted shards, one
-    /// guest-facing device per tenant, one fair-share drain over them all.
-    #[allow(clippy::too_many_arguments)]
-    fn build_sharded(
-        ctx: &SimCtx,
-        cell: &Cell,
-        disk: Disk,
-        supply: Option<&PowerSupply>,
-        cfg: RapiLogConfig,
-        capacity: u64,
-        specs: &[TenantSpec],
-        repl: Option<replicate::Replicator>,
-    ) -> RapiLog {
-        let weights: Vec<u32> = specs.iter().map(|s| s.weight.max(1)).collect();
-        let shard_caps = shard::split_capacity(capacity, &weights);
-        let audit = audit::Audit::new(ctx);
-        for spec in specs {
-            audit.register_tenant(spec.id.0);
-        }
-        let mode = ModeState::new();
-        let drain_ctrl = drain::DrainController::new(ctx, &cfg.drain, &disk);
-        if shard_caps
+        // One assembly for any number of tenants: no spec is the unnamed
+        // single tenant, one shard holding the whole capacity.
+        let unnamed = [TenantSpec::new(TenantId::DEFAULT.0)];
+        let specs = match &self.tenants[..] {
+            [] => &unnamed[..],
+            named => named,
+        };
+        let weights: Vec<u32> = specs.iter().map(|s| s.weight).collect();
+        // If the residual window cannot cover even one sector's drain — for
+        // some tenant's share, with several — the whole instance falls back
+        // to write-through (no buffers, capacity 0) rather than buffering for
+        // some tenants and lying to others: every device forwards each write
+        // synchronously and RapiLog adds nothing but also risks nothing. The
+        // paper's sizing rule exists exactly so that deployments detect this
+        // case up front.
+        let buffered = shard::split_capacity(capacity, &weights)
             .iter()
-            .any(|&c| c < rapilog_simdisk::SECTOR_SIZE as u64)
-        {
-            // Some tenant's share cannot cover even one sector: the whole
-            // instance runs write-through (per-tenant devices, no buffers)
-            // rather than buffering for some tenants and lying to others.
+            .all(|&c| c >= rapilog_simdisk::SECTOR_SIZE as u64);
+        let shards = ShardedBuffer::new(specs, if buffered { capacity } else { 0 });
+        let audit = audit::Audit::new(ctx);
+        if shards.has_sections() {
+            // Sections up front, so the report still testifies for a tenant
+            // even if it never writes.
+            for spec in specs {
+                audit.register_tenant(spec.id.0);
+            }
+        }
+        let mode = ModeState::new();
+        let drain_ctrl = drain::DrainController::new(ctx, &cfg.drain, &disk);
+        let repl = self.repl;
+        if buffered {
+            if let Some(r) = &repl {
+                r.attach(cell, audit.clone());
+            }
+            for s in shards.shards() {
+                s.buf.attach(ctx, &mode);
+                if disk.spec().rotation_period().is_zero() {
+                    s.buf.keep_nothing();
+                }
+            }
+            if let Some(psu) = supply.filter(|_| specs.len() >= 2) {
+                // The sizing rule must hold for the AGGREGATE: the emergency
+                // drain empties every shard within one residual window.
+                assert!(
+                    budget::aggregate_fits(psu.spec(), bandwidth, &shards.capacities()),
+                    "aggregate shard capacity exceeds the residual-energy budget"
+                );
+            }
+        } else {
             assert!(
                 repl.is_none(),
                 "log shipping requires a buffered instance; write-through admits nothing to tee"
             );
-            let tenants: Vec<TenantHandle> = specs
-                .iter()
-                .map(|spec| TenantHandle {
-                    id: spec.id,
-                    weight: spec.weight.max(1),
-                    buffer: DependableBuffer::new(0),
-                    device: RapiLogDevice::new_write_through(ctx, Rc::new(disk.clone()), cfg),
-                })
-                .collect();
-            return RapiLog {
-                tenants: Rc::new(tenants),
-                audit,
-                mode,
-                disk,
-                replication: None,
-                drain_ctrl,
-            };
         }
-        if let Some(r) = &repl {
-            r.attach(cell, audit.clone());
-        }
-        let sharded = ShardedBuffer::new(specs, capacity);
-        for s in sharded.shards() {
-            s.buf.attach(ctx, &mode);
-            if disk.spec().rotation_period().is_zero() {
-                s.buf.keep_nothing();
-            }
-        }
-        if let Some(psu) = supply {
-            // The sizing rule must hold for the AGGREGATE: the emergency
-            // drain empties every shard within one residual window.
-            assert!(
-                budget::aggregate_fits(
-                    psu.spec(),
-                    disk.spec().sequential_bandwidth(),
-                    &sharded.capacities(),
-                ),
-                "aggregate shard capacity exceeds the residual-energy budget"
-            );
-        }
-        let tenants: Vec<TenantHandle> = sharded
+        let backing = || Rc::new(disk.clone());
+        let tenants: Vec<TenantHandle> = shards
             .shards()
             .iter()
             .map(|s| TenantHandle {
                 id: s.id,
                 weight: s.weight,
                 buffer: s.buf.clone(),
-                device: RapiLogDevice::new(
-                    ctx,
-                    s.buf.clone(),
-                    Rc::new(disk.clone()),
-                    cfg,
-                    Rc::clone(&mode),
-                    repl.clone().map(|r| (s.id.0, r)),
-                ),
+                device: if buffered {
+                    let ship = repl.clone().map(|r| (s.id.0, r));
+                    RapiLogDevice::new(ctx, s.buf.clone(), backing(), cfg, Rc::clone(&mode), ship)
+                } else {
+                    RapiLogDevice::new_write_through(ctx, backing(), cfg)
+                },
             })
             .collect();
-        drain::start_sharded(
-            ctx,
-            cell,
-            &sharded,
-            disk.clone(),
-            cfg,
-            supply.cloned(),
-            audit.clone(),
-            Rc::clone(&mode),
-            Rc::clone(&drain_ctrl),
-        );
+        if buffered {
+            drain::start(
+                ctx,
+                cell,
+                &shards,
+                disk.clone(),
+                cfg.drain.retry,
+                supply.cloned(),
+                audit.clone(),
+                Rc::clone(&mode),
+                Rc::clone(&drain_ctrl),
+            );
+        }
         RapiLog {
             tenants: Rc::new(tenants),
             audit,
@@ -1250,6 +1142,100 @@ mod builder_tests {
         assert_eq!(section.commits, 0);
         assert!(section.guarantee_held());
         assert!(report.guarantee_held());
+        std::mem::forget(cell);
+    }
+
+    #[test]
+    fn a_named_single_tenants_section_hears_of_a_drain_failure() {
+        for ordering in [OrderingMode::Strict, OrderingMode::PartiallyConstrained] {
+            let (mut sim, ctx, hv, disk) = fixture(11);
+            let cell = hv.create_cell("rapilog", Trust::Trusted);
+            let retry = RetryPolicy {
+                enabled: false,
+                ..RetryPolicy::default()
+            };
+            let rl = RapiLog::builder(&ctx)
+                .cell(&cell)
+                .disk(disk.clone())
+                .capacity(CapacitySpec::Fixed(1 << 20))
+                .drain_config(DrainConfig::new().retry(retry).ordering(ordering))
+                .tenants(&[shard::TenantSpec::new(5)])
+                .build();
+            let dev = rl.device();
+            sim.spawn(async move {
+                disk.set_sick(true);
+                // Acked into the buffer; the drain then hits the sick disk.
+                let _ = dev
+                    .write(0, &vec![9u8; rapilog_simdisk::SECTOR_SIZE], true)
+                    .await;
+            });
+            sim.run_until(rapilog_simcore::SimTime::from_secs(1));
+            let report = rl.audit_report();
+            assert_eq!(report.bytes_lost_at_failure, 512, "{ordering:?}");
+            let section = report.tenant(5).expect("a named tenant has a section");
+            assert_eq!(
+                section.bytes_lost_at_failure, 512,
+                "{ordering:?}: the loss is attributed to the tenant that held it"
+            );
+            assert!(!section.guarantee_held());
+            std::mem::forget(cell);
+        }
+    }
+
+    #[test]
+    fn naming_the_default_tenant_alone_is_the_unnamed_instance() {
+        let trace_of = |specs: &[shard::TenantSpec]| {
+            let (mut sim, ctx, hv, disk) = fixture(12);
+            ctx.tracer().set_enabled(true);
+            let cell = hv.create_cell("rapilog", Trust::Trusted);
+            let rl = RapiLog::builder(&ctx)
+                .cell(&cell)
+                .disk(disk)
+                .capacity(CapacitySpec::Fixed(1 << 20))
+                .tenants(specs)
+                .build();
+            let (dev, c2) = (rl.device(), ctx.clone());
+            sim.spawn(async move {
+                for i in 0..16u64 {
+                    let data = vec![i as u8; (i % 3 + 1) as usize * rapilog_simdisk::SECTOR_SIZE];
+                    dev.write(i * 2, &data, true).await.unwrap();
+                    c2.sleep(SimDuration::from_millis(i % 4)).await;
+                }
+            });
+            sim.run_until(rapilog_simcore::SimTime::from_secs(1));
+            let report = rl.audit_report();
+            assert!(report.commits > 0 && report.guarantee_held());
+            assert!(report.tenants.is_empty(), "headline only, no section");
+            std::mem::forget(cell);
+            ctx.tracer().snapshot().to_jsonl()
+        };
+        let unnamed = trace_of(&[]);
+        assert!(unnamed.contains("drain_batch"));
+        assert_eq!(
+            unnamed,
+            trace_of(&[shard::TenantSpec::new(TenantId::DEFAULT.0)])
+        );
+    }
+
+    #[test]
+    fn a_default_instance_measures_its_drain() {
+        // Stock configuration, Strict + Fixed: the controller decides
+        // nothing, and still says how long an acked byte lived only in RAM.
+        let (mut sim, ctx, hv, disk) = fixture(13);
+        let cell = hv.create_cell("rapilog", Trust::Trusted);
+        let rl = RapiLog::builder(&ctx).cell(&cell).disk(disk).build();
+        let dev = rl.device();
+        sim.spawn(async move {
+            dev.write(0, &vec![7u8; rapilog_simdisk::SECTOR_SIZE], true)
+                .await
+                .unwrap();
+        });
+        sim.run_until(rapilog_simcore::SimTime::from_secs(1));
+        assert_eq!(rl.occupancy(), 0, "the write landed");
+        let drain = rl.snapshot().drain;
+        assert_eq!(drain.commits_measured, 1);
+        assert!(drain.commit_p50_ns > 0 && drain.ewma_service_ns > 0);
+        assert_eq!((drain.window_depth, drain.batch_target), (1, 2 << 20));
         std::mem::forget(cell);
     }
 

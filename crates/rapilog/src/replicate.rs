@@ -1137,9 +1137,13 @@ mod tests {
             LinkFaults::default(),
             specs::ssd_nvme(1 << 26).with_channels(4),
             16 << 20,
+            // Single-extent batches: a batch is cut when a window slot comes
+            // free, and out-of-order *retirement* takes batches that overlap
+            // in flight, which one batch per slot guarantees.
             DrainConfig::new()
                 .ordering(OrderingMode::PartiallyConstrained)
-                .window_depth(4),
+                .window_depth(4)
+                .max_batch(SECTOR_SIZE),
         );
         // Each write owns a private, non-adjacent slot, so runs never merge
         // and every sector belongs to exactly one sequence number; mixed

@@ -5,8 +5,8 @@
 //! accounting, backpressure threshold, and sequence space, so one noisy
 //! tenant saturating its share blocks only its own writers — the other
 //! cells keep early-ack latency. All shards report availability through a
-//! *shared* notify, which is what wakes the single fair-share drain
-//! scheduler (`drain::start_sharded`).
+//! *shared* notify, which is what wakes the one drain loop (`drain::start`).
+//! A single-tenant instance is the one-shard case.
 //!
 //! Capacity is split proportionally to tenant weight and rounded down to
 //! sector multiples, so the *aggregate* of the shares never exceeds the
@@ -155,6 +155,13 @@ impl ShardedBuffer {
     /// All shards, in construction order.
     pub(crate) fn shards(&self) -> &[Shard] {
         &self.shards
+    }
+
+    /// True if every tenant has its own section of the audit report. The
+    /// one instance without is the unnamed single tenant
+    /// ([`TenantId::DEFAULT`] alone), which reports through the headline.
+    pub(crate) fn has_sections(&self) -> bool {
+        self.shards.len() > 1 || self.shards[0].id != TenantId::DEFAULT
     }
 
     /// Sum of shard capacities (≤ the total the split was made from).

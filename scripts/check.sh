@@ -34,7 +34,7 @@ BENCH_CHECK=1 cargo bench -q -p rapilog-bench --bench hotpaths
 echo "==> trials/sec regression gate (QUICK sweeps vs BENCH_baseline.json)"
 scripts/perf_gate.sh
 
-echo "==> benchmark's simulated-time metrics, five workloads at seed 1 (vs BENCH_expect.json)"
+echo "==> benchmark's simulated-time metrics, five workloads at seeds 1 and 7 (vs BENCH_expect.json)"
 scripts/bench_expect.sh
 
 echo "==> all checks passed"
