@@ -276,12 +276,6 @@ impl Database {
             fua: true,
         });
         data_dev.wait(token).await?;
-        Superblock {
-            checkpoint: Lsn::ZERO,
-            recovery_start: Lsn::ZERO,
-        }
-        .write(&*log_dev)
-        .await?;
         let wal = Wal::new(
             ctx,
             Rc::clone(&log_dev),
@@ -290,6 +284,14 @@ impl Database {
             Lsn::ZERO,
             domain,
         );
+        // Nothing in the region is log yet, whatever the media holds.
+        wal.trim_unused().await?;
+        Superblock {
+            checkpoint: Lsn::ZERO,
+            recovery_start: Lsn::ZERO,
+        }
+        .write(&*log_dev)
+        .await?;
         let (_, end) = wal.append(&Record::Checkpoint {
             active: Vec::new(),
             dirty: Vec::new(),
@@ -827,25 +829,25 @@ impl Database {
         self.charge(self.inner.cfg.profile.cpu_commit).await;
         self.txn_chain(txn)?;
         let appended = self.inner.wal.append(&Record::Commit { txn });
-        let end = match appended {
-            Ok((_, end)) => end,
-            Err(e) => {
-                // The engine died under us: release locks and report.
-                let state = self.inner.st.borrow_mut().active.remove(&txn);
-                if let Some(state) = state {
-                    self.inner.locks.release_all(txn, state.locks.iter());
-                }
-                return Err(e);
-            }
-        };
-        self.inner.wal.kick();
-        let result = if self.inner.wal.policy().wait_for_durable {
-            self.inner.wal.wait_durable(end).await
-        } else {
-            Ok(())
-        };
-        // Win or lose, the transaction is finished locally: release locks.
+        // Win or lose, the transaction is finished as far as the log goes,
+        // and no longer active from this step on: a checkpoint record
+        // appended while the commit waits for the device follows the commit
+        // record, and recovery, which may start its scan between the two,
+        // would undo a transaction the checkpoint listed.
         let state = self.inner.st.borrow_mut().active.remove(&txn);
+        let result = match appended {
+            Ok((_, end)) => {
+                self.inner.wal.kick();
+                if self.inner.wal.policy().wait_for_durable {
+                    self.inner.wal.wait_durable(end).await
+                } else {
+                    Ok(())
+                }
+            }
+            // The engine died under us.
+            Err(e) => Err(e),
+        };
+        // The locks go once the outcome is known.
         if let Some(state) = state {
             self.inner.locks.release_all(txn, state.locks.iter());
         }
@@ -976,7 +978,7 @@ impl Database {
         }
         .write(&*self.inner.log_dev)
         .await?;
-        self.inner.wal.set_recovery_start(undo_horizon);
+        self.inner.wal.set_recovery_start(undo_horizon).await?;
         Ok(())
     }
 }

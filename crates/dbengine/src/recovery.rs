@@ -100,7 +100,8 @@ pub struct RecoveryReport {
     pub redo_time: SimDuration,
     /// Virtual time in the undo phase (loser rollback + CLR appends).
     pub undo_time: SimDuration,
-    /// Virtual time closing recovery (index rebuild + final checkpoint).
+    /// Virtual time closing recovery (index rebuild, final checkpoint and
+    /// the re-trim around the recovered log).
     pub finish_time: SimDuration,
     /// Committed transaction ids seen in the scan range (the durability
     /// auditor intersects this with the client-side ack journal).
@@ -581,6 +582,9 @@ impl Database {
         db.rebuild_index().await?;
         // Close recovery with a checkpoint: pages flushed, superblock moved.
         db.checkpoint().await?;
+        // The instance under the log device may be one rebuilt after a power
+        // cut, which has never heard what lies outside the recovered log.
+        db.inner.wal.trim_unused().await?;
         db.start_checkpointer(domain);
         let finished = ctx.now();
         tracer.end(finished, Layer::Engine, "recover_finish", Payload::None);
@@ -1075,6 +1079,66 @@ mod checkpoint_spanning_tests {
                 "the pre-checkpoint dirty write was undone via the chain below the redo horizon"
             );
             assert_eq!(db2.get(t, 2).await.unwrap(), Some(b"after-ckpt".to_vec()));
+            db2.stop();
+            d2.set(true);
+        });
+        sim.run_until(rapilog_simcore::SimTime::from_secs(30));
+        assert!(done.get());
+    }
+
+    /// A commit record is in the log from the step that appends it, before
+    /// the device has it. A checkpoint taken while the commit still waits
+    /// writes its record *behind* the commit record, and with a clean pool
+    /// the redo scan starts at the checkpoint record: had it listed the
+    /// transaction as active, recovery would find no commit record for it
+    /// and undo an acknowledged commit (it did, until PR 21).
+    #[test]
+    fn a_commit_waiting_for_the_log_is_not_active_to_a_checkpoint() {
+        let mut sim = Sim::new(9);
+        let ctx = sim.ctx();
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        let c2 = ctx.clone();
+        sim.spawn(async move {
+            let data: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::instant(64 << 20)));
+            // A log force takes milliseconds here.
+            let log: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::hdd_7200(64 << 20)));
+            let defs = [TableDef {
+                name: "t".to_string(),
+                slot_size: 64,
+                max_rows: 100,
+            }];
+            let (data2, log2) = (Rc::clone(&data), Rc::clone(&log));
+            let db = Database::create(&c2, DbConfig::default(), &defs, data, log, DomainId::ROOT)
+                .await
+                .unwrap();
+            let t = db.table("t").unwrap();
+            let setup = db.begin().await.unwrap();
+            db.insert(setup, t, 1, b"base").await.unwrap();
+            db.commit(setup).await.unwrap();
+            let txn = db.begin().await.unwrap();
+            db.update(txn, t, 1, b"acknowledged").await.unwrap();
+            // A first checkpoint leaves the pool clean, so the second one
+            // below gets to its record without waiting for the log.
+            db.checkpoint().await.unwrap();
+            let staged = db.wal().end();
+            let committing = c2.spawn({
+                let db = db.clone();
+                async move { db.commit(txn).await }
+            });
+            while db.wal().end() == staged {
+                c2.sleep(SimDuration::from_micros(1)).await;
+            }
+            assert!(db.wal().durable() < db.wal().end(), "the commit waits");
+            db.checkpoint().await.unwrap();
+            committing.await.unwrap().expect("the commit succeeds");
+            db.stop();
+            let (db2, report) =
+                Database::open(&c2, DbConfig::default(), data2, log2, DomainId::ROOT)
+                    .await
+                    .expect("recovery");
+            assert_eq!(report.losers_undone, 0);
+            assert_eq!(db2.get(t, 1).await.unwrap(), Some(b"acknowledged".to_vec()));
             db2.stop();
             d2.set(true);
         });

@@ -569,11 +569,50 @@ impl Wal {
         self.inner.policy
     }
 
-    /// Raises the truncation horizon (checkpointer only).
-    pub fn set_recovery_start(&self, lsn: Lsn) {
-        let mut st = self.inner.st.borrow_mut();
-        assert!(lsn >= st.recovery_start, "recovery horizon moved backwards");
-        st.recovery_start = lsn;
+    /// Raises the truncation horizon (checkpointer only), once the device
+    /// has been told that the whole sectors the horizon leaves behind are
+    /// no longer needed. In that order: those sectors take new log only
+    /// after the horizon has moved, so no write can race their trim.
+    pub async fn set_recovery_start(&self, lsn: Lsn) -> IoResult<()> {
+        let old = self.inner.st.borrow().recovery_start;
+        assert!(lsn >= old, "recovery horizon moved backwards");
+        let sector = SECTOR_SIZE as u64;
+        self.trim(old.0 / sector, lsn.0 / sector).await?;
+        self.inner.st.borrow_mut().recovery_start = lsn;
+        Ok(())
+    }
+
+    /// Establishes what the engine keeps true of its log device from then
+    /// on: every whole sector of the log region outside
+    /// `[recovery_start, end]` is trimmed. A scan has to treat whatever
+    /// lies past the torn tail as garbage anyway, so a device may answer
+    /// for those sectors without looking. Call it with the log at rest
+    /// (a fresh database, the end of recovery): a write staged meanwhile
+    /// could land in a sector this trims.
+    pub async fn trim_unused(&self) -> IoResult<()> {
+        let (start, end) = {
+            let st = self.inner.st.borrow();
+            (st.recovery_start, st.next)
+        };
+        let sector = SECTOR_SIZE as u64;
+        let circle = start.0 / sector + self.inner.region_sectors;
+        self.trim(end.0.div_ceil(sector), circle).await
+    }
+
+    /// Trims stream sectors `[from, to)`, split at the circular wrap.
+    async fn trim(&self, mut from: u64, to: u64) -> IoResult<()> {
+        let region = self.inner.region_sectors;
+        while from < to {
+            let at = from % region;
+            let sectors = (to - from).min(region - at);
+            let token = self.inner.dev.submit(IoReq::Trim {
+                sector: LOG_BASE_SECTOR + at,
+                sectors,
+            });
+            self.inner.dev.wait(token).await?;
+            from += sectors;
+        }
+        Ok(())
     }
 
     /// Marks the WAL stopped (device dead / shutdown); wakes all waiters
@@ -1334,7 +1373,9 @@ mod tests {
                 ends.push(end);
                 w2.wait_durable(end).await.unwrap();
                 // Pretend a checkpoint retired everything already durable.
-                w2.set_recovery_start(Lsn(end.0.saturating_sub(100)));
+                w2.set_recovery_start(Lsn(end.0.saturating_sub(100)))
+                    .await
+                    .unwrap();
             }
             let last = *ends.last().unwrap();
             assert!(last.0 > 8 * SECTOR_SIZE as u64, "stream did wrap: {last:?}");

@@ -90,6 +90,10 @@ enum BlkReq {
         fua: bool,
     },
     Flush,
+    Trim {
+        sector: u64,
+        sectors: u64,
+    },
 }
 
 struct Request {
@@ -144,6 +148,10 @@ impl VirtioBlk {
                             .await
                             .map(|()| Vec::new()),
                         BlkReq::Flush => backend.flush().await.map(|()| Vec::new()),
+                        BlkReq::Trim { sector, sectors } => {
+                            let token = backend.submit(IoReq::Trim { sector, sectors });
+                            backend.wait(token).await.map(|_| Vec::new())
+                        }
                     };
                     reply.send(result);
                 });
@@ -248,6 +256,11 @@ impl BlockDevice for VirtioBlk {
                 IoReq::Flush => {
                     this.stats.borrow_mut().requests += 1;
                     (this.transact(BlkReq::Flush).await.map(|_| ()), None)
+                }
+                IoReq::Trim { sector, sectors } => {
+                    this.stats.borrow_mut().requests += 1;
+                    let trim = BlkReq::Trim { sector, sectors };
+                    (this.transact(trim).await.map(|_| ()), None)
                 }
             };
             this.queue.finish(token, result, data);
@@ -387,6 +400,24 @@ mod tests {
         let end = sim.run().now;
         // Instant disk: the entire elapsed time is the crossing cost.
         assert_eq!(end, SimTime::from_micros(60));
+    }
+
+    #[test]
+    fn a_trim_is_forwarded_for_one_ring_round_trip() {
+        let (mut sim, vblk, disk) = setup(VirtCosts::default());
+        let v2 = vblk.clone();
+        sim.spawn(async move {
+            let token = v2.submit(IoReq::Trim {
+                sector: 4,
+                sectors: 8,
+            });
+            assert_eq!(v2.wait(token).await, Ok(None));
+        });
+        // trap(4) + backend(3) + irq(4): the instant backend adds nothing.
+        assert_eq!(sim.run().now, SimTime::from_micros(11));
+        assert_eq!(vblk.stats().requests, 1);
+        assert_eq!(disk.stats().queued_requests, 1, "the backend was told");
+        assert_eq!(disk.stats().media_ops, 0);
     }
 
     #[test]

@@ -184,6 +184,12 @@ struct BufSt {
     /// extent's allocation until that extent lands, then a kept slot.
     overlay: FastMap<u64, Held>,
     kept: Kept,
+    /// What the guest has said it no longer needs and has not rewritten
+    /// since ([`DependableBuffer::trim`]): ascending, disjoint, non-adjacent
+    /// `[first, end)` sector ranges. A sector in one that the overlay does
+    /// not hold reads as zeros. Volatile, like the kept set: a rebuilt
+    /// instance starts with none and reads the media.
+    trims: Vec<(u64, u64)>,
     frozen: bool,
     /// Set when a `push` goes to sleep for want of space, cleared by
     /// [`DependableBuffer::take_stalled`]: while it keeps coming back set,
@@ -217,11 +223,13 @@ impl BufSt {
         self.stats.drained_bytes += len;
         let room = (self.capacity - self.occupancy).min(self.kept_bound);
         for s in sector..sector + len / SECTOR_SIZE as u64 {
+            // A sector trimmed since it was acked is not worth a slot.
+            let wanted = !self.trimmed(s);
             let Some(held) = self.overlay.get_mut(&s) else {
                 continue;
             };
             match held {
-                Held::Dirty(q, landed) if *q == seq && room >= SECTOR_SIZE as u64 => {
+                Held::Dirty(q, landed) if *q == seq && wanted && room >= SECTOR_SIZE as u64 => {
                     *held = self.kept.keep(s, landed);
                     // The newest landing is the last to go: this makes
                     // room for it at the oldest one's cost.
@@ -251,6 +259,35 @@ impl BufSt {
             Held::Dirty(_, dirty) => dirty.as_slice(),
             Held::Kept(slot) => &self.kept.segs[slot / SEG_SLOTS][slot % SEG_SLOTS],
         })
+    }
+
+    /// True if `sector` lies in a trimmed range.
+    fn trimmed(&self, sector: u64) -> bool {
+        let i = self.trims.partition_point(|r| r.1 <= sector);
+        self.trims.get(i).is_some_and(|r| r.0 <= sector)
+    }
+
+    /// Takes `[first, end)` out of the trimmed ranges: the guest has
+    /// rewritten it. In place — a writer appending into trimmed space moves
+    /// one range's front — except that a write into the middle of a range
+    /// splits it.
+    fn punch(&mut self, first: u64, end: u64) {
+        let mut i = self.trims.partition_point(|r| r.1 <= first);
+        while let Some(r) = self.trims.get_mut(i).filter(|r| r.0 < end) {
+            match (r.0 < first, end < r.1) {
+                (false, true) => r.0 = end,
+                (true, false) => r.1 = first,
+                (false, false) => {
+                    self.trims.remove(i);
+                    continue;
+                }
+                (true, true) => {
+                    let rest = (end, std::mem::replace(&mut r.1, first));
+                    self.trims.insert(i + 1, rest);
+                }
+            }
+            i += 1;
+        }
     }
 }
 
@@ -296,6 +333,7 @@ impl DependableBuffer {
                     segs: Vec::new(),
                     free: Vec::new(),
                 },
+                trims: Vec::new(),
                 frozen: false,
                 stalled: false,
                 kept_bound: KEPT,
@@ -426,6 +464,7 @@ impl DependableBuffer {
                             st.kept.forget(slot);
                         }
                     }
+                    st.punch(sector, sector + len / SECTOR_SIZE as u64);
                     // Kept bytes never cost an admission its room.
                     let idle = st.capacity - st.occupancy;
                     st.evict_to(idle);
@@ -616,15 +655,48 @@ impl DependableBuffer {
         }
     }
 
-    /// Copies into `buf` every sector from `sector` on that the buffer
-    /// holds, dirty or kept, and returns the first and last sector it does
-    /// not hold: the span a read still has to fetch from the disk.
-    pub(crate) fn read_held(&self, sector: u64, buf: &mut [u8]) -> Option<(u64, u64)> {
+    /// The guest no longer needs `sectors` sectors from `sector` on: until
+    /// it rewrites them they read as zeros, without the disk. Advisory and
+    /// nothing else — no bytes, no occupancy, nothing for the drain, no
+    /// waiter woken. Acked bytes on their way to the media stay readable
+    /// until they land and are not kept then; kept ones go now.
+    pub fn trim(&self, sector: u64, sectors: u64) {
+        if sectors == 0 {
+            return;
+        }
+        let st = &mut *self.st.borrow_mut();
+        let end = sector + sectors;
+        let mut slot = st.kept.slots[0].newer;
+        while slot != 0 {
+            let Slot {
+                sector: s, newer, ..
+            } = st.kept.slots[slot];
+            if (sector..end).contains(&s) {
+                st.overlay.remove(&s);
+                st.kept.forget(slot);
+            }
+            slot = newer;
+        }
+        // One range in place of every one this reaches or touches.
+        let i = st.trims.partition_point(|r| r.1 < sector);
+        let j = st.trims.partition_point(|r| r.0 <= end);
+        let merged = st.trims[i..j]
+            .iter()
+            .fold((sector, end), |m, r| (m.0.min(r.0), m.1.max(r.1)));
+        st.trims.splice(i..j, [merged]);
+    }
+
+    /// Copies into `buf` every sector from `sector` on that the buffer can
+    /// answer for — held, dirty or kept, else zeros if trimmed — and returns
+    /// the first and last sector it cannot: the span a read still has to
+    /// fetch from the disk.
+    pub fn read_held(&self, sector: u64, buf: &mut [u8]) -> Option<(u64, u64)> {
         let st = self.st.borrow();
         let mut missing = None;
         for (s, out) in (sector..).zip(buf.chunks_exact_mut(SECTOR_SIZE)) {
             match st.held(s) {
                 Some(bytes) => out.copy_from_slice(bytes),
+                None if st.trimmed(s) => out.fill(0),
                 None => missing = Some((missing.map_or(s, |(first, _)| first), s)),
             }
         }
@@ -806,6 +878,110 @@ mod tests {
             let st = b2.st.borrow();
             assert!(st.occupancy + st.kept.bytes() <= st.capacity);
             assert_eq!(st.kept.slots.len(), 1 + 4, "freed slots are reused first");
+        });
+        sim.run();
+    }
+
+    /// What `read_held` answers for each of `sectors`: `Some(first byte)`
+    /// from the buffer (0 for a trimmed sector), `None` for the disk's.
+    fn answers(b: &DependableBuffer, sectors: std::ops::Range<u64>) -> Vec<Option<u8>> {
+        let mut out = [0xEE; SECTOR_SIZE];
+        sectors
+            .map(|s| b.read_held(s, &mut out).is_none().then_some(out[0]))
+            .collect()
+    }
+
+    #[test]
+    fn a_trim_is_advice_and_moves_nothing_else() {
+        let mut sim = Sim::new(0);
+        let buf = DependableBuffer::new(2 * SECTOR_SIZE as u64);
+        let b2 = buf.clone();
+        let blocked = sim.spawn(async move {
+            b2.push(0, sector_data(1, 2)).await.unwrap();
+            b2.push(2, sector_data(2, 1)).await.unwrap();
+        });
+        sim.run();
+        assert!(!blocked.is_finished(), "the second push waits for space");
+        let before = buf.stats();
+        buf.trim(0, 100);
+        sim.run();
+        assert!(!blocked.is_finished(), "a trim releases no space");
+        let after = buf.stats();
+        assert_eq!(buf.occupancy(), 2 * SECTOR_SIZE as u64);
+        assert_eq!(after.peak_occupancy, before.peak_occupancy);
+        assert_eq!(after.backpressure_events, before.backpressure_events);
+        assert_eq!(
+            (after.accepted_bytes, after.drained_bytes, after.kept_bytes),
+            (1024, 0, 0)
+        );
+        // Trimmed reads as zeros, except what is acked and on its way.
+        assert_eq!(answers(&buf, 0..4), [Some(1), Some(1), Some(0), Some(0)]);
+        assert_eq!(answers(&buf, 99..101), [Some(0), None]);
+    }
+
+    #[test]
+    fn a_push_punches_its_sectors_out_of_the_trimmed_ranges_in_place() {
+        let mut sim = Sim::new(0);
+        let buf = DependableBuffer::new(1 << 20);
+        let b2 = buf.clone();
+        sim.spawn(async move {
+            let trims = |b: &DependableBuffer| b.st.borrow().trims.clone();
+            b2.trim(10, 20);
+            b2.trim(40, 10);
+            assert_eq!(trims(&b2), [(10, 30), (40, 50)]);
+            // Touching or overlapping ranges become one.
+            b2.trim(30, 5);
+            b2.trim(33, 7);
+            assert_eq!(trims(&b2), [(10, 50)]);
+            let room = b2.st.borrow().trims.capacity();
+            // At a range's front, the way a log grows into free space: the
+            // front moves.
+            b2.push(10, sector_data(1, 2)).await.unwrap();
+            assert_eq!(trims(&b2), [(12, 50)]);
+            // Across the front and across the back.
+            b2.push(11, sector_data(2, 3)).await.unwrap();
+            b2.push(48, sector_data(3, 4)).await.unwrap();
+            assert_eq!(trims(&b2), [(14, 48)]);
+            assert_eq!(b2.st.borrow().trims.capacity(), room, "in place");
+            // In the middle: two ranges.
+            b2.push(20, sector_data(4, 1)).await.unwrap();
+            assert_eq!(trims(&b2), [(14, 20), (21, 48)]);
+            // Over whole ranges: gone, with the part of a neighbour it took.
+            b2.trim(60, 2);
+            b2.push(19, sector_data(5, 43)).await.unwrap();
+            assert_eq!(trims(&b2), [(14, 19)]);
+            b2.push(14, sector_data(6, 5)).await.unwrap();
+            assert_eq!(trims(&b2), []);
+            assert_eq!(answers(&b2, 8..10), [None, None]);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_trim_forgets_kept_sectors_and_lets_dirty_ones_land_unkept() {
+        let mut sim = Sim::new(0);
+        let buf = DependableBuffer::new(1 << 20);
+        let b2 = buf.clone();
+        sim.spawn(async move {
+            let landed = b2.push(0, sector_data(1, 2)).await.unwrap();
+            b2.complete(landed);
+            let dirty = b2.push(2, sector_data(2, 2)).await.unwrap();
+            assert_eq!(b2.stats().kept_bytes, 2 * SECTOR_SIZE as u64);
+            b2.trim(1, 2);
+            // The kept sector goes at once; the acked one stays readable
+            // while it is on its way, and holds its place in the occupancy.
+            assert_eq!(b2.stats().kept_bytes, SECTOR_SIZE as u64);
+            assert_eq!(b2.occupancy(), 2 * SECTOR_SIZE as u64);
+            assert_eq!(answers(&b2, 0..4), [Some(1), Some(0), Some(2), Some(2)]);
+            b2.pop_batch(usize::MAX);
+            b2.complete(dirty);
+            // Landed: the trimmed sector is not kept, its neighbour is.
+            assert_eq!(b2.stats().kept_bytes, 2 * SECTOR_SIZE as u64);
+            assert_eq!(answers(&b2, 0..4), [Some(1), Some(0), Some(0), Some(2)]);
+            assert_eq!(b2.read_overlay(2), None);
+            // A rewrite ends the trim for its sectors only.
+            b2.push(1, sector_data(3, 1)).await.unwrap();
+            assert_eq!(answers(&b2, 0..4), [Some(1), Some(3), Some(0), Some(2)]);
         });
         sim.run();
     }

@@ -15,6 +15,9 @@
 //!   first — dirty, or kept since it landed — then the physical disk for
 //!   the rest) — so a rebooted guest reading its log back gets exactly what
 //!   was acknowledged before the crash, mostly without a disk access.
+//! * `IoReq::Trim` is noted by the buffer and goes no further: until the
+//!   guest rewrites them, trimmed sectors the buffer does not hold read as
+//!   zeros, without a disk access.
 //! * When the buffer is full, `write` waits: RapiLog degrades to the
 //!   drain's (= the disk's sequential) throughput, never below the raw
 //!   synchronous path.
@@ -118,13 +121,35 @@ impl RapiLogDevice {
             return Err(IoError::Misaligned { len });
         }
         let count = (len / SECTOR_SIZE) as u64;
+        self.check_range(sector, count)?;
+        Ok(count)
+    }
+
+    fn check_range(&self, sector: u64, count: u64) -> IoResult<()> {
         if sector
             .checked_add(count)
             .is_none_or(|e| e > self.geometry.sectors)
         {
             return Err(IoError::OutOfRange { sector, count });
         }
-        Ok(count)
+        Ok(())
+    }
+
+    /// The guest no longer needs these sectors: the buffer notes the range
+    /// and answers reads of it with zeros from then on. It goes no further
+    /// — the backing disk is never told, and a write-through instance, which
+    /// has nowhere to note it, reads the media as before.
+    async fn trim(&self, sector: u64, sectors: u64) -> IoResult<()> {
+        self.check_range(sector, sectors)?;
+        let Some(buffer) = &self.buffer else {
+            return Ok(());
+        };
+        if buffer.is_frozen() {
+            return Err(IoError::PowerLoss);
+        }
+        self.ctx.sleep(self.cfg.ack_base).await;
+        buffer.trim(sector, sectors);
+        Ok(())
     }
 
     /// The admission path shared by the borrowed-slice and owned-buffer
@@ -300,6 +325,7 @@ impl BlockDevice for RapiLogDevice {
                     (res, None)
                 }
                 IoReq::Flush => (this.flush().await, None),
+                IoReq::Trim { sector, sectors } => (this.trim(sector, sectors).await, None),
             };
             this.queue.finish(token, result, data);
         });
@@ -616,6 +642,68 @@ mod tests {
     }
 
     #[test]
+    fn trimmed_sectors_read_as_zeros_without_the_disk_at_the_cost_of_an_ack() {
+        let mut sim = Sim::new(3);
+        let (rl, dev, disk) = setup(&mut sim, CapacitySpec::Fixed(16 << 20));
+        let ctx = sim.ctx();
+        let rl2 = rl.clone();
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        sim.spawn(async move {
+            // Whatever the media holds there.
+            for s in 300..364 {
+                disk.poke_media(s, &[0xEE; SECTOR_SIZE]);
+            }
+            let trim = |sector, sectors| {
+                let token = dev.submit(IoReq::Trim { sector, sectors });
+                dev.wait(token)
+            };
+            let t0 = ctx.now();
+            assert_eq!(trim(300, 64).await, Ok(None));
+            assert_eq!(ctx.now() - t0, SimDuration::from_micros(2), "ack_base");
+            dev.write(310, &vec![7u8; 2 * SECTOR_SIZE], true)
+                .await
+                .unwrap();
+            rl2.quiesce().await;
+            let (before, t0) = (disk.stats(), ctx.now());
+            let mut buf = vec![0x55u8; 64 * SECTOR_SIZE];
+            dev.read(300, &mut buf).await.unwrap();
+            // 2 us + 32 KiB at 250 ns per KiB, like any 64 held sectors.
+            assert_eq!(ctx.now() - t0, SimDuration::from_micros(10));
+            let after = disk.stats();
+            assert_eq!(after.reads, before.reads, "no backing read");
+            for (s, got) in (300..364).zip(buf.chunks_exact(SECTOR_SIZE)) {
+                let want = if (310..312).contains(&s) { 7 } else { 0 };
+                assert_eq!(got, [want; SECTOR_SIZE], "sector {s}");
+            }
+            // The disk was told nothing, and its media is what it was.
+            assert_eq!(after.queued_requests, before.queued_requests);
+            let mut media = [0u8; SECTOR_SIZE];
+            disk.peek_media(300, &mut media);
+            assert_eq!(media, [0xEE; SECTOR_SIZE]);
+            // Out of range is refused; on a frozen buffer a trim answers
+            // what a flush does.
+            let sectors = dev.geometry().sectors;
+            assert_eq!(
+                trim(sectors - 1, 2).await,
+                Err(IoError::OutOfRange {
+                    sector: sectors - 1,
+                    count: 2
+                })
+            );
+            dev.buffer.as_ref().expect("buffered").freeze();
+            assert_eq!(trim(300, 1).await, Err(IoError::PowerLoss));
+            assert_eq!(dev.flush().await, Err(IoError::PowerLoss));
+            d2.set(true);
+        });
+        sim.run_until(SimTime::from_secs(1));
+        assert!(done.get());
+        let stats = rl.snapshot().buffer;
+        assert_eq!(stats.read_memory_bytes, 32 << 10);
+        assert_eq!(stats.read_disk_bytes, 0);
+    }
+
+    #[test]
     fn over_a_disk_that_does_not_rotate_landed_sectors_are_not_kept() {
         let mut sim = Sim::new(3);
         let ctx = sim.ctx();
@@ -776,6 +864,14 @@ mod write_through_tests {
             dev.read(0, &mut buf).await.unwrap();
             assert_eq!(buf, vec![3u8; SECTOR_SIZE]);
             dev.flush().await.unwrap();
+            // Nowhere to note a trim: accepted, and the media reads as it did.
+            let token = dev.submit(IoReq::Trim {
+                sector: 0,
+                sectors: 1,
+            });
+            assert_eq!(dev.wait(token).await, Ok(None));
+            dev.read(0, &mut buf).await.unwrap();
+            assert_eq!(buf, vec![3u8; SECTOR_SIZE]);
         });
         sim.run_until(SimTime::from_secs(1));
         assert!(wrote_slow.get(), "write-through pays the disk's price");

@@ -1,14 +1,22 @@
 //! Model-based randomised test for the dependable buffer.
 //!
-//! A reference model (plain maps) shadows every `push`/`complete` the real
-//! buffer sees; after each step occupancy and queue length must agree
+//! A reference model (plain maps) shadows every `push`/`complete`/`trim` the
+//! real buffer sees; after each step occupancy and queue length must agree
 //! exactly, and every sector must read as the model says: the newest acked
 //! bytes while they are dirty, and once they have landed either nothing or
 //! exactly what the media holds — the kept set may forget, it may never
-//! lie. Capacities are a few sectors, so admissions evict kept sectors all
-//! the time, and extents complete by prefix and by out-of-order
-//! `complete_run` range lists alike. Operation sequences come from a seeded
-//! [`SimRng`], so any divergence reproduces exactly by case number.
+//! lie. A sector trimmed since its last write reads as that write while it
+//! is dirty and as zeros from then on, never as nothing and never as what
+//! landed; a write ends the trim for its sectors. Capacities are a few
+//! sectors, so admissions evict kept sectors all the time, and extents
+//! complete by prefix and by out-of-order `complete_run` range lists alike.
+//! Operation sequences come from a seeded [`SimRng`], so any divergence
+//! reproduces exactly by case number.
+//!
+//! Potency: with `st.punch(..)` in `DependableBuffer::push` commented out
+//! (a rewrite that does not end a trim: acknowledged bytes read back as
+//! zeros once they land) the test fails at case 0, "sector 0 answered as
+//! zeros, model: on the media, tag 11 (kept or the disk's)".
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -32,12 +40,14 @@ enum Op {
     /// Land one run: the issued sequence numbers whose bit in `picks` is
     /// set (by issue order, modulo 64), as `complete_run` range lists.
     CompleteRun { picks: u64 },
+    /// The guest no longer needs `sectors` sectors from `sector` on.
+    Trim { sector: u64, sectors: u64 },
 }
 
 fn arb_ops(rng: &mut SimRng) -> Vec<Op> {
     let n = rng.gen_range(1..60usize);
     (0..n)
-        .map(|_| match rng.gen_range(0..8u32) {
+        .map(|_| match rng.gen_range(0..9u32) {
             // Pushes outweigh completions, mirroring real drain behaviour.
             0..=4 => Op::Push {
                 sector: rng.gen_range(0..12u64),
@@ -49,8 +59,12 @@ fn arb_ops(rng: &mut SimRng) -> Vec<Op> {
             6 => Op::Complete {
                 frac: rng.gen_range(0..=100u8),
             },
-            _ => Op::CompleteRun {
+            7 => Op::CompleteRun {
                 picks: rng.next_u64() & rng.next_u64(),
+            },
+            _ => Op::Trim {
+                sector: rng.gen_range(0..14u64),
+                sectors: rng.gen_range(1..6u64),
             },
         })
         .collect()
@@ -97,6 +111,8 @@ struct Model {
     extents: BTreeMap<u64, (u64, Vec<u8>)>,
     /// Sequence numbers committed to media.
     completed: BTreeSet<u64>,
+    /// Sectors trimmed and not written since.
+    trimmed: BTreeSet<u64>,
 }
 
 impl Model {
@@ -161,19 +177,44 @@ fn compare(buf: &DependableBuffer, model: &Model) -> Result<(), String> {
     for sector in 0..SECTORS {
         let real = buf.read_overlay(sector).map(|b| b.as_slice().to_vec());
         let want = model.expect(sector);
+        let trimmed = model.trimmed.contains(&sector);
         let agrees = match (&real, &want) {
             (Some(real), Expect::Dirty(bytes)) => real == bytes,
             (Some(real), Expect::Media(bytes)) => {
                 kept += SECTOR_SIZE as u64;
-                real == bytes
+                real == bytes && !trimmed
             }
             (None, Expect::Media(_) | Expect::Nothing) => true,
             _ => false,
         };
         if !agrees {
             return Err(format!(
-                "sector {sector}: real tag {:?} vs model {want:?}",
+                "sector {sector}: real tag {:?} vs model {want:?}, trimmed: {trimmed}",
                 real.map(|b| b[0])
+            ));
+        }
+        // What a guest read is answered without the disk: what the overlay
+        // holds, else zeros exactly where the model says trimmed.
+        let mut answer = [0xEE; SECTOR_SIZE];
+        let answered = buf.read_held(sector, &mut answer).is_none();
+        let zeros = real.is_none() && trimmed;
+        let agrees = match &real {
+            Some(real) => answered && answer == real[..],
+            None => answered == zeros && (!zeros || answer == [0; SECTOR_SIZE]),
+        };
+        if !agrees {
+            let answer = match (answered, answer[0]) {
+                (false, _) => "left to the disk".to_string(),
+                (true, 0) => "answered as zeros".to_string(),
+                (true, tag) => format!("answered with tag {tag}"),
+            };
+            return Err(format!(
+                "sector {sector} {answer}, model: {want:?} ({})",
+                if trimmed {
+                    "trimmed"
+                } else {
+                    "kept or the disk's"
+                }
             ));
         }
     }
@@ -231,6 +272,9 @@ fn buffer_matches_reference_model() {
                             .push(sector, data.clone().into())
                             .await
                             .expect("not frozen");
+                        for s in sector..sector + sectors as u64 {
+                            model.trimmed.remove(&s);
+                        }
                         model.extents.insert(seq, (sector, data));
                         seqs.push(seq);
                     }
@@ -254,6 +298,10 @@ fn buffer_matches_reference_model() {
                             .collect();
                         b2.complete_run(&ranges(&run));
                         model.complete(run);
+                    }
+                    Op::Trim { sector, sectors } => {
+                        b2.trim(sector, sectors);
+                        model.trimmed.extend(sector..sector + sectors);
                     }
                 }
                 if let Err(divergence) = compare(&b2, &model) {

@@ -1035,6 +1035,9 @@ impl BlockDevice for Disk {
                     fua,
                 } => (disk.write_segments(sector, segments, fua).await, None),
                 IoReq::Flush => (disk.flush().await, None),
+                // Advisory, and this model keeps no mapping to drop: done,
+                // with the media, its gate and the head where they were.
+                IoReq::Trim { .. } => (Ok(()), None),
             };
             disk.inner.queue.finish(token, result, data);
         });
@@ -1380,6 +1383,28 @@ mod tests {
             assert_eq!(s.queued_requests, 3);
             assert_eq!(s.outstanding, 0);
             assert!(s.max_outstanding >= 2, "requests overlapped in the queue");
+        });
+    }
+
+    #[test]
+    fn a_trim_completes_at_once_and_touches_neither_media_nor_head() {
+        run_on_disk(specs::hdd_7200(1 << 20), |ctx, disk| async move {
+            disk.write(8, &pattern(SECTOR_SIZE, 0x5A), true)
+                .await
+                .unwrap();
+            let (before, t0) = (disk.stats(), ctx.now());
+            let t = disk.submit(IoReq::Trim {
+                sector: 0,
+                sectors: 64,
+            });
+            assert_eq!(disk.wait(t).await, Ok(None));
+            assert_eq!(ctx.now(), t0);
+            let after = disk.stats();
+            assert_eq!(after.media_ops, before.media_ops);
+            assert_eq!(after.busy, before.busy);
+            let mut media = vec![0u8; SECTOR_SIZE];
+            disk.peek_media(8, &mut media);
+            assert_eq!(media, pattern(SECTOR_SIZE, 0x5A));
         });
     }
 

@@ -164,6 +164,17 @@ pub enum IoReq {
     /// Barrier: completes once every previously acknowledged write is on
     /// stable media.
     Flush,
+    /// Advisory: the submitter no longer needs `sectors` sectors starting
+    /// at `sector`; until it rewrites them they may read as zeros or as
+    /// their last contents. Never a durability event, and nothing a device
+    /// has to remember: a device that does nothing with it is correct.
+    /// (`Trim`, because [`BlockDevice::discard`] gives up a token.)
+    Trim {
+        /// First sector no longer needed.
+        sector: u64,
+        /// Number of sectors no longer needed.
+        sectors: u64,
+    },
 }
 
 /// Opaque handle identifying a submitted request.

@@ -31,7 +31,7 @@ QUICK=1 ./target/release/abl_recovery
 echo "==> hot-path bench + allocation budget (check mode)"
 BENCH_CHECK=1 cargo bench -q -p rapilog-bench --bench hotpaths
 
-echo "==> trials/sec regression gate (QUICK sweeps vs BENCH_baseline.json)"
+echo "==> QUICK sweeps vs BENCH_baseline.json (simulated fields exact; trials/sec printed)"
 scripts/perf_gate.sh
 
 echo "==> benchmark's simulated-time metrics, five workloads at seeds 1 and 7 (vs BENCH_expect.json)"
