@@ -11,9 +11,13 @@
 //! doubles as the enforcement of the tracing cost contract: after a million
 //! events against a disabled tracer the ring must still be empty.
 //!
-//! Two machine-readable artifacts come out of a run:
+//! Machine-readable artifacts of a run:
 //!
 //! * every case's ns/op is written to `BENCH_hotpaths.json`;
+//! * per device stack, host ns and allocations per request in the two
+//!   calling forms — `exec` inline, and `submit` + `wait` (a task of its
+//!   own per request) — under `request_forms`: what a task per request
+//!   costs, as a standing number;
 //! * a commit-storm run over the full RapiLog stack is measured with the
 //!   counting global allocator, and **allocations per committed
 //!   transaction** are asserted against a hard budget — the regression
@@ -27,18 +31,21 @@ use std::hint::black_box;
 use std::rc::Rc;
 use std::time::Instant;
 
+use rapilog::{CapacitySpec, RapiLog};
 use rapilog_bench::alloc::{snapshot, CountingAlloc};
 use rapilog_bench::{run_perf, Json, PerfConfig, WorkloadSpec};
+use rapilog_dbengine::retry::RetryingDevice;
 use rapilog_dbengine::types::{Lsn, PageId, TableId, TxnId};
 use rapilog_dbengine::wal::Record;
 use rapilog_faultsim::{MachineConfig, Setup};
+use rapilog_microvisor::{Hypervisor, Trust, VirtCosts, VirtioBlk};
 use rapilog_simcore::rng::SimRng;
 use rapilog_simcore::stats::Histogram;
 use rapilog_simcore::sync::Notify;
 use rapilog_simcore::trace::{Layer, Payload, Tracer};
-use rapilog_simcore::{Sim, SimDuration, SimTime};
-use rapilog_simdisk::specs;
-use rapilog_simpower::supplies;
+use rapilog_simcore::{SectorBuf, Sim, SimCtx, SimDuration, SimTime};
+use rapilog_simdisk::{specs, BlockDevice, Disk, IoReq, SECTOR_SIZE};
+use rapilog_simpower::{supplies, PowerSupply, SupplySpec};
 use rapilog_workload::client::RunConfig;
 use rapilog_workload::tpcc::{self, TpccScale};
 
@@ -288,6 +295,119 @@ fn bench_tracer(r: &mut Runner) {
     assert!(tracer.snapshot().total > 0);
 }
 
+/// The device stacks the suite builds, over a disk that takes no simulated
+/// time: what is left is the host cost of the layers themselves.
+const REQUEST_STACKS: [&str; 6] = [
+    "disk",
+    "virtio_disk",
+    "retry_virtio_disk",
+    "rapilog",
+    "rapilog_write_through",
+    "retry_virtio_rapilog",
+];
+
+fn request_stack(name: &str, ctx: &SimCtx) -> Rc<dyn BlockDevice> {
+    let hv = Hypervisor::new(ctx);
+    let trusted = hv.create_cell("trusted", Trust::Trusted);
+    let disk = Disk::new(ctx, specs::instant(64 << 20));
+    let backend: Rc<dyn BlockDevice> = if name.ends_with("write_through") {
+        // A residual window too short to drain anything in.
+        let brownout = SupplySpec {
+            name: "brownout".to_string(),
+            residual_joules: 1.0,
+            drain_draw_watts: 200.0,
+            warning_latency: SimDuration::from_millis(1),
+        };
+        let psu = PowerSupply::new(ctx, brownout);
+        let rl = RapiLog::builder(ctx)
+            .cell(&trusted)
+            .disk(disk)
+            .supply(&psu)
+            .capacity(CapacitySpec::FromSupply)
+            .build();
+        assert!(rl.device().is_write_through());
+        std::mem::forget(psu);
+        Rc::new(rl.device())
+    } else if name.ends_with("rapilog") {
+        let rl = RapiLog::builder(ctx)
+            .cell(&trusted)
+            .disk(disk)
+            .capacity(CapacitySpec::Fixed(1 << 20))
+            .build();
+        Rc::new(rl.device())
+    } else {
+        Rc::new(disk)
+    };
+    let dev: Rc<dyn BlockDevice> = if name.contains("virtio") {
+        Rc::new(VirtioBlk::new(ctx, &trusted, backend, VirtCosts::default()))
+    } else {
+        backend
+    };
+    // Trusted cells never die; the simulation owns their tasks.
+    std::mem::forget(trusted);
+    if name.starts_with("retry") {
+        Rc::new(RetryingDevice::new(
+            ctx,
+            dev,
+            8,
+            SimDuration::from_millis(2),
+        ))
+    } else {
+        dev
+    }
+}
+
+/// One-sector FUA writes, one at a time, through each stack in each calling
+/// form: `exec` carries the request in the caller's task, `submit` + `wait`
+/// gives it a task of its own. The difference is what the queued form costs
+/// per request (ROADMAP, *Measured and rejected*: why the commit path and
+/// the wrappers' inner hops are inline).
+fn bench_request_forms(r: &mut Runner) -> Json {
+    let requests = r.iters(40_000);
+    let mut rows = Vec::new();
+    for stack in REQUEST_STACKS {
+        for (form, queued) in [("exec", false), ("submit_wait", true)] {
+            let mut sim = Sim::new(5);
+            let dev = request_stack(stack, &sim.ctx());
+            sim.spawn(async move {
+                let data = SectorBuf::from_vec(vec![0x5A; SECTOR_SIZE]);
+                for i in 0..requests {
+                    let req = IoReq::Write {
+                        sector: i % 1024,
+                        segments: vec![data.clone()],
+                        fua: true,
+                    };
+                    let done = if queued {
+                        let token = dev.submit(req);
+                        dev.wait(token).await
+                    } else {
+                        dev.exec(req).await
+                    };
+                    done.expect("write");
+                }
+            });
+            let before = snapshot();
+            let start = Instant::now();
+            sim.run();
+            let elapsed = start.elapsed();
+            let allocs = snapshot().since(before).calls as f64 / requests as f64;
+            let name = format!("request/{stack}/{form}");
+            r.report(&name, elapsed, requests);
+            println!("{name:<40} {allocs:>12.1} allocs/request");
+            rows.push(Json::obj([
+                ("stack", Json::str(stack)),
+                ("form", Json::str(form)),
+                (
+                    "ns_per_request",
+                    Json::Num(elapsed.as_nanos() as f64 / requests as f64),
+                ),
+                ("allocs_per_request", Json::Num(allocs)),
+            ]));
+        }
+    }
+    Json::Arr(rows)
+}
+
 /// Runs the commit storm through the full RapiLog machine and measures
 /// allocator traffic per committed transaction. This is the end-to-end
 /// guard on the zero-copy log data path.
@@ -375,6 +495,7 @@ fn main() {
     bench_exec_kernel(&mut r);
     bench_tpcc_generate(&mut r);
     bench_tracer(&mut r);
+    let request_forms = bench_request_forms(&mut r);
     let storm = bench_storm_allocations(r.check, false);
     let storm_timer = bench_storm_allocations(r.check, true);
     let doc = Json::obj([
@@ -399,6 +520,7 @@ fn main() {
                     .collect(),
             ),
         ),
+        ("request_forms", request_forms),
         ("storm", storm),
         ("storm_timer", storm_timer),
     ]);

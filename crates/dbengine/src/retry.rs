@@ -69,29 +69,28 @@ impl BlockDevice for RetryingDevice {
         self.inner.geometry()
     }
 
-    fn submit(&self, req: IoReq) -> ReqToken {
-        let token = self.queue.issue();
-        let this = self.clone();
-        self.ctx.spawn(async move {
+    fn exec(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+        Box::pin(async move {
             let mut attempt = 0u32;
-            let (result, data) = loop {
-                // Segment clones are O(1) refcount bumps: retries never
-                // re-copy the payload.
-                let inner_token = this.inner.submit(req.clone());
-                match this.inner.wait(inner_token).await {
-                    Err(IoError::Transient) if attempt < this.retries => {
+            loop {
+                // The inner device consumes its request, so each try is
+                // given a copy: segments are refcounted views (the payload
+                // is never re-copied), the list around them one small Vec.
+                match self.inner.exec(req.clone()).await {
+                    Err(IoError::Transient) if attempt < self.retries => {
                         attempt += 1;
-                        if !this.delay.is_zero() {
-                            this.ctx.sleep(this.delay).await;
+                        if !self.delay.is_zero() {
+                            self.ctx.sleep(self.delay).await;
                         }
                     }
-                    Ok(data) => break (Ok(()), data),
-                    Err(e) => break (Err(e), None),
+                    other => return other,
                 }
-            };
-            this.queue.finish(token, result, data);
-        });
-        token
+            }
+        })
+    }
+
+    fn submit(&self, req: IoReq) -> ReqToken {
+        self.queue.submit(&self.ctx, self.clone(), req)
     }
 
     fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
@@ -104,86 +103,6 @@ impl BlockDevice for RetryingDevice {
 
     fn discard(&self, token: ReqToken) {
         self.queue.forget(token);
-    }
-
-    fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
-        Box::pin(async move {
-            let mut attempt = 0u32;
-            loop {
-                match self.inner.read(sector, buf).await {
-                    Err(IoError::Transient) if attempt < self.retries => {
-                        attempt += 1;
-                        if !self.delay.is_zero() {
-                            self.ctx.sleep(self.delay).await;
-                        }
-                    }
-                    other => return other,
-                }
-            }
-        })
-    }
-
-    fn write<'a>(
-        &'a self,
-        sector: u64,
-        data: &'a [u8],
-        fua: bool,
-    ) -> LocalBoxFuture<'a, IoResult<()>> {
-        Box::pin(async move {
-            let mut attempt = 0u32;
-            loop {
-                match self.inner.write(sector, data, fua).await {
-                    Err(IoError::Transient) if attempt < self.retries => {
-                        attempt += 1;
-                        if !self.delay.is_zero() {
-                            self.ctx.sleep(self.delay).await;
-                        }
-                    }
-                    other => return other,
-                }
-            }
-        })
-    }
-
-    fn write_buf(
-        &self,
-        sector: u64,
-        data: SectorBuf,
-        fua: bool,
-    ) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move {
-            let mut attempt = 0u32;
-            loop {
-                // The clone is an O(1) refcount bump, so retries do not
-                // re-copy the payload.
-                match self.inner.write_buf(sector, data.clone(), fua).await {
-                    Err(IoError::Transient) if attempt < self.retries => {
-                        attempt += 1;
-                        if !self.delay.is_zero() {
-                            self.ctx.sleep(self.delay).await;
-                        }
-                    }
-                    other => return other,
-                }
-            }
-        })
-    }
-
-    fn flush(&self) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move {
-            let mut attempt = 0u32;
-            loop {
-                match self.inner.flush().await {
-                    Err(IoError::Transient) if attempt < self.retries => {
-                        attempt += 1;
-                        if !self.delay.is_zero() {
-                            self.ctx.sleep(self.delay).await;
-                        }
-                    }
-                    other => return other,
-                }
-            }
-        })
     }
 }
 

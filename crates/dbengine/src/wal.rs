@@ -971,8 +971,9 @@ async fn flusher_loop(inner: Rc<WalInner>) {
                 },
             );
             // Write, splitting at the circular-region wrap. Each split is
-            // an O(1) view of the pooled batch, handed down the zero-copy
-            // `write_buf` path.
+            // an O(1) view of the pooled batch, carried down to the device
+            // in this task (`exec`, not `write_buf`: one boxed future less
+            // per log write).
             let region_bytes = inner.region_sectors * SECTOR_SIZE as u64;
             let mut ok = true;
             let mut off = 0usize;
@@ -981,12 +982,12 @@ async fn flusher_loop(inner: Rc<WalInner>) {
                 let dev_sector = LOG_BASE_SECTOR + (lsn.0 % region_bytes) / SECTOR_SIZE as u64;
                 let until_wrap = (region_bytes - lsn.0 % region_bytes) as usize;
                 let n = (data.len() - off).min(until_wrap);
-                if inner
-                    .dev
-                    .write_buf(dev_sector, data.slice(off..off + n), true)
-                    .await
-                    .is_err()
-                {
+                let write = IoReq::Write {
+                    sector: dev_sector,
+                    segments: vec![data.slice(off..off + n)],
+                    fua: true,
+                };
+                if inner.dev.exec(write).await.is_err() {
                     ok = false;
                     break;
                 }

@@ -755,20 +755,31 @@ struct ApplyLog {
     writes: RefCell<Vec<(u64, SectorBuf)>>,
 }
 
+impl ApplyLog {
+    fn note(&self, req: &IoReq) {
+        if let IoReq::Write {
+            sector, segments, ..
+        } = req
+        {
+            if let Some(first) = segments.first() {
+                self.writes.borrow_mut().push((*sector, first.clone()));
+            }
+        }
+    }
+}
+
 impl BlockDevice for ApplyLog {
     fn geometry(&self) -> Geometry {
         self.device.geometry()
     }
 
+    fn exec(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+        self.note(&req);
+        self.device.exec(req)
+    }
+
     fn submit(&self, req: IoReq) -> ReqToken {
-        if let IoReq::Write {
-            sector, segments, ..
-        } = &req
-        {
-            self.writes
-                .borrow_mut()
-                .push((*sector, segments[0].clone()));
-        }
+        self.note(&req);
         self.device.submit(req)
     }
 

@@ -18,8 +18,8 @@
 //!   model.
 //! * Cells share nothing: all state is owned by tasks inside the cell
 //!   (enforced by Rust ownership). Communication crosses cell boundaries
-//!   only through typed [`ipc`] endpoints and [`ring`] queues, both of
-//!   which survive the death of either side.
+//!   only through [`ring`] queues, which survive the death of either
+//!   side.
 //! * Crossing the boundary costs time ([`VirtCosts`]): the trap, the
 //!   hypervisor handling and the completion interrupt. This is the
 //!   "virtualisation overhead" the paper's abstract refers to, and it is
@@ -43,7 +43,6 @@
 //! ```
 
 pub mod cell;
-pub mod ipc;
 pub mod ring;
 pub mod vmm;
 

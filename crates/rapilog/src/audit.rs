@@ -93,12 +93,6 @@ pub struct AuditReport {
     /// I3 tracks the contiguous durable *prefix*, which the drain reports
     /// only as it advances.
     pub ooo_retirements: u64,
-    /// Service-layer request retries after an IPC timeout (the client
-    /// resubmitted and eventually got an answer).
-    pub service_retries: u64,
-    /// Service-layer requests that timed out. Counts every lapsed
-    /// deadline, including ones later recovered by a retry.
-    pub service_timeouts: u64,
     /// Per-tenant sections (empty for single-tenant instances). The global
     /// counters above aggregate across tenants; these attribute them.
     pub tenants: Vec<TenantAudit>,
@@ -256,16 +250,6 @@ impl Audit {
     /// Records one batch retiring ahead of an older pending batch.
     pub fn record_ooo_retirement(&self) {
         self.st.borrow_mut().report.ooo_retirements += 1;
-    }
-
-    /// Records one service-layer retry after an IPC timeout.
-    pub fn record_service_retry(&self) {
-        self.st.borrow_mut().report.service_retries += 1;
-    }
-
-    /// Records one lapsed service-layer request deadline.
-    pub fn record_service_timeout(&self) {
-        self.st.borrow_mut().report.service_timeouts += 1;
     }
 
     /// Records the standby acknowledging `tenant`'s prefix up to `seq`.

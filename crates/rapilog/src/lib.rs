@@ -59,7 +59,6 @@ pub mod audit;
 pub mod buffer;
 pub mod drain;
 pub mod replicate;
-pub mod service;
 pub mod shard;
 pub mod vdisk;
 
@@ -69,7 +68,6 @@ pub use replicate::{
     ApplyStop, ReplicationConfig, ReplicationMode, ReplicationReport, Replicator, ShipAck,
     ShipFrame, Standby, StandbyReport,
 };
-pub use service::{LogClient, LogService, SubmitError};
 pub use shard::{ShardedBuffer, TenantId, TenantSpec};
 pub use vdisk::RapiLogDevice;
 
@@ -85,7 +83,6 @@ pub mod prelude {
         ApplyStop, ReplicationConfig, ReplicationMode, ReplicationReport, Replicator, ShipAck,
         ShipFrame, Standby, StandbyReport,
     };
-    pub use crate::service::{LogClient, LogService, SubmitError};
     pub use crate::shard::{ShardedBuffer, TenantId, TenantSpec};
     pub use crate::vdisk::RapiLogDevice;
     pub use crate::{
@@ -1239,8 +1236,12 @@ mod builder_tests {
         std::mem::forget(cell);
     }
 
+    /// What a tenant holds is its device: it writes into that tenant's
+    /// shard and shows in that tenant's sections only, a silent tenant
+    /// still gets its (empty) sections, and there is no device to hand out
+    /// for a tenant the instance was not built with.
     #[test]
-    fn silent_tenants_get_sections_on_a_sharded_instance_too() {
+    fn device_for_is_the_tenants_capability_to_its_shard() {
         let (mut sim, ctx, hv, disk) = fixture(10);
         let cell = hv.create_cell("rapilog", Trust::Trusted);
         let rl = RapiLog::builder(&ctx)
@@ -1250,6 +1251,7 @@ mod builder_tests {
             .tenants(&[shard::TenantSpec::new(1), shard::TenantSpec::new(2)])
             .build();
         // Only tenant 1 writes; tenant 2 stays silent.
+        assert!(rl.device_for(TenantId(99)).is_none(), "unknown tenant");
         let dev = rl.device_for(TenantId(1)).unwrap();
         sim.spawn(async move {
             dev.write(0, &vec![3u8; rapilog_simdisk::SECTOR_SIZE], true)
@@ -1262,6 +1264,14 @@ mod builder_tests {
         let silent = report.tenant(2).expect("silent tenant still reported");
         assert_eq!(silent.commits, 0);
         assert!(report.guarantee_held());
+        let snap = rl.snapshot();
+        let accepted: Vec<(u64, u64)> = snap
+            .tenants
+            .iter()
+            .map(|t| (t.tenant, t.buffer.accepted_writes))
+            .collect();
+        assert_eq!(accepted, [(1, 1), (2, 0)], "tenant 1's shard only");
+        assert_eq!(snap.buffer.accepted_writes, 1);
         std::mem::forget(cell);
     }
 

@@ -20,28 +20,18 @@ use crate::buffer::DependableBuffer;
 
 /// Identity of one tenant cell sharing a RapiLog instance.
 ///
-/// In the microvisor integration the tenant id doubles as the IPC badge on
-/// the tenant's endpoint capability ([`TenantId::from_badge`]), so the log
-/// service can route a submission to its shard without trusting any field
-/// of the message itself.
+/// A tenant's capability to its shard is the [`RapiLogDevice`] that
+/// [`RapiLog::device_for`] hands its cell: the device writes into that
+/// shard and no other, so there is no tenant field in a request to trust.
+///
+/// [`RapiLogDevice`]: crate::RapiLogDevice
+/// [`RapiLog::device_for`]: crate::RapiLog::device_for
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u64);
 
 impl TenantId {
     /// The implicit tenant of a single-tenant instance.
     pub const DEFAULT: TenantId = TenantId(0);
-
-    /// Derives the tenant identity from a microvisor IPC badge. Badges are
-    /// unforgeable within the model, which makes this the trusted routing
-    /// key for cell submissions.
-    pub fn from_badge(badge: u64) -> TenantId {
-        TenantId(badge)
-    }
-
-    /// The badge value to mint this tenant's endpoint capability with.
-    pub fn badge(self) -> u64 {
-        self.0
-    }
 }
 
 impl std::fmt::Display for TenantId {
@@ -53,7 +43,7 @@ impl std::fmt::Display for TenantId {
 /// One tenant's share of a multi-tenant instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantSpec {
-    /// The tenant's identity (also its IPC badge).
+    /// The tenant's identity.
     pub id: TenantId,
     /// Fair-share weight: capacity split and drain quantum scale with it.
     /// Clamped to at least 1.

@@ -28,8 +28,8 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::trace::{Layer, Payload, Tracer};
 use rapilog_simcore::{SimCtx, SimDuration};
 use rapilog_simdisk::{
-    BlockDevice, Completion, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken,
-    SECTOR_SIZE,
+    flatten, BlockDevice, Completion, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture,
+    ReqToken, SECTOR_SIZE,
 };
 
 use crate::buffer::{DependableBuffer, PushError};
@@ -116,23 +116,13 @@ impl RapiLogDevice {
         self.cfg.ack_base + self.cfg.ack_per_kib * (bytes as u64).div_ceil(1024)
     }
 
-    fn check(&self, sector: u64, len: usize) -> IoResult<u64> {
-        if len == 0 || !len.is_multiple_of(SECTOR_SIZE) {
+    /// A transfer of `len` bytes at `sector`: whole sectors, at least one,
+    /// inside the device.
+    fn check(&self, sector: u64, len: usize) -> IoResult<()> {
+        if !len.is_multiple_of(SECTOR_SIZE) {
             return Err(IoError::Misaligned { len });
         }
-        let count = (len / SECTOR_SIZE) as u64;
-        self.check_range(sector, count)?;
-        Ok(count)
-    }
-
-    fn check_range(&self, sector: u64, count: u64) -> IoResult<()> {
-        if sector
-            .checked_add(count)
-            .is_none_or(|e| e > self.geometry.sectors)
-        {
-            return Err(IoError::OutOfRange { sector, count });
-        }
-        Ok(())
+        self.geometry.check(sector, (len / SECTOR_SIZE) as u64)
     }
 
     /// The guest no longer needs these sectors: the buffer notes the range
@@ -140,7 +130,7 @@ impl RapiLogDevice {
     /// — the backing disk is never told, and a write-through instance, which
     /// has nowhere to note it, reads the media as before.
     async fn trim(&self, sector: u64, sectors: u64) -> IoResult<()> {
-        self.check_range(sector, sectors)?;
+        self.geometry.check(sector, sectors)?;
         let Some(buffer) = &self.buffer else {
             return Ok(());
         };
@@ -152,8 +142,8 @@ impl RapiLogDevice {
         Ok(())
     }
 
-    /// The admission path shared by the borrowed-slice and owned-buffer
-    /// write entry points. `data` is *viewed* all the way into the buffer:
+    /// The admission path of every write. `data` is *viewed* all the way
+    /// into the buffer:
     /// chunking for a small buffer is O(1) sub-slicing, and no byte is
     /// copied between here and the media store.
     async fn write_inner(&self, sector: u64, data: SectorBuf) -> IoResult<()> {
@@ -285,6 +275,64 @@ impl RapiLogDevice {
         }
         Ok(())
     }
+
+    /// Sees the newest acknowledged bytes: what the buffer holds first, the
+    /// backing disk for the rest. `sectors` is the guest's, so the range is
+    /// checked before the buffer is sized from it.
+    async fn read_inner(&self, sector: u64, sectors: u64) -> IoResult<Option<SectorBuf>> {
+        self.geometry.check(sector, sectors)?;
+        let Some(buffer) = &self.buffer else {
+            return self.backing.exec(IoReq::Read { sector, sectors }).await;
+        };
+        let mut buf = vec![0u8; sectors as usize * SECTOR_SIZE];
+        // What the buffer holds needs no disk: acked bytes on their way
+        // to it, and landed ones still kept (a rebooted guest's log).
+        let disk = match buffer.read_held(sector, &mut buf) {
+            None => {
+                self.ctx.sleep(self.ack_cost(buf.len())).await;
+                0
+            }
+            // One read, from the first to the last sector not held.
+            Some((first, last)) => {
+                let from = (first - sector) as usize * SECTOR_SIZE;
+                let span = &mut buf[from..(last + 1 - sector) as usize * SECTOR_SIZE];
+                // Counted while it is on the backing disk, so the drain
+                // can stand aside for it; a future dropped mid-read
+                // (guest crash) gives the count back.
+                let reading = self.mode.reading();
+                let read = self.backing.read(first, span).await;
+                reading.returned(self.ctx.now());
+                read?;
+                // Sectors held inside the span are as new as the disk's
+                // or newer, whatever was admitted or landed meanwhile.
+                buffer.read_held(first, span);
+                span.len() as u64
+            }
+        };
+        let memory = buf.len() as u64 - disk;
+        buffer.note_read(memory, disk);
+        let served = Payload::Read {
+            sector,
+            memory,
+            disk,
+        };
+        self.tracer
+            .instant(self.ctx.now(), Layer::Buffer, "read", served);
+        Ok(Some(SectorBuf::from_vec(buf)))
+    }
+
+    async fn flush_inner(&self) -> IoResult<()> {
+        let Some(buffer) = &self.buffer else {
+            return self.backing.flush().await;
+        };
+        // Nothing to do: every acknowledged write is already
+        // dependable. This is the entire point.
+        if buffer.is_frozen() {
+            return Err(IoError::PowerLoss);
+        }
+        self.ctx.sleep(self.cfg.ack_base).await;
+        Ok(())
+    }
 }
 
 impl BlockDevice for RapiLogDevice {
@@ -292,44 +340,30 @@ impl BlockDevice for RapiLogDevice {
         self.geometry
     }
 
-    fn submit(&self, req: IoReq) -> ReqToken {
-        let token = self.queue.issue();
-        let this = self.clone();
-        self.ctx.spawn(async move {
-            let (result, data) = match req {
-                IoReq::Read { sector, sectors } => {
-                    let mut buf = vec![0u8; sectors as usize * SECTOR_SIZE];
-                    match this.read(sector, &mut buf).await {
-                        Ok(()) => (Ok(()), Some(SectorBuf::from_vec(buf))),
-                        Err(e) => (Err(e), None),
-                    }
-                }
+    fn exec(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+        Box::pin(async move {
+            match req {
+                IoReq::Read { sector, sectors } => self.read_inner(sector, sectors).await,
+                // FUA or not: acknowledged is dependable.
                 IoReq::Write {
                     sector,
                     mut segments,
                     ..
                 } => {
                     // A single segment rides zero-copy into the admission
-                    // path; multiple segments are flattened once, exactly
-                    // as the slice entry point would copy them.
-                    let res = if segments.len() == 1 {
-                        this.write_inner(sector, segments.pop().unwrap()).await
-                    } else {
-                        let total: usize = segments.iter().map(|s| s.len()).sum();
-                        let mut flat = Vec::with_capacity(total);
-                        for seg in &segments {
-                            flat.extend_from_slice(seg.as_slice());
-                        }
-                        this.write_inner(sector, SectorBuf::from_vec(flat)).await
-                    };
-                    (res, None)
+                    // path; a scatter list is flattened once.
+                    flatten(&mut segments);
+                    let data = segments.pop().ok_or(IoError::Misaligned { len: 0 })?;
+                    self.write_inner(sector, data).await.map(|()| None)
                 }
-                IoReq::Flush => (this.flush().await, None),
-                IoReq::Trim { sector, sectors } => (this.trim(sector, sectors).await, None),
-            };
-            this.queue.finish(token, result, data);
-        });
-        token
+                IoReq::Flush => self.flush_inner().await.map(|()| None),
+                IoReq::Trim { sector, sectors } => self.trim(sector, sectors).await.map(|()| None),
+            }
+        })
+    }
+
+    fn submit(&self, req: IoReq) -> ReqToken {
+        self.queue.submit(&self.ctx, self.clone(), req)
     }
 
     fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
@@ -342,84 +376,6 @@ impl BlockDevice for RapiLogDevice {
 
     fn discard(&self, token: ReqToken) {
         self.queue.forget(token);
-    }
-
-    fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
-        Box::pin(async move {
-            self.check(sector, buf.len())?;
-            let Some(buffer) = &self.buffer else {
-                return self.backing.read(sector, buf).await;
-            };
-            // What the buffer holds needs no disk: acked bytes on their way
-            // to it, and landed ones still kept (a rebooted guest's log).
-            let disk = match buffer.read_held(sector, buf) {
-                None => {
-                    self.ctx.sleep(self.ack_cost(buf.len())).await;
-                    0
-                }
-                // One read, from the first to the last sector not held.
-                Some((first, last)) => {
-                    let from = (first - sector) as usize * SECTOR_SIZE;
-                    let span = &mut buf[from..(last + 1 - sector) as usize * SECTOR_SIZE];
-                    // Counted while it is on the backing disk, so the drain
-                    // can stand aside for it; a future dropped mid-read
-                    // (guest crash) gives the count back.
-                    let reading = self.mode.reading();
-                    let read = self.backing.read(first, span).await;
-                    reading.returned(self.ctx.now());
-                    read?;
-                    // Sectors held inside the span are as new as the disk's
-                    // or newer, whatever was admitted or landed meanwhile.
-                    buffer.read_held(first, span);
-                    span.len() as u64
-                }
-            };
-            let memory = buf.len() as u64 - disk;
-            buffer.note_read(memory, disk);
-            let served = Payload::Read {
-                sector,
-                memory,
-                disk,
-            };
-            self.tracer
-                .instant(self.ctx.now(), Layer::Buffer, "read", served);
-            Ok(())
-        })
-    }
-
-    fn write<'a>(
-        &'a self,
-        sector: u64,
-        data: &'a [u8],
-        _fua: bool,
-    ) -> LocalBoxFuture<'a, IoResult<()>> {
-        // Borrowed-slice entry point: the one copy into an owned buffer
-        // happens here, at admission; everything downstream takes views.
-        Box::pin(async move { self.write_inner(sector, SectorBuf::copy_from(data)).await })
-    }
-
-    fn write_buf(
-        &self,
-        sector: u64,
-        data: SectorBuf,
-        _fua: bool,
-    ) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move { self.write_inner(sector, data).await })
-    }
-
-    fn flush(&self) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move {
-            let Some(buffer) = &self.buffer else {
-                return self.backing.flush().await;
-            };
-            // Nothing to do: every acknowledged write is already
-            // dependable. This is the entire point.
-            if buffer.is_frozen() {
-                return Err(IoError::PowerLoss);
-            }
-            self.ctx.sleep(self.cfg.ack_base).await;
-            Ok(())
-        })
     }
 }
 

@@ -27,7 +27,7 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::rng::SimRng;
 use rapilog_simcore::sync::{Notify, Semaphore};
 use rapilog_simcore::trace::{Layer, Payload, Tracer};
-use rapilog_simcore::{SimCtx, SimDuration, SimTime};
+use rapilog_simcore::{DomainId, SimCtx, SimDuration, SimTime};
 
 use crate::queue::IoQueue;
 use crate::spec::DiskSpec;
@@ -79,9 +79,10 @@ pub struct DiskStats {
     /// completed).
     pub outstanding: u32,
     /// High-water mark of [`outstanding`](DiskStats::outstanding) — the
-    /// deepest the submission queue has ever been. Stays 0 when only the
-    /// depth-1 shims are used; under the windowed drain it shows how much
-    /// channel parallelism was actually exploited.
+    /// deepest the submission queue has ever been. Stays 0 while every
+    /// request arrives inline (`exec`, directly or through a wrapper);
+    /// under the windowed drain it shows how much channel parallelism was
+    /// actually exploited.
     pub max_outstanding: u32,
     /// Total time the actuator was busy.
     pub busy: SimDuration,
@@ -499,13 +500,35 @@ impl Disk {
             return Err(IoError::Misaligned { len });
         }
         let count = (len / SECTOR_SIZE) as u64;
-        if sector
-            .checked_add(count)
-            .is_none_or(|end| end > self.inner.geometry.sectors)
-        {
-            return Err(IoError::OutOfRange { sector, count });
-        }
+        self.inner.geometry.check(sector, count)?;
         Ok(count)
+    }
+
+    /// Carries one request to completion in the caller's task: the one
+    /// place the disk tells request kinds apart. The queued form
+    /// ([`BlockDevice::submit`]) runs this in a task of its own.
+    pub async fn exec(&self, req: IoReq) -> IoResult<Option<SectorBuf>> {
+        match req {
+            IoReq::Read { sector, sectors } => {
+                // `sectors` is the guest's: in range before it sizes a buffer.
+                self.inner.geometry.check(sector, sectors)?;
+                let mut buf = vec![0u8; sectors as usize * SECTOR_SIZE];
+                self.read(sector, &mut buf).await?;
+                Ok(Some(SectorBuf::from_vec(buf)))
+            }
+            IoReq::Write {
+                sector,
+                segments,
+                fua,
+            } => {
+                self.write_segments(sector, segments, fua).await?;
+                Ok(None)
+            }
+            IoReq::Flush => self.flush().await.map(|()| None),
+            // Advisory, and this model keeps no mapping to drop: done,
+            // with the media, its gate and the head where they were.
+            IoReq::Trim { .. } => Ok(None),
+        }
     }
 
     /// Reads `buf.len() / 512` sectors starting at `sector`, overlaying any
@@ -1006,6 +1029,14 @@ impl BlockDevice for Disk {
         self.inner.geometry
     }
 
+    fn exec(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+        Box::pin(self.exec(req))
+    }
+
+    /// The disk meters its own queue (`queued_requests`, `max_outstanding`,
+    /// the `disk_queue_depth` instant), so it spells the queued form out
+    /// instead of calling [`IoQueue::submit`]. A request that reaches the
+    /// disk through a wrapper's inline `exec` is not counted here.
     fn submit(&self, req: IoReq) -> ReqToken {
         let token = self.inner.queue.issue();
         self.inner.stats.borrow_mut().queued_requests += 1;
@@ -1020,27 +1051,12 @@ impl BlockDevice for Disk {
             },
         );
         let disk = self.clone();
-        self.inner.ctx.spawn(async move {
-            let (result, data) = match req {
-                IoReq::Read { sector, sectors } => {
-                    let mut buf = vec![0u8; sectors as usize * SECTOR_SIZE];
-                    match disk.read(sector, &mut buf).await {
-                        Ok(()) => (Ok(()), Some(SectorBuf::from_vec(buf))),
-                        Err(e) => (Err(e), None),
-                    }
-                }
-                IoReq::Write {
-                    sector,
-                    segments,
-                    fua,
-                } => (disk.write_segments(sector, segments, fua).await, None),
-                IoReq::Flush => (disk.flush().await, None),
-                // Advisory, and this model keeps no mapping to drop: done,
-                // with the media, its gate and the head where they were.
-                IoReq::Trim { .. } => (Ok(()), None),
-            };
-            disk.inner.queue.finish(token, result, data);
-        });
+        self.inner
+            .ctx
+            .spawn_detached_in(DomainId::ROOT, async move {
+                let outcome = disk.exec(req).await;
+                disk.inner.queue.finish(token, outcome);
+            });
         token
     }
 
@@ -1054,32 +1070,6 @@ impl BlockDevice for Disk {
 
     fn discard(&self, token: ReqToken) {
         self.inner.queue.forget(token);
-    }
-
-    fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
-        Box::pin(self.read(sector, buf))
-    }
-
-    fn write<'a>(
-        &'a self,
-        sector: u64,
-        data: &'a [u8],
-        fua: bool,
-    ) -> LocalBoxFuture<'a, IoResult<()>> {
-        Box::pin(self.write(sector, data, fua))
-    }
-
-    fn flush(&self) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(self.flush())
-    }
-
-    fn write_buf(
-        &self,
-        sector: u64,
-        data: SectorBuf,
-        fua: bool,
-    ) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move { self.write_segments(sector, vec![data], fua).await })
     }
 }
 
@@ -1491,47 +1481,6 @@ mod tests {
         assert_eq!(stats.media_ops, 3);
         // The actuator still serialises: busy time ≤ elapsed time.
         assert!(stats.busy.as_nanos() <= report.now.as_nanos());
-    }
-
-    #[test]
-    fn default_shims_work_over_submission() {
-        // A minimal device that only implements the queued surface: the
-        // deprecated read/write/flush shims must still work through it.
-        struct QueueOnly {
-            disk: Disk,
-        }
-        impl BlockDevice for QueueOnly {
-            fn geometry(&self) -> Geometry {
-                self.disk.geometry()
-            }
-            fn submit(&self, req: IoReq) -> ReqToken {
-                self.disk.submit(req)
-            }
-            fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-                self.disk.completions()
-            }
-            fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-                BlockDevice::wait(&self.disk, token)
-            }
-        }
-        let mut sim = Sim::new(7);
-        let ctx = sim.ctx();
-        let dev: Rc<dyn BlockDevice> = Rc::new(QueueOnly {
-            disk: Disk::new(&ctx, specs::instant(1 << 20)),
-        });
-        sim.spawn(async move {
-            let data = pattern(2 * SECTOR_SIZE, 0x77);
-            dev.write(3, &data, true).await.unwrap();
-            dev.flush().await.unwrap();
-            let mut buf = vec![0u8; 2 * SECTOR_SIZE];
-            dev.read(3, &mut buf).await.unwrap();
-            assert_eq!(buf, data);
-            assert_eq!(
-                dev.write(0, &data[..100], true).await,
-                Err(IoError::Misaligned { len: 100 })
-            );
-        });
-        sim.run();
     }
 
     #[test]

@@ -137,11 +137,29 @@ impl Geometry {
     pub fn capacity_bytes(&self) -> u64 {
         self.sectors * self.sector_size as u64
     }
+
+    /// Checks an access of `count` sectors at `sector` against the device:
+    /// none at all is [`IoError::Misaligned`]` { len: 0 }`, past the end is
+    /// [`IoError::OutOfRange`]. `count` comes from the guest, so this runs
+    /// before anything is sized from it.
+    pub fn check(&self, sector: u64, count: u64) -> IoResult<()> {
+        if count == 0 {
+            return Err(IoError::Misaligned { len: 0 });
+        }
+        if sector
+            .checked_add(count)
+            .is_none_or(|end| end > self.sectors)
+        {
+            return Err(IoError::OutOfRange { sector, count });
+        }
+        Ok(())
+    }
 }
 
-/// One request on the queued [`BlockDevice`] interface.
+/// One request to a [`BlockDevice`].
 ///
-/// Submitted with [`BlockDevice::submit`]; the matching [`Completion`]
+/// Carried out inline by [`BlockDevice::exec`], or queued with
+/// [`BlockDevice::submit`], in which case the matching [`Completion`]
 /// carries the result (and, for reads, the data).
 #[derive(Debug, Clone)]
 pub enum IoReq {
@@ -204,32 +222,51 @@ pub struct Completion {
 /// pointed at either one. All methods are object-safe (they return boxed
 /// futures) so engines can hold `Rc<dyn BlockDevice>`.
 ///
-/// # The queued interface
+/// # What a device implements
 ///
-/// The primary surface is queue-based: [`submit`](BlockDevice::submit)
-/// enqueues a request and returns immediately with a [`ReqToken`]; the
-/// result is collected later with [`wait`](BlockDevice::wait) (one token)
-/// or [`completions`](BlockDevice::completions) (everything finished).
-/// Multiple requests may be outstanding at once — up to
-/// [`Geometry::queue_depth`] of them make media progress concurrently —
-/// which is what lets the RapiLog drain keep several flash channels busy.
-/// Completion order is *not* submission order; callers that need ordering
-/// express it by waiting before submitting the dependent request.
+/// One method carries the device's logic: [`exec`](BlockDevice::exec)
+/// takes an [`IoReq`] and carries it to completion in the caller's own
+/// task. Everything else is derived from it, so a request kind is handled
+/// in exactly one place per device:
 ///
-/// Each token must be claimed exactly once, through either `wait` or
-/// `completions`, never both: `completions` drains every unclaimed result,
-/// so mixing the two styles on one device handle steals tokens from the
-/// `wait`ers.
+/// * **The queued form.** [`submit`](BlockDevice::submit) hands out a
+///   [`ReqToken`], runs `exec` in a task of its own and files the result
+///   under the token ([`IoQueue::submit`] is that, written once);
+///   [`wait`](BlockDevice::wait) (one token),
+///   [`completions`](BlockDevice::completions) (everything finished) and
+///   [`discard`](BlockDevice::discard) go to the device's [`IoQueue`].
+///   Multiple requests may be outstanding at once — up to
+///   [`Geometry::queue_depth`] of them make media progress concurrently —
+///   which is what lets the RapiLog drain keep several flash channels busy.
+///   Completion order is *not* submission order; callers that need ordering
+///   express it by waiting before submitting the dependent request.
+/// * **The one-at-a-time form.** [`read`](BlockDevice::read),
+///   [`write`](BlockDevice::write), [`flush`](BlockDevice::flush) and
+///   [`write_buf`](BlockDevice::write_buf) are provided methods that build
+///   the request and `exec` it inline — no task, no token. No device
+///   overrides them (`scripts/design_gate.sh` fails one that does).
 ///
-/// The older one-future-per-op methods ([`read`](BlockDevice::read),
-/// [`write`](BlockDevice::write), [`flush`](BlockDevice::flush),
-/// [`write_buf`](BlockDevice::write_buf)) remain as default-method shims
-/// over depth-1 submission. They are **deprecated as a primary interface**
-/// — new code should submit — but stay supported indefinitely as the
-/// convenient form for engines that want one request at a time.
+/// A wrapper (the retry layer, the virtio ring's backend) calls its inner
+/// device's `exec`, so a request crosses the whole stack in the task that
+/// issued it and is counted by the [`IoQueue`] of the device it was
+/// submitted to, not by those underneath.
+///
+/// Each token must be claimed exactly once, through `wait`, `completions`
+/// or `discard`: `completions` drains every unclaimed result, so mixing it
+/// with `wait` on one device handle steals tokens from the `wait`ers.
+///
+/// Every device answers a malformed request the same way: a write with no
+/// bytes (or no segments) and a zero-sector read are
+/// [`IoError::Misaligned`]` { len: 0 }`, and a range is checked against the
+/// [`Geometry`] before anything is sized from it — `sectors` comes from
+/// the guest.
 pub trait BlockDevice {
     /// The device's geometry.
     fn geometry(&self) -> Geometry;
+
+    /// Carries `req` to completion in the caller's task; a completed read
+    /// yields `Some(data)`. The one place a device handles a request.
+    fn exec(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>>;
 
     /// Enqueues `req` and returns its token. Never blocks: admission
     /// control beyond [`Geometry::queue_depth`] happens inside the device,
@@ -246,35 +283,23 @@ pub trait BlockDevice {
 
     /// Gives up the claim on `token` without waiting: the request still
     /// runs on the device, but its result (and a read's payload) is dropped
-    /// on arrival instead of being held for a `wait` that never comes.
-    /// This is how a reader abandons read-ahead it turned out not to need.
-    /// Counts as the token's one claim.
-    ///
-    /// The default does nothing, which leaves the completion in the
-    /// device's mailbox until [`completions`](BlockDevice::completions)
-    /// drains it; every device built on [`IoQueue`] overrides it with
-    /// [`IoQueue::forget`].
-    fn discard(&self, token: ReqToken) {
-        let _ = token;
-    }
+    /// on arrival instead of being held for a `wait` that never comes
+    /// ([`IoQueue::forget`]). This is how a reader abandons read-ahead it
+    /// turned out not to need. Counts as the token's one claim.
+    fn discard(&self, token: ReqToken);
 
     /// Reads `buf.len() / sector_size` sectors starting at `sector`.
     /// The buffer length must be a positive multiple of the sector size.
-    ///
-    /// Deprecated shim: depth-1 [`submit`](BlockDevice::submit) +
-    /// [`wait`](BlockDevice::wait), plus one copy into the borrowed
-    /// buffer. Prefer submitting an [`IoReq::Read`].
+    /// An [`IoReq::Read`] run inline, plus one copy into the borrowed
+    /// buffer.
     fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
         Box::pin(async move {
-            if buf.is_empty() || !buf.len().is_multiple_of(SECTOR_SIZE) {
+            if !buf.len().is_multiple_of(SECTOR_SIZE) {
                 return Err(IoError::Misaligned { len: buf.len() });
             }
-            let token = self.submit(IoReq::Read {
-                sector,
-                sectors: (buf.len() / SECTOR_SIZE) as u64,
-            });
-            let data = self.wait(token).await?;
-            let data = data.expect("read completion must carry data");
+            let sectors = (buf.len() / SECTOR_SIZE) as u64;
+            let data = self.exec(IoReq::Read { sector, sectors }).await?;
+            let data = data.expect("a completed read carries its data");
             buf.copy_from_slice(data.as_slice());
             Ok(())
         })
@@ -282,66 +307,55 @@ pub trait BlockDevice {
 
     /// Writes `data` starting at `sector`. With `fua` (force unit access)
     /// the data is on stable media when the future resolves; without it the
-    /// write may land in a volatile cache.
-    ///
-    /// Deprecated shim: depth-1 [`submit`](BlockDevice::submit) +
-    /// [`wait`](BlockDevice::wait), plus one copy of `data` into an owned
-    /// buffer. Prefer submitting an [`IoReq::Write`].
+    /// write may land in a volatile cache. One copy of `data` into an owned
+    /// buffer, then [`write_buf`](BlockDevice::write_buf).
     fn write<'a>(
         &'a self,
         sector: u64,
         data: &'a [u8],
         fua: bool,
     ) -> LocalBoxFuture<'a, IoResult<()>> {
-        Box::pin(async move {
-            if data.is_empty() || !data.len().is_multiple_of(SECTOR_SIZE) {
-                return Err(IoError::Misaligned { len: data.len() });
-            }
-            let token = self.submit(IoReq::Write {
-                sector,
-                segments: vec![SectorBuf::copy_from(data)],
-                fua,
-            });
-            self.wait(token).await.map(|_| ())
-        })
+        self.write_buf(sector, SectorBuf::copy_from(data), fua)
     }
 
     /// Barrier: resolves once every previously acknowledged write is on
-    /// stable media.
-    ///
-    /// Deprecated shim: depth-1 submission of [`IoReq::Flush`].
+    /// stable media. An [`IoReq::Flush`] run inline.
     fn flush(&self) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move {
-            let token = self.submit(IoReq::Flush);
-            self.wait(token).await.map(|_| ())
-        })
+        Box::pin(async move { self.exec(IoReq::Flush).await.map(|_| ()) })
     }
 
-    /// Writes an owned, reference-counted buffer starting at `sector`.
+    /// Writes an owned, reference-counted buffer starting at `sector`: a
+    /// single-segment [`IoReq::Write`] run inline.
     ///
     /// This is the zero-copy entry point of the log data path: layers that
     /// keep the bytes alive (the RapiLog buffer, the virtio transport, the
     /// media model's in-flight window) take an O(1) view of `data` instead
-    /// of copying it. The default implementation submits a single-segment
-    /// [`IoReq::Write`], so existing devices keep working and pay at most
-    /// what they paid before.
+    /// of copying it.
     fn write_buf(
         &self,
         sector: u64,
         data: SectorBuf,
         fua: bool,
     ) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move {
-            if data.is_empty() || !data.len().is_multiple_of(SECTOR_SIZE) {
-                return Err(IoError::Misaligned { len: data.len() });
-            }
-            let token = self.submit(IoReq::Write {
-                sector,
-                segments: vec![data],
-                fua,
-            });
-            self.wait(token).await.map(|_| ())
-        })
+        let req = IoReq::Write {
+            sector,
+            segments: vec![data],
+            fua,
+        };
+        Box::pin(async move { self.exec(req).await.map(|_| ()) })
+    }
+}
+
+/// Makes a scatter list one buffer, for a device whose next hop carries
+/// exactly one: a single segment stays as it is (no copy), several are
+/// copied once into a new one, none stay none.
+pub fn flatten(segments: &mut Vec<SectorBuf>) {
+    if segments.len() > 1 {
+        let mut flat = Vec::with_capacity(segments.iter().map(SectorBuf::len).sum());
+        for seg in segments.iter() {
+            flat.extend_from_slice(seg.as_slice());
+        }
+        *segments = vec![SectorBuf::from_vec(flat)];
     }
 }
 

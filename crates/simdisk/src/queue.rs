@@ -1,34 +1,38 @@
-//! Completion bookkeeping for the queued [`BlockDevice`] interface.
+//! The queued half of the [`BlockDevice`] interface, written once.
 //!
-//! Every device that implements [`BlockDevice::submit`] needs the same small
-//! piece of machinery: hand out tokens, remember finished requests until the
-//! caller collects them, and wake whoever is waiting. [`IoQueue`] is that
-//! machinery, shared by the simulated [`Disk`](crate::Disk), the virtio
-//! transport, the retrying wrapper and the RapiLog virtual device. It is
-//! deliberately dumb — *when* a request finishes is entirely the device's
-//! business; the queue only routes the result back to the submitter.
+//! A device implements a request in one place, [`BlockDevice::exec`], which
+//! carries it to completion in the caller's task. The queued form is derived
+//! from that here: [`IoQueue::submit`] hands out a token, runs `exec` in a
+//! task of its own and files the result; the queue remembers finished
+//! requests until the caller collects them and wakes whoever is waiting. It
+//! is shared by the simulated [`Disk`](crate::Disk), the virtio transport,
+//! the retrying wrapper and the RapiLog virtual device, and is deliberately
+//! dumb — *when* a request finishes is entirely the device's business; the
+//! queue only routes the result back to the submitter.
 //!
 //! [`BlockDevice`]: crate::BlockDevice
-//! [`BlockDevice::submit`]: crate::BlockDevice::submit
+//! [`BlockDevice::exec`]: crate::BlockDevice::exec
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::sync::Notify;
+use rapilog_simcore::{DomainId, SimCtx};
 
-use crate::{Completion, IoResult, ReqToken};
+use crate::{BlockDevice, Completion, IoReq, IoResult, ReqToken};
 
-/// What the mailbox stores per finished request: the outcome and, for
-/// reads, the payload.
-type Finished = (IoResult<()>, Option<SectorBuf>);
+/// What the mailbox stores per finished request: what `exec` returned
+/// (a completed read carries its payload).
+type Finished = IoResult<Option<SectorBuf>>;
 
 /// Token allocator plus completion mailbox for one device instance.
 ///
 /// Single-threaded (sim tasks are cooperative), so plain `Cell`/`RefCell`
-/// interior mutability is enough. The device calls [`issue`](IoQueue::issue)
-/// from `submit` and [`finish`](IoQueue::finish) when the spawned request
-/// task resolves; submitters call [`wait`](IoQueue::wait) for one token or
+/// interior mutability is enough. A device's `submit` is
+/// [`submit`](IoQueue::submit) on its queue; submitters call
+/// [`wait`](IoQueue::wait) for one token or
 /// [`completions`](IoQueue::completions) to drain everything that has
 /// finished. A submitter that no longer wants a result calls
 /// [`forget`](IoQueue::forget) instead of claiming it.
@@ -50,6 +54,23 @@ impl IoQueue {
         IoQueue::default()
     }
 
+    /// The queued form of `dev.exec(req)`: issues the token, carries the
+    /// request to completion in a task of its own and files the result
+    /// under the token. `dev` is the device's own (cheap) clone of itself,
+    /// which the task keeps alive.
+    pub fn submit<D>(self: &Rc<IoQueue>, ctx: &SimCtx, dev: D, req: IoReq) -> ReqToken
+    where
+        D: BlockDevice + 'static,
+    {
+        let token = self.issue();
+        let queue = Rc::clone(self);
+        ctx.spawn_detached_in(DomainId::ROOT, async move {
+            let outcome = dev.exec(req).await;
+            queue.finish(token, outcome);
+        });
+        token
+    }
+
     /// Allocates the token for a freshly submitted request and counts it
     /// as outstanding.
     pub fn issue(&self) -> ReqToken {
@@ -63,16 +84,15 @@ impl IoQueue {
         ReqToken(t)
     }
 
-    /// Records the result of a request and wakes every waiter. `data`
-    /// carries the payload of a completed read; writes and flushes pass
-    /// `None`.
-    pub fn finish(&self, token: ReqToken, result: IoResult<()>, data: Option<SectorBuf>) {
+    /// Records the outcome of a request — what its `exec` returned — and
+    /// wakes every waiter.
+    pub fn finish(&self, token: ReqToken, outcome: IoResult<Option<SectorBuf>>) {
         self.outstanding
             .set(self.outstanding.get().saturating_sub(1));
         if self.forgotten.borrow_mut().remove(&token.0) {
             return; // nobody will claim it: free the payload now
         }
-        self.done.borrow_mut().insert(token.0, (result, data));
+        self.done.borrow_mut().insert(token.0, outcome);
         self.notify.notify_all();
     }
 
@@ -104,8 +124,8 @@ impl IoQueue {
     /// [`completions`](IoQueue::completions) — never both.
     pub async fn wait(&self, token: ReqToken) -> IoResult<Option<SectorBuf>> {
         loop {
-            if let Some((result, data)) = self.done.borrow_mut().remove(&token.0) {
-                return result.map(|()| data);
+            if let Some(outcome) = self.done.borrow_mut().remove(&token.0) {
+                return outcome;
             }
             self.notify.notified().await;
         }
@@ -120,10 +140,16 @@ impl IoQueue {
                 if !done.is_empty() {
                     let mut out: Vec<Completion> = done
                         .drain()
-                        .map(|(t, (result, data))| Completion {
-                            token: ReqToken(t),
-                            result,
-                            data,
+                        .map(|(t, outcome)| {
+                            let (result, data) = match outcome {
+                                Ok(data) => (Ok(()), data),
+                                Err(e) => (Err(e), None),
+                            };
+                            Completion {
+                                token: ReqToken(t),
+                                result,
+                                data,
+                            }
                         })
                         .collect();
                     out.sort_by_key(|c| c.token.0);
@@ -140,7 +166,6 @@ mod tests {
     use super::*;
     use crate::IoError;
     use rapilog_simcore::Sim;
-    use std::rc::Rc;
 
     #[test]
     fn wait_returns_result_for_its_own_token() {
@@ -157,8 +182,8 @@ mod tests {
             let got = q2.wait(a).await;
             assert_eq!(got, Ok(None));
         });
-        q.finish(b, Err(IoError::Transient), None);
-        q.finish(a, Ok(()), None);
+        q.finish(b, Err(IoError::Transient));
+        q.finish(a, Ok(None));
         sim.run();
         assert_eq!(q.outstanding(), 0);
         assert_eq!(q.max_outstanding(), 2);
@@ -170,8 +195,8 @@ mod tests {
         let q = Rc::new(IoQueue::new());
         let a = q.issue();
         let b = q.issue();
-        q.finish(b, Ok(()), Some(SectorBuf::from_vec(vec![1u8; 512])));
-        q.finish(a, Ok(()), None);
+        q.finish(b, Ok(Some(SectorBuf::from_vec(vec![1u8; 512]))));
+        q.finish(a, Ok(None));
         let q2 = Rc::clone(&q);
         sim.spawn(async move {
             let got = q2.completions().await;
@@ -189,7 +214,7 @@ mod tests {
         let a = q.issue();
         q.forget(a);
         assert_eq!(q.outstanding(), 1, "the request itself still runs");
-        q.finish(a, Ok(()), Some(SectorBuf::from_vec(vec![7u8; 512])));
+        q.finish(a, Ok(Some(SectorBuf::from_vec(vec![7u8; 512]))));
         assert_eq!(q.outstanding(), 0);
         assert!(q.done.borrow().is_empty(), "payload freed, not parked");
         assert!(q.forgotten.borrow().is_empty());
@@ -199,7 +224,7 @@ mod tests {
     fn forget_after_finish_removes_the_completion() {
         let q = IoQueue::new();
         let a = q.issue();
-        q.finish(a, Err(IoError::Transient), None);
+        q.finish(a, Err(IoError::Transient));
         assert_eq!(q.done.borrow().len(), 1);
         q.forget(a);
         assert_eq!(q.outstanding(), 0);
@@ -215,10 +240,10 @@ mod tests {
         let early = q.issue(); // forgotten while in flight
         let late = q.issue(); // forgotten after it finished
         q.forget(early);
-        q.finish(late, Ok(()), None);
+        q.finish(late, Ok(None));
         q.forget(late);
-        q.finish(early, Ok(()), Some(SectorBuf::from_vec(vec![1u8; 512])));
-        q.finish(kept, Ok(()), None);
+        q.finish(early, Ok(Some(SectorBuf::from_vec(vec![1u8; 512]))));
+        q.finish(kept, Ok(None));
         let q2 = Rc::clone(&q);
         sim.spawn(async move {
             let got = q2.completions().await;

@@ -4,6 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> design gate (one request path: no derived BlockDevice method re-implemented, no BlkReq/service.rs/ipc.rs; crates/rapilog/src non-test lines <= scripts/rapilog_src_lines.budget)"
+scripts/design_gate.sh
+
 echo "==> cargo build --release --workspace --all-targets"
 cargo build --release --workspace --all-targets
 

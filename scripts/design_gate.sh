@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+# The design item's standing gates ("Draw the trusted boundary", ROADMAP):
+# what the request path has lost must stay lost, and the part of the system a
+# proof would have to cover only gets smaller.
+#
+# (a) One request path. A device implements a request once, in
+#     `BlockDevice::exec`; `read`, `write`, `flush` and `write_buf` are
+#     provided by the trait and derive from it. Fails if a non-test
+#     `impl BlockDevice for` block defines one of the four again, or if the
+#     ring's private request enum (`BlkReq`) or the IPC front door nobody
+#     called (`crates/rapilog/src/service.rs`, `crates/microvisor/src/ipc.rs`)
+#     reappear.
+# (b) The budget, first slice: the non-test lines of `crates/rapilog/src`
+#     (each file up to its first `#[cfg(test)]`) against the number committed
+#     in scripts/rapilog_src_lines.budget. More lines fail. Fewer pass and say
+#     so; `--update` then lowers the committed number (it never raises it).
+#
+# Usage:
+#   scripts/design_gate.sh            # check
+#   scripts/design_gate.sh --update   # check, then lower the budget to today's count
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+BUDGET=scripts/rapilog_src_lines.budget
+fail=0
+
+# Prints a file's non-test part: everything before its first #[cfg(test)].
+non_test() { awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+
+# ---- (a) one request path -------------------------------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | awk '
+        /^impl.* BlockDevice for / { inside = 1 }
+        inside && /^}/             { inside = 0 }
+        inside && /^[[:space:]]*fn (read|write|flush|write_buf)[<(]/ { print FNR ": " $0 }
+    ')
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f implements a derived method itself (handle the request in exec):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
+if grep -rn --include='*.rs' -w 'BlkReq' crates >&2; then
+    echo "design_gate: FAIL  BlkReq is back: the ring carries an IoReq" >&2
+    fail=1
+fi
+for gone in crates/rapilog/src/service.rs crates/microvisor/src/ipc.rs; do
+    if [[ -e "$gone" ]]; then
+        echo "design_gate: FAIL  $gone is back: a tenant's capability is the device device_for hands it" >&2
+        fail=1
+    fi
+done
+
+# ---- (b) the line budget --------------------------------------------------
+now=0
+while IFS= read -r f; do
+    now=$((now + $(non_test "$f" | wc -l)))
+done < <(find crates/rapilog/src -name '*.rs' | sort)
+budget=$(<"$BUDGET")
+
+if ((now > budget)); then
+    echo "design_gate: FAIL  crates/rapilog/src is $now non-test lines, budget $budget ($BUDGET only goes down)" >&2
+    fail=1
+elif ((now < budget)); then
+    if [[ "${1:-}" == "--update" ]]; then
+        echo "$now" >"$BUDGET"
+        echo "design_gate: budget lowered $budget -> $now (commit $BUDGET)"
+    else
+        echo "design_gate: crates/rapilog/src is $now non-test lines, under its budget of $budget: lower it with --update"
+    fi
+else
+    echo "design_gate: ok    crates/rapilog/src at its budget of $budget non-test lines"
+fi
+
+if ((fail)); then
+    exit 1
+fi
+echo "design_gate: ok    one request path (no derived method re-implemented, no BlkReq, no service.rs/ipc.rs)"
