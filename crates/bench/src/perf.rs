@@ -4,6 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rapilog::BufferStats;
+use rapilog_dbengine::wal::WalStats;
 use rapilog_faultsim::{Machine, MachineConfig};
 use rapilog_simcore::trace::{LatencyAttribution, TraceSnapshot};
 use rapilog_simcore::{Sim, SimTime};
@@ -50,6 +51,8 @@ pub struct PerfOutcome {
     pub stats: RunStats,
     /// RapiLog buffer statistics (None for non-RapiLog setups).
     pub buffer: Option<BufferStats>,
+    /// The engine's WAL counters over the whole run, install included.
+    pub wal: WalStats,
     /// The recorded trace (empty unless `PerfConfig::trace` was set).
     pub trace: TraceSnapshot,
     /// Per-layer busy time per committed transaction (all zero unless
@@ -112,12 +115,14 @@ pub fn run_perf(cfg: PerfConfig) -> PerfOutcome {
         }
         machine.assert_trusted_intact();
         let buffer = machine.rapilog().map(|rl| rl.stats());
+        let wal = db.wal().stats();
         db.stop();
         let trace = c2.tracer().snapshot();
         let attribution = LatencyAttribution::from_snapshot(&trace, stats.committed);
         *out2.borrow_mut() = Some(PerfOutcome {
             stats,
             buffer,
+            wal,
             trace,
             attribution,
         });

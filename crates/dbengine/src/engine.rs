@@ -296,7 +296,6 @@ impl Database {
             active: Vec::new(),
             dirty: Vec::new(),
         })?;
-        wal.kick();
         wal.wait_durable(end).await?;
         let pool = BufferPool::new(data_dev, wal.clone(), cfg.pool_pages);
         let db = Self::assemble(ctx, cfg, tables, wal, pool, log_dev);
@@ -837,10 +836,10 @@ impl Database {
         let state = self.inner.st.borrow_mut().active.remove(&txn);
         let result = match appended {
             Ok((_, end)) => {
-                self.inner.wal.kick();
                 if self.inner.wal.policy().wait_for_durable {
                     self.inner.wal.wait_durable(end).await
                 } else {
+                    self.inner.wal.kick();
                     Ok(())
                 }
             }
@@ -856,17 +855,19 @@ impl Database {
 
     /// Rolls back: restores before-images (writing CLRs), appends the
     /// abort record, releases locks. Rollback does not wait for
-    /// durability — aborts are not acknowledged promises.
+    /// durability — aborts are not acknowledged promises. The transaction
+    /// stays active until its abort record is appended: a checkpoint taken
+    /// while the rollback waits for a page must list it, or a crash before
+    /// the next CLR is durable leaves nobody to finish the undo.
     pub async fn abort(&self, txn: TxnId) -> DbResult<()> {
         self.check_live()?;
-        let mut state = self
-            .inner
-            .st
-            .borrow_mut()
-            .active
-            .remove(&txn)
-            .ok_or(DbError::NoSuchTxn(txn))?;
-        while let Some(entry) = state.undo.pop() {
+        loop {
+            let entry = {
+                let mut st = self.inner.st.borrow_mut();
+                let state = st.active.get_mut(&txn).ok_or(DbError::NoSuchTxn(txn))?;
+                state.undo.pop()
+            };
+            let Some(entry) = entry else { break };
             let meta = self.table_meta(entry.table)?;
             let frame = self.fetch_for_write(&meta, entry.addr.page).await?;
             let action = match &entry.action {
@@ -892,7 +893,7 @@ impl Database {
                 f.page.set_lsn(lsn);
             }
             BufferPool::mark_dirty(&frame);
-            // Fix the derived state.
+            // Fix the derived state; recovery's undo resumes at this CLR.
             let mut st = self.inner.st.borrow_mut();
             match &action {
                 ClrAction::Restore(_) => {
@@ -908,10 +909,16 @@ impl Database {
                     st.free[entry.table.0 as usize].freed.insert(flat);
                 }
             }
+            if let Some(state) = st.active.get_mut(&txn) {
+                state.last_lsn = lsn;
+            }
         }
         self.inner.wal.append(&Record::Abort { txn })?;
+        let state = self.inner.st.borrow_mut().active.remove(&txn);
         self.inner.wal.kick();
-        self.inner.locks.release_all(txn, state.locks.iter());
+        if let Some(state) = state {
+            self.inner.locks.release_all(txn, state.locks.iter());
+        }
         Ok(())
     }
 
@@ -960,7 +967,6 @@ impl Database {
                 .append(&Record::Checkpoint { active, dirty })?;
             (end, active_min, dirty_min)
         };
-        self.inner.wal.kick();
         self.inner.wal.wait_durable(end).await?;
         // Redo start: fuzzy trusts the dirty-page table; sharp also bounds
         // by the LSN the chasing flush began at (a page re-stamped while

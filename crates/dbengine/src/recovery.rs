@@ -1146,6 +1146,93 @@ mod checkpoint_spanning_tests {
         assert!(done.get());
     }
 
+    /// An abort is a loser until its `Abort` record is in the log. It waits
+    /// for a page between two compensation records; a checkpoint taken in
+    /// that wait, with the pool clean behind it, starts the redo scan at its
+    /// own record, and a crash before the next CLR is durable leaves the
+    /// checkpoint's active list as the only trace of the transaction. Had
+    /// the abort left the table on entry (it did, until PR 23), nobody
+    /// would undo the update it had not yet compensated — already on the
+    /// data disk, stolen by an eviction.
+    #[test]
+    fn an_abort_between_two_clrs_is_still_active_to_a_checkpoint() {
+        let mut sim = Sim::new(9);
+        let ctx = sim.ctx();
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        let c2 = ctx.clone();
+        sim.spawn(async move {
+            // A data disk that takes 10 ms to read a page and no time to
+            // write one, on separate channels: the abort's page fetch is
+            // long, the checkpoint inside it instantaneous.
+            let mut spec = specs::instant(64 << 20);
+            spec.timing = rapilog_simdisk::TimingSpec::Ssd {
+                read_latency: SimDuration::from_millis(10),
+                write_latency: SimDuration::ZERO,
+                flush_latency: SimDuration::ZERO,
+                bus_bytes_per_sec: u64::MAX,
+                channels: 4,
+            };
+            let data: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, spec));
+            let log: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::instant(64 << 20)));
+            // One page per table, a pool that holds two of the three.
+            let defs = ["a", "b", "c"].map(|name| TableDef {
+                name: name.to_string(),
+                slot_size: 64,
+                max_rows: 100,
+            });
+            let cfg = DbConfig {
+                pool_pages: 2,
+                ..DbConfig::default()
+            };
+            let (data2, log2) = (Rc::clone(&data), Rc::clone(&log));
+            let db = Database::create(&c2, cfg.clone(), &defs, data, log, DomainId::ROOT)
+                .await
+                .unwrap();
+            let [a, b, c] = ["a", "b", "c"].map(|name| db.table(name).unwrap());
+            let setup = db.begin().await.unwrap();
+            for t in [a, b, c] {
+                db.insert(setup, t, 1, b"base").await.unwrap();
+            }
+            db.commit(setup).await.unwrap();
+            let txn = db.begin().await.unwrap();
+            db.update(txn, a, 1, b"never committed").await.unwrap();
+            db.update(txn, b, 1, b"never committed").await.unwrap();
+            // Reading `c` evicts `a`'s page: the update reaches the data
+            // disk (its log record first).
+            assert_eq!(db.get(c, 1).await.unwrap(), Some(b"base".to_vec()));
+            let misses = db.pool().stats().misses;
+            let records = db.wal().stats().records;
+            c2.spawn({
+                let db = db.clone();
+                async move { db.abort(txn).await }
+            });
+            // `b` is compensated in memory; `a`'s page is on its way back.
+            while db.wal().stats().records == records {
+                c2.sleep(SimDuration::from_micros(1)).await;
+            }
+            db.checkpoint().await.unwrap();
+            assert_eq!(db.pool().stats().misses, misses + 1, "the abort waits");
+            assert_eq!(
+                db.wal().stats().records,
+                records + 2,
+                "one CLR and the checkpoint"
+            );
+            db.stop();
+            let (db2, report) = Database::open(&c2, cfg, data2, log2, DomainId::ROOT)
+                .await
+                .expect("recovery");
+            for t in [a, b] {
+                assert_eq!(db2.get(t, 1).await.unwrap(), Some(b"base".to_vec()));
+            }
+            assert_eq!(report.losers_undone, 1);
+            db2.stop();
+            d2.set(true);
+        });
+        sim.run_until(rapilog_simcore::SimTime::from_secs(30));
+        assert!(done.get());
+    }
+
     /// Media corruption in the middle of the durable log truncates
     /// recovery at the last valid prefix instead of crashing it.
     #[test]
