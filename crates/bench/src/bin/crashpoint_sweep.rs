@@ -13,7 +13,9 @@
 //! A third sweep runs the **multi-tenant** machine (4 equal-weight cells
 //! sharing one sharded RapiLog) over the same fault kinds and demands the
 //! per-tenant durability invariant: no tenant loses acknowledged bytes and
-//! no tenant's sectors carry another tenant's data, at every crash point.
+//! no tenant's sectors carry another tenant's data, at every crash point —
+//! except at the cells listed in [`OPEN_FINDING_1`], which are known, red and
+//! counted until that finding is fixed.
 //!
 //! Trials fan out over host threads (`RAPILOG_BENCH_THREADS`, default all
 //! cores); results are merged in canonical grid order, so the report is
@@ -34,8 +36,28 @@ use std::time::Instant;
 
 use rapilog::OrderingMode;
 use rapilog_bench::{explore_crash_points_parallel, thread_count, Json};
-use rapilog_faultsim::{ExplorationReport, ExplorerConfig};
+use rapilog_faultsim::{Counterexample, ExplorationReport, ExplorerConfig, FaultKind};
 use rapilog_simcore::SimDuration;
+
+/// Multi-tenant cells (seed, instant in ms) that are counterexamples of
+/// **open finding 1** (ROADMAP's first item: the power budget counts bytes,
+/// the emergency drain pays a rotation per co-tenant lap) under a power cut
+/// or flicker. Which seeds carry that defect moves with every trajectory
+/// shift, so a cell the grid has always sampled can turn red under a change
+/// that never touched the drain; it is then listed here and committed as an
+/// `#[ignore]`d red replay in `tests/crash_points.rs` instead of the grid
+/// being moved off it. A listed cell is printed and counted
+/// (`mt_counterexamples` in the `BENCH_baseline.json` row, so it going green
+/// moves a gated field); any other counterexample fails the sweep. The list
+/// is deleted with the finding.
+const OPEN_FINDING_1: &[(u64, u64)] = &[(0x7E2A, 330)];
+
+fn is_open_finding_1(ce: &Counterexample) -> bool {
+    matches!(
+        ce.kind,
+        FaultKind::PowerCut | FaultKind::PowerFlicker { .. }
+    ) && OPEN_FINDING_1.contains(&(ce.seed, ce.fault_after.as_millis()))
+}
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -129,12 +151,8 @@ fn main() {
     } else {
         (0..4).map(|i| 0x7E2A + i * 97).collect()
     };
-    // Instants open finding 1 (ROADMAP) does not reach: from 330 ms on, a
-    // few four-tenant power trials in a hundred fail on fresh seeds, and
-    // which ones moves with every change to the trajectory. Its campaign
-    // is that item's; this sweep gates what holds today.
     mt.fault_times_ms = if quick {
-        vec![120, 240]
+        vec![120, 330]
     } else {
         vec![120, 240, 360]
     };
@@ -148,9 +166,19 @@ fn main() {
     );
     let mt_report = explore_crash_points_parallel(&mt, threads);
     summarize(
-        "multi-tenant windowed drain (must be clean, per-tenant audit)",
+        "multi-tenant windowed drain (must be clean outside open finding 1, per-tenant audit)",
         &mt_report,
     );
+    let (mt_known, mt_new): (Vec<_>, Vec<_>) = mt_report
+        .counterexamples
+        .iter()
+        .partition(|ce| is_open_finding_1(ce));
+    if !mt_known.is_empty() {
+        println!(
+            "  {} of them open finding 1, known and red (tests/crash_points.rs --ignored)",
+            mt_known.len()
+        );
+    }
 
     // Negative control: a drain that cannot retry must lose acked commits
     // under a disk-error burst, and the auditor must catch it.
@@ -178,8 +206,11 @@ fn main() {
             failed = true;
         }
     }
-    if !mt_report.clean() {
-        println!("\nFAIL: the multi-tenant sweep produced counterexamples");
+    if !mt_new.is_empty() {
+        println!(
+            "\nFAIL: the multi-tenant sweep produced {} counterexamples outside open finding 1",
+            mt_new.len()
+        );
         failed = true;
     }
     if mt_report.total_acked == 0 || mt_report.tenant_acked == 0 {
@@ -233,5 +264,8 @@ fn main() {
         ("trials_per_sec", Json::Num(trials_per_sec)),
     ]);
     rapilog_bench::json::upsert_line("BENCH_sweeps.json", &row).expect("write BENCH_sweeps.json");
-    println!("\nSWEEP_CLEAN trials={total_trials} (row upserted into BENCH_sweeps.json)");
+    println!(
+        "\nSWEEP_CLEAN trials={total_trials} open_finding_1_cells_red={} (row upserted into BENCH_sweeps.json)",
+        mt_known.len()
+    );
 }

@@ -1,8 +1,9 @@
 //! Buffer pool with the WAL-before-data rule.
 //!
 //! Pages live in frames; a frame is pinned while any caller holds its
-//! `Rc`. Eviction is exact LRU over unpinned frames, the recency order kept
-//! in a list a page hit re-links in O(1). Before a dirty page goes to
+//! `Rc`. Eviction is exact LRU over unpinned frames: a fetch stamps its page
+//! with a counter (O(1) on a hit), and a miss, which pays a device read
+//! anyway, looks for the oldest stamp. Before a dirty page goes to
 //! the device — on eviction or checkpoint — the WAL is forced up to the
 //! page's LSN. That single rule is what makes the log the authority for
 //! recovery.
@@ -47,115 +48,17 @@ pub struct PoolStats {
     pub writebacks: u64,
 }
 
-/// A resident page: its frame and its place in the recency order.
+/// A resident page: its frame and when it was last fetched.
 struct Resident {
     frame: FrameRef,
-    node: u32,
-}
-
-const NIL: u32 = u32::MAX;
-
-struct LruNode {
-    pid: PageId,
-    prev: u32,
-    next: u32,
-}
-
-/// Recency order of the resident pages, least recent first: a doubly
-/// linked list threaded through a slab, so a hit moves its page to the
-/// back without searching for it.
-struct LruList {
-    nodes: Vec<LruNode>,
-    head: u32,
-    tail: u32,
-    /// Vacated slab entries, chained through `next`.
-    free: u32,
-}
-
-impl LruList {
-    fn new() -> LruList {
-        LruList {
-            nodes: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            free: NIL,
-        }
-    }
-
-    fn link_back(&mut self, i: u32) {
-        let tail = self.tail;
-        let node = &mut self.nodes[i as usize];
-        node.prev = tail;
-        node.next = NIL;
-        match tail {
-            NIL => self.head = i,
-            t => self.nodes[t as usize].next = i,
-        }
-        self.tail = i;
-    }
-
-    fn unlink(&mut self, i: u32) {
-        let LruNode { prev, next, .. } = self.nodes[i as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.nodes[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.nodes[n as usize].prev = prev,
-        }
-    }
-
-    /// Enters `pid` as the most recent page; returns its node.
-    fn push_back(&mut self, pid: PageId) -> u32 {
-        let node = LruNode {
-            pid,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match self.free {
-            NIL => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-            i => {
-                self.free = self.nodes[i as usize].next;
-                self.nodes[i as usize] = node;
-                i
-            }
-        };
-        self.link_back(i);
-        i
-    }
-
-    /// Makes node `i` the most recent.
-    fn touch(&mut self, i: u32) {
-        if self.tail != i {
-            self.unlink(i);
-            self.link_back(i);
-        }
-    }
-
-    fn remove(&mut self, i: u32) {
-        self.unlink(i);
-        self.nodes[i as usize].next = self.free;
-        self.free = i;
-    }
-
-    /// Pages from least to most recently used.
-    fn iter(&self) -> impl Iterator<Item = PageId> + '_ {
-        let mut at = self.head;
-        std::iter::from_fn(move || {
-            let node = self.nodes.get(at as usize)?;
-            at = node.next;
-            Some(node.pid)
-        })
-    }
+    /// `PoolSt::clock` at the last fetch; the recency order is this, ascending.
+    used: u64,
 }
 
 struct PoolSt {
     frames: FastMap<PageId, Resident>,
-    lru: LruList,
+    /// Fetches so far (hits and completed loads).
+    clock: u64,
     loading: FastMap<PageId, Event>,
     stats: PoolStats,
 }
@@ -164,11 +67,11 @@ impl PoolSt {
     /// The eviction victim: the least recently used page nobody holds
     /// (pinned frames — extra `Rc` holders — are skipped).
     fn oldest_unpinned(&self) -> Option<(PageId, FrameRef)> {
-        self.lru
+        self.frames
             .iter()
-            .map(|pid| (pid, &self.frames[&pid].frame))
-            .find(|(_, f)| Rc::strong_count(f) == 1)
-            .map(|(pid, f)| (pid, Rc::clone(f)))
+            .filter(|(_, r)| Rc::strong_count(&r.frame) == 1)
+            .min_by_key(|(_, r)| r.used)
+            .map(|(pid, r)| (*pid, Rc::clone(&r.frame)))
     }
 }
 
@@ -197,7 +100,7 @@ impl BufferPool {
                 capacity,
                 st: RefCell::new(PoolSt {
                     frames: FastMap::default(),
-                    lru: LruList::new(),
+                    clock: 0,
                     loading: FastMap::default(),
                     stats: PoolStats::default(),
                 }),
@@ -230,11 +133,12 @@ impl BufferPool {
         loop {
             let wait_for: Option<Event> = {
                 let mut st = self.inner.st.borrow_mut();
-                if let Some(r) = st.frames.get(&pid) {
-                    let (frame, node) = (Rc::clone(&r.frame), r.node);
-                    st.lru.touch(node);
+                let st = &mut *st;
+                if let Some(r) = st.frames.get_mut(&pid) {
+                    st.clock += 1;
+                    r.used = st.clock;
                     st.stats.hits += 1;
-                    return Ok(frame);
+                    return Ok(Rc::clone(&r.frame));
                 }
                 if let Some(ev) = st.loading.get(&pid) {
                     Some(ev.clone())
@@ -256,9 +160,9 @@ impl BufferPool {
                 let mut st = self.inner.st.borrow_mut();
                 let ev = st.loading.remove(&pid).expect("loading marker vanished");
                 if let Ok(frame) = &result {
-                    let node = st.lru.push_back(pid);
-                    let frame = Rc::clone(frame);
-                    st.frames.insert(pid, Resident { frame, node });
+                    st.clock += 1;
+                    let (frame, used) = (Rc::clone(frame), st.clock);
+                    st.frames.insert(pid, Resident { frame, used });
                 }
                 ev
             };
@@ -320,8 +224,7 @@ impl BufferPool {
                 .get(&pid)
                 .is_some_and(|r| Rc::strong_count(&r.frame) == 1);
             if unpinned {
-                let gone = st.frames.remove(&pid).expect("checked just above");
-                st.lru.remove(gone.node);
+                st.frames.remove(&pid);
                 return Ok(());
             }
         }
@@ -537,7 +440,7 @@ mod tests {
         assert!(buf[..512].iter().any(|&b| b != 0), "page 0 reached media");
     }
 
-    /// The recency list against what it replaced: a `VecDeque` a hit
+    /// The stamps against what they replaced: a `VecDeque` a hit
     /// searched, removed from and pushed onto the back of; the victim is its
     /// first page nobody else holds; a pool with nothing to evict
     /// overcommits and sheds one page per later load. Same hits, same
@@ -582,7 +485,12 @@ mod tests {
                 assert_eq!((after.hits - before.hits, after.misses - before.misses), {
                     (hit as u64, !hit as u64)
                 });
-                let order: Vec<PageId> = pool.inner.st.borrow().lru.iter().collect();
+                let mut order: Vec<(u64, PageId)> = {
+                    let st = pool.inner.st.borrow();
+                    st.frames.iter().map(|(p, r)| (r.used, *p)).collect()
+                };
+                order.sort_unstable();
+                let order: Vec<PageId> = order.into_iter().map(|(_, p)| p).collect();
                 assert_eq!(order, Vec::from(model.clone()));
                 if rng.gen_range(0..3u32) > 0 && pins.len() < CAPACITY + 2 {
                     pins.push((pid, frame));

@@ -109,11 +109,13 @@ pub struct SlotAddr {
     pub slot: u16,
 }
 
+#[derive(Clone)]
 enum UndoAction {
     Restore(Vec<u8>),
     Clear,
 }
 
+#[derive(Clone)]
 struct UndoEntry {
     table: TableId,
     addr: SlotAddr,
@@ -862,16 +864,19 @@ impl Database {
     pub async fn abort(&self, txn: TxnId) -> DbResult<()> {
         self.check_live()?;
         loop {
+            // A copy: the entry leaves the list in the step that appends its
+            // CLR, so a rollback that fails on the way there (a dead device
+            // under the page fetch or the log) loses no undo work.
             let entry = {
-                let mut st = self.inner.st.borrow_mut();
-                let state = st.active.get_mut(&txn).ok_or(DbError::NoSuchTxn(txn))?;
-                state.undo.pop()
+                let st = self.inner.st.borrow();
+                let state = st.active.get(&txn).ok_or(DbError::NoSuchTxn(txn))?;
+                state.undo.last().cloned()
             };
             let Some(entry) = entry else { break };
             let meta = self.table_meta(entry.table)?;
             let frame = self.fetch_for_write(&meta, entry.addr.page).await?;
-            let action = match &entry.action {
-                UndoAction::Restore(bytes) => ClrAction::Restore(bytes.clone()),
+            let action = match entry.action {
+                UndoAction::Restore(bytes) => ClrAction::Restore(bytes),
                 UndoAction::Clear => ClrAction::Clear,
             };
             let (lsn, _) = self.inner.wal.append(&Record::Clr {
@@ -910,6 +915,7 @@ impl Database {
                 }
             }
             if let Some(state) = st.active.get_mut(&txn) {
+                state.undo.pop();
                 state.last_lsn = lsn;
             }
         }
@@ -1100,6 +1106,27 @@ mod tests {
 
             assert_eq!(db.get(acct, 1).await.unwrap(), Some(b"v1".to_vec()));
             assert_eq!(db.get(acct, 2).await.unwrap(), None);
+            d2.set(true);
+        });
+        assert!(done.get());
+    }
+
+    #[test]
+    fn a_failed_abort_keeps_the_undo_it_did_not_log() {
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        with_db(move |_ctx, db| async move {
+            let acct = db.table("acct").unwrap();
+            let txn = db.begin().await.unwrap();
+            db.insert(txn, acct, 1, b"a").await.unwrap();
+            db.insert(txn, acct, 2, b"b").await.unwrap();
+            // The log dies under the rollback: no CLR can be appended.
+            db.inner.wal.stop();
+            assert!(matches!(db.abort(txn).await, Err(DbError::Stopped)));
+            // Still active, locks held, and every step it could not log is
+            // still on its undo list for whoever finishes the job.
+            let st = db.inner.st.borrow();
+            assert_eq!(st.active[&txn].undo.len(), 2);
             d2.set(true);
         });
         assert!(done.get());

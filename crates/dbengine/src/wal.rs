@@ -37,10 +37,14 @@
 //! what has been appended since the last request by anybody, and every
 //! transaction ends in one (commit waits, abort kicks), so it never holds
 //! more than each open transaction's own records — its full-page images
-//! included — and a dirty page cannot leave the pool without forcing the
-//! log past itself. [`WalStats::peak_staged_bytes`] reports the high-water
-//! mark (175 KB in the benchmark's TPC-C load, whose transactions are 500
-//! inserts long).
+//! included, and open until the write carrying its commit is done — plus
+//! the part-filled last sector of the durable log, which the next write
+//! rewrites whole; and a dirty page cannot leave the pool without forcing
+//! the log past itself. [`WalStats::peak_staged_bytes`] reports the
+//! high-water mark (175 KB in the benchmark's TPC-C load, whose
+//! transactions are 500 inserts long); the unit test
+//! `the_staging_buffer_holds_no_more_than_the_open_transactions` holds it
+//! to the bound.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -1547,6 +1551,50 @@ mod tests {
         sim.run();
         assert_eq!(wal.durable(), end);
         assert_eq!(disk.stats().writes, 1);
+    }
+
+    /// The staging buffer's bound: what has been appended since the last
+    /// request by anybody, so never more than the open transactions' own
+    /// records. Alone, a client stages its transaction and nothing else;
+    /// with neighbours, whoever commits first takes everybody's records
+    /// along, and a record stays staged until the write carrying it is done.
+    #[test]
+    fn the_staging_buffer_holds_no_more_than_the_open_transactions() {
+        for clients in [1u64, 4] {
+            let mut sim = Sim::new(1);
+            let ctx = sim.ctx();
+            let (wal, _disk) = wal_on_hdd(&mut sim);
+            let txn_bytes = Rc::new(StdCell::new(0u64));
+            for c in 0..clients {
+                let (wal, ctx, txn_bytes) = (wal.clone(), ctx.clone(), Rc::clone(&txn_bytes));
+                sim.spawn(async move {
+                    ctx.sleep(SimDuration::from_micros(c * 130)).await;
+                    for t in 0..5 {
+                        let mut own = 0;
+                        for key in 0..20 {
+                            ctx.sleep(SimDuration::from_micros(50)).await;
+                            let (start, end) = wal.append(&upd(c * 10 + t, key)).unwrap();
+                            own += end.0 - start.0;
+                        }
+                        let txn = TxnId(c * 10 + t);
+                        let (start, end) = wal.append(&Record::Commit { txn }).unwrap();
+                        txn_bytes.set(own + end.0 - start.0);
+                        wal.wait_durable(end).await.unwrap();
+                    }
+                });
+            }
+            sim.run();
+            // Plus the part-filled last sector of the durable log, which
+            // stays staged because the next write rewrites it whole.
+            let (peak, txn) = (wal.stats().peak_staged_bytes, txn_bytes.get());
+            let sector = SECTOR_SIZE as u64;
+            if clients == 1 {
+                assert!((txn..txn + sector).contains(&peak), "{peak}");
+            } else {
+                assert!(peak >= 2 * txn, "neighbours' records ride along: {peak}");
+                assert!(peak < clients * txn + sector, "{peak}");
+            }
+        }
     }
 
     #[test]

@@ -116,8 +116,12 @@ fn fixing_the_drain_fixes_the_counterexample() {
 /// again since, see below). A replay going green is evidence of a fix only
 /// if the campaign agrees.
 fn open_finding_1(seed: u64, kind: FaultKind) {
+    open_finding_1_at(seed, kind, 420);
+}
+
+fn open_finding_1_at(seed: u64, kind: FaultKind, ms: u64) {
     let cfg = ExplorerConfig::multi_tenant();
-    let r = replay_crash_point(&cfg, seed, kind, SimDuration::from_millis(420));
+    let r = replay_crash_point(&cfg, seed, kind, SimDuration::from_millis(ms));
     assert!(
         r.ok,
         "{} violations, first: {:?}",
@@ -152,6 +156,21 @@ fn open_finding_1_power_cut_loses_acknowledged_commits() {
 fn open_finding_1_power_flicker_misses_the_emergency_deadline() {
     let flicker = SimDuration::from_millis(100);
     open_finding_1(0xd1a1_128d_a60d_1788, FaultKind::PowerFlicker { flicker });
+}
+
+/// The cell of `crashpoint_sweep`'s QUICK multi-tenant grid (seeds `0x7E2A`,
+/// `0x7E8B` × 120, 330 ms) that PR 23's trajectory shift — one log write per
+/// commit, nothing in the drain — turned into a counterexample, while the
+/// fresh-seed campaign at this instant read 12 failed of 800 before and 6
+/// after. The grid keeps the instant; the sweep lists the cell as known
+/// (`OPEN_FINDING_1` in `crashpoint_sweep.rs`) and this replay tracks it.
+/// Today: 4 violations, first "tenant 3: slot 3 media seq 1028 outside
+/// acked..attempted [1092, 1092]", last "rapilog internal guarantee
+/// violated"; the flicker at the same cell reads that last one alone.
+#[test]
+#[ignore = "open finding 1"]
+fn open_finding_1_power_cut_in_the_ci_smoke_grid() {
+    open_finding_1_at(0x7E2A, FaultKind::PowerCut, 330);
 }
 
 /// One guest task on a stock single-tenant instance — every default:
