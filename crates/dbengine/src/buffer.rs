@@ -300,24 +300,6 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Writes every dirty page (checkpoint), then flushes the device cache.
-    pub async fn flush_all(&self) -> DbResult<()> {
-        loop {
-            let next: Option<(PageId, FrameRef)> = {
-                let st = self.inner.st.borrow();
-                st.frames
-                    .iter()
-                    .find(|(_, r)| r.frame.borrow().dirty)
-                    .map(|(pid, r)| (*pid, Rc::clone(&r.frame)))
-            };
-            let Some((pid, frame)) = next else { break };
-            self.write_frame(pid, &frame).await?;
-        }
-        let token = self.inner.dev.submit(IoReq::Flush);
-        self.inner.dev.wait(token).await?;
-        Ok(())
-    }
-
     /// Snapshot of the dirty-page table: every resident page that may be
     /// newer in memory than on media, with its recLSN. Sorted by page id so
     /// checkpoint records are deterministic regardless of map order.
@@ -504,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_all_writes_every_dirty_page() {
+    fn flush_pages_writes_each_listed_dirty_page_once() {
         let mut sim = Sim::new(2);
         let (pool, _data, _wal) = pool_fixture(&mut sim, 8);
         let done = Rc::new(StdCell::new(false));
@@ -515,10 +497,13 @@ mod tests {
                 f.borrow_mut().page.write_slot(0, i, b"d");
                 BufferPool::mark_dirty(&f);
             }
-            pool.flush_all().await.unwrap();
+            let snapshot = pool.dirty_page_table();
+            assert_eq!(snapshot.len(), 5);
+            pool.flush_pages(&snapshot).await.unwrap();
             assert_eq!(pool.stats().writebacks, 5);
-            // Everything clean now: a second flush writes nothing.
-            pool.flush_all().await.unwrap();
+            assert!(pool.dirty_page_table().is_empty());
+            // Everything clean now: the same list again writes nothing.
+            pool.flush_pages(&snapshot).await.unwrap();
             assert_eq!(pool.stats().writebacks, 5);
             d2.set(true);
         });

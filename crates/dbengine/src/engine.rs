@@ -20,7 +20,6 @@ use crate::buffer::{BufferPool, FrameRef};
 use crate::error::{DbError, DbResult};
 use crate::page::{slots_per_page, PAGE_SECTORS, PAGE_SIZE};
 use crate::profile::EngineProfile;
-use crate::recovery::RecoveryMode;
 use crate::retry::RetryingDevice;
 use crate::txn::LockTable;
 use crate::types::{Key, Lsn, PageId, TableId, TxnId};
@@ -56,15 +55,6 @@ pub struct DbConfig {
     pub io_retries: u32,
     /// Pause between transient-error retries.
     pub io_retry_delay: SimDuration,
-    /// Crash-recovery pipeline mode (see [`crate::recovery`]): `Serial` is
-    /// the pinned read-one-replay-one reference, `Parallel` overlaps the
-    /// windowed log scan with decode and partitions redo by page.
-    pub recovery: RecoveryMode,
-    /// Fuzzy checkpoints: one writeback pass over a snapshot of the
-    /// dirty-page table instead of chasing dirty pages until the pool is
-    /// clean; the checkpoint record carries the remaining table and redo
-    /// starts at `min(recLSN)` over it.
-    pub fuzzy_checkpoints: bool,
 }
 
 impl Default for DbConfig {
@@ -77,8 +67,6 @@ impl Default for DbConfig {
             lock_timeout: SimDuration::from_millis(500),
             io_retries: 5,
             io_retry_delay: SimDuration::from_millis(2),
-            recovery: RecoveryMode::Parallel,
-            fuzzy_checkpoints: true,
         }
     }
 }
@@ -931,58 +919,40 @@ impl Database {
     /// Takes a checkpoint and persists the superblock, bounding both
     /// recovery time and the log region in use.
     ///
-    /// Sharp mode (`fuzzy_checkpoints = false`) chases dirty pages until
-    /// the pool is clean, so redo can start at the LSN the checkpoint began
-    /// at. Fuzzy mode makes one writeback pass over a snapshot of the
+    /// The checkpoint is fuzzy: one writeback pass over a snapshot of the
     /// dirty-page table — pages dirtied during the pass ride the next
-    /// checkpoint — then records the remaining table in the checkpoint
-    /// record; redo starts at `min(recLSN)` over it, which under
-    /// write-heavy load stays far closer to the log tail than a chasing
-    /// flush allows.
+    /// checkpoint — then the remaining table goes into the checkpoint
+    /// record and redo starts at `min(recLSN)` over it. Under write-heavy
+    /// load that stays close to the log tail, and the checkpoint always
+    /// completes: a flush that chased the pool until it was clean would
+    /// never finish while writers keep re-dirtying it.
     pub async fn checkpoint(&self) -> DbResult<()> {
         self.check_live()?;
-        let begin = self.inner.wal.end();
-        if self.inner.cfg.fuzzy_checkpoints {
-            let snapshot = self.inner.pool.dirty_page_table();
-            self.inner.pool.flush_pages(&snapshot).await?;
-            // Cache barrier: every earlier cached write — this pass and any
-            // prior evictions — is on stable media after this, so a page
-            // absent from the table recorded below is current on media.
-            self.inner.pool.barrier().await?;
-        } else {
-            self.inner.pool.flush_all().await?;
-        }
+        let snapshot = self.inner.pool.dirty_page_table();
+        self.inner.pool.flush_pages(&snapshot).await?;
+        // Cache barrier: every earlier cached write — this pass and any
+        // prior evictions — is on stable media after this, so a page absent
+        // from the table recorded below is current on media.
+        self.inner.pool.barrier().await?;
         // Capture the record contents and append in one synchronous step,
         // so no modification sneaks between capture and append.
-        let (end, active_min, dirty_min) = {
+        let (end, active_min, redo) = {
             let st = self.inner.st.borrow();
             let active: Vec<(TxnId, Lsn)> =
                 st.active.iter().map(|(t, s)| (*t, s.last_lsn)).collect();
             let active_min = st.active.values().map(|s| s.begin_lsn).min();
             let dirty = self.inner.pool.dirty_page_table();
+            // Redo starts at the oldest recLSN still dirty, or at this
+            // record when the table is empty.
             let ckpt_lsn = self.inner.wal.end();
-            let dirty_min = dirty
-                .iter()
-                .map(|&(_, l)| l)
-                .min()
-                .unwrap_or(ckpt_lsn)
-                .min(ckpt_lsn);
+            let redo = dirty.iter().map(|&(_, l)| l).fold(ckpt_lsn, Lsn::min);
             let (_, end) = self
                 .inner
                 .wal
                 .append(&Record::Checkpoint { active, dirty })?;
-            (end, active_min, dirty_min)
+            (end, active_min, redo)
         };
         self.inner.wal.wait_durable(end).await?;
-        // Redo start: fuzzy trusts the dirty-page table; sharp also bounds
-        // by the LSN the chasing flush began at (a page re-stamped while
-        // its writeback was in flight keeps its old recLSN, so `dirty_min`
-        // may reach below `begin`).
-        let redo = if self.inner.cfg.fuzzy_checkpoints {
-            dirty_min
-        } else {
-            begin.min(dirty_min)
-        };
         let undo_horizon = active_min.unwrap_or(redo).min(redo);
         Superblock {
             checkpoint: redo,
@@ -1464,6 +1434,89 @@ mod tests {
         assert!(
             elapsed > SimDuration::from_millis(4),
             "took {elapsed}, rotation not charged?"
+        );
+    }
+
+    /// Two writers re-dirty a 40-page working set in bursts of 50 updates,
+    /// faster than any flush can clean it, and the checkpointer (25 ms
+    /// interval) still moves the superblock's redo start forward interval
+    /// after interval. A checkpoint that chased the pool until it was clean
+    /// would never return under this load.
+    #[test]
+    fn checkpoints_complete_under_write_pressure() {
+        use rapilog_simcore::rng::SimRng;
+        const ROWS: u64 = 2_000;
+        const INTERVAL: SimDuration = SimDuration::from_millis(25);
+        let mut sim = Sim::new(23);
+        let ctx = sim.ctx();
+        let log = Disk::new(&ctx, specs::ssd_sata(64 << 20));
+        let redo_starts: Rc<RefCell<Vec<Lsn>>> = Rc::default();
+        let (c2, l2, rs) = (ctx.clone(), log.clone(), Rc::clone(&redo_starts));
+        sim.spawn(async move {
+            let cfg = DbConfig {
+                checkpoint_interval: INTERVAL,
+                ..DbConfig::default()
+            };
+            let defs = [TableDef {
+                name: "t".to_string(),
+                slot_size: 64,
+                max_rows: ROWS,
+            }];
+            let data = Rc::new(Disk::new(&c2, specs::ssd_sata(64 << 20)));
+            let db = Database::create(&c2, cfg, &defs, data, Rc::new(l2.clone()), DomainId::ROOT)
+                .await
+                .unwrap();
+            let t = db.table("t").unwrap();
+            let txn = db.begin().await.unwrap();
+            for k in 0..ROWS {
+                db.insert(txn, t, k, b"initial-row-image-000")
+                    .await
+                    .unwrap();
+            }
+            db.commit(txn).await.unwrap();
+            // Disjoint key ranges: the writers never wait for each other.
+            for c in 0..2u64 {
+                let db = db.clone();
+                let mut rng = SimRng::seed_from_u64(100 + c);
+                c2.spawn(async move {
+                    loop {
+                        let burst = async {
+                            let txn = db.begin().await?;
+                            for _ in 0..50 {
+                                let k = c * (ROWS / 2) + rng.gen_range(0..ROWS / 2);
+                                db.update(txn, t, k, b"sustained-write-pressure-row")
+                                    .await?;
+                            }
+                            db.commit(txn).await
+                        };
+                        if burst.await.is_err() {
+                            break; // stopped
+                        }
+                    }
+                });
+            }
+            // The superblock is written with FUA: the media has it.
+            let mut sector = [0u8; rapilog_simdisk::SECTOR_SIZE];
+            for _ in 0..=8 {
+                l2.peek_media(0, &mut sector);
+                rs.borrow_mut()
+                    .push(Superblock::decode(&sector).unwrap().checkpoint);
+                c2.sleep(INTERVAL).await;
+            }
+            db.stop();
+        });
+        sim.run_until(rapilog_simcore::SimTime::from_secs(60));
+        let redo_starts = redo_starts.borrow();
+        assert_eq!(redo_starts.len(), 9, "the load ran its eight intervals");
+        let advanced: Vec<bool> = redo_starts.windows(2).map(|w| w[1] > w[0]).collect();
+        let longest_run = advanced
+            .split(|&a| !a)
+            .map(<[bool]>::len)
+            .max()
+            .unwrap_or(0);
+        assert!(
+            longest_run >= 4,
+            "the superblock must advance in >= 4 consecutive {INTERVAL} intervals: {redo_starts:?}"
         );
     }
 }

@@ -53,5 +53,5 @@ pub mod wal;
 pub use engine::{Database, DbConfig, TableDef};
 pub use error::DbError;
 pub use profile::EngineProfile;
-pub use recovery::{RecoveryMode, RecoveryReport};
+pub use recovery::RecoveryReport;
 pub use types::{Key, Lsn, TableId, TxnId};

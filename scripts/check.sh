@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> design gate (one request path: no derived BlockDevice method re-implemented, no BlkReq/service.rs/ipc.rs; crates/rapilog/src non-test lines <= scripts/rapilog_src_lines.budget)"
+echo "==> design gate (one request path: no derived BlockDevice method re-implemented, no BlkReq/service.rs/ipc.rs; crates/rapilog/src non-test lines <= scripts/rapilog_src_lines.budget; no RecoveryMode/fuzzy_checkpoints/flush_all)"
 scripts/design_gate.sh
 
 echo "==> cargo build --release --workspace --all-targets"
@@ -28,7 +28,7 @@ echo "==> failover sweep (replicated pair: sync/async x 4 failure kinds; sync co
 echo "==> adaptive batching ablation (saturation + tail-latency + back-pressure gates, QUICK)"
 QUICK=1 ./target/release/abl_adaptive_batching
 
-echo "==> recovery ablation (speedup + fuzzy scan-cut + log read back from the buffer that outlived the guest, QUICK)"
+echo "==> recovery ablation (storm + checkpoints-under-pressure report; log read back from the buffer that outlived the guest gated, QUICK)"
 QUICK=1 ./target/release/abl_recovery
 
 echo "==> hot-path bench + allocation budget (check mode)"

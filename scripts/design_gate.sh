@@ -14,6 +14,10 @@
 #     (each file up to its first `#[cfg(test)]`) against the number committed
 #     in scripts/rapilog_src_lines.budget. More lines fail. Fewer pass and say
 #     so; `--update` then lowers the committed number (it never raises it).
+# (c) One recovery pipeline, one checkpoint. Fails if `RecoveryMode`,
+#     `fuzzy_checkpoints` or `flush_all` reappears in the non-test part of
+#     any source file under `crates/`: recovery has one scan window and one
+#     redo, a checkpoint one body, and no option brings a second back.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -73,7 +77,18 @@ else
     echo "design_gate: ok    crates/rapilog/src at its budget of $budget non-test lines"
 fi
 
+# ---- (c) one recovery pipeline, one checkpoint -----------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nwE 'RecoveryMode|fuzzy_checkpoints|flush_all' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f names a deleted recovery mode or checkpoint style:" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
 echo "design_gate: ok    one request path (no derived method re-implemented, no BlkReq, no service.rs/ipc.rs)"
+echo "design_gate: ok    one recovery pipeline, one checkpoint (no RecoveryMode, fuzzy_checkpoints or flush_all)"
