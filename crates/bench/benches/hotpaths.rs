@@ -14,6 +14,9 @@
 //! Machine-readable artifacts of a run:
 //!
 //! * every case's ns/op is written to `BENCH_hotpaths.json`;
+//! * `layer/*` rows: the host cost of moving one extent's bytes through the
+//!   dependable buffer (push → pop_batch → complete_run) and onto a `Disk`'s
+//!   media, at 128 sectors and at one;
 //! * per device stack, host ns and allocations per request in the two
 //!   calling forms — `exec` inline, and `submit` + `wait` (a task of its
 //!   own per request) — under `request_forms`: what a task per request
@@ -31,7 +34,7 @@ use std::hint::black_box;
 use std::rc::Rc;
 use std::time::Instant;
 
-use rapilog::{CapacitySpec, RapiLog};
+use rapilog::{CapacitySpec, DependableBuffer, RapiLog};
 use rapilog_bench::alloc::{snapshot, CountingAlloc};
 use rapilog_bench::{run_perf, Json, PerfConfig, WorkloadSpec};
 use rapilog_dbengine::retry::RetryingDevice;
@@ -300,6 +303,55 @@ fn bench_tracer(r: &mut Runner) {
     assert!(tracer.snapshot().total > 0);
 }
 
+/// Layer rows: one extent of `sectors` sectors through the dependable
+/// buffer — admitted, popped by the drain, landed — and one media write of
+/// that size on a `Disk` that takes no simulated time. Bytes are kept a run
+/// at a time in both (the buffer's dirty runs, the store's 4 KiB chunks),
+/// so the 128-sector rows cost far less than 128 one-sector ones; the
+/// one-sector buffer row is what a run map costs where a hash map of
+/// sectors cost less. The buffer is built as `DependableBuffer::new` builds
+/// it, keeping landed sectors, as over a rotating disk.
+fn bench_layers(r: &mut Runner) {
+    for sectors in [128u64, 1] {
+        let extents = r.iters(if sectors == 1 { 400_000 } else { 40_000 });
+        let mut sim = Sim::new(6);
+        sim.spawn(async move {
+            let buffer = DependableBuffer::new(64 << 20);
+            let data = SectorBuf::from_vec(vec![0x5A; sectors as usize * SECTOR_SIZE]);
+            for i in 0..extents {
+                let sector = (i * sectors) % (1 << 17);
+                let seq = buffer.push(sector, data.clone()).await.expect("push");
+                black_box(buffer.pop_batch(usize::MAX));
+                buffer.complete_run(&[(seq, seq)]);
+            }
+        });
+        let start = Instant::now();
+        sim.run();
+        r.report(
+            &format!("layer/buffer_extent_{sectors}"),
+            start.elapsed(),
+            extents,
+        );
+    }
+    let writes = r.iters(40_000);
+    let mut sim = Sim::new(7);
+    let disk = Disk::new(&sim.ctx(), specs::instant(64 << 20));
+    sim.spawn(async move {
+        let data = SectorBuf::from_vec(vec![0xC3; 128 * SECTOR_SIZE]);
+        for i in 0..writes {
+            let req = IoReq::Write {
+                sector: (i % 1024) * 128,
+                segments: vec![data.clone()],
+                fua: true,
+            };
+            disk.exec(req).await.expect("media write");
+        }
+    });
+    let start = Instant::now();
+    sim.run();
+    r.report("layer/disk_write_128", start.elapsed(), writes);
+}
+
 /// The device stacks the suite builds, over a disk that takes no simulated
 /// time: what is left is the host cost of the layers themselves.
 const REQUEST_STACKS: [&str; 6] = [
@@ -437,6 +489,10 @@ fn bench_storm_allocations(check: bool, timer_heavy: bool) -> Json {
         SimDuration::from_secs(5)
     };
     let (clients, think) = if timer_heavy {
+        // 32 clients at 20 µs think time fill the 256 MiB log region
+        // before the default 5 s checkpoint frees any of it: checkpoint
+        // often enough that the full-mode run never wraps onto live log.
+        machine.db.checkpoint_interval = SimDuration::from_millis(250);
         (32, SimDuration::from_micros(20))
     } else {
         (4, SimDuration::from_micros(200))
@@ -511,6 +567,7 @@ fn main() {
     bench_exec_kernel(&mut r);
     bench_tpcc_generate(&mut r);
     bench_tracer(&mut r);
+    bench_layers(&mut r);
     let request_forms = bench_request_forms(&mut r);
     let storm = bench_storm_allocations(r.check, false);
     let storm_timer = bench_storm_allocations(r.check, true);

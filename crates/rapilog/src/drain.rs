@@ -2696,7 +2696,8 @@ mod read_yield_tests {
             RetryPolicy::default(),
             false,
         );
-        let ids = r.rl.tenant_ids();
+        let tenants = r.rl.snapshot().tenants;
+        let ids: Vec<TenantId> = tenants.iter().map(|t| TenantId(t.tenant)).collect();
         r.spawn_reader(r.rl.device_for(ids[0]).unwrap());
         let writer = r.rl.device_for(*ids.last().unwrap()).unwrap();
         let blocked = Rc::new(StdCell::new((SimTime::ZERO, SimTime::ZERO)));

@@ -905,11 +905,6 @@ impl RapiLog {
             .map(|t| t.device.clone())
     }
 
-    /// The tenants sharing this instance, in shard order.
-    pub fn tenant_ids(&self) -> Vec<TenantId> {
-        self.tenants.iter().map(|t| t.id).collect()
-    }
-
     /// Buffer statistics snapshot, aggregated across shards.
     pub fn stats(&self) -> BufferStats {
         let mut agg = BufferStats::default();
@@ -955,11 +950,6 @@ impl RapiLog {
             replication: self.replication.as_ref().map(|r| r.report()),
             drain: self.drain_ctrl.stats(&self.mode),
         }
-    }
-
-    /// The log shipper's status, when replication is enabled.
-    pub fn replication_report(&self) -> Option<replicate::ReplicationReport> {
-        self.replication.as_ref().map(|r| r.report())
     }
 
     /// True while the instance has fallen back to synchronous

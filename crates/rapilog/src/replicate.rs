@@ -307,11 +307,6 @@ impl Replicator {
         self.inner.wake.notify_all();
     }
 
-    /// True once [`halt`](Self::halt) ran.
-    pub fn is_halted(&self) -> bool {
-        self.inner.halted.get()
-    }
-
     /// True when every offered frame has been acknowledged by the standby.
     pub fn settled(&self) -> bool {
         self.inner.pending.borrow().is_empty() && self.inner.unacked.borrow().is_empty()
@@ -779,11 +774,6 @@ impl Standby {
             .and_then(|t| t.expected.checked_sub(1))
     }
 
-    /// True once promoted.
-    pub fn is_promoted(&self) -> bool {
-        self.inner.promoted.get()
-    }
-
     /// Promotes the standby: it stops applying and stops acknowledging —
     /// frames from a zombie primary are refused and counted. Returns the
     /// report at the instant of promotion. Over a RapiLog device the
@@ -933,7 +923,7 @@ mod tests {
         let report = f.rl.audit_report();
         assert!(report.guarantee_held());
         assert_eq!(report.tenant(0).unwrap().replicated_seq, Some(31));
-        let repl_report = f.rl.replication_report().expect("shipping enabled");
+        let repl_report = f.rl.snapshot().replication.expect("shipping enabled");
         assert_eq!(repl_report.total_lag(), 0);
         assert!(!repl_report.halted);
     }
@@ -968,7 +958,7 @@ mod tests {
         assert!(f.repl.settled(), "the replica caught up");
         assert_eq!(f.standby.applied_hi(0), Some(63));
         assert_images_match(&f, 64);
-        assert_eq!(f.rl.replication_report().unwrap().total_lag(), 0);
+        assert_eq!(f.rl.snapshot().replication.unwrap().total_lag(), 0);
     }
 
     #[test]
@@ -1074,7 +1064,7 @@ mod tests {
         });
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(outcome.get(), Some(true), "halt failed the blocked write");
-        assert!(f.repl.is_halted());
+        assert!(f.repl.report().halted);
     }
 
     #[test]

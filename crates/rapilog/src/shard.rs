@@ -127,21 +127,6 @@ impl ShardedBuffer {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The tenant ids, in shard order.
-    pub fn tenant_ids(&self) -> Vec<TenantId> {
-        self.shards.iter().map(|s| s.id).collect()
-    }
-
-    /// The buffer shard for `tenant`, if present.
-    pub fn shard(&self, tenant: TenantId) -> Option<&DependableBuffer> {
-        self.shards.iter().find(|s| s.id == tenant).map(|s| &s.buf)
-    }
-
     /// All shards, in construction order.
     pub(crate) fn shards(&self) -> &[Shard] {
         &self.shards
@@ -244,8 +229,8 @@ mod tests {
         sim.spawn({
             let ctx = ctx.clone();
             async move {
-                let t0 = s2.shard(TenantId(0)).unwrap().clone();
-                let t1 = s2.shard(TenantId(1)).unwrap().clone();
+                let t0 = s2.shards()[0].buf.clone();
+                let t1 = s2.shards()[1].buf.clone();
                 t0.push(0, sector_data(1, 1)).await.unwrap();
                 // Tenant 0 is now full; tenant 1 must admit immediately.
                 let before = ctx.now();
@@ -277,11 +262,7 @@ mod tests {
             async move {
                 ctx.sleep(SimDuration::from_millis(2)).await;
                 // A push to the *second* shard wakes the shared waiter.
-                s3.shard(TenantId(1))
-                    .unwrap()
-                    .push(0, sector_data(1, 1))
-                    .await
-                    .unwrap();
+                s3.shards()[1].buf.push(0, sector_data(1, 1)).await.unwrap();
             }
         });
         sim.run();

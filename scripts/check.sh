@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> design gate (one request path: no derived BlockDevice method re-implemented, no BlkReq/service.rs/ipc.rs; crates/rapilog/src non-test lines <= scripts/rapilog_src_lines.budget; no RecoveryMode/fuzzy_checkpoints/flush_all)"
+echo "==> design gate (one request path: no derived BlockDevice method re-implemented, no BlkReq/service.rs/ipc.rs; crates/rapilog/src non-test lines <= scripts/rapilog_src_lines.budget; no RecoveryMode/fuzzy_checkpoints/flush_all; bytes move by the run: no enum Held, no per-sector media map)"
 scripts/design_gate.sh
 
 echo "==> cargo build --release --workspace --all-targets"

@@ -18,6 +18,11 @@
 #     `fuzzy_checkpoints` or `flush_all` reappears in the non-test part of
 #     any source file under `crates/`: recovery has one scan window and one
 #     redo, a checkpoint one body, and no option brings a second back.
+# (d) Bytes move by the run. Fails if `enum Held` (the dependable buffer's
+#     one-entry-per-sector overlay) or a per-sector media map
+#     (`FastMap<u64, Box<[u8; SECTOR_SIZE]>>`) reappears in the non-test part
+#     of any source file under `crates/`: the buffer's dirty overlay is a
+#     sector-ordered map of runs and the media store keeps 4 KiB chunks.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -87,8 +92,19 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+# ---- (d) bytes move by the run ---------------------------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nE 'enum Held\b|FastMap<u64, *Box<\[u8; *SECTOR_SIZE\]>>' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f keeps bytes a sector at a time again (one map entry per 512-byte sector):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
 echo "design_gate: ok    one request path (no derived method re-implemented, no BlkReq, no service.rs/ipc.rs)"
 echo "design_gate: ok    one recovery pipeline, one checkpoint (no RecoveryMode, fuzzy_checkpoints or flush_all)"
+echo "design_gate: ok    bytes move by the run (no enum Held, no per-sector FastMap<u64, Box<[u8; SECTOR_SIZE]>>)"
