@@ -2,10 +2,14 @@
 //!
 //! The checkpointer bounds the redo scan. Sweeping its interval under a
 //! fixed crash schedule shows the classic trade: frequent checkpoints buy
-//! fast recovery at the price of full-page-write log volume; rare ones do
-//! the opposite. RapiLog is orthogonal to this knob — it accelerates the
-//! *commit* path, not the recovery path — so the sweep runs on the
-//! RapiLog setup to show both effects coexisting.
+//! short scans at the price of full-page-write log volume; rare ones do
+//! the opposite. The crash is a guest crash on the RapiLog setup, and
+//! there RapiLog shortens recovery too: the instance that outlived the
+//! guest still holds the log it landed, up to its idle room, so the scan
+//! reads it from memory instead of from the rotating disk. The 10 s
+//! interval's log (230 535 records) recovers in about 2 ms; only the
+//! records scanned and redone grow with the interval. After a power cut
+//! the rebuilt instance holds nothing, and the trade is the classic one.
 //!
 //! The interval points are independent trials, fanned out over host
 //! threads (`RAPILOG_BENCH_THREADS`) and reported in interval order. A
@@ -83,7 +87,8 @@ fn main() {
         ]));
     }
     println!("{}", t.render());
-    println!("Expected shape: scanned records and recovery time grow with the interval;");
+    println!("Expected shape: scanned records grow with the interval; recovery time, read");
+    println!("from the surviving instance's memory, stays within milliseconds;");
     println!("durability is untouched at every setting (the trial asserts it).");
     let row = Json::obj([
         ("bench", Json::str("abl_ckpt_sweep")),

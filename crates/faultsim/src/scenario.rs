@@ -545,13 +545,14 @@ pub struct RecoverySweep {
     /// outlived the guest still held the sector.
     pub superblock: SimDuration,
     /// What was left, when recovery began, of a drain write already on the
-    /// media after a guest crash — the one wait no arbitration can spare
-    /// the first read. Zero when the disk was idle.
+    /// media after a guest crash — a wait the first read cannot be spared.
+    /// Zero when the disk was idle.
     pub inflight_write: SimDuration,
     /// Log-disk writes that *began* between recovery's start and the last
     /// consumed read's end: drain writes the scan's dependent reads queued
-    /// behind, each costing them a repositioning. The drain stands aside
-    /// for guest reads, so this is 0.
+    /// behind, each costing them a repositioning. The drain does not stand
+    /// aside for guest reads; after a guest crash the instance answers the
+    /// scan from memory, so there is seldom a read to queue behind a write.
     pub interleaved_writes: usize,
     /// Every log-disk read begun during recovery other than the
     /// superblock's (sector 0), in media order: what the scan asked for

@@ -2,12 +2,13 @@
 //!
 //! Writes enter as *extents* (a sector run plus bytes) and leave strictly
 //! in arrival order when the drain commits them to media. A sector-ordered
-//! map of dirty runs ([`Dirty`]) provides read-your-writes for data that is
+//! map of runs ([`Run`]) provides read-your-writes for data that is
 //! acknowledged but not yet on disk — the guest re-reading its log tail
-//! after a reboot sees exactly what it was promised. Landed sectors stay
-//! readable after that for as long as the buffer has idle room for them
-//! (see [`Kept`]), so the same guest reads most of its log back without
-//! going to the disk.
+//! after a reboot sees exactly what it was promised. A run that has landed
+//! stays in the map as a range without its bytes, for as long as the buffer
+//! has idle room for it: the media holds exactly what that landing wrote,
+//! so the caller answers a read of it from there at the buffer's cost, and
+//! the same guest reads its log back without waiting on the disk.
 //!
 //! Admission control is the paper's safety argument in code: occupancy can
 //! never exceed the capacity derived from the residual-energy window, so
@@ -17,7 +18,7 @@
 //! # Zero-copy data path
 //!
 //! Extent bytes are [`SectorBuf`]s: admission takes an O(1) view of the
-//! caller's buffer, the overlay holds one run per admission — a *view into
+//! caller's buffer, the run map holds one run per admission — a *view into
 //! the same allocation* (not a copy), cut down to what no newer admission
 //! has rewritten — and the drain removes extents from the queue by move
 //! ([`pop_batch`](DependableBuffer::pop_batch)) while a small
@@ -25,16 +26,13 @@
 //! read-your-writes intact until [`complete_run`](DependableBuffer::complete_run).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use rapilog_simcore::bytes::SectorBuf;
-use rapilog_simcore::hash::FastMap;
 use rapilog_simcore::sync::Notify;
 use rapilog_simcore::SimCtx;
 use rapilog_simdisk::SECTOR_SIZE;
-
-use crate::{ModeState, Waiting};
 
 /// One accepted write.
 #[derive(Debug, Clone)]
@@ -65,7 +63,8 @@ pub struct BufferStats {
     pub peak_occupancy: u64,
     /// Times a writer had to wait for space (backpressure engaged).
     pub backpressure_events: u64,
-    /// Landed bytes kept readable right now (never counted as occupancy).
+    /// Landed bytes the buffer answers reads for right now (never counted
+    /// as occupancy).
     pub kept_bytes: u64,
     /// Bytes guest reads took from the buffer, dirty or kept.
     pub read_memory_bytes: u64,
@@ -73,118 +72,36 @@ pub struct BufferStats {
     pub read_disk_bytes: u64,
 }
 
-/// Most landed bytes one buffer keeps readable. The ring in the trusted
-/// cell that the paper sizes would hold `capacity` of them at no cost
-/// (18.7 MB on `atx_psu` + `hdd_7200`); this bound exists only because the
-/// benchmark's `peak_rss_mib` measures the simulator's memory, not the
-/// modelled cell's. Checked against `crash_recover`, which re-reads
-/// 200–700 KB; a longer log is read from the disk as before.
-const KEPT: u64 = 1 << 20;
-
-/// The newest acked bytes of sectors `[first, end)` (`first` is the key),
-/// on their way to the media: extent `seq`'s, `data` viewing exactly those
-/// sectors of its allocation.
-struct Dirty {
+/// Sectors `[first, end)` (`first` is the key) the buffer answers reads
+/// for: the newest acked bytes on their way to the media (dirty), or what a
+/// landing put there (kept).
+struct Run {
     end: u64,
+    /// Dirty: the extent whose bytes these are. Kept: the landing that kept
+    /// it, numbered from the buffer's first (a run later landings grew
+    /// keeps its own), so the lowest is the oldest.
     seq: u64,
-    data: SectorBuf,
+    kept: bool,
+    /// The bytes, viewing exactly these sectors of the extent's allocation:
+    /// always while dirty; once kept only if the disk may have corrupted a
+    /// sector of the landing, so that a read still returns what was acked.
+    data: Option<SectorBuf>,
 }
 
-/// Sector slots per storage segment: 2 KiB, zero-allocated as its first
-/// slot is used. Chosen by `peak_rss_mib`: segments of 16 KiB and more sit
-/// half empty in a shard with a few hot sectors and fit no hole the heap
-/// has (`crash_recover` 5.7 % over the parent against 4.2 %), one
-/// allocation per slot or one growing `Vec` fragments it (`storm_hdd` 6 %
-/// over, `crash_recover` 17 %).
-const SEG_SLOTS: usize = 4;
-
-/// One kept slot: the sector in it and its neighbours in landing order.
-/// Slot 0 keeps no sector; it closes the order into a ring, with the oldest
-/// landing as its `newer` and the newest as its `older`.
-#[derive(Clone, Copy, Default)]
-struct Slot {
-    sector: u64,
-    older: usize,
-    newer: usize,
-}
-
-/// The landed sectors still readable: byte for byte what the last landed
-/// write put on the media for each, in slots the buffer owns (`slots[0]` is
-/// the ring's) — storage grows a segment at a time as slots are first used,
-/// and a slot given back (`free`) is used before a new one. A sector is
-/// dirty or kept, never both: an admission that rewrites a kept sector
-/// replaces it in the same step. Kept bytes are not occupancy: they live in
-/// room no acked byte is using, at most `min(capacity - occupancy, KEPT)`
-/// of them, oldest landing evicted first.
-struct Kept {
-    slots: Vec<Slot>,
-    segs: Vec<Box<[[u8; SECTOR_SIZE]]>>,
-    free: Vec<usize>,
-    /// Sector → its slot.
-    of: FastMap<u64, usize>,
-}
-
-impl Kept {
-    fn bytes(&self) -> u64 {
-        (self.of.len() * SECTOR_SIZE) as u64
-    }
-
-    /// Copies one landed sector into a slot, as the newest landing.
-    fn keep(&mut self, sector: u64, landed: &[u8]) {
-        let newest = self.slots[0].older;
-        let slot = self.free.pop().unwrap_or(self.slots.len());
-        if slot == self.slots.len() {
-            self.slots.push(Slot::default());
-            if slot >= self.segs.len() * SEG_SLOTS {
-                self.segs.push(vec![[0; SECTOR_SIZE]; SEG_SLOTS].into());
-            }
-        }
-        self.slots[slot] = Slot {
-            sector,
-            older: newest,
-            newer: 0,
-        };
-        self.segs[slot / SEG_SLOTS][slot % SEG_SLOTS].copy_from_slice(landed);
-        self.slots[newest].newer = slot;
-        self.slots[0].older = slot;
-        self.of.insert(sector, slot);
-    }
-
-    /// Takes a slot out of the landing order and gives it back.
-    fn forget(&mut self, slot: usize) {
-        let Slot { older, newer, .. } = self.slots[slot];
-        self.slots[older].newer = newer;
-        self.slots[newer].older = older;
-        self.free.push(slot);
-        self.of.remove(&self.slots[slot].sector);
-    }
-
-    /// Forgets every kept sector in `[first, end)`: a lookup per sector,
-    /// or one walk of the landing order where that is shorter.
-    fn forget_range(&mut self, first: u64, end: u64) {
-        if end - first <= self.of.len() as u64 {
-            for s in first..end {
-                if let Some(&slot) = self.of.get(&s) {
-                    self.forget(slot);
-                }
-            }
-            return;
-        }
-        let mut slot = self.slots[0].newer;
-        while slot != 0 {
-            let Slot { sector, newer, .. } = self.slots[slot];
-            if (first..end).contains(&sector) {
-                self.forget(slot);
-            }
-            slot = newer;
-        }
-    }
-
-    /// Evicts kept sectors, oldest-landed first, until at most `limit`
-    /// bytes of them remain.
-    fn evict_to(&mut self, limit: u64) {
-        while self.bytes() > limit {
-            self.forget(self.slots[0].newer);
+impl Run {
+    /// Cuts this run, which starts at `at`, at `from`: it keeps what lies
+    /// before and returns the rest, bytes as O(1) views.
+    fn split_off(&mut self, at: u64, from: u64) -> Run {
+        let off = (from - at) as usize * SECTOR_SIZE;
+        let data = self.data.as_mut().map(|d| {
+            let rest = d.slice(off..d.len());
+            *d = d.slice(0..off);
+            rest
+        });
+        Run {
+            end: std::mem::replace(&mut self.end, from),
+            data,
+            ..*self
         }
     }
 }
@@ -207,22 +124,27 @@ struct BufSt {
     queued_bytes: u64,
     /// Stamps `Extent::admit_ns`; attached by the builder.
     clock: Option<SimCtx>,
-    /// The owning instance's drain/device state, attached with the clock:
-    /// whoever blocks on this buffer is counted there as waiting on the
-    /// drain, which then stops standing aside for guest reads.
-    mode: Option<Rc<ModeState>>,
     occupancy: u64,
     capacity: u64,
     next_seq: u64,
-    /// Disjoint runs, one per admission less what newer ones took from it;
-    /// a run leaves when its extent lands, into `kept` as room allows.
-    dirty: BTreeMap<u64, Dirty>,
-    kept: Kept,
+    /// Disjoint runs: one per admission less what newer ones took from it,
+    /// dirty until its extent lands and kept from then on as room allows.
+    /// A sector is dirty or kept, never both.
+    runs: BTreeMap<u64, Run>,
+    /// The kept runs as `(landing, first sector)`, the eviction order: one
+    /// entry per kept run, gone when the run goes, however it goes.
+    kept: BTreeSet<(u64, u64)>,
+    /// Sectors in kept runs, in bytes: at most `capacity - occupancy`.
+    kept_bytes: u64,
+    /// Landings so far; numbers the next one.
+    landings: u64,
+    /// Cleared by [`DependableBuffer::keep_nothing`].
+    keeps: bool,
     /// What the guest has said it no longer needs and has not rewritten
     /// since ([`DependableBuffer::trim`]): ascending, disjoint, non-adjacent
-    /// `[first, end)` sector ranges. A sector in one that the overlay does
-    /// not hold reads as zeros. Volatile, like the kept set: a rebuilt
-    /// instance starts with none and reads the media.
+    /// `[first, end)` sector ranges. A sector in one that no run holds
+    /// reads as zeros. Volatile, like the kept runs: a rebuilt instance
+    /// starts with none and reads the media.
     trims: Vec<(u64, u64)>,
     frozen: bool,
     /// Set when a `push` goes to sleep for want of space, cleared by
@@ -230,8 +152,6 @@ struct BufSt {
     /// every ack is gated by the drain's next release. A plain flag, so a
     /// push future dropped mid-wait (guest crash) leaves nothing to undo.
     stalled: bool,
-    /// [`KEPT`], or 0 after [`DependableBuffer::keep_nothing`].
-    kept_bound: u64,
     stats: BufferStats,
 }
 
@@ -250,82 +170,127 @@ impl BufSt {
 
     /// Releases one committed extent: occupancy, drained accounting, and
     /// the dirty runs this extent still owns (what no newer write to the
-    /// same sectors took), which are what the media now holds for those
-    /// sectors and stay readable as far as idle room allows.
-    fn release(&mut self, seq: u64, sector: u64, len: u64) {
+    /// same sectors took). The media now holds those bytes — exactly, if
+    /// `exact` — so they stay readable as kept runs of `landing`, as far as
+    /// idle room allows.
+    fn release(&mut self, seq: u64, sector: u64, len: u64, landing: u64, exact: bool) {
         self.occupancy -= len;
         self.stats.drained_bytes += len;
-        let room = (self.capacity - self.occupancy).min(self.kept_bound);
         let end = sector + len / SECTOR_SIZE as u64;
         // The extent's runs lie among its own sectors, between the runs of
         // newer writes that carved them.
         let mut at = sector;
         while at < end {
-            let Some((&first, run)) = self.dirty.range(at..end).next() else {
+            let Some((&first, run)) = self.runs.range(at..end).next() else {
                 break;
             };
             at = run.end;
-            if run.seq != seq {
+            if run.kept || run.seq != seq {
                 continue;
             }
-            let landed = self.dirty.remove(&first).expect("found above").data;
-            for (s, bytes) in (first..).zip(landed.chunks_exact(SECTOR_SIZE)) {
-                // A sector trimmed since it was acked is not worth a slot.
-                if room >= SECTOR_SIZE as u64 && !self.trimmed(s) {
-                    self.kept.keep(s, bytes);
-                    // The newest landing is the last to go: this makes
-                    // room for it at the oldest one's cost.
-                    self.kept.evict_to(room);
+            let run = self.runs.remove(&first).expect("found above");
+            if self.keeps {
+                self.keep(first, run.end, landing, run.data.filter(|_| !exact));
+            }
+        }
+        self.evict_to(self.capacity - self.occupancy);
+    }
+
+    /// Keeps landed sectors `[first, end)` as runs of `landing`, less the
+    /// trimmed ones, which nobody reads. A run right behind a kept one
+    /// grows it instead: a log lands in ascending sectors, so the grown
+    /// run's front is still its oldest part, and evicting fronts first still
+    /// evicts the oldest landing first.
+    fn keep(&mut self, first: u64, end: u64, landing: u64, data: Option<SectorBuf>) {
+        let mut i = self.trims.partition_point(|r| r.1 <= first);
+        let mut at = first;
+        while at < end {
+            let (cut, resume) = match self.trims.get(i) {
+                Some(&(t0, t1)) if t0 < end => (t0.max(at), t1),
+                _ => (end, end),
+            };
+            i += 1;
+            if at < cut {
+                let bytes = |s: u64| (s - first) as usize * SECTOR_SIZE;
+                let data = data.as_ref().map(|d| d.slice(bytes(at)..bytes(cut)));
+                self.kept_bytes += (cut - at) * SECTOR_SIZE as u64;
+                match self.runs.range_mut(..at).next_back() {
+                    Some((_, run))
+                        if run.end == at && run.kept && run.data.is_none() && data.is_none() =>
+                    {
+                        run.end = cut
+                    }
+                    _ => {
+                        self.kept.insert((landing, at));
+                        let run = Run {
+                            end: cut,
+                            seq: landing,
+                            kept: true,
+                            data,
+                        };
+                        self.runs.insert(at, run);
+                    }
                 }
             }
+            at = resume;
         }
     }
 
-    /// Puts extent `seq`'s run `[first, end)` over the older runs it
-    /// supersedes; one reaching across either bound keeps the part outside
-    /// as an O(1) view. The runs are disjoint: walking back from the last
-    /// one starting before `end` meets all it touches, until one ends by
+    /// Takes `[first, end)` out of the runs it overlaps: out of every run
+    /// if `put` is a new run for it, which then takes the range's place —
+    /// in place of a run that started at `first` — else out of the kept
+    /// ones only. A run reaching across either bound keeps the part
+    /// outside. The runs are disjoint: walking back from the last one
+    /// starting before `end` meets all it touches, until one ends by
     /// `first`.
-    fn admit(&mut self, first: u64, end: u64, seq: u64, data: SectorBuf) {
-        while let Some((&at, run)) = self.dirty.range_mut(..end).next_back() {
+    fn carve(&mut self, first: u64, end: u64, mut put: Option<Run>) {
+        let mut before = end;
+        while let Some((&at, run)) = self.runs.range_mut(..before).next_back() {
             if run.end <= first {
                 break;
             }
-            let right = (run.end > end).then(|| Dirty {
-                end: run.end,
-                seq: run.seq,
-                data: run
-                    .data
-                    .slice((end - at) as usize * SECTOR_SIZE..run.data.len()),
-            });
-            if at < first {
-                run.end = first;
-                run.data = run.data.slice(0..(first - at) as usize * SECTOR_SIZE);
-            } else if at > first {
-                // One starting at `first` is replaced by the insert below.
-                self.dirty.remove(&at);
-            }
-            if let Some(right) = right {
-                self.dirty.insert(end, right);
+            before = at;
+            if run.kept || put.is_some() {
+                let (kept, landing) = (run.kept, run.seq);
+                let mut cut = if at < first {
+                    run.split_off(at, first)
+                } else {
+                    if kept {
+                        self.kept.remove(&(landing, at));
+                    }
+                    match put.take_if(|_| at == first) {
+                        Some(new) => std::mem::replace(run, new),
+                        None => self.runs.remove(&at).expect("found above"),
+                    }
+                };
+                let from = at.max(first);
+                if cut.end > end {
+                    if kept {
+                        self.kept.insert((landing, end));
+                    }
+                    self.runs.insert(end, cut.split_off(from, end));
+                }
+                if kept {
+                    self.kept_bytes -= (cut.end - from) * SECTOR_SIZE as u64;
+                }
             }
             if at <= first {
                 break;
             }
         }
-        self.dirty.insert(first, Dirty { end, seq, data });
+        if let Some(run) = put {
+            self.runs.insert(first, run);
+        }
     }
 
-    /// The newest bytes the buffer holds for `sector`, dirty or kept.
-    fn held(&self, sector: u64) -> Option<&[u8]> {
-        match self.dirty.range(..=sector).next_back() {
-            Some((&at, run)) if run.end > sector => {
-                let off = (sector - at) as usize * SECTOR_SIZE;
-                Some(&run.data[off..off + SECTOR_SIZE])
-            }
-            _ => {
-                let slot = *self.kept.of.get(&sector)?;
-                Some(&self.kept.segs[slot / SEG_SLOTS][slot % SEG_SLOTS])
-            }
+    /// Evicts kept sectors, oldest landing first and a run's front before
+    /// its back, until at most `room` bytes of them remain.
+    fn evict_to(&mut self, room: u64) {
+        while self.kept_bytes > room {
+            let &(_, first) = self.kept.first().expect("kept bytes are indexed");
+            let over = (self.kept_bytes - room).div_ceil(SECTOR_SIZE as u64);
+            let end = self.runs[&first].end.min(first + over);
+            self.carve(first, end, None);
         }
     }
 
@@ -391,21 +356,17 @@ impl DependableBuffer {
                 inflight: VecDeque::new(),
                 queued_bytes: 0,
                 clock: None,
-                mode: None,
                 occupancy: 0,
                 capacity,
                 next_seq: 0,
-                dirty: BTreeMap::new(),
-                kept: Kept {
-                    slots: vec![Slot::default()],
-                    segs: Vec::new(),
-                    free: Vec::new(),
-                    of: FastMap::default(),
-                },
+                runs: BTreeMap::new(),
+                kept: BTreeSet::new(),
+                kept_bytes: 0,
+                landings: 0,
+                keeps: true,
                 trims: Vec::new(),
                 frozen: false,
                 stalled: false,
-                kept_bound: KEPT,
                 stats: BufferStats::default(),
             })),
             space: Notify::new(),
@@ -431,30 +392,20 @@ impl DependableBuffer {
         std::mem::take(&mut self.st.borrow_mut().stalled)
     }
 
-    /// Attaches the buffer to its instance: the sim clock, so admissions
-    /// are stamped with `admit_ns`, and the state shared with the drain, so
-    /// it knows when somebody is blocked here. Without them (unit tests
-    /// building the buffer directly) extents carry `admit_ns == 0`, commit
-    /// latency simply isn't measured and nobody counts the waiters.
-    pub(crate) fn attach(&self, ctx: &SimCtx, mode: &Rc<ModeState>) {
-        let mut st = self.st.borrow_mut();
-        st.clock = Some(ctx.clone());
-        st.mode = Some(Rc::clone(mode));
+    /// Attaches the sim clock, so admissions are stamped with `admit_ns`.
+    /// Without it (unit tests building the buffer directly) extents carry
+    /// `admit_ns == 0` and commit latency simply isn't measured.
+    pub(crate) fn attach(&self, ctx: &SimCtx) {
+        self.st.borrow_mut().clock = Some(ctx.clone());
     }
 
     /// For the buffer of an instance whose disk does not rotate. What
     /// keeping landed sectors spares a guest is a rotating disk's
     /// positioning, 4–8 ms a request, and that is where it was measured; on
-    /// flash the simulator would pay the memory (see [`KEPT`]) to spare it
-    /// the 50 µs a request costs there.
+    /// flash it would spare 50 µs reads no workload there issues, and
+    /// keeping costs the simulator host time at every landing.
     pub(crate) fn keep_nothing(&self) {
-        self.st.borrow_mut().kept_bound = 0;
-    }
-
-    /// Counts the caller as blocked on the drain while the guard lives:
-    /// taken at a call's first sleep and kept until it returns.
-    fn blocked(&self) -> Option<Waiting> {
-        self.st.borrow().mode.as_ref().map(ModeState::waiting)
+        self.st.borrow_mut().keeps = false;
     }
 
     /// The admission cap.
@@ -471,7 +422,7 @@ impl DependableBuffer {
     pub fn stats(&self) -> BufferStats {
         let st = self.st.borrow();
         BufferStats {
-            kept_bytes: st.kept.bytes(),
+            kept_bytes: st.kept_bytes,
             ..st.stats
         }
     }
@@ -507,7 +458,6 @@ impl DependableBuffer {
             "single extent of {len} bytes exceeds buffer capacity"
         );
         let mut waited = false;
-        let mut blocked = None;
         loop {
             {
                 let mut st = self.st.borrow_mut();
@@ -525,13 +475,19 @@ impl DependableBuffer {
                         st.stats.backpressure_events += 1;
                     }
                     let end = sector + len / SECTOR_SIZE as u64;
-                    // Replaces kept copies: the media will be stale.
-                    st.kept.forget_range(sector, end);
-                    st.admit(sector, end, seq, data.clone());
+                    // Over the runs it supersedes, dirty or kept: the media
+                    // will be stale.
+                    let run = Run {
+                        end,
+                        seq,
+                        kept: false,
+                        data: Some(data.clone()),
+                    };
+                    st.carve(sector, end, Some(run));
                     st.punch(sector, end);
                     // Kept bytes never cost an admission its room.
                     let idle = st.capacity - st.occupancy;
-                    st.kept.evict_to(idle);
+                    st.evict_to(idle);
                     st.queued_bytes += len;
                     let admit_ns = st
                         .clock
@@ -551,7 +507,6 @@ impl DependableBuffer {
             }
             waited = true;
             self.st.borrow_mut().stalled = true;
-            blocked = blocked.or_else(|| self.blocked());
             self.space.notified().await;
         }
     }
@@ -600,8 +555,16 @@ impl DependableBuffer {
     /// need not be contiguous. Same release and same oldest-pending
     /// semantics as [`complete_seqs`](Self::complete_seqs), which is the
     /// one-range case; this is what lets the drain hand space back a run at
-    /// a time.
+    /// a time. The media now holds exactly the run's bytes.
     pub fn complete_run(&self, seqs: &[(u64, u64)]) {
+        self.land(seqs, true);
+    }
+
+    /// [`complete_run`](Self::complete_run) of a run the media holds
+    /// exactly if `exact`; else the disk may have corrupted a sector of it
+    /// (its `corrupt_sectors` count moved meanwhile), and the kept runs
+    /// keep the acked bytes.
+    pub(crate) fn land(&self, seqs: &[(u64, u64)], exact: bool) {
         let Some(&(_, hi)) = seqs.last() else {
             return;
         };
@@ -616,6 +579,8 @@ impl DependableBuffer {
         };
         let became_empty = {
             let mut st = self.st.borrow_mut();
+            let landing = st.landings;
+            st.landings += 1;
             let mut i = 0;
             while i < st.inflight.len() {
                 let seq = st.inflight[i].seq;
@@ -624,7 +589,7 @@ impl DependableBuffer {
                 }
                 if hit(seq) {
                     let r = st.inflight.remove(i).expect("indexed entry vanished");
-                    st.release(r.seq, r.sector, r.len);
+                    st.release(r.seq, r.sector, r.len, landing, exact);
                 } else {
                     i += 1;
                 }
@@ -638,7 +603,7 @@ impl DependableBuffer {
                 if hit(seq) {
                     let e = st.queue.remove(i).expect("indexed entry vanished");
                     st.queued_bytes -= e.data.len() as u64;
-                    st.release(e.seq, e.sector, e.data.len() as u64);
+                    st.release(e.seq, e.sector, e.data.len() as u64, landing, exact);
                 } else {
                     i += 1;
                 }
@@ -656,7 +621,6 @@ impl DependableBuffer {
     /// if the buffer froze with the extent still pending — the drain died
     /// and the commit will never happen on this instance.
     pub async fn wait_completed(&self, seq: u64) -> bool {
-        let mut blocked = None;
         loop {
             {
                 let st = self.st.borrow();
@@ -669,7 +633,6 @@ impl DependableBuffer {
                 }
             }
             // complete_run() and freeze() both notify `space`.
-            blocked = blocked.or_else(|| self.blocked());
             self.space.notified().await;
         }
     }
@@ -677,7 +640,6 @@ impl DependableBuffer {
     /// Waits until the buffer is fully drained (nothing queued and nothing
     /// popped-but-uncommitted).
     pub async fn drained(&self) {
-        let mut blocked = None;
         loop {
             {
                 let st = self.st.borrow();
@@ -685,7 +647,6 @@ impl DependableBuffer {
                     return;
                 }
             }
-            blocked = blocked.or_else(|| self.blocked());
             self.empty.notified().await;
         }
     }
@@ -701,7 +662,7 @@ impl DependableBuffer {
         }
         let st = &mut *self.st.borrow_mut();
         let end = sector + sectors;
-        st.kept.forget_range(sector, end);
+        st.carve(sector, end, None);
         // One range in place of every one this reaches or touches.
         let i = st.trims.partition_point(|r| r.1 < sector);
         let j = st.trims.partition_point(|r| r.0 <= end);
@@ -711,18 +672,31 @@ impl DependableBuffer {
         st.trims.splice(i..j, [merged]);
     }
 
-    /// Copies into `buf` every sector from `sector` on that the buffer can
-    /// answer for — held, dirty or kept, else zeros if trimmed — and returns
-    /// the first and last sector it cannot: the span a read still has to
-    /// fetch from the disk.
+    /// Answers a read of the sectors from `sector` on in `buf`, as far as
+    /// the buffer can: the bytes it holds are copied in, trimmed sectors it
+    /// does not hold are zeroed, and kept sectors are left as the caller
+    /// filled them from the media, which holds what their landing wrote.
+    /// Returns the first and last sector it cannot answer for: the span a
+    /// read still has to fetch from the disk.
     pub fn read_held(&self, sector: u64, buf: &mut [u8]) -> Option<(u64, u64)> {
         let st = self.st.borrow();
+        let from = match st.runs.range(..=sector).next_back() {
+            Some((&at, run)) if run.end > sector => at,
+            _ => sector,
+        };
+        let mut runs = st.runs.range(from..).peekable();
         let mut missing = None;
         for (s, out) in (sector..).zip(buf.chunks_exact_mut(SECTOR_SIZE)) {
-            match st.held(s) {
-                Some(bytes) => out.copy_from_slice(bytes),
-                None if st.trimmed(s) => out.fill(0),
-                None => missing = Some((missing.map_or(s, |(first, _)| first), s)),
+            while runs.next_if(|(_, run)| run.end <= s).is_some() {}
+            match runs.peek() {
+                Some((&at, run)) if at <= s => {
+                    if let Some(data) = &run.data {
+                        let off = (s - at) as usize * SECTOR_SIZE;
+                        out.copy_from_slice(&data[off..off + SECTOR_SIZE]);
+                    }
+                }
+                _ if st.trimmed(s) => out.fill(0),
+                _ => missing = Some((missing.map_or(s, |(first, _)| first), s)),
             }
         }
         missing
@@ -745,7 +719,14 @@ impl DependableBuffer {
     /// Dirty runs held — tests/audits. An admission adds one and splits at
     /// most one, so under the drain's overlap order ≤ 2 × [`queued`](Self::queued).
     pub fn dirty_runs(&self) -> usize {
-        self.st.borrow().dirty.len()
+        self.st.borrow().runs.values().filter(|r| !r.kept).count()
+    }
+
+    /// Kept runs, and the entries of the index that evicts them —
+    /// tests/audits: one each, or the index leaks.
+    pub fn kept_runs(&self) -> (usize, usize) {
+        let st = self.st.borrow();
+        (st.runs.values().filter(|r| r.kept).count(), st.kept.len())
     }
 }
 
@@ -759,19 +740,21 @@ mod tests {
         SectorBuf::from_vec(vec![tag; sectors * SECTOR_SIZE])
     }
 
-    /// The newest acked bytes the buffer holds for `sector`: a view of the
-    /// extent's allocation while they are dirty, a copy of the kept slot
-    /// once they have landed.
+    /// The bytes the buffer holds for `sector`: a view of the extent's
+    /// allocation while they are dirty. A kept sector has none, unless its
+    /// landing may have been corrupted.
     fn overlay(b: &DependableBuffer, sector: u64) -> Option<SectorBuf> {
         let st = b.st.borrow();
-        match st.dirty.range(..=sector).next_back() {
-            Some((&at, run)) if run.end > sector => {
-                let off = (sector - at) as usize * SECTOR_SIZE;
-                Some(run.data.slice(off..off + SECTOR_SIZE))
-            }
-            _ => st.held(sector).map(SectorBuf::copy_from),
-        }
+        let (&at, run) = st.runs.range(..=sector).next_back()?;
+        let off = (sector - at) as usize * SECTOR_SIZE;
+        let data = run.data.as_ref().filter(|_| run.end > sector)?;
+        Some(data.slice(off..off + SECTOR_SIZE))
     }
+
+    /// What the media holds under every sector these tests read: a read
+    /// fills its buffer with it first, as the device does from the disk,
+    /// and a kept sector reads as this.
+    const MEDIA: u8 = 0xEE;
 
     #[test]
     fn a_push_is_one_run_and_a_rewrite_inside_it_leaves_two_views() {
@@ -781,7 +764,7 @@ mod tests {
         sim.spawn(async move {
             let runs = |b: &DependableBuffer| -> Vec<(u64, u64, u64)> {
                 let st = b.st.borrow();
-                st.dirty.iter().map(|(&at, r)| (at, r.end, r.seq)).collect()
+                st.runs.iter().map(|(&at, r)| (at, r.end, r.seq)).collect()
             };
             let old = sector_data(1, 128);
             b2.push(100, old.clone()).await.unwrap();
@@ -895,11 +878,11 @@ mod tests {
         sim.spawn(async move {
             let s0 = b2.push(10, sector_data(1, 2)).await.unwrap();
             b2.push(13, sector_data(2, 1)).await.unwrap();
-            let mut out = vec![0u8; 6 * SECTOR_SIZE];
+            let mut out = vec![MEDIA; 6 * SECTOR_SIZE];
             // Sectors 9..15: 10, 11 and 13 are held; 9 and 14 bound the rest.
             assert_eq!(b2.read_held(9, &mut out), Some((9, 14)));
             assert_eq!(out[SECTOR_SIZE..3 * SECTOR_SIZE], *sector_data(1, 2));
-            assert_eq!(out[3 * SECTOR_SIZE..4 * SECTOR_SIZE], [0; SECTOR_SIZE]);
+            assert_eq!(out[3 * SECTOR_SIZE..4 * SECTOR_SIZE], [MEDIA; SECTOR_SIZE]);
             assert_eq!(out[4 * SECTOR_SIZE..5 * SECTOR_SIZE], *sector_data(2, 1));
             assert_eq!(b2.read_held(10, &mut out[..2 * SECTOR_SIZE]), None);
             assert_eq!(
@@ -907,11 +890,15 @@ mod tests {
                 Some((12, 12)),
                 "sector 12 was never written"
             );
-            // Landed bytes are held all the same: the buffer kept them.
+            // Landed sectors are answered all the same, as the media has
+            // them: the buffer kept their range, not their bytes.
             b2.pop_batch(usize::MAX);
             b2.complete_seqs(0, s0);
+            out.fill(MEDIA);
             assert_eq!(b2.read_held(10, &mut out[..2 * SECTOR_SIZE]), None);
+            assert_eq!(out[..2 * SECTOR_SIZE], [MEDIA; 2 * SECTOR_SIZE]);
             assert_eq!(b2.stats().kept_bytes, 2 * SECTOR_SIZE as u64);
+            assert_eq!(b2.kept_runs(), (1, 1));
         });
         sim.run();
     }
@@ -923,7 +910,8 @@ mod tests {
         let b2 = buf.clone();
         sim.spawn(async move {
             let kept = |b: &DependableBuffer| -> Vec<u64> {
-                (0..8).filter(|s| overlay(b, *s).is_some()).collect()
+                let answered = answers(b, 0..8);
+                (0..8).filter(|&s| answered[s as usize].is_some()).collect()
             };
             // Three sectors land one by one, sector 2 first.
             for sector in [2, 0, 1] {
@@ -937,15 +925,15 @@ mod tests {
             assert_eq!(kept(&b2), vec![0, 1, 4, 5]);
             assert_eq!(b2.stats().kept_bytes, 2 * SECTOR_SIZE as u64);
             assert_eq!(b2.stats().backpressure_events, 0);
-            // A rewrite replaces the kept copy in the same step, and its
-            // slot is the next one used: storage does not grow.
+            // A rewrite replaces the kept range in the same step, and its
+            // entry leaves the eviction index with it.
             let s4 = b2.push(0, sector_data(9, 1)).await.unwrap();
             assert_eq!(overlay(&b2, 0), Some(sector_data(9, 1)));
             assert_eq!(b2.stats().kept_bytes, SECTOR_SIZE as u64, "sector 1");
-            assert_eq!(b2.st.borrow().kept.slots.len(), 1 + 3);
+            assert_eq!(b2.kept_runs(), (1, 1));
             // Each landing is kept as far as the room it leaves idle goes:
             // s3's two sectors beside sector 1 and s4's dirty one, then,
-            // the buffer empty, all four.
+            // the buffer empty, all four, read as the media has them.
             b2.complete_seqs(s3, s3);
             assert_eq!(
                 (b2.stats().kept_bytes, kept(&b2)),
@@ -953,20 +941,23 @@ mod tests {
             );
             b2.complete_seqs(s4, s4);
             assert_eq!(b2.stats().kept_bytes, 4 * SECTOR_SIZE as u64);
-            assert_eq!(overlay(&b2, 0), Some(sector_data(9, 1)));
+            assert_eq!(answers(&b2, 0..2), [Some(MEDIA); 2]);
+            assert_eq!(b2.kept_runs(), (3, 3), "three landings");
             let st = b2.st.borrow();
-            assert!(st.occupancy + st.kept.bytes() <= st.capacity);
-            assert_eq!(st.kept.slots.len(), 1 + 4, "freed slots are reused first");
+            assert!(st.occupancy + st.kept_bytes <= st.capacity);
         });
         sim.run();
     }
 
-    /// What `read_held` answers for each of `sectors`: `Some(first byte)`
-    /// from the buffer (0 for a trimmed sector), `None` for the disk's.
+    /// What `read_held` answers for each of `sectors` over [`MEDIA`]:
+    /// `Some(first byte)` from the buffer (0 for a trimmed sector, `MEDIA`
+    /// for a kept one), `None` for the disk's.
     fn answers(b: &DependableBuffer, sectors: std::ops::Range<u64>) -> Vec<Option<u8>> {
-        let mut out = [0xEE; SECTOR_SIZE];
         sectors
-            .map(|s| b.read_held(s, &mut out).is_none().then_some(out[0]))
+            .map(|s| {
+                let mut out = [MEDIA; SECTOR_SIZE];
+                b.read_held(s, &mut out).is_none().then_some(out[0])
+            })
             .collect()
     }
 
@@ -1049,18 +1040,20 @@ mod tests {
             b2.trim(1, 2);
             // The kept sector goes at once; the acked one stays readable
             // while it is on its way, and holds its place in the occupancy.
+            const M: Option<u8> = Some(MEDIA);
             assert_eq!(b2.stats().kept_bytes, SECTOR_SIZE as u64);
             assert_eq!(b2.occupancy(), 2 * SECTOR_SIZE as u64);
-            assert_eq!(answers(&b2, 0..4), [Some(1), Some(0), Some(2), Some(2)]);
+            assert_eq!(answers(&b2, 0..4), [M, Some(0), Some(2), Some(2)]);
             b2.pop_batch(usize::MAX);
             b2.complete_seqs(0, dirty);
             // Landed: the trimmed sector is not kept, its neighbour is.
             assert_eq!(b2.stats().kept_bytes, 2 * SECTOR_SIZE as u64);
-            assert_eq!(answers(&b2, 0..4), [Some(1), Some(0), Some(0), Some(2)]);
+            assert_eq!(answers(&b2, 0..4), [M, Some(0), Some(0), M]);
             assert_eq!(overlay(&b2, 2), None);
+            assert_eq!(b2.kept_runs(), (2, 2));
             // A rewrite ends the trim for its sectors only.
             b2.push(1, sector_data(3, 1)).await.unwrap();
-            assert_eq!(answers(&b2, 0..4), [Some(1), Some(3), Some(0), Some(2)]);
+            assert_eq!(answers(&b2, 0..4), [M, Some(3), Some(0), M]);
         });
         sim.run();
     }
@@ -1207,7 +1200,7 @@ mod tests {
             assert_eq!(b2.occupancy(), 2 * SECTOR_SIZE as u64);
             assert_eq!(b2.queued(), 2);
             assert_eq!(b2.stats().kept_bytes, 3 * SECTOR_SIZE as u64);
-            assert_eq!(overlay(&b2, 1), Some(sector_data(2, 1)), "kept");
+            assert_eq!(answers(&b2, 1..2), [Some(MEDIA)], "kept");
             assert_eq!(overlay(&b2, 100), Some(sector_data(1, 1)));
             assert_eq!(b2.st.borrow().oldest_pending_seq(), Some(1));
             // Landing it again releases nothing twice; an empty run nothing.
@@ -1238,19 +1231,78 @@ mod tests {
             b2.complete_seqs(b, b);
             assert_eq!((b2.dirty_runs(), b2.queued()), (2, 1), "a's remnants");
             assert_eq!(b2.stats().kept_bytes, 2 * SECTOR_SIZE as u64);
-            let reads = [1, 1, 2, 2, 1, 1, 1, 1].map(Some);
+            const M: u8 = MEDIA;
+            let reads = [1, 1, M, M, 1, 1, 1, 1].map(Some);
             assert_eq!(answers(&b2, 0..8), reads);
             let c = b2.push(5, sector_data(3, 1)).await.unwrap();
             assert_eq!(b2.dirty_runs(), 4);
             b2.complete_seqs(c, c);
             assert_eq!((b2.dirty_runs(), b2.queued()), (3, 1));
-            let reads = [1, 1, 2, 2, 1, 3, 1, 1].map(Some);
+            let reads = [1, 1, M, M, 1, M, 1, 1].map(Some);
             assert_eq!(answers(&b2, 0..8), reads);
             // The oldest lands last, around what newer writes put there.
             b2.complete_seqs(a, a);
             assert_eq!((b2.dirty_runs(), b2.occupancy()), (0, 0));
             assert_eq!(b2.stats().kept_bytes, 8 * SECTOR_SIZE as u64);
-            assert_eq!(answers(&b2, 0..8), reads);
+            assert_eq!(answers(&b2, 0..8), [Some(M); 8]);
+            assert_eq!(b2.kept_runs(), (3, 3), "a's runs grew b's and c's");
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_landed_stretch_of_log_is_one_kept_run_and_the_index_follows_every_cut() {
+        let mut sim = Sim::new(0);
+        let buf = DependableBuffer::new(1 << 20);
+        let b2 = buf.clone();
+        sim.spawn(async move {
+            // A log's appends, each rewriting the sector the last one ended
+            // in, landed in two runs.
+            for i in 0..4u64 {
+                b2.push(i * 3, sector_data(i as u8 + 1, 4)).await.unwrap();
+            }
+            b2.pop_batch(usize::MAX);
+            b2.complete_seqs(0, 1);
+            b2.complete_seqs(2, 3);
+            assert_eq!(b2.kept_runs(), (1, 1), "sectors 0..13, one run");
+            assert_eq!(b2.stats().kept_bytes, 13 * SECTOR_SIZE as u64);
+            // A rewrite inside it leaves two; trims take a front, then a
+            // whole run; the room evicts the oldest landing's front.
+            b2.push(5, sector_data(9, 1)).await.unwrap();
+            assert_eq!((b2.kept_runs(), b2.dirty_runs()), ((2, 2), 1));
+            b2.trim(0, 2);
+            assert_eq!(b2.kept_runs(), (2, 2), "2..5 and 6..13");
+            b2.trim(2, 3);
+            assert_eq!(b2.kept_runs(), (1, 1));
+            let st = &mut *b2.st.borrow_mut();
+            st.evict_to(3 * SECTOR_SIZE as u64);
+            let kept: Vec<(u64, u64)> = st.runs.iter().map(|(&at, r)| (at, r.end)).collect();
+            assert_eq!(kept, [(5, 6), (10, 13)], "the dirty sector and the back");
+            assert_eq!(st.kept.iter().collect::<Vec<_>>(), [&(0, 10)]);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_landing_the_disk_may_have_corrupted_keeps_its_acked_bytes() {
+        let mut sim = Sim::new(0);
+        let buf = DependableBuffer::new(1 << 20);
+        let b2 = buf.clone();
+        sim.spawn(async move {
+            let s0 = b2.push(0, sector_data(1, 2)).await.unwrap();
+            let s1 = b2.push(2, sector_data(2, 1)).await.unwrap();
+            b2.pop_batch(usize::MAX);
+            b2.land(&[(s0, s0)], false);
+            b2.complete_seqs(s1, s1);
+            // What was acked, whatever the media says; the exact landing
+            // reads as the media.
+            assert_eq!(answers(&b2, 0..3), [Some(1), Some(1), Some(MEDIA)]);
+            assert_eq!(b2.kept_runs(), (2, 2));
+            assert_eq!(b2.stats().kept_bytes, 3 * SECTOR_SIZE as u64);
+            // Carved like any kept run.
+            b2.trim(1, 1);
+            assert_eq!(answers(&b2, 0..2), [Some(1), Some(0)]);
+            assert_eq!(b2.stats().kept_bytes, 2 * SECTOR_SIZE as u64);
         });
         sim.run();
     }
@@ -1309,18 +1361,25 @@ mod tests {
             assert_eq!(overlay(&b2, 9), Some(sector_data(0xCC, 1)));
             assert!(overlay(&b2, 9).unwrap().same_allocation(&batch[0].data));
             b2.complete_seqs(0, s0);
-            // Landed: no longer occupancy, still readable, and the buffer's
-            // own copy — the extent's allocation is free to go.
+            // Landed: no longer occupancy, still answered — as the media
+            // has it — and the buffer holds none of its bytes: the extent's
+            // allocation is free to go.
             assert_eq!((b2.occupancy(), b2.queued()), (0, 0));
-            assert_eq!(overlay(&b2, 9), Some(sector_data(0xCC, 1)));
-            assert!(!overlay(&b2, 9).unwrap().same_allocation(&batch[0].data));
+            assert_eq!(answers(&b2, 9..10), [Some(MEDIA)]);
+            assert_eq!(overlay(&b2, 9), None);
             assert_eq!(b2.stats().kept_bytes, SECTOR_SIZE as u64);
+            let landed = batch.into_iter().next().unwrap().data;
+            assert!(landed.into_vec().is_some(), "nobody else holds it");
             // Not so the buffer of an instance whose disk does not rotate.
             b2.keep_nothing();
             let s1 = b2.push(9, sector_data(0xDD, 1)).await.unwrap();
             assert_eq!(overlay(&b2, 9), Some(sector_data(0xDD, 1)));
             b2.complete_seqs(0, s1);
-            assert_eq!((overlay(&b2, 9), b2.stats().kept_bytes), (None, 0));
+            assert_eq!(
+                (answers(&b2, 9..10), b2.stats().kept_bytes),
+                (vec![None], 0)
+            );
+            assert_eq!(b2.kept_runs(), (0, 0));
         });
         sim.run();
     }
@@ -1461,8 +1520,8 @@ mod tests {
             // Straggler retires; only the newest extent remains charged.
             b2.complete_seqs(s0, s0);
             assert_eq!(b2.occupancy(), 2 * SECTOR_SIZE as u64);
-            assert_eq!(overlay(&b2, 0), Some(sector_data(1, 1)), "s0 kept");
-            assert_eq!(overlay(&b2, 2), None, "s1 gave its room to s2");
+            assert_eq!(answers(&b2, 0..1), [Some(MEDIA)], "s0 kept");
+            assert_eq!(answers(&b2, 2..3), [None], "s1 gave its room to s2");
             assert_eq!(
                 overlay(&b2, 4),
                 Some(sector_data(3, 1)),

@@ -197,10 +197,8 @@ enum RunFatal {
 /// toward the exit threshold. `rng` is the drain's one jitter stream,
 /// shared the same way and borrowed only to draw a delay.
 ///
-/// Before each attempt the run gives way to guest reads of the disk, unless
-/// somebody is blocked on the drain ([`ModeState::reads_hold_disk`]).
-/// Returns the run's service time, entry to landing less what it stood
-/// aside: the controller's sensor ([`DrainController::observe_run`]).
+/// Returns the run's service time, entry to landing: the controller's
+/// sensor ([`DrainController::observe_run`]).
 ///
 /// With `queued`, each attempt rides the queued device interface
 /// ([`BlockDevice::submit`] + [`BlockDevice::wait`]) so the device's
@@ -222,34 +220,11 @@ async fn write_run_resilient(
     let tracer = ctx.tracer();
     let mut attempt: u32 = 0;
     let mut remaps: u32 = 0;
-    let held_back = Payload::Bytes {
-        bytes: run.bytes() as u64,
-    };
-    let mut serving_since = ctx.now();
+    let started = ctx.now();
     loop {
-        // Who gets the log disk (DESIGN.md §12.1): a write nobody is blocked
-        // on stands aside for guest reads. With none on the backing disk
-        // the body never runs: no await point, no event.
-        let mut aside_since = None;
-        while let Some(at_most) = mode.reads_hold_disk(ctx.now()) {
-            if aside_since.is_none() {
-                aside_since = Some(ctx.now());
-                if mode.stand_aside(ctx.now()) {
-                    tracer.begin(ctx.now(), Layer::Drain, "defer_to_reads", held_back);
-                }
-            }
-            mode.turn_changed(ctx, at_most).await;
-        }
-        if let Some(since) = aside_since {
-            if mode.resume(ctx.now()) {
-                tracer.end(ctx.now(), Layer::Drain, "defer_to_reads", held_back);
-            }
-            serving_since += ctx.now() - since;
-        }
         // Vectored zero-copy write either way: the disk views the run's
         // segments until they land on the media store; segment clones are
         // refcount bumps.
-        let submitted = ctx.now();
         let wrote = if queued {
             let token = disk.submit(IoReq::Write {
                 sector: run.sector,
@@ -263,8 +238,6 @@ async fn write_run_resilient(
         };
         match wrote {
             Ok(()) => {
-                // The grace is a landed write's time, not a failed one's.
-                mode.note_write(ctx.now() - submitted);
                 consecutive_ok.set(consecutive_ok.get().saturating_add(1));
                 if mode.is_degraded() && consecutive_ok.get() >= policy.degraded_exit_successes {
                     mode.set_degraded(false);
@@ -278,7 +251,7 @@ async fn write_run_resilient(
                         },
                     );
                 }
-                return Ok(ctx.now() - serving_since);
+                return Ok(ctx.now() - started);
             }
             Err(IoError::Transient) if policy.enabled => {
                 consecutive_ok.set(0);
@@ -357,10 +330,8 @@ struct BatchEntry {
     payload: Payload,
     /// Total payload bytes — the controller's bandwidth numerator.
     bytes: u64,
-    /// When the batch was popped, for the service-time EWMA, and
-    /// [`ModeState::stood_aside_ns`] then: time lent to readers is not service.
+    /// When the batch was popped, for the service-time EWMA.
     dispatched_ns: u64,
-    aside_ns: u64,
     /// Per-extent admission stamps, consumed for commit-latency samples
     /// when the batch reaches the contiguous durable prefix.
     admits: Vec<u64>,
@@ -391,9 +362,11 @@ impl BatchLedger {
     /// Marks one run of batch `id` landed and releases the extents it
     /// carried (`seqs`): space and the read overlay come back run by run —
     /// the bytes are on media whether or not the rest of the batch, or
-    /// older batches, still fly. Returns the batch's trace payload if this
-    /// was its last run, and whether that retirement jumped ahead of an
-    /// older still-pending batch.
+    /// older batches, still fly; exactly so unless `exact` is false (the
+    /// disk may have corrupted a sector while the run was on its way).
+    /// Returns the batch's trace payload if this was its last run, and
+    /// whether that retirement jumped ahead of an older still-pending
+    /// batch.
     ///
     /// Batch retirement is also the controller's sensor: the batch's
     /// dispatch → retirement service time feeds
@@ -405,13 +378,13 @@ impl BatchLedger {
         &mut self,
         id: u64,
         seqs: &[(u64, u64)],
+        exact: bool,
         audit: &Audit,
         ctrl: &DrainController,
         now_ns: u64,
-        aside_ns: u64,
         backlog: u64,
     ) -> (Option<Payload>, bool) {
-        self.buffer.complete_run(seqs);
+        self.buffer.land(seqs, exact);
         let idx = self
             .batches
             .iter()
@@ -424,8 +397,7 @@ impl BatchLedger {
         }
         entry.retired = true;
         let payload = entry.payload;
-        let served_ns = now_ns - (aside_ns - entry.aside_ns);
-        ctrl.observe_batch(entry.bytes, entry.dispatched_ns, served_ns, backlog);
+        ctrl.observe_batch(entry.bytes, entry.dispatched_ns, now_ns, backlog);
         let jumped = idx != 0;
         if jumped {
             audit.record_ooo_retirement();
@@ -667,8 +639,7 @@ impl DrainController {
     /// Feeds one batch retirement into the EWMAs and, when adaptive, walks
     /// the batch target and window depth (see the type-level doc for the
     /// control law). The service time spans `dispatched_ns` (pop) to
-    /// `now_ns` (last run landed, less what the drain stood aside for guest
-    /// reads since the pop); `backlog` is the bytes still queued at
+    /// `now_ns` (last run landed); `backlog` is the bytes still queued at
     /// retirement.
     pub(crate) fn observe_batch(&self, bytes: u64, dispatched_ns: u64, now_ns: u64, backlog: u64) {
         let service_ns = now_ns.saturating_sub(dispatched_ns).max(1);
@@ -775,7 +746,7 @@ impl DrainController {
     }
 
     /// Point-in-time view for [`RapiLogSnapshot::drain`](crate::RapiLogSnapshot).
-    pub(crate) fn stats(&self, mode: &ModeState) -> DrainStats {
+    pub(crate) fn stats(&self) -> DrainStats {
         let lat = self.latency.borrow();
         DrainStats {
             batch_target: self.target.get() as u64,
@@ -794,8 +765,6 @@ impl DrainController {
             commit_p50_ns: lat.percentile(50.0),
             commit_p99_ns: lat.percentile(99.0),
             commits_measured: lat.count(),
-            read_defers: mode.read_defers.get(),
-            read_defer_ns: mode.read_defer_ns.get(),
         }
     }
 }
@@ -870,7 +839,6 @@ impl WindowedDrain {
             payload,
             bytes,
             dispatched_ns: self.ctx.now().as_nanos(),
-            aside_ns: self.mode.stood_aside_ns(self.ctx.now()),
             // The runs view the bytes now; the stamps take over the
             // batch's allocation.
             admits: batch.into_iter().map(|e| e.admit_ns).collect(),
@@ -936,6 +904,9 @@ impl WindowedDrain {
             for dep in &deps {
                 dep.wait().await;
             }
+            // A corruption the disk counts while the run is on its way may
+            // be in it: the buffer then keeps the run's acked bytes.
+            let corrupt = this.disk.stats().corrupt_sectors;
             // A sibling writer lost the device: the buffers are frozen,
             // nothing more may touch media coherently.
             let result = if this.failed.get() {
@@ -964,13 +935,14 @@ impl WindowedDrain {
                 Some(Ok(service)) if !this.failed.get() => {
                     this.ctrl
                         .observe_run((run_hi - run_lo) * SECTOR_SIZE as u64, service.as_nanos());
+                    let exact = this.disk.stats().corrupt_sectors == corrupt;
                     let (retired, jumped) = ledger.borrow_mut().run_done(
                         batch_id,
                         &seqs,
+                        exact,
                         &this.audit,
                         &this.ctrl,
                         ctx.now().as_nanos(),
-                        this.mode.stood_aside_ns(ctx.now()),
                         this.shards.total_queued_bytes(),
                     );
                     if let Some(payload) = retired {
@@ -2187,7 +2159,7 @@ mod window_tests {
             let ctrl = DrainController::new(&ctx, &cfg, &disk);
             let audit = Audit::new(&ctx);
             let buffer = DependableBuffer::new(64 << 20);
-            buffer.attach(&ctx, &crate::ModeState::new());
+            buffer.attach(&ctx);
             let batches_seen = Rc::new(StdCell::new(0u64));
             let multi_run_batches = Rc::new(StdCell::new(0u64));
             let done = Rc::new(StdCell::new(false));
@@ -2252,7 +2224,6 @@ mod window_tests {
                             },
                             bytes,
                             dispatched_ns: t_ctx.now().as_nanos(),
-                            aside_ns: 0,
                             admits: batch.iter().map(|e| e.admit_ns).collect(),
                         });
                         pending.extend(seqs.into_iter().map(|s| (next_batch_id, s)));
@@ -2280,10 +2251,10 @@ mod window_tests {
                         let _ = ledger.borrow_mut().run_done(
                             id,
                             &seqs,
+                            true,
                             &t_audit,
                             &t_ctrl,
                             t_ctx.now().as_nanos(),
-                            0,
                             t_buffer.queued_bytes(),
                         );
                         let seqs: Vec<u64> = seqs.iter().flat_map(|&(lo, hi)| lo..=hi).collect();
@@ -2336,7 +2307,7 @@ mod window_tests {
                 "seed {seed}: exactly one prefix commit per batch"
             );
             assert!(
-                ctrl.stats(&crate::ModeState::new()).commits_measured > 0,
+                ctrl.stats().commits_measured > 0,
                 "seed {seed}: admission stamps must feed the latency histogram"
             );
         }
@@ -2548,15 +2519,17 @@ mod window_tests {
     }
 }
 
-/// "Who gets the log disk": the drain stands aside for guest reads of the
-/// backing disk — and never while anybody is blocked on it.
+/// A guest reading the log disk holds up nobody blocked on the drain. The
+/// drain does not arbitrate the disk (DESIGN.md §12.1): whoever waits on it
+/// waits behind at most the read on the media, then the write's own
+/// positioning and transfer — what a synchronous disk shared with that
+/// reader would cost.
 #[cfg(test)]
 mod read_yield_tests {
     use crate::prelude::*;
     use rapilog_microvisor::{Hypervisor, Trust};
-    use rapilog_simcore::trace::{Layer, Phase, TraceSnapshot};
     use rapilog_simcore::{Sim, SimCtx, SimDuration, SimTime};
-    use rapilog_simdisk::{specs, BlockDevice, Disk, DiskSpec, SECTOR_SIZE};
+    use rapilog_simdisk::{specs, BlockDevice, Disk, SECTOR_SIZE};
     use rapilog_simpower::{supplies, PowerSupply};
     use std::cell::Cell as StdCell;
     use std::rc::Rc;
@@ -2588,32 +2561,19 @@ mod read_yield_tests {
         reads: Rc<StdCell<u64>>,
     }
 
-    /// An instance over `hdd_7200` with the stock (Strict) drain.
+    /// An instance over `hdd_7200` with the stock (Strict) drain, and one
+    /// landed write by 19 ms.
     fn rig(capacity: u64, tenants: &[TenantSpec], retry: RetryPolicy, psu: bool) -> Rig {
-        let drain = DrainConfig::new().retry(retry);
-        rig_on(specs::hdd_7200(1 << 30), drain, capacity, tenants, psu)
-    }
-
-    /// An instance with tracing on, and one landed write so the drain has a
-    /// media-write time to be graceful with.
-    fn rig_on(
-        spec: DiskSpec,
-        drain: DrainConfig,
-        capacity: u64,
-        tenants: &[TenantSpec],
-        psu: bool,
-    ) -> Rig {
         let mut sim = Sim::new(41);
         let ctx = sim.ctx();
-        ctx.tracer().set_enabled(true);
         let hv = Hypervisor::new(&ctx);
         let cell = hv.create_cell("rapilog", Trust::Trusted);
-        let disk = Disk::new(&ctx, spec);
+        let disk = Disk::new(&ctx, specs::hdd_7200(1 << 30));
         let mut builder = RapiLog::builder(&ctx)
             .cell(&cell)
             .disk(disk.clone())
             .capacity(CapacitySpec::Fixed(capacity))
-            .drain_config(drain)
+            .drain_config(DrainConfig::new().retry(retry))
             .tenants(tenants);
         let psu = psu.then(|| PowerSupply::new(&ctx, supplies::atx_psu()));
         if let Some(psu) = &psu {
@@ -2659,25 +2619,11 @@ mod read_yield_tests {
             });
         }
 
-        fn trace(&self) -> TraceSnapshot {
-            self.ctx.tracer().snapshot()
+        /// Everything landed and nothing acknowledged was lost.
+        fn assert_all_landed(&self) {
+            assert_eq!(self.rl.occupancy(), 0);
+            assert!(self.rl.audit_report().guarantee_held());
         }
-    }
-
-    /// Every `defer_to_reads` span as `(begin, end)`; an open one ends at
-    /// [`SimTime::MAX`]. One span is one stretch stood aside, however many
-    /// runs a windowed engine held back through it, so they never nest.
-    fn defers(trace: &TraceSnapshot) -> Vec<(SimTime, SimTime)> {
-        let mut spans = Vec::new();
-        for ev in &trace.events {
-            if ev.layer == Layer::Drain && ev.name == "defer_to_reads" {
-                match ev.phase {
-                    Phase::Begin => spans.push((ev.time, SimTime::MAX)),
-                    _ => spans.last_mut().expect("end after begin").1 = ev.time,
-                }
-            }
-        }
-        spans
     }
 
     fn ack_cost(bytes: usize) -> SimDuration {
@@ -2685,9 +2631,9 @@ mod read_yield_tests {
         cfg.ack_base + cfg.ack_per_kib * (bytes as u64).div_ceil(1024)
     }
 
-    /// (a) and (e): the buffer (tenant B's shard) fills while a guest
-    /// (tenant A) reads. The write that was standing aside goes the instant
-    /// B blocks, and nothing stands aside again until B has its ack.
+    /// (a) The buffer (tenant B's shard) fills while a guest (tenant A)
+    /// reads, and B's next write blocks: it is acknowledged within what a
+    /// reader sharing a synchronous disk costs.
     fn a_blocked_writer_gets_the_disk(tenants: &[TenantSpec]) {
         let shards = tenants.len().max(1);
         let mut r = rig(
@@ -2704,9 +2650,8 @@ mod read_yield_tests {
         let (ctx, b2, on) = (r.ctx.clone(), Rc::clone(&blocked), Rc::clone(&r.reading));
         r.sim.spawn(async move {
             ctx.sleep_until(SimTime::ZERO + ms(21)).await;
-            // Fills the shard; acknowledged at once, and nobody waits for it.
+            // Fills the shard; acknowledged at once.
             writer.write(0, &sectors(1, 4), true).await.unwrap();
-            ctx.sleep_until(SimTime::ZERO + ms(25)).await;
             let called = ctx.now();
             writer.write(4, &sectors(2, 1), true).await.unwrap();
             b2.set((called + ack_cost(SECTOR_SIZE), ctx.now()));
@@ -2715,31 +2660,16 @@ mod read_yield_tests {
         r.sim.run_until(SimTime::from_secs(1));
         let (blocked_at, acked_at) = blocked.get();
         assert!(acked_at > blocked_at, "the second write did block");
-        let spans = defers(&r.trace());
-        assert!(
-            spans
-                .iter()
-                .any(|&(b, e)| b < blocked_at && e == blocked_at),
-            "the write standing aside since 21 ms goes the instant a writer blocks \
-             ({blocked_at:?}): {spans:?}"
-        );
-        assert!(
-            !spans.iter().any(|&(b, _)| b >= blocked_at && b < acked_at),
-            "nothing stands aside while a writer is blocked \
-             ({blocked_at:?}..{acked_at:?}): {spans:?}"
-        );
         assert!(
             acked_at - blocked_at < SHARED_SYNC_DISK,
             "the reader cost the writer {:?}",
             acked_at - blocked_at
         );
-        assert_eq!(r.rl.occupancy(), 0);
-        assert!(r.rl.audit_report().guarantee_held());
-        assert!(r.rl.snapshot().drain.read_defers >= 1);
+        r.assert_all_landed();
     }
 
     #[test]
-    fn a_blocked_writer_ends_the_standing_aside_at_once() {
+    fn a_blocked_writer_is_not_held_up_by_a_reader() {
         a_blocked_writer_gets_the_disk(&[]);
     }
 
@@ -2748,8 +2678,8 @@ mod read_yield_tests {
         a_blocked_writer_gets_the_disk(&[TenantSpec::new(1), TenantSpec::new(2)]);
     }
 
-    /// (b) degraded mode: the ack waits for media, so the drain is the
-    /// commit path and the reader gets no precedence at all.
+    /// (b) Degraded mode: the ack waits for media, so the drain is the
+    /// commit path, and the reader costs it no more than (a).
     #[test]
     fn a_degraded_ack_never_waits_behind_a_reader() {
         let stay_degraded = RetryPolicy {
@@ -2796,15 +2726,7 @@ mod read_yield_tests {
             "the reader cost the degraded ack {:?}",
             acked_at - pending_from
         );
-        // Whatever stood aside before (the sick spell's write, retried into
-        // the reader) went the instant the ack started waiting.
-        let spans = defers(&r.trace());
-        assert!(
-            !spans.iter().any(|&(b, e)| b < acked_at && e > pending_from),
-            "nothing stands aside while a degraded ack is pending \
-             ({pending_from:?}..{acked_at:?}): {spans:?}"
-        );
-        assert!(r.rl.audit_report().guarantee_held());
+        r.assert_all_landed();
     }
 
     /// (b) `quiesce()`: it returns while the reader is still looping.
@@ -2824,8 +2746,6 @@ mod read_yield_tests {
             let dev = rl.device();
             ctx.sleep_until(SimTime::ZERO + ms(21)).await;
             dev.write(0, &sectors(1, 8), true).await.unwrap();
-            ctx.sleep_until(SimTime::ZERO + ms(25)).await;
-            assert!(rl.occupancy() > 0, "still standing aside, nobody waits");
             let called = ctx.now();
             rl.quiesce().await;
             assert_eq!(rl.occupancy(), 0);
@@ -2845,105 +2765,43 @@ mod read_yield_tests {
             r.reads.get() > reads_then + 2,
             "the reader was still looping when quiesce returned"
         );
-        let spans = defers(&r.trace());
-        assert!(
-            spans.iter().any(|&(b, e)| b < called && e == called),
-            "the write standing aside goes the instant quiesce is called ({called:?}): {spans:?}"
-        );
-        assert!(
-            !spans.iter().any(|&(b, _)| b >= called && b < returned),
-            "nothing stands aside under quiesce: {spans:?}"
-        );
+        r.assert_all_landed();
     }
 
-    /// (c) The power warning finds the drain standing aside — for a read on
-    /// the media (`in_grace` false) or inside the grace after one — and the
-    /// emergency drain's first write starts no later than it would have
-    /// without any standing aside: behind at most the media op in flight.
-    fn the_power_warning_ends_the_standing_aside(in_grace: bool) {
+    /// (c) The power warning finds acked bytes in the buffer and a guest
+    /// reading: the emergency drain empties it within (a)'s bound.
+    #[test]
+    fn the_emergency_drain_is_not_held_up_by_a_reader() {
         let mut r = rig(16 << 20, &[], RetryPolicy::default(), true);
         let psu = r.psu.clone().expect("built with a supply");
         let (ctx, dev, on) = (r.ctx.clone(), r.rl.device(), Rc::clone(&r.reading));
-        if in_grace {
-            // A long landed write makes a long grace; then one read, and
-            // the mains go the moment it returns: the warning (2 ms later)
-            // falls inside the grace.
-            r.sim.spawn(async move {
-                dev.write(128, &sectors(3, 2048), true).await.unwrap();
-                ctx.sleep_until(SimTime::ZERO + ms(60)).await;
-                let read_dev = dev.clone();
-                let reader = ctx.spawn(async move {
-                    let mut buf = sectors(0, 8);
-                    read_dev.read(UNBUFFERED, &mut buf).await.unwrap();
-                });
-                ctx.sleep(SimDuration::from_micros(100)).await;
-                dev.write(0, &sectors(1, 8), true).await.unwrap();
-                reader.await.unwrap();
-                psu.cut_mains();
-            });
-        } else {
-            r.spawn_reader(r.rl.device());
-            r.sim.spawn(async move {
-                ctx.sleep_until(SimTime::ZERO + ms(21)).await;
-                dev.write(0, &sectors(1, 8), true).await.unwrap();
-                ctx.sleep_until(SimTime::ZERO + ms(30)).await;
-                psu.cut_mains();
-                ctx.sleep(ms(50)).await;
-                on.set(false);
-            });
-        }
+        r.spawn_reader(r.rl.device());
+        r.sim.spawn(async move {
+            ctx.sleep_until(SimTime::ZERO + ms(30)).await;
+            dev.write(0, &sectors(1, 8), true).await.unwrap();
+            psu.cut_mains();
+            ctx.sleep(ms(50)).await;
+            on.set(false);
+        });
         r.sim.run_until(SimTime::from_secs(1));
-        let trace = r.trace();
-        let warned = trace
-            .events
-            .iter()
-            .find(|ev| ev.layer == Layer::Power && ev.name == "power_warning")
-            .expect("the warning fired")
-            .time;
-        let spans = defers(&trace);
-        assert!(
-            spans.iter().any(|&(b, e)| b < warned && e == warned),
-            "the write standing aside goes the instant the warning fires ({warned:?}): {spans:?}"
-        );
-        let in_flight = trace
-            .media_ops(false)
-            .find(|r| r.begin <= warned && r.end() > warned)
-            .map_or(warned, |r| r.end());
-        assert_eq!(
-            in_flight == warned,
-            in_grace,
-            "the case under test: a read on the media, or none (the grace)"
-        );
-        let first_write = trace
-            .media_ops(true)
-            .find(|w| w.begin >= warned)
-            .expect("the emergency drain wrote")
-            .begin;
-        assert_eq!(
-            first_write, in_flight,
-            "the emergency drain waits for the media op in flight and nothing else"
-        );
         let report = r.rl.audit_report();
         assert_eq!(report.emergencies.len(), 1);
-        assert!(report.emergencies[0].met(), "{:?}", report.emergencies[0]);
-        assert!(report.guarantee_held());
-        assert_eq!(r.rl.occupancy(), 0);
+        let emergency = &report.emergencies[0];
+        assert!(emergency.occupancy_at_warning > 0, "{emergency:?}");
+        assert!(emergency.met(), "{emergency:?}");
+        let drained_at = emergency.drained_at.expect("met");
+        assert!(
+            drained_at - emergency.warned_at < SHARED_SYNC_DISK,
+            "the reader cost the emergency drain {:?}",
+            drained_at - emergency.warned_at
+        );
+        r.assert_all_landed();
     }
 
+    /// (d) A guest crash drops a read future while it is on the media: the
+    /// drain's write behind it goes once the disk is free, and lands.
     #[test]
-    fn the_power_warning_ends_standing_aside_for_a_read_in_flight() {
-        the_power_warning_ends_the_standing_aside(false);
-    }
-
-    #[test]
-    fn the_power_warning_ends_standing_aside_inside_the_grace() {
-        the_power_warning_ends_the_standing_aside(true);
-    }
-
-    /// (d) A guest crash drops the read future mid-flight: the count comes
-    /// back through the guard and the drain goes at once.
-    #[test]
-    fn a_read_dropped_by_a_guest_crash_does_not_strand_the_drain() {
+    fn a_read_dropped_mid_flight_leaves_the_drain_landing_everything() {
         let mut r = rig(16 << 20, &[], RetryPolicy::default(), false);
         let guest = r.ctx.create_domain();
         let dev = r.rl.device();
@@ -2959,117 +2817,13 @@ mod read_yield_tests {
             ctx.sleep(SimDuration::from_micros(100)).await;
             dev.write(0, &sectors(1, 8), true).await.unwrap();
             ctx.sleep_until(crashed).await;
-            assert_eq!(rl.mode.reads.get(), 1);
-            assert!(rl.occupancy() > 0, "standing aside for the read");
+            assert!(rl.occupancy() > 0, "the write waits behind the read");
             ctx.kill_domain(guest);
-            assert_eq!(rl.mode.reads.get(), 0, "the dropped future gave it back");
         });
-        r.sim.run_until(SimTime::from_secs(1));
-        let spans = defers(&r.trace());
-        assert_eq!(spans.len(), 1, "{spans:?}");
-        assert_eq!(spans[0].1, crashed, "the drain resumes at the crash");
-        assert_eq!(r.rl.occupancy(), 0);
+        r.sim.run_until(crashed + SHARED_SYNC_DISK);
+        r.assert_all_landed();
         let mut media = sectors(0, 1);
         r.disk.peek_media(7, &mut media);
         assert_eq!(media, sectors(1, 1));
-    }
-
-    fn windowed_adaptive() -> DrainConfig {
-        DrainConfig::new()
-            .ordering(OrderingMode::PartiallyConstrained)
-            .batch_policy(BatchPolicy::Adaptive(Default::default()))
-    }
-
-    /// One write at 21 ms on `ssd_sata` (service time independent of what the
-    /// device did before), with or without a guest reading from 20 to 30 ms:
-    /// what the adaptive controller has learnt by the end.
-    fn sensors_after_one_write(with_reader: bool) -> DrainStats {
-        let mut r = rig_on(
-            specs::ssd_sata(1 << 30),
-            windowed_adaptive(),
-            16 << 20,
-            &[],
-            false,
-        );
-        if with_reader {
-            r.spawn_reader(r.rl.device());
-        }
-        let (ctx, dev, on) = (r.ctx.clone(), r.rl.device(), Rc::clone(&r.reading));
-        r.sim.spawn(async move {
-            ctx.sleep_until(SimTime::ZERO + ms(21)).await;
-            dev.write(0, &sectors(1, 8), true).await.unwrap();
-            ctx.sleep_until(SimTime::ZERO + ms(30)).await;
-            on.set(false);
-        });
-        r.sim.run_until(SimTime::from_secs(1));
-        assert_eq!(r.rl.occupancy(), 0);
-        r.rl.snapshot().drain
-    }
-
-    /// A disk lent to a reader is not a slow disk: the 9 ms the write stood
-    /// aside (4.5 latency budgets) reach neither the run-bandwidth EWMA
-    /// behind the run bound nor the batch service time behind the target.
-    #[test]
-    fn standing_aside_is_not_service_time_to_the_adaptive_controller() {
-        let (lent, alone) = (
-            sensors_after_one_write(true),
-            sensors_after_one_write(false),
-        );
-        assert_eq!((alone.read_defers, alone.read_defer_ns), (0, 0));
-        assert_eq!(lent.read_defers, 1);
-        assert!(lent.read_defer_ns > ms(8).as_nanos(), "{lent:?}");
-        assert!(
-            lent.commit_p99_ns > alone.commit_p99_ns + ms(8).as_nanos(),
-            "the wait is real and commit latency says so: {lent:?}"
-        );
-        let sensors = |d: &DrainStats| {
-            (
-                d.ewma_run_bytes_per_sec,
-                d.ewma_service_ns,
-                d.ewma_bytes_per_sec,
-                (d.batch_target, d.batch_shrinks, d.window_depth),
-            )
-        };
-        assert_eq!(sensors(&lent), sensors(&alone));
-    }
-
-    /// The windowed engine holds several runs back at once: one stretch, one
-    /// span, and wall-clock time — not the sum over the runs.
-    #[test]
-    fn runs_held_back_together_are_one_stretch() {
-        let mut r = rig_on(
-            specs::hdd_7200(1 << 30),
-            windowed_adaptive(),
-            16 << 20,
-            &[],
-            false,
-        );
-        r.spawn_reader(r.rl.device());
-        let (ctx, dev, on) = (r.ctx.clone(), r.rl.device(), Rc::clone(&r.reading));
-        r.sim.spawn(async move {
-            ctx.sleep_until(SimTime::ZERO + ms(21)).await;
-            // Disjoint, so neither run waits for the other: both reach the
-            // disk's door while the reader is inside.
-            dev.write(0, &sectors(1, 8), true).await.unwrap();
-            dev.write(4096, &sectors(2, 8), true).await.unwrap();
-            ctx.sleep_until(SimTime::ZERO + ms(60)).await;
-            on.set(false);
-        });
-        r.sim.run_until(SimTime::ZERO + ms(50));
-        assert_eq!(r.rl.mode.aside_runs.get(), 2, "both runs are held back");
-        assert_eq!(r.rl.snapshot().drain.read_defers, 1);
-        let so_far = r.rl.mode.stood_aside_ns(r.ctx.now());
-        assert!(
-            so_far > ms(28).as_nanos() && so_far < ms(29).as_nanos(),
-            "the sensors' clock counts an open stretch up to now, once: {so_far}"
-        );
-        r.sim.run_until(SimTime::from_secs(1));
-        assert_eq!(r.rl.occupancy(), 0);
-        let spans = defers(&r.trace());
-        assert_eq!(spans.len(), 1, "{spans:?}");
-        let (began, ended) = spans[0];
-        let drain = r.rl.snapshot().drain;
-        assert_eq!(drain.read_defers, 1);
-        assert_eq!(drain.read_defer_ns, (ended - began).as_nanos());
     }
 }

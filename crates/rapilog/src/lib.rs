@@ -95,8 +95,7 @@ use std::cell::Cell as StdCell;
 use std::rc::Rc;
 
 use rapilog_microvisor::cell::{Cell, Trust};
-use rapilog_simcore::sync::Notify;
-use rapilog_simcore::{SimCtx, SimDuration, SimTime};
+use rapilog_simcore::{SimCtx, SimDuration};
 use rapilog_simdisk::Disk;
 use rapilog_simpower::{budget, PowerSupply};
 
@@ -344,77 +343,17 @@ impl Default for RapiLogConfig {
     }
 }
 
-/// What the drain and the guest-facing devices of one instance share about
-/// their one log disk: the ack mode (the drain decides, the devices obey —
-/// while degraded, writes are acknowledged only after the drain has committed
-/// them to media) and whose turn it is on the disk (DESIGN.md §12.1, "Who gets
-/// the log disk").
+/// The ack mode the drain and the guest-facing devices of one instance
+/// share: the drain decides, the devices obey — while degraded, writes are
+/// acknowledged only after the drain has committed them to media.
 pub(crate) struct ModeState {
     degraded: StdCell<bool>,
-    /// Guest reads on the backing disk right now.
-    reads: StdCell<u32>,
-    /// When the last of them returned; `None` until one has.
-    last_read_end: StdCell<Option<SimTime>>,
-    /// Tasks blocked until the drain lands bytes: writers out of space,
-    /// degraded-mode acks, `quiesce` and the emergency drain.
-    waiters: StdCell<u32>,
-    /// How long the drain's most recent media write took: the grace.
-    last_write: StdCell<SimDuration>,
-    /// Pinged when a read ends or a waiter arrives, so a drain standing
-    /// aside re-decides at once instead of sleeping its grace out.
-    turn: Notify,
-    /// Drain runs standing aside right now, and since when the first of
-    /// them has been: a window deeper than one holds several at once, and
-    /// a stretch is counted once however many runs sat it out.
-    aside_runs: StdCell<u32>,
-    aside_since: StdCell<SimTime>,
-    read_defers: StdCell<u64>,
-    read_defer_ns: StdCell<u64>,
-}
-
-/// One guest read on the backing disk, counted in [`ModeState`] until it
-/// is dropped — by returning, or with the future a guest crash destroyed
-/// mid-read, so a crash cannot strand the count.
-pub(crate) struct Reading(Rc<ModeState>);
-
-impl Reading {
-    /// The read returned (either way): a dependent read may follow, so the
-    /// grace runs from `now`. A read dropped mid-flight leaves no such stamp.
-    pub(crate) fn returned(self, now: SimTime) {
-        self.0.last_read_end.set(Some(now));
-    }
-}
-
-impl Drop for Reading {
-    fn drop(&mut self) {
-        self.0.reads.set(self.0.reads.get() - 1);
-        self.0.turn.notify_all();
-    }
-}
-
-/// One task blocked on the drain, counted in [`ModeState`] until it is
-/// served or its future is dropped.
-pub(crate) struct Waiting(Rc<ModeState>);
-
-impl Drop for Waiting {
-    fn drop(&mut self) {
-        self.0.waiters.set(self.0.waiters.get() - 1);
-    }
 }
 
 impl ModeState {
     pub(crate) fn new() -> Rc<ModeState> {
         Rc::new(ModeState {
             degraded: StdCell::new(false),
-            reads: StdCell::new(0),
-            last_read_end: StdCell::new(None),
-            waiters: StdCell::new(0),
-            last_write: StdCell::new(SimDuration::ZERO),
-            turn: Notify::new(),
-            aside_runs: StdCell::new(0),
-            aside_since: StdCell::new(SimTime::ZERO),
-            read_defers: StdCell::new(0),
-            read_defer_ns: StdCell::new(0),
         })
     }
 
@@ -424,86 +363,6 @@ impl ModeState {
 
     pub(crate) fn set_degraded(&self, on: bool) {
         self.degraded.set(on);
-    }
-
-    /// Counts one guest read that goes to the backing disk.
-    pub(crate) fn reading(self: &Rc<Self>) -> Reading {
-        self.reads.set(self.reads.get() + 1);
-        Reading(Rc::clone(self))
-    }
-
-    /// Counts one task blocked on the drain, and tells a drain standing
-    /// aside so: nobody waits on a write that is waiting on a reader.
-    pub(crate) fn waiting(self: &Rc<Self>) -> Waiting {
-        self.waiters.set(self.waiters.get() + 1);
-        self.turn.notify_all();
-        Waiting(Rc::clone(self))
-    }
-
-    /// The rule: a drain write that nobody is blocked on gives way while a
-    /// guest read is on the backing disk ([`SimDuration::MAX`]), and for one
-    /// drain-write's time after the last one returned (what is left of it) —
-    /// the break-even wait for a dependent read, which would otherwise queue
-    /// behind the write and reposition. `None`: the disk is the drain's.
-    pub(crate) fn reads_hold_disk(&self, now: SimTime) -> Option<SimDuration> {
-        if self.waiters.get() > 0 {
-            return None;
-        }
-        if self.reads.get() > 0 {
-            return Some(SimDuration::MAX);
-        }
-        let since = now.saturating_duration_since(self.last_read_end.get()?);
-        let left = self.last_write.get().saturating_sub(since);
-        (!left.is_zero()).then_some(left)
-    }
-
-    /// Waits for [`reads_hold_disk`](Self::reads_hold_disk) to have a new
-    /// answer: a ping on `turn`, or `at_most` running out.
-    pub(crate) async fn turn_changed(&self, ctx: &SimCtx, at_most: SimDuration) {
-        if at_most == SimDuration::MAX {
-            self.turn.notified().await;
-        } else {
-            ctx.timeout(at_most, self.turn.notified()).await;
-        }
-    }
-
-    /// Records how long the drain's latest landed media write held the disk.
-    pub(crate) fn note_write(&self, took: SimDuration) {
-        self.last_write.set(took);
-    }
-
-    /// One more run stands aside for guest reads. True if it is the first:
-    /// a stretch opens.
-    pub(crate) fn stand_aside(&self, now: SimTime) -> bool {
-        let opens = self.aside_runs.replace(self.aside_runs.get() + 1) == 0;
-        if opens {
-            self.aside_since.set(now);
-            self.read_defers.set(self.read_defers.get() + 1);
-        }
-        opens
-    }
-
-    /// That run submits. True if it was the last one held back: the stretch
-    /// closes.
-    pub(crate) fn resume(&self, now: SimTime) -> bool {
-        let total = self.stood_aside_ns(now);
-        let closes = self.aside_runs.replace(self.aside_runs.get() - 1) == 1;
-        if closes {
-            self.read_defer_ns.set(total);
-        }
-        closes
-    }
-
-    /// Wall-clock time, up to `now`, the drain has had at least one run
-    /// standing aside — never more than has elapsed. The controller's
-    /// sensors take it out of their service times: a disk lent to a reader
-    /// is not a slow disk.
-    pub(crate) fn stood_aside_ns(&self, now: SimTime) -> u64 {
-        let open = match self.aside_runs.get() {
-            0 => SimDuration::ZERO,
-            _ => now - self.aside_since.get(),
-        };
-        self.read_defer_ns.get() + open.as_nanos()
     }
 }
 
@@ -590,12 +449,6 @@ pub struct DrainStats {
     pub commit_p99_ns: u64,
     /// Extents measured into the commit-latency histogram.
     pub commits_measured: u64,
-    /// Stretches the drain stood aside for guest reads of the log disk with
-    /// media writes nobody was blocked on. The trace has one `defer_to_reads`
-    /// span per held-back *run*; runs held back together share a stretch.
-    pub read_defers: u64,
-    /// Total wall-clock time of the stretches that have ended, ns.
-    pub read_defer_ns: u64,
 }
 
 /// One tenant's slice of a [`RapiLogSnapshot`].
@@ -797,7 +650,7 @@ impl<'a> RapiLogBuilder<'a> {
                 r.attach(cell, audit.clone());
             }
             for s in shards.shards() {
-                s.buf.attach(ctx, &mode);
+                s.buf.attach(ctx);
                 if disk.spec().rotation_period().is_zero() {
                     s.buf.keep_nothing();
                 }
@@ -816,7 +669,6 @@ impl<'a> RapiLogBuilder<'a> {
                 "log shipping requires a buffered instance; write-through admits nothing to tee"
             );
         }
-        let backing = || Rc::new(disk.clone());
         let tenants: Vec<TenantHandle> = shards
             .shards()
             .iter()
@@ -826,9 +678,9 @@ impl<'a> RapiLogBuilder<'a> {
                 buffer: s.buf.clone(),
                 device: if buffered {
                     let ship = repl.clone().map(|r| (s.id.0, r));
-                    RapiLogDevice::new(ctx, s.buf.clone(), backing(), cfg, Rc::clone(&mode), ship)
+                    RapiLogDevice::new(ctx, s.buf.clone(), &disk, cfg, &mode, ship)
                 } else {
-                    RapiLogDevice::new_write_through(ctx, backing(), cfg)
+                    RapiLogDevice::new_write_through(ctx, &disk, cfg)
                 },
             })
             .collect();
@@ -948,7 +800,7 @@ impl RapiLog {
             disk: self.disk.stats(),
             tenants,
             replication: self.replication.as_ref().map(|r| r.report()),
-            drain: self.drain_ctrl.stats(&self.mode),
+            drain: self.drain_ctrl.stats(),
         }
     }
 

@@ -11,10 +11,12 @@
 //!   exists to provide.
 //! * `flush` returns immediately: there is never acknowledged-but-
 //!   undependable data.
-//! * `read` sees the newest acknowledged bytes (what the buffer holds
-//!   first — dirty, or kept since it landed — then the physical disk for
-//!   the rest) — so a rebooted guest reading its log back gets exactly what
-//!   was acknowledged before the crash, mostly without a disk access.
+//! * `read` sees the newest acknowledged bytes: what the buffer holds on
+//!   its way to the media, what it has kept of what landed — copied from
+//!   the disk's media store, which holds exactly what that landing wrote,
+//!   at the buffer's cost — and the physical disk for the rest. A rebooted
+//!   guest reading its log back gets exactly what was acknowledged before
+//!   the crash, mostly without waiting on the disk.
 //! * `IoReq::Trim` is noted by the buffer and goes no further: until the
 //!   guest rewrites them, trimmed sectors the buffer does not hold read as
 //!   zeros, without a disk access.
@@ -28,8 +30,8 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::trace::{Layer, Payload, Tracer};
 use rapilog_simcore::{SimCtx, SimDuration};
 use rapilog_simdisk::{
-    flatten, BlockDevice, Completion, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture,
-    ReqToken, SECTOR_SIZE,
+    flatten, BlockDevice, Completion, Disk, Geometry, IoError, IoQueue, IoReq, IoResult,
+    LocalBoxFuture, ReqToken, SECTOR_SIZE,
 };
 
 use crate::buffer::{DependableBuffer, PushError};
@@ -42,10 +44,11 @@ pub struct RapiLogDevice {
     ctx: SimCtx,
     /// `None` in write-through mode (residual window too small to buffer).
     buffer: Option<DependableBuffer>,
-    backing: Rc<dyn BlockDevice>,
+    /// The log disk the drain lands on: it serves the reads the buffer
+    /// cannot answer, and its media store the sectors the buffer kept.
+    backing: Disk,
     cfg: RapiLogConfig,
-    /// Shared with the drain: while degraded, acks wait for media; and the
-    /// drain sees here which reads went to the backing disk.
+    /// Shared with the drain: while degraded, acks wait for media.
     mode: Rc<ModeState>,
     /// The replication tee: the tenant this device writes as, plus the
     /// shipper every admitted extent is offered to (and, in sync mode,
@@ -60,18 +63,18 @@ impl RapiLogDevice {
     pub(crate) fn new(
         ctx: &SimCtx,
         buffer: DependableBuffer,
-        backing: Rc<dyn BlockDevice>,
+        backing: &Disk,
         cfg: RapiLogConfig,
-        mode: Rc<ModeState>,
+        mode: &Rc<ModeState>,
         repl: Option<(u64, Replicator)>,
     ) -> RapiLogDevice {
         let geometry = backing.geometry();
         RapiLogDevice {
             ctx: ctx.clone(),
             buffer: Some(buffer),
-            backing,
+            backing: backing.clone(),
             cfg,
-            mode,
+            mode: Rc::clone(mode),
             repl,
             geometry,
             tracer: ctx.tracer(),
@@ -84,14 +87,14 @@ impl RapiLogDevice {
     /// too small to honour the buffering guarantee.
     pub(crate) fn new_write_through(
         ctx: &SimCtx,
-        backing: Rc<dyn BlockDevice>,
+        backing: &Disk,
         cfg: RapiLogConfig,
     ) -> RapiLogDevice {
         let geometry = backing.geometry();
         RapiLogDevice {
             ctx: ctx.clone(),
             buffer: None,
-            backing,
+            backing: backing.clone(),
             cfg,
             // Write-through is already synchronous; it never degrades.
             mode: ModeState::new(),
@@ -276,17 +279,19 @@ impl RapiLogDevice {
         Ok(())
     }
 
-    /// Sees the newest acknowledged bytes: what the buffer holds first, the
-    /// backing disk for the rest. `sectors` is the guest's, so the range is
-    /// checked before the buffer is sized from it.
+    /// Sees the newest acknowledged bytes: what the buffer answers for
+    /// first, the backing disk for the rest. `sectors` is the guest's, so
+    /// the range is checked before the buffer is sized from it.
     async fn read_inner(&self, sector: u64, sectors: u64) -> IoResult<Option<SectorBuf>> {
         self.geometry.check(sector, sectors)?;
         let Some(buffer) = &self.buffer else {
             return self.backing.exec(IoReq::Read { sector, sectors }).await;
         };
         let mut buf = vec![0u8; sectors as usize * SECTOR_SIZE];
-        // What the buffer holds needs no disk: acked bytes on their way
-        // to it, and landed ones still kept (a rebooted guest's log).
+        // What the buffer answers for needs no disk access: acked bytes on
+        // their way to it, and landed ones still kept (a rebooted guest's
+        // log), which read as the media has them.
+        self.backing.peek_media(sector, &mut buf);
         let disk = match buffer.read_held(sector, &mut buf) {
             None => {
                 self.ctx.sleep(self.ack_cost(buf.len())).await;
@@ -296,13 +301,7 @@ impl RapiLogDevice {
             Some((first, last)) => {
                 let from = (first - sector) as usize * SECTOR_SIZE;
                 let span = &mut buf[from..(last + 1 - sector) as usize * SECTOR_SIZE];
-                // Counted while it is on the backing disk, so the drain
-                // can stand aside for it; a future dropped mid-read
-                // (guest crash) gives the count back.
-                let reading = self.mode.reading();
-                let read = self.backing.read(first, span).await;
-                reading.returned(self.ctx.now());
-                read?;
+                self.backing.read(first, span).await?;
                 // Sectors held inside the span are as new as the disk's
                 // or newer, whatever was admitted or landed meanwhile.
                 buffer.read_held(first, span);
@@ -385,7 +384,7 @@ mod tests {
     use crate::{CapacitySpec, RapiLog};
     use rapilog_microvisor::{Hypervisor, Trust};
     use rapilog_simcore::{Sim, SimTime};
-    use rapilog_simdisk::{specs, Disk};
+    use rapilog_simdisk::{specs, Disk, FaultProfile};
     use std::cell::Cell as StdCell;
 
     fn setup(sim: &mut Sim, capacity: CapacitySpec) -> (RapiLog, RapiLogDevice, Disk) {
@@ -477,10 +476,11 @@ mod tests {
     }
 
     /// Writes `written` (first sector, count) through the device over media
-    /// that holds something else everywhere, lets it all land, then reads
-    /// sectors 100..116 in one request. The backing disk must be asked for
-    /// `span` (first, last) and nothing else, and every sector must read as
-    /// the newest bytes acknowledged for it, else the media's.
+    /// that holds something else everywhere, lets it all land, rewrites the
+    /// first sector of each range, then reads sectors 100..116 in one
+    /// request. The backing disk must be asked for `span` (first, last) and
+    /// nothing else, and every sector must read as the newest bytes
+    /// acknowledged for it, else the media's.
     fn read_with_holes(written: &'static [(u64, u64)], span: (u64, u64)) {
         let mut sim = Sim::new(3);
         sim.ctx().tracer().set_enabled(true);
@@ -491,6 +491,7 @@ mod tests {
         sim.spawn(async move {
             let media = |s: u64| vec![s as u8; SECTOR_SIZE];
             let acked = |s: u64| vec![0x80 | s as u8; SECTOR_SIZE];
+            let rewritten = |s: u64| vec![0x40 | s as u8; SECTOR_SIZE];
             for s in 100..116 {
                 disk.poke_media(s, &media(s));
             }
@@ -499,13 +500,15 @@ mod tests {
                 dev.write(first, &data, true).await.unwrap();
             }
             rl2.quiesce().await;
-            // The media under a kept sector is not what a read returns:
-            // scribble on one to prove the span's held sectors are the
-            // buffer's, before and after the disk has answered.
-            let held = |s: u64| written.iter().any(|&(f, n)| (f..f + n).contains(&s));
-            for s in (100..116).filter(|s| held(*s)) {
-                disk.poke_media(s, &[0xEE; SECTOR_SIZE]);
+            // The media under a dirty sector is not what a read returns:
+            // scribble on each to prove they are the buffer's, before and
+            // after the disk has answered. Kept sectors read as the media.
+            for &(first, _) in written {
+                dev.write(first, &rewritten(first), true).await.unwrap();
+                disk.poke_media(first, &[0xEE; SECTOR_SIZE]);
             }
+            let held = |s: u64| written.iter().any(|&(f, n)| (f..f + n).contains(&s));
+            let dirty = |s: u64| written.iter().any(|&(f, _)| f == s);
             let before = disk.stats();
             let mut buf = vec![0u8; 16 * SECTOR_SIZE];
             dev.read(100, &mut buf).await.unwrap();
@@ -516,7 +519,11 @@ mod tests {
                 span.1 + 1 - span.0
             );
             for (s, got) in (100..116).zip(buf.chunks_exact(SECTOR_SIZE)) {
-                let want = if held(s) { acked(s) } else { media(s) };
+                let want = match (dirty(s), held(s)) {
+                    (true, _) => rewritten(s),
+                    (false, true) => acked(s),
+                    (false, false) => media(s),
+                };
                 assert_eq!(got, want, "sector {s}");
             }
             d2.set(true);
@@ -595,6 +602,53 @@ mod tests {
         assert_eq!((snap.occupancy, snap.buffer.kept_bytes), (0, 32 << 10));
         assert_eq!(snap.buffer.read_memory_bytes, 32 << 10);
         assert_eq!(snap.buffer.read_disk_bytes, 0);
+    }
+
+    /// The one landing whose bytes the buffer keeps: the disk may have
+    /// corrupted a sector of it, so a read of it returns what was acked —
+    /// from memory, as every kept read — not what the media says.
+    #[test]
+    fn a_corrupted_landing_reads_back_as_acked_from_memory() {
+        let mut sim = Sim::new(3);
+        let ctx = sim.ctx();
+        let hv = Hypervisor::new(&ctx);
+        let cell = hv.create_cell("rapilog", Trust::Trusted);
+        let every_write_corrupts = FaultProfile {
+            seed: 5,
+            corruption_rate: 1.0,
+            ..FaultProfile::default()
+        };
+        let disk = Disk::new(
+            &ctx,
+            specs::hdd_7200(1 << 30).with_faults(every_write_corrupts),
+        );
+        let rl = RapiLog::builder(&ctx)
+            .cell(&cell)
+            .disk(disk.clone())
+            .capacity(CapacitySpec::Fixed(16 << 20))
+            .build();
+        let (dev, rl2) = (rl.device(), rl.clone());
+        std::mem::forget(cell);
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        sim.spawn(async move {
+            let acked = vec![0x42u8; SECTOR_SIZE];
+            dev.write(200, &acked, true).await.unwrap();
+            rl2.quiesce().await;
+            let mut media = vec![0u8; SECTOR_SIZE];
+            disk.peek_media(200, &mut media);
+            assert_ne!(media, acked, "the landing was corrupted");
+            let reads = disk.stats().reads;
+            let mut buf = vec![0u8; SECTOR_SIZE];
+            dev.read(200, &mut buf).await.unwrap();
+            assert_eq!(buf, acked);
+            assert_eq!(disk.stats().reads, reads, "no backing read");
+            d2.set(true);
+        });
+        sim.run_until(SimTime::from_secs(1));
+        assert!(done.get());
+        let stats = rl.snapshot().buffer;
+        assert_eq!((stats.read_memory_bytes, stats.read_disk_bytes), (512, 0));
     }
 
     #[test]

@@ -5,28 +5,37 @@
 //! exactly, and every sector must read as the model says: the newest acked
 //! bytes while they are dirty, and once they have landed either nothing or
 //! exactly what the media holds — the kept set may forget, it may never
-//! lie. A sector trimmed since its last write reads as that write while it
-//! is dirty and as zeros from then on, never as nothing and never as what
+//! lie. A read fills its buffer from the model's media first, as the
+//! device does from the disk's store, and the buffer leaves kept sectors as
+//! filled, so a kept range over the wrong sectors shows as wrong bytes. A
+//! sector trimmed since its last write reads as that write while it is
+//! dirty and as zeros from then on, never as nothing and never as what
 //! landed; a write ends the trim for its sectors. Capacities are a few
 //! extents, so admissions evict kept sectors all the time, and extents
 //! complete by prefix and by out-of-order `complete_run` range lists alike,
 //! a newer extent often landing before an older one it overlaps. Extents
 //! are up to eight sectors long, so a push often lands inside an older
-//! dirty one and splits its run in two. While every landing so far has
-//! kept the drain's overlap rule, the dirty runs number at most twice the
-//! extents accounted for after every step, the overlay's memory bound (a
-//! landing that breaks the rule can leave more, and the bound is not
-//! checked in the rest of that case). Operation sequences come from a
-//! seeded [`SimRng`], so any divergence reproduces exactly by case number.
+//! dirty one and splits its run in two. After every step the kept bytes
+//! fit the room the dirty ones leave, and the index that evicts kept runs
+//! holds one entry per kept run — no more, however runs were carved. While
+//! every landing so far has kept the drain's overlap rule, the dirty runs
+//! number at most twice the extents accounted for after every step, the
+//! overlay's memory bound (a landing that breaks the rule can leave more,
+//! and the bound is not checked in the rest of that case). Operation
+//! sequences come from a seeded [`SimRng`], so any divergence reproduces
+//! exactly by case number.
 //!
 //! Potency: with `st.punch(..)` in `DependableBuffer::push` commented out
 //! (a rewrite that does not end a trim: acknowledged bytes read back as
 //! zeros once they land) the test fails at case 2, "sector 12 answered as
-//! zeros, model: on the media, tag 7". Dropping the right-hand remnant in
-//! `BufSt::admit` fails it at case 0 ("sector 15 left to the disk, model:
-//! dirty, tag 4"), and releasing runs a newer extent owns (no `seq` check
-//! in `BufSt::release`) at case 0 as well ("kept_bytes says 3584, 2048
-//! bytes read back as kept").
+//! zeros, model: on the media, tag 7". Each of these fails it at case 0:
+//! dropping the right-hand remnant in `BufSt::carve` ("kept_bytes says
+//! 1536, 1024 bytes read back as kept"), releasing runs a newer extent owns
+//! (no `seq` check in `BufSt::release`: "sector 14 answered with tag 3,
+//! model: dirty, tag 4"), leaving a kept run's entry in the eviction index
+//! when a carve removes the run ("2 kept runs, 3 in the eviction index"),
+//! and not evicting on admission ("kept 1536 exceeds the room occupancy
+//! 10752 leaves of capacity 11264").
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -176,6 +185,16 @@ impl Model {
             .find(|(&seq, _)| self.sectors(seq).contains(&sector))
     }
 
+    /// The bytes of `sector` on the media: the latest *landed* extent's to
+    /// write it (the drain orders overlapping writes), if any.
+    fn media(&self, sector: u64) -> Option<&[u8]> {
+        let (_, (first, data)) = self.extents.iter().rev().find(|(&seq, _)| {
+            self.completed.contains(&seq) && self.sectors(seq).contains(&sector)
+        })?;
+        let off = ((sector - first) as usize) * SECTOR_SIZE;
+        Some(&data[off..off + SECTOR_SIZE])
+    }
+
     /// The latest extent ever to write `sector`, if it has not landed.
     fn dirty_owner(&self, sector: u64) -> Option<u64> {
         self.newest(sector)
@@ -222,9 +241,13 @@ fn compare(buf: &DependableBuffer, model: &Model, ordered: bool) -> Result<(), S
     let mut kept = 0;
     for sector in 0..SECTORS {
         // A guest read is answered without the disk with what the buffer
-        // holds (a push's tag, never 0), else with zeros exactly where the
+        // holds, or for a kept sector with what the read found on the
+        // media (a push's tag, never 0), else with zeros exactly where the
         // model says trimmed.
         let mut answer = [0xEE; SECTOR_SIZE];
+        if let Some(media) = model.media(sector) {
+            answer.copy_from_slice(media);
+        }
         let answered = buf.read_held(sector, &mut answer).is_none();
         let held = answered && answer[0] != 0;
         let want = model.expect(sector);
@@ -258,12 +281,16 @@ fn compare(buf: &DependableBuffer, model: &Model, ordered: bool) -> Result<(), S
             stats.kept_bytes
         ));
     }
-    if buf.occupancy() + kept > buf.capacity() {
+    if kept > buf.capacity() - buf.occupancy() {
         return Err(format!(
-            "occupancy {} + kept {kept} exceeds capacity {}",
+            "kept {kept} exceeds the room occupancy {} leaves of capacity {}",
             buf.occupancy(),
             buf.capacity()
         ));
+    }
+    let (runs, indexed) = buf.kept_runs();
+    if runs != indexed {
+        return Err(format!("{runs} kept runs, {indexed} in the eviction index"));
     }
     if ordered && buf.dirty_runs() > 2 * buf.queued() {
         return Err(format!(

@@ -934,9 +934,11 @@ impl Disk {
         Ok(())
     }
 
-    /// Test/audit hook: reads the media contents directly, bypassing the
-    /// cache and all timing. Used by durability auditors to inspect what
-    /// would survive a crash.
+    /// Reads the media contents directly, bypassing the cache and all
+    /// timing. Durability auditors inspect what would survive a crash with
+    /// it, and a RapiLog instance reads the sectors it keeps through it:
+    /// the store holds exactly what the instance's landing wrote there, so
+    /// the simulator keeps those bytes once, not twice.
     pub fn peek_media(&self, sector: u64, buf: &mut [u8]) {
         self.inner.st.borrow().store.read_run(sector, buf);
     }

@@ -23,6 +23,12 @@
 #     (`FastMap<u64, Box<[u8; SECTOR_SIZE]>>`) reappears in the non-test part
 #     of any source file under `crates/`: the buffer's dirty overlay is a
 #     sector-ordered map of runs and the media store keeps 4 KiB chunks.
+# (e) The buffer is the log's read cache. Fails if `reads_hold_disk`,
+#     `stand_aside`, `defer_to_reads`, `read_defers` or `const KEPT`
+#     reappears in the non-test part of any `crates/*/src` file: the drain
+#     does not arbitrate the log disk (no rule that stands it aside for
+#     guest reads, no span or counter of one), and the kept room is the
+#     buffer's idle room, not a constant.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -102,9 +108,20 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+# ---- (e) the buffer is the log's read cache ---------------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nE '\b(reads_hold_disk|stand_aside|defer_to_reads|read_defers)\b|const KEPT\b' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f arbitrates the log disk or bounds the kept set again:" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
 echo "design_gate: ok    one request path (no derived method re-implemented, no BlkReq, no service.rs/ipc.rs)"
 echo "design_gate: ok    one recovery pipeline, one checkpoint (no RecoveryMode, fuzzy_checkpoints or flush_all)"
 echo "design_gate: ok    bytes move by the run (no enum Held, no per-sector FastMap<u64, Box<[u8; SECTOR_SIZE]>>)"
+echo "design_gate: ok    the buffer is the log's read cache (no reads_hold_disk, stand_aside, defer_to_reads, read_defers or const KEPT)"

@@ -143,8 +143,7 @@ fn a_600_kb_log_recovers_in_one_rotation_plus_its_transfer_time() {
 /// the chunk the tail sits in, and the read-ahead chunk behind that — the
 /// engine trimmed the region before it wrote a byte of log, so the instance
 /// answers for those sectors without looking. The log disk is not asked at
-/// all, and the drain, still landing acknowledged bytes, has nobody to
-/// stand aside for.
+/// all, so the drain, still landing acknowledged bytes, keeps it to itself.
 #[test]
 fn after_a_guest_crash_the_log_disk_is_not_asked_at_all() {
     let (report, sweep) = trial(FaultKind::GuestCrash, 270, CapacitySpec::FromSupply);
@@ -166,14 +165,40 @@ fn after_a_guest_crash_the_log_disk_is_not_asked_at_all() {
     );
 }
 
+/// The kept room is the buffer's idle room, `capacity − occupancy`: 18 MB
+/// on the stock `atx_psu` + `hdd_7200` machine. More than 1 MiB of log
+/// comes back after a guest crash with no read of the log disk at all,
+/// superblock included.
+#[test]
+fn a_log_of_more_than_a_mebibyte_recovers_from_memory_after_a_guest_crash() {
+    let (report, sweep) = trial(FaultKind::GuestCrash, 800, CapacitySpec::FromSupply);
+    assert!(
+        report.log_end.0 > 1 << 20,
+        "the trial must leave more than 1 MiB of log, got {}",
+        report.log_end.0
+    );
+    assert!(
+        sweep.superblock.is_zero(),
+        "the log disk served the superblock"
+    );
+    assert!(sweep.reads.is_empty(), "{:?}", sweep.reads);
+    assert!(sweep.from_memory > report.log_end.0);
+    assert!(
+        report.duration <= SimDuration::from_millis(1),
+        "recovery took {:?}",
+        report.duration
+    );
+}
+
 /// A log longer than the instance can keep — here because the buffer, and
-/// with it the kept set, is 160 KiB against 442 KiB of log; the trial up to
+/// with it the kept room, is 160 KiB against 442 KiB of log; the trial up to
 /// the crash is the stock one, event for event — costs what recovery cost
 /// before anything was kept, less what it no longer reads. The instance
 /// holds the log's last 100 KiB or so, all inside the second chunk, and
 /// answers for the trimmed space behind the tail: the disk serves the
 /// superblock, the first chunk and the front of the second, up to where the
-/// kept tail begins, in one sweep with the drain standing aside.
+/// kept tail begins, in one sweep. Nothing holds the drain back, and on
+/// this trajectory it has no write to begin between those reads.
 #[test]
 fn a_log_longer_than_the_kept_set_is_read_from_the_disk_as_before() {
     let (report, sweep) = trial(FaultKind::GuestCrash, 270, CapacitySpec::Fixed(160 << 10));
@@ -181,7 +206,7 @@ fn a_log_longer_than_the_kept_set_is_read_from_the_disk_as_before() {
     assert_eq!(sweep.consumed, 2);
     assert_eq!(sweep.interleaved_writes, 0, "{:?}", sweep.reads);
     assert_eq!(rotations_paid(&sweep), 0, "{:?}", sweep.reads);
-    // What no arbitration spares this scan: the drain write already on the
+    // What this scan cannot be spared: the drain write already on the
     // media when the guest died (how much of it is left is the crash
     // instant's phase against the drain — 7.9 ms of a rotation-long write
     // here, and it moves with anything that moves the trajectory), one
