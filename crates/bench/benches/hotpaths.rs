@@ -26,6 +26,10 @@
 //!   transaction** are asserted against a hard budget — the regression
 //!   tripwire for the zero-copy data path (one stray `to_vec` in the log
 //!   path blows straight through it).
+//! * one untraced crash trial and one sync failover trial are measured the
+//!   same way, and the **bytes a trial allocates** are asserted against a
+//!   budget each: a trial that keeps trace events nobody reads (up to
+//!   5 MiB of ring) blows through it.
 //!
 //! Set `BENCH_CHECK=1` to run shortened iteration counts (CI smoke mode);
 //! assertions still run at full strength.
@@ -34,13 +38,17 @@ use std::hint::black_box;
 use std::rc::Rc;
 use std::time::Instant;
 
+use rapilog::replicate::ReplicationMode;
 use rapilog::{CapacitySpec, DependableBuffer, RapiLog};
 use rapilog_bench::alloc::{snapshot, CountingAlloc};
 use rapilog_bench::{run_perf, Json, PerfConfig, WorkloadSpec};
 use rapilog_dbengine::retry::RetryingDevice;
 use rapilog_dbengine::types::{Lsn, PageId, TableId, TxnId};
 use rapilog_dbengine::wal::Record;
-use rapilog_faultsim::{MachineConfig, Setup};
+use rapilog_faultsim::{
+    run_failover_trial, run_trial, ExplorerConfig, FailoverExplorerConfig, FailoverKind,
+    FailoverPoint, FaultKind, MachineConfig, Setup,
+};
 use rapilog_microvisor::{Hypervisor, Trust, VirtCosts, VirtioBlk};
 use rapilog_simcore::rng::SimRng;
 use rapilog_simcore::stats::Histogram;
@@ -71,6 +79,16 @@ const STORM_ALLOCS_PER_COMMIT_BUDGET: f64 = 41.0;
 /// writes what a committer waits for, not every record appended while the
 /// device was busy; the margin is the install's and checkpoints' writes.
 const STORM_DEVICE_WRITES_PER_COMMIT_BUDGET: f64 = 1.05;
+
+/// Bytes one untraced crash trial allocates (`ExplorerConfig::rapilog_default`,
+/// guest crash at 270 ms): 12 844 944 measured + 10 %. The same trial
+/// keeping its trace events, as `run_trial_traced` does, allocates
+/// 17.1 MB (the ring's growth and the snapshot of it).
+const CRASH_TRIAL_ALLOC_BYTES_BUDGET: u64 = 14_130_000;
+
+/// Bytes one sync guest-crash failover trial allocates: 539 423 measured +
+/// 10 %. The trial does not trace at all.
+const FAILOVER_TRIAL_ALLOC_BYTES_BUDGET: u64 = 593_400;
 
 struct Runner {
     /// `BENCH_CHECK=1`: shortened iteration counts for CI smoke runs.
@@ -558,6 +576,62 @@ fn bench_storm_allocations(check: bool, timer_heavy: bool) -> Json {
     ])
 }
 
+/// Bytes allocated by the second of two identical runs of `trial` (the first
+/// warms whatever a process allocates once).
+fn trial_alloc_bytes(trial: impl Fn()) -> u64 {
+    trial();
+    let before = snapshot();
+    trial();
+    snapshot().since(before).bytes
+}
+
+/// The per-trial allocation budgets: what a crash trial and a failover trial
+/// allocate, each against its budget.
+fn bench_trial_allocations() -> Json {
+    let explorer = ExplorerConfig::rapilog_default();
+    let seed = explorer.seeds[0];
+    let crash = trial_alloc_bytes(|| {
+        let cfg = explorer.trial(seed, FaultKind::GuestCrash, SimDuration::from_millis(270));
+        assert!(run_trial(seed, cfg).ok, "crash trial failed its audit");
+    });
+    let pair = FailoverExplorerConfig::rapilog_default();
+    let point = FailoverPoint {
+        seed: pair.seeds[0],
+        mode: ReplicationMode::Sync,
+        kind: FailoverKind::GuestCrash,
+    };
+    let failover = trial_alloc_bytes(|| {
+        let r = run_failover_trial(point.seed, pair.trial(&point));
+        assert!(r.ok, "failover trial failed its audit");
+    });
+    let mut rows = Vec::new();
+    for (name, bytes, budget) in [
+        (
+            "trial/crash_alloc_bytes",
+            crash,
+            CRASH_TRIAL_ALLOC_BYTES_BUDGET,
+        ),
+        (
+            "trial/failover_alloc_bytes",
+            failover,
+            FAILOVER_TRIAL_ALLOC_BYTES_BUDGET,
+        ),
+    ] {
+        println!("{name:<28} {bytes:>12} bytes  (budget {budget})");
+        assert!(
+            bytes <= budget,
+            "allocation budget blown ({name}): {bytes} bytes per trial (budget {budget}) \
+             — does a trial keep trace events nobody reads again?"
+        );
+        rows.push(Json::obj([
+            ("name", Json::str(name)),
+            ("alloc_bytes", Json::int(bytes)),
+            ("budget", Json::int(budget)),
+        ]));
+    }
+    Json::Arr(rows)
+}
+
 fn main() {
     let mut r = Runner::new();
     let wall_start = Instant::now();
@@ -571,6 +645,7 @@ fn main() {
     let request_forms = bench_request_forms(&mut r);
     let storm = bench_storm_allocations(r.check, false);
     let storm_timer = bench_storm_allocations(r.check, true);
+    let trials = bench_trial_allocations();
     let doc = Json::obj([
         ("bench", Json::str("hotpaths")),
         ("check_mode", Json::Bool(r.check)),
@@ -596,6 +671,7 @@ fn main() {
         ("request_forms", request_forms),
         ("storm", storm),
         ("storm_timer", storm_timer),
+        ("trials", trials),
     ]);
     rapilog_bench::json::write_doc("BENCH_hotpaths.json", &doc).expect("write BENCH_hotpaths.json");
     println!("hotpaths: all assertions passed (BENCH_hotpaths.json written)");

@@ -34,8 +34,11 @@ use rapilog_bench::table::TextTable;
 use rapilog_bench::Json;
 use rapilog_dbengine::{Database, DbConfig};
 use rapilog_microvisor::{Hypervisor, Trust};
-use rapilog_simcore::{DomainId, Sim, SimDuration, SimTime};
-use rapilog_simdisk::{specs, BlockDevice, Disk, SECTOR_SIZE};
+use rapilog_simcore::{DomainId, SectorBuf, Sim, SimCtx, SimDuration, SimTime};
+use rapilog_simdisk::{
+    specs, BlockDevice, Completion, Disk, Geometry, IoQueue, IoReq, IoResult, LocalBoxFuture,
+    ReqToken, SECTOR_SIZE,
+};
 use rapilog_workload::client::StormSource;
 use rapilog_workload::fleet::{run_fleet, FleetConfig, FleetStats};
 use rapilog_workload::micro;
@@ -45,6 +48,66 @@ const CELLS: usize = 4;
 
 /// Per-tenant `(tenant id, drained bytes)` pairs.
 type TenantBytes = Vec<(u64, u64)>;
+
+/// One cell's slice of the shared log disk: sectors `base..base + sectors`
+/// of its shard's device, addressed from 0. Every database writes its
+/// superblock and log from sector 0 of the device it is given, and tenants
+/// of one RapiLog must keep to disjoint sectors (`RapiLogBuilder::tenants`).
+#[derive(Clone)]
+struct Region {
+    ctx: SimCtx,
+    inner: Rc<dyn BlockDevice>,
+    base: u64,
+    sectors: u64,
+    queue: Rc<IoQueue>,
+}
+
+impl BlockDevice for Region {
+    fn geometry(&self) -> Geometry {
+        Geometry {
+            sectors: self.sectors,
+            ..self.inner.geometry()
+        }
+    }
+
+    fn exec(&self, mut req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+        let range = match &mut req {
+            IoReq::Read { sector, sectors } | IoReq::Trim { sector, sectors } => {
+                Some((sector, *sectors))
+            }
+            IoReq::Write {
+                sector, segments, ..
+            } => {
+                let bytes: usize = segments.iter().map(SectorBuf::len).sum();
+                Some((sector, (bytes / SECTOR_SIZE) as u64))
+            }
+            IoReq::Flush => None,
+        };
+        if let Some((sector, count)) = range {
+            if let Err(e) = self.geometry().check(*sector, count) {
+                return Box::pin(async move { Err(e) });
+            }
+            *sector += self.base;
+        }
+        self.inner.exec(req)
+    }
+
+    fn submit(&self, req: IoReq) -> ReqToken {
+        self.queue.submit(&self.ctx, self.clone(), req)
+    }
+
+    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
+        Box::pin(self.queue.completions())
+    }
+
+    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+        Box::pin(self.queue.wait(token))
+    }
+
+    fn discard(&self, token: ReqToken) {
+        self.queue.forget(token);
+    }
+}
 
 /// Phase 1: a fleet of cells over one sharded RapiLog on an SSD.
 fn fleet_phase(quick: bool) -> (FleetStats, TenantBytes) {
@@ -65,6 +128,8 @@ fn fleet_phase(quick: bool) -> (FleetStats, TenantBytes) {
         let hv = Hypervisor::new(&ctx);
         let cell = hv.create_cell("rapilog", Trust::Trusted);
         let disk = Disk::new(&ctx, specs::ssd_sata(512 << 20));
+        let region_sectors = disk.geometry().sectors / CELLS as u64;
+        let media = disk.clone();
         let tenant_specs: Vec<TenantSpec> = (0..CELLS as u64).map(TenantSpec::new).collect();
         let rl = RapiLog::builder(&ctx)
             .cell(&cell)
@@ -78,13 +143,26 @@ fn fleet_phase(quick: bool) -> (FleetStats, TenantBytes) {
             .tenants(&tenant_specs)
             .build();
         // Every cell is its own database whose WAL device is its shard of
-        // the shared instance; data files sit on instant disks so the log
-        // path is the only contended resource.
+        // the shared instance, confined to a region of the disk of its own;
+        // data files sit on instant disks so the log path is the only
+        // contended resource.
+        let regions: Vec<Region> = (0..CELLS as u64)
+            .map(|t| Region {
+                ctx: ctx.clone(),
+                inner: Rc::new(rl.device_for(TenantId(t)).expect("shard")),
+                base: t * region_sectors,
+                sectors: region_sectors,
+                queue: Rc::new(IoQueue::new()),
+            })
+            .collect();
+        for (a, b) in regions.iter().zip(&regions[1..]) {
+            assert!(a.base + a.sectors <= b.base, "cell log regions overlap");
+        }
         let mut servers = Vec::new();
         let mut dbs = Vec::new();
-        for t in 0..CELLS as u64 {
+        for region in regions {
             let data: Rc<dyn BlockDevice> = Rc::new(Disk::new(&ctx, specs::instant(256 << 20)));
-            let log: Rc<dyn BlockDevice> = Rc::new(rl.device_for(TenantId(t)).expect("shard"));
+            let log: Rc<dyn BlockDevice> = Rc::new(region);
             let db = Database::create(
                 &ctx,
                 DbConfig::default(),
@@ -125,6 +203,15 @@ fn fleet_phase(quick: bool) -> (FleetStats, TenantBytes) {
             .collect();
         for db in dbs {
             db.stop();
+        }
+        // Each cell's superblock landed at the start of its own region.
+        let mut superblock = vec![0u8; SECTOR_SIZE];
+        for t in 0..CELLS as u64 {
+            media.peek_media(t * region_sectors, &mut superblock);
+            assert!(
+                superblock.iter().any(|&b| b != 0),
+                "cell {t}: no superblock at its region's first sector"
+            );
         }
         *out2.borrow_mut() = Some((stats, drained));
     });

@@ -118,7 +118,7 @@ pub fn run_perf(cfg: PerfConfig) -> PerfOutcome {
         let wal = db.wal().stats();
         db.stop();
         let trace = c2.tracer().snapshot();
-        let attribution = LatencyAttribution::from_snapshot(&trace, stats.committed);
+        let attribution = c2.tracer().latency_attribution(stats.committed);
         *out2.borrow_mut() = Some(PerfOutcome {
             stats,
             buffer,

@@ -427,7 +427,6 @@ fn frames_sent(r: &ReplicationReport) -> u64 {
 pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
     let mut sim = Sim::new(seed);
     let ctx = sim.ctx();
-    ctx.tracer().set_enabled(true);
     let result: Rc<RefCell<Option<FailoverResult>>> = Rc::new(RefCell::new(None));
     let out = Rc::clone(&result);
     let c2 = ctx.clone();
@@ -803,7 +802,6 @@ impl BlockDevice for ApplyLog {
 pub fn run_standby_trial(seed: u64, cfg: StandbyTrialConfig) -> StandbyTrialResult {
     let mut sim = Sim::new(seed);
     let ctx = sim.ctx();
-    ctx.tracer().set_enabled(true);
     let result: Rc<RefCell<Option<StandbyTrialResult>>> = Rc::new(RefCell::new(None));
     let out = Rc::clone(&result);
     let c2 = ctx.clone();

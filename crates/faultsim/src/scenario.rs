@@ -20,7 +20,9 @@ use std::rc::Rc;
 use rapilog::TenantId;
 use rapilog_dbengine::recovery::RecoveryReport;
 use rapilog_simcore::stats::Histogram;
-use rapilog_simcore::trace::{LatencyAttribution, Layer, MediaOp, Payload, TraceSnapshot};
+use rapilog_simcore::trace::{
+    LatencyAttribution, Layer, MediaOp, Payload, TraceSnapshot, DEFAULT_CAPACITY,
+};
 use rapilog_simcore::{RunReport, SchedulerKind, Sim, SimDuration, SimTime};
 use rapilog_simdisk::{BlockDevice, SECTOR_SIZE};
 use rapilog_workload::micro;
@@ -208,7 +210,9 @@ pub struct TrialResult {
     /// offline rejections) summed over the trial.
     pub fault_stats: FaultStats,
     /// Per-layer busy-time attribution over the whole trial (commits =
-    /// `total_acked`). Trials always run with tracing enabled.
+    /// `total_acked`). Every trial runs with tracing enabled and folds its
+    /// spans as they are recorded; only [`run_trial_traced`] also keeps the
+    /// events.
     pub attribution: LatencyAttribution,
     /// Client commit latency (µs) over the pre-fault load; `percentile`
     /// gives p99/p999 for the sweep tables.
@@ -225,21 +229,37 @@ pub fn run_trial(seed: u64, cfg: TrialConfig) -> TrialResult {
 
 /// Runs one complete trial on the given executor core. Both cores must
 /// produce bit-identical trials; the reference core exists so differential
-/// tests can prove it.
+/// tests can prove it. The trial keeps no trace events, only their fold
+/// into [`TrialResult::attribution`].
 pub fn run_trial_on(seed: u64, cfg: TrialConfig, sched: SchedulerKind) -> TrialResult {
-    run_trial_traced(seed, cfg, sched).0
+    trial(seed, cfg, sched, 0).0
 }
 
 /// Runs one complete trial and also returns the executor's [`RunReport`]
-/// and the full trace ring, so differential tests can compare the two
-/// scheduler cores event-for-event, not just on the audited outcome.
+/// and the whole run's trace, kept in a ring of [`DEFAULT_CAPACITY`]
+/// events (5 MiB), so differential tests can compare the two scheduler
+/// cores event-for-event, not just on the audited outcome. The trial is
+/// the one [`run_trial_on`] runs, which keeps no events: a caller that
+/// wants to look at them calls this form. The trial's `verdict` instant
+/// (`Layer::Fault`) marks where [`TrialResult::attribution`] was folded.
 pub fn run_trial_traced(
     seed: u64,
     cfg: TrialConfig,
     sched: SchedulerKind,
 ) -> (TrialResult, RunReport, TraceSnapshot) {
+    trial(seed, cfg, sched, DEFAULT_CAPACITY)
+}
+
+/// One trial with a trace ring of `ring` events (0: none).
+fn trial(
+    seed: u64,
+    cfg: TrialConfig,
+    sched: SchedulerKind,
+    ring: usize,
+) -> (TrialResult, RunReport, TraceSnapshot) {
     let mut sim = Sim::new_with_scheduler(seed, sched);
     let ctx = sim.ctx();
+    ctx.tracer().set_capacity(ring);
     ctx.tracer().set_enabled(true);
     let result: Rc<RefCell<Option<TrialResult>>> = Rc::new(RefCell::new(None));
     let out = Rc::clone(&result);
@@ -506,6 +526,14 @@ pub fn run_trial_traced(
         let fault_stats = FaultStats::collect(&machine);
         let total_acked = journals.iter().map(|j| j.acked).sum();
         db.stop();
+        // The attribution covers the trace up to this instant; what follows
+        // it is the machine winding down after the verdict.
+        c2.tracer().instant(
+            c2.now(),
+            Layer::Fault,
+            "verdict",
+            Payload::Mark { value: total_acked },
+        );
         let attribution = c2.tracer().latency_attribution(total_acked);
         *out.borrow_mut() = Some(TrialResult {
             ok: violations.is_empty(),

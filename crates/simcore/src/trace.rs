@@ -12,7 +12,17 @@
 //! `Cell<bool>` load, no allocation, no ring write. Hot paths capture the
 //! `Rc<Tracer>` once at construction and call [`Tracer::begin`] /
 //! [`Tracer::end`] / [`Tracer::instant`] unconditionally; the event structs
-//! are `Copy` and are only materialised into the ring when tracing is on.
+//! are `Copy` and are only materialised when tracing is on.
+//!
+//! An enabled tracer does two things per event: it folds a `begin` or `end`
+//! into the running attribution (one integer hash of the layer and the
+//! name's address, one push or pop of a span's start time) and it copies
+//! the event into the ring. The ring holds at most its capacity:
+//! [`DEFAULT_CAPACITY`] events (5 MiB) as created, none at all after
+//! [`Tracer::set_capacity`]`(0)`. A caller that only wants the attribution
+//! (the fault harness's untraced trials) sets capacity 0 and keeps no
+//! events; one that reads events (a snapshot, an exporter, a test that
+//! looks at the disk's reads) keeps a ring.
 //!
 //! # Exporters
 //!
@@ -24,9 +34,14 @@
 //!
 //! # Attribution
 //!
-//! [`LatencyAttribution::from_snapshot`] folds a snapshot into per-layer
-//! busy time, which the bench harness divides by acknowledged commits to
-//! answer "where do a commit's microseconds go?".
+//! The tracer folds spans into per-layer busy time as they are recorded;
+//! [`Tracer::latency_attribution`] returns that running fold, which the
+//! bench harness divides by acknowledged commits to answer "where do a
+//! commit's microseconds go?". It needs no ring, and counts every span
+//! whose begin and end were both recorded since the last
+//! [`Tracer::clear`], evicted or not.
+//! [`LatencyAttribution::from_snapshot`] folds a snapshot the same way for
+//! a caller that holds one; it sees only the events the ring kept.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -226,6 +241,7 @@ struct Ring {
     capacity: usize,
     dropped: u64,
     total: u64,
+    fold: SpanFold,
 }
 
 /// The per-simulation event recorder.
@@ -252,12 +268,13 @@ impl Tracer {
                 capacity: DEFAULT_CAPACITY,
                 dropped: 0,
                 total: 0,
+                fold: SpanFold::default(),
             }),
         }
     }
 
     /// Turns recording on or off. Events emitted while off vanish without
-    /// touching the ring.
+    /// touching the ring or the running attribution.
     pub fn set_enabled(&self, on: bool) {
         self.on.set(on);
     }
@@ -268,13 +285,10 @@ impl Tracer {
     }
 
     /// Resizes the ring; excess oldest events are evicted (and counted as
-    /// dropped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
+    /// dropped). Capacity 0 keeps no events at all: every event is counted
+    /// as dropped the moment it is recorded, and the running
+    /// [attribution](Tracer::latency_attribution) is all that is kept.
     pub fn set_capacity(&self, capacity: usize) {
-        assert!(capacity > 0, "trace ring capacity must be positive");
         let mut ring = self.ring.borrow_mut();
         ring.capacity = capacity;
         while ring.events.len() > capacity {
@@ -288,6 +302,11 @@ impl Tracer {
         // disabled tracer never reaches this function.
         let mut ring = self.ring.borrow_mut();
         ring.total += 1;
+        ring.fold.record(&ev);
+        if ring.capacity == 0 {
+            ring.dropped += 1;
+            return;
+        }
         if ring.events.len() == ring.capacity {
             ring.events.pop_front();
             ring.dropped += 1;
@@ -340,14 +359,14 @@ impl Tracer {
         });
     }
 
-    /// Folds the ring into per-layer busy time **without copying it** —
-    /// equivalent to `LatencyAttribution::from_snapshot(&t.snapshot(), c)`
-    /// minus the snapshot, which duplicates the entire ring (megabytes at
-    /// default capacity) just to be folded and dropped. The per-trial
-    /// attribution in the fault harness uses this.
+    /// Per-layer busy time of every span recorded since the tracer was
+    /// created or last [cleared](Tracer::clear), folded as each begin and
+    /// end was recorded: no ring is read or copied, so it works at ring
+    /// capacity 0. While the ring has evicted nothing this equals
+    /// `LatencyAttribution::from_snapshot(&t.snapshot(), commits)`; once it
+    /// has, it also counts the spans whose begin the ring no longer holds.
     pub fn latency_attribution(&self, commits: u64) -> LatencyAttribution {
-        let ring = self.ring.borrow();
-        LatencyAttribution::fold(ring.events.iter(), commits)
+        self.ring.borrow().fold.attribution(commits)
     }
 
     /// Copies the ring out. Recording continues unaffected.
@@ -360,13 +379,16 @@ impl Tracer {
         }
     }
 
-    /// Empties the ring and resets the drop counters; the enabled flag and
-    /// capacity are untouched.
+    /// Empties the ring, resets the drop counters and starts the running
+    /// attribution afresh: a span open at the clear is forgotten, and its
+    /// end, when it comes, is not counted. The enabled flag and capacity
+    /// are untouched.
     pub fn clear(&self) {
         let mut ring = self.ring.borrow_mut();
         ring.events.clear();
         ring.dropped = 0;
         ring.total = 0;
+        ring.fold = SpanFold::default();
     }
 
     /// Events currently buffered.
@@ -634,6 +656,80 @@ impl MediaOp {
     }
 }
 
+/// The attribution fold: pairs each span's end with its begin and sums
+/// every layer's span count and busy time.
+///
+/// Begin/end events pair LIFO per `(layer, name)`; an end with no open
+/// begin and a begin never ended are not counted. The [`Tracer`] runs one
+/// as events are recorded, so its attribution counts a span whose begin the
+/// ring has since evicted, which a fold over a snapshot of that ring
+/// ([`LatencyAttribution::from_snapshot`]) cannot see.
+#[derive(Default)]
+struct SpanFold {
+    // Per-layer accumulators are plain arrays indexed by the enum
+    // discriminant. This runs on every recorded event, so constant factors
+    // here are measurable in trials/sec: a span's stack is found by the
+    // address of its name (a `&'static str` literal at each call site), an
+    // integer hash and compare; the name's text is hashed only the first
+    // time a site is seen, so that two literals of one name share a stack.
+    sites: crate::hash::FastMap<(Layer, usize, usize), usize>,
+    names: crate::hash::FastMap<(Layer, &'static str), usize>,
+    /// Begin times of the open spans, one stack per `(layer, name)`.
+    open: Vec<Vec<SimTime>>,
+    spans: [(u64, u64); Layer::ALL.len()],
+}
+
+impl SpanFold {
+    fn stack(&mut self, layer: Layer, name: &'static str) -> &mut Vec<SimTime> {
+        let site = (layer, name.as_ptr() as usize, name.len());
+        let slot = match self.sites.get(&site) {
+            Some(&slot) => slot,
+            None => {
+                let next = self.open.len();
+                let slot = *self.names.entry((layer, name)).or_insert(next);
+                if slot == next {
+                    self.open.push(Vec::new());
+                }
+                self.sites.insert(site, slot);
+                slot
+            }
+        };
+        &mut self.open[slot]
+    }
+
+    fn record(&mut self, ev: &TraceEvent) {
+        match ev.phase {
+            Phase::Begin => self.stack(ev.layer, ev.name).push(ev.time),
+            Phase::End => {
+                if let Some(begin) = self.stack(ev.layer, ev.name).pop() {
+                    let d = ev.time.saturating_duration_since(begin);
+                    let e = &mut self.spans[ev.layer as usize];
+                    e.0 += 1;
+                    e.1 += d.as_nanos();
+                }
+            }
+            Phase::Instant => {}
+        }
+    }
+
+    fn attribution(&self, commits: u64) -> LatencyAttribution {
+        // `Layer::ALL` is in discriminant order, so the result is already
+        // sorted by layer.
+        let layers: Vec<LayerBusy> = Layer::ALL
+            .iter()
+            .filter_map(|&layer| {
+                let (n, ns) = self.spans[layer as usize];
+                (n > 0).then_some(LayerBusy {
+                    layer,
+                    spans: n,
+                    busy: SimDuration::from_nanos(ns),
+                })
+            })
+            .collect();
+        LatencyAttribution { commits, layers }
+    }
+}
+
 /// Busy time of one layer, folded from matched spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerBusy {
@@ -659,55 +755,17 @@ pub struct LatencyAttribution {
 }
 
 impl LatencyAttribution {
-    /// Folds `snap` into per-layer busy time.
+    /// Folds `snap` into per-layer busy time, as [`SpanFold`] does.
     ///
-    /// Begin/end events pair LIFO per `(layer, name)`; unmatched begins
-    /// (spans still open at snapshot time, or whose begin was evicted from
-    /// the ring) are dropped rather than guessed at.
+    /// Unmatched begins (spans still open at snapshot time) and ends whose
+    /// begin is not in the snapshot (evicted from the ring, or recorded
+    /// before a [`Tracer::clear`]) are dropped rather than guessed at.
     pub fn from_snapshot(snap: &TraceSnapshot, commits: u64) -> LatencyAttribution {
-        Self::fold(snap.events.iter(), commits)
-    }
-
-    fn fold<'a, I>(events: I, commits: u64) -> LatencyAttribution
-    where
-        I: Iterator<Item = &'a TraceEvent>,
-    {
-        // Per-layer accumulators are plain arrays indexed by the enum
-        // discriminant; the open-span stacks hash only on begin/end (a
-        // minority of events) with the fast fixed-seed hasher. This fold
-        // runs over every recorded event once per trial, so constant
-        // factors here are measurable in trials/sec.
-        let mut open: crate::hash::FastMap<(Layer, &'static str), Vec<SimTime>> =
-            crate::hash::FastMap::default();
-        let mut spans = [(0u64, 0u64); Layer::ALL.len()];
-        for ev in events {
-            match ev.phase {
-                Phase::Begin => open.entry((ev.layer, ev.name)).or_default().push(ev.time),
-                Phase::End => {
-                    if let Some(begin) = open.get_mut(&(ev.layer, ev.name)).and_then(Vec::pop) {
-                        let d = ev.time.saturating_duration_since(begin);
-                        let e = &mut spans[ev.layer as usize];
-                        e.0 += 1;
-                        e.1 += d.as_nanos();
-                    }
-                }
-                Phase::Instant => {}
-            }
+        let mut fold = SpanFold::default();
+        for ev in &snap.events {
+            fold.record(ev);
         }
-        // `Layer::ALL` is in discriminant order, so the result is already
-        // sorted by layer.
-        let layers: Vec<LayerBusy> = Layer::ALL
-            .iter()
-            .filter_map(|&layer| {
-                let (n, ns) = spans[layer as usize];
-                (n > 0).then_some(LayerBusy {
-                    layer,
-                    spans: n,
-                    busy: SimDuration::from_nanos(ns),
-                })
-            })
-            .collect();
-        LatencyAttribution { commits, layers }
+        fold.attribution(commits)
     }
 
     /// Total busy time of `layer`, zero if it never appeared.
@@ -857,6 +915,114 @@ mod tests {
         let attr = LatencyAttribution::from_snapshot(&tr.snapshot(), 1);
         assert_eq!(attr.busy(Layer::Buffer), SimDuration::ZERO);
         assert!(attr.layers.is_empty());
+    }
+
+    /// Random streams — nested and interleaved spans on several layers,
+    /// instants, ends with no begin, clears between a begin and its end —
+    /// fold to the same attribution running as over a snapshot, wherever
+    /// the ring has evicted nothing.
+    #[test]
+    fn running_fold_equals_snapshot_fold() {
+        const LAYERS: [Layer; 4] = [Layer::Wal, Layer::Buffer, Layer::Drain, Layer::Disk];
+        const NAMES: [&str; 3] = ["io", "force", "batch"];
+        let mut rng = crate::rng::SimRng::seed_from_u64(0x7ACE);
+        let mut compared = 0;
+        for case in 0..200u64 {
+            let tr = Tracer::new();
+            // Small rings evict in some cases; those are compared only
+            // until their first eviction.
+            let capacity = if case % 4 == 0 { 16 } else { 1 << 12 };
+            tr.set_capacity(capacity);
+            tr.set_enabled(true);
+            let mut now = 0u64;
+            for _ in 0..rng.gen_range(1..400u64) {
+                now += rng.gen_range(0..50u64);
+                let layer = LAYERS[rng.gen_range(0..LAYERS.len())];
+                let name = NAMES[rng.gen_range(0..NAMES.len())];
+                match rng.gen_range(0..20u32) {
+                    0..=7 => tr.begin(t(now), layer, name, Payload::None),
+                    8..=15 => tr.end(t(now), layer, name, Payload::None),
+                    16..=18 => tr.instant(t(now), layer, name, Payload::Mark { value: now }),
+                    _ => tr.clear(),
+                }
+                let snap = tr.snapshot();
+                if snap.dropped > 0 {
+                    break;
+                }
+                let commits = rng.gen_range(0..5u64);
+                assert_eq!(
+                    tr.latency_attribution(commits),
+                    LatencyAttribution::from_snapshot(&snap, commits),
+                    "case {case} at {now} us"
+                );
+                compared += 1;
+            }
+        }
+        assert!(compared > 10_000, "only {compared} comparisons");
+    }
+
+    #[test]
+    fn one_name_from_two_literals_is_one_span() {
+        let tr = Tracer::new();
+        tr.set_enabled(true);
+        let copy: &'static str = Box::leak(String::from("io").into_boxed_str());
+        assert_ne!(copy.as_ptr(), "io".as_ptr());
+        tr.begin(t(0), Layer::Disk, copy, Payload::None);
+        tr.end(t(5), Layer::Disk, "io", Payload::None);
+        let running = tr.latency_attribution(1);
+        assert_eq!(running.busy(Layer::Disk).as_micros(), 5);
+        assert_eq!(
+            running,
+            LatencyAttribution::from_snapshot(&tr.snapshot(), 1)
+        );
+    }
+
+    #[test]
+    fn clear_forgets_an_open_span() {
+        let tr = Tracer::new();
+        tr.set_enabled(true);
+        tr.begin(t(0), Layer::Wal, "force", Payload::None);
+        tr.clear();
+        tr.end(t(9), Layer::Wal, "force", Payload::None);
+        assert!(tr.latency_attribution(1).layers.is_empty());
+    }
+
+    /// The one place the running fold and a snapshot's differ: a span whose
+    /// begin the ring evicted is counted by the first, not by the second.
+    #[test]
+    fn running_fold_counts_a_span_whose_begin_was_evicted() {
+        let tr = Tracer::new();
+        tr.set_capacity(4);
+        tr.set_enabled(true);
+        tr.begin(t(0), Layer::Disk, "io", Payload::None);
+        for i in 1..5 {
+            tr.instant(t(i), Layer::App, "tick", Payload::None);
+        }
+        tr.end(t(10), Layer::Disk, "io", Payload::None);
+        let snap = tr.snapshot();
+        assert_eq!(snap.dropped, 2, "the begin and the first tick are gone");
+        assert!(LatencyAttribution::from_snapshot(&snap, 1)
+            .layers
+            .is_empty());
+        let running = tr.latency_attribution(1);
+        assert_eq!(running.busy(Layer::Disk).as_micros(), 10);
+        assert_eq!(running.layers[0].spans, 1);
+    }
+
+    #[test]
+    fn zero_capacity_keeps_no_events_but_folds() {
+        let tr = Tracer::new();
+        tr.set_enabled(true);
+        tr.instant(t(0), Layer::App, "x", Payload::None);
+        tr.set_capacity(0);
+        assert!(tr.is_empty());
+        tr.begin(t(1), Layer::Drain, "batch", Payload::None);
+        tr.end(t(4), Layer::Drain, "batch", Payload::None);
+        assert!(tr.is_empty());
+        let snap = tr.snapshot();
+        assert!(snap.events.is_empty());
+        assert_eq!((snap.total, snap.dropped), (3, 3));
+        assert_eq!(tr.latency_attribution(1).busy(Layer::Drain).as_micros(), 3);
     }
 
     #[test]
