@@ -15,8 +15,8 @@ use std::time::Instant;
 
 use rapilog::{CapacitySpec, RapiLogConfig};
 use rapilog_bench::table::{f1, TextTable};
-use rapilog_bench::{run_parallel, run_perf, thread_count, Json, PerfConfig, WorkloadSpec};
-use rapilog_faultsim::{MachineConfig, Setup};
+use rapilog_bench::{run_perf, thread_count, Json, PerfConfig, WorkloadSpec};
+use rapilog_faultsim::{run_parallel, MachineConfig, Setup};
 use rapilog_simcore::SimDuration;
 use rapilog_simdisk::specs;
 use rapilog_workload::client::RunConfig;

@@ -41,9 +41,9 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use rapilog_bench::table::{f1, TextTable};
-use rapilog_bench::{run_parallel, thread_count, Json};
+use rapilog_bench::{thread_count, Json};
 use rapilog_dbengine::{Database, DbConfig, RecoveryReport, TableDef};
-use rapilog_faultsim::{run_trial_traced, ExplorerConfig, FaultKind, RecoverySweep};
+use rapilog_faultsim::{run_parallel, run_trial_traced, ExplorerConfig, FaultKind, RecoverySweep};
 use rapilog_simcore::{DomainId, SchedulerKind, Sim, SimDuration, SimTime};
 use rapilog_simdisk::{specs, BlockDevice, Disk, DiskSpec, SECTOR_SIZE};
 

@@ -23,7 +23,8 @@ use std::time::Instant;
 
 use rapilog::prelude::*;
 use rapilog_bench::table::{f1, TextTable};
-use rapilog_bench::{run_parallel, thread_count, Json};
+use rapilog_bench::{thread_count, Json};
+use rapilog_faultsim::run_parallel;
 use rapilog_microvisor::{Hypervisor, Trust};
 use rapilog_simcore::{Sim, SimDuration, SimTime};
 use rapilog_simdisk::{specs, BlockDevice, SECTOR_SIZE};

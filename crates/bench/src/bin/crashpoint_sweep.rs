@@ -35,9 +35,10 @@
 use std::time::Instant;
 
 use rapilog::OrderingMode;
-use rapilog_bench::{explore_crash_points_parallel, thread_count, Json};
-use rapilog_faultsim::{Counterexample, ExplorationReport, ExplorerConfig, FaultKind};
-use rapilog_simcore::SimDuration;
+use rapilog_bench::{thread_count, Json};
+use rapilog_faultsim::{
+    explore, Counterexample, CrashPoint, Exploration, ExplorerConfig, FaultKind,
+};
 
 /// Multi-tenant cells (seed, instant in ms) that are counterexamples of
 /// **open finding 1** (ROADMAP's first item: the power budget counts bytes,
@@ -52,11 +53,10 @@ use rapilog_simcore::SimDuration;
 /// is deleted with the finding.
 const OPEN_FINDING_1: &[(u64, u64)] = &[(0x7E2A, 330)];
 
-fn is_open_finding_1(ce: &Counterexample) -> bool {
-    matches!(
-        ce.kind,
-        FaultKind::PowerCut | FaultKind::PowerFlicker { .. }
-    ) && OPEN_FINDING_1.contains(&(ce.seed, ce.fault_after.as_millis()))
+fn is_open_finding_1(ce: &Counterexample<CrashPoint>) -> bool {
+    let p = &ce.point;
+    matches!(p.kind, FaultKind::PowerCut | FaultKind::PowerFlicker { .. })
+        && OPEN_FINDING_1.contains(&(p.seed, p.fault_after.as_millis()))
 }
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -66,14 +66,15 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn summarize(title: &str, report: &ExplorationReport) {
+fn summarize(title: &str, found: &Exploration<ExplorerConfig>) {
+    let report = &found.report;
     let s = &report.stats;
     println!("{title}:");
     println!(
         "  trials={} acked_commits={} counterexamples={}",
-        report.trials,
+        found.trials,
         report.total_acked,
-        report.counterexamples.len()
+        found.counterexamples.len()
     );
     println!(
         "  faults injected: transient={} media={} stalls={} rejected_offline={}",
@@ -94,7 +95,7 @@ fn summarize(title: &str, report: &ExplorationReport) {
     if report.tenant_acked > 0 {
         println!("  co-tenant acked writes audited: {}", report.tenant_acked);
     }
-    for ce in &report.counterexamples {
+    for ce in &found.counterexamples {
         println!("  {}", ce.replay_line());
     }
 }
@@ -110,7 +111,7 @@ fn main() {
     let threads = thread_count();
 
     let modes = [OrderingMode::Strict, OrderingMode::PartiallyConstrained];
-    let mut mode_reports: Vec<(OrderingMode, ExplorationReport)> = Vec::new();
+    let mut mode_sweeps: Vec<(OrderingMode, Exploration<ExplorerConfig>)> = Vec::new();
     let mut total_trials = 0u64;
     let wall_start = Instant::now();
     for mode in modes {
@@ -125,14 +126,14 @@ fn main() {
             cfg.fault_times_ms.len(),
             cfg.kinds.len(),
         );
-        let report = explore_crash_points_parallel(&cfg, threads);
+        let sweep = explore(&cfg, threads);
         summarize(
             &format!("resilient drain, {mode:?} ordering (must be clean)"),
-            &report,
+            &sweep,
         );
         println!();
-        total_trials += report.trials;
-        mode_reports.push((mode, report));
+        total_trials += sweep.trials;
+        mode_sweeps.push((mode, sweep));
     }
     let wall = wall_start.elapsed();
     let trials_per_sec = total_trials as f64 / wall.as_secs_f64();
@@ -164,12 +165,12 @@ fn main() {
         mt.fault_times_ms.len(),
         mt.kinds.len(),
     );
-    let mt_report = explore_crash_points_parallel(&mt, threads);
+    let mt_sweep = explore(&mt, threads);
     summarize(
         "multi-tenant windowed drain (must be clean outside open finding 1, per-tenant audit)",
-        &mt_report,
+        &mt_sweep,
     );
-    let (mt_known, mt_new): (Vec<_>, Vec<_>) = mt_report
+    let (mt_known, mt_new): (Vec<_>, Vec<_>) = mt_sweep
         .counterexamples
         .iter()
         .partition(|ce| is_open_finding_1(ce));
@@ -185,21 +186,21 @@ fn main() {
     let mut control = ExplorerConfig::broken_drain();
     control.seeds = vec![0x5EED];
     control.fault_times_ms = vec![150];
-    let control_report = explore_crash_points_parallel(&control, threads);
+    let control_sweep = explore(&control, threads);
     println!();
-    summarize("broken drain control (must find loss)", &control_report);
+    summarize("broken drain control (must find loss)", &control_sweep);
 
     let mut failed = false;
-    for (mode, report) in &mode_reports {
-        if !report.clean() {
+    for (mode, sweep) in &mode_sweeps {
+        if !sweep.clean() {
             println!("\nFAIL: the {mode:?} sweep produced counterexamples");
             failed = true;
         }
-        if report.total_acked == 0 {
+        if sweep.report.total_acked == 0 {
             println!("\nFAIL: the {mode:?} sweep audited zero acknowledged commits");
             failed = true;
         }
-        if report.stats.transient_errors == 0 {
+        if sweep.report.stats.transient_errors == 0 {
             println!(
                 "\nFAIL: no media faults were injected in the {mode:?} sweep — it tested nothing"
             );
@@ -213,11 +214,11 @@ fn main() {
         );
         failed = true;
     }
-    if mt_report.total_acked == 0 || mt_report.tenant_acked == 0 {
+    if mt_sweep.report.total_acked == 0 || mt_sweep.report.tenant_acked == 0 {
         println!("\nFAIL: the multi-tenant sweep audited no co-tenant traffic");
         failed = true;
     }
-    if control_report.clean() {
+    if control_sweep.clean() {
         println!("\nFAIL: the broken-drain control found no counterexample");
         failed = true;
     }
@@ -225,25 +226,20 @@ fn main() {
         std::process::exit(1);
     }
     // Spot-check replayability of one control counterexample.
-    let ce = &control_report.counterexamples[0];
-    let replay = rapilog_faultsim::replay_crash_point(
-        &control,
-        ce.seed,
-        ce.kind,
-        SimDuration::from_millis(ce.fault_after.as_millis()),
-    );
+    let ce = &control_sweep.counterexamples[0];
+    let replay = ce.replay(&control);
     if replay.ok || replay.violations != ce.violations {
         println!("\nFAIL: counterexample did not replay identically");
         std::process::exit(1);
     }
-    let acked: u64 = mode_reports.iter().map(|(_, r)| r.total_acked).sum();
-    let ces: u64 = mode_reports
+    let acked: u64 = mode_sweeps.iter().map(|(_, r)| r.report.total_acked).sum();
+    let ces: u64 = mode_sweeps
         .iter()
         .map(|(_, r)| r.counterexamples.len() as u64)
         .sum();
     let mut lat = rapilog_simcore::stats::Histogram::new();
-    for (_, r) in &mode_reports {
-        lat.merge(&r.commit_latency);
+    for (_, r) in &mode_sweeps {
+        lat.merge(&r.report.commit_latency);
     }
     let row = Json::obj([
         ("bench", Json::str("crashpoint_sweep")),
@@ -254,11 +250,11 @@ fn main() {
         ("counterexamples", Json::int(ces)),
         ("p99_commit_us", Json::int(lat.percentile(99.0))),
         ("p999_commit_us", Json::int(lat.percentile(99.9))),
-        ("mt_trials", Json::int(mt_report.trials)),
-        ("mt_tenant_acked", Json::int(mt_report.tenant_acked)),
+        ("mt_trials", Json::int(mt_sweep.trials)),
+        ("mt_tenant_acked", Json::int(mt_sweep.report.tenant_acked)),
         (
             "mt_counterexamples",
-            Json::int(mt_report.counterexamples.len() as u64),
+            Json::int(mt_sweep.counterexamples.len() as u64),
         ),
         ("wall_ms", Json::int(wall.as_millis() as u64)),
         ("trials_per_sec", Json::Num(trials_per_sec)),

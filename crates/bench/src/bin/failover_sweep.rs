@@ -35,8 +35,8 @@
 
 use std::time::Instant;
 
-use rapilog_bench::{explore_failovers_parallel, thread_count, Json};
-use rapilog_faultsim::{FailoverExplorerConfig, FailoverReport};
+use rapilog_bench::{thread_count, Json};
+use rapilog_faultsim::{explore, Exploration, FailoverExplorerConfig, FailoverReport};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -57,13 +57,14 @@ fn commit_over_link(report: &FailoverReport) -> f64 {
     report.sync_commit_latency.mean() / link_round_trip_us(report)
 }
 
-fn summarize(report: &FailoverReport) {
+fn summarize(found: &Exploration<FailoverExplorerConfig>) {
+    let report = &found.report;
     println!(
         "  trials={} acked_writes={} attempted={} counterexamples={}",
-        report.trials,
+        found.trials,
         report.total_acked,
         report.total_attempted,
-        report.counterexamples.len()
+        found.counterexamples.len()
     );
     println!(
         "  shipping:  retransmits={} dropped={} duplicated={} reordered={}",
@@ -80,7 +81,7 @@ fn summarize(report: &FailoverReport) {
         "  recovery:  max={:.1} ms p99={:.1} ms avg={:.1} ms",
         report.recovery_us_max as f64 / 1000.0,
         report.recovery_us.percentile(99.0) as f64 / 1000.0,
-        report.recovery_us_total as f64 / report.trials.max(1) as f64 / 1000.0
+        report.recovery_us_total as f64 / found.trials.max(1) as f64 / 1000.0
     );
     if report.commit_latency.count() > 0 {
         println!(
@@ -102,7 +103,7 @@ fn summarize(report: &FailoverReport) {
             commit_over_link(report),
         );
     }
-    for ce in &report.counterexamples {
+    for ce in &found.counterexamples {
         println!("  {}", ce.replay_line());
     }
 }
@@ -122,18 +123,19 @@ fn main() {
         cfg.kinds.len(),
     );
     let wall_start = Instant::now();
-    let report = explore_failovers_parallel(&cfg, threads);
+    let found = explore(&cfg, threads);
     let wall = wall_start.elapsed();
-    let trials_per_sec = report.trials as f64 / wall.as_secs_f64();
+    let trials_per_sec = found.trials as f64 / wall.as_secs_f64();
     println!("replicated pair (must be clean):");
-    summarize(&report);
+    summarize(&found);
+    let report = &found.report;
     println!(
         "\n  wall-clock: {:.2} s on {threads} threads ({trials_per_sec:.1} trials/s)",
         wall.as_secs_f64()
     );
 
     let mut failed = false;
-    if !report.clean() {
+    if !found.clean() {
         println!("\nFAIL: the failover sweep produced counterexamples");
         failed = true;
     }
@@ -159,11 +161,11 @@ fn main() {
         println!("\nFAIL: the split-brain probe never saw a refusal");
         failed = true;
     }
-    if commit_over_link(&report) > MAX_COMMIT_OVER_LINK {
+    if commit_over_link(report) > MAX_COMMIT_OVER_LINK {
         println!(
             "\nFAIL: a sync commit costs {:.3}x the link round trip (limit {MAX_COMMIT_OVER_LINK}) \
              — something slower than the network is on the replicated commit path",
-            commit_over_link(&report)
+            commit_over_link(report)
         );
         failed = true;
     }
@@ -175,11 +177,11 @@ fn main() {
         ("bench", Json::str("failover_sweep")),
         ("quick", Json::Bool(quick)),
         ("threads", Json::int(threads as u64)),
-        ("trials", Json::int(report.trials)),
+        ("trials", Json::int(found.trials)),
         ("acked_writes", Json::int(report.total_acked)),
         (
             "counterexamples",
-            Json::int(report.counterexamples.len() as u64),
+            Json::int(found.counterexamples.len() as u64),
         ),
         ("async_lag_total", Json::int(report.async_lag_total)),
         ("retransmits", Json::int(report.retransmits)),
@@ -199,7 +201,7 @@ fn main() {
             "sync_commit_mean_us",
             Json::Num(report.sync_commit_latency.mean()),
         ),
-        ("link_round_trip_us", Json::Num(link_round_trip_us(&report))),
+        ("link_round_trip_us", Json::Num(link_round_trip_us(report))),
         ("recovery_max_us", Json::int(report.recovery_us_max)),
         (
             "recovery_p99_us",
@@ -211,6 +213,6 @@ fn main() {
     rapilog_bench::json::upsert_line("BENCH_sweeps.json", &row).expect("write BENCH_sweeps.json");
     println!(
         "\nSWEEP_CLEAN trials={} (row upserted into BENCH_sweeps.json)",
-        report.trials
+        found.trials
     );
 }

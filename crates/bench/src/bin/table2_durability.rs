@@ -19,9 +19,9 @@
 use std::time::Instant;
 
 use rapilog_bench::table::{f1, TextTable};
-use rapilog_bench::{run_parallel, thread_count, Json};
+use rapilog_bench::{thread_count, Json};
 use rapilog_dbengine::EngineProfile;
-use rapilog_faultsim::{run_trial, FaultKind, MachineConfig, Setup, TrialConfig};
+use rapilog_faultsim::{run_parallel, run_trial, FaultKind, MachineConfig, Setup, TrialConfig};
 use rapilog_simcore::SimDuration;
 use rapilog_simdisk::specs;
 use rapilog_simpower::supplies;

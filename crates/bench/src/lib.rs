@@ -10,9 +10,10 @@
 //! * [`perf::run_perf`] — a complete performance run: assemble a machine in
 //!   one of the three setups, install and load a workload, drive it with
 //!   closed-loop clients, return the measured statistics;
-//! * [`parallel`] — host-thread fan-out for independent deterministic
-//!   trials, merging results in job order so N-thread runs are
-//!   bit-identical to 1-thread runs;
+//! * [`parallel`] — how many host threads a bench fans its trials out
+//!   over; the fan-out itself (`faultsim::run_parallel`, and sweeps
+//!   through `faultsim::explore`) merges results in job order, so N-thread
+//!   runs are bit-identical to 1-thread runs;
 //! * [`json`] — a tiny hand-rolled JSON emitter for the machine-readable
 //!   `BENCH_*.json` artifacts;
 //! * [`alloc`] — a counting global allocator for allocations-per-operation
@@ -29,7 +30,5 @@ pub mod perf;
 pub mod table;
 
 pub use json::Json;
-pub use parallel::{
-    explore_crash_points_parallel, explore_failovers_parallel, run_parallel, thread_count,
-};
+pub use parallel::thread_count;
 pub use perf::{run_perf, PerfConfig, PerfOutcome, WorkloadSpec};

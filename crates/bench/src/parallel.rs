@@ -1,153 +1,26 @@
-//! Host-parallel trial execution.
+//! How many host threads a bench fans its trials out over.
 //!
-//! Every trial in the suite is one *closed, single-threaded, deterministic*
-//! simulation: it owns its `Sim`, its RNG, its devices, and shares nothing.
-//! That makes trials embarrassingly parallel at the host level — N OS
-//! threads can each run whole trials while determinism is untouched,
-//! because parallelism only changes *when* a trial runs, never what it
-//! computes.
-//!
-//! The invariant this module guarantees: **results are merged in job
-//! order**, so a sweep run on 8 threads produces output bit-identical to
-//! the same sweep on 1 thread. The determinism test in
-//! `tests/parallel_determinism.rs` checks exactly that.
-//!
-//! Thread count comes from `RAPILOG_BENCH_THREADS` (default: all host
+//! Trials run on [`run_parallel`](rapilog_faultsim::run_parallel) and
+//! sweeps on [`explore`](rapilog_faultsim::explore), which merge results in
+//! job order, so the thread count changes only how fast a bench runs, never
+//! what it prints. It comes from `RAPILOG_BENCH_THREADS` (default: all host
 //! cores), so CI can pin it and laptops can be throttled.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use rapilog_faultsim::{
-    explore_crash_points, explore_failovers, run_failover_trial, run_trial, Counterexample,
-    ExplorationReport, ExplorerConfig, FailoverConfig, FailoverExplorerConfig, FailoverReport,
-    FailoverResult, TrialConfig, TrialResult,
-};
 
 /// Number of worker threads to use: `RAPILOG_BENCH_THREADS` if set to a
 /// positive integer, otherwise the host's available parallelism.
 pub fn thread_count() -> usize {
-    std::env::var("RAPILOG_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
+    threads_from(
+        std::env::var("RAPILOG_BENCH_THREADS").ok().as_deref(),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    )
+}
+
+/// The thread count `RAPILOG_BENCH_THREADS = var` asks for on a host with
+/// `host` cores: the variable if it is a positive integer, else `host`.
+fn threads_from(var: Option<&str>, host: usize) -> usize {
+    var.and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// Runs `jobs` on up to `threads` OS threads and returns the results **in
-/// job order** (result `i` came from job `i`, regardless of which thread
-/// ran it or when it finished). With `threads <= 1` this degenerates to a
-/// plain sequential map, which is also the reference ordering.
-///
-/// Work is distributed by an atomic cursor, so a slow trial never blocks
-/// the queue behind it.
-pub fn run_parallel<C, R, F>(jobs: Vec<C>, threads: usize, run: F) -> Vec<R>
-where
-    C: Send,
-    R: Send,
-    F: Fn(C) -> R + Sync,
-{
-    let threads = threads.clamp(1, jobs.len().max(1));
-    if threads <= 1 {
-        return jobs.into_iter().map(run).collect();
-    }
-    let slots: Vec<Mutex<Option<R>>> = (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-    let jobs: Vec<Mutex<Option<C>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let job = jobs[i]
-                    .lock()
-                    .expect("job mutex poisoned")
-                    .take()
-                    .expect("job claimed twice");
-                let result = run(job);
-                *slots[i].lock().expect("slot mutex poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot mutex poisoned")
-                .expect("job produced no result")
-        })
-        .collect()
-}
-
-/// The crash-point sweep of [`explore_crash_points`], fanned out over
-/// `threads` host threads. Per-trial results are absorbed into the report
-/// in canonical grid order, so the returned report is identical to the
-/// sequential one — counterexample order included.
-pub fn explore_crash_points_parallel(cfg: &ExplorerConfig, threads: usize) -> ExplorationReport {
-    if threads <= 1 {
-        return explore_crash_points(cfg);
-    }
-    let grid = cfg.grid();
-    let jobs: Vec<(u64, TrialConfig)> = grid
-        .iter()
-        .map(|&(seed, kind, fault_after)| (seed, cfg.trial(seed, kind, fault_after)))
-        .collect();
-    let results: Vec<TrialResult> =
-        run_parallel(jobs, threads, |(seed, trial)| run_trial(seed, trial));
-    let mut report = ExplorationReport::default();
-    for ((seed, kind, fault_after), r) in grid.into_iter().zip(&results) {
-        let point = Counterexample {
-            seed,
-            kind,
-            fault_after,
-            setup: cfg.setup,
-            violations: Vec::new(),
-        };
-        report.absorb(&point, r);
-    }
-    report
-}
-
-/// The failover sweep of [`explore_failovers`], fanned out over `threads`
-/// host threads. Per-trial results are absorbed into the report in
-/// canonical grid order (seed-outer, mode-middle, kind-inner), so the
-/// returned report is identical to the sequential one.
-pub fn explore_failovers_parallel(cfg: &FailoverExplorerConfig, threads: usize) -> FailoverReport {
-    if threads <= 1 {
-        return explore_failovers(cfg);
-    }
-    let grid = cfg.grid();
-    let jobs: Vec<(u64, FailoverConfig)> = grid
-        .iter()
-        .map(|point| (point.seed, cfg.trial(point)))
-        .collect();
-    let results: Vec<FailoverResult> = run_parallel(jobs, threads, |(seed, trial)| {
-        run_failover_trial(seed, trial)
-    });
-    let mut report = FailoverReport::default();
-    for (point, r) in grid.iter().zip(&results) {
-        report.absorb(point, r);
-    }
-    report
-}
-
-/// Compile-time proof that trial inputs and outputs cross threads: every
-/// field is plain data, no `Rc`/`RefCell` escapes a simulation.
-#[allow(dead_code)]
-fn assert_trials_are_send() {
-    fn is_send<T: Send>() {}
-    is_send::<TrialConfig>();
-    is_send::<TrialResult>();
-    is_send::<ExplorerConfig>();
-    is_send::<FailoverConfig>();
-    is_send::<FailoverResult>();
-    is_send::<FailoverExplorerConfig>();
+        .unwrap_or(host)
 }
 
 #[cfg(test)]
@@ -155,28 +28,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_come_back_in_job_order() {
-        let jobs: Vec<u64> = (0..64).collect();
-        let out = run_parallel(jobs, 8, |j| j * 10);
-        assert_eq!(out, (0..64).map(|j| j * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_thread_is_the_sequential_map() {
-        let out = run_parallel(vec![1, 2, 3], 1, |j| j + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn empty_jobs_are_fine() {
-        let out: Vec<u32> = run_parallel(Vec::<u32>::new(), 4, |j| j);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn thread_count_respects_the_env_override() {
-        // Only checks the parse logic against the ambient environment:
-        // without the variable the host's parallelism is used.
-        assert!(thread_count() >= 1);
+        assert_eq!(threads_from(None, 6), 6, "unset: the host's cores");
+        assert_eq!(threads_from(Some("0"), 6), 6, "zero threads is no answer");
+        assert_eq!(threads_from(Some("abc"), 6), 6, "not a number");
+        assert_eq!(threads_from(Some("3"), 6), 3);
     }
 }

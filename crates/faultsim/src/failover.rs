@@ -35,6 +35,7 @@
 //! is worth what a RapiLog acknowledgement is worth.
 
 use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 
 use rapilog::{
@@ -53,6 +54,8 @@ use rapilog_simdisk::{
 };
 use rapilog_simnet::{Link, LinkFaults, LinkSpec};
 use rapilog_simpower::{supplies, PowerSupply};
+
+use crate::explorer::Trial;
 
 /// First log sector of the audited client slots. Each write of the trial
 /// targets its own private sector, so the post-failover media audit can
@@ -972,22 +975,6 @@ impl FailoverExplorerConfig {
         }
     }
 
-    /// The full grid in canonical order: seed-outer, mode-middle,
-    /// kind-inner — the order [`explore_failovers`] visits, so a parallel
-    /// runner merging per-point results by grid index reproduces the
-    /// sequential report exactly.
-    pub fn grid(&self) -> Vec<FailoverPoint> {
-        let mut points = Vec::with_capacity(self.seeds.len() * self.modes.len() * self.kinds.len());
-        for &seed in &self.seeds {
-            for &mode in &self.modes {
-                for &kind in &self.kinds {
-                    points.push(FailoverPoint { seed, mode, kind });
-                }
-            }
-        }
-        points
-    }
-
     /// The [`FailoverConfig`] for one grid point.
     pub fn trial(&self, point: &FailoverPoint) -> FailoverConfig {
         FailoverConfig {
@@ -1001,7 +988,7 @@ impl FailoverExplorerConfig {
     }
 }
 
-/// One grid coordinate.
+/// One failover-grid coordinate.
 #[derive(Debug, Clone, Copy)]
 pub struct FailoverPoint {
     /// The trial's RNG seed.
@@ -1012,34 +999,22 @@ pub struct FailoverPoint {
     pub kind: FailoverKind,
 }
 
-/// One grid point whose trial violated an invariant; replays exactly.
-#[derive(Debug, Clone)]
-pub struct FailoverCounterexample {
-    /// The grid coordinate.
-    pub point: FailoverPoint,
-    /// What the audit found.
-    pub violations: Vec<String>,
-}
-
-impl FailoverCounterexample {
-    /// A one-line replay recipe for reports and panic messages.
-    pub fn replay_line(&self) -> String {
-        format!(
-            "replay: seed={} mode={} kind={} ({} violations: {})",
-            self.point.seed,
-            mode_label(self.point.mode),
-            self.point.kind.label(),
-            self.violations.len(),
-            self.violations.join("; "),
+impl fmt::Display for FailoverPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "seed={} mode={} kind={}",
+            self.seed,
+            mode_label(self.mode),
+            self.kind.label(),
         )
     }
 }
 
-/// What a failover sweep found.
+/// What a failover sweep sums, beyond the trial count and the
+/// counterexamples every sweep reports.
 #[derive(Debug, Clone, Default)]
 pub struct FailoverReport {
-    /// Trials executed.
-    pub trials: u64,
     /// Acknowledged writes audited, summed over trials.
     pub total_acked: u64,
     /// Submitted writes, summed over trials.
@@ -1064,7 +1039,7 @@ pub struct FailoverReport {
     pub ship_reordered: u64,
     /// Worst fault→promotion time observed (µs).
     pub recovery_us_max: u64,
-    /// Summed fault→promotion time (µs), for averaging over `trials`.
+    /// Summed fault→promotion time (µs), for averaging over the trials.
     pub recovery_us_total: u64,
     /// Per-trial fault→promotion time (µs), for tail percentiles.
     pub recovery_us: Histogram,
@@ -1079,71 +1054,70 @@ pub struct FailoverReport {
     /// `sync_commit_latency`. A mean commit well above it means something
     /// slower than the network is on the replicated commit path.
     pub sync_link_round_trip: Histogram,
-    /// Grid points that violated an invariant.
-    pub counterexamples: Vec<FailoverCounterexample>,
 }
 
-impl FailoverReport {
-    /// True iff no trial violated any invariant.
-    pub fn clean(&self) -> bool {
-        self.counterexamples.is_empty()
-    }
+impl Trial for FailoverExplorerConfig {
+    type Point = FailoverPoint;
+    type Outcome = FailoverResult;
+    type Report = FailoverReport;
 
-    /// Folds one trial's outcome into the report. Public so external
-    /// runners (e.g. a thread-parallel sweep) can rebuild the exact
-    /// sequential report by absorbing per-point results in grid order.
-    pub fn absorb(&mut self, point: &FailoverPoint, r: &FailoverResult) {
-        self.trials += 1;
-        self.total_acked += r.acked_writes;
-        self.total_attempted += r.attempted_writes;
-        if point.mode == ReplicationMode::Async {
-            self.async_trials += 1;
-            self.async_lag_total += r.reported_lag;
-            if point.kind == FailoverKind::PartitionPowerCut {
-                self.partition_async_trials += 1;
-                if r.reported_lag > 0 {
-                    self.partition_async_lagged += 1;
+    /// Seed-outer, mode-middle, kind-inner.
+    fn grid(&self) -> Vec<FailoverPoint> {
+        let mut points = Vec::with_capacity(self.seeds.len() * self.modes.len() * self.kinds.len());
+        for &seed in &self.seeds {
+            for &mode in &self.modes {
+                for &kind in &self.kinds {
+                    points.push(FailoverPoint { seed, mode, kind });
                 }
             }
         }
-        self.retransmits += r.retransmits;
-        self.refused_after_promotion += r.refused_after_promotion;
-        self.ship_dropped += r.ship_dropped;
-        self.ship_duplicated += r.ship_duplicated;
-        self.ship_reordered += r.ship_reordered;
+        points
+    }
+
+    fn run(&self, point: &FailoverPoint) -> FailoverResult {
+        run_failover_trial(point.seed, self.trial(point))
+    }
+
+    fn violations(r: &FailoverResult) -> &[String] {
+        &r.violations
+    }
+
+    fn fold(report: &mut FailoverReport, point: &FailoverPoint, r: &FailoverResult) {
+        report.total_acked += r.acked_writes;
+        report.total_attempted += r.attempted_writes;
+        if point.mode == ReplicationMode::Async {
+            report.async_trials += 1;
+            report.async_lag_total += r.reported_lag;
+            if point.kind == FailoverKind::PartitionPowerCut {
+                report.partition_async_trials += 1;
+                if r.reported_lag > 0 {
+                    report.partition_async_lagged += 1;
+                }
+            }
+        }
+        report.retransmits += r.retransmits;
+        report.refused_after_promotion += r.refused_after_promotion;
+        report.ship_dropped += r.ship_dropped;
+        report.ship_duplicated += r.ship_duplicated;
+        report.ship_reordered += r.ship_reordered;
         let rec_us = r.recovery_time.as_micros();
-        self.recovery_us_max = self.recovery_us_max.max(rec_us);
-        self.recovery_us_total += rec_us;
-        self.recovery_us.record(rec_us);
-        self.commit_latency.merge(&r.commit_latency);
+        report.recovery_us_max = report.recovery_us_max.max(rec_us);
+        report.recovery_us_total += rec_us;
+        report.recovery_us.record(rec_us);
+        report.commit_latency.merge(&r.commit_latency);
         if point.mode == ReplicationMode::Sync && point.kind != FailoverKind::ShipmentChaos {
-            self.sync_commit_latency.merge(&r.commit_latency);
-            self.sync_link_round_trip
+            report.sync_commit_latency.merge(&r.commit_latency);
+            report
+                .sync_link_round_trip
                 .record(r.link_round_trip.as_nanos());
         }
-        if !r.ok {
-            self.counterexamples.push(FailoverCounterexample {
-                point: *point,
-                violations: r.violations.clone(),
-            });
-        }
     }
-}
-
-/// Runs the full failover grid: every seed × mode × kind, one
-/// deterministic trial each, and collects the verdicts.
-pub fn explore_failovers(cfg: &FailoverExplorerConfig) -> FailoverReport {
-    let mut report = FailoverReport::default();
-    for point in cfg.grid() {
-        let r = run_failover_trial(point.seed, cfg.trial(&point));
-        report.absorb(&point, &r);
-    }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explorer::explore;
 
     #[test]
     fn sync_guest_crash_standby_serves_every_acked_commit() {
@@ -1229,17 +1203,18 @@ mod tests {
     fn failover_grid_is_clean_across_modes_and_kinds() {
         let mut cfg = FailoverExplorerConfig::rapilog_default();
         cfg.seeds = vec![0xFA11, 0xFA11 + 131];
-        let report = explore_failovers(&cfg);
-        assert_eq!(report.trials, 2 * 2 * 4);
+        let found = explore(&cfg, 1);
+        assert_eq!(found.trials, 2 * 2 * 4);
         assert!(
-            report.clean(),
+            found.clean(),
             "counterexamples: {:?}",
-            report
+            found
                 .counterexamples
                 .iter()
                 .map(|c| c.replay_line())
                 .collect::<Vec<_>>()
         );
+        let report = &found.report;
         assert!(report.total_acked > 0, "the load ran");
         assert!(
             report.partition_async_lagged > 0,

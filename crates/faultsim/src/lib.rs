@@ -23,19 +23,26 @@
 //! crash-failover scenarios auditing the promoted standby against the
 //! primary's acknowledgement journal (sync mode serves everything acked;
 //! async mode reports an exact replication lag).
+//!
+//! Campaigns are swept by one explorer: [`explore`] runs any [`Trial`]'s
+//! grid on any number of host threads and returns the same
+//! [`Exploration`] at every thread count, each violation a
+//! [`Counterexample`] that replays from its point. The crash-point grid
+//! ([`ExplorerConfig`], in [`crash`]) and the failover grid
+//! ([`FailoverExplorerConfig`]) are its two impls.
 
+pub mod crash;
 pub mod explorer;
 pub mod failover;
 pub mod machine;
 pub mod scenario;
 
-pub use explorer::{
-    explore_crash_points, replay_crash_point, Counterexample, ExplorationReport, ExplorerConfig,
-};
+pub use crash::{CrashPoint, ExplorationReport, ExplorerConfig};
+pub use explorer::{explore, run_parallel, Counterexample, Exploration, Trial};
 pub use failover::{
-    explore_failovers, mode_label, run_failover_trial, run_standby_trial, FailoverConfig,
-    FailoverCounterexample, FailoverExplorerConfig, FailoverKind, FailoverPoint, FailoverReport,
-    FailoverResult, StandbyTrialConfig, StandbyTrialResult,
+    mode_label, run_failover_trial, run_standby_trial, FailoverConfig, FailoverExplorerConfig,
+    FailoverKind, FailoverPoint, FailoverReport, FailoverResult, StandbyTrialConfig,
+    StandbyTrialResult,
 };
 pub use machine::{Machine, MachineConfig, Setup};
 pub use scenario::{

@@ -10,10 +10,11 @@
 #     ring's private request enum (`BlkReq`) or the IPC front door nobody
 #     called (`crates/rapilog/src/service.rs`, `crates/microvisor/src/ipc.rs`)
 #     reappear.
-# (b) The budget, first slice: the non-test lines of `crates/rapilog/src`
-#     (each file up to its first `#[cfg(test)]`) against the number committed
-#     in scripts/rapilog_src_lines.budget. More lines fail. Fewer pass and say
-#     so; `--update` then lowers the committed number (it never raises it).
+# (b) The budgets: the non-test lines of each `crates/<crate>/src` (each file
+#     up to its first `#[cfg(test)]`) against that crate's line in
+#     scripts/src_lines.budget (`<crate> <lines>`, one per crate). More lines,
+#     or a crate with no line, fail. Fewer pass and say so; `--update` then
+#     lowers the committed numbers (it never raises one).
 # (c) One recovery pipeline, one checkpoint. Fails if `RecoveryMode`,
 #     `fuzzy_checkpoints` or `flush_all` reappears in the non-test part of
 #     any source file under `crates/`: recovery has one scan window and one
@@ -29,14 +30,20 @@
 #     does not arbitrate the log disk (no rule that stands it aside for
 #     guest reads, no span or counter of one), and the kept room is the
 #     buffer's idle room, not a constant.
+# (f) One explorer. Fails if `explore_crash_points`, `replay_crash_point`,
+#     `explore_failovers`, `FailoverCounterexample`,
+#     `explore_crash_points_parallel` or `explore_failovers_parallel`
+#     reappears in the non-test part of any `crates/*/src` file: every trial
+#     kind is a `faultsim::Trial` swept by `faultsim::explore`, which owns the
+#     grid walk, the thread fan-out and the replay.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
-#   scripts/design_gate.sh --update   # check, then lower the budget to today's count
+#   scripts/design_gate.sh --update   # check, then lower each budget to today's count
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=scripts/rapilog_src_lines.budget
+BUDGET=scripts/src_lines.budget
 fail=0
 
 # Prints a file's non-test part: everything before its first #[cfg(test)].
@@ -67,25 +74,37 @@ for gone in crates/rapilog/src/service.rs crates/microvisor/src/ipc.rs; do
     fi
 done
 
-# ---- (b) the line budget --------------------------------------------------
-now=0
-while IFS= read -r f; do
-    now=$((now + $(non_test "$f" | wc -l)))
-done < <(find crates/rapilog/src -name '*.rs' | sort)
-budget=$(<"$BUDGET")
-
-if ((now > budget)); then
-    echo "design_gate: FAIL  crates/rapilog/src is $now non-test lines, budget $budget ($BUDGET only goes down)" >&2
-    fail=1
-elif ((now < budget)); then
-    if [[ "${1:-}" == "--update" ]]; then
-        echo "$now" >"$BUDGET"
-        echo "design_gate: budget lowered $budget -> $now (commit $BUDGET)"
-    else
-        echo "design_gate: crates/rapilog/src is $now non-test lines, under its budget of $budget: lower it with --update"
+# ---- (b) the line budgets -------------------------------------------------
+budgets=""
+lowered=0
+for dir in crates/*/; do
+    crate=$(basename "$dir")
+    now=0
+    while IFS= read -r f; do
+        now=$((now + $(non_test "$f" | wc -l)))
+    done < <(find "${dir}src" -name '*.rs' | sort)
+    budget=$(awk -v c="$crate" '$1 == c { print $2 }' "$BUDGET")
+    if [[ -z "$budget" ]]; then
+        echo "design_gate: FAIL  crates/$crate/src ($now non-test lines) has no line in $BUDGET" >&2
+        fail=1
+        continue
     fi
-else
-    echo "design_gate: ok    crates/rapilog/src at its budget of $budget non-test lines"
+    if ((now > budget)); then
+        echo "design_gate: FAIL  crates/$crate/src is $now non-test lines, budget $budget ($BUDGET only goes down)" >&2
+        fail=1
+    elif ((now < budget)); then
+        if [[ "${1:-}" == "--update" ]]; then
+            echo "design_gate: budget of $crate lowered $budget -> $now (commit $BUDGET)"
+            budget=$now
+            lowered=1
+        else
+            echo "design_gate: crates/$crate/src is $now non-test lines, under its budget of $budget: lower it with --update"
+        fi
+    fi
+    budgets+="$crate $budget"$'\n'
+done
+if ((lowered && !fail)); then
+    printf '%s' "$budgets" >"$BUDGET"
 fi
 
 # ---- (c) one recovery pipeline, one checkpoint -----------------------------
@@ -118,10 +137,22 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+# ---- (f) one explorer --------------------------------------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nwE 'explore_crash_points|replay_crash_point|explore_failovers|FailoverCounterexample|explore_crash_points_parallel|explore_failovers_parallel' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f names a deleted per-kind explorer (a trial kind is a faultsim::Trial, swept by faultsim::explore):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
+echo "design_gate: ok    every crate within its budget in $BUDGET"
 echo "design_gate: ok    one request path (no derived method re-implemented, no BlkReq, no service.rs/ipc.rs)"
 echo "design_gate: ok    one recovery pipeline, one checkpoint (no RecoveryMode, fuzzy_checkpoints or flush_all)"
 echo "design_gate: ok    bytes move by the run (no enum Held, no per-sector FastMap<u64, Box<[u8; SECTOR_SIZE]>>)"
 echo "design_gate: ok    the buffer is the log's read cache (no reads_hold_disk, stand_aside, defer_to_reads, read_defers or const KEPT)"
+echo "design_gate: ok    one explorer (no explore_crash_points, replay_crash_point, explore_failovers, FailoverCounterexample or their _parallel wrappers)"

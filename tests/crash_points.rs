@@ -8,9 +8,7 @@
 //! replay line, re-run the single trial from its coordinates, and watch
 //! the identical violations reappear.
 
-use rapilog_suite::faultsim::{
-    explore_crash_points, replay_crash_point, ExplorerConfig, FaultKind,
-};
+use rapilog_suite::faultsim::{explore, run_trial, ExplorerConfig, FaultKind};
 use rapilog_suite::prelude::*;
 use rapilog_suite::rapilog::AuditReport;
 
@@ -21,18 +19,18 @@ fn crash_point_grid_is_clean_for_the_resilient_drain() {
     // `crashpoint_sweep` runs the full one.
     cfg.seeds = vec![0xC0FFEE, 0xC0FFEE + 101];
     cfg.fault_times_ms = vec![100, 300];
-    let report = explore_crash_points(&cfg);
-    assert_eq!(report.trials, 2 * 2 * 5);
+    let found = explore(&cfg, 1);
+    assert_eq!(found.trials, 2 * 2 * 5);
     assert!(
-        report.clean(),
+        found.clean(),
         "lost acked commits: {:?}",
-        report
+        found
             .counterexamples
             .iter()
             .map(|c| c.replay_line())
             .collect::<Vec<_>>()
     );
-    assert!(report.total_acked > 0, "the workload actually ran");
+    assert!(found.report.total_acked > 0, "the workload actually ran");
 }
 
 #[test]
@@ -43,14 +41,14 @@ fn counterexample_replays_from_its_coordinates() {
     let mut cfg = ExplorerConfig::broken_drain();
     cfg.seeds = vec![0x0BAD];
     cfg.fault_times_ms = vec![200];
-    let report = explore_crash_points(&cfg);
+    let found = explore(&cfg, 1);
     assert!(
-        !report.clean(),
+        !found.clean(),
         "the planted bug (retry disabled) must be caught"
     );
-    let ce = &report.counterexamples[0];
-    assert!(matches!(ce.kind, FaultKind::DiskErrorBurst { .. }));
-    assert_eq!(ce.fault_after, SimDuration::from_millis(200));
+    let ce = &found.counterexamples[0];
+    assert!(matches!(ce.point.kind, FaultKind::DiskErrorBurst { .. }));
+    assert_eq!(ce.point.fault_after, SimDuration::from_millis(200));
     assert!(
         ce.violations.iter().any(|v| v.contains("durability")),
         "violations name the lost commits: {:?}",
@@ -63,12 +61,12 @@ fn counterexample_replays_from_its_coordinates() {
     );
 
     // First replay: identical trial, identical verdict.
-    let replay = replay_crash_point(&cfg, ce.seed, ce.kind, ce.fault_after);
+    let replay = ce.replay(&cfg);
     assert!(!replay.ok);
     assert_eq!(replay.violations, ce.violations, "replay must be exact");
 
     // Second replay: determinism is not single-shot.
-    let again = replay_crash_point(&cfg, ce.seed, ce.kind, ce.fault_after);
+    let again = ce.replay(&cfg);
     assert_eq!(again.violations, ce.violations);
 }
 
@@ -82,12 +80,12 @@ fn fixing_the_drain_fixes_the_counterexample() {
         cfg.fault_times_ms = vec![200];
         cfg
     };
-    let report = explore_crash_points(&broken);
-    let ce = &report.counterexamples[0];
+    let found = explore(&broken, 1);
+    let ce = &found.counterexamples[0];
 
     let mut fixed = broken.clone();
     fixed.retry = rapilog_suite::rapilog::RetryPolicy::default();
-    let r = replay_crash_point(&fixed, ce.seed, ce.kind, ce.fault_after);
+    let r = ce.replay(&fixed);
     assert!(
         r.ok,
         "resilient drain survives the exact crash point that broke the \
@@ -121,7 +119,7 @@ fn open_finding_1(seed: u64, kind: FaultKind) {
 
 fn open_finding_1_at(seed: u64, kind: FaultKind, ms: u64) {
     let cfg = ExplorerConfig::multi_tenant();
-    let r = replay_crash_point(&cfg, seed, kind, SimDuration::from_millis(ms));
+    let r = run_trial(seed, cfg.trial(seed, kind, SimDuration::from_millis(ms)));
     assert!(
         r.ok,
         "{} violations, first: {:?}",
