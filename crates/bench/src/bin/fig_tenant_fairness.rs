@@ -4,7 +4,7 @@
 //!
 //! 1. **Fleet throughput** — four cells share a sharded RapiLog on a SATA
 //!    SSD; 10³ closed-loop sessions (commit storm) are zipf-split over the
-//!    cells ([`zipf_split`]'s YCSB-style skew), all drivers run
+//!    cells (the fleet's YCSB-style zipf skew), all drivers run
 //!    concurrently in one simulation. Reported: total tps, per-cell tps,
 //!    the merged p99/p999 commit latency, and the *session-normalized*
 //!    fairness (per-session tps min/max — raw per-cell tps under a zipf

@@ -6,7 +6,7 @@
 //! non-finite numbers) but is an *emitter only* — consumers are `jq`, CI
 //! checks and plotting scripts, which never round-trip through it.
 //!
-//! `BENCH_hotpaths.json` is one pretty-printed document. `BENCH_sweeps.json`
+//! `BENCH_hotpaths.json` is one document on one line. `BENCH_sweeps.json`
 //! is JSON-lines — one object per line, keyed by a `"bench"` field — so
 //! independent sweep binaries can each [`upsert_line`] their own row
 //! without parsing the others.
@@ -51,19 +51,11 @@ impl Json {
     /// Renders compactly (single line).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write(&mut out);
         out
     }
 
-    /// Renders with 2-space indentation.
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -94,57 +86,29 @@ impl Json {
                 out.push('"');
             }
             Json::Arr(items) => {
-                Self::write_seq(out, indent, depth, '[', ']', items.len(), |out, i, d| {
-                    items[i].write(out, indent, d);
-                });
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write(out);
+                }
+                out.push(']');
             }
             Json::Obj(pairs) => {
-                Self::write_seq(out, indent, depth, '{', '}', pairs.len(), |out, i, d| {
-                    Json::Str(pairs[i].0.clone()).write(out, None, 0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
+                out.push('{');
+                for (i, (key, value)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
                     }
-                    pairs[i].1.write(out, indent, d);
-                });
+                    Json::Str(key.clone()).write(out);
+                    out.push(':');
+                    value.write(out);
+                }
+                out.push('}');
             }
         }
     }
-
-    fn write_seq(
-        out: &mut String,
-        indent: Option<usize>,
-        depth: usize,
-        open: char,
-        close: char,
-        len: usize,
-        mut item: impl FnMut(&mut String, usize, usize),
-    ) {
-        out.push(open);
-        for i in 0..len {
-            if i > 0 {
-                out.push(',');
-            }
-            if let Some(w) = indent {
-                out.push('\n');
-                out.push_str(&" ".repeat(w * (depth + 1)));
-            }
-            item(out, i, depth + 1);
-        }
-        if len > 0 {
-            if let Some(w) = indent {
-                out.push('\n');
-                out.push_str(&" ".repeat(w * depth));
-            }
-        }
-        out.push(close);
-    }
-}
-
-/// Writes `doc` to `path` as one pretty-printed JSON document
-/// (`BENCH_hotpaths.json` style).
-pub fn write_doc(path: impl AsRef<Path>, doc: &Json) -> io::Result<()> {
-    std::fs::write(path, doc.render_pretty())
 }
 
 /// Upserts one JSON-lines row keyed by the object's `"bench"` field
@@ -195,8 +159,6 @@ mod tests {
             ("xs", Json::Arr(vec![Json::int(1), Json::int(2)])),
         ]);
         assert_eq!(doc.render(), r#"{"name":"x","xs":[1,2]}"#);
-        let pretty = doc.render_pretty();
-        assert!(pretty.contains("  \"name\": \"x\""), "pretty: {pretty}");
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl BufferPool {
         self.inner.st.borrow().stats
     }
 
-    /// Number of resident pages.
-    pub fn resident(&self) -> usize {
-        self.inner.st.borrow().frames.len()
-    }
-
     /// Fetches a page, reading it from the device on a miss. A blank
     /// (never-written) page comes back as a fresh page initialised for
     /// `table`/`slot_size`. A corrupt page is an error unless
@@ -404,7 +399,8 @@ mod tests {
                 }
                 BufferPool::mark_dirty(&f);
             }
-            assert!(p2.resident() <= 4, "resident {} > capacity", p2.resident());
+            let resident = p2.inner.st.borrow().frames.len();
+            assert!(resident <= 4, "resident {resident} > capacity");
             // Re-read an evicted page: contents came back from the device.
             let f = p2.fetch(PageId(0), TableId(1), 64, false).await.unwrap();
             assert_eq!(

@@ -390,7 +390,7 @@ impl Database {
     }
 
     /// Table metadata by id.
-    pub fn table_meta(&self, id: TableId) -> DbResult<TableMeta> {
+    pub(crate) fn table_meta(&self, id: TableId) -> DbResult<TableMeta> {
         self.inner
             .tables
             .get(id.0 as usize)

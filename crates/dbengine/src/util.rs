@@ -48,7 +48,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Incremental form: feed `state` from a previous call (start with
 /// `0xFFFF_FFFF`, finish by XORing with `0xFFFF_FFFF`).
-pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ state;

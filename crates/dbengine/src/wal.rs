@@ -362,13 +362,15 @@ impl Record {
                 },
             },
             8 => {
+                // Counts come from the record itself: reserve no more
+                // entries than the payload can hold (16 bytes each).
                 let n = c.u32()? as usize;
-                let mut active = Vec::with_capacity(n);
+                let mut active = Vec::with_capacity(n.min(c.remaining() / 16));
                 for _ in 0..n {
                     active.push((TxnId(c.u64()?), Lsn(c.u64()?)));
                 }
                 let d = c.u32()? as usize;
-                let mut dirty = Vec::with_capacity(d);
+                let mut dirty = Vec::with_capacity(d.min(c.remaining() / 16));
                 for _ in 0..d {
                     dirty.push((PageId(c.u64()?), Lsn(c.u64()?)));
                 }
@@ -434,13 +436,6 @@ impl Record {
         let kind = data[16];
         let rec = Record::decode_payload(kind, &data[RECORD_HEADER..total])?;
         Some((rec, total))
-    }
-
-    /// Length the record will occupy in the stream.
-    pub fn encoded_len(&self) -> usize {
-        let mut payload = Vec::new();
-        self.encode_payload(&mut payload);
-        RECORD_HEADER + payload.len()
     }
 }
 
@@ -587,11 +582,6 @@ impl Wal {
     /// Current end of the stream (next LSN to be assigned).
     pub fn end(&self) -> Lsn {
         self.inner.st.borrow().next
-    }
-
-    /// Highest durable LSN.
-    pub fn durable(&self) -> Lsn {
-        self.inner.st.borrow().durable
     }
 
     /// Statistics snapshot.
@@ -1093,9 +1083,17 @@ async fn flusher_loop(inner: Rc<WalInner>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapilog_simcore::rng::SimRng;
     use rapilog_simcore::{DomainId, Sim, SimTime};
     use rapilog_simdisk::{specs, Disk};
     use std::cell::Cell as StdCell;
+
+    impl Wal {
+        /// Highest durable LSN.
+        pub(crate) fn durable(&self) -> Lsn {
+            self.inner.st.borrow().durable
+        }
+    }
 
     fn upd(txn: u64, key: u64) -> Record {
         Record::Update {
@@ -1163,7 +1161,6 @@ mod tests {
         let mut lsn = Lsn(1234);
         for rec in records {
             let bytes = rec.encode(lsn);
-            assert_eq!(bytes.len(), rec.encoded_len());
             let (back, n) = Record::decode(&bytes, lsn).expect("decodes");
             assert_eq!(back, rec);
             assert_eq!(n, bytes.len());
@@ -1183,6 +1180,139 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         assert!(Record::decode(&bytes, Lsn(50)).is_none(), "bad crc");
+    }
+
+    /// A CRC-valid checkpoint whose entry count exceeds its payload is
+    /// rejected, not reserved for: `u32::MAX` entries would be 64 GiB.
+    #[test]
+    fn a_checkpoint_count_beyond_its_payload_is_rejected() {
+        let mut frame = Record::Checkpoint {
+            active: Vec::new(),
+            dirty: Vec::new(),
+        }
+        .encode(Lsn(64));
+        frame[RECORD_HEADER..RECORD_HEADER + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&frame[8..]);
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        assert!(Record::decode(&frame, Lsn(64)).is_none());
+    }
+
+    /// A record of any kind with random fields and short random byte
+    /// strings.
+    fn random_record(rng: &mut SimRng) -> Record {
+        fn bytes(rng: &mut SimRng) -> Vec<u8> {
+            let n = rng.gen_range(0..100usize);
+            (0..n).map(|_| rng.next_u64() as u8).collect()
+        }
+        let txn = TxnId(rng.next_u64());
+        let (lsn, table, page) = (
+            Lsn(rng.next_u64()),
+            TableId(rng.gen_range(0..=u16::MAX)),
+            PageId(rng.next_u64()),
+        );
+        let (slot, key) = (rng.gen_range(0..=u16::MAX), rng.next_u64());
+        match rng.gen_range(1..=9u8) {
+            1 => Record::Begin { txn },
+            2 => Record::Commit { txn },
+            3 => Record::Abort { txn },
+            4 => Record::Update {
+                txn,
+                prev: lsn,
+                table,
+                page,
+                slot,
+                key,
+                before: bytes(rng),
+                after: bytes(rng),
+            },
+            5 => Record::Insert {
+                txn,
+                prev: lsn,
+                table,
+                page,
+                slot,
+                key,
+                after: bytes(rng),
+            },
+            6 => Record::Delete {
+                txn,
+                prev: lsn,
+                table,
+                page,
+                slot,
+                key,
+                before: bytes(rng),
+            },
+            7 => Record::Clr {
+                txn,
+                undo_next: lsn,
+                page,
+                slot,
+                key,
+                action: if rng.gen_range(0..2u8) == 0 {
+                    ClrAction::Clear
+                } else {
+                    ClrAction::Restore(bytes(rng))
+                },
+            },
+            8 => Record::Checkpoint {
+                active: (0..rng.gen_range(0..8u64))
+                    .map(|i| (TxnId(i), Lsn(rng.next_u64())))
+                    .collect(),
+                dirty: (0..rng.gen_range(0..8u64))
+                    .map(|i| (PageId(i), Lsn(rng.next_u64())))
+                    .collect(),
+            },
+            _ => Record::FullPage {
+                page,
+                image: bytes(rng),
+            },
+        }
+    }
+
+    /// Bytes read back from a log device cannot panic the reader. Four
+    /// thousand seeded inputs: random byte strings, random payloads behind a
+    /// header of any kind, valid frames of every kind cut short, and valid
+    /// frames with one bit of the kind or payload flipped. All but the raw
+    /// strings get their length and CRC made valid again, so the payload
+    /// parser itself sees the damage. `decode` answers `Some` or `None`.
+    #[test]
+    fn decode_never_panics_on_damaged_frames() {
+        fn reseal(frame: &mut [u8]) {
+            let len = frame.len() as u32;
+            frame[..4].copy_from_slice(&len.to_le_bytes());
+            let crc = crc32(&frame[8..]);
+            frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        }
+        let mut rng = SimRng::seed_from_u64(0xDEC0DE);
+        let lsn = Lsn(4096);
+        for case in 0..4_000u32 {
+            let rec = random_record(&mut rng);
+            let valid = rec.encode(lsn);
+            assert_eq!(Record::decode(&valid, lsn), Some((rec, valid.len())));
+            let mut frame = match case % 4 {
+                0 => (0..rng.gen_range(0..64usize))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect(),
+                1 => {
+                    let mut f = valid[..RECORD_HEADER].to_vec();
+                    f[RECORD_HEADER - 1] = rng.gen_range(0..=10u8);
+                    f.extend((0..rng.gen_range(0..64usize)).map(|_| rng.next_u64() as u8));
+                    f
+                }
+                2 => valid[..rng.gen_range(RECORD_HEADER..=valid.len())].to_vec(),
+                _ => {
+                    let mut f = valid;
+                    let bit = rng.gen_range((RECORD_HEADER - 1) * 8..f.len() * 8);
+                    f[bit / 8] ^= 1 << (bit % 8);
+                    f
+                }
+            };
+            if case % 4 != 0 {
+                reseal(&mut frame);
+            }
+            let _ = Record::decode(&frame, lsn);
+        }
     }
 
     #[test]

@@ -46,6 +46,5 @@ pub use failover::{
 };
 pub use machine::{Machine, MachineConfig, Setup};
 pub use scenario::{
-    run_trial, run_trial_on, run_trial_traced, FaultKind, FaultStats, RecoverySweep, TrialConfig,
-    TrialResult,
+    run_trial, run_trial_traced, FaultKind, FaultStats, RecoverySweep, TrialConfig, TrialResult,
 };

@@ -433,9 +433,4 @@ impl Machine {
     pub fn assert_trusted_intact(&self) {
         self.inner.hv.assert_trusted_intact();
     }
-
-    /// The guest VM handle.
-    pub fn vm(&self) -> &GuestVm {
-        &self.inner.vm
-    }
 }

@@ -222,24 +222,17 @@ pub struct TrialResult {
 }
 
 /// Runs one complete trial in its own deterministic simulation on the
-/// default (timer-wheel) scheduler.
+/// default (timer-wheel) scheduler. The trial keeps no trace events, only
+/// their fold into [`TrialResult::attribution`].
 pub fn run_trial(seed: u64, cfg: TrialConfig) -> TrialResult {
-    run_trial_on(seed, cfg, SchedulerKind::TimerWheel)
-}
-
-/// Runs one complete trial on the given executor core. Both cores must
-/// produce bit-identical trials; the reference core exists so differential
-/// tests can prove it. The trial keeps no trace events, only their fold
-/// into [`TrialResult::attribution`].
-pub fn run_trial_on(seed: u64, cfg: TrialConfig, sched: SchedulerKind) -> TrialResult {
-    trial(seed, cfg, sched, 0).0
+    trial(seed, cfg, SchedulerKind::TimerWheel, 0).0
 }
 
 /// Runs one complete trial and also returns the executor's [`RunReport`]
 /// and the whole run's trace, kept in a ring of [`DEFAULT_CAPACITY`]
 /// events (5 MiB), so differential tests can compare the two scheduler
 /// cores event-for-event, not just on the audited outcome. The trial is
-/// the one [`run_trial_on`] runs, which keeps no events: a caller that
+/// the one [`run_trial`] runs, which keeps no events: a caller that
 /// wants to look at them calls this form. The trial's `verdict` instant
 /// (`Layer::Fault`) marks where [`TrialResult::attribution`] was folded.
 pub fn run_trial_traced(
@@ -892,10 +885,9 @@ mod pipeline_tests {
             }
             let rl = machine.rapilog().unwrap();
             eprintln!(
-                "acked={} wal_end={:?} wal_durable={:?} occupancy={} buf_stats={:?}",
+                "acked={} wal_end={:?} occupancy={} buf_stats={:?}",
                 acked,
                 db.wal().end(),
-                db.wal().durable(),
                 rl.occupancy(),
                 rl.stats()
             );

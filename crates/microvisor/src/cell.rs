@@ -67,17 +67,6 @@ impl Hypervisor {
         }
     }
 
-    /// Names of all live (non-crashed) cells, for audits.
-    pub fn live_cells(&self) -> Vec<String> {
-        self.inner
-            .cells
-            .borrow()
-            .iter()
-            .filter(|c| !c.crashed)
-            .map(|c| c.name.clone())
-            .collect()
-    }
-
     /// Audit: asserts that every trusted cell is still alive. The fault
     /// harness calls this after each injection campaign (invariant I6).
     pub fn assert_trusted_intact(&self) {
@@ -147,11 +136,6 @@ impl Cell {
         self.hv.cells.borrow_mut()[self.id].crashed = true;
         self.hv.ctx.kill_domain(self.domain)
     }
-
-    /// True if the cell has been crashed.
-    pub fn is_crashed(&self) -> bool {
-        self.hv.cells.borrow()[self.id].crashed
-    }
 }
 
 impl fmt::Debug for Cell {
@@ -163,7 +147,7 @@ impl fmt::Debug for Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rapilog_simcore::{Sim, SimDuration, SimTime};
+    use rapilog_simcore::{Sim, SimDuration};
     use std::cell::Cell as StdCell;
 
     #[test]
@@ -196,7 +180,6 @@ mod tests {
             async move {
                 ctx.sleep(SimDuration::from_millis(1)).await;
                 assert_eq!(guest.crash(), 1);
-                assert!(guest.is_crashed());
             }
         });
         sim.run();
@@ -216,19 +199,5 @@ mod tests {
             cell.crash();
         });
         sim.run();
-    }
-
-    #[test]
-    fn live_cells_reflect_crashes() {
-        let mut sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let hv = Hypervisor::new(&ctx);
-        let a = hv.create_cell("a", Trust::Untrusted);
-        let _b = hv.create_cell("b", Trust::Trusted);
-        sim.spawn(async move {
-            a.crash();
-        });
-        sim.run_until(SimTime::from_millis(1));
-        assert_eq!(hv.live_cells(), vec!["b".to_string()]);
     }
 }

@@ -19,7 +19,6 @@ use crate::cell::{Cell, Hypervisor, Trust};
 struct VmState {
     cell: Option<Cell>,
     generation: u64,
-    crashes: u64,
 }
 
 /// Handle to the guest compartment.
@@ -39,7 +38,6 @@ impl GuestVm {
             state: Rc::new(RefCell::new(VmState {
                 cell: None,
                 generation: 0,
-                crashes: 0,
             })),
         }
     }
@@ -85,22 +83,15 @@ impl GuestVm {
     pub fn crash(&self) -> usize {
         let cell = self.state.borrow_mut().cell.take();
         match cell {
-            Some(cell) => {
-                self.state.borrow_mut().crashes += 1;
-                cell.crash()
-            }
+            Some(cell) => cell.crash(),
             None => 0,
         }
     }
 
-    /// Orderly shutdown: the cell is dropped without being marked crashed.
-    /// Tasks still running are destroyed (like powering off a VM).
+    /// Orderly shutdown: to the tasks still running, the same as a crash —
+    /// they are destroyed (like powering off a VM).
     pub fn shutdown(&self) -> usize {
-        let cell = self.state.borrow_mut().cell.take();
-        match cell {
-            Some(cell) => cell.crash(),
-            None => 0,
-        }
+        self.crash()
     }
 
     /// True if a generation is currently running.
@@ -113,16 +104,6 @@ impl GuestVm {
     /// guest.
     pub fn domain(&self) -> Option<rapilog_simcore::DomainId> {
         self.state.borrow().cell.as_ref().map(|c| c.domain())
-    }
-
-    /// Current (or last) generation number.
-    pub fn generation(&self) -> u64 {
-        self.state.borrow().generation
-    }
-
-    /// Number of crashes injected so far.
-    pub fn crashes(&self) -> u64 {
-        self.state.borrow().crashes
     }
 }
 
@@ -166,7 +147,6 @@ mod tests {
                 assert_eq!(p2.get(), before, "no progress after the crash");
                 let gen2 = vm2.boot();
                 assert_eq!(gen2, 2);
-                assert_eq!(vm2.crashes(), 1);
             }
         });
         sim.run();
@@ -194,6 +174,5 @@ mod tests {
         let hv = Hypervisor::new(&ctx);
         let vm = GuestVm::new(&hv, "db-vm");
         assert_eq!(vm.crash(), 0);
-        assert_eq!(vm.crashes(), 0);
     }
 }

@@ -1369,7 +1369,9 @@ mod tests {
             assert_eq!(overlay(&b2, 9), None);
             assert_eq!(b2.stats().kept_bytes, SECTOR_SIZE as u64);
             let landed = batch.into_iter().next().unwrap().data;
-            assert!(landed.into_vec().is_some(), "nobody else holds it");
+            let pool = rapilog_simcore::SectorPool::new();
+            pool.recycle(landed);
+            assert_eq!(pool.idle(), 1, "nobody else holds it");
             // Not so the buffer of an instance whose disk does not rotate.
             b2.keep_nothing();
             let s1 = b2.push(9, sector_data(0xDD, 1)).await.unwrap();

@@ -1140,7 +1140,9 @@ mod tests {
     /// from `first` — the media-order ground truth for newest-wins.
     fn apply_and_read(runs: &[IoRun], first: u64, sectors: usize) -> Vec<u8> {
         let mut store = SectorStore::new();
-        store.write_runs(runs);
+        for run in runs {
+            store.write_segments(run.sector, &run.segments);
+        }
         let mut buf = vec![0u8; sectors * SECTOR_SIZE];
         store.read_run(first, &mut buf);
         buf
@@ -2105,10 +2107,7 @@ mod window_tests {
             // Ground truth: the extents themselves, in sequence order.
             let mut serial = SectorStore::new();
             for e in &extents {
-                serial.write_runs(&[IoRun {
-                    sector: e.sector,
-                    segments: vec![e.data.clone()],
-                }]);
+                serial.write_run(e.sector, &e.data);
             }
             let mut expect = vec![0u8; SECTOR_SPAN as usize * SECTOR_SIZE];
             serial.read_run(0, &mut expect);
@@ -2117,7 +2116,7 @@ mod window_tests {
                 let order = random_linearization(&edges, &mut prng);
                 let mut store = SectorStore::new();
                 for &j in &order {
-                    store.write_runs(std::slice::from_ref(&runs[j]));
+                    store.write_segments(runs[j].sector, &runs[j].segments);
                 }
                 let mut got = vec![0u8; SECTOR_SPAN as usize * SECTOR_SIZE];
                 store.read_run(0, &mut got);

@@ -669,19 +669,16 @@ impl<'a> RapiLogBuilder<'a> {
                 "log shipping requires a buffered instance; write-through admits nothing to tee"
             );
         }
-        let tenants: Vec<TenantHandle> = shards
+        let devices: Vec<RapiLogDevice> = shards
             .shards()
             .iter()
-            .map(|s| TenantHandle {
-                id: s.id,
-                weight: s.weight,
-                buffer: s.buf.clone(),
-                device: if buffered {
+            .map(|s| {
+                if buffered {
                     let ship = repl.clone().map(|r| (s.id.0, r));
                     RapiLogDevice::new(ctx, s.buf.clone(), &disk, cfg, &mode, ship)
                 } else {
                     RapiLogDevice::new_write_through(ctx, &disk, cfg)
-                },
+                }
             })
             .collect();
         if buffered {
@@ -698,7 +695,8 @@ impl<'a> RapiLogBuilder<'a> {
             );
         }
         RapiLog {
-            tenants: Rc::new(tenants),
+            shards,
+            devices: Rc::new(devices),
             audit,
             mode,
             disk,
@@ -708,19 +706,13 @@ impl<'a> RapiLogBuilder<'a> {
     }
 }
 
-/// One tenant's slice of the instance: identity, weight, buffer shard and
-/// guest-facing device. A single-tenant instance has exactly one handle.
-struct TenantHandle {
-    id: TenantId,
-    weight: u32,
-    buffer: DependableBuffer,
-    device: RapiLogDevice,
-}
-
 /// The assembled RapiLog instance.
 #[derive(Clone)]
 pub struct RapiLog {
-    tenants: Rc<Vec<TenantHandle>>,
+    /// The tenants' buffer shards; a single-tenant instance has one.
+    shards: ShardedBuffer,
+    /// Each shard's guest-facing device, in shard order.
+    devices: Rc<Vec<RapiLogDevice>>,
     audit: audit::Audit,
     mode: Rc<ModeState>,
     disk: Disk,
@@ -746,32 +738,21 @@ impl RapiLog {
     /// multi-tenant instance this is the *first* tenant's device; use
     /// [`device_for`](Self::device_for) to address a specific tenant.
     pub fn device(&self) -> RapiLogDevice {
-        self.tenants[0].device.clone()
+        self.devices[0].clone()
     }
 
     /// The guest-facing device for `tenant`, if it shares this instance.
     pub fn device_for(&self, tenant: TenantId) -> Option<RapiLogDevice> {
-        self.tenants
-            .iter()
-            .find(|t| t.id == tenant)
-            .map(|t| t.device.clone())
+        let i = self.shards.shards().iter().position(|s| s.id == tenant)?;
+        Some(self.devices[i].clone())
     }
 
-    /// Buffer statistics snapshot, aggregated across shards.
+    /// Buffer statistics snapshot, summed across shards. With several
+    /// shards, `peak_occupancy` is the sum of each shard's own peak: an
+    /// upper bound on the instance's peak, not the highest occupancy it
+    /// ever had.
     pub fn stats(&self) -> BufferStats {
-        let mut agg = BufferStats::default();
-        for t in self.tenants.iter() {
-            let s = t.buffer.stats();
-            agg.accepted_writes += s.accepted_writes;
-            agg.accepted_bytes += s.accepted_bytes;
-            agg.drained_bytes += s.drained_bytes;
-            agg.peak_occupancy += s.peak_occupancy;
-            agg.backpressure_events += s.backpressure_events;
-            agg.kept_bytes += s.kept_bytes;
-            agg.read_memory_bytes += s.read_memory_bytes;
-            agg.read_disk_bytes += s.read_disk_bytes;
-        }
-        agg
+        self.shards.stats()
     }
 
     /// One unified snapshot of the instance's observable state: aggregate
@@ -779,14 +760,15 @@ impl RapiLog {
     /// plus one [`TenantSnapshot`] per shard.
     pub fn snapshot(&self) -> RapiLogSnapshot {
         let tenants: Vec<TenantSnapshot> = self
-            .tenants
+            .shards
+            .shards()
             .iter()
-            .map(|t| TenantSnapshot {
-                tenant: t.id.0,
-                weight: t.weight,
-                buffer: t.buffer.stats(),
-                occupancy: t.buffer.occupancy(),
-                capacity: t.buffer.capacity(),
+            .map(|s| TenantSnapshot {
+                tenant: s.id.0,
+                weight: s.weight,
+                buffer: s.buf.stats(),
+                occupancy: s.buf.occupancy(),
+                capacity: s.buf.capacity(),
             })
             .collect();
         RapiLogSnapshot {
@@ -795,7 +777,7 @@ impl RapiLog {
             occupancy: self.occupancy(),
             capacity: self.capacity(),
             frozen: self.device_frozen(),
-            write_through: self.tenants[0].device.is_write_through(),
+            write_through: self.devices[0].is_write_through(),
             degraded: self.mode.is_degraded(),
             disk: self.disk.stats(),
             tenants,
@@ -812,27 +794,24 @@ impl RapiLog {
 
     /// Bytes currently buffered across all shards (acked, not on media).
     pub fn occupancy(&self) -> u64 {
-        self.tenants.iter().map(|t| t.buffer.occupancy()).sum()
+        self.shards.total_occupancy()
     }
 
     /// The admission cap in bytes, summed across shards.
     pub fn capacity(&self) -> u64 {
-        self.tenants.iter().map(|t| t.buffer.capacity()).sum()
+        self.shards.total_capacity()
     }
 
     /// Waits until every acknowledged byte — from every tenant — is on the
     /// physical disk.
     pub async fn quiesce(&self) {
-        for t in self.tenants.iter() {
-            t.buffer.drained().await;
-        }
+        self.shards.all_drained().await;
     }
 
     /// True once the buffer has frozen (a power-failure episode ran); a
-    /// frozen instance must be replaced after power returns. Shards freeze
-    /// together, so any frozen shard means the instance froze.
+    /// frozen instance must be replaced after power returns.
     pub fn device_frozen(&self) -> bool {
-        self.tenants.iter().any(|t| t.buffer.is_frozen())
+        self.shards.is_frozen()
     }
 
     /// The invariant auditor's report.

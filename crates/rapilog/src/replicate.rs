@@ -124,7 +124,7 @@ pub struct ShipFrame {
 
 impl ShipFrame {
     /// Wire size: payload bytes plus a fixed header.
-    pub fn wire_bytes(&self) -> u64 {
+    fn wire_bytes(&self) -> u64 {
         32 + self
             .extents
             .iter()
@@ -215,11 +215,6 @@ impl ReplicationReport {
     pub fn tenant(&self, tenant: u64) -> Option<&ReplTenantStatus> {
         self.tenants.iter().find(|t| t.tenant == tenant)
     }
-
-    /// Total admitted-but-unacknowledged sequence count across tenants.
-    pub fn total_lag(&self) -> u64 {
-        self.tenants.iter().map(|t| t.lag).sum()
-    }
 }
 
 struct ReplInner {
@@ -308,7 +303,7 @@ impl Replicator {
     }
 
     /// True when every offered frame has been acknowledged by the standby.
-    pub fn settled(&self) -> bool {
+    fn settled(&self) -> bool {
         self.inner.pending.borrow().is_empty() && self.inner.unacked.borrow().is_empty()
     }
 
@@ -823,6 +818,11 @@ mod tests {
     use rapilog_simpower::{supplies, PowerSupply};
     use std::cell::Cell as StdCell;
 
+    /// Admitted-but-unacknowledged sequence count, summed over tenants.
+    fn total_lag(report: &ReplicationReport) -> u64 {
+        report.tenants.iter().map(|t| t.lag).sum()
+    }
+
     struct Fixture {
         rl: RapiLog,
         repl: Replicator,
@@ -924,7 +924,7 @@ mod tests {
         assert!(report.guarantee_held());
         assert_eq!(report.tenant(0).unwrap().replicated_seq, Some(31));
         let repl_report = f.rl.snapshot().replication.expect("shipping enabled");
-        assert_eq!(repl_report.total_lag(), 0);
+        assert_eq!(total_lag(&repl_report), 0);
         assert!(!repl_report.halted);
     }
 
@@ -958,7 +958,7 @@ mod tests {
         assert!(f.repl.settled(), "the replica caught up");
         assert_eq!(f.standby.applied_hi(0), Some(63));
         assert_images_match(&f, 64);
-        assert_eq!(f.rl.snapshot().replication.unwrap().total_lag(), 0);
+        assert_eq!(total_lag(&f.rl.snapshot().replication.unwrap()), 0);
     }
 
     #[test]
@@ -991,7 +991,7 @@ mod tests {
             "drops forced retransmission (the test would be vacuous otherwise)"
         );
         assert_eq!(f.standby.report().stopped, None);
-        assert_eq!(report.total_lag(), 0);
+        assert_eq!(total_lag(&report), 0);
     }
 
     #[test]
@@ -1217,7 +1217,7 @@ mod tests {
             }
         }
         assert_eq!(log.len() as u64 - applied, media_diff);
-        assert_eq!(f.repl.report().total_lag(), media_diff);
+        assert_eq!(total_lag(&f.repl.report()), media_diff);
     }
 
     #[test]
@@ -1266,7 +1266,7 @@ mod tests {
             LinkFaults::default(),
         );
         let dev = f.rl.device();
-        let buffer = f.rl.tenants[0].buffer.clone();
+        let buffer = f.rl.shards.shards()[0].buf.clone();
         let refused = Rc::new(StdCell::new(None));
         let r2 = Rc::clone(&refused);
         sim.spawn(async move {
@@ -1398,7 +1398,7 @@ mod tests {
         sim.run_until(SimTime::from_millis(1));
         assert_eq!(lone.acks.try_recv().map(|a| a.durable_hi), Some(0));
         // The standby box's power-fail warning: no admissions from here on.
-        srl.tenants[0].buffer.freeze();
+        srl.shards.freeze_all();
         send(&lone.ship, frame(1, &[(101, 1, 2)]));
         send(&lone.ship, frame(2, &[(102, 1, 3)]));
         sim.run_until(SimTime::from_millis(2));
@@ -1448,7 +1448,7 @@ mod tests {
             while rl.stats().accepted_writes == 0 {
                 ctx.sleep(SimDuration::from_micros(1)).await;
             }
-            rl.tenants[0].buffer.freeze();
+            rl.shards.freeze_all();
         });
         sim.run_until(SimTime::from_millis(2));
         assert_eq!(

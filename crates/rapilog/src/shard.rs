@@ -16,7 +16,7 @@
 use rapilog_simcore::sync::Notify;
 use rapilog_simdisk::SECTOR_SIZE;
 
-use crate::buffer::DependableBuffer;
+use crate::buffer::{BufferStats, DependableBuffer};
 
 /// Identity of one tenant cell sharing a RapiLog instance.
 ///
@@ -153,6 +153,26 @@ impl ShardedBuffer {
     /// backlog the shared adaptive batching controller reacts to.
     pub(crate) fn total_queued_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.buf.queued_bytes()).sum()
+    }
+
+    /// Every shard's counters, summed. Each shard's `peak_occupancy` is the
+    /// highest it ever held, but shards peak at different instants, so with
+    /// more than one shard the sum is an upper bound on the instance's
+    /// peak, not the highest occupancy it ever had.
+    pub(crate) fn stats(&self) -> BufferStats {
+        let mut agg = BufferStats::default();
+        for s in self.shards.iter() {
+            let st = s.buf.stats();
+            agg.accepted_writes += st.accepted_writes;
+            agg.accepted_bytes += st.accepted_bytes;
+            agg.drained_bytes += st.drained_bytes;
+            agg.peak_occupancy += st.peak_occupancy;
+            agg.backpressure_events += st.backpressure_events;
+            agg.kept_bytes += st.kept_bytes;
+            agg.read_memory_bytes += st.read_memory_bytes;
+            agg.read_disk_bytes += st.read_disk_bytes;
+        }
+        agg
     }
 
     /// Per-shard capacities, in shard order.

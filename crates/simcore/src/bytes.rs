@@ -94,7 +94,7 @@ impl SectorBuf {
     /// Recovers the backing `Vec` if this is the sole view over the whole
     /// allocation; otherwise returns `None`. Used to recycle buffers into a
     /// [`SectorPool`] once downstream consumers have dropped their views.
-    pub fn into_vec(self) -> Option<Vec<u8>> {
+    fn into_vec(self) -> Option<Vec<u8>> {
         if self.start != 0 {
             return None;
         }

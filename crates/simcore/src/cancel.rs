@@ -23,11 +23,6 @@ pub struct DomainId(pub(crate) u64);
 impl DomainId {
     /// The root domain; hosts trusted/harness tasks and cannot be killed.
     pub const ROOT: DomainId = DomainId(0);
-
-    /// Raw numeric id, for logging.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Debug for DomainId {

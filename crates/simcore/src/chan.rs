@@ -161,11 +161,6 @@ impl<T> Sender<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// True if the receiving half has been dropped.
-    pub fn is_closed(&self) -> bool {
-        !self.state.borrow().receiver_alive
-    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -400,7 +395,6 @@ mod tests {
             assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
             assert_eq!(rx.try_recv(), Some(1));
             drop(rx);
-            assert!(tx.is_closed());
             assert_eq!(tx.try_send(3), Err(TrySendError::Closed(3)));
         });
         sim.run();

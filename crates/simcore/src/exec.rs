@@ -2,7 +2,7 @@
 //!
 //! [`Sim`] owns the task arena, the timer queue and the virtual clock.
 //! [`SimCtx`] is the cloneable handle that running tasks use to spawn, sleep,
-//! read the clock, draw random numbers and record metrics.
+//! read the clock and draw random numbers.
 //!
 //! # Scheduling model
 //!
@@ -33,7 +33,6 @@ use std::task::{Context, Poll, Waker};
 use crate::cancel::DomainId;
 use crate::rng::SimRng;
 use crate::sched::{SchedCore, TaskBody, TaskKey, TimerKey};
-use crate::stats::Metrics;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Tracer;
 
@@ -45,7 +44,6 @@ struct Inner {
     next_domain_id: u64,
     dead_domains: HashSet<DomainId>,
     rng: SimRng,
-    metrics: Rc<Metrics>,
     tracer: Rc<Tracer>,
 }
 
@@ -100,18 +98,12 @@ impl Sim {
             next_domain_id: 1,
             dead_domains: HashSet::new(),
             rng: SimRng::seed_from_u64(seed),
-            metrics: Rc::new(Metrics::new()),
             tracer: Rc::new(Tracer::new()),
         };
         Sim {
             inner: Rc::new(RefCell::new(inner)),
             polls: 0,
         }
-    }
-
-    /// Which scheduling core this simulation runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.inner.borrow().sched.kind()
     }
 
     /// Returns a context handle usable from inside (and outside) tasks.
@@ -187,11 +179,6 @@ impl Sim {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.inner.borrow().now
-    }
-
-    /// The metrics registry for this simulation.
-    pub fn metrics(&self) -> Rc<Metrics> {
-        Rc::clone(&self.inner.borrow().metrics)
     }
 
     /// The structured tracer for this simulation (disabled by default).
@@ -333,11 +320,6 @@ impl SimCtx {
         n
     }
 
-    /// True if `domain` has been killed.
-    pub fn is_domain_dead(&self, domain: DomainId) -> bool {
-        self.upgrade().borrow().dead_domains.contains(&domain)
-    }
-
     /// Sleeps for `dur` of virtual time.
     pub fn sleep(&self, dur: SimDuration) -> Sleep {
         let now = self.now();
@@ -351,11 +333,6 @@ impl SimCtx {
             deadline,
             timer: None,
         }
-    }
-
-    /// Yields once, letting every other currently-runnable task proceed.
-    pub fn yield_now(&self) -> YieldNow {
-        YieldNow { yielded: false }
     }
 
     /// Runs `fut` with a virtual-time deadline. Returns `None` on timeout,
@@ -375,36 +352,11 @@ impl SimCtx {
         .await
     }
 
-    /// Draws a uniformly random `u64` from the simulation's master RNG.
-    pub fn rand_u64(&self) -> u64 {
-        self.upgrade().borrow_mut().rng.next_u64()
-    }
-
-    /// Draws a uniform value in `[0, 1)`.
-    pub fn rand_f64(&self) -> f64 {
-        self.upgrade().borrow_mut().rng.next_f64()
-    }
-
-    /// Draws a uniform integer in `[lo, hi]` (inclusive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn rand_range(&self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "rand_range: lo {lo} > hi {hi}");
-        self.upgrade().borrow_mut().rng.gen_range(lo..=hi)
-    }
-
     /// Forks an independent RNG seeded from the master stream. Giving each
     /// simulated client its own forked RNG keeps per-client randomness stable
     /// under scheduling changes.
     pub fn fork_rng(&self) -> SimRng {
-        SimRng::seed_from_u64(self.rand_u64())
-    }
-
-    /// The metrics registry.
-    pub fn metrics(&self) -> Rc<Metrics> {
-        Rc::clone(&self.upgrade().borrow().metrics)
+        SimRng::seed_from_u64(self.upgrade().borrow_mut().rng.next_u64())
     }
 
     /// The structured tracer. Cheap to clone; hot-path consumers should
@@ -456,25 +408,6 @@ impl Future for Sleep {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
         this.ctx.poll_sleep(this.deadline, &mut this.timer, cx)
-    }
-}
-
-/// Future returned by [`SimCtx::yield_now`].
-pub struct YieldNow {
-    yielded: bool,
-}
-
-impl Future for YieldNow {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
-            Poll::Ready(())
-        } else {
-            self.yielded = true;
-            cx.waker().wake_by_ref();
-            Poll::Pending
-        }
     }
 }
 
@@ -700,24 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn yield_now_interleaves_tasks() {
-        let mut sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..2u32 {
-            let ctx = ctx.clone();
-            let order = Rc::clone(&order);
-            sim.spawn(async move {
-                order.borrow_mut().push((i, 0));
-                ctx.yield_now().await;
-                order.borrow_mut().push((i, 1));
-            });
-        }
-        sim.run();
-        assert_eq!(*order.borrow(), vec![(0, 0), (1, 0), (0, 1), (1, 1)]);
-    }
-
-    #[test]
     fn timeout_returns_none_on_expiry_and_some_on_completion() {
         let mut sim = Sim::new(0);
         let ctx = sim.ctx();
@@ -761,7 +676,7 @@ mod tests {
                 let ctx = ctx.clone();
                 let out = Rc::clone(&out);
                 sim.spawn(async move {
-                    let d = ctx.rand_range(1, 1000);
+                    let d = ctx.fork_rng().gen_range(1..=1000);
                     ctx.sleep(SimDuration::from_micros(d)).await;
                     out.borrow_mut().push(ctx.now().as_nanos());
                 });
@@ -862,7 +777,6 @@ mod tests {
     fn both_cores_agree_on_a_mixed_workload() {
         fn run(kind: SchedulerKind) -> (RunReport, Vec<(u32, u64)>) {
             let mut sim = Sim::new_with_scheduler(0xD1FF, kind);
-            assert_eq!(sim.scheduler_kind(), kind);
             let ctx = sim.ctx();
             let log = Rc::new(RefCell::new(Vec::new()));
             let d = ctx.create_domain();
@@ -870,10 +784,9 @@ mod tests {
                 let tctx = ctx.clone();
                 let log = Rc::clone(&log);
                 let task = async move {
-                    let jitter = tctx.rand_range(1, 400);
+                    let jitter = tctx.fork_rng().gen_range(1..=400);
                     tctx.sleep(SimDuration::from_micros(jitter)).await;
                     log.borrow_mut().push((i, tctx.now().as_nanos()));
-                    tctx.yield_now().await;
                     tctx.sleep(SimDuration::from_micros(u64::from(i) % 7 + 1))
                         .await;
                     log.borrow_mut().push((i + 1000, tctx.now().as_nanos()));

@@ -19,8 +19,7 @@
 //!   a domain atomically drops every task spawned in it, which is how a
 //!   guest-OS crash is modelled;
 //! * a seeded, forkable **random number generator** ([`rng`]);
-//! * lightweight **metrics** ([`stats`]): counters, log-bucketed histograms
-//!   and time series used by the benchmark harness; and
+//! * log-bucketed latency **histograms** ([`stats`]); and
 //! * **structured tracing** ([`trace`]): zero-cost-when-disabled spans and
 //!   instants keyed to virtual time, exportable as JSON-lines or Chrome
 //!   `trace_event` JSON for Perfetto.

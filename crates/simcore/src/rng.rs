@@ -8,10 +8,10 @@
 //! same seed replay identical randomness regardless of platform.
 //!
 //! The workload generators need a handful of classical distributions:
-//! exponential inter-arrival/think times, bounded Pareto service times and
-//! TPC-C's non-uniform random (NURand) — the last lives in the `workload`
-//! crate because its constants are part of the TPC-C specification; the
-//! generic building blocks live here.
+//! exponential inter-arrival/think times, Zipf-skewed keys and TPC-C's
+//! non-uniform random (NURand) — the last lives in the `workload` crate
+//! because its constants are part of the TPC-C specification; the generic
+//! building blocks live here.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -68,11 +68,6 @@ impl SimRng {
         result
     }
 
-    /// The next 32 uniformly random bits (upper half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -95,11 +90,6 @@ impl SimRng {
                 T::offset(lo, n)
             }
         }
-    }
-
-    /// An independent generator seeded from this one's stream.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from_u64(self.next_u64())
     }
 }
 
@@ -193,31 +183,6 @@ pub fn exponential(rng: &mut SimRng, mean: f64) -> f64 {
     // Avoid ln(0): u is in (0, 1].
     let u: f64 = 1.0 - rng.next_f64();
     -mean * u.ln()
-}
-
-/// Samples a bounded Pareto distribution on `[lo, hi]` with shape `alpha`.
-///
-/// Heavy-tailed service times; used by the disk-model stress tests.
-///
-/// # Panics
-///
-/// Panics if `lo >= hi`, or if any parameter is non-positive.
-pub fn bounded_pareto(rng: &mut SimRng, alpha: f64, lo: f64, hi: f64) -> f64 {
-    assert!(
-        alpha > 0.0 && lo > 0.0 && lo < hi,
-        "bounded_pareto: bad parameters"
-    );
-    let u: f64 = rng.next_f64();
-    let la = lo.powf(alpha);
-    let ha = hi.powf(alpha);
-    (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-}
-
-/// Samples an approximately normal value via the central limit of twelve
-/// uniforms (Irwin–Hall); good enough for jitter, cheap and allocation-free.
-pub fn approx_normal(rng: &mut SimRng, mean: f64, std_dev: f64) -> f64 {
-    let sum: f64 = (0..12).map(|_| rng.next_f64()).sum();
-    mean + (sum - 6.0) * std_dev
 }
 
 /// Samples a Zipf-distributed rank in `[1, n]` with exponent `theta`.
@@ -351,20 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_is_deterministic_and_independent() {
-        let mut a = SimRng::seed_from_u64(99);
-        let mut b = SimRng::seed_from_u64(99);
-        let mut fa = a.fork();
-        let mut fb = b.fork();
-        for _ in 0..100 {
-            assert_eq!(fa.next_u64(), fb.next_u64());
-        }
-        // The fork and the parent produce unrelated streams.
-        let collisions = (0..64).filter(|_| a.next_u64() == fa.next_u64()).count();
-        assert_eq!(collisions, 0);
-    }
-
-    #[test]
     fn range_mean_is_near_centre() {
         let mut r = rng();
         let n = 20_000u64;
@@ -399,26 +350,6 @@ mod tests {
     fn exponential_rejects_zero_mean() {
         let mut r = rng();
         let _ = exponential(&mut r, 0.0);
-    }
-
-    #[test]
-    fn bounded_pareto_in_range() {
-        let mut r = rng();
-        for _ in 0..5000 {
-            let v = bounded_pareto(&mut r, 1.5, 1.0, 100.0);
-            assert!((1.0..=100.0).contains(&v), "value {v} escaped bounds");
-        }
-    }
-
-    #[test]
-    fn approx_normal_moments() {
-        let mut r = rng();
-        let n = 20_000;
-        let vals: Vec<f64> = (0..n).map(|_| approx_normal(&mut r, 10.0, 2.0)).collect();
-        let mean = vals.iter().sum::<f64>() / n as f64;
-        let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
     }
 
     #[test]

@@ -93,13 +93,6 @@ impl SchedCore {
         }
     }
 
-    pub(crate) fn kind(&self) -> SchedulerKind {
-        match self {
-            SchedCore::Wheel(_) => SchedulerKind::TimerWheel,
-            SchedCore::Reference(_) => SchedulerKind::Reference,
-        }
-    }
-
     /// Stores a new task and enqueues it ready.
     #[inline]
     pub(crate) fn spawn(&mut self, domain: DomainId, future: LocalFuture) -> TaskKey {

@@ -1,18 +1,10 @@
-//! Lightweight metrics: counters, log-bucketed histograms and time series.
-//!
-//! The benchmark harness records commit latencies, throughput series and
-//! buffer occupancies through a [`Metrics`] registry attached to each
-//! [`Sim`](crate::Sim). [`Histogram`] is also usable standalone.
+//! Latency distributions: [`Histogram`], the log-bucketed histogram the
+//! layers' `*Stats` structs and the bench harness record samples into.
 //!
 //! Histograms use log-linear bucketing (32 linear sub-buckets per power of
 //! two), giving a worst-case quantile error of ~3% — the same trade-off as
 //! HDR histograms — with a fixed 2 KiB footprint and no allocation on the
 //! record path.
-
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-
-use crate::time::SimTime;
 
 const SUB_BUCKET_BITS: u32 = 5;
 const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS; // 32
@@ -207,99 +199,6 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-/// Per-simulation metrics registry. Cloned handles share storage via the
-/// owning [`Sim`](crate::Sim); names are free-form dotted paths
-/// (`"wal.commit_latency"`).
-pub struct Metrics {
-    inner: RefCell<MetricsInner>,
-}
-
-#[derive(Default)]
-struct MetricsInner {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, Vec<(SimTime, f64)>>,
-}
-
-impl Metrics {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Metrics {
-            inner: RefCell::new(MetricsInner::default()),
-        }
-    }
-
-    /// Adds `delta` to the named counter (creating it at zero).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut m = self.inner.borrow_mut();
-        *m.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Reads a counter; 0 if never written.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner.borrow().counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Records a sample into the named histogram (creating it).
-    pub fn record(&self, name: &str, value: u64) {
-        let mut m = self.inner.borrow_mut();
-        m.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    /// Snapshot of the named histogram; empty histogram if never written.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.inner
-            .borrow()
-            .histograms
-            .get(name)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Appends a `(time, value)` point to the named series.
-    pub fn series_push(&self, name: &str, t: SimTime, v: f64) {
-        let mut m = self.inner.borrow_mut();
-        m.series.entry(name.to_string()).or_default().push((t, v));
-    }
-
-    /// Snapshot of the named series; empty if never written.
-    pub fn series(&self, name: &str) -> Vec<(SimTime, f64)> {
-        self.inner
-            .borrow()
-            .series
-            .get(name)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// All counter names currently present.
-    pub fn counter_names(&self) -> Vec<String> {
-        self.inner.borrow().counters.keys().cloned().collect()
-    }
-
-    /// All histogram names currently present.
-    pub fn histogram_names(&self) -> Vec<String> {
-        self.inner.borrow().histograms.keys().cloned().collect()
-    }
-
-    /// Clears everything.
-    pub fn clear(&self) {
-        let mut m = self.inner.borrow_mut();
-        m.counters.clear();
-        m.histograms.clear();
-        m.series.clear();
-    }
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,30 +279,6 @@ mod tests {
         h.record(u64::MAX / 2);
         assert_eq!(h.max(), u64::MAX);
         assert!(h.percentile(50.0) > 0);
-    }
-
-    #[test]
-    fn registry_counters_histograms_series() {
-        let m = Metrics::new();
-        m.counter_add("commits", 2);
-        m.counter_add("commits", 3);
-        assert_eq!(m.counter("commits"), 5);
-        assert_eq!(m.counter("absent"), 0);
-
-        m.record("lat", 100);
-        m.record("lat", 200);
-        assert_eq!(m.histogram("lat").count(), 2);
-
-        m.series_push("occ", SimTime::from_millis(1), 0.5);
-        m.series_push("occ", SimTime::from_millis(2), 0.75);
-        let s = m.series("occ");
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[1].0.as_millis(), 2);
-
-        assert_eq!(m.counter_names(), vec!["commits".to_string()]);
-        assert_eq!(m.histogram_names(), vec!["lat".to_string()]);
-        m.clear();
-        assert_eq!(m.counter("commits"), 0);
     }
 
     #[test]

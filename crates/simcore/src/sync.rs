@@ -108,11 +108,6 @@ impl Semaphore {
             w.wake();
         }
     }
-
-    /// Permits currently available.
-    pub fn available(&self) -> usize {
-        self.state.borrow().permits
-    }
 }
 
 impl Drop for SemPermit {
@@ -237,11 +232,6 @@ impl Event {
         }
     }
 
-    /// True if the event has been set.
-    pub fn is_set(&self) -> bool {
-        self.state.borrow().set
-    }
-
     /// Waits until the event is set (returns immediately if it already is).
     pub async fn wait(&self) {
         poll_fn(|cx| {
@@ -260,120 +250,6 @@ impl Event {
 impl Default for Event {
     fn default() -> Self {
         Event::new()
-    }
-}
-
-struct MutexState<T> {
-    value: T,
-    locked: bool,
-    waiters: Vec<Waker>,
-}
-
-/// An asynchronous mutex protecting a value.
-///
-/// Unlike `std::sync::Mutex`, the critical section may contain `.await`
-/// points: the lock is a logical one, held by the guard across suspensions.
-/// Access goes through [`AsyncMutexGuard::with`] /
-/// [`AsyncMutexGuard::with_mut`] closures (no `Deref`: the value lives in a
-/// `RefCell`, and handing out long-lived references would be unsound). The
-/// guard releases on drop, including when its holder is destroyed by crash
-/// injection.
-///
-/// # Examples
-///
-/// ```
-/// use rapilog_simcore::{Sim, sync::AsyncMutex};
-///
-/// let mut sim = Sim::new(0);
-/// let m = AsyncMutex::new(0u32);
-/// let m2 = m.clone();
-/// sim.spawn(async move {
-///     let mut g = m2.lock().await;
-///     g.with_mut(|v| *v += 1);
-/// });
-/// sim.run();
-/// assert_eq!(m.try_lock().map(|g| g.with(|v| *v)), Some(1));
-/// ```
-pub struct AsyncMutex<T> {
-    state: Rc<RefCell<MutexState<T>>>,
-}
-
-impl<T> Clone for AsyncMutex<T> {
-    fn clone(&self) -> Self {
-        AsyncMutex {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-/// RAII guard for [`AsyncMutex`]; grants access to the protected value.
-pub struct AsyncMutexGuard<T> {
-    state: Rc<RefCell<MutexState<T>>>,
-}
-
-impl<T> AsyncMutexGuard<T> {
-    /// Reads the protected value.
-    pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.state.borrow().value)
-    }
-
-    /// Mutates the protected value.
-    pub fn with_mut<R>(&mut self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.state.borrow_mut().value)
-    }
-}
-
-impl<T> AsyncMutex<T> {
-    /// Creates a mutex holding `value`.
-    pub fn new(value: T) -> Self {
-        AsyncMutex {
-            state: Rc::new(RefCell::new(MutexState {
-                value,
-                locked: false,
-                waiters: Vec::new(),
-            })),
-        }
-    }
-
-    /// Acquires the lock, waiting in virtual time if necessary.
-    pub async fn lock(&self) -> AsyncMutexGuard<T> {
-        poll_fn(|cx| {
-            let mut s = self.state.borrow_mut();
-            if !s.locked {
-                s.locked = true;
-                Poll::Ready(())
-            } else {
-                push_waker_deduped(&mut s.waiters, cx.waker());
-                Poll::Pending
-            }
-        })
-        .await;
-        AsyncMutexGuard {
-            state: Rc::clone(&self.state),
-        }
-    }
-
-    /// Acquires immediately or returns `None`.
-    pub fn try_lock(&self) -> Option<AsyncMutexGuard<T>> {
-        let mut s = self.state.borrow_mut();
-        if s.locked {
-            return None;
-        }
-        s.locked = true;
-        drop(s);
-        Some(AsyncMutexGuard {
-            state: Rc::clone(&self.state),
-        })
-    }
-}
-
-impl<T> Drop for AsyncMutexGuard<T> {
-    fn drop(&mut self) {
-        let mut s = self.state.borrow_mut();
-        s.locked = false;
-        for w in s.waiters.drain(..) {
-            w.wake();
-        }
     }
 }
 
@@ -417,16 +293,16 @@ mod tests {
         let s2 = sem.clone();
         sim.spawn(async move {
             let _a = s2.acquire(2).await;
-            p2.set(s2.available());
+            p2.set(s2.state.borrow().permits);
             let _b = s2.acquire(1).await;
-            assert_eq!(s2.available(), 0);
+            assert_eq!(s2.state.borrow().permits, 0);
             assert!(s2.try_acquire(1).is_none());
         });
         sim.run_until(crate::SimTime::from_millis(1));
         assert_eq!(peak.get(), 1);
         // All guards dropped with the task: permits restored.
         let _ = ctx;
-        assert_eq!(sem.available(), 3);
+        assert_eq!(sem.state.borrow().permits, 3);
     }
 
     #[test]
@@ -536,54 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn async_mutex_excludes_and_releases_on_crash() {
-        let mut sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let m = AsyncMutex::new(0u64);
-        // Two tasks increment across an await point: without the lock the
-        // read-modify-write would interleave and lose one increment.
-        for _ in 0..2 {
-            let m = m.clone();
-            let ctx = ctx.clone();
-            sim.spawn(async move {
-                for _ in 0..5 {
-                    let mut g = m.lock().await;
-                    let v = g.with(|v| *v);
-                    ctx.sleep(SimDuration::from_micros(100)).await;
-                    g.with_mut(|slot| *slot = v + 1);
-                }
-            });
-        }
-        sim.run();
-        assert_eq!(m.try_lock().map(|g| g.with(|v| *v)), Some(10));
-
-        // A crashed holder releases via RAII.
-        let d = ctx.create_domain();
-        let m2 = m.clone();
-        ctx.spawn_in(d, {
-            let ctx = ctx.clone();
-            async move {
-                let _g = m2.lock().await;
-                ctx.sleep(SimDuration::from_secs(3600)).await;
-            }
-        });
-        let reacquired = Rc::new(Cell::new(false));
-        let r2 = Rc::clone(&reacquired);
-        let m3 = m.clone();
-        sim.spawn({
-            let ctx = ctx.clone();
-            async move {
-                ctx.sleep(SimDuration::from_millis(1)).await;
-                ctx.kill_domain(d);
-                let _g = m3.lock().await;
-                r2.set(true);
-            }
-        });
-        sim.run();
-        assert!(reacquired.get());
-    }
-
-    #[test]
     fn event_latches() {
         let mut sim = Sim::new(0);
         let ctx = sim.ctx();
@@ -612,7 +440,6 @@ mod tests {
             let log = Rc::clone(&log);
             async move {
                 ctx.sleep(SimDuration::from_millis(5)).await;
-                assert!(e.is_set());
                 e.wait().await;
                 log.borrow_mut().push("late");
             }

@@ -107,7 +107,7 @@ impl Layer {
     }
 
     /// Stable per-layer track id for the Chrome exporter.
-    pub fn track(self) -> u32 {
+    fn track(self) -> u32 {
         match self {
             Layer::App => 1,
             Layer::Engine => 2,
@@ -277,11 +277,6 @@ impl Tracer {
     /// touching the ring or the running attribution.
     pub fn set_enabled(&self, on: bool) {
         self.on.set(on);
-    }
-
-    /// True if recording.
-    pub fn is_enabled(&self) -> bool {
-        self.on.get()
     }
 
     /// Resizes the ring; excess oldest events are evicted (and counted as
@@ -797,7 +792,7 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let tr = Tracer::new();
-        assert!(!tr.is_enabled());
+        assert!(!tr.on.get());
         tr.begin(t(1), Layer::Disk, "io", Payload::None);
         tr.end(t(2), Layer::Disk, "io", Payload::None);
         tr.instant(t(3), Layer::App, "mark", Payload::Mark { value: 1 });
@@ -864,7 +859,7 @@ mod tests {
         tr.instant(t(1), Layer::App, "x", Payload::None);
         tr.clear();
         assert!(tr.is_empty());
-        assert!(tr.is_enabled());
+        assert!(tr.on.get());
         assert_eq!(tr.snapshot().total, 0);
     }
 

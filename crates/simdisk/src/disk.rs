@@ -34,7 +34,7 @@ use crate::spec::DiskSpec;
 use crate::store::SectorStore;
 use crate::timing::{ServiceParts, TimingModel};
 use crate::{
-    BlockDevice, Completion, Geometry, IoError, IoReq, IoResult, IoRun, LocalBoxFuture, ReqToken,
+    BlockDevice, Completion, Geometry, IoError, IoReq, IoResult, LocalBoxFuture, ReqToken,
     SECTOR_SIZE,
 };
 
@@ -372,11 +372,6 @@ impl Disk {
         stats
     }
 
-    /// Dirty sectors currently in the volatile cache.
-    pub fn cached_dirty_sectors(&self) -> u64 {
-        self.inner.st.borrow().cache.len() as u64
-    }
-
     /// True if the device has lost power.
     pub fn is_offline(&self) -> bool {
         self.inner.offline.get()
@@ -399,11 +394,6 @@ impl Disk {
                 sector: 0,
             },
         );
-    }
-
-    /// True while the device is in sick mode.
-    pub fn is_sick(&self) -> bool {
-        self.inner.sick.get()
     }
 
     /// Fault hook: plants a persistent defect at `sector`. Every access
@@ -430,11 +420,6 @@ impl Disk {
             );
         }
         was_bad
-    }
-
-    /// Currently defective (unremapped) sectors.
-    pub fn bad_sector_count(&self) -> u64 {
-        self.inner.bad_sectors.borrow().len() as u64
     }
 
     /// Cuts power at the current instant. See the module docs for exactly
@@ -688,16 +673,6 @@ impl Disk {
             self.inner.stats.borrow_mut().writes += 1;
         }
         self.media_path(sector, segments).await
-    }
-
-    /// Writes a batch of scatter-gather runs in order (later runs overwrite
-    /// earlier ones where they overlap). Each run is one media operation.
-    pub async fn write_runs(&self, runs: &[IoRun], fua: bool) -> IoResult<()> {
-        for run in runs {
-            self.write_segments(run.sector, run.segments.clone(), fua)
-                .await?;
-        }
-        Ok(())
     }
 
     /// Cache-absorption leg shared by the slice and vectored write paths.
@@ -1098,6 +1073,17 @@ mod tests {
         (0..len).map(|i| (i as u8) ^ tag).collect()
     }
 
+    /// A 1 GiB `hdd_7200` with a 32 MiB volatile write cache enabled.
+    pub(super) fn hdd_7200_wce() -> DiskSpec {
+        DiskSpec {
+            cache: Some(crate::CacheSpec {
+                capacity_sectors: 32 * 1024 * 1024 / SECTOR_SIZE as u64,
+                write_latency: SimDuration::from_micros(120),
+            }),
+            ..specs::hdd_7200(1 << 30)
+        }
+    }
+
     #[test]
     fn write_read_roundtrip_multisector() {
         run_on_disk(specs::instant(1 << 20), |_ctx, disk| async move {
@@ -1154,7 +1140,7 @@ mod tests {
 
     #[test]
     fn cached_writes_ack_fast_and_flush_persists() {
-        run_on_disk(specs::hdd_7200_wce(1 << 30), |ctx, disk| async move {
+        run_on_disk(hdd_7200_wce(), |ctx, disk| async move {
             let data = pattern(8 * SECTOR_SIZE, 2);
             let t0 = ctx.now();
             disk.write(100, &data, false).await.unwrap();
@@ -1172,7 +1158,7 @@ mod tests {
 
     #[test]
     fn unflushed_cache_is_lost_on_power_cut() {
-        run_on_disk(specs::hdd_7200_wce(1 << 30), |_ctx, disk| async move {
+        run_on_disk(hdd_7200_wce(), |_ctx, disk| async move {
             let data = pattern(SECTOR_SIZE, 3);
             disk.write(5, &data, false).await.unwrap();
             // No flush; cut immediately (before writeback gets a chance —
@@ -1187,7 +1173,7 @@ mod tests {
 
     #[test]
     fn fua_write_survives_immediate_power_cut() {
-        run_on_disk(specs::hdd_7200_wce(1 << 30), |_ctx, disk| async move {
+        run_on_disk(hdd_7200_wce(), |_ctx, disk| async move {
             let data = pattern(SECTOR_SIZE, 4);
             disk.write(6, &data, true).await.unwrap();
             disk.power_cut();
@@ -1270,7 +1256,7 @@ mod tests {
 
     #[test]
     fn reads_see_dirty_cache_overlay() {
-        run_on_disk(specs::hdd_7200_wce(1 << 30), |_ctx, disk| async move {
+        run_on_disk(hdd_7200_wce(), |_ctx, disk| async move {
             // Put old data on media.
             let old = pattern(SECTOR_SIZE, 6);
             disk.write(50, &old, true).await.unwrap();
@@ -1287,7 +1273,7 @@ mod tests {
     fn writeback_eventually_persists_without_flush() {
         let mut sim = Sim::new(7);
         let ctx = sim.ctx();
-        let disk = Disk::new(&ctx, specs::hdd_7200_wce(1 << 30));
+        let disk = Disk::new(&ctx, hdd_7200_wce());
         let d2 = disk.clone();
         sim.spawn(async move {
             let data = pattern(SECTOR_SIZE, 8);
@@ -1295,7 +1281,7 @@ mod tests {
         });
         // Give the writeback task plenty of virtual time.
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(disk.cached_dirty_sectors(), 0, "cache drained");
+        assert_eq!(disk.inner.st.borrow().cache.len(), 0, "cache drained");
         let mut buf = vec![0u8; SECTOR_SIZE];
         disk.peek_media(9, &mut buf);
         assert_eq!(buf, pattern(SECTOR_SIZE, 8));
@@ -1525,28 +1511,6 @@ mod tests {
     }
 
     #[test]
-    fn write_runs_applies_runs_in_order_newest_wins() {
-        run_on_disk(specs::instant(1 << 20), |_ctx, disk| async move {
-            let runs = vec![
-                IoRun {
-                    sector: 5,
-                    segments: vec![SectorBuf::from_vec(pattern(4 * SECTOR_SIZE, 0x01))],
-                },
-                IoRun {
-                    sector: 6,
-                    segments: vec![SectorBuf::from_vec(pattern(SECTOR_SIZE, 0x02))],
-                },
-            ];
-            disk.write_runs(&runs, true).await.unwrap();
-            let mut buf = vec![0u8; SECTOR_SIZE];
-            disk.peek_media(6, &mut buf);
-            assert_eq!(buf, pattern(SECTOR_SIZE, 0x02), "later run overwrote");
-            disk.peek_media(5, &mut buf);
-            assert_eq!(&buf[..], &pattern(4 * SECTOR_SIZE, 0x01)[..SECTOR_SIZE]);
-        });
-    }
-
-    #[test]
     fn vectored_write_over_defect_commits_prefix_across_segments() {
         run_on_disk(specs::instant(1 << 20), |_ctx, disk| async move {
             disk.mark_bad(12);
@@ -1568,6 +1532,7 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::hdd_7200_wce;
     use super::*;
     use crate::spec::{specs, FaultProfile};
     use rapilog_simcore::{Sim, SimTime};
@@ -1657,7 +1622,7 @@ mod fault_tests {
         let s = disk.stats();
         assert_eq!(s.media_errors, 2);
         assert_eq!(s.remaps, 1);
-        assert_eq!(disk.bad_sector_count(), 0);
+        assert!(disk.inner.bad_sectors.borrow().is_empty());
     }
 
     #[test]
@@ -1686,7 +1651,7 @@ mod fault_tests {
         let (disk, _) = run_with_faults(specs::instant(1 << 20), |_ctx, disk| async move {
             let data = vec![5u8; SECTOR_SIZE];
             disk.set_sick(true);
-            assert!(disk.is_sick());
+            assert!(disk.inner.sick.get());
             assert_eq!(disk.write(0, &data, true).await, Err(IoError::Transient));
             let mut buf = vec![0u8; SECTOR_SIZE];
             assert_eq!(disk.read(0, &mut buf).await, Err(IoError::Transient));
@@ -1755,7 +1720,7 @@ mod fault_tests {
     fn writeback_retries_through_a_sick_interval() {
         let mut sim = Sim::new(11);
         let ctx = sim.ctx();
-        let disk = Disk::new(&ctx, specs::hdd_7200_wce(1 << 30));
+        let disk = Disk::new(&ctx, hdd_7200_wce());
         let d2 = disk.clone();
         sim.spawn(async move {
             let data = vec![0xEEu8; SECTOR_SIZE];
@@ -1773,7 +1738,11 @@ mod fault_tests {
             }
         });
         sim.run_until(SimTime::from_secs(2));
-        assert_eq!(disk.cached_dirty_sectors(), 0, "writeback got through");
+        assert_eq!(
+            disk.inner.st.borrow().cache.len(),
+            0,
+            "writeback got through"
+        );
         let mut buf = vec![0u8; SECTOR_SIZE];
         disk.peek_media(8, &mut buf);
         assert_eq!(buf, vec![0xEEu8; SECTOR_SIZE]);
@@ -1784,7 +1753,7 @@ mod fault_tests {
     fn writeback_auto_remaps_grown_defects() {
         let mut sim = Sim::new(11);
         let ctx = sim.ctx();
-        let disk = Disk::new(&ctx, specs::hdd_7200_wce(1 << 30));
+        let disk = Disk::new(&ctx, hdd_7200_wce());
         disk.mark_bad(9);
         let d2 = disk.clone();
         sim.spawn(async move {
@@ -1792,7 +1761,7 @@ mod fault_tests {
             d2.write(9, &data, false).await.unwrap();
         });
         sim.run_until(SimTime::from_secs(2));
-        assert_eq!(disk.cached_dirty_sectors(), 0);
+        assert_eq!(disk.inner.st.borrow().cache.len(), 0);
         assert_eq!(disk.stats().remaps, 1);
         let mut buf = vec![0u8; SECTOR_SIZE];
         disk.peek_media(9, &mut buf);

@@ -360,10 +360,11 @@ pub fn flatten(segments: &mut Vec<SectorBuf>) {
 }
 
 /// One contiguous scatter-gather write: `segments` laid out back to back
-/// starting at `sector`. Produced by the RapiLog drain's consolidation pass
-/// and consumed by [`Disk::write_runs`](crate::Disk::write_runs), which
-/// copies the segments onto the media in a single device operation — the one
-/// real copy on the acknowledged-byte path.
+/// starting at `sector`. Produced by the RapiLog drain's consolidation pass,
+/// which writes each run as one device request
+/// ([`Disk::write_segments`](crate::Disk::write_segments)): the segments are
+/// copied onto the media in a single operation — the one real copy on the
+/// acknowledged-byte path.
 #[derive(Debug, Clone)]
 pub struct IoRun {
     /// First sector of the run.

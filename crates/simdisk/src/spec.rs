@@ -227,20 +227,6 @@ pub mod specs {
         }
     }
 
-    /// Same mechanics as [`hdd_7200`] but with a 32 MiB volatile write cache
-    /// enabled — fast and **unsafe**: used by the ablation that shows why
-    /// enabling WCE without RapiLog loses committed transactions.
-    pub fn hdd_7200_wce(capacity_bytes: u64) -> DiskSpec {
-        DiskSpec {
-            cache: Some(CacheSpec {
-                capacity_sectors: 32 * 1024 * 1024 / SECTOR_SIZE as u64,
-                write_latency: SimDuration::from_micros(120),
-            }),
-            name: "hdd-7200-wce".to_string(),
-            ..hdd_7200(capacity_bytes)
-        }
-    }
-
     /// 15 krpm enterprise disk: 4 ms rotation, ~190 MB/s sequential.
     pub fn hdd_15k(capacity_bytes: u64) -> DiskSpec {
         DiskSpec {
@@ -347,14 +333,5 @@ mod tests {
         assert_eq!(specs::ssd_nvme(1 << 30).with_channels(0).queue_depth(), 1);
         // Rotating disks have a single actuator no matter what.
         assert_eq!(specs::hdd_7200(1 << 30).with_channels(4).queue_depth(), 1);
-    }
-
-    #[test]
-    fn wce_variant_has_cache() {
-        let spec = specs::hdd_7200_wce(1 << 30);
-        assert!(spec.cache.is_some());
-        assert_eq!(spec.name, "hdd-7200-wce");
-        // The mechanical parameters are inherited.
-        assert_eq!(spec.rotation_period().as_micros(), 8_333);
     }
 }

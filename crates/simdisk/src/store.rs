@@ -10,10 +10,8 @@
 //! the first time any of its sectors is written, and slots live in 64 KiB
 //! segments zero-allocated `SEG_CHUNKS` at a time. A run of `n` sectors
 //! costs one map lookup and one copy per chunk it touches instead of one
-//! allocation and one lookup per sector. A per-slot mask remembers which
-//! sectors of a chunk were written, for [`SectorStore::populated_sectors`];
-//! the rest of a touched chunk is zeros, exactly what an unwritten sector
-//! reads as.
+//! allocation and one lookup per sector. The unwritten sectors of a touched
+//! chunk are zeros, exactly what an unwritten sector reads as.
 
 use std::ops::Range;
 
@@ -37,11 +35,8 @@ const SEG_CHUNKS: usize = 16;
 pub struct SectorStore {
     /// Chunk (`sector / CHUNK_SECTORS`) → slot.
     slots: FastMap<u64, usize>,
-    /// Per slot, one bit per sector ever written.
-    written: Vec<u8>,
     /// Slot `n` is chunk `n % SEG_CHUNKS` of segment `n / SEG_CHUNKS`.
     segs: Vec<Box<[u8]>>,
-    populated: usize,
 }
 
 impl SectorStore {
@@ -49,30 +44,8 @@ impl SectorStore {
     pub fn new() -> Self {
         SectorStore {
             slots: FastMap::default(),
-            written: Vec::new(),
             segs: Vec::new(),
-            populated: 0,
         }
-    }
-
-    /// Writes one sector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly one sector long.
-    pub fn write_sector(&mut self, sector: u64, data: &[u8]) {
-        assert_eq!(data.len(), SECTOR_SIZE, "write_sector: bad length");
-        self.write_run(sector, data);
-    }
-
-    /// Reads one sector into `buf` (zeros if never written).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is not exactly one sector long.
-    pub fn read_sector(&self, sector: u64, buf: &mut [u8]) {
-        assert_eq!(buf.len(), SECTOR_SIZE, "read_sector: bad length");
-        self.read_run(sector, buf);
     }
 
     /// Writes a contiguous run of sectors from `data`.
@@ -87,18 +60,11 @@ impl SectorStore {
             data.len()
         );
         for part in chunk_parts(first_sector, data.len()) {
-            let next = self.written.len();
+            let next = self.slots.len();
             let slot = *self.slots.entry(part.chunk).or_insert(next);
-            if slot == next {
-                self.written.push(0);
-                if next.is_multiple_of(SEG_CHUNKS) {
-                    self.segs.push(vec![0; SEG_CHUNKS * CHUNK_BYTES].into());
-                }
+            if slot == next && next.is_multiple_of(SEG_CHUNKS) {
+                self.segs.push(vec![0; SEG_CHUNKS * CHUNK_BYTES].into());
             }
-            let sectors = part.bytes.len() / SECTOR_SIZE;
-            let bits = (((1u16 << sectors) - 1) << part.at) as u8;
-            self.populated += (bits & !self.written[slot]).count_ones() as usize;
-            self.written[slot] |= bits;
             let chunk = &mut self.segs[slot / SEG_CHUNKS][(slot % SEG_CHUNKS) * CHUNK_BYTES..];
             let src = &data[part.bytes];
             chunk[part.at * SECTOR_SIZE..][..src.len()].copy_from_slice(src);
@@ -146,36 +112,6 @@ impl SectorStore {
         }
         cursor - first_sector
     }
-
-    /// Vectored write of multiple scatter-gather runs, applied in order
-    /// (later runs overwrite earlier ones where they overlap, which is how
-    /// the drain preserves newest-wins semantics without re-sorting).
-    pub fn write_runs(&mut self, runs: &[crate::IoRun]) {
-        for run in runs {
-            self.write_segments(run.sector, &run.segments);
-        }
-    }
-
-    /// Number of sectors that have ever been written.
-    pub fn populated_sectors(&self) -> usize {
-        self.populated
-    }
-
-    /// Overwrites a sector with a deterministic "torn garbage" pattern,
-    /// simulating a sector that was mid-write when power failed.
-    pub fn corrupt_sector(&mut self, sector: u64, seed: u64) {
-        let mut pattern = [0u8; SECTOR_SIZE];
-        let mut x = seed ^ 0x9E37_79B9_7F4A_7C15 ^ sector;
-        for b in pattern.iter_mut() {
-            // Simple xorshift; the point is only that the bytes are neither
-            // the old nor the new contents.
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *b = x as u8;
-        }
-        self.write_sector(sector, &pattern);
-    }
 }
 
 impl Default for SectorStore {
@@ -219,20 +155,8 @@ mod tests {
     fn unwritten_sectors_read_zero() {
         let store = SectorStore::new();
         let mut buf = [0xFFu8; SECTOR_SIZE];
-        store.read_sector(7, &mut buf);
+        store.read_run(7, &mut buf);
         assert!(buf.iter().all(|&b| b == 0));
-        assert_eq!(store.populated_sectors(), 0);
-    }
-
-    #[test]
-    fn write_read_roundtrip() {
-        let mut store = SectorStore::new();
-        let data = [0x5Au8; SECTOR_SIZE];
-        store.write_sector(3, &data);
-        let mut buf = [0u8; SECTOR_SIZE];
-        store.read_sector(3, &mut buf);
-        assert_eq!(buf, data);
-        assert_eq!(store.populated_sectors(), 1);
     }
 
     #[test]
@@ -248,34 +172,8 @@ mod tests {
         assert_eq!(buf, data);
         // Middle sector individually.
         let mut one = vec![0u8; SECTOR_SIZE];
-        store.read_sector(11, &mut one);
+        store.read_run(11, &mut one);
         assert_eq!(&one[..], &data[SECTOR_SIZE..2 * SECTOR_SIZE]);
-    }
-
-    #[test]
-    fn overwrite_replaces() {
-        let mut store = SectorStore::new();
-        store.write_sector(0, &[1u8; SECTOR_SIZE]);
-        store.write_sector(0, &[2u8; SECTOR_SIZE]);
-        let mut buf = [0u8; SECTOR_SIZE];
-        store.read_sector(0, &mut buf);
-        assert_eq!(buf, [2u8; SECTOR_SIZE]);
-        assert_eq!(store.populated_sectors(), 1);
-    }
-
-    #[test]
-    fn corrupt_sector_changes_contents_deterministically() {
-        let mut a = SectorStore::new();
-        let mut b = SectorStore::new();
-        a.write_sector(5, &[9u8; SECTOR_SIZE]);
-        b.write_sector(5, &[9u8; SECTOR_SIZE]);
-        a.corrupt_sector(5, 42);
-        b.corrupt_sector(5, 42);
-        let (mut ba, mut bb) = ([0u8; SECTOR_SIZE], [0u8; SECTOR_SIZE]);
-        a.read_sector(5, &mut ba);
-        b.read_sector(5, &mut bb);
-        assert_eq!(ba, bb, "corruption is deterministic");
-        assert_ne!(ba, [9u8; SECTOR_SIZE], "contents actually changed");
     }
 
     #[test]
@@ -285,10 +183,9 @@ mod tests {
         store.write_run(0, &[0u8; 100]);
     }
 
-    /// Random runs of 1–200 sectors at unaligned, chunk-straddling sectors,
-    /// single-sector writes and corruptions, against a per-sector reference:
-    /// every read matches, the unwritten sectors of a touched chunk read as
-    /// zeros, and `populated_sectors` counts what was written.
+    /// Random runs of 1–200 sectors at unaligned, chunk-straddling sectors
+    /// and single-sector writes, against a per-sector reference: every read
+    /// matches, and the unwritten sectors of a touched chunk read as zeros.
     #[test]
     fn runs_match_a_per_sector_reference() {
         let mut rng = SimRng::seed_from_u64(0x5709E);
@@ -301,7 +198,7 @@ mod tests {
             let span = rng.gen_range(16..2_000u64);
             for step in 0..100u64 {
                 let sector = rng.gen_range(0..span);
-                match rng.gen_range(0..4u32) {
+                match rng.gen_range(0..3u32) {
                     0 | 1 => {
                         let n = rng.gen_range(1..=200u64);
                         let mut data = vec![0; n as usize * SECTOR_SIZE];
@@ -314,17 +211,10 @@ mod tests {
                             model.insert(s, bytes.try_into().expect("one sector"));
                         }
                     }
-                    2 => {
-                        let bytes = [step as u8 ^ 0x3C; SECTOR_SIZE];
-                        store.write_sector(sector, &bytes);
-                        model.insert(sector, bytes);
-                    }
                     _ => {
-                        store.corrupt_sector(sector, step);
-                        let mut torn = [0; SECTOR_SIZE];
-                        store.read_sector(sector, &mut torn);
-                        assert_ne!(model.get(&sector), Some(&torn), "case {case}: unchanged");
-                        model.insert(sector, torn);
+                        let bytes = [step as u8 ^ 0x3C; SECTOR_SIZE];
+                        store.write_run(sector, &bytes);
+                        model.insert(sector, bytes);
                     }
                 }
                 let first = rng.gen_range(0..span + 16);
@@ -335,16 +225,14 @@ mod tests {
                     let want = model.get(&s).copied().unwrap_or([0; SECTOR_SIZE]);
                     assert!(bytes == want, "case {case} step {step}: sector {s} differs");
                 }
-                assert_eq!(store.populated_sectors(), model.len(), "case {case}");
             }
         }
         assert!(straddled > 1_000, "only {straddled} runs crossed a chunk");
         // Memory is taken a chunk and a segment at a time.
         let mut store = SectorStore::new();
         store.write_run(5, &[1; 4 * SECTOR_SIZE]);
-        assert_eq!((store.written.len(), store.segs.len()), (2, 1));
+        assert_eq!((store.slots.len(), store.segs.len()), (2, 1));
         store.write_run(16 * 8 * 3, &[1; SECTOR_SIZE]);
-        assert_eq!((store.written.len(), store.segs.len()), (3, 1));
-        assert_eq!(store.populated_sectors(), 5);
+        assert_eq!((store.slots.len(), store.segs.len()), (3, 1));
     }
 }

@@ -123,23 +123,8 @@ impl TimingModel {
     }
 
     /// Computes the service time of an access to `nsectors` starting at
-    /// `sector`, issued at instant `now`, and updates head state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nsectors` is zero.
-    pub fn service_time(
-        &mut self,
-        now: SimTime,
-        sector: u64,
-        nsectors: u64,
-        is_write: bool,
-    ) -> SimDuration {
-        self.service(now, sector, nsectors, is_write).total()
-    }
-
-    /// Like [`service_time`](Self::service_time), but returns the
-    /// seek/rotation/transfer breakdown for trace attribution.
+    /// `sector`, issued at instant `now`, and updates head state; returns
+    /// the seek/rotation/transfer breakdown for trace attribution.
     ///
     /// # Panics
     ///
@@ -260,6 +245,10 @@ mod tests {
         TimingModel::from_spec(&spec.timing, spec.sectors)
     }
 
+    fn time(m: &mut TimingModel, now: SimTime, sector: u64, n: u64, write: bool) -> SimDuration {
+        m.service(now, sector, n, write).total()
+    }
+
     #[test]
     fn small_sync_writes_with_gaps_cost_about_a_rotation() {
         let mut m = hdd_model();
@@ -270,7 +259,7 @@ mod tests {
         // Ten sequential 8-sector writes with a 500 µs "think" gap between
         // them, as a database commit stream would produce.
         for _ in 0..10 {
-            let d = m.service_time(now, sector, 8, true);
+            let d = time(&mut m, now, sector, 8, true);
             now += d + SimDuration::from_micros(500);
             sector += 8;
             total += d;
@@ -288,13 +277,13 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut sector = 0u64;
         // Warm up: position the head.
-        now += m.service_time(now, sector, 8, true);
+        now += time(&mut m, now, sector, 8, true);
         sector += 8;
         // 1 MiB batches issued the instant the previous completes.
         let batch = 2048u64;
         let mut total = SimDuration::ZERO;
         for _ in 0..16 {
-            let d = m.service_time(now, sector, batch, true);
+            let d = time(&mut m, now, sector, batch, true);
             now += d;
             sector += batch;
             total += d;
@@ -312,10 +301,10 @@ mod tests {
     fn seek_scales_with_distance() {
         let mut m = hdd_model();
         // Move from cylinder 0 to a nearby cylinder vs. a far one.
-        let near = m.service_time(SimTime::ZERO, 1900, 1, false);
+        let near = time(&mut m, SimTime::ZERO, 1900, 1, false);
         let mut m2 = hdd_model();
         let far_sector = 1900 * 5000;
-        let far = m2.service_time(SimTime::ZERO, far_sector, 1, false);
+        let far = time(&mut m2, SimTime::ZERO, far_sector, 1, false);
         // Rotational components are bounded by one rotation; a 5000-cylinder
         // seek must dominate a 1-cylinder seek on average. Compare the seek
         // floor instead of the total to keep the test deterministic: strip
@@ -332,11 +321,11 @@ mod tests {
     #[test]
     fn same_cylinder_access_has_no_seek() {
         let mut m = hdd_model();
-        let d1 = m.service_time(SimTime::ZERO, 0, 1, false);
+        let d1 = time(&mut m, SimTime::ZERO, 0, 1, false);
         // Second access on the same track, right after: no seek component,
         // bounded by one rotation + transfer + overhead.
         let now = SimTime::ZERO + d1;
-        let d2 = m.service_time(now, 4, 1, false);
+        let d2 = time(&mut m, now, 4, 1, false);
         assert!(d2 < SimDuration::from_nanos(8_333_333 + 200_000));
     }
 
@@ -344,14 +333,14 @@ mod tests {
     fn ssd_time_is_latency_plus_transfer() {
         let spec = specs::ssd_sata(1 << 30);
         let mut m = TimingModel::from_spec(&spec.timing, spec.sectors);
-        let one = m.service_time(SimTime::ZERO, 0, 1, true);
+        let one = time(&mut m, SimTime::ZERO, 0, 1, true);
         // 70 µs + 512 B / 250 MiB/s ≈ 70 µs + 2 µs.
         assert!(one >= SimDuration::from_micros(70) && one < SimDuration::from_micros(80));
-        let big = m.service_time(SimTime::ZERO, 0, 2048, true);
+        let big = time(&mut m, SimTime::ZERO, 0, 2048, true);
         // 1 MiB at 250 MiB/s = 4 ms transfer.
         assert!(big > SimDuration::from_millis(3) && big < SimDuration::from_millis(6));
         // Position-independent: same cost anywhere.
-        let other = m.service_time(SimTime::from_secs(9), 999_999, 1, true);
+        let other = time(&mut m, SimTime::from_secs(9), 999_999, 1, true);
         assert_eq!(one, other);
     }
 
@@ -359,8 +348,8 @@ mod tests {
     fn ssd_reads_cheaper_than_writes() {
         let spec = specs::ssd_sata(1 << 30);
         let mut m = TimingModel::from_spec(&spec.timing, spec.sectors);
-        let r = m.service_time(SimTime::ZERO, 0, 1, false);
-        let w = m.service_time(SimTime::ZERO, 0, 1, true);
+        let r = time(&mut m, SimTime::ZERO, 0, 1, false);
+        let w = time(&mut m, SimTime::ZERO, 0, 1, true);
         assert!(r < w);
     }
 
@@ -377,7 +366,7 @@ mod tests {
     #[should_panic(expected = "empty access")]
     fn zero_sector_access_rejected() {
         let mut m = hdd_model();
-        let _ = m.service_time(SimTime::ZERO, 0, 0, false);
+        let _ = time(&mut m, SimTime::ZERO, 0, 0, false);
     }
 
     #[test]
@@ -388,7 +377,7 @@ mod tests {
         let mut sector = 0u64;
         for i in 0..20u64 {
             let parts = a.service(now, sector, 8, true);
-            let total = b.service_time(now, sector, 8, true);
+            let total = time(&mut b, now, sector, 8, true);
             assert_eq!(parts.total(), total, "step {i}");
             now += total + SimDuration::from_micros(137);
             sector = (sector + 8 + i * 991) % (8 << 30 >> 9);

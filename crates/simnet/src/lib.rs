@@ -69,15 +69,6 @@ impl Default for LinkFaults {
 }
 
 impl LinkFaults {
-    /// A lossy link: drops only, at the given rate.
-    pub fn lossy(seed: u64, drop_rate: f64) -> LinkFaults {
-        LinkFaults {
-            seed,
-            drop_rate,
-            ..LinkFaults::default()
-        }
-    }
-
     /// The full chaos menu: drop, duplicate and reorder at the given rates.
     pub fn chaos(seed: u64, drop_rate: f64, dup_rate: f64, reorder_rate: f64) -> LinkFaults {
         LinkFaults {
@@ -209,11 +200,6 @@ impl<T: Clone + 'static> Link<T> {
                 text: self.inner.spec.name,
             },
         );
-    }
-
-    /// True while the partition is engaged.
-    pub fn is_partitioned(&self) -> bool {
-        self.inner.partitioned.get()
     }
 
     /// Counter snapshot.
@@ -398,7 +384,7 @@ mod tests {
 
     #[test]
     fn drop_rate_loses_messages_and_counts_them() {
-        let spec = LinkSpec::lan("t").with_faults(LinkFaults::lossy(3, 0.3));
+        let spec = LinkSpec::lan("t").with_faults(LinkFaults::chaos(3, 0.3, 0.0, 0.0));
         let (got, stats) = run_and_collect(9, spec, 200);
         assert!(
             stats.dropped > 20,

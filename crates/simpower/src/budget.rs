@@ -43,21 +43,16 @@ pub fn drain_time(bytes: u64, drain_bandwidth: u64) -> SimDuration {
     DRAIN_STARTUP + SimDuration::from_secs_f64(bytes as f64 / drain_bandwidth as f64)
 }
 
-/// Convenience: does a buffer of `bytes` fit the supply's window?
-pub fn fits(spec: &SupplySpec, drain_bandwidth: u64, bytes: u64) -> bool {
-    bytes <= max_buffer_bytes(spec, drain_bandwidth)
-}
-
-/// Multi-tenant form of [`fits`]: the emergency drain empties every shard
-/// through the *one* physical disk, so the inequality must hold for the
-/// **sum** of the shard capacities, not for each shard in isolation. This
+/// Does a buffer of `shard_bytes` fit the supply's window? The emergency
+/// drain empties every shard through the *one* physical disk, so the
+/// inequality must hold for the **sum** of the shard capacities, not for each shard in isolation. This
 /// is the sizing obligation a sharded RapiLog instance asserts at build
 /// time.
 pub fn aggregate_fits(spec: &SupplySpec, drain_bandwidth: u64, shard_bytes: &[u64]) -> bool {
     let total: u64 = shard_bytes
         .iter()
         .fold(0u64, |acc, &b| acc.saturating_add(b));
-    fits(spec, drain_bandwidth, total)
+    total <= max_buffer_bytes(spec, drain_bandwidth)
 }
 
 #[cfg(test)]
@@ -100,14 +95,6 @@ mod tests {
         assert_eq!(t0, DRAIN_STARTUP);
         let t = drain_time(100_000_000, 100_000_000);
         assert_eq!(t, DRAIN_STARTUP + SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn fits_matches_cap() {
-        let spec = supplies::atx_psu();
-        let cap = max_buffer_bytes(&spec, 116_000_000);
-        assert!(fits(&spec, 116_000_000, cap));
-        assert!(!fits(&spec, 116_000_000, cap + 1));
     }
 
     #[test]

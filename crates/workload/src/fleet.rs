@@ -3,7 +3,7 @@
 //!
 //! The multi-tenant experiments drive N database cells that share one
 //! RapiLog instance. Real fleets are not uniform: a few hot tenants carry
-//! most of the sessions while a long tail idles. [`zipf_split`] reproduces
+//! most of the sessions while a long tail idles. `zipf_split` reproduces
 //! that shape (Zipf over cell ranks, the YCSB convention), and
 //! [`run_fleet`] runs one closed-loop [`client`](crate::client) driver per
 //! cell concurrently — 10³–10⁵ sessions in one deterministic simulation.
@@ -11,9 +11,9 @@
 //! [`FleetStats::session_fairness`] is the headline number for the
 //! fair-share drain under skewed load: min/max of per-*session*
 //! throughput across cells. Because the zipf split gives cells very
-//! different session counts, raw per-cell throughput
-//! ([`FleetStats::fairness_ratio`]) mostly measures the skew itself —
-//! normalizing by sessions isolates what the scheduler actually controls,
+//! different session counts, raw per-cell throughput mostly measures the
+//! skew itself — normalizing by sessions isolates what the scheduler
+//! actually controls,
 //! whether every session gets served at the same rate. Near 1 is fair; a
 //! collapsed ratio means some cell's sessions were starved.
 
@@ -62,7 +62,7 @@ impl Default for FleetConfig {
 /// # Panics
 ///
 /// Panics if `cells == 0` or `sessions < cells`.
-pub fn zipf_split(sessions: usize, cells: usize, theta: f64, rng: &mut SimRng) -> Vec<usize> {
+fn zipf_split(sessions: usize, cells: usize, theta: f64, rng: &mut SimRng) -> Vec<usize> {
     assert!(cells > 0, "zipf_split: no cells");
     assert!(
         sessions >= cells,
@@ -109,26 +109,6 @@ impl FleetStats {
     /// Committed transactions, summed over the fleet.
     pub fn total_committed(&self) -> u64 {
         self.per_cell.iter().map(|s| s.committed).sum()
-    }
-
-    /// min/max committed throughput across cells — 1.0 is perfect
-    /// fairness, 0.0 means some cell was starved dry.
-    ///
-    /// Under a skewed session split this mostly reflects the skew (a cell
-    /// with 10× the sessions commits ~10× as much even when every session
-    /// is served identically); use [`session_fairness`](Self::session_fairness)
-    /// to judge the scheduler under zipf load.
-    pub fn fairness_ratio(&self) -> f64 {
-        let max = self.per_cell.iter().map(|s| s.tps()).fold(0.0, f64::max);
-        if max == 0.0 {
-            return 0.0;
-        }
-        let min = self
-            .per_cell
-            .iter()
-            .map(|s| s.tps())
-            .fold(f64::INFINITY, f64::min);
-        min / max
     }
 
     /// min/max of per-session committed throughput (cell tps ÷ the cell's
@@ -254,13 +234,12 @@ mod tests {
             elapsed: SimDuration::from_secs(1),
         };
         // One cell carries 10x the sessions and commits 10x as much: every
-        // session is served identically, yet the raw ratio collapses to
+        // session is served identically, though the raw per-cell ratio is
         // 0.1. The session-normalized ratio must report the truth.
         let stats = FleetStats {
             per_cell: vec![mk(1000), mk(100)],
             sessions: vec![100, 10],
         };
-        assert!(stats.fairness_ratio() < 0.2);
         assert!((stats.session_fairness() - 1.0).abs() < 1e-9);
         // And genuine starvation still shows: same sessions, one cell dry.
         let starved = FleetStats {
@@ -310,8 +289,6 @@ mod tests {
             assert_eq!(stats.per_cell.len(), 3);
             assert_eq!(stats.sessions.iter().sum::<usize>(), 48);
             assert!(stats.total_committed() > 0);
-            let ratio = stats.fairness_ratio();
-            assert!((0.0..=1.0).contains(&ratio), "ratio out of range: {ratio}");
             let sf = stats.session_fairness();
             assert!(
                 (0.0..=1.0).contains(&sf),

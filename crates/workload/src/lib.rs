@@ -30,5 +30,5 @@ pub mod tpcb;
 pub mod tpcc;
 
 pub use client::{RunConfig, RunStats};
-pub use fleet::{run_fleet, zipf_split, FleetConfig, FleetStats};
+pub use fleet::{run_fleet, FleetConfig, FleetStats};
 pub use session::{Connection, DbServer, JobOutcome};

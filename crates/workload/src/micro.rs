@@ -32,7 +32,7 @@ pub fn registers_table(db: &Database) -> DbResult<TableId> {
 }
 
 /// The two row keys owned by a client.
-pub fn register_keys(client: u64) -> (Key, Key) {
+fn register_keys(client: u64) -> (Key, Key) {
     (client * 2, client * 2 + 1)
 }
 
@@ -43,7 +43,7 @@ fn encode_seq(seq: u64) -> Vec<u8> {
 }
 
 /// Decodes a register row.
-pub fn decode_seq(bytes: &[u8]) -> DbResult<u64> {
+fn decode_seq(bytes: &[u8]) -> DbResult<u64> {
     Cursor::new(bytes)
         .u64()
         .ok_or_else(|| DbError::Corrupt("register row".to_string()))

@@ -37,18 +37,6 @@ impl TpcbScale {
             history_capacity: 200_000,
         }
     }
-
-    /// Tiny population for unit tests. The history table still gets real
-    /// headroom: under RapiLog a single simulated second commits tens of
-    /// thousands of transactions, each appending a history row.
-    pub fn tiny() -> TpcbScale {
-        TpcbScale {
-            branches: 1,
-            tellers_per_branch: 2,
-            accounts_per_branch: 100,
-            history_capacity: 100_000,
-        }
-    }
 }
 
 /// Resolved table ids.
@@ -224,7 +212,15 @@ mod tests {
         let done = Rc::new(StdCell::new(false));
         let d2 = Rc::clone(&done);
         sim.spawn(async move {
-            let scale = TpcbScale::tiny();
+            // The history table gets real headroom: under RapiLog a single
+            // simulated second commits tens of thousands of transactions,
+            // each appending a history row.
+            let scale = TpcbScale {
+                branches: 1,
+                tellers_per_branch: 2,
+                accounts_per_branch: 100,
+                history_capacity: 100_000,
+            };
             let data: Rc<dyn BlockDevice> = Rc::new(Disk::new(&ctx, specs::instant(256 << 20)));
             let log: Rc<dyn BlockDevice> = Rc::new(Disk::new(&ctx, specs::instant(64 << 20)));
             let db = Database::create(

@@ -86,12 +86,12 @@ pub fn dist_key(w: u64, d: u64) -> Key {
 }
 
 /// Packs a customer key.
-pub fn cust_key(w: u64, d: u64, c: u64) -> Key {
+fn cust_key(w: u64, d: u64, c: u64) -> Key {
     dist_key(w, d) * 100_000 + c
 }
 
 /// Packs a stock key.
-pub fn stock_key(w: u64, i: u64) -> Key {
+fn stock_key(w: u64, i: u64) -> Key {
     w * 1_000_000 + i
 }
 
@@ -101,7 +101,7 @@ pub fn order_key(w: u64, d: u64, o_id: u64) -> Key {
 }
 
 /// Packs an order-line key (`ol` in 1..=15).
-pub fn order_line_key(w: u64, d: u64, o_id: u64, ol: u64) -> Key {
+fn order_line_key(w: u64, d: u64, o_id: u64, ol: u64) -> Key {
     (dist_key(w, d) << 40) | (o_id << 8) | ol
 }
 
@@ -545,7 +545,7 @@ pub async fn load(db: &Database, scale: &TpccScale, rng: &mut SimRng) -> DbResul
 // ---------------------------------------------------------------------------
 
 /// TPC-C NURand.
-pub fn nurand(rng: &mut SimRng, a: u64, x: u64, y: u64) -> u64 {
+fn nurand(rng: &mut SimRng, a: u64, x: u64, y: u64) -> u64 {
     // The constant C is fixed per run; any constant is spec-conformant for
     // our purposes.
     const C: u64 = 123;

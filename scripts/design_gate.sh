@@ -36,6 +36,14 @@
 #     reappears in the non-test part of any `crates/*/src` file: every trial
 #     kind is a `faultsim::Trial` swept by `faultsim::explore`, which owns the
 #     grid walk, the thread fan-out and the replay.
+# (g) No public function that only tests call. One pass over the identifiers
+#     of the non-test part of `crates/*/src` (bins included), `src/`,
+#     `examples/` and `benchmark/src` (comments, string literals and
+#     `pub use` re-exports are not uses, nor is a function's own
+#     definition) lists every `pub fn` defined in the non-test part of
+#     `crates/*/src` whose name no file but its own uses. A hit fails unless
+#     scripts/pub_census.allow names it (`<file>:<fn>  <reason>`); so does a
+#     line there whose function is no longer defined or has a caller now.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -147,6 +155,67 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+# ---- (g) no public function that only tests call -----------------------------
+ALLOW=scripts/pub_census.allow
+defs=$(find crates -path '*/src/*' -name '*.rs' | sort)
+if ! awk -v defs="$defs" -v allow="$ALLOW" '
+    BEGIN {
+        n = split(defs, d, "\n")
+        for (i = 1; i <= n; i++) is_def[d[i]] = 1
+        while ((getline line < allow) > 0) {
+            if (line ~ /^[[:space:]]*(#|$)/) continue
+            split(line, f, /[[:space:]]+/)
+            allowed[f[1]] = 1
+        }
+    }
+    FNR == 1 { live = 1; reexport = 0 }
+    /^#\[cfg\(test\)\]/ { live = 0 }
+    !live { next }
+    /^[[:space:]]*pub(\([a-z]+\))?[[:space:]]+use[[:space:]]/ { reexport = 1 }
+    reexport { if (index($0, ";")) reexport = 0; next }
+    {
+        line = $0
+        gsub(/"([^"\\]|\\.)*"/, " ", line)
+        sub(/\/\/.*/, "", line)
+        if (is_def[FILENAME] && match(line, /^[[:space:]]*pub[[:space:]]+((const|async|unsafe)[[:space:]]+)*fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(line, RSTART, RLENGTH)
+            sub(/.*fn[[:space:]]+/, "", name)
+            key = FILENAME ":" name
+            if (!(key in at)) at[key] = FILENAME ":" FNR
+            fn_name[key] = name
+            fn_file[key] = FILENAME
+        }
+        gsub(/fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/, " ", line)
+        gsub(/[^A-Za-z0-9_]+/, " ", line)
+        nt = split(line, t, " ")
+        for (j = 1; j <= nt; j++) {
+            if (!((t[j], FILENAME) in used)) { used[t[j], FILENAME] = 1; files[t[j]]++ }
+        }
+    }
+    END {
+        bad = 0
+        for (key in at) {
+            name = fn_name[key]
+            hit = files[name] - ((name, fn_file[key]) in used) == 0
+            if (hit && !(key in allowed)) {
+                printf "design_gate: FAIL  %s: pub fn %s has no non-test caller outside its file (delete it, drop its pub, or give %s a line saying why a test needs it)\n", at[key], name, allow
+                bad = 1
+            } else if (!hit && (key in allowed)) {
+                printf "design_gate: FAIL  %s names %s, which has a non-test caller now: drop the line\n", allow, key
+                bad = 1
+            }
+        }
+        for (key in allowed) {
+            if (!(key in at)) {
+                printf "design_gate: FAIL  %s names %s, which is no longer defined: drop the line\n", allow, key
+                bad = 1
+            }
+        }
+        exit bad
+    }' $defs $(find src examples benchmark/src -name '*.rs' | sort) >&2; then
+    fail=1
+fi
+
 if ((fail)); then
     exit 1
 fi
@@ -156,3 +225,4 @@ echo "design_gate: ok    one recovery pipeline, one checkpoint (no RecoveryMode,
 echo "design_gate: ok    bytes move by the run (no enum Held, no per-sector FastMap<u64, Box<[u8; SECTOR_SIZE]>>)"
 echo "design_gate: ok    the buffer is the log's read cache (no reads_hold_disk, stand_aside, defer_to_reads, read_defers or const KEPT)"
 echo "design_gate: ok    one explorer (no explore_crash_points, replay_crash_point, explore_failovers, FailoverCounterexample or their _parallel wrappers)"
+echo "design_gate: ok    no public function that only tests call (every other hit is in $ALLOW, and every line there is still one)"
