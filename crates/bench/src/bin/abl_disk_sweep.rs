@@ -15,7 +15,7 @@ use rapilog_bench::table::{f1, f2, TextTable};
 use rapilog_bench::{run_perf, thread_count, Json, PerfConfig, WorkloadSpec};
 use rapilog_faultsim::{run_parallel, MachineConfig, Setup};
 use rapilog_simcore::SimDuration;
-use rapilog_simdisk::{specs, CacheSpec, DiskSpec, TimingSpec};
+use rapilog_simdisk::{specs, DiskSpec, TimingSpec};
 use rapilog_simpower::supplies;
 use rapilog_workload::client::RunConfig;
 use rapilog_workload::tpcb::TpcbScale;
@@ -31,7 +31,6 @@ fn hdd_at_rpm(rpm: u32, capacity: u64) -> DiskSpec {
             seek_max: SimDuration::from_millis(9),
             overhead: SimDuration::from_micros(60),
         },
-        cache: None::<CacheSpec>,
         torn_writes: true,
         fault: None,
     }

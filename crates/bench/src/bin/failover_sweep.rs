@@ -115,11 +115,11 @@ fn main() {
 
     let mut cfg = FailoverExplorerConfig::rapilog_default();
     cfg.seeds = (0..seeds).map(|i| 0xFA11 + i * 131).collect();
-    let trials = cfg.seeds.len() * cfg.modes.len() * cfg.kinds.len();
+    let trials = cfg.seeds.len() * FailoverExplorerConfig::MODES.len() * cfg.kinds.len();
     println!(
         "Failover sweep: {} seeds x {} modes x {} kinds = {trials} trials on {threads} threads\n",
         cfg.seeds.len(),
-        cfg.modes.len(),
+        FailoverExplorerConfig::MODES.len(),
         cfg.kinds.len(),
     );
     let wall_start = Instant::now();

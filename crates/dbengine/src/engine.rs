@@ -50,12 +50,13 @@ pub struct DbConfig {
     pub checkpoint_interval: SimDuration,
     /// Lock wait budget before a transaction is told to abort.
     pub lock_timeout: SimDuration,
-    /// OS-block-layer retry budget for transient device errors (0 = use
-    /// the raw devices). See [`crate::retry::RetryingDevice`].
-    pub io_retries: u32,
-    /// Pause between transient-error retries.
-    pub io_retry_delay: SimDuration,
 }
+
+/// The OS block layer's retry budget for transient device errors, on both
+/// devices the engine is handed. See [`RetryingDevice`].
+pub(crate) const IO_RETRIES: u32 = 5;
+/// Pause between transient-error retries.
+pub(crate) const IO_RETRY_DELAY: SimDuration = SimDuration::from_millis(2);
 
 impl Default for DbConfig {
     fn default() -> Self {
@@ -65,8 +66,6 @@ impl Default for DbConfig {
             cpu_factor: 1.0,
             checkpoint_interval: SimDuration::from_secs(5),
             lock_timeout: SimDuration::from_millis(500),
-            io_retries: 5,
-            io_retry_delay: SimDuration::from_millis(2),
         }
     }
 }
@@ -250,8 +249,11 @@ impl Database {
     ) -> DbResult<Database> {
         let tables = layout_tables(defs);
         // The OS block layer: bounded transient-error retry on both devices.
-        let data_dev = RetryingDevice::wrap(ctx, data_dev, cfg.io_retries, cfg.io_retry_delay);
-        let log_dev = RetryingDevice::wrap(ctx, log_dev, cfg.io_retries, cfg.io_retry_delay);
+        let retrying = |dev| -> Rc<dyn BlockDevice> {
+            Rc::new(RetryingDevice::new(ctx, dev, IO_RETRIES, IO_RETRY_DELAY))
+        };
+        let data_dev = retrying(data_dev);
+        let log_dev = retrying(log_dev);
         // Capacity check against the data device.
         let last = tables.last().map(|t| t.base_page + t.n_pages).unwrap_or(1);
         if last * PAGE_SECTORS > data_dev.geometry().sectors {

@@ -100,7 +100,7 @@ impl Page {
     }
 
     /// The slot size recorded in the header.
-    pub fn slot_size(&self) -> u16 {
+    fn slot_size(&self) -> u16 {
         u16::from_le_bytes(self.bytes[18..20].try_into().expect("header slice"))
     }
 

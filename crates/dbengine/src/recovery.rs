@@ -47,8 +47,9 @@ use rapilog_simcore::{DomainId, SimCtx, SimDuration};
 use rapilog_simdisk::{BlockDevice, SECTOR_SIZE};
 
 use crate::buffer::BufferPool;
-use crate::engine::{Database, DbConfig, TableMeta};
+use crate::engine::{Database, DbConfig, TableMeta, IO_RETRIES, IO_RETRY_DELAY};
 use crate::error::{DbError, DbResult};
+use crate::retry::RetryingDevice;
 use crate::types::{Lsn, PageId, TxnId};
 use crate::wal::{ClrAction, Record, StreamReader, Superblock, Wal, RECORD_HEADER};
 
@@ -278,10 +279,11 @@ impl Database {
         // The OS block layer: bounded transient-error retry on both
         // devices. Media errors are not retryable and surface as typed
         // [`DbError::Io`] from whichever phase hit them.
-        let data_dev =
-            crate::retry::RetryingDevice::wrap(ctx, data_dev, cfg.io_retries, cfg.io_retry_delay);
-        let log_dev =
-            crate::retry::RetryingDevice::wrap(ctx, log_dev, cfg.io_retries, cfg.io_retry_delay);
+        let retrying = |dev| -> Rc<dyn BlockDevice> {
+            Rc::new(RetryingDevice::new(ctx, dev, IO_RETRIES, IO_RETRY_DELAY))
+        };
+        let data_dev = retrying(data_dev);
+        let log_dev = retrying(log_dev);
         let tables = Self::read_catalog(&*data_dev).await?;
         let sb = Superblock::read(&*log_dev)
             .await?

@@ -47,21 +47,6 @@ impl RetryingDevice {
             queue: Rc::new(IoQueue::new()),
         }
     }
-
-    /// Wraps `inner` only when the budget is non-zero (a zero budget keeps
-    /// the raw device and its exact failure behaviour).
-    pub fn wrap(
-        ctx: &SimCtx,
-        inner: Rc<dyn BlockDevice>,
-        retries: u32,
-        delay: SimDuration,
-    ) -> Rc<dyn BlockDevice> {
-        if retries == 0 {
-            inner
-        } else {
-            Rc::new(RetryingDevice::new(ctx, inner, retries, delay))
-        }
-    }
 }
 
 impl BlockDevice for RetryingDevice {

@@ -106,11 +106,6 @@ impl LockTable {
             w.wake();
         }
     }
-
-    /// Number of currently held locks (for tests and audits).
-    pub fn held(&self) -> usize {
-        self.st.borrow().len()
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +143,7 @@ mod tests {
             assert_eq!(pair[0].1, "in");
             assert_eq!(pair[1].1, "out");
         }
-        assert_eq!(lt.held(), 0);
+        assert_eq!(lt.st.borrow().len(), 0);
     }
 
     #[test]
@@ -168,7 +163,7 @@ mod tests {
         });
         sim.run();
         assert!(done.get());
-        assert_eq!(lt.held(), 0);
+        assert_eq!(lt.st.borrow().len(), 0);
     }
 
     #[test]
@@ -198,7 +193,11 @@ mod tests {
         assert_eq!(o.len(), 2);
         let timeouts = o.iter().filter(|r| r.is_err()).count();
         assert!(timeouts >= 1, "at least one side must time out: {o:?}");
-        assert_eq!(lt.held(), 0, "all locks released after the storm");
+        assert_eq!(
+            lt.st.borrow().len(),
+            0,
+            "all locks released after the storm"
+        );
     }
 
     #[test]

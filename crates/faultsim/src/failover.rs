@@ -947,8 +947,6 @@ pub fn run_standby_trial(seed: u64, cfg: StandbyTrialConfig) -> StandbyTrialResu
 pub struct FailoverExplorerConfig {
     /// RNG seeds: each is an independent world.
     pub seeds: Vec<u64>,
-    /// Replication modes to sweep.
-    pub modes: Vec<ReplicationMode>,
     /// Failover kinds to sweep.
     pub kinds: Vec<FailoverKind>,
     /// Clients per trial.
@@ -962,11 +960,13 @@ pub struct FailoverExplorerConfig {
 }
 
 impl FailoverExplorerConfig {
+    /// The replication modes every grid sweeps, in grid order.
+    pub const MODES: [ReplicationMode; 2] = [ReplicationMode::Sync, ReplicationMode::Async];
+
     /// The default sweep: 3 seeds × both modes × all four kinds.
     pub fn rapilog_default() -> FailoverExplorerConfig {
         FailoverExplorerConfig {
             seeds: (0..3).map(|i| 0xFA11 + i * 131).collect(),
-            modes: vec![ReplicationMode::Sync, ReplicationMode::Async],
             kinds: FailoverKind::all(),
             clients: 2,
             writes_per_client: 64,
@@ -1063,9 +1063,10 @@ impl Trial for FailoverExplorerConfig {
 
     /// Seed-outer, mode-middle, kind-inner.
     fn grid(&self) -> Vec<FailoverPoint> {
-        let mut points = Vec::with_capacity(self.seeds.len() * self.modes.len() * self.kinds.len());
+        let mut points =
+            Vec::with_capacity(self.seeds.len() * Self::MODES.len() * self.kinds.len());
         for &seed in &self.seeds {
-            for &mode in &self.modes {
+            for mode in Self::MODES {
                 for &kind in &self.kinds {
                     points.push(FailoverPoint { seed, mode, kind });
                 }

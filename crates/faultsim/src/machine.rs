@@ -63,8 +63,6 @@ pub struct MachineConfig {
     pub supply: Option<SupplySpec>,
     /// Engine configuration (CPU factor is overridden per setup).
     pub db: DbConfig,
-    /// Virtio crossing costs (Virtualized/RapiLog setups).
-    pub virt_costs: VirtCosts,
     /// RapiLog configuration (RapiLog setup).
     pub rapilog: RapiLogConfig,
     /// Tenants sharing the RapiLog instance (RapiLog setup). `1` is the
@@ -72,9 +70,10 @@ pub struct MachineConfig {
     /// shards with tenant ids `0..n`, where tenant 0 carries the database
     /// WAL and the rest are synthetic co-tenant cells.
     pub tenants: usize,
-    /// CPU tax of running under the hypervisor.
-    pub virt_cpu_factor: f64,
 }
+
+/// CPU tax of running under the hypervisor (Virtualized/RapiLog setups).
+const VIRT_CPU_FACTOR: f64 = 1.05;
 
 impl MachineConfig {
     /// A configuration with defaults for everything but the disks.
@@ -85,10 +84,8 @@ impl MachineConfig {
             log_spec,
             supply: None,
             db: DbConfig::default(),
-            virt_costs: VirtCosts::default(),
             rapilog: RapiLogConfig::default(),
             tenants: 1,
-            virt_cpu_factor: 1.05,
         }
     }
 }
@@ -178,13 +175,13 @@ impl Machine {
                     &i.ctx,
                     &i.driver_cell,
                     Rc::new(i.data_disk.clone()),
-                    i.cfg.virt_costs,
+                    VirtCosts::default(),
                 )),
                 log_dev: Rc::new(VirtioBlk::new(
                     &i.ctx,
                     &i.driver_cell,
                     Rc::new(i.log_disk.clone()),
-                    i.cfg.virt_costs,
+                    VirtCosts::default(),
                 )),
                 rapilog: None,
             },
@@ -207,13 +204,13 @@ impl Machine {
                         &i.ctx,
                         &i.driver_cell,
                         Rc::new(i.data_disk.clone()),
-                        i.cfg.virt_costs,
+                        VirtCosts::default(),
                     )),
                     log_dev: Rc::new(VirtioBlk::new(
                         &i.ctx,
                         &i.driver_cell,
                         Rc::new(rl.device()),
-                        i.cfg.virt_costs,
+                        VirtCosts::default(),
                     )),
                     rapilog: Some(rl),
                 }
@@ -226,7 +223,7 @@ impl Machine {
         let mut cfg = self.inner.cfg.db.clone();
         cfg.cpu_factor = match self.inner.cfg.setup {
             Setup::Native => cfg.cpu_factor,
-            _ => cfg.cpu_factor * self.inner.cfg.virt_cpu_factor,
+            _ => cfg.cpu_factor * VIRT_CPU_FACTOR,
         };
         cfg
     }
@@ -307,7 +304,7 @@ impl Machine {
     }
 
     /// The current database instance, if any.
-    pub fn db(&self) -> Option<Database> {
+    fn db(&self) -> Option<Database> {
         self.inner.db.borrow().clone()
     }
 

@@ -101,11 +101,6 @@ impl Cell {
         self.trust
     }
 
-    /// The cell's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Spawns a task inside the cell.
     pub fn spawn<F>(&self, fut: F) -> JoinHandle<F::Output>
     where

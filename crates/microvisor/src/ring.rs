@@ -55,17 +55,6 @@ impl Default for VirtCosts {
     }
 }
 
-impl VirtCosts {
-    /// A zero-cost transport, for isolating other effects in ablations.
-    pub fn free() -> Self {
-        VirtCosts {
-            trap: SimDuration::ZERO,
-            backend: SimDuration::ZERO,
-            irq: SimDuration::ZERO,
-        }
-    }
-}
-
 /// Cumulative transport statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VirtioStats {
@@ -302,7 +291,11 @@ mod tests {
 
     #[test]
     fn free_costs_add_nothing() {
-        let (mut sim, vblk, _disk) = setup(VirtCosts::free());
+        let (mut sim, vblk, _disk) = setup(VirtCosts {
+            trap: SimDuration::ZERO,
+            backend: SimDuration::ZERO,
+            irq: SimDuration::ZERO,
+        });
         sim.spawn(async move {
             let data = vec![0u8; SECTOR_SIZE];
             vblk.write(0, &data, true).await.unwrap();

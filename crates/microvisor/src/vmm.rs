@@ -46,8 +46,8 @@ impl GuestVm {
     ///
     /// # Panics
     ///
-    /// Panics if the guest is already running — crash or
-    /// [`shutdown`](Self::shutdown) first.
+    /// Panics if the guest is already running — [`crash`](Self::crash) it
+    /// first.
     pub fn boot(&self) -> u64 {
         let mut st = self.state.borrow_mut();
         assert!(
@@ -86,12 +86,6 @@ impl GuestVm {
             Some(cell) => cell.crash(),
             None => 0,
         }
-    }
-
-    /// Orderly shutdown: to the tasks still running, the same as a crash —
-    /// they are destroyed (like powering off a VM).
-    pub fn shutdown(&self) -> usize {
-        self.crash()
     }
 
     /// True if a generation is currently running.

@@ -185,6 +185,10 @@ enum RunFatal {
     DeviceLost,
 }
 
+/// Sector remaps tolerated on one run before the drain declares the device
+/// dead (a disk growing defects this fast has failed).
+const MAX_REMAPS: u32 = 64;
+
 /// Commits one consolidated run, surviving transient failures (capped
 /// exponential backoff) and grown media defects (remap + rewrite). Enters
 /// degraded mode once the retry budget is exhausted — but never drops the
@@ -284,7 +288,7 @@ async fn write_run_resilient(
             Err(IoError::MediaError { sector }) if policy.enabled => {
                 consecutive_ok.set(0);
                 remaps += 1;
-                if remaps > policy.max_remaps {
+                if remaps > MAX_REMAPS {
                     return Err(RunFatal::DeviceLost);
                 }
                 disk.remap(sector);

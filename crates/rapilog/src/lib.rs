@@ -139,9 +139,6 @@ pub struct RetryPolicy {
     /// Consecutive successful media writes required to leave degraded mode
     /// (hysteresis: one lucky write must not flap the mode).
     pub degraded_exit_successes: u32,
-    /// Sector remaps tolerated on one run before declaring the device dead
-    /// (a disk growing defects this fast has failed).
-    pub max_remaps: u32,
 }
 
 impl Default for RetryPolicy {
@@ -153,7 +150,6 @@ impl Default for RetryPolicy {
             backoff_cap: SimDuration::from_millis(20),
             jitter: SimDuration::from_micros(50),
             degraded_exit_successes: 4,
-            max_remaps: 64,
         }
     }
 }

@@ -75,32 +75,31 @@ pub enum ReplicationMode {
     Async,
 }
 
+/// How long the shipper waits for ack progress before retransmitting every
+/// unacknowledged frame.
+const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(5);
+
 /// Tuning for the primary-side shipper.
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
     /// The guarantee level.
     pub mode: ReplicationMode,
-    /// How long the shipper waits for ack progress before retransmitting
-    /// every unacknowledged frame.
-    pub ack_timeout: SimDuration,
-    /// Backoff applied on top of [`ack_timeout`](Self::ack_timeout) as
-    /// consecutive retransmission rounds go unanswered (the retry budget
-    /// only caps the backoff growth — the shipper never gives up on
-    /// acknowledged data).
+    /// Backoff applied on top of the ack deadline as consecutive
+    /// retransmission rounds go unanswered (the retry budget only caps the
+    /// backoff growth — the shipper never gives up on acknowledged data).
     pub retry: RetryPolicy,
 }
 
 impl ReplicationConfig {
-    /// Synchronous replication with a 5 ms ack deadline.
+    /// Synchronous replication.
     pub fn sync() -> ReplicationConfig {
         ReplicationConfig {
             mode: ReplicationMode::Sync,
-            ack_timeout: SimDuration::from_millis(5),
             retry: RetryPolicy::default(),
         }
     }
 
-    /// Asynchronous replication with a 5 ms ack deadline.
+    /// Asynchronous replication.
     pub fn asynchronous() -> ReplicationConfig {
         ReplicationConfig {
             mode: ReplicationMode::Async,
@@ -409,7 +408,7 @@ impl Replicator {
             let ctx = inner.ctx.clone();
             let mut attempt: u32 = 0;
             let mut last_epoch = inner.epoch.get();
-            let mut deadline = ctx.now() + inner.cfg.ack_timeout;
+            let mut deadline = ctx.now() + ACK_TIMEOUT;
             loop {
                 if inner.halted.get() {
                     return;
@@ -424,13 +423,13 @@ impl Replicator {
                 if inner.unacked.borrow().is_empty() {
                     attempt = 0;
                     inner.wake.notified().await;
-                    deadline = ctx.now() + inner.cfg.ack_timeout;
+                    deadline = ctx.now() + ACK_TIMEOUT;
                     continue;
                 }
                 if inner.epoch.get() != last_epoch {
                     last_epoch = inner.epoch.get();
                     attempt = 0;
-                    deadline = ctx.now() + inner.cfg.ack_timeout;
+                    deadline = ctx.now() + ACK_TIMEOUT;
                 }
                 let now = ctx.now();
                 if now >= deadline {
@@ -441,9 +440,8 @@ impl Replicator {
                     }
                     attempt = attempt.saturating_add(1);
                     let capped = attempt.min(inner.cfg.retry.max_retries.max(1));
-                    deadline = now
-                        + inner.cfg.ack_timeout
-                        + backoff_delay(&inner.cfg.retry, capped, &mut rng);
+                    deadline =
+                        now + ACK_TIMEOUT + backoff_delay(&inner.cfg.retry, capped, &mut rng);
                     continue;
                 }
                 ctx.timeout(deadline - now, inner.wake.notified()).await;

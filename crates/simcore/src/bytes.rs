@@ -170,17 +170,12 @@ impl SectorPool {
         }
     }
 
-    /// Returns a vector to the free list.
-    pub fn put(&self, v: Vec<u8>) {
-        self.free.borrow_mut().push(v);
-    }
-
     /// Attempts to reclaim `buf`'s backing allocation. Succeeds only when
     /// `buf` is the last view over its whole allocation; otherwise the bytes
     /// stay alive for the remaining views and nothing happens.
     pub fn recycle(&self, buf: SectorBuf) {
         if let Some(v) = buf.into_vec() {
-            self.put(v);
+            self.free.borrow_mut().push(v);
         }
     }
 

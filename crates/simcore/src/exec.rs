@@ -473,6 +473,22 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
+    /// Pending once, waking itself during that poll: the one way a task
+    /// re-queues itself without a timer.
+    struct YieldNow(bool);
+
+    impl Future for YieldNow {
+        type Output = ();
+
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            if std::mem::replace(&mut self.0, true) {
+                return Poll::Ready(());
+            }
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        }
+    }
+
     #[test]
     fn clock_starts_at_zero_and_advances_only_on_timers() {
         let mut sim = Sim::new(0);
@@ -633,6 +649,22 @@ mod tests {
     }
 
     #[test]
+    fn yield_now_interleaves_tasks() {
+        let mut sim = Sim::new(0);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..2u32 {
+            let order = Rc::clone(&order);
+            sim.spawn(async move {
+                order.borrow_mut().push((i, 0));
+                YieldNow(false).await;
+                order.borrow_mut().push((i, 1));
+            });
+        }
+        sim.run();
+        assert_eq!(*order.borrow(), vec![(0, 0), (1, 0), (0, 1), (1, 1)]);
+    }
+
+    #[test]
     fn timeout_returns_none_on_expiry_and_some_on_completion() {
         let mut sim = Sim::new(0);
         let ctx = sim.ctx();
@@ -787,6 +819,7 @@ mod tests {
                     let jitter = tctx.fork_rng().gen_range(1..=400);
                     tctx.sleep(SimDuration::from_micros(jitter)).await;
                     log.borrow_mut().push((i, tctx.now().as_nanos()));
+                    YieldNow(false).await;
                     tctx.sleep(SimDuration::from_micros(u64::from(i) % 7 + 1))
                         .await;
                     log.borrow_mut().push((i + 1000, tctx.now().as_nanos()));

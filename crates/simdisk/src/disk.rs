@@ -1,16 +1,18 @@
-//! The composite simulated disk: timing model + volatile cache + media.
+//! The composite simulated disk: timing model + media.
 //!
-//! One [`Disk`] owns a [`SectorStore`] (the media), a [`TimingModel`] and an
-//! optional volatile write cache with a background writeback task. A single
-//! media actuator serialises all media accesses, which both matches SATA
-//! semantics (no overlapped mechanical ops) and keeps runs deterministic.
+//! One [`Disk`] owns a [`SectorStore`] (the media) and a [`TimingModel`]. A
+//! single media actuator serialises all media accesses, which both matches
+//! SATA semantics (no overlapped mechanical ops) and keeps runs
+//! deterministic.
 //!
 //! # Power semantics
 //!
-//! [`Disk::power_cut`] models yanking the plug at the current instant:
+//! The disk is write-through: it has no volatile write cache, so a write is
+//! on the media when it completes, whatever its `fua` flag says (the
+//! battery-backed or disabled cache a synchronous database needs is what
+//! RapiLog's trusted buffer makes unnecessary). [`Disk::power_cut`] models
+//! yanking the plug at the current instant:
 //!
-//! * the volatile write cache is discarded (this is why synchronous
-//!   databases disable it or flush through it);
 //! * a media write in flight commits only the sector prefix the head had
 //!   passed (`torn_writes: true`, rotating disks) — individual sectors are
 //!   atomic, as real drives guarantee, which is what makes rewriting the
@@ -25,7 +27,7 @@ use std::rc::Rc;
 
 use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::rng::SimRng;
-use rapilog_simcore::sync::{Notify, Semaphore};
+use rapilog_simcore::sync::Semaphore;
 use rapilog_simcore::trace::{Layer, Payload, Tracer};
 use rapilog_simcore::{DomainId, SimCtx, SimDuration, SimTime};
 
@@ -38,26 +40,21 @@ use crate::{
     SECTOR_SIZE,
 };
 
-/// Largest contiguous run the writeback task commits in one media op.
-const MAX_WRITEBACK_SECTORS: u64 = 4096; // 2 MiB
-
 /// Cumulative statistics for one device.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Read requests observed.
     pub reads: u64,
-    /// Write requests observed (cached or media).
+    /// Write requests observed.
     pub writes: u64,
     /// Flush requests observed.
     pub flushes: u64,
-    /// Media operations performed (includes writeback batches).
+    /// Media operations performed.
     pub media_ops: u64,
     /// Sectors read from media.
     pub sectors_read: u64,
     /// Sectors written to media.
     pub sectors_written: u64,
-    /// Writes absorbed by the volatile cache.
-    pub cache_write_hits: u64,
     /// Media ops failed with [`IoError::Transient`] (injected or sick-mode).
     pub transient_errors: u64,
     /// Media ops failed with [`IoError::MediaError`].
@@ -86,11 +83,6 @@ pub struct DiskStats {
     pub max_outstanding: u32,
     /// Total time the actuator was busy.
     pub busy: SimDuration,
-}
-
-struct CacheEntry {
-    data: Box<[u8; SECTOR_SIZE]>,
-    version: u64,
 }
 
 struct Inflight {
@@ -127,15 +119,12 @@ fn commit_prefix(store: &mut SectorStore, first: u64, segments: &[SectorBuf], ns
 struct St {
     store: SectorStore,
     timing: TimingModel,
-    cache: BTreeMap<u64, CacheEntry>,
-    next_version: u64,
     /// Media operations currently in flight, keyed by an issue ticket. A
     /// single-actuator disk has at most one entry; an SSD holds up to one
     /// per channel. A power cut disposes of all of them at once (torn
     /// prefixes per the spec).
     inflight: BTreeMap<u64, Inflight>,
     next_ticket: u64,
-    writeback_active: bool,
 }
 
 struct DiskInner {
@@ -144,11 +133,6 @@ struct DiskInner {
     geometry: Geometry,
     st: RefCell<St>,
     media_gate: Semaphore,
-    /// Kicks the writeback task.
-    dirty: Notify,
-    /// Fires after each writeback batch and whenever the cache empties;
-    /// flush and space waiters re-check their condition on every wake.
-    clean: Notify,
     offline: Cell<bool>,
     power_epoch: Cell<u64>,
     /// Dedicated fault RNG stream; present iff the spec has a
@@ -308,8 +292,7 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// Creates a device and (if the spec has a cache) starts its writeback
-    /// task in the root domain — device firmware outlives guest crashes.
+    /// Creates a device.
     pub fn new(ctx: &SimCtx, spec: DiskSpec) -> Disk {
         let queue_depth = spec.queue_depth();
         let geometry = Geometry {
@@ -324,17 +307,12 @@ impl Disk {
             st: RefCell::new(St {
                 store: SectorStore::new(),
                 timing,
-                cache: BTreeMap::new(),
-                next_version: 0,
                 inflight: BTreeMap::new(),
                 next_ticket: 0,
-                writeback_active: false,
             }),
             // One permit per concurrent media op: the single actuator of a
             // rotating disk, or one per flash channel on an SSD.
             media_gate: Semaphore::new(queue_depth as usize),
-            dirty: Notify::new(),
-            clean: Notify::new(),
             offline: Cell::new(false),
             power_epoch: Cell::new(0),
             fault_rng: spec
@@ -348,12 +326,6 @@ impl Disk {
             tracer: ctx.tracer(),
             spec,
         });
-        if inner.spec.cache.is_some() {
-            let wb = Rc::clone(&inner);
-            ctx.spawn(async move {
-                writeback_loop(wb).await;
-            });
-        }
         Disk { inner }
     }
 
@@ -460,16 +432,10 @@ impl Disk {
                     commit_prefix(&mut st.store, inf.sector, &inf.segments, committed);
                 }
             }
-            // Volatile cache contents are gone.
-            st.cache.clear();
         }
-        // Release anyone waiting on cache conditions so they observe the
-        // failure promptly.
-        self.inner.clean.notify_all();
-        self.inner.dirty.notify_one();
     }
 
-    /// Restores power. Media contents persist; the cache starts empty.
+    /// Restores power. Media contents persist.
     pub fn power_restore(&self) {
         self.inner.offline.set(false);
         self.inner.tracer.instant(
@@ -516,42 +482,13 @@ impl Disk {
         }
     }
 
-    /// Reads `buf.len() / 512` sectors starting at `sector`, overlaying any
-    /// newer data still in the volatile cache.
+    /// Reads `buf.len() / 512` sectors starting at `sector` from the media.
     pub async fn read(&self, sector: u64, buf: &mut [u8]) -> IoResult<()> {
         let count = self.check_access(sector, buf.len())?;
         if self.inner.offline.get() {
             return Err(self.inner.reject_offline());
         }
         self.inner.stats.borrow_mut().reads += 1;
-        // Fully-cached reads are served at cache latency without touching
-        // the actuator.
-        let fully_cached = {
-            let st = self.inner.st.borrow();
-            (0..count).all(|i| st.cache.contains_key(&(sector + i)))
-        };
-        if fully_cached {
-            let latency = self
-                .inner
-                .spec
-                .cache
-                .as_ref()
-                .map(|c| c.write_latency)
-                .unwrap_or(SimDuration::ZERO);
-            self.inner.ctx.sleep(latency).await;
-            if self.inner.offline.get() {
-                return Err(self.inner.reject_offline());
-            }
-            let st = self.inner.st.borrow();
-            for (i, chunk) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
-                let entry = st
-                    .cache
-                    .get(&(sector + i as u64))
-                    .expect("fully-cached read lost an entry");
-                chunk.copy_from_slice(&entry.data[..]);
-            }
-            return Ok(());
-        }
         let _permit = self.inner.media_gate.acquire(1).await;
         if self.inner.offline.get() {
             return Err(self.inner.reject_offline());
@@ -619,12 +556,6 @@ impl Disk {
         let mut st = self.inner.st.borrow_mut();
         st.inflight.remove(&ticket);
         st.store.read_run(sector, buf);
-        // Overlay dirty cache entries: they are newer than the media.
-        for (i, chunk) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
-            if let Some(entry) = st.cache.get(&(sector + i as u64)) {
-                chunk.copy_from_slice(&entry.data[..]);
-            }
-        }
         let mut stats = self.inner.stats.borrow_mut();
         stats.media_ops += 1;
         stats.sectors_read += count;
@@ -632,29 +563,26 @@ impl Disk {
         Ok(())
     }
 
-    /// Writes `data` starting at `sector`. With `fua`, or when the device
-    /// has no volatile cache, the data is on media when this returns;
-    /// otherwise it is absorbed by the cache and written back later.
+    /// Writes `data` starting at `sector`; the data is on media when this
+    /// returns. `fua` is accepted and ignored: the disk has no volatile
+    /// cache to bypass.
     pub async fn write(&self, sector: u64, data: &[u8], fua: bool) -> IoResult<()> {
-        self.check_access(sector, data.len())?;
-        if let Some(res) = self.cached_write(sector, data, fua).await {
-            return res;
-        }
         // One copy into a reference-counted buffer, standing in for the DMA
         // setup a borrowed slice cannot avoid; owned-buffer callers use
         // [`Disk::write_segments`] and skip it.
-        self.media_path(sector, vec![SectorBuf::copy_from(data)])
+        self.write_segments(sector, vec![SectorBuf::copy_from(data)], fua)
             .await
     }
 
     /// Vectored write: lays `segments` down back to back from `sector`, as
     /// one device command. This is the zero-copy entry point — the segments
-    /// are viewed, not copied, until they land on the media store.
+    /// are viewed, not copied, until they land on the media store. `fua` is
+    /// ignored, as in [`Disk::write`].
     pub async fn write_segments(
         &self,
         sector: u64,
         segments: Vec<SectorBuf>,
-        fua: bool,
+        _fua: bool,
     ) -> IoResult<()> {
         let total: usize = segments.iter().map(SectorBuf::len).sum();
         self.check_access(sector, total)?;
@@ -663,108 +591,16 @@ impl Disk {
                 return Err(IoError::Misaligned { len: seg.len() });
             }
         }
-        if segments.len() == 1 {
-            if let Some(res) = self.cached_write(sector, segments[0].as_slice(), fua).await {
-                return res;
-            }
-        } else if self.inner.offline.get() {
-            return Err(self.inner.reject_offline());
-        } else {
-            self.inner.stats.borrow_mut().writes += 1;
-        }
-        self.media_path(sector, segments).await
-    }
-
-    /// Cache-absorption leg shared by the slice and vectored write paths.
-    /// Returns `Some(result)` when the write was fully handled here (cache
-    /// hit or power loss), `None` when it must proceed to the media.
-    async fn cached_write(&self, sector: u64, data: &[u8], fua: bool) -> Option<IoResult<()>> {
-        let count = (data.len() / SECTOR_SIZE) as u64;
         if self.inner.offline.get() {
-            return Some(Err(self.inner.reject_offline()));
+            return Err(self.inner.reject_offline());
         }
-        {
-            let mut stats = self.inner.stats.borrow_mut();
-            stats.writes += 1;
-        }
-        let cache_spec = self.inner.spec.cache.clone();
-        if let (false, Some(cache)) = (fua, cache_spec) {
-            // Wait for cache space (writeback makes progress underneath).
-            loop {
-                if self.inner.offline.get() {
-                    return Some(Err(self.inner.reject_offline()));
-                }
-                let used = self.inner.st.borrow().cache.len() as u64;
-                if used + count <= cache.capacity_sectors {
-                    break;
-                }
-                self.inner.dirty.notify_one();
-                self.inner.clean.notified().await;
-            }
-            let epoch = self.inner.power_epoch.get();
-            self.inner.ctx.sleep(cache.write_latency).await;
-            if self.inner.power_epoch.get() != epoch {
-                return Some(Err(self.inner.reject_offline()));
-            }
-            let mut st = self.inner.st.borrow_mut();
-            for (i, chunk) in data.chunks_exact(SECTOR_SIZE).enumerate() {
-                let version = st.next_version;
-                st.next_version += 1;
-                let mut boxed = Box::new([0u8; SECTOR_SIZE]);
-                boxed.copy_from_slice(chunk);
-                st.cache.insert(
-                    sector + i as u64,
-                    CacheEntry {
-                        data: boxed,
-                        version,
-                    },
-                );
-            }
-            self.inner.stats.borrow_mut().cache_write_hits += 1;
-            self.inner.dirty.notify_one();
-            return Some(Ok(()));
-        }
-        None
-    }
-
-    /// FUA / cacheless leg: drops superseded cache entries, then performs
-    /// the media write.
-    async fn media_path(&self, sector: u64, segments: Vec<SectorBuf>) -> IoResult<()> {
-        let count: u64 = segments
-            .iter()
-            .map(|s| (s.len() / SECTOR_SIZE) as u64)
-            .sum();
-        // Dirty cache entries for these sectors are superseded by program
-        // order — drop them so a later writeback cannot reorder stale data
-        // over this write.
-        {
-            let mut st = self.inner.st.borrow_mut();
-            for i in 0..count {
-                st.cache.remove(&(sector + i));
-            }
-        }
+        self.inner.stats.borrow_mut().writes += 1;
         self.media_write_segments(sector, segments).await
     }
 
     /// Resolves once every acknowledged write is on stable media.
     pub async fn flush(&self) -> IoResult<()> {
         self.inner.stats.borrow_mut().flushes += 1;
-        if self.inner.spec.cache.is_some() {
-            loop {
-                if self.inner.offline.get() {
-                    return Err(self.inner.reject_offline());
-                }
-                let drained = {
-                    let st = self.inner.st.borrow();
-                    st.cache.is_empty() && !st.writeback_active
-                };
-                if drained {
-                    break;
-                }
-                self.inner.dirty.notify_one();
-                self.inner.clean.notified().await;
-            }
-        }
         let _permit = self.inner.media_gate.acquire(1).await;
         if self.inner.offline.get() {
             return Err(self.inner.reject_offline());
@@ -909,8 +745,7 @@ impl Disk {
         Ok(())
     }
 
-    /// Reads the media contents directly, bypassing the cache and all
-    /// timing. Durability auditors inspect what would survive a crash with
+    /// Reads the media contents directly, bypassing all timing. Durability auditors inspect what would survive a crash with
     /// it, and a RapiLog instance reads the sectors it keeps through it:
     /// the store holds exactly what the instance's landing wrote there, so
     /// the simulator keeps those bytes once, not twice.
@@ -919,85 +754,10 @@ impl Disk {
     }
 
     /// Test/fault hook: overwrites media contents directly, bypassing
-    /// timing and the cache. Used to plant corruption (torn pages) for
+    /// timing. Used to plant corruption (torn pages) for
     /// recovery tests.
     pub fn poke_media(&self, sector: u64, data: &[u8]) {
         self.inner.st.borrow_mut().store.write_run(sector, data);
-    }
-}
-
-async fn writeback_loop(inner: Rc<DiskInner>) {
-    loop {
-        inner.dirty.notified().await;
-        loop {
-            if inner.offline.get() {
-                break;
-            }
-            // Pull the first contiguous dirty run (bounded), remembering
-            // entry versions so concurrent overwrites are not lost.
-            let batch = {
-                let st = inner.st.borrow();
-                let mut iter = st.cache.iter();
-                match iter.next() {
-                    None => None,
-                    Some((&first, entry)) => {
-                        let mut data = Vec::with_capacity(SECTOR_SIZE * 8);
-                        let mut versions = vec![entry.version];
-                        data.extend_from_slice(&entry.data[..]);
-                        for (i, (&s, e)) in iter.enumerate() {
-                            if s != first + 1 + i as u64
-                                || versions.len() as u64 >= MAX_WRITEBACK_SECTORS
-                            {
-                                break;
-                            }
-                            data.extend_from_slice(&e.data[..]);
-                            versions.push(e.version);
-                        }
-                        Some((first, data, versions))
-                    }
-                }
-            };
-            let Some((first, data, versions)) = batch else {
-                break;
-            };
-            inner.st.borrow_mut().writeback_active = true;
-            let disk = Disk {
-                inner: Rc::clone(&inner),
-            };
-            let res = disk
-                .media_write_segments(first, vec![SectorBuf::from_vec(data)])
-                .await;
-            {
-                let mut st = inner.st.borrow_mut();
-                st.writeback_active = false;
-                if res.is_ok() {
-                    for (i, v) in versions.iter().enumerate() {
-                        let s = first + i as u64;
-                        if st.cache.get(&s).map(|e| e.version) == Some(*v) {
-                            st.cache.remove(&s);
-                        }
-                    }
-                }
-            }
-            inner.clean.notify_all();
-            match res {
-                Ok(()) => {}
-                // Device firmware retries transient failures itself — the
-                // host never sees an error for cached writes it already
-                // acknowledged. A short pause, then the batch (still dirty
-                // in the cache) is retried from the top of the loop.
-                Err(IoError::Transient) => {
-                    inner.ctx.sleep(SimDuration::from_millis(2)).await;
-                }
-                // Grown defect under writeback: auto-remap the sector to a
-                // spare (drives do this internally) and retry.
-                Err(IoError::MediaError { sector }) => {
-                    disk.remap(sector);
-                }
-                Err(_) => break,
-            }
-        }
-        inner.clean.notify_all();
     }
 }
 
@@ -1073,17 +833,6 @@ mod tests {
         (0..len).map(|i| (i as u8) ^ tag).collect()
     }
 
-    /// A 1 GiB `hdd_7200` with a 32 MiB volatile write cache enabled.
-    pub(super) fn hdd_7200_wce() -> DiskSpec {
-        DiskSpec {
-            cache: Some(crate::CacheSpec {
-                capacity_sectors: 32 * 1024 * 1024 / SECTOR_SIZE as u64,
-                write_latency: SimDuration::from_micros(120),
-            }),
-            ..specs::hdd_7200(1 << 30)
-        }
-    }
-
     #[test]
     fn write_read_roundtrip_multisector() {
         run_on_disk(specs::instant(1 << 20), |_ctx, disk| async move {
@@ -1139,49 +888,21 @@ mod tests {
     }
 
     #[test]
-    fn cached_writes_ack_fast_and_flush_persists() {
-        run_on_disk(hdd_7200_wce(), |ctx, disk| async move {
-            let data = pattern(8 * SECTOR_SIZE, 2);
-            let t0 = ctx.now();
-            disk.write(100, &data, false).await.unwrap();
-            let ack = ctx.now() - t0;
-            assert!(ack < SimDuration::from_millis(1), "cached ack took {ack}");
-            disk.flush().await.unwrap();
-            // Simulate the crash: cache is dropped, media must have it.
-            disk.power_cut();
-            disk.power_restore();
-            let mut buf = vec![0u8; 8 * SECTOR_SIZE];
-            disk.read(100, &mut buf).await.unwrap();
-            assert_eq!(buf, data, "flushed data survived the power cut");
-        });
-    }
-
-    #[test]
-    fn unflushed_cache_is_lost_on_power_cut() {
-        run_on_disk(hdd_7200_wce(), |_ctx, disk| async move {
-            let data = pattern(SECTOR_SIZE, 3);
-            disk.write(5, &data, false).await.unwrap();
-            // No flush; cut immediately (before writeback gets a chance —
-            // writeback needs media time which has not elapsed).
-            disk.power_cut();
-            disk.power_restore();
-            let mut buf = vec![0u8; SECTOR_SIZE];
-            disk.read(5, &mut buf).await.unwrap();
-            assert_eq!(buf, vec![0u8; SECTOR_SIZE], "dirty cache vanished");
-        });
-    }
-
-    #[test]
-    fn fua_write_survives_immediate_power_cut() {
-        run_on_disk(hdd_7200_wce(), |_ctx, disk| async move {
-            let data = pattern(SECTOR_SIZE, 4);
-            disk.write(6, &data, true).await.unwrap();
-            disk.power_cut();
-            disk.power_restore();
-            let mut buf = vec![0u8; SECTOR_SIZE];
-            disk.read(6, &mut buf).await.unwrap();
-            assert_eq!(buf, data);
-        });
+    fn acked_write_survives_immediate_power_cut_whatever_its_fua() {
+        for fua in [true, false] {
+            run_on_disk(specs::hdd_7200(1 << 30), move |_ctx, disk| async move {
+                let data = pattern(SECTOR_SIZE, 4);
+                disk.write(6, &data, fua).await.unwrap();
+                disk.power_cut();
+                disk.power_restore();
+                let mut buf = vec![0u8; SECTOR_SIZE];
+                disk.read(6, &mut buf).await.unwrap();
+                assert_eq!(
+                    buf, data,
+                    "fua {fua}: the write-through disk lost an acked write"
+                );
+            });
+        }
     }
 
     #[test]
@@ -1252,39 +973,6 @@ mod tests {
                 "sector {s} past the torn prefix must be untouched"
             );
         }
-    }
-
-    #[test]
-    fn reads_see_dirty_cache_overlay() {
-        run_on_disk(hdd_7200_wce(), |_ctx, disk| async move {
-            // Put old data on media.
-            let old = pattern(SECTOR_SIZE, 6);
-            disk.write(50, &old, true).await.unwrap();
-            // Newer data sits in the cache.
-            let new = pattern(SECTOR_SIZE, 7);
-            disk.write(50, &new, false).await.unwrap();
-            let mut buf = vec![0u8; SECTOR_SIZE];
-            disk.read(50, &mut buf).await.unwrap();
-            assert_eq!(buf, new, "read-your-writes through the cache");
-        });
-    }
-
-    #[test]
-    fn writeback_eventually_persists_without_flush() {
-        let mut sim = Sim::new(7);
-        let ctx = sim.ctx();
-        let disk = Disk::new(&ctx, hdd_7200_wce());
-        let d2 = disk.clone();
-        sim.spawn(async move {
-            let data = pattern(SECTOR_SIZE, 8);
-            d2.write(9, &data, false).await.unwrap();
-        });
-        // Give the writeback task plenty of virtual time.
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(disk.inner.st.borrow().cache.len(), 0, "cache drained");
-        let mut buf = vec![0u8; SECTOR_SIZE];
-        disk.peek_media(9, &mut buf);
-        assert_eq!(buf, pattern(SECTOR_SIZE, 8));
     }
 
     #[test]
@@ -1532,7 +1220,6 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
-    use super::tests::hdd_7200_wce;
     use super::*;
     use crate::spec::{specs, FaultProfile};
     use rapilog_simcore::{Sim, SimTime};
@@ -1666,11 +1353,12 @@ mod fault_tests {
 
     #[test]
     fn stalls_add_latency_and_are_counted() {
-        let spec = specs::instant(1 << 20).with_faults(FaultProfile::stalls(
-            3,
-            1.0,
-            SimDuration::from_millis(25),
-        ));
+        let spec = specs::instant(1 << 20).with_faults(FaultProfile {
+            seed: 3,
+            stall_rate: 1.0,
+            stall: SimDuration::from_millis(25),
+            ..FaultProfile::default()
+        });
         let (disk, end) = run_with_faults(spec, |_ctx, disk| async move {
             let data = vec![1u8; SECTOR_SIZE];
             for i in 0..4u64 {
@@ -1714,103 +1402,5 @@ mod fault_tests {
             disk.write(0, &data, true).await.unwrap();
         });
         assert_eq!(disk.stats().rejected_offline, 3);
-    }
-
-    #[test]
-    fn writeback_retries_through_a_sick_interval() {
-        let mut sim = Sim::new(11);
-        let ctx = sim.ctx();
-        let disk = Disk::new(&ctx, hdd_7200_wce());
-        let d2 = disk.clone();
-        sim.spawn(async move {
-            let data = vec![0xEEu8; SECTOR_SIZE];
-            d2.write(8, &data, false).await.unwrap();
-            // Drive falls sick after the cached ack; firmware must retry
-            // the writeback until it recovers.
-            d2.set_sick(true);
-        });
-        let d3 = disk.clone();
-        sim.spawn({
-            let ctx = ctx.clone();
-            async move {
-                ctx.sleep(SimDuration::from_millis(200)).await;
-                d3.set_sick(false);
-            }
-        });
-        sim.run_until(SimTime::from_secs(2));
-        assert_eq!(
-            disk.inner.st.borrow().cache.len(),
-            0,
-            "writeback got through"
-        );
-        let mut buf = vec![0u8; SECTOR_SIZE];
-        disk.peek_media(8, &mut buf);
-        assert_eq!(buf, vec![0xEEu8; SECTOR_SIZE]);
-        assert!(disk.stats().transient_errors > 0, "retries were needed");
-    }
-
-    #[test]
-    fn writeback_auto_remaps_grown_defects() {
-        let mut sim = Sim::new(11);
-        let ctx = sim.ctx();
-        let disk = Disk::new(&ctx, hdd_7200_wce());
-        disk.mark_bad(9);
-        let d2 = disk.clone();
-        sim.spawn(async move {
-            let data = vec![0xABu8; SECTOR_SIZE];
-            d2.write(9, &data, false).await.unwrap();
-        });
-        sim.run_until(SimTime::from_secs(2));
-        assert_eq!(disk.inner.st.borrow().cache.len(), 0);
-        assert_eq!(disk.stats().remaps, 1);
-        let mut buf = vec![0u8; SECTOR_SIZE];
-        disk.peek_media(9, &mut buf);
-        assert_eq!(buf, vec![0xABu8; SECTOR_SIZE]);
-    }
-}
-
-#[cfg(test)]
-mod cache_backpressure_tests {
-    use super::*;
-    use crate::spec::{specs, CacheSpec};
-    use rapilog_simcore::{Sim, SimTime};
-    use std::cell::Cell;
-
-    #[test]
-    fn full_cache_blocks_writers_until_writeback_progresses() {
-        let mut sim = Sim::new(7);
-        let ctx = sim.ctx();
-        // A 4-sector cache over slow mechanics.
-        let mut spec = specs::hdd_7200(1 << 30);
-        spec.cache = Some(CacheSpec {
-            capacity_sectors: 4,
-            write_latency: SimDuration::from_micros(100),
-        });
-        let disk = Disk::new(&ctx, spec);
-        let finished = Rc::new(Cell::new(0u32));
-        let f2 = Rc::clone(&finished);
-        let d2 = disk.clone();
-        sim.spawn(async move {
-            // Twelve cached single-sector writes through a 4-sector cache:
-            // the later ones must wait for writeback drains.
-            for i in 0..12u64 {
-                d2.write(i * 10, &vec![i as u8; SECTOR_SIZE], false)
-                    .await
-                    .unwrap();
-                f2.set(f2.get() + 1);
-            }
-        });
-        // After a millisecond, only about a cache-full has been accepted.
-        sim.run_until(SimTime::from_millis(1));
-        assert!(
-            finished.get() < 12,
-            "cache absorbed everything instantly: backpressure missing"
-        );
-        sim.run_until(SimTime::from_secs(2));
-        assert_eq!(finished.get(), 12, "all writes eventually accepted");
-        // And the writeback persisted them.
-        let mut buf = vec![0u8; SECTOR_SIZE];
-        disk.peek_media(110, &mut buf);
-        assert_eq!(buf, vec![11u8; SECTOR_SIZE]);
     }
 }

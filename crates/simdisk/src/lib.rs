@@ -20,8 +20,9 @@
 //!
 //! Devices store **real bytes** (sparse, in memory), so crash-recovery code
 //! upstream is genuinely exercised: after a simulated power cut, exactly the
-//! sectors that had reached the media are readable, the volatile write cache
-//! is lost, and an in-flight multi-sector write may be torn.
+//! sectors that had reached the media are readable and an in-flight
+//! multi-sector write may be torn. Every modelled device is write-through:
+//! a completed write is on the media.
 //!
 //! # Examples
 //!
@@ -51,7 +52,7 @@ pub mod timing;
 pub use disk::{Disk, DiskStats};
 pub use queue::IoQueue;
 pub use rapilog_simcore::bytes::{SectorBuf, SectorPool};
-pub use spec::{specs, CacheSpec, DiskSpec, FaultProfile, TimingSpec};
+pub use spec::{specs, DiskSpec, FaultProfile, TimingSpec};
 pub use store::SectorStore;
 pub use timing::ServiceParts;
 
@@ -133,11 +134,6 @@ pub struct Geometry {
 }
 
 impl Geometry {
-    /// Device capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.sectors * self.sector_size as u64
-    }
-
     /// Checks an access of `count` sectors at `sector` against the device:
     /// none at all is [`IoError::Misaligned`]` { len: 0 }`, past the end is
     /// [`IoError::OutOfRange`]. `count` comes from the guest, so this runs
@@ -176,7 +172,10 @@ pub enum IoReq {
         sector: u64,
         /// Byte segments, each a multiple of the sector size.
         segments: Vec<SectorBuf>,
-        /// Force unit access: data is on stable media at completion.
+        /// Force unit access: data is on stable media at completion. No
+        /// modelled device reads it: every one is write-through, so every
+        /// completed write is on stable media (or, behind RapiLog, in the
+        /// trusted buffer).
         fua: bool,
     },
     /// Barrier: completes once every previously acknowledged write is on
@@ -305,10 +304,11 @@ pub trait BlockDevice {
         })
     }
 
-    /// Writes `data` starting at `sector`. With `fua` (force unit access)
-    /// the data is on stable media when the future resolves; without it the
-    /// write may land in a volatile cache. One copy of `data` into an owned
-    /// buffer, then [`write_buf`](BlockDevice::write_buf).
+    /// Writes `data` starting at `sector`. `fua` (force unit access) is
+    /// carried in the [`IoReq::Write`], which no modelled device reads:
+    /// each is write-through, so the write is durable when the future
+    /// resolves either way. One copy of `data` into an owned buffer, then
+    /// [`write_buf`](BlockDevice::write_buf).
     fn write<'a>(
         &'a self,
         sector: u64,

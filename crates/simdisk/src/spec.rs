@@ -50,9 +50,8 @@ pub enum TimingSpec {
 /// `seed`, so a fault schedule replays exactly under the same seed
 /// regardless of request timing upstream.
 ///
-/// Rates are per *media operation* (requests served from the volatile
-/// cache are electronics, not media, and do not fault). All rates default
-/// to zero; [`FaultProfile::default`] is a healthy disk.
+/// Rates are per *media operation*. All rates default to zero;
+/// [`FaultProfile::default`] is a healthy disk.
 #[derive(Debug, Clone)]
 pub struct FaultProfile {
     /// Seed of the fault RNG stream.
@@ -106,25 +105,6 @@ impl FaultProfile {
             ..FaultProfile::default()
         }
     }
-
-    /// A profile of only write stalls at the given rate and magnitude.
-    pub fn stalls(seed: u64, rate: f64, stall: SimDuration) -> FaultProfile {
-        FaultProfile {
-            seed,
-            stall_rate: rate,
-            stall,
-            ..FaultProfile::default()
-        }
-    }
-}
-
-/// Volatile write-cache configuration.
-#[derive(Debug, Clone)]
-pub struct CacheSpec {
-    /// Cache capacity in sectors.
-    pub capacity_sectors: u64,
-    /// Latency of a cache-hit write acknowledgement.
-    pub write_latency: SimDuration,
 }
 
 /// Full description of a simulated device.
@@ -136,10 +116,6 @@ pub struct DiskSpec {
     pub sectors: u64,
     /// Service-time model.
     pub timing: TimingSpec,
-    /// Volatile write cache; `None` disables it (every write behaves as
-    /// FUA). Databases that care about durability run with the cache off or
-    /// flush through it — both paths are modelled.
-    pub cache: Option<CacheSpec>,
     /// If true, a multi-sector write in flight at a power cut commits only
     /// the sector prefix the head had completed (sectors themselves are
     /// atomic). If false (power-loss-protected flash), the whole in-flight
@@ -209,7 +185,7 @@ pub mod specs {
     }
 
     /// 7200 rpm SATA disk: 8.33 ms rotation, ~117 MB/s sequential,
-    /// 0.6–9 ms seeks, volatile cache disabled (safe configuration).
+    /// 0.6–9 ms seeks.
     pub fn hdd_7200(capacity_bytes: u64) -> DiskSpec {
         DiskSpec {
             name: "hdd-7200".to_string(),
@@ -221,7 +197,6 @@ pub mod specs {
                 seek_max: SimDuration::from_millis(9),
                 overhead: SimDuration::from_micros(60),
             },
-            cache: None,
             torn_writes: true,
             fault: None,
         }
@@ -239,7 +214,6 @@ pub mod specs {
                 seek_max: SimDuration::from_millis(4),
                 overhead: SimDuration::from_micros(60),
             },
-            cache: None,
             torn_writes: true,
             fault: None,
         }
@@ -257,7 +231,6 @@ pub mod specs {
                 bus_bytes_per_sec: 250 * 1024 * 1024,
                 channels: 1,
             },
-            cache: None,
             torn_writes: false,
             fault: None,
         }
@@ -275,7 +248,6 @@ pub mod specs {
                 bus_bytes_per_sec: 2 * 1024 * 1024 * 1024,
                 channels: 1,
             },
-            cache: None,
             torn_writes: false,
             fault: None,
         }
@@ -293,7 +265,6 @@ pub mod specs {
                 bus_bytes_per_sec: u64::MAX,
                 channels: 1,
             },
-            cache: None,
             torn_writes: false,
             fault: None,
         }

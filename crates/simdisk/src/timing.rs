@@ -225,10 +225,10 @@ impl TimingModel {
         }
     }
 
-    /// Cost of a FLUSH command once the cache is already drained.
+    /// Cost of a FLUSH command: the disk caches nothing, so only the
+    /// command itself.
     pub fn flush_time(&self) -> SimDuration {
         match self {
-            // Draining is modelled explicitly; the command itself is cheap.
             TimingModel::Hdd { overhead, .. } => *overhead,
             TimingModel::Ssd { flush_latency, .. } => *flush_latency,
         }

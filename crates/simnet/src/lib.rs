@@ -10,8 +10,9 @@
 //!
 //! A [`Link`] is a unidirectional, typed, unreliable message pipe:
 //!
-//! * **Latency** — every message pays `base_latency` plus a uniform jitter
-//!   plus a per-byte serialisation cost ([`LinkSpec::ns_per_byte`]).
+//! * **Latency** — every message pays a fixed propagation delay plus a
+//!   uniform jitter ([`LinkSpec::jitter`]) plus a per-byte serialisation
+//!   cost.
 //! * **Drop** — with probability [`LinkFaults::drop_rate`] a message
 //!   silently disappears.
 //! * **Duplication** — with probability [`LinkFaults::dup_rate`] a second
@@ -81,17 +82,18 @@ impl LinkFaults {
     }
 }
 
+/// Fixed propagation delay per message.
+const BASE_LATENCY: SimDuration = SimDuration::from_micros(50);
+/// Serialisation cost per payload byte: ~10 Gbit/s.
+const NS_PER_BYTE: u64 = 1;
+
 /// Static description of one unidirectional link.
 #[derive(Debug, Clone)]
 pub struct LinkSpec {
     /// Name used in trace events.
     pub name: &'static str,
-    /// Fixed propagation delay per message.
-    pub base_latency: SimDuration,
-    /// Maximum uniform jitter added on top of the base latency.
+    /// Maximum uniform jitter added on top of the fixed propagation delay.
     pub jitter: SimDuration,
-    /// Serialisation cost per payload byte (models link bandwidth).
-    pub ns_per_byte: u64,
     /// The fault model.
     pub faults: LinkFaults,
 }
@@ -101,9 +103,7 @@ impl LinkSpec {
     pub fn lan(name: &'static str) -> LinkSpec {
         LinkSpec {
             name,
-            base_latency: SimDuration::from_micros(50),
             jitter: SimDuration::from_micros(20),
-            ns_per_byte: 1,
             faults: LinkFaults::default(),
         }
     }
@@ -256,9 +256,9 @@ impl<T: Clone + 'static> Link<T> {
             );
             return;
         }
-        let mut delay = spec.base_latency
+        let mut delay = BASE_LATENCY
             + SimDuration::from_nanos(jitter_ns)
-            + SimDuration::from_nanos(bytes.saturating_mul(spec.ns_per_byte));
+            + SimDuration::from_nanos(bytes.saturating_mul(NS_PER_BYTE));
         if reorder_roll < spec.faults.reorder_rate {
             stats.reordered += 1;
             delay += SimDuration::from_nanos(hold_ns);

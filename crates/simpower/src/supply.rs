@@ -140,11 +140,6 @@ impl PowerSupply {
         &self.inner.spec
     }
 
-    /// Current state.
-    pub fn state(&self) -> PowerState {
-        self.inner.state.get()
-    }
-
     /// Registers a callback to run at the instant output collapses.
     pub fn on_death(&self, f: impl Fn() + 'static) {
         self.inner.on_death.borrow_mut().push(Box::new(f));
@@ -270,7 +265,7 @@ mod tests {
         assert_eq!(warn_at.get(), 52, "warning 2 ms after the cut");
         assert_eq!(death_at.get(), 250, "death at cut + 200 ms window");
         assert!(disk_cut.get(), "death callback ran");
-        assert_eq!(psu.state(), PowerState::Dead);
+        assert_eq!(psu.inner.state.get(), PowerState::Dead);
     }
 
     #[test]
@@ -312,7 +307,7 @@ mod tests {
         });
         sim.run_until(SimTime::from_secs(1));
         assert!(!died.get(), "restored before the window expired");
-        assert_eq!(psu.state(), PowerState::Mains);
+        assert_eq!(psu.inner.state.get(), PowerState::Mains);
     }
 
     #[test]

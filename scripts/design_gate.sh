@@ -36,14 +36,21 @@
 #     reappears in the non-test part of any `crates/*/src` file: every trial
 #     kind is a `faultsim::Trial` swept by `faultsim::explore`, which owns the
 #     grid walk, the thread fan-out and the replay.
-# (g) No public function that only tests call. One pass over the identifiers
-#     of the non-test part of `crates/*/src` (bins included), `src/`,
-#     `examples/` and `benchmark/src` (comments, string literals and
-#     `pub use` re-exports are not uses, nor is a function's own
-#     definition) lists every `pub fn` defined in the non-test part of
-#     `crates/*/src` whose name no file but its own uses. A hit fails unless
-#     scripts/pub_census.allow names it (`<file>:<fn>  <reason>`); so does a
-#     line there whose function is no longer defined or has a caller now.
+# (g) No public function that only tests call. One pass over the non-test
+#     part of `crates/*/src` (bins included), `src/`, `examples/` and
+#     `benchmark/src` lists every `pub fn` defined in the non-test part of
+#     `crates/*/src` whose name no file but its own uses. Only call-shaped
+#     uses count: `name(`, `.name(`, `name::<`, a path `::name`, and an item
+#     of a `use` list. A field access `x.name`, a `name:` key (a field, a
+#     struct-literal key) or a local of the same name is no use, and neither
+#     are comments, string literals, `pub use` re-exports or a function's
+#     own definition. A hit fails unless scripts/pub_census.allow names it
+#     (`<file>:<fn>  <reason>`); so does a line there whose function is no
+#     longer defined or has a caller now.
+# (h) The disk is write-through. Fails if `CacheSpec`, `writeback_loop` or
+#     `cache_write_hits` reappears in the non-test part of any
+#     `crates/*/src` file: the volatile write cache RapiLog makes
+#     unnecessary is not modelled, so no option turns one on.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -168,11 +175,12 @@ if ! awk -v defs="$defs" -v allow="$ALLOW" '
             allowed[f[1]] = 1
         }
     }
-    FNR == 1 { live = 1; reexport = 0 }
+    FNR == 1 { live = 1; reexport = 0; in_use = 0 }
     /^#\[cfg\(test\)\]/ { live = 0 }
     !live { next }
     /^[[:space:]]*pub(\([a-z]+\))?[[:space:]]+use[[:space:]]/ { reexport = 1 }
     reexport { if (index($0, ";")) reexport = 0; next }
+    /^[[:space:]]*use[[:space:]]/ { in_use = 1 }
     {
         line = $0
         gsub(/"([^"\\]|\\.)*"/, " ", line)
@@ -186,7 +194,22 @@ if ! awk -v defs="$defs" -v allow="$ALLOW" '
             fn_file[key] = FILENAME
         }
         gsub(/fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/, " ", line)
-        gsub(/[^A-Za-z0-9_]+/, " ", line)
+        if (in_use) {
+            # An item of a `use` list names what the file calls.
+            if (index(line, ";")) in_use = 0
+            gsub(/[^A-Za-z0-9_]+/, " ", line)
+        } else {
+            # Elsewhere only call-shaped uses count: `name(`, `.name(`,
+            # `name::<` and a path `::name`. A field (`x.name`), a key
+            # (`name:`) or a local of the same name hides no function.
+            rest = line
+            line = ""
+            while (match(rest, /(::[[:space:]]*)?[A-Za-z_][A-Za-z0-9_]*/)) {
+                tok = substr(rest, RSTART, RLENGTH)
+                rest = substr(rest, RSTART + RLENGTH)
+                if (sub(/^::[[:space:]]*/, "", tok) || rest ~ /^[[:space:]]*(\(|::<)/) line = line " " tok
+            }
+        }
         nt = split(line, t, " ")
         for (j = 1; j <= nt; j++) {
             if (!((t[j], FILENAME) in used)) { used[t[j], FILENAME] = 1; files[t[j]]++ }
@@ -216,6 +239,16 @@ if ! awk -v defs="$defs" -v allow="$ALLOW" '
     fail=1
 fi
 
+# ---- (h) the disk is write-through -------------------------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nwE 'CacheSpec|writeback_loop|cache_write_hits' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f models a volatile disk write cache again (the disk is write-through):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
@@ -226,3 +259,4 @@ echo "design_gate: ok    bytes move by the run (no enum Held, no per-sector Fast
 echo "design_gate: ok    the buffer is the log's read cache (no reads_hold_disk, stand_aside, defer_to_reads, read_defers or const KEPT)"
 echo "design_gate: ok    one explorer (no explore_crash_points, replay_crash_point, explore_failovers, FailoverCounterexample or their _parallel wrappers)"
 echo "design_gate: ok    no public function that only tests call (every other hit is in $ALLOW, and every line there is still one)"
+echo "design_gate: ok    the disk is write-through (no CacheSpec, writeback_loop or cache_write_hits)"
