@@ -18,8 +18,6 @@ use std::path::Path;
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// `null`.
-    Null,
     /// `true` / `false`.
     Bool(bool),
     /// Any number; non-finite values render as `null`.
@@ -57,7 +55,6 @@ impl Json {
 
     fn write(&self, out: &mut String) {
         match self {
-            Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if !n.is_finite() {
@@ -144,7 +141,6 @@ mod tests {
 
     #[test]
     fn renders_scalars_and_escapes() {
-        assert_eq!(Json::Null.render(), "null");
         assert_eq!(Json::Bool(true).render(), "true");
         assert_eq!(Json::int(42).render(), "42");
         assert_eq!(Json::Num(1.5).render(), "1.5");

@@ -1,11 +1,11 @@
 #![warn(missing_docs)]
 
-//! Benchmark harness: one runnable target per table and figure.
+//! Benchmark harness for the paper's (reconstructed) tables and figures.
 //!
-//! Each `fig_*`/`table_*` binary under `src/bin/` regenerates the data for
-//! one of the paper's (reconstructed) tables or figures and prints the rows
-//! the reproduction records in EXPERIMENTS.md. This library holds the
-//! shared machinery:
+//! The `figures` binary under `src/bin/` regenerates every one of them
+//! (`figures <name>` one) and prints the rows the reproduction records in
+//! EXPERIMENTS.md; the other binaries there are sweeps with gates of their
+//! own. This library holds the shared machinery:
 //!
 //! * [`perf::run_perf`] — a complete performance run: assemble a machine in
 //!   one of the three setups, install and load a workload, drive it with

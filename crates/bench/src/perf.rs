@@ -30,7 +30,7 @@ pub enum WorkloadSpec {
 }
 
 /// Everything one performance run needs.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct PerfConfig {
     /// Simulation seed.
     pub seed: u64,

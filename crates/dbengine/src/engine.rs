@@ -38,7 +38,7 @@ pub struct TableDef {
 }
 
 /// Engine configuration.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct DbConfig {
     /// Commit policy and CPU cost personality.
     pub profile: EngineProfile,

@@ -949,14 +949,6 @@ pub struct FailoverExplorerConfig {
     pub seeds: Vec<u64>,
     /// Failover kinds to sweep.
     pub kinds: Vec<FailoverKind>,
-    /// Clients per trial.
-    pub clients: usize,
-    /// Writes per client.
-    pub writes_per_client: usize,
-    /// Mean think time between writes.
-    pub think_time: SimDuration,
-    /// Load time before the fault.
-    pub fault_after: SimDuration,
 }
 
 impl FailoverExplorerConfig {
@@ -968,23 +960,12 @@ impl FailoverExplorerConfig {
         FailoverExplorerConfig {
             seeds: (0..3).map(|i| 0xFA11 + i * 131).collect(),
             kinds: FailoverKind::all(),
-            clients: 2,
-            writes_per_client: 64,
-            think_time: SimDuration::from_micros(300),
-            fault_after: SimDuration::from_millis(12),
         }
     }
 
-    /// The [`FailoverConfig`] for one grid point.
+    /// The [`FailoverConfig`] for one grid point: the stock trial.
     pub fn trial(&self, point: &FailoverPoint) -> FailoverConfig {
-        FailoverConfig {
-            mode: point.mode,
-            kind: point.kind,
-            clients: self.clients,
-            writes_per_client: self.writes_per_client,
-            think_time: self.think_time,
-            fault_after: self.fault_after,
-        }
+        FailoverConfig::new(point.mode, point.kind)
     }
 }
 

@@ -51,7 +51,7 @@ impl Setup {
 }
 
 /// Machine configuration.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// The configuration under test.
     pub setup: Setup,

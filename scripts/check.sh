@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> design gate (one request path: no derived BlockDevice method re-implemented, no BlkReq/service.rs/ipc.rs; each crates/*/src non-test lines <= its line in scripts/src_lines.budget; no RecoveryMode/fuzzy_checkpoints/flush_all; bytes move by the run: no enum Held, no per-sector media map; the buffer is the log's read cache: no reads_hold_disk/stand_aside/defer_to_reads/read_defers/const KEPT; one explorer: no explore_crash_points/replay_crash_point/explore_failovers/FailoverCounterexample/*_parallel; no pub fn that only tests call (only call-shaped uses count) unless scripts/pub_census.allow says why, and no stale line there; the disk is write-through: no CacheSpec/writeback_loop/cache_write_hits)"
+echo "==> design gate (one request path: no derived BlockDevice method re-implemented, no BlkReq/service.rs/ipc.rs; each crates/*/src non-test lines <= its line in scripts/src_lines.budget; no RecoveryMode/fuzzy_checkpoints/flush_all; bytes move by the run: no enum Held, no per-sector media map; the buffer is the log's read cache: no reads_hold_disk/stand_aside/defer_to_reads/read_defers/const KEPT; one explorer: no explore_crash_points/replay_crash_point/explore_failovers/FailoverCounterexample/*_parallel; no pub fn that only tests call (only call-shaped uses count) unless scripts/pub_census.allow says why, and no stale line there; the disk is write-through: no CacheSpec/writeback_loop/cache_write_hits; one figures binary: no other bin runs run_perf, no per-figure bin back)"
 scripts/design_gate.sh
 
 echo "==> cargo build --release --workspace --all-targets"
@@ -30,6 +30,9 @@ QUICK=1 ./target/release/abl_adaptive_batching
 
 echo "==> recovery ablation (storm + checkpoints-under-pressure report; log read back from the buffer that outlived the guest gated, QUICK)"
 QUICK=1 ./target/release/abl_recovery
+
+echo "==> paper figures at QUICK size (claim 3 on every virt-sync/RapiLog pair)"
+QUICK=1 ./target/release/figures >/dev/null
 
 echo "==> hot-path bench + allocation budget (check mode)"
 BENCH_CHECK=1 cargo bench -q -p rapilog-bench --bench hotpaths

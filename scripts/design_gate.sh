@@ -51,6 +51,12 @@
 #     `cache_write_hits` reappears in the non-test part of any
 #     `crates/*/src` file: the volatile write cache RapiLog makes
 #     unnecessary is not modelled, so no option turns one on.
+# (i) One figures binary. The paper's figures are the functions of
+#     `crates/bench/src/bin/figures.rs`, which runs every cell through one
+#     `run_parallel` batch and checks claim 3 on every virt-sync/RapiLog
+#     pair. Fails if another file under `crates/bench/src/bin/` names
+#     `run_perf` (a figure outside the batch and the check), or if one of
+#     the thirteen per-figure binaries it replaced reappears by name.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -249,6 +255,24 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+# ---- (i) one figures binary -------------------------------------------------
+while IFS= read -r f; do
+    hits=$(grep -nw 'run_perf' "$f" || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f runs run_perf outside figures.rs (a figure is a function of figures.rs, checked for claim 3):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates/bench/src/bin -name '*.rs' ! -path crates/bench/src/bin/figures.rs | sort)
+for gone in fig2_commit_latency fig3_virt_overhead fig4_tpcc_hdd fig5_tpcc_ssd fig6_engines \
+    fig7_tpcb fig8_occupancy table1_residual table3_groupcommit abl_buffer_sweep \
+    abl_disk_sweep abl_ckpt_sweep fig_latency_breakdown; do
+    if [[ -n "$(find crates/bench/src/bin -name "$gone" -o -name "$gone.rs")" ]]; then
+        echo "design_gate: FAIL  crates/bench/src/bin/$gone is back: it is \`figures $gone\`" >&2
+        fail=1
+    fi
+done
+
 if ((fail)); then
     exit 1
 fi
@@ -260,3 +284,4 @@ echo "design_gate: ok    the buffer is the log's read cache (no reads_hold_disk,
 echo "design_gate: ok    one explorer (no explore_crash_points, replay_crash_point, explore_failovers, FailoverCounterexample or their _parallel wrappers)"
 echo "design_gate: ok    no public function that only tests call (every other hit is in $ALLOW, and every line there is still one)"
 echo "design_gate: ok    the disk is write-through (no CacheSpec, writeback_loop or cache_write_hits)"
+echo "design_gate: ok    one figures binary (no other bin runs run_perf, none of the thirteen per-figure bins is back)"

@@ -47,12 +47,14 @@ if [[ "${PERF_GATE_SKIP_RUN:-0}" != "1" ]]; then
     cargo build --release -p rapilog-bench 2>&1 | tail -n 1
     while IFS=$'\t' read -r bench threads; do
         # Most rows are named after their binary; the exceptions map here.
-        bin="$bench"
+        # The ablation sweeps are figures of the one `figures` binary.
+        cmd=("./target/release/$bench")
         case "$bench" in
-            tenant_fairness) bin=fig_tenant_fairness ;;
+            tenant_fairness) cmd=(./target/release/fig_tenant_fairness) ;;
+            abl_buffer_sweep | abl_disk_sweep | abl_ckpt_sweep) cmd=(./target/release/figures "$bench") ;;
         esac
         echo "perf_gate: running $bench (QUICK, threads=$threads)"
-        QUICK=1 RAPILOG_BENCH_THREADS="$threads" "./target/release/$bin" >/dev/null
+        QUICK=1 RAPILOG_BENCH_THREADS="$threads" "${cmd[@]}" >/dev/null
     done < <(jq -r '[.bench, (.threads // 1)] | @tsv' "$BASELINE")
 fi
 
