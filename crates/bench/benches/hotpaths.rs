@@ -66,14 +66,16 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Allocation budget per committed storm transaction over the full RapiLog
 /// stack (client → engine → WAL → virtio → buffer → drain → media).
 ///
-/// The zero-copy path measures 35.6 allocations per commit at one log
-/// write per commit (pooled WAL batches, viewed extents, moved drain
-/// batches, per-task cached wakers; 43.9 while the WAL also wrote what
-/// nobody waited for, 1.35 device writes per commit); the pre-zero-copy
-/// baseline measured ~106 on the same workload. The budget is the
-/// measurement + 15 % for batching variance: one more allocation on the
-/// log path per write, or a second write per commit, blows through it.
-const STORM_ALLOCS_PER_COMMIT_BUDGET: f64 = 41.0;
+/// The zero-copy path measures 27.7 allocations per commit (check mode)
+/// at one log write per commit, since the engine stopped cloning table
+/// metadata per row access and before-images per update and `timeout`
+/// stopped boxing its future (35.2 before; 43.9 while the WAL also wrote
+/// what nobody waited for, 1.35 device writes per commit); the
+/// pre-zero-copy baseline measured ~106 on the same workload. The budget
+/// is the measurement + 15 % for batching variance: one more allocation
+/// on the log path per write, or a second write per commit, blows through
+/// it.
+const STORM_ALLOCS_PER_COMMIT_BUDGET: f64 = 32.0;
 
 /// Log-device writes per storm commit: one, the commit's own. The WAL
 /// writes what a committer waits for, not every record appended while the
@@ -197,7 +199,7 @@ fn bench_executor(r: &mut Runner) {
 
 /// Executor-kernel rows: isolates the scheduling core's three primitive
 /// costs — spawning a task into the slab arena, waking a task through the
-/// ready ring, and firing a timer out of the wheel — plus an overall
+/// ready ring, and firing a timer out of the heap — plus an overall
 /// poll-throughput (events/sec) figure for the timer-heavy run.
 fn bench_exec_kernel(r: &mut Runner) {
     // ns per spawn: enqueue cost only (slab insert + ready-ring push);
@@ -244,7 +246,7 @@ fn bench_exec_kernel(r: &mut Runner) {
     r.report("exec/wake", start.elapsed(), rounds * 2);
 
     // ns per timer fire: 64 tasks each sleeping through a ladder of
-    // distinct deadlines — wheel insert, cascade, and batch-fire per await.
+    // distinct deadlines — heap push, pop and fire per await.
     let per_task = r.iters(4_000);
     let tasks = 64u64;
     let mut sim = Sim::new(4);
@@ -489,8 +491,8 @@ fn bench_request_forms(r: &mut Runner) -> Json {
 /// Two flavours share the budget: the plain storm, and a **timer-heavy**
 /// storm (`timer_heavy = true`) with 8× the clients on 1/10th the think
 /// time, so each committed transaction drags an order of magnitude more
-/// sleep registrations, wheel cascades, and waker traffic through the
-/// executor. Under the pre-wheel core every re-poll of `Sleep` cloned a
+/// sleep registrations, timer fires and waker traffic through the
+/// executor. Under the original core every re-poll of `Sleep` cloned a
 /// fresh waker into the heap, so this case is the tripwire for timer-path
 /// allocation regressions specifically.
 fn bench_storm_allocations(check: bool, timer_heavy: bool) -> Json {

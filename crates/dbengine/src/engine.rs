@@ -392,11 +392,10 @@ impl Database {
     }
 
     /// Table metadata by id.
-    pub(crate) fn table_meta(&self, id: TableId) -> DbResult<TableMeta> {
+    pub(crate) fn table_meta(&self, id: TableId) -> DbResult<&TableMeta> {
         self.inner
             .tables
             .get(id.0 as usize)
-            .cloned()
             .ok_or(DbError::NoSuchTable(id))
     }
 
@@ -570,6 +569,14 @@ impl Database {
         }
     }
 
+    /// The bytes of `key`'s row, which `addr` must hold.
+    fn row_at(frame: &FrameRef, addr: SlotAddr, table: TableId, key: Key) -> DbResult<Vec<u8>> {
+        match frame.borrow().page.read_slot(addr.slot) {
+            Some((k, bytes)) if k == key => Ok(bytes),
+            _ => Err(DbError::NotFound(table, key)),
+        }
+    }
+
     /// Fetches and prepares a page for modification: logs a full-page
     /// image on the clean→dirty transition. The image precedes the
     /// upcoming delta in the log and becomes the frame's recLSN, so a redo
@@ -644,9 +651,9 @@ impl Database {
             } else {
                 return Err(DbError::TableFull(table));
             };
-            Self::addr_of(&meta, flat)
+            Self::addr_of(meta, flat)
         };
-        let frame = self.fetch_for_write(&meta, addr.page).await?;
+        let frame = self.fetch_for_write(meta, addr.page).await?;
         let prev = self.txn_chain(txn)?;
         let (lsn, _) = self.inner.wal.append(&Record::Insert {
             txn,
@@ -709,25 +716,23 @@ impl Database {
             .index
             .get(&(table, key))
             .ok_or(DbError::NotFound(table, key))?;
-        let frame = self.fetch_for_write(&meta, addr.page).await?;
-        let before = {
-            let f = frame.borrow();
-            match f.page.read_slot(addr.slot) {
-                Some((k, bytes)) if k == key => bytes,
-                _ => return Err(DbError::NotFound(table, key)),
-            }
-        };
+        let frame = self.fetch_for_write(meta, addr.page).await?;
+        let before = Self::row_at(&frame, addr, table, key)?;
         let prev = self.txn_chain(txn)?;
-        let (lsn, _) = self.inner.wal.append(&Record::Update {
+        let record = Record::Update {
             txn,
             prev,
             table,
             page: addr.page,
             slot: addr.slot,
             key,
-            before: before.clone(),
+            before,
             after: row.to_vec(),
-        })?;
+        };
+        let (lsn, _) = self.inner.wal.append(&record)?;
+        let Record::Update { before, .. } = record else {
+            unreachable!("built as an update")
+        };
         {
             let mut f = frame.borrow_mut();
             f.page.write_slot(addr.slot, key, row);
@@ -772,14 +777,8 @@ impl Database {
             .index
             .get(&(table, key))
             .ok_or(DbError::NotFound(table, key))?;
-        let frame = self.fetch_for_write(&meta, addr.page).await?;
-        let before = {
-            let f = frame.borrow();
-            match f.page.read_slot(addr.slot) {
-                Some((k, bytes)) if k == key => bytes,
-                _ => return Err(DbError::NotFound(table, key)),
-            }
-        };
+        let frame = self.fetch_for_write(meta, addr.page).await?;
+        let before = Self::row_at(&frame, addr, table, key)?;
         let prev = self.txn_chain(txn)?;
         let (lsn, _) = self.inner.wal.append(&Record::Delete {
             txn,
@@ -864,7 +863,7 @@ impl Database {
             };
             let Some(entry) = entry else { break };
             let meta = self.table_meta(entry.table)?;
-            let frame = self.fetch_for_write(&meta, entry.addr.page).await?;
+            let frame = self.fetch_for_write(meta, entry.addr.page).await?;
             let action = match entry.action {
                 UndoAction::Restore(bytes) => ClrAction::Restore(bytes),
                 UndoAction::Clear => ClrAction::Clear,

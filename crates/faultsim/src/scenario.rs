@@ -222,7 +222,7 @@ pub struct TrialResult {
 }
 
 /// Runs one complete trial in its own deterministic simulation on the
-/// default (timer-wheel) scheduler. The trial keeps no trace events, only
+/// default (production) scheduler. The trial keeps no trace events, only
 /// their fold into [`TrialResult::attribution`].
 pub fn run_trial(seed: u64, cfg: TrialConfig) -> TrialResult {
     trial(seed, cfg, SchedulerKind::TimerWheel, 0).0

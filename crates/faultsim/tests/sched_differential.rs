@@ -1,8 +1,8 @@
-//! Differential determinism: the timer-wheel executor vs the reference
-//! scheduler.
+//! Differential determinism: the production executor core
+//! (`SchedulerKind::TimerWheel`) vs the reference scheduler.
 //!
-//! The scheduling-core rewrite (hierarchical timer wheel, slab task arena,
-//! lock-light ready ring) is only admissible if it is *observationally
+//! The production core (slab task arena, single-threaded ready ring,
+//! binary-heap timers) is only admissible if it is *observationally
 //! identical* to the straightforward reference core — same poll
 //! interleaving, same timer firing order, same everything. This suite
 //! proves it the strong way: a seeded matrix of full durability trials

@@ -13,8 +13,8 @@
 //! This makes runs bit-for-bit reproducible for a given seed and spawn order.
 //!
 //! The data structures behind that contract live in [`crate::sched`]: the
-//! default [`SchedulerKind::TimerWheel`] core (hierarchical timer wheel, slab
-//! task arena, lock-light ready ring) and the
+//! default [`SchedulerKind::TimerWheel`] core (slab task arena,
+//! single-threaded ready ring, binary-heap timers) and the
 //! [`SchedulerKind::Reference`] core kept for differential testing. Pick one
 //! with [`Sim::new_with_scheduler`]; both produce bit-identical simulations.
 //!
@@ -24,13 +24,13 @@
 //! expected to fail loudly rather than limp on with corrupted state.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
 use crate::cancel::DomainId;
+use crate::hash::FastSet;
 use crate::rng::SimRng;
 use crate::sched::{SchedCore, TaskBody, TaskKey, TimerKey};
 use crate::time::{SimDuration, SimTime};
@@ -42,7 +42,7 @@ struct Inner {
     now: SimTime,
     sched: SchedCore,
     next_domain_id: u64,
-    dead_domains: HashSet<DomainId>,
+    dead_domains: FastSet<DomainId>,
     rng: SimRng,
     tracer: Rc<Tracer>,
 }
@@ -83,7 +83,7 @@ pub struct Sim {
 
 impl Sim {
     /// Creates a simulation whose randomness derives from `seed`, on the
-    /// default timer-wheel scheduling core.
+    /// default (production) scheduling core.
     pub fn new(seed: u64) -> Self {
         Self::new_with_scheduler(seed, SchedulerKind::TimerWheel)
     }
@@ -96,7 +96,7 @@ impl Sim {
             now: SimTime::ZERO,
             sched: SchedCore::new(kind),
             next_domain_id: 1,
-            dead_domains: HashSet::new(),
+            dead_domains: FastSet::default(),
             rng: SimRng::seed_from_u64(seed),
             tracer: Rc::new(Tracer::new()),
         };
@@ -338,7 +338,7 @@ impl SimCtx {
     /// Runs `fut` with a virtual-time deadline. Returns `None` on timeout,
     /// in which case `fut` is dropped.
     pub async fn timeout<F: Future>(&self, dur: SimDuration, fut: F) -> Option<F::Output> {
-        let mut fut = Box::pin(fut);
+        let mut fut = std::pin::pin!(fut);
         let mut sleep = self.sleep(dur);
         std::future::poll_fn(move |cx| {
             if let Poll::Ready(v) = fut.as_mut().poll(cx) {

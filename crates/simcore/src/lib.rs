@@ -33,7 +33,7 @@
 //! power cuts at exact instants.
 //!
 //! Two interchangeable scheduling cores ([`SchedulerKind`]) implement that
-//! contract: the default hierarchical timer wheel (fast) and a retained
+//! contract: the default production core (fast) and a retained
 //! reference scheduler (obviously correct), selected per simulation with
 //! [`Sim::new_with_scheduler`] and proven equivalent by differential tests.
 //!

@@ -6,10 +6,11 @@
 //! that mechanism:
 //!
 //! * [`wheel`] — the production core: a slab task arena (generational
-//!   indices, O(1) spawn/poll/despawn, no hashing), a lock-light ready ring
-//!   (per-task atomic enqueued flag + swap-drained batch vector) and a
-//!   hierarchical timer wheel (64-slot levels, cascading, overflow list)
-//!   whose hot paths are allocation-free;
+//!   indices, O(1) spawn/poll/despawn, no hashing), a single-threaded ready
+//!   ring (a `RefCell<Vec<u64>>` fed by `Rc` wake cells; every waker entry
+//!   point panics off the simulation's thread, which makes the non-atomic
+//!   count sound) and one binary heap of timers, which pops in
+//!   `(deadline, seq)` order, the reference core's order;
 //! * [`sched_ref`] — the reference core: the original, obviously-correct
 //!   design (hash-map task table, mutexed FIFO + hash-set dedup, binary-heap
 //!   timers), retained for differential testing.
@@ -17,7 +18,7 @@
 //! Both cores implement the same observable contract — FIFO ready order,
 //! timers fired in (deadline, registration) order, domain kills in spawn
 //! order — so a simulation must produce a bit-identical event stream on
-//! either. `tests/sched_differential.rs` (simcore) and
+//! either. `exec`'s `both_cores_agree_on_a_mixed_workload` and
 //! `crates/faultsim/tests/sched_differential.rs` enforce exactly that.
 
 pub(crate) mod sched_ref;
@@ -41,7 +42,9 @@ pub(crate) type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
 /// tests can prove the fast core faithful.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Hierarchical timer wheel, slab task arena, lock-light ready ring.
+    /// The production core: slab task arena, single-threaded ready ring,
+    /// binary-heap timers. It keeps the name of the timer wheel it
+    /// replaced.
     #[default]
     TimerWheel,
     /// Binary-heap timers, hash-map task table, mutexed FIFO ready queue.

@@ -6,7 +6,7 @@
 //! in a `BinaryHeap` ordered by `(deadline, registration seq)`. Every
 //! operation is the straightforward textbook one — O(log n) timers,
 //! hashing on every wake — which is exactly why it stays: a simulation run
-//! on this core must be bit-identical to one on the timer wheel, and any
+//! on this core must be bit-identical to one on the production core, and any
 //! divergence convicts the fast core, not the test.
 //!
 //! The one deliberate difference from the pre-wheel executor: a killed

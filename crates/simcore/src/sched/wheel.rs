@@ -1,5 +1,6 @@
-//! The production scheduling core: slab task arena + lock-light ready ring
-//! + hierarchical timer wheel.
+//! The production scheduling core: slab task arena, single-threaded ready
+//! ring and a binary-heap timer queue. It keeps the name of the timer wheel
+//! it replaced, as [`SchedulerKind::TimerWheel`](super::SchedulerKind) does.
 //!
 //! # Task arena
 //!
@@ -12,68 +13,44 @@
 //!
 //! # Ready ring
 //!
-//! Each task owns one `Arc<WakeFlag>` created at spawn: an atomic
-//! `enqueued` flag plus the packed key. `wake()` is a `swap(true)` and, on
-//! the false→true edge, a push of the key onto a shared vector — no
-//! hashing, no per-wake allocation, and the flag makes duplicate wakes
-//! free. The executor drains by *swapping* the shared vector with an empty
-//! scratch batch (one lock round-trip per batch, not per task) and clears
-//! each task's flag immediately before returning it, which is exactly the
-//! reference core's clear-on-pop, so a task that wakes itself mid-poll
-//! re-enqueues just as it would there. Batch draining preserves global
-//! FIFO order: wakes that arrive while a batch drains land in the shared
-//! vector and are observed only after the current batch — the same order a
-//! one-at-a-time pop would produce, since the drained batch was enqueued
-//! strictly earlier.
+//! A simulation runs on the one thread that created it (`Sim` is neither
+//! `Send` nor `Sync`), so the ring is a plain `RefCell<Vec<u64>>` and each
+//! task's wake cell an `Rc` holding its packed key and a `Cell<bool>`
+//! enqueued flag: no `Arc`, lock or atomic on a wake. `wake()` sets the
+//! flag and, on the false→true edge, pushes the key; duplicate wakes are
+//! free. A `Waker` must be `Send`, so a clone of one can reach another
+//! thread; the waker is therefore built by hand on a `RawWakerVTable` whose
+//! every entry point first checks that it runs on the cell's creating
+//! thread and panics if not, before it touches the reference count or the
+//! flag. Every non-atomic update thus happens on one thread, which is what
+//! makes the non-atomic count sound; this module holds the crate's only
+//! non-test `unsafe`.
 //!
-//! # Timer wheel
+//! The executor drains by *swapping* the ring with an empty scratch batch
+//! and clears each task's flag immediately before returning it, which is
+//! exactly the reference core's clear-on-pop, so a task that wakes itself
+//! mid-poll re-enqueues just as it would there. Wakes that arrive while a
+//! batch drains land in the ring and are observed after the current batch
+//! — the order a one-at-a-time pop would produce, since the drained batch
+//! was enqueued strictly earlier.
 //!
-//! Eight levels of 64 slots, 6 bits per level, covering 2^48 simulated
-//! nanoseconds (~3.2 days) from the wheel's `elapsed` origin; deadlines
-//! beyond that (including `SimTime::MAX` "never" timers) sit in an
-//! overflow list. A deadline is placed at the level of its highest bit
-//! differing from `elapsed` (`level = floor(log64(elapsed ^ deadline))`),
-//! i.e. as coarsely as possible while never sharing a slot with `elapsed`
-//! itself. Advancing finds the lowest occupied level, takes its next
-//! occupied slot (bitmap + `trailing_zeros`), and either fires it (level
-//! 0: the slot *is* one exact instant) or cascades it down and repeats.
+//! # Timers
 //!
-//! Determinism argument, in three invariants maintained by construction:
-//!
-//! 1. **No slot behind the clock.** Every stored deadline is `> elapsed`
-//!    (registration requires a strictly-future deadline; cascades
-//!    re-place against the new `elapsed`), so the next occupied slot at
-//!    the lowest occupied level always starts at `>= elapsed` and entering
-//!    it never wraps the level.
-//! 2. **Windows cascade on entry.** While `elapsed` sits inside a level-L
-//!    slot window, new registrations for that window land at levels < L
-//!    (their xor with `elapsed` fits below L's bit range), so a level-L
-//!    slot is drained exactly once — at the instant `elapsed` enters its
-//!    window — and everything inside it is re-sorted to finer levels
-//!    before any of it can fire. Consequently ties at one instant always
-//!    meet in one level-0 slot and fire together, sorted by registration
-//!    sequence (the sort is insurance; per-slot FIFO already matches it).
-//! 3. **Overflow is strictly later.** Overflow deadlines differ from
-//!    `elapsed` above the wheel's bit range, so they exceed every deadline
-//!    the wheel can hold; the overflow list needs scanning only when the
-//!    whole wheel is empty, and migrating it re-places entries against the
-//!    fired instant like any cascade.
-//!
-//! The hot paths — registration, firing, cascade — reuse slot vectors, a
-//! fire scratch and a timer-cell free list, so steady-state timer traffic
-//! does not allocate (asserted by the hotpaths timer-storm budget).
+//! One `BinaryHeap` of `(deadline, registration seq, cell)`, which pops in
+//! `(deadline, seq)` order: the reference core's order. A cell holds the
+//! waker and a generation, so a re-polled `Sleep` refreshes its waker in
+//! place and a key that outlived its firing is ignored. Cells and the heap
+//! reuse their capacity, so steady-state timer traffic does not allocate.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::task::{Wake, Waker};
+use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::task::{RawWaker, RawWakerVTable, Waker};
 
 use super::{LocalFuture, TaskBody, TaskKey, TimerKey};
 use crate::cancel::DomainId;
-
-const LEVEL_BITS: u32 = 6;
-const SLOTS_PER_LEVEL: usize = 1 << LEVEL_BITS;
-const SLOT_MASK: u64 = (SLOTS_PER_LEVEL - 1) as u64;
-const NUM_LEVELS: usize = 8;
 
 #[inline]
 fn pack(idx: u32, gen: u32) -> u64 {
@@ -85,41 +62,101 @@ fn unpack(key: u64) -> (u32, u32) {
     (key as u32, (key >> 32) as u32)
 }
 
-/// The vector half of the ready ring, shared with every task's waker.
-struct ReadyShared {
-    queue: Mutex<Vec<u64>>,
+/// A number that names the calling thread for the life of the process:
+/// drawn once per thread, never reused.
+fn thread_token() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local!(static TOKEN: u64 = NEXT.fetch_add(1, Ordering::Relaxed));
+    TOKEN.with(|t| *t)
 }
 
-impl ReadyShared {
-    fn push(&self, key: u64) {
-        self.queue.lock().expect("ready ring poisoned").push(key);
-    }
-}
-
-/// One task's waker state: set the flag, push the key on the rising edge.
-struct WakeFlag {
+/// One task's wake state, shared by every clone of its waker.
+struct WakeCell {
     key: u64,
-    enqueued: AtomicBool,
-    shared: Arc<ReadyShared>,
+    enqueued: Cell<bool>,
+    ring: Rc<RefCell<Vec<u64>>>,
+    /// [`thread_token`] of the creating thread, the only one whose wakers
+    /// may touch this cell. Written once, before any waker exists.
+    thread: u64,
 }
 
-impl WakeFlag {
+impl WakeCell {
     #[inline]
     fn enqueue(&self) {
-        if !self.enqueued.swap(true, Ordering::AcqRel) {
-            self.shared.push(self.key);
+        if !self.enqueued.replace(true) {
+            self.ring.borrow_mut().push(self.key);
         }
     }
 }
 
-impl Wake for WakeFlag {
-    fn wake(self: Arc<Self>) {
-        self.enqueue();
-    }
+static VTABLE: RawWakerVTable =
+    RawWakerVTable::new(clone_waker, wake_waker, wake_by_ref_waker, drop_waker);
 
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.enqueue();
-    }
+/// A waker that owns one strong count of `cell`.
+fn waker_for(cell: &Rc<WakeCell>) -> Waker {
+    let ptr = Rc::into_raw(Rc::clone(cell)).cast::<()>();
+    // SAFETY: `ptr` comes from `Rc::into_raw` and carries the count just
+    // taken, which the waker releases in `wake_waker` or `drop_waker`; each
+    // VTABLE entry runs only on the cell's thread (`own_cell`), so the
+    // `Rc`'s non-atomic count and the cell's `Cell`s are never shared
+    // across threads.
+    unsafe { Waker::from_raw(RawWaker::new(ptr, &VTABLE)) }
+}
+
+/// Returns the cell behind a waker's data pointer, panicking if the
+/// calling thread did not create it.
+///
+/// # Safety
+///
+/// `ptr` must be the data pointer of a live waker built by [`waker_for`].
+#[inline]
+unsafe fn own_cell(ptr: *const ()) -> *const WakeCell {
+    let cell = ptr.cast::<WakeCell>();
+    // SAFETY: the caller's waker owns a strong count, so the cell is alive
+    // whatever its own thread does with the other counts. This reads the
+    // `thread` field alone, which is never written after the cell was
+    // shared, so the read races with nothing.
+    let owner = unsafe { (*cell).thread };
+    assert!(
+        owner == thread_token(),
+        "a simulation's waker was used on a thread other than the simulation's"
+    );
+    cell
+}
+
+unsafe fn clone_waker(ptr: *const ()) -> RawWaker {
+    // SAFETY: VTABLE entries receive the data pointer of a live waker.
+    let cell = unsafe { own_cell(ptr) };
+    // SAFETY: `cell` came from `Rc::into_raw` and is alive (`own_cell`),
+    // and this is the only thread that touches its count. The new count is
+    // owned by the returned waker.
+    unsafe { Rc::increment_strong_count(cell) };
+    RawWaker::new(ptr, &VTABLE)
+}
+
+unsafe fn wake_waker(ptr: *const ()) {
+    // SAFETY: VTABLE entries receive the data pointer of a live waker.
+    let cell = unsafe { own_cell(ptr) };
+    // SAFETY: a consuming wake releases the count this waker owns, on the
+    // cell's own thread.
+    let cell = unsafe { Rc::from_raw(cell) };
+    cell.enqueue();
+}
+
+unsafe fn wake_by_ref_waker(ptr: *const ()) {
+    // SAFETY: VTABLE entries receive the data pointer of a live waker.
+    let cell = unsafe { own_cell(ptr) };
+    // SAFETY: the cell is alive and this is its own thread, the only one
+    // that touches its `Cell`s and the ring.
+    unsafe { (*cell).enqueue() };
+}
+
+unsafe fn drop_waker(ptr: *const ()) {
+    // SAFETY: VTABLE entries receive the data pointer of a live waker.
+    let cell = unsafe { own_cell(ptr) };
+    // SAFETY: dropping the waker releases the count it owns, on the cell's
+    // own thread.
+    drop(unsafe { Rc::from_raw(cell) });
 }
 
 struct TaskSlot {
@@ -127,33 +164,16 @@ struct TaskSlot {
     /// Monotonic spawn order, used to drop a killed domain's tasks
     /// deterministically.
     spawn_seq: u64,
-    flag: Option<Arc<WakeFlag>>,
+    cell: Option<Rc<WakeCell>>,
     body: Option<TaskBody>,
 }
 
 struct TimerCell {
     gen: u32,
-    deadline: u64,
-    seq: u64,
     waker: Option<Waker>,
 }
 
-struct Level {
-    /// Bit i set iff `slots[i]` is non-empty.
-    occupied: u64,
-    slots: [Vec<u32>; SLOTS_PER_LEVEL],
-}
-
-impl Level {
-    fn new() -> Level {
-        Level {
-            occupied: 0,
-            slots: std::array::from_fn(|_| Vec::new()),
-        }
-    }
-}
-
-/// See the module docs for the design and determinism argument.
+/// See the module docs for the design.
 pub(crate) struct WheelSched {
     // Task arena.
     slots: Vec<TaskSlot>,
@@ -161,20 +181,14 @@ pub(crate) struct WheelSched {
     live: usize,
     spawn_seq: u64,
     // Ready ring.
-    shared: Arc<ReadyShared>,
+    ring: Rc<RefCell<Vec<u64>>>,
     batch: Vec<u64>,
     batch_pos: usize,
-    // Timer wheel.
-    levels: Vec<Level>,
-    overflow: Vec<u32>,
+    // Timers: a min-heap of `(deadline, registration seq, cell index)`.
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
     cells: Vec<TimerCell>,
     cell_free: Vec<u32>,
-    timers: usize,
     timer_seq: u64,
-    /// The wheel's origin: the last fired instant. Always `<=` the
-    /// simulation clock, which may park ahead of it at a `run_until` limit.
-    elapsed: u64,
-    fire_scratch: Vec<u32>,
 }
 
 impl WheelSched {
@@ -184,19 +198,13 @@ impl WheelSched {
             free: Vec::new(),
             live: 0,
             spawn_seq: 0,
-            shared: Arc::new(ReadyShared {
-                queue: Mutex::new(Vec::new()),
-            }),
+            ring: Rc::new(RefCell::new(Vec::new())),
             batch: Vec::new(),
             batch_pos: 0,
-            levels: (0..NUM_LEVELS).map(|_| Level::new()).collect(),
-            overflow: Vec::new(),
+            heap: BinaryHeap::new(),
             cells: Vec::new(),
             cell_free: Vec::new(),
-            timers: 0,
             timer_seq: 0,
-            elapsed: 0,
-            fire_scratch: Vec::new(),
         }
     }
 
@@ -209,7 +217,7 @@ impl WheelSched {
                 self.slots.push(TaskSlot {
                     gen: 0,
                     spawn_seq: 0,
-                    flag: None,
+                    cell: None,
                     body: None,
                 });
                 (self.slots.len() - 1) as u32
@@ -217,21 +225,21 @@ impl WheelSched {
         };
         let slot = &mut self.slots[idx as usize];
         let key = pack(idx, slot.gen);
-        let flag = Arc::new(WakeFlag {
+        let cell = Rc::new(WakeCell {
             key,
-            enqueued: AtomicBool::new(false),
-            shared: Arc::clone(&self.shared),
+            enqueued: Cell::new(false),
+            ring: Rc::clone(&self.ring),
+            thread: thread_token(),
         });
-        let waker = Waker::from(Arc::clone(&flag));
         slot.spawn_seq = self.spawn_seq;
         self.spawn_seq += 1;
         slot.body = Some(TaskBody {
             future,
             domain,
-            waker,
+            waker: waker_for(&cell),
         });
-        flag.enqueue();
-        slot.flag = Some(flag);
+        cell.enqueue();
+        slot.cell = Some(cell);
         self.live += 1;
         TaskKey(key)
     }
@@ -241,12 +249,9 @@ impl WheelSched {
             if self.batch_pos >= self.batch.len() {
                 self.batch.clear();
                 self.batch_pos = 0;
-                // Swap, don't drain: one lock round-trip hands the whole
-                // pending batch over and recycles our scratch capacity.
-                std::mem::swap(
-                    &mut *self.shared.queue.lock().expect("ready ring poisoned"),
-                    &mut self.batch,
-                );
+                // Swap, don't drain: the whole pending batch moves over and
+                // the ring inherits our scratch capacity.
+                std::mem::swap(&mut *self.ring.borrow_mut(), &mut self.batch);
                 if self.batch.is_empty() {
                     return None;
                 }
@@ -260,11 +265,11 @@ impl WheelSched {
                 continue;
             }
             // Clear-before-poll: a self-wake during the poll must re-enqueue.
-            slot.flag
+            slot.cell
                 .as_ref()
-                .expect("live slot has a wake flag")
+                .expect("live slot has a wake cell")
                 .enqueued
-                .store(false, Ordering::Release);
+                .set(false);
             return Some(TaskKey(key));
         }
     }
@@ -294,7 +299,7 @@ impl WheelSched {
         }
         debug_assert!(slot.body.is_none(), "finish with the body still stored");
         slot.gen = slot.gen.wrapping_add(1);
-        slot.flag = None;
+        slot.cell = None;
         self.free.push(idx);
         self.live -= 1;
     }
@@ -319,7 +324,7 @@ impl WheelSched {
                 let slot = &mut self.slots[idx as usize];
                 let body = slot.body.take().expect("doomed task has a body");
                 slot.gen = slot.gen.wrapping_add(1);
-                slot.flag = None;
+                slot.cell = None;
                 self.free.push(idx);
                 self.live -= 1;
                 body
@@ -327,34 +332,24 @@ impl WheelSched {
             .collect()
     }
 
-    // ---- timer wheel ----------------------------------------------------
+    // ---- timers ---------------------------------------------------------
 
     pub(crate) fn register_timer(&mut self, deadline: u64, waker: Waker) -> TimerKey {
-        debug_assert!(
-            deadline > self.elapsed,
-            "timer deadline {deadline} not past the wheel origin {}",
-            self.elapsed
-        );
         let idx = match self.cell_free.pop() {
             Some(idx) => idx,
             None => {
                 self.cells.push(TimerCell {
                     gen: 0,
-                    deadline: 0,
-                    seq: 0,
                     waker: None,
                 });
                 (self.cells.len() - 1) as u32
             }
         };
         let cell = &mut self.cells[idx as usize];
-        cell.deadline = deadline;
-        cell.seq = self.timer_seq;
-        self.timer_seq += 1;
         cell.waker = Some(waker);
         let key = TimerKey(pack(idx, cell.gen));
-        self.place(idx);
-        self.timers += 1;
+        self.heap.push(Reverse((deadline, self.timer_seq, idx)));
+        self.timer_seq += 1;
         key
     }
 
@@ -364,7 +359,7 @@ impl WheelSched {
             return;
         };
         if cell.gen != gen {
-            return; // already fired; the slot may even be reused
+            return; // already fired; the cell may even be reused
         }
         if let Some(current) = &mut cell.waker {
             if !current.will_wake(waker) {
@@ -375,134 +370,35 @@ impl WheelSched {
 
     #[cfg(test)]
     pub(crate) fn timer_count(&self) -> usize {
-        self.timers
-    }
-
-    /// Level of the highest bit where `deadline` differs from the origin;
-    /// `>= NUM_LEVELS` means overflow.
-    #[inline]
-    fn level_for(elapsed: u64, deadline: u64) -> usize {
-        let differing = elapsed ^ deadline;
-        debug_assert!(differing != 0, "timer registered for the current origin");
-        ((63 - differing.leading_zeros()) / LEVEL_BITS) as usize
-    }
-
-    fn place(&mut self, idx: u32) {
-        let deadline = self.cells[idx as usize].deadline;
-        let level = Self::level_for(self.elapsed, deadline);
-        if level >= NUM_LEVELS {
-            self.overflow.push(idx);
-            return;
-        }
-        let slot = ((deadline >> (LEVEL_BITS * level as u32)) & SLOT_MASK) as usize;
-        let lv = &mut self.levels[level];
-        lv.slots[slot].push(idx);
-        lv.occupied |= 1 << slot;
+        self.heap.len()
     }
 
     pub(crate) fn advance_timers(&mut self, limit: u64, fired: &mut Vec<Waker>) -> Option<u64> {
-        if self.timers == 0 {
+        let &Reverse((deadline, _, _)) = self.heap.peek()?;
+        if deadline > limit {
             return None;
         }
-        loop {
-            let Some(level) = self.levels.iter().position(|l| l.occupied != 0) else {
-                return self.advance_overflow(limit, fired);
-            };
-            let shift = LEVEL_BITS * level as u32;
-            let cur = ((self.elapsed >> shift) & SLOT_MASK) as u32;
-            let rotated = self.levels[level].occupied.rotate_right(cur);
-            let ahead = rotated.trailing_zeros();
-            debug_assert!(
-                cur + ahead < SLOTS_PER_LEVEL as u32,
-                "occupied slot behind the clock at level {level}"
-            );
-            let slot = ((cur + ahead) as u64 & SLOT_MASK) as usize;
-            let slot_span = 1u64 << shift;
-            let window_start = self.elapsed & !((slot_span << LEVEL_BITS) - 1);
-            let slot_start = window_start + slot as u64 * slot_span;
-            if slot_start > limit {
-                return None;
+        // Every entry at exactly this instant, in registration order.
+        while let Some(&Reverse((d, _, idx))) = self.heap.peek() {
+            if d != deadline {
+                break;
             }
-            let mut pending = std::mem::take(&mut self.levels[level].slots[slot]);
-            self.levels[level].occupied &= !(1u64 << slot);
-            self.elapsed = slot_start;
-            if level == 0 {
-                // A level-0 slot is one exact instant: everything fires.
-                debug_assert!(pending
-                    .iter()
-                    .all(|&i| self.cells[i as usize].deadline == slot_start));
-                self.fire(&mut pending, fired);
-                self.levels[0].slots[slot] = pending;
-                return Some(slot_start);
-            }
-            // Cascade: deadlines at exactly the slot's start instant fire
-            // now; the rest re-place at finer levels.
-            let mut due = std::mem::take(&mut self.fire_scratch);
-            for idx in pending.drain(..) {
-                if self.cells[idx as usize].deadline == slot_start {
-                    due.push(idx);
-                } else {
-                    self.place(idx);
-                }
-            }
-            self.levels[level].slots[slot] = pending;
-            let fired_any = !due.is_empty();
-            if fired_any {
-                self.fire(&mut due, fired);
-            }
-            self.fire_scratch = due;
-            if fired_any {
-                return Some(slot_start);
-            }
-        }
-    }
-
-    /// The wheel proper is empty; the earliest deadline (if any due by
-    /// `limit`) lives in the overflow list. Fire it and re-place the rest
-    /// against the new origin.
-    fn advance_overflow(&mut self, limit: u64, fired: &mut Vec<Waker>) -> Option<u64> {
-        let earliest = self
-            .overflow
-            .iter()
-            .map(|&i| self.cells[i as usize].deadline)
-            .min()?;
-        if earliest > limit {
-            return None;
-        }
-        self.elapsed = earliest;
-        let mut migrating = std::mem::take(&mut self.overflow);
-        let mut due = std::mem::take(&mut self.fire_scratch);
-        for idx in migrating.drain(..) {
-            if self.cells[idx as usize].deadline == earliest {
-                due.push(idx);
-            } else {
-                self.place(idx); // may push far entries back onto overflow
-            }
-        }
-        self.fire(&mut due, fired);
-        self.fire_scratch = due;
-        Some(earliest)
-    }
-
-    /// Fires one instant's worth of cells in registration order and frees
-    /// them. `indices` is drained but keeps its capacity for reuse.
-    fn fire(&mut self, indices: &mut Vec<u32>, fired: &mut Vec<Waker>) {
-        indices.sort_unstable_by_key(|&i| self.cells[i as usize].seq);
-        for &idx in indices.iter() {
+            self.heap.pop();
             let cell = &mut self.cells[idx as usize];
-            let waker = cell.waker.take().expect("pending timer cell has a waker");
+            fired.push(cell.waker.take().expect("pending timer cell has a waker"));
             cell.gen = cell.gen.wrapping_add(1);
             self.cell_free.push(idx);
-            fired.push(waker);
         }
-        self.timers -= indices.len();
-        indices.clear();
+        Some(deadline)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{Arc, Mutex};
+    use std::task::Wake;
 
     use super::*;
 
@@ -520,12 +416,23 @@ mod tests {
         counting_waker(Arc::new(AtomicUsize::new(0)))
     }
 
-    /// Drives the bare wheel: fire everything up to `limit`, returning the
+    /// A waker that logs `tag` when woken.
+    fn tag_waker(tag: u64, log: &Arc<Mutex<Vec<u64>>>) -> Waker {
+        struct Tag(u64, Arc<Mutex<Vec<u64>>>);
+        impl Wake for Tag {
+            fn wake(self: Arc<Self>) {
+                self.1.lock().unwrap().push(self.0);
+            }
+        }
+        Waker::from(Arc::new(Tag(tag, Arc::clone(log))))
+    }
+
+    /// Drives the bare core: fire everything up to `limit`, returning the
     /// fired instants in order.
-    fn drain(wheel: &mut WheelSched, limit: u64) -> Vec<u64> {
+    fn drain(core: &mut WheelSched, limit: u64) -> Vec<u64> {
         let mut instants = Vec::new();
         let mut fired = Vec::new();
-        while let Some(t) = wheel.advance_timers(limit, &mut fired) {
+        while let Some(t) = core.advance_timers(limit, &mut fired) {
             assert!(!fired.is_empty(), "Some(t) implies wakers fired");
             instants.push(t);
             fired.clear();
@@ -534,10 +441,9 @@ mod tests {
     }
 
     #[test]
-    fn fires_in_deadline_order_across_levels() {
-        let mut wheel = WheelSched::new();
-        // Deadlines spanning level 0 (1ns), level 1 (100ns), level 3
-        // (1ms-ish) and level 5+ (minutes in ns).
+    fn fires_in_deadline_order_across_magnitudes() {
+        let mut core = WheelSched::new();
+        // Deadlines from 1 ns to minutes, registered in reverse.
         let deadlines = [
             1u64,
             63,
@@ -550,47 +456,38 @@ mod tests {
             3_000_000_000_000,
         ];
         for &d in deadlines.iter().rev() {
-            wheel.register_timer(d, noop_waker());
+            core.register_timer(d, noop_waker());
         }
-        assert_eq!(drain(&mut wheel, u64::MAX - 1), deadlines.to_vec());
-        assert_eq!(wheel.timer_count(), 0);
+        assert_eq!(drain(&mut core, u64::MAX - 1), deadlines.to_vec());
+        assert_eq!(core.timer_count(), 0);
     }
 
     #[test]
-    fn overflow_deadlines_fire_after_migration() {
-        let mut wheel = WheelSched::new();
-        let far = 1u64 << 50; // beyond the 2^48 wheel range: overflow list
+    fn far_and_never_deadlines_fire_in_order() {
+        let mut core = WheelSched::new();
+        let far = 1u64 << 50;
         let never = u64::MAX;
-        wheel.register_timer(far, noop_waker());
-        wheel.register_timer(far + 5, noop_waker());
-        wheel.register_timer(never, noop_waker());
-        wheel.register_timer(7, noop_waker());
-        assert_eq!(drain(&mut wheel, far + 5), vec![7, far, far + 5]);
+        core.register_timer(far, noop_waker());
+        core.register_timer(far + 5, noop_waker());
+        core.register_timer(never, noop_waker());
+        core.register_timer(7, noop_waker());
+        assert_eq!(drain(&mut core, far + 5), vec![7, far, far + 5]);
         // The "never" timer still fires under an unbounded drain, exactly
         // like the reference heap.
-        assert_eq!(drain(&mut wheel, u64::MAX), vec![never]);
+        assert_eq!(drain(&mut core, u64::MAX), vec![never]);
     }
 
     #[test]
     fn ties_fire_in_registration_order() {
-        let mut wheel = WheelSched::new();
-        let order: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        struct Tag(usize, Arc<Mutex<Vec<usize>>>);
-        impl Wake for Tag {
-            fn wake(self: Arc<Self>) {
-                self.1.lock().unwrap().push(self.0);
-            }
-        }
+        let mut core = WheelSched::new();
+        let order = Arc::new(Mutex::new(Vec::new()));
         // Same deadline, interleaved with a different one.
         for (tag, deadline) in [(0, 500), (1, 200), (2, 500), (3, 500)] {
-            wheel.register_timer(
-                deadline,
-                Waker::from(Arc::new(Tag(tag, Arc::clone(&order)))),
-            );
+            core.register_timer(deadline, tag_waker(tag, &order));
         }
         let mut fired = Vec::new();
-        assert_eq!(wheel.advance_timers(u64::MAX - 1, &mut fired), Some(200));
-        assert_eq!(wheel.advance_timers(u64::MAX - 1, &mut fired), Some(500));
+        assert_eq!(core.advance_timers(u64::MAX - 1, &mut fired), Some(200));
+        assert_eq!(core.advance_timers(u64::MAX - 1, &mut fired), Some(500));
         for w in fired.drain(..) {
             w.wake();
         }
@@ -599,28 +496,28 @@ mod tests {
 
     #[test]
     fn respects_limit_and_resumes() {
-        let mut wheel = WheelSched::new();
-        wheel.register_timer(1_000, noop_waker());
-        wheel.register_timer(2_000_000, noop_waker());
-        assert_eq!(drain(&mut wheel, 1_500), vec![1_000]);
-        assert_eq!(wheel.timer_count(), 1);
+        let mut core = WheelSched::new();
+        core.register_timer(1_000, noop_waker());
+        core.register_timer(2_000_000, noop_waker());
+        assert_eq!(drain(&mut core, 1_500), vec![1_000]);
+        assert_eq!(core.timer_count(), 1);
         // New registrations while parked between fires still order correctly.
-        wheel.register_timer(1_800, noop_waker());
-        assert_eq!(drain(&mut wheel, 3_000_000), vec![1_800, 2_000_000]);
+        core.register_timer(1_800, noop_waker());
+        assert_eq!(drain(&mut core, 3_000_000), vec![1_800, 2_000_000]);
     }
 
     #[test]
     fn update_timer_waker_replaces_in_place() {
-        let mut wheel = WheelSched::new();
+        let mut core = WheelSched::new();
         let first = Arc::new(AtomicUsize::new(0));
         let second = Arc::new(AtomicUsize::new(0));
-        let key = wheel.register_timer(42, counting_waker(Arc::clone(&first)));
-        assert_eq!(wheel.timer_count(), 1);
-        wheel.update_timer_waker(key, &counting_waker(Arc::clone(&second)));
+        let key = core.register_timer(42, counting_waker(Arc::clone(&first)));
+        assert_eq!(core.timer_count(), 1);
+        core.update_timer_waker(key, &counting_waker(Arc::clone(&second)));
         // Still one timer: the update did not register a fresh entry.
-        assert_eq!(wheel.timer_count(), 1);
+        assert_eq!(core.timer_count(), 1);
         let mut fired = Vec::new();
-        assert_eq!(wheel.advance_timers(u64::MAX - 1, &mut fired), Some(42));
+        assert_eq!(core.advance_timers(u64::MAX - 1, &mut fired), Some(42));
         for w in fired.drain(..) {
             w.wake();
         }
@@ -631,15 +528,15 @@ mod tests {
         );
         assert_eq!(second.load(Ordering::SeqCst), 1);
         // A stale key after firing is ignored, not misdirected.
-        wheel.update_timer_waker(key, &noop_waker());
-        assert_eq!(wheel.timer_count(), 0);
+        core.update_timer_waker(key, &noop_waker());
+        assert_eq!(core.timer_count(), 0);
     }
 
     #[test]
     fn dense_and_sparse_storm_matches_a_sorted_model() {
         // 4000 pseudo-random deadlines over a wide dynamic range, fired
         // against a sorted-model oracle.
-        let mut wheel = WheelSched::new();
+        let mut core = WheelSched::new();
         let mut model: Vec<u64> = Vec::new();
         let mut x = 0x9E3779B97F4A7C15u64;
         for _ in 0..4000 {
@@ -653,10 +550,127 @@ mod tests {
                 x % 100_000
             };
             model.push(d);
-            wheel.register_timer(d, noop_waker());
+            core.register_timer(d, noop_waker());
         }
         model.sort_unstable();
         model.dedup();
-        assert_eq!(drain(&mut wheel, u64::MAX - 1), model);
+        assert_eq!(drain(&mut core, u64::MAX - 1), model);
+    }
+
+    /// Timers registered *between* advances — at the instant just fired + 1,
+    /// on a pending deadline (a tie with older entries), far out, and while
+    /// parked at a `run_until`-style limit — fire as a sorted
+    /// `(deadline, seq)` model says, one instant per advance.
+    #[test]
+    fn registrations_between_advances_match_a_sorted_model() {
+        struct Model {
+            core: WheelSched,
+            pending: Vec<(u64, u64)>,
+            seq: u64,
+            log: Arc<Mutex<Vec<u64>>>,
+        }
+        impl Model {
+            fn register(&mut self, deadline: u64) {
+                let waker = tag_waker(self.seq, &self.log);
+                self.core.register_timer(deadline, waker);
+                self.pending.push((deadline, self.seq));
+                self.seq += 1;
+            }
+        }
+        let mut m = Model {
+            core: WheelSched::new(),
+            pending: Vec::new(),
+            seq: 0,
+            log: Arc::new(Mutex::new(Vec::new())),
+        };
+        let mut x = 0x2545F4914F6CDD1Du64;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for _ in 0..64 {
+            m.register(1 + rand(10_000));
+        }
+        let (mut now, mut fires, mut parks) = (0u64, 0, 0);
+        let mut fired = Vec::new();
+        while !m.pending.is_empty() {
+            let growing = m.seq < 3_000;
+            let next = m.pending.iter().map(|&(d, _)| d).min().expect("non-empty");
+            // Mostly unbounded; a quarter of the time short of `next`.
+            let limit = if rand(4) == 0 {
+                now + rand(next - now)
+            } else {
+                u64::MAX - 1
+            };
+            let got = m.core.advance_timers(limit, &mut fired);
+            if next > limit {
+                assert_eq!(got, None, "nothing is due by {limit}");
+                parks += 1;
+                // Parked: the clock reads `limit`, so new deadlines follow it.
+                now = limit;
+                if growing {
+                    m.register(limit + 1);
+                    m.register(limit + 1 + rand(500));
+                }
+                continue;
+            }
+            assert_eq!(got, Some(next));
+            let mut due: Vec<u64> = m
+                .pending
+                .iter()
+                .filter(|&&(d, _)| d == next)
+                .map(|&(_, s)| s)
+                .collect();
+            due.sort_unstable();
+            m.pending.retain(|&(d, _)| d != next);
+            for w in fired.drain(..) {
+                w.wake();
+            }
+            let woke = std::mem::take(&mut *m.log.lock().unwrap());
+            assert_eq!(woke, due, "instant {next}");
+            now = next;
+            fires += 1;
+            if growing {
+                m.register(now + 1);
+                m.register(now + 1 + rand(5_000));
+                // A tie with an older pending entry.
+                let (d, _) = m.pending[rand(m.pending.len() as u64) as usize];
+                m.register(d);
+                if rand(16) == 0 {
+                    m.register(now + (1 << 40));
+                }
+            }
+        }
+        assert!(fires > 1_000 && parks > 100, "{fires} fires, {parks} parks");
+        assert_eq!(m.core.timer_count(), 0);
+    }
+
+    #[test]
+    fn a_waker_used_off_its_thread_panics_before_it_touches_its_count() {
+        let mut core = WheelSched::new();
+        let key = core.spawn(DomainId::ROOT, Box::pin(async {}));
+        assert_eq!(core.pop_ready(), Some(key));
+        let body = core.take_body(key).expect("spawned task has a body");
+        let (waker, local) = (body.waker.clone(), body.waker.clone());
+        core.reinsert(key, body);
+        let cell = Rc::clone(core.slots[0].cell.as_ref().expect("live task"));
+        let count = Rc::strong_count(&cell);
+        let panicked = std::thread::spawn(move || {
+            let woke = catch_unwind(AssertUnwindSafe(|| waker.wake_by_ref()));
+            // Dropping it here would panic again, in `drop_waker`.
+            std::mem::forget(waker);
+            woke.is_err()
+        })
+        .join()
+        .expect("the thread catches the panic");
+        assert!(panicked, "a foreign-thread wake must panic");
+        assert_eq!(Rc::strong_count(&cell), count, "the count moved");
+        assert!(!cell.enqueued.get(), "the flag moved");
+        assert_eq!(core.pop_ready(), None, "the ring moved");
+        // On its own thread a clone of the same waker works.
+        local.wake_by_ref();
+        assert_eq!(core.pop_ready(), Some(key));
     }
 }
