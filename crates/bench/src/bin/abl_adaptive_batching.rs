@@ -5,7 +5,7 @@
 //! DESIGN.md §15 on an `ssd-nvme` with 4 channels:
 //!
 //! * **Saturation**: a pre-filled buffer drained flat out. The controller
-//!   starts at `min_batch` and must walk its target up the knee fast
+//!   starts at its 64 KiB floor and must walk its target up the knee fast
 //!   enough to match (or beat) the fixed 2 MiB policy — the gate is
 //!   adaptive ≥ 95% of fixed's bandwidth.
 //! * **1/10th load**: 1 MiB bursts arriving at a tenth of the saturated
@@ -19,7 +19,7 @@
 //!   — the drain *is* the commit path. Adaptive must coalesce the
 //!   interleaved streams (≤ 0.6 media ops per extent; one per extent is
 //!   what raw sync writes cost) without paying for it in ack latency: the
-//!   `max_hold` run bound keeps its ack p90 at or below fixed's.
+//!   run bound (what retires in 100 µs) keeps its ack p90 at or below fixed's.
 //!
 //! Commit latency is the admission → durable-prefix time the drain
 //! records per extent (`snapshot().drain.commit_p99_ns`); ack latency is
@@ -50,7 +50,7 @@ const BP_CAPACITY: u64 = 16 << 20;
 
 fn policy_of(adaptive: bool) -> BatchPolicy {
     if adaptive {
-        BatchPolicy::Adaptive(AdaptiveBatchConfig::default())
+        BatchPolicy::Adaptive(AdaptiveBatchConfig)
     } else {
         BatchPolicy::Fixed
     }

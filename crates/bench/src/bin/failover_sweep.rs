@@ -115,12 +115,12 @@ fn main() {
 
     let mut cfg = FailoverExplorerConfig::rapilog_default();
     cfg.seeds = (0..seeds).map(|i| 0xFA11 + i * 131).collect();
-    let trials = cfg.seeds.len() * FailoverExplorerConfig::MODES.len() * cfg.kinds.len();
+    let kinds = rapilog_faultsim::FailoverKind::all().len();
     println!(
-        "Failover sweep: {} seeds x {} modes x {} kinds = {trials} trials on {threads} threads\n",
+        "Failover sweep: {} seeds x {} modes x {kinds} kinds = {} trials on {threads} threads\n",
         cfg.seeds.len(),
         FailoverExplorerConfig::MODES.len(),
-        cfg.kinds.len(),
+        cfg.seeds.len() * FailoverExplorerConfig::MODES.len() * kinds,
     );
     let wall_start = Instant::now();
     let found = explore(&cfg, threads);

@@ -127,7 +127,9 @@ fn fleet_phase(quick: bool) -> (FleetStats, TenantBytes) {
     sim.spawn(async move {
         let hv = Hypervisor::new(&ctx);
         let cell = hv.create_cell("rapilog", Trust::Trusted);
-        let disk = Disk::new(&ctx, specs::ssd_sata(512 << 20));
+        // 1 GiB of log per cell: the 2 s full-size run logs ~500 MiB on its
+        // hottest cell, no 5 s checkpoint frees any, and SSDs ignore position.
+        let disk = Disk::new(&ctx, specs::ssd_sata(4 << 30));
         let region_sectors = disk.geometry().sectors / CELLS as u64;
         let media = disk.clone();
         let tenant_specs: Vec<TenantSpec> = (0..CELLS as u64).map(TenantSpec::new).collect();
@@ -216,8 +218,7 @@ fn fleet_phase(quick: bool) -> (FleetStats, TenantBytes) {
         *out2.borrow_mut() = Some((stats, drained));
     });
     sim.run_until(SimTime::from_secs(600));
-    let result = out.borrow_mut().take().expect("fleet phase completed");
-    result
+    out.take().expect("fleet phase completed")
 }
 
 /// Phase 2: every shard saturated, per-tenant drained bytes = scheduler's
@@ -293,8 +294,7 @@ fn saturation_phase(quick: bool) -> TenantBytes {
         );
     });
     sim.run_until(SimTime::from_secs(30));
-    let result = out.borrow_mut().take().expect("saturation phase completed");
-    result
+    out.take().expect("saturation phase completed")
 }
 
 fn main() {

@@ -48,9 +48,11 @@ pub struct DbConfig {
     pub cpu_factor: f64,
     /// Automatic checkpoint period (the checkpointer task).
     pub checkpoint_interval: SimDuration,
-    /// Lock wait budget before a transaction is told to abort.
-    pub lock_timeout: SimDuration,
 }
+
+/// Lock wait budget before a transaction is told to abort: a deadlock costs
+/// half a second, far more than a TPC-C transaction waits for a row lock.
+pub(crate) const LOCK_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 
 /// The OS block layer's retry budget for transient device errors, on both
 /// devices the engine is handed. See [`RetryingDevice`].
@@ -65,7 +67,6 @@ impl Default for DbConfig {
             pool_pages: 2048,
             cpu_factor: 1.0,
             checkpoint_interval: SimDuration::from_secs(5),
-            lock_timeout: SimDuration::from_millis(500),
         }
     }
 }
@@ -315,7 +316,6 @@ impl Database {
                 capacity: t.n_pages * t.spp as u64,
             })
             .collect();
-        let lock_timeout = cfg.lock_timeout;
         Database {
             inner: Rc::new(DbInner {
                 ctx: ctx.clone(),
@@ -324,7 +324,7 @@ impl Database {
                 names,
                 wal,
                 pool,
-                locks: LockTable::new(lock_timeout),
+                locks: LockTable::new(LOCK_TIMEOUT),
                 log_dev,
                 st: RefCell::new(DbSt {
                     next_txn: 1,
@@ -1030,6 +1030,53 @@ mod tests {
         let mut bad = bytes.clone();
         bad[6] ^= 1;
         assert!(decode_catalog(&bad).is_err());
+    }
+
+    /// Two transactions update two rows in opposite orders, the second a
+    /// millisecond behind: the first is told to abort `LOCK_TIMEOUT` into
+    /// its wait, and the second then gets its lock and commits.
+    #[test]
+    fn a_deadlock_is_broken_by_the_lock_timeout() {
+        let outcome = Rc::new(RefCell::new(Vec::new()));
+        let o2 = Rc::clone(&outcome);
+        with_db(move |ctx, db| async move {
+            let acct = db.table("acct").unwrap();
+            let txn = db.begin().await.unwrap();
+            db.insert(txn, acct, 1, b"a").await.unwrap();
+            db.insert(txn, acct, 2, b"b").await.unwrap();
+            db.commit(txn).await.unwrap();
+            let t0 = ctx.now();
+            let mut sides = Vec::new();
+            for (first, second, lag) in [(1, 2, 1), (2, 1, 2)] {
+                let (db, ctx, out) = (db.clone(), ctx.clone(), Rc::clone(&o2));
+                sides.push(ctx.clone().spawn(async move {
+                    let txn = db.begin().await.unwrap();
+                    db.update(txn, acct, first, b"x").await.unwrap();
+                    ctx.sleep(SimDuration::from_millis(lag)).await;
+                    let r = db.update(txn, acct, second, b"y").await;
+                    if r.is_ok() {
+                        db.commit(txn).await.unwrap();
+                    } else {
+                        db.abort(txn).await.unwrap();
+                    }
+                    out.borrow_mut().push((first, r.is_ok(), ctx.now() - t0));
+                }));
+            }
+            for side in sides {
+                side.await;
+            }
+        });
+        let outcome = outcome.borrow();
+        let [(1, false, broken), (2, true, committed)] = outcome[..] else {
+            panic!("the first side must time out, the second commit: {outcome:?}");
+        };
+        let waited = broken - SimDuration::from_millis(1);
+        assert!(waited >= LOCK_TIMEOUT, "{outcome:?}");
+        assert!(
+            waited < LOCK_TIMEOUT + SimDuration::from_millis(1),
+            "{outcome:?}"
+        );
+        assert!(committed >= broken, "{outcome:?}");
     }
 
     #[test]

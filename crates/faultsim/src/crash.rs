@@ -19,18 +19,24 @@ use rapilog::{OrderingMode, RetryPolicy};
 use rapilog_simcore::stats::Histogram;
 use rapilog_simcore::SimDuration;
 use rapilog_simdisk::{specs, FaultProfile};
-use rapilog_simpower::{supplies, SupplySpec};
+use rapilog_simpower::supplies;
 
 use crate::explorer::Trial;
 use crate::machine::{MachineConfig, Setup};
 use crate::scenario::{run_trial, FaultKind, FaultStats, TrialConfig, TrialResult};
 
+/// The configuration under test: the grid audits RapiLog.
+const GRID_SETUP: Setup = Setup::RapiLog;
+/// Audited clients per trial.
+const GRID_CLIENTS: usize = 3;
+/// Mean think time between a client's transactions.
+const GRID_THINK: SimDuration = SimDuration::from_micros(300);
+
 /// The grid of crash points to explore, plus the machine shape every trial
-/// shares.
+/// shares: RapiLog with 3 audited clients 300 µs apart on an `atx_psu`
+/// supply.
 #[derive(Clone)]
 pub struct ExplorerConfig {
-    /// The configuration under test.
-    pub setup: Setup,
     /// RNG seeds: each seed is an independent world (client interleaving,
     /// fault schedules, backoff jitter).
     pub seeds: Vec<u64>,
@@ -38,10 +44,6 @@ pub struct ExplorerConfig {
     pub fault_times_ms: Vec<u64>,
     /// The fault kinds to inject at each point.
     pub kinds: Vec<FaultKind>,
-    /// Audited clients per trial.
-    pub clients: usize,
-    /// Mean think time between a client's transactions.
-    pub think_time: SimDuration,
     /// Background media-fault profile for the log disk (seeded per trial
     /// from the trial seed), on top of whatever the kind injects.
     pub log_fault: Option<FaultProfile>,
@@ -51,8 +53,6 @@ pub struct ExplorerConfig {
     /// classic serial drain; `PartiallyConstrained` exercises the windowed
     /// out-of-order engine under the same fault grid.
     pub ordering: OrderingMode,
-    /// Power supply model (power kinds need the residual window).
-    pub supply: SupplySpec,
     /// Tenants sharing the RapiLog instance per trial. `1` is the classic
     /// single-tenant machine; `n > 1` adds `n − 1` co-tenant writer cells
     /// whose shards the media audit checks for per-tenant durability and
@@ -65,16 +65,12 @@ impl ExplorerConfig {
     /// transient rate on the log disk, and the stock retry policy.
     pub fn rapilog_default() -> ExplorerConfig {
         ExplorerConfig {
-            setup: Setup::RapiLog,
             seeds: (0..4).map(|i| 0x5EED + i * 101).collect(),
             fault_times_ms: vec![120, 260, 420],
             kinds: FaultKind::all(),
-            clients: 3,
-            think_time: SimDuration::from_micros(300),
             log_fault: Some(FaultProfile::transient(0, 0.02)),
             retry: RetryPolicy::default(),
             ordering: OrderingMode::Strict,
-            supply: supplies::atx_psu(),
             tenants: 1,
         }
     }
@@ -120,17 +116,17 @@ impl ExplorerConfig {
                 ..profile
             });
         }
-        let mut machine = MachineConfig::new(self.setup, specs::instant(256 << 20), log_spec);
-        machine.supply = Some(self.supply.clone());
+        let mut machine = MachineConfig::new(GRID_SETUP, specs::instant(256 << 20), log_spec);
+        machine.supply = Some(supplies::atx_psu());
         machine.tenants = self.tenants;
         machine.rapilog.drain.retry = self.retry;
         machine.rapilog.drain.ordering = self.ordering;
         TrialConfig {
             machine,
             fault: kind,
-            clients: self.clients,
+            clients: GRID_CLIENTS,
             fault_after,
-            think_time: self.think_time,
+            think_time: GRID_THINK,
         }
     }
 }
@@ -165,9 +161,6 @@ pub struct CrashPoint {
     pub kind: FaultKind,
     /// When it was injected.
     pub fault_after: SimDuration,
-    /// The grid's configuration under test, carried so a replay line
-    /// names it.
-    pub setup: Setup,
 }
 
 impl fmt::Display for CrashPoint {
@@ -178,7 +171,7 @@ impl fmt::Display for CrashPoint {
             self.seed,
             self.kind.label(),
             self.fault_after.as_millis(),
-            self.setup.label(),
+            GRID_SETUP.label(),
         )
     }
 }
@@ -215,7 +208,6 @@ impl Trial for ExplorerConfig {
                         seed,
                         kind,
                         fault_after: SimDuration::from_millis(ms),
-                        setup: self.setup,
                     });
                 }
             }

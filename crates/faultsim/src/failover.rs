@@ -39,8 +39,8 @@ use std::fmt;
 use std::rc::Rc;
 
 use rapilog::{
-    ApplyStop, CapacitySpec, RapiLog, RapiLogDevice, ReplicationConfig, ReplicationMode,
-    ReplicationReport, Replicator, ShipAck, ShipFrame, Standby,
+    ApplyStop, CapacitySpec, RapiLog, RapiLogDevice, ReplicationMode, ReplicationReport,
+    Replicator, ShipAck, ShipFrame, Standby,
 };
 use rapilog_microvisor::cell::Cell;
 use rapilog_microvisor::{Hypervisor, Trust};
@@ -128,32 +128,33 @@ pub fn mode_label(mode: ReplicationMode) -> &'static str {
     }
 }
 
-/// One failover trial's parameters.
+/// Concurrent writer clients on the failover trial's primary.
+const FAILOVER_TRIAL_CLIENTS: usize = 2;
+/// Writes each of them attempts, each to its own private sector: 64 writes
+/// about 300 µs apart outlast the 12 ms before the stock fault, so it lands
+/// mid-load.
+const FAILOVER_TRIAL_WRITES: usize = 64;
+/// Mean think time between a client's writes.
+const FAILOVER_TRIAL_THINK: SimDuration = SimDuration::from_micros(300);
+
+/// One failover trial's parameters. The load is fixed: 2 clients × 64
+/// writes, 300 µs apart on average.
 #[derive(Debug, Clone)]
 pub struct FailoverConfig {
     /// The replication guarantee level under test.
     pub mode: ReplicationMode,
     /// The injected fault.
     pub kind: FailoverKind,
-    /// Concurrent writer clients on the primary.
-    pub clients: usize,
-    /// Writes each client attempts (each to its own private sector).
-    pub writes_per_client: usize,
-    /// Mean think time between a client's writes.
-    pub think_time: SimDuration,
     /// Virtual time of load before the fault fires.
     pub fault_after: SimDuration,
 }
 
 impl FailoverConfig {
-    /// The stock trial: 2 clients × 64 writes, fault at 12 ms.
+    /// The stock trial: the fault at 12 ms.
     pub fn new(mode: ReplicationMode, kind: FailoverKind) -> FailoverConfig {
         FailoverConfig {
             mode,
             kind,
-            clients: 2,
-            writes_per_client: 64,
-            think_time: SimDuration::from_micros(300),
             fault_after: SimDuration::from_millis(12),
         }
     }
@@ -270,11 +271,7 @@ impl Pair {
         let standby_disk = Disk::new(ctx, spec.standby_disk);
         let ship = Link::new(ctx, LinkSpec::lan("ship").with_faults(spec.ship_faults));
         let acks = Link::new(ctx, LinkSpec::lan("acks").with_faults(spec.ack_faults));
-        let rcfg = match spec.mode {
-            ReplicationMode::Sync => ReplicationConfig::sync(),
-            ReplicationMode::Async => ReplicationConfig::asynchronous(),
-        };
-        let repl = Replicator::new(ctx, rcfg, ship.clone(), acks.clone());
+        let repl = Replicator::new(ctx, spec.mode, ship.clone(), acks.clone());
         let primary_psu = spec
             .primary_supply
             .then(|| PowerSupply::new(ctx, supplies::atx_psu()));
@@ -459,9 +456,9 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
         let mut load = Load::spawn(
             &c2,
             &rl.device(),
-            cfg.clients,
-            cfg.writes_per_client,
-            cfg.think_time,
+            FAILOVER_TRIAL_CLIENTS,
+            FAILOVER_TRIAL_WRITES,
+            FAILOVER_TRIAL_THINK,
         );
 
         // ---- Fault choreography → promotion.
@@ -942,13 +939,12 @@ pub fn run_standby_trial(seed: u64, cfg: StandbyTrialConfig) -> StandbyTrialResu
     r.expect("standby trial did not complete — deadlock or runaway scenario")
 }
 
-/// The failover grid: seeds × modes × kinds, one trial each.
+/// The failover grid: seeds × modes × every [`FailoverKind`], one trial
+/// each.
 #[derive(Debug, Clone)]
 pub struct FailoverExplorerConfig {
     /// RNG seeds: each is an independent world.
     pub seeds: Vec<u64>,
-    /// Failover kinds to sweep.
-    pub kinds: Vec<FailoverKind>,
 }
 
 impl FailoverExplorerConfig {
@@ -959,7 +955,6 @@ impl FailoverExplorerConfig {
     pub fn rapilog_default() -> FailoverExplorerConfig {
         FailoverExplorerConfig {
             seeds: (0..3).map(|i| 0xFA11 + i * 131).collect(),
-            kinds: FailoverKind::all(),
         }
     }
 
@@ -1044,11 +1039,11 @@ impl Trial for FailoverExplorerConfig {
 
     /// Seed-outer, mode-middle, kind-inner.
     fn grid(&self) -> Vec<FailoverPoint> {
-        let mut points =
-            Vec::with_capacity(self.seeds.len() * Self::MODES.len() * self.kinds.len());
+        let kinds = FailoverKind::all();
+        let mut points = Vec::with_capacity(self.seeds.len() * Self::MODES.len() * kinds.len());
         for &seed in &self.seeds {
             for mode in Self::MODES {
-                for &kind in &self.kinds {
+                for &kind in &kinds {
                     points.push(FailoverPoint { seed, mode, kind });
                 }
             }

@@ -51,9 +51,7 @@ use rapilog_simpower::PowerSupply;
 use crate::audit::Audit;
 use crate::buffer::{DependableBuffer, Extent};
 use crate::shard::{Shard, ShardedBuffer, TenantId};
-use crate::{
-    AdaptiveBatchConfig, BatchPolicy, DrainConfig, DrainStats, ModeState, OrderingMode, RetryPolicy,
-};
+use crate::{BatchPolicy, DrainConfig, DrainStats, ModeState, OrderingMode, RetryPolicy};
 
 /// Truncates `run` to its first `keep_sectors` sectors, slicing the
 /// boundary segment if the cut falls inside it (an O(1) re-view, not a
@@ -163,19 +161,31 @@ pub(crate) fn consolidate(batch: &[Extent], run_bound: usize) -> (Vec<IoRun>, Ve
     (runs, seqs)
 }
 
+/// Retries tolerated on one run before the instance enters degraded mode:
+/// the failure after the eighth retry comes about 25.5 ms of backoff in,
+/// longer than a disk's passing hiccup and short against the residual
+/// window.
+pub(crate) const MAX_RETRIES: u32 = 8;
+/// First retry delay; doubles each attempt.
+const BACKOFF_BASE: SimDuration = SimDuration::from_micros(100);
+/// Ceiling on the exponential backoff.
+const BACKOFF_CAP: SimDuration = SimDuration::from_millis(20);
+/// Bound on the jitter added to each delay (decorrelates retry storms
+/// across instances).
+const RETRY_JITTER: SimDuration = SimDuration::from_micros(50);
+
 /// Computes the delay before retry number `attempt` (0-based): capped
 /// exponential backoff plus bounded jitter from the drain's forked RNG.
-/// Deterministic: the same policy, attempt and RNG state give the same
-/// delay on every run.
-pub(crate) fn backoff_delay(policy: &RetryPolicy, attempt: u32, rng: &mut SimRng) -> SimDuration {
-    let base = policy.backoff_base.as_nanos();
+/// Deterministic: the same attempt and RNG state give the same delay on
+/// every run.
+pub(crate) fn backoff_delay(attempt: u32, rng: &mut SimRng) -> SimDuration {
     let mult = 1u64.checked_shl(attempt.min(63)).unwrap_or(u64::MAX);
-    let delay = base.saturating_mul(mult).min(policy.backoff_cap.as_nanos());
-    let jitter = match policy.jitter.as_nanos() {
-        0 => 0,
-        j => rng.next_u64() % j,
-    };
-    SimDuration::from_nanos(delay.saturating_add(jitter))
+    let delay = BACKOFF_BASE
+        .as_nanos()
+        .saturating_mul(mult)
+        .min(BACKOFF_CAP.as_nanos());
+    let jitter = rng.next_u64() % RETRY_JITTER.as_nanos();
+    SimDuration::from_nanos(delay + jitter)
 }
 
 /// Why [`write_run_resilient`] gave up.
@@ -268,7 +278,7 @@ async fn write_run_resilient(
                         value: attempt as u64,
                     },
                 );
-                if attempt >= policy.max_retries && !mode.is_degraded() {
+                if attempt >= MAX_RETRIES && !mode.is_degraded() {
                     mode.set_degraded(true);
                     audit.record_degraded_entry();
                     tracer.instant(
@@ -281,7 +291,7 @@ async fn write_run_resilient(
                     );
                 }
                 // Drawn before the sleep: no borrow is held across it.
-                let delay = backoff_delay(policy, attempt, &mut rng.borrow_mut());
+                let delay = backoff_delay(attempt, &mut rng.borrow_mut());
                 ctx.sleep(delay).await;
                 attempt = attempt.saturating_add(1);
             }
@@ -423,6 +433,22 @@ impl BatchLedger {
     }
 }
 
+/// Floor for the adaptive batch target: the size the controller decays to
+/// under light load, so a small commit never rides a giant run.
+const MIN_BATCH: usize = 64 * 1024;
+/// Ceiling on one adaptive batch's acceptable drain service time. The target
+/// grows only while the service-time EWMA sits well below this budget (and
+/// marginal bandwidth still improves), and shrinks as soon as the EWMA
+/// exceeds it.
+const LATENCY_BUDGET: SimDuration = SimDuration::from_millis(2);
+/// Longest the adaptive drain may delay bytes in order to coalesce them:
+/// while writers are blocked on buffer space — the drain is then the commit
+/// path, and space comes back a run at a time — no run is built longer than
+/// the device retires in this time (never below [`MIN_BATCH`]). Nothing else
+/// holds bytes back: a batch is cut the moment a window slot is free to
+/// write it, so a lone commit never waits at all.
+const MAX_HOLD: SimDuration = SimDuration::from_micros(100);
+
 /// The adaptive group-commit controller: one per instance, shared by the
 /// drain loop, every run task, and [`RapiLog::snapshot`](crate::RapiLog).
 ///
@@ -443,7 +469,7 @@ impl BatchLedger {
 ///
 /// * **shrink** (halve) when the service-time EWMA exceeds the latency
 ///   budget — the batch is too big for the device's current behaviour;
-/// * **decay** (to `min_batch`) when the queue behind the retiring batch
+/// * **decay** (to [`MIN_BATCH`]) when the queue behind the retiring batch
 ///   is empty — light load, so the next lone commit rides a small run;
 /// * **grow** (double) when the backlog would fill ≥ 4 targets, the
 ///   service EWMA sits below half the budget, *and* the bandwidth EWMA
@@ -466,7 +492,7 @@ impl BatchLedger {
 /// [`run_bound`](Self::run_bound).
 pub(crate) struct DrainController {
     ctx: SimCtx,
-    adaptive: Option<AdaptiveBatchConfig>,
+    adaptive: bool,
     max_batch: usize,
     min_batch: usize,
     target: StdCell<usize>,
@@ -525,30 +551,25 @@ impl DrainController {
         };
         // Strict pins the batch target: it is the paper's serial drain, one
         // batch size, whatever policy was asked for beside it.
-        let adaptive = match (cfg.ordering, cfg.batch) {
-            (OrderingMode::PartiallyConstrained, BatchPolicy::Adaptive(a)) => Some(a),
-            _ => None,
-        };
-        let max_depth = match adaptive {
-            Some(_) => (disk.geometry().queue_depth as usize).max(base_depth),
-            None => base_depth,
-        };
-        let min_batch = adaptive
-            .map(|a| a.min_batch.max(SECTOR_SIZE).min(cfg.max_batch))
-            .unwrap_or(cfg.max_batch);
-        // Adaptive starts small and earns its way up; Fixed starts (and
-        // stays) at max_batch.
-        let target = if adaptive.is_some() {
-            min_batch
+        let adaptive = matches!(
+            (cfg.ordering, cfg.batch),
+            (OrderingMode::PartiallyConstrained, BatchPolicy::Adaptive(_))
+        );
+        // Adaptive starts small and earns its way up, and may widen its
+        // window to the device's queue depth; Fixed starts (and stays) at
+        // max_batch and its base depth.
+        let (min_batch, max_depth) = if adaptive {
+            let queue_depth = disk.geometry().queue_depth as usize;
+            (MIN_BATCH.min(cfg.max_batch), queue_depth.max(base_depth))
         } else {
-            cfg.max_batch
+            (cfg.max_batch, base_depth)
         };
         Rc::new(DrainController {
             ctx: ctx.clone(),
             adaptive,
             max_batch: cfg.max_batch,
             min_batch,
-            target: StdCell::new(target),
+            target: StdCell::new(min_batch),
             base_depth,
             max_depth,
             depth: StdCell::new(base_depth),
@@ -603,20 +624,19 @@ impl DrainController {
     /// every pop. `stalled` says a writer has had to wait for space since
     /// the previous pop: the drain is then the commit path — every ack is
     /// gated by the next release, and space comes back a run at a time — so
-    /// a run may not take longer to retire than `max_hold`, the longest the
-    /// drain may delay bytes in order to coalesce them:
-    /// `max(min_batch, ewma_run_bytes_per_sec × max_hold)`, rounded down to
+    /// a run may not take longer to retire than [`MAX_HOLD`], the longest
+    /// the drain may delay bytes in order to coalesce them:
+    /// `max(MIN_BATCH, ewma_run_bytes_per_sec × MAX_HOLD)`, rounded down to
     /// [`RUN_BOUND_STEP`]. With no stalled writer (and under Fixed or
     /// Strict, always) the bound is off and runs grow to the batch target.
     pub(crate) fn run_bound(&self, stalled: bool) -> usize {
-        let bound = match self.adaptive {
-            Some(a) if stalled => {
-                let held =
-                    self.ewma_run_bps.get() as u128 * a.max_hold.as_nanos() as u128 / 1_000_000_000;
-                let held = usize::try_from(held).unwrap_or(usize::MAX);
-                (held - held % RUN_BOUND_STEP).max(self.min_batch)
-            }
-            _ => 0,
+        let bound = if self.adaptive && stalled {
+            let held =
+                self.ewma_run_bps.get() as u128 * MAX_HOLD.as_nanos() as u128 / 1_000_000_000;
+            let held = usize::try_from(held).unwrap_or(usize::MAX);
+            (held - held % RUN_BOUND_STEP).max(self.min_batch)
+        } else {
+            0
         };
         self.run_bound.set(bound);
         // Traced when the bound engages, disengages, or has drifted more
@@ -655,10 +675,10 @@ impl DrainController {
             self.ewma_bps.set(ewma_update(self.ewma_bps.get(), bps));
         }
         let ebps = self.ewma_bps.get();
-        let Some(a) = self.adaptive else {
+        if !self.adaptive {
             return;
-        };
-        let budget = a.latency_budget.as_nanos().max(1);
+        }
+        let budget = LATENCY_BUDGET.as_nanos();
         let tgt = self.target.get();
         if svc > budget && tgt > self.min_batch {
             // Over budget: the batch is too big for what the device is
@@ -1409,24 +1429,26 @@ mod tests {
 mod backoff_tests {
     use super::*;
 
-    fn policy() -> RetryPolicy {
-        RetryPolicy {
-            backoff_base: SimDuration::from_micros(100),
-            backoff_cap: SimDuration::from_millis(20),
-            jitter: SimDuration::from_micros(50),
-            ..RetryPolicy::default()
-        }
+    /// The delay before retry `attempt` minus its jitter, checked to lie in
+    /// `[0, RETRY_JITTER)` above `base_us`.
+    fn jitter_above(delay: SimDuration, base_us: u64) -> u64 {
+        let jitter = delay.as_nanos().checked_sub(base_us * 1000);
+        let jitter = jitter.unwrap_or_else(|| panic!("{delay:?} is below {base_us} us"));
+        assert!(
+            jitter < RETRY_JITTER.as_nanos(),
+            "{delay:?}: jitter {jitter} ns"
+        );
+        jitter
     }
 
     #[test]
     fn backoff_is_deterministic_for_equal_rng_state() {
-        let p = policy();
         let mut a = SimRng::seed_from_u64(99);
         let mut b = SimRng::seed_from_u64(99);
         for attempt in 0..12 {
             assert_eq!(
-                backoff_delay(&p, attempt, &mut a),
-                backoff_delay(&p, attempt, &mut b),
+                backoff_delay(attempt, &mut a),
+                backoff_delay(attempt, &mut b),
                 "attempt {attempt}"
             );
         }
@@ -1434,33 +1456,28 @@ mod backoff_tests {
 
     #[test]
     fn backoff_doubles_then_caps() {
-        let mut p = policy();
-        p.jitter = SimDuration::ZERO;
         let mut rng = SimRng::seed_from_u64(1);
-        assert_eq!(backoff_delay(&p, 0, &mut rng).as_micros(), 100);
-        assert_eq!(backoff_delay(&p, 1, &mut rng).as_micros(), 200);
-        assert_eq!(backoff_delay(&p, 4, &mut rng).as_micros(), 1600);
+        // 100 µs doubling, each under 50 µs of jitter.
+        jitter_above(backoff_delay(0, &mut rng), 100);
+        jitter_above(backoff_delay(1, &mut rng), 200);
+        jitter_above(backoff_delay(4, &mut rng), 1600);
         // 100 µs * 2^8 = 25.6 ms > 20 ms cap.
-        assert_eq!(backoff_delay(&p, 8, &mut rng).as_millis(), 20);
+        jitter_above(backoff_delay(8, &mut rng), 20_000);
         // Huge attempt numbers must not overflow.
-        assert_eq!(backoff_delay(&p, u32::MAX, &mut rng).as_millis(), 20);
+        jitter_above(backoff_delay(u32::MAX, &mut rng), 20_000);
     }
 
     #[test]
     fn jitter_is_bounded_and_consumed_from_the_rng() {
-        let p = policy();
         let mut rng = SimRng::seed_from_u64(7);
-        for attempt in 0..20 {
-            let base_only = {
-                let mut p0 = p;
-                p0.jitter = SimDuration::ZERO;
-                let mut dummy = SimRng::seed_from_u64(0);
-                backoff_delay(&p0, attempt, &mut dummy)
-            };
-            let with_jitter = backoff_delay(&p, attempt, &mut rng);
-            assert!(with_jitter >= base_only);
-            assert!(with_jitter < base_only + p.jitter);
-        }
+        let jitters: Vec<u64> = (0..20u32)
+            .map(|attempt| {
+                let base_us = (100u64 << attempt).min(20_000);
+                jitter_above(backoff_delay(attempt, &mut rng), base_us)
+            })
+            .collect();
+        // Each delay draws afresh: the 20 jitters are not one value.
+        assert!(jitters.iter().any(|&j| j != jitters[0]), "{jitters:?}");
     }
 }
 
@@ -1543,14 +1560,7 @@ mod resilience_tests {
         let mut sim = Sim::new(23);
         let ctx = sim.ctx();
         let disk = Disk::new(&ctx, specs::instant(1 << 24));
-        let retry = RetryPolicy {
-            max_retries: 3,
-            backoff_base: SimDuration::from_micros(100),
-            backoff_cap: SimDuration::from_millis(2),
-            degraded_exit_successes: 4,
-            ..RetryPolicy::default()
-        };
-        let rl = setup(&mut sim, disk.clone(), retry);
+        let rl = setup(&mut sim, disk.clone(), RetryPolicy::default());
         let dev = rl.device();
         let entered = Rc::new(StdCell::new(false));
         let e2 = Rc::clone(&entered);
@@ -1567,7 +1577,8 @@ mod resilience_tests {
                 c2.sleep(SimDuration::from_micros(500)).await;
             }
         });
-        // A 40 ms sick burst starting at t=20 ms.
+        // A 40 ms sick burst starting at t=20 ms: longer than the ~25.5 ms
+        // of backoff the retry budget (8 retries) spends.
         let d2 = disk.clone();
         sim.spawn({
             let ctx = ctx.clone();
@@ -1596,14 +1607,7 @@ mod resilience_tests {
         let mut sim = Sim::new(25);
         let ctx = sim.ctx();
         let disk = Disk::new(&ctx, specs::instant(1 << 24));
-        let retry = RetryPolicy {
-            max_retries: 3,
-            backoff_base: SimDuration::from_micros(100),
-            backoff_cap: SimDuration::from_millis(2),
-            degraded_exit_successes: 4,
-            ..RetryPolicy::default()
-        };
-        let rl = setup(&mut sim, disk.clone(), retry);
+        let rl = setup(&mut sim, disk.clone(), RetryPolicy::default());
         let dev = rl.device();
         // Probe state sampled during the second burst: the mode flag and
         // the ack latency of one write issued while the disk is sick again.
@@ -1622,27 +1626,28 @@ mod resilience_tests {
                 }
             });
         }
-        // Two sick bursts separated by a long healthy gap: 20–50 ms and
-        // 150–180 ms. The writer stream keeps the drain busy throughout,
-        // so hysteresis recovers the mode between the bursts.
+        // Two sick bursts separated by a long healthy gap: 20–60 ms and
+        // 150–190 ms, each longer than the ~25.5 ms of backoff the retry
+        // budget spends. The writer stream keeps the drain busy
+        // throughout, so hysteresis recovers the mode between the bursts.
         let d2 = disk.clone();
         sim.spawn({
             let ctx = ctx.clone();
             async move {
                 ctx.sleep(SimDuration::from_millis(20)).await;
                 d2.set_sick(true);
-                ctx.sleep(SimDuration::from_millis(30)).await;
+                ctx.sleep(SimDuration::from_millis(40)).await;
                 d2.set_sick(false);
-                ctx.sleep(SimDuration::from_millis(100)).await;
+                ctx.sleep(SimDuration::from_millis(90)).await;
                 d2.set_sick(true);
-                ctx.sleep(SimDuration::from_millis(30)).await;
+                ctx.sleep(SimDuration::from_millis(40)).await;
                 d2.set_sick(false);
             }
         });
-        // The probe: 10 ms into the second burst, one write must be
-        // re-acknowledged synchronously (it waits out the rest of the
-        // burst for media), proving re-entry is behavioural, not just a
-        // counter.
+        // The probe: 30 ms into the second burst, after the budget is
+        // spent, one write must be re-acknowledged synchronously (it waits
+        // out the rest of the burst for media), proving re-entry is
+        // behavioural, not just a counter.
         {
             let dev = dev.clone();
             let ctx = ctx.clone();
@@ -1650,7 +1655,7 @@ mod resilience_tests {
             let flag = Rc::clone(&degraded_in_burst2);
             let ack = Rc::clone(&probe_ack_ns);
             sim.spawn(async move {
-                ctx.sleep(SimDuration::from_millis(160)).await;
+                ctx.sleep(SimDuration::from_millis(180)).await;
                 flag.set(rl.is_degraded());
                 let t0 = ctx.now();
                 dev.write(500, &vec![0xEE; SECTOR_SIZE], true)
@@ -1692,9 +1697,6 @@ mod resilience_tests {
         // Real mechanics so a media write costs milliseconds.
         let disk = Disk::new(&ctx, specs::hdd_7200(1 << 30));
         let retry = RetryPolicy {
-            max_retries: 0,
-            backoff_base: SimDuration::from_micros(200),
-            backoff_cap: SimDuration::from_millis(1),
             degraded_exit_successes: u32::MAX, // stay degraded
             ..RetryPolicy::default()
         };
@@ -1704,13 +1706,16 @@ mod resilience_tests {
         let a2 = Rc::clone(&ack_ns);
         let d2 = disk.clone();
         let c2 = ctx.clone();
+        let rl2 = rl.clone();
         sim.spawn(async move {
-            // Trip the mode with a short sick window. The device write is
-            // acked from the buffer before degradation engages; the *drain*
-            // sees the faults and exhausts its (zero) retry budget.
+            // Trip the mode with a sick spell. The device write is acked
+            // from the buffer before degradation engages; the *drain* sees
+            // the faults and exhausts its retry budget.
             d2.set_sick(true);
             dev.write(0, &vec![1u8; SECTOR_SIZE], true).await.unwrap();
-            c2.sleep(SimDuration::from_millis(5)).await;
+            while !rl2.is_degraded() {
+                c2.sleep(SimDuration::from_millis(1)).await;
+            }
             d2.set_sick(false);
             c2.sleep(SimDuration::from_millis(50)).await;
             let t0 = c2.now();
@@ -2158,7 +2163,7 @@ mod window_tests {
             let cfg = DrainConfig::new()
                 .ordering(OrderingMode::PartiallyConstrained)
                 .window_depth(2)
-                .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig::default()));
+                .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig));
             let ctrl = DrainController::new(&ctx, &cfg, &disk);
             let audit = Audit::new(&ctx);
             let buffer = DependableBuffer::new(64 << 20);
@@ -2332,7 +2337,7 @@ mod window_tests {
         let disk = Disk::new(&ctx, specs::ssd_nvme(1 << 30).with_channels(4));
         let cfg = DrainConfig::new()
             .ordering(OrderingMode::PartiallyConstrained)
-            .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig::default()));
+            .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig));
         let ctrl = DrainController::new(&ctx, &cfg, &disk);
         let t_ctrl = Rc::clone(&ctrl);
         let t_ctx = ctx.clone();
@@ -2392,7 +2397,7 @@ mod window_tests {
         let cell = hv.create_cell("rapilog", Trust::Trusted);
         let disk = Disk::new(&ctx, specs::ssd_nvme(1 << 30).with_channels(4));
         let batch = match adaptive {
-            true => BatchPolicy::Adaptive(AdaptiveBatchConfig::default()),
+            true => BatchPolicy::Adaptive(AdaptiveBatchConfig),
             false => BatchPolicy::Fixed,
         };
         let rl = RapiLog::builder(&ctx)
@@ -2435,7 +2440,7 @@ mod window_tests {
 
     #[test]
     fn blocked_writers_bound_the_run_to_what_retires_within_max_hold() {
-        let max_hold = AdaptiveBatchConfig::default().max_hold;
+        let max_hold = super::MAX_HOLD;
         // 4 MiB of buffer under ≈ 6 GB/s of demand: writers block on space
         // for the whole run, so the drain is the commit path.
         let (rl, drain, service, bytes_per_op) = four_writers(4 << 20, true);
@@ -2448,15 +2453,15 @@ mod window_tests {
             "runs feed the second sensor"
         );
         // What the bound converged to, priced at the run EWMA, and what the
-        // device actually spent per media op: both within max_hold + 10 %.
+        // device actually spent per media op: both within MAX_HOLD + 10 %.
         let settled = SimDuration::from_nanos(
             (drain.run_bound_bytes as u128 * 1_000_000_000 / drain.ewma_run_bytes_per_sec as u128)
                 as u64,
         );
         let limit = max_hold + max_hold / 10;
         assert!(
-            drain.run_bound_bytes >= 64 << 10,
-            "the bound engaged (and never below min_batch)"
+            drain.run_bound_bytes >= super::MIN_BATCH as u64,
+            "the bound engaged (and never below MIN_BATCH)"
         );
         assert!(
             settled <= limit,
@@ -2686,22 +2691,30 @@ mod read_yield_tests {
     #[test]
     fn a_degraded_ack_never_waits_behind_a_reader() {
         let stay_degraded = RetryPolicy {
-            max_retries: 0,
-            backoff_base: SimDuration::from_micros(200),
-            backoff_cap: ms(1),
             degraded_exit_successes: u32::MAX,
             ..RetryPolicy::default()
         };
         let mut r = rig(16 << 20, &[], stay_degraded, false);
-        // Trip the mode before the reader starts: one write into a sick spell.
+        // Trip the mode before the reader starts: one write into a sick
+        // spell that lasts until the drain has spent its retry budget, and
+        // that write landed once the spell is over.
         r.disk.set_sick(true);
         let dev = r.rl.device();
         r.sim.spawn(async move {
             dev.write(0, &sectors(1, 1), true).await.unwrap();
         });
-        r.sim
-            .run_until(SimTime::ZERO + ms(19) + SimDuration::from_micros(500));
+        let step = |r: &mut Rig| {
+            let next = r.ctx.now() + ms(1);
+            assert!(next < SimTime::from_secs(1), "the spell never ended");
+            r.sim.run_until(next);
+        };
+        while !r.rl.is_degraded() {
+            step(&mut r);
+        }
         r.disk.set_sick(false);
+        while r.rl.occupancy() > 0 {
+            step(&mut r);
+        }
         r.spawn_reader(r.rl.device());
         let acked = Rc::new(StdCell::new((SimTime::ZERO, SimTime::ZERO)));
         let (ctx, a2, on, dev) = (
@@ -2711,7 +2724,7 @@ mod read_yield_tests {
             r.rl.device(),
         );
         r.sim.spawn(async move {
-            ctx.sleep_until(SimTime::ZERO + ms(40)).await;
+            ctx.sleep(ms(20)).await;
             let called = ctx.now();
             dev.write(1, &sectors(2, 1), true).await.unwrap();
             a2.set((called + ack_cost(SECTOR_SIZE), ctx.now()));

@@ -65,8 +65,8 @@ pub mod vdisk;
 pub use audit::{AuditReport, TenantAudit};
 pub use buffer::{BufferStats, DependableBuffer};
 pub use replicate::{
-    ApplyStop, ReplicationConfig, ReplicationMode, ReplicationReport, Replicator, ShipAck,
-    ShipFrame, Standby, StandbyReport,
+    ApplyStop, ReplicationMode, ReplicationReport, Replicator, ShipAck, ShipFrame, Standby,
+    StandbyReport,
 };
 pub use shard::{ShardedBuffer, TenantId, TenantSpec};
 pub use vdisk::RapiLogDevice;
@@ -80,8 +80,8 @@ pub mod prelude {
     pub use crate::audit::{AuditReport, TenantAudit};
     pub use crate::buffer::{BufferStats, DependableBuffer};
     pub use crate::replicate::{
-        ApplyStop, ReplicationConfig, ReplicationMode, ReplicationReport, Replicator, ShipAck,
-        ShipFrame, Standby, StandbyReport,
+        ApplyStop, ReplicationMode, ReplicationReport, Replicator, ShipAck, ShipFrame, Standby,
+        StandbyReport,
     };
     pub use crate::shard::{ShardedBuffer, TenantId, TenantSpec};
     pub use crate::vdisk::RapiLogDevice;
@@ -111,31 +111,23 @@ pub enum CapacitySpec {
 
 /// How the drain reacts to device faults.
 ///
-/// Transient command failures are retried with capped exponential backoff;
-/// media errors are remapped and rewritten. When the retry budget for one
-/// run is exhausted the instance enters **degraded mode**: commits are no
-/// longer acknowledged early — the device waits for the drain to put each
-/// write on media before returning — until
+/// Transient command failures are retried with capped exponential backoff:
+/// 100 µs doubling to a 20 ms cap, plus up to 50 µs of jitter from the
+/// drain's forked RNG. Media errors are remapped and rewritten. When one
+/// run fails after 8 retries — about 25.5 ms of backoff — the instance
+/// enters **degraded mode**: commits are no longer acknowledged early — the device
+/// waits for the drain to put each write on media before returning — until
 /// [`degraded_exit_successes`](Self::degraded_exit_successes) consecutive
 /// media writes succeed again. The durability guarantee is preserved at the
-/// cost of latency (invariant I5 in spirit: degrade, never lie).
+/// cost of latency (invariant I5 in spirit: degrade, never lie). The drain
+/// keeps retrying past the budget (dropping the batch would lose
+/// acknowledged data); the budget only gates the mode.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Master switch. With retries disabled, the first device error kills
     /// the drain exactly as a power collapse would — used by the fault
     /// harness to prove the durability checker can fail.
     pub enabled: bool,
-    /// Transient failures tolerated on one run before entering degraded
-    /// mode. The drain keeps retrying past the budget (dropping the batch
-    /// would lose acknowledged data); the budget only gates the mode.
-    pub max_retries: u32,
-    /// First retry delay; doubles each attempt.
-    pub backoff_base: SimDuration,
-    /// Ceiling on the exponential backoff.
-    pub backoff_cap: SimDuration,
-    /// Maximum deterministic jitter added to each delay (decorrelates
-    /// retry storms across instances; drawn from the drain's forked RNG).
-    pub jitter: SimDuration,
     /// Consecutive successful media writes required to leave degraded mode
     /// (hysteresis: one lucky write must not flap the mode).
     pub degraded_exit_successes: u32,
@@ -145,10 +137,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             enabled: true,
-            max_retries: 8,
-            backoff_base: SimDuration::from_micros(100),
-            backoff_cap: SimDuration::from_millis(20),
-            jitter: SimDuration::from_micros(50),
             degraded_exit_successes: 4,
         }
     }
@@ -174,37 +162,11 @@ pub enum OrderingMode {
     PartiallyConstrained,
 }
 
-/// Tuning for [`BatchPolicy::Adaptive`]: the bounds and deadlines of the
-/// controller that sizes group commits to the observed drain operating
-/// point (see DESIGN.md §15 for the control law).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveBatchConfig {
-    /// Floor for the batch target — the size the controller decays to
-    /// under light load so a small commit never rides a giant run.
-    pub min_batch: usize,
-    /// Ceiling on one batch's acceptable drain service time. The target
-    /// grows only while the service-time EWMA sits well below this budget
-    /// (and marginal bandwidth still improves), and shrinks as soon as the
-    /// EWMA exceeds it.
-    pub latency_budget: SimDuration,
-    /// Longest the drain may delay bytes in order to coalesce them: while
-    /// writers are blocked on buffer space — the drain is then the commit
-    /// path, and space comes back a run at a time — no run is built longer
-    /// than the device retires in this time (never below `min_batch`).
-    /// Nothing else holds bytes back: a batch is cut the moment a window
-    /// slot is free to write it, so a lone commit never waits at all.
-    pub max_hold: SimDuration,
-}
-
-impl Default for AdaptiveBatchConfig {
-    fn default() -> Self {
-        AdaptiveBatchConfig {
-            min_batch: 64 * 1024,
-            latency_budget: SimDuration::from_millis(2),
-            max_hold: SimDuration::from_micros(100),
-        }
-    }
-}
+/// The marker [`BatchPolicy::Adaptive`] carries. The controller it selects
+/// has fixed bounds (see DESIGN.md §15 for the control law): a 64 KiB
+/// batch floor, a 2 ms latency budget per batch and a 100 µs longest hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AdaptiveBatchConfig;
 
 /// How the drain sizes its group-commit batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -217,8 +179,8 @@ pub enum BatchPolicy {
     /// An EWMA controller tracks per-batch drain service time and achieved
     /// bandwidth from batch-retirement events and resizes the next pop to
     /// sit at the latency/bandwidth knee: growing while marginal bandwidth
-    /// gain holds and the latency budget allows, decaying to
-    /// [`AdaptiveBatchConfig::min_batch`] under light load. Under
+    /// gain holds and the latency budget allows, decaying to its 64 KiB
+    /// floor under light load. Under
     /// [`OrderingMode::PartiallyConstrained`] it also autotunes the
     /// in-flight window between [`DrainConfig::window_depth`] and the
     /// device's [`Geometry::queue_depth`](rapilog_simdisk::Geometry).

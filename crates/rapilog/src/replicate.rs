@@ -27,10 +27,11 @@
 //! sequence range `[lo, hi]` per tenant, the standby applies only at its
 //! expected prefix (holding bounded-reordered frames, re-acking
 //! duplicates), and the primary retransmits everything unacknowledged once
-//! its ack deadline lapses (capped exponential backoff, reusing
-//! [`RetryPolicy`]). Reliability is therefore end-to-end: the link may
-//! drop, duplicate, reorder within a bound, or partition, and the replica
-//! still converges to a prefix of the primary's admitted log.
+//! its ack deadline lapses (capped exponential backoff, the drain's own,
+//! grown for at most its budget of 8 retries). Reliability is therefore
+//! end-to-end: the link may drop, duplicate, reorder within a bound, or
+//! partition, and the replica still converges to a prefix of the
+//! primary's admitted log.
 //!
 //! Two guarantee levels (see [`ReplicationMode`]):
 //!
@@ -58,8 +59,7 @@ use rapilog_simnet::Link;
 
 use crate::audit::Audit;
 use crate::buffer::Extent;
-use crate::drain::backoff_delay;
-use crate::RetryPolicy;
+use crate::drain::{backoff_delay, MAX_RETRIES};
 
 /// When the guest's acknowledgement may run ahead of the standby.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,35 +78,6 @@ pub enum ReplicationMode {
 /// How long the shipper waits for ack progress before retransmitting every
 /// unacknowledged frame.
 const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(5);
-
-/// Tuning for the primary-side shipper.
-#[derive(Debug, Clone)]
-pub struct ReplicationConfig {
-    /// The guarantee level.
-    pub mode: ReplicationMode,
-    /// Backoff applied on top of the ack deadline as consecutive
-    /// retransmission rounds go unanswered (the retry budget only caps the
-    /// backoff growth — the shipper never gives up on acknowledged data).
-    pub retry: RetryPolicy,
-}
-
-impl ReplicationConfig {
-    /// Synchronous replication.
-    pub fn sync() -> ReplicationConfig {
-        ReplicationConfig {
-            mode: ReplicationMode::Sync,
-            retry: RetryPolicy::default(),
-        }
-    }
-
-    /// Asynchronous replication.
-    pub fn asynchronous() -> ReplicationConfig {
-        ReplicationConfig {
-            mode: ReplicationMode::Async,
-            ..ReplicationConfig::sync()
-        }
-    }
-}
 
 /// One shipped unit: a tenant's contiguous sequence range and its extents.
 #[derive(Debug, Clone)]
@@ -218,7 +189,7 @@ impl ReplicationReport {
 
 struct ReplInner {
     ctx: SimCtx,
-    cfg: ReplicationConfig,
+    mode: ReplicationMode,
     ship: Link<ShipFrame>,
     acks: Link<ShipAck>,
     /// Offered at admission, not yet put on the wire.
@@ -258,18 +229,18 @@ pub struct Replicator {
 }
 
 impl Replicator {
-    /// Creates a shipper over `ship` (primary → standby frames) and `acks`
-    /// (standby → primary acknowledgements).
+    /// Creates a shipper at guarantee level `mode` over `ship` (primary →
+    /// standby frames) and `acks` (standby → primary acknowledgements).
     pub fn new(
         ctx: &SimCtx,
-        cfg: ReplicationConfig,
+        mode: ReplicationMode,
         ship: Link<ShipFrame>,
         acks: Link<ShipAck>,
     ) -> Replicator {
         Replicator {
             inner: Rc::new(ReplInner {
                 ctx: ctx.clone(),
-                cfg,
+                mode,
                 ship,
                 acks,
                 pending: RefCell::new(VecDeque::new()),
@@ -290,7 +261,7 @@ impl Replicator {
 
     /// The configured guarantee level.
     pub fn mode(&self) -> ReplicationMode {
-        self.inner.cfg.mode
+        self.inner.mode
     }
 
     /// Stops shipping and releases every sync-mode waiter with an error.
@@ -336,7 +307,7 @@ impl Replicator {
             })
             .collect();
         ReplicationReport {
-            mode: inner.cfg.mode,
+            mode: inner.mode,
             halted: inner.halted.get(),
             frames_shipped: inner.frames_shipped.get(),
             retransmits: inner.retransmits.get(),
@@ -439,9 +410,11 @@ impl Replicator {
                         inner.retransmits.set(inner.retransmits.get() + 1);
                     }
                     attempt = attempt.saturating_add(1);
-                    let capped = attempt.min(inner.cfg.retry.max_retries.max(1));
-                    deadline =
-                        now + ACK_TIMEOUT + backoff_delay(&inner.cfg.retry, capped, &mut rng);
+                    // Unanswered rounds back off further, up to the retry
+                    // budget; the shipper never gives up on acknowledged
+                    // data.
+                    let capped = attempt.min(MAX_RETRIES);
+                    deadline = now + ACK_TIMEOUT + backoff_delay(capped, &mut rng);
                     continue;
                 }
                 ctx.timeout(deadline - now, inner.wake.notified()).await;
@@ -830,16 +803,16 @@ mod tests {
         ship: Link<ShipFrame>,
     }
 
-    fn fixture(sim: &mut Sim, cfg: ReplicationConfig, faults: LinkFaults) -> Fixture {
+    fn fixture(sim: &mut Sim, mode: ReplicationMode, faults: LinkFaults) -> Fixture {
         let primary = specs::instant(1 << 24);
-        fixture_on(sim, cfg, faults, primary, 16 << 20, DrainConfig::new())
+        fixture_on(sim, mode, faults, primary, 16 << 20, DrainConfig::new())
     }
 
     /// The pair with a chosen primary: its log disk, buffer capacity and
     /// drain discipline. The standby always applies into an instant disk.
     fn fixture_on(
         sim: &mut Sim,
-        cfg: ReplicationConfig,
+        mode: ReplicationMode,
         faults: LinkFaults,
         primary: DiskSpec,
         capacity: u64,
@@ -853,7 +826,7 @@ mod tests {
         let standby_disk = Disk::new(&ctx, specs::instant(1 << 24));
         let ship = Link::new(&ctx, LinkSpec::lan("ship").with_faults(faults.clone()));
         let acks = Link::new(&ctx, LinkSpec::lan("acks").with_faults(faults));
-        let repl = Replicator::new(&ctx, cfg, ship.clone(), acks.clone());
+        let repl = Replicator::new(&ctx, mode, ship.clone(), acks.clone());
         let standby = Standby::start(
             &ctx,
             &scell,
@@ -894,7 +867,7 @@ mod tests {
     fn sync_mode_acks_only_after_the_standby_is_durable() {
         let mut sim = Sim::new(41);
         let ctx = sim.ctx();
-        let f = fixture(&mut sim, ReplicationConfig::sync(), LinkFaults::default());
+        let f = fixture(&mut sim, ReplicationMode::Sync, LinkFaults::default());
         let dev = f.rl.device();
         let min_ack_ns = Rc::new(StdCell::new(u64::MAX));
         let m2 = Rc::clone(&min_ack_ns);
@@ -930,11 +903,7 @@ mod tests {
     fn async_mode_keeps_buffer_speed_acks_and_converges() {
         let mut sim = Sim::new(42);
         let ctx = sim.ctx();
-        let f = fixture(
-            &mut sim,
-            ReplicationConfig::asynchronous(),
-            LinkFaults::default(),
-        );
+        let f = fixture(&mut sim, ReplicationMode::Async, LinkFaults::default());
         let dev = f.rl.device();
         let max_ack_ns = Rc::new(StdCell::new(0u64));
         let m2 = Rc::clone(&max_ack_ns);
@@ -967,7 +936,7 @@ mod tests {
         // bounded reorder. End-to-end retransmission must still converge.
         let f = fixture(
             &mut sim,
-            ReplicationConfig::asynchronous(),
+            ReplicationMode::Async,
             LinkFaults::chaos(7, 0.2, 0.1, 0.3),
         );
         let dev = f.rl.device();
@@ -995,11 +964,7 @@ mod tests {
     #[test]
     fn promoted_standby_refuses_a_zombie_primary() {
         let mut sim = Sim::new(44);
-        let f = fixture(
-            &mut sim,
-            ReplicationConfig::asynchronous(),
-            LinkFaults::default(),
-        );
+        let f = fixture(&mut sim, ReplicationMode::Async, LinkFaults::default());
         let dev = f.rl.device();
         let promoted_hi = Rc::new(StdCell::new(None));
         let p2 = Rc::clone(&promoted_hi);
@@ -1044,7 +1009,7 @@ mod tests {
     fn halt_releases_sync_waiters_with_an_error() {
         let mut sim = Sim::new(45);
         let ctx = sim.ctx();
-        let f = fixture(&mut sim, ReplicationConfig::sync(), LinkFaults::default());
+        let f = fixture(&mut sim, ReplicationMode::Sync, LinkFaults::default());
         // Partition the ship link so no frame ever reaches the standby,
         // then halt mid-wait: the blocked writer must fail, not hang.
         f.ship.partition(true);
@@ -1072,7 +1037,7 @@ mod tests {
         // The paper's log disk: a media write costs a seek plus rotation.
         let f = fixture_on(
             &mut sim,
-            ReplicationConfig::sync(),
+            ReplicationMode::Sync,
             LinkFaults::default(),
             specs::hdd_7200(1 << 30),
             16 << 20,
@@ -1121,7 +1086,7 @@ mod tests {
         let ctx = sim.ctx();
         let f = fixture_on(
             &mut sim,
-            ReplicationConfig::asynchronous(),
+            ReplicationMode::Async,
             LinkFaults::default(),
             specs::ssd_nvme(1 << 26).with_channels(4),
             16 << 20,
@@ -1224,7 +1189,7 @@ mod tests {
         // A 2-sector buffer splits an 8-sector write into four chunks.
         let f = fixture_on(
             &mut sim,
-            ReplicationConfig::asynchronous(),
+            ReplicationMode::Async,
             LinkFaults::default(),
             specs::instant(1 << 24),
             2 * SECTOR_SIZE as u64,
@@ -1258,11 +1223,7 @@ mod tests {
     #[test]
     fn refused_admission_offers_nothing() {
         let mut sim = Sim::new(49);
-        let f = fixture(
-            &mut sim,
-            ReplicationConfig::asynchronous(),
-            LinkFaults::default(),
-        );
+        let f = fixture(&mut sim, ReplicationMode::Async, LinkFaults::default());
         let dev = f.rl.device();
         let buffer = f.rl.shards.shards()[0].buf.clone();
         let refused = Rc::new(StdCell::new(None));
@@ -1506,7 +1467,7 @@ mod tests {
             let disk = Disk::new(&ctx, specs::ssd_sata(1 << 24));
             let ship = Link::new(&ctx, LinkSpec::lan("ship"));
             let acks = Link::new(&ctx, LinkSpec::lan("acks"));
-            let repl = Replicator::new(&ctx, ReplicationConfig::sync(), ship, acks);
+            let repl = Replicator::new(&ctx, ReplicationMode::Sync, ship, acks);
             let psu = PowerSupply::new(&ctx, supplies::atx_psu());
             let rl = RapiLog::builder(&ctx)
                 .cell(&cell)

@@ -14,10 +14,10 @@
 //! yanking the plug at the current instant:
 //!
 //! * a media write in flight commits only the sector prefix the head had
-//!   passed (`torn_writes: true`, rotating disks) — individual sectors are
-//!   atomic, as real drives guarantee, which is what makes rewriting the
-//!   WAL's partial tail block safe; with `torn_writes: false`
-//!   (power-loss-protected flash) the whole in-flight write commits;
+//!   passed on a rotating disk ([`crate::TimingSpec::torn_writes`]) —
+//!   individual sectors are atomic, as real drives guarantee, which is what
+//!   makes rewriting the WAL's partial tail block safe; on
+//!   power-loss-protected flash the whole in-flight write commits;
 //! * every pending and future request fails with [`IoError::PowerLoss`]
 //!   until [`Disk::power_restore`].
 
@@ -411,14 +411,14 @@ impl Disk {
             // Every media op in flight dies; each in-flight *write* commits
             // a prefix. Sectors are written atomically and in order; a torn
             // multi-sector write commits the prefix the head had completed.
-            // Power-loss-protected devices (`torn_writes: false`) finish
-            // the whole command from stored energy.
+            // Power-loss-protected flash finishes the whole command from
+            // stored energy.
             let inflight = std::mem::take(&mut st.inflight);
             for inf in inflight.into_values() {
                 if !inf.is_write {
                     continue;
                 }
-                let committed = if self.inner.spec.torn_writes {
+                let committed = if self.inner.spec.timing.torn_writes() {
                     let frac = if inf.duration.is_zero() {
                         1.0
                     } else {

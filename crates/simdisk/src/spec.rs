@@ -39,6 +39,16 @@ pub enum TimingSpec {
     },
 }
 
+impl TimingSpec {
+    /// Whether a multi-sector write in flight at a power cut commits only
+    /// the sector prefix the head had completed (sectors themselves are
+    /// atomic): true for a rotating disk. Flash is power-loss protected:
+    /// the whole in-flight command completes from stored energy.
+    pub fn torn_writes(&self) -> bool {
+        matches!(self, TimingSpec::Hdd { .. })
+    }
+}
+
 /// Media-fault model parameters.
 ///
 /// Real stable storage fails in more ways than losing power: commands fail
@@ -116,11 +126,6 @@ pub struct DiskSpec {
     pub sectors: u64,
     /// Service-time model.
     pub timing: TimingSpec,
-    /// If true, a multi-sector write in flight at a power cut commits only
-    /// the sector prefix the head had completed (sectors themselves are
-    /// atomic). If false (power-loss-protected flash), the whole in-flight
-    /// command completes from stored energy.
-    pub torn_writes: bool,
     /// Media-fault model; `None` is a fault-free device (every preset's
     /// default). Set via [`DiskSpec::with_faults`].
     pub fault: Option<FaultProfile>,
@@ -197,7 +202,6 @@ pub mod specs {
                 seek_max: SimDuration::from_millis(9),
                 overhead: SimDuration::from_micros(60),
             },
-            torn_writes: true,
             fault: None,
         }
     }
@@ -214,7 +218,6 @@ pub mod specs {
                 seek_max: SimDuration::from_millis(4),
                 overhead: SimDuration::from_micros(60),
             },
-            torn_writes: true,
             fault: None,
         }
     }
@@ -231,7 +234,6 @@ pub mod specs {
                 bus_bytes_per_sec: 250 * 1024 * 1024,
                 channels: 1,
             },
-            torn_writes: false,
             fault: None,
         }
     }
@@ -248,7 +250,6 @@ pub mod specs {
                 bus_bytes_per_sec: 2 * 1024 * 1024 * 1024,
                 channels: 1,
             },
-            torn_writes: false,
             fault: None,
         }
     }
@@ -265,7 +266,6 @@ pub mod specs {
                 bus_bytes_per_sec: u64::MAX,
                 channels: 1,
             },
-            torn_writes: false,
             fault: None,
         }
     }
@@ -302,7 +302,17 @@ mod tests {
         assert_eq!(specs::ssd_nvme(1 << 30).queue_depth(), 1);
         assert_eq!(specs::ssd_nvme(1 << 30).with_channels(4).queue_depth(), 4);
         assert_eq!(specs::ssd_nvme(1 << 30).with_channels(0).queue_depth(), 1);
-        // Rotating disks have a single actuator no matter what.
+        // Rotating disks have a single actuator no matter what, and only
+        // they tear a write at a power cut.
         assert_eq!(specs::hdd_7200(1 << 30).with_channels(4).queue_depth(), 1);
+        for (spec, tears) in [
+            (specs::hdd_7200(1 << 30), true),
+            (specs::hdd_15k(1 << 30), true),
+            (specs::ssd_sata(1 << 30), false),
+            (specs::ssd_nvme(1 << 30), false),
+            (specs::instant(1 << 30), false),
+        ] {
+            assert_eq!(spec.timing.torn_writes(), tears, "{}", spec.name);
+        }
     }
 }

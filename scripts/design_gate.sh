@@ -57,6 +57,24 @@
 #     pair. Fails if another file under `crates/bench/src/bin/` names
 #     `run_perf` (a figure outside the batch and the check), or if one of
 #     the thirteen per-figure binaries it replaced reappears by name.
+# (j) No config field that only its default sets. Every `pub` field of a
+#     `pub struct` named `*Config`, `*Spec`, `*Policy`, `*Profile` or
+#     `*Faults` in the non-test part of `crates/*/src` must be written by
+#     some non-test code (the same files as (g)). A write is a key of a
+#     struct literal of that type (`Self {` in its impl), shorthand
+#     included, or an assignment `x.a.b = v` (or `+=` and the like), which
+#     writes every field on the path. The path's type comes from `self`, a
+#     `let x = Config::..`, `let x: Config` or parameter `x: Config`, or the
+#     field that holds it; a value of unknown type writes the field in every
+#     config struct that has one of that name, so a collision hides a hit
+#     and never invents one. In the struct's own file a write counts only
+#     if its value names a parameter of an enclosing fn (a builder method,
+#     an argument-taking constructor); a fixed value there is a default or
+#     a preset. A field its own file sets to two or more different fixed
+#     values is a choice among presets (`EngineProfile`'s costs,
+#     `DiskSpec::timing`, `ExplorerConfig::tenants`) and passes. A hit fails unless scripts/pub_census.allow
+#     names it (`<file>:<struct>::<field>  <reason>`); so does a line there
+#     whose field is gone or is written now.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -178,7 +196,7 @@ if ! awk -v defs="$defs" -v allow="$ALLOW" '
         while ((getline line < allow) > 0) {
             if (line ~ /^[[:space:]]*(#|$)/) continue
             split(line, f, /[[:space:]]+/)
-            allowed[f[1]] = 1
+            if (!index(f[1], "::")) allowed[f[1]] = 1
         }
     }
     FNR == 1 { live = 1; reexport = 0; in_use = 0 }
@@ -273,6 +291,234 @@ for gone in fig2_commit_latency fig3_virt_overhead fig4_tpcc_hdd fig5_tpcc_ssd f
     fi
 done
 
+# ---- (j) no config field that only its default sets --------------------------
+# The pub fields of every *Config / *Spec / *Policy / *Profile / *Faults
+# struct: `<file>:<line> <struct> <field> <type>`.
+fields=$(for f in $defs; do non_test "$f" | awk -v file="$f" '
+    /^pub struct [A-Za-z0-9_]*(Config|Spec|Policy|Profile|Faults) \{/ { s = $3; next }
+    s && /^}/ { s = ""; next }
+    s && /^    pub [a-z_][a-z0-9_]*: / {
+        ty = $0
+        sub(/^    pub [a-z_0-9]*: /, "", ty)
+        print file ":" FNR, s, substr($2, 1, length($2) - 1), ty
+    }'; done)
+if ! awk -v fields="$fields" -v allow="$ALLOW" '
+    # Splits a line into `tok[1..n]`. A string or char literal is one
+    # placeholder token and a comment none; `in_str` carries a string on
+    # to the next line.
+    function lex(s,    n) {
+        n = 0
+        delete tok
+        while (s != "") {
+            if (in_str) {
+                if (!match(s, /^([^"\\]|\\.)*"/)) break
+                s = substr(s, RLENGTH + 1)
+                in_str = 0
+                tok[++n] = "\"\""
+                continue
+            }
+            if (match(s, /^[[:space:]]+/)) { s = substr(s, RLENGTH + 1); continue }
+            if (substr(s, 1, 2) == "//") break
+            if (substr(s, 1, 1) == "\"") { in_str = 1; s = substr(s, 2); continue }
+            if (match(s, /^\x27(\\.|[^\x27\\])\x27/)) { s = substr(s, RLENGTH + 1); tok[++n] = "\x27c\x27"; continue }
+            if (!match(s, /^([A-Za-z_][A-Za-z0-9_]*|[0-9][A-Za-z0-9_]*(\.[0-9][A-Za-z0-9_]*)?|::|\.\.=?|->|=>|==|!=|<=|>=|&&|\|\||<<=|>>=|[-+*\/%|&^]=)/)) {
+                RSTART = 1
+                RLENGTH = 1
+            }
+            tok[++n] = substr(s, 1, RLENGTH)
+            s = substr(s, RLENGTH + 1)
+        }
+        return n
+    }
+    function ident(t) { return t ~ /^[A-Za-z_][A-Za-z0-9_]*$/ }
+    # The config struct a type or path starting at `tok[i]` names; "-" if
+    # it names another type, "" if it names none.
+    function cfg_at(i,    ty) {
+        ty = ""
+        for (; ident(tok[i]) || tok[i] ~ /^(::|&|<|\x27)$/; i++) {
+            if (tok[i] in is_cfg) return tok[i]
+            if (ty == "" && tok[i] ~ /^[A-Z]/) ty = "-"
+        }
+        return ty
+    }
+    # `val` is written to `st`.`fl`. In the struct`s own file a fixed value
+    # is a default or a preset: only a value a caller passes in (one that
+    # names a parameter of an enclosing fn) writes the field there.
+    # Anywhere else every write does. Only a write `sure` of its struct
+    # counts as a preset.
+    function note(st, fl, val, sure,    k, nv, v, i, lv) {
+        k = st "::" fl
+        if (!(k in decl)) return
+        if (FILENAME != home[st]) { written[k] = 1; return }
+        nv = split(val, v, " ")
+        for (i = 1; i <= nv; i++) for (lv = 1; lv <= fdepth; lv++) if ((v[i], lv) in param) { written[k] = 1; return }
+        if (sure && !((k, val) in seen)) { seen[k, val] = 1; values[k]++ }
+    }
+    # An assignment through the path `seg[1]. ... .seg[n] = val` on a value
+    # of config type `ty` writes every field on the path. From a value of
+    # unknown type, the path starts at the first segment some config
+    # struct has a field of, in each struct that has one.
+    function walk(ty, seg, n, val, sure,    i, c, nc, j) {
+        if (ty == "") {
+            for (i = 1; i <= n && owners[seg[i]] == ""; i++) continue
+            nc = split(owners[seg[i]], c, " ")
+            for (j = 1; j <= nc; j++) walk(c[j], seg, n, val, 0)
+            return
+        }
+        for (i = 1; i <= n && !((ty, seg[i]) in has); i++) continue
+        for (; i <= n && ((ty, seg[i]) in has); i++) {
+            note(ty, seg[i], val, sure)
+            ty = field_cfg[ty, seg[i]]
+            if (ty == "") return
+        }
+    }
+    BEGIN {
+        nf = split(fields, L, "\n")
+        for (i = 1; i <= nf; i++) {
+            split(L[i], p, " ")
+            file = p[1]
+            sub(/:[0-9]+$/, "", file)
+            decl[p[2] "::" p[3]] = p[1]
+            key[p[2] "::" p[3]] = file ":" p[2] "::" p[3]
+            home[p[2]] = file
+            is_cfg[p[2]] = 1
+            has[p[2], p[3]] = 1
+            owners[p[3]] = owners[p[3]] " " p[2]
+        }
+        # The config struct each field holds, if it holds one.
+        for (i = 1; i <= nf; i++) {
+            split(L[i], p, " ")
+            ty = L[i]
+            sub(/^[^ ]+ [^ ]+ [^ ]+ /, "", ty)
+            nw = split(ty, w, /[^A-Za-z0-9_]+/)
+            for (j = 1; j <= nw; j++) if (w[j] in is_cfg) { field_cfg[p[2], p[3]] = w[j]; break }
+        }
+        while ((getline line < allow) > 0) {
+            if (line ~ /^[[:space:]]*(#|$)/) continue
+            split(line, f, /[[:space:]]+/)
+            if (index(f[1], "::")) allowed[f[1]] = 1
+        }
+    }
+    FNR == 1 { live = 1; in_str = 0; depth = 0; k = 0; fdepth = 0; sig = 0; impl_ty = ""; prev = ""; prev2 = ""; let_var = ""; delete var_ty }
+    /^#\[cfg\(test\)\]/ { live = 0 }
+    !live { next }
+    /^impl[<[:space:]]/ {
+        impl_ty = $0
+        sub(/[[:space:]]*\{.*/, "", impl_ty)
+        sub(/.* for /, "", impl_ty)
+        sub(/^impl(<[^>]*>)?[[:space:]]+/, "", impl_ty)
+        sub(/<.*/, "", impl_ty)
+        sub(/.*::/, "", impl_ty)
+    }
+    /^}/ { impl_ty = "" }
+    {
+        n = lex($0)
+        if (let_var != "") { var_ty[let_var] = cfg_at(1); let_var = "" }
+        for (i = 1; i <= n; i++) {
+            t = tok[i]
+            # A fn: the names before a `:` in its parameter list are its
+            # parameters until its body closes.
+            if (t == "fn" && ident(tok[i + 1])) { sig = 1; sigd = depth; np = 0 }
+            if (sig && depth == sigd + 1 && ident(t) && t != "self" && tok[i + 1] == ":") {
+                fparam[++np] = t
+                var_ty[t] = cfg_at(i + 2)
+            }
+            if (sig && depth == sigd && t == ";") sig = 0
+            if (sig && depth == sigd && t == "{") {
+                sig = 0
+                fdepth++
+                fstart[fdepth] = depth
+                pnames[fdepth] = ""
+                for (j = 1; j <= np; j++) { param[fparam[j], fdepth] = 1; pnames[fdepth] = pnames[fdepth] " " fparam[j] }
+            }
+            # `let x = Config::...` or `let x: Config` types `x`, also with
+            # the type on the next line.
+            if (t == "let") {
+                j = i + 1 + (tok[i + 1] == "mut")
+                if (ident(tok[j]) && (tok[j + 1] == ":" || tok[j + 1] == "=")) {
+                    var_ty[tok[j]] = cfg_at(j + 2)
+                    if (j + 1 == n) let_var = tok[j]
+                }
+            }
+            if (t == "{" || t == "(" || t == "[") {
+                # A struct literal of a config struct.
+                if (t == "{" && ((prev in is_cfg) || (prev == "Self" && (impl_ty in is_cfg))) && prev2 !~ /^(struct|impl|for|enum|->|trait|dyn)$/) {
+                    lit[++k] = prev == "Self" ? impl_ty : prev
+                    litd[k] = depth
+                    vkey[k] = ""
+                }
+                for (j = 1; j <= k; j++) if (vkey[j] != "") vtext[j] = vtext[j] " " t
+                depth++
+            } else if (t == "}" || t == ")" || t == "]") {
+                depth--
+                if (t == "}" && k > 0 && depth == litd[k]) {
+                    if (vkey[k] != "") note(lit[k], vkey[k], vtext[k], 1)
+                    k--
+                }
+                if (t == "}" && fdepth > 0 && depth == fstart[fdepth]) {
+                    nn = split(pnames[fdepth], pn, " ")
+                    for (j = 1; j <= nn; j++) delete param[pn[j], fdepth]
+                    if (--fdepth == 0) delete var_ty
+                }
+                for (j = 1; j <= k; j++) if (vkey[j] != "") vtext[j] = vtext[j] " " t
+            } else if (k > 0 && depth == litd[k] + 1 && vkey[k] == "" && ident(t) && (prev == "{" || prev == ",")) {
+                # A key of the literal: `fl: value`, or the shorthand `fl`.
+                if (tok[i + 1] == ":") { vkey[k] = t; vtext[k] = ""; i++; t = ":" }
+                else if (tok[i + 1] == "," || tok[i + 1] == "}") note(lit[k], t, t, 1)
+            } else {
+                for (j = 1; j <= k; j++) {
+                    if (vkey[j] == "") continue
+                    if (t == "," && depth == litd[j] + 1) { note(lit[j], vkey[j], vtext[j], 1); vkey[j] = "" }
+                    else vtext[j] = vtext[j] " " t
+                }
+            }
+            # An assignment `x.a.b = value` (or `+=` and the like).
+            if (t == "." && ident(tok[i + 1]) && tok[i + 2] ~ /^([-+*\/%|&^]|<<|>>)?=$/) {
+                ns = 1
+                seg[1] = tok[i + 1]
+                for (j = i - 1; ident(tok[j]) && tok[j - 1] == "."; j -= 2) {
+                    for (m = ns; m >= 1; m--) seg[m + 1] = seg[m]
+                    seg[1] = tok[j]
+                    ns++
+                }
+                ty = tok[j] == "self" ? ((impl_ty in is_cfg) ? impl_ty : "-") : ident(tok[j]) ? var_ty[tok[j]] : ""
+                val = ""
+                for (m = i + 3; m <= n && tok[m] != ";"; m++) val = val " " tok[m]
+                # On a value of another type, the first segment is that
+                # type`s own field.
+                if (ty == "-") {
+                    for (m = 1; m < ns; m++) seg[m] = seg[m + 1]
+                    ns--
+                    ty = ""
+                }
+                if (ns > 0) walk(ty, seg, ns, val, 1)
+            }
+            prev2 = prev
+            prev = t
+        }
+    }
+    END {
+        bad = 0
+        for (kk in decl) {
+            hit = !(kk in written) && values[kk] < 2
+            if (hit && !(key[kk] in allowed)) {
+                printf "design_gate: FAIL  %s: pub field %s is set by no non-test code but its default or one preset (make it a constant beside its reader, or give %s a line saying why it stays)\n", decl[kk], kk, allow
+                bad = 1
+            } else if (!hit && (key[kk] in allowed)) {
+                printf "design_gate: FAIL  %s names %s, which non-test code sets now: drop the line\n", allow, key[kk]
+                bad = 1
+            }
+            delete allowed[key[kk]]
+        }
+        for (kk in allowed) {
+            printf "design_gate: FAIL  %s names %s, which is no longer a pub field of a config struct: drop the line\n", allow, kk
+            bad = 1
+        }
+        exit bad
+    }' $defs $(find src examples benchmark/src -name '*.rs' | sort) >&2; then
+    fail=1
+fi
+
 if ((fail)); then
     exit 1
 fi
@@ -285,3 +531,4 @@ echo "design_gate: ok    one explorer (no explore_crash_points, replay_crash_poi
 echo "design_gate: ok    no public function that only tests call (every other hit is in $ALLOW, and every line there is still one)"
 echo "design_gate: ok    the disk is write-through (no CacheSpec, writeback_loop or cache_write_hits)"
 echo "design_gate: ok    one figures binary (no other bin runs run_perf, none of the thirteen per-figure bins is back)"
+echo "design_gate: ok    no config field that only its default sets (every other hit is in $ALLOW, and every line there is still one)"

@@ -163,7 +163,7 @@ fn strict_mode_pins_batch_target_even_under_adaptive() {
     let strict_adaptive = run_scenario(
         0x9A12,
         OrderingMode::Strict,
-        BatchPolicy::Adaptive(AdaptiveBatchConfig::default()),
+        BatchPolicy::Adaptive(AdaptiveBatchConfig),
         false,
     );
     assert_golden(&strict_adaptive, &STRICT, "Strict + Adaptive");
@@ -177,7 +177,7 @@ fn adaptive_traces_are_deterministic() {
         run_scenario(
             0x9A12,
             OrderingMode::PartiallyConstrained,
-            BatchPolicy::Adaptive(AdaptiveBatchConfig::default()),
+            BatchPolicy::Adaptive(AdaptiveBatchConfig),
             false,
         )
     };

@@ -128,17 +128,19 @@ fn open_finding_1_at(seed: u64, kind: FaultKind, ms: u64) {
     );
 }
 
-/// Today: 65 violations, first "tenant 3: slot 0 media seq 1217 outside
-/// acked..attempted [1409, 1409]" (16 before PR 20, same seed).
+/// Passes today, green by a trajectory shift and not by a fix: it read 65
+/// violations, first "tenant 3: slot 0 media seq 1217 outside
+/// acked..attempted [1409, 1409]". It stays ignored until the fix for
+/// finding 1 re-points it at a cell that is red.
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_cut_leaves_a_tenant_slot_behind_its_ack() {
     open_finding_1(0x7c78_0396_7531_18fd, FaultKind::PowerCut);
 }
 
-/// Today: 33 violations, first "client 0: durability violated: acked 1110
-/// but recovered 1098". Re-pointed once more by PR 21, whose one extra
-/// ring round trip at install moved every trajectory again:
+/// Today: 67 violations, first "client 0: durability violated: acked 1107
+/// but recovered 1063". Re-pointed once more when one extra ring round
+/// trip at install moved every trajectory again:
 /// `0x1a7af4d4774387c4`, pinned here until then, went green by that shift
 /// while a 600-trial fresh-seed campaign at this instant stayed where it
 /// was (57 failed before, 56 after).
@@ -148,7 +150,9 @@ fn open_finding_1_power_cut_loses_acknowledged_commits() {
     open_finding_1(0x1682_7374_d1c0_5db3, FaultKind::PowerCut);
 }
 
-/// Today: 1 violation, "rapilog internal guarantee violated".
+/// Passes today, green by a trajectory shift and not by a fix: it read 1
+/// violation, "rapilog internal guarantee violated". It stays ignored until
+/// the fix for finding 1 re-points it at a cell that is red.
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_flicker_misses_the_emergency_deadline() {

@@ -47,7 +47,7 @@ fn run(seed: u64) -> Outcome {
         .drain_config(
             DrainConfig::new()
                 .ordering(OrderingMode::PartiallyConstrained)
-                .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig::default())),
+                .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig)),
         )
         .build();
     std::mem::forget(cell);

@@ -141,10 +141,7 @@ fn hot_row_contention_with_timeouts_then_crash() {
         let scale = TpccScale::tiny(); // 2 districts: maximum contention
         let data: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::instant(512 << 20)));
         let log: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::instant(128 << 20)));
-        let cfg = DbConfig {
-            lock_timeout: SimDuration::from_millis(50),
-            ..DbConfig::default()
-        };
+        let cfg = DbConfig::default();
         let db = Database::create(
             &c2,
             cfg.clone(),

@@ -196,7 +196,7 @@ fn sync_pair(ctx: &SimCtx, primary_disk: Disk, rapilog_standby: bool) -> RapiLog
     let scell = hv.create_cell("standby", Trust::Trusted);
     let ship = Link::new(ctx, LinkSpec::lan("ship"));
     let acks = Link::new(ctx, LinkSpec::lan("acks"));
-    let repl = Replicator::new(ctx, ReplicationConfig::sync(), ship.clone(), acks.clone());
+    let repl = Replicator::new(ctx, ReplicationMode::Sync, ship.clone(), acks.clone());
     let standby_disk = Disk::new(ctx, specs::ssd_sata(1 << 24));
     let device: Rc<dyn BlockDevice> = if rapilog_standby {
         let instance = RapiLog::builder(ctx)
@@ -448,10 +448,11 @@ fn run_bound_instants(policy: BatchPolicy) -> Vec<u64> {
 
 #[test]
 fn run_bound_is_traced_under_back_pressure_and_never_under_fixed() {
-    let adaptive = BatchPolicy::Adaptive(AdaptiveBatchConfig::default());
+    let adaptive = BatchPolicy::Adaptive(AdaptiveBatchConfig);
     let bounds = run_bound_instants(adaptive);
-    // Engages (a byte count of at least min_batch) once writers block, and
-    // the last instant is the disengage when the writers are done.
+    // Engages (a byte count of at least the 64 KiB floor) once writers
+    // block, and the last instant is the disengage when the writers are
+    // done.
     assert!(bounds.len() >= 2, "engage and disengage: {bounds:?}");
     assert!(bounds[0] >= 64 << 10, "first instant engages: {bounds:?}");
     assert_eq!(bounds.last(), Some(&0), "last instant disengages");
