@@ -518,11 +518,10 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
         if let Some(stop) = standby_report.stopped {
             violations.push(format!("standby stopped applying: {stop:?}"));
         }
-        let applied_hi = standby_report.tenant(0).and_then(|t| t.applied_hi);
-        let offered_hi = repl_report.tenant(0).and_then(|t| t.offered_hi);
+        let applied_hi = standby_report.applied_hi;
         // Stale-ack probe: the primary must never believe the standby is
         // ahead of where the standby actually is.
-        let acked_hi = repl_report.tenant(0).and_then(|t| t.acked_hi);
+        let acked_hi = repl_report.acked_hi;
         if acked_hi > applied_hi {
             violations.push(format!(
                 "stale ack: primary believes {acked_hi:?} durable, standby applied {applied_hi:?}"
@@ -530,7 +529,8 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
         }
         // The pair's reported lag: admitted (offered) prefix minus applied
         // prefix. Sequence spaces are dense from 0, so `hi` is a count − 1.
-        let reported_lag = offered_hi
+        let reported_lag = repl_report
+            .offered_hi
             .map_or(0, |o| o + 1)
             .saturating_sub(applied_hi.map_or(0, |a| a + 1));
         let mut media_missing = 0u64;
@@ -632,7 +632,7 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
             if refused_after_promotion == 0 {
                 violations.push("zombie frames were not refused after promotion".to_string());
             }
-            if standby.applied_hi(0) != applied_hi {
+            if standby.applied_hi() != applied_hi {
                 violations.push("standby applied frames after promotion".to_string());
             }
             pair.standby_disk.peek_media(ZOMBIE_SLOT, &mut sbuf);
@@ -854,9 +854,8 @@ pub fn run_standby_trial(seed: u64, cfg: StandbyTrialConfig) -> StandbyTrialResu
         if report.wedged() {
             violations.push(format!("standby image wedged: {:?}", report.stopped));
         }
-        let durable_hi = standby.applied_hi(0);
-        let repl_report = pair.repl.report();
-        let acked_hi = repl_report.tenant(0).and_then(|t| t.acked_hi);
+        let durable_hi = standby.applied_hi();
+        let acked_hi = pair.repl.report().acked_hi;
         if acked_hi > durable_hi {
             violations.push(format!(
                 "stale ack: primary believes {acked_hi:?} durable, standby applied {durable_hi:?}"

@@ -53,9 +53,6 @@ pub struct TenantAudit {
     pub order_violated: bool,
     /// Bytes of this tenant still buffered when the drain failed.
     pub bytes_lost_at_failure: u64,
-    /// Highest sequence the standby cell has acknowledged durable, when
-    /// log shipping is enabled. `None` when nothing has replicated.
-    pub replicated_seq: Option<u64>,
     /// Last committed sequence, for the per-tenant ordering check.
     pub(crate) last_seq: Option<u64>,
 }
@@ -110,11 +107,6 @@ impl AuditReport {
             && self.emergencies.iter().all(|e| e.met())
             && self.tenants.iter().all(|t| t.guarantee_held())
     }
-
-    /// The section for `tenant`, if registered.
-    pub fn tenant(&self, tenant: u64) -> Option<&TenantAudit> {
-        self.tenants.iter().find(|t| t.tenant == tenant)
-    }
 }
 
 struct AuditSt {
@@ -147,9 +139,9 @@ pub struct Audit {
 
 impl Audit {
     /// Creates an auditor. It holds no handle to the power supply (the
-    /// watcher hands it the deadline with the warning): the supply's
-    /// death hook may own a [`Replicator`](crate::Replicator), which owns
-    /// this auditor, so a handle back would be a reference cycle.
+    /// watcher hands it the deadline with the warning): every part of the
+    /// instance shares this auditor, and the supply's death hook may own
+    /// such a part, so a handle back would be a reference cycle.
     pub fn new(ctx: &SimCtx) -> Audit {
         Audit {
             ctx: ctx.clone(),
@@ -252,16 +244,6 @@ impl Audit {
         self.st.borrow_mut().report.ooo_retirements += 1;
     }
 
-    /// Records the standby acknowledging `tenant`'s prefix up to `seq`.
-    pub fn record_replicated(&self, tenant: u64, seq: u64) {
-        let mut st = self.st.borrow_mut();
-        let idx = st.tenant_idx(tenant);
-        let section = &mut st.report.tenants[idx];
-        if section.replicated_seq.is_none_or(|r| seq > r) {
-            section.replicated_seq = Some(seq);
-        }
-    }
-
     /// Records entry into degraded (synchronous-ack) mode.
     pub fn record_degraded_entry(&self) {
         self.st.borrow_mut().report.degraded_entries += 1;
@@ -279,9 +261,14 @@ impl Audit {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rapilog_simcore::Sim;
+
+    /// The section for `tenant`, if registered.
+    pub(crate) fn section(r: &AuditReport, tenant: u64) -> Option<&TenantAudit> {
+        r.tenants.iter().find(|t| t.tenant == tenant)
+    }
 
     #[test]
     fn ordering_violation_detected() {
@@ -377,14 +364,14 @@ mod tests {
         assert_eq!(r.tenants.len(), 2);
         assert_eq!(r.commits, 4, "global counter aggregates");
         assert!(r.guarantee_held());
-        assert_eq!(r.tenant(0).unwrap().commits, 2);
+        assert_eq!(section(&r, 0).unwrap().commits, 2);
         // A regression within ONE tenant's space flips only that section
         // — and with it the headline verdict.
         audit.record_tenant_commit(1, 3);
         let r = audit.report();
-        assert!(r.tenant(1).unwrap().order_violated);
-        assert!(!r.tenant(1).unwrap().guarantee_held());
-        assert!(!r.tenant(0).unwrap().order_violated);
+        assert!(section(&r, 1).unwrap().order_violated);
+        assert!(!section(&r, 1).unwrap().guarantee_held());
+        assert!(!section(&r, 0).unwrap().order_violated);
         assert!(!r.guarantee_held());
     }
 
@@ -395,8 +382,8 @@ mod tests {
         audit.record_tenant_commit(7, 1);
         audit.record_tenant_loss(7, 4096);
         let r = audit.report();
-        assert_eq!(r.tenant(7).unwrap().bytes_lost_at_failure, 4096);
+        assert_eq!(section(&r, 7).unwrap().bytes_lost_at_failure, 4096);
         assert!(!r.guarantee_held());
-        assert!(r.tenant(7).is_some() && r.tenant(8).is_none());
+        assert!(section(&r, 7).is_some() && section(&r, 8).is_none());
     }
 }

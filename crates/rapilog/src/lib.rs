@@ -524,11 +524,13 @@ impl<'a> RapiLogBuilder<'a> {
     /// Ships every admitted write to a standby cell through `repl`; see
     /// [`Replicator`](replicate::Replicator). The builder attaches the
     /// shipper's send/ack loops to this instance's trusted cell and hands
-    /// the shipper to each tenant's device, which offers every extent the
+    /// the shipper to the instance's device, which offers every extent the
     /// moment the dependable buffer admits it — the drain never sees it. In
     /// [`Sync`](replicate::ReplicationMode::Sync) mode, guest
     /// acknowledgements additionally wait for the standby's ack (and for
-    /// nothing else: local durability is the buffer's promise).
+    /// nothing else: local durability is the buffer's promise). A
+    /// replicated instance has one tenant: its admitted log is the one
+    /// stream the standby applies.
     pub fn replicate(mut self, repl: &replicate::Replicator) -> Self {
         self.repl = Some(repl.clone());
         self
@@ -554,7 +556,10 @@ impl<'a> RapiLogBuilder<'a> {
     ///
     /// Panics if `cell` or `disk` was not supplied, or if the cell is
     /// untrusted: an unverified buffer would make the early
-    /// acknowledgement a lie, which is the whole point of the paper.
+    /// acknowledgement a lie, which is the whole point of the paper. Also
+    /// panics if [`replicate`](Self::replicate) meets two or more tenants
+    /// (log shipping is one stream) or a write-through instance (which
+    /// admits nothing to ship).
     pub fn build(self) -> RapiLog {
         let ctx = &self.ctx;
         let cell = self.cell.expect("RapiLogBuilder: cell is mandatory");
@@ -580,6 +585,10 @@ impl<'a> RapiLogBuilder<'a> {
             [] => &unnamed[..],
             named => named,
         };
+        assert!(
+            self.repl.is_none() || specs.len() < 2,
+            "log shipping is one stream: a replicated instance has one tenant"
+        );
         let weights: Vec<u32> = specs.iter().map(|s| s.weight).collect();
         // If the residual window cannot cover even one sector's drain — for
         // some tenant's share, with several — the whole instance falls back
@@ -605,7 +614,7 @@ impl<'a> RapiLogBuilder<'a> {
         let repl = self.repl;
         if buffered {
             if let Some(r) = &repl {
-                r.attach(cell, audit.clone());
+                r.attach(cell);
             }
             for s in shards.shards() {
                 s.buf.attach(ctx);
@@ -632,8 +641,7 @@ impl<'a> RapiLogBuilder<'a> {
             .iter()
             .map(|s| {
                 if buffered {
-                    let ship = repl.clone().map(|r| (s.id.0, r));
-                    RapiLogDevice::new(ctx, s.buf.clone(), &disk, cfg, &mode, ship)
+                    RapiLogDevice::new(ctx, s.buf.clone(), &disk, cfg, &mode, repl.clone())
                 } else {
                     RapiLogDevice::new_write_through(ctx, &disk, cfg)
                 }
@@ -781,9 +789,11 @@ impl RapiLog {
 #[cfg(test)]
 mod builder_tests {
     use super::*;
+    use crate::audit::tests::section;
     use rapilog_microvisor::{Hypervisor, Trust};
     use rapilog_simcore::Sim;
     use rapilog_simdisk::{specs, BlockDevice};
+    use rapilog_simnet::{Link, LinkSpec};
     use rapilog_simpower::{PowerSupply, SupplySpec};
 
     fn fixture(seed: u64) -> (Sim, SimCtx, Hypervisor, Disk) {
@@ -873,6 +883,22 @@ mod builder_tests {
     }
 
     #[test]
+    #[should_panic(expected = "one tenant")]
+    fn builder_rejects_replicating_two_tenants() {
+        let (_sim, ctx, hv, disk) = fixture(6);
+        let cell = hv.create_cell("rapilog", Trust::Trusted);
+        let ship = Link::new(&ctx, LinkSpec::lan("ship"));
+        let acks = Link::new(&ctx, LinkSpec::lan("acks"));
+        let repl = replicate::Replicator::new(&ctx, replicate::ReplicationMode::Async, ship, acks);
+        let _ = RapiLog::builder(&ctx)
+            .cell(&cell)
+            .disk(disk)
+            .tenants(&[shard::TenantSpec::new(1), shard::TenantSpec::new(2)])
+            .replicate(&repl)
+            .build();
+    }
+
+    #[test]
     fn hopeless_supply_builds_write_through_with_zero_capacity() {
         let (_sim, ctx, hv, disk) = fixture(7);
         let cell = hv.create_cell("rapilog", Trust::Trusted);
@@ -912,9 +938,8 @@ mod builder_tests {
             .build();
         sim.run_until(rapilog_simcore::SimTime::from_millis(10));
         let report = rl.audit_report();
-        let section = report
-            .tenant(5)
-            .expect("a registered tenant is reported even with zero writes");
+        let section =
+            section(&report, 5).expect("a registered tenant is reported even with zero writes");
         assert_eq!(section.commits, 0);
         assert!(section.guarantee_held());
         assert!(report.guarantee_held());
@@ -948,7 +973,7 @@ mod builder_tests {
             sim.run_until(rapilog_simcore::SimTime::from_secs(1));
             let report = rl.audit_report();
             assert_eq!(report.bytes_lost_at_failure, 512, "{ordering:?}");
-            let section = report.tenant(5).expect("a named tenant has a section");
+            let section = section(&report, 5).expect("a named tenant has a section");
             assert_eq!(
                 section.bytes_lost_at_failure, 512,
                 "{ordering:?}: the loss is attributed to the tenant that held it"
@@ -1039,8 +1064,8 @@ mod builder_tests {
         });
         sim.run_until(rapilog_simcore::SimTime::from_secs(1));
         let report = rl.audit_report();
-        assert!(report.tenant(1).unwrap().commits > 0);
-        let silent = report.tenant(2).expect("silent tenant still reported");
+        assert!(section(&report, 1).unwrap().commits > 0);
+        let silent = section(&report, 2).expect("silent tenant still reported");
         assert_eq!(silent.commits, 0);
         assert!(report.guarantee_held());
         let snap = rl.snapshot();

@@ -23,15 +23,18 @@
 //! quiesced or dead primary has closed that gap (drain, or emergency
 //! drain) by the time anyone audits it.
 //!
-//! The protocol is deliberately minimal — frames carry a contiguous
-//! sequence range `[lo, hi]` per tenant, the standby applies only at its
-//! expected prefix (holding bounded-reordered frames, re-acking
-//! duplicates), and the primary retransmits everything unacknowledged once
-//! its ack deadline lapses (capped exponential backoff, the drain's own,
-//! grown for at most its budget of 8 retries). Reliability is therefore
-//! end-to-end: the link may drop, duplicate, reorder within a bound, or
-//! partition, and the replica still converges to a prefix of the
-//! primary's admitted log.
+//! The protocol is deliberately minimal, and it is one stream: a
+//! replicated instance has one tenant (the builder refuses two), so its
+//! admitted log is one dense sequence space. A frame carries one admitted
+//! extent and its sequence number, an ack the highest sequence up to
+//! which the standby's device has accepted every frame. The standby
+//! applies strictly one frame at a time at its expected sequence, holding
+//! bounded-reordered frames and re-acking duplicates, and the primary
+//! retransmits everything unacknowledged once its ack deadline lapses
+//! (capped exponential backoff, the drain's own, grown for at most its
+//! budget of 8 retries). Reliability is therefore end-to-end: the link may
+//! drop, duplicate, reorder within a bound, or partition, and the replica
+//! still converges to a prefix of the primary's admitted log.
 //!
 //! Two guarantee levels (see [`ReplicationMode`]):
 //!
@@ -54,11 +57,9 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::sync::Notify;
 use rapilog_simcore::trace::{Layer, Payload};
 use rapilog_simcore::{SimCtx, SimDuration};
-use rapilog_simdisk::{BlockDevice, IoError, IoReq, ReqToken, SECTOR_SIZE};
+use rapilog_simdisk::{BlockDevice, IoError, IoReq};
 use rapilog_simnet::Link;
 
-use crate::audit::Audit;
-use crate::buffer::Extent;
 use crate::drain::{backoff_delay, MAX_RETRIES};
 
 /// When the guest's acknowledgement may run ahead of the standby.
@@ -79,86 +80,43 @@ pub enum ReplicationMode {
 /// unacknowledged frame.
 const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(5);
 
-/// One shipped unit: a tenant's contiguous sequence range and its extents.
+/// One shipped unit: one extent the primary's buffer admitted.
 #[derive(Debug, Clone)]
 pub struct ShipFrame {
-    /// The tenant whose sequence space `[lo, hi]` lives in.
-    pub tenant: u64,
-    /// First sequence number the frame covers.
-    pub lo: u64,
-    /// Last sequence number the frame covers (inclusive).
-    pub hi: u64,
-    /// The extents, in sequence order.
-    pub extents: Vec<Extent>,
+    /// Its sequence number in the admitted log.
+    pub seq: u64,
+    /// First sector it writes.
+    pub sector: u64,
+    /// The bytes, whole sectors.
+    pub data: SectorBuf,
 }
 
 impl ShipFrame {
-    /// Wire size: payload bytes plus a fixed header.
+    /// Wire size: payload bytes plus a fixed 32-byte header.
     fn wire_bytes(&self) -> u64 {
-        32 + self
-            .extents
-            .iter()
-            .map(|e| e.data.len() as u64)
-            .sum::<u64>()
+        32 + self.data.len() as u64
     }
 
-    /// What the frame's `ship` and `standby_apply` spans carry: the last
-    /// sequence it covers (the one a `repl_wait` span names), where it
-    /// starts on disk and its wire size.
+    /// What the frame's `ship` and `standby_apply` spans carry: its
+    /// sequence (the one a `repl_wait` span names), where it starts on
+    /// disk and its wire size.
     fn trace_payload(&self) -> Payload {
         Payload::Extent {
-            seq: self.hi,
-            sector: self.extents.first().map_or(0, |e| e.sector),
+            seq: self.seq,
+            sector: self.sector,
             bytes: self.wire_bytes(),
         }
     }
 }
 
-/// The standby's cumulative acknowledgement for one tenant.
+/// The standby's cumulative acknowledgement (16 bytes on the wire).
 #[derive(Debug, Clone, Copy)]
 pub struct ShipAck {
-    /// The tenant being acknowledged.
-    pub tenant: u64,
     /// Every sequence number up to and including this one has been
     /// accepted by the standby's device with a forced write: on media for
     /// a raw disk, dependable (admitted to a buffer that is guaranteed to
     /// drain) for a RapiLog device.
     pub durable_hi: u64,
-}
-
-/// Per-tenant `(tenant, hi)` map; tenants are few, a linear scan wins.
-fn upsert_max(v: &mut Vec<(u64, u64)>, tenant: u64, hi: u64) -> bool {
-    for e in v.iter_mut() {
-        if e.0 == tenant {
-            if hi > e.1 {
-                e.1 = hi;
-                return true;
-            }
-            return false;
-        }
-    }
-    v.push((tenant, hi));
-    true
-}
-
-fn lookup(v: &[(u64, u64)], tenant: u64) -> Option<u64> {
-    v.iter().find(|e| e.0 == tenant).map(|e| e.1)
-}
-
-/// One tenant's shipping status in a [`ReplicationReport`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReplTenantStatus {
-    /// The tenant (`TenantId` raw value).
-    pub tenant: u64,
-    /// Highest admitted sequence handed to the shipper. Admission, not
-    /// local commit: the primary's media may trail this until the drain
-    /// (or a dying primary's emergency drain) catches up.
-    pub offered_hi: Option<u64>,
-    /// Highest sequence the standby has acknowledged durable.
-    pub acked_hi: Option<u64>,
-    /// Admitted-but-unacknowledged sequence count: `offered − acked`.
-    /// Sequence spaces are dense from 0, so this is an exact count.
-    pub lag: u64,
 }
 
 /// Point-in-time view of the primary-side shipper.
@@ -176,15 +134,15 @@ pub struct ReplicationReport {
     pub acks_received: u64,
     /// Frames offered but not yet acknowledged (queued or in flight).
     pub frames_pending: u64,
-    /// Per-tenant shipping status.
-    pub tenants: Vec<ReplTenantStatus>,
-}
-
-impl ReplicationReport {
-    /// The status row for `tenant`, if it ever shipped.
-    pub fn tenant(&self, tenant: u64) -> Option<&ReplTenantStatus> {
-        self.tenants.iter().find(|t| t.tenant == tenant)
-    }
+    /// Highest admitted sequence handed to the shipper. Admission, not
+    /// local commit: the primary's media may trail this until the drain
+    /// (or a dying primary's emergency drain) catches up.
+    pub offered_hi: Option<u64>,
+    /// Highest sequence the standby has acknowledged durable.
+    pub acked_hi: Option<u64>,
+    /// Admitted-but-unacknowledged sequence count: `offered − acked`.
+    /// The sequence space is dense from 0, so this is an exact count.
+    pub lag: u64,
 }
 
 struct ReplInner {
@@ -196,8 +154,8 @@ struct ReplInner {
     pending: RefCell<VecDeque<ShipFrame>>,
     /// On the wire (at least once), awaiting acknowledgement.
     unacked: RefCell<VecDeque<ShipFrame>>,
-    offered_hi: RefCell<Vec<(u64, u64)>>,
-    acked_hi: RefCell<Vec<(u64, u64)>>,
+    offered_hi: StdCell<Option<u64>>,
+    acked_hi: StdCell<Option<u64>>,
     /// Bumped whenever `acked_hi` advances; the send loop uses it to tell
     /// real progress from mere wakeups.
     epoch: StdCell<u64>,
@@ -209,18 +167,17 @@ struct ReplInner {
     frames_shipped: StdCell<u64>,
     retransmits: StdCell<u64>,
     acks_received: StdCell<u64>,
-    audit: RefCell<Option<Audit>>,
 }
 
 /// The primary-side shipper.
 ///
 /// Create it with the two link directions, hand it to
 /// [`RapiLogBuilder::replicate`](crate::RapiLogBuilder::replicate); the
-/// builder attaches it to the instance's trusted cell and hands it to each
-/// tenant's [`RapiLogDevice`](crate::RapiLogDevice), which then offers every
-/// extent the dependable buffer admits as one [`ShipFrame`] — in both
-/// modes; only the wait for the standby's ack is [`Sync`]-only. The drain
-/// does not know shipping exists.
+/// builder attaches it to the instance's trusted cell and hands it to the
+/// instance's [`RapiLogDevice`](crate::RapiLogDevice), which then offers
+/// every extent the dependable buffer admits as one [`ShipFrame`] — in
+/// both modes; only the wait for the standby's ack is [`Sync`]-only. The
+/// drain does not know shipping exists.
 ///
 /// [`Sync`]: ReplicationMode::Sync
 #[derive(Clone)]
@@ -245,8 +202,8 @@ impl Replicator {
                 acks,
                 pending: RefCell::new(VecDeque::new()),
                 unacked: RefCell::new(VecDeque::new()),
-                offered_hi: RefCell::new(Vec::new()),
-                acked_hi: RefCell::new(Vec::new()),
+                offered_hi: StdCell::new(None),
+                acked_hi: StdCell::new(None),
                 epoch: StdCell::new(0),
                 wake: Notify::new(),
                 halted: StdCell::new(false),
@@ -254,7 +211,6 @@ impl Replicator {
                 frames_shipped: StdCell::new(0),
                 retransmits: StdCell::new(0),
                 acks_received: StdCell::new(0),
-                audit: RefCell::new(None),
             }),
         }
     }
@@ -290,22 +246,7 @@ impl Replicator {
     /// Point-in-time shipping status.
     pub fn report(&self) -> ReplicationReport {
         let inner = &self.inner;
-        let offered = inner.offered_hi.borrow();
-        let acked = inner.acked_hi.borrow();
-        let tenants = offered
-            .iter()
-            .map(|&(tenant, off)| {
-                let ack = lookup(&acked, tenant);
-                // Sequence spaces are dense from 0: `hi` is a count − 1.
-                let lag = (off + 1).saturating_sub(ack.map_or(0, |a| a + 1));
-                ReplTenantStatus {
-                    tenant,
-                    offered_hi: Some(off),
-                    acked_hi: ack,
-                    lag,
-                }
-            })
-            .collect();
+        let (offered_hi, acked_hi) = (inner.offered_hi.get(), inner.acked_hi.get());
         ReplicationReport {
             mode: inner.mode,
             halted: inner.halted.get(),
@@ -313,46 +254,40 @@ impl Replicator {
             retransmits: inner.retransmits.get(),
             acks_received: inner.acks_received.get(),
             frames_pending: (inner.pending.borrow().len() + inner.unacked.borrow().len()) as u64,
-            tenants,
+            offered_hi,
+            acked_hi,
+            // The sequence space is dense from 0: `hi` is a count − 1.
+            lag: offered_hi
+                .map_or(0, |o| o + 1)
+                .saturating_sub(acked_hi.map_or(0, |a| a + 1)),
         }
     }
 
     /// The admission tee: the device calls this with each extent the
     /// dependable buffer admitted, in the same poll as the admission — so
-    /// per tenant the offers arrive in sequence order, one frame each.
-    /// Opens the frame's `ship` span; the ack that covers it closes it.
-    pub(crate) fn offer(&self, tenant: u64, seq: u64, sector: u64, data: SectorBuf) {
+    /// the offers arrive in sequence order, one frame each. Opens the
+    /// frame's `ship` span; the ack that covers it closes it.
+    pub(crate) fn offer(&self, seq: u64, sector: u64, data: SectorBuf) {
         let inner = &self.inner;
-        upsert_max(&mut inner.offered_hi.borrow_mut(), tenant, seq);
+        inner.offered_hi.set(Some(seq));
         if inner.halted.get() {
             return;
         }
-        let now = inner.ctx.now();
-        let frame = ShipFrame {
-            tenant,
-            lo: seq,
-            hi: seq,
-            extents: vec![Extent {
-                seq,
-                sector,
-                admit_ns: now.as_nanos(),
-                data,
-            }],
-        };
+        let frame = ShipFrame { seq, sector, data };
         inner
             .ctx
             .tracer()
-            .begin(now, Layer::Net, "ship", frame.trace_payload());
+            .begin(inner.ctx.now(), Layer::Net, "ship", frame.trace_payload());
         inner.pending.borrow_mut().push_back(frame);
         inner.wake.notify_all();
     }
 
-    /// Sync-mode gate: waits until the standby has acknowledged `seq` for
-    /// `tenant`. Returns `false` if the shipper halted first — the caller
-    /// must then fail the write rather than acknowledge it.
-    pub(crate) async fn wait_replicated(&self, tenant: u64, seq: u64) -> bool {
+    /// Sync-mode gate: waits until the standby has acknowledged `seq`.
+    /// Returns `false` if the shipper halted first — the caller must then
+    /// fail the write rather than acknowledge it.
+    pub(crate) async fn wait_replicated(&self, seq: u64) -> bool {
         loop {
-            if lookup(&self.inner.acked_hi.borrow(), tenant).is_some_and(|a| a >= seq) {
+            if self.inner.acked_hi.get().is_some_and(|a| a >= seq) {
                 return true;
             }
             if self.inner.halted.get() {
@@ -363,14 +298,12 @@ impl Replicator {
     }
 
     /// Spawns the send and ack loops in the instance's trusted cell.
-    /// Called once by the builder; `audit` receives the replica-prefix
-    /// sections.
-    pub(crate) fn attach(&self, cell: &Cell, audit: Audit) {
+    /// Called once by the builder.
+    pub(crate) fn attach(&self, cell: &Cell) {
         assert!(
             !self.inner.attached.replace(true),
             "a Replicator serves exactly one RapiLog instance"
         );
-        *self.inner.audit.borrow_mut() = Some(audit);
         let inner = Rc::clone(&self.inner);
         let mut rng = inner.ctx.fork_rng();
         cell.spawn(async move {
@@ -422,8 +355,8 @@ impl Replicator {
         });
         let inner = Rc::clone(&self.inner);
         cell.spawn(async move {
-            // Ack loop: advances the per-tenant replicated prefix and
-            // releases acknowledged frames (and sync-mode waiters).
+            // Ack loop: advances the replicated prefix and releases
+            // acknowledged frames (and sync-mode waiters).
             loop {
                 let Some(ack) = inner.acks.recv().await else {
                     return;
@@ -432,17 +365,13 @@ impl Replicator {
                     return;
                 }
                 inner.acks_received.set(inner.acks_received.get() + 1);
-                let advanced =
-                    upsert_max(&mut inner.acked_hi.borrow_mut(), ack.tenant, ack.durable_hi);
-                if advanced {
+                if inner.acked_hi.get().is_none_or(|a| ack.durable_hi > a) {
+                    inner.acked_hi.set(Some(ack.durable_hi));
                     inner.epoch.set(inner.epoch.get() + 1);
-                    if let Some(audit) = inner.audit.borrow().as_ref() {
-                        audit.record_replicated(ack.tenant, ack.durable_hi);
-                    }
                     let tracer = inner.ctx.tracer();
                     let now = inner.ctx.now();
                     inner.unacked.borrow_mut().retain(|f| {
-                        let covered = f.tenant == ack.tenant && f.hi <= ack.durable_hi;
+                        let covered = f.seq <= ack.durable_hi;
                         if covered {
                             tracer.end(now, Layer::Net, "ship", f.trace_payload());
                         }
@@ -455,30 +384,20 @@ impl Replicator {
     }
 }
 
-/// One tenant's application status in a [`StandbyReport`].
-#[derive(Debug, Clone, Copy)]
-pub struct StandbyTenantStatus {
-    /// The tenant (`TenantId` raw value).
-    pub tenant: u64,
-    /// Highest sequence the standby's device has accepted (its applied
-    /// prefix).
-    pub applied_hi: Option<u64>,
-}
-
 /// Why a standby stopped applying (and acknowledging) for good.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyStop {
     /// The device turned a write away ([`IoError::PowerLoss`]: a frozen
-    /// dependable buffer, a disk gone dark) and accepted nothing after it.
-    /// The image is the applied prefix — at most followed by the leading
-    /// part of the one refused write, cut short as any unacknowledged write
-    /// may be by a power failure — so it is still a valid prefix of the
-    /// primary's admitted log: the standby's box is going down, the replica
-    /// is not damaged.
+    /// dependable buffer, a disk gone dark). Frames apply one at a time,
+    /// so nothing after it was submitted: the image is the applied prefix
+    /// — at most followed by the leading part of the one refused write,
+    /// cut short as any unacknowledged write may be by a power failure —
+    /// and still a valid prefix of the primary's admitted log. The
+    /// standby's box is going down, the replica is not damaged.
     Refused(IoError),
     /// A write failed for any other reason (media error, transient command
-    /// failure, malformed frame), or landed behind one that did not: the
-    /// image may hold part of a write or a hole, and is suspect.
+    /// failure, malformed frame): the image may hold part of a write, and
+    /// is suspect.
     Wedged(IoError),
 }
 
@@ -490,9 +409,9 @@ pub struct StandbyReport {
     /// Set once an apply write failed: the loop has stopped, and this says
     /// whether the image is still a valid prefix or suspect.
     pub stopped: Option<ApplyStop>,
-    /// Frames applied (fully or partially, after de-duplication).
+    /// Frames applied (after de-duplication).
     pub frames_applied: u64,
-    /// Frames ignored as pure duplicates (their range was already applied).
+    /// Frames ignored as duplicates (already applied).
     pub duplicates_ignored: u64,
     /// Frames currently held waiting for the gap before them to fill.
     pub frames_held: u64,
@@ -500,16 +419,12 @@ pub struct StandbyReport {
     /// split-brain probe: a promoted standby neither applies nor
     /// acknowledges a zombie primary.
     pub refused_after_promotion: u64,
-    /// Per-tenant applied prefixes.
-    pub tenants: Vec<StandbyTenantStatus>,
+    /// Highest sequence the standby's device has accepted (its applied
+    /// prefix).
+    pub applied_hi: Option<u64>,
 }
 
 impl StandbyReport {
-    /// The status row for `tenant`, if it ever applied.
-    pub fn tenant(&self, tenant: u64) -> Option<&StandbyTenantStatus> {
-        self.tenants.iter().find(|t| t.tenant == tenant)
-    }
-
     /// True if an apply write failed in a way that leaves the image
     /// suspect ([`ApplyStop::Wedged`]).
     pub fn wedged(&self) -> bool {
@@ -517,20 +432,15 @@ impl StandbyReport {
     }
 }
 
-struct TenantApply {
-    tenant: u64,
-    /// Next sequence the image is waiting for (applied prefix is
-    /// `..expected`).
-    expected: u64,
-    /// Frames that arrived ahead of the prefix, keyed by their `lo`.
-    held: BTreeMap<u64, ShipFrame>,
-}
-
 struct StandbyInner {
     ctx: SimCtx,
     device: Rc<dyn BlockDevice>,
     acks: Link<ShipAck>,
-    tenants: RefCell<Vec<TenantApply>>,
+    /// Next sequence the image is waiting for (applied prefix is
+    /// `..expected`).
+    expected: StdCell<u64>,
+    /// Frames that arrived ahead of the prefix, keyed by their sequence.
+    held: RefCell<BTreeMap<u64, ShipFrame>>,
     promoted: StdCell<bool>,
     stopped: StdCell<Option<ApplyStop>>,
     frames_applied: StdCell<u64>,
@@ -539,90 +449,35 @@ struct StandbyInner {
 }
 
 impl StandbyInner {
-    fn with_tenant<R>(&self, tenant: u64, f: impl FnOnce(&mut TenantApply) -> R) -> R {
-        let mut tenants = self.tenants.borrow_mut();
-        let idx = match tenants.iter().position(|t| t.tenant == tenant) {
-            Some(i) => i,
-            None => {
-                tenants.push(TenantApply {
-                    tenant,
-                    expected: 0,
-                    held: BTreeMap::new(),
-                });
-                tenants.len() - 1
-            }
-        };
-        f(&mut tenants[idx])
-    }
-
-    /// Writes `frame`'s extents from the tenant's expected sequence onward
-    /// through the device, inside a `standby_apply` span, advancing the
-    /// applied prefix over each one the device accepts. The extents are
-    /// submitted together and then awaited; one that rewrites sectors of an
-    /// extent still in flight waits for it first, because completion order
-    /// is not submission order and media order is the newest-wins tiebreak.
-    async fn apply_extents(&self, frame: &ShipFrame) -> Result<(), ApplyStop> {
+    /// Writes `frame`, the one at the expected sequence, through the
+    /// device inside a `standby_apply` span; the applied prefix advances
+    /// over it if the device accepts it.
+    async fn apply(&self, frame: &ShipFrame) -> Result<(), ApplyStop> {
         let tracer = self.ctx.tracer();
         let payload = frame.trace_payload();
         tracer.begin(self.ctx.now(), Layer::Net, "standby_apply", payload);
-        let from = self.with_tenant(frame.tenant, |t| t.expected);
-        let mut inflight: Vec<(&Extent, ReqToken)> = Vec::new();
-        let mut stop = None;
-        for e in frame.extents.iter().filter(|e| e.seq >= from) {
-            let end = |x: &Extent| x.sector + (x.data.len() / SECTOR_SIZE) as u64;
-            if inflight
-                .iter()
-                .any(|(p, _)| p.sector < end(e) && e.sector < end(p))
-            {
-                self.settle(frame.tenant, &mut inflight, &mut stop).await;
-            }
-            if stop.is_some() {
-                break;
-            }
-            let token = self.device.submit(IoReq::Write {
-                sector: e.sector,
-                segments: vec![e.data.clone()],
-                fua: true,
-            });
-            inflight.push((e, token));
-        }
-        self.settle(frame.tenant, &mut inflight, &mut stop).await;
+        let token = self.device.submit(IoReq::Write {
+            sector: frame.sector,
+            segments: vec![frame.data.clone()],
+            fua: true,
+        });
+        let done = self.device.wait(token).await;
         tracer.end(self.ctx.now(), Layer::Net, "standby_apply", payload);
-        match stop {
-            None => {
+        match done {
+            Ok(_) => {
+                self.expected.set(frame.seq + 1);
                 self.frames_applied.set(self.frames_applied.get() + 1);
                 Ok(())
             }
-            Some(stop) => Err(stop),
+            Err(IoError::PowerLoss) => Err(ApplyStop::Refused(IoError::PowerLoss)),
+            Err(err) => Err(ApplyStop::Wedged(err)),
         }
     }
 
-    /// Claims every write in flight, in sequence order. The applied prefix
-    /// advances over each success that has nothing failed before it; the
-    /// first failure decides why the standby stops.
-    async fn settle(
-        &self,
-        tenant: u64,
-        inflight: &mut Vec<(&Extent, ReqToken)>,
-        stop: &mut Option<ApplyStop>,
-    ) {
-        for (e, token) in inflight.drain(..) {
-            match (self.device.wait(token).await, *stop) {
-                (Ok(_), None) => self.with_tenant(tenant, |t| t.expected = e.seq + 1),
-                // Accepted behind a write that was turned away: the image
-                // now has a hole before this extent.
-                (Ok(_), Some(ApplyStop::Refused(err))) => *stop = Some(ApplyStop::Wedged(err)),
-                (Err(IoError::PowerLoss), None) => {
-                    *stop = Some(ApplyStop::Refused(IoError::PowerLoss))
-                }
-                (Err(err), None) => *stop = Some(ApplyStop::Wedged(err)),
-                (_, Some(_)) => {}
-            }
-        }
-    }
-
-    fn send_ack(&self, tenant: u64, durable_hi: u64) {
-        self.acks.send(ShipAck { tenant, durable_hi }, 16);
+    /// Acknowledges the applied prefix `..expected` (not empty).
+    fn send_ack(&self) {
+        let durable_hi = self.expected.get() - 1;
+        self.acks.send(ShipAck { durable_hi }, 16);
     }
 }
 
@@ -658,7 +513,8 @@ impl Standby {
                 ctx: ctx.clone(),
                 device,
                 acks,
-                tenants: RefCell::new(Vec::new()),
+                expected: StdCell::new(0),
+                held: RefCell::new(BTreeMap::new()),
                 promoted: StdCell::new(false),
                 stopped: StdCell::new(None),
                 frames_applied: StdCell::new(0),
@@ -678,66 +534,46 @@ impl Standby {
                         .set(inner.refused_after_promotion.get() + 1);
                     continue;
                 }
-                let tenant = frame.tenant;
-                let expected = inner.with_tenant(tenant, |t| t.expected);
-                if frame.hi < expected {
-                    // Pure duplicate. Re-acknowledge: the original ack may
+                let expected = inner.expected.get();
+                if frame.seq < expected {
+                    // A duplicate. Re-acknowledge: the original ack may
                     // have been lost, and an unacked duplicate would make
                     // the primary retransmit forever.
                     inner
                         .duplicates_ignored
                         .set(inner.duplicates_ignored.get() + 1);
-                    inner.send_ack(tenant, expected - 1);
+                    inner.send_ack();
                     continue;
                 }
-                if frame.lo > expected {
+                if frame.seq > expected {
                     // A gap: hold (bounded — the link's reorder window is
                     // bounded, and lost frames are retransmitted).
-                    inner.with_tenant(tenant, |t| {
-                        t.held.insert(frame.lo, frame);
-                    });
+                    inner.held.borrow_mut().insert(frame.seq, frame);
                     continue;
                 }
-                // frame.lo <= expected <= frame.hi: apply the new suffix,
-                // then any held frames the prefix now reaches.
+                // The expected frame: apply it, then each held frame the
+                // prefix now reaches, one at a time.
                 let mut next = Some(frame);
                 while let Some(frame) = next {
-                    if frame.hi < inner.with_tenant(tenant, |t| t.expected) {
-                        inner
-                            .duplicates_ignored
-                            .set(inner.duplicates_ignored.get() + 1);
-                    } else if let Err(stop) = inner.apply_extents(&frame).await {
+                    if let Err(stop) = inner.apply(&frame).await {
                         // No ack, now or ever: an ack never sent is always
                         // safe, and the primary's sync writers see silence,
                         // not an error.
                         inner.stopped.set(Some(stop));
                         return;
                     }
-                    next = inner.with_tenant(tenant, |t| {
-                        let lo = t.held.keys().next().copied()?;
-                        (lo <= t.expected).then(|| t.held.remove(&lo)).flatten()
-                    });
+                    next = inner.held.borrow_mut().remove(&inner.expected.get());
                 }
-                // (A frame whose extents did not reach its own range moves
-                // nothing; there is then nothing new to acknowledge.)
-                if let Some(hi) = inner.with_tenant(tenant, |t| t.expected).checked_sub(1) {
-                    inner.send_ack(tenant, hi);
-                }
+                inner.send_ack();
             }
         });
         standby
     }
 
-    /// The applied prefix for `tenant` — what the device has accepted and
-    /// the standby has (or is about to have) acknowledged — if anything
-    /// applied.
-    pub fn applied_hi(&self, tenant: u64) -> Option<u64> {
-        self.inner
-            .tenants
-            .borrow()
-            .iter()
-            .find(|t| t.tenant == tenant)
-            .and_then(|t| t.expected.checked_sub(1))
+    /// The applied prefix — what the device has accepted and the standby
+    /// has (or is about to have) acknowledged — if anything applied.
+    pub fn applied_hi(&self) -> Option<u64> {
+        self.inner.expected.get().checked_sub(1)
     }
 
     /// Promotes the standby: it stops applying and stops acknowledging —
@@ -759,21 +595,14 @@ impl Standby {
     /// Point-in-time application status.
     pub fn report(&self) -> StandbyReport {
         let inner = &self.inner;
-        let tenants_st = inner.tenants.borrow();
         StandbyReport {
             promoted: inner.promoted.get(),
             stopped: inner.stopped.get(),
             frames_applied: inner.frames_applied.get(),
             duplicates_ignored: inner.duplicates_ignored.get(),
-            frames_held: tenants_st.iter().map(|t| t.held.len() as u64).sum(),
+            frames_held: inner.held.borrow().len() as u64,
             refused_after_promotion: inner.refused_after_promotion.get(),
-            tenants: tenants_st
-                .iter()
-                .map(|t| StandbyTenantStatus {
-                    tenant: t.tenant,
-                    applied_hi: t.expected.checked_sub(1),
-                })
-                .collect(),
+            applied_hi: self.applied_hi(),
         }
     }
 }
@@ -784,15 +613,10 @@ mod tests {
     use crate::{CapacitySpec, DrainConfig, OrderingMode, RapiLog};
     use rapilog_microvisor::{Hypervisor, Trust};
     use rapilog_simcore::{Sim, SimTime};
-    use rapilog_simdisk::{specs, Disk, DiskSpec};
+    use rapilog_simdisk::{specs, Disk, DiskSpec, SECTOR_SIZE};
     use rapilog_simnet::{LinkFaults, LinkSpec};
     use rapilog_simpower::{supplies, PowerSupply};
     use std::cell::Cell as StdCell;
-
-    /// Admitted-but-unacknowledged sequence count, summed over tenants.
-    fn total_lag(report: &ReplicationReport) -> u64 {
-        report.tenants.iter().map(|t| t.lag).sum()
-    }
 
     struct Fixture {
         rl: RapiLog,
@@ -889,13 +713,13 @@ mod tests {
             min_ack_ns.get()
         );
         assert!(f.repl.settled(), "everything acknowledged by the standby");
-        assert_eq!(f.standby.applied_hi(0), Some(31));
+        assert_eq!(f.standby.applied_hi(), Some(31));
         assert_images_match(&f, 32);
         let report = f.rl.audit_report();
         assert!(report.guarantee_held());
-        assert_eq!(report.tenant(0).unwrap().replicated_seq, Some(31));
         let repl_report = f.rl.snapshot().replication.expect("shipping enabled");
-        assert_eq!(total_lag(&repl_report), 0);
+        assert_eq!(repl_report.acked_hi, Some(31));
+        assert_eq!(repl_report.lag, 0);
         assert!(!repl_report.halted);
     }
 
@@ -923,9 +747,9 @@ mod tests {
             max_ack_ns.get()
         );
         assert!(f.repl.settled(), "the replica caught up");
-        assert_eq!(f.standby.applied_hi(0), Some(63));
+        assert_eq!(f.standby.applied_hi(), Some(63));
         assert_images_match(&f, 64);
-        assert_eq!(total_lag(&f.rl.snapshot().replication.unwrap()), 0);
+        assert_eq!(f.rl.snapshot().replication.unwrap().lag, 0);
     }
 
     #[test]
@@ -950,7 +774,7 @@ mod tests {
         });
         sim.run_until(SimTime::from_secs(10));
         assert!(f.repl.settled(), "chaos link still converged");
-        assert_eq!(f.standby.applied_hi(0), Some(99));
+        assert_eq!(f.standby.applied_hi(), Some(99));
         assert_images_match(&f, 100);
         let report = f.repl.report();
         assert!(
@@ -958,7 +782,7 @@ mod tests {
             "drops forced retransmission (the test would be vacuous otherwise)"
         );
         assert_eq!(f.standby.report().stopped, None);
-        assert_eq!(total_lag(&report), 0);
+        assert_eq!(report.lag, 0);
     }
 
     #[test]
@@ -978,7 +802,7 @@ mod tests {
             // Failover: the standby is promoted while the primary (a
             // zombie from the cluster's point of view) keeps writing.
             let report = standby.promote();
-            p2.set(report.tenant(0).and_then(|t| t.applied_hi));
+            p2.set(report.applied_hi);
             for i in 16..24u64 {
                 dev.write(i, &vec![2u8; SECTOR_SIZE], true).await.unwrap();
             }
@@ -992,9 +816,8 @@ mod tests {
         );
         // The stale-ack probe: the applied prefix froze at promotion and
         // the primary never saw an ack beyond it.
-        assert_eq!(f.standby.applied_hi(0), Some(15));
-        let prim = f.repl.report();
-        assert!(prim.tenant(0).unwrap().acked_hi <= Some(15));
+        assert_eq!(f.standby.applied_hi(), Some(15));
+        assert!(f.repl.report().acked_hi <= Some(15));
         // The zombie's post-promotion sectors never reached the replica.
         let mut s = vec![0u8; SECTOR_SIZE];
         f.standby_disk.peek_media(20, &mut s);
@@ -1067,7 +890,7 @@ mod tests {
             !on_media_at_ack,
             "the primary's own media write lands after the ack, beside the round trip"
         );
-        assert_eq!(f.standby.applied_hi(0), Some(0));
+        assert_eq!(f.standby.applied_hi(), Some(0));
         let mut media = vec![0u8; SECTOR_SIZE];
         f.primary_disk.peek_media(20_000, &mut media);
         assert_eq!(media, payload, "the drain still took it to primary media");
@@ -1150,9 +973,9 @@ mod tests {
         );
         let log = log.borrow();
         assert_eq!(log.len() as u64, WRITERS * WRITES);
-        let offered_hi = f.repl.report().tenant(0).and_then(|t| t.offered_hi);
+        let offered_hi = f.repl.report().offered_hi;
         assert_eq!(offered_hi, Some(log.len() as u64 - 1), "offered ≡ admitted");
-        let applied = f.standby.applied_hi(0).map_or(0, |a| a + 1);
+        let applied = f.standby.applied_hi().map_or(0, |a| a + 1);
         assert!(
             applied > 0 && applied < log.len() as u64,
             "the partition left a real, partial prefix (applied {applied})"
@@ -1180,7 +1003,7 @@ mod tests {
             }
         }
         assert_eq!(log.len() as u64 - applied, media_diff);
-        assert_eq!(total_lag(&f.repl.report()), media_diff);
+        assert_eq!(f.repl.report().lag, media_diff);
     }
 
     #[test]
@@ -1208,16 +1031,13 @@ mod tests {
         let frames = f.repl.inner.unacked.borrow();
         assert_eq!(frames.len(), 4, "one frame per chunk");
         for (i, frame) in frames.iter().enumerate() {
-            assert_eq!((frame.lo, frame.hi), (i as u64, i as u64));
-            assert_eq!(frame.extents.len(), 1);
-            let e = &frame.extents[0];
-            assert_eq!((e.seq, e.sector), (i as u64, 100 + 2 * i as u64));
+            assert_eq!((frame.seq, frame.sector), (i as u64, 100 + 2 * i as u64));
             assert_eq!(
-                e.data.as_slice(),
+                frame.data.as_slice(),
                 &data[i * 2 * SECTOR_SIZE..(i + 1) * 2 * SECTOR_SIZE]
             );
         }
-        assert_eq!(f.repl.report().tenant(0).unwrap().offered_hi, Some(3));
+        assert_eq!(f.repl.report().offered_hi, Some(3));
     }
 
     #[test]
@@ -1238,13 +1058,13 @@ mod tests {
         assert_eq!(refused.get(), Some(Err(IoError::PowerLoss)));
         let report = f.repl.report();
         assert_eq!(
-            report.tenant(0).unwrap().offered_hi,
+            report.offered_hi,
             Some(0),
             "the refused write moved nothing"
         );
         assert_eq!(report.frames_shipped, 1);
         assert_eq!(report.frames_pending, 0);
-        assert_eq!(f.standby.applied_hi(0), Some(0));
+        assert_eq!(f.standby.applied_hi(), Some(0));
     }
 
     /// A standby on its own, fed frames by hand over its ship link.
@@ -1284,23 +1104,13 @@ mod tests {
         (rl, disk)
     }
 
-    /// A frame for tenant 0 starting at sequence `lo`: one extent per
-    /// `(sector, sectors, fill)`.
-    fn frame(lo: u64, extents: &[(u64, usize, u8)]) -> ShipFrame {
+    /// The frame of sequence `seq`: `sectors` sectors of `fill` from
+    /// `sector` on.
+    fn frame(seq: u64, sector: u64, sectors: usize, fill: u8) -> ShipFrame {
         ShipFrame {
-            tenant: 0,
-            lo,
-            hi: lo + extents.len() as u64 - 1,
-            extents: extents
-                .iter()
-                .enumerate()
-                .map(|(i, &(sector, sectors, fill))| Extent {
-                    seq: lo + i as u64,
-                    sector,
-                    admit_ns: 0,
-                    data: SectorBuf::from_vec(vec![fill; sectors * SECTOR_SIZE]),
-                })
-                .collect(),
+            seq,
+            sector,
+            data: SectorBuf::from_vec(vec![fill; sectors * SECTOR_SIZE]),
         }
     }
 
@@ -1322,7 +1132,7 @@ mod tests {
         // The standby's log disk costs a seek and a rotation per write.
         let (srl, disk) = standby_instance(&mut sim, specs::hdd_7200(1 << 30));
         let lone = lone_standby(&mut sim, Rc::new(srl.device()));
-        send(&lone.ship, frame(0, &[(20_000, 1, 0xB4)]));
+        send(&lone.ship, frame(0, 20_000, 1, 0xB4));
         // (ack arrival in ns, was the write on standby media by then)
         let at_ack = Rc::new(StdCell::new(None));
         let a2 = Rc::clone(&at_ack);
@@ -1353,13 +1163,13 @@ mod tests {
         let mut sim = Sim::new(52);
         let (srl, disk) = standby_instance(&mut sim, specs::ssd_sata(1 << 24));
         let lone = lone_standby(&mut sim, Rc::new(srl.device()));
-        send(&lone.ship, frame(0, &[(100, 1, 1)]));
+        send(&lone.ship, frame(0, 100, 1, 1));
         sim.run_until(SimTime::from_millis(1));
         assert_eq!(lone.acks.try_recv().map(|a| a.durable_hi), Some(0));
         // The standby box's power-fail warning: no admissions from here on.
         srl.shards.freeze_all();
-        send(&lone.ship, frame(1, &[(101, 1, 2)]));
-        send(&lone.ship, frame(2, &[(102, 1, 3)]));
+        send(&lone.ship, frame(1, 101, 1, 2));
+        send(&lone.ship, frame(2, 102, 1, 3));
         sim.run_until(SimTime::from_millis(2));
         let report = lone.standby.report();
         assert_eq!(
@@ -1368,7 +1178,7 @@ mod tests {
             "turned away whole"
         );
         assert!(!report.wedged(), "a refusal leaves a valid prefix");
-        assert_eq!(lone.standby.applied_hi(0), Some(0));
+        assert_eq!(lone.standby.applied_hi(), Some(0));
         assert!(lone.acks.try_recv().is_none(), "nothing refused is acked");
         assert_eq!(media(&disk, 100), vec![1u8; SECTOR_SIZE]);
         assert_eq!(media(&disk, 101), vec![0u8; SECTOR_SIZE]);
@@ -1380,8 +1190,8 @@ mod tests {
         let disk = Disk::new(&sim.ctx(), specs::ssd_sata(1 << 24));
         disk.mark_bad(201);
         let lone = lone_standby(&mut sim, Rc::new(disk.clone()));
-        send(&lone.ship, frame(0, &[(200, 1, 1)]));
-        send(&lone.ship, frame(1, &[(201, 1, 2)]));
+        send(&lone.ship, frame(0, 200, 1, 1));
+        send(&lone.ship, frame(1, 201, 1, 2));
         sim.run_until(SimTime::from_millis(2));
         let report = lone.standby.report();
         assert_eq!(
@@ -1389,74 +1199,61 @@ mod tests {
             Some(ApplyStop::Wedged(IoError::MediaError { sector: 201 }))
         );
         assert!(report.wedged());
-        assert_eq!(lone.standby.applied_hi(0), Some(0));
+        assert_eq!(lone.standby.applied_hi(), Some(0));
     }
 
     #[test]
-    fn an_extent_admitted_behind_a_refused_one_wedges() {
+    fn the_standby_applies_only_at_its_prefix_and_re_acks_a_duplicate() {
         let mut sim = Sim::new(54);
-        let ctx = sim.ctx();
-        let (srl, _disk) = standby_instance(&mut sim, specs::ssd_sata(1 << 24));
-        let lone = lone_standby(&mut sim, Rc::new(srl.device()));
-        // One frame, two extents: admission of the first costs 16 us more
-        // than the second's (the per-KiB copy), so the second is in the
-        // buffer first — and the freeze falls between the two.
-        send(&lone.ship, frame(0, &[(300, 128, 1), (500, 1, 2)]));
-        let rl = srl.clone();
-        sim.spawn(async move {
-            while rl.stats().accepted_writes == 0 {
-                ctx.sleep(SimDuration::from_micros(1)).await;
-            }
-            rl.shards.freeze_all();
-        });
-        sim.run_until(SimTime::from_millis(2));
-        assert_eq!(
-            srl.stats().accepted_writes,
-            1,
-            "only the small extent got in"
-        );
-        let report = lone.standby.report();
-        assert_eq!(
-            report.stopped,
-            Some(ApplyStop::Wedged(IoError::PowerLoss)),
-            "sequence 1 is in the image without sequence 0: a hole, not a prefix"
-        );
-        assert_eq!(lone.standby.applied_hi(0), None);
-        assert!(lone.acks.try_recv().is_none());
-    }
-
-    #[test]
-    fn a_multi_extent_frame_is_in_flight_together_and_rewrites_stay_ordered() {
-        let mut sim = Sim::new(55);
-        let disk = Disk::new(&sim.ctx(), specs::ssd_nvme(1 << 24).with_channels(4));
+        let disk = Disk::new(&sim.ctx(), specs::ssd_sata(1 << 24));
         let lone = lone_standby(&mut sim, Rc::new(disk.clone()));
-        // Sequence 2 rewrites a sector of sequence 0 and, being shorter,
-        // would finish first on a free channel: it must wait its turn.
-        send(
-            &lone.ship,
-            frame(0, &[(10, 2, 1), (20, 1, 2), (11, 1, 3), (30, 1, 4)]),
-        );
+        // Sequence 1 rewrites the second sector of sequence 0, so the
+        // media shows the order they were applied in.
+        send(&lone.ship, frame(1, 11, 1, 2));
         sim.run_until(SimTime::from_millis(1));
-        assert_eq!(lone.acks.try_recv().map(|a| a.durable_hi), Some(3));
-        assert_eq!(lone.standby.applied_hi(0), Some(3));
-        assert_eq!(lone.standby.report().frames_applied, 1);
-        for (sector, fill) in [(10, 1u8), (11, 3), (20, 2), (30, 4)] {
-            assert_eq!(media(&disk, sector), vec![fill; SECTOR_SIZE], "{sector}");
-        }
+        let report = lone.standby.report();
+        assert_eq!(report.frames_held, 1, "ahead of the prefix: held");
+        assert_eq!((report.frames_applied, report.applied_hi), (0, None));
         assert!(
-            disk.stats().max_outstanding >= 2,
-            "disjoint extents were submitted before any was awaited"
+            lone.acks.try_recv().is_none(),
+            "nothing applied, nothing acked"
         );
+        assert_eq!(disk.stats().writes, 0);
+
+        send(&lone.ship, frame(0, 10, 2, 1));
+        sim.run_until(SimTime::from_millis(2));
+        let report = lone.standby.report();
+        assert_eq!(report.frames_held, 0, "the gap filled");
+        assert_eq!((report.frames_applied, report.applied_hi), (2, Some(1)));
+        assert_eq!(lone.acks.try_recv().map(|a| a.durable_hi), Some(1));
+        assert!(lone.acks.try_recv().is_none(), "one ack for the pair");
+        assert_eq!(media(&disk, 10), vec![1u8; SECTOR_SIZE]);
+        assert_eq!(media(&disk, 11), vec![2u8; SECTOR_SIZE], "0, then 1");
+        assert_eq!(disk.stats().writes, 2);
+
+        send(&lone.ship, frame(0, 10, 2, 3));
+        sim.run_until(SimTime::from_millis(3));
+        let report = lone.standby.report();
+        assert_eq!(report.duplicates_ignored, 1);
+        assert_eq!((report.frames_applied, report.applied_hi), (2, Some(1)));
+        assert_eq!(
+            lone.acks.try_recv().map(|a| a.durable_hi),
+            Some(1),
+            "the duplicate is re-acked"
+        );
+        assert_eq!(disk.stats().writes, 2, "and not written again");
+        assert_eq!(media(&disk, 10), vec![1u8; SECTOR_SIZE]);
+        assert_eq!(media(&disk, 11), vec![2u8; SECTOR_SIZE]);
     }
 
     #[test]
     fn a_death_hook_owning_the_replicator_does_not_leak_the_supply() {
         // The failover harness's wiring: the supply's death hook owns the
-        // replicator (to halt it), the replicator owns the instance's
-        // auditor. If anything on that chain held the supply, supply →
-        // hook → replicator → … → supply would be a cycle and every
-        // power-kind trial would leak its frames. The sentinel lives in
-        // the hook, so it dies exactly when the supply does.
+        // replicator (to halt it) and the disk (to darken it). If anything
+        // on that chain held the supply, supply → hook → replicator → … →
+        // supply would be a cycle and every power-kind trial would leak its
+        // frames. The sentinel lives in the hook, so it dies exactly when
+        // the supply does.
         let sentinel = Rc::new(());
         let supply_alive = Rc::downgrade(&sentinel);
         {

@@ -50,10 +50,10 @@ pub struct RapiLogDevice {
     cfg: RapiLogConfig,
     /// Shared with the drain: while degraded, acks wait for media.
     mode: Rc<ModeState>,
-    /// The replication tee: the tenant this device writes as, plus the
-    /// shipper every admitted extent is offered to (and, in sync mode,
-    /// whose standby ack the write waits for). `None` when shipping is off.
-    repl: Option<(u64, Replicator)>,
+    /// The replication tee: the shipper every admitted extent is offered
+    /// to (and, in sync mode, whose standby ack the write waits for).
+    /// `None` when shipping is off.
+    repl: Option<Replicator>,
     geometry: Geometry,
     tracer: Rc<Tracer>,
     queue: Rc<IoQueue>,
@@ -66,7 +66,7 @@ impl RapiLogDevice {
         backing: &Disk,
         cfg: RapiLogConfig,
         mode: &Rc<ModeState>,
-        repl: Option<(u64, Replicator)>,
+        repl: Option<Replicator>,
     ) -> RapiLogDevice {
         let geometry = backing.geometry();
         RapiLogDevice {
@@ -210,8 +210,8 @@ impl RapiLogDevice {
                     // await since `push` returned): an admitted extent is
                     // already dependable locally, so it ships now and the
                     // drain's media write overlaps the round trip.
-                    if let Some((tenant, repl)) = &self.repl {
-                        repl.offer(*tenant, seq, first, data.slice(offset..offset + take));
+                    if let Some(repl) = &self.repl {
+                        repl.offer(seq, first, data.slice(offset..offset + take));
                     }
                 }
                 // Frozen buffer means the power-fail warning has fired:
@@ -255,8 +255,8 @@ impl RapiLogDevice {
         let sync_repl = self
             .repl
             .as_ref()
-            .filter(|(_, r)| r.mode() == ReplicationMode::Sync);
-        if let Some((tenant, repl)) = sync_repl {
+            .filter(|r| r.mode() == ReplicationMode::Sync);
+        if let Some(repl) = sync_repl {
             if let Some(seq) = last_seq {
                 self.tracer.begin(
                     self.ctx.now(),
@@ -264,7 +264,7 @@ impl RapiLogDevice {
                     "repl_wait",
                     Payload::Mark { value: seq },
                 );
-                let replicated = repl.wait_replicated(*tenant, seq).await;
+                let replicated = repl.wait_replicated(seq).await;
                 self.tracer.end(
                     self.ctx.now(),
                     Layer::Net,

@@ -75,6 +75,12 @@
 #     `DiskSpec::timing`, `ExplorerConfig::tenants`) and passes. A hit fails unless scripts/pub_census.allow
 #     names it (`<file>:<struct>::<field>  <reason>`); so does a line there
 #     whose field is gone or is written now.
+# (k) Log shipping is one stream. Fails if `ReplTenantStatus`,
+#     `StandbyTenantStatus`, `TenantApply`, `record_replicated` or
+#     `replicated_seq` reappears in the non-test part of any `crates/*/src`
+#     file: a replicated instance has one tenant, a frame carries one
+#     admitted extent and an ack one sequence number, so no report, apply
+#     loop or audit section keeps a per-tenant replication row.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -519,6 +525,16 @@ if ! awk -v fields="$fields" -v allow="$ALLOW" '
     fail=1
 fi
 
+# ---- (k) log shipping is one stream ------------------------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nwE 'ReplTenantStatus|StandbyTenantStatus|TenantApply|record_replicated|replicated_seq' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f keeps a per-tenant replication row again (log shipping is one stream):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
@@ -532,3 +548,4 @@ echo "design_gate: ok    no public function that only tests call (every other hi
 echo "design_gate: ok    the disk is write-through (no CacheSpec, writeback_loop or cache_write_hits)"
 echo "design_gate: ok    one figures binary (no other bin runs run_perf, none of the thirteen per-figure bins is back)"
 echo "design_gate: ok    no config field that only its default sets (every other hit is in $ALLOW, and every line there is still one)"
+echo "design_gate: ok    log shipping is one stream (no ReplTenantStatus, StandbyTenantStatus, TenantApply, record_replicated or replicated_seq)"
