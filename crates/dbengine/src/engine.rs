@@ -88,6 +88,29 @@ pub struct TableMeta {
     pub spp: u16,
 }
 
+impl TableMeta {
+    /// Slots in the region, if it has any (a slot number is divided by
+    /// `spp`) and a `u32` can number them all.
+    fn capacity(&self) -> DbResult<u32> {
+        let slots = self.n_pages.checked_mul(self.spp as u64).filter(|&n| n > 0);
+        let bad = || DbError::Corrupt(format!("table {}: bad slot count", self.name));
+        slots.and_then(|n| u32::try_from(n).ok()).ok_or_else(bad)
+    }
+
+    /// The address of flat slot `flat` of the region.
+    pub(crate) fn slot_addr(&self, flat: u32) -> SlotAddr {
+        SlotAddr {
+            page: PageId(self.base_page + flat as u64 / self.spp as u64),
+            slot: (flat % self.spp as u32) as u16,
+        }
+    }
+
+    /// The flat slot of `addr`, an address in the region: below its capacity.
+    pub(crate) fn flat(&self, addr: SlotAddr) -> u32 {
+        ((addr.page.0 - self.base_page) * self.spp as u64 + addr.slot as u64) as u32
+    }
+}
+
 /// Physical address of a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SlotAddr {
@@ -120,20 +143,24 @@ struct TxnState {
     undo: Vec<UndoEntry>,
 }
 
-pub(crate) struct FreeSpace {
-    /// Next slot never yet allocated, as a flat index over the region.
-    pub(crate) high_water: u64,
-    /// Slots freed by deletes/aborts.
-    pub(crate) freed: BTreeSet<u64>,
+/// One table's derived state: its key index and its region's free slots,
+/// both over flat slot numbers ([`TableMeta::flat`]).
+pub(crate) struct TableState {
+    /// Key → flat slot of its row.
+    pub(crate) index: BTreeMap<Key, u32>,
+    /// Next slot never yet allocated.
+    pub(crate) high_water: u32,
+    /// Slots below `high_water` freed by deletes, aborts and failed inserts.
+    pub(crate) freed: BTreeSet<u32>,
     /// Total slot capacity.
-    capacity: u64,
+    capacity: u32,
 }
 
 pub(crate) struct DbSt {
     next_txn: u64,
     active: FastMap<TxnId, TxnState>,
-    pub(crate) index: BTreeMap<(TableId, Key), SlotAddr>,
-    pub(crate) free: Vec<FreeSpace>,
+    /// Indexed by `TableId`.
+    pub(crate) tables: Vec<TableState>,
 }
 
 /// A running database instance. Clone freely; clones share the instance.
@@ -195,14 +222,16 @@ fn decode_catalog(bytes: &[u8]) -> DbResult<Vec<TableMeta>> {
         let spp = c.u16().ok_or_else(bad)?;
         let name = String::from_utf8(c.bytes().ok_or_else(bad)?)
             .map_err(|_| DbError::Corrupt("catalog name not utf8".to_string()))?;
-        tables.push(TableMeta {
+        let meta = TableMeta {
             id,
             name,
             slot_size,
             base_page,
             n_pages,
             spp,
-        });
+        };
+        meta.capacity()?;
+        tables.push(meta);
     }
     // CRC covers everything up to the cursor position.
     let used = bytes.len() - c.remaining();
@@ -215,7 +244,7 @@ fn decode_catalog(bytes: &[u8]) -> DbResult<Vec<TableMeta>> {
     Ok(tables)
 }
 
-fn layout_tables(defs: &[TableDef]) -> Vec<TableMeta> {
+fn layout_tables(defs: &[TableDef]) -> DbResult<Vec<TableMeta>> {
     let mut tables = Vec::with_capacity(defs.len());
     let mut next_page = 1u64; // page 0 is the catalog
     for (i, d) in defs.iter().enumerate() {
@@ -223,17 +252,19 @@ fn layout_tables(defs: &[TableDef]) -> Vec<TableMeta> {
         let spp = slots_per_page(d.slot_size as usize) as u16;
         assert!(spp > 0, "slot size {} too large for a page", d.slot_size);
         let n_pages = d.max_rows.div_ceil(spp as u64).max(1);
-        tables.push(TableMeta {
+        let meta = TableMeta {
             id: TableId(i as u16),
             name: d.name.clone(),
             slot_size: d.slot_size,
             base_page: next_page,
             n_pages,
             spp,
-        });
+        };
+        meta.capacity()?;
+        tables.push(meta);
         next_page += n_pages;
     }
-    tables
+    Ok(tables)
 }
 
 impl Database {
@@ -248,7 +279,7 @@ impl Database {
         log_dev: Rc<dyn BlockDevice>,
         domain: DomainId,
     ) -> DbResult<Database> {
-        let tables = layout_tables(defs);
+        let tables = layout_tables(defs)?;
         // The OS block layer: bounded transient-error retry on both devices.
         let retrying = |dev| -> Rc<dyn BlockDevice> {
             Rc::new(RetryingDevice::new(ctx, dev, IO_RETRIES, IO_RETRY_DELAY))
@@ -308,12 +339,13 @@ impl Database {
             .iter()
             .map(|t| (t.name.clone(), t.id))
             .collect::<HashMap<_, _>>();
-        let free = tables
+        let states = tables
             .iter()
-            .map(|t| FreeSpace {
+            .map(|t| TableState {
+                index: BTreeMap::new(),
                 high_water: 0,
                 freed: BTreeSet::new(),
-                capacity: t.n_pages * t.spp as u64,
+                capacity: t.capacity().expect("checked where the catalog came in"),
             })
             .collect();
         Database {
@@ -329,8 +361,7 @@ impl Database {
                 st: RefCell::new(DbSt {
                     next_txn: 1,
                     active: FastMap::default(),
-                    index: BTreeMap::new(),
-                    free,
+                    tables: states,
                 }),
                 stopped: Cell::new(false),
                 shutdown: Event::new(),
@@ -411,13 +442,10 @@ impl Database {
 
     /// Rows currently indexed in `table` (for audits).
     pub fn row_count(&self, table: TableId) -> u64 {
-        self.inner
-            .st
-            .borrow()
-            .index
-            .keys()
-            .filter(|(t, _)| *t == table)
-            .count() as u64
+        let st = self.inner.st.borrow();
+        st.tables
+            .get(table.0 as usize)
+            .map_or(0, |t| t.index.len() as u64)
     }
 
     /// Marks the engine stopped; in-flight operations fail with
@@ -456,22 +484,10 @@ impl Database {
         self.check_live()?;
         self.charge(self.inner.cfg.profile.cpu_read).await;
         let meta = self.table_meta(table)?;
-        let addr = match self.inner.st.borrow().index.get(&(table, key)) {
-            Some(a) => *a,
-            None => return Ok(None),
+        let Some(addr) = self.slot_of(table, key) else {
+            return Ok(None);
         };
-        let frame = self
-            .inner
-            .pool
-            .fetch(addr.page, table, meta.slot_size, false)
-            .await?;
-        let got = frame.borrow().page.read_slot(addr.slot);
-        match got {
-            Some((k, bytes)) if k == key => Ok(Some(bytes)),
-            // The slot was reused under us (concurrent delete+insert);
-            // treat as not found under this weak read isolation.
-            _ => Ok(None),
-        }
+        self.read_row(meta, addr, key).await
     }
 
     /// Reads a row under the transaction's exclusive lock (SELECT ... FOR
@@ -487,33 +503,11 @@ impl Database {
         self.check_live()?;
         self.charge(self.inner.cfg.profile.cpu_read).await;
         let meta = self.table_meta(table)?;
-        self.txn_chain(txn)?;
-        self.inner
-            .locks
-            .acquire(&self.inner.ctx, txn, table, key)
-            .await?;
-        self.inner
-            .st
-            .borrow_mut()
-            .active
-            .get_mut(&txn)
-            .ok_or(DbError::NoSuchTxn(txn))?
-            .locks
-            .push((table, key));
-        let addr = match self.inner.st.borrow().index.get(&(table, key)) {
-            Some(a) => *a,
-            None => return Ok(None),
+        self.lock_row(txn, table, key).await?;
+        let Some(addr) = self.slot_of(table, key) else {
+            return Ok(None);
         };
-        let frame = self
-            .inner
-            .pool
-            .fetch(addr.page, table, meta.slot_size, false)
-            .await?;
-        let got = frame.borrow().page.read_slot(addr.slot);
-        match got {
-            Some((k, bytes)) if k == key => Ok(Some(bytes)),
-            _ => Ok(None),
-        }
+        self.read_row(meta, addr, key).await
     }
 
     /// Returns up to `limit` rows with keys in `[lo, hi]`, in ascending key
@@ -534,39 +528,45 @@ impl Database {
         }
         // Snapshot the matching index entries, then fetch pages without
         // holding the state borrow.
-        let addrs: Vec<(Key, SlotAddr)> = self
-            .inner
-            .st
-            .borrow()
+        let addrs: Vec<(Key, SlotAddr)> = self.inner.st.borrow().tables[table.0 as usize]
             .index
-            .range((table, lo)..=(table, hi))
+            .range(lo..=hi)
             .take(limit)
-            .map(|((_, k), a)| (*k, *a))
+            .map(|(&k, &flat)| (k, meta.slot_addr(flat)))
             .collect();
         let mut out = Vec::with_capacity(addrs.len());
         for (key, addr) in addrs {
             // Amortised per-row read cost.
             self.charge(self.inner.cfg.profile.cpu_read / 4).await;
-            let frame = self
-                .inner
-                .pool
-                .fetch(addr.page, table, meta.slot_size, false)
-                .await?;
-            let got = frame.borrow().page.read_slot(addr.slot);
-            if let Some((k, bytes)) = got {
-                if k == key {
-                    out.push((key, bytes));
-                }
+            if let Some(bytes) = self.read_row(meta, addr, key).await? {
+                out.push((key, bytes));
             }
         }
         Ok(out)
     }
 
-    fn addr_of(meta: &TableMeta, flat: u64) -> SlotAddr {
-        SlotAddr {
-            page: PageId(meta.base_page + flat / meta.spp as u64),
-            slot: (flat % meta.spp as u64) as u16,
-        }
+    /// Where `key`'s row lives in `table` (a table `table_meta` accepted).
+    fn slot_of(&self, table: TableId, key: Key) -> Option<SlotAddr> {
+        let i = table.0 as usize;
+        let flat = *self.inner.st.borrow().tables[i].index.get(&key)?;
+        Some(self.inner.tables[i].slot_addr(flat))
+    }
+
+    /// `key`'s row at `addr`, read without a lock: `None` if the slot was
+    /// reused under us (a concurrent delete and insert), which this weak
+    /// read isolation reads as not found.
+    async fn read_row(
+        &self,
+        meta: &TableMeta,
+        addr: SlotAddr,
+        key: Key,
+    ) -> DbResult<Option<Vec<u8>>> {
+        let frame = self
+            .inner
+            .pool
+            .fetch(addr.page, meta.id, meta.slot_size, false)
+            .await?;
+        Ok(Self::row_at(&frame, addr, meta.id, key).ok())
     }
 
     /// The bytes of `key`'s row, which `addr` must hold.
@@ -599,6 +599,25 @@ impl Database {
         Ok(frame)
     }
 
+    /// Takes `txn`'s exclusive lock on `key`, held until the transaction
+    /// ends (strict 2PL), once `txn` is known to be active.
+    async fn lock_row(&self, txn: TxnId, table: TableId, key: Key) -> DbResult<()> {
+        self.txn_chain(txn)?;
+        self.inner
+            .locks
+            .acquire(&self.inner.ctx, txn, table, key)
+            .await?;
+        self.inner
+            .st
+            .borrow_mut()
+            .active
+            .get_mut(&txn)
+            .ok_or(DbError::NoSuchTxn(txn))?
+            .locks
+            .push((table, key));
+        Ok(())
+    }
+
     fn txn_chain(&self, txn: TxnId) -> DbResult<Lsn> {
         self.inner
             .st
@@ -621,41 +640,37 @@ impl Database {
                 cap: meta.slot_size as usize,
             });
         }
-        self.txn_chain(txn)?; // validate txn before locking
-        self.inner
-            .locks
-            .acquire(&self.inner.ctx, txn, table, key)
-            .await?;
-        self.inner
-            .st
-            .borrow_mut()
-            .active
-            .get_mut(&txn)
-            .ok_or(DbError::NoSuchTxn(txn))?
-            .locks
-            .push((table, key));
+        self.lock_row(txn, table, key).await?;
         // Allocate a slot.
-        let addr = {
+        let flat = {
             let mut st = self.inner.st.borrow_mut();
-            if st.index.contains_key(&(table, key)) {
+            let ts = &mut st.tables[table.0 as usize];
+            if ts.index.contains_key(&key) {
                 return Err(DbError::Duplicate(table, key));
             }
-            let fs = &mut st.free[table.0 as usize];
-            let flat = if let Some(&f) = fs.freed.iter().next() {
-                fs.freed.remove(&f);
+            if let Some(f) = ts.freed.pop_first() {
                 f
-            } else if fs.high_water < fs.capacity {
-                let f = fs.high_water;
-                fs.high_water += 1;
+            } else if ts.high_water < ts.capacity {
+                let f = ts.high_water;
+                ts.high_water += 1;
                 f
             } else {
                 return Err(DbError::TableFull(table));
-            };
-            Self::addr_of(meta, flat)
+            }
         };
-        let frame = self.fetch_for_write(meta, addr.page).await?;
-        let prev = self.txn_chain(txn)?;
-        let (lsn, _) = self.inner.wal.append(&Record::Insert {
+        // A step that fails before the row is indexed gives the slot back.
+        let give_back = |_: &DbError| {
+            self.inner.st.borrow_mut().tables[table.0 as usize]
+                .freed
+                .insert(flat);
+        };
+        let addr = meta.slot_addr(flat);
+        let frame = self
+            .fetch_for_write(meta, addr.page)
+            .await
+            .inspect_err(give_back)?;
+        let prev = self.txn_chain(txn).inspect_err(give_back)?;
+        let record = Record::Insert {
             txn,
             prev,
             table,
@@ -663,7 +678,8 @@ impl Database {
             slot: addr.slot,
             key,
             after: row.to_vec(),
-        })?;
+        };
+        let (lsn, _) = self.inner.wal.append(&record).inspect_err(give_back)?;
         {
             let mut f = frame.borrow_mut();
             f.page.write_slot(addr.slot, key, row);
@@ -671,7 +687,7 @@ impl Database {
         }
         BufferPool::mark_dirty(&frame);
         let mut st = self.inner.st.borrow_mut();
-        st.index.insert((table, key), addr);
+        st.tables[table.0 as usize].index.insert(key, flat);
         let t = st.active.get_mut(&txn).ok_or(DbError::NoSuchTxn(txn))?;
         t.last_lsn = lsn;
         t.undo.push(UndoEntry {
@@ -696,25 +712,9 @@ impl Database {
                 cap: meta.slot_size as usize,
             });
         }
-        self.txn_chain(txn)?;
-        self.inner
-            .locks
-            .acquire(&self.inner.ctx, txn, table, key)
-            .await?;
-        self.inner
-            .st
-            .borrow_mut()
-            .active
-            .get_mut(&txn)
-            .ok_or(DbError::NoSuchTxn(txn))?
-            .locks
-            .push((table, key));
-        let addr = *self
-            .inner
-            .st
-            .borrow()
-            .index
-            .get(&(table, key))
+        self.lock_row(txn, table, key).await?;
+        let addr = self
+            .slot_of(table, key)
             .ok_or(DbError::NotFound(table, key))?;
         let frame = self.fetch_for_write(meta, addr.page).await?;
         let before = Self::row_at(&frame, addr, table, key)?;
@@ -757,38 +757,26 @@ impl Database {
         self.check_live()?;
         self.charge(self.inner.cfg.profile.cpu_write).await;
         let meta = self.table_meta(table)?;
-        self.txn_chain(txn)?;
-        self.inner
-            .locks
-            .acquire(&self.inner.ctx, txn, table, key)
-            .await?;
-        self.inner
-            .st
-            .borrow_mut()
-            .active
-            .get_mut(&txn)
-            .ok_or(DbError::NoSuchTxn(txn))?
-            .locks
-            .push((table, key));
-        let addr = *self
-            .inner
-            .st
-            .borrow()
-            .index
-            .get(&(table, key))
+        self.lock_row(txn, table, key).await?;
+        let addr = self
+            .slot_of(table, key)
             .ok_or(DbError::NotFound(table, key))?;
         let frame = self.fetch_for_write(meta, addr.page).await?;
         let before = Self::row_at(&frame, addr, table, key)?;
         let prev = self.txn_chain(txn)?;
-        let (lsn, _) = self.inner.wal.append(&Record::Delete {
+        let record = Record::Delete {
             txn,
             prev,
             table,
             page: addr.page,
             slot: addr.slot,
             key,
-            before: before.clone(),
-        })?;
+            before,
+        };
+        let (lsn, _) = self.inner.wal.append(&record)?;
+        let Record::Delete { before, .. } = record else {
+            unreachable!("built as a delete")
+        };
         {
             let mut f = frame.borrow_mut();
             f.page.clear_slot(addr.slot);
@@ -796,9 +784,9 @@ impl Database {
         }
         BufferPool::mark_dirty(&frame);
         let mut st = self.inner.st.borrow_mut();
-        st.index.remove(&(table, key));
-        let flat = (addr.page.0 - meta.base_page) * meta.spp as u64 + addr.slot as u64;
-        st.free[table.0 as usize].freed.insert(flat);
+        let ts = &mut st.tables[table.0 as usize];
+        ts.index.remove(&key);
+        ts.freed.insert(meta.flat(addr));
         let t = st.active.get_mut(&txn).ok_or(DbError::NoSuchTxn(txn))?;
         t.last_lsn = lsn;
         t.undo.push(UndoEntry {
@@ -889,18 +877,16 @@ impl Database {
             BufferPool::mark_dirty(&frame);
             // Fix the derived state; recovery's undo resumes at this CLR.
             let mut st = self.inner.st.borrow_mut();
+            let ts = &mut st.tables[entry.table.0 as usize];
+            let flat = meta.flat(entry.addr);
             match &action {
                 ClrAction::Restore(_) => {
-                    st.index.insert((entry.table, entry.key), entry.addr);
-                    let flat = (entry.addr.page.0 - meta.base_page) * meta.spp as u64
-                        + entry.addr.slot as u64;
-                    st.free[entry.table.0 as usize].freed.remove(&flat);
+                    ts.index.insert(entry.key, flat);
+                    ts.freed.remove(&flat);
                 }
                 ClrAction::Clear => {
-                    st.index.remove(&(entry.table, entry.key));
-                    let flat = (entry.addr.page.0 - meta.base_page) * meta.spp as u64
-                        + entry.addr.slot as u64;
-                    st.free[entry.table.0 as usize].freed.insert(flat);
+                    ts.index.remove(&entry.key);
+                    ts.freed.insert(flat);
                 }
             }
             if let Some(state) = st.active.get_mut(&txn) {
@@ -1018,7 +1004,7 @@ mod tests {
 
     #[test]
     fn catalog_roundtrip() {
-        let tables = layout_tables(&small_tables());
+        let tables = layout_tables(&small_tables()).unwrap();
         let bytes = encode_catalog(&tables);
         let back = decode_catalog(&bytes).unwrap();
         assert_eq!(back.len(), 2);
@@ -1030,6 +1016,41 @@ mod tests {
         let mut bad = bytes.clone();
         bad[6] ^= 1;
         assert!(decode_catalog(&bad).is_err());
+    }
+
+    /// A table over `u32::MAX` slots is refused where it enters, at
+    /// `create`; one of exactly `u32::MAX` slots is not.
+    #[test]
+    fn layout_refuses_a_table_over_u32_max_slots() {
+        // 21-byte slots: 255 per page, which divides u32::MAX.
+        let table = |max_rows| TableDef {
+            name: "huge".to_string(),
+            slot_size: 21,
+            max_rows,
+        };
+        let tables = layout_tables(&[table(u32::MAX as u64)]).unwrap();
+        assert_eq!(tables[0].n_pages * tables[0].spp as u64, u32::MAX as u64);
+        for max_rows in [u32::MAX as u64 + 1, u64::MAX] {
+            assert!(matches!(
+                layout_tables(&[table(max_rows)]),
+                Err(DbError::Corrupt(_))
+            ));
+        }
+    }
+
+    /// A catalog whose CRC holds but whose table is over `u32::MAX` slots
+    /// (or whose slot count overflows, or is zero) is corrupt on open.
+    #[test]
+    fn a_catalog_table_over_u32_max_slots_is_corrupt() {
+        let good = layout_tables(&small_tables()).unwrap();
+        for (n_pages, spp) in [(u32::MAX as u64, 8), (u64::MAX, 8), (4, 0)] {
+            let mut tables = good.clone();
+            (tables[1].n_pages, tables[1].spp) = (n_pages, spp);
+            assert!(matches!(
+                decode_catalog(&encode_catalog(&tables)),
+                Err(DbError::Corrupt(_))
+            ));
+        }
     }
 
     /// Two transactions update two rows in opposite orders, the second a
@@ -1383,6 +1404,63 @@ mod tests {
             // Deleting frees a slot which gets reused.
             db.delete(txn, t, 0).await.unwrap();
             db.insert(txn, t, 10_000, b"r").await.unwrap();
+            db.commit(txn).await.unwrap();
+            db.stop();
+            d2.set(true);
+        });
+        sim.run();
+        assert!(done.get());
+    }
+
+    /// An insert that fails after taking its slot (the page read hits a
+    /// media error) gives the slot back: once the sector is remapped, the
+    /// table still holds exactly its capacity.
+    #[test]
+    fn a_failed_insert_gives_its_slot_back() {
+        let mut sim = Sim::new(5);
+        let c2 = sim.ctx();
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        sim.spawn(async move {
+            let data = Rc::new(Disk::new(&c2, specs::instant(64 << 20)));
+            let log = Rc::new(Disk::new(&c2, specs::instant(16 << 20)));
+            let defs = vec![TableDef {
+                name: "one".to_string(),
+                slot_size: 32,
+                max_rows: 1,
+            }];
+            let data_dev = Rc::clone(&data) as Rc<dyn BlockDevice>;
+            let db = Database::create(
+                &c2,
+                DbConfig::default(),
+                &defs,
+                data_dev,
+                log,
+                DomainId::ROOT,
+            )
+            .await
+            .unwrap();
+            let t = db.table("one").unwrap();
+            let meta = db.table_meta(t).unwrap();
+            assert_eq!(meta.n_pages, 1);
+            let cap = meta.spp as u64;
+            let sector = meta.base_page * PAGE_SECTORS;
+            data.mark_bad(sector);
+            let txn = db.begin().await.unwrap();
+            assert_eq!(
+                db.insert(txn, t, 0, b"r").await,
+                Err(DbError::Io(rapilog_simdisk::IoError::MediaError { sector }))
+            );
+            db.abort(txn).await.unwrap();
+            assert!(data.remap(sector));
+            let txn = db.begin().await.unwrap();
+            for k in 0..cap {
+                db.insert(txn, t, k, b"r").await.unwrap();
+            }
+            assert_eq!(
+                db.insert(txn, t, cap, b"r").await,
+                Err(DbError::TableFull(t))
+            );
             db.commit(txn).await.unwrap();
             db.stop();
             d2.set(true);

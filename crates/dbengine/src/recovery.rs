@@ -47,7 +47,7 @@ use rapilog_simcore::{DomainId, SimCtx, SimDuration};
 use rapilog_simdisk::{BlockDevice, SECTOR_SIZE};
 
 use crate::buffer::BufferPool;
-use crate::engine::{Database, DbConfig, TableMeta, IO_RETRIES, IO_RETRY_DELAY};
+use crate::engine::{Database, DbConfig, SlotAddr, TableMeta, IO_RETRIES, IO_RETRY_DELAY};
 use crate::error::{DbError, DbResult};
 use crate::retry::RetryingDevice;
 use crate::types::{Lsn, PageId, TxnId};
@@ -541,9 +541,10 @@ impl Database {
     /// Scans every table page, rebuilding the key index and free lists.
     pub(crate) async fn rebuild_index(&self) -> DbResult<()> {
         let tables = self.inner.tables.clone();
-        for meta in &tables {
-            let mut max_flat: Option<u64> = None;
-            let mut occupied: FastSet<u64> = FastSet::default();
+        for (t, meta) in tables.iter().enumerate() {
+            // Pages and their slots come in ascending order, so every slot
+            // between two rows is free.
+            let mut high_water = 0;
             for p in 0..meta.n_pages {
                 let pid = PageId(meta.base_page + p);
                 let frame = self
@@ -553,19 +554,15 @@ impl Database {
                     .await?;
                 let rows = frame.borrow().page.occupied();
                 let mut st = self.inner.st.borrow_mut();
+                let ts = &mut st.tables[t];
                 for (slot, key) in rows {
-                    let flat = p * meta.spp as u64 + slot as u64;
-                    occupied.insert(flat);
-                    max_flat = Some(max_flat.map_or(flat, |m: u64| m.max(flat)));
-                    st.index
-                        .insert((meta.id, key), crate::engine::SlotAddr { page: pid, slot });
+                    let flat = meta.flat(SlotAddr { page: pid, slot });
+                    ts.freed.extend(high_water..flat);
+                    high_water = flat + 1;
+                    ts.index.insert(key, flat);
                 }
             }
-            let high_water = max_flat.map_or(0, |m| m + 1);
-            let mut st = self.inner.st.borrow_mut();
-            let fs = &mut st.free[meta.id.0 as usize];
-            fs.high_water = high_water;
-            fs.freed = (0..high_water).filter(|f| !occupied.contains(f)).collect();
+            self.inner.st.borrow_mut().tables[t].high_water = high_water;
         }
         Ok(())
     }
@@ -576,7 +573,8 @@ mod tests {
     use super::*;
     use crate::engine::TableDef;
     use crate::page::PAGE_SECTORS;
-    use rapilog_simcore::Sim;
+    use crate::types::{Key, TableId};
+    use rapilog_simcore::{Sim, SimRng};
     use rapilog_simdisk::{specs, Disk};
     use std::cell::Cell as StdCell;
 
@@ -629,6 +627,103 @@ mod tests {
             .await
             .expect("recovery");
             check(db2.clone(), report).await;
+            db2.stop();
+            d2.set(true);
+        });
+        sim.run();
+        assert!(done.get(), "scenario completed");
+    }
+
+    /// Seeded inserts, updates, deletes and aborts over three tables that
+    /// share key values, against one model map per table: after every
+    /// commit each table's full scan and row count read as its model, and
+    /// again after a crash and `open`, whose `rebuild_index` must rebuild
+    /// the index the live engine kept, free slots included (the reopened
+    /// engine runs more rounds on them).
+    #[test]
+    fn index_matches_a_per_table_model() {
+        type Model = Vec<BTreeMap<Key, Vec<u8>>>;
+        async fn check(db: &Database, model: &Model) {
+            for (t, rows) in model.iter().enumerate() {
+                let t = TableId(t as u16);
+                let want: Vec<(Key, Vec<u8>)> = rows.iter().map(|(k, v)| (*k, v.clone())).collect();
+                assert_eq!(
+                    db.scan_range(t, 0, u64::MAX, usize::MAX).await.unwrap(),
+                    want
+                );
+                assert_eq!(db.row_count(t), want.len() as u64);
+            }
+        }
+        async fn rounds(db: &Database, rng: &mut SimRng, model: &mut Model, n: u32) {
+            for _ in 0..n {
+                let txn = db.begin().await.unwrap();
+                let mut staged = model.clone();
+                for _ in 0..rng.gen_range(1..8u32) {
+                    let t = rng.gen_range(0..3usize);
+                    let (table, key) = (TableId(t as u16), rng.gen_range(0..24u64));
+                    let row = rng.next_u64().to_le_bytes();
+                    let op = rng.gen_range(0..3u32);
+                    let done = match op {
+                        0 => db.insert(txn, table, key, &row).await,
+                        1 => db.update(txn, table, key, &row).await,
+                        _ => db.delete(txn, table, key).await,
+                    };
+                    match done {
+                        Ok(()) if op == 2 => {
+                            staged[t].remove(&key);
+                        }
+                        Ok(()) => {
+                            staged[t].insert(key, row.to_vec());
+                        }
+                        Err(DbError::Duplicate(..) | DbError::NotFound(..)) => {}
+                        Err(e) => panic!("unexpected engine error: {e}"),
+                    }
+                }
+                if rng.gen_range(0..4u32) == 0 {
+                    db.abort(txn).await.unwrap();
+                } else {
+                    db.commit(txn).await.unwrap();
+                    *model = staged;
+                }
+                check(db, model).await;
+            }
+        }
+        let mut sim = Sim::new(13);
+        let c2 = sim.ctx();
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        sim.spawn(async move {
+            let data: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::instant(64 << 20)));
+            let log: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::instant(64 << 20)));
+            let defs: Vec<TableDef> = ["a", "b", "c"]
+                .iter()
+                .map(|name| TableDef {
+                    name: name.to_string(),
+                    slot_size: 16,
+                    max_rows: 32,
+                })
+                .collect();
+            let cfg = DbConfig::default;
+            let db = Database::create(
+                &c2,
+                cfg(),
+                &defs,
+                Rc::clone(&data),
+                Rc::clone(&log),
+                DomainId::ROOT,
+            )
+            .await
+            .unwrap();
+            let mut rng = SimRng::seed_from_u64(0x1DE5);
+            let mut model: Model = vec![BTreeMap::new(); 3];
+            rounds(&db, &mut rng, &mut model, 150).await;
+            assert!(model.iter().all(|rows| !rows.is_empty()));
+            db.stop();
+            let (db2, _) = Database::open(&c2, cfg(), data, log, DomainId::ROOT)
+                .await
+                .expect("recovery");
+            check(&db2, &model).await;
+            rounds(&db2, &mut rng, &mut model, 50).await;
             db2.stop();
             d2.set(true);
         });

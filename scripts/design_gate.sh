@@ -81,6 +81,10 @@
 #     file: a replicated instance has one tenant, a frame carries one
 #     admitted extent and an ack one sequence number, so no report, apply
 #     loop or audit section keeps a per-tenant replication row.
+# (l) The key index is per table. Fails if a `BTreeMap<(TableId, Key)`
+#     reappears in the non-test part of any `crates/dbengine/src` file: each
+#     table keeps its own ordered map from key to a u32 slot in its region,
+#     so no global map spends a table id and a page address on every row.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -535,6 +539,16 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+# ---- (l) the key index is per table --------------------------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nF 'BTreeMap<(TableId, Key)' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f keys a map by (table, key) again (the key index is one map per table):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates/dbengine/src -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
@@ -549,3 +563,4 @@ echo "design_gate: ok    the disk is write-through (no CacheSpec, writeback_loop
 echo "design_gate: ok    one figures binary (no other bin runs run_perf, none of the thirteen per-figure bins is back)"
 echo "design_gate: ok    no config field that only its default sets (every other hit is in $ALLOW, and every line there is still one)"
 echo "design_gate: ok    log shipping is one stream (no ReplTenantStatus, StandbyTenantStatus, TenantApply, record_replicated or replicated_seq)"
+echo "design_gate: ok    the key index is per table (no BTreeMap<(TableId, Key) in crates/dbengine/src)"
