@@ -10,22 +10,26 @@
 //!    device API, overlapping CRC validation and frame decode with media
 //!    latency and letting a rotating disk stream from one chunk into the
 //!    next. The read-ahead past the torn tail is discarded, not waited
-//!    for, and the partial tail sector the rebuilt WAL needs comes from
-//!    the scan buffer.
-//! 2. **Analysis** classifies transactions into committed, aborted and
-//!    *losers* (active at the crash), seeding the loser set from the
-//!    checkpoint record's active-transaction table, and picks up the
-//!    checkpoint's dirty-page table: records older than the checkpoint
-//!    touching pages that were clean on media when it was taken (absent
-//!    from the table, or below their recLSN) need no redo at all.
+//!    for. The scan keeps the log bytes it read, never a decoded copy:
+//!    the bytes are the record (and end in the WAL's partial tail sector).
+//! 2. **Analysis** runs on each record as the scan decodes it, keeping
+//!    `(LSN, page)` of a page-touching one; it classifies transactions
+//!    into committed, aborted and *losers* (active at the crash), seeding
+//!    the loser set from the checkpoint record's active-transaction table,
+//!    and picks up the checkpoint's dirty-page table: records older than
+//!    the checkpoint touching pages that were clean on media when it was
+//!    taken (absent from the table, or below their recLSN) need no redo.
 //! 3. **Redo** replays every surviving page-touching record whose LSN is
 //!    newer than the page's LSN. Replay order only has to respect the
 //!    per-page LSN order — the same dependency argument the drain uses
-//!    for sector-overlap edges — so redo partitions the records into
-//!    per-page chains and replays the chains as concurrent tasks,
-//!    overlapping their page reads across device channels.
-//! 4. **Undo** rolls every loser back through its `prev` chain, writing
-//!    compensation records, and closes it with an abort record.
+//!    for sector-overlap edges — so redo partitions the LSNs into per-page
+//!    chains and replays the chains as concurrent tasks, overlapping their
+//!    page reads across device channels; a chain decodes each record from
+//!    the scanned bytes when it reaches it.
+//! 4. **Undo** rolls every loser back through its `prev` chain (decoded
+//!    from the scanned bytes, or read from the device below the scan
+//!    start), writing compensation records, and closes it with an abort
+//!    record.
 //!
 //! Any interleaving of the chains is a correct replay, so the oracle is
 //! the committed state itself: `recovery_restores_the_committed_model`
@@ -49,6 +53,7 @@ use rapilog_simdisk::{BlockDevice, SECTOR_SIZE};
 use crate::buffer::BufferPool;
 use crate::engine::{Database, DbConfig, SlotAddr, TableMeta, IO_RETRIES, IO_RETRY_DELAY};
 use crate::error::{DbError, DbResult};
+use crate::page::PAGE_SIZE;
 use crate::retry::RetryingDevice;
 use crate::types::{Lsn, PageId, TxnId};
 use crate::wal::{ClrAction, Record, StreamReader, Superblock, Wal, RECORD_HEADER};
@@ -133,91 +138,106 @@ async fn apply_page_record(
     rec: &Record,
 ) -> DbResult<bool> {
     // Applied in place, borrowing images and row bytes straight from the
-    // record: redo visits every scanned record, so a per-record boxed
-    // closure (and an 8 KiB image clone per full-page record) is pure
-    // overhead — most applications are skipped by the LSN check anyway.
-    let page = match rec {
-        Record::FullPage { page, .. }
-        | Record::Insert { page, .. }
-        | Record::Update { page, .. }
-        | Record::Delete { page, .. }
-        | Record::Clr { page, .. } => *page,
-        _ => return Ok(false),
+    // record: no per-record closure, no 8 KiB image clone.
+    let Some(page) = rec.page() else {
+        return Ok(false);
     };
     let meta = meta_for_page(tables, page)?;
     let frame = pool.fetch(page, meta.id, meta.slot_size, true).await?;
-    let stale = frame.borrow().page.lsn() < lsn;
-    if stale {
-        {
-            let mut f = frame.borrow_mut();
-            match rec {
-                Record::FullPage { image, .. } => f.page.restore_image(image),
-                Record::Insert {
-                    slot, key, after, ..
-                }
-                | Record::Update {
-                    slot, key, after, ..
-                } => f.page.write_slot(*slot, *key, after),
-                Record::Delete { slot, .. } => f.page.clear_slot(*slot),
-                Record::Clr {
-                    slot, key, action, ..
-                } => match action {
-                    ClrAction::Restore(bytes) => f.page.write_slot(*slot, *key, bytes),
-                    ClrAction::Clear => f.page.clear_slot(*slot),
-                },
-                _ => unreachable!("page id extracted above"),
-            }
-            f.page.set_lsn(lsn);
-        }
-        BufferPool::mark_dirty(&frame);
-        return Ok(true);
+    if frame.borrow().page.lsn() >= lsn {
+        return Ok(false);
     }
-    Ok(false)
+    // A record that passed its CRC can still not fit the page (a slot past
+    // the page's last, a row longer than the table's slot, an image that is
+    // not a page): the log is corrupt, which is an error, not a panic.
+    let (spp, slot_size) = (meta.spp, meta.slot_size as usize);
+    let mut f = frame.borrow_mut();
+    match rec {
+        Record::FullPage { image, .. } if image.len() == PAGE_SIZE => f.page.restore_image(image),
+        Record::Insert {
+            slot, key, after, ..
+        }
+        | Record::Update {
+            slot, key, after, ..
+        }
+        | Record::Clr {
+            slot,
+            key,
+            action: ClrAction::Restore(after),
+            ..
+        } if *slot < spp && after.len() <= slot_size => f.page.write_slot(*slot, *key, after),
+        Record::Delete { slot, .. }
+        | Record::Clr {
+            slot,
+            action: ClrAction::Clear,
+            ..
+        } if *slot < spp => f.page.clear_slot(*slot),
+        _ => return Err(DbError::Corrupt(format!("record at {lsn} does not fit"))),
+    }
+    f.page.set_lsn(lsn);
+    drop(f);
+    BufferPool::mark_dirty(&frame);
+    Ok(true)
 }
 
-/// What the scan phase read back from the log.
+/// The log bytes the scan read back: every valid record, still encoded,
+/// decoded again only when redo or undo needs it.
 struct Scan {
-    /// Every valid record from the scan start to the torn tail.
-    records: Vec<(Lsn, Record)>,
+    /// The stream from the first byte of the sector `from` sits in up to
+    /// `log_end`.
+    bytes: Vec<u8>,
+    /// Where the scan started.
+    from: Lsn,
     /// End of the durable log: the position of the first invalid frame.
     log_end: Lsn,
+}
+
+impl Scan {
+    /// The record that starts at `lsn`, decoded from the retained bytes;
+    /// `None` outside `[from, log_end)` or, if `verify`, where no record
+    /// starts. Redo trusts the LSNs the scan handed it; undo follows `prev`
+    /// pointers, which could point anywhere, so it verifies.
+    fn record_at(&self, lsn: Lsn, verify: bool) -> Option<Record> {
+        if lsn < self.from || lsn >= self.log_end {
+            return None;
+        }
+        let at = (lsn.0 - self.from.0 + self.from.0 % SECTOR_SIZE as u64) as usize;
+        Record::decode_as(&self.bytes[at..], verify.then_some(lsn), true).map(|(rec, _)| rec)
+    }
+
     /// The bytes of the sector `log_end` sits in, from the sector's first
     /// byte up to `log_end` (empty when `log_end` is sector aligned): the
     /// partial tail sector future WAL flushes rewrite.
-    tail: Vec<u8>,
+    fn tail(&self) -> &[u8] {
+        let len = (self.log_end.0 % SECTOR_SIZE as u64) as usize;
+        &self.bytes[self.bytes.len() - len..]
+    }
 }
 
 /// Reads the log back from `from`, validating CRC and LSN continuity, until
 /// the first invalid frame — one sequential sweep with up to `window` chunk
-/// reads submitted.
-async fn scan_log(log_dev: &dyn BlockDevice, from: Lsn, window: usize) -> DbResult<Scan> {
+/// reads submitted. The bytes stay (no per-chunk drain); `analyse` sees each
+/// record as the scan validates it, decoded with its row images left out,
+/// and the record is dropped at once.
+async fn scan_log(
+    log_dev: &dyn BlockDevice,
+    from: Lsn,
+    window: usize,
+    mut analyse: impl FnMut(Lsn, &Record),
+) -> DbResult<Scan> {
     let region_sectors = log_dev.geometry().sectors - 1;
     let region_bytes = region_sectors * SECTOR_SIZE as u64;
     let mut reader = StreamReader::new(log_dev, region_sectors, from, CHUNK, window);
-    let mut records: Vec<(Lsn, Record)> = Vec::new();
-    // The buffer is consumed through `off` rather than drained per record:
-    // a drain memmoves the whole remainder, which turns a scan of n small
-    // records into O(n·CHUNK) byte shuffling. Consumed bytes are reclaimed
-    // in one amortised drain per chunk instead.
-    //
-    // `buf[0]` always sits on a sector boundary of the stream (the reader
-    // yields whole sectors and the drain drops whole sectors), so the
-    // sector the cursor is in is always buffered from its first byte: when
-    // the scan stops, that is the WAL's partial tail sector, with no need
-    // to read it again.
+    // `buf[0]` sits on the sector boundary at or before `from` (the reader
+    // yields whole sectors), so the sector the cursor is in is always
+    // buffered from its first byte: when the scan stops, that is the WAL's
+    // partial tail sector, with no need to read it again.
     let mut buf: Vec<u8> = Vec::new();
     let mut off = (from.0 % SECTOR_SIZE as u64) as usize;
     let mut pos = from;
-    'scan: loop {
-        if pos.0 - from.0 >= region_bytes {
-            break; // wrapped the whole region: cannot happen in a sane log
-        }
-        if off >= CHUNK {
-            let consumed = off / SECTOR_SIZE * SECTOR_SIZE;
-            buf.drain(..consumed);
-            off -= consumed;
-        }
-        // Ensure a frame header, then the whole frame, is buffered.
+    'scan: while pos.0 - from.0 < region_bytes {
+        // (A sane log never fills the whole region.) Ensure a frame header,
+        // then the whole frame, is buffered.
         while buf.len() < off + RECORD_HEADER {
             if reader.fill(&mut buf).await? == 0 {
                 break 'scan; // region exhausted mid-frame: torn tail
@@ -233,25 +253,21 @@ async fn scan_log(log_dev: &dyn BlockDevice, from: Lsn, window: usize) -> DbResu
                 break 'scan;
             }
         }
-        match Record::decode(&buf[off..off + total], pos) {
-            Some((rec, n)) => {
-                records.push((pos, rec));
-                off += n;
-                pos = pos.advance(n as u64);
-            }
-            None => break, // CRC/LSN failure: torn tail
-        }
+        let Some((rec, n)) = Record::decode_as(&buf[off..off + total], Some(pos), false) else {
+            break; // CRC/LSN failure: torn tail
+        };
+        analyse(pos, &rec);
+        off += n;
+        pos = pos.advance(n as u64);
     }
     // The read-ahead past the torn tail is not waited for: its completions
-    // are dropped as they arrive.
+    // are dropped as they arrive, and the bytes of it already read go.
     reader.abandon();
-    // A mid-sector cursor implies at least one fill succeeded, so the
-    // sector's leading bytes are in the buffer.
-    let tail_len = (pos.0 % SECTOR_SIZE as u64) as usize;
+    buf.truncate(off);
     Ok(Scan {
-        records,
+        bytes: buf,
+        from,
         log_end: pos,
-        tail: buf[off - tail_len..off].to_vec(),
     })
 }
 
@@ -289,27 +305,21 @@ impl Database {
             .await?
             .ok_or_else(|| DbError::Corrupt("no superblock: not a database".to_string()))?;
 
-        // --- 1. Scan -----------------------------------------------------
-        // One chunk read per device channel in flight plus one more already
-        // waiting at the device, so validation overlaps media latency and a
-        // rotating disk streams from one chunk into the next. The torn-tail
-        // decision depends only on the bytes, never on the window.
-        let window = log_dev.geometry().queue_depth as usize + 1;
-        let Scan {
-            records,
-            log_end,
-            tail,
-        } = scan_log(&*log_dev, sb.checkpoint, window).await?;
-
-        // --- 2. Analysis --------------------------------------------------
+        // --- 1. Scan and 2. Analysis, as the scan validates each record -----
         let mut committed: Vec<TxnId> = Vec::new();
         let mut ended: FastSet<TxnId> = FastSet::default();
         let mut last_lsn: BTreeMap<TxnId, Lsn> = BTreeMap::new();
         // The newest checkpoint's position and dirty-page table (page →
-        // recLSN). Records older than the checkpoint touching pages that
-        // were clean on media when it was taken need no redo.
+        // recLSN). Records older than the checkpoint touching pages that were
+        // clean on media when it was taken need no redo.
         let mut ckpt: Option<(Lsn, FastMap<PageId, Lsn>)> = None;
-        for (lsn, rec) in &records {
+        // Of a page-touching record analysis keeps its LSN and page only.
+        let (mut pages, mut scanned) = (Vec::new(), 0u64);
+        let analyse = |lsn: Lsn, rec: &Record| {
+            scanned += 1;
+            if let Some(page) = rec.page() {
+                pages.push((lsn, page));
+            }
             match rec {
                 Record::Checkpoint { active, dirty } => {
                     for (txn, l) in active {
@@ -318,27 +328,30 @@ impl Database {
                             *e = (*e).max(*l);
                         }
                     }
-                    ckpt = Some((*lsn, dirty.iter().copied().collect()));
+                    ckpt = Some((lsn, dirty.iter().copied().collect()));
                 }
-                Record::Commit { txn } => {
-                    committed.push(*txn);
-                    ended.insert(*txn);
-                    last_lsn.remove(txn);
-                }
-                Record::Abort { txn } => {
+                Record::Commit { txn } | Record::Abort { txn } => {
+                    if let Record::Commit { .. } = rec {
+                        committed.push(*txn);
+                    }
                     ended.insert(*txn);
                     last_lsn.remove(txn);
                 }
                 other => {
-                    if let Some(txn) = other.txn() {
-                        if !ended.contains(&txn) {
-                            let e = last_lsn.entry(txn).or_insert(*lsn);
-                            *e = (*e).max(*lsn);
-                        }
+                    if let Some(txn) = other.txn().filter(|txn| !ended.contains(txn)) {
+                        let e = last_lsn.entry(txn).or_insert(lsn);
+                        *e = (*e).max(lsn);
                     }
                 }
             }
-        }
+        };
+        // One chunk read per device channel in flight plus one more already
+        // waiting at the device, so validation overlaps media latency and a
+        // rotating disk streams from one chunk into the next. The torn-tail
+        // decision depends only on the bytes, never on the window.
+        let window = log_dev.geometry().queue_depth as usize + 1;
+        let scan = scan_log(&*log_dev, sb.checkpoint, window, analyse).await?;
+        let log_end = scan.log_end;
 
         // --- Reconstruct the WAL manager at the durable end ---------------
         let wal = Wal::new(
@@ -351,35 +364,26 @@ impl Database {
         );
         // Future flushes rewrite the partial tail sector, so the WAL must
         // hold the bytes already in it — straight from the scan buffer.
-        if !tail.is_empty() {
-            wal.preload_tail(&tail);
+        if !scan.tail().is_empty() {
+            wal.preload_tail(scan.tail());
         }
         let pool = BufferPool::new(Rc::clone(&data_dev), wal.clone(), cfg.pool_pages);
         let scan_done = phase("recover_scan", "recover_redo");
 
         // --- 3. Redo -------------------------------------------------------
-        // Partition the page-touching records into per-page chains (scan
-        // order within a chain, so per-page LSN order is preserved — the
-        // only ordering redo actually needs). The dirty-page-table filter
-        // runs here: a record older than the newest checkpoint whose page
-        // is absent from the table (or below its recLSN) describes a change
-        // that was already on stable media when the checkpoint's cache
-        // barrier completed.
-        let records = Rc::new(records);
-        let mut chains: Vec<Vec<usize>> = Vec::new();
+        // Partition the page-touching records into per-page chains of LSNs
+        // (scan order within a chain, so per-page LSN order is preserved —
+        // the only ordering redo actually needs). The dirty-page-table
+        // filter runs here: a record older than the newest checkpoint whose
+        // page is absent from the table (or below its recLSN) describes a
+        // change that was already on stable media when the checkpoint's
+        // cache barrier completed.
+        let mut chains: Vec<Vec<Lsn>> = Vec::new();
         let mut chain_of: FastMap<PageId, usize> = FastMap::default();
         let mut redo_skipped_clean = 0u64;
-        for (idx, (lsn, rec)) in records.iter().enumerate() {
-            let page = match rec {
-                Record::FullPage { page, .. }
-                | Record::Insert { page, .. }
-                | Record::Update { page, .. }
-                | Record::Delete { page, .. }
-                | Record::Clr { page, .. } => *page,
-                _ => continue,
-            };
+        for (lsn, page) in pages {
             if let Some((ckpt_lsn, dpt)) = &ckpt {
-                if lsn < ckpt_lsn && dpt.get(&page).is_none_or(|rec_lsn| lsn < rec_lsn) {
+                if lsn < *ckpt_lsn && dpt.get(&page).is_none_or(|rec_lsn| lsn < *rec_lsn) {
                     redo_skipped_clean += 1;
                     continue;
                 }
@@ -388,24 +392,27 @@ impl Database {
                 chains.push(Vec::new());
                 chains.len() - 1
             });
-            chains[slot].push(idx);
+            chains[slot].push(lsn);
         }
         // One task per page chain: chains touch disjoint pages, so they
         // replay concurrently, and their page reads overlap across the
         // device's channels. Every chain is joined before undo begins, the
         // failed ones included.
+        let scan = Rc::new(scan);
         let tables_rc = Rc::new(tables.clone());
         let chains: Vec<_> = chains
             .into_iter()
             .map(|chain| {
-                let records = Rc::clone(&records);
+                let scan = Rc::clone(&scan);
                 let tables = Rc::clone(&tables_rc);
                 let pool = pool.clone();
                 ctx.spawn_in(domain, async move {
                     let mut applied = 0u64;
-                    for idx in chain {
-                        let (lsn, rec) = &records[idx];
-                        applied += u64::from(apply_page_record(&pool, &tables, *lsn, rec).await?);
+                    for lsn in chain {
+                        let rec = scan
+                            .record_at(lsn, false)
+                            .expect("a scanned record decodes");
+                        applied += u64::from(apply_page_record(&pool, &tables, lsn, &rec).await?);
                     }
                     DbResult::Ok(applied)
                 })
@@ -420,21 +427,13 @@ impl Database {
 
         // --- 4. Undo -------------------------------------------------------
         let losers: Vec<(TxnId, Lsn)> = last_lsn.into_iter().collect();
-        // Index into the scan by reference: cloning every record here used
-        // to duplicate the whole redo range (full-page images included)
-        // just to serve a handful of undo-chain lookups.
-        let scanned: FastMap<Lsn, &Record> = records.iter().map(|(lsn, rec)| (*lsn, rec)).collect();
-        for (txn, mut at) in losers.clone() {
+        for &(txn, mut at) in &losers {
             while at != Lsn::ZERO {
-                let fetched;
-                let rec: &Record = match scanned.get(&at) {
-                    Some(r) => r,
-                    None => {
-                        fetched = read_record_at(&wal, at).await?;
-                        &fetched
-                    }
+                let rec = match scan.record_at(at, true) {
+                    Some(rec) => rec,
+                    None => read_record_at(&wal, at).await?,
                 };
-                let (clr, next) = match rec {
+                let (prev, page, slot, key, action) = match rec {
                     Record::Update {
                         prev,
                         page,
@@ -442,70 +441,50 @@ impl Database {
                         key,
                         before,
                         ..
-                    } => (
-                        Some(Record::Clr {
-                            txn,
-                            undo_next: *prev,
-                            page: *page,
-                            slot: *slot,
-                            key: *key,
-                            action: ClrAction::Restore(before.clone()),
-                        }),
-                        *prev,
-                    ),
-                    Record::Insert {
-                        prev,
-                        page,
-                        slot,
-                        key,
-                        ..
-                    } => (
-                        Some(Record::Clr {
-                            txn,
-                            undo_next: *prev,
-                            page: *page,
-                            slot: *slot,
-                            key: *key,
-                            action: ClrAction::Clear,
-                        }),
-                        *prev,
-                    ),
-                    Record::Delete {
+                    }
+                    | Record::Delete {
                         prev,
                         page,
                         slot,
                         key,
                         before,
                         ..
-                    } => (
-                        Some(Record::Clr {
-                            txn,
-                            undo_next: *prev,
-                            page: *page,
-                            slot: *slot,
-                            key: *key,
-                            action: ClrAction::Restore(before.clone()),
-                        }),
-                        *prev,
-                    ),
+                    } => (prev, page, slot, key, ClrAction::Restore(before)),
+                    Record::Insert {
+                        prev,
+                        page,
+                        slot,
+                        key,
+                        ..
+                    } => (prev, page, slot, key, ClrAction::Clear),
                     // A CLR from a partially-completed rollback: skip to
                     // whatever it says is next; never undo an undo.
-                    Record::Clr { undo_next, .. } => (None, *undo_next),
-                    Record::Begin { .. } => (None, Lsn::ZERO),
+                    Record::Clr { undo_next, .. } => {
+                        at = undo_next;
+                        continue;
+                    }
+                    Record::Begin { .. } => break,
                     other => {
                         return Err(DbError::Corrupt(format!(
                             "unexpected record in undo chain of {txn:?}: {other:?}"
                         )))
                     }
                 };
-                if let Some(clr) = clr {
-                    let (clr_lsn, _) = wal.append(&clr)?;
-                    apply_page_record(&pool, &tables, clr_lsn, &clr).await?;
-                }
-                at = next;
+                let clr = Record::Clr {
+                    txn,
+                    undo_next: prev,
+                    page,
+                    slot,
+                    key,
+                    action,
+                };
+                let (clr_lsn, _) = wal.append(&clr)?;
+                apply_page_record(&pool, &tables, clr_lsn, &clr).await?;
+                at = prev;
             }
             wal.append(&Record::Abort { txn })?;
         }
+        drop(scan);
         wal.kick();
         let undo_done = phase("recover_undo", "recover_finish");
 
@@ -522,7 +501,7 @@ impl Database {
         tracer.end(finished, Layer::Engine, "recover_finish", Payload::None);
 
         let report = RecoveryReport {
-            scanned_records: records.len() as u64,
+            scanned_records: scanned,
             redo_applied,
             redo_skipped_clean,
             losers_undone: losers.len() as u64,
@@ -729,6 +708,60 @@ mod tests {
         });
         sim.run();
         assert!(done.get(), "scenario completed");
+    }
+
+    /// A record can pass its CRC and still not fit the page it names: a
+    /// slot past the page's last, a row longer than the table's slot, a
+    /// full-page image that is not a page. Redo of each makes `open` fail
+    /// with `DbError::Corrupt`, where `Page` itself would panic.
+    #[test]
+    fn a_record_that_does_not_fit_its_page_is_corrupt_not_a_panic() {
+        for case in 0..3 {
+            let mut sim = Sim::new(9);
+            let c2 = sim.ctx();
+            let done = Rc::new(StdCell::new(false));
+            let d2 = Rc::clone(&done);
+            sim.spawn(async move {
+                let data: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::instant(64 << 20)));
+                let log: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::instant(64 << 20)));
+                let (data2, log2) = (Rc::clone(&data), Rc::clone(&log));
+                let db =
+                    Database::create(&c2, DbConfig::default(), &defs(), data, log, DomainId::ROOT)
+                        .await
+                        .unwrap();
+                let meta = db.table_meta(db.table("t").unwrap()).unwrap().clone();
+                let page = PageId(meta.base_page);
+                let insert = |slot: u16, len: usize| Record::Insert {
+                    txn: TxnId(1 << 40),
+                    prev: Lsn::ZERO,
+                    table: meta.id,
+                    page,
+                    slot,
+                    key: 7,
+                    after: vec![1; len],
+                };
+                let rec = match case {
+                    0 => insert(meta.spp, 1),
+                    1 => insert(0, meta.slot_size as usize + 1),
+                    _ => Record::FullPage {
+                        page,
+                        image: vec![0; PAGE_SIZE / 2],
+                    },
+                };
+                db.wal().append(&rec).unwrap();
+                db.wal().kick();
+                db.wal().wait_durable(db.wal().end()).await.unwrap();
+                db.stop();
+                match Database::open(&c2, DbConfig::default(), data2, log2, DomainId::ROOT).await {
+                    Err(DbError::Corrupt(_)) => {}
+                    Err(e) => panic!("case {case}: {e}"),
+                    Ok(_) => panic!("case {case}: {rec:?} was replayed"),
+                }
+                d2.set(true);
+            });
+            sim.run();
+            assert!(done.get(), "case {case} completed");
+        }
     }
 
     #[test]
@@ -1494,27 +1527,63 @@ mod model_tests {
             let log_img = media_image(&log);
             // The tail the scan hands to `preload_tail` comes out of its
             // own buffer; it must be byte-for-byte what a fresh device read
-            // of that sector returns, at every read-ahead depth.
+            // of that sector returns, at every read-ahead depth. So must
+            // every record redo and undo decode from the scanned bytes.
             let sb = Superblock::decode(&log_img[..SECTOR_SIZE]).expect("superblock");
             let log = Disk::new(&c2, nvme(log_bytes));
             log.poke_media(0, &log_img);
+            let region_sectors = region_bytes / SECTOR_SIZE as u64;
+            let mut ends = Vec::new();
             for window in [1, 2, 5] {
-                let scan = scan_log(&log, sb.checkpoint, window).await.unwrap();
-                let tail_start = scan.log_end.0 - scan.tail.len() as u64;
+                let what = format!("seed {seed} window {window}");
+                let mut analysed = Vec::new();
+                let scan = scan_log(&log, sb.checkpoint, window, |lsn, _| analysed.push(lsn))
+                    .await
+                    .unwrap();
+                ends.push(scan.log_end);
+                let tail = scan.tail();
+                let tail_start = scan.log_end.0 - tail.len() as u64;
                 assert_eq!(tail_start % SECTOR_SIZE as u64, 0);
-                assert!(scan.tail.len() < SECTOR_SIZE);
-                let reread = crate::wal::read_stream(
-                    &log,
-                    region_bytes / SECTOR_SIZE as u64,
-                    Lsn(tail_start),
-                    scan.tail.len(),
-                )
-                .await
-                .unwrap();
+                assert!(tail.len() < SECTOR_SIZE);
+                let reread =
+                    crate::wal::read_stream(&log, region_sectors, Lsn(tail_start), tail.len())
+                        .await
+                        .unwrap();
                 assert!(
-                    scan.tail == reread,
-                    "seed {seed} window {window}: scanned tail differs from a device re-read"
+                    tail == reread,
+                    "{what}: scanned tail differs from a device re-read"
                 );
+                // The scanned range re-read from the device and decoded
+                // frame by frame: the records in scan order, each of which
+                // the scan must decode at its LSN, trusted or verified.
+                let range = (scan.log_end.0 - sb.checkpoint.0) as usize;
+                let stream = crate::wal::read_stream(&log, region_sectors, sb.checkpoint, range)
+                    .await
+                    .unwrap();
+                let (mut at, mut lsns) = (0, Vec::new());
+                while at < range {
+                    let lsn = sb.checkpoint.advance(at as u64);
+                    let (rec, n) = Record::decode(&stream[at..], lsn).expect("scanned frame");
+                    for verify in [false, true] {
+                        let got = scan.record_at(lsn, verify);
+                        assert!(got.as_ref() == Some(&rec), "{what}: the record at {lsn}");
+                    }
+                    lsns.push(lsn);
+                    at += n;
+                }
+                assert!(!lsns.is_empty(), "{what}: nothing scanned");
+                assert_eq!(analysed, lsns, "{what}: analysis saw other records");
+                // Outside: the kept bytes of the sector the scan started
+                // in that lie before its start (the record before the
+                // checkpoint often begins there), the end and beyond.
+                let floor = sb.checkpoint.0 / SECTOR_SIZE as u64 * SECTOR_SIZE as u64;
+                let past = [scan.log_end.0, scan.log_end.0 + 1, u64::MAX];
+                for outside in (floor..sb.checkpoint.0).chain(past).map(Lsn) {
+                    for verify in [false, true] {
+                        let got = scan.record_at(outside, verify);
+                        assert!(got.is_none(), "{what}: a record at {outside}");
+                    }
+                }
                 if wrap {
                     assert!(
                         scan.log_end.0 / region_bytes > sb.checkpoint.0 / region_bytes,
@@ -1525,6 +1594,10 @@ mod model_tests {
                     );
                 }
             }
+            assert!(
+                ends.iter().all(|end| *end == ends[0]),
+                "seed {seed}: the torn tail moved with the window: {ends:?}"
+            );
             let rdata = Disk::new(&c2, nvme(4 << 20));
             let rlog = Disk::new(&c2, nvme(log_bytes));
             rdata.poke_media(0, &data_img);

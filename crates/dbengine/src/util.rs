@@ -139,8 +139,15 @@ impl<'a> Cursor<'a> {
 
     /// Reads a length-prefixed byte string.
     pub fn bytes(&mut self) -> Option<Vec<u8>> {
+        self.bytes_if(true)
+    }
+
+    /// Reads a length-prefixed byte string if `keep`; else steps over it
+    /// and returns it empty, allocating nothing.
+    pub(crate) fn bytes_if(&mut self, keep: bool) -> Option<Vec<u8>> {
         let len = self.u32()? as usize;
-        self.take(len).map(|s| s.to_vec())
+        self.take(len)
+            .map(|s| (if keep { s } else { &[] }).to_vec())
     }
 }
 

@@ -211,6 +211,18 @@ impl Record {
         }
     }
 
+    /// The page a record changes, if any: what redo replays it on.
+    pub fn page(&self) -> Option<PageId> {
+        match self {
+            Record::FullPage { page, .. }
+            | Record::Insert { page, .. }
+            | Record::Update { page, .. }
+            | Record::Delete { page, .. }
+            | Record::Clr { page, .. } => Some(*page),
+            _ => None,
+        }
+    }
+
     fn encode_payload(&self, buf: &mut Vec<u8>) {
         match self {
             Record::Begin { txn } | Record::Commit { txn } | Record::Abort { txn } => {
@@ -309,7 +321,7 @@ impl Record {
         }
     }
 
-    fn decode_payload(kind: u8, payload: &[u8]) -> Option<Record> {
+    fn decode_payload(kind: u8, payload: &[u8], images: bool) -> Option<Record> {
         let mut c = Cursor::new(payload);
         let rec = match kind {
             1 => Record::Begin {
@@ -328,8 +340,8 @@ impl Record {
                 page: PageId(c.u64()?),
                 slot: c.u16()?,
                 key: c.u64()?,
-                before: c.bytes()?,
-                after: c.bytes()?,
+                before: c.bytes_if(images)?,
+                after: c.bytes_if(images)?,
             },
             5 => Record::Insert {
                 txn: TxnId(c.u64()?),
@@ -338,7 +350,7 @@ impl Record {
                 page: PageId(c.u64()?),
                 slot: c.u16()?,
                 key: c.u64()?,
-                after: c.bytes()?,
+                after: c.bytes_if(images)?,
             },
             6 => Record::Delete {
                 txn: TxnId(c.u64()?),
@@ -347,7 +359,7 @@ impl Record {
                 page: PageId(c.u64()?),
                 slot: c.u16()?,
                 key: c.u64()?,
-                before: c.bytes()?,
+                before: c.bytes_if(images)?,
             },
             7 => Record::Clr {
                 txn: TxnId(c.u64()?),
@@ -357,7 +369,7 @@ impl Record {
                 key: c.u64()?,
                 action: match c.u8()? {
                     0 => ClrAction::Clear,
-                    1 => ClrAction::Restore(c.bytes()?),
+                    1 => ClrAction::Restore(c.bytes_if(images)?),
                     _ => return None,
                 },
             },
@@ -378,7 +390,7 @@ impl Record {
             }
             9 => Record::FullPage {
                 page: PageId(c.u64()?),
-                image: c.bytes()?,
+                image: c.bytes_if(images)?,
             },
             _ => return None,
         };
@@ -416,25 +428,25 @@ impl Record {
     /// length, CRC, and that the embedded LSN equals `expected_lsn`.
     /// Returns the record and its total encoded length.
     pub fn decode(data: &[u8], expected_lsn: Lsn) -> Option<(Record, usize)> {
-        if data.len() < RECORD_HEADER {
+        Record::decode_as(data, Some(expected_lsn), true)
+    }
+
+    /// [`Record::decode`] as recovery needs it: with no `expected_lsn` the
+    /// frame's CRC and LSN go unchecked (the scan has checked them), and
+    /// without `images` every row and page image comes back empty and
+    /// unallocated (analysis only classifies a record).
+    pub(crate) fn decode_as(
+        data: &[u8],
+        expected_lsn: Option<Lsn>,
+        images: bool,
+    ) -> Option<(Record, usize)> {
+        let mut c = Cursor::new(data);
+        let (total, crc, lsn) = (c.u32()? as usize, c.u32()?, c.u64()?);
+        let frame = data.get(..total).filter(|_| total >= RECORD_HEADER)?;
+        if expected_lsn.is_some_and(|want| crc32(&frame[8..]) != crc || lsn != want.0) {
             return None;
         }
-        let total = u32::from_le_bytes([data[0], data[1], data[2], data[3]]) as usize;
-        if total < RECORD_HEADER || total > data.len() {
-            return None;
-        }
-        let stored_crc = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
-        if crc32(&data[8..total]) != stored_crc {
-            return None;
-        }
-        let lsn = u64::from_le_bytes([
-            data[8], data[9], data[10], data[11], data[12], data[13], data[14], data[15],
-        ]);
-        if lsn != expected_lsn.0 {
-            return None;
-        }
-        let kind = data[16];
-        let rec = Record::decode_payload(kind, &data[RECORD_HEADER..total])?;
+        let rec = Record::decode_payload(frame[16], &frame[RECORD_HEADER..], images)?;
         Some((rec, total))
     }
 }

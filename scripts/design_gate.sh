@@ -85,6 +85,13 @@
 #     reappears in the non-test part of any `crates/dbengine/src` file: each
 #     table keeps its own ordered map from key to a u32 slot in its region,
 #     so no global map spends a table id and a page address on every row.
+# (m) Recovery keeps the log bytes. Fails if `Vec<(Lsn, Record)>` or
+#     `FastMap<Lsn, &Record>` reappears in the non-test part of
+#     `crates/dbengine/src/recovery.rs`: the scan keeps the bytes it read and
+#     runs analysis as it validates each frame, redo chains hold LSNs, and
+#     redo and undo decode a record from the bytes when they need it, so no
+#     decoded copy of the scanned log (a heap allocation per row image) or
+#     LSN index over one is held beside them.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -549,6 +556,14 @@ while IFS= read -r f; do
     fi
 done < <(find crates/dbengine/src -name '*.rs' | sort)
 
+# ---- (m) recovery keeps the log bytes -------------------------------------------
+hits=$(non_test crates/dbengine/src/recovery.rs | grep -nF -e 'Vec<(Lsn, Record)>' -e 'FastMap<Lsn, &Record>' || true)
+if [[ -n "$hits" ]]; then
+    echo "design_gate: FAIL  crates/dbengine/src/recovery.rs holds decoded records again (recovery keeps the log bytes and decodes a record when it needs it):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
 if ((fail)); then
     exit 1
 fi
@@ -564,3 +579,4 @@ echo "design_gate: ok    one figures binary (no other bin runs run_perf, none of
 echo "design_gate: ok    no config field that only its default sets (every other hit is in $ALLOW, and every line there is still one)"
 echo "design_gate: ok    log shipping is one stream (no ReplTenantStatus, StandbyTenantStatus, TenantApply, record_replicated or replicated_seq)"
 echo "design_gate: ok    the key index is per table (no BTreeMap<(TableId, Key) in crates/dbengine/src)"
+echo "design_gate: ok    recovery keeps the log bytes (no Vec<(Lsn, Record)> or FastMap<Lsn, &Record> in crates/dbengine/src/recovery.rs)"
