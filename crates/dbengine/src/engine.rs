@@ -7,7 +7,7 @@
 //! the whole engine vanishes mid-flight, like a real kernel panic.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
 use rapilog_simcore::bytes::SectorBuf;
@@ -18,13 +18,15 @@ use rapilog_simdisk::{BlockDevice, IoReq};
 
 use crate::buffer::{BufferPool, FrameRef};
 use crate::error::{DbError, DbResult};
+use crate::index::KeyIndex;
 use crate::page::{slots_per_page, PAGE_SECTORS, PAGE_SIZE};
 use crate::profile::EngineProfile;
-use crate::retry::RetryingDevice;
+use crate::recovery::apply_record;
+use crate::retry::os_block_layer;
 use crate::txn::LockTable;
 use crate::types::{Key, Lsn, PageId, TableId, TxnId};
 use crate::util::{crc32, put_bytes, put_u16, put_u32, put_u64, Cursor};
-use crate::wal::{ClrAction, Record, Superblock, Wal};
+use crate::wal::{Record, Superblock, Wal};
 
 /// Table declaration at `create` time.
 #[derive(Debug, Clone)]
@@ -53,12 +55,6 @@ pub struct DbConfig {
 /// Lock wait budget before a transaction is told to abort: a deadlock costs
 /// half a second, far more than a TPC-C transaction waits for a row lock.
 pub(crate) const LOCK_TIMEOUT: SimDuration = SimDuration::from_millis(500);
-
-/// The OS block layer's retry budget for transient device errors, on both
-/// devices the engine is handed. See [`RetryingDevice`].
-pub(crate) const IO_RETRIES: u32 = 5;
-/// Pause between transient-error retries.
-pub(crate) const IO_RETRY_DELAY: SimDuration = SimDuration::from_millis(2);
 
 impl Default for DbConfig {
     fn default() -> Self {
@@ -120,40 +116,30 @@ pub struct SlotAddr {
     pub slot: u16,
 }
 
-#[derive(Clone)]
-enum UndoAction {
-    Restore(Vec<u8>),
-    Clear,
-}
-
-#[derive(Clone)]
-struct UndoEntry {
-    table: TableId,
-    addr: SlotAddr,
-    key: Key,
-    action: UndoAction,
-    /// `prev` of the logged record: where undo continues after this step.
-    chain_prev: Lsn,
-}
-
+#[derive(Default)]
 struct TxnState {
     last_lsn: Lsn,
     begin_lsn: Lsn,
     locks: Vec<(TableId, Key)>,
-    undo: Vec<UndoEntry>,
+    /// The row changes not yet rolled back, newest last.
+    undo: Vec<Record>,
+    /// Slots its deletes emptied, and slots it took and gave back: free to
+    /// this transaction alone until it ends (a delete's until it commits),
+    /// since its rollback may restore a row into one.
+    freed: Vec<(TableId, u32)>,
 }
 
 /// One table's derived state: its key index and its region's free slots,
 /// both over flat slot numbers ([`TableMeta::flat`]).
+#[derive(Default)]
 pub(crate) struct TableState {
     /// Key → flat slot of its row.
-    pub(crate) index: BTreeMap<Key, u32>,
+    pub(crate) index: KeyIndex,
     /// Next slot never yet allocated.
     pub(crate) high_water: u32,
-    /// Slots below `high_water` freed by deletes, aborts and failed inserts.
+    /// Slots below `high_water` that hold no row and that no open
+    /// transaction may restore one into.
     pub(crate) freed: BTreeSet<u32>,
-    /// Total slot capacity.
-    capacity: u32,
 }
 
 pub(crate) struct DbSt {
@@ -161,6 +147,23 @@ pub(crate) struct DbSt {
     active: FastMap<TxnId, TxnState>,
     /// Indexed by `TableId`.
     pub(crate) tables: Vec<TableState>,
+}
+
+impl DbSt {
+    /// Frees `flat` to `txn` while it is open, else to its table.
+    fn release(&mut self, txn: TxnId, table: TableId, flat: u32) {
+        match self.active.get_mut(&txn) {
+            Some(t) => t.freed.push((table, flat)),
+            None => self.release_all([(table, flat)]),
+        }
+    }
+
+    /// Frees `slots` to their tables.
+    fn release_all(&mut self, slots: impl IntoIterator<Item = (TableId, u32)>) {
+        for (table, flat) in slots {
+            self.tables[table.0 as usize].freed.insert(flat);
+        }
+    }
 }
 
 /// A running database instance. Clone freely; clones share the instance.
@@ -209,12 +212,10 @@ fn decode_catalog(bytes: &[u8]) -> DbResult<Vec<TableMeta>> {
     if c.u32() != Some(CATALOG_MAGIC) {
         return Err(DbError::Corrupt("catalog magic mismatch".to_string()));
     }
-    let n = c
-        .u16()
-        .ok_or_else(|| DbError::Corrupt("catalog truncated".to_string()))? as usize;
+    let bad = || DbError::Corrupt("catalog truncated".to_string());
+    let n = c.u16().ok_or_else(bad)? as usize;
     let mut tables = Vec::with_capacity(n);
     for _ in 0..n {
-        let bad = || DbError::Corrupt("catalog truncated".to_string());
         let id = TableId(c.u16().ok_or_else(bad)?);
         let slot_size = c.u16().ok_or_else(bad)?;
         let base_page = c.u64().ok_or_else(bad)?;
@@ -235,9 +236,7 @@ fn decode_catalog(bytes: &[u8]) -> DbResult<Vec<TableMeta>> {
     }
     // CRC covers everything up to the cursor position.
     let used = bytes.len() - c.remaining();
-    let stored = c
-        .u32()
-        .ok_or_else(|| DbError::Corrupt("catalog truncated".to_string()))?;
+    let stored = c.u32().ok_or_else(bad)?;
     if crc32(&bytes[..used]) != stored {
         return Err(DbError::Corrupt("catalog crc mismatch".to_string()));
     }
@@ -280,18 +279,12 @@ impl Database {
         domain: DomainId,
     ) -> DbResult<Database> {
         let tables = layout_tables(defs)?;
-        // The OS block layer: bounded transient-error retry on both devices.
-        let retrying = |dev| -> Rc<dyn BlockDevice> {
-            Rc::new(RetryingDevice::new(ctx, dev, IO_RETRIES, IO_RETRY_DELAY))
-        };
-        let data_dev = retrying(data_dev);
-        let log_dev = retrying(log_dev);
+        let (data_dev, log_dev) = (os_block_layer(ctx, data_dev), os_block_layer(ctx, log_dev));
         // Capacity check against the data device.
         let last = tables.last().map(|t| t.base_page + t.n_pages).unwrap_or(1);
         if last * PAGE_SECTORS > data_dev.geometry().sectors {
             return Err(DbError::Corrupt(format!(
-                "data device too small: need {} pages",
-                last
+                "data device too small: need {last} pages"
             )));
         }
         let token = data_dev.submit(IoReq::Write {
@@ -310,12 +303,7 @@ impl Database {
         );
         // Nothing in the region is log yet, whatever the media holds.
         wal.trim_unused().await?;
-        Superblock {
-            checkpoint: Lsn::ZERO,
-            recovery_start: Lsn::ZERO,
-        }
-        .write(&*log_dev)
-        .await?;
+        Superblock::default().write(&*log_dev).await?;
         let (_, end) = wal.append(&Record::Checkpoint {
             active: Vec::new(),
             dirty: Vec::new(),
@@ -339,15 +327,7 @@ impl Database {
             .iter()
             .map(|t| (t.name.clone(), t.id))
             .collect::<HashMap<_, _>>();
-        let states = tables
-            .iter()
-            .map(|t| TableState {
-                index: BTreeMap::new(),
-                high_water: 0,
-                freed: BTreeSet::new(),
-                capacity: t.capacity().expect("checked where the catalog came in"),
-            })
-            .collect();
+        let states = tables.iter().map(|_| TableState::default()).collect();
         Database {
             inner: Rc::new(DbInner {
                 ctx: ctx.clone(),
@@ -467,15 +447,12 @@ impl Database {
             txn
         };
         let (lsn, _) = self.inner.wal.append(&Record::Begin { txn })?;
-        self.inner.st.borrow_mut().active.insert(
-            txn,
-            TxnState {
-                last_lsn: lsn,
-                begin_lsn: lsn,
-                locks: Vec::new(),
-                undo: Vec::new(),
-            },
-        );
+        let state = TxnState {
+            last_lsn: lsn,
+            begin_lsn: lsn,
+            ..TxnState::default()
+        };
+        self.inner.st.borrow_mut().active.insert(txn, state);
         Ok(txn)
     }
 
@@ -530,9 +507,9 @@ impl Database {
         // holding the state borrow.
         let addrs: Vec<(Key, SlotAddr)> = self.inner.st.borrow().tables[table.0 as usize]
             .index
-            .range(lo..=hi)
+            .range(lo, hi)
             .take(limit)
-            .map(|(&k, &flat)| (k, meta.slot_addr(flat)))
+            .map(|(k, flat)| (k, meta.slot_addr(flat)))
             .collect();
         let mut out = Vec::with_capacity(addrs.len());
         for (key, addr) in addrs {
@@ -548,7 +525,7 @@ impl Database {
     /// Where `key`'s row lives in `table` (a table `table_meta` accepted).
     fn slot_of(&self, table: TableId, key: Key) -> Option<SlotAddr> {
         let i = table.0 as usize;
-        let flat = *self.inner.st.borrow().tables[i].index.get(&key)?;
+        let flat = self.inner.st.borrow().tables[i].index.get(key)?;
         Some(self.inner.tables[i].slot_addr(flat))
     }
 
@@ -607,29 +584,31 @@ impl Database {
             .locks
             .acquire(&self.inner.ctx, txn, table, key)
             .await?;
-        self.inner
-            .st
-            .borrow_mut()
-            .active
-            .get_mut(&txn)
-            .ok_or(DbError::NoSuchTxn(txn))?
-            .locks
-            .push((table, key));
-        Ok(())
+        self.with_txn(txn, |t| t.locks.push((table, key)))
     }
 
-    fn txn_chain(&self, txn: TxnId) -> DbResult<Lsn> {
-        self.inner
-            .st
-            .borrow()
-            .active
-            .get(&txn)
-            .map(|t| t.last_lsn)
+    /// `f` of `txn`'s state, once `txn` is known to be active.
+    fn with_txn<R>(&self, txn: TxnId, f: impl FnOnce(&mut TxnState) -> R) -> DbResult<R> {
+        let mut st = self.inner.st.borrow_mut();
+        st.active
+            .get_mut(&txn)
+            .map(f)
             .ok_or(DbError::NoSuchTxn(txn))
     }
 
-    /// Inserts a row.
-    pub async fn insert(&self, txn: TxnId, table: TableId, key: Key, row: &[u8]) -> DbResult<()> {
+    fn txn_chain(&self, txn: TxnId) -> DbResult<Lsn> {
+        self.with_txn(txn, |t| t.last_lsn)
+    }
+
+    /// What every row change does first: charge its CPU, check that `row`
+    /// fits the table's slots, and take `txn`'s lock on `key`.
+    async fn write_access(
+        &self,
+        txn: TxnId,
+        table: TableId,
+        key: Key,
+        row: &[u8],
+    ) -> DbResult<&TableMeta> {
         self.check_live()?;
         self.charge(self.inner.cfg.profile.cpu_write).await;
         let meta = self.table_meta(table)?;
@@ -641,16 +620,55 @@ impl Database {
             });
         }
         self.lock_row(txn, table, key).await?;
-        // Allocate a slot.
+        Ok(meta)
+    }
+
+    /// `key`'s row for a change by `txn`: its address, its page fetched
+    /// for writing, its bytes, and `txn`'s last record.
+    async fn row_for_write(
+        &self,
+        txn: TxnId,
+        meta: &TableMeta,
+        key: Key,
+    ) -> DbResult<(SlotAddr, FrameRef, Vec<u8>, Lsn)> {
+        let addr = self
+            .slot_of(meta.id, key)
+            .ok_or(DbError::NotFound(meta.id, key))?;
+        let frame = self.fetch_for_write(meta, addr.page).await?;
+        let before = Self::row_at(&frame, addr, meta.id, key)?;
+        Ok((addr, frame, before, self.txn_chain(txn)?))
+    }
+
+    /// Logs `change`, a row change in `frame`, applies it to the page and
+    /// puts it on its transaction's undo list.
+    fn log_change(&self, meta: &TableMeta, frame: &FrameRef, change: Record) -> DbResult<()> {
+        let txn = change.txn().expect("a row change has a transaction");
+        let (lsn, _) = self.inner.wal.append(&change)?;
+        apply_record(frame, meta, lsn, &change)?;
+        self.with_txn(txn, |t| {
+            t.last_lsn = lsn;
+            t.undo.push(change);
+        })
+    }
+
+    /// Inserts a row.
+    pub async fn insert(&self, txn: TxnId, table: TableId, key: Key, row: &[u8]) -> DbResult<()> {
+        let meta = self.write_access(txn, table, key, row).await?;
+        // Allocate a slot: one this transaction freed, else the table's.
         let flat = {
             let mut st = self.inner.st.borrow_mut();
-            let ts = &mut st.tables[table.0 as usize];
-            if ts.index.contains_key(&key) {
+            let DbSt { active, tables, .. } = &mut *st;
+            let ts = &mut tables[table.0 as usize];
+            if ts.index.get(key).is_some() {
                 return Err(DbError::Duplicate(table, key));
             }
-            if let Some(f) = ts.freed.pop_first() {
+            let own = active.get_mut(&txn).and_then(|t| {
+                let i = t.freed.iter().rposition(|s| s.0 == table)?;
+                Some(t.freed.remove(i).1)
+            });
+            if let Some(f) = own.or_else(|| ts.freed.pop_first()) {
                 f
-            } else if ts.high_water < ts.capacity {
+            } else if ts.high_water < meta.capacity()? {
                 let f = ts.high_water;
                 ts.high_water += 1;
                 f
@@ -659,18 +677,14 @@ impl Database {
             }
         };
         // A step that fails before the row is indexed gives the slot back.
-        let give_back = |_: &DbError| {
-            self.inner.st.borrow_mut().tables[table.0 as usize]
-                .freed
-                .insert(flat);
-        };
+        let give_back = |_: &DbError| self.inner.st.borrow_mut().release(txn, table, flat);
         let addr = meta.slot_addr(flat);
         let frame = self
             .fetch_for_write(meta, addr.page)
             .await
             .inspect_err(give_back)?;
         let prev = self.txn_chain(txn).inspect_err(give_back)?;
-        let record = Record::Insert {
+        let change = Record::Insert {
             txn,
             prev,
             table,
@@ -679,47 +693,19 @@ impl Database {
             key,
             after: row.to_vec(),
         };
-        let (lsn, _) = self.inner.wal.append(&record).inspect_err(give_back)?;
-        {
-            let mut f = frame.borrow_mut();
-            f.page.write_slot(addr.slot, key, row);
-            f.page.set_lsn(lsn);
-        }
-        BufferPool::mark_dirty(&frame);
-        let mut st = self.inner.st.borrow_mut();
-        st.tables[table.0 as usize].index.insert(key, flat);
-        let t = st.active.get_mut(&txn).ok_or(DbError::NoSuchTxn(txn))?;
-        t.last_lsn = lsn;
-        t.undo.push(UndoEntry {
-            table,
-            addr,
-            key,
-            action: UndoAction::Clear,
-            chain_prev: prev,
-        });
+        self.log_change(meta, &frame, change)
+            .inspect_err(give_back)?;
+        self.inner.st.borrow_mut().tables[table.0 as usize]
+            .index
+            .insert(key, flat);
         Ok(())
     }
 
     /// Updates a row in place.
     pub async fn update(&self, txn: TxnId, table: TableId, key: Key, row: &[u8]) -> DbResult<()> {
-        self.check_live()?;
-        self.charge(self.inner.cfg.profile.cpu_write).await;
-        let meta = self.table_meta(table)?;
-        if row.len() > meta.slot_size as usize {
-            return Err(DbError::RowTooLarge {
-                table,
-                len: row.len(),
-                cap: meta.slot_size as usize,
-            });
-        }
-        self.lock_row(txn, table, key).await?;
-        let addr = self
-            .slot_of(table, key)
-            .ok_or(DbError::NotFound(table, key))?;
-        let frame = self.fetch_for_write(meta, addr.page).await?;
-        let before = Self::row_at(&frame, addr, table, key)?;
-        let prev = self.txn_chain(txn)?;
-        let record = Record::Update {
+        let meta = self.write_access(txn, table, key, row).await?;
+        let (addr, frame, before, prev) = self.row_for_write(txn, meta, key).await?;
+        let change = Record::Update {
             txn,
             prev,
             table,
@@ -729,42 +715,15 @@ impl Database {
             before,
             after: row.to_vec(),
         };
-        let (lsn, _) = self.inner.wal.append(&record)?;
-        let Record::Update { before, .. } = record else {
-            unreachable!("built as an update")
-        };
-        {
-            let mut f = frame.borrow_mut();
-            f.page.write_slot(addr.slot, key, row);
-            f.page.set_lsn(lsn);
-        }
-        BufferPool::mark_dirty(&frame);
-        let mut st = self.inner.st.borrow_mut();
-        let t = st.active.get_mut(&txn).ok_or(DbError::NoSuchTxn(txn))?;
-        t.last_lsn = lsn;
-        t.undo.push(UndoEntry {
-            table,
-            addr,
-            key,
-            action: UndoAction::Restore(before),
-            chain_prev: prev,
-        });
-        Ok(())
+        self.log_change(meta, &frame, change)
     }
 
-    /// Deletes a row.
+    /// Deletes a row. Its slot is free once the delete commits: until then
+    /// a rollback may restore the row into it.
     pub async fn delete(&self, txn: TxnId, table: TableId, key: Key) -> DbResult<()> {
-        self.check_live()?;
-        self.charge(self.inner.cfg.profile.cpu_write).await;
-        let meta = self.table_meta(table)?;
-        self.lock_row(txn, table, key).await?;
-        let addr = self
-            .slot_of(table, key)
-            .ok_or(DbError::NotFound(table, key))?;
-        let frame = self.fetch_for_write(meta, addr.page).await?;
-        let before = Self::row_at(&frame, addr, table, key)?;
-        let prev = self.txn_chain(txn)?;
-        let record = Record::Delete {
+        let meta = self.write_access(txn, table, key, &[]).await?;
+        let (addr, frame, before, prev) = self.row_for_write(txn, meta, key).await?;
+        let change = Record::Delete {
             txn,
             prev,
             table,
@@ -773,29 +732,10 @@ impl Database {
             key,
             before,
         };
-        let (lsn, _) = self.inner.wal.append(&record)?;
-        let Record::Delete { before, .. } = record else {
-            unreachable!("built as a delete")
-        };
-        {
-            let mut f = frame.borrow_mut();
-            f.page.clear_slot(addr.slot);
-            f.page.set_lsn(lsn);
-        }
-        BufferPool::mark_dirty(&frame);
+        self.log_change(meta, &frame, change)?;
         let mut st = self.inner.st.borrow_mut();
-        let ts = &mut st.tables[table.0 as usize];
-        ts.index.remove(&key);
-        ts.freed.insert(meta.flat(addr));
-        let t = st.active.get_mut(&txn).ok_or(DbError::NoSuchTxn(txn))?;
-        t.last_lsn = lsn;
-        t.undo.push(UndoEntry {
-            table,
-            addr,
-            key,
-            action: UndoAction::Restore(before),
-            chain_prev: prev,
-        });
+        st.tables[table.0 as usize].index.remove(key);
+        st.release(txn, table, meta.flat(addr));
         Ok(())
     }
 
@@ -825,9 +765,14 @@ impl Database {
             // The engine died under us.
             Err(e) => Err(e),
         };
-        // The locks go once the outcome is known.
+        // The locks go once the outcome is known, and the slots its deletes
+        // emptied once it has committed: a row put in one now is logged
+        // after the commit record.
         if let Some(state) = state {
             self.inner.locks.release_all(txn, state.locks.iter());
+            if result.is_ok() {
+                self.inner.st.borrow_mut().release_all(state.freed);
+            }
         }
         result
     }
@@ -840,56 +785,30 @@ impl Database {
     /// the next CLR is durable leaves nobody to finish the undo.
     pub async fn abort(&self, txn: TxnId) -> DbResult<()> {
         self.check_live()?;
-        loop {
-            // A copy: the entry leaves the list in the step that appends its
-            // CLR, so a rollback that fails on the way there (a dead device
-            // under the page fetch or the log) loses no undo work.
-            let entry = {
-                let st = self.inner.st.borrow();
-                let state = st.active.get(&txn).ok_or(DbError::NoSuchTxn(txn))?;
-                state.undo.last().cloned()
-            };
-            let Some(entry) = entry else { break };
-            let meta = self.table_meta(entry.table)?;
-            let frame = self.fetch_for_write(meta, entry.addr.page).await?;
-            let action = match entry.action {
-                UndoAction::Restore(bytes) => ClrAction::Restore(bytes),
-                UndoAction::Clear => ClrAction::Clear,
-            };
-            let (lsn, _) = self.inner.wal.append(&Record::Clr {
-                txn,
-                undo_next: entry.chain_prev,
-                page: entry.addr.page,
-                slot: entry.addr.slot,
-                key: entry.key,
-                action: action.clone(),
-            })?;
-            {
-                let mut f = frame.borrow_mut();
-                match &action {
-                    ClrAction::Restore(bytes) => {
-                        f.page.write_slot(entry.addr.slot, entry.key, bytes)
-                    }
-                    ClrAction::Clear => f.page.clear_slot(entry.addr.slot),
-                }
-                f.page.set_lsn(lsn);
-            }
-            BufferPool::mark_dirty(&frame);
+        // A copy: the change leaves the list in the step that appends its
+        // CLR, so a rollback that fails on the way there (a dead device
+        // under the page fetch or the log) loses no undo work.
+        while let Some(change) = self.with_txn(txn, |t| t.undo.last().cloned())? {
+            let (_, _, table, page, slot, key) = change.row_head().expect("a row change");
+            let restores = !matches!(change, Record::Insert { .. });
+            let meta = self.table_meta(table)?;
+            let frame = self.fetch_for_write(meta, page).await?;
+            let clr = change.compensation().expect("a row change");
+            let (lsn, _) = self.inner.wal.append(&clr)?;
+            apply_record(&frame, meta, lsn, &clr)?;
             // Fix the derived state; recovery's undo resumes at this CLR.
+            let flat = (table, meta.flat(SlotAddr { page, slot }));
             let mut st = self.inner.st.borrow_mut();
-            let ts = &mut st.tables[entry.table.0 as usize];
-            let flat = meta.flat(entry.addr);
-            match &action {
-                ClrAction::Restore(_) => {
-                    ts.index.insert(entry.key, flat);
-                    ts.freed.remove(&flat);
+            let DbSt { active, tables, .. } = &mut *st;
+            let index = &mut tables[table.0 as usize].index;
+            if let Some(state) = active.get_mut(&txn) {
+                if restores {
+                    index.insert(key, flat.1);
+                    state.freed.retain(|&f| f != flat);
+                } else {
+                    index.remove(key);
+                    state.freed.push(flat);
                 }
-                ClrAction::Clear => {
-                    ts.index.remove(&entry.key);
-                    ts.freed.insert(flat);
-                }
-            }
-            if let Some(state) = st.active.get_mut(&txn) {
                 state.undo.pop();
                 state.last_lsn = lsn;
             }
@@ -899,6 +818,7 @@ impl Database {
         self.inner.wal.kick();
         if let Some(state) = state {
             self.inner.locks.release_all(txn, state.locks.iter());
+            self.inner.st.borrow_mut().release_all(state.freed);
         }
         Ok(())
     }

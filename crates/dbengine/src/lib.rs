@@ -25,7 +25,7 @@
 //! ```text
 //!   clients ──▶ Database (engine.rs)
 //!                 │  2PL locks (txn.rs)
-//!                 │  per table: ordered key index (key → u32 slot in its region)
+//!                 │  per table: leaf-packed key index (key → u32 slot in its region)
 //!                 │  fixed-slot pages in a buffer pool (page.rs, buffer.rs)
 //!                 │  WAL-before-data enforced on eviction
 //!                 ▼
@@ -34,9 +34,10 @@
 //! ```
 //!
 //! The key index is derived state, rebuilt from the pages at open: one
-//! ordered map per table from key to the row's flat slot number in the
-//! table's page region, so a row costs the index a `u64` and a `u32`, and
-//! a range scan walks only its own table.
+//! ordered index per table from key to the row's flat slot number in the
+//! table's page region, packed into full sorted leaves, so a row costs
+//! the index little more than a `u64` and a `u32`, and a range scan walks
+//! only its own table.
 //!
 //! Point the log device at a raw [`Disk`](rapilog_simdisk::Disk) for the
 //! baseline, or at a RapiLog virtual disk for the paper's system — the
@@ -47,6 +48,7 @@
 pub mod buffer;
 pub mod engine;
 pub mod error;
+mod index;
 pub mod page;
 pub mod profile;
 pub mod recovery;

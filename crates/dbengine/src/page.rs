@@ -92,13 +92,6 @@ impl Page {
         self.bytes[8..16].copy_from_slice(&lsn.0.to_le_bytes());
     }
 
-    /// The owning table recorded in the header.
-    pub fn table(&self) -> TableId {
-        TableId(u16::from_le_bytes(
-            self.bytes[16..18].try_into().expect("header slice"),
-        ))
-    }
-
     /// The slot size recorded in the header.
     fn slot_size(&self) -> u16 {
         u16::from_le_bytes(self.bytes[18..20].try_into().expect("header slice"))
@@ -114,13 +107,16 @@ impl Page {
         off
     }
 
+    /// Slot `idx`'s offset and key; `None` if unoccupied.
+    fn slot_key(&self, idx: u16) -> Option<(usize, Key)> {
+        let off = self.slot_offset(idx);
+        let key = u64::from_le_bytes(self.bytes[off + 1..off + 9].try_into().expect("key"));
+        (self.bytes[off] != 0).then_some((off, key))
+    }
+
     /// Reads slot `idx`; `None` if unoccupied.
     pub fn read_slot(&self, idx: u16) -> Option<(Key, Vec<u8>)> {
-        let off = self.slot_offset(idx);
-        if self.bytes[off] == 0 {
-            return None;
-        }
-        let key = u64::from_le_bytes(self.bytes[off + 1..off + 9].try_into().expect("key"));
+        let (off, key) = self.slot_key(idx)?;
         let len =
             u16::from_le_bytes(self.bytes[off + 9..off + 11].try_into().expect("len")) as usize;
         Some((key, self.bytes[off + 11..off + 11 + len].to_vec()))
@@ -155,14 +151,7 @@ impl Page {
     pub fn occupied(&self) -> Vec<(u16, Key)> {
         let n = slots_per_page(self.slot_size() as usize) as u16;
         (0..n)
-            .filter_map(|i| {
-                let off = self.slot_offset(i);
-                if self.bytes[off] == 0 {
-                    return None;
-                }
-                let key = u64::from_le_bytes(self.bytes[off + 1..off + 9].try_into().expect("key"));
-                Some((i, key))
-            })
+            .filter_map(|i| Some((i, self.slot_key(i)?.1)))
             .collect()
     }
 
@@ -194,6 +183,15 @@ impl Page {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Page {
+        /// The owning table recorded in the header.
+        fn table(&self) -> TableId {
+            TableId(u16::from_le_bytes(
+                self.bytes[16..18].try_into().expect("header slice"),
+            ))
+        }
+    }
 
     #[test]
     fn slots_per_page_math() {

@@ -34,10 +34,7 @@ impl EngineProfile {
     pub fn pg_like() -> EngineProfile {
         EngineProfile {
             name: "pg-like".to_string(),
-            commit_policy: CommitPolicy {
-                group_delay: SimDuration::ZERO,
-                wait_for_durable: true,
-            },
+            commit_policy: CommitPolicy::default(),
             cpu_read: SimDuration::from_micros(9),
             cpu_write: SimDuration::from_micros(14),
             cpu_commit: SimDuration::from_micros(25),
@@ -75,10 +72,7 @@ impl EngineProfile {
     pub fn simple_sync() -> EngineProfile {
         EngineProfile {
             name: "simple-sync".to_string(),
-            commit_policy: CommitPolicy {
-                group_delay: SimDuration::ZERO,
-                wait_for_durable: true,
-            },
+            commit_policy: CommitPolicy::default(),
             cpu_read: SimDuration::from_micros(15),
             cpu_write: SimDuration::from_micros(22),
             cpu_commit: SimDuration::from_micros(40),
@@ -93,8 +87,8 @@ impl EngineProfile {
         EngineProfile {
             name: "async-unsafe".to_string(),
             commit_policy: CommitPolicy {
-                group_delay: SimDuration::ZERO,
                 wait_for_durable: false,
+                ..CommitPolicy::default()
             },
             ..Self::pg_like()
         }

@@ -50,11 +50,11 @@ use rapilog_simcore::trace::{Layer, Payload};
 use rapilog_simcore::{DomainId, SimCtx, SimDuration};
 use rapilog_simdisk::{BlockDevice, SECTOR_SIZE};
 
-use crate::buffer::BufferPool;
-use crate::engine::{Database, DbConfig, SlotAddr, TableMeta, IO_RETRIES, IO_RETRY_DELAY};
+use crate::buffer::{BufferPool, FrameRef};
+use crate::engine::{Database, DbConfig, SlotAddr, TableMeta};
 use crate::error::{DbError, DbResult};
 use crate::page::PAGE_SIZE;
-use crate::retry::RetryingDevice;
+use crate::retry::os_block_layer;
 use crate::types::{Lsn, PageId, TxnId};
 use crate::wal::{ClrAction, Record, StreamReader, Superblock, Wal, RECORD_HEADER};
 
@@ -147,6 +147,19 @@ async fn apply_page_record(
     if frame.borrow().page.lsn() >= lsn {
         return Ok(false);
     }
+    apply_record(&frame, meta, lsn, rec)?;
+    Ok(true)
+}
+
+/// Applies `rec`, logged at `lsn`, to its page in `frame`, a page of
+/// `meta`'s region, and marks the page dirty: redo, and the live engine's
+/// own changes.
+pub(crate) fn apply_record(
+    frame: &FrameRef,
+    meta: &TableMeta,
+    lsn: Lsn,
+    rec: &Record,
+) -> DbResult<()> {
     // A record that passed its CRC can still not fit the page (a slot past
     // the page's last, a row longer than the table's slot, an image that is
     // not a page): the log is corrupt, which is an error, not a panic.
@@ -176,8 +189,8 @@ async fn apply_page_record(
     }
     f.page.set_lsn(lsn);
     drop(f);
-    BufferPool::mark_dirty(&frame);
-    Ok(true)
+    BufferPool::mark_dirty(frame);
+    Ok(())
 }
 
 /// The log bytes the scan read back: every valid record, still encoded,
@@ -292,14 +305,9 @@ impl Database {
             tracer.begin(now, Layer::Engine, began, Payload::None);
             now
         };
-        // The OS block layer: bounded transient-error retry on both
-        // devices. Media errors are not retryable and surface as typed
-        // [`DbError::Io`] from whichever phase hit them.
-        let retrying = |dev| -> Rc<dyn BlockDevice> {
-            Rc::new(RetryingDevice::new(ctx, dev, IO_RETRIES, IO_RETRY_DELAY))
-        };
-        let data_dev = retrying(data_dev);
-        let log_dev = retrying(log_dev);
+        // Behind the OS block layer, media errors are not retryable and
+        // surface as typed [`DbError::Io`] from whichever phase hit them.
+        let (data_dev, log_dev) = (os_block_layer(ctx, data_dev), os_block_layer(ctx, log_dev));
         let tables = Self::read_catalog(&*data_dev).await?;
         let sb = Superblock::read(&*log_dev)
             .await?
@@ -433,30 +441,7 @@ impl Database {
                     Some(rec) => rec,
                     None => read_record_at(&wal, at).await?,
                 };
-                let (prev, page, slot, key, action) = match rec {
-                    Record::Update {
-                        prev,
-                        page,
-                        slot,
-                        key,
-                        before,
-                        ..
-                    }
-                    | Record::Delete {
-                        prev,
-                        page,
-                        slot,
-                        key,
-                        before,
-                        ..
-                    } => (prev, page, slot, key, ClrAction::Restore(before)),
-                    Record::Insert {
-                        prev,
-                        page,
-                        slot,
-                        key,
-                        ..
-                    } => (prev, page, slot, key, ClrAction::Clear),
+                let clr = match rec {
                     // A CLR from a partially-completed rollback: skip to
                     // whatever it says is next; never undo an undo.
                     Record::Clr { undo_next, .. } => {
@@ -464,23 +449,18 @@ impl Database {
                         continue;
                     }
                     Record::Begin { .. } => break,
-                    other => {
-                        return Err(DbError::Corrupt(format!(
+                    rec => rec.compensation().map_err(|other| {
+                        DbError::Corrupt(format!(
                             "unexpected record in undo chain of {txn:?}: {other:?}"
-                        )))
-                    }
-                };
-                let clr = Record::Clr {
-                    txn,
-                    undo_next: prev,
-                    page,
-                    slot,
-                    key,
-                    action,
+                        ))
+                    })?,
                 };
                 let (clr_lsn, _) = wal.append(&clr)?;
                 apply_page_record(&pool, &tables, clr_lsn, &clr).await?;
-                at = prev;
+                let Record::Clr { undo_next, .. } = clr else {
+                    unreachable!("a compensation is a CLR")
+                };
+                at = undo_next;
             }
             wal.append(&Record::Abort { txn })?;
         }

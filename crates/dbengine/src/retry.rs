@@ -20,6 +20,18 @@ use rapilog_simdisk::{
     BlockDevice, Completion, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken,
 };
 
+/// The OS block layer's retry budget for transient device errors.
+const IO_RETRIES: u32 = 5;
+/// Pause between transient-error retries.
+const IO_RETRY_DELAY: SimDuration = SimDuration::from_millis(2);
+
+/// `dev` behind the OS block layer the engine runs on, as both of the
+/// devices it is handed are: [`IO_RETRIES`] retries of a transient error,
+/// [`IO_RETRY_DELAY`] apart.
+pub(crate) fn os_block_layer(ctx: &SimCtx, dev: Rc<dyn BlockDevice>) -> Rc<dyn BlockDevice> {
+    Rc::new(RetryingDevice::new(ctx, dev, IO_RETRIES, IO_RETRY_DELAY))
+}
+
 /// A [`BlockDevice`] adapter that retries transient failures.
 #[derive(Clone)]
 pub struct RetryingDevice {

@@ -25,7 +25,6 @@ use crate::types::{Key, TableId, TxnId};
 
 struct LockEntry {
     holder: TxnId,
-    depth: u32,
     wakers: Vec<Waker>,
 }
 
@@ -57,32 +56,18 @@ impl LockTable {
     ) -> DbResult<()> {
         let attempt = poll_fn(|cx| {
             let mut st = self.st.borrow_mut();
-            match st.get_mut(&(table, key)) {
-                None => {
-                    st.insert(
-                        (table, key),
-                        LockEntry {
-                            holder: txn,
-                            depth: 1,
-                            wakers: Vec::new(),
-                        },
-                    );
-                    Poll::Ready(())
-                }
-                Some(e) if e.holder == txn => {
-                    e.depth += 1;
-                    Poll::Ready(())
-                }
-                Some(e) => {
-                    e.wakers.push(cx.waker().clone());
-                    Poll::Pending
-                }
+            let e = st.entry((table, key)).or_insert(LockEntry {
+                holder: txn,
+                wakers: Vec::new(),
+            });
+            if e.holder == txn {
+                return Poll::Ready(());
             }
+            e.wakers.push(cx.waker().clone());
+            Poll::Pending
         });
-        match ctx.timeout(self.timeout, attempt).await {
-            Some(()) => Ok(()),
-            None => Err(DbError::LockTimeout(txn)),
-        }
+        let acquired = ctx.timeout(self.timeout, attempt).await;
+        acquired.ok_or(DbError::LockTimeout(txn))
     }
 
     /// Releases every lock held by `txn` over the listed keys (end of
@@ -94,11 +79,8 @@ impl LockTable {
         {
             let mut st = self.st.borrow_mut();
             for k in keys {
-                if let Some(e) = st.get(k) {
-                    if e.holder == txn {
-                        let e = st.remove(k).expect("entry vanished");
-                        woken.extend(e.wakers);
-                    }
+                if st.get(k).is_some_and(|e| e.holder == txn) {
+                    woken.extend(st.remove(k).expect("entry vanished").wakers);
                 }
             }
         }

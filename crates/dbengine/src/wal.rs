@@ -183,6 +183,63 @@ pub enum Record {
 }
 
 impl Record {
+    /// A row change's `(txn, prev, table, page, slot, key)`.
+    pub(crate) fn row_head(&self) -> Option<(TxnId, Lsn, TableId, PageId, u16, u64)> {
+        match *self {
+            Record::Update {
+                txn,
+                prev,
+                table,
+                page,
+                slot,
+                key,
+                ..
+            }
+            | Record::Insert {
+                txn,
+                prev,
+                table,
+                page,
+                slot,
+                key,
+                ..
+            }
+            | Record::Delete {
+                txn,
+                prev,
+                table,
+                page,
+                slot,
+                key,
+                ..
+            } => Some((txn, prev, table, page, slot, key)),
+            _ => None,
+        }
+    }
+
+    /// The CLR that undoes this row change: it gives the slot back its
+    /// before-image (empties it, for an insert) and sends undo on to the
+    /// change before. Any other record comes back as the error.
+    pub(crate) fn compensation(self) -> Result<Record, Record> {
+        let Some((txn, undo_next, _, page, slot, key)) = self.row_head() else {
+            return Err(self);
+        };
+        let action = match self {
+            Record::Update { before, .. } | Record::Delete { before, .. } => {
+                ClrAction::Restore(before)
+            }
+            _ => ClrAction::Clear,
+        };
+        Ok(Record::Clr {
+            txn,
+            undo_next,
+            page,
+            slot,
+            key,
+            action,
+        })
+    }
+
     fn kind(&self) -> u8 {
         match self {
             Record::Begin { .. } => 1,
@@ -200,26 +257,17 @@ impl Record {
     /// The transaction a record belongs to, if any.
     pub fn txn(&self) -> Option<TxnId> {
         match self {
-            Record::Begin { txn }
-            | Record::Commit { txn }
-            | Record::Abort { txn }
-            | Record::Update { txn, .. }
-            | Record::Insert { txn, .. }
-            | Record::Delete { txn, .. }
-            | Record::Clr { txn, .. } => Some(*txn),
-            Record::Checkpoint { .. } | Record::FullPage { .. } => None,
+            Record::Begin { txn } | Record::Commit { txn } | Record::Abort { txn } => Some(*txn),
+            Record::Clr { txn, .. } => Some(*txn),
+            _ => self.row_head().map(|(txn, ..)| txn),
         }
     }
 
     /// The page a record changes, if any: what redo replays it on.
     pub fn page(&self) -> Option<PageId> {
         match self {
-            Record::FullPage { page, .. }
-            | Record::Insert { page, .. }
-            | Record::Update { page, .. }
-            | Record::Delete { page, .. }
-            | Record::Clr { page, .. } => Some(*page),
-            _ => None,
+            Record::FullPage { page, .. } | Record::Clr { page, .. } => Some(*page),
+            _ => self.row_head().map(|(_, _, _, page, ..)| page),
         }
     }
 
@@ -227,59 +275,6 @@ impl Record {
         match self {
             Record::Begin { txn } | Record::Commit { txn } | Record::Abort { txn } => {
                 put_u64(buf, txn.0);
-            }
-            Record::Update {
-                txn,
-                prev,
-                table,
-                page,
-                slot,
-                key,
-                before,
-                after,
-            } => {
-                put_u64(buf, txn.0);
-                put_u64(buf, prev.0);
-                put_u16(buf, table.0);
-                put_u64(buf, page.0);
-                put_u16(buf, *slot);
-                put_u64(buf, *key);
-                put_bytes(buf, before);
-                put_bytes(buf, after);
-            }
-            Record::Insert {
-                txn,
-                prev,
-                table,
-                page,
-                slot,
-                key,
-                after,
-            } => {
-                put_u64(buf, txn.0);
-                put_u64(buf, prev.0);
-                put_u16(buf, table.0);
-                put_u64(buf, page.0);
-                put_u16(buf, *slot);
-                put_u64(buf, *key);
-                put_bytes(buf, after);
-            }
-            Record::Delete {
-                txn,
-                prev,
-                table,
-                page,
-                slot,
-                key,
-                before,
-            } => {
-                put_u64(buf, txn.0);
-                put_u64(buf, prev.0);
-                put_u16(buf, table.0);
-                put_u64(buf, page.0);
-                put_u16(buf, *slot);
-                put_u64(buf, *key);
-                put_bytes(buf, before);
             }
             Record::Clr {
                 txn,
@@ -317,6 +312,21 @@ impl Record {
             Record::FullPage { page, image } => {
                 put_u64(buf, page.0);
                 put_bytes(buf, image);
+            }
+            Record::Update { .. } | Record::Insert { .. } | Record::Delete { .. } => {
+                let (txn, prev, table, page, slot, key) = self.row_head().expect("a row change");
+                put_u64(buf, txn.0);
+                put_u64(buf, prev.0);
+                put_u16(buf, table.0);
+                put_u64(buf, page.0);
+                put_u16(buf, slot);
+                put_u64(buf, key);
+                if let Record::Update { before, .. } | Record::Delete { before, .. } = self {
+                    put_bytes(buf, before);
+                }
+                if let Record::Update { after, .. } | Record::Insert { after, .. } = self {
+                    put_bytes(buf, after);
+                }
             }
         }
     }
@@ -562,10 +572,6 @@ impl Wal {
             tracer: ctx.tracer(),
             pool: SectorPool::new(),
         });
-        // Preload the partial tail sector so rewrites keep earlier bytes.
-        // At `new` time nothing is staged, so this is only needed when
-        // reopening mid-sector; the caller (recovery) passes the tail bytes
-        // via `preload_tail` instead, keeping `new` synchronous.
         let flusher = Rc::clone(&inner);
         ctx.spawn_in(spawn_domain, async move {
             flusher_loop(flusher).await;
@@ -637,17 +643,10 @@ impl Wal {
     }
 
     /// Trims stream sectors `[from, to)`, split at the circular wrap.
-    async fn trim(&self, mut from: u64, to: u64) -> IoResult<()> {
-        let region = self.inner.region_sectors;
-        while from < to {
-            let at = from % region;
-            let sectors = (to - from).min(region - at);
-            let token = self.inner.dev.submit(IoReq::Trim {
-                sector: LOG_BASE_SECTOR + at,
-                sectors,
-            });
+    async fn trim(&self, from: u64, to: u64) -> IoResult<()> {
+        for (sector, sectors) in runs(self.inner.region_sectors, from, to.saturating_sub(from)) {
+            let token = self.inner.dev.submit(IoReq::Trim { sector, sectors });
             self.inner.dev.wait(token).await?;
-            from += sectors;
         }
         Ok(())
     }
@@ -769,40 +768,38 @@ pub async fn read_stream(
     let offset = (from.0 % SECTOR_SIZE as u64) as usize;
     let total_sectors = (offset + len).div_ceil(SECTOR_SIZE) as u64;
     let mut out = Vec::with_capacity((total_sectors as usize) * SECTOR_SIZE);
-    // Submit every contiguous device run up front (the circular mapping may
-    // wrap), then claim the completions in stream order.
-    let mut tokens: Vec<ReqToken> = Vec::with_capacity(2);
-    let mut done = 0u64;
-    while done < total_sectors {
-        let stream_sector = first_sector_stream + done;
-        let dev_sector = LOG_BASE_SECTOR + stream_sector % region_sectors;
-        // Contiguous until the region end.
-        let until_wrap = region_sectors - stream_sector % region_sectors;
-        let n = (total_sectors - done).min(until_wrap);
-        tokens.push(dev.submit(IoReq::Read {
-            sector: dev_sector,
-            sectors: n,
-        }));
-        done += n;
-    }
-    let mut err = None;
+    // Submit every run up front, then claim the completions in stream order.
+    let tokens = submit_reads(dev, region_sectors, first_sector_stream, total_sectors);
+    // Every read is claimed, failed or not, before the first error returns.
+    let mut done = Vec::with_capacity(tokens.len());
     for token in tokens {
-        match dev.wait(token).await {
-            Ok(data) if err.is_none() => {
-                let data = data.expect("read completion must carry data");
-                out.extend_from_slice(data.as_slice());
-            }
-            Ok(_) => {}
-            Err(e) if err.is_none() => err = Some(e),
-            Err(_) => {}
-        }
+        done.push(dev.wait(token).await);
     }
-    if let Some(e) = err {
-        return Err(e);
+    for data in done {
+        out.extend_from_slice(data?.expect("read completion must carry data").as_slice());
     }
     out.drain(..offset);
     out.truncate(len);
     Ok(out)
+}
+
+/// The device runs of `n` stream sectors from `from` on, as `(sector,
+/// sectors)`: one per contiguous stretch of the circular region, so two
+/// where it wraps.
+fn runs(region_sectors: u64, mut from: u64, n: u64) -> impl Iterator<Item = (u64, u64)> {
+    let end = from + n;
+    std::iter::from_fn(move || {
+        let at = from % region_sectors;
+        let run = (end - from).min(region_sectors - at);
+        from += run;
+        (run > 0).then_some((LOG_BASE_SECTOR + at, run))
+    })
+}
+
+/// Submits reads of `n` stream sectors from `from` on, one per run.
+fn submit_reads(dev: &dyn BlockDevice, region_sectors: u64, from: u64, n: u64) -> Vec<ReqToken> {
+    let read = |(sector, sectors)| dev.submit(IoReq::Read { sector, sectors });
+    runs(region_sectors, from, n).map(read).collect()
 }
 
 /// Windowed log-stream reader used by recovery's scan phase: keeps up to
@@ -860,20 +857,11 @@ impl<'a> StreamReader<'a> {
 
     fn top_up(&mut self) {
         while self.inflight.len() < self.window && self.unsubmitted > 0 {
-            let mut n = self.chunk_sectors.min(self.unsubmitted);
+            let n = self.chunk_sectors.min(self.unsubmitted);
             self.unsubmitted -= n;
-            let mut tokens = Vec::with_capacity(2);
-            while n > 0 {
-                let at = self.next_stream_sector % self.region_sectors;
-                let run = n.min(self.region_sectors - at);
-                tokens.push(self.dev.submit(IoReq::Read {
-                    sector: LOG_BASE_SECTOR + at,
-                    sectors: run,
-                }));
-                self.next_stream_sector += run;
-                n -= run;
-            }
+            let tokens = submit_reads(self.dev, self.region_sectors, self.next_stream_sector, n);
             self.inflight.push_back(tokens);
+            self.next_stream_sector += n;
         }
     }
 
@@ -917,7 +905,7 @@ impl<'a> StreamReader<'a> {
 }
 
 /// The superblock stored in sector 0 of the log device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Superblock {
     /// LSN of the most recent checkpoint record.
     pub checkpoint: Lsn,
@@ -1027,24 +1015,22 @@ async fn flusher_loop(inner: Rc<WalInner>) {
             // an O(1) view of the pooled batch, carried down to the device
             // in this task (`exec`, not `write_buf`: one boxed future less
             // per log write).
-            let region_bytes = inner.region_sectors * SECTOR_SIZE as u64;
+            let sector = SECTOR_SIZE as u64;
+            let (first, sectors) = (start_sector_lsn.0 / sector, data.len() as u64 / sector);
             let mut ok = true;
-            let mut off = 0usize;
-            while off < data.len() {
-                let lsn = Lsn(start_sector_lsn.0 + off as u64);
-                let dev_sector = LOG_BASE_SECTOR + (lsn.0 % region_bytes) / SECTOR_SIZE as u64;
-                let until_wrap = (region_bytes - lsn.0 % region_bytes) as usize;
-                let n = (data.len() - off).min(until_wrap);
+            let mut off = 0;
+            for (sector, sectors) in runs(inner.region_sectors, first, sectors) {
+                let segment = data.slice(off..off + sectors as usize * SECTOR_SIZE);
+                off += segment.len();
                 let write = IoReq::Write {
-                    sector: dev_sector,
-                    segments: vec![data.slice(off..off + n)],
+                    sector,
+                    segments: vec![segment],
                     fua: true,
                 };
-                if inner.dev.exec(write).await.is_err() {
-                    ok = false;
+                ok = inner.dev.exec(write).await.is_ok();
+                if !ok {
                     break;
                 }
-                off += n;
             }
             // Reclaim the batch allocation if every downstream view has
             // been dropped (always true over a synchronous disk; over

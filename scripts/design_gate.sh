@@ -92,6 +92,12 @@
 #     redo and undo decode a record from the bytes when they need it, so no
 #     decoded copy of the scanned log (a heap allocation per row image) or
 #     LSN index over one is held beside them.
+# (n) The key index packs rows into full sorted leaves. Fails if a
+#     `BTreeMap<Key, u32>` reappears in the non-test part of any
+#     `crates/dbengine/src` file: each table's index is the engine's own
+#     ordered map of leaves, two parallel sorted arrays of keys and slots
+#     each, so no std B-tree node half empty under appends spends twice the
+#     12 bytes a row needs.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -564,6 +570,16 @@ if [[ -n "$hits" ]]; then
     fail=1
 fi
 
+# ---- (n) the key index packs rows into full sorted leaves -------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nF 'BTreeMap<Key, u32>' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f maps keys to slots in a std B-tree again (the key index packs rows into full sorted leaves):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates/dbengine/src -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
@@ -580,3 +596,4 @@ echo "design_gate: ok    no config field that only its default sets (every other
 echo "design_gate: ok    log shipping is one stream (no ReplTenantStatus, StandbyTenantStatus, TenantApply, record_replicated or replicated_seq)"
 echo "design_gate: ok    the key index is per table (no BTreeMap<(TableId, Key) in crates/dbengine/src)"
 echo "design_gate: ok    recovery keeps the log bytes (no Vec<(Lsn, Record)> or FastMap<Lsn, &Record> in crates/dbengine/src/recovery.rs)"
+echo "design_gate: ok    the key index packs rows into full sorted leaves (no BTreeMap<Key, u32> in crates/dbengine/src)"

@@ -242,6 +242,66 @@ fn recovery_matches_committed_model() {
     }
 }
 
+/// Two overlapping transactions: T1 deletes row 1, T2 inserts row 2 and
+/// commits, then T1 rolls back, by `abort` or, left open at a crash, by
+/// recovery's undo. Both rows read back either way, before the crash and
+/// after it: T1's delete keeps its slot until it commits, so T2's insert
+/// cannot take the slot T1's rollback restores row 1 into.
+#[test]
+fn a_rolled_back_delete_keeps_a_row_committed_meanwhile() {
+    for abort in [true, false] {
+        let mut sim = Sim::new(3);
+        let ctx = sim.ctx();
+        let ok = Rc::new(RefCell::new(false));
+        let ok2 = Rc::clone(&ok);
+        sim.spawn(async move {
+            let data: Rc<dyn BlockDevice> = Rc::new(Disk::new(&ctx, specs::instant(64 << 20)));
+            let log: Rc<dyn BlockDevice> = Rc::new(Disk::new(&ctx, specs::instant(64 << 20)));
+            let defs = [TableDef {
+                name: "t".to_string(),
+                slot_size: 16,
+                max_rows: 64,
+            }];
+            let (d, l) = (Rc::clone(&data), Rc::clone(&log));
+            let db = Database::create(&ctx, DbConfig::default(), &defs, d, l, DomainId::ROOT)
+                .await
+                .unwrap();
+            let t = db.table("t").unwrap();
+            let setup = db.begin().await.unwrap();
+            db.insert(setup, t, 1, b"one").await.unwrap();
+            db.commit(setup).await.unwrap();
+            let t1 = db.begin().await.unwrap();
+            db.delete(t1, t, 1).await.unwrap();
+            let t2 = db.begin().await.unwrap();
+            db.insert(t2, t, 2, b"two").await.unwrap();
+            db.commit(t2).await.unwrap();
+            let both = [(1, Some(b"one".to_vec())), (2, Some(b"two".to_vec()))];
+            if abort {
+                db.abort(t1).await.unwrap();
+                for (k, want) in &both {
+                    assert_eq!(&db.get(t, *k).await.unwrap(), want, "key {k} after abort");
+                }
+            }
+            db.stop();
+            let (db2, _) = Database::open(&ctx, DbConfig::default(), data, log, DomainId::ROOT)
+                .await
+                .expect("recovery");
+            for (k, want) in &both {
+                assert_eq!(
+                    &db2.get(t, *k).await.unwrap(),
+                    want,
+                    "key {k} after recovery"
+                );
+            }
+            assert_eq!(db2.row_count(t), 2);
+            db2.stop();
+            *ok2.borrow_mut() = true;
+        });
+        sim.run_until(SimTime::from_secs(10));
+        assert!(*ok.borrow(), "abort={abort}: scenario did not complete");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Durability across arbitrary fault instants (mini fuzzed Table 2)
 // ---------------------------------------------------------------------------
