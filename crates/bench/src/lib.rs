@@ -2,10 +2,10 @@
 
 //! Benchmark harness for the paper's (reconstructed) tables and figures.
 //!
-//! The `figures` binary under `src/bin/` regenerates every one of them
-//! (`figures <name>` one) and prints the rows the reproduction records in
-//! EXPERIMENTS.md; the other binaries there are sweeps with gates of their
-//! own. This library holds the shared machinery:
+//! The one binary, `figures` under `src/bin/`, regenerates every one of
+//! them, the ablations and the fault gates (`figures <name>` one) and
+//! prints the rows the reproduction records in EXPERIMENTS.md. This library
+//! holds the shared machinery:
 //!
 //! * [`perf::run_perf`] — a complete performance run: assemble a machine in
 //!   one of the three setups, install and load a workload, drive it with

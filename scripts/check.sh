@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> design gate (one request path: no derived BlockDevice method re-implemented, no BlkReq/service.rs/ipc.rs; each crates/*/src non-test lines <= its line in scripts/src_lines.budget; no RecoveryMode/fuzzy_checkpoints/flush_all; bytes move by the run: no enum Held, no per-sector media map; the buffer is the log's read cache: no reads_hold_disk/stand_aside/defer_to_reads/read_defers/const KEPT; one explorer: no explore_crash_points/replay_crash_point/explore_failovers/FailoverCounterexample/*_parallel; no pub fn that only tests call (only call-shaped uses count) unless scripts/pub_census.allow says why, and no stale line there; the disk is write-through: no CacheSpec/writeback_loop/cache_write_hits; one figures binary: no other bin runs run_perf, no per-figure bin back; no config field that only its default or one preset sets unless scripts/pub_census.allow says why, and no stale line there; log shipping is one stream: no ReplTenantStatus/StandbyTenantStatus/TenantApply/record_replicated/replicated_seq; the key index is per table: no BTreeMap<(TableId, Key) in crates/dbengine/src; recovery keeps the log bytes: no Vec<(Lsn, Record)>/FastMap<Lsn, &Record> in crates/dbengine/src/recovery.rs; the key index packs rows into full sorted leaves: no BTreeMap<Key, u32> in crates/dbengine/src)"
+echo "==> design gate (one request path: no derived BlockDevice method re-implemented, no BlkReq/service.rs/ipc.rs; each crates/*/src non-test lines <= its line in scripts/src_lines.budget; no RecoveryMode/fuzzy_checkpoints/flush_all; bytes move by the run: no enum Held, no per-sector media map; the buffer is the log's read cache: no reads_hold_disk/stand_aside/defer_to_reads/read_defers/const KEPT; one explorer: no explore_crash_points/replay_crash_point/explore_failovers/FailoverCounterexample/*_parallel; no pub fn that only tests call (only call-shaped uses count) unless scripts/pub_census.allow says why, and no stale line there; the disk is write-through: no CacheSpec/writeback_loop/cache_write_hits; one figures binary: no other bin runs run_perf, no per-figure bin back; no config field that only its default or one preset sets unless scripts/pub_census.allow says why, and no stale line there; log shipping is one stream: no ReplTenantStatus/StandbyTenantStatus/TenantApply/record_replicated/replicated_seq; the key index is per table: no BTreeMap<(TableId, Key) in crates/dbengine/src; recovery keeps the log bytes: no Vec<(Lsn, Record)>/FastMap<Lsn, &Record> in crates/dbengine/src/recovery.rs; the key index packs rows into full sorted leaves: no BTreeMap<Key, u32> in crates/dbengine/src; the bench crate is one binary: crates/bench/src/bin/ holds only figures)"
 scripts/design_gate.sh
 
 echo "==> cargo build --release --workspace --all-targets"
@@ -23,18 +23,12 @@ echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
 echo "==> crash-point sweep (200 trials + broken-drain control)"
-./target/release/crashpoint_sweep
+./target/release/figures crashpoint_sweep
 
 echo "==> failover sweep (replicated pair: sync/async x 4 failure kinds; sync commit <= 1.1x link round trip)"
-./target/release/failover_sweep
+./target/release/figures failover_sweep
 
-echo "==> adaptive batching ablation (saturation + tail-latency + back-pressure gates, QUICK)"
-QUICK=1 ./target/release/abl_adaptive_batching
-
-echo "==> recovery ablation (storm + checkpoints-under-pressure report; log read back from the buffer that outlived the guest gated, QUICK)"
-QUICK=1 ./target/release/abl_recovery
-
-echo "==> paper figures at QUICK size (claim 3 on every virt-sync/RapiLog pair)"
+echo "==> every figures entry at QUICK size (figures, ablations and fault gates: each entry's checks, claim 3 on every virt-sync/RapiLog pair)"
 QUICK=1 ./target/release/figures >/dev/null
 
 echo "==> hot-path bench + allocation budget (check mode)"

@@ -52,9 +52,9 @@
 #     `crates/*/src` file: the volatile write cache RapiLog makes
 #     unnecessary is not modelled, so no option turns one on.
 # (i) One figures binary. The paper's figures are the functions of
-#     `crates/bench/src/bin/figures.rs`, which runs every cell through one
+#     `crates/bench/src/bin/figures/`, which runs every cell through one
 #     `run_parallel` batch and checks claim 3 on every virt-sync/RapiLog
-#     pair. Fails if another file under `crates/bench/src/bin/` names
+#     pair. Fails if a file under `crates/bench/src/bin/` outside it names
 #     `run_perf` (a figure outside the batch and the check), or if one of
 #     the thirteen per-figure binaries it replaced reappears by name.
 # (j) No config field that only its default sets. Every `pub` field of a
@@ -98,6 +98,13 @@
 #     ordered map of leaves, two parallel sorted arrays of keys and slots
 #     each, so no std B-tree node half empty under appends spends twice the
 #     12 bytes a row needs.
+# (o) The bench crate is one binary. Fails if `crates/bench/src/bin/` holds
+#     anything but `figures` (its directory, or one `figures.rs`), if
+#     `crates/bench/src/main.rs` exists, or if `crates/bench/Cargo.toml`
+#     declares a `[[bin]]`: a gate or ablation is an entry of the `FIGURES`
+#     table, run as `figures <name>`, with its dispatcher, row writer and
+#     exit rule, so none of the eight mains that became entries
+#     (`crashpoint_sweep` ... `fig_tenant_fairness`) comes back as a binary.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -304,7 +311,7 @@ while IFS= read -r f; do
         echo "$hits" >&2
         fail=1
     fi
-done < <(find crates/bench/src/bin -name '*.rs' ! -path crates/bench/src/bin/figures.rs | sort)
+done < <(find crates/bench/src/bin -name '*.rs' ! -path crates/bench/src/bin/figures.rs ! -path 'crates/bench/src/bin/figures/*' | sort)
 for gone in fig2_commit_latency fig3_virt_overhead fig4_tpcc_hdd fig5_tpcc_ssd fig6_engines \
     fig7_tpcb fig8_occupancy table1_residual table3_groupcommit abl_buffer_sweep \
     abl_disk_sweep abl_ckpt_sweep fig_latency_breakdown; do
@@ -580,6 +587,21 @@ while IFS= read -r f; do
     fi
 done < <(find crates/dbengine/src -name '*.rs' | sort)
 
+# ---- (o) the bench crate is one binary ----------------------------------------
+for f in crates/bench/src/bin/* crates/bench/src/main.rs; do
+    case "$f" in
+        crates/bench/src/bin/figures | crates/bench/src/bin/figures.rs) continue ;;
+    esac
+    if [[ -e "$f" ]]; then
+        echo "design_gate: FAIL  $f is a second bench binary (an entry of figures' FIGURES table runs as \`figures <name>\`)" >&2
+        fail=1
+    fi
+done
+if grep -n '^\[\[bin\]\]' crates/bench/Cargo.toml >&2; then
+    echo "design_gate: FAIL  crates/bench/Cargo.toml declares a binary (the bench crate's one binary is figures)" >&2
+    fail=1
+fi
+
 if ((fail)); then
     exit 1
 fi
@@ -597,3 +619,4 @@ echo "design_gate: ok    log shipping is one stream (no ReplTenantStatus, Standb
 echo "design_gate: ok    the key index is per table (no BTreeMap<(TableId, Key) in crates/dbengine/src)"
 echo "design_gate: ok    recovery keeps the log bytes (no Vec<(Lsn, Record)> or FastMap<Lsn, &Record> in crates/dbengine/src/recovery.rs)"
 echo "design_gate: ok    the key index packs rows into full sorted leaves (no BTreeMap<Key, u32> in crates/dbengine/src)"
+echo "design_gate: ok    the bench crate is one binary (crates/bench/src/bin/ holds only figures, no src/main.rs, no [[bin]])"

@@ -40,21 +40,14 @@ if [[ ! -f "$BASELINE" ]]; then
     exit 1
 fi
 
-# Each baseline row names the bench binary that produced it; re-run exactly
-# those, pinned to the baseline's thread count so the comparison is
+# Each baseline row names the `figures` entry that produced it; re-run
+# exactly those, pinned to the baseline's thread count so the comparison is
 # like-for-like even on machines with different core counts.
 if [[ "${PERF_GATE_SKIP_RUN:-0}" != "1" ]]; then
     cargo build --release -p rapilog-bench 2>&1 | tail -n 1
     while IFS=$'\t' read -r bench threads; do
-        # Most rows are named after their binary; the exceptions map here.
-        # The ablation sweeps are figures of the one `figures` binary.
-        cmd=("./target/release/$bench")
-        case "$bench" in
-            tenant_fairness) cmd=(./target/release/fig_tenant_fairness) ;;
-            abl_buffer_sweep | abl_disk_sweep | abl_ckpt_sweep) cmd=(./target/release/figures "$bench") ;;
-        esac
         echo "perf_gate: running $bench (QUICK, threads=$threads)"
-        QUICK=1 RAPILOG_BENCH_THREADS="$threads" "${cmd[@]}" >/dev/null
+        QUICK=1 RAPILOG_BENCH_THREADS="$threads" ./target/release/figures "$bench" >/dev/null
     done < <(jq -r '[.bench, (.threads // 1)] | @tsv' "$BASELINE")
 fi
 

@@ -15,8 +15,8 @@ use rapilog_suite::rapilog::AuditReport;
 #[test]
 fn crash_point_grid_is_clean_for_the_resilient_drain() {
     let mut cfg = ExplorerConfig::rapilog_default();
-    // A compact grid (integration-test budget); the bench binary
-    // `crashpoint_sweep` runs the full one.
+    // A compact grid (integration-test budget); `figures crashpoint_sweep`
+    // runs the full one.
     cfg.seeds = vec![0xC0FFEE, 0xC0FFEE + 101];
     cfg.fault_times_ms = vec![100, 300];
     let found = explore(&cfg, 1);
@@ -160,12 +160,13 @@ fn open_finding_1_power_flicker_misses_the_emergency_deadline() {
     open_finding_1(0xd1a1_128d_a60d_1788, FaultKind::PowerFlicker { flicker });
 }
 
-/// The cell of `crashpoint_sweep`'s QUICK multi-tenant grid (seeds `0x7E2A`,
+/// The cell of the crash-point sweep's QUICK multi-tenant grid (seeds `0x7E2A`,
 /// `0x7E8B` × 120, 330 ms) that PR 23's trajectory shift — one log write per
 /// commit, nothing in the drain — turned into a counterexample, while the
 /// fresh-seed campaign at this instant read 12 failed of 800 before and 6
 /// after. The grid keeps the instant; the sweep lists the cell as known
-/// (`OPEN_FINDING_1` in `crashpoint_sweep.rs`) and this replay tracks it.
+/// (`OPEN_FINDING_1` in `crates/bench/src/bin/figures/faults.rs`) and this
+/// replay tracks it.
 /// Today: 4 violations, first "tenant 3: slot 3 media seq 1028 outside
 /// acked..attempted [1092, 1092]", last "rapilog internal guarantee
 /// violated"; the flicker at the same cell reads that last one alone.
