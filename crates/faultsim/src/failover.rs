@@ -46,8 +46,7 @@ use rapilog_microvisor::cell::Cell;
 use rapilog_microvisor::{Hypervisor, Trust};
 use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::stats::Histogram;
-use rapilog_simcore::trace::{Layer, Payload};
-use rapilog_simcore::{DomainId, JoinHandle, Sim, SimCtx, SimDuration, SimTime};
+use rapilog_simcore::{Sim, SimCtx, SimDuration, SimTime};
 use rapilog_simdisk::{
     specs, BlockDevice, Completion, Disk, DiskSpec, Geometry, IoReq, IoResult, LocalBoxFuture,
     ReqToken, SECTOR_SIZE,
@@ -56,13 +55,9 @@ use rapilog_simnet::{Link, LinkFaults, LinkSpec};
 use rapilog_simpower::{supplies, PowerSupply};
 
 use crate::explorer::Trial;
+use crate::guest::{self, Guest, WriterJournal};
+use crate::scenario::trace_fault;
 
-/// First log sector of the audited client slots. Each write of the trial
-/// targets its own private sector, so the post-failover media audit can
-/// attribute every sector to exactly one `(client, write)` pair.
-const SLOT_BASE: u64 = 1024;
-/// Sector slots reserved per client (an upper bound on writes per client).
-const SLOTS_PER_CLIENT: u64 = 256;
 /// The sector a zombie primary writes after promotion (split-brain probe).
 const ZOMBIE_SLOT: u64 = 64;
 /// How many times the zombie's frame may go out before a standby that has
@@ -129,11 +124,11 @@ pub fn mode_label(mode: ReplicationMode) -> &'static str {
 }
 
 /// Concurrent writer clients on the failover trial's primary.
-const FAILOVER_TRIAL_CLIENTS: usize = 2;
+const FAILOVER_TRIAL_CLIENTS: u64 = 2;
 /// Writes each of them attempts, each to its own private sector: 64 writes
 /// about 300 µs apart outlast the 12 ms before the stock fault, so it lands
 /// mid-load.
-const FAILOVER_TRIAL_WRITES: usize = 64;
+const FAILOVER_TRIAL_WRITES: u64 = 64;
 /// Mean think time between a client's writes.
 const FAILOVER_TRIAL_THINK: SimDuration = SimDuration::from_micros(300);
 
@@ -201,36 +196,6 @@ pub struct FailoverResult {
     pub link_round_trip: SimDuration,
     /// Client ack latency (µs) over the pre-fault load.
     pub commit_latency: Histogram,
-}
-
-/// The expected byte-exact content of one audited slot.
-fn slot_payload(client: u64, k: u64, slot: u64) -> Vec<u8> {
-    let mut data = vec![0xC3u8; SECTOR_SIZE];
-    data[..8].copy_from_slice(&slot.to_le_bytes());
-    data[8..16].copy_from_slice(&client.to_le_bytes());
-    data[16..24].copy_from_slice(&k.to_le_bytes());
-    data
-}
-
-fn slot_of(client: u64, k: u64) -> u64 {
-    SLOT_BASE + client * SLOTS_PER_CLIENT + k
-}
-
-fn media_sector(disk: &Disk, sector: u64) -> Vec<u8> {
-    let mut buf = vec![0u8; SECTOR_SIZE];
-    disk.peek_media(sector, &mut buf);
-    buf
-}
-
-/// Per-client acknowledgement journal. Writes are submitted in order and
-/// a client stops at its first failure, so both counters are prefix
-/// lengths over `k = 0..`.
-#[derive(Debug, Clone, Copy, Default)]
-struct ClientJournal {
-    attempted: u64,
-    acked: u64,
-    /// The write that ended this client's run came back as an error.
-    failed: bool,
 }
 
 /// What a pair is assembled from: the parts a trial varies.
@@ -335,87 +300,42 @@ impl Pair {
     }
 }
 
-/// The audited client load: each write goes to its own private sector.
-struct Load {
-    guest: DomainId,
-    journals: Rc<RefCell<Vec<ClientJournal>>>,
-    commit_latency: Rc<RefCell<Histogram>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl Load {
-    fn spawn(
-        ctx: &SimCtx,
-        dev: &RapiLogDevice,
-        clients: usize,
-        writes: usize,
-        think: SimDuration,
-    ) -> Load {
-        assert!(
-            writes as u64 <= SLOTS_PER_CLIENT,
-            "at most {SLOTS_PER_CLIENT} writes per client"
-        );
-        let guest = ctx.create_domain();
-        let journals = Rc::new(RefCell::new(vec![ClientJournal::default(); clients]));
-        let commit_latency = Rc::new(RefCell::new(Histogram::new()));
-        let mut handles = Vec::new();
-        for client in 0..clients as u64 {
-            let dev = dev.clone();
-            let ctx3 = ctx.clone();
-            let journals = Rc::clone(&journals);
-            let lat = Rc::clone(&commit_latency);
-            handles.push(ctx.spawn_in(guest, async move {
-                for k in 0..writes as u64 {
-                    let slot = slot_of(client, k);
-                    journals.borrow_mut()[client as usize].attempted = k + 1;
-                    let t0 = ctx3.now();
-                    match dev.write(slot, &slot_payload(client, k, slot), true).await {
-                        Ok(()) => {
-                            journals.borrow_mut()[client as usize].acked = k + 1;
-                            lat.borrow_mut()
-                                .record(ctx3.now().duration_since(t0).as_micros());
-                        }
-                        // Frozen buffer, halted shipper or dead disk: the
-                        // machine is dying, this client is done.
-                        Err(_) => {
-                            journals.borrow_mut()[client as usize].failed = true;
-                            break;
-                        }
+/// Audits both images of a pair against the clients' journals: the
+/// primary's by the media audit, the standby's against it (no divergence,
+/// nothing the primary lacks, in sync mode every acknowledged write).
+/// Returns the committed sectors the standby image misses.
+fn audit_pair(
+    primary: &Disk,
+    standby: &Disk,
+    journals: &[WriterJournal],
+    mode: ReplicationMode,
+    violations: &mut Vec<String>,
+) -> u64 {
+    let mut missing = 0;
+    for j in journals {
+        let client = j.tenant;
+        // Acked writes are on the primary image in every kind (quiesced
+        // drain or emergency drain).
+        let on_primary = guest::audit(primary, j, "client", violations);
+        let on_standby = guest::media_seqs(standby, j);
+        for k in 0..j.attempted_writes() as usize {
+            let (p, sector) = (on_primary[k].unwrap_or(0), j.base + k as u64);
+            let problem = match on_standby[k] {
+                Err(_) => format!("replica diverged at sector {sector}"),
+                Ok(s) if s > p => format!("standby ahead of primary at sector {sector}"),
+                Ok(s) => {
+                    missing += u64::from(p > s);
+                    // Sync mode: acked implies standby-durable, period.
+                    if mode != ReplicationMode::Sync || s >= j.acked[k] {
+                        continue;
                     }
-                    if !think.is_zero() {
-                        let ns = rapilog_simcore::rng::exponential(
-                            &mut ctx3.fork_rng(),
-                            think.as_nanos() as f64,
-                        );
-                        ctx3.sleep(SimDuration::from_nanos(ns as u64)).await;
-                    }
+                    "acked in sync mode but missing from the promoted standby".to_string()
                 }
-            }));
-        }
-        Load {
-            guest,
-            journals,
-            commit_latency,
-            handles,
+            };
+            violations.push(format!("client {client} write {k}: {problem}"));
         }
     }
-
-    async fn finish(&mut self) {
-        for h in self.handles.drain(..) {
-            let _ = h.await;
-        }
-    }
-}
-
-fn trace_fault(ctx: &SimCtx, label: &'static str) -> SimTime {
-    let at = ctx.now();
-    ctx.tracer().instant(
-        at,
-        Layer::Fault,
-        "fault_inject",
-        Payload::Text { text: label },
-    );
-    at
+    missing
 }
 
 /// Frames the shipper has put on the wire, first sends and re-sends alike.
@@ -427,10 +347,8 @@ fn frames_sent(r: &ReplicationReport) -> u64 {
 pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
     let mut sim = Sim::new(seed);
     let ctx = sim.ctx();
-    let result: Rc<RefCell<Option<FailoverResult>>> = Rc::new(RefCell::new(None));
-    let out = Rc::clone(&result);
     let c2 = ctx.clone();
-    sim.spawn(async move {
+    let task = sim.spawn(async move {
         // ---- Assembly: two boxes, two links; the standby applies into its
         // own RapiLog instance.
         let (ship_faults, ack_faults) = match cfg.kind {
@@ -453,13 +371,12 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
         );
         let standby = pair.start_standby(&c2, Rc::new(pair.standby_log.device()));
         let (rl, repl) = (&pair.primary, &pair.repl);
-        let mut load = Load::spawn(
-            &c2,
-            &rl.device(),
-            FAILOVER_TRIAL_CLIENTS,
-            FAILOVER_TRIAL_WRITES,
-            FAILOVER_TRIAL_THINK,
-        );
+        // The audited clients, in a guest domain the faults kill.
+        let (writes, think) = (FAILOVER_TRIAL_WRITES, FAILOVER_TRIAL_THINK);
+        let mut load = Guest::new(c2.create_domain(), writes, think);
+        for c in 0..FAILOVER_TRIAL_CLIENTS {
+            load.spawn(&c2, &rl.device(), WriterJournal::client(c, writes));
+        }
 
         // ---- Fault choreography → promotion.
         let fault_at;
@@ -467,7 +384,7 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
             FailoverKind::GuestCrash => {
                 c2.sleep(cfg.fault_after).await;
                 fault_at = trace_fault(&c2, cfg.kind.label());
-                c2.kill_domain(load.guest);
+                c2.kill_domain(load.domain);
                 // The storage stack survived: let the drain retire what the
                 // dead guest already submitted, and the replica catch up,
                 // before the operator flips the switch.
@@ -490,7 +407,7 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
                     .expect("power kinds carry a supply");
                 p.cut_mains();
                 p.death_event().wait().await;
-                c2.kill_domain(load.guest);
+                c2.kill_domain(load.domain);
                 // A beat for frames already in flight to land (or die in
                 // the partition) before promotion freezes the standby.
                 c2.sleep(SimDuration::from_millis(2)).await;
@@ -511,7 +428,7 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
         pair.standby_log.quiesce().await;
         let recovery_time = c2.now().duration_since(fault_at);
         let repl_report = repl.report();
-        let journals = load.journals.borrow().clone();
+        let journals = load.journals();
 
         // ---- The audit: both media images against the journals.
         let mut violations = Vec::new();
@@ -533,54 +450,13 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
             .offered_hi
             .map_or(0, |o| o + 1)
             .saturating_sub(applied_hi.map_or(0, |a| a + 1));
-        let mut media_missing = 0u64;
-        let mut acked_writes = 0u64;
-        let mut attempted_writes = 0u64;
-        let mut pbuf = vec![0u8; SECTOR_SIZE];
-        let mut sbuf = vec![0u8; SECTOR_SIZE];
-        for (client, j) in journals.iter().enumerate() {
-            acked_writes += j.acked;
-            attempted_writes += j.attempted;
-            for k in 0..j.attempted {
-                let slot = slot_of(client as u64, k);
-                let expected = slot_payload(client as u64, k, slot);
-                pair.primary_disk.peek_media(slot, &mut pbuf);
-                pair.standby_disk.peek_media(slot, &mut sbuf);
-                let primary_has = pbuf == expected;
-                let standby_has = sbuf == expected;
-                if !standby_has && sbuf.iter().any(|&b| b != 0) {
-                    violations.push(format!(
-                        "client {client} write {k}: replica diverged at sector {slot}"
-                    ));
-                    continue;
-                }
-                if standby_has && !primary_has {
-                    violations.push(format!(
-                        "client {client} write {k}: standby ahead of primary at sector {slot}"
-                    ));
-                    continue;
-                }
-                if primary_has && !standby_has {
-                    media_missing += 1;
-                }
-                if k < j.acked {
-                    // Acked writes must be on the primary image in every
-                    // kind (quiesced drain or emergency drain).
-                    if !primary_has {
-                        violations.push(format!(
-                            "client {client} write {k}: acked but lost from the PRIMARY image"
-                        ));
-                    }
-                    // Sync mode: acked implies standby-durable, period.
-                    if cfg.mode == ReplicationMode::Sync && !standby_has {
-                        violations.push(format!(
-                            "client {client} write {k}: acked in sync mode but missing \
-                             from the promoted standby"
-                        ));
-                    }
-                }
-            }
-        }
+        let media_missing = audit_pair(
+            &pair.primary_disk,
+            &pair.standby_disk,
+            &journals,
+            cfg.mode,
+            &mut violations,
+        );
         // The exactness check (both modes): the reported lag must equal the
         // ground-truth count of committed-but-unreplicated sectors. The
         // primary is quiesced or dead here, so every offered (= admitted)
@@ -609,7 +485,7 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
         let mut refused_after_promotion = standby_report.refused_after_promotion;
         if !cfg.kind.needs_power() {
             let dev = rl.device();
-            let zombie = slot_payload(u64::MAX, u64::MAX, ZOMBIE_SLOT);
+            let zombie = guest::payload(u64::MAX, 1);
             let z = zombie.clone();
             let sent_before = frames_sent(&repl.report());
             // Detached: in sync mode this write blocks forever (the
@@ -635,6 +511,7 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
             if standby.applied_hi() != applied_hi {
                 violations.push("standby applied frames after promotion".to_string());
             }
+            let mut sbuf = vec![0u8; SECTOR_SIZE];
             pair.standby_disk.peek_media(ZOMBIE_SLOT, &mut sbuf);
             if sbuf == zombie || pair.standby_log.occupancy() != 0 {
                 violations.push("zombie write reached the replica image".to_string());
@@ -647,12 +524,12 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
         repl.halt();
 
         let ship_stats = pair.ship.stats();
-        let commit_latency = load.commit_latency.borrow().clone();
-        *out.borrow_mut() = Some(FailoverResult {
+        let commit_latency = load.latency.borrow().clone();
+        FailoverResult {
             ok: violations.is_empty(),
             violations,
-            acked_writes,
-            attempted_writes,
+            acked_writes: journals.iter().map(|j| j.acked_writes).sum(),
+            attempted_writes: journals.iter().map(WriterJournal::attempted_writes).sum(),
             reported_lag,
             media_missing,
             recovery_time,
@@ -665,17 +542,17 @@ pub fn run_failover_trial(seed: u64, cfg: FailoverConfig) -> FailoverResult {
             standby_guarantee,
             link_round_trip: pair.link_round_trip(),
             commit_latency,
-        });
+        }
     });
     sim.run_until(SimTime::from_secs(60));
-    let r = result.borrow_mut().take();
-    r.expect("failover trial did not complete — deadlock or runaway scenario")
+    task.try_take()
+        .expect("failover trial did not complete — deadlock or runaway scenario")
 }
 
 /// The standby-side trial's load: enough synchronous writers, close enough
 /// together, to keep an SSD-backed standby's drain busy without pause.
-const STANDBY_TRIAL_CLIENTS: usize = 4;
-const STANDBY_TRIAL_WRITES: usize = 200;
+const STANDBY_TRIAL_CLIENTS: u64 = 4;
+const STANDBY_TRIAL_WRITES: u64 = 200;
 const STANDBY_TRIAL_THINK: SimDuration = SimDuration::from_micros(50);
 
 /// One standby-side trial's parameters: the primary stays healthy and
@@ -802,10 +679,8 @@ impl BlockDevice for ApplyLog {
 pub fn run_standby_trial(seed: u64, cfg: StandbyTrialConfig) -> StandbyTrialResult {
     let mut sim = Sim::new(seed);
     let ctx = sim.ctx();
-    let result: Rc<RefCell<Option<StandbyTrialResult>>> = Rc::new(RefCell::new(None));
-    let out = Rc::clone(&result);
     let c2 = ctx.clone();
-    sim.spawn(async move {
+    let task = sim.spawn(async move {
         let pair = Pair::assemble(
             &c2,
             PairSpec {
@@ -822,13 +697,16 @@ pub fn run_standby_trial(seed: u64, cfg: StandbyTrialConfig) -> StandbyTrialResu
             writes: RefCell::new(Vec::new()),
         });
         let standby = pair.start_standby(&c2, applies.clone());
-        let mut load = Load::spawn(
-            &c2,
-            &pair.primary.device(),
-            STANDBY_TRIAL_CLIENTS,
-            STANDBY_TRIAL_WRITES,
-            STANDBY_TRIAL_THINK,
-        );
+        // The audited clients, in a guest domain the faults kill.
+        let (writes, think) = (STANDBY_TRIAL_WRITES, STANDBY_TRIAL_THINK);
+        let mut load = Guest::new(c2.create_domain(), writes, think);
+        for c in 0..STANDBY_TRIAL_CLIENTS {
+            load.spawn(
+                &c2,
+                &pair.primary.device(),
+                WriterJournal::client(c, writes),
+            );
+        }
 
         if let Some(after) = cfg.cut_standby_after {
             c2.sleep(after).await;
@@ -840,7 +718,7 @@ pub fn run_standby_trial(seed: u64, cfg: StandbyTrialConfig) -> StandbyTrialResu
             pair.standby_psu.death_event().wait().await;
             // The standby is gone and stays silent: sync writers are
             // blocked on it, which is the correct thing for them to be.
-            c2.kill_domain(load.guest);
+            c2.kill_domain(load.domain);
         } else {
             load.finish().await;
             pair.primary.quiesce().await;
@@ -863,10 +741,14 @@ pub fn run_standby_trial(seed: u64, cfg: StandbyTrialConfig) -> StandbyTrialResu
         }
         let applies = applies.writes.borrow();
         let vouched = durable_hi.map_or(0, |hi| hi + 1);
+        let mut buf = vec![0u8; SECTOR_SIZE];
         let lost_acked_frames = applies
             .iter()
             .take(vouched as usize)
-            .filter(|(sector, data)| media_sector(&pair.standby_disk, *sector) != data.as_slice())
+            .filter(|(sector, data)| {
+                pair.standby_disk.peek_media(*sector, &mut buf);
+                buf != data.as_slice()
+            })
             .count() as u64
             // (An applied prefix longer than the notebook would be a
             // standby acknowledging writes it never submitted.)
@@ -885,9 +767,9 @@ pub fn run_standby_trial(seed: u64, cfg: StandbyTrialConfig) -> StandbyTrialResu
         if !pair.primary.audit_report().guarantee_held() {
             violations.push("primary single-box guarantee violated".to_string());
         }
-        let journals = load.journals.borrow();
-        let acked_writes: u64 = journals.iter().map(|j| j.acked).sum();
-        let attempted_writes: u64 = journals.iter().map(|j| j.attempted).sum();
+        let journals = load.journals();
+        let acked_writes: u64 = journals.iter().map(|j| j.acked_writes).sum();
+        let attempted_writes: u64 = journals.iter().map(WriterJournal::attempted_writes).sum();
         let write_errors = journals.iter().filter(|j| j.failed).count() as u64;
         if write_errors > 0 {
             violations.push(format!(
@@ -900,22 +782,15 @@ pub fn run_standby_trial(seed: u64, cfg: StandbyTrialConfig) -> StandbyTrialResu
             ));
         }
         // What a client was told is on the standby's media too (its box is
-        // dead or quiesced by now).
-        for (client, j) in journals.iter().enumerate() {
-            for k in 0..j.acked {
-                let slot = slot_of(client as u64, k);
-                if media_sector(&pair.standby_disk, slot) != slot_payload(client as u64, k, slot) {
-                    violations.push(format!(
-                        "client {client} write {k}: acked in sync mode but missing \
-                         from the standby's media"
-                    ));
-                }
-            }
+        // dead or quiesced by now): the writers' one media audit.
+        for j in &journals {
+            guest::audit(&pair.standby_disk, j, "client", &mut violations);
         }
         pair.hv.assert_trusted_intact();
         pair.repl.halt();
 
-        *out.borrow_mut() = Some(StandbyTrialResult {
+        let commit_latency = load.latency.borrow().clone();
+        StandbyTrialResult {
             ok: violations.is_empty(),
             violations,
             acked_writes,
@@ -930,12 +805,12 @@ pub fn run_standby_trial(seed: u64, cfg: StandbyTrialConfig) -> StandbyTrialResu
                 .first()
                 .map_or(0, |e| e.occupancy_at_warning),
             standby_backpressure_events: pair.standby_log.stats().backpressure_events,
-            commit_latency: load.commit_latency.borrow().clone(),
-        });
+            commit_latency,
+        }
     });
     sim.run_until(SimTime::from_secs(60));
-    let r = result.borrow_mut().take();
-    r.expect("standby trial did not complete — deadlock or runaway scenario")
+    task.try_take()
+        .expect("standby trial did not complete — deadlock or runaway scenario")
 }
 
 /// The failover grid: seeds × modes × every [`FailoverKind`], one trial
@@ -1094,6 +969,83 @@ impl Trial for FailoverExplorerConfig {
 mod tests {
     use super::*;
     use crate::explorer::explore;
+
+    /// Client 0 after three writes, the last unacknowledged, on both images
+    /// of a pair.
+    fn pair_images() -> (Sim, Disk, Disk, WriterJournal) {
+        let sim = Sim::new(1);
+        let primary = Disk::new(&sim.ctx(), specs::instant(64 << 20));
+        let standby = Disk::new(&sim.ctx(), specs::instant(64 << 20));
+        let mut j = WriterJournal::client(0, 3);
+        for seq in 1..=3u64 {
+            j.attempted[seq as usize - 1] = seq;
+            if seq < 3 {
+                j.acked[seq as usize - 1] = seq;
+                j.acked_writes += 1;
+            }
+            primary.poke_media(j.base + seq - 1, &guest::payload(0, seq));
+            standby.poke_media(j.base + seq - 1, &guest::payload(0, seq));
+        }
+        (sim, primary, standby, j)
+    }
+
+    fn pair_audit(
+        primary: &Disk,
+        standby: &Disk,
+        j: &WriterJournal,
+        mode: ReplicationMode,
+    ) -> (u64, Vec<String>) {
+        let mut v = Vec::new();
+        let missing = audit_pair(primary, standby, std::slice::from_ref(j), mode, &mut v);
+        (missing, v)
+    }
+
+    #[test]
+    fn each_pair_violation_fires_once_with_its_message() {
+        let (_sim, primary, standby, j) = pair_images();
+        assert_eq!(
+            pair_audit(&primary, &standby, &j, ReplicationMode::Sync),
+            (0, vec![])
+        );
+        let zeros = vec![0u8; SECTOR_SIZE];
+        // Another client's bytes on the standby.
+        standby.poke_media(j.base + 1, &guest::payload(1, 2));
+        assert_eq!(
+            pair_audit(&primary, &standby, &j, ReplicationMode::Sync),
+            (
+                0,
+                vec!["client 0 write 1: replica diverged at sector 1025".to_string()]
+            )
+        );
+        standby.poke_media(j.base + 1, &guest::payload(0, 2));
+        // The unacknowledged write on the standby only.
+        primary.poke_media(j.base + 2, &zeros);
+        assert_eq!(
+            pair_audit(&primary, &standby, &j, ReplicationMode::Sync),
+            (
+                0,
+                vec!["client 0 write 2: standby ahead of primary at sector 1026".to_string()]
+            )
+        );
+        primary.poke_media(j.base + 2, &guest::payload(0, 3));
+        // An acknowledged write the standby lacks: lag in async mode, a
+        // violation in sync mode.
+        standby.poke_media(j.base, &zeros);
+        assert_eq!(
+            pair_audit(&primary, &standby, &j, ReplicationMode::Async),
+            (1, vec![])
+        );
+        assert_eq!(
+            pair_audit(&primary, &standby, &j, ReplicationMode::Sync),
+            (
+                1,
+                vec![
+                    "client 0 write 0: acked in sync mode but missing from the promoted standby"
+                        .to_string()
+                ]
+            )
+        );
+    }
 
     #[test]
     fn sync_guest_crash_standby_serves_every_acked_commit() {

@@ -18,6 +18,10 @@
 //! Table 2 of the reproduction is a campaign of these trials; the
 //! [`scenario`] module is its engine.
 //!
+//! The crash trial's co-tenants and the failover trials' clients are one
+//! audited guest writer, with one [`WriterJournal`] each and one media
+//! audit (acked ≤ media seq ≤ attempted, only its own bytes, byte-exact).
+//!
 //! The [`failover`] module extends the campaign across machines: a
 //! replicated primary/standby pair over a faulty simulated network, with
 //! crash-failover scenarios auditing the promoted standby against the
@@ -34,6 +38,7 @@
 pub mod crash;
 pub mod explorer;
 pub mod failover;
+mod guest;
 pub mod machine;
 pub mod scenario;
 
@@ -44,6 +49,7 @@ pub use failover::{
     FailoverKind, FailoverPoint, FailoverReport, FailoverResult, StandbyTrialConfig,
     StandbyTrialResult,
 };
+pub use guest::WriterJournal;
 pub use machine::{Machine, MachineConfig, Setup};
 pub use scenario::{
     run_trial, run_trial_traced, FaultKind, FaultStats, RecoverySweep, TrialConfig, TrialResult,

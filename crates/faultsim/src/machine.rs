@@ -253,7 +253,9 @@ impl Machine {
         Ok(db)
     }
 
-    /// Boots the guest and runs crash recovery over the existing devices.
+    /// Boots the guest and runs crash recovery over the existing devices,
+    /// in the guest: a crash or power death during it ends it with
+    /// [`DbError::Stopped`], and the machine can be recovered again.
     ///
     /// # Panics
     ///
@@ -285,8 +287,11 @@ impl Machine {
         let domain = self.inner.vm.domain().expect("guest booted");
         let tracer = self.inner.ctx.tracer();
         tracer.begin(self.inner.ctx.now(), Layer::Fault, "recover", Payload::None);
-        let opened =
-            Database::open(&self.inner.ctx, self.db_config(), data_dev, log_dev, domain).await;
+        let (ctx, cfg) = (self.inner.ctx.clone(), self.db_config());
+        let open = async move { Database::open(&ctx, cfg, data_dev, log_dev, domain).await };
+        // `None`: the guest died (crash, power death) during recovery.
+        let joined = self.inner.ctx.spawn_in(domain, open).await;
+        let opened = joined.unwrap_or(Err(DbError::Stopped));
         tracer.end(
             self.inner.ctx.now(),
             Layer::Fault,

@@ -23,21 +23,13 @@ use rapilog_simcore::stats::Histogram;
 use rapilog_simcore::trace::{
     LatencyAttribution, Layer, MediaOp, Payload, TraceSnapshot, DEFAULT_CAPACITY,
 };
-use rapilog_simcore::{RunReport, SchedulerKind, Sim, SimDuration, SimTime};
-use rapilog_simdisk::{BlockDevice, SECTOR_SIZE};
+use rapilog_simcore::{DomainId, RunReport, SchedulerKind, Sim, SimCtx, SimDuration, SimTime};
+use rapilog_simdisk::SECTOR_SIZE;
 use rapilog_workload::micro;
 use rapilog_workload::session::{job, outcome_from, JobOutcome};
 
+use crate::guest::{self, Guest, WriterJournal, TENANT_BASE};
 use crate::machine::{Machine, MachineConfig};
-
-/// First log-disk sector of the co-tenant writer region. Far above anything
-/// the database WAL touches on the 128 MiB+ log disks the trials use, so
-/// tenant slots and WAL never alias — which `RapiLogBuilder::tenants`
-/// requires of the tenants of one instance, and every multi-tenant trial
-/// checks of its WAL once it has recovered.
-const TENANT_BASE_SECTOR: u64 = 200_000;
-/// Sectors (= journal slots) per co-tenant writer.
-const TENANT_SLOT_COUNT: u64 = 64;
 
 /// The injected fault classes: the paper's two machine-level failures plus
 /// the media-fault scenarios of the IRON-style disk model.
@@ -155,40 +147,6 @@ pub struct ClientJournal {
     pub attempted: u64,
 }
 
-/// One co-tenant writer's acknowledgement journal (multi-tenant trials).
-///
-/// The writer cycles through [`TENANT_SLOT_COUNT`] private log-disk sectors,
-/// stamping each write with a monotonic sequence and the tenant's tag. The
-/// journal records, per slot, the highest acknowledged and highest attempted
-/// sequence — the media audit after recovery checks every slot against it.
-#[derive(Debug, Clone)]
-pub struct TenantJournal {
-    /// The tenant id (1-based; tenant 0 is the database WAL).
-    pub tenant: u64,
-    /// Per-slot highest sequence whose write was acknowledged.
-    pub acked: Vec<u64>,
-    /// Per-slot highest sequence ever submitted.
-    pub attempted: Vec<u64>,
-    /// Count of acknowledged writes (across slots).
-    pub acked_writes: u64,
-}
-
-impl TenantJournal {
-    fn new(tenant: u64) -> TenantJournal {
-        TenantJournal {
-            tenant,
-            acked: vec![0; TENANT_SLOT_COUNT as usize],
-            attempted: vec![0; TENANT_SLOT_COUNT as usize],
-            acked_writes: 0,
-        }
-    }
-}
-
-/// The byte every filler position of tenant `t`'s sectors carries.
-fn tenant_fill(t: u64) -> u8 {
-    0xA0u8.wrapping_add(t as u8)
-}
-
 /// The outcome of one trial.
 #[derive(Debug, Clone)]
 pub struct TrialResult {
@@ -218,7 +176,7 @@ pub struct TrialResult {
     /// gives p99/p999 for the sweep tables.
     pub commit_latency: Histogram,
     /// Co-tenant writer journals (empty on single-tenant machines).
-    pub tenant_journals: Vec<TenantJournal>,
+    pub tenant_journals: Vec<WriterJournal>,
 }
 
 /// Runs one complete trial in its own deterministic simulation on the
@@ -254,10 +212,8 @@ fn trial(
     let ctx = sim.ctx();
     ctx.tracer().set_capacity(ring);
     ctx.tracer().set_enabled(true);
-    let result: Rc<RefCell<Option<TrialResult>>> = Rc::new(RefCell::new(None));
-    let out = Rc::clone(&result);
     let c2 = ctx.clone();
-    sim.spawn(async move {
+    let task = sim.spawn(async move {
         let machine = Machine::new(&c2, cfg.machine.clone());
         let db = machine
             .install(&micro::table_defs(cfg.clients as u64))
@@ -321,11 +277,7 @@ fn trial(
         // Tenant 0 is the database WAL above; tenants 1..n are synthetic
         // guest cells hammering their own shard with tagged sectors.
         let n_tenants = cfg.machine.tenants;
-        let stop_writers = Rc::new(std::cell::Cell::new(false));
-        let tenant_journals: Rc<RefCell<Vec<TenantJournal>>> = Rc::new(RefCell::new(
-            (1..n_tenants as u64).map(TenantJournal::new).collect(),
-        ));
-        let mut writer_handles = Vec::new();
+        let mut co_tenants = Guest::new(DomainId::ROOT, u64::MAX, cfg.think_time);
         if n_tenants > 1 {
             let rl = machine
                 .rapilog()
@@ -334,50 +286,12 @@ fn trial(
                 let dev = rl
                     .device_for(TenantId(t))
                     .expect("tenant shard was configured");
-                let ctx4 = c2.clone();
-                let tj = Rc::clone(&tenant_journals);
-                let stop = Rc::clone(&stop_writers);
-                let think = cfg.think_time;
-                writer_handles.push(c2.spawn(async move {
-                    let mut seq = 0u64;
-                    while !stop.get() {
-                        seq += 1;
-                        let slot = (seq - 1) % TENANT_SLOT_COUNT;
-                        let sector = TENANT_BASE_SECTOR + (t - 1) * TENANT_SLOT_COUNT + slot;
-                        let mut data = vec![tenant_fill(t); SECTOR_SIZE];
-                        data[..8].copy_from_slice(&seq.to_le_bytes());
-                        data[8] = t as u8;
-                        tj.borrow_mut()[t as usize - 1].attempted[slot as usize] = seq;
-                        match dev.write(sector, &data, true).await {
-                            Ok(()) => {
-                                let mut js = tj.borrow_mut();
-                                js[t as usize - 1].acked[slot as usize] = seq;
-                                js[t as usize - 1].acked_writes += 1;
-                            }
-                            // Frozen buffer or dead disk: this tenant is done.
-                            Err(_) => break,
-                        }
-                        if !think.is_zero() {
-                            let ns = rapilog_simcore::rng::exponential(
-                                &mut ctx4.fork_rng(),
-                                think.as_nanos() as f64,
-                            );
-                            ctx4.sleep(SimDuration::from_nanos(ns as u64)).await;
-                        }
-                    }
-                }));
+                co_tenants.spawn(&c2, &dev, WriterJournal::co_tenant(t));
             }
         }
         // Let the load run, then pull the trigger.
         c2.sleep(cfg.fault_after).await;
-        c2.tracer().instant(
-            c2.now(),
-            Layer::Fault,
-            "fault_inject",
-            Payload::Text {
-                text: cfg.fault.label(),
-            },
-        );
+        trace_fault(&c2, cfg.fault.label());
         match cfg.fault {
             FaultKind::GuestCrash => {
                 machine.crash_guest();
@@ -419,13 +333,11 @@ fn trial(
             }
         }
         // Wait for every client to observe the failure.
-        stop_writers.set(true);
+        co_tenants.stop.set(true);
         for h in client_handles {
             let _ = h.await;
         }
-        for h in writer_handles {
-            let _ = h.await;
-        }
+        co_tenants.finish().await;
         // Multi-tenant only: let the fair-share drain land everything the
         // co-tenant writers were acknowledged for (a frozen instance
         // already ran its emergency drain). Single-tenant trials skip this
@@ -443,14 +355,15 @@ fn trial(
             .reboot_and_recover()
             .await
             .expect("recovery must succeed");
-        // Sector 0 is the superblock's; the log starts in sector 1.
-        debug_assert!(
-            n_tenants == 1 || TENANT_BASE_SECTOR > 1 + recovery.log_end.0 / SECTOR_SIZE as u64,
-            "the WAL reached the co-tenant writers' sectors: {:?}",
-            recovery.log_end
-        );
         let table = micro::registers_table(&db).expect("registers table");
         let mut violations = Vec::new();
+        // Sector 0 is the superblock's; the log starts in sector 1.
+        if n_tenants > 1 && 1 + recovery.log_end.0 / SECTOR_SIZE as u64 >= TENANT_BASE {
+            violations.push(format!(
+                "the WAL reached the co-tenant writers' sectors: {:?}",
+                recovery.log_end
+            ));
+        }
         let mut recovered = Vec::new();
         for (client, j) in journals.iter().enumerate() {
             let (a, b) = micro::read_pair(&db, table, client as u64)
@@ -478,38 +391,9 @@ fn trial(
         // Multi-tenant media audit: every tenant keeps every acknowledged
         // byte (durability) and no tenant's sectors carry another tenant's
         // data (isolation). Read straight off the media, past all caches.
-        let tenant_journals = tenant_journals.borrow().clone();
+        let tenant_journals = co_tenants.journals();
         for tj in &tenant_journals {
-            let t = tj.tenant;
-            let base = TENANT_BASE_SECTOR + (t - 1) * TENANT_SLOT_COUNT;
-            let mut buf = vec![0u8; SECTOR_SIZE];
-            for slot in 0..TENANT_SLOT_COUNT as usize {
-                machine.log_disk().peek_media(base + slot as u64, &mut buf);
-                let acked = tj.acked[slot];
-                let attempted = tj.attempted[slot];
-                if buf.iter().all(|&b| b == 0) {
-                    if acked > 0 {
-                        violations.push(format!(
-                            "tenant {t}: slot {slot} lost acked seq {acked} (media empty)"
-                        ));
-                    }
-                    continue;
-                }
-                if buf[8] != t as u8 || buf[9] != tenant_fill(t) {
-                    violations.push(format!(
-                        "tenant {t}: foreign data in slot {slot} (tag {}, fill {:#04x})",
-                        buf[8], buf[9]
-                    ));
-                    continue;
-                }
-                let media_seq = u64::from_le_bytes(buf[..8].try_into().unwrap());
-                if media_seq < acked || media_seq > attempted {
-                    violations.push(format!(
-                        "tenant {t}: slot {slot} media seq {media_seq} outside \
-                         acked..attempted [{acked}, {attempted}]"
-                    ));
-                }
-            }
+            guest::audit(machine.log_disk(), tj, "tenant", &mut violations);
         }
         machine.assert_trusted_intact();
         let rapilog_guarantee = machine.rapilog_guarantee_held();
@@ -528,7 +412,8 @@ fn trial(
             Payload::Mark { value: total_acked },
         );
         let attribution = c2.tracer().latency_attribution(total_acked);
-        *out.borrow_mut() = Some(TrialResult {
+        let commit_latency = commit_latency.borrow().clone();
+        TrialResult {
             ok: violations.is_empty(),
             violations,
             journals,
@@ -538,18 +423,26 @@ fn trial(
             rapilog_guarantee,
             fault_stats,
             attribution,
-            commit_latency: commit_latency.borrow().clone(),
+            commit_latency,
             tenant_journals,
-        });
+        }
     });
     let report = sim.run_until(SimTime::from_secs(600));
     let trace = ctx.tracer().snapshot();
-    let r = result.borrow_mut().take();
     (
-        r.expect("trial did not complete — deadlock or runaway scenario"),
+        task.try_take()
+            .expect("trial did not complete — deadlock or runaway scenario"),
         report,
         trace,
     )
+}
+
+/// Marks a trial's fault in the trace (`Layer::Fault` `fault_inject`).
+pub(crate) fn trace_fault(ctx: &SimCtx, label: &'static str) -> SimTime {
+    let at = ctx.now();
+    let text = Payload::Text { text: label };
+    ctx.tracer().instant(at, Layer::Fault, "fault_inject", text);
+    at
 }
 
 /// What a rotating log disk was asked to do while one traced trial

@@ -105,6 +105,12 @@
 #     table, run as `figures <name>`, with its dispatcher, row writer and
 #     exit rule, so none of the eight mains that became entries
 #     (`crashpoint_sweep` ... `fig_tenant_fairness`) comes back as a binary.
+# (p) One audited guest writer. Fails if `slot_payload`, `tenant_fill`,
+#     `SLOTS_PER_CLIENT`, `TENANT_SLOT_COUNT` or `struct Load` reappears in
+#     the non-test part of any `crates/faultsim/src` file: the crash trial's
+#     co-tenants and the failover trials' clients are one writer
+#     (`faultsim::guest`) with one journal and one media audit, so neither
+#     trial grows its own sector writer, payload or slot layout again.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -602,6 +608,16 @@ if grep -n '^\[\[bin\]\]' crates/bench/Cargo.toml >&2; then
     fail=1
 fi
 
+# ---- (p) one audited guest writer ----------------------------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nwE 'slot_payload|tenant_fill|SLOTS_PER_CLIENT|TENANT_SLOT_COUNT|struct Load' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f has a sector writer of its own again (the trials share faultsim::guest's one writer, journal and audit):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates/faultsim/src -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
@@ -620,3 +636,4 @@ echo "design_gate: ok    the key index is per table (no BTreeMap<(TableId, Key) 
 echo "design_gate: ok    recovery keeps the log bytes (no Vec<(Lsn, Record)> or FastMap<Lsn, &Record> in crates/dbengine/src/recovery.rs)"
 echo "design_gate: ok    the key index packs rows into full sorted leaves (no BTreeMap<Key, u32> in crates/dbengine/src)"
 echo "design_gate: ok    the bench crate is one binary (crates/bench/src/bin/ holds only figures, no src/main.rs, no [[bin]])"
+echo "design_gate: ok    one audited guest writer (no slot_payload, tenant_fill, SLOTS_PER_CLIENT, TENANT_SLOT_COUNT or struct Load in crates/faultsim/src)"

@@ -97,22 +97,18 @@ fn fixing_the_drain_fixes_the_counterexample() {
 /// Open finding 1 (`benchmark/README.md`, ROADMAP's first item): four
 /// tenants on one instance lose acknowledged writes to a power cut late in
 /// the load. These are counterexamples of today's drain, replayed from
-/// their coordinates: two of the four the benchmark's findings campaign
-/// prints on its `FAILED trial:` lines (`benchmark/run.sh --workload
-/// crash_recover --seed 1 --seconds 10 --trace 1`: 4 of 140 trials), and
-/// one from the 600-trial campaign recorded under that ROADMAP item, for
-/// the client-visible form of the loss. They assert what the fix has to
+/// their coordinates: red cells of fresh-seed campaigns, one for each form
+/// the loss takes (a tenant slot behind its ack, a client's acknowledged
+/// commit, a missed emergency deadline). They assert what the fix has to
 /// make true, so they are red, and ignored until it lands:
 /// `cargo test --test crash_points -- --ignored` is where that PR starts.
 ///
-/// Which seeds are red is a property of the trajectory, not of the defect.
-/// PR 20 (one drain loop: a batch is cut when a window slot comes free)
-/// moved every four-tenant trajectory; two of the three replays pinned here
-/// before it went green *by that shift alone* (`0xba7006e6d8708eaa`
-/// power cut, `0xc60e180e4d19235e` power flicker) while the campaign's
-/// failure rate stayed where it was, so they were re-pointed (and one
-/// again since, see below). A replay going green is evidence of a fix only
-/// if the campaign agrees.
+/// Which seeds are red is a property of the trajectory, not of the defect:
+/// a change that shifts install or drain timing turns some replays green
+/// while the campaign's failure rate stays where it was, and they are then
+/// re-pointed at red cells of a fresh campaign (`scripts/known_red.list`
+/// names the ones that are red). A replay going green is evidence of a fix
+/// only if the campaign agrees.
 fn open_finding_1(seed: u64, kind: FaultKind) {
     open_finding_1_at(seed, kind, 420);
 }
@@ -128,14 +124,15 @@ fn open_finding_1_at(seed: u64, kind: FaultKind, ms: u64) {
     );
 }
 
-/// Passes today, green by a trajectory shift and not by a fix: it read 65
-/// violations, first "tenant 3: slot 0 media seq 1217 outside
-/// acked..attempted [1409, 1409]". It stays ignored until the fix for
-/// finding 1 re-points it at a cell that is red.
+/// Today: 65 violations, first "tenant 3: slot 0 media seq 1153 outside
+/// acked..attempted [1345, 1345]". A red cell of a fresh-seed campaign
+/// (`ExplorerConfig::multi_tenant()`, 200 seeds from `0xC0FFEE` by
+/// `0x9E3779B97F4A7C15`, power cut and 100 ms flicker at 420 ms: 54 of 400
+/// failed).
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_cut_leaves_a_tenant_slot_behind_its_ack() {
-    open_finding_1(0x7c78_0396_7531_18fd, FaultKind::PowerCut);
+    open_finding_1(0x6a99_b4b1_f83e_d0ea, FaultKind::PowerCut);
 }
 
 /// Today: 67 violations, first "client 0: durability violated: acked 1107
@@ -150,14 +147,13 @@ fn open_finding_1_power_cut_loses_acknowledged_commits() {
     open_finding_1(0x1682_7374_d1c0_5db3, FaultKind::PowerCut);
 }
 
-/// Passes today, green by a trajectory shift and not by a fix: it read 1
-/// violation, "rapilog internal guarantee violated". It stays ignored until
-/// the fix for finding 1 re-points it at a cell that is red.
+/// Today: 1 violation, "rapilog internal guarantee violated". A red cell of
+/// the same fresh-seed campaign as the replay above.
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_flicker_misses_the_emergency_deadline() {
     let flicker = SimDuration::from_millis(100);
-    open_finding_1(0xd1a1_128d_a60d_1788, FaultKind::PowerFlicker { flicker });
+    open_finding_1(0xdaa6_6d2c_7ea0_742d, FaultKind::PowerFlicker { flicker });
 }
 
 /// The cell of the crash-point sweep's QUICK multi-tenant grid (seeds `0x7E2A`,

@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rapilog_suite::dbengine::EngineProfile;
+use rapilog_suite::dbengine::{DbError, EngineProfile};
 use rapilog_suite::faultsim::{run_trial, FaultKind, Machine, MachineConfig, Setup, TrialConfig};
 use rapilog_suite::simcore::{Sim, SimDuration, SimTime};
 use rapilog_suite::simdisk::specs;
@@ -151,6 +151,60 @@ fn repeated_crashes_and_recoveries_accumulate_no_damage() {
     });
     sim.run_until(SimTime::from_secs(120));
     assert!(*done.borrow());
+}
+
+#[test]
+fn a_power_death_during_recovery_stops_it_and_a_second_recovery_restores_every_ack() {
+    // A native machine: recovery reads the log straight off the rotating
+    // disk. The guest crashes 1 ms before the supply's residual window ends,
+    // so the death lands inside the reboot's recovery.
+    let mut sim = Sim::new(78);
+    let ctx = sim.ctx();
+    let c2 = ctx.clone();
+    let task = sim.spawn(async move {
+        let machine = Machine::new(&c2, machine_cfg(Setup::Native));
+        let defs = rapilog_suite::workload::micro::table_defs(1);
+        let db = machine.install(&defs).await.unwrap();
+        let table = rapilog_suite::workload::micro::registers_table(&db).unwrap();
+        rapilog_suite::workload::micro::init_client(&db, table, 0)
+            .await
+            .unwrap();
+        for seq in 1..=20u64 {
+            rapilog_suite::workload::micro::write_pair(&db, table, 0, seq)
+                .await
+                .unwrap();
+        }
+        machine.cut_power();
+        let psu = machine.psu().unwrap();
+        let left = psu.time_until_death().unwrap();
+        c2.sleep(left - SimDuration::from_millis(1)).await;
+        machine.crash_guest();
+        let began = c2.now();
+        let first = machine.reboot_and_recover().await;
+        assert_eq!(
+            first.err(),
+            Some(DbError::Stopped),
+            "the death ended recovery"
+        );
+        assert!(
+            c2.now() - began < SimDuration::from_millis(2),
+            "and at once"
+        );
+        c2.sleep(SimDuration::from_millis(100)).await;
+        machine.restore_power();
+        let (db, _) = machine.reboot_and_recover().await.unwrap();
+        let pair = rapilog_suite::workload::micro::read_pair(&db, table, 0)
+            .await
+            .unwrap();
+        db.stop();
+        pair
+    });
+    sim.run_until(SimTime::from_secs(60));
+    assert_eq!(
+        task.try_take(),
+        Some((20, 20)),
+        "every acked commit recovered"
+    );
 }
 
 #[test]
