@@ -757,12 +757,12 @@ fn hdd_cell() -> (RecoveryReport, RecoverySweep) {
 ///    engine trimmed the log region before it wrote the first byte, so the
 ///    instance also answers for the sectors between the log's tail and the
 ///    end of the `recovery::CHUNK` the tail sits in and for the read-ahead
-///    chunk behind them: the log disk must serve **no read at all** (no
-///    superblock, none the scan consumes, none it discards) and recovery
-///    must take at most [`HDD_BOUND`], memory speed. It fails otherwise.
-///    The figures are simulated, hence exact; they land in the row as
-///    `hdd_recovery_us` / `hdd_superblock_us` / `hdd_log_reads` /
-///    `hdd_disk_bytes`.
+///    chunk behind them: the log disk must serve **no read at all** (none
+///    the scan consumes, none it discards; the superblock comes with the
+///    catalog page, from the data device) and recovery must take at most
+///    [`HDD_BOUND`], memory speed. It fails otherwise. The figures are
+///    simulated, hence exact; they land in the row as `hdd_recovery_us` /
+///    `hdd_log_reads` / `hdd_disk_bytes`.
 ///
 /// QUICK shrinks the storm and the load window.
 pub(super) fn abl_recovery() -> bool {
@@ -819,24 +819,18 @@ pub(super) fn abl_recovery() -> bool {
     println!("update; under write pressure every 25 ms checkpoint completes, so redo starts");
     println!("near the tail.\n");
 
-    let hdd_log_reads = u64::from(!sweep.superblock.is_zero()) + sweep.reads.len() as u64;
+    let hdd_log_reads = sweep.reads.len() as u64;
     let discarded = sweep.reads.len() - sweep.consumed;
     println!(
         "hdd_7200 log, guest crash, {} KiB un-checkpointed: recovered in {:.2} ms \
          (gate: <= {:.2} ms); {} KiB from the buffer that outlived the guest, {} KiB in \
-         {} consumed log-disk read(s) (gate: 0), superblock from the disk: {} \
-         (gate: no), {discarded} discarded (gate: 0)",
+         {} consumed log-disk read(s) (gate: 0), {discarded} discarded (gate: 0)",
         hdd.log_end.0 / 1024,
         hdd.duration.as_millis_f64(),
         HDD_BOUND.as_millis_f64(),
         sweep.from_memory / 1024,
         sweep.from_disk() / 1024,
         sweep.consumed,
-        if sweep.superblock.is_zero() {
-            "no"
-        } else {
-            "yes"
-        },
     );
 
     let fields = vec![
@@ -852,7 +846,6 @@ pub(super) fn abl_recovery() -> bool {
         ("ckpt_scanned", Json::int(ckpt.scanned_records)),
         ("ckpt_recovery_us", Json::int(ckpt.duration.as_micros())),
         ("hdd_recovery_us", Json::int(hdd.duration.as_micros())),
-        ("hdd_superblock_us", Json::int(sweep.superblock.as_micros())),
         ("hdd_log_reads", Json::int(hdd_log_reads)),
         ("hdd_disk_bytes", Json::int(sweep.from_disk())),
     ];
@@ -869,10 +862,10 @@ pub(super) fn abl_recovery() -> bool {
     ok &= check(
         hdd_log_reads == 0 && sweep.from_memory > hdd.log_end.0,
         format_args!(
-            "the instance that outlived the guest must serve superblock, landed log and the \
-             trimmed space behind it from memory ({} bytes, log of {}), the log disk nothing; \
-             superblock after {:?}, reads {:?}",
-            sweep.from_memory, hdd.log_end.0, sweep.superblock, sweep.reads
+            "the instance that outlived the guest must serve landed log and the trimmed \
+             space behind it from memory ({} bytes, log of {}), the log disk nothing; \
+             reads {:?}",
+            sweep.from_memory, hdd.log_end.0, sweep.reads
         ),
     );
     if ok {

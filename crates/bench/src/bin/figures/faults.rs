@@ -24,7 +24,7 @@ use rapilog_workload::session::{job, outcome_from, JobOutcome};
 /// (`mt_counterexamples` in the `BENCH_baseline.json` row, so it going green
 /// moves a gated field); any other counterexample fails the sweep. The list
 /// is deleted with the finding.
-const OPEN_FINDING_1: &[(u64, u64)] = &[(0x7E2A, 330)];
+const OPEN_FINDING_1: &[(u64, u64)] = &[(0x7E2A, 330), (0x7F4D, 360)];
 
 fn is_open_finding_1(ce: &Counterexample<CrashPoint>) -> bool {
     let p = &ce.point;

@@ -5,7 +5,8 @@ use super::*;
 use std::cell::Cell as StdCell;
 
 use rapilog::{OrderingMode, TenantId, TenantSpec};
-use rapilog_dbengine::{Database, DbConfig};
+use rapilog_dbengine::wal::Record;
+use rapilog_dbengine::{Database, DbConfig, Lsn};
 use rapilog_simcore::{DomainId, SectorBuf};
 use rapilog_simdisk::{
     BlockDevice, Completion, Disk, Geometry, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken,
@@ -22,9 +23,9 @@ const CELLS: usize = 4;
 type TenantBytes = Vec<(u64, u64)>;
 
 /// One cell's slice of the shared log disk: sectors `base..base + sectors`
-/// of its shard's device, addressed from 0. Every database writes its
-/// superblock and log from sector 0 of the device it is given, and tenants
-/// of one RapiLog must keep to disjoint sectors (`RapiLogBuilder::tenants`).
+/// of its shard's device, addressed from 0. Every database writes its log
+/// from sector 1 of the device it is given, and tenants of one RapiLog
+/// must keep to disjoint sectors (`RapiLogBuilder::tenants`).
 #[derive(Clone)]
 struct Region {
     ctx: SimCtx,
@@ -167,13 +168,17 @@ fn fleet_phase(quick: bool) -> (FleetStats, TenantBytes) {
         for db in dbs {
             db.stop();
         }
-        // Each cell's superblock landed at the start of its own region.
-        let mut superblock = vec![0u8; SECTOR_SIZE];
+        // Each cell's log began at the start of its own region: the
+        // region's sector 1 holds the install checkpoint record, at LSN 0.
+        let mut first = vec![0u8; SECTOR_SIZE];
         for t in 0..CELLS as u64 {
-            media.peek_media(t * region_sectors, &mut superblock);
+            media.peek_media(t * region_sectors + 1, &mut first);
             assert!(
-                superblock.iter().any(|&b| b != 0),
-                "cell {t}: no superblock at its region's first sector"
+                matches!(
+                    Record::decode(&first, Lsn::ZERO),
+                    Some((Record::Checkpoint { .. }, _))
+                ),
+                "cell {t}: no install checkpoint at its region's first log sector"
             );
         }
         (stats, drained)

@@ -19,7 +19,7 @@ use rapilog_simdisk::{BlockDevice, IoReq};
 use crate::error::{DbError, DbResult};
 use crate::page::{Page, PageLoad, PAGE_SECTORS};
 use crate::types::{Lsn, PageId, TableId};
-use crate::wal::{Record, Wal};
+use crate::wal::{Record, Superblock, Wal, SUPERBLOCK_SECTOR};
 
 /// A resident page plus its dirty flag.
 pub struct Frame {
@@ -291,6 +291,17 @@ impl BufferPool {
     /// on stable media once this returns.
     pub async fn barrier(&self) -> DbResult<()> {
         let token = self.inner.dev.submit(IoReq::Flush);
+        self.inner.dev.wait(token).await?;
+        Ok(())
+    }
+
+    /// Writes `sb` durably (FUA) to its sector of the data device.
+    pub(crate) async fn write_superblock(&self, sb: &Superblock) -> DbResult<()> {
+        let token = self.inner.dev.submit(IoReq::Write {
+            sector: SUPERBLOCK_SECTOR,
+            segments: vec![SectorBuf::from_vec(sb.encode())],
+            fua: true,
+        });
         self.inner.dev.wait(token).await?;
         Ok(())
     }

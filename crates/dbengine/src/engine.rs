@@ -14,19 +14,19 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::hash::FastMap;
 use rapilog_simcore::sync::Event;
 use rapilog_simcore::{DomainId, SimCtx, SimDuration};
-use rapilog_simdisk::{BlockDevice, IoReq};
+use rapilog_simdisk::{BlockDevice, IoReq, SECTOR_SIZE};
 
 use crate::buffer::{BufferPool, FrameRef};
 use crate::error::{DbError, DbResult};
 use crate::index::KeyIndex;
-use crate::page::{slots_per_page, PAGE_SECTORS, PAGE_SIZE};
+use crate::page::{slots_per_page, PAGE_SECTORS};
 use crate::profile::EngineProfile;
 use crate::recovery::apply_record;
 use crate::retry::os_block_layer;
 use crate::txn::LockTable;
 use crate::types::{Key, Lsn, PageId, TableId, TxnId};
 use crate::util::{crc32, put_bytes, put_u16, put_u32, put_u64, Cursor};
-use crate::wal::{Record, Superblock, Wal};
+use crate::wal::{Record, Superblock, Wal, SUPERBLOCK_SECTOR};
 
 /// Table declaration at `create` time.
 #[derive(Debug, Clone)]
@@ -180,15 +180,17 @@ pub(crate) struct DbInner {
     pub(crate) wal: Wal,
     pub(crate) pool: BufferPool,
     locks: LockTable,
-    log_dev: Rc<dyn BlockDevice>,
     pub(crate) st: RefCell<DbSt>,
     stopped: Cell<bool>,
     shutdown: Event,
 }
 
 const CATALOG_MAGIC: u32 = 0x4341_544C; // "CATL"
+/// The catalog's share of page 0: the sectors before the superblock's.
+const CATALOG_BYTES: usize = SUPERBLOCK_SECTOR as usize * SECTOR_SIZE;
 
-fn encode_catalog(tables: &[TableMeta]) -> Vec<u8> {
+/// The catalog page: the catalog, then `sb` in the last sector, each with a CRC.
+fn encode_catalog(tables: &[TableMeta], sb: &Superblock) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u32(&mut buf, CATALOG_MAGIC);
     put_u16(&mut buf, tables.len() as u16);
@@ -202,8 +204,9 @@ fn encode_catalog(tables: &[TableMeta]) -> Vec<u8> {
     }
     let crc = crc32(&buf);
     put_u32(&mut buf, crc);
-    assert!(buf.len() <= PAGE_SIZE, "catalog exceeds its page");
-    buf.resize(PAGE_SIZE, 0);
+    assert!(buf.len() <= CATALOG_BYTES, "catalog exceeds its page");
+    buf.resize(CATALOG_BYTES, 0);
+    buf.extend_from_slice(&sb.encode());
     buf
 }
 
@@ -267,9 +270,9 @@ fn layout_tables(defs: &[TableDef]) -> DbResult<Vec<TableMeta>> {
 }
 
 impl Database {
-    /// Creates a fresh database on blank devices: writes the catalog and
-    /// the initial checkpoint, then opens for business. Background tasks
-    /// (WAL flusher, checkpointer) are spawned into `domain`.
+    /// Creates a fresh database on blank devices: writes the catalog page,
+    /// superblock included, and the initial checkpoint, then opens for
+    /// business. Background tasks (WAL flusher, checkpointer) go to `domain`.
     pub async fn create(
         ctx: &SimCtx,
         cfg: DbConfig,
@@ -289,13 +292,16 @@ impl Database {
         }
         let token = data_dev.submit(IoReq::Write {
             sector: 0,
-            segments: vec![SectorBuf::from_vec(encode_catalog(&tables))],
+            segments: vec![SectorBuf::from_vec(encode_catalog(
+                &tables,
+                &Superblock::default(),
+            ))],
             fua: true,
         });
         data_dev.wait(token).await?;
         let wal = Wal::new(
             ctx,
-            Rc::clone(&log_dev),
+            log_dev,
             cfg.profile.commit_policy,
             Lsn::ZERO,
             Lsn::ZERO,
@@ -303,14 +309,13 @@ impl Database {
         );
         // Nothing in the region is log yet, whatever the media holds.
         wal.trim_unused().await?;
-        Superblock::default().write(&*log_dev).await?;
         let (_, end) = wal.append(&Record::Checkpoint {
             active: Vec::new(),
             dirty: Vec::new(),
         })?;
         wal.wait_durable(end).await?;
         let pool = BufferPool::new(data_dev, wal.clone(), cfg.pool_pages);
-        let db = Self::assemble(ctx, cfg, tables, wal, pool, log_dev);
+        let db = Self::assemble(ctx, cfg, tables, wal, pool);
         db.start_checkpointer(domain);
         Ok(db)
     }
@@ -321,7 +326,6 @@ impl Database {
         tables: Vec<TableMeta>,
         wal: Wal,
         pool: BufferPool,
-        log_dev: Rc<dyn BlockDevice>,
     ) -> Database {
         let names = tables
             .iter()
@@ -337,7 +341,6 @@ impl Database {
                 wal,
                 pool,
                 locks: LockTable::new(LOCK_TIMEOUT),
-                log_dev,
                 st: RefCell::new(DbSt {
                     next_txn: 1,
                     active: FastMap::default(),
@@ -349,15 +352,19 @@ impl Database {
         }
     }
 
-    /// Reads the catalog page from a data device.
-    pub(crate) async fn read_catalog(data_dev: &dyn BlockDevice) -> DbResult<Vec<TableMeta>> {
-        let token = data_dev.submit(IoReq::Read {
+    /// Reads the catalog page: the catalog, and the superblock in its last sector.
+    pub(crate) async fn read_catalog(
+        dev: &dyn BlockDevice,
+    ) -> DbResult<(Vec<TableMeta>, Superblock)> {
+        let token = dev.submit(IoReq::Read {
             sector: 0,
-            sectors: (PAGE_SIZE / rapilog_simdisk::SECTOR_SIZE) as u64,
+            sectors: PAGE_SECTORS,
         });
-        let data = data_dev.wait(token).await?;
-        let data = data.expect("read completion must carry data");
-        decode_catalog(data.as_slice())
+        let page = dev.wait(token).await?;
+        let page = page.expect("read completion must carry data");
+        let (catalog, sb) = page.as_slice().split_at(CATALOG_BYTES);
+        let sb = Superblock::decode(sb).ok_or_else(|| DbError::Corrupt("no superblock".into()));
+        Ok((decode_catalog(catalog)?, sb?))
     }
 
     /// Starts the periodic checkpointer in `domain`. It exits promptly on
@@ -859,14 +866,14 @@ impl Database {
                 .append(&Record::Checkpoint { active, dirty })?;
             (end, active_min, redo)
         };
+        // A superblock names a durable record only: recovery starts there.
         self.inner.wal.wait_durable(end).await?;
         let undo_horizon = active_min.unwrap_or(redo).min(redo);
-        Superblock {
+        let sb = Superblock {
             checkpoint: redo,
             recovery_start: undo_horizon,
-        }
-        .write(&*self.inner.log_dev)
-        .await?;
+        };
+        self.inner.pool.write_superblock(&sb).await?;
         self.inner.wal.set_recovery_start(undo_horizon).await?;
         Ok(())
     }
@@ -875,8 +882,11 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_SIZE;
     use rapilog_simcore::Sim;
-    use rapilog_simdisk::{specs, Disk};
+    use rapilog_simdisk::{
+        specs, Completion, Disk, Geometry, IoQueue, IoResult, LocalBoxFuture, ReqToken,
+    };
     use std::cell::Cell as StdCell;
 
     fn small_tables() -> Vec<TableDef> {
@@ -925,7 +935,7 @@ mod tests {
     #[test]
     fn catalog_roundtrip() {
         let tables = layout_tables(&small_tables()).unwrap();
-        let bytes = encode_catalog(&tables);
+        let bytes = encode_catalog(&tables, &Superblock::default());
         let back = decode_catalog(&bytes).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].name, "acct");
@@ -967,7 +977,7 @@ mod tests {
             let mut tables = good.clone();
             (tables[1].n_pages, tables[1].spp) = (n_pages, spp);
             assert!(matches!(
-                decode_catalog(&encode_catalog(&tables)),
+                decode_catalog(&encode_catalog(&tables, &Superblock::default())),
                 Err(DbError::Corrupt(_))
             ));
         }
@@ -1495,9 +1505,9 @@ mod tests {
         const INTERVAL: SimDuration = SimDuration::from_millis(25);
         let mut sim = Sim::new(23);
         let ctx = sim.ctx();
-        let log = Disk::new(&ctx, specs::ssd_sata(64 << 20));
+        let data = Disk::new(&ctx, specs::ssd_sata(64 << 20));
         let redo_starts: Rc<RefCell<Vec<Lsn>>> = Rc::default();
-        let (c2, l2, rs) = (ctx.clone(), log.clone(), Rc::clone(&redo_starts));
+        let (c2, d2, rs) = (ctx.clone(), data.clone(), Rc::clone(&redo_starts));
         sim.spawn(async move {
             let cfg = DbConfig {
                 checkpoint_interval: INTERVAL,
@@ -1508,8 +1518,8 @@ mod tests {
                 slot_size: 64,
                 max_rows: ROWS,
             }];
-            let data = Rc::new(Disk::new(&c2, specs::ssd_sata(64 << 20)));
-            let db = Database::create(&c2, cfg, &defs, data, Rc::new(l2.clone()), DomainId::ROOT)
+            let log = Rc::new(Disk::new(&c2, specs::ssd_sata(64 << 20)));
+            let db = Database::create(&c2, cfg, &defs, Rc::new(d2.clone()), log, DomainId::ROOT)
                 .await
                 .unwrap();
             let t = db.table("t").unwrap();
@@ -1541,10 +1551,11 @@ mod tests {
                     }
                 });
             }
-            // The superblock is written with FUA: the media has it.
-            let mut sector = [0u8; rapilog_simdisk::SECTOR_SIZE];
+            // The superblock is written with FUA: the data device's media
+            // has it.
+            let mut sector = [0u8; SECTOR_SIZE];
             for _ in 0..=8 {
-                l2.peek_media(0, &mut sector);
+                d2.peek_media(SUPERBLOCK_SECTOR, &mut sector);
                 rs.borrow_mut()
                     .push(Superblock::decode(&sector).unwrap().checkpoint);
                 c2.sleep(INTERVAL).await;
@@ -1563,6 +1574,202 @@ mod tests {
         assert!(
             longest_run >= 4,
             "the superblock must advance in >= 4 consecutive {INTERVAL} intervals: {redo_starts:?}"
+        );
+    }
+
+    /// A log device whose writes wait at a gate while `parked` is set, and
+    /// pass once `released` is.
+    #[derive(Clone)]
+    struct ParkedLog {
+        ctx: SimCtx,
+        inner: Rc<dyn BlockDevice>,
+        parked: Rc<StdCell<bool>>,
+        released: Event,
+        queue: Rc<IoQueue>,
+    }
+
+    impl BlockDevice for ParkedLog {
+        fn geometry(&self) -> Geometry {
+            self.inner.geometry()
+        }
+
+        fn exec(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+            let park = self.parked.get() && matches!(req, IoReq::Write { .. });
+            Box::pin(async move {
+                if park {
+                    self.released.wait().await;
+                }
+                self.inner.exec(req).await
+            })
+        }
+
+        fn submit(&self, req: IoReq) -> ReqToken {
+            self.queue.submit(&self.ctx, self.clone(), req)
+        }
+
+        fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
+            Box::pin(self.queue.completions())
+        }
+
+        fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+            Box::pin(self.queue.wait(token))
+        }
+
+        fn discard(&self, token: ReqToken) {
+            self.queue.forget(token);
+        }
+    }
+
+    /// The checkpoint crosses devices: its record goes to the log, the
+    /// superblock naming it to the data device. While the log's writes are
+    /// parked the record cannot become durable, and the superblock sector
+    /// must not change; once they pass, it names the new checkpoint.
+    #[test]
+    fn the_superblock_waits_for_its_checkpoint_record() {
+        let mut sim = Sim::new(3);
+        let ctx = sim.ctx();
+        let data = Disk::new(&ctx, specs::instant(64 << 20));
+        let (c2, d2) = (ctx.clone(), data.clone());
+        let done = Rc::new(StdCell::new(false));
+        let done2 = Rc::clone(&done);
+        sim.spawn(async move {
+            let log = ParkedLog {
+                ctx: c2.clone(),
+                inner: Rc::new(Disk::new(&c2, specs::instant(64 << 20))),
+                parked: Rc::default(),
+                released: Event::new(),
+                queue: Rc::default(),
+            };
+            let cfg = DbConfig {
+                checkpoint_interval: SimDuration::from_secs(3600),
+                ..DbConfig::default()
+            };
+            let db = Database::create(
+                &c2,
+                cfg,
+                &small_tables(),
+                Rc::new(d2.clone()),
+                Rc::new(log.clone()),
+                DomainId::ROOT,
+            )
+            .await
+            .unwrap();
+            let t = db.table("acct").unwrap();
+            let txn = db.begin().await.unwrap();
+            db.insert(txn, t, 1, b"row").await.unwrap();
+            db.commit(txn).await.unwrap();
+            // A clean pool: the next checkpoint writes no page, so the
+            // first thing it waits for is its own record.
+            db.checkpoint().await.unwrap();
+            let superblock = || {
+                let mut sector = vec![0u8; SECTOR_SIZE];
+                d2.peek_media(SUPERBLOCK_SECTOR, &mut sector);
+                sector
+            };
+            let before = superblock();
+            let record = db.wal().end();
+            assert!(Superblock::decode(&before).unwrap().checkpoint < record);
+            log.parked.set(true);
+            let (db2, finished) = (db.clone(), Rc::new(StdCell::new(false)));
+            let f2 = Rc::clone(&finished);
+            c2.spawn(async move {
+                db2.checkpoint().await.unwrap();
+                f2.set(true);
+            });
+            c2.sleep(SimDuration::from_millis(50)).await;
+            assert!(
+                !finished.get(),
+                "a checkpoint finished with its record parked"
+            );
+            assert!(
+                superblock() == before,
+                "the superblock moved before its record was durable"
+            );
+            log.released.set();
+            c2.sleep(SimDuration::from_millis(50)).await;
+            assert!(finished.get());
+            let after = Superblock::decode(&superblock()).unwrap();
+            assert_eq!(
+                after.checkpoint, record,
+                "the superblock names the new checkpoint"
+            );
+            db.stop();
+            done2.set(true);
+        });
+        sim.run_until(rapilog_simcore::SimTime::from_secs(60));
+        assert!(done.get());
+    }
+
+    /// Damage to either half of the catalog page fails `open` with
+    /// [`DbError::Corrupt`], never a panic, and leaves the other half
+    /// valid: each byte of the superblock sector flipped, the sector
+    /// zeroed, and each byte of the encoded catalog flipped.
+    #[test]
+    fn a_damaged_catalog_page_is_corrupt_not_a_panic() {
+        let mut sim = Sim::new(11);
+        let ctx = sim.ctx();
+        let done = Rc::new(StdCell::new(0usize));
+        let (c2, done2) = (ctx.clone(), Rc::clone(&done));
+        sim.spawn(async move {
+            let defs = [TableDef {
+                name: "t".to_string(),
+                slot_size: 64,
+                max_rows: 100,
+            }];
+            let blank = || Disk::new(&c2, specs::instant(1 << 20));
+            let (data, log) = (blank(), blank());
+            let db = Database::create(
+                &c2,
+                DbConfig::default(),
+                &defs,
+                Rc::new(data.clone()),
+                Rc::new(log.clone()),
+                DomainId::ROOT,
+            )
+            .await
+            .unwrap();
+            db.stop();
+            let mut page = vec![0u8; PAGE_SIZE];
+            data.peek_media(0, &mut page);
+            let catalog_len = page[..CATALOG_BYTES].iter().rposition(|&b| b != 0).unwrap() + 1;
+            let sb_at = SUPERBLOCK_SECTOR as usize * SECTOR_SIZE;
+            let mut damaged: Vec<(String, Vec<u8>)> = Vec::new();
+            for at in (sb_at..PAGE_SIZE).chain(0..catalog_len) {
+                let mut bad = page.clone();
+                bad[at] ^= 0xFF;
+                damaged.push((format!("byte {at} flipped"), bad));
+            }
+            let mut zeroed = page.clone();
+            zeroed[sb_at..].fill(0);
+            damaged.push(("the superblock sector zeroed".to_string(), zeroed));
+            for (what, bad) in damaged {
+                let (catalog, sb) = bad.split_at(CATALOG_BYTES);
+                assert!(
+                    decode_catalog(catalog).is_ok() != Superblock::decode(sb).is_some(),
+                    "{what}: exactly one half of the page is damaged"
+                );
+                let data = blank();
+                data.poke_media(0, &bad);
+                let opened = Database::open(
+                    &c2,
+                    DbConfig::default(),
+                    Rc::new(data),
+                    Rc::new(log.clone()),
+                    DomainId::ROOT,
+                )
+                .await;
+                match opened {
+                    Err(DbError::Corrupt(_)) => done2.set(done2.get() + 1),
+                    Err(e) => panic!("{what}: {e:?}, not Corrupt"),
+                    Ok(_) => panic!("{what}: a damaged catalog page opened"),
+                }
+            }
+        });
+        sim.run_until(rapilog_simcore::SimTime::from_secs(60));
+        assert!(
+            done.get() > SECTOR_SIZE,
+            "{} damaged pages refused",
+            done.get()
         );
     }
 }

@@ -56,7 +56,7 @@ use crate::error::{DbError, DbResult};
 use crate::page::PAGE_SIZE;
 use crate::retry::os_block_layer;
 use crate::types::{Lsn, PageId, TxnId};
-use crate::wal::{ClrAction, Record, StreamReader, Superblock, Wal, RECORD_HEADER};
+use crate::wal::{ClrAction, Record, StreamReader, Wal, RECORD_HEADER};
 
 /// Bytes per scan read: the unit [`Database::open`] reads the log back in.
 /// Large enough that a rotating disk spends its time transferring (2.2 ms
@@ -84,8 +84,8 @@ pub struct RecoveryReport {
     /// Virtual time the whole recovery took: exactly
     /// `scan_time + redo_time + undo_time + finish_time`.
     pub duration: SimDuration,
-    /// Virtual time in the scan phase (catalog and superblock reads, log
-    /// read-back, CRC, decode, analysis, WAL manager rebuild).
+    /// Virtual time in the scan phase (the catalog page's read, superblock
+    /// included, log read-back, CRC, decode, analysis, WAL manager rebuild).
     pub scan_time: SimDuration,
     /// Virtual time in the redo phase (page reads + replay).
     pub redo_time: SimDuration,
@@ -308,10 +308,8 @@ impl Database {
         // Behind the OS block layer, media errors are not retryable and
         // surface as typed [`DbError::Io`] from whichever phase hit them.
         let (data_dev, log_dev) = (os_block_layer(ctx, data_dev), os_block_layer(ctx, log_dev));
-        let tables = Self::read_catalog(&*data_dev).await?;
-        let sb = Superblock::read(&*log_dev)
-            .await?
-            .ok_or_else(|| DbError::Corrupt("no superblock: not a database".to_string()))?;
+        // The catalog page holds the superblock: the log serves the scan alone.
+        let (tables, sb) = Self::read_catalog(&*data_dev).await?;
 
         // --- 1. Scan and 2. Analysis, as the scan validates each record -----
         let mut committed: Vec<TxnId> = Vec::new();
@@ -364,7 +362,7 @@ impl Database {
         // --- Reconstruct the WAL manager at the durable end ---------------
         let wal = Wal::new(
             ctx,
-            Rc::clone(&log_dev),
+            log_dev,
             cfg.profile.commit_policy,
             log_end,
             sb.recovery_start,
@@ -469,7 +467,7 @@ impl Database {
         let undo_done = phase("recover_undo", "recover_finish");
 
         // --- Rebuild the derived state (index, free lists) ----------------
-        let db = Database::assemble(ctx, cfg, tables, wal, pool, Rc::clone(&log_dev));
+        let db = Database::assemble(ctx, cfg, tables, wal, pool);
         db.rebuild_index().await?;
         // Close recovery with a checkpoint: pages flushed, superblock moved.
         db.checkpoint().await?;
@@ -1099,14 +1097,15 @@ mod checkpoint_spanning_tests {
             let (db2, report) = Database::open(&c2, DbConfig::default(), data, log, DomainId::ROOT)
                 .await
                 .expect("recovery");
-            // The superblock, the scan's chunk reads (the log is far
-            // shorter than a chunk, so just the read-ahead window), and
-            // exactly one read per record the undo chain fetched from below
-            // the scan start: `long`'s update and its begin record.
+            // The scan's chunk reads (the log is far shorter than a chunk,
+            // so just the read-ahead window) and exactly one read per record
+            // the undo chain fetched from below the scan start: `long`'s
+            // update and its begin record. The superblock comes with the
+            // catalog page, from the data device.
             let window = log_disk.geometry().queue_depth as u64 + 1;
             assert_eq!(
                 log_disk.stats().reads - reads_before,
-                1 + window + 2,
+                window + 2,
                 "each below-horizon undo record costs one device read, not two"
             );
             assert_eq!(
@@ -1333,6 +1332,7 @@ mod model_tests {
     use super::*;
     use crate::engine::TableDef;
     use crate::types::TableId;
+    use crate::wal::{Superblock, SUPERBLOCK_SECTOR};
     use rapilog_simcore::sync::Event;
     use rapilog_simcore::Sim;
     use rapilog_simdisk::{specs, Disk, DiskSpec};
@@ -1509,7 +1509,8 @@ mod model_tests {
             // own buffer; it must be byte-for-byte what a fresh device read
             // of that sector returns, at every read-ahead depth. So must
             // every record redo and undo decode from the scanned bytes.
-            let sb = Superblock::decode(&log_img[..SECTOR_SIZE]).expect("superblock");
+            let at = SUPERBLOCK_SECTOR as usize * SECTOR_SIZE;
+            let sb = Superblock::decode(&data_img[at..at + SECTOR_SIZE]).expect("superblock");
             let log = Disk::new(&c2, nvme(log_bytes));
             log.poke_media(0, &log_img);
             let region_sectors = region_bytes / SECTOR_SIZE as u64;
@@ -1607,8 +1608,12 @@ mod model_tests {
             }
             rdb.stop();
             // The recovered image is a clean one: recovering it again finds
-            // nothing to redo or undo and writes no data page.
-            let recovered = media_image(&rdata);
+            // nothing to redo or undo and writes no data page; its closing
+            // checkpoint moves the superblock (in the catalog page) forward.
+            let sb_at = at..at + SECTOR_SIZE;
+            let superblock = |img: &[u8]| Superblock::decode(&img[sb_at.clone()]).unwrap();
+            let mut recovered = media_image(&rdata);
+            let first = superblock(&recovered);
             let (rdb, again) = open().await.expect("second recovery");
             assert_eq!(
                 (again.redo_applied, again.losers_undone),
@@ -1617,9 +1622,16 @@ mod model_tests {
             );
             assert_model(&rdb, t, &committed, next_key, &format!("seed {seed} again")).await;
             rdb.stop();
+            let mut again_img = media_image(&rdata);
             assert!(
-                media_image(&rdata) == recovered,
-                "seed {seed}: recovering the recovered image changed the data disk"
+                superblock(&again_img).checkpoint > first.checkpoint,
+                "seed {seed}: the second recovery's checkpoint did not reach the superblock"
+            );
+            recovered[sb_at.clone()].fill(0);
+            again_img[sb_at].fill(0);
+            assert!(
+                again_img == recovered,
+                "seed {seed}: recovering the recovered image changed a data page"
             );
             d2.set(true);
         });

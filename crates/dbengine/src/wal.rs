@@ -2,7 +2,8 @@
 //!
 //! The log is a byte stream addressed by [`Lsn`] (byte offset), stored
 //! circularly in a region of the log device starting at sector 1 (sector 0
-//! holds the [`Superblock`]). Every record carries its own LSN and a CRC,
+//! lies outside it; the [`Superblock`] lives on the data device, in the last
+//! sector of the catalog page). Every record carries its own LSN and a CRC,
 //! which gives the torn-tail rule on recovery: scan forward validating
 //! `crc` and `lsn == expected`; the first failure is the end of the durable
 //! log. Everything the engine acknowledged as committed lies before that
@@ -64,6 +65,9 @@ use crate::util::{crc32, put_bytes, put_u16, put_u32, put_u64, Cursor};
 pub(crate) const RECORD_HEADER: usize = 17;
 /// First device sector of the circular log region.
 const LOG_BASE_SECTOR: u64 = 1;
+/// Data-device sector of the [`Superblock`]: the last of the catalog page
+/// (page 0), so the catalog read that opens a database reads it too.
+pub const SUPERBLOCK_SECTOR: u64 = crate::page::PAGE_SECTORS - 1;
 
 /// What a CLR does when replayed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -904,7 +908,7 @@ impl<'a> StreamReader<'a> {
     }
 }
 
-/// The superblock stored in sector 0 of the log device.
+/// Where recovery starts, kept in the data device's [`SUPERBLOCK_SECTOR`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Superblock {
     /// LSN of the most recent checkpoint record.
@@ -928,7 +932,7 @@ impl Superblock {
         buf
     }
 
-    /// Parses a sector; `None` if blank or corrupt (fresh device).
+    /// Parses a sector; `None` if blank or damaged, its padding included.
     pub fn decode(sector: &[u8]) -> Option<Superblock> {
         let mut c = Cursor::new(sector);
         if c.u32()? != SB_MAGIC {
@@ -937,34 +941,13 @@ impl Superblock {
         let checkpoint = Lsn(c.u64()?);
         let recovery_start = Lsn(c.u64()?);
         let crc = c.u32()?;
-        if crc32(&sector[..20]) != crc {
+        if crc32(&sector[..20]) != crc || sector[24..].iter().any(|&b| b != 0) {
             return None;
         }
         Some(Superblock {
             checkpoint,
             recovery_start,
         })
-    }
-
-    /// Writes the superblock durably (FUA).
-    pub async fn write(&self, dev: &dyn BlockDevice) -> IoResult<()> {
-        let token = dev.submit(IoReq::Write {
-            sector: 0,
-            segments: vec![SectorBuf::from_vec(self.encode())],
-            fua: true,
-        });
-        dev.wait(token).await.map(|_| ())
-    }
-
-    /// Reads and parses the superblock.
-    pub async fn read(dev: &dyn BlockDevice) -> IoResult<Option<Superblock>> {
-        let token = dev.submit(IoReq::Read {
-            sector: 0,
-            sectors: 1,
-        });
-        let data = dev.wait(token).await?;
-        let data = data.expect("read completion must carry data");
-        Ok(Superblock::decode(data.as_slice()))
     }
 }
 
@@ -1323,9 +1306,11 @@ mod tests {
         assert_eq!(bytes.len(), SECTOR_SIZE);
         assert_eq!(Superblock::decode(&bytes), Some(sb));
         assert_eq!(Superblock::decode(&vec![0u8; SECTOR_SIZE]), None);
-        let mut bad = sb.encode();
-        bad[5] ^= 1;
-        assert_eq!(Superblock::decode(&bad), None);
+        for at in [5, 24, SECTOR_SIZE - 1] {
+            let mut bad = sb.encode();
+            bad[at] ^= 1;
+            assert_eq!(Superblock::decode(&bad), None, "a flip at byte {at}");
+        }
     }
 
     fn wal_on_instant_disk(sim: &mut Sim) -> (Wal, Disk) {
@@ -1729,7 +1714,7 @@ mod tests {
     fn wraparound_flush_and_readback() {
         let mut sim = Sim::new(1);
         let ctx = sim.ctx();
-        // Tiny log: 1 superblock + 8 data sectors.
+        // Tiny log: sector 0, outside the region, + 8 log sectors.
         let disk = Disk::new(&ctx, specs::instant(9 * SECTOR_SIZE as u64));
         let wal = Wal::new(
             &ctx,

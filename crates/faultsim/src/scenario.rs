@@ -357,7 +357,7 @@ fn trial(
             .expect("recovery must succeed");
         let table = micro::registers_table(&db).expect("registers table");
         let mut violations = Vec::new();
-        // Sector 0 is the superblock's; the log starts in sector 1.
+        // Sector 0 lies outside the log region; the log starts in sector 1.
         if n_tenants > 1 && 1 + recovery.log_end.0 / SECTOR_SIZE as u64 >= TENANT_BASE {
             violations.push(format!(
                 "the WAL reached the co-tenant writers' sectors: {:?}",
@@ -453,11 +453,11 @@ pub(crate) fn trace_fault(ctx: &SimCtx, label: &'static str) -> SimTime {
 /// controller overhead.
 #[derive(Debug, Clone)]
 pub struct RecoverySweep {
-    /// Recovery start to superblock in memory: the first positioning, plus
-    /// whatever [`inflight_write`](Self::inflight_write) had left. Zero
-    /// when the log disk was not asked for it — the RapiLog instance that
-    /// outlived the guest still held the sector.
-    pub superblock: SimDuration,
+    /// Recovery start to the head over the first log sector read: whatever
+    /// [`inflight_write`](Self::inflight_write) had left, then the first
+    /// read's seek and rotation. Zero when the log disk was not asked — the
+    /// RapiLog instance that outlived the guest held everything the scan read.
+    pub positioning: SimDuration,
     /// What was left, when recovery began, of a drain write already on the
     /// media after a guest crash — a wait the first read cannot be spared.
     /// Zero when the disk was idle.
@@ -468,15 +468,14 @@ pub struct RecoverySweep {
     /// aside for guest reads; after a guest crash the instance answers the
     /// scan from memory, so there is seldom a read to queue behind a write.
     pub interleaved_writes: usize,
-    /// Every log-disk read begun during recovery other than the
-    /// superblock's (sector 0), in media order: what the scan asked for
-    /// that the instance did not hold.
+    /// Every log-disk read begun during recovery, in media order: what the
+    /// scan asked for that the instance did not hold.
     pub reads: Vec<MediaOp>,
     /// How many of `reads` the scan consumed; the rest is read-ahead past
     /// the torn tail, discarded while still in flight.
     pub consumed: usize,
     /// Bytes the scan's reads of the log device took from the dependable
-    /// buffer instead (the superblock's included).
+    /// buffer instead.
     pub from_memory: u64,
 }
 
@@ -488,15 +487,11 @@ impl RecoverySweep {
         let (_, scan_end) = trace.span(Layer::Engine, "recover_scan")?;
         let mut reads = trace.media_reads_in(Layer::Fault, "recover");
         reads.retain(|r| !r.seek.is_zero());
-        // The superblock is sector 0 and the first thing recovery reads.
-        let superblock = match reads.first() {
-            Some(first) if first.sector == 0 => reads.remove(0).end() - began,
-            _ => SimDuration::ZERO,
-        };
+        let positioning = reads.first().map_or(SimDuration::ZERO, |first| {
+            first.begin + first.seek + first.rotation - began
+        });
         let consumed = reads.iter().filter(|r| r.end() <= scan_end).count();
-        let swept = reads[..consumed]
-            .last()
-            .map_or(began + superblock, MediaOp::end);
+        let swept = reads[..consumed].last().map_or(began, MediaOp::end);
         let mut inflight_write = SimDuration::ZERO;
         let mut interleaved_writes = 0;
         for w in trace.media_ops(true).filter(|w| !w.seek.is_zero()) {
@@ -516,7 +511,7 @@ impl RecoverySweep {
             })
             .sum();
         Some(RecoverySweep {
-            superblock,
+            positioning,
             inflight_write,
             interleaved_writes,
             reads,
@@ -539,12 +534,13 @@ impl RecoverySweep {
             .fold(SimDuration::ZERO, |sum, r| sum + r.transfer)
     }
 
-    /// The budget a single-sweep recovery of up to five chunks fits in:
-    /// the superblock, one `rotation` (the drive model absorbs the command
-    /// overhead of two back-to-back continuations, so every third chunk of
-    /// a long log pays one), and 1.5 × the log's transfer time.
+    /// The budget a single-sweep recovery of up to six chunks fits in: the
+    /// first read's positioning, one `rotation` (the drive model absorbs
+    /// the command overhead of two back-to-back continuations, so every
+    /// third continuation of a long log pays one), and 1.5 × the log's
+    /// transfer time.
     pub fn time_bound(&self, rotation: SimDuration) -> SimDuration {
-        self.superblock + rotation + self.transfer().mul_f64(1.5)
+        self.positioning + rotation + self.transfer().mul_f64(1.5)
     }
 }
 

@@ -111,6 +111,14 @@
 #     co-tenants and the failover trials' clients are one writer
 #     (`faultsim::guest`) with one journal and one media audit, so neither
 #     trial grows its own sector writer, payload or slot layout again.
+# (q) The superblock lives in the catalog page. Fails if the non-test part
+#     of any `crates/dbengine/src` file calls `Superblock::read` or names
+#     `log_dev` in a `.write(` call, or if `RecoverySweep` in
+#     `crates/faultsim/src/scenario.rs` declares a `superblock` field: the
+#     superblock is the last sector of the data device's catalog page, read
+#     with the catalog and written there by each checkpoint, so recovery
+#     asks the log device for the log alone and no sweep has a superblock
+#     read to report.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -618,6 +626,26 @@ while IFS= read -r f; do
     fi
 done < <(find crates/faultsim/src -name '*.rs' | sort)
 
+# ---- (q) the superblock lives in the catalog page ------------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nE 'Superblock::read\b|\.write\([^)]*\blog_dev\b' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f reads or writes the superblock on the log device again (it lives in the data device's catalog page):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates/dbengine/src -name '*.rs' | sort)
+hits=$(non_test crates/faultsim/src/scenario.rs | awk '
+    /struct RecoverySweep/   { inside = 1 }
+    inside && /^}/           { inside = 0 }
+    inside && /^[[:space:]]*(pub(\([a-z]+\))? )?superblock[[:space:]]*:/ { print FNR ": " $0 }
+')
+if [[ -n "$hits" ]]; then
+    echo "design_gate: FAIL  crates/faultsim/src/scenario.rs: RecoverySweep reports a superblock read again (recovery reads the log disk for the log alone):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
 if ((fail)); then
     exit 1
 fi
@@ -637,3 +665,4 @@ echo "design_gate: ok    recovery keeps the log bytes (no Vec<(Lsn, Record)> or 
 echo "design_gate: ok    the key index packs rows into full sorted leaves (no BTreeMap<Key, u32> in crates/dbengine/src)"
 echo "design_gate: ok    the bench crate is one binary (crates/bench/src/bin/ holds only figures, no src/main.rs, no [[bin]])"
 echo "design_gate: ok    one audited guest writer (no slot_payload, tenant_fill, SLOTS_PER_CLIENT, TENANT_SLOT_COUNT or struct Load in crates/faultsim/src)"
+echo "design_gate: ok    the superblock lives in the catalog page (no Superblock::read or .write(..log_dev..) in crates/dbengine/src, no RecoverySweep::superblock)"

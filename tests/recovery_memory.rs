@@ -17,7 +17,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rapilog_suite::dbengine::wal::Superblock;
+use rapilog_suite::dbengine::wal::{Superblock, SUPERBLOCK_SECTOR};
 use rapilog_suite::faultsim::{Machine, MachineConfig, Setup};
 use rapilog_suite::simcore::{Sim, SimTime};
 use rapilog_suite::simdisk::{specs, SECTOR_SIZE};
@@ -88,7 +88,9 @@ fn recovery_holds_the_log_bytes_not_a_decoded_copy() {
         }
         machine.crash_guest();
         let mut sector = vec![0u8; SECTOR_SIZE];
-        machine.log_disk().peek_media(0, &mut sector);
+        machine
+            .data_disk()
+            .peek_media(SUPERBLOCK_SECTOR, &mut sector);
         let from = Superblock::decode(&sector).expect("superblock").checkpoint;
         let before = LIVE.load(Ordering::Relaxed);
         PEAK.store(before, Ordering::Relaxed);

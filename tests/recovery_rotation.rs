@@ -49,15 +49,21 @@ fn trial(
     })
 }
 
-/// What holds for a log of any length that has to come from the disk:
-/// after the superblock the log disk serves whole chunks — no short read
-/// for a tail sector, no header probe — in one sequential sweep, except
+/// What holds for a log of any length that has to come from the disk: the
+/// log disk serves whole chunks and nothing else — no superblock (it comes
+/// with the catalog page, from the data device), no short read for a tail
+/// sector, no header probe — in one sequential sweep, except
 /// that the sweep's last read may stop short, where what a surviving
 /// instance answers for itself begins: the log's kept tail, then the
 /// trimmed space behind it. The scan consumes exactly the chunks the log
 /// covers, and at most `queue_depth` read-ahead is left in flight.
 fn read_from_the_disk(report: &RecoveryReport, sweep: &RecoverySweep) {
-    assert!(!sweep.superblock.is_zero(), "the superblock too");
+    assert!(
+        sweep.reads.iter().all(|r| r.sector >= 1),
+        "the log disk served a superblock: {:?}",
+        sweep.reads
+    );
+    assert!(!sweep.positioning.is_zero());
     let (last, whole) = sweep.reads.split_last().expect("a sweep");
     for r in whole {
         assert_eq!(r.sectors, CHUNK_SECTORS, "not a chunk read: {r:?}");
@@ -97,8 +103,10 @@ fn recover_after_power_cut(fault_ms: u64) -> (RecoveryReport, RecoverySweep) {
     recover_after(FaultKind::PowerCut, fault_ms)
 }
 
+/// Rotations the scan's consumed continuations paid. The first read is
+/// positioned; its rotation is part of `positioning`.
 fn rotations_paid(sweep: &RecoverySweep) -> usize {
-    sweep.reads[..sweep.consumed]
+    sweep.reads[1..sweep.consumed]
         .iter()
         .filter(|r| !r.rotation.is_zero())
         .count()
@@ -125,21 +133,23 @@ fn a_600_kb_log_recovers_in_one_rotation_plus_its_transfer_time() {
         report.log_end.0
     );
     // The drive model absorbs the controller overhead of two back-to-back
-    // continuations; the third drifts out of its window and pays once.
-    assert!(rotations_paid(&sweep) <= 1, "{:?}", sweep.reads);
+    // continuations, and the three chunks the log covers are the first
+    // read and two continuations: they stream.
+    assert_eq!(sweep.consumed, 3);
+    assert_eq!(rotations_paid(&sweep), 0, "{:?}", sweep.reads);
     let bound = sweep.time_bound(ROTATION);
     assert!(
         report.duration <= bound,
-        "recovery took {:?}, bound {bound:?} (superblock {:?} + one rotation + 1.5 × {:?})",
+        "recovery took {:?}, bound {bound:?} (positioning {:?} + one rotation + 1.5 × {:?})",
         report.duration,
-        sweep.superblock,
+        sweep.positioning,
         sweep.transfer(),
     );
 }
 
 /// The same log after a *guest crash*: the instance lives on, and it still
-/// holds what it landed for this guest. Superblock and log come back from
-/// its memory, and so does everything between the log's tail and the end of
+/// holds what it landed for this guest. The log comes back from its memory,
+/// and so does everything between the log's tail and the end of
 /// the chunk the tail sits in, and the read-ahead chunk behind that — the
 /// engine trimmed the region before it wrote a byte of log, so the instance
 /// answers for those sectors without looking. The log disk is not asked at
@@ -147,11 +157,8 @@ fn a_600_kb_log_recovers_in_one_rotation_plus_its_transfer_time() {
 #[test]
 fn after_a_guest_crash_the_log_disk_is_not_asked_at_all() {
     let (report, sweep) = trial(FaultKind::GuestCrash, 270, CapacitySpec::FromSupply);
-    assert!(
-        sweep.superblock.is_zero(),
-        "the log disk served the superblock"
-    );
     assert!(sweep.reads.is_empty(), "{:?}", sweep.reads);
+    assert!(sweep.positioning.is_zero());
     assert!(
         sweep.from_memory > report.log_end.0,
         "{} bytes from memory, log of {}",
@@ -167,8 +174,7 @@ fn after_a_guest_crash_the_log_disk_is_not_asked_at_all() {
 
 /// The kept room is the buffer's idle room, `capacity − occupancy`: 18 MB
 /// on the stock `atx_psu` + `hdd_7200` machine. More than 1 MiB of log
-/// comes back after a guest crash with no read of the log disk at all,
-/// superblock included.
+/// comes back after a guest crash with no read of the log disk at all.
 #[test]
 fn a_log_of_more_than_a_mebibyte_recovers_from_memory_after_a_guest_crash() {
     let (report, sweep) = trial(FaultKind::GuestCrash, 800, CapacitySpec::FromSupply);
@@ -177,11 +183,8 @@ fn a_log_of_more_than_a_mebibyte_recovers_from_memory_after_a_guest_crash() {
         "the trial must leave more than 1 MiB of log, got {}",
         report.log_end.0
     );
-    assert!(
-        sweep.superblock.is_zero(),
-        "the log disk served the superblock"
-    );
     assert!(sweep.reads.is_empty(), "{:?}", sweep.reads);
+    assert!(sweep.positioning.is_zero());
     assert!(sweep.from_memory > report.log_end.0);
     assert!(
         report.duration <= SimDuration::from_millis(1),
@@ -195,9 +198,9 @@ fn a_log_of_more_than_a_mebibyte_recovers_from_memory_after_a_guest_crash() {
 /// the crash is the stock one, event for event — costs what recovery cost
 /// before anything was kept, less what it no longer reads. The instance
 /// holds the log's last 100 KiB or so, all inside the second chunk, and
-/// answers for the trimmed space behind the tail: the disk serves the
-/// superblock, the first chunk and the front of the second, up to where the
-/// kept tail begins, in one sweep. Nothing holds the drain back, and on
+/// answers for the trimmed space behind the tail: the disk serves the first
+/// chunk and the front of the second, up to where the kept tail begins, in
+/// one sweep. Nothing holds the drain back, and on
 /// this trajectory it has no write to begin between those reads.
 #[test]
 fn a_log_longer_than_the_kept_set_is_read_from_the_disk_as_before() {
@@ -210,7 +213,7 @@ fn a_log_longer_than_the_kept_set_is_read_from_the_disk_as_before() {
     // media when the guest died (how much of it is left is the crash
     // instant's phase against the drain — 7.9 ms of a rotation-long write
     // here, and it moves with anything that moves the trajectory), one
-    // positioning for the superblock, which a rotation bounds, and the
+    // positioning for the first chunk, which a rotation bounds, and the
     // transfer with half again for command overheads. The mechanism is the
     // three assertions above; this one says nothing else crept in.
     let bound = sweep.inflight_write + ROTATION + sweep.transfer().mul_f64(1.5);
@@ -233,12 +236,13 @@ fn a_rebuilt_instance_knows_no_trims() {
     let (report, sweep) = recover_after_power_cut(420);
     assert_eq!(sweep.from_memory, 0);
     // Every chunk the log covers and one of read-ahead, whole, in order;
-    // the drive model absorbs the controller overhead of two back-to-back
-    // continuations and every third chunk pays a rotation.
+    // the first chunk is positioned, the drive model absorbs the controller
+    // overhead of two back-to-back continuations, and every third
+    // continuation pays a rotation.
     let chunks = report.log_end.0.div_ceil(CHUNK as u64);
     assert!(chunks >= 3, "a log of {} bytes", report.log_end.0);
     let expected: Vec<(u64, u64, bool)> = (0..=chunks)
-        .map(|i| (1 + i * CHUNK_SECTORS, CHUNK_SECTORS, i % 3 != 2))
+        .map(|i| (1 + i * CHUNK_SECTORS, CHUNK_SECTORS, i % 3 != 0))
         .collect();
     let reads: Vec<(u64, u64, bool)> = sweep
         .reads
@@ -265,9 +269,8 @@ fn a_wrapped_and_twice_truncated_log_recovers_without_the_log_disk() {
         machine.db.checkpoint_interval = SimDuration::from_millis(100);
     });
     assert!(report.log_end.0 > log_device, "{:?}", report.log_end);
-    assert!(sweep.superblock.is_zero());
     assert!(sweep.reads.is_empty(), "{:?}", sweep.reads);
-    // One circle of the region (the scan cannot know where the log ends)
-    // and the superblock: the whole device.
-    assert_eq!(sweep.from_memory, log_device);
+    // One circle of the region (the scan cannot know where the log ends):
+    // the whole device but sector 0, which lies outside it.
+    assert_eq!(sweep.from_memory, log_device - SECTOR_SIZE as u64);
 }
