@@ -23,8 +23,8 @@ use rapilog_workload::session::{job, outcome_from, JobOutcome};
 /// being moved off it. A listed cell is printed and counted
 /// (`mt_counterexamples` in the `BENCH_baseline.json` row, so it going green
 /// moves a gated field); any other counterexample fails the sweep. The list
-/// is deleted with the finding.
-const OPEN_FINDING_1: &[(u64, u64)] = &[(0x7E2A, 330), (0x7F4D, 360)];
+/// is deleted with the finding, and is empty while no grid cell is red.
+const OPEN_FINDING_1: &[(u64, u64)] = &[];
 
 fn is_open_finding_1(ce: &Counterexample<CrashPoint>) -> bool {
     let p = &ce.point;

@@ -370,9 +370,7 @@ impl Database {
         );
         // Future flushes rewrite the partial tail sector, so the WAL must
         // hold the bytes already in it — straight from the scan buffer.
-        if !scan.tail().is_empty() {
-            wal.preload_tail(scan.tail());
-        }
+        wal.preload_tail(scan.tail());
         let pool = BufferPool::new(Rc::clone(&data_dev), wal.clone(), cfg.pool_pages);
         let scan_done = phase("recover_scan", "recover_redo");
 
@@ -1301,7 +1299,9 @@ mod checkpoint_spanning_tests {
             .await
             .unwrap();
             let t = db.table("t").unwrap();
-            for k in 0..10u64 {
+            // Enough commits that the sector smashed below lies past the
+            // first one and the full-page image before it.
+            for k in 0..20u64 {
                 let txn = db.begin().await.unwrap();
                 db.insert(txn, t, k, b"v").await.unwrap();
                 db.commit(txn).await.unwrap();

@@ -68,11 +68,6 @@ fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
     state
 }
 
-/// Appends a `u16` little-endian.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a `u32` little-endian.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -83,9 +78,18 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends a length-prefixed byte string (`u32` length).
+/// Appends `v` as a LEB128 varint: 7 bits a byte, low first; a set top bit means "more".
+pub(crate) fn put_var(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Appends a length-prefixed byte string (varint length).
 pub fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
-    put_u32(buf, v.len() as u32);
+    put_var(buf, v.len() as u64);
     buf.extend_from_slice(v);
 }
 
@@ -137,15 +141,24 @@ impl<'a> Cursor<'a> {
             .map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
     }
 
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Option<Vec<u8>> {
-        self.bytes_if(true)
+    /// Reads a [`put_var`] varint into the integer type it must fit: `None`
+    /// past the type, past 64 bits or past ten bytes.
+    pub(crate) fn var<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = u64::from(self.u8()?);
+            v |= (b & 0x7F) << shift;
+            if b < 0x80 && (shift < 63 || b < 2) {
+                return T::try_from(v).ok();
+            }
+        }
+        None
     }
 
-    /// Reads a length-prefixed byte string if `keep`; else steps over it
+    /// Reads a length-prefixed byte string; unless `keep`, steps over it
     /// and returns it empty, allocating nothing.
-    pub(crate) fn bytes_if(&mut self, keep: bool) -> Option<Vec<u8>> {
-        let len = self.u32()? as usize;
+    pub fn bytes(&mut self, keep: bool) -> Option<Vec<u8>> {
+        let len = self.var()?;
         self.take(len)
             .map(|s| (if keep { s } else { &[] }).to_vec())
     }
@@ -176,7 +189,7 @@ mod tests {
     #[test]
     fn codec_roundtrip() {
         let mut buf = Vec::new();
-        put_u16(&mut buf, 0xABCD);
+        buf.extend_from_slice(&0xABCDu16.to_le_bytes());
         put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, 0x0123_4567_89AB_CDEF);
         put_bytes(&mut buf, b"payload");
@@ -185,17 +198,50 @@ mod tests {
         assert_eq!(c.u16(), Some(0xABCD));
         assert_eq!(c.u32(), Some(0xDEAD_BEEF));
         assert_eq!(c.u64(), Some(0x0123_4567_89AB_CDEF));
-        assert_eq!(c.bytes().as_deref(), Some(&b"payload"[..]));
+        assert_eq!(c.bytes(true).as_deref(), Some(&b"payload"[..]));
         assert_eq!(c.u8(), Some(9));
         assert_eq!(c.u8(), None, "exhausted");
     }
 
     #[test]
+    fn varints_take_a_byte_per_seven_bits_and_refuse_what_does_not_fit() {
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX >> 1,
+            u64::MAX,
+        ] {
+            let mut buf = Vec::new();
+            put_var(&mut buf, v);
+            let width = (64 - v.leading_zeros()).max(1).div_ceil(7) as usize;
+            assert_eq!(buf.len(), width, "{v}");
+            let mut c = Cursor::new(&buf);
+            assert_eq!(c.var::<u64>(), Some(v));
+            assert_eq!(c.remaining(), 0);
+            assert_eq!(Cursor::new(&buf[..width - 1]).var::<u64>(), None, "cut");
+        }
+        let mut eleven = vec![0x80; 10];
+        eleven.push(0);
+        assert_eq!(Cursor::new(&eleven).var::<u64>(), None, "eleven bytes");
+        let mut wide = vec![0xFF; 9];
+        wide.push(0x02);
+        assert_eq!(Cursor::new(&wide).var::<u64>(), None, "a 65th bit");
+        let mut buf = Vec::new();
+        put_var(&mut buf, 1 << 16);
+        assert_eq!(Cursor::new(&buf).var::<u16>(), None, "past the type");
+    }
+
+    #[test]
     fn cursor_rejects_truncated_reads() {
         let mut buf = Vec::new();
-        put_u32(&mut buf, 100); // claims 100 bytes follow
+        put_var(&mut buf, 100); // claims 100 bytes follow
         buf.extend_from_slice(b"short");
         let mut c = Cursor::new(&buf);
-        assert_eq!(c.bytes(), None);
+        assert_eq!(c.bytes(true), None);
     }
 }

@@ -59,7 +59,7 @@ use rapilog_simdisk::{BlockDevice, IoReq, IoResult, ReqToken, SECTOR_SIZE};
 
 use crate::error::{DbError, DbResult};
 use crate::types::{Lsn, PageId, TableId, TxnId};
-use crate::util::{crc32, put_bytes, put_u16, put_u32, put_u64, Cursor};
+use crate::util::{crc32, put_bytes, put_u32, put_u64, put_var, Cursor};
 
 /// Fixed bytes before the payload: len(4) + crc(4) + lsn(8) + kind(1).
 pub(crate) const RECORD_HEADER: usize = 17;
@@ -275,10 +275,14 @@ impl Record {
         }
     }
 
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
+    /// The payload: integers as [`put_var`] varints, byte strings behind a
+    /// varint length, and an undo-chain pointer as its distance back from
+    /// `lsn`, the record's own LSN (so [`Lsn::ZERO`] is stored as `lsn`).
+    fn encode_payload(&self, lsn: Lsn, buf: &mut Vec<u8>) {
+        let back = |to: Lsn| lsn.0.wrapping_sub(to.0);
         match self {
             Record::Begin { txn } | Record::Commit { txn } | Record::Abort { txn } => {
-                put_u64(buf, txn.0);
+                put_var(buf, txn.0);
             }
             Record::Clr {
                 txn,
@@ -288,43 +292,31 @@ impl Record {
                 key,
                 action,
             } => {
-                put_u64(buf, txn.0);
-                put_u64(buf, undo_next.0);
-                put_u64(buf, page.0);
-                put_u16(buf, *slot);
-                put_u64(buf, *key);
-                match action {
-                    ClrAction::Clear => buf.push(0),
-                    ClrAction::Restore(bytes) => {
-                        buf.push(1);
-                        put_bytes(buf, bytes);
-                    }
+                for v in [txn.0, back(*undo_next), page.0, u64::from(*slot), *key] {
+                    put_var(buf, v);
+                }
+                buf.push(u8::from(matches!(action, ClrAction::Restore(_))));
+                if let ClrAction::Restore(bytes) = action {
+                    put_bytes(buf, bytes);
                 }
             }
             Record::Checkpoint { active, dirty } => {
-                put_u32(buf, active.len() as u32);
-                for (txn, lsn) in active {
-                    put_u64(buf, txn.0);
-                    put_u64(buf, lsn.0);
-                }
-                put_u32(buf, dirty.len() as u32);
-                for (page, rec_lsn) in dirty {
-                    put_u64(buf, page.0);
-                    put_u64(buf, rec_lsn.0);
-                }
+                let active = active.iter().map(|&(txn, lsn)| [txn.0, lsn.0]);
+                let dirty = dirty.iter().map(|&(page, lsn)| [page.0, lsn.0]);
+                put_var(buf, active.len() as u64);
+                active.flatten().for_each(|v| put_var(buf, v));
+                put_var(buf, dirty.len() as u64);
+                dirty.flatten().for_each(|v| put_var(buf, v));
             }
             Record::FullPage { page, image } => {
-                put_u64(buf, page.0);
+                put_var(buf, page.0);
                 put_bytes(buf, image);
             }
             Record::Update { .. } | Record::Insert { .. } | Record::Delete { .. } => {
                 let (txn, prev, table, page, slot, key) = self.row_head().expect("a row change");
-                put_u64(buf, txn.0);
-                put_u64(buf, prev.0);
-                put_u16(buf, table.0);
-                put_u64(buf, page.0);
-                put_u16(buf, slot);
-                put_u64(buf, key);
+                for v in [txn.0, back(prev), table.0.into(), page.0, slot.into(), key] {
+                    put_var(buf, v);
+                }
                 if let Record::Update { before, .. } | Record::Delete { before, .. } = self {
                     put_bytes(buf, before);
                 }
@@ -335,76 +327,77 @@ impl Record {
         }
     }
 
-    fn decode_payload(kind: u8, payload: &[u8], images: bool) -> Option<Record> {
+    fn decode_payload(kind: u8, lsn: Lsn, payload: &[u8], images: bool) -> Option<Record> {
         let mut c = Cursor::new(payload);
+        let back = |c: &mut Cursor| Some(Lsn(lsn.0.wrapping_sub(c.var()?)));
         let rec = match kind {
-            1 => Record::Begin {
-                txn: TxnId(c.u64()?),
-            },
-            2 => Record::Commit {
-                txn: TxnId(c.u64()?),
-            },
-            3 => Record::Abort {
-                txn: TxnId(c.u64()?),
-            },
-            4 => Record::Update {
-                txn: TxnId(c.u64()?),
-                prev: Lsn(c.u64()?),
-                table: TableId(c.u16()?),
-                page: PageId(c.u64()?),
-                slot: c.u16()?,
-                key: c.u64()?,
-                before: c.bytes_if(images)?,
-                after: c.bytes_if(images)?,
-            },
-            5 => Record::Insert {
-                txn: TxnId(c.u64()?),
-                prev: Lsn(c.u64()?),
-                table: TableId(c.u16()?),
-                page: PageId(c.u64()?),
-                slot: c.u16()?,
-                key: c.u64()?,
-                after: c.bytes_if(images)?,
-            },
-            6 => Record::Delete {
-                txn: TxnId(c.u64()?),
-                prev: Lsn(c.u64()?),
-                table: TableId(c.u16()?),
-                page: PageId(c.u64()?),
-                slot: c.u16()?,
-                key: c.u64()?,
-                before: c.bytes_if(images)?,
-            },
+            1..=3 => {
+                let txn = TxnId(c.var()?);
+                match kind {
+                    1 => Record::Begin { txn },
+                    2 => Record::Commit { txn },
+                    _ => Record::Abort { txn },
+                }
+            }
+            4..=6 => {
+                let (txn, prev, table) = (TxnId(c.var()?), back(&mut c)?, TableId(c.var()?));
+                let (page, slot, key) = (PageId(c.var()?), c.var()?, c.var()?);
+                match kind {
+                    4 => Record::Update {
+                        txn,
+                        prev,
+                        table,
+                        page,
+                        slot,
+                        key,
+                        before: c.bytes(images)?,
+                        after: c.bytes(images)?,
+                    },
+                    5 => Record::Insert {
+                        txn,
+                        prev,
+                        table,
+                        page,
+                        slot,
+                        key,
+                        after: c.bytes(images)?,
+                    },
+                    _ => Record::Delete {
+                        txn,
+                        prev,
+                        table,
+                        page,
+                        slot,
+                        key,
+                        before: c.bytes(images)?,
+                    },
+                }
+            }
             7 => Record::Clr {
-                txn: TxnId(c.u64()?),
-                undo_next: Lsn(c.u64()?),
-                page: PageId(c.u64()?),
-                slot: c.u16()?,
-                key: c.u64()?,
+                txn: TxnId(c.var()?),
+                undo_next: back(&mut c)?,
+                page: PageId(c.var()?),
+                slot: c.var()?,
+                key: c.var()?,
                 action: match c.u8()? {
                     0 => ClrAction::Clear,
-                    1 => ClrAction::Restore(c.bytes_if(images)?),
+                    1 => ClrAction::Restore(c.bytes(images)?),
                     _ => return None,
                 },
             },
             8 => {
-                // Counts come from the record itself: reserve no more
-                // entries than the payload can hold (16 bytes each).
-                let n = c.u32()? as usize;
-                let mut active = Vec::with_capacity(n.min(c.remaining() / 16));
-                for _ in 0..n {
-                    active.push((TxnId(c.u64()?), Lsn(c.u64()?)));
-                }
-                let d = c.u32()? as usize;
-                let mut dirty = Vec::with_capacity(d.min(c.remaining() / 16));
-                for _ in 0..d {
-                    dirty.push((PageId(c.u64()?), Lsn(c.u64()?)));
-                }
+                // A damaged count reserves nothing: it runs out of payload.
+                let n: u64 = c.var()?;
+                let active = (0..n).map(|_| Some((TxnId(c.var()?), Lsn(c.var()?))));
+                let active = active.collect::<Option<_>>()?;
+                let n: u64 = c.var()?;
+                let dirty = (0..n).map(|_| Some((PageId(c.var()?), Lsn(c.var()?))));
+                let dirty = dirty.collect::<Option<_>>()?;
                 Record::Checkpoint { active, dirty }
             }
             9 => Record::FullPage {
-                page: PageId(c.u64()?),
-                image: c.bytes_if(images)?,
+                page: PageId(c.var()?),
+                image: c.bytes(images)?,
             },
             _ => return None,
         };
@@ -419,11 +412,10 @@ impl Record {
     /// path). Returns the encoded length.
     pub fn encode_into(&self, lsn: Lsn, out: &mut Vec<u8>) -> usize {
         let base = out.len();
-        put_u32(out, 0); // len placeholder
-        put_u32(out, 0); // crc placeholder
+        out.extend_from_slice(&[0; 8]); // len and crc placeholders
         put_u64(out, lsn.0);
         out.push(self.kind());
-        self.encode_payload(out);
+        self.encode_payload(lsn, out);
         let total = out.len() - base;
         out[base..base + 4].copy_from_slice(&(total as u32).to_le_bytes());
         let crc = crc32(&out[base + 8..]);
@@ -460,7 +452,7 @@ impl Record {
         if expected_lsn.is_some_and(|want| crc32(&frame[8..]) != crc || lsn != want.0) {
             return None;
         }
-        let rec = Record::decode_payload(frame[16], &frame[RECORD_HEADER..], images)?;
+        let rec = Record::decode_payload(frame[16], Lsn(lsn), &frame[RECORD_HEADER..], images)?;
         Some((rec, total))
     }
 }
@@ -926,8 +918,7 @@ impl Superblock {
         put_u32(&mut buf, SB_MAGIC);
         put_u64(&mut buf, self.checkpoint.0);
         put_u64(&mut buf, self.recovery_start.0);
-        let crc = crc32(&buf);
-        put_u32(&mut buf, crc);
+        buf.extend_from_slice(&crc32(&buf).to_le_bytes());
         buf.resize(SECTOR_SIZE, 0);
         buf
     }
@@ -935,13 +926,12 @@ impl Superblock {
     /// Parses a sector; `None` if blank or damaged, its padding included.
     pub fn decode(sector: &[u8]) -> Option<Superblock> {
         let mut c = Cursor::new(sector);
-        if c.u32()? != SB_MAGIC {
-            return None;
-        }
+        let magic = c.u32()?;
         let checkpoint = Lsn(c.u64()?);
         let recovery_start = Lsn(c.u64()?);
         let crc = c.u32()?;
-        if crc32(&sector[..20]) != crc || sector[24..].iter().any(|&b| b != 0) {
+        let padding = &sector[24..];
+        if magic != SB_MAGIC || crc32(&sector[..20]) != crc || padding.iter().any(|&b| b != 0) {
             return None;
         }
         Some(Superblock {
@@ -1163,8 +1153,17 @@ mod tests {
         assert!(Record::decode(&bytes, Lsn(50)).is_none(), "bad crc");
     }
 
+    /// Sets a frame's length and CRC to match its bytes, so that the payload
+    /// parser itself sees whatever was done to them.
+    fn reseal(frame: &mut [u8]) {
+        let len = frame.len() as u32;
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&frame[8..]);
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    }
+
     /// A CRC-valid checkpoint whose entry count exceeds its payload is
-    /// rejected, not reserved for: `u32::MAX` entries would be 64 GiB.
+    /// rejected, not reserved for: `u64::MAX` entries would not fit memory.
     #[test]
     fn a_checkpoint_count_beyond_its_payload_is_rejected() {
         let mut frame = Record::Checkpoint {
@@ -1172,10 +1171,154 @@ mod tests {
             dirty: Vec::new(),
         }
         .encode(Lsn(64));
-        frame[RECORD_HEADER..RECORD_HEADER + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let crc = crc32(&frame[8..]);
-        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        frame.truncate(RECORD_HEADER);
+        put_var(&mut frame, u64::MAX);
+        frame.push(0);
+        reseal(&mut frame);
         assert!(Record::decode(&frame, Lsn(64)).is_none());
+    }
+
+    /// A begin, every row record and both CLRs with the largest
+    /// transaction, key, page, slot and table, the undo pointer `prev` and
+    /// `image` as both images.
+    fn extreme_records(prev: Lsn, image: &[u8]) -> Vec<Record> {
+        let (txn, page, slot, key) = (TxnId(u64::MAX), PageId(u64::MAX), u16::MAX, u64::MAX);
+        let table = TableId(u16::MAX);
+        let (before, after) = (image.to_vec(), image.to_vec());
+        let restore = ClrAction::Restore(image.to_vec());
+        vec![
+            Record::Begin { txn },
+            Record::Update {
+                txn,
+                prev,
+                table,
+                page,
+                slot,
+                key,
+                before: before.clone(),
+                after: after.clone(),
+            },
+            Record::Insert {
+                txn,
+                prev,
+                table,
+                page,
+                slot,
+                key,
+                after,
+            },
+            Record::Delete {
+                txn,
+                prev,
+                table,
+                page,
+                slot,
+                key,
+                before,
+            },
+            Record::Clr {
+                txn,
+                undo_next: prev,
+                page,
+                slot,
+                key,
+                action: restore,
+            },
+            Record::Clr {
+                txn,
+                undo_next: prev,
+                page,
+                slot,
+                key,
+                action: ClrAction::Clear,
+            },
+        ]
+    }
+
+    /// Every field at its extreme round-trips: an undo pointer of
+    /// `Lsn::ZERO` or the record's own LSN, empty and 8 KiB images, at LSNs
+    /// from the first to the last.
+    #[test]
+    fn fields_at_their_extremes_roundtrip() {
+        for lsn in [Lsn::ZERO, Lsn(1), Lsn(4096), Lsn(u64::MAX)] {
+            for prev in [Lsn::ZERO, lsn] {
+                for image in [&[][..], &[0xA5; 8192][..]] {
+                    for rec in extreme_records(prev, image) {
+                        let bytes = rec.encode(lsn);
+                        assert_eq!(Record::decode(&bytes, lsn), Some((rec, bytes.len())));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every cut and every one-byte change of an encoded row record or CLR
+    /// is refused as it stands (the CRC and length catch it), and once
+    /// resealed reaches the payload parser, which answers `None` or a
+    /// record, never a panic.
+    #[test]
+    fn every_cut_and_byte_change_of_a_row_record_or_clr_is_refused_or_decodes() {
+        let lsn = Lsn(70_000);
+        for rec in extreme_records(Lsn(69_000), &[7; 8]) {
+            let valid = rec.encode(lsn);
+            for cut in 0..valid.len() {
+                let mut frame = valid[..cut].to_vec();
+                assert_eq!(Record::decode(&frame, lsn), None, "{rec:?} cut at {cut}");
+                if cut >= RECORD_HEADER {
+                    reseal(&mut frame);
+                    let _ = Record::decode(&frame, lsn);
+                }
+            }
+            for at in 0..valid.len() {
+                for x in 1..=u8::MAX {
+                    let mut frame = valid.clone();
+                    frame[at] ^= x;
+                    assert_eq!(Record::decode(&frame, lsn), None, "byte {at} ^ {x:#x}");
+                    if at >= 8 {
+                        reseal(&mut frame);
+                        let _ = Record::decode(&frame, lsn);
+                    }
+                }
+            }
+        }
+    }
+
+    /// An undo pointer is stored as its distance back: one byte to a
+    /// neighbour, the width of the record's own LSN for `Lsn::ZERO`. A
+    /// forward pointer, which the engine never writes, costs ten bytes and
+    /// still round-trips: the distance wraps, so every `u64` does.
+    #[test]
+    fn an_undo_pointer_is_stored_as_its_distance_back() {
+        let lsn = Lsn(1 << 20);
+        let at = |prev: Lsn| {
+            let mut rec = upd(1, 2);
+            if let Record::Update { prev: p, .. } = &mut rec {
+                *p = prev;
+            }
+            let bytes = rec.encode(lsn);
+            assert_eq!(Record::decode(&bytes, lsn), Some((rec, bytes.len())));
+            bytes.len()
+        };
+        let near = at(Lsn(lsn.0 - 41));
+        assert_eq!(at(Lsn::ZERO), near + 2, "2^20 is a three-byte varint");
+        assert_eq!(at(Lsn(lsn.0 + 1)), near + 9, "a forward pointer wraps");
+    }
+
+    /// A varint of eleven bytes, or one whose tenth byte carries a bit past
+    /// the 64th, makes the record undecodable however valid its frame.
+    #[test]
+    fn an_overlong_varint_is_refused() {
+        for bad in [
+            &[0x80; 10][..],
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+        ] {
+            let mut frame = Record::Begin { txn: TxnId(1) }.encode(Lsn(64));
+            frame.truncate(RECORD_HEADER);
+            frame.extend_from_slice(bad);
+            frame.push(0);
+            reseal(&mut frame);
+            assert_eq!(Record::decode(&frame, Lsn(64)), None, "{bad:x?}");
+        }
     }
 
     /// A record of any kind with random fields and short random byte
@@ -1259,12 +1402,6 @@ mod tests {
     /// parser itself sees the damage. `decode` answers `Some` or `None`.
     #[test]
     fn decode_never_panics_on_damaged_frames() {
-        fn reseal(frame: &mut [u8]) {
-            let len = frame.len() as u32;
-            frame[..4].copy_from_slice(&len.to_le_bytes());
-            let crc = crc32(&frame[8..]);
-            frame[4..8].copy_from_slice(&crc.to_le_bytes());
-        }
         let mut rng = SimRng::seed_from_u64(0xDEC0DE);
         let lsn = Lsn(4096);
         for case in 0..4_000u32 {

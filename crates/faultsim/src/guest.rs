@@ -163,13 +163,13 @@ impl Guest {
 /// Each of `j`'s slots on `disk`'s media: `Ok(seq)` for the writer's own
 /// bytes (0: never written), else `Err` with bytes 8 and 9 (tag, fill).
 pub(crate) fn media_seqs(disk: &Disk, j: &WriterJournal) -> Vec<Result<u64, (u8, u8)>> {
-    let mut image = vec![0u8; j.acked.len() * SECTOR_SIZE];
-    disk.peek_media(j.base, &mut image);
-    let own = payload(j.tenant, 0);
-    image
-        .chunks(SECTOR_SIZE)
-        .map(|s| {
-            if s[8..] == own[8..] || *s == [0u8; SECTOR_SIZE] {
+    // One sector at a time through one buffer: an image of every slot
+    // would be a fresh 32 KiB per journal and disk in every trial.
+    let (own, mut s) = (payload(j.tenant, 0), [0u8; SECTOR_SIZE]);
+    (j.base..j.base + j.acked.len() as u64)
+        .map(|sector| {
+            disk.peek_media(sector, &mut s);
+            if s[8..] == own[8..] || s == [0u8; SECTOR_SIZE] {
                 Ok(u64::from_le_bytes(s[..8].try_into().expect("8 bytes")))
             } else {
                 Err((s[8], s[9]))

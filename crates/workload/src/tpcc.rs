@@ -18,7 +18,7 @@
 
 use rapilog_simcore::rng::SimRng;
 
-use rapilog_dbengine::util::{put_u16, put_u32, put_u64, Cursor};
+use rapilog_dbengine::util::{put_u32, put_u64, Cursor};
 use rapilog_dbengine::{Database, DbError, Key, TableDef, TableId};
 
 /// Result alias.
@@ -207,7 +207,7 @@ impl WarehouseRow {
     /// Encodes the row.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::new();
-        put_u16(&mut b, self.tax_bp);
+        b.extend_from_slice(&self.tax_bp.to_le_bytes());
         put_u64(&mut b, self.ytd_cents);
         b
     }
@@ -229,7 +229,7 @@ impl DistrictRow {
     /// Encodes the row.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::new();
-        put_u16(&mut b, self.tax_bp);
+        b.extend_from_slice(&self.tax_bp.to_le_bytes());
         put_u64(&mut b, self.ytd_cents);
         put_u32(&mut b, self.next_o_id);
         put_u32(&mut b, self.next_deliv_o_id);

@@ -2,8 +2,12 @@
 # The known-red replays are checked. Runs the `#[ignore]`d open-finding
 # replays of tests/crash_points.rs and fails unless the set of tests that
 # fail is exactly the one in scripts/known_red.list (a replay that went green
-# and turns red again fails, and so does a listed one that turns green). No
-# `#[ignore]` changes: this only pins which of the ignored replays are red.
+# and turns red again fails, and so does a listed one that turns green), and
+# unless each is red in the form its name claims: a replay whose violations
+# no longer include its form (a client's lost commit, a tenant slot, the
+# guarantee) panics "red without its form", and that fails the check. No
+# `#[ignore]` changes: this only pins which of the ignored replays are red,
+# and how.
 #
 # Usage: scripts/known_red.sh
 set -euo pipefail
@@ -24,4 +28,9 @@ if [[ "$red" != "$want" ]]; then
     comm -23 <(echo "$want") <(echo "$red") | sed 's/^/  listed, green now:   /' >&2
     exit 1
 fi
-echo "known_red: ok    exactly the $(wc -l <<<"$red") replays $LIST names are red"
+if grep -q 'red without its form' <<<"$out"; then
+    echo "known_red: FAIL  a replay is red in a form its name does not claim:" >&2
+    grep -B1 'red without its form' <<<"$out" | sed 's/^/  /' >&2
+    exit 1
+fi
+echo "known_red: ok    exactly the $(wc -l <<<"$red") replays $LIST names are red, each in its form"

@@ -97,96 +97,111 @@ fn fixing_the_drain_fixes_the_counterexample() {
 /// Open finding 1 (`benchmark/README.md`, ROADMAP's first item): four
 /// tenants on one instance lose acknowledged writes to a power cut late in
 /// the load. These are counterexamples of today's drain, replayed from
-/// their coordinates: red cells of fresh-seed campaigns, one for each form
+/// their coordinates: red cells of fresh-seed campaigns
+/// (`ExplorerConfig::multi_tenant()`, seeds from `0xC0FFEE` by
+/// `0x9E3779B97F4A7C15`, power cut and 100 ms flicker), one for each form
 /// the loss takes (a tenant slot behind its ack, a client's acknowledged
-/// commit, a missed emergency deadline). They assert what the fix has to
-/// make true, so they are red, and ignored until it lands:
-/// `cargo test --test crash_points -- --ignored` is where that PR starts.
+/// commit, a missed emergency deadline) and one at each instant the
+/// crash-point sweep's multi-tenant grids sample late in the load. They
+/// assert what the fix has to make true, so they are red, and ignored
+/// until it lands: `cargo test --test crash_points -- --ignored` is where
+/// that fix starts.
 ///
 /// Which seeds are red is a property of the trajectory, not of the defect:
 /// a change that shifts install or drain timing turns some replays green
 /// while the campaign's failure rate stays where it was, and they are then
-/// re-pointed at red cells of a fresh campaign (`scripts/known_red.list`
-/// names the ones that are red). A replay going green is evidence of a fix
-/// only if the campaign agrees.
-fn open_finding_1(seed: u64, kind: FaultKind) {
-    open_finding_1_at(seed, kind, 420);
+/// re-pointed at red cells of a fresh campaign, keeping kind and instant
+/// (`scripts/known_red.list` names the ones that are red). A replay going
+/// green is evidence of a fix only if the campaign agrees. The compact WAL
+/// encoding was such a shift: it turned all five green, with the campaign
+/// at 330, 370 and 420 ms still reading 22 of 1 200 failed (54 before).
+///
+/// `form` starts the violation the replay's name claims. A replay red in
+/// another form fails with "red without its form", which
+/// `scripts/known_red.sh` refuses: its name would claim a loss the replay
+/// no longer shows.
+fn open_finding_1(seed: u64, kind: FaultKind, form: &str) {
+    open_finding_1_at(seed, kind, 420, form);
 }
 
-fn open_finding_1_at(seed: u64, kind: FaultKind, ms: u64) {
+fn open_finding_1_at(seed: u64, kind: FaultKind, ms: u64, form: &str) {
     let cfg = ExplorerConfig::multi_tenant();
     let r = run_trial(seed, cfg.trial(seed, kind, SimDuration::from_millis(ms)));
+    let shown = r.violations.iter().filter(|v| v.starts_with(form)).count();
+    assert!(
+        r.ok || shown > 0,
+        "red without its form: none of {} violations starts {form:?}, first: {:?}",
+        r.violations.len(),
+        r.violations.first()
+    );
     assert!(
         r.ok,
-        "{} violations, first: {:?}",
+        "{} violations, {shown} starting {form:?}, first: {:?}",
         r.violations.len(),
         r.violations.first()
     );
 }
 
-/// Today: 58 violations, first "tenant 3: slot 0 media seq 1345 outside
-/// acked..attempted [1409, 1409]". The first red power-cut cell of this
-/// form in a fresh-seed campaign (`ExplorerConfig::multi_tenant()`, 200
-/// seeds from `0xC0FFEE` by `0x9E3779B97F4A7C15`, power cut and 100 ms
-/// flicker at 420 ms: 46 of 400 failed), taken when moving the superblock
-/// off the log device shifted the trajectory and turned the seed pinned
-/// before, `0x6a99_b4b1_f83e_d0ea`, green.
+/// Today: 13 violations, all tenant slots but the guarantee, first "tenant
+/// 1: slot 22 media seq 1303 outside acked..attempted [1367, 1367]". The
+/// first red power-cut cell at 420 ms with no client loss in the 200-seed
+/// campaign, taken when the compact WAL encoding turned the seed pinned
+/// before, `0x2e2a_c13e_f9a9_d8c0`, green.
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_cut_leaves_a_tenant_slot_behind_its_ack() {
-    open_finding_1(0x2e2a_c13e_f9a9_d8c0, FaultKind::PowerCut);
+    open_finding_1(0xafd9_d690_6d9c_1625, FaultKind::PowerCut, "tenant");
 }
 
-/// Today: 27 violations, first "client 0: durability violated: acked 1110
-/// but recovered 1086". The first red cell of this form in the fresh-seed
-/// campaign of the replay above. Re-pointed with it: the seed pinned
-/// before, `0x1682_7374_d1c0_5db3`, stayed red, but with 31 violations that
-/// were all tenant slots and no client's lost commit.
+/// Today: 10 violations, 3 of them clients, first "client 0: durability
+/// violated: acked 1133 but recovered 1132". The first red power-cut cell
+/// at 420 ms in the campaign of the replay above, taken when the compact
+/// WAL encoding turned the seed pinned before, `0xdaa6_6d2c_7ea0_742d`,
+/// green.
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_cut_loses_acknowledged_commits() {
-    open_finding_1(0xdaa6_6d2c_7ea0_742d, FaultKind::PowerCut);
+    open_finding_1(0xd533_6963_efbc_a1e6, FaultKind::PowerCut, "client");
 }
 
-/// Today: 1 violation, "rapilog internal guarantee violated". A red cell of
-/// the same fresh-seed campaign as the replays above.
+/// Today: 1 violation, "rapilog internal guarantee violated". The first red
+/// flicker cell at 420 ms of the same campaign, re-pointed with the replay
+/// above.
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_flicker_misses_the_emergency_deadline() {
     let flicker = SimDuration::from_millis(100);
-    open_finding_1(0xdaa6_6d2c_7ea0_742d, FaultKind::PowerFlicker { flicker });
+    open_finding_1(
+        0xd533_6963_efbc_a1e6,
+        FaultKind::PowerFlicker { flicker },
+        "rapilog internal guarantee violated",
+    );
 }
 
-/// The cell of the crash-point sweep's QUICK multi-tenant grid (seeds `0x7E2A`,
-/// `0x7E8B` × 120, 330 ms) that PR 23's trajectory shift — one log write per
-/// commit, nothing in the drain — turned into a counterexample, while the
-/// fresh-seed campaign at this instant read 12 failed of 800 before and 6
-/// after. The grid keeps the instant; the sweep lists the cell as known
-/// (`OPEN_FINDING_1` in `crates/bench/src/bin/figures/faults.rs`) and this
-/// replay tracks it.
-/// Today: 4 violations, first "tenant 3: slot 3 media seq 1028 outside
-/// acked..attempted [1092, 1092]", last "rapilog internal guarantee
-/// violated"; the flicker at the same cell reads that last one alone.
+/// A power cut at 330 ms, the late instant of the crash-point sweep's
+/// QUICK multi-tenant grid. This replay tracked the grid's own cell
+/// (`0x7E2A`, 330 ms) until the compact WAL encoding turned it, and the
+/// whole grid, green; the 200-seed campaign then read 0 of 400 failed at
+/// this instant, so this is the first red power-cut cell of a 1 000-seed
+/// one (10 of 2 000 failed).
+/// Today: 13 violations, first "tenant 3: slot 36 media seq 1061 outside
+/// acked..attempted [1125, 1125]".
 #[test]
 #[ignore = "open finding 1"]
-fn open_finding_1_power_cut_in_the_ci_smoke_grid() {
-    open_finding_1_at(0x7E2A, FaultKind::PowerCut, 330);
+fn open_finding_1_power_cut_at_330_ms() {
+    open_finding_1_at(0xaf8c_18bc_e24c_d112, FaultKind::PowerCut, 330, "tenant");
 }
 
-/// The cell of the crash-point sweep's full multi-tenant grid (seeds
-/// `0x7E2A` + i × 97 for i < 4, instants 120 / 240 / 360 ms) that moving
-/// the superblock off the log device turned into a counterexample, while a
-/// fresh-seed campaign at this instant (`ExplorerConfig::multi_tenant()`,
-/// 200 seeds from `0xC0FFEE` by `0x9E3779B97F4A7C15`, power cut and 100 ms
-/// flicker at 360 ms) read 6 failed of 400 before and 4 after. The grid keeps the instant; the sweep
-/// lists the cell in `OPEN_FINDING_1` and this replay tracks it.
-/// Today: 18 violations, first "tenant 3: slot 3 media seq 1092 outside
-/// acked..attempted [1156, 1156]"; the flicker at the same cell reads
-/// "rapilog internal guarantee violated" alone.
+/// A power cut at 360 ms, the late instant of the sweep's full
+/// multi-tenant grid, whose cell (`0x7F4D`, 360 ms) this replay tracked
+/// until the compact WAL encoding turned it green: the first red power-cut
+/// cell of the 200-seed campaign at this instant (4 of 400 failed).
+/// Today: 30 violations, first "tenant 3: slot 6 media seq 1095 outside
+/// acked..attempted [1159, 1159]".
 #[test]
 #[ignore = "open finding 1"]
-fn open_finding_1_power_cut_in_the_full_crashpoint_grid() {
-    open_finding_1_at(0x7F4D, FaultKind::PowerCut, 360);
+fn open_finding_1_power_cut_at_360_ms() {
+    open_finding_1_at(0xed92_1b80_ad16_319c, FaultKind::PowerCut, 360, "tenant");
 }
 
 /// One guest task on a stock single-tenant instance — every default:
