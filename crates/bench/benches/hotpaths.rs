@@ -387,12 +387,14 @@ fn request_stack(name: &str, ctx: &SimCtx) -> Rc<dyn BlockDevice> {
     let trusted = hv.create_cell("trusted", Trust::Trusted);
     let disk = Disk::new(ctx, specs::instant(64 << 20));
     let backend: Rc<dyn BlockDevice> = if name.ends_with("write_through") {
-        // A residual window too short to drain anything in.
+        // A residual window that closes as its warning arrives: nothing
+        // drains in it, however fast the disk (this one has no positioning
+        // cost and no bandwidth limit).
         let brownout = SupplySpec {
             name: "brownout".to_string(),
             residual_joules: 1.0,
             drain_draw_watts: 200.0,
-            warning_latency: SimDuration::from_millis(1),
+            warning_latency: SimDuration::from_millis(5),
         };
         let psu = PowerSupply::new(ctx, brownout);
         let rl = RapiLog::builder(ctx)

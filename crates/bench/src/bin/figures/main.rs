@@ -397,10 +397,10 @@ const PEAK: Col = ("peak occupancy (KiB)", |_, o| buffer(o).1.to_string());
 const ROTATION: Col = ("rotation (ms)", |c, _| f2(rotation_ms(c)));
 
 /// Table 1: the PSU hold-up windows the paper measured and the log buffer
-/// each admits against the disk models' drain bandwidths.
+/// each admits in one region against the disk models' drains.
 fn table1() -> bool {
     let disks: [Disk; 3] = [specs::hdd_7200, specs::hdd_15k, specs::ssd_sata];
-    let bandwidths = disks.map(|d| d(1 << 30).sequential_bandwidth());
+    let drains = disks.map(|d| (d(1 << 30).sequential_bandwidth(), d(1).positioning_bound()));
     let supplies = [
         supplies::atx_psu(),
         supplies::atx_psu_loaded(),
@@ -409,18 +409,17 @@ fn table1() -> bool {
     ];
     let rows = supplies.iter().map(|spec| {
         let windows = [spec.window(), spec.usable_window()].map(|w| f1(w.as_millis_f64()));
-        let mib = |bw| f1(budget::max_buffer_bytes(spec, bw) as f64 / (1024.0 * 1024.0));
+        let mib = |(bw, pos)| f1(budget::drainable_bytes(spec, bw, pos, 1) as f64 / 1048576.0);
         let mut row = vec![spec.name.clone()];
         row.extend(windows);
-        row.extend(bandwidths.map(mib));
+        row.extend(drains.map(mib));
         row
     });
     let header = "supply|window (ms)|usable (ms)|max buffer hdd-7200 (MiB)|max buffer hdd-15k (MiB)|max buffer ssd-sata (MiB)";
     let notes = format!(
-        "Safety rule: buffer ≤ bandwidth × (usable window × {:.0}% − {} startup).\n\
-         Even a plain ATX supply admits tens of MiB — far more than any commit burst needs.",
+        "Safety rule, in time: bytes ÷ bandwidth + (regions + 1) × positioning ≤ usable window × {:.0}%, in\n\
+         one region: a positioning (seek and rotation, or a flash write command) each for it and the op in flight.",
         (1.0 - budget::SAFETY_MARGIN) * 100.0,
-        budget::DRAIN_STARTUP
     );
     let header: Vec<&str> = header.split('|').collect();
     let title = "Table 1: residual windows and admitted buffer sizes";

@@ -10,10 +10,13 @@
 //! so the caller answers a read of it from there at the buffer's cost, and
 //! the same guest reads its log back without waiting on the disk.
 //!
-//! Admission control is the paper's safety argument in code: occupancy can
-//! never exceed the capacity derived from the residual-energy window, so
-//! the emergency drain always fits. When the buffer is full, writers wait —
-//! that is the graceful degradation to synchronous-disk speed (I5).
+//! Admission control is the paper's safety argument in code: with a power
+//! supply, a write is admitted only while the emergency drain of everything
+//! the instance then holds — its bytes at sequential bandwidth plus one
+//! positioning per dirty region — fits the supply's residual window
+//! ([`budget::drainable_bytes`]), whichever shard it is for; the capacity is
+//! a memory cap. When there is no room, writers wait — that is the graceful
+//! degradation to synchronous-disk speed (I5).
 //!
 //! # Zero-copy data path
 //!
@@ -25,14 +28,15 @@
 //! `(seq, sector, len)` ledger keeps occupancy accounting and
 //! read-your-writes intact until [`complete_run`](DependableBuffer::complete_run).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::sync::Notify;
 use rapilog_simcore::SimCtx;
-use rapilog_simdisk::SECTOR_SIZE;
+use rapilog_simdisk::{DiskSpec, SECTOR_SIZE};
+use rapilog_simpower::{budget, SupplySpec};
 
 /// One accepted write.
 #[derive(Debug, Clone)]
@@ -115,6 +119,32 @@ struct InflightExtent {
     len: u64,
 }
 
+/// The supply whose window an instance's emergency drain must fit, and the
+/// disk it drains to.
+pub(crate) type Rule = (SupplySpec, DiskSpec);
+
+/// What `rule`'s window drains from `regions` dirty regions, in bytes: the
+/// disk's sequential bandwidth and positioning cost into the one rule.
+pub(crate) fn drainable((supply, disk): &Rule, regions: u64) -> u64 {
+    let (bandwidth, positioning) = (disk.sequential_bandwidth(), disk.positioning_bound());
+    budget::drainable_bytes(supply, bandwidth, positioning, regions)
+}
+
+/// What the shards of one instance share: the drain's wake-up (`avail`),
+/// the writers' (`space`, so a release on any shard wakes a writer the rule
+/// held back on another), one frozen flag, and the bytes and dirty regions
+/// they hold between them, all of which the one emergency drain must land.
+#[derive(Default)]
+pub(crate) struct Ledger {
+    pub(crate) avail: Notify,
+    pub(crate) space: Notify,
+    pub(crate) frozen: Cell<bool>,
+    pub(crate) bytes: Cell<u64>,
+    pub(crate) regions: Cell<u64>,
+    /// Admissions keep to it, with a supply.
+    pub(crate) rule: Option<Rule>,
+}
+
 struct BufSt {
     queue: VecDeque<Extent>,
     /// Extents popped by the drain, oldest first, awaiting completion.
@@ -138,6 +168,10 @@ struct BufSt {
     kept_bytes: u64,
     /// Landings so far; numbers the next one.
     landings: u64,
+    /// The instance's ledger, whose dirty regions — maximal stretches of
+    /// contiguous dirty runs, one positioning each for the emergency drain —
+    /// this shard's carves and landings move.
+    ledger: Rc<Ledger>,
     /// Cleared by [`DependableBuffer::keep_nothing`].
     keeps: bool,
     /// What the guest has said it no longer needs and has not rewritten
@@ -146,7 +180,6 @@ struct BufSt {
     /// reads as zeros. Volatile, like the kept runs: a rebuilt instance
     /// starts with none and reads the media.
     trims: Vec<(u64, u64)>,
-    frozen: bool,
     /// Set when a `push` goes to sleep for want of space, cleared by
     /// [`DependableBuffer::take_stalled`]: while it keeps coming back set,
     /// every ack is gated by the drain's next release. A plain flag, so a
@@ -175,6 +208,7 @@ impl BufSt {
     /// idle room allows.
     fn release(&mut self, seq: u64, sector: u64, len: u64, landing: u64, exact: bool) {
         self.occupancy -= len;
+        self.ledger.bytes.set(self.ledger.bytes.get() - len);
         self.stats.drained_bytes += len;
         let end = sector + len / SECTOR_SIZE as u64;
         // The extent's runs lie among its own sectors, between the runs of
@@ -189,11 +223,33 @@ impl BufSt {
                 continue;
             }
             let run = self.runs.remove(&first).expect("found above");
+            // Its region shrinks, goes, or splits around it.
+            let mut near = self.runs.range(..=run.end).rev().peekable();
+            let right = near.next_if(|(&at, _)| at == run.end);
+            let right = right.is_some_and(|(_, r)| !r.kept);
+            let left = near.next().is_some_and(|(_, r)| r.end == first && !r.kept);
+            let regions = self.ledger.regions.get() + u64::from(left) + u64::from(right);
+            self.ledger.regions.set(regions - 1);
             if self.keeps {
                 self.keep(first, run.end, landing, run.data.filter(|_| !exact));
             }
         }
         self.evict_to(self.capacity - self.occupancy);
+    }
+
+    /// Dirty regions a dirty run over `[first, end)` would join: those with
+    /// a sector in it or right beside it, found among the runs it overlaps
+    /// and its two neighbours, walked down from the right one.
+    fn joins(&self, first: u64, end: u64) -> u64 {
+        let (mut n, mut next) = (0, None);
+        let touches = |(_, r): &(&u64, &Run)| r.end >= first;
+        for (&at, run) in self.runs.range(..=end).rev().take_while(touches) {
+            if !run.kept {
+                n += u64::from(next != Some(run.end));
+                next = Some(at);
+            }
+        }
+        n
     }
 
     /// Keeps landed sectors `[first, end)` as runs of `landing`, less the
@@ -328,8 +384,7 @@ impl BufSt {
 #[derive(Clone)]
 pub struct DependableBuffer {
     st: Rc<RefCell<BufSt>>,
-    space: Notify,
-    avail: Notify,
+    ledger: Rc<Ledger>,
     empty: Notify,
 }
 
@@ -341,15 +396,16 @@ pub enum PushError {
 }
 
 impl DependableBuffer {
-    /// Creates a buffer with the given byte capacity.
+    /// Creates a buffer with the given byte capacity and no supply.
     pub fn new(capacity: u64) -> DependableBuffer {
-        DependableBuffer::with_avail(capacity, Notify::new())
+        DependableBuffer::sharing(capacity, &Rc::default())
     }
 
-    /// Creates a buffer whose availability notifications go to a *shared*
-    /// `Notify` — how the tenant shards of a [`ShardedBuffer`]
-    /// (crate::shard::ShardedBuffer) all wake the one fair-share drain.
-    pub(crate) fn with_avail(capacity: u64, avail: Notify) -> DependableBuffer {
+    /// Creates a buffer that shares `ledger` with the other shards of its
+    /// instance — how the tenant shards of a [`ShardedBuffer`]
+    /// (crate::shard::ShardedBuffer) all wake the one fair-share drain and
+    /// admit by one rule.
+    pub(crate) fn sharing(capacity: u64, ledger: &Rc<Ledger>) -> DependableBuffer {
         DependableBuffer {
             st: Rc::new(RefCell::new(BufSt {
                 queue: VecDeque::new(),
@@ -363,14 +419,13 @@ impl DependableBuffer {
                 kept: BTreeSet::new(),
                 kept_bytes: 0,
                 landings: 0,
+                ledger: Rc::clone(ledger),
                 keeps: true,
                 trims: Vec::new(),
-                frozen: false,
                 stalled: false,
                 stats: BufferStats::default(),
             })),
-            space: Notify::new(),
-            avail,
+            ledger: Rc::clone(ledger),
             empty: Notify::new(),
         }
     }
@@ -413,6 +468,13 @@ impl DependableBuffer {
         self.st.borrow().capacity
     }
 
+    /// The longest extent [`push`](Self::push) takes: the capacity, or what
+    /// the supply's window drains in one region if that is less.
+    pub(crate) fn largest_extent(&self) -> u64 {
+        let window = self.ledger.rule.as_ref().map(|rule| drainable(rule, 1));
+        window.map_or(self.capacity(), |w| w.min(self.capacity()))
+    }
+
     /// Bytes currently buffered (queued plus drained-but-uncommitted).
     pub fn occupancy(&self) -> u64 {
         self.st.borrow().occupancy
@@ -427,26 +489,31 @@ impl DependableBuffer {
         }
     }
 
-    /// True once [`freeze`](Self::freeze) was called.
+    /// True once [`freeze`](Self::freeze) was called, on any shard of the
+    /// instance.
     pub fn is_frozen(&self) -> bool {
-        self.st.borrow().frozen
+        self.ledger.frozen.get()
     }
 
-    /// Stops admitting writes (power-fail warning). The drain keeps going.
+    /// Stops admitting writes (power-fail warning), on every shard of the
+    /// instance: they share one flag. The drain keeps going.
     pub fn freeze(&self) {
-        self.st.borrow_mut().frozen = true;
+        self.ledger.frozen.set(true);
         // Release writers stuck waiting for space so they see the freeze.
-        self.space.notify_all();
+        self.ledger.space.notify_all();
     }
 
-    /// Accepts a write, waiting for space under backpressure. Returns the
-    /// extent's sequence number. The bytes are *viewed*, not copied: the
-    /// queue and the read-your-writes run share `data`'s allocation.
+    /// Accepts a write, waiting for space under backpressure: until it fits
+    /// the capacity, and with a supply until the instance's emergency drain
+    /// with it still fits the window. Returns the extent's sequence number.
+    /// The bytes are *viewed*, not copied: the queue and the read-your-writes
+    /// run share `data`'s allocation.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty, not sector aligned, or alone larger than
-    /// the whole capacity (a configuration error: the caller must split).
+    /// the whole capacity or what the window drains in one region (a
+    /// configuration error: the caller must split).
     pub async fn push(&self, sector: u64, data: SectorBuf) -> Result<u64, PushError> {
         assert!(
             !data.is_empty() && data.len().is_multiple_of(SECTOR_SIZE),
@@ -454,27 +521,34 @@ impl DependableBuffer {
         );
         let len = data.len() as u64;
         assert!(
-            len <= self.st.borrow().capacity,
-            "single extent of {len} bytes exceeds buffer capacity"
+            len <= self.largest_extent(),
+            "single extent of {len} bytes exceeds buffer capacity or the supply's window"
         );
+        let end = sector + len / SECTOR_SIZE as u64;
         let mut waited = false;
         loop {
             {
                 let mut st = self.st.borrow_mut();
-                if st.frozen {
+                if self.ledger.frozen.get() {
                     return Err(PushError::Frozen);
                 }
-                if st.occupancy + len <= st.capacity {
+                // What the instance would hold: always fits without a supply.
+                let bytes = self.ledger.bytes.get() + len;
+                let regions = self.ledger.regions.get() + 1 - st.joins(sector, end);
+                let rule = self.ledger.rule.as_ref();
+                if st.occupancy + len <= st.capacity
+                    && rule.is_none_or(|rule| bytes <= drainable(rule, regions))
+                {
                     let seq = st.next_seq;
                     st.next_seq += 1;
                     st.occupancy += len;
+                    self.ledger.bytes.set(bytes);
                     st.stats.accepted_writes += 1;
                     st.stats.accepted_bytes += len;
                     st.stats.peak_occupancy = st.stats.peak_occupancy.max(st.occupancy);
                     if waited {
                         st.stats.backpressure_events += 1;
                     }
-                    let end = sector + len / SECTOR_SIZE as u64;
                     // Over the runs it supersedes, dirty or kept: the media
                     // will be stale.
                     let run = Run {
@@ -484,6 +558,7 @@ impl DependableBuffer {
                         data: Some(data.clone()),
                     };
                     st.carve(sector, end, Some(run));
+                    self.ledger.regions.set(regions);
                     st.punch(sector, end);
                     // Kept bytes never cost an admission its room.
                     let idle = st.capacity - st.occupancy;
@@ -501,13 +576,13 @@ impl DependableBuffer {
                         data,
                     });
                     drop(st);
-                    self.avail.notify_one();
+                    self.ledger.avail.notify_one();
                     return Ok(seq);
                 }
             }
             waited = true;
             self.st.borrow_mut().stalled = true;
-            self.space.notified().await;
+            self.ledger.space.notified().await;
         }
     }
 
@@ -610,7 +685,7 @@ impl DependableBuffer {
             }
             st.queue.is_empty() && st.inflight.is_empty()
         };
-        self.space.notify_all();
+        self.ledger.space.notify_all();
         if became_empty {
             self.empty.notify_all();
         }
@@ -628,12 +703,12 @@ impl DependableBuffer {
                 if !pending {
                     return true;
                 }
-                if st.frozen {
+                if self.ledger.frozen.get() {
                     return false;
                 }
             }
             // complete_run() and freeze() both notify `space`.
-            self.space.notified().await;
+            self.ledger.space.notified().await;
         }
     }
 
@@ -720,6 +795,12 @@ impl DependableBuffer {
     /// most one, so under the drain's overlap order ≤ 2 × [`queued`](Self::queued).
     pub fn dirty_runs(&self) -> usize {
         self.st.borrow().runs.values().filter(|r| !r.kept).count()
+    }
+
+    /// The bytes and dirty regions the instance's ledger holds over all
+    /// its shards — tests/audits.
+    pub fn regions(&self) -> (u64, u64) {
+        (self.ledger.bytes.get(), self.ledger.regions.get())
     }
 
     /// Kept runs, and the entries of the index that evicts them —

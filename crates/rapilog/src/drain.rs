@@ -253,8 +253,8 @@ async fn write_run_resilient(
         match wrote {
             Ok(()) => {
                 consecutive_ok.set(consecutive_ok.get().saturating_add(1));
-                if mode.is_degraded() && consecutive_ok.get() >= policy.degraded_exit_successes {
-                    mode.set_degraded(false);
+                if mode.get() && consecutive_ok.get() >= policy.degraded_exit_successes {
+                    mode.set(false);
                     audit.record_degraded_exit();
                     tracer.instant(
                         ctx.now(),
@@ -278,8 +278,8 @@ async fn write_run_resilient(
                         value: attempt as u64,
                     },
                 );
-                if attempt >= MAX_RETRIES && !mode.is_degraded() {
-                    mode.set_degraded(true);
+                if attempt >= MAX_RETRIES && !mode.get() {
+                    mode.set(true);
                     audit.record_degraded_entry();
                     tracer.instant(
                         ctx.now(),
@@ -1109,8 +1109,8 @@ pub(crate) fn start(
 
 /// Spawns the power watcher: freezes admissions on the supply's warning
 /// and audits whether the drain beat the residual-energy deadline. That is
-/// the *aggregate* emergency drain — the window was sized for the sum of
-/// the shard capacities, so the deadline applies to the sum of their
+/// the *aggregate* emergency drain — every admission kept what all shards
+/// hold inside the window, so the deadline applies to the sum of their
 /// occupancies.
 fn start_power_watcher(
     ctx: &SimCtx,
@@ -1571,7 +1571,7 @@ mod resilience_tests {
                 dev.write(i % 64, &vec![i as u8; SECTOR_SIZE], true)
                     .await
                     .unwrap();
-                if rl2.is_degraded() {
+                if rl2.snapshot().degraded {
                     e2.set(true);
                 }
                 c2.sleep(SimDuration::from_micros(500)).await;
@@ -1598,7 +1598,7 @@ mod resilience_tests {
             report.degraded_entries, report.degraded_exits,
             "every entry recovered"
         );
-        assert!(!rl.is_degraded(), "healthy again after the burst");
+        assert!(!rl.snapshot().degraded, "healthy again after the burst");
         assert_eq!(rl.occupancy(), 0);
     }
 
@@ -1656,7 +1656,7 @@ mod resilience_tests {
             let ack = Rc::clone(&probe_ack_ns);
             sim.spawn(async move {
                 ctx.sleep(SimDuration::from_millis(180)).await;
-                flag.set(rl.is_degraded());
+                flag.set(rl.snapshot().degraded);
                 let t0 = ctx.now();
                 dev.write(500, &vec![0xEE; SECTOR_SIZE], true)
                     .await
@@ -1686,7 +1686,10 @@ mod resilience_tests {
              ({} ns)",
             probe_ack_ns.get()
         );
-        assert!(!rl2.is_degraded(), "healthy again after the second burst");
+        assert!(
+            !rl2.snapshot().degraded,
+            "healthy again after the second burst"
+        );
         assert_eq!(rl2.occupancy(), 0);
     }
 
@@ -1713,7 +1716,7 @@ mod resilience_tests {
             // the faults and exhausts its retry budget.
             d2.set_sick(true);
             dev.write(0, &vec![1u8; SECTOR_SIZE], true).await.unwrap();
-            while !rl2.is_degraded() {
+            while !rl2.snapshot().degraded {
                 c2.sleep(SimDuration::from_millis(1)).await;
             }
             d2.set_sick(false);
@@ -1723,7 +1726,10 @@ mod resilience_tests {
             a2.set((c2.now() - t0).as_nanos());
         });
         sim.run_until(SimTime::from_secs(5));
-        assert!(rl.is_degraded(), "exit threshold unreachable by design");
+        assert!(
+            rl.snapshot().degraded,
+            "exit threshold unreachable by design"
+        );
         assert!(
             ack_ns.get() > 1_000_000,
             "degraded ack paid media time, got {} ns",
@@ -2708,7 +2714,7 @@ mod read_yield_tests {
             assert!(next < SimTime::from_secs(1), "the spell never ended");
             r.sim.run_until(next);
         };
-        while !r.rl.is_degraded() {
+        while !r.rl.snapshot().degraded {
             step(&mut r);
         }
         r.disk.set_sick(false);
@@ -2731,7 +2737,10 @@ mod read_yield_tests {
             on.set(false);
         });
         r.sim.run_until(SimTime::from_secs(1));
-        assert!(r.rl.is_degraded(), "exit threshold unreachable by design");
+        assert!(
+            r.rl.snapshot().degraded,
+            "exit threshold unreachable by design"
+        );
         let (pending_from, acked_at) = acked.get();
         assert!(
             acked_at - pending_from > SimDuration::from_micros(100),

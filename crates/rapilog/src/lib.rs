@@ -21,8 +21,8 @@
 //!   isolation).
 //! * **Power cut** — the machine keeps running for the supply's residual
 //!   window ([`rapilog_simpower`]); the buffer is **admission-controlled**
-//!   to the size that provably drains within that window
-//!   ([`rapilog_simpower::budget`]), and the power-fail warning triggers an
+//!   so that what it holds, bytes and seeks, provably drains within that
+//!   window ([`rapilog_simpower::budget`]), and the power-fail warning triggers an
 //!   immediate emergency drain.
 //! * **Overload** — if the log stream exceeds disk bandwidth the buffer
 //!   fills and writers block: RapiLog degrades to exactly the synchronous
@@ -97,15 +97,17 @@ use std::rc::Rc;
 use rapilog_microvisor::cell::{Cell, Trust};
 use rapilog_simcore::{SimCtx, SimDuration};
 use rapilog_simdisk::Disk;
-use rapilog_simpower::{budget, PowerSupply};
+use rapilog_simpower::PowerSupply;
 
-/// How the buffer capacity is chosen.
+/// How the buffer capacity — a memory cap — is chosen. With a supply,
+/// admission also keeps the emergency drain inside its window, whatever
+/// the cap (`rapilog_simpower::budget`).
 #[derive(Debug, Clone, Copy)]
 pub enum CapacitySpec {
     /// Fixed size in bytes (ablation studies).
     Fixed(u64),
-    /// Derived from the power supply's residual window and the physical
-    /// disk's sequential bandwidth — the paper's sizing rule.
+    /// What the power supply's residual window drains in one region at the
+    /// physical disk's sequential bandwidth — the paper's sizing rule.
     FromSupply,
 }
 
@@ -302,27 +304,10 @@ impl Default for RapiLogConfig {
 }
 
 /// The ack mode the drain and the guest-facing devices of one instance
-/// share: the drain decides, the devices obey — while degraded, writes are
-/// acknowledged only after the drain has committed them to media.
-pub(crate) struct ModeState {
-    degraded: StdCell<bool>,
-}
-
-impl ModeState {
-    pub(crate) fn new() -> Rc<ModeState> {
-        Rc::new(ModeState {
-            degraded: StdCell::new(false),
-        })
-    }
-
-    pub(crate) fn is_degraded(&self) -> bool {
-        self.degraded.get()
-    }
-
-    pub(crate) fn set_degraded(&self, on: bool) {
-        self.degraded.set(on);
-    }
-}
+/// share, true while degraded: the drain decides, the devices obey — while
+/// degraded, writes are acknowledged only after the drain has committed
+/// them to media.
+pub(crate) type ModeState = StdCell<bool>;
 
 /// A unified point-in-time view of one RapiLog instance, combining buffer
 /// statistics, the invariant auditor's report and the device's mode.
@@ -570,12 +555,14 @@ impl<'a> RapiLogBuilder<'a> {
             cell.trust() == Trust::Trusted,
             "RapiLog must live in a trusted (verified) cell"
         );
-        let bandwidth = disk.spec().sequential_bandwidth();
-        let capacity = match (cfg.capacity, supply) {
+        // With a supply, admission keeps the emergency drain inside its
+        // window; what the window drains in one region is the most the
+        // instance can ever hold, whatever its memory cap.
+        let rule = supply.map(|psu| (psu.spec().clone(), disk.spec().clone()));
+        let window = rule.as_ref().map(|rule| buffer::drainable(rule, 1));
+        let capacity = match (cfg.capacity, window) {
             (CapacitySpec::Fixed(b), _) => b,
-            (CapacitySpec::FromSupply, Some(psu)) => {
-                budget::max_buffer_bytes(psu.spec(), bandwidth)
-            }
+            (CapacitySpec::FromSupply, Some(w)) => w,
             (CapacitySpec::FromSupply, None) => 16 * 1024 * 1024,
         };
         // One assembly for any number of tenants: no spec is the unnamed
@@ -590,17 +577,19 @@ impl<'a> RapiLogBuilder<'a> {
             "log shipping is one stream: a replicated instance has one tenant"
         );
         let weights: Vec<u32> = specs.iter().map(|s| s.weight).collect();
-        // If the residual window cannot cover even one sector's drain — for
-        // some tenant's share, with several — the whole instance falls back
-        // to write-through (no buffers, capacity 0) rather than buffering for
-        // some tenants and lying to others: every device forwards each write
-        // synchronously and RapiLog adds nothing but also risks nothing. The
-        // paper's sizing rule exists exactly so that deployments detect this
-        // case up front.
-        let buffered = shard::split_capacity(capacity, &weights)
-            .iter()
-            .all(|&c| c >= rapilog_simdisk::SECTOR_SIZE as u64);
-        let shards = ShardedBuffer::new(specs, if buffered { capacity } else { 0 });
+        // If the residual window cannot drain even one sector, or some
+        // tenant's share of the cap cannot hold one, the whole instance falls
+        // back to write-through (no buffers, capacity 0) rather than
+        // buffering for some tenants and lying to others: every device
+        // forwards each write synchronously and RapiLog adds nothing but
+        // also risks nothing. The paper's sizing rule exists exactly so that
+        // deployments detect this case up front.
+        let sector = rapilog_simdisk::SECTOR_SIZE as u64;
+        let buffered = window.is_none_or(|w| w >= sector)
+            && shard::split_capacity(capacity, &weights)
+                .iter()
+                .all(|&c| c >= sector);
+        let shards = ShardedBuffer::new(specs, if buffered { capacity } else { 0 }, rule);
         let audit = audit::Audit::new(ctx);
         if shards.has_sections() {
             // Sections up front, so the report still testifies for a tenant
@@ -609,7 +598,7 @@ impl<'a> RapiLogBuilder<'a> {
                 audit.register_tenant(spec.id.0);
             }
         }
-        let mode = ModeState::new();
+        let mode = Rc::<ModeState>::default();
         let drain_ctrl = drain::DrainController::new(ctx, &cfg.drain, &disk);
         let repl = self.repl;
         if buffered {
@@ -622,14 +611,6 @@ impl<'a> RapiLogBuilder<'a> {
                     s.buf.keep_nothing();
                 }
             }
-            if let Some(psu) = supply.filter(|_| specs.len() >= 2) {
-                // The sizing rule must hold for the AGGREGATE: the emergency
-                // drain empties every shard within one residual window.
-                assert!(
-                    budget::aggregate_fits(psu.spec(), bandwidth, &shards.capacities()),
-                    "aggregate shard capacity exceeds the residual-energy budget"
-                );
-            }
         } else {
             assert!(
                 repl.is_none(),
@@ -640,11 +621,8 @@ impl<'a> RapiLogBuilder<'a> {
             .shards()
             .iter()
             .map(|s| {
-                if buffered {
-                    RapiLogDevice::new(ctx, s.buf.clone(), &disk, cfg, &mode, repl.clone())
-                } else {
-                    RapiLogDevice::new_write_through(ctx, &disk, cfg)
-                }
+                let buf = buffered.then(|| s.buf.clone());
+                RapiLogDevice::new(ctx, buf, &disk, cfg, &mode, repl.clone())
             })
             .collect();
         if buffered {
@@ -744,7 +722,7 @@ impl RapiLog {
             capacity: self.capacity(),
             frozen: self.device_frozen(),
             write_through: self.devices[0].is_write_through(),
-            degraded: self.mode.is_degraded(),
+            degraded: self.mode.get(),
             disk: self.disk.stats(),
             tenants,
             replication: self.replication.as_ref().map(|r| r.report()),
@@ -752,20 +730,15 @@ impl RapiLog {
         }
     }
 
-    /// True while the instance has fallen back to synchronous
-    /// acknowledgements because the log disk is misbehaving.
-    pub fn is_degraded(&self) -> bool {
-        self.mode.is_degraded()
-    }
-
     /// Bytes currently buffered across all shards (acked, not on media).
     pub fn occupancy(&self) -> u64 {
         self.shards.total_occupancy()
     }
 
-    /// The admission cap in bytes, summed across shards.
+    /// The memory cap in bytes, summed across shards (≤ the total the
+    /// split was made from).
     pub fn capacity(&self) -> u64 {
-        self.shards.total_capacity()
+        self.shards.shards().iter().map(|s| s.buf.capacity()).sum()
     }
 
     /// Waits until every acknowledged byte — from every tenant — is on the
@@ -898,6 +871,52 @@ mod builder_tests {
             .build();
     }
 
+    /// A supply whose window drains a few kilobytes in one region, under a
+    /// memory cap of a megabyte: the instance buffers, and a 64 KiB write
+    /// goes in as extents the window can drain, not as one the admission
+    /// rule refuses outright.
+    #[test]
+    fn a_narrow_window_splits_writes_into_extents_it_drains() {
+        let (mut sim, ctx, hv, disk) = fixture(9);
+        let cell = hv.create_cell("rapilog", Trust::Trusted);
+        // 39.7 ms: 34.7 ms of it is two `hdd_7200` positionings.
+        let spec = SupplySpec {
+            name: "narrow".to_string(),
+            residual_joules: 3.97,
+            drain_draw_watts: 100.0,
+            warning_latency: SimDuration::from_millis(1),
+        };
+        let (bw, pos) = (
+            disk.spec().sequential_bandwidth(),
+            disk.spec().positioning_bound(),
+        );
+        let one = rapilog_simpower::budget::drainable_bytes(&spec, bw, pos, 1);
+        assert!((512..64 << 10).contains(&one), "{one} B in one region");
+        let psu = PowerSupply::new(&ctx, spec);
+        let rl = RapiLog::builder(&ctx)
+            .cell(&cell)
+            .disk(disk)
+            .supply(&psu)
+            .capacity(CapacitySpec::Fixed(1 << 20))
+            .build();
+        assert!(!rl.snapshot().write_through);
+        let dev = rl.device();
+        let data = vec![0x5a; 64 << 10];
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        sim.spawn(async move {
+            dev.write(8, &data, true).await.unwrap();
+            let mut back = vec![0; data.len()];
+            dev.read(8, &mut back).await.unwrap();
+            assert!(back == data);
+            d2.set(true);
+        });
+        sim.run();
+        assert!(done.get());
+        assert!(rl.stats().accepted_writes > 1);
+        std::mem::forget(cell);
+    }
+
     #[test]
     fn hopeless_supply_builds_write_through_with_zero_capacity() {
         let (_sim, ctx, hv, disk) = fixture(7);
@@ -911,15 +930,19 @@ mod builder_tests {
                 warning_latency: SimDuration::from_millis(1),
             },
         );
-        let rl = RapiLog::builder(&ctx)
-            .cell(&cell)
-            .disk(disk)
-            .supply(&psu)
-            .build();
-        let snap = rl.snapshot();
-        assert!(snap.write_through);
-        assert_eq!(snap.capacity, 0);
-        assert!(!snap.frozen);
+        // Whatever the memory cap: the window drains no region at all.
+        for capacity in [CapacitySpec::FromSupply, CapacitySpec::Fixed(1 << 20)] {
+            let rl = RapiLog::builder(&ctx)
+                .cell(&cell)
+                .disk(disk.clone())
+                .supply(&psu)
+                .capacity(capacity)
+                .build();
+            let snap = rl.snapshot();
+            assert!(snap.write_through, "{capacity:?}");
+            assert_eq!(snap.capacity, 0);
+            assert!(!snap.frozen);
+        }
         std::mem::forget(cell);
     }
 

@@ -1,22 +1,22 @@
 //! Tenant-sharded buffering: many guest cells, one dependable drain.
 //!
-//! A multi-tenant RapiLog instance splits its admission capacity into one
-//! [`DependableBuffer`] shard per tenant. Each shard keeps its own byte
-//! accounting, backpressure threshold, and sequence space, so one noisy
-//! tenant saturating its share blocks only its own writers — the other
-//! cells keep early-ack latency. All shards report availability through a
-//! *shared* notify, which is what wakes the one drain loop (`drain::start`).
-//! A single-tenant instance is the one-shard case.
-//!
-//! Capacity is split proportionally to tenant weight and rounded down to
-//! sector multiples, so the *aggregate* of the shares never exceeds the
-//! residual-energy budget the total was derived from — the emergency-drain
-//! argument is preserved by construction (see `rapilog_simpower::budget`).
+//! A multi-tenant RapiLog instance splits its memory cap into one
+//! [`DependableBuffer`] shard per tenant, by weight and rounded down to
+//! sector multiples. Each shard keeps its own byte accounting, backpressure
+//! threshold and sequence space, so one noisy tenant filling its share
+//! blocks only its own writers. All shards share one ledger: its `avail`
+//! notify wakes the one drain loop (`drain::start`), and with a supply
+//! every admission keeps the emergency drain of what *all* shards hold
+//! inside the residual window (`rapilog_simpower::budget`), since that
+//! drain empties them through the one disk: a tenant whose writes scatter
+//! can fill the window, and then every tenant waits. A single-tenant
+//! instance is the one-shard case.
 
-use rapilog_simcore::sync::Notify;
+use std::rc::Rc;
+
 use rapilog_simdisk::SECTOR_SIZE;
 
-use crate::buffer::{BufferStats, DependableBuffer};
+use crate::buffer::{BufferStats, DependableBuffer, Ledger, Rule};
 
 /// Identity of one tenant cell sharing a RapiLog instance.
 ///
@@ -91,18 +91,18 @@ pub(crate) struct Shard {
 /// the shards (same `Rc`d state inside each [`DependableBuffer`]).
 #[derive(Clone)]
 pub struct ShardedBuffer {
-    shards: std::rc::Rc<Vec<Shard>>,
-    avail: Notify,
+    shards: Rc<Vec<Shard>>,
+    ledger: Rc<Ledger>,
 }
 
 impl ShardedBuffer {
-    /// Splits `total_capacity` across `specs` by weight and builds one
-    /// shard per tenant, all wired to one availability notify.
+    /// Splits `capacity` across `specs` by weight and builds one
+    /// shard per tenant, all sharing one ledger that admits by `rule`.
     ///
     /// # Panics
     ///
     /// Panics on an empty spec list or duplicate tenant ids.
-    pub fn new(specs: &[TenantSpec], total_capacity: u64) -> ShardedBuffer {
+    pub(crate) fn new(specs: &[TenantSpec], capacity: u64, rule: Option<Rule>) -> ShardedBuffer {
         assert!(!specs.is_empty(), "at least one tenant required");
         for (i, a) in specs.iter().enumerate() {
             for b in &specs[i + 1..] {
@@ -110,20 +110,23 @@ impl ShardedBuffer {
             }
         }
         let weights: Vec<u32> = specs.iter().map(|s| s.weight.max(1)).collect();
-        let caps = split_capacity(total_capacity, &weights);
-        let avail = Notify::new();
+        let caps = split_capacity(capacity, &weights);
+        let ledger = Rc::new(Ledger {
+            rule,
+            ..Ledger::default()
+        });
         let shards = specs
             .iter()
             .zip(caps)
             .map(|(spec, cap)| Shard {
                 id: spec.id,
                 weight: spec.weight.max(1),
-                buf: DependableBuffer::with_avail(cap, avail.clone()),
+                buf: DependableBuffer::sharing(cap, &ledger),
             })
             .collect();
         ShardedBuffer {
-            shards: std::rc::Rc::new(shards),
-            avail,
+            shards: Rc::new(shards),
+            ledger,
         }
     }
 
@@ -139,14 +142,9 @@ impl ShardedBuffer {
         self.shards.len() > 1 || self.shards[0].id != TenantId::DEFAULT
     }
 
-    /// Sum of shard capacities (≤ the total the split was made from).
-    pub fn total_capacity(&self) -> u64 {
-        self.shards.iter().map(|s| s.buf.capacity()).sum()
-    }
-
     /// Sum of shard occupancies — the bytes the emergency drain must land.
     pub fn total_occupancy(&self) -> u64 {
-        self.shards.iter().map(|s| s.buf.occupancy()).sum()
+        self.ledger.bytes.get()
     }
 
     /// Sum of queued (not yet popped) bytes across shards — the aggregate
@@ -175,22 +173,15 @@ impl ShardedBuffer {
         agg
     }
 
-    /// Per-shard capacities, in shard order.
-    pub fn capacities(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.buf.capacity()).collect()
-    }
-
-    /// Freezes every shard (power-fail warning / fatal drain error).
+    /// Freezes every shard (power-fail warning / fatal drain error): they
+    /// share one flag.
     pub fn freeze_all(&self) {
-        for s in self.shards.iter() {
-            s.buf.freeze();
-        }
+        self.shards[0].buf.freeze();
     }
 
-    /// True once [`freeze_all`](Self::freeze_all) ran (shards freeze
-    /// together, so probing the first suffices).
+    /// True once [`freeze_all`](Self::freeze_all) ran.
     pub fn is_frozen(&self) -> bool {
-        self.shards[0].buf.is_frozen()
+        self.ledger.frozen.get()
     }
 
     /// Waits until at least one shard has a queued extent.
@@ -199,7 +190,7 @@ impl ShardedBuffer {
             if self.shards.iter().any(|s| s.buf.has_queued()) {
                 return;
             }
-            self.avail.notified().await;
+            self.ledger.avail.notified().await;
         }
     }
 
@@ -218,7 +209,6 @@ mod tests {
     use rapilog_simcore::bytes::SectorBuf;
     use rapilog_simcore::{Sim, SimDuration};
     use std::cell::Cell as StdCell;
-    use std::rc::Rc;
 
     fn sector_data(tag: u8, sectors: usize) -> SectorBuf {
         SectorBuf::from_vec(vec![tag; sectors * SECTOR_SIZE])
@@ -242,7 +232,7 @@ mod tests {
         let ctx = sim.ctx();
         let specs = [TenantSpec::new(0), TenantSpec::new(1)];
         // Each tenant gets exactly one sector of capacity.
-        let sharded = ShardedBuffer::new(&specs, 2 * SECTOR_SIZE as u64);
+        let sharded = ShardedBuffer::new(&specs, 2 * SECTOR_SIZE as u64, None);
         let done = Rc::new(StdCell::new(false));
         let d2 = Rc::clone(&done);
         let s2 = sharded.clone();
@@ -264,11 +254,70 @@ mod tests {
         assert!(done.get());
     }
 
+    /// The rule counts what every shard holds: a tenant whose admission
+    /// would put the instance's emergency drain past the window waits,
+    /// however little its own shard holds, and another tenant's landing
+    /// wakes it. Fails with a ledger or a `space` notify per shard.
+    #[test]
+    fn one_window_for_all_shards_and_any_release_wakes_a_writer() {
+        let mut sim = Sim::new(0);
+        let ctx = sim.ctx();
+        // 198 ms × 0.9 of `atx_psu` is ten 17.3 ms positionings of
+        // `hdd_7200` and some transfer, not eleven: nine regions and the
+        // operation in flight at the warning.
+        let psu = rapilog_simpower::supplies::atx_psu();
+        let rule = (psu, rapilog_simdisk::specs::hdd_7200(1 << 30));
+        let specs = [TenantSpec::new(0), TenantSpec::new(1)];
+        let sharded = ShardedBuffer::new(&specs, 2 << 20, Some(rule));
+        let (a, b) = (
+            sharded.shards()[0].buf.clone(),
+            sharded.shards()[1].buf.clone(),
+        );
+        let ledger = {
+            let (a, b) = (a.clone(), b.clone());
+            move || {
+                assert_eq!(a.regions(), b.regions(), "one ledger");
+                assert_eq!(a.regions().0, a.occupancy() + b.occupancy());
+                a.regions()
+            }
+        };
+        let admitted = Rc::new(StdCell::new(None));
+        let seen = Rc::clone(&admitted);
+        sim.spawn(async move {
+            let one = SECTOR_SIZE as u64;
+            let first = a.push(0, sector_data(1, 1)).await.unwrap();
+            for region in 1..8 {
+                a.push(region * 100, sector_data(2, 1)).await.unwrap();
+            }
+            b.push(1000, sector_data(3, 1)).await.unwrap();
+            assert_eq!(ledger(), (9 * one, 9));
+            let (b2, c2) = (b.clone(), ctx.clone());
+            ctx.spawn(async move {
+                // A tenth region would not fit: B waits for A.
+                b2.push(2000, sector_data(4, 1)).await.unwrap();
+                seen.set(Some(c2.now()));
+            });
+            ctx.sleep(SimDuration::from_millis(5)).await;
+            assert_eq!(ledger(), (9 * one, 9), "B's own shard holds one region");
+            // Appending to a region it holds adds none: B gets in.
+            b.push(1001, sector_data(5, 1)).await.unwrap();
+            assert_eq!(ledger(), (10 * one, 9));
+            a.complete_seqs(first, first);
+            ctx.sleep(SimDuration::from_millis(1)).await;
+            assert_eq!(ledger(), (10 * one, 9));
+        });
+        sim.run();
+        assert_eq!(
+            admitted.get(),
+            Some(rapilog_simcore::SimTime::from_millis(5))
+        );
+    }
+
     #[test]
     fn wait_any_avail_wakes_on_any_shard() {
         let mut sim = Sim::new(0);
         let ctx = sim.ctx();
-        let sharded = ShardedBuffer::new(&[TenantSpec::new(0), TenantSpec::new(1)], 1 << 20);
+        let sharded = ShardedBuffer::new(&[TenantSpec::new(0), TenantSpec::new(1)], 1 << 20, None);
         let woke_at = Rc::new(StdCell::new(0u64));
         let s2 = sharded.clone();
         let w2 = Rc::clone(&woke_at);
@@ -292,6 +341,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate tenant id")]
     fn duplicate_tenant_ids_rejected() {
-        let _ = ShardedBuffer::new(&[TenantSpec::new(3), TenantSpec::new(3)], 1 << 20);
+        let _ = ShardedBuffer::new(&[TenantSpec::new(3), TenantSpec::new(3)], 1 << 20, None);
     }
 }

@@ -60,9 +60,13 @@ pub struct RapiLogDevice {
 }
 
 impl RapiLogDevice {
+    /// Builds the device over `buffer`, or without one a write-through
+    /// device: every write forwards synchronously (FUA) to the backing
+    /// disk, as when the residual-energy window is too small to honour the
+    /// buffering guarantee.
     pub(crate) fn new(
         ctx: &SimCtx,
-        buffer: DependableBuffer,
+        buffer: Option<DependableBuffer>,
         backing: &Disk,
         cfg: RapiLogConfig,
         mode: &Rc<ModeState>,
@@ -71,7 +75,7 @@ impl RapiLogDevice {
         let geometry = backing.geometry();
         RapiLogDevice {
             ctx: ctx.clone(),
-            buffer: Some(buffer),
+            buffer,
             backing: backing.clone(),
             cfg,
             mode: Rc::clone(mode),
@@ -82,37 +86,9 @@ impl RapiLogDevice {
         }
     }
 
-    /// Builds a write-through device: every write forwards synchronously
-    /// (FUA) to the backing disk. Used when the residual-energy window is
-    /// too small to honour the buffering guarantee.
-    pub(crate) fn new_write_through(
-        ctx: &SimCtx,
-        backing: &Disk,
-        cfg: RapiLogConfig,
-    ) -> RapiLogDevice {
-        let geometry = backing.geometry();
-        RapiLogDevice {
-            ctx: ctx.clone(),
-            buffer: None,
-            backing: backing.clone(),
-            cfg,
-            // Write-through is already synchronous; it never degrades.
-            mode: ModeState::new(),
-            repl: None,
-            geometry,
-            tracer: ctx.tracer(),
-            queue: Rc::new(IoQueue::new()),
-        }
-    }
-
     /// True if the device is running in write-through (unbuffered) mode.
     pub fn is_write_through(&self) -> bool {
         self.buffer.is_none()
-    }
-
-    /// True while acknowledgements wait for media (drain-driven fallback).
-    pub fn is_degraded(&self) -> bool {
-        self.mode.is_degraded()
     }
 
     fn ack_cost(&self, bytes: usize) -> SimDuration {
@@ -165,28 +141,18 @@ impl RapiLogDevice {
                 .end(self.ctx.now(), Layer::Buffer, "write_through", payload);
             return res;
         };
-        self.tracer.begin(
-            self.ctx.now(),
-            Layer::Buffer,
-            "ack",
-            Payload::Bytes {
-                bytes: data.len() as u64,
-            },
-        );
+        let bytes = Payload::Bytes {
+            bytes: data.len() as u64,
+        };
+        self.tracer
+            .begin(self.ctx.now(), Layer::Buffer, "ack", bytes);
         self.ctx.sleep(self.ack_cost(data.len())).await;
-        self.tracer.end(
-            self.ctx.now(),
-            Layer::Buffer,
-            "ack",
-            Payload::Bytes {
-                bytes: data.len() as u64,
-            },
-        );
-        // A write larger than the buffer is split into capacity-sized
-        // extents; each chunk waits for drain space (backpressure), so a
-        // tiny buffer degrades to streaming at disk speed instead of
-        // refusing large transfers.
-        let chunk_sectors = (buffer.capacity() as usize / SECTOR_SIZE).clamp(1, 128);
+        self.tracer.end(self.ctx.now(), Layer::Buffer, "ack", bytes);
+        // A write larger than the buffer — or than the supply's window
+        // drains in one region — is split into extents that fit; each chunk
+        // waits for drain space (backpressure), so a tiny buffer degrades to
+        // streaming at disk speed instead of refusing large transfers.
+        let chunk_sectors = (buffer.largest_extent() as usize / SECTOR_SIZE).clamp(1, 128);
         let mut offset = 0usize;
         let mut first = sector;
         let mut last_seq = None;
@@ -226,21 +192,14 @@ impl RapiLogDevice {
         // keep. Hold the acknowledgement until the drain has pushed this
         // write (same ordered pipeline, so ordering is free) all the way
         // to media.
-        if self.mode.is_degraded() {
+        if self.mode.get() {
             if let Some(seq) = last_seq {
-                self.tracer.begin(
-                    self.ctx.now(),
-                    Layer::Buffer,
-                    "degraded_ack",
-                    Payload::Mark { value: seq },
-                );
+                let mark = Payload::Mark { value: seq };
+                self.tracer
+                    .begin(self.ctx.now(), Layer::Buffer, "degraded_ack", mark);
                 let committed = buffer.wait_completed(seq).await;
-                self.tracer.end(
-                    self.ctx.now(),
-                    Layer::Buffer,
-                    "degraded_ack",
-                    Payload::Mark { value: seq },
-                );
+                self.tracer
+                    .end(self.ctx.now(), Layer::Buffer, "degraded_ack", mark);
                 if !committed {
                     return Err(IoError::PowerLoss);
                 }
@@ -258,19 +217,12 @@ impl RapiLogDevice {
             .filter(|r| r.mode() == ReplicationMode::Sync);
         if let Some(repl) = sync_repl {
             if let Some(seq) = last_seq {
-                self.tracer.begin(
-                    self.ctx.now(),
-                    Layer::Net,
-                    "repl_wait",
-                    Payload::Mark { value: seq },
-                );
+                let mark = Payload::Mark { value: seq };
+                self.tracer
+                    .begin(self.ctx.now(), Layer::Net, "repl_wait", mark);
                 let replicated = repl.wait_replicated(seq).await;
-                self.tracer.end(
-                    self.ctx.now(),
-                    Layer::Net,
-                    "repl_wait",
-                    Payload::Mark { value: seq },
-                );
+                self.tracer
+                    .end(self.ctx.now(), Layer::Net, "repl_wait", mark);
                 if !replicated {
                     return Err(IoError::PowerLoss);
                 }
@@ -842,7 +794,7 @@ mod write_through_tests {
         let hv = Hypervisor::new(&ctx);
         let cell = hv.create_cell("rapilog", Trust::Trusted);
         let disk = Disk::new(&ctx, specs::hdd_7200(1 << 30));
-        // A brownout supply: 5 ms window, below the drain startup cost.
+        // A brownout supply: 5 ms window, below one positioning.
         let psu = PowerSupply::new(
             &ctx,
             SupplySpec {

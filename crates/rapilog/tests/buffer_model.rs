@@ -17,7 +17,10 @@
 //! are up to eight sectors long, so a push often lands inside an older
 //! dirty one and splits its run in two. After every step the kept bytes
 //! fit the room the dirty ones leave, and the index that evicts kept runs
-//! holds one entry per kept run — no more, however runs were carved. While
+//! holds one entry per kept run — no more, however runs were carved. The
+//! ledger's count of dirty regions (maximal stretches of dirty sectors, one
+//! positioning each for the emergency drain) matches the model's dirty
+//! sectors, and its bytes match the buffer's. While
 //! every landing so far has kept the drain's overlap rule, the dirty runs
 //! number at most twice the extents accounted for after every step, the
 //! overlay's memory bound (a landing that breaks the rule can leave more,
@@ -35,7 +38,10 @@
 //! model: dirty, tag 4"), leaving a kept run's entry in the eviction index
 //! when a carve removes the run ("2 kept runs, 3 in the eviction index"),
 //! and not evicting on admission ("kept 1536 exceeds the room occupancy
-//! 10752 leaves of capacity 11264").
+//! 10752 leaves of capacity 11264"). So does miscounting dirty regions:
+//! `BufSt::joins` blind to a dirty run starting right at a push's end ("4
+//! dirty regions counted, 3 dirty") or `BufSt::release` blind to the one
+//! right behind a landed run (the count underflows).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -286,6 +292,19 @@ fn compare(buf: &DependableBuffer, model: &Model, ordered: bool) -> Result<(), S
             "kept {kept} exceeds the room occupancy {} leaves of capacity {}",
             buf.occupancy(),
             buf.capacity()
+        ));
+    }
+    // Each maximal stretch of dirty sectors is one region the emergency
+    // drain positions for; the instance's ledger counts them as the buffer
+    // goes, and its bytes, the sum over the shards, are this one shard's.
+    let dirty = |s: u64| matches!(model.expect(s), Expect::Dirty(_));
+    let regions = (0..SECTORS)
+        .filter(|&s| dirty(s) && (s == 0 || !dirty(s - 1)))
+        .count() as u64;
+    let (bytes, counted) = buf.regions();
+    if counted != regions || bytes != buf.occupancy() {
+        return Err(format!(
+            "{counted} dirty regions counted, {regions} dirty; ledger holds {bytes} B"
         ));
     }
     let (runs, indexed) = buf.kept_runs();

@@ -253,34 +253,21 @@ impl DiskInner {
     /// Books a planned post-service failure into stats + trace and returns
     /// it. Call sites have already paid the service time.
     fn book_failure(&self, err: IoError) -> IoError {
-        let now = self.ctx.now();
-        match err {
+        let mut stats = self.stats.borrow_mut();
+        let (name, kind, sector) = match err {
             IoError::Transient => {
-                self.stats.borrow_mut().transient_errors += 1;
-                self.tracer.instant(
-                    now,
-                    Layer::Disk,
-                    "disk_transient",
-                    Payload::Fault {
-                        kind: "transient",
-                        sector: 0,
-                    },
-                );
+                stats.transient_errors += 1;
+                ("disk_transient", "transient", 0)
             }
             IoError::MediaError { sector } => {
-                self.stats.borrow_mut().media_errors += 1;
-                self.tracer.instant(
-                    now,
-                    Layer::Disk,
-                    "disk_media_error",
-                    Payload::Fault {
-                        kind: "media_error",
-                        sector,
-                    },
-                );
+                stats.media_errors += 1;
+                ("disk_media_error", "media_error", sector)
             }
-            _ => {}
-        }
+            _ => return err,
+        };
+        let fault = Payload::Fault { kind, sector };
+        self.tracer
+            .instant(self.ctx.now(), Layer::Disk, name, fault);
         err
     }
 }

@@ -47,6 +47,22 @@ impl TimingSpec {
     pub fn torn_writes(&self) -> bool {
         matches!(self, TimingSpec::Hdd { .. })
     }
+
+    /// Sectors of angular offset between adjacent tracks, which a transfer
+    /// waits out at every track boundary: enough to cover a track-to-track
+    /// seek, plus margin. Zero on flash.
+    pub fn track_skew(&self) -> u64 {
+        let TimingSpec::Hdd {
+            rpm,
+            sectors_per_track: spt,
+            seek_min,
+            ..
+        } = self
+        else {
+            return 0;
+        };
+        (seek_min.as_nanos() / (60_000_000_000 / *rpm as u64 / spt).max(1) + 3) % spt
+    }
 }
 
 /// Media-fault model parameters.
@@ -132,15 +148,19 @@ pub struct DiskSpec {
 }
 
 impl DiskSpec {
-    /// Sequential media bandwidth in bytes per second (the rate the RapiLog
-    /// drain can sustain with large batches).
+    /// Sequential media bandwidth in bytes per second: the rate the RapiLog
+    /// drain sustains with large batches, on a disk less the track skew
+    /// waited out at every track boundary.
     pub fn sequential_bandwidth(&self) -> u64 {
         match &self.timing {
             TimingSpec::Hdd {
                 rpm,
-                sectors_per_track,
+                sectors_per_track: spt,
                 ..
-            } => sectors_per_track * SECTOR_SIZE as u64 * *rpm as u64 / 60,
+            } => {
+                let skewed = spt + self.timing.track_skew();
+                spt * SECTOR_SIZE as u64 * *rpm as u64 / 60 * spt / skewed
+            }
             TimingSpec::Ssd {
                 bus_bytes_per_sec, ..
             } => *bus_bytes_per_sec,
@@ -178,6 +198,19 @@ impl DiskSpec {
             TimingSpec::Ssd { .. } => SimDuration::ZERO,
         }
     }
+
+    /// The most a write waits before its first sector moves, as the model
+    /// charges it: a full-stroke seek (or the command overhead, if longer)
+    /// plus one rotation on a disk, the write command's latency on flash —
+    /// whole, since a drain may keep one command in flight.
+    pub fn positioning_bound(&self) -> SimDuration {
+        match &self.timing {
+            TimingSpec::Hdd {
+                seek_max, overhead, ..
+            } => (*seek_max).max(*overhead) + self.rotation_period(),
+            TimingSpec::Ssd { write_latency, .. } => *write_latency,
+        }
+    }
 }
 
 /// Factory presets modelled on common 2013-era hardware (the paper's
@@ -185,89 +218,75 @@ impl DiskSpec {
 pub mod specs {
     use super::*;
 
-    fn sectors_for(capacity_bytes: u64) -> u64 {
-        capacity_bytes.div_ceil(SECTOR_SIZE as u64)
-    }
-
-    /// 7200 rpm SATA disk: 8.33 ms rotation, ~117 MB/s sequential,
-    /// 0.6–9 ms seeks.
-    pub fn hdd_7200(capacity_bytes: u64) -> DiskSpec {
+    /// A fault-free device of `capacity_bytes`, rounded up to sectors.
+    fn preset(name: &str, capacity_bytes: u64, timing: TimingSpec) -> DiskSpec {
         DiskSpec {
-            name: "hdd-7200".to_string(),
-            sectors: sectors_for(capacity_bytes),
-            timing: TimingSpec::Hdd {
-                rpm: 7200,
-                sectors_per_track: 1900,
-                seek_min: SimDuration::from_micros(600),
-                seek_max: SimDuration::from_millis(9),
-                overhead: SimDuration::from_micros(60),
-            },
+            name: name.to_string(),
+            sectors: capacity_bytes.div_ceil(SECTOR_SIZE as u64),
+            timing,
             fault: None,
         }
+    }
+
+    /// 7200 rpm SATA disk: 8.33 ms rotation, ~117 MB/s off a track (~109
+    /// MB/s sequential, track skew included), 0.6–9 ms seeks.
+    pub fn hdd_7200(capacity_bytes: u64) -> DiskSpec {
+        let timing = TimingSpec::Hdd {
+            rpm: 7200,
+            sectors_per_track: 1900,
+            seek_min: SimDuration::from_micros(600),
+            seek_max: SimDuration::from_millis(9),
+            overhead: SimDuration::from_micros(60),
+        };
+        preset("hdd-7200", capacity_bytes, timing)
     }
 
     /// 15 krpm enterprise disk: 4 ms rotation, ~190 MB/s sequential.
     pub fn hdd_15k(capacity_bytes: u64) -> DiskSpec {
-        DiskSpec {
-            name: "hdd-15k".to_string(),
-            sectors: sectors_for(capacity_bytes),
-            timing: TimingSpec::Hdd {
-                rpm: 15000,
-                sectors_per_track: 1500,
-                seek_min: SimDuration::from_micros(300),
-                seek_max: SimDuration::from_millis(4),
-                overhead: SimDuration::from_micros(60),
-            },
-            fault: None,
-        }
+        let timing = TimingSpec::Hdd {
+            rpm: 15000,
+            sectors_per_track: 1500,
+            seek_min: SimDuration::from_micros(300),
+            seek_max: SimDuration::from_millis(4),
+            overhead: SimDuration::from_micros(60),
+        };
+        preset("hdd-15k", capacity_bytes, timing)
     }
 
     /// SATA-era SSD: ~70 µs writes, ~2 ms flush, 250 MB/s bus.
     pub fn ssd_sata(capacity_bytes: u64) -> DiskSpec {
-        DiskSpec {
-            name: "ssd-sata".to_string(),
-            sectors: sectors_for(capacity_bytes),
-            timing: TimingSpec::Ssd {
-                read_latency: SimDuration::from_micros(50),
-                write_latency: SimDuration::from_micros(70),
-                flush_latency: SimDuration::from_millis(2),
-                bus_bytes_per_sec: 250 * 1024 * 1024,
-                channels: 1,
-            },
-            fault: None,
-        }
+        let timing = TimingSpec::Ssd {
+            read_latency: SimDuration::from_micros(50),
+            write_latency: SimDuration::from_micros(70),
+            flush_latency: SimDuration::from_millis(2),
+            bus_bytes_per_sec: 250 * 1024 * 1024,
+            channels: 1,
+        };
+        preset("ssd-sata", capacity_bytes, timing)
     }
 
     /// Fast NVMe-class flash: ~15 µs writes, 2 GB/s.
     pub fn ssd_nvme(capacity_bytes: u64) -> DiskSpec {
-        DiskSpec {
-            name: "ssd-nvme".to_string(),
-            sectors: sectors_for(capacity_bytes),
-            timing: TimingSpec::Ssd {
-                read_latency: SimDuration::from_micros(10),
-                write_latency: SimDuration::from_micros(15),
-                flush_latency: SimDuration::from_micros(400),
-                bus_bytes_per_sec: 2 * 1024 * 1024 * 1024,
-                channels: 1,
-            },
-            fault: None,
-        }
+        let timing = TimingSpec::Ssd {
+            read_latency: SimDuration::from_micros(10),
+            write_latency: SimDuration::from_micros(15),
+            flush_latency: SimDuration::from_micros(400),
+            bus_bytes_per_sec: 2 * 1024 * 1024 * 1024,
+            channels: 1,
+        };
+        preset("ssd-nvme", capacity_bytes, timing)
     }
 
     /// Zero-latency device for unit tests that only care about contents.
     pub fn instant(capacity_bytes: u64) -> DiskSpec {
-        DiskSpec {
-            name: "instant".to_string(),
-            sectors: sectors_for(capacity_bytes),
-            timing: TimingSpec::Ssd {
-                read_latency: SimDuration::ZERO,
-                write_latency: SimDuration::ZERO,
-                flush_latency: SimDuration::ZERO,
-                bus_bytes_per_sec: u64::MAX,
-                channels: 1,
-            },
-            fault: None,
-        }
+        let timing = TimingSpec::Ssd {
+            read_latency: SimDuration::ZERO,
+            write_latency: SimDuration::ZERO,
+            flush_latency: SimDuration::ZERO,
+            bus_bytes_per_sec: u64::MAX,
+            channels: 1,
+        };
+        preset("instant", capacity_bytes, timing)
     }
 }
 
@@ -278,9 +297,12 @@ mod tests {
     #[test]
     fn hdd_bandwidth_and_rotation() {
         let spec = specs::hdd_7200(1 << 30);
-        // 1900 sectors * 512 B * 120 rot/s = ~116.7 MB/s.
+        // 1900 sectors * 512 B * 120 rot/s = ~116.7 MB/s, less a skew of
+        // 139 sectors (600 µs over a 4.386 µs sector period, plus 3) at
+        // each track boundary: ~108.7 MB/s.
+        assert_eq!(spec.timing.track_skew(), 139);
         let bw = spec.sequential_bandwidth();
-        assert!((110_000_000..125_000_000).contains(&bw), "bw {bw}");
+        assert_eq!(bw, 116_736_000 * 1900 / 2039, "bw {bw}");
         assert_eq!(spec.rotation_period().as_micros(), 8_333);
     }
 
@@ -289,6 +311,21 @@ mod tests {
         let spec = specs::ssd_sata(1 << 30);
         assert_eq!(spec.sequential_bandwidth(), 250 * 1024 * 1024);
         assert!(spec.rotation_period().is_zero());
+    }
+
+    #[test]
+    fn positioning_bound_is_a_seek_and_a_rotation_or_a_write_command() {
+        let hdd = specs::hdd_7200(1 << 30).positioning_bound();
+        assert_eq!(
+            hdd,
+            SimDuration::from_millis(9) + SimDuration::from_nanos(8_333_333)
+        );
+        let hdd = specs::hdd_15k(1 << 30).positioning_bound();
+        assert_eq!(hdd, SimDuration::from_millis(8));
+        let flash = |spec: fn(u64) -> DiskSpec| spec(1 << 30).positioning_bound();
+        assert_eq!(flash(specs::ssd_sata), SimDuration::from_micros(70));
+        assert_eq!(flash(specs::ssd_nvme), SimDuration::from_micros(15));
+        assert!(flash(specs::instant).is_zero());
     }
 
     #[test]

@@ -89,24 +89,17 @@ impl TimingModel {
                 seek_min,
                 seek_max,
                 overhead,
-            } => {
-                let rotation_ns = 60_000_000_000 / *rpm as u64;
-                let sector_period = rotation_ns / sectors_per_track;
-                // Enough skew to cover a track-to-track seek plus margin.
-                let track_skew =
-                    (seek_min.as_nanos() / sector_period.max(1) + 3) % sectors_per_track;
-                TimingModel::Hdd {
-                    rotation_ns,
-                    sectors_per_track: *sectors_per_track,
-                    seek_min: *seek_min,
-                    seek_max: *seek_max,
-                    overhead: *overhead,
-                    cylinders: (total_sectors / sectors_per_track).max(1),
-                    current_cylinder: 0,
-                    last_end_sector: None,
-                    track_skew,
-                }
-            }
+            } => TimingModel::Hdd {
+                rotation_ns: 60_000_000_000 / *rpm as u64,
+                sectors_per_track: *sectors_per_track,
+                seek_min: *seek_min,
+                seek_max: *seek_max,
+                overhead: *overhead,
+                cylinders: (total_sectors / sectors_per_track).max(1),
+                current_cylinder: 0,
+                last_end_sector: None,
+                track_skew: spec.track_skew(),
+            },
             TimingSpec::Ssd {
                 read_latency,
                 write_latency,

@@ -18,19 +18,24 @@
 //!   and, when the window expires, executes the registered death callbacks
 //!   (which the fault harness wires to the disks' `power_cut` and to killing
 //!   the machine's task domains);
-//! * [`budget`] — the sizing inequality `buffer_bytes ≤ bandwidth ×
-//!   (window − warning − margin)` used by the RapiLog core, plus its
-//!   inverse for reporting.
+//! * [`budget`] — the sizing rule in time, `bytes ÷ bandwidth +
+//!   (regions + 1) × positioning ≤ usable window × (1 − margin)`, which
+//!   the RapiLog core admits by and sizes its buffer from.
 //!
 //! # Examples
 //!
 //! ```
+//! use rapilog_simcore::SimDuration;
 //! use rapilog_simpower::{budget, supplies};
 //!
 //! let spec = supplies::atx_psu();
-//! // A 7200 rpm disk drains ~116 MB/s; how much may we buffer?
-//! let max = budget::max_buffer_bytes(&spec, 116_000_000);
-//! assert!(max > 0);
+//! // A 7200 rpm disk drains ~109 MB/s and positions in at most 9 ms of
+//! // seek plus an 8.3 ms rotation; how much may we buffer in one region,
+//! // and in eight?
+//! let seek = SimDuration::from_micros(17_333);
+//! let one = budget::drainable_bytes(&spec, 108_780_000, seek, 1);
+//! let eight = budget::drainable_bytes(&spec, 108_780_000, seek, 8);
+//! assert!(one > eight && eight > 0);
 //! ```
 
 pub mod budget;

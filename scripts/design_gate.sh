@@ -119,6 +119,15 @@
 #     with the catalog and written there by each checkpoint, so recovery
 #     asks the log device for the log alone and no sweep has a superblock
 #     read to report.
+# (r) The power budget is one rule in time. Fails if `max_buffer_bytes`,
+#     `aggregate_fits` or `DRAIN_STARTUP` reappears in the non-test part of
+#     any file under `crates/*/src`, `src/` or `examples/`: with a supply,
+#     the dependable buffer admits while the emergency drain of what the
+#     instance holds — its bytes at sequential bandwidth plus one
+#     positioning per dirty region and one for the operation in flight —
+#     fits the window, through
+#     `simpower::budget::drainable_bytes`, so no byte cap, build-time
+#     aggregate check or fixed startup charge stands beside that rule.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -646,6 +655,16 @@ if [[ -n "$hits" ]]; then
     fail=1
 fi
 
+# ---- (r) the power budget is one rule in time ------------------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nwE 'max_buffer_bytes|aggregate_fits|DRAIN_STARTUP' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f counts the power budget in bytes again (admission is one rule in time, budget::drainable_bytes):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates/*/src src examples -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
@@ -666,3 +685,4 @@ echo "design_gate: ok    the key index packs rows into full sorted leaves (no BT
 echo "design_gate: ok    the bench crate is one binary (crates/bench/src/bin/ holds only figures, no src/main.rs, no [[bin]])"
 echo "design_gate: ok    one audited guest writer (no slot_payload, tenant_fill, SLOTS_PER_CLIENT, TENANT_SLOT_COUNT or struct Load in crates/faultsim/src)"
 echo "design_gate: ok    the superblock lives in the catalog page (no Superblock::read or .write(..log_dev..) in crates/dbengine/src, no RecoverySweep::superblock)"
+echo "design_gate: ok    the power budget is one rule in time (no max_buffer_bytes, aggregate_fits or DRAIN_STARTUP in crates/*/src, src/ or examples/)"

@@ -11,6 +11,7 @@
 use rapilog_suite::faultsim::{explore, run_trial, ExplorerConfig, FaultKind};
 use rapilog_suite::prelude::*;
 use rapilog_suite::rapilog::AuditReport;
+use rapilog_suite::simdisk::DiskSpec;
 
 #[test]
 fn crash_point_grid_is_clean_for_the_resilient_drain() {
@@ -204,29 +205,36 @@ fn open_finding_1_power_cut_at_360_ms() {
     open_finding_1_at(0xed92_1b80_ad16_319c, FaultKind::PowerCut, 360, "tenant");
 }
 
-/// One guest task on a stock single-tenant instance — every default:
-/// `hdd_7200`, `atx_psu`, capacity `FromSupply` — writing one FUA sector
-/// every 22 µs at the sector `place(i)` names, until the mains go at
-/// `cut_ms`. Returns the audit once the episode has run its course.
-fn one_writer_until_the_mains_go(cut_ms: u64, place: fn(u64) -> u64) -> AuditReport {
+/// One guest task on a single-tenant instance — `disk`, `atx_psu`, buffer
+/// `capacity` — writing `sectors` sectors with FUA every 22 µs at the
+/// sector `place(i)` names, until the mains go at `cut_ms`. Returns the
+/// audit once the episode has run its course.
+fn one_writer_until_the_mains_go(
+    disk: fn(u64) -> DiskSpec,
+    capacity: CapacitySpec,
+    cut_ms: u64,
+    sectors: usize,
+    place: fn(u64) -> u64,
+) -> AuditReport {
     let mut sim = Sim::new(0xF1);
     let ctx = sim.ctx();
     let hv = Hypervisor::new(&ctx);
     let cell = hv.create_cell("rapilog", Trust::Trusted);
-    let disk = Disk::new(&ctx, specs::hdd_7200(1 << 30));
+    let disk = Disk::new(&ctx, disk(1 << 30));
     let psu = PowerSupply::new(&ctx, supplies::atx_psu());
     let rl = RapiLog::builder(&ctx)
         .cell(&cell)
         .disk(disk.clone())
         .supply(&psu)
+        .capacity(capacity)
         .build();
     psu.on_death(move || disk.power_cut());
     let dev = rl.device();
     let c2 = ctx.clone();
     sim.spawn(async move {
         for i in 0.. {
-            let sector = vec![i as u8; SECTOR_SIZE];
-            if dev.write(place(i), &sector, true).await.is_err() {
+            let data = vec![i as u8; sectors * SECTOR_SIZE];
+            if dev.write(place(i), &data, true).await.is_err() {
                 break; // frozen: the warning has fired
             }
             c2.sleep(SimDuration::from_micros(22)).await;
@@ -242,39 +250,66 @@ fn one_writer_until_the_mains_go(cut_ms: u64, place: fn(u64) -> u64) -> AuditRep
     rl.audit_report()
 }
 
-/// Open finding 1 in its single-tenant form (ROADMAP's first item, step
-/// (a)): the power budget is denominated in bytes, so a guest that
-/// scatters its writes — `sector = i × 7919 mod 2 000 000` — holds 15 % of
-/// the capacity at the warning and the drain, paying a seek and a rotation
-/// per sector, still has megabytes in RAM when the supply dies. Red until
-/// that item's steps (b)–(e) land: admission in time, the emergency drain
-/// as one elevator sweep, Table 1's inequality as a property test, and
-/// fresh-seed campaigns. Nothing is fixed here; the test is where that PR
-/// starts, ignored like the replays above. The same writer appending
-/// sequentially is the green control beside it.
-///
-/// Today: cut at 120 ms, 2 561 024 B buffered at the warning and
-/// 2 534 912 B lost at death; cut at 60 ms, 1 302 016 B and 1 276 416 B.
+/// Asserts that the episode's emergency drain met its deadline and lost
+/// no acknowledged byte.
+fn drained_in_time(audit: &AuditReport, at: &str) {
+    let emergency = &audit.emergencies[0];
+    assert!(emergency.met(), "{at}: {emergency:?}");
+    assert!(audit.guarantee_held(), "{at}");
+    assert_eq!(audit.bytes_lost_at_failure, 0, "{at}");
+}
+
+/// Open finding 1's single-tenant form, for a guest that scatters its
+/// writes — `sector = i × 7919 mod 2 000 000` — closed: each sector costs
+/// the drain a positioning (a seek and a rotation on a disk, a write
+/// command on flash), and the buffer admits only while those positionings,
+/// one more for the operation in flight at the warning, and the bytes'
+/// transfer fit the supply's window, whatever the capacity says. While
+/// the budget was counted in bytes this writer held 2 561 024 B on
+/// `hdd_7200` at a 120 ms cut and lost 2 534 912 B (1 302 016 B and
+/// 1 276 416 B at 60 ms); a 64 MiB `Fixed` buffer, then not checked
+/// against the supply at all, lost as much. Now, at either cut and under
+/// either capacity, it holds nine sectors, 4 608 B, on `hdd_7200` at the
+/// warning and drains them in about 32 ms of the 198 ms window; on
+/// `ssd_sata`, at 70 µs a sector, it holds 1 267 200 B at the 120 ms cut
+/// and drains them in 178 ms. The same writer appending sequentially is
+/// the control beside it.
 #[test]
-#[ignore = "open finding 1"]
-fn open_finding_1_one_tenant_scattering_its_writes_outruns_the_power_budget() {
-    for cut_ms in [120, 60] {
-        let audit = one_writer_until_the_mains_go(cut_ms, |i| i * 7919 % 2_000_000);
-        assert!(
-            audit.emergencies[0].met(),
-            "mains cut at {cut_ms} ms: {:?}, {} bytes lost",
-            audit.emergencies[0],
-            audit.bytes_lost_at_failure
-        );
-        assert!(audit.guarantee_held(), "mains cut at {cut_ms} ms");
+fn one_tenant_scattering_its_writes_drains_inside_the_power_budget() {
+    for disk in [specs::hdd_7200, specs::ssd_sata] {
+        for capacity in [CapacitySpec::FromSupply, CapacitySpec::Fixed(64 << 20)] {
+            for cut_ms in [120, 60] {
+                let audit = one_writer_until_the_mains_go(disk, capacity, cut_ms, 1, |i| {
+                    i * 7919 % 2_000_000
+                });
+                let at = format!("{}, {capacity:?}, mains cut at {cut_ms} ms", disk(0).name);
+                drained_in_time(&audit, &at);
+            }
+        }
     }
 }
 
 #[test]
 fn one_tenant_appending_drains_inside_the_power_budget() {
-    for cut_ms in [120, 60] {
-        let audit = one_writer_until_the_mains_go(cut_ms, |i| i);
-        assert!(audit.emergencies[0].met(), "mains cut at {cut_ms} ms");
-        assert!(audit.guarantee_held(), "mains cut at {cut_ms} ms");
+    for capacity in [CapacitySpec::FromSupply, CapacitySpec::Fixed(64 << 20)] {
+        for cut_ms in [120, 60] {
+            let audit = one_writer_until_the_mains_go(specs::hdd_7200, capacity, cut_ms, 1, |i| i);
+            drained_in_time(&audit, &format!("{capacity:?}, mains cut at {cut_ms} ms"));
+        }
+    }
+}
+
+/// A writer that keeps a `FromSupply` buffer full with sequential 64 KiB
+/// writes until the mains go at 300 ms: the drain of everything the one
+/// region may hold — its transfer, track skew included on a disk — meets
+/// the deadline on each disk.
+#[test]
+fn a_full_buffer_drains_inside_the_power_budget_on_every_disk() {
+    for disk in [specs::hdd_7200, specs::hdd_15k, specs::ssd_sata] {
+        let audit =
+            one_writer_until_the_mains_go(disk, CapacitySpec::FromSupply, 300, 128, |i| i * 128);
+        drained_in_time(&audit, disk(0).name.as_str());
+        let held = audit.emergencies[0].occupancy_at_warning;
+        assert!(held > 10 << 20, "{}: {held} B held, not full", disk(0).name);
     }
 }
