@@ -165,9 +165,14 @@ fn bench_wal_codec(r: &mut Runner) {
         before: vec![0xAA; 128],
         after: vec![0xBB; 128],
     };
-    let encoded = rec.encode(Lsn(9000));
+    let encode = || {
+        let mut out = Vec::new();
+        rec.encode_into(Lsn(9000), &mut out);
+        out
+    };
+    let encoded = encode();
     r.bench("wal/encode_update", 200_000, || {
-        black_box(rec.encode(Lsn(9000)));
+        black_box(encode());
     });
     // The staging path: append into a reused buffer, no allocation per
     // record once the buffer has grown.

@@ -365,7 +365,8 @@ mod tests {
             Lsn::ZERO,
             Lsn::ZERO,
             DomainId::ROOT,
-        );
+        )
+        .unwrap();
         let pool = BufferPool::new(Rc::new(data.clone()), wal.clone(), capacity);
         (pool, data, wal)
     }
@@ -531,7 +532,8 @@ mod tests {
             Lsn::ZERO,
             Lsn::ZERO,
             DomainId::ROOT,
-        );
+        )
+        .unwrap();
         let pool = BufferPool::new(Rc::new(data.clone()), wal, 8);
         let done = Rc::new(StdCell::new(false));
         let d2 = Rc::clone(&done);
@@ -564,7 +566,8 @@ mod tests {
             Lsn::ZERO,
             Lsn::ZERO,
             DomainId::ROOT,
-        );
+        )
+        .unwrap();
         let pool = BufferPool::new(Rc::new(data), wal, 8);
         let hits = Rc::new(StdCell::new(0u32));
         for _ in 0..4 {

@@ -305,7 +305,7 @@ impl Database {
             Lsn::ZERO,
             Lsn::ZERO,
             domain,
-        );
+        )?;
         // Nothing in the region is log yet, whatever the media holds.
         wal.trim_unused().await?;
         let (_, end) = wal.append(&Record::Checkpoint {
@@ -932,10 +932,10 @@ mod tests {
     }
 
     /// A register transaction, the durability trials' unit (begin, two
-    /// 8-byte row updates, commit), logs 118 bytes: four 17-byte frame
+    /// 8-byte row updates, commit), logs 74 bytes: four 6-byte frame
     /// headers, and payloads whose every integer fits one varint byte.
     #[test]
-    fn a_register_commit_logs_at_most_120_bytes() {
+    fn a_register_commit_logs_at_most_80_bytes() {
         let logged = Rc::new(StdCell::new(0));
         let l2 = Rc::clone(&logged);
         with_db(move |_ctx, db| async move {
@@ -953,8 +953,8 @@ mod tests {
             db.commit(txn).await.unwrap();
             l2.set(db.wal().end().0 - start.0);
         });
-        assert_eq!(logged.get(), 118);
-        assert!(logged.get() <= 120);
+        assert_eq!(logged.get(), 74);
+        assert!(logged.get() <= 80);
     }
 
     #[test]

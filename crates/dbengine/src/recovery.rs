@@ -3,9 +3,9 @@
 //!
 //! [`Database::open`] brings a database back after any crash:
 //!
-//! 1. **Scan** the log from the superblock's checkpoint position,
-//!    validating CRC and LSN continuity; the first invalid frame is the
-//!    torn tail — the durable end of the log. The scan keeps
+//! 1. **Scan** the log from the superblock's checkpoint position, checking
+//!    each frame's CRC at the LSN it should start at; the first invalid
+//!    frame is the torn tail — the durable end of the log. The scan keeps
 //!    `Geometry::queue_depth + 1` chunk reads submitted through the queued
 //!    device API, overlapping CRC validation and frame decode with media
 //!    latency and letting a rotating disk stream from one chunk into the
@@ -56,7 +56,7 @@ use crate::error::{DbError, DbResult};
 use crate::page::PAGE_SIZE;
 use crate::retry::os_block_layer;
 use crate::types::{Lsn, PageId, TxnId};
-use crate::wal::{ClrAction, Record, StreamReader, Wal, RECORD_HEADER};
+use crate::wal::{frame_head, ClrAction, Record, StreamReader, Wal, MAX_HEADER};
 
 /// Bytes per scan read: the unit [`Database::open`] reads the log back in.
 /// Large enough that a rotating disk spends its time transferring (2.2 ms
@@ -99,10 +99,9 @@ pub struct RecoveryReport {
     pub committed_txns: Vec<TxnId>,
 }
 
-/// Size guess for a record fetched by LSN. Undo chains hold row-level
-/// records (at most two row images, a few hundred bytes in every table the
-/// suite loads), never full-page images, so 4 KiB is generous: eight extra
-/// sectors cost 35 µs of transfer on the rotating disk, a second read 8.3 ms.
+/// Size guess for a record fetched by LSN: undo chains hold row records of
+/// a few hundred bytes, never page images, and eight extra sectors cost 35 µs
+/// on the rotating disk, a second read 8.3 ms.
 const RECORD_GUESS: usize = 4096;
 
 fn meta_for_page(tables: &[TableMeta], page: PageId) -> DbResult<&TableMeta> {
@@ -113,20 +112,14 @@ fn meta_for_page(tables: &[TableMeta], page: PageId) -> DbResult<&TableMeta> {
 }
 
 /// Fetches one record from below the scan start (undo of a loser whose
-/// chain reaches under the checkpoint). One device read of the header plus
-/// [`RECORD_GUESS`] bytes covers every row-level record an undo chain
-/// holds; only a longer frame goes back to the device, because on a
-/// rotating log each dependent read costs a rotation.
+/// chain reaches under the checkpoint): one read of the longest header and
+/// [`RECORD_GUESS`] bytes, and a second only for a longer frame.
 async fn read_record_at(wal: &Wal, lsn: Lsn) -> DbResult<Record> {
-    let mut bytes = wal.read_stream(lsn, RECORD_HEADER + RECORD_GUESS).await?;
-    let total = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-    if !(RECORD_HEADER..16 * 1024 * 1024).contains(&total) {
-        return Err(DbError::Corrupt(format!("bad record length at {lsn}")));
-    }
-    if total > bytes.len() {
+    let mut bytes = wal.read_stream(lsn, MAX_HEADER + RECORD_GUESS).await?;
+    if let Some((_, total)) = frame_head(&bytes).filter(|&(_, n)| n > bytes.len()) {
         bytes = wal.read_stream(lsn, total).await?;
     }
-    Record::decode(&bytes[..total], lsn)
+    Record::decode(&bytes, lsn)
         .map(|(rec, _)| rec)
         .ok_or_else(|| DbError::Corrupt(format!("undecodable record at {lsn}")))
 }
@@ -215,7 +208,7 @@ impl Scan {
             return None;
         }
         let at = (lsn.0 - self.from.0 + self.from.0 % SECTOR_SIZE as u64) as usize;
-        Record::decode_as(&self.bytes[at..], verify.then_some(lsn), true).map(|(rec, _)| rec)
+        Record::decode_as(&self.bytes[at..], lsn, verify, true).map(|(rec, _)| rec)
     }
 
     /// The bytes of the sector `log_end` sits in, from the sector's first
@@ -227,11 +220,11 @@ impl Scan {
     }
 }
 
-/// Reads the log back from `from`, validating CRC and LSN continuity, until
-/// the first invalid frame — one sequential sweep with up to `window` chunk
-/// reads submitted. The bytes stay (no per-chunk drain); `analyse` sees each
-/// record as the scan validates it, decoded with its row images left out,
-/// and the record is dropped at once.
+/// Reads the log back from `from`, checking each frame's CRC at the LSN it
+/// should start at, until the first invalid frame: one sequential sweep with
+/// up to `window` chunk reads submitted. The bytes stay (no per-chunk
+/// drain); `analyse` sees each record as the scan validates it, decoded with
+/// its row images left out, and the record is dropped at once.
 async fn scan_log(
     log_dev: &dyn BlockDevice,
     from: Lsn,
@@ -249,25 +242,23 @@ async fn scan_log(
     let mut off = (from.0 % SECTOR_SIZE as u64) as usize;
     let mut pos = from;
     'scan: while pos.0 - from.0 < region_bytes {
-        // (A sane log never fills the whole region.) Ensure a frame header,
-        // then the whole frame, is buffered.
-        while buf.len() < off + RECORD_HEADER {
+        // (A sane log never fills the whole region.) Ensure the longest
+        // frame header, then the whole frame, is buffered.
+        while buf.len() < off + MAX_HEADER {
             if reader.fill(&mut buf).await? == 0 {
                 break 'scan; // region exhausted mid-frame: torn tail
             }
         }
-        let total =
-            u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]) as usize;
-        if !(RECORD_HEADER..16 * 1024 * 1024).contains(&total) {
+        let Some((_, total)) = frame_head(&buf[off..]) else {
             break; // torn tail / end of log
-        }
+        };
         while buf.len() < off + total {
             if reader.fill(&mut buf).await? == 0 {
                 break 'scan;
             }
         }
-        let Some((rec, n)) = Record::decode_as(&buf[off..off + total], Some(pos), false) else {
-            break; // CRC/LSN failure: torn tail
+        let Some((rec, n)) = Record::decode_as(&buf[off..off + total], pos, true, false) else {
+            break; // CRC failure at this LSN: torn tail
         };
         analyse(pos, &rec);
         off += n;
@@ -367,7 +358,7 @@ impl Database {
             log_end,
             sb.recovery_start,
             domain,
-        );
+        )?;
         // Future flushes rewrite the partial tail sector, so the WAL must
         // hold the bytes already in it — straight from the scan buffer.
         wal.preload_tail(scan.tail());
@@ -1301,7 +1292,7 @@ mod checkpoint_spanning_tests {
             let t = db.table("t").unwrap();
             // Enough commits that the sector smashed below lies past the
             // first one and the full-page image before it.
-            for k in 0..20u64 {
+            for k in 0..40u64 {
                 let txn = db.begin().await.unwrap();
                 db.insert(txn, t, k, b"v").await.unwrap();
                 db.commit(txn).await.unwrap();

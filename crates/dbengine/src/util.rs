@@ -46,6 +46,13 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
+/// CRC-32 of `seed`'s four little-endian bytes followed by `data`; the
+/// seed's bytes fold in as one slice-by-4 step.
+pub(crate) fn crc32_seeded(seed: u32, data: &[u8]) -> u32 {
+    let (x, t) = ((!seed).to_le_bytes().map(usize::from), &CRC_TABLES);
+    crc32_update(t[3][x[0]] ^ t[2][x[1]] ^ t[1][x[2]] ^ t[0][x[3]], data) ^ 0xFFFF_FFFF
+}
+
 /// Incremental form: feed `state` from a previous call (start with
 /// `0xFFFF_FFFF`, finish by XORing with `0xFFFF_FFFF`).
 fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
@@ -184,6 +191,10 @@ mod tests {
         st = crc32_update(st, &data[..10]);
         st = crc32_update(st, &data[10..]);
         assert_eq!(st ^ 0xFFFF_FFFF, whole);
+        for cut in 0..=data.len() - 4 {
+            let seed = u32::from_le_bytes(data[cut..cut + 4].try_into().unwrap());
+            assert_eq!(crc32_seeded(seed, &data[cut + 4..]), crc32(&data[cut..]));
+        }
     }
 
     #[test]

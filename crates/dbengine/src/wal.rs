@@ -3,12 +3,14 @@
 //! The log is a byte stream addressed by [`Lsn`] (byte offset), stored
 //! circularly in a region of the log device starting at sector 1 (sector 0
 //! lies outside it; the [`Superblock`] lives on the data device, in the last
-//! sector of the catalog page). Every record carries its own LSN and a CRC,
-//! which gives the torn-tail rule on recovery: scan forward validating
-//! `crc` and `lsn == expected`; the first failure is the end of the durable
-//! log. Everything the engine acknowledged as committed lies before that
-//! point **iff** the commit record was durable — exactly the property the
-//! durability audit checks.
+//! sector of the catalog page). A frame is `varint(len) | crc | kind |
+//! payload`, `len` counting kind and payload; its CRC covers the LSN's low
+//! 32 bits, kind and payload, so a frame checks only where it was written
+//! (DESIGN "WAL record layout"). That gives the torn-tail rule on recovery:
+//! scan forward checking each CRC at the LSN the frame should start at; the
+//! first failure is the end of the durable log. Everything the engine
+//! acknowledged as committed lies before that point **iff** the commit
+//! record was durable — exactly the property the durability audit checks.
 //!
 //! # Commit policies
 //!
@@ -59,10 +61,11 @@ use rapilog_simdisk::{BlockDevice, IoReq, IoResult, ReqToken, SECTOR_SIZE};
 
 use crate::error::{DbError, DbResult};
 use crate::types::{Lsn, PageId, TableId, TxnId};
-use crate::util::{crc32, put_bytes, put_u32, put_u64, put_var, Cursor};
+use crate::util::{crc32, crc32_seeded, put_bytes, put_u32, put_u64, put_var, Cursor};
 
-/// Fixed bytes before the payload: len(4) + crc(4) + lsn(8) + kind(1).
-pub(crate) const RECORD_HEADER: usize = 17;
+/// The longest frame header: a `len` of four varint bytes (its body is under
+/// 16 MiB), the CRC, the kind.
+pub(crate) const MAX_HEADER: usize = 9;
 /// First device sector of the circular log region.
 const LOG_BASE_SECTOR: u64 = 1;
 /// Data-device sector of the [`Superblock`]: the last of the catalog page
@@ -411,50 +414,62 @@ impl Record {
     /// place (no intermediate allocation — this is the WAL staging hot
     /// path). Returns the encoded length.
     pub fn encode_into(&self, lsn: Lsn, out: &mut Vec<u8>) -> usize {
+        // One length byte is reserved: a body of 128 B or more moves right.
         let base = out.len();
-        out.extend_from_slice(&[0; 8]); // len and crc placeholders
-        put_u64(out, lsn.0);
+        out.extend_from_slice(&[0; 5]);
         out.push(self.kind());
         self.encode_payload(lsn, out);
-        let total = out.len() - base;
-        out[base..base + 4].copy_from_slice(&(total as u32).to_le_bytes());
-        let crc = crc32(&out[base + 8..]);
-        out[base + 4..base + 8].copy_from_slice(&crc.to_le_bytes());
-        total
-    }
-
-    /// Encodes the full framed record at `lsn`.
-    pub fn encode(&self, lsn: Lsn) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(lsn, &mut out);
-        out
+        let body = out.len() - base - 5;
+        let width = (usize::BITS - body.leading_zeros()).div_ceil(7) as usize;
+        if width > 1 {
+            let end = out.len();
+            out.resize(end + width - 1, 0);
+            out.copy_within(base + 1..end, base + width);
+        }
+        for (i, b) in out[base..base + width].iter_mut().enumerate() {
+            *b = (body >> (7 * i)) as u8 | 0x80;
+        }
+        out[base + width - 1] &= 0x7F;
+        let crc = crc32_seeded(lsn.0 as u32, &out[base + width + 4..]);
+        out[base + width..base + width + 4].copy_from_slice(&crc.to_le_bytes());
+        out.len() - base
     }
 
     /// Decodes one framed record from the front of `data`, verifying frame
-    /// length, CRC, and that the embedded LSN equals `expected_lsn`.
-    /// Returns the record and its total encoded length.
-    pub fn decode(data: &[u8], expected_lsn: Lsn) -> Option<(Record, usize)> {
-        Record::decode_as(data, Some(expected_lsn), true)
+    /// length and that the CRC is the one the record has at `lsn`. Returns
+    /// the record and its total encoded length.
+    pub fn decode(data: &[u8], lsn: Lsn) -> Option<(Record, usize)> {
+        Record::decode_as(data, lsn, true, true)
     }
 
-    /// [`Record::decode`] as recovery needs it: with no `expected_lsn` the
-    /// frame's CRC and LSN go unchecked (the scan has checked them), and
-    /// without `images` every row and page image comes back empty and
-    /// unallocated (analysis only classifies a record).
+    /// [`Record::decode`] as recovery needs it: without `verify` the CRC
+    /// goes unchecked (the scan has checked it), and without `images` every
+    /// row and page image comes back empty and unallocated (analysis only
+    /// classifies a record).
     pub(crate) fn decode_as(
         data: &[u8],
-        expected_lsn: Option<Lsn>,
+        lsn: Lsn,
+        verify: bool,
         images: bool,
     ) -> Option<(Record, usize)> {
-        let mut c = Cursor::new(data);
-        let (total, crc, lsn) = (c.u32()? as usize, c.u32()?, c.u64()?);
-        let frame = data.get(..total).filter(|_| total >= RECORD_HEADER)?;
-        if expected_lsn.is_some_and(|want| crc32(&frame[8..]) != crc || lsn != want.0) {
+        let (width, total) = frame_head(data)?;
+        let (crc, body) = data.get(width..total)?.split_at(4);
+        if verify && crc32_seeded(lsn.0 as u32, body) != u32::from_le_bytes(crc.try_into().ok()?) {
             return None;
         }
-        let rec = Record::decode_payload(frame[16], Lsn(lsn), &frame[RECORD_HEADER..], images)?;
+        let rec = Record::decode_payload(body[0], lsn, &body[1..], images)?;
         Some((rec, total))
     }
+}
+
+/// The width of the frame's `len` and the frame's whole length: `None` if
+/// `len` is cut short, not in its shortest form, 0, or 16 MiB or more.
+pub(crate) fn frame_head(data: &[u8]) -> Option<(usize, usize)> {
+    let mut c = Cursor::new(data);
+    let body: usize = c.var()?;
+    let width = data.len() - c.remaining();
+    let shortest = width == 1 || data[width - 1] != 0;
+    (shortest && (1..16 << 20).contains(&body)).then_some((width, width + 4 + body))
 }
 
 /// How commits interact with log flushing.
@@ -537,6 +552,8 @@ impl Wal {
     /// `start` (0 for a fresh database, the recovered end for reopen).
     /// `spawn_domain` decides which cancellation domain the flusher task
     /// lives in — the DBMS's own domain, so a guest crash kills it.
+    /// Refuses a region of two sectors or fewer, or of a multiple of 2³²
+    /// bytes: there the CRC seed repeats every lap.
     pub fn new(
         ctx: &SimCtx,
         dev: Rc<dyn BlockDevice>,
@@ -544,9 +561,11 @@ impl Wal {
         start: Lsn,
         recovery_start: Lsn,
         spawn_domain: rapilog_simcore::DomainId,
-    ) -> Wal {
-        let region_sectors = dev.geometry().sectors - LOG_BASE_SECTOR;
-        assert!(region_sectors > 2, "log device too small");
+    ) -> DbResult<Wal> {
+        let region_sectors = dev.geometry().sectors.saturating_sub(LOG_BASE_SECTOR);
+        if region_sectors <= 2 || (region_sectors * SECTOR_SIZE as u64).trailing_zeros() >= 32 {
+            return Err(DbError::Corrupt("a log region of an unsafe size".into()));
+        }
         let buf_start = Lsn(start.0 / SECTOR_SIZE as u64 * SECTOR_SIZE as u64);
         let inner = Rc::new(WalInner {
             ctx: ctx.clone(),
@@ -572,7 +591,7 @@ impl Wal {
         ctx.spawn_in(spawn_domain, async move {
             flusher_loop(flusher).await;
         });
-        Wal { inner }
+        Ok(Wal { inner })
     }
 
     /// Injects the bytes of the current partial tail sector (recovery path:
@@ -753,27 +772,18 @@ impl Wal {
 }
 
 /// Reads stream bytes from a log device without a `Wal` instance (recovery
-/// opens the device before constructing the manager).
+/// opens the device before constructing the manager): one read per run.
 pub async fn read_stream(
     dev: &dyn BlockDevice,
     region_sectors: u64,
     from: Lsn,
     len: usize,
 ) -> IoResult<Vec<u8>> {
-    let first_sector_stream = from.0 / SECTOR_SIZE as u64;
     let offset = (from.0 % SECTOR_SIZE as u64) as usize;
-    let total_sectors = (offset + len).div_ceil(SECTOR_SIZE) as u64;
-    let mut out = Vec::with_capacity((total_sectors as usize) * SECTOR_SIZE);
-    // Submit every run up front, then claim the completions in stream order.
-    let tokens = submit_reads(dev, region_sectors, first_sector_stream, total_sectors);
-    // Every read is claimed, failed or not, before the first error returns.
-    let mut done = Vec::with_capacity(tokens.len());
-    for token in tokens {
-        done.push(dev.wait(token).await);
-    }
-    for data in done {
-        out.extend_from_slice(data?.expect("read completion must carry data").as_slice());
-    }
+    let span = (offset + len).div_ceil(SECTOR_SIZE).max(1) * SECTOR_SIZE;
+    let mut reader = StreamReader::new(dev, region_sectors, from, span, 1);
+    let mut out = Vec::with_capacity(span);
+    reader.fill(&mut out).await?;
     out.drain(..offset);
     out.truncate(len);
     Ok(out)
@@ -798,16 +808,11 @@ fn submit_reads(dev: &dyn BlockDevice, region_sectors: u64, from: u64, n: u64) -
     runs(region_sectors, from, n).map(read).collect()
 }
 
-/// Windowed log-stream reader used by recovery's scan phase: keeps up to
-/// `window` chunk reads submitted through the queued device API, so CRC
-/// validation and frame decode of one chunk overlap the media latency of
-/// the next. `window = 1` degenerates to the serial read-one-decode-one
-/// loop. Recovery's parallel mode passes `Geometry::queue_depth + 1`: one
-/// read per device channel plus one already waiting at the device, so a
-/// single-actuator disk starts the next chunk the instant the previous one
-/// completes instead of a request round-trip later — on a rotating disk
-/// that round-trip is the difference between a sequential continuation and
-/// a full rotation (DESIGN §16.1).
+/// Windowed log-stream reader: keeps up to `window` chunk reads submitted,
+/// so checking one chunk overlaps the media latency of the next. Recovery
+/// passes `Geometry::queue_depth + 1`, a read per channel and one waiting at
+/// the device, so a rotating disk continues into the next chunk instead of
+/// paying a rotation for the request round-trip (DESIGN §16.1).
 ///
 /// The reader yields whole sectors, starting at the sector floor of `from`:
 /// the caller skips the leading `from % SECTOR_SIZE` bytes itself, and in
@@ -926,11 +931,8 @@ impl Superblock {
     /// Parses a sector; `None` if blank or damaged, its padding included.
     pub fn decode(sector: &[u8]) -> Option<Superblock> {
         let mut c = Cursor::new(sector);
-        let magic = c.u32()?;
-        let checkpoint = Lsn(c.u64()?);
-        let recovery_start = Lsn(c.u64()?);
-        let crc = c.u32()?;
-        let padding = &sector[24..];
+        let (magic, checkpoint, recovery_start) = (c.u32()?, Lsn(c.u64()?), Lsn(c.u64()?));
+        let (crc, padding) = (c.u32()?, &sector[24..]);
         if magic != SB_MAGIC || crc32(&sector[..20]) != crc || padding.iter().any(|&b| b != 0) {
             return None;
         }
@@ -1059,6 +1061,15 @@ mod tests {
     use rapilog_simdisk::{specs, Disk};
     use std::cell::Cell as StdCell;
 
+    impl Record {
+        /// The framed record at `lsn`, in a `Vec` of its own.
+        fn encode(&self, lsn: Lsn) -> Vec<u8> {
+            let mut out = Vec::new();
+            self.encode_into(lsn, &mut out);
+            out
+        }
+    }
+
     impl Wal {
         /// Highest durable LSN.
         pub(crate) fn durable(&self) -> Lsn {
@@ -1153,13 +1164,68 @@ mod tests {
         assert!(Record::decode(&bytes, Lsn(50)).is_none(), "bad crc");
     }
 
-    /// Sets a frame's length and CRC to match its bytes, so that the payload
-    /// parser itself sees whatever was done to them.
-    fn reseal(frame: &mut [u8]) {
-        let len = frame.len() as u32;
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        let crc = crc32(&frame[8..]);
-        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    /// Frames `body`, a kind and a payload, at `lsn` with a length and CRC
+    /// that match it, so that the payload parser itself sees whatever was
+    /// done to the body.
+    fn seal(lsn: Lsn, body: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        put_var(&mut frame, body.len() as u64);
+        put_u32(&mut frame, crc32_seeded(lsn.0 as u32, body));
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    /// The body of a well-formed frame: what follows its length and CRC.
+    fn body(frame: &[u8]) -> &[u8] {
+        let (width, total) = frame_head(frame).expect("a frame");
+        &frame[width + 4..total]
+    }
+
+    /// The header is the body's varint length, the CRC and the kind: six
+    /// bytes under a 128-byte body, seven from there to 16 KiB.
+    #[test]
+    fn a_frame_header_is_six_bytes_under_a_128_byte_body() {
+        for n in 100..140 {
+            let rec = Record::FullPage {
+                page: PageId(1),
+                image: vec![3; n],
+            };
+            let frame = rec.encode(Lsn(512));
+            let body = body(&frame).len();
+            let header = frame.len() - body + 1;
+            assert_eq!(header, if body < 128 { 6 } else { 7 }, "a body of {body}");
+            assert_eq!(Record::decode(&frame, Lsn(512)), Some((rec, frame.len())));
+        }
+        assert_eq!(Record::Begin { txn: TxnId(7) }.encode(Lsn(9)).len(), 7);
+    }
+
+    /// `Wal::new` refuses a region whose byte size is a multiple of 2³²,
+    /// where the CRC seed would repeat every lap, and one too small to hold
+    /// a log; the region one sector longer is fine.
+    #[test]
+    fn a_region_of_a_multiple_of_four_gib_is_refused() {
+        let sim = Sim::new(1);
+        let ctx = sim.ctx();
+        let region = |bytes: u64| {
+            let disk = Disk::new(&ctx, specs::instant(bytes + SECTOR_SIZE as u64));
+            let policy = CommitPolicy::default();
+            Wal::new(
+                &ctx,
+                Rc::new(disk),
+                policy,
+                Lsn::ZERO,
+                Lsn::ZERO,
+                DomainId::ROOT,
+            )
+        };
+        assert!(matches!(region(1 << 32), Err(DbError::Corrupt(_))));
+        assert!(matches!(region(3 << 32), Err(DbError::Corrupt(_))));
+        assert!(matches!(
+            region(2 * SECTOR_SIZE as u64),
+            Err(DbError::Corrupt(_))
+        ));
+        assert!(region((1 << 32) + SECTOR_SIZE as u64).is_ok());
+        assert!(region(3 * SECTOR_SIZE as u64).is_ok());
     }
 
     /// A CRC-valid checkpoint whose entry count exceeds its payload is
@@ -1171,10 +1237,10 @@ mod tests {
             dirty: Vec::new(),
         }
         .encode(Lsn(64));
-        frame.truncate(RECORD_HEADER);
-        put_var(&mut frame, u64::MAX);
-        frame.push(0);
-        reseal(&mut frame);
+        let mut damaged = body(&frame)[..1].to_vec();
+        put_var(&mut damaged, u64::MAX);
+        damaged.push(0);
+        frame = seal(Lsn(64), &damaged);
         assert!(Record::decode(&frame, Lsn(64)).is_none());
     }
 
@@ -1252,21 +1318,22 @@ mod tests {
         }
     }
 
-    /// Every cut and every one-byte change of an encoded row record or CLR
-    /// is refused as it stands (the CRC and length catch it), and once
-    /// resealed reaches the payload parser, which answers `None` or a
-    /// record, never a panic.
+    /// Every cut and every one-byte change of an encoded row record or CLR,
+    /// its header included, is refused as it stands (the CRC and length
+    /// catch it), and a cut or changed body, once sealed again, reaches the
+    /// payload parser, which answers `None` or a record, never a panic.
     #[test]
     fn every_cut_and_byte_change_of_a_row_record_or_clr_is_refused_or_decodes() {
         let lsn = Lsn(70_000);
         for rec in extreme_records(Lsn(69_000), &[7; 8]) {
             let valid = rec.encode(lsn);
+            let head = valid.len() - body(&valid).len();
             for cut in 0..valid.len() {
-                let mut frame = valid[..cut].to_vec();
-                assert_eq!(Record::decode(&frame, lsn), None, "{rec:?} cut at {cut}");
-                if cut >= RECORD_HEADER {
-                    reseal(&mut frame);
-                    let _ = Record::decode(&frame, lsn);
+                let frame = &valid[..cut];
+                assert_eq!(Record::decode(frame, lsn), None, "{rec:?} cut at {cut}");
+                assert_eq!(frame_head(frame).filter(|&(_, n)| n <= cut), None);
+                if cut > head {
+                    let _ = Record::decode(&seal(lsn, &frame[head..]), lsn);
                 }
             }
             for at in 0..valid.len() {
@@ -1274,11 +1341,46 @@ mod tests {
                     let mut frame = valid.clone();
                     frame[at] ^= x;
                     assert_eq!(Record::decode(&frame, lsn), None, "byte {at} ^ {x:#x}");
-                    if at >= 8 {
-                        reseal(&mut frame);
-                        let _ = Record::decode(&frame, lsn);
+                    if at >= head {
+                        let _ = Record::decode(&seal(lsn, &frame[head..]), lsn);
                     }
                 }
+            }
+        }
+    }
+
+    /// The header cannot panic the reader either, and damage to it is
+    /// refused: a body length in more bytes than its shortest form or past
+    /// ten bytes, a length of 0, one of 16 MiB or more (however much data
+    /// follows), and every single-bit flip of a whole frame of each kind.
+    #[test]
+    fn a_damaged_frame_header_is_refused() {
+        let lsn = Lsn(4096);
+        let valid = Record::Commit { txn: TxnId(5) }.encode(lsn);
+        let (crc_and_body, n) = (&valid[1..], valid.len() - 5);
+        let with_length = |length: &[u8]| {
+            let mut frame = length.to_vec();
+            frame.extend_from_slice(crc_and_body);
+            frame.resize(frame.len() + 64, 0);
+            frame
+        };
+        let overlong = [0x80 | n as u8, 0x00];
+        let mut max = Vec::new();
+        put_var(&mut max, 16 << 20);
+        for length in [&overlong[..], &[0x80; 11], &[0x00], &max, &[0xFF; 5]] {
+            let frame = with_length(length);
+            assert_eq!(frame_head(&frame), None, "{length:x?}");
+            assert_eq!(Record::decode(&frame, lsn), None, "{length:x?}");
+        }
+        assert!(Record::decode(&with_length(&[n as u8]), lsn).is_some());
+        let mut rng = SimRng::seed_from_u64(0xF11B);
+        for _ in 0..200 {
+            let rec = random_record(&mut rng);
+            let valid = rec.encode(lsn);
+            for bit in 0..valid.len() * 8 {
+                let mut frame = valid.clone();
+                frame[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(Record::decode(&frame, lsn), None, "{rec:?} bit {bit}");
             }
         }
     }
@@ -1312,11 +1414,10 @@ mod tests {
             &[0x80; 10][..],
             &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
         ] {
-            let mut frame = Record::Begin { txn: TxnId(1) }.encode(Lsn(64));
-            frame.truncate(RECORD_HEADER);
-            frame.extend_from_slice(bad);
-            frame.push(0);
-            reseal(&mut frame);
+            let mut damaged = vec![Record::Begin { txn: TxnId(1) }.kind()];
+            damaged.extend_from_slice(bad);
+            damaged.push(0);
+            let frame = seal(Lsn(64), &damaged);
             assert_eq!(Record::decode(&frame, Lsn(64)), None, "{bad:x?}");
         }
     }
@@ -1395,10 +1496,10 @@ mod tests {
     }
 
     /// Bytes read back from a log device cannot panic the reader. Four
-    /// thousand seeded inputs: random byte strings, random payloads behind a
-    /// header of any kind, valid frames of every kind cut short, and valid
-    /// frames with one bit of the kind or payload flipped. All but the raw
-    /// strings get their length and CRC made valid again, so the payload
+    /// thousand seeded inputs: random byte strings, random payloads behind
+    /// a kind of any value, valid bodies of every kind cut short, and valid
+    /// bodies with one bit of the kind or payload flipped. All but the raw
+    /// strings are sealed with a length and CRC that match, so the payload
     /// parser itself sees the damage. `decode` answers `Some` or `None`.
     #[test]
     fn decode_never_panics_on_damaged_frames() {
@@ -1408,27 +1509,24 @@ mod tests {
             let rec = random_record(&mut rng);
             let valid = rec.encode(lsn);
             assert_eq!(Record::decode(&valid, lsn), Some((rec, valid.len())));
-            let mut frame = match case % 4 {
+            let valid = body(&valid);
+            let frame = match case % 4 {
                 0 => (0..rng.gen_range(0..64usize))
                     .map(|_| rng.next_u64() as u8)
                     .collect(),
                 1 => {
-                    let mut f = valid[..RECORD_HEADER].to_vec();
-                    f[RECORD_HEADER - 1] = rng.gen_range(0..=10u8);
-                    f.extend((0..rng.gen_range(0..64usize)).map(|_| rng.next_u64() as u8));
-                    f
+                    let mut b = vec![rng.gen_range(0..=10u8)];
+                    b.extend((0..rng.gen_range(0..64usize)).map(|_| rng.next_u64() as u8));
+                    seal(lsn, &b)
                 }
-                2 => valid[..rng.gen_range(RECORD_HEADER..=valid.len())].to_vec(),
+                2 => seal(lsn, &valid[..rng.gen_range(1..=valid.len())]),
                 _ => {
-                    let mut f = valid;
-                    let bit = rng.gen_range((RECORD_HEADER - 1) * 8..f.len() * 8);
-                    f[bit / 8] ^= 1 << (bit % 8);
-                    f
+                    let mut b = valid.to_vec();
+                    let bit = rng.gen_range(0..b.len() * 8);
+                    b[bit / 8] ^= 1 << (bit % 8);
+                    seal(lsn, &b)
                 }
             };
-            if case % 4 != 0 {
-                reseal(&mut frame);
-            }
             let _ = Record::decode(&frame, lsn);
         }
     }
@@ -1460,7 +1558,8 @@ mod tests {
             Lsn::ZERO,
             Lsn::ZERO,
             DomainId::ROOT,
-        );
+        )
+        .unwrap();
         (wal, disk)
     }
 
@@ -1515,7 +1614,8 @@ mod tests {
             Lsn::ZERO,
             Lsn::ZERO,
             DomainId::ROOT,
-        );
+        )
+        .unwrap();
         let committed = Rc::new(StdCell::new(0u32));
         for i in 0..32u64 {
             let wal = wal.clone();
@@ -1547,7 +1647,8 @@ mod tests {
             Lsn::ZERO,
             Lsn::ZERO,
             DomainId::ROOT,
-        );
+        )
+        .unwrap();
         let w2 = wal.clone();
         sim.spawn({
             let ctx = ctx.clone();
@@ -1580,7 +1681,8 @@ mod tests {
             Lsn::ZERO,
             Lsn::ZERO,
             DomainId::ROOT,
-        );
+        )
+        .unwrap();
         for i in 0..8u64 {
             let wal = wal.clone();
             let ctx = ctx.clone();
@@ -1628,7 +1730,8 @@ mod tests {
             Lsn::ZERO,
             Lsn::ZERO,
             DomainId::ROOT,
-        );
+        )
+        .unwrap();
         let observed = Rc::new(RefCell::new(None));
         let o2 = Rc::clone(&observed);
         let w2 = wal.clone();
@@ -1660,7 +1763,8 @@ mod tests {
             Lsn::ZERO,
             Lsn::ZERO,
             DomainId::ROOT,
-        );
+        )
+        .unwrap();
         (wal, disk)
     }
 
@@ -1860,7 +1964,8 @@ mod tests {
             Lsn::ZERO,
             Lsn::ZERO,
             DomainId::ROOT,
-        );
+        )
+        .unwrap();
         let done = Rc::new(StdCell::new(false));
         let d2 = Rc::clone(&done);
         let w2 = wal.clone();
@@ -1868,7 +1973,7 @@ mod tests {
             // Fill most of the region, advance the horizon, keep writing
             // so the stream wraps.
             let mut ends = Vec::new();
-            for i in 0..300u64 {
+            for i in 0..600u64 {
                 let (_, end) = w2.append(&Record::Begin { txn: TxnId(i) }).unwrap();
                 ends.push(end);
                 w2.wait_durable(end).await.unwrap();

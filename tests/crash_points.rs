@@ -116,6 +116,8 @@ fn fixing_the_drain_fixes_the_counterexample() {
 /// green is evidence of a fix only if the campaign agrees. The compact WAL
 /// encoding was such a shift: it turned all five green, with the campaign
 /// at 330, 370 and 420 ms still reading 22 of 1 200 failed (54 before).
+/// The six-byte frame header was another: it turned all five green again,
+/// and the campaign read 6 of 1 200, all at 420 ms.
 ///
 /// `form` starts the violation the replay's name claims. A replay red in
 /// another form fails with "red without its form", which
@@ -143,37 +145,38 @@ fn open_finding_1_at(seed: u64, kind: FaultKind, ms: u64, form: &str) {
     );
 }
 
-/// Today: 13 violations, all tenant slots but the guarantee, first "tenant
-/// 1: slot 22 media seq 1303 outside acked..attempted [1367, 1367]". The
+/// Today: 8 violations, all tenant slots but the guarantee, first "tenant
+/// 1: slot 0 media seq 1281 outside acked..attempted [1345, 1345]". The
 /// first red power-cut cell at 420 ms with no client loss in the 200-seed
-/// campaign, taken when the compact WAL encoding turned the seed pinned
-/// before, `0x2e2a_c13e_f9a9_d8c0`, green.
+/// campaign (seed 20 of it), taken when the six-byte frame header turned
+/// the seed pinned before, `0xafd9_d690_6d9c_1625`, green.
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_cut_leaves_a_tenant_slot_behind_its_ack() {
-    open_finding_1(0xafd9_d690_6d9c_1625, FaultKind::PowerCut, "tenant");
+    open_finding_1(0x5c55_827d_f292_b192, FaultKind::PowerCut, "tenant");
 }
 
-/// Today: 10 violations, 3 of them clients, first "client 0: durability
-/// violated: acked 1133 but recovered 1132". The first red power-cut cell
-/// at 420 ms in the campaign of the replay above, taken when the compact
-/// WAL encoding turned the seed pinned before, `0xdaa6_6d2c_7ea0_742d`,
-/// green.
+/// Today: 79 violations, 3 of them clients, first "client 0: durability
+/// violated: acked 1130 but recovered 1092". No red power-cut cell of the
+/// 200-seed campaign loses a client's commit any more, so this is the first
+/// that does in the same campaign run to 1 000 seeds (seed 294; 14 of 1 000
+/// failed at 420 ms), taken when the six-byte frame header turned the seed
+/// pinned before, `0xd533_6963_efbc_a1e6`, green.
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_cut_loses_acknowledged_commits() {
-    open_finding_1(0xd533_6963_efbc_a1e6, FaultKind::PowerCut, "client");
+    open_finding_1(0xb3b5_cb08_304b_800c, FaultKind::PowerCut, "client");
 }
 
 /// Today: 1 violation, "rapilog internal guarantee violated". The first red
-/// flicker cell at 420 ms of the same campaign, re-pointed with the replay
-/// above.
+/// flicker cell at 420 ms of the 200-seed campaign (seed 20), re-pointed
+/// with the tenant-slot replay above.
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_flicker_misses_the_emergency_deadline() {
     let flicker = SimDuration::from_millis(100);
     open_finding_1(
-        0xd533_6963_efbc_a1e6,
+        0x5c55_827d_f292_b192,
         FaultKind::PowerFlicker { flicker },
         "rapilog internal guarantee violated",
     );
@@ -182,27 +185,32 @@ fn open_finding_1_power_flicker_misses_the_emergency_deadline() {
 /// A power cut at 330 ms, the late instant of the crash-point sweep's
 /// QUICK multi-tenant grid. This replay tracked the grid's own cell
 /// (`0x7E2A`, 330 ms) until the compact WAL encoding turned it, and the
-/// whole grid, green; the 200-seed campaign then read 0 of 400 failed at
-/// this instant, so this is the first red power-cut cell of a 1 000-seed
-/// one (10 of 2 000 failed).
-/// Today: 13 violations, first "tenant 3: slot 36 media seq 1061 outside
-/// acked..attempted [1125, 1125]".
+/// whole grid, green. When the six-byte frame header turned the seed
+/// pinned then, `0xaf8c_18bc_e24c_d112`, green, the first 1 000 seeds of
+/// the campaign read 0 failed at this instant; this is the first red
+/// power-cut cell of the campaign run to 2 500 seeds (seed 1 109; 3 of
+/// 2 500 failed).
+/// Today: 6 violations, first "tenant 3: slot 14 media seq 1039 outside
+/// acked..attempted [1103, 1103]".
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_cut_at_330_ms() {
-    open_finding_1_at(0xaf8c_18bc_e24c_d112, FaultKind::PowerCut, 330, "tenant");
+    open_finding_1_at(0x6652_5094_6e6c_86e7, FaultKind::PowerCut, 330, "tenant");
 }
 
 /// A power cut at 360 ms, the late instant of the sweep's full
 /// multi-tenant grid, whose cell (`0x7F4D`, 360 ms) this replay tracked
-/// until the compact WAL encoding turned it green: the first red power-cut
-/// cell of the 200-seed campaign at this instant (4 of 400 failed).
-/// Today: 30 violations, first "tenant 3: slot 6 media seq 1095 outside
-/// acked..attempted [1159, 1159]".
+/// until the compact WAL encoding turned it green. When the six-byte frame
+/// header turned the seed pinned then, `0xed92_1b80_ad16_319c`, green, the
+/// first 1 000 seeds of the campaign read 0 failed at this instant; this is
+/// the first red power-cut cell of the campaign run to 2 500 seeds (seed
+/// 1 097; 6 of 2 500 failed).
+/// Today: 21 violations, first "tenant 3: slot 24 media seq 1113 outside
+/// acked..attempted [1177, 1177]".
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_cut_at_360_ms() {
-    open_finding_1_at(0xed92_1b80_ad16_319c, FaultKind::PowerCut, 360, "tenant");
+    open_finding_1_at(0xfbb8_9be2_76ee_b5eb, FaultKind::PowerCut, 360, "tenant");
 }
 
 /// One guest task on a single-tenant instance — `disk`, `atx_psu`, buffer
