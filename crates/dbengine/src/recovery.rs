@@ -56,7 +56,7 @@ use crate::error::{DbError, DbResult};
 use crate::page::PAGE_SIZE;
 use crate::retry::os_block_layer;
 use crate::types::{Lsn, PageId, TxnId};
-use crate::wal::{frame_head, ClrAction, Record, StreamReader, Wal, MAX_HEADER};
+use crate::wal::{frame_head, read_stream, ClrAction, Record, StreamReader, Wal, MAX_HEADER};
 
 /// Bytes per scan read: the unit [`Database::open`] reads the log back in.
 /// Large enough that a rotating disk spends its time transferring (2.2 ms
@@ -112,12 +112,14 @@ fn meta_for_page(tables: &[TableMeta], page: PageId) -> DbResult<&TableMeta> {
 }
 
 /// Fetches one record from below the scan start (undo of a loser whose
-/// chain reaches under the checkpoint): one read of the longest header and
-/// [`RECORD_GUESS`] bytes, and a second only for a longer frame.
-async fn read_record_at(wal: &Wal, lsn: Lsn) -> DbResult<Record> {
-    let mut bytes = wal.read_stream(lsn, MAX_HEADER + RECORD_GUESS).await?;
+/// chain reaches under the checkpoint) from the log device: one read of the
+/// longest header and [`RECORD_GUESS`] bytes, and a second only for a
+/// longer frame.
+async fn read_record_at(log: &dyn BlockDevice, lsn: Lsn) -> DbResult<Record> {
+    let region = log.geometry().sectors - 1;
+    let mut bytes = read_stream(log, region, lsn, MAX_HEADER + RECORD_GUESS).await?;
     if let Some((_, total)) = frame_head(&bytes).filter(|&(_, n)| n > bytes.len()) {
-        bytes = wal.read_stream(lsn, total).await?;
+        bytes = read_stream(log, region, lsn, total).await?;
     }
     Record::decode(&bytes, lsn)
         .map(|(rec, _)| rec)
@@ -353,7 +355,7 @@ impl Database {
         // --- Reconstruct the WAL manager at the durable end ---------------
         let wal = Wal::new(
             ctx,
-            log_dev,
+            Rc::clone(&log_dev),
             cfg.profile.commit_policy,
             log_end,
             sb.recovery_start,
@@ -426,7 +428,7 @@ impl Database {
             while at != Lsn::ZERO {
                 let rec = match scan.record_at(at, true) {
                     Some(rec) => rec,
-                    None => read_record_at(&wal, at).await?,
+                    None => read_record_at(&*log_dev, at).await?,
                 };
                 let clr = match rec {
                     // A CLR from a partially-completed rollback: skip to

@@ -100,6 +100,19 @@ pub fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
     buf.extend_from_slice(v);
 }
 
+/// Appends `after` as its delta from `before`: the lengths of the prefix
+/// and of the suffix the two share, as varints, then the differing middle,
+/// which runs to the end of the data (it carries no length).
+pub(crate) fn put_delta(buf: &mut Vec<u8>, before: &[u8], after: &[u8]) {
+    let same = |&(b, a): &(&u8, &u8)| b == a;
+    let prefix = before.iter().zip(after).take_while(same).count();
+    let (b, a) = (before[prefix..].iter().rev(), after[prefix..].iter().rev());
+    let suffix = b.zip(a).take_while(same).count();
+    put_var(buf, prefix as u64);
+    put_var(buf, suffix as u64);
+    buf.extend_from_slice(&after[prefix..after.len() - suffix]);
+}
+
 /// Cursor for decoding the formats written by the `put_*` helpers.
 pub struct Cursor<'a> {
     data: &'a [u8],
@@ -168,6 +181,20 @@ impl<'a> Cursor<'a> {
         let len = self.var()?;
         self.take(len)
             .map(|s| (if keep { s } else { &[] }).to_vec())
+    }
+
+    /// Reads a length-prefixed before-image and, as [`put_delta`] wrote it,
+    /// the after-image rebuilt from it; unless `keep`, steps over both and
+    /// returns them empty, allocating nothing. `None` if the shared prefix
+    /// and suffix overrun the before-image.
+    pub(crate) fn delta(&mut self, keep: bool) -> Option<(Vec<u8>, Vec<u8>)> {
+        let len = self.var()?;
+        let (before, prefix, suffix) = (self.take(len)?, self.var()?, self.var()?);
+        let kept = before.len().checked_sub(suffix).filter(|&k| prefix <= k)?;
+        let middle = self.take(self.remaining())?;
+        let after = [&before[..prefix], middle, &before[kept..]];
+        let images = keep.then(|| (before.to_vec(), after.concat()));
+        Some(images.unwrap_or_default())
     }
 }
 

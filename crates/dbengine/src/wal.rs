@@ -61,7 +61,7 @@ use rapilog_simdisk::{BlockDevice, IoReq, IoResult, ReqToken, SECTOR_SIZE};
 
 use crate::error::{DbError, DbResult};
 use crate::types::{Lsn, PageId, TableId, TxnId};
-use crate::util::{crc32, crc32_seeded, put_bytes, put_u32, put_u64, put_var, Cursor};
+use crate::util::{crc32, crc32_seeded, put_bytes, put_delta, put_u32, put_u64, put_var, Cursor};
 
 /// The longest frame header: a `len` of four varint bytes (its body is under
 /// 16 MiB), the CRC, the kind.
@@ -279,8 +279,9 @@ impl Record {
     }
 
     /// The payload: integers as [`put_var`] varints, byte strings behind a
-    /// varint length, and an undo-chain pointer as its distance back from
-    /// `lsn`, the record's own LSN (so [`Lsn::ZERO`] is stored as `lsn`).
+    /// varint length, an undo-chain pointer as its distance back from
+    /// `lsn`, the record's own LSN (so [`Lsn::ZERO`] is stored as `lsn`),
+    /// and an update's after-image as its [`put_delta`] from the before-image.
     fn encode_payload(&self, lsn: Lsn, buf: &mut Vec<u8>) {
         let back = |to: Lsn| lsn.0.wrapping_sub(to.0);
         match self {
@@ -323,8 +324,10 @@ impl Record {
                 if let Record::Update { before, .. } | Record::Delete { before, .. } = self {
                     put_bytes(buf, before);
                 }
-                if let Record::Update { after, .. } | Record::Insert { after, .. } = self {
-                    put_bytes(buf, after);
+                match self {
+                    Record::Update { before, after, .. } => put_delta(buf, before, after),
+                    Record::Insert { after, .. } => put_bytes(buf, after),
+                    _ => {}
                 }
             }
         }
@@ -346,16 +349,19 @@ impl Record {
                 let (txn, prev, table) = (TxnId(c.var()?), back(&mut c)?, TableId(c.var()?));
                 let (page, slot, key) = (PageId(c.var()?), c.var()?, c.var()?);
                 match kind {
-                    4 => Record::Update {
-                        txn,
-                        prev,
-                        table,
-                        page,
-                        slot,
-                        key,
-                        before: c.bytes(images)?,
-                        after: c.bytes(images)?,
-                    },
+                    4 => {
+                        let (before, after) = c.delta(images)?;
+                        Record::Update {
+                            txn,
+                            prev,
+                            table,
+                            page,
+                            slot,
+                            key,
+                            before,
+                            after,
+                        }
+                    }
                     5 => Record::Insert {
                         txn,
                         prev,
@@ -763,16 +769,10 @@ impl Wal {
     pub async fn flush_to(&self, lsn: Lsn) -> DbResult<()> {
         self.wait_durable(lsn.advance(1)).await
     }
-
-    /// Reads `len` bytes of the stream starting at `from`, straight from
-    /// the device (used by recovery and the auditors).
-    pub async fn read_stream(&self, from: Lsn, len: usize) -> IoResult<Vec<u8>> {
-        read_stream(&*self.inner.dev, self.inner.region_sectors, from, len).await
-    }
 }
 
-/// Reads stream bytes from a log device without a `Wal` instance (recovery
-/// opens the device before constructing the manager): one read per run.
+/// Reads `len` bytes of the stream starting at `from` from a log device of
+/// `region_sectors` sectors of log: one read per run.
 pub async fn read_stream(
     dev: &dyn BlockDevice,
     region_sectors: u64,
@@ -800,12 +800,6 @@ fn runs(region_sectors: u64, mut from: u64, n: u64) -> impl Iterator<Item = (u64
         from += run;
         (run > 0).then_some((LOG_BASE_SECTOR + at, run))
     })
-}
-
-/// Submits reads of `n` stream sectors from `from` on, one per run.
-fn submit_reads(dev: &dyn BlockDevice, region_sectors: u64, from: u64, n: u64) -> Vec<ReqToken> {
-    let read = |(sector, sectors)| dev.submit(IoReq::Read { sector, sectors });
-    runs(region_sectors, from, n).map(read).collect()
 }
 
 /// Windowed log-stream reader: keeps up to `window` chunk reads submitted,
@@ -860,8 +854,9 @@ impl<'a> StreamReader<'a> {
         while self.inflight.len() < self.window && self.unsubmitted > 0 {
             let n = self.chunk_sectors.min(self.unsubmitted);
             self.unsubmitted -= n;
-            let tokens = submit_reads(self.dev, self.region_sectors, self.next_stream_sector, n);
-            self.inflight.push_back(tokens);
+            let read = |(sector, sectors)| self.dev.submit(IoReq::Read { sector, sectors });
+            let runs = runs(self.region_sectors, self.next_stream_sector, n);
+            self.inflight.push_back(runs.map(read).collect());
             self.next_stream_sector += n;
         }
     }
@@ -976,16 +971,13 @@ async fn flusher_loop(inner: Rc<WalInner>) {
                 (st.buf_start, SectorBuf::from_vec(v), st.next)
             };
             let batch_bytes = data.len() as u64;
-            inner.tracer.begin(
-                inner.ctx.now(),
-                Layer::Wal,
-                "group_commit",
-                Payload::Wal {
-                    lsn: start_sector_lsn.0,
-                    bytes: batch_bytes,
-                    records: 0,
-                },
-            );
+            let span = |lsn: Lsn| Payload::Wal {
+                lsn: lsn.0,
+                bytes: batch_bytes,
+                records: 0,
+            };
+            let (tracer, now) = (&inner.tracer, || inner.ctx.now());
+            tracer.begin(now(), Layer::Wal, "group_commit", span(start_sector_lsn));
             // Write, splitting at the circular-region wrap. Each split is
             // an O(1) view of the pooled batch, carried down to the device
             // in this task (`exec`, not `write_buf`: one boxed future less
@@ -1017,37 +1009,22 @@ async fn flusher_loop(inner: Rc<WalInner>) {
                 if !ok {
                     st.stopped = true;
                     drop(st);
-                    inner.tracer.end(
-                        inner.ctx.now(),
-                        Layer::Wal,
-                        "group_commit",
-                        Payload::Text {
-                            text: "device_lost",
-                        },
-                    );
+                    let lost = Payload::Text {
+                        text: "device_lost",
+                    };
+                    tracer.end(now(), Layer::Wal, "group_commit", lost);
                     inner.durable_changed.notify_all();
                     return;
                 }
                 st.stats.flushes += 1;
-                if end > st.durable {
-                    st.durable = end;
-                }
+                st.durable = st.durable.max(end);
                 // Trim everything before the sector floor of the new end.
                 let new_start = Lsn(end.0 / SECTOR_SIZE as u64 * SECTOR_SIZE as u64);
                 let drop_bytes = ((new_start.0 - st.buf_start.0) as usize).min(st.buf.len());
                 st.buf.drain(..drop_bytes);
                 st.buf_start = new_start;
             }
-            inner.tracer.end(
-                inner.ctx.now(),
-                Layer::Wal,
-                "group_commit",
-                Payload::Wal {
-                    lsn: end.0,
-                    bytes: batch_bytes,
-                    records: 0,
-                },
-            );
+            tracer.end(now(), Layer::Wal, "group_commit", span(end));
             inner.durable_changed.notify_all();
         }
     }
@@ -1495,12 +1472,34 @@ mod tests {
         }
     }
 
+    /// An update's body with its delta's two lengths replaced by `prefix`
+    /// and `suffix`: the middle the encoder wrote stays.
+    fn forge_delta(rec: &Record, lsn: Lsn, prefix: u64, suffix: u64) -> Vec<u8> {
+        let Record::Update { before, after, .. } = rec else {
+            panic!("not an update: {rec:?}");
+        };
+        let mut delta = Vec::new();
+        put_delta(&mut delta, before, after);
+        let mut c = Cursor::new(&delta);
+        let _: (u64, u64) = (c.var().expect("a prefix"), c.var().expect("a suffix"));
+        let middle = &delta[delta.len() - c.remaining()..];
+        let frame = rec.encode(lsn);
+        let body = body(&frame);
+        let mut forged = body[..body.len() - delta.len()].to_vec();
+        put_var(&mut forged, prefix);
+        put_var(&mut forged, suffix);
+        forged.extend_from_slice(middle);
+        forged
+    }
+
     /// Bytes read back from a log device cannot panic the reader. Four
     /// thousand seeded inputs: random byte strings, random payloads behind
     /// a kind of any value, valid bodies of every kind cut short, and valid
     /// bodies with one bit of the kind or payload flipped. All but the raw
     /// strings are sealed with a length and CRC that match, so the payload
     /// parser itself sees the damage. `decode` answers `Some` or `None`.
+    /// An update's delta lengths are forged too: the body decodes exactly
+    /// when the shared prefix and suffix fit the before-image.
     #[test]
     fn decode_never_panics_on_damaged_frames() {
         let mut rng = SimRng::seed_from_u64(0xDEC0DE);
@@ -1508,7 +1507,27 @@ mod tests {
         for case in 0..4_000u32 {
             let rec = random_record(&mut rng);
             let valid = rec.encode(lsn);
-            assert_eq!(Record::decode(&valid, lsn), Some((rec, valid.len())));
+            assert_eq!(
+                Record::decode(&valid, lsn),
+                Some((rec.clone(), valid.len()))
+            );
+            if let Record::Update { before, .. } = &rec {
+                let n = before.len() as u64;
+                for _ in 0..8 {
+                    let (prefix, suffix) = (rng.gen_range(0..=n + 2), rng.gen_range(0..=n + 2));
+                    let forged = seal(lsn, &forge_delta(&rec, lsn, prefix, suffix));
+                    let fits = prefix + suffix <= n;
+                    assert_eq!(
+                        Record::decode(&forged, lsn).is_some(),
+                        fits,
+                        "{prefix} {suffix}"
+                    );
+                }
+                for (prefix, suffix) in [(u64::MAX, 0), (0, u64::MAX), (u64::MAX, u64::MAX)] {
+                    let forged = seal(lsn, &forge_delta(&rec, lsn, prefix, suffix));
+                    assert_eq!(Record::decode(&forged, lsn), None);
+                }
+            }
             let valid = body(&valid);
             let frame = match case % 4 {
                 0 => (0..rng.gen_range(0..64usize))
@@ -1566,7 +1585,7 @@ mod tests {
     #[test]
     fn append_flush_readback() {
         let mut sim = Sim::new(1);
-        let (wal, _disk) = wal_on_instant_disk(&mut sim);
+        let (wal, disk) = wal_on_instant_disk(&mut sim);
         let done = Rc::new(StdCell::new(false));
         let d2 = Rc::clone(&done);
         let w2 = wal.clone();
@@ -1580,8 +1599,8 @@ mod tests {
             w2.wait_durable(last_end).await.unwrap();
             assert!(w2.durable() >= last_end);
             // Read the stream back and decode every record.
-            let bytes = w2
-                .read_stream(Lsn::ZERO, last_end.0 as usize)
+            let region_sectors = disk.geometry().sectors - LOG_BASE_SECTOR;
+            let bytes = read_stream(&disk, region_sectors, Lsn::ZERO, last_end.0 as usize)
                 .await
                 .unwrap();
             let mut at = Lsn::ZERO;
@@ -1959,7 +1978,7 @@ mod tests {
         let disk = Disk::new(&ctx, specs::instant(9 * SECTOR_SIZE as u64));
         let wal = Wal::new(
             &ctx,
-            Rc::new(disk),
+            Rc::new(disk.clone()),
             CommitPolicy::default(),
             Lsn::ZERO,
             Lsn::ZERO,
@@ -1986,7 +2005,7 @@ mod tests {
             assert!(last.0 > 8 * SECTOR_SIZE as u64, "stream did wrap: {last:?}");
             // Read the tail back across the wrap and decode.
             let from = Lsn(last.0 - 100);
-            let bytes = w2.read_stream(from, 100).await.unwrap();
+            let bytes = read_stream(&disk, 8, from, 100).await.unwrap();
             assert_eq!(bytes.len(), 100);
             d2.set(true);
         });

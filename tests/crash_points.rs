@@ -117,7 +117,9 @@ fn fixing_the_drain_fixes_the_counterexample() {
 /// encoding was such a shift: it turned all five green, with the campaign
 /// at 330, 370 and 420 ms still reading 22 of 1 200 failed (54 before).
 /// The six-byte frame header was another: it turned all five green again,
-/// and the campaign read 6 of 1 200, all at 420 ms.
+/// and the campaign read 6 of 1 200, all at 420 ms. The delta-encoded
+/// update was a third: it turned the two replays at seed 20 green, and the
+/// campaign read 2 of 1 200, both at 420 ms.
 ///
 /// `form` starts the violation the replay's name claims. A replay red in
 /// another form fails with "red without its form", which
@@ -145,19 +147,19 @@ fn open_finding_1_at(seed: u64, kind: FaultKind, ms: u64, form: &str) {
     );
 }
 
-/// Today: 8 violations, all tenant slots but the guarantee, first "tenant
-/// 1: slot 0 media seq 1281 outside acked..attempted [1345, 1345]". The
-/// first red power-cut cell at 420 ms with no client loss in the 200-seed
-/// campaign (seed 20 of it), taken when the six-byte frame header turned
-/// the seed pinned before, `0xafd9_d690_6d9c_1625`, green.
+/// Today: 26 violations, all tenant slots but the guarantee, first "tenant
+/// 1: slot 3 media seq 1348 outside acked..attempted [1412, 1412]". The
+/// first red power-cut cell at 420 ms of the 200-seed campaign (seed 143
+/// of it, its one red power cut), taken when the delta-encoded update
+/// turned the seed pinned before, `0x5c55_827d_f292_b192`, green.
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_cut_leaves_a_tenant_slot_behind_its_ack() {
-    open_finding_1(0x5c55_827d_f292_b192, FaultKind::PowerCut, "tenant");
+    open_finding_1(0x60fc_fe9e_1b5c_4fa9, FaultKind::PowerCut, "tenant");
 }
 
-/// Today: 79 violations, 3 of them clients, first "client 0: durability
-/// violated: acked 1130 but recovered 1092". No red power-cut cell of the
+/// Today: 42 violations, 3 of them clients, first "client 0: durability
+/// violated: acked 1130 but recovered 1071". No red power-cut cell of the
 /// 200-seed campaign loses a client's commit any more, so this is the first
 /// that does in the same campaign run to 1 000 seeds (seed 294; 14 of 1 000
 /// failed at 420 ms), taken when the six-byte frame header turned the seed
@@ -169,14 +171,14 @@ fn open_finding_1_power_cut_loses_acknowledged_commits() {
 }
 
 /// Today: 1 violation, "rapilog internal guarantee violated". The first red
-/// flicker cell at 420 ms of the 200-seed campaign (seed 20), re-pointed
+/// flicker cell at 420 ms of the 200-seed campaign (seed 143), re-pointed
 /// with the tenant-slot replay above.
 #[test]
 #[ignore = "open finding 1"]
 fn open_finding_1_power_flicker_misses_the_emergency_deadline() {
     let flicker = SimDuration::from_millis(100);
     open_finding_1(
-        0x5c55_827d_f292_b192,
+        0x60fc_fe9e_1b5c_4fa9,
         FaultKind::PowerFlicker { flicker },
         "rapilog internal guarantee violated",
     );

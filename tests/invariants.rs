@@ -9,8 +9,9 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use rapilog_suite::dbengine::types::{Lsn, PageId, TableId, TxnId};
+use rapilog_suite::dbengine::util::crc32;
 use rapilog_suite::dbengine::wal::Record;
-use rapilog_suite::dbengine::{Database, DbConfig, TableDef};
+use rapilog_suite::dbengine::{Database, DbConfig, DbError, TableDef};
 use rapilog_suite::faultsim::{run_trial, FaultKind, MachineConfig, Setup, TrialConfig};
 use rapilog_suite::simcore::rng::SimRng;
 use rapilog_suite::simcore::stats::Histogram;
@@ -119,6 +120,176 @@ fn a_frame_from_an_earlier_lap_is_refused() {
                 assert!(
                     Record::decode(&frame, Lsn(then + k * region)).is_none(),
                     "case {case}: a frame {k} laps of {region} bytes old was accepted"
+                );
+            }
+        }
+    }
+}
+
+/// `v` as the log's LEB128 varint.
+fn put_var(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A frame's body, its kind and payload: what follows its length and CRC.
+fn body(frame: &[u8]) -> &[u8] {
+    let width = 1 + frame.iter().take_while(|&&b| b >= 0x80).count();
+    &frame[width + 4..]
+}
+
+/// Frames `body` at `lsn` with the length and CRC that match it, so that the
+/// payload parser itself sees whatever was done to the body.
+fn seal(lsn: Lsn, body: &[u8]) -> Vec<u8> {
+    let mut crc_input = (lsn.0 as u32).to_le_bytes().to_vec();
+    crc_input.extend_from_slice(body);
+    let mut frame = Vec::new();
+    put_var(&mut frame, body.len() as u64);
+    frame.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// A row update's two images: of unequal lengths, one or both empty,
+/// identical, sharing no byte, or one an edit of the other (a prefix and a
+/// suffix kept, the middle replaced), in either order.
+fn arb_update_images(rng: &mut SimRng) -> (Vec<u8>, Vec<u8>) {
+    let old = rand_bytes(rng, 40);
+    let new = match rng.gen_range(0..5u32) {
+        0 => rand_bytes(rng, 40),
+        1 => Vec::new(),
+        2 => old.clone(),
+        3 => old.iter().map(|b| !b).collect(),
+        _ => {
+            let cut = rng.gen_range(0..=old.len());
+            let end = rng.gen_range(cut..=old.len());
+            let mut edit = old[..cut].to_vec();
+            edit.extend(rand_bytes(rng, 8));
+            edit.extend_from_slice(&old[end..]);
+            edit
+        }
+    };
+    if rng.gen_range(0..2u32) == 0 {
+        (old, new)
+    } else {
+        (new, old)
+    }
+}
+
+/// A row change with small fields: with `update`, an update of `before` to
+/// `after`, else a delete of `before`.
+fn row_change(update: bool, before: &[u8], after: &[u8]) -> Record {
+    let (txn, prev, table, page, slot, key) = (TxnId(9), Lsn(4000), TableId(1), PageId(3), 4, 5);
+    let before = before.to_vec();
+    if update {
+        let after = after.to_vec();
+        Record::Update {
+            txn,
+            prev,
+            table,
+            page,
+            slot,
+            key,
+            before,
+            after,
+        }
+    } else {
+        Record::Delete {
+            txn,
+            prev,
+            table,
+            page,
+            slot,
+            key,
+            before,
+        }
+    }
+}
+
+/// An update logs its after-image as a delta from its before-image, and
+/// every pair round-trips through `encode_into` / `decode`. Its payload is
+/// at most one byte longer than the same record with the after-image
+/// logged whole behind its length. Every single-bit flip and every cut of
+/// its frame is refused; sealed again with a matching length and CRC, each
+/// reaches the payload parser, which answers `None` or a record, never a
+/// panic.
+#[test]
+fn an_update_logs_a_delta_that_round_trips_and_never_panics_the_decoder() {
+    let mut rng = SimRng::seed_from_u64(0xDE17A);
+    let lsn = Lsn(8192);
+    for case in 0..512 {
+        let (before, after) = arb_update_images(&mut rng);
+        let rec = row_change(true, &before, &after);
+        let frame = encode(&rec, lsn);
+        assert_eq!(
+            Record::decode(&frame, lsn),
+            Some((rec, frame.len())),
+            "case {case}"
+        );
+        let mut whole = body(&encode(&row_change(false, &before, &[]), lsn)).to_vec();
+        put_var(&mut whole, after.len() as u64);
+        whole.extend_from_slice(&after);
+        let delta = body(&frame).len();
+        assert!(
+            delta <= whole.len() + 1,
+            "case {case}: {delta} > {} + 1",
+            whole.len()
+        );
+        let head = frame.len() - delta;
+        for bit in 0..frame.len() * 8 {
+            let mut damaged = frame.clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(
+                Record::decode(&damaged, lsn),
+                None,
+                "case {case}: bit {bit}"
+            );
+            if bit >= head * 8 {
+                let _ = Record::decode(&seal(lsn, &damaged[head..]), lsn);
+            }
+        }
+        for cut in 0..frame.len() {
+            assert_eq!(
+                Record::decode(&frame[..cut], lsn),
+                None,
+                "case {case}: cut {cut}"
+            );
+            if cut > head {
+                let _ = Record::decode(&seal(lsn, &frame[head..cut]), lsn);
+            }
+        }
+    }
+}
+
+/// A forged delta decodes exactly when the prefix and suffix it claims to
+/// share fit inside the before-image, and then rebuilds the after-image
+/// from them and the middle; every longer pair is refused.
+#[test]
+fn a_delta_whose_prefix_and_suffix_overrun_the_before_image_is_refused() {
+    let lsn = Lsn(8192);
+    let middle = [0xEE; 3];
+    for n in 0..12usize {
+        let before: Vec<u8> = (0..n as u8).collect();
+        // The delete's body is the update's up to its delta, bar the kind.
+        let mut head = body(&encode(&row_change(false, &before, &[]), lsn)).to_vec();
+        head[0] = 4;
+        for prefix in 0..=n + 2 {
+            for suffix in 0..=n + 2 {
+                let mut forged = head.clone();
+                put_var(&mut forged, prefix as u64);
+                put_var(&mut forged, suffix as u64);
+                forged.extend_from_slice(&middle);
+                let decoded = Record::decode(&seal(lsn, &forged), lsn).map(|(rec, _)| rec);
+                let expected = (prefix + suffix <= n).then(|| {
+                    let after = [&before[..prefix], &middle, &before[n - suffix..]].concat();
+                    row_change(true, &before, &after)
+                });
+                assert_eq!(
+                    decoded, expected,
+                    "{n} bytes, prefix {prefix}, suffix {suffix}"
                 );
             }
         }
@@ -338,6 +509,33 @@ fn crash_image() -> (Vec<u8>, Vec<u8>, u64) {
     )
 }
 
+/// `Database::open` of a crash image's data device over a log device that
+/// holds `log_bytes` from its first sector on: the recovered log's end, the
+/// error, or `None` if the open did not return within 2 simulated seconds.
+fn open_over(data_image: &[u8], log_bytes: &[u8], seed: u64) -> Option<Result<u64, DbError>> {
+    let mut sim = Sim::new(seed);
+    let ctx = sim.ctx();
+    let (data, log) = (
+        Disk::new(&ctx, specs::instant(1 << 20)),
+        Disk::new(&ctx, specs::instant(1 << 20)),
+    );
+    data.poke_media(0, data_image);
+    log.poke_media(0, log_bytes);
+    let outcome = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&outcome);
+    sim.spawn(async move {
+        let (d, l) = (Rc::new(data), Rc::new(log));
+        let opened = Database::open(&ctx, DbConfig::default(), d, l, DomainId::ROOT).await;
+        *o2.borrow_mut() = Some(opened.map(|(db, report)| {
+            db.stop();
+            report.log_end.0
+        }));
+    });
+    sim.run_until(SimTime::from_secs(2));
+    let outcome = outcome.borrow_mut().take();
+    outcome
+}
+
 /// `Database::open` on a whole damaged log: 64 copies of a crash image's
 /// log with one bit flipped anywhere in it, and 64 cut short at a random
 /// byte (zeros from there on). Each open returns a database or a `DbError`,
@@ -356,30 +554,37 @@ fn recovery_of_a_bit_flipped_or_truncated_log_returns_or_errs() {
         } else {
             log_bytes[at..].fill(0);
         }
-        let mut sim = Sim::new(case);
-        let ctx = sim.ctx();
-        let (data, log) = (
-            Disk::new(&ctx, specs::instant(1 << 20)),
-            Disk::new(&ctx, specs::instant(1 << 20)),
-        );
-        data.poke_media(0, &data_image);
-        log.poke_media(0, &log_bytes);
-        let outcome = Rc::new(RefCell::new(None));
-        let o2 = Rc::clone(&outcome);
-        sim.spawn(async move {
-            let (d, l) = (Rc::new(data), Rc::new(log));
-            let opened = Database::open(&ctx, DbConfig::default(), d, l, DomainId::ROOT).await;
-            *o2.borrow_mut() = Some(opened.map(|(db, report)| {
-                db.stop();
-                report.log_end
-            }));
-        });
-        sim.run_until(SimTime::from_secs(2));
-        let outcome = outcome.borrow_mut().take();
-        match outcome {
-            Some(Ok(log_end)) => assert!(log_end.0 <= end, "case {case}: {log_end:?} of {end}"),
+        match open_over(&data_image, &log_bytes, case) {
+            Some(Ok(log_end)) => assert!(log_end <= end, "case {case}: {log_end} of {end}"),
             Some(Err(_)) => {}
             None => panic!("case {case}: open of a log damaged at byte {at} did not return"),
+        }
+    }
+}
+
+/// `Database::open` on random whole log images: 32 log regions of random
+/// bytes, and 32 crash-image logs whose bytes from a random point on are
+/// random. Each open returns a database or a `DbError`, never a panic,
+/// within 2 simulated seconds, and no recovered log reaches past the point
+/// where the random bytes begin.
+#[test]
+fn recovery_of_a_random_or_spliced_log_returns_or_errs() {
+    let (data_image, log_image, end) = crash_image();
+    let mut rng = SimRng::seed_from_u64(0x5911CE);
+    for case in 0..64 {
+        let at = SECTOR_SIZE
+            + if case % 2 == 0 {
+                0
+            } else {
+                rng.gen_range(0..end as usize)
+            };
+        let mut log_bytes = log_image[..at].to_vec();
+        log_bytes.extend((at..1 << 20).map(|_| rng.next_u64() as u8));
+        let valid = (at - SECTOR_SIZE) as u64;
+        match open_over(&data_image, &log_bytes, case) {
+            Some(Ok(log_end)) => assert!(log_end <= valid, "case {case}: {log_end} of {valid}"),
+            Some(Err(_)) => {}
+            None => panic!("case {case}: open of a log random from byte {at} did not return"),
         }
     }
 }

@@ -126,7 +126,7 @@ fn a_two_chunk_log_recovers_without_a_single_avoidable_rotation() {
 
 #[test]
 fn a_600_kb_log_recovers_in_one_rotation_plus_its_transfer_time() {
-    let (report, sweep) = recover_after_power_cut(1020);
+    let (report, sweep) = recover_after_power_cut(1200);
     assert!(
         report.log_end.0 >= 600_000,
         "the trial must leave ≥ 600 KB of un-checkpointed log, got {}",
@@ -177,7 +177,7 @@ fn after_a_guest_crash_the_log_disk_is_not_asked_at_all() {
 /// comes back after a guest crash with no read of the log disk at all.
 #[test]
 fn a_log_of_more_than_a_mebibyte_recovers_from_memory_after_a_guest_crash() {
-    let (report, sweep) = trial(FaultKind::GuestCrash, 1800, CapacitySpec::FromSupply);
+    let (report, sweep) = trial(FaultKind::GuestCrash, 2100, CapacitySpec::FromSupply);
     assert!(
         report.log_end.0 > 1 << 20,
         "the trial must leave more than 1 MiB of log, got {}",
@@ -194,7 +194,7 @@ fn a_log_of_more_than_a_mebibyte_recovers_from_memory_after_a_guest_crash() {
 }
 
 /// A log longer than the instance can keep — here because the buffer, and
-/// with it the kept room, is 160 KiB against 421 KB of log at 670 ms; the
+/// with it the kept room, is 160 KiB against 441 KB of log at 820 ms; the
 /// trial up to the crash is the stock one, event for event — costs what
 /// recovery cost before anything was kept, less what it no longer reads.
 /// The instance holds the log's last 100 KiB or so, all inside the second
@@ -204,14 +204,14 @@ fn a_log_of_more_than_a_mebibyte_recovers_from_memory_after_a_guest_crash() {
 /// this trajectory it has no write to begin between those reads.
 #[test]
 fn a_log_longer_than_the_kept_set_is_read_from_the_disk_as_before() {
-    let (report, sweep) = trial(FaultKind::GuestCrash, 670, CapacitySpec::Fixed(160 << 10));
+    let (report, sweep) = trial(FaultKind::GuestCrash, 820, CapacitySpec::Fixed(160 << 10));
     read_from_the_disk(&report, &sweep);
     assert_eq!(sweep.consumed, 2);
     assert_eq!(sweep.interleaved_writes, 0, "{:?}", sweep.reads);
     assert_eq!(rotations_paid(&sweep), 0, "{:?}", sweep.reads);
     // What this scan cannot be spared: the drain write already on the
     // media when the guest died (how much of it is left is the crash
-    // instant's phase against the drain — 7.7 ms of a rotation-long write
+    // instant's phase against the drain — 8.1 ms of a rotation-long write
     // here, and it moves with anything that moves the trajectory), one
     // positioning for the first chunk, which a rotation bounds, and the
     // transfer with half again for command overheads. The mechanism is the
@@ -233,7 +233,7 @@ fn a_log_longer_than_the_kept_set_is_read_from_the_disk_as_before() {
 /// the torn tail included, and not a byte from memory.
 #[test]
 fn a_rebuilt_instance_knows_no_trims() {
-    let (report, sweep) = recover_after_power_cut(1020);
+    let (report, sweep) = recover_after_power_cut(1200);
     assert_eq!(sweep.from_memory, 0);
     // Every chunk the log covers and one of read-ahead, whole, in order;
     // the first chunk is positioned, the drive model absorbs the controller
@@ -255,7 +255,7 @@ fn a_rebuilt_instance_knows_no_trims() {
 /// The invariant the engine keeps — every whole sector of the log region
 /// outside `[recovery_start, end]` is trimmed — where it is hardest to
 /// keep: a 384 KiB log device the log has wrapped once by the crash at
-/// 620 ms, cut back by a checkpoint every 100 ms, each trimming what its
+/// 720 ms, cut back by a checkpoint every 100 ms, each trimming what its
 /// horizon left behind (split at the wrap) while new log punches its way
 /// into space trimmed a lap ago. A trim over live log, or one that outlives a rewrite,
 /// would read acknowledged commits back as zeros and fail the trial's
@@ -264,7 +264,7 @@ fn a_rebuilt_instance_knows_no_trims() {
 #[test]
 fn a_wrapped_and_twice_truncated_log_recovers_without_the_log_disk() {
     let log_device = 384 << 10;
-    let (report, sweep) = trial_on(FaultKind::GuestCrash, 620, |machine| {
+    let (report, sweep) = trial_on(FaultKind::GuestCrash, 720, |machine| {
         machine.log_spec = specs::hdd_7200(log_device);
         machine.db.checkpoint_interval = SimDuration::from_millis(100);
     });
