@@ -9,8 +9,7 @@ use rapilog_dbengine::wal::Record;
 use rapilog_dbengine::{Database, DbConfig, Lsn};
 use rapilog_simcore::{DomainId, SectorBuf};
 use rapilog_simdisk::{
-    BlockDevice, Completion, Disk, Geometry, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken,
-    SECTOR_SIZE,
+    BlockDevice, Disk, Geometry, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken, SECTOR_SIZE,
 };
 use rapilog_workload::client::StormSource;
 use rapilog_workload::fleet::{run_fleet, FleetConfig, FleetStats};
@@ -67,10 +66,6 @@ impl BlockDevice for Region {
 
     fn submit(&self, req: IoReq) -> ReqToken {
         self.queue.submit(&self.ctx, self.clone(), req)
-    }
-
-    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-        Box::pin(self.queue.completions())
     }
 
     fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {

@@ -875,9 +875,7 @@ mod tests {
     use super::*;
     use crate::page::PAGE_SIZE;
     use rapilog_simcore::Sim;
-    use rapilog_simdisk::{
-        specs, Completion, Disk, Geometry, IoQueue, IoResult, LocalBoxFuture, ReqToken,
-    };
+    use rapilog_simdisk::{specs, Disk, Geometry, IoQueue, IoResult, LocalBoxFuture, ReqToken};
     use std::cell::Cell as StdCell;
 
     fn small_tables() -> Vec<TableDef> {
@@ -1629,10 +1627,6 @@ mod tests {
 
         fn submit(&self, req: IoReq) -> ReqToken {
             self.queue.submit(&self.ctx, self.clone(), req)
-        }
-
-        fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-            Box::pin(self.queue.completions())
         }
 
         fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {

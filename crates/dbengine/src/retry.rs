@@ -17,7 +17,7 @@ use std::rc::Rc;
 use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::{SimCtx, SimDuration};
 use rapilog_simdisk::{
-    BlockDevice, Completion, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken,
+    BlockDevice, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken,
 };
 
 /// The OS block layer's retry budget for transient device errors.
@@ -88,10 +88,6 @@ impl BlockDevice for RetryingDevice {
 
     fn submit(&self, req: IoReq) -> ReqToken {
         self.queue.submit(&self.ctx, self.clone(), req)
-    }
-
-    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-        Box::pin(self.queue.completions())
     }
 
     fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {

@@ -48,8 +48,8 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::stats::Histogram;
 use rapilog_simcore::{Sim, SimCtx, SimDuration, SimTime};
 use rapilog_simdisk::{
-    specs, BlockDevice, Completion, Disk, DiskSpec, Geometry, IoReq, IoResult, LocalBoxFuture,
-    ReqToken, SECTOR_SIZE,
+    specs, BlockDevice, Disk, DiskSpec, Geometry, IoReq, IoResult, LocalBoxFuture, ReqToken,
+    SECTOR_SIZE,
 };
 use rapilog_simnet::{Link, LinkFaults, LinkSpec};
 use rapilog_simpower::{supplies, PowerSupply};
@@ -657,10 +657,6 @@ impl BlockDevice for ApplyLog {
     fn submit(&self, req: IoReq) -> ReqToken {
         self.note(&req);
         self.device.submit(req)
-    }
-
-    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-        self.device.completions()
     }
 
     fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {

@@ -22,8 +22,7 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::chan::{self, OnceSender, Sender};
 use rapilog_simcore::{SimCtx, SimDuration};
 use rapilog_simdisk::{
-    flatten, BlockDevice, Completion, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture,
-    ReqToken,
+    flatten, BlockDevice, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken,
 };
 
 use crate::cell::Cell;
@@ -190,10 +189,6 @@ impl BlockDevice for VirtioBlk {
 
     fn submit(&self, req: IoReq) -> ReqToken {
         self.queue.submit(&self.ctx, self.clone(), req)
-    }
-
-    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-        Box::pin(self.queue.completions())
     }
 
     fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {

@@ -218,7 +218,7 @@ const MAX_REMAPS: u32 = 64;
 /// ([`BlockDevice::submit`] + [`BlockDevice::wait`]) so the device's
 /// outstanding-request accounting sees the drain window; without it — a
 /// window of one, see [`DrainController::serial`] — the caller's task
-/// performs one direct vectored write.
+/// `exec`s the same request itself.
 #[allow(clippy::too_many_arguments)]
 async fn write_run_resilient(
     ctx: &SimCtx,
@@ -236,22 +236,22 @@ async fn write_run_resilient(
     let mut remaps: u32 = 0;
     let started = ctx.now();
     loop {
-        // Vectored zero-copy write either way: the disk views the run's
+        // One vectored zero-copy write either way: the disk views the run's
         // segments until they land on the media store; segment clones are
         // refcount bumps.
+        let req = IoReq::Write {
+            sector: run.sector,
+            segments: run.segments.clone(),
+            fua: true,
+        };
         let wrote = if queued {
-            let token = disk.submit(IoReq::Write {
-                sector: run.sector,
-                segments: run.segments.clone(),
-                fua: true,
-            });
-            BlockDevice::wait(disk, token).await.map(|_| ())
+            let token = disk.submit(req);
+            BlockDevice::wait(disk, token).await
         } else {
-            disk.write_segments(run.sector, run.segments.clone(), true)
-                .await
+            disk.exec(req).await
         };
         match wrote {
-            Ok(()) => {
+            Ok(_) => {
                 consecutive_ok.set(consecutive_ok.get().saturating_add(1));
                 if mode.get() && consecutive_ok.get() >= policy.degraded_exit_successes {
                     mode.set(false);

@@ -30,8 +30,8 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::trace::{Layer, Payload, Tracer};
 use rapilog_simcore::{SimCtx, SimDuration};
 use rapilog_simdisk::{
-    flatten, BlockDevice, Completion, Disk, Geometry, IoError, IoQueue, IoReq, IoResult,
-    LocalBoxFuture, ReqToken, SECTOR_SIZE,
+    flatten, BlockDevice, Disk, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture,
+    ReqToken, SECTOR_SIZE,
 };
 
 use crate::buffer::{DependableBuffer, PushError};
@@ -315,10 +315,6 @@ impl BlockDevice for RapiLogDevice {
 
     fn submit(&self, req: IoReq) -> ReqToken {
         self.queue.submit(&self.ctx, self.clone(), req)
-    }
-
-    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-        Box::pin(self.queue.completions())
     }
 
     fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {

@@ -36,18 +36,17 @@ use crate::spec::DiskSpec;
 use crate::store::SectorStore;
 use crate::timing::{ServiceParts, TimingModel};
 use crate::{
-    BlockDevice, Completion, Geometry, IoError, IoReq, IoResult, LocalBoxFuture, ReqToken,
-    SECTOR_SIZE,
+    BlockDevice, Geometry, IoError, IoReq, IoResult, LocalBoxFuture, ReqToken, SECTOR_SIZE,
 };
 
 /// Cumulative statistics for one device.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
-    /// Read requests observed.
+    /// Read requests accepted (well-formed, and the device online).
     pub reads: u64,
-    /// Write requests observed.
+    /// Write requests accepted.
     pub writes: u64,
-    /// Flush requests observed.
+    /// Flush requests accepted.
     pub flushes: u64,
     /// Media operations performed.
     pub media_ops: u64,
@@ -66,8 +65,8 @@ pub struct DiskStats {
     /// Defective sectors remapped to spares ([`Disk::remap`]).
     pub remaps: u64,
     /// Requests rejected with [`IoError::PowerLoss`] because the device was
-    /// offline (or lost power mid-request). Previously these failures were
-    /// invisible in the counters.
+    /// offline (or lost power mid-request). A request refused on arrival is
+    /// counted here and nowhere else.
     pub rejected_offline: u64,
     /// Requests submitted through the queued interface
     /// ([`BlockDevice::submit`]).
@@ -85,15 +84,22 @@ pub struct DiskStats {
     pub busy: SimDuration,
 }
 
+/// What a media operation moves: a read's destination, or a write's
+/// segments laid out back to back.
+enum Transfer<'a> {
+    Read(&'a mut [u8]),
+    Write(Vec<SectorBuf>),
+}
+
 struct Inflight {
     sector: u64,
     nsectors: u64,
-    is_write: bool,
-    /// Scatter-gather view of the bytes being transferred. Holding
-    /// `SectorBuf` views instead of a copied `Vec` is what makes the
-    /// in-flight window zero-copy: the drive "DMAs" straight from the
-    /// caller's buffers, and only a power cut or media defect forces the
-    /// committed prefix onto the store.
+    /// Scatter-gather view of the bytes a write is transferring; empty for
+    /// a read, which a power cut leaves nothing of. Holding `SectorBuf`
+    /// views instead of a copied `Vec` is what makes the in-flight window
+    /// zero-copy: the drive "DMAs" straight from the caller's buffers, and
+    /// only a power cut or media defect forces the committed prefix onto
+    /// the store.
     segments: Vec<SectorBuf>,
     start: SimTime,
     duration: SimDuration,
@@ -174,8 +180,8 @@ impl DiskInner {
     }
 
     /// Records an offline rejection and returns the error to propagate.
-    /// Every `PowerLoss` exit funnels through here so the failures show up
-    /// in [`DiskStats::rejected_offline`] instead of vanishing.
+    /// Every `PowerLoss` exit funnels through here, so each one shows in
+    /// [`DiskStats::rejected_offline`].
     fn reject_offline(&self) -> IoError {
         self.stats.borrow_mut().rejected_offline += 1;
         IoError::PowerLoss
@@ -396,15 +402,12 @@ impl Disk {
         {
             let mut st = self.inner.st.borrow_mut();
             // Every media op in flight dies; each in-flight *write* commits
-            // a prefix. Sectors are written atomically and in order; a torn
-            // multi-sector write commits the prefix the head had completed.
-            // Power-loss-protected flash finishes the whole command from
-            // stored energy.
+            // a prefix (a read has no segments to commit). Sectors are
+            // written atomically and in order; a torn multi-sector write
+            // commits the prefix the head had completed. Power-loss-protected
+            // flash finishes the whole command from stored energy.
             let inflight = std::mem::take(&mut st.inflight);
             for inf in inflight.into_values() {
-                if !inf.is_write {
-                    continue;
-                }
                 let committed = if self.inner.spec.timing.torn_writes() {
                     let frac = if inf.duration.is_zero() {
                         1.0
@@ -433,302 +436,202 @@ impl Disk {
         );
     }
 
-    fn check_access(&self, sector: u64, len: usize) -> IoResult<u64> {
-        if len == 0 || !len.is_multiple_of(SECTOR_SIZE) {
-            return Err(IoError::Misaligned { len });
-        }
-        let count = (len / SECTOR_SIZE) as u64;
-        self.inner.geometry.check(sector, count)?;
-        Ok(count)
-    }
-
     /// Carries one request to completion in the caller's task: the one
-    /// place the disk tells request kinds apart. The queued form
-    /// ([`BlockDevice::submit`]) runs this in a task of its own.
+    /// place the disk tells request kinds apart (a read and a write share
+    /// `media_op`). The queued form ([`BlockDevice::submit`]) runs this in
+    /// a task of its own.
     pub async fn exec(&self, req: IoReq) -> IoResult<Option<SectorBuf>> {
         match req {
             IoReq::Read { sector, sectors } => {
                 // `sectors` is the guest's: in range before it sizes a buffer.
                 self.inner.geometry.check(sector, sectors)?;
+                self.arrive(|s| s.reads += 1)?;
                 let mut buf = vec![0u8; sectors as usize * SECTOR_SIZE];
-                self.read(sector, &mut buf).await?;
+                self.media_op(sector, sectors, Transfer::Read(&mut buf))
+                    .await?;
                 Ok(Some(SectorBuf::from_vec(buf)))
             }
+            // `fua` is ignored: the disk has no volatile cache to bypass.
             IoReq::Write {
-                sector,
-                segments,
-                fua,
+                sector, segments, ..
             } => {
-                self.write_segments(sector, segments, fua).await?;
+                let len: usize = segments.iter().map(SectorBuf::len).sum();
+                if len == 0 || !len.is_multiple_of(SECTOR_SIZE) {
+                    return Err(IoError::Misaligned { len });
+                }
+                let count = (len / SECTOR_SIZE) as u64;
+                self.inner.geometry.check(sector, count)?;
+                if let Some(seg) = segments
+                    .iter()
+                    .find(|s| s.is_empty() || !s.len().is_multiple_of(SECTOR_SIZE))
+                {
+                    return Err(IoError::Misaligned { len: seg.len() });
+                }
+                self.arrive(|s| s.writes += 1)?;
+                self.media_op(sector, count, Transfer::Write(segments))
+                    .await?;
                 Ok(None)
             }
-            IoReq::Flush => self.flush().await.map(|()| None),
+            IoReq::Flush => {
+                self.arrive(|s| s.flushes += 1)?;
+                self.media_flush().await.map(|()| None)
+            }
             // Advisory, and this model keeps no mapping to drop: done,
             // with the media, its gate and the head where they were.
             IoReq::Trim { .. } => Ok(None),
         }
     }
 
-    /// Reads `buf.len() / 512` sectors starting at `sector` from the media.
-    pub async fn read(&self, sector: u64, buf: &mut [u8]) -> IoResult<()> {
-        let count = self.check_access(sector, buf.len())?;
+    /// A well-formed request arrives: refused with [`IoError::PowerLoss`]
+    /// (and counted only as that) while the device is offline, else counted
+    /// by `count`.
+    fn arrive(&self, count: impl FnOnce(&mut DiskStats)) -> IoResult<()> {
         if self.inner.offline.get() {
             return Err(self.inner.reject_offline());
         }
-        self.inner.stats.borrow_mut().reads += 1;
-        let _permit = self.inner.media_gate.acquire(1).await;
-        if self.inner.offline.get() {
-            return Err(self.inner.reject_offline());
+        count(&mut self.inner.stats.borrow_mut());
+        Ok(())
+    }
+
+    /// One media operation on `count` sectors from `sector`, read or write:
+    /// the media gate, the fault plan and its stall, the service time with
+    /// the operation in flight (where a power cut finds it), its
+    /// `media_read` / `media_write` span and the counters. Only the landing
+    /// tells the two apart: a read copies the store into its buffer, a
+    /// write lays its segments onto the store.
+    async fn media_op(&self, sector: u64, count: u64, xfer: Transfer<'_>) -> IoResult<()> {
+        let inner = &*self.inner;
+        let write = matches!(xfer, Transfer::Write(_));
+        let span = if write { "media_write" } else { "media_read" };
+        let _permit = inner.media_gate.acquire(1).await;
+        if inner.offline.get() {
+            return Err(inner.reject_offline());
         }
-        let plan = self.inner.plan_faults(sector, count, false);
-        self.inner.serve_stall(&plan, sector).await?;
-        let epoch = self.inner.power_epoch.get();
+        let plan = inner.plan_faults(sector, count, write);
+        inner.serve_stall(&plan, sector).await?;
+        let epoch = inner.power_epoch.get();
         let (dur, ticket) = {
-            let mut st = self.inner.st.borrow_mut();
-            let parts = st
-                .timing
-                .service(self.inner.ctx.now(), sector, count, false);
+            let mut st = inner.st.borrow_mut();
+            let now = inner.ctx.now();
+            let parts = st.timing.service(now, sector, count, write);
             let dur = parts.total();
             let ticket = st.next_ticket;
             st.next_ticket += 1;
+            let segments = match &xfer {
+                Transfer::Read(_) => Vec::new(),
+                Transfer::Write(segments) => segments.clone(),
+            };
             st.inflight.insert(
                 ticket,
                 Inflight {
                     sector,
                     nsectors: count,
-                    is_write: false,
-                    segments: Vec::new(),
-                    start: self.inner.ctx.now(),
+                    segments,
+                    start: now,
                     duration: dur,
                 },
             );
-            self.inner.tracer.begin(
-                self.inner.ctx.now(),
-                Layer::Disk,
-                "media_read",
-                self.inner.io_payload(sector, count, false, parts),
-            );
+            let payload = inner.io_payload(sector, count, write, parts);
+            inner.tracer.begin(now, Layer::Disk, span, payload);
             (dur, ticket)
         };
-        self.inner.ctx.sleep(dur).await;
-        if self.inner.power_epoch.get() != epoch {
-            self.inner.tracer.end(
-                self.inner.ctx.now(),
-                Layer::Disk,
-                "media_read",
-                Payload::Text { text: "power_loss" },
-            );
-            return Err(self.inner.reject_offline());
-        }
-        self.inner.tracer.end(
-            self.inner.ctx.now(),
-            Layer::Disk,
-            "media_read",
-            match plan.outcome {
-                Some(IoError::Transient) => Payload::Text { text: "transient" },
-                Some(IoError::MediaError { .. }) => Payload::Text {
-                    text: "media_error",
-                },
-                _ => Payload::None,
-            },
-        );
-        if let Some(err) = plan.outcome {
-            self.inner.st.borrow_mut().inflight.remove(&ticket);
-            let mut stats = self.inner.stats.borrow_mut();
-            stats.media_ops += 1;
-            stats.busy += dur;
-            drop(stats);
-            return Err(self.inner.book_failure(err));
-        }
-        let mut st = self.inner.st.borrow_mut();
-        st.inflight.remove(&ticket);
-        st.store.read_run(sector, buf);
-        let mut stats = self.inner.stats.borrow_mut();
-        stats.media_ops += 1;
-        stats.sectors_read += count;
-        stats.busy += dur;
-        Ok(())
-    }
-
-    /// Writes `data` starting at `sector`; the data is on media when this
-    /// returns. `fua` is accepted and ignored: the disk has no volatile
-    /// cache to bypass.
-    pub async fn write(&self, sector: u64, data: &[u8], fua: bool) -> IoResult<()> {
-        // One copy into a reference-counted buffer, standing in for the DMA
-        // setup a borrowed slice cannot avoid; owned-buffer callers use
-        // [`Disk::write_segments`] and skip it.
-        self.write_segments(sector, vec![SectorBuf::copy_from(data)], fua)
-            .await
-    }
-
-    /// Vectored write: lays `segments` down back to back from `sector`, as
-    /// one device command. This is the zero-copy entry point — the segments
-    /// are viewed, not copied, until they land on the media store. `fua` is
-    /// ignored, as in [`Disk::write`].
-    pub async fn write_segments(
-        &self,
-        sector: u64,
-        segments: Vec<SectorBuf>,
-        _fua: bool,
-    ) -> IoResult<()> {
-        let total: usize = segments.iter().map(SectorBuf::len).sum();
-        self.check_access(sector, total)?;
-        for seg in &segments {
-            if seg.is_empty() || !seg.len().is_multiple_of(SECTOR_SIZE) {
-                return Err(IoError::Misaligned { len: seg.len() });
-            }
-        }
-        if self.inner.offline.get() {
-            return Err(self.inner.reject_offline());
-        }
-        self.inner.stats.borrow_mut().writes += 1;
-        self.media_write_segments(sector, segments).await
-    }
-
-    /// Resolves once every acknowledged write is on stable media.
-    pub async fn flush(&self) -> IoResult<()> {
-        self.inner.stats.borrow_mut().flushes += 1;
-        let _permit = self.inner.media_gate.acquire(1).await;
-        if self.inner.offline.get() {
-            return Err(self.inner.reject_offline());
-        }
-        if self.inner.sick.get() {
-            return Err(self.inner.book_failure(IoError::Transient));
-        }
-        let epoch = self.inner.power_epoch.get();
-        let dur = self.inner.st.borrow().timing.flush_time();
-        self.inner.tracer.begin(
-            self.inner.ctx.now(),
-            Layer::Disk,
-            "media_flush",
-            Payload::None,
-        );
-        self.inner.ctx.sleep(dur).await;
-        if self.inner.power_epoch.get() != epoch {
-            self.inner.tracer.end(
-                self.inner.ctx.now(),
-                Layer::Disk,
-                "media_flush",
-                Payload::Text { text: "power_loss" },
-            );
-            return Err(self.inner.reject_offline());
-        }
-        self.inner.tracer.end(
-            self.inner.ctx.now(),
-            Layer::Disk,
-            "media_flush",
-            Payload::None,
-        );
-        Ok(())
-    }
-
-    async fn media_write_segments(&self, sector: u64, segments: Vec<SectorBuf>) -> IoResult<()> {
-        let count: u64 = segments
-            .iter()
-            .map(|s| (s.len() / SECTOR_SIZE) as u64)
-            .sum();
-        let _permit = self.inner.media_gate.acquire(1).await;
-        if self.inner.offline.get() {
-            return Err(self.inner.reject_offline());
-        }
-        let plan = self.inner.plan_faults(sector, count, true);
-        self.inner.serve_stall(&plan, sector).await?;
-        let epoch = self.inner.power_epoch.get();
-        let (dur, ticket) = {
-            let mut st = self.inner.st.borrow_mut();
-            let parts = st.timing.service(self.inner.ctx.now(), sector, count, true);
-            let dur = parts.total();
-            let ticket = st.next_ticket;
-            st.next_ticket += 1;
-            st.inflight.insert(
-                ticket,
-                Inflight {
-                    sector,
-                    nsectors: count,
-                    is_write: true,
-                    segments: segments.clone(),
-                    start: self.inner.ctx.now(),
-                    duration: dur,
-                },
-            );
-            self.inner.tracer.begin(
-                self.inner.ctx.now(),
-                Layer::Disk,
-                "media_write",
-                self.inner.io_payload(sector, count, true, parts),
-            );
-            (dur, ticket)
-        };
-        self.inner.ctx.sleep(dur).await;
-        if self.inner.power_epoch.get() != epoch {
+        inner.ctx.sleep(dur).await;
+        let now = inner.ctx.now();
+        if inner.power_epoch.get() != epoch {
             // The power-cut handler already disposed of the in-flight op
-            // (committing a torn prefix if configured).
-            self.inner.tracer.end(
-                self.inner.ctx.now(),
-                Layer::Disk,
-                "media_write",
-                Payload::Text { text: "power_loss" },
-            );
-            return Err(self.inner.reject_offline());
+            // (committing a torn prefix of a write if configured).
+            let lost = Payload::Text { text: "power_loss" };
+            inner.tracer.end(now, Layer::Disk, span, lost);
+            return Err(inner.reject_offline());
         }
-        self.inner.tracer.end(
-            self.inner.ctx.now(),
-            Layer::Disk,
-            "media_write",
-            match plan.outcome {
-                Some(IoError::Transient) => Payload::Text { text: "transient" },
-                Some(IoError::MediaError { .. }) => Payload::Text {
-                    text: "media_error",
-                },
-                _ => Payload::None,
+        let end = match plan.outcome {
+            Some(IoError::Transient) => Payload::Text { text: "transient" },
+            Some(IoError::MediaError { .. }) => Payload::Text {
+                text: "media_error",
             },
-        );
-        if let Some(err) = plan.outcome {
-            let mut st = self.inner.st.borrow_mut();
-            st.inflight.remove(&ticket);
-            // A media error mid-transfer commits the sectors before the
-            // defect — the head wrote them before hitting the bad one. A
-            // transient abort commits nothing.
-            if let IoError::MediaError { sector: bad } = err {
-                commit_prefix(&mut st.store, sector, &segments, bad - sector);
-            }
-            drop(st);
-            let mut stats = self.inner.stats.borrow_mut();
-            stats.media_ops += 1;
-            stats.busy += dur;
-            drop(stats);
-            return Err(self.inner.book_failure(err));
-        }
-        let mut st = self.inner.st.borrow_mut();
+            _ => Payload::None,
+        };
+        inner.tracer.end(now, Layer::Disk, span, end);
+        let mut st = inner.st.borrow_mut();
         st.inflight.remove(&ticket);
-        // The one real copy on the acknowledged-byte path: segments land on
-        // the media store, like DMA completing into the platter.
-        st.store.write_segments(sector, &segments);
-        // Silent corruption: the op reports success, but one sector's
-        // contents landed wrong. Only a later read-back can notice.
-        if let Some(cs) = plan.corrupt {
-            let mut sec = vec![0u8; SECTOR_SIZE];
-            st.store.read_run(cs, &mut sec);
-            for b in sec.iter_mut().take(32) {
-                *b ^= 0xA5;
-            }
-            st.store.write_run(cs, &sec);
-            self.inner.stats.borrow_mut().corrupt_sectors += 1;
-            self.inner.tracer.instant(
-                self.inner.ctx.now(),
-                Layer::Disk,
-                "disk_corrupt",
-                Payload::Fault {
-                    kind: "corrupt",
-                    sector: cs,
-                },
-            );
-        }
-        drop(st);
-        let mut stats = self.inner.stats.borrow_mut();
+        let mut stats = inner.stats.borrow_mut();
         stats.media_ops += 1;
-        stats.sectors_written += count;
         stats.busy += dur;
+        if let Some(err) = plan.outcome {
+            // A media error mid-write commits the sectors before the defect
+            // — the head wrote them before hitting the bad one. A transient
+            // abort commits nothing, and a failed read returns nothing.
+            if let (IoError::MediaError { sector: bad }, Transfer::Write(segments)) = (err, &xfer) {
+                commit_prefix(&mut st.store, sector, segments, bad - sector);
+            }
+            drop((st, stats));
+            return Err(inner.book_failure(err));
+        }
+        match xfer {
+            Transfer::Read(buf) => {
+                st.store.read_run(sector, buf);
+                stats.sectors_read += count;
+            }
+            Transfer::Write(segments) => {
+                // The one real copy on the acknowledged-byte path: segments
+                // land on the media store, like DMA completing into the
+                // platter.
+                st.store.write_segments(sector, &segments);
+                stats.sectors_written += count;
+                // Silent corruption: the op reports success, but one
+                // sector's contents landed wrong. Only a later read-back
+                // can notice.
+                if let Some(cs) = plan.corrupt {
+                    let mut sec = vec![0u8; SECTOR_SIZE];
+                    st.store.read_run(cs, &mut sec);
+                    for b in sec.iter_mut().take(32) {
+                        *b ^= 0xA5;
+                    }
+                    st.store.write_run(cs, &sec);
+                    stats.corrupt_sectors += 1;
+                    let fault = Payload::Fault {
+                        kind: "corrupt",
+                        sector: cs,
+                    };
+                    inner
+                        .tracer
+                        .instant(now, Layer::Disk, "disk_corrupt", fault);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Resolves once every acknowledged write is on stable media: the media
+    /// gate and the drive's flush time, with no sectors moved.
+    async fn media_flush(&self) -> IoResult<()> {
+        let inner = &*self.inner;
+        let _permit = inner.media_gate.acquire(1).await;
+        if inner.offline.get() {
+            return Err(inner.reject_offline());
+        }
+        if inner.sick.get() {
+            return Err(inner.book_failure(IoError::Transient));
+        }
+        let epoch = inner.power_epoch.get();
+        let dur = inner.st.borrow().timing.flush_time();
+        let start = inner.ctx.now();
+        inner
+            .tracer
+            .begin(start, Layer::Disk, "media_flush", Payload::None);
+        inner.ctx.sleep(dur).await;
+        let lost = inner.power_epoch.get() != epoch;
+        let end = if lost {
+            Payload::Text { text: "power_loss" }
+        } else {
+            Payload::None
+        };
+        inner
+            .tracer
+            .end(inner.ctx.now(), Layer::Disk, "media_flush", end);
+        if lost {
+            return Err(inner.reject_offline());
+        }
         Ok(())
     }
 
@@ -782,10 +685,6 @@ impl BlockDevice for Disk {
                 disk.inner.queue.finish(token, outcome);
             });
         token
-    }
-
-    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-        Box::pin(self.inner.queue.completions())
     }
 
     fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
@@ -1062,31 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn completions_drain_all_finished_requests() {
-        run_on_disk(specs::instant(1 << 20), |_ctx, disk| async move {
-            let a = disk.submit(IoReq::Write {
-                sector: 0,
-                segments: vec![SectorBuf::from_vec(pattern(SECTOR_SIZE, 1))],
-                fua: true,
-            });
-            let b = disk.submit(IoReq::Write {
-                sector: 4,
-                segments: vec![SectorBuf::from_vec(pattern(SECTOR_SIZE, 2))],
-                fua: true,
-            });
-            let mut seen = Vec::new();
-            while seen.len() < 2 {
-                for c in disk.completions().await {
-                    assert_eq!(c.result, Ok(()));
-                    seen.push(c.token);
-                }
-            }
-            seen.sort();
-            assert_eq!(seen, vec![a, b]);
-        });
-    }
-
-    #[test]
     fn ssd_channels_serve_writes_concurrently() {
         // Four 15 µs writes: depth 1 takes ~4× as long as four channels.
         fn elapsed(channels: u32) -> SimTime {
@@ -1158,7 +1032,12 @@ mod tests {
             for s in &segs {
                 expect.extend_from_slice(s.as_slice());
             }
-            disk.write_segments(20, segs, true).await.unwrap();
+            let req = IoReq::Write {
+                sector: 20,
+                segments: segs,
+                fua: true,
+            };
+            disk.exec(req).await.unwrap();
             let s = disk.stats();
             assert_eq!(s.media_ops, 1, "one command for the whole run");
             assert_eq!(s.sectors_written, 6);
@@ -1178,10 +1057,12 @@ mod tests {
                 // check can catch the bad one.
                 SectorBuf::from_vec(vec![0u8; SECTOR_SIZE - 100]),
             ];
-            assert_eq!(
-                disk.write_segments(0, segs, true).await,
-                Err(IoError::Misaligned { len: 100 })
-            );
+            let req = IoReq::Write {
+                sector: 0,
+                segments: segs,
+                fua: true,
+            };
+            assert_eq!(disk.exec(req).await, Err(IoError::Misaligned { len: 100 }));
         });
     }
 
@@ -1192,8 +1073,13 @@ mod tests {
             let a = pattern(2 * SECTOR_SIZE, 0x40); // sectors 10,11
             let b = pattern(2 * SECTOR_SIZE, 0x50); // sectors 12,13
             let segs = vec![SectorBuf::from_vec(a.clone()), SectorBuf::from_vec(b)];
+            let req = IoReq::Write {
+                sector: 10,
+                segments: segs,
+                fua: true,
+            };
             assert_eq!(
-                disk.write_segments(10, segs, true).await,
+                disk.exec(req).await,
                 Err(IoError::MediaError { sector: 12 })
             );
             let mut buf = vec![0u8; SECTOR_SIZE];
@@ -1209,6 +1095,7 @@ mod tests {
 mod fault_tests {
     use super::*;
     use crate::spec::{specs, FaultProfile};
+    use rapilog_simcore::trace::Phase;
     use rapilog_simcore::{Sim, SimTime};
 
     fn run_with_faults<F, Fut>(spec: DiskSpec, f: F) -> (Disk, SimTime)
@@ -1376,18 +1263,260 @@ mod fault_tests {
         assert_eq!(disk.stats().corrupt_sectors, 1);
     }
 
-    #[test]
-    fn offline_rejections_are_counted() {
-        let (disk, _) = run_with_faults(specs::instant(1 << 20), |_ctx, disk| async move {
-            disk.power_cut();
-            let data = vec![0u8; SECTOR_SIZE];
-            let mut buf = vec![0u8; SECTOR_SIZE];
-            assert_eq!(disk.write(0, &data, true).await, Err(IoError::PowerLoss));
-            assert_eq!(disk.read(0, &mut buf).await, Err(IoError::PowerLoss));
-            assert_eq!(disk.flush().await, Err(IoError::PowerLoss));
-            disk.power_restore();
-            disk.write(0, &data, true).await.unwrap();
+    /// Sectors in each request of the fault table, from sector [`AT`].
+    const N: u64 = 16;
+    const AT: u64 = 40;
+
+    /// What one request did to a fresh disk.
+    #[derive(Debug)]
+    struct Seen {
+        /// A read's sectors returned, or a write's sectors found on the
+        /// media from [`AT`] on (the committed prefix), or the error.
+        result: Result<u64, IoError>,
+        /// The leading sectors of a write that reached the media, error or
+        /// not; a read always leaves the media as it was.
+        landed: u64,
+        stats: DiskStats,
+        /// Payload of the end of the request's media span, if it had one.
+        span_end: Option<Payload>,
+        took: SimDuration,
+    }
+
+    /// Runs one read or write of [`N`] sectors on a fresh disk after
+    /// `setup`, cutting power `cut` after it is issued.
+    fn one_request(
+        spec: DiskSpec,
+        write: bool,
+        setup: fn(&Disk),
+        cut: Option<SimDuration>,
+    ) -> Seen {
+        let mut sim = Sim::new(11);
+        let ctx = sim.ctx();
+        ctx.tracer().set_enabled(true);
+        let disk = Disk::new(&ctx, spec);
+        let data = (0..N as usize * SECTOR_SIZE)
+            .map(|i| (i % 251) as u8 + 1)
+            .collect::<Vec<u8>>();
+        if !write {
+            disk.poke_media(AT, &data);
+        }
+        setup(&disk);
+        let out = Rc::new(RefCell::new(None));
+        let (d, o, payload) = (disk.clone(), Rc::clone(&out), data.clone());
+        let c = ctx.clone();
+        sim.spawn(async move {
+            let req = if write {
+                IoReq::Write {
+                    sector: AT,
+                    segments: vec![SectorBuf::from_vec(payload)],
+                    fua: true,
+                }
+            } else {
+                IoReq::Read {
+                    sector: AT,
+                    sectors: N,
+                }
+            };
+            let got = d.exec(req).await;
+            *o.borrow_mut() = Some((got, c.now()));
         });
-        assert_eq!(disk.stats().rejected_offline, 3);
+        if let Some(after) = cut {
+            let (d, c) = (disk.clone(), ctx.clone());
+            sim.spawn(async move {
+                c.sleep(after).await;
+                d.power_cut();
+            });
+        }
+        sim.run();
+        let (got, at) = out.borrow_mut().take().expect("the request finished");
+        let mut sector = vec![0u8; SECTOR_SIZE];
+        let landed = (0..N)
+            .take_while(|&i| {
+                disk.peek_media(AT + i, &mut sector);
+                let i = i as usize;
+                sector == data[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE]
+            })
+            .count() as u64;
+        let result = match got {
+            Ok(Some(buf)) => {
+                assert_eq!(buf.as_slice(), &data[..], "a read returns the media");
+                Ok(N)
+            }
+            Ok(None) => Ok(landed),
+            Err(e) => Err(e),
+        };
+        let name = if write { "media_write" } else { "media_read" };
+        let span_end = ctx
+            .tracer()
+            .snapshot()
+            .events
+            .iter()
+            .rfind(|e| e.layer == Layer::Disk && e.phase == Phase::End && e.name == name)
+            .map(|e| e.payload);
+        Seen {
+            result,
+            landed: if write { landed } else { 0 },
+            stats: disk.stats(),
+            span_end,
+            took: at - SimTime::ZERO,
+        }
+    }
+
+    /// Every outcome of the fault model, on a read and on a write of the
+    /// same sectors: the result, the counters it moves (on a fresh disk,
+    /// the stats are the deltas), how its media span ends, and what reaches
+    /// the media. A read and a write differ only where the landing does: a
+    /// read counts `reads` / `sectors_read`, a write `writes` /
+    /// `sectors_written`, and a failed write can leave a prefix behind.
+    #[test]
+    fn every_fault_outcome_is_the_same_on_a_read_and_a_write() {
+        let instant = specs::instant(1 << 20);
+        let stall = SimDuration::from_millis(25);
+        let stalled = instant.clone().with_faults(FaultProfile {
+            seed: 3,
+            stall_rate: 1.0,
+            stall,
+            ..FaultProfile::default()
+        });
+        let transient = instant.clone().with_faults(FaultProfile::transient(4, 1.0));
+        let none = |_: &Disk| {};
+        let text = |text| Some(Payload::Text { text });
+        for write in [false, true] {
+            let dir = if write { "write" } else { "read" };
+            // The counters a request moves, beside the per-case ones.
+            let counted = |s: DiskStats, sectors: u64| {
+                let mut s = s;
+                if write {
+                    s.writes += 1;
+                    s.sectors_written += sectors;
+                } else {
+                    s.reads += 1;
+                    s.sectors_read += sectors;
+                }
+                s
+            };
+            let media = |s: DiskStats| DiskStats { media_ops: 1, ..s };
+            let base = DiskStats::default();
+            let check = |case: &str, seen: &Seen, stats: DiskStats, span: Option<Payload>| {
+                let mut want = stats;
+                want.busy = seen.stats.busy;
+                assert_eq!(seen.stats, want, "{dir} {case}: counters");
+                assert!(
+                    want.media_ops > 0 || seen.stats.busy.is_zero(),
+                    "{dir} {case}: busy time without a finished media op"
+                );
+                assert_eq!(seen.span_end, span, "{dir} {case}: media span end");
+            };
+
+            let seen = one_request(instant.clone(), write, none, None);
+            assert_eq!(
+                (seen.result, seen.landed),
+                (Ok(N), if write { N } else { 0 })
+            );
+            check("clean", &seen, media(counted(base, N)), Some(Payload::None));
+
+            let seen = one_request(stalled.clone(), write, none, None);
+            assert_eq!(seen.result, Ok(N), "{dir} stall");
+            assert!(seen.took >= stall, "{dir}: the stall shows in latency");
+            let want = DiskStats {
+                stalls: 1,
+                ..media(counted(base, N))
+            };
+            check("stall", &seen, want, Some(Payload::None));
+
+            let seen = one_request(transient.clone(), write, none, None);
+            assert_eq!((seen.result, seen.landed), (Err(IoError::Transient), 0));
+            let want = DiskStats {
+                transient_errors: 1,
+                ..media(counted(base, 0))
+            };
+            check("transient", &seen, want, text("transient"));
+
+            // A defect two sectors in: a write commits the two before it.
+            let seen = one_request(instant.clone(), write, |d| d.mark_bad(AT + 2), None);
+            let err = IoError::MediaError { sector: AT + 2 };
+            assert_eq!(seen.result, Err(err), "{dir} defect");
+            assert_eq!(seen.landed, if write { 2 } else { 0 }, "{dir} defect");
+            let want = DiskStats {
+                media_errors: 1,
+                ..media(counted(base, 0))
+            };
+            check("defect", &seen, want, text("media_error"));
+
+            let seen = one_request(instant.clone(), write, |d| d.set_sick(true), None);
+            assert_eq!((seen.result, seen.landed), (Err(IoError::Transient), 0));
+            let want = DiskStats {
+                transient_errors: 1,
+                ..media(counted(base, 0))
+            };
+            check("sick", &seen, want, text("transient"));
+
+            // Power cut halfway through the media op: a rotating disk
+            // commits the prefix the head had passed, power-loss-protected
+            // flash the whole write.
+            for spec in [specs::hdd_7200(1 << 30), specs::ssd_sata(1 << 30)] {
+                let torn = spec.timing.torn_writes();
+                let full = one_request(spec.clone(), write, none, None).took;
+                let seen = one_request(spec, write, none, Some(full / 2));
+                assert_eq!(seen.result, Err(IoError::PowerLoss), "{dir} cut");
+                match (write, torn) {
+                    (false, _) => assert_eq!(seen.landed, 0),
+                    (true, true) => assert!(
+                        seen.landed > 0 && seen.landed < N,
+                        "torn write landed {} of {N}",
+                        seen.landed
+                    ),
+                    (true, false) => assert_eq!(seen.landed, N, "flash finishes"),
+                }
+                let want = DiskStats {
+                    rejected_offline: 1,
+                    ..counted(base, 0)
+                };
+                check("cut", &seen, want, text("power_loss"));
+            }
+
+            // Offline on arrival: refused, counted only as refused.
+            let seen = one_request(instant.clone(), write, |d| d.power_cut(), None);
+            assert_eq!((seen.result, seen.landed), (Err(IoError::PowerLoss), 0));
+            let want = DiskStats {
+                rejected_offline: 1,
+                ..base
+            };
+            check("offline", &seen, want, None);
+        }
+        // A flush meets the same arrival check and moves no sectors.
+        let flushed = DiskStats {
+            flushes: 1,
+            ..DiskStats::default()
+        };
+        let cases: [(&str, fn(&Disk), IoResult<()>, DiskStats); 3] = [
+            ("clean", none, Ok(()), flushed),
+            (
+                "sick",
+                |d| d.set_sick(true),
+                Err(IoError::Transient),
+                DiskStats {
+                    transient_errors: 1,
+                    ..flushed
+                },
+            ),
+            (
+                "offline",
+                |d| d.power_cut(),
+                Err(IoError::PowerLoss),
+                DiskStats {
+                    rejected_offline: 1,
+                    ..DiskStats::default()
+                },
+            ),
+        ];
+        for (case, setup, result, want) in cases {
+            let (disk, _) = run_with_faults(instant.clone(), move |_ctx, disk| async move {
+                setup(&disk);
+                let got = disk.exec(IoReq::Flush).await.map(|_| ());
+                assert_eq!(got, result, "flush {case}");
+            });
+            assert_eq!(disk.stats(), want, "flush {case}: counters");
+        }
     }
 }

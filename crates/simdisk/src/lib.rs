@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use rapilog_simcore::Sim;
-//! use rapilog_simdisk::{specs, Disk};
+//! use rapilog_simdisk::{specs, BlockDevice, Disk};
 //!
 //! let mut sim = Sim::new(1);
 //! let ctx = sim.ctx();
@@ -155,8 +155,8 @@ impl Geometry {
 /// One request to a [`BlockDevice`].
 ///
 /// Carried out inline by [`BlockDevice::exec`], or queued with
-/// [`BlockDevice::submit`], in which case the matching [`Completion`]
-/// carries the result (and, for reads, the data).
+/// [`BlockDevice::submit`], in which case [`BlockDevice::wait`] on its
+/// token yields the result (and, for reads, the data).
 #[derive(Debug, Clone)]
 pub enum IoReq {
     /// Read `sectors` sectors starting at `sector`.
@@ -197,22 +197,9 @@ pub enum IoReq {
 /// Opaque handle identifying a submitted request.
 ///
 /// Tokens are unique per device instance and must be claimed exactly once,
-/// via [`BlockDevice::wait`], [`BlockDevice::completions`] or
-/// [`BlockDevice::discard`].
+/// via [`BlockDevice::wait`] or [`BlockDevice::discard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReqToken(pub(crate) u64);
-
-/// The finished half of a queued request.
-#[derive(Debug, Clone)]
-pub struct Completion {
-    /// Token returned by the [`BlockDevice::submit`] that started this
-    /// request.
-    pub token: ReqToken,
-    /// Outcome of the request.
-    pub result: IoResult<()>,
-    /// Data of a completed read; `None` for writes, flushes, and errors.
-    pub data: Option<SectorBuf>,
-}
 
 /// An asynchronous, sector-addressed block device.
 ///
@@ -231,9 +218,8 @@ pub struct Completion {
 /// * **The queued form.** [`submit`](BlockDevice::submit) hands out a
 ///   [`ReqToken`], runs `exec` in a task of its own and files the result
 ///   under the token ([`IoQueue::submit`] is that, written once);
-///   [`wait`](BlockDevice::wait) (one token),
-///   [`completions`](BlockDevice::completions) (everything finished) and
-///   [`discard`](BlockDevice::discard) go to the device's [`IoQueue`].
+///   [`wait`](BlockDevice::wait) and [`discard`](BlockDevice::discard) go
+///   to the device's [`IoQueue`].
 ///   Multiple requests may be outstanding at once — up to
 ///   [`Geometry::queue_depth`] of them make media progress concurrently —
 ///   which is what lets the RapiLog drain keep several flash channels busy.
@@ -249,10 +235,6 @@ pub struct Completion {
 /// device's `exec`, so a request crosses the whole stack in the task that
 /// issued it and is counted by the [`IoQueue`] of the device it was
 /// submitted to, not by those underneath.
-///
-/// Each token must be claimed exactly once, through `wait`, `completions`
-/// or `discard`: `completions` drains every unclaimed result, so mixing it
-/// with `wait` on one device handle steals tokens from the `wait`ers.
 ///
 /// Every device answers a malformed request the same way: a write with no
 /// bytes (or no segments) and a zero-sector read are
@@ -271,10 +253,6 @@ pub trait BlockDevice {
     /// control beyond [`Geometry::queue_depth`] happens inside the device,
     /// not at submission.
     fn submit(&self, req: IoReq) -> ReqToken;
-
-    /// Waits until at least one submitted request has finished, then
-    /// returns every unclaimed [`Completion`] (ascending token order).
-    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>>;
 
     /// Waits for one specific request and takes its result; a completed
     /// read yields `Some(data)`.
@@ -361,9 +339,8 @@ pub fn flatten(segments: &mut Vec<SectorBuf>) {
 
 /// One contiguous scatter-gather write: `segments` laid out back to back
 /// starting at `sector`. Produced by the RapiLog drain's consolidation pass,
-/// which writes each run as one device request
-/// ([`Disk::write_segments`](crate::Disk::write_segments)): the segments are
-/// copied onto the media in a single operation — the one real copy on the
+/// which writes each run as one [`IoReq::Write`]: the segments are copied
+/// onto the media in a single operation — the one real copy on the
 /// acknowledged-byte path.
 #[derive(Debug, Clone)]
 pub struct IoRun {

@@ -21,7 +21,7 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::sync::Notify;
 use rapilog_simcore::{DomainId, SimCtx};
 
-use crate::{BlockDevice, Completion, IoReq, IoResult, ReqToken};
+use crate::{BlockDevice, IoReq, IoResult, ReqToken};
 
 /// What the mailbox stores per finished request: what `exec` returned
 /// (a completed read carries its payload).
@@ -32,10 +32,9 @@ type Finished = IoResult<Option<SectorBuf>>;
 /// Single-threaded (sim tasks are cooperative), so plain `Cell`/`RefCell`
 /// interior mutability is enough. A device's `submit` is
 /// [`submit`](IoQueue::submit) on its queue; submitters call
-/// [`wait`](IoQueue::wait) for one token or
-/// [`completions`](IoQueue::completions) to drain everything that has
-/// finished. A submitter that no longer wants a result calls
-/// [`forget`](IoQueue::forget) instead of claiming it.
+/// [`wait`](IoQueue::wait) for their token's result. A submitter that no
+/// longer wants a result calls [`forget`](IoQueue::forget) instead of
+/// claiming it.
 #[derive(Default)]
 pub struct IoQueue {
     next_token: Cell<u64>,
@@ -98,10 +97,9 @@ impl IoQueue {
 
     /// Gives up the claim on `token` without waiting for it. A result that
     /// has already arrived is dropped now; one still in flight is dropped
-    /// when the device [`finish`](IoQueue::finish)es it, so neither
-    /// [`wait`](IoQueue::wait) nor [`completions`](IoQueue::completions)
-    /// ever sees it. The request itself still runs to completion on the
-    /// device. Counts as the token's one claim.
+    /// when the device [`finish`](IoQueue::finish)es it. The request itself
+    /// still runs to completion on the device. Counts as the token's one
+    /// claim.
     pub fn forget(&self, token: ReqToken) {
         if self.done.borrow_mut().remove(&token.0).is_none() {
             self.forgotten.borrow_mut().insert(token.0);
@@ -121,40 +119,11 @@ impl IoQueue {
 
     /// Waits for the request identified by `token` and takes its result.
     /// Each token must be claimed exactly once, through either `wait` or
-    /// [`completions`](IoQueue::completions) — never both.
+    /// [`forget`](IoQueue::forget).
     pub async fn wait(&self, token: ReqToken) -> IoResult<Option<SectorBuf>> {
         loop {
             if let Some(outcome) = self.done.borrow_mut().remove(&token.0) {
                 return outcome;
-            }
-            self.notify.notified().await;
-        }
-    }
-
-    /// Waits until at least one request has finished, then drains and
-    /// returns every unclaimed completion (ascending token order).
-    pub async fn completions(&self) -> Vec<Completion> {
-        loop {
-            {
-                let mut done = self.done.borrow_mut();
-                if !done.is_empty() {
-                    let mut out: Vec<Completion> = done
-                        .drain()
-                        .map(|(t, outcome)| {
-                            let (result, data) = match outcome {
-                                Ok(data) => (Ok(()), data),
-                                Err(e) => (Err(e), None),
-                            };
-                            Completion {
-                                token: ReqToken(t),
-                                result,
-                                data,
-                            }
-                        })
-                        .collect();
-                    out.sort_by_key(|c| c.token.0);
-                    return out;
-                }
             }
             self.notify.notified().await;
         }
@@ -190,25 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn completions_drains_everything_finished() {
-        let mut sim = Sim::new(7);
-        let q = Rc::new(IoQueue::new());
-        let a = q.issue();
-        let b = q.issue();
-        q.finish(b, Ok(Some(SectorBuf::from_vec(vec![1u8; 512]))));
-        q.finish(a, Ok(None));
-        let q2 = Rc::clone(&q);
-        sim.spawn(async move {
-            let got = q2.completions().await;
-            assert_eq!(got.len(), 2);
-            assert_eq!(got[0].token, a);
-            assert_eq!(got[1].token, b);
-            assert_eq!(got[1].data.as_ref().map(|d| d.len()), Some(512));
-        });
-        sim.run();
-    }
-
-    #[test]
     fn forget_before_finish_drops_the_completion_on_arrival() {
         let q = IoQueue::new();
         let a = q.issue();
@@ -230,28 +180,5 @@ mod tests {
         assert_eq!(q.outstanding(), 0);
         assert!(q.done.borrow().is_empty());
         assert!(q.forgotten.borrow().is_empty());
-    }
-
-    #[test]
-    fn forgotten_tokens_are_invisible_to_completions() {
-        let mut sim = Sim::new(7);
-        let q = Rc::new(IoQueue::new());
-        let kept = q.issue();
-        let early = q.issue(); // forgotten while in flight
-        let late = q.issue(); // forgotten after it finished
-        q.forget(early);
-        q.finish(late, Ok(None));
-        q.forget(late);
-        q.finish(early, Ok(Some(SectorBuf::from_vec(vec![1u8; 512]))));
-        q.finish(kept, Ok(None));
-        let q2 = Rc::clone(&q);
-        sim.spawn(async move {
-            let got = q2.completions().await;
-            assert_eq!(got.len(), 1);
-            assert_eq!(got[0].token, kept);
-        });
-        sim.run();
-        assert_eq!(q.outstanding(), 0);
-        assert!(q.done.borrow().is_empty());
     }
 }

@@ -5,10 +5,17 @@
 #
 # (a) One request path. A device implements a request once, in
 #     `BlockDevice::exec`; `read`, `write`, `flush` and `write_buf` are
-#     provided by the trait and derive from it. Fails if a non-test
-#     `impl BlockDevice for` block defines one of the four again, or if the
-#     ring's private request enum (`BlkReq`) or the IPC front door nobody
-#     called (`crates/rapilog/src/service.rs`, `crates/microvisor/src/ipc.rs`)
+#     provided by the trait and derive from it, and a queued request is
+#     claimed by `wait` or `discard`. Fails if a non-test
+#     `impl BlockDevice for` block defines one of the four again; if a
+#     non-test `impl Disk` block has a `pub fn read`, `write`,
+#     `write_segments` or `flush` (the disk's one public request entry is
+#     `exec`, which carries a read or a write through one media operation);
+#     if `fn completions` or `struct Completion` (a second way to claim a
+#     token, which stole results from `wait`) reappears in the non-test part
+#     of a `crates/*/src` file; or if the ring's private request enum
+#     (`BlkReq`) or the IPC front door nobody called
+#     (`crates/rapilog/src/service.rs`, `crates/microvisor/src/ipc.rs`)
 #     reappear.
 # (b) The budgets: the non-test lines of each `crates/<crate>/src` (each file
 #     up to its first `#[cfg(test)]`) against that crate's line in
@@ -150,6 +157,22 @@ while IFS= read -r f; do
     ')
     if [[ -n "$hits" ]]; then
         echo "design_gate: FAIL  $f implements a derived method itself (handle the request in exec):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+    hits=$(non_test "$f" | awk '
+        /^impl Disk / { inside = 1 }
+        inside && /^}/ { inside = 0 }
+        inside && /^[[:space:]]*pub (async )?fn (read|write|write_segments|flush)[<(]/ { print FNR ": " $0 }
+    ')
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f gives Disk a second front door (its one public request entry is exec):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+    hits=$(non_test "$f" | grep -nE '\bfn completions\b|\bstruct Completion\b' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f claims tokens a second way (a queued request is claimed by wait or discard):" >&2
         echo "$hits" >&2
         fail=1
     fi
@@ -669,7 +692,7 @@ if ((fail)); then
     exit 1
 fi
 echo "design_gate: ok    every crate within its budget in $BUDGET"
-echo "design_gate: ok    one request path (no derived method re-implemented, no BlkReq, no service.rs/ipc.rs)"
+echo "design_gate: ok    one request path (no derived method re-implemented, no inherent Disk read/write/write_segments/flush, no completions, no BlkReq, no service.rs/ipc.rs)"
 echo "design_gate: ok    one recovery pipeline, one checkpoint (no RecoveryMode, fuzzy_checkpoints or flush_all)"
 echo "design_gate: ok    bytes move by the run (no enum Held, no per-sector FastMap<u64, Box<[u8; SECTOR_SIZE]>>)"
 echo "design_gate: ok    the buffer is the log's read cache (no reads_hold_disk, stand_aside, defer_to_reads, read_defers or const KEPT)"
