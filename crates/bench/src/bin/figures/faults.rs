@@ -78,7 +78,7 @@ fn summarize_crashes(title: &str, found: &Exploration<ExplorerConfig>) {
 /// acknowledged commit survives every crash point, with and without
 /// completion reordering.
 ///
-/// A multi-tenant sweep runs 4 equal-weight cells sharing one sharded
+/// A multi-tenant sweep runs 4 cells sharing one sharded
 /// RapiLog over the same fault kinds and demands the per-tenant durability
 /// invariant: no tenant loses acknowledged bytes and no tenant's sectors
 /// carry another tenant's data, at every crash point except the cells in
@@ -131,7 +131,7 @@ pub(super) fn crashpoint_sweep() -> bool {
         wall.as_secs_f64()
     );
 
-    // Multi-tenant sweep: 4 equal-weight cells sharing one sharded buffer,
+    // Multi-tenant sweep: 4 cells sharing one sharded buffer,
     // windowed drain. The trial itself audits the media image per tenant, so
     // a clean report means no tenant lost acked bytes and no sector leaked
     // across tenants at any crash point.

@@ -258,7 +258,7 @@ fn saturation_phase(quick: bool) -> TenantBytes {
 /// 2. **Saturation fairness.** The same four-tenant instance on a 7200 rpm
 ///    disk, every shard driven past its fair share by dedicated writers,
 ///    so per-tenant drained bytes measure exactly what the
-///    weighted-round-robin scheduler grants. Under equal weights the
+///    round-robin scheduler grants. With every shard's quantum equal the
 ///    min/max drained ratio must stay ≥ 0.5 (the CI floor; in practice it
 ///    sits near 1.0): a collapsed ratio means one tenant's log traffic
 ///    starved another's.

@@ -75,7 +75,7 @@ impl ExplorerConfig {
         }
     }
 
-    /// The multi-tenant sweep: four equal-weight tenants on one instance,
+    /// The multi-tenant sweep: four equal tenants on one instance,
     /// the windowed out-of-order drain, and the full fault-kind set. Every
     /// trial audits the per-tenant durability invariant (no tenant loses
     /// acknowledged bytes) and shard isolation (no tenant's sectors carry

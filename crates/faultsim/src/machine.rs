@@ -66,7 +66,7 @@ pub struct MachineConfig {
     /// RapiLog configuration (RapiLog setup).
     pub rapilog: RapiLogConfig,
     /// Tenants sharing the RapiLog instance (RapiLog setup). `1` is the
-    /// classic single-tenant machine; `n > 1` builds `n` equal-weight
+    /// classic single-tenant machine; `n > 1` builds `n` equal
     /// shards with tenant ids `0..n`, where tenant 0 carries the database
     /// WAL and the rest are synthetic co-tenant cells.
     pub tenants: usize,

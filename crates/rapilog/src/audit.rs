@@ -3,8 +3,10 @@
 //! The paper's guarantee is a theorem about the implementation; this module
 //! is the executable check of that theorem's premises in every run:
 //!
-//! * **I3 (order)** — media commits are observed in strictly increasing
-//!   sequence order;
+//! * **I3 (order)** — each tenant's media commits are observed in strictly
+//!   increasing order of its own sequence numbers, checked in that
+//!   tenant's section of the report (an instance with one tenant has one
+//!   section);
 //! * **I4 (bounded drain)** — when power fails, the occupancy snapshot at
 //!   the warning fits the drain budget, and the drain in fact finishes
 //!   before the residual deadline;
@@ -39,10 +41,10 @@ impl EmergencyOutcome {
     }
 }
 
-/// Per-tenant section of the audit report. Each tenant shard has its own
-/// sequence space, so ordering (I3) is checked against a per-tenant
-/// contiguous durable prefix, and lost bytes are attributed to the shard
-/// that held them when the drain died.
+/// Per-tenant section of the audit report, one for every shard of the
+/// instance. Each tenant shard has its own sequence space, so ordering (I3)
+/// is checked against a per-tenant contiguous durable prefix, and lost
+/// bytes are attributed to the shard that held them when the drain died.
 #[derive(Debug, Clone, Default)]
 pub struct TenantAudit {
     /// The tenant this section describes (`TenantId` raw value).
@@ -67,10 +69,6 @@ impl TenantAudit {
 /// The auditor's cumulative findings.
 #[derive(Debug, Clone, Default)]
 pub struct AuditReport {
-    /// Media commits observed.
-    pub commits: u64,
-    /// True if any commit arrived out of sequence order (I3 violation).
-    pub order_violated: bool,
     /// Power-failure episodes and their outcomes.
     pub emergencies: Vec<EmergencyOutcome>,
     /// Times the drain lost the device with bytes still buffered.
@@ -90,27 +88,24 @@ pub struct AuditReport {
     /// I3 tracks the contiguous durable *prefix*, which the drain reports
     /// only as it advances.
     pub ooo_retirements: u64,
-    /// Per-tenant sections (empty for single-tenant instances). The global
-    /// counters above aggregate across tenants; these attribute them.
+    /// One section per tenant shard, in shard order: the commits and the
+    /// ordering check (I3) live here, and the losses above are attributed.
     pub tenants: Vec<TenantAudit>,
 }
 
 impl AuditReport {
-    /// The headline verdict: ordering held, and every power-failure
-    /// episode drained in time. A drain failure is only acceptable if it
-    /// happened *after* the buffer had already emptied (then
-    /// `bytes_lost_at_failure` is zero). For multi-tenant instances the
-    /// same must hold for every tenant section individually.
+    /// The headline verdict: every tenant section held (ordering, no loss),
+    /// and every power-failure episode drained in time. A drain failure is
+    /// only acceptable if it happened *after* the buffer had already emptied
+    /// (then `bytes_lost_at_failure` is zero).
     pub fn guarantee_held(&self) -> bool {
-        !self.order_violated
-            && self.bytes_lost_at_failure == 0
+        self.bytes_lost_at_failure == 0
             && self.emergencies.iter().all(|e| e.met())
             && self.tenants.iter().all(|t| t.guarantee_held())
     }
 }
 
 struct AuditSt {
-    last_seq: Option<u64>,
     report: AuditReport,
     pending_emergency: Option<usize>,
 }
@@ -146,23 +141,10 @@ impl Audit {
         Audit {
             ctx: ctx.clone(),
             st: Rc::new(RefCell::new(AuditSt {
-                last_seq: None,
                 report: AuditReport::default(),
                 pending_emergency: None,
             })),
         }
-    }
-
-    /// Records a media commit of every extent up to `seq`.
-    pub fn record_commit(&self, seq: u64) {
-        let mut st = self.st.borrow_mut();
-        if let Some(last) = st.last_seq {
-            if seq <= last {
-                st.report.order_violated = true;
-            }
-        }
-        st.last_seq = Some(seq);
-        st.report.commits += 1;
     }
 
     /// Registers a tenant section up front so reports list every tenant
@@ -172,10 +154,7 @@ impl Audit {
     }
 
     /// Records a media commit of every extent of `tenant` up to `seq`.
-    /// Ordering is checked against the tenant's own sequence space; the
-    /// global commit counter aggregates across tenants (the global
-    /// `last_seq` check stays single-tenant-only, since tenant sequence
-    /// spaces are independent).
+    /// Ordering is checked against the tenant's own sequence space.
     pub fn record_tenant_commit(&self, tenant: u64, seq: u64) {
         let mut st = self.st.borrow_mut();
         let idx = st.tenant_idx(tenant);
@@ -187,7 +166,6 @@ impl Audit {
         }
         section.last_seq = Some(seq);
         section.commits += 1;
-        st.report.commits += 1;
     }
 
     /// Attributes bytes lost at a drain failure to `tenant`'s shard. The
@@ -274,11 +252,12 @@ pub(crate) mod tests {
     fn ordering_violation_detected() {
         let sim = Sim::new(0);
         let audit = Audit::new(&sim.ctx());
-        audit.record_commit(1);
-        audit.record_commit(2);
+        audit.register_tenant(0);
+        audit.record_tenant_commit(0, 1);
+        audit.record_tenant_commit(0, 2);
         assert!(audit.report().guarantee_held());
-        audit.record_commit(2);
-        assert!(audit.report().order_violated);
+        audit.record_tenant_commit(0, 2);
+        assert!(audit.report().tenants[0].order_violated);
         assert!(!audit.report().guarantee_held());
     }
 
@@ -362,7 +341,6 @@ pub(crate) mod tests {
         audit.record_tenant_commit(1, 3);
         let r = audit.report();
         assert_eq!(r.tenants.len(), 2);
-        assert_eq!(r.commits, 4, "global counter aggregates");
         assert!(r.guarantee_held());
         assert_eq!(section(&r, 0).unwrap().commits, 2);
         // A regression within ONE tenant's space flips only that section

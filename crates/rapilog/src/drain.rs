@@ -352,20 +352,19 @@ struct BatchEntry {
 }
 
 /// Retirement accounting: batches are registered in sequence order and may
-/// finish out of order, but [`Audit::record_commit`] is fed only the
+/// finish out of order, but [`Audit::record_tenant_commit`] is fed only the
 /// contiguous durable prefix — exactly what invariant I3 promises. Each
-/// shard has its own ledger, so each tenant's audit section (`tenant` set)
-/// advances with its own contiguous prefix; the unnamed single tenant's
-/// ledger (`None`) advances the audit's headline.
+/// shard has its own ledger, so each tenant's audit section advances with
+/// its own contiguous prefix.
 struct BatchLedger {
     /// The buffer whose popped batches this ledger tracks.
     buffer: DependableBuffer,
     batches: VecDeque<BatchEntry>,
-    tenant: Option<TenantId>,
+    tenant: TenantId,
 }
 
 impl BatchLedger {
-    fn new(buffer: &DependableBuffer, tenant: Option<TenantId>) -> Rc<RefCell<BatchLedger>> {
+    fn new(buffer: &DependableBuffer, tenant: TenantId) -> Rc<RefCell<BatchLedger>> {
         Rc::new(RefCell::new(BatchLedger {
             buffer: buffer.clone(),
             batches: VecDeque::new(),
@@ -424,10 +423,7 @@ impl BatchLedger {
                     ctrl.record_commit_latency(now_ns.saturating_sub(admit_ns));
                 }
             }
-            match self.tenant {
-                Some(t) => audit.record_tenant_commit(t.0, front.hi),
-                None => audit.record_commit(front.hi),
-            }
+            audit.record_tenant_commit(self.tenant.0, front.hi);
         }
         (Some(payload), jumped)
     }
@@ -457,10 +453,9 @@ const MAX_HOLD: SimDuration = SimDuration::from_micros(100);
 /// [`OrderingMode`] and [`BatchPolicy`]: to the drain loop they are a window
 /// depth and a target. Under [`BatchPolicy::Fixed`] (or
 /// [`OrderingMode::Strict`], which pins batching regardless of policy) the
-/// controller is inert: the target stays at `max_batch`, the window at its
-/// base depth — one, under Strict — and `observe_batch` only updates the
-/// EWMAs and commit-latency histogram for observability: no decision, no
-/// trace event.
+/// controller is inert: the target stays at `max_batch` and `observe_batch`
+/// only updates the EWMAs and commit-latency histogram for observability:
+/// no decision, no trace event.
 ///
 /// Under [`BatchPolicy::Adaptive`] + `PartiallyConstrained`, each batch
 /// retirement updates an integer EWMA (α = ¼) of per-batch service time
@@ -481,28 +476,24 @@ const MAX_HOLD: SimDuration = SimDuration::from_micros(100);
 /// still retiring, at the old target's bandwidth — no longer feed it, so
 /// the first grow afterwards captures a reference the new regime can beat.
 ///
-/// Window autotuning rides the same signal: with backlog for more than the
-/// current depth and latency inside budget, the window widens one permit at
-/// a time toward the device's [`Geometry::queue_depth`]; when the budget is
-/// exceeded it narrows back toward the configured depth by parking permits
-/// (never below — the configured depth is the operator's floor).
+/// The window is fixed when the instance is built: one run under Strict,
+/// [`DrainConfig::window_depth`] under Fixed, and under Adaptive the larger
+/// of that and the device's [`Geometry::queue_depth`], from the first pop.
 ///
 /// A second sensor, each run's own submit → complete time
 /// ([`observe_run`](Self::observe_run)), feeds the **run bound** — see
 /// [`run_bound`](Self::run_bound).
+///
+/// [`Geometry::queue_depth`]: rapilog_simdisk::Geometry
 pub(crate) struct DrainController {
     ctx: SimCtx,
     adaptive: bool,
     max_batch: usize,
     min_batch: usize,
     target: StdCell<usize>,
-    base_depth: usize,
-    max_depth: usize,
-    depth: StdCell<usize>,
+    /// Runs the window holds in flight at once.
+    depth: usize,
     window: Rc<Semaphore>,
-    /// Permits withdrawn from the window by narrowing, held until a widen
-    /// releases one again.
-    parked: RefCell<Vec<SemPermit>>,
     ewma_service_ns: StdCell<u64>,
     ewma_bps: StdCell<u64>,
     /// Bandwidth EWMA captured at the last grow — the marginal-gain
@@ -520,8 +511,6 @@ pub(crate) struct DrainController {
     run_bound_traced: StdCell<usize>,
     batch_grows: StdCell<u64>,
     batch_shrinks: StdCell<u64>,
-    window_widens: StdCell<u64>,
-    window_narrows: StdCell<u64>,
     latency: RefCell<Histogram>,
 }
 
@@ -540,29 +529,28 @@ fn ewma_update(e: u64, x: u64) -> u64 {
 }
 
 impl DrainController {
-    /// Builds the controller for one instance. `disk` supplies the
-    /// geometry cap for window autotuning; the drain config supplies
+    /// Builds the controller for one instance. `disk` supplies the queue
+    /// depth an adaptive window runs at; the drain config supplies
     /// everything else. Always constructed (a Fixed/Strict/write-through
     /// instance just never moves), so `snapshot().drain` is uniform.
     pub(crate) fn new(ctx: &SimCtx, cfg: &DrainConfig, disk: &Disk) -> Rc<DrainController> {
-        let base_depth = match cfg.ordering {
-            OrderingMode::Strict => 1,
-            OrderingMode::PartiallyConstrained => cfg.window_depth.max(1),
-        };
         // Strict pins the batch target: it is the paper's serial drain, one
         // batch size, whatever policy was asked for beside it.
         let adaptive = matches!(
             (cfg.ordering, cfg.batch),
             (OrderingMode::PartiallyConstrained, BatchPolicy::Adaptive(_))
         );
-        // Adaptive starts small and earns its way up, and may widen its
-        // window to the device's queue depth; Fixed starts (and stays) at
-        // max_batch and its base depth.
-        let (min_batch, max_depth) = if adaptive {
+        let depth = match cfg.ordering {
+            OrderingMode::Strict => 1,
+            OrderingMode::PartiallyConstrained => cfg.window_depth.max(1),
+        };
+        // Adaptive starts small and earns its way up, with a window as deep
+        // as the device queues; Fixed starts (and stays) at max_batch.
+        let (min_batch, depth) = if adaptive {
             let queue_depth = disk.geometry().queue_depth as usize;
-            (MIN_BATCH.min(cfg.max_batch), queue_depth.max(base_depth))
+            (MIN_BATCH.min(cfg.max_batch), queue_depth.max(depth))
         } else {
-            (cfg.max_batch, base_depth)
+            (cfg.max_batch, depth)
         };
         Rc::new(DrainController {
             ctx: ctx.clone(),
@@ -570,11 +558,8 @@ impl DrainController {
             max_batch: cfg.max_batch,
             min_batch,
             target: StdCell::new(min_batch),
-            base_depth,
-            max_depth,
-            depth: StdCell::new(base_depth),
-            window: Rc::new(Semaphore::new(base_depth)),
-            parked: RefCell::new(Vec::new()),
+            depth,
+            window: Rc::new(Semaphore::new(depth)),
             ewma_service_ns: StdCell::new(0),
             ewma_bps: StdCell::new(0),
             grow_ref_bps: StdCell::new(0),
@@ -584,14 +569,11 @@ impl DrainController {
             run_bound_traced: StdCell::new(0),
             batch_grows: StdCell::new(0),
             batch_shrinks: StdCell::new(0),
-            window_widens: StdCell::new(0),
-            window_narrows: StdCell::new(0),
             latency: RefCell::new(Histogram::new()),
         })
     }
 
-    /// The in-flight window the drain loop acquires permits from. The
-    /// controller owns it so narrowing can park permits.
+    /// The in-flight window the drain loop acquires permits from.
     pub(crate) fn window(&self) -> Rc<Semaphore> {
         Rc::clone(&self.window)
     }
@@ -609,7 +591,7 @@ impl DrainController {
     /// §12): the drain loop awaits such a run itself. Everything decided
     /// about a run is the same either way; only who awaits the write differs.
     pub(crate) fn serial(&self) -> bool {
-        self.max_depth == 1
+        self.depth == 1
     }
 
     /// Feeds one landed run's device-side service time (submit → complete)
@@ -661,10 +643,9 @@ impl DrainController {
     }
 
     /// Feeds one batch retirement into the EWMAs and, when adaptive, walks
-    /// the batch target and window depth (see the type-level doc for the
-    /// control law). The service time spans `dispatched_ns` (pop) to
-    /// `now_ns` (last run landed); `backlog` is the bytes still queued at
-    /// retirement.
+    /// the batch target (see the type-level doc for the control law). The
+    /// service time spans `dispatched_ns` (pop) to `now_ns` (last run
+    /// landed); `backlog` is the bytes still queued at retirement.
     pub(crate) fn observe_batch(&self, bytes: u64, dispatched_ns: u64, now_ns: u64, backlog: u64) {
         let service_ns = now_ns.saturating_sub(dispatched_ns).max(1);
         let svc = ewma_update(self.ewma_service_ns.get(), service_ns);
@@ -703,31 +684,6 @@ impl DrainController {
                 self.retarget((tgt * 2).min(self.max_batch), true);
             }
         }
-        // Window autotuning on the same retirement signal.
-        let depth = self.depth.get();
-        if svc > budget && depth > self.base_depth {
-            // Retirement latency degraded: narrow by parking a permit (if
-            // one is free right now; otherwise retry on a later batch).
-            if let Some(permit) = self.window.try_acquire(1) {
-                self.parked.borrow_mut().push(permit);
-                self.depth.set(depth - 1);
-                self.window_narrows.set(self.window_narrows.get() + 1);
-                self.trace_depth("window_narrow");
-            }
-        } else if depth < self.max_depth
-            && svc <= budget
-            && backlog >= (tgt as u64).saturating_mul(depth as u64 + 1)
-        {
-            // Backlog for more than the current depth and latency inside
-            // budget: widen toward the device's queue depth.
-            match self.parked.borrow_mut().pop() {
-                Some(permit) => drop(permit),
-                None => self.window.add_permits(1),
-            }
-            self.depth.set(depth + 1);
-            self.window_widens.set(self.window_widens.get() + 1);
-            self.trace_depth("window_widen");
-        }
     }
 
     /// Applies a new batch target, counting and tracing the move.
@@ -753,17 +709,6 @@ impl DrainController {
         );
     }
 
-    fn trace_depth(&self, name: &'static str) {
-        self.ctx.tracer().instant(
-            self.ctx.now(),
-            Layer::Drain,
-            name,
-            Payload::Mark {
-                value: self.depth.get() as u64,
-            },
-        );
-    }
-
     /// Records one extent's admission → durable-prefix-commit latency.
     pub(crate) fn record_commit_latency(&self, ns: u64) {
         self.latency.borrow_mut().record(ns);
@@ -774,15 +719,11 @@ impl DrainController {
         let lat = self.latency.borrow();
         DrainStats {
             batch_target: self.target.get() as u64,
-            window_depth: self.depth.get() as u64,
-            window_base: self.base_depth as u64,
-            window_max: self.max_depth as u64,
+            window_depth: self.depth as u64,
             ewma_service_ns: self.ewma_service_ns.get(),
             ewma_bytes_per_sec: self.ewma_bps.get(),
             batch_grows: self.batch_grows.get(),
             batch_shrinks: self.batch_shrinks.get(),
-            window_widens: self.window_widens.get(),
-            window_narrows: self.window_narrows.get(),
             hold_fires: 0,
             run_bound_bytes: self.run_bound.get() as u64,
             ewma_run_bytes_per_sec: self.ewma_run_bps.get(),
@@ -999,12 +940,10 @@ impl WindowedDrain {
         let bytes = self.shards.total_occupancy();
         tracer.instant(now, Layer::Drain, "freeze", Payload::Bytes { bytes });
         self.audit.record_drain_failure(bytes);
-        if self.shards.has_sections() {
-            // The aggregate is the global loss; the per-shard snapshots
-            // attribute it so every tenant's section can testify.
-            for s in self.shards.shards() {
-                self.audit.record_tenant_loss(s.id.0, s.buf.occupancy());
-            }
+        // The aggregate is the global loss; the per-shard snapshots
+        // attribute it so every tenant's section can testify.
+        for s in self.shards.shards() {
+            self.audit.record_tenant_loss(s.id.0, s.buf.occupancy());
         }
         self.shards.freeze_all();
     }
@@ -1012,12 +951,12 @@ impl WindowedDrain {
 
 /// Spawns the drain loop and (with a supply) the power watcher.
 ///
-/// The loop is a deficit-round-robin scheduler over the tenant shards — one
-/// shard when the instance has one tenant, and then simply "drain the
-/// buffer". Each cycle visits every shard once (the start position rotates
-/// so no shard gets a standing head-of-line advantage); a shard with bytes
-/// queued is granted one batch of up to `weight × target` bytes, the
-/// weighted quantum. **The loop takes a window slot first and pops
+/// The loop is a round-robin scheduler over the tenant shards — one shard
+/// when the instance has one tenant, and then simply "drain the buffer".
+/// Each cycle visits every shard once (the start position rotates so no
+/// shard gets a standing head-of-line advantage); a shard with bytes queued
+/// is granted one batch of up to the controller's target, the same quantum
+/// for every shard. **The loop takes a window slot first and pops
 /// second.** With one slot that is the paper's serial drain: the next batch
 /// is decided when the previous write has landed, so it holds everything
 /// admitted meanwhile, and each shard's batches go in its own sequence
@@ -1031,8 +970,7 @@ impl WindowedDrain {
 /// never holds back another tenant's space release or commit ledger. All
 /// ledgers feed the **one shared** [`DrainController`] — one disk, one
 /// latency/bandwidth operating point — which sees the *aggregate* backlog
-/// and whose target scales every quantum together (relative fair shares are
-/// untouched).
+/// and whose target is every shard's quantum.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn start(
     ctx: &SimCtx,
@@ -1062,12 +1000,10 @@ pub(crate) fn start(
     });
     cell.spawn(async move {
         let (shards, ctrl) = (&engine.shards, &engine.ctrl);
-        // An unnamed single tenant reports through the audit's headline.
-        let sections = shards.has_sections();
         let ledgers: Vec<(&Shard, Rc<RefCell<BatchLedger>>)> = shards
             .shards()
             .iter()
-            .map(|s| (s, BatchLedger::new(&s.buf, sections.then_some(s.id))))
+            .map(|s| (s, BatchLedger::new(&s.buf, s.id)))
             .collect();
         let window = ctrl.window();
         let n = ledgers.len();
@@ -1085,11 +1021,10 @@ pub(crate) fn start(
                     if engine.failed.get() {
                         return;
                     }
-                    let quantum = ctrl.pop_target().saturating_mul(shard.weight as usize);
                     // Extents move out of the queue; the buffer's in-flight
                     // ledger keeps occupancy and read-your-writes alive
                     // until the run carrying them lands.
-                    let batch = shard.buf.pop_batch(quantum);
+                    let batch = shard.buf.pop_batch(ctrl.pop_target());
                     popped_any = true;
                     if !engine.dispatch(permit, batch, ledger).await {
                         return;
@@ -1859,7 +1794,7 @@ mod window_tests {
         assert!(t > 0, "drain finished");
         let report = rl.audit_report();
         assert!(report.guarantee_held());
-        assert!(report.commits > 0, "durable prefix advanced");
+        assert!(report.tenants[0].commits > 0, "durable prefix advanced");
         // Every byte is on media, newest-wins intact.
         let sectors_per = (64 << 10) / SECTOR_SIZE as u64;
         let mut buf = vec![0u8; SECTOR_SIZE];
@@ -1894,12 +1829,44 @@ mod window_tests {
         );
     }
 
+    /// Adaptive's window is as deep as the device queues from the first
+    /// pop, whatever narrower depth was configured, and stays there.
+    #[test]
+    fn an_adaptive_window_runs_at_the_device_queue_depth_from_the_first_pop() {
+        let spec = specs::ssd_nvme(1 << 30).with_channels(4);
+        let drain = DrainConfig::new()
+            .window_depth(2)
+            .ordering(OrderingMode::PartiallyConstrained)
+            .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig));
+        let mut sim = Sim::new(37);
+        let (rl, _disk) = setup(&mut sim, spec.clone(), drain);
+        let (dev, rl2) = (rl.device(), rl.clone());
+        let seen = Rc::new(StdCell::new(None));
+        let s2 = Rc::clone(&seen);
+        sim.spawn(async move {
+            dev.write(0, &vec![1u8; 64 << 10], true).await.unwrap();
+            let d = rl2.snapshot().drain;
+            s2.set(Some((d.commits_measured, d.window_depth)));
+        });
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(seen.get(), Some((0, 4)), "before the first retirement");
+        let (_, rl, _) = drain_time(37, spec, drain);
+        let snap = rl.snapshot();
+        assert!(snap.drain.commits_measured > 0);
+        assert_eq!(snap.drain.window_depth, 4, "after a whole stream");
+        assert!(
+            snap.disk.max_outstanding > 2,
+            "the window held {} runs in flight",
+            snap.disk.max_outstanding
+        );
+    }
+
     #[test]
     fn later_batch_may_retire_first_but_the_ledger_stays_ordered() {
         // Batch 1 is a long 256 KiB run; batch 2 a single disjoint sector.
         // On a multi-channel SSD the small run lands first — an ooo
-        // retirement — while record_commit still sees ascending sequences
-        // (guarantee_held checks exactly that).
+        // retirement — while record_tenant_commit still sees ascending
+        // sequences (guarantee_held checks exactly that).
         let mut sim = Sim::new(33);
         let spec = specs::ssd_nvme(1 << 30).with_channels(4);
         let drain = DrainConfig::new()
@@ -2186,7 +2153,7 @@ mod window_tests {
             let t_ctx = ctx.clone();
             sim.spawn(async move {
                 let mut rng = SimRng::seed_from_u64(0xADA7 + seed);
-                let ledger = BatchLedger::new(&t_buffer, None);
+                let ledger = BatchLedger::new(&t_buffer, TenantId::DEFAULT);
                 // Bytes per seq, and the seqs not yet released — the model
                 // the buffer is checked against.
                 let mut len_of: Vec<u64> = Vec::new();
@@ -2311,12 +2278,13 @@ mod window_tests {
                 "seed {seed}: complete_run leaked space"
             );
             let report = audit.report();
+            let section = &report.tenants[0];
             assert!(
-                !report.order_violated,
+                !section.order_violated,
                 "seed {seed}: durable prefix went non-contiguous"
             );
             assert_eq!(
-                report.commits,
+                section.commits,
                 batches_seen.get(),
                 "seed {seed}: exactly one prefix commit per batch"
             );

@@ -155,7 +155,8 @@ pub enum OrderingMode {
     /// [`BatchPolicy::Adaptive`]).
     #[default]
     Strict,
-    /// A window of [`DrainConfig::window_depth`]: runs are issued out of
+    /// A window of [`DrainConfig::window_depth`] (of at least the device's
+    /// queue depth under [`BatchPolicy::Adaptive`]): runs are issued out of
     /// order across the device's channels wherever their sector ranges are
     /// disjoint; overlapping rewrites still order. Durability is unchanged
     /// (the audit ledger only advances with the contiguous durable prefix)
@@ -174,8 +175,8 @@ pub struct AdaptiveBatchConfig;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchPolicy {
     /// Every pop takes up to [`DrainConfig::max_batch`] bytes: the
-    /// controller with its target pinned there and its window pinned at the
-    /// configured depth. It still measures (see [`DrainStats`]).
+    /// controller with its target pinned there and its window at
+    /// [`DrainConfig::window_depth`]. It still measures (see [`DrainStats`]).
     #[default]
     Fixed,
     /// An EWMA controller tracks per-batch drain service time and achieved
@@ -183,10 +184,10 @@ pub enum BatchPolicy {
     /// sit at the latency/bandwidth knee: growing while marginal bandwidth
     /// gain holds and the latency budget allows, decaying to its 64 KiB
     /// floor under light load. Under
-    /// [`OrderingMode::PartiallyConstrained`] it also autotunes the
-    /// in-flight window between [`DrainConfig::window_depth`] and the
-    /// device's [`Geometry::queue_depth`](rapilog_simdisk::Geometry).
-    /// [`OrderingMode::Strict`] pins the batch target to `max_batch` and
+    /// [`OrderingMode::PartiallyConstrained`] its window is the larger of
+    /// [`DrainConfig::window_depth`] and the device's
+    /// [`Geometry::queue_depth`](rapilog_simdisk::Geometry), from the first
+    /// pop. [`OrderingMode::Strict`] pins the batch target to `max_batch` and
     /// the window to one whatever the policy: Strict + Adaptive is
     /// Strict + Fixed.
     Adaptive(AdaptiveBatchConfig),
@@ -212,9 +213,10 @@ pub struct DrainConfig {
     pub retry: RetryPolicy,
     /// Largest single drain batch in bytes.
     pub max_batch: usize,
-    /// Maximum runs in flight at once under
-    /// [`OrderingMode::PartiallyConstrained`] (ignored by
-    /// [`OrderingMode::Strict`], which is always depth 1).
+    /// Runs in flight at once under
+    /// [`OrderingMode::PartiallyConstrained`] + [`BatchPolicy::Fixed`];
+    /// [`BatchPolicy::Adaptive`] runs at least the device's queue depth, and
+    /// [`OrderingMode::Strict`] is always depth 1.
     pub window_depth: usize,
     /// Media write ordering discipline.
     pub ordering: OrderingMode,
@@ -253,7 +255,7 @@ impl DrainConfig {
     }
 
     /// Runs kept in flight under [`OrderingMode::PartiallyConstrained`]
-    /// (default: 4).
+    /// (default: 4; see the field for what Adaptive and Strict make of it).
     ///
     /// A depth of 0 is meaningless — the window could never dispatch — so
     /// the setter **silently clamps to 1** rather than erroring: the field
@@ -351,19 +353,16 @@ pub struct RapiLogSnapshot {
 /// currently doing and what it has observed. Every buffered instance runs
 /// the one drain engine, so every one measures: under [`BatchPolicy::Fixed`]
 /// or [`OrderingMode::Strict`] — the default configuration included — the
-/// target and window never move, but the EWMAs and the commit-latency
+/// target never moves, but the EWMAs and the commit-latency
 /// percentiles (how long an acknowledged byte lives only in RAM) are fed by
 /// every retirement all the same.
 #[derive(Debug, Clone, Default)]
 pub struct DrainStats {
     /// Bytes the next `pop_batch` will aim for.
     pub batch_target: u64,
-    /// Current in-flight window depth (permits the drain may hold).
+    /// In-flight window depth (permits the drain may hold), fixed when the
+    /// instance is built.
     pub window_depth: u64,
-    /// The configured depth the window never narrows below.
-    pub window_base: u64,
-    /// The device-geometry cap the window never widens past.
-    pub window_max: u64,
     /// EWMA of per-batch drain service time (dispatch → retirement), ns.
     pub ewma_service_ns: u64,
     /// EWMA of achieved drain bandwidth, bytes per second.
@@ -372,10 +371,6 @@ pub struct DrainStats {
     pub batch_grows: u64,
     /// Times the controller halved the batch target.
     pub batch_shrinks: u64,
-    /// Times the window widened by one permit.
-    pub window_widens: u64,
-    /// Times the window narrowed by one permit.
-    pub window_narrows: u64,
     /// Always 0: there is no hold timer since the drain takes its window
     /// slot before it pops (bytes coalesce while none is free). The field
     /// stays because the benchmark reads it.
@@ -399,8 +394,6 @@ pub struct DrainStats {
 pub struct TenantSnapshot {
     /// The tenant (`TenantId` raw value).
     pub tenant: u64,
-    /// Fair-share weight.
-    pub weight: u32,
     /// This shard's buffer counters.
     pub buffer: BufferStats,
     /// Bytes this shard currently buffers.
@@ -487,13 +480,12 @@ impl<'a> RapiLogBuilder<'a> {
         self
     }
 
-    /// The tenants sharing this instance: the capacity is split into one
-    /// shard per spec by weight (rounded down to whole sectors), and the
-    /// drain's round robin grants each shard a quantum of its weight. No
-    /// spec at all is one shard for [`TenantId::DEFAULT`], and is the same
-    /// instance as naming that tenant alone; a single tenant under any
-    /// other id differs only in getting its own audit section, as every
-    /// tenant of two or more does. See [`TenantSpec`].
+    /// The tenants sharing this instance: the capacity is split evenly
+    /// into one shard per spec (rounded down to whole sectors), the drain's
+    /// round robin grants every shard the same quantum, and each shard has
+    /// its own audit section. No spec at all is one shard for
+    /// [`TenantId::DEFAULT`], the same instance as naming that tenant
+    /// alone. See [`TenantSpec`].
     ///
     /// Tenants must keep to disjoint sectors of the shared disk. Nothing
     /// orders one shard's write to a sector against another's, and each
@@ -576,7 +568,6 @@ impl<'a> RapiLogBuilder<'a> {
             self.repl.is_none() || specs.len() < 2,
             "log shipping is one stream: a replicated instance has one tenant"
         );
-        let weights: Vec<u32> = specs.iter().map(|s| s.weight).collect();
         // If the residual window cannot drain even one sector, or some
         // tenant's share of the cap cannot hold one, the whole instance falls
         // back to write-through (no buffers, capacity 0) rather than
@@ -586,17 +577,13 @@ impl<'a> RapiLogBuilder<'a> {
         // deployments detect this case up front.
         let sector = rapilog_simdisk::SECTOR_SIZE as u64;
         let buffered = window.is_none_or(|w| w >= sector)
-            && shard::split_capacity(capacity, &weights)
-                .iter()
-                .all(|&c| c >= sector);
+            && shard::split_capacity(capacity, specs.len()) >= sector;
         let shards = ShardedBuffer::new(specs, if buffered { capacity } else { 0 }, rule);
         let audit = audit::Audit::new(ctx);
-        if shards.has_sections() {
-            // Sections up front, so the report still testifies for a tenant
-            // even if it never writes.
-            for spec in specs {
-                audit.register_tenant(spec.id.0);
-            }
+        // Sections up front, so the report still testifies for a tenant
+        // even if it never writes.
+        for spec in specs {
+            audit.register_tenant(spec.id.0);
         }
         let mode = Rc::<ModeState>::default();
         let drain_ctrl = drain::DrainController::new(ctx, &cfg.drain, &disk);
@@ -709,7 +696,6 @@ impl RapiLog {
             .iter()
             .map(|s| TenantSnapshot {
                 tenant: s.id.0,
-                weight: s.weight,
                 buffer: s.buf.stats(),
                 occupancy: s.buf.occupancy(),
                 capacity: s.buf.capacity(),
@@ -1028,8 +1014,7 @@ mod builder_tests {
             });
             sim.run_until(rapilog_simcore::SimTime::from_secs(1));
             let report = rl.audit_report();
-            assert!(report.commits > 0 && report.guarantee_held());
-            assert!(report.tenants.is_empty(), "headline only, no section");
+            assert!(report.tenants[0].commits > 0 && report.guarantee_held());
             std::mem::forget(cell);
             ctx.tracer().snapshot().to_jsonl()
         };
@@ -1039,6 +1024,40 @@ mod builder_tests {
             unnamed,
             trace_of(&[shard::TenantSpec::new(TenantId::DEFAULT.0)])
         );
+    }
+
+    /// The unnamed single tenant audits through one section, as every
+    /// tenant does, and that section still catches a commit out of order
+    /// (I3's potency): the section is the check, not a report beside it.
+    #[test]
+    fn a_one_tenant_instance_audits_through_one_section() {
+        let (mut sim, ctx, hv, disk) = fixture(14);
+        let cell = hv.create_cell("rapilog", Trust::Trusted);
+        let rl = RapiLog::builder(&ctx)
+            .cell(&cell)
+            .disk(disk)
+            .capacity(CapacitySpec::Fixed(1 << 20))
+            .build();
+        let dev = rl.device();
+        sim.spawn(async move {
+            for i in 0..4u64 {
+                let data = vec![i as u8; rapilog_simdisk::SECTOR_SIZE];
+                dev.write(i, &data, true).await.unwrap();
+            }
+        });
+        sim.run_until(rapilog_simcore::SimTime::from_secs(1));
+        let report = rl.audit_report();
+        assert_eq!(report.tenants.len(), 1, "exactly one section");
+        let section = section(&report, TenantId::DEFAULT.0).expect("the unnamed tenant's section");
+        assert!(section.commits > 0 && report.guarantee_held());
+        // A seeded commit behind the durable prefix flips the verdict.
+        let last = section.last_seq.expect("the prefix advanced");
+        rl.audit.record_tenant_commit(TenantId::DEFAULT.0, last);
+        let report = rl.audit_report();
+        assert_eq!(report.tenants.len(), 1, "still one section");
+        assert!(report.tenants[0].order_violated);
+        assert!(!report.guarantee_held());
+        std::mem::forget(cell);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Tenant-sharded buffering: many guest cells, one dependable drain.
 //!
-//! A multi-tenant RapiLog instance splits its memory cap into one
-//! [`DependableBuffer`] shard per tenant, by weight and rounded down to
-//! sector multiples. Each shard keeps its own byte accounting, backpressure
+//! A multi-tenant RapiLog instance splits its memory cap evenly into one
+//! [`DependableBuffer`] shard per tenant, rounded down to sector multiples. Each shard keeps its own byte accounting, backpressure
 //! threshold and sequence space, so one noisy tenant filling its share
 //! blocks only its own writers. All shards share one ledger: its `avail`
 //! notify wakes the one drain loop (`drain::start`), and with a supply
@@ -40,50 +39,33 @@ impl std::fmt::Display for TenantId {
     }
 }
 
-/// One tenant's share of a multi-tenant instance.
+/// One tenant's share of a multi-tenant instance: every tenant gets an
+/// equal share of the capacity and the same drain quantum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantSpec {
     /// The tenant's identity.
     pub id: TenantId,
-    /// Fair-share weight: capacity split and drain quantum scale with it.
-    /// Clamped to at least 1.
-    pub weight: u32,
 }
 
 impl TenantSpec {
-    /// An equal-weight tenant.
+    /// A tenant of the instance.
     pub fn new(id: u64) -> TenantSpec {
-        TenantSpec {
-            id: TenantId(id),
-            weight: 1,
-        }
-    }
-
-    /// Sets the fair-share weight (minimum 1).
-    pub fn weight(mut self, weight: u32) -> TenantSpec {
-        self.weight = weight.max(1);
-        self
+        TenantSpec { id: TenantId(id) }
     }
 }
 
-/// Splits `total` bytes across weights, each share rounded down to a sector
-/// multiple. The sum of the shares never exceeds `total`, so sizing the
-/// total from the residual-energy window bounds the aggregate too.
-pub fn split_capacity(total: u64, weights: &[u32]) -> Vec<u64> {
-    let weight_sum: u64 = weights.iter().map(|&w| u64::from(w.max(1))).sum();
-    weights
-        .iter()
-        .map(|&w| {
-            let share = total * u64::from(w.max(1)) / weight_sum;
-            share - share % SECTOR_SIZE as u64
-        })
-        .collect()
+/// Splits `total` bytes evenly across `tenants` shares, each rounded down
+/// to a sector multiple: the share every shard gets. The shares never sum
+/// past `total`, so sizing the total from the residual-energy window
+/// bounds the aggregate too.
+pub(crate) fn split_capacity(total: u64, tenants: usize) -> u64 {
+    let share = total / tenants as u64;
+    share - share % SECTOR_SIZE as u64
 }
 
-/// One shard: a tenant's identity, weight, and private buffer.
+/// One shard: a tenant's identity and private buffer.
 pub(crate) struct Shard {
     pub(crate) id: TenantId,
-    pub(crate) weight: u32,
     pub(crate) buf: DependableBuffer,
 }
 
@@ -96,8 +78,8 @@ pub struct ShardedBuffer {
 }
 
 impl ShardedBuffer {
-    /// Splits `capacity` across `specs` by weight and builds one
-    /// shard per tenant, all sharing one ledger that admits by `rule`.
+    /// Splits `capacity` evenly across `specs` and builds one shard per
+    /// tenant, all sharing one ledger that admits by `rule`.
     ///
     /// # Panics
     ///
@@ -109,18 +91,15 @@ impl ShardedBuffer {
                 assert_ne!(a.id, b.id, "duplicate tenant id {}", a.id);
             }
         }
-        let weights: Vec<u32> = specs.iter().map(|s| s.weight.max(1)).collect();
-        let caps = split_capacity(capacity, &weights);
+        let cap = split_capacity(capacity, specs.len());
         let ledger = Rc::new(Ledger {
             rule,
             ..Ledger::default()
         });
         let shards = specs
             .iter()
-            .zip(caps)
-            .map(|(spec, cap)| Shard {
+            .map(|spec| Shard {
                 id: spec.id,
-                weight: spec.weight.max(1),
                 buf: DependableBuffer::sharing(cap, &ledger),
             })
             .collect();
@@ -133,13 +112,6 @@ impl ShardedBuffer {
     /// All shards, in construction order.
     pub(crate) fn shards(&self) -> &[Shard] {
         &self.shards
-    }
-
-    /// True if every tenant has its own section of the audit report. The
-    /// one instance without is the unnamed single tenant
-    /// ([`TenantId::DEFAULT`] alone), which reports through the headline.
-    pub(crate) fn has_sections(&self) -> bool {
-        self.shards.len() > 1 || self.shards[0].id != TenantId::DEFAULT
     }
 
     /// Sum of shard occupancies — the bytes the emergency drain must land.
@@ -215,15 +187,28 @@ mod tests {
     }
 
     #[test]
-    fn split_capacity_is_weighted_sector_aligned_and_bounded() {
-        let caps = split_capacity(1 << 20, &[1, 1, 2]);
-        assert_eq!(caps.len(), 3);
-        assert!(caps.iter().all(|c| c % SECTOR_SIZE as u64 == 0));
-        assert!(caps.iter().sum::<u64>() <= 1 << 20);
-        assert_eq!(caps[2], 2 * caps[0], "weight 2 gets a double share");
-        // Zero weights are clamped to 1, not divided by.
-        let caps = split_capacity(1 << 20, &[0, 1]);
-        assert_eq!(caps[0], caps[1]);
+    fn split_capacity_is_even_sector_aligned_and_bounded() {
+        assert_eq!(
+            split_capacity(1 << 20, 1),
+            1 << 20,
+            "one tenant holds it all"
+        );
+        assert_eq!(split_capacity(1 << 20, 2), 512 << 10);
+        // A third of 1 MiB is 349 525.3 B: rounded down to 682 sectors.
+        let share = split_capacity(1 << 20, 3);
+        assert_eq!(share, 682 * SECTOR_SIZE as u64);
+        assert!(3 * share <= 1 << 20);
+        // Less than a sector each rounds down to nothing.
+        assert_eq!(split_capacity(3 * SECTOR_SIZE as u64 - 1, 3), 0);
+    }
+
+    /// Every shard of an instance gets the same share.
+    #[test]
+    fn shards_split_the_cap_evenly() {
+        let specs = [TenantSpec::new(0), TenantSpec::new(1), TenantSpec::new(2)];
+        let sharded = ShardedBuffer::new(&specs, 1 << 20, None);
+        let caps: Vec<u64> = sharded.shards().iter().map(|s| s.buf.capacity()).collect();
+        assert_eq!(caps, [682 * SECTOR_SIZE as u64; 3]);
     }
 
     #[test]

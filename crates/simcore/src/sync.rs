@@ -84,30 +84,6 @@ impl Semaphore {
             count,
         }
     }
-
-    /// Takes `count` permits if immediately available.
-    pub fn try_acquire(&self, count: usize) -> Option<SemPermit> {
-        assert!(count > 0, "acquire of zero permits");
-        let mut s = self.state.borrow_mut();
-        if s.permits >= count {
-            s.permits -= count;
-            Some(SemPermit {
-                state: Rc::clone(&self.state),
-                count,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Adds `count` permits (beyond those released by guards).
-    pub fn add_permits(&self, count: usize) {
-        let mut s = self.state.borrow_mut();
-        s.permits += count;
-        for w in s.waiters.drain(..) {
-            w.wake();
-        }
-    }
 }
 
 impl Drop for SemPermit {
@@ -296,7 +272,6 @@ mod tests {
             p2.set(s2.state.borrow().permits);
             let _b = s2.acquire(1).await;
             assert_eq!(s2.state.borrow().permits, 0);
-            assert!(s2.try_acquire(1).is_none());
         });
         sim.run_until(crate::SimTime::from_millis(1));
         assert_eq!(peak.get(), 1);

@@ -135,6 +135,14 @@
 #     fits the window, through
 #     `simpower::budget::drainable_bytes`, so no byte cap, build-time
 #     aggregate check or fixed startup charge stands beside that rule.
+# (s) The trusted path keeps only what runs. Fails if `window_widens`,
+#     `window_narrows`, parked permits (`Vec<SemPermit>`, a `parked:`
+#     field), a tenant weight (a `weight:` field, `fn weight(`, `.weight`),
+#     `has_sections` or a separate `fn record_commit(` reappears in the
+#     non-test part of any `crates/*/src` file: the drain window is fixed
+#     when the instance is built, tenants share the cap and the drain's
+#     quantum evenly, and every instance, one tenant or many, audits
+#     through one section per shard.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -688,6 +696,16 @@ while IFS= read -r f; do
     fi
 done < <(find crates/*/src src examples -name '*.rs' | sort)
 
+# ---- (s) the trusted path keeps only what runs ------------------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nE '\b(window_widens|window_narrows|has_sections)\b|Vec<SemPermit>|\bparked:|\bweight:|fn weight\(|\.weight\b|fn record_commit\(' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f brings back a window autotuner, a tenant weight or a second audit path (the window is fixed at build, tenants are equal, every shard has a section):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
@@ -709,3 +727,4 @@ echo "design_gate: ok    the bench crate is one binary (crates/bench/src/bin/ ho
 echo "design_gate: ok    one audited guest writer (no slot_payload, tenant_fill, SLOTS_PER_CLIENT, TENANT_SLOT_COUNT or struct Load in crates/faultsim/src)"
 echo "design_gate: ok    the superblock lives in the catalog page (no Superblock::read or .write(..log_dev..) in crates/dbengine/src, no RecoverySweep::superblock)"
 echo "design_gate: ok    the power budget is one rule in time (no max_buffer_bytes, aggregate_fits or DRAIN_STARTUP in crates/*/src, src/ or examples/)"
+echo "design_gate: ok    the trusted path keeps only what runs (no window_widens/window_narrows, parked permits, tenant weight, has_sections or separate fn record_commit( in crates/*/src)"

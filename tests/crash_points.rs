@@ -299,6 +299,9 @@ fn one_tenant_scattering_its_writes_drains_inside_the_power_budget() {
     }
 }
 
+/// The sequential control, and beside it the swapped-pairs writer on
+/// `ssd_sata`, the one placement of open finding 1's census that already
+/// drains in time (by about 187 ms, against a 320 ms deadline).
 #[test]
 fn one_tenant_appending_drains_inside_the_power_budget() {
     for capacity in [CapacitySpec::FromSupply, CapacitySpec::Fixed(64 << 20)] {
@@ -307,6 +310,79 @@ fn one_tenant_appending_drains_inside_the_power_budget() {
             drained_in_time(&audit, &format!("{capacity:?}, mains cut at {cut_ms} ms"));
         }
     }
+    let audit = one_writer_until_the_mains_go(
+        specs::ssd_sata,
+        CapacitySpec::FromSupply,
+        120,
+        1,
+        swapped_pairs,
+    );
+    drained_in_time(&audit, "ssd_sata, swapped pairs");
+}
+
+/// Write `i` of a writer that descends through one region.
+fn descending(i: u64) -> u64 {
+    1_000_000 - i
+}
+
+/// Write `i` of a nearly sequential writer: each second write lands one
+/// sector below the one before it.
+fn swapped_pairs(i: u64) -> u64 {
+    (i ^ 1) + 10
+}
+
+/// Open finding 1's placement form (ROADMAP measurement t1): the region
+/// count charges one positioning per stretch of contiguous dirty sectors,
+/// but the drain writes in sequence order and `consolidate` only extends a
+/// run with an extent that starts at its end, so a writer placing each FUA
+/// sector just below the last one fills a one-region budget with runs of a
+/// sector or two. One writer, `FromSupply`, mains cut at 120 ms. Each
+/// replay asserts what the fix has to deliver, the deadline met and 0 B
+/// lost, and is red until it lands; one that fails without losing bytes is
+/// "red without its form".
+fn open_finding_1_placement(disk: fn(u64) -> DiskSpec, place: fn(u64) -> u64) {
+    let audit = one_writer_until_the_mains_go(disk, CapacitySpec::FromSupply, 120, 1, place);
+    let (lost, emergency) = (audit.bytes_lost_at_failure, &audit.emergencies[0]);
+    assert!(
+        lost > 0 || (emergency.met() && audit.guarantee_held()),
+        "red without its form: 0 B lost, {emergency:?}"
+    );
+    assert!(emergency.met() && lost == 0, "{lost} B lost, {emergency:?}");
+}
+
+/// Today: 2 556 416 B lost.
+#[test]
+#[ignore = "open finding 1"]
+fn open_finding_1_descending_writer_loses_acked_bytes_on_hdd_7200() {
+    open_finding_1_placement(specs::hdd_7200, descending);
+}
+
+/// Today: 2 534 912 B lost.
+#[test]
+#[ignore = "open finding 1"]
+fn open_finding_1_descending_writer_loses_acked_bytes_on_hdd_15k() {
+    open_finding_1_placement(specs::hdd_15k, descending);
+}
+
+/// Today: 299 008 B lost.
+#[test]
+#[ignore = "open finding 1"]
+fn open_finding_1_descending_writer_loses_acked_bytes_on_ssd_sata() {
+    open_finding_1_placement(specs::ssd_sata, descending);
+}
+
+/// Today: 2 468 864 B lost.
+#[test]
+#[ignore = "open finding 1"]
+fn open_finding_1_swapped_pairs_lose_acked_bytes_on_hdd_7200() {
+    open_finding_1_placement(specs::hdd_7200, swapped_pairs);
+}
+
+/// Today: 2 353 152 B lost.
+#[test]
+#[ignore = "open finding 1"]
+fn open_finding_1_swapped_pairs_lose_acked_bytes_on_hdd_15k() {
+    open_finding_1_placement(specs::hdd_15k, swapped_pairs);
 }
 
 /// A writer that keeps a `FromSupply` buffer full with sequential 64 KiB
