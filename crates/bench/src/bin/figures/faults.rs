@@ -683,14 +683,14 @@ fn run_media_fault_row(row: &MediaFaultRow, phases: &Phases) -> Outcome {
         }
         let server = machine.server();
         for client in 0..TABLE4_CLIENTS {
-            let conn = server.connect();
+            let server = server.clone();
             let ctx3 = c2.clone();
             let counts3 = Rc::clone(&counts2);
             c2.spawn(async move {
                 let mut seq = 0u64;
                 loop {
                     seq += 1;
-                    let outcome = conn
+                    let outcome = server
                         .submit(job(move |db| async move {
                             let t = match micro::registers_table(&db) {
                                 Ok(t) => t,

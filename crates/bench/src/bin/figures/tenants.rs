@@ -9,7 +9,7 @@ use rapilog_dbengine::wal::Record;
 use rapilog_dbengine::{Database, DbConfig, Lsn};
 use rapilog_simcore::{DomainId, SectorBuf};
 use rapilog_simdisk::{
-    BlockDevice, Disk, Geometry, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken, SECTOR_SIZE,
+    BlockDevice, Disk, Geometry, IoReq, IoResult, LocalBoxFuture, ReqToken, SECTOR_SIZE,
 };
 use rapilog_workload::client::StormSource;
 use rapilog_workload::fleet::{run_fleet, FleetConfig, FleetStats};
@@ -31,7 +31,6 @@ struct Region {
     inner: Rc<dyn BlockDevice>,
     base: u64,
     sectors: u64,
-    queue: Rc<IoQueue>,
 }
 
 impl BlockDevice for Region {
@@ -65,15 +64,7 @@ impl BlockDevice for Region {
     }
 
     fn submit(&self, req: IoReq) -> ReqToken {
-        self.queue.submit(&self.ctx, self.clone(), req)
-    }
-
-    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-        Box::pin(self.queue.wait(token))
-    }
-
-    fn discard(&self, token: ReqToken) {
-        self.queue.forget(token);
+        ReqToken::spawn(&self.ctx, self.clone(), req)
     }
 }
 
@@ -111,7 +102,6 @@ fn fleet_phase(quick: bool) -> (FleetStats, TenantBytes) {
                 inner: Rc::new(rl.device_for(TenantId(t)).expect("shard")),
                 base: t * region_sectors,
                 sectors: region_sectors,
-                queue: Rc::new(IoQueue::new()),
             })
             .collect();
         for (a, b) in regions.iter().zip(&regions[1..]) {

@@ -875,7 +875,7 @@ mod tests {
     use super::*;
     use crate::page::PAGE_SIZE;
     use rapilog_simcore::Sim;
-    use rapilog_simdisk::{specs, Disk, Geometry, IoQueue, IoResult, LocalBoxFuture, ReqToken};
+    use rapilog_simdisk::{specs, Disk, Geometry, IoResult, LocalBoxFuture, ReqToken};
     use std::cell::Cell as StdCell;
 
     fn small_tables() -> Vec<TableDef> {
@@ -1607,7 +1607,6 @@ mod tests {
         inner: Rc<dyn BlockDevice>,
         parked: Rc<StdCell<bool>>,
         released: Event,
-        queue: Rc<IoQueue>,
     }
 
     impl BlockDevice for ParkedLog {
@@ -1626,15 +1625,7 @@ mod tests {
         }
 
         fn submit(&self, req: IoReq) -> ReqToken {
-            self.queue.submit(&self.ctx, self.clone(), req)
-        }
-
-        fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-            Box::pin(self.queue.wait(token))
-        }
-
-        fn discard(&self, token: ReqToken) {
-            self.queue.forget(token);
+            ReqToken::spawn(&self.ctx, self.clone(), req)
         }
     }
 
@@ -1656,7 +1647,6 @@ mod tests {
                 inner: Rc::new(Disk::new(&c2, specs::instant(64 << 20))),
                 parked: Rc::default(),
                 released: Event::new(),
-                queue: Rc::default(),
             };
             let cfg = DbConfig {
                 checkpoint_interval: SimDuration::from_secs(3600),

@@ -94,9 +94,6 @@ pub struct RecoveryReport {
     /// Virtual time closing recovery (index rebuild, final checkpoint and
     /// the re-trim around the recovered log).
     pub finish_time: SimDuration,
-    /// Committed transaction ids seen in the scan range (the durability
-    /// auditor intersects this with the client-side ack journal).
-    pub committed_txns: Vec<TxnId>,
 }
 
 /// Size guess for a record fetched by LSN: undo chains hold row records of
@@ -266,9 +263,10 @@ async fn scan_log(
         off += n;
         pos = pos.advance(n as u64);
     }
-    // The read-ahead past the torn tail is not waited for: its completions
-    // are dropped as they arrive, and the bytes of it already read go.
-    reader.abandon();
+    // The read-ahead past the torn tail is not waited for: dropping the
+    // reader drops its tokens, so each read's payload is freed as it
+    // finishes, and the bytes of it already read go.
+    drop(reader);
     buf.truncate(off);
     Ok(Scan {
         bytes: buf,
@@ -305,7 +303,7 @@ impl Database {
         let (tables, sb) = Self::read_catalog(&*data_dev).await?;
 
         // --- 1. Scan and 2. Analysis, as the scan validates each record -----
-        let mut committed: Vec<TxnId> = Vec::new();
+        let mut committed_seen = 0u64;
         let mut ended: FastSet<TxnId> = FastSet::default();
         let mut last_lsn: BTreeMap<TxnId, Lsn> = BTreeMap::new();
         // The newest checkpoint's position and dirty-page table (page →
@@ -331,7 +329,7 @@ impl Database {
                 }
                 Record::Commit { txn } | Record::Abort { txn } => {
                     if let Record::Commit { .. } = rec {
-                        committed.push(*txn);
+                        committed_seen += 1;
                     }
                     ended.insert(*txn);
                     last_lsn.remove(txn);
@@ -474,14 +472,13 @@ impl Database {
             redo_applied,
             redo_skipped_clean,
             losers_undone: losers.len() as u64,
-            committed_seen: committed.len() as u64,
+            committed_seen,
             log_end,
             duration: finished - t0,
             scan_time: scan_done - t0,
             redo_time: redo_done - scan_done,
             undo_time: undo_done - redo_done,
             finish_time: finished - undo_done,
-            committed_txns: committed,
         };
         Ok((db, report))
     }

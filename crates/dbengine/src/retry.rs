@@ -16,9 +16,7 @@ use std::rc::Rc;
 
 use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::{SimCtx, SimDuration};
-use rapilog_simdisk::{
-    BlockDevice, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken,
-};
+use rapilog_simdisk::{BlockDevice, Geometry, IoError, IoReq, IoResult, LocalBoxFuture, ReqToken};
 
 /// The OS block layer's retry budget for transient device errors.
 const IO_RETRIES: u32 = 5;
@@ -39,7 +37,6 @@ pub struct RetryingDevice {
     inner: Rc<dyn BlockDevice>,
     retries: u32,
     delay: SimDuration,
-    queue: Rc<IoQueue>,
 }
 
 impl RetryingDevice {
@@ -56,7 +53,6 @@ impl RetryingDevice {
             inner,
             retries,
             delay,
-            queue: Rc::new(IoQueue::new()),
         }
     }
 }
@@ -87,15 +83,7 @@ impl BlockDevice for RetryingDevice {
     }
 
     fn submit(&self, req: IoReq) -> ReqToken {
-        self.queue.submit(&self.ctx, self.clone(), req)
-    }
-
-    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-        Box::pin(self.queue.wait(token))
-    }
-
-    fn discard(&self, token: ReqToken) {
-        self.queue.forget(token);
+        ReqToken::spawn(&self.ctx, self.clone(), req)
     }
 }
 

@@ -812,6 +812,10 @@ fn runs(region_sectors: u64, mut from: u64, n: u64) -> impl Iterator<Item = (u64
 /// the caller skips the leading `from % SECTOR_SIZE` bytes itself, and in
 /// exchange always holds the complete sector its cursor is in — which is
 /// the partial tail sector the rebuilt WAL needs once the scan stops.
+///
+/// Dropping the reader mid-stream (once the torn tail is found, or on an
+/// error) drops the tokens of its read-ahead: those reads still run, and
+/// their payloads are freed as they finish.
 pub struct StreamReader<'a> {
     dev: &'a dyn BlockDevice,
     region_sectors: u64,
@@ -870,33 +874,12 @@ impl<'a> StreamReader<'a> {
             return Ok(0);
         };
         let before = out.len();
-        let mut tokens = tokens.into_iter();
-        for token in tokens.by_ref() {
-            match self.dev.wait(token).await {
-                Ok(data) => {
-                    let data = data.expect("read completion must carry data");
-                    out.extend_from_slice(data.as_slice());
-                }
-                Err(e) => {
-                    tokens.for_each(|t| self.dev.discard(t));
-                    self.abandon();
-                    return Err(e);
-                }
-            }
+        for token in tokens {
+            let data = self.dev.wait(token).await?;
+            let data = data.expect("read completion must carry data");
+            out.extend_from_slice(data.as_slice());
         }
         Ok(out.len() - before)
-    }
-
-    /// Gives up every submitted read without waiting for it. Must be
-    /// called before dropping the reader mid-stream (e.g. once the torn
-    /// tail is found): the read-ahead usually runs past the point the scan
-    /// stops at, and a discarded token's completion is dropped on arrival
-    /// rather than parked unclaimed in the device's mailbox.
-    pub fn abandon(&mut self) {
-        self.unsubmitted = 0;
-        for token in std::mem::take(&mut self.inflight).into_iter().flatten() {
-            self.dev.discard(token);
-        }
     }
 }
 

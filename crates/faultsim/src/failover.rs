@@ -658,14 +658,6 @@ impl BlockDevice for ApplyLog {
         self.note(&req);
         self.device.submit(req)
     }
-
-    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-        self.device.wait(token)
-    }
-
-    fn discard(&self, token: ReqToken) {
-        self.device.discard(token)
-    }
 }
 
 /// Runs one standby-side trial in its own deterministic simulation: an

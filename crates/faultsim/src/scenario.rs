@@ -232,7 +232,7 @@ fn trial(
         let server = machine.server();
         let mut client_handles = Vec::new();
         for client in 0..cfg.clients as u64 {
-            let conn = server.connect();
+            let server = server.clone();
             let ctx3 = c2.clone();
             let journals = Rc::clone(&journals);
             let lat = Rc::clone(&commit_latency);
@@ -243,7 +243,7 @@ fn trial(
                     seq += 1;
                     journals.borrow_mut()[client as usize].attempted = seq;
                     let t0 = ctx3.now();
-                    let outcome = conn
+                    let outcome = server
                         .submit(job(move |db| async move {
                             let table = match micro::registers_table(&db) {
                                 Ok(t) => t,
@@ -757,10 +757,9 @@ mod pipeline_tests {
             let table = micro::registers_table(&db).unwrap();
             micro::init_client(&db, table, 0).await.unwrap();
             let server = machine.server();
-            let conn = server.connect();
             let mut acked = 0u64;
             for seq in 1..=50u64 {
-                let o = conn
+                let o = server
                     .submit(job(move |db| async move {
                         let t = micro::registers_table(&db).unwrap();
                         outcome_from(micro::write_pair(&db, t, 0, seq).await)

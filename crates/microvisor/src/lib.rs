@@ -18,8 +18,9 @@
 //!   model.
 //! * Cells share nothing: all state is owned by tasks inside the cell
 //!   (enforced by Rust ownership). Communication crosses cell boundaries
-//!   only through [`ring`] queues, which survive the death of either
-//!   side.
+//!   only through the [`ring`]: a guest request runs as a task in the
+//!   driver cell, and the guest awaits that task, so the death of the
+//!   guest never touches the driver's side.
 //! * Crossing the boundary costs time ([`VirtCosts`]): the trap, the
 //!   hypervisor handling and the completion interrupt. This is the
 //!   "virtualisation overhead" the paper's abstract refers to, and it is

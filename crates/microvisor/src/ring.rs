@@ -1,8 +1,10 @@
 //! The virtio-style block transport between guest and hypervisor.
 //!
-//! [`VirtioBlk`] implements [`BlockDevice`] on the guest side and forwards
-//! every request through a bounded queue to a backend device served by a
-//! (trusted) driver cell. Each request pays:
+//! [`VirtioBlk`] implements [`BlockDevice`] on the guest side and hands
+//! every request to a backend device served by a (trusted) driver cell: each
+//! request runs in a task of its own in the cell's domain, so a slow media op
+//! does not head-of-line-block unrelated requests, and the guest awaits that
+//! task. Each request pays:
 //!
 //! * `trap` — the vmexit / hypercall on submission (guest vCPU time);
 //! * `backend` — hypervisor-side request handling;
@@ -19,17 +21,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rapilog_simcore::bytes::SectorBuf;
-use rapilog_simcore::chan::{self, OnceSender, Sender};
-use rapilog_simcore::{SimCtx, SimDuration};
+use rapilog_simcore::{DomainId, SimCtx, SimDuration};
 use rapilog_simdisk::{
-    flatten, BlockDevice, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken,
+    flatten, BlockDevice, Geometry, IoError, IoReq, IoResult, LocalBoxFuture, ReqToken,
 };
 
 use crate::cell::Cell;
-
-/// Ring depth: outstanding requests before the guest blocks (virtio-blk's
-/// traditional default).
-const QUEUE_DEPTH: usize = 128;
 
 /// Per-request boundary-crossing costs.
 #[derive(Debug, Clone, Copy)]
@@ -65,63 +62,36 @@ pub struct VirtioStats {
     pub bytes_in: u64,
 }
 
-/// One descriptor on the ring: the guest's request (a write carries one
-/// owned buffer, viewed all the way to the backend without copying — the
-/// simulated analogue of the descriptor pointing into guest memory) and
-/// where the backend's answer goes.
-struct Request {
-    req: IoReq,
-    reply: OnceSender<IoResult<Option<SectorBuf>>>,
-}
-
 /// Guest-side virtual block device forwarding to a backend through a
-/// driver cell. Cloneable; clones share the queue.
+/// driver cell. Cloneable; clones share the backend and the statistics.
 #[derive(Clone)]
 pub struct VirtioBlk {
     ctx: SimCtx,
-    tx: Sender<Request>,
+    backend: Rc<dyn BlockDevice>,
+    /// The driver cell's domain, where each request's backend task runs.
+    domain: DomainId,
     geometry: Geometry,
     costs: VirtCosts,
     stats: Rc<RefCell<VirtioStats>>,
-    queue: Rc<IoQueue>,
 }
 
 impl VirtioBlk {
-    /// Creates the device and starts its backend service loop inside
-    /// `driver_cell` (which should be trusted — drivers outside the guest
-    /// are exactly what the RapiLog architecture relies on).
+    /// Creates the device over `backend`, served inside `driver_cell`
+    /// (which should be trusted — drivers outside the guest are exactly
+    /// what the RapiLog architecture relies on).
     pub fn new(
         ctx: &SimCtx,
         driver_cell: &Cell,
         backend: Rc<dyn BlockDevice>,
         costs: VirtCosts,
     ) -> VirtioBlk {
-        let (tx, rx) = chan::bounded::<Request>(QUEUE_DEPTH);
-        let geometry = backend.geometry();
-        let serve_ctx = ctx.clone();
-        let cell_domain_spawner = driver_cell.ctx();
-        let domain = driver_cell.domain();
-        driver_cell.spawn(async move {
-            while let Some(Request { req, reply }) = rx.recv().await {
-                // Each request is handled by its own task so a slow media
-                // op does not head-of-line-block unrelated requests; the
-                // backend device orders operations itself.
-                let backend = Rc::clone(&backend);
-                let ctx2 = serve_ctx.clone();
-                let hv_cost = costs.backend;
-                cell_domain_spawner.spawn_detached_in(domain, async move {
-                    ctx2.sleep(hv_cost).await;
-                    reply.send(backend.exec(req).await);
-                });
-            }
-        });
         VirtioBlk {
             ctx: ctx.clone(),
-            tx,
-            geometry,
+            geometry: backend.geometry(),
+            backend,
+            domain: driver_cell.domain(),
             costs,
             stats: Rc::new(RefCell::new(VirtioStats::default())),
-            queue: Rc::new(IoQueue::new()),
         }
     }
 
@@ -130,17 +100,25 @@ impl VirtioBlk {
         *self.stats.borrow()
     }
 
+    /// One ring round trip: the trap, the backend's task in the driver
+    /// cell (a write's one owned buffer viewed all the way to the backend
+    /// without copying — the simulated analogue of the descriptor pointing
+    /// into guest memory), the completion interrupt.
     async fn transact(&self, req: IoReq) -> IoResult<Option<SectorBuf>> {
         self.ctx.sleep(self.costs.trap).await;
-        let (rtx, rrx) = chan::oneshot();
-        self.tx
-            .send(Request { req, reply: rtx })
+        let (ctx, backend, hv_cost) = (
+            self.ctx.clone(),
+            Rc::clone(&self.backend),
+            self.costs.backend,
+        );
+        let result = self
+            .ctx
+            .spawn_in(self.domain, async move {
+                ctx.sleep(hv_cost).await;
+                backend.exec(req).await
+            })
             .await
-            .unwrap_or_else(|_| panic!("virtio backend vanished: trusted cell must not die"));
-        let result = rrx
-            .recv()
-            .await
-            .expect("virtio backend dropped a reply: trusted cell must not die");
+            .expect("virtio backend dropped a request: trusted cell must not die");
         self.ctx.sleep(self.costs.irq).await;
         result
     }
@@ -188,15 +166,7 @@ impl BlockDevice for VirtioBlk {
     }
 
     fn submit(&self, req: IoReq) -> ReqToken {
-        self.queue.submit(&self.ctx, self.clone(), req)
-    }
-
-    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-        Box::pin(self.queue.wait(token))
-    }
-
-    fn discard(&self, token: ReqToken) {
-        self.queue.forget(token);
+        ReqToken::spawn(&self.ctx, self.clone(), req)
     }
 }
 

@@ -30,8 +30,8 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::trace::{Layer, Payload, Tracer};
 use rapilog_simcore::{SimCtx, SimDuration};
 use rapilog_simdisk::{
-    flatten, BlockDevice, Disk, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture,
-    ReqToken, SECTOR_SIZE,
+    flatten, BlockDevice, Disk, Geometry, IoError, IoReq, IoResult, LocalBoxFuture, ReqToken,
+    SECTOR_SIZE,
 };
 
 use crate::buffer::{DependableBuffer, PushError};
@@ -56,7 +56,6 @@ pub struct RapiLogDevice {
     repl: Option<Replicator>,
     geometry: Geometry,
     tracer: Rc<Tracer>,
-    queue: Rc<IoQueue>,
 }
 
 impl RapiLogDevice {
@@ -82,7 +81,6 @@ impl RapiLogDevice {
             repl,
             geometry,
             tracer: ctx.tracer(),
-            queue: Rc::new(IoQueue::new()),
         }
     }
 
@@ -93,15 +91,6 @@ impl RapiLogDevice {
 
     fn ack_cost(&self, bytes: usize) -> SimDuration {
         self.cfg.ack_base + self.cfg.ack_per_kib * (bytes as u64).div_ceil(1024)
-    }
-
-    /// A transfer of `len` bytes at `sector`: whole sectors, at least one,
-    /// inside the device.
-    fn check(&self, sector: u64, len: usize) -> IoResult<()> {
-        if !len.is_multiple_of(SECTOR_SIZE) {
-            return Err(IoError::Misaligned { len });
-        }
-        self.geometry.check(sector, (len / SECTOR_SIZE) as u64)
     }
 
     /// The guest no longer needs these sectors: the buffer notes the range
@@ -126,7 +115,7 @@ impl RapiLogDevice {
     /// chunking for a small buffer is O(1) sub-slicing, and no byte is
     /// copied between here and the media store.
     async fn write_inner(&self, sector: u64, data: SectorBuf) -> IoResult<()> {
-        self.check(sector, data.len())?;
+        self.geometry.check_bytes(sector, data.len())?;
         let Some(buffer) = &self.buffer else {
             // Write-through: honest synchronous durability.
             let payload = Payload::Extent {
@@ -155,12 +144,13 @@ impl RapiLogDevice {
         let chunk_sectors = (buffer.largest_extent() as usize / SECTOR_SIZE).clamp(1, 128);
         let mut offset = 0usize;
         let mut first = sector;
-        let mut last_seq = None;
+        // Some push always runs: a write of no sectors was refused above.
+        let mut last_seq = 0;
         while offset < data.len() {
             let take = (data.len() - offset).min(chunk_sectors * SECTOR_SIZE);
             match buffer.push(first, data.slice(offset..offset + take)).await {
                 Ok(seq) => {
-                    last_seq = Some(seq);
+                    last_seq = seq;
                     self.tracer.instant(
                         self.ctx.now(),
                         Layer::Buffer,
@@ -193,16 +183,14 @@ impl RapiLogDevice {
         // write (same ordered pipeline, so ordering is free) all the way
         // to media.
         if self.mode.get() {
-            if let Some(seq) = last_seq {
-                let mark = Payload::Mark { value: seq };
-                self.tracer
-                    .begin(self.ctx.now(), Layer::Buffer, "degraded_ack", mark);
-                let committed = buffer.wait_completed(seq).await;
-                self.tracer
-                    .end(self.ctx.now(), Layer::Buffer, "degraded_ack", mark);
-                if !committed {
-                    return Err(IoError::PowerLoss);
-                }
+            let mark = Payload::Mark { value: last_seq };
+            self.tracer
+                .begin(self.ctx.now(), Layer::Buffer, "degraded_ack", mark);
+            let committed = buffer.wait_completed(last_seq).await;
+            self.tracer
+                .end(self.ctx.now(), Layer::Buffer, "degraded_ack", mark);
+            if !committed {
+                return Err(IoError::PowerLoss);
             }
         }
         // Synchronous replication: the acknowledgement is a promise about
@@ -216,16 +204,14 @@ impl RapiLogDevice {
             .as_ref()
             .filter(|r| r.mode() == ReplicationMode::Sync);
         if let Some(repl) = sync_repl {
-            if let Some(seq) = last_seq {
-                let mark = Payload::Mark { value: seq };
-                self.tracer
-                    .begin(self.ctx.now(), Layer::Net, "repl_wait", mark);
-                let replicated = repl.wait_replicated(seq).await;
-                self.tracer
-                    .end(self.ctx.now(), Layer::Net, "repl_wait", mark);
-                if !replicated {
-                    return Err(IoError::PowerLoss);
-                }
+            let mark = Payload::Mark { value: last_seq };
+            self.tracer
+                .begin(self.ctx.now(), Layer::Net, "repl_wait", mark);
+            let replicated = repl.wait_replicated(last_seq).await;
+            self.tracer
+                .end(self.ctx.now(), Layer::Net, "repl_wait", mark);
+            if !replicated {
+                return Err(IoError::PowerLoss);
             }
         }
         Ok(())
@@ -314,15 +300,7 @@ impl BlockDevice for RapiLogDevice {
     }
 
     fn submit(&self, req: IoReq) -> ReqToken {
-        self.queue.submit(&self.ctx, self.clone(), req)
-    }
-
-    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-        Box::pin(self.queue.wait(token))
-    }
-
-    fn discard(&self, token: ReqToken) {
-        self.queue.forget(token);
+        ReqToken::spawn(&self.ctx, self.clone(), req)
     }
 }
 
@@ -597,6 +575,51 @@ mod tests {
         assert!(done.get());
         let stats = rl.snapshot().buffer;
         assert_eq!((stats.read_memory_bytes, stats.read_disk_bytes), (512, 0));
+    }
+
+    #[test]
+    fn a_read_from_the_disk_sees_a_write_admitted_meanwhile() {
+        let mut sim = Sim::new(3);
+        let (rl, dev, disk) = setup(&mut sim, CapacitySpec::Fixed(16 << 20));
+        let ctx = sim.ctx();
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        sim.spawn(async move {
+            let media = |s: u64| [s as u8; SECTOR_SIZE];
+            for s in 200..204 {
+                disk.poke_media(s, &media(s));
+            }
+            let mut buf = vec![0u8; 4 * SECTOR_SIZE];
+            dev.read(200, &mut buf).await.unwrap();
+            for (s, got) in (200..204).zip(buf.chunks_exact(SECTOR_SIZE)) {
+                assert_eq!(got, media(s), "sector {s}");
+            }
+            // A write admitted while the read is on the disk is newer than
+            // what the disk read.
+            let (c2, d2v) = (ctx.clone(), dev.clone());
+            let writer = ctx.spawn(async move {
+                c2.sleep(SimDuration::from_micros(50)).await;
+                d2v.write(202, &[0x77; SECTOR_SIZE], true).await.unwrap();
+            });
+            let t0 = ctx.now();
+            dev.read(200, &mut buf).await.unwrap();
+            assert!(writer.is_finished(), "the write was admitted meanwhile");
+            assert!(ctx.now() - t0 > SimDuration::from_micros(50));
+            for (s, got) in (200..204).zip(buf.chunks_exact(SECTOR_SIZE)) {
+                let want = if s == 202 {
+                    [0x77; SECTOR_SIZE]
+                } else {
+                    media(s)
+                };
+                assert_eq!(got, want, "sector {s}");
+            }
+            d2.set(true);
+        });
+        sim.run_until(SimTime::from_secs(1));
+        assert!(done.get());
+        let stats = rl.snapshot().buffer;
+        assert_eq!(stats.read_disk_bytes, 8 * SECTOR_SIZE as u64);
+        assert_eq!(stats.read_memory_bytes, 0);
     }
 
     #[test]

@@ -1,14 +1,8 @@
-//! Asynchronous channels for the simulation executor.
+//! The simulation's one channel: an unbounded multi-producer queue, which
+//! carries `simnet`'s link messages. A task's result comes back through its
+//! [`JoinHandle`](crate::JoinHandle), not through a channel.
 //!
-//! Three flavours are provided:
-//!
-//! * [`unbounded`] — an infinite-capacity multi-producer channel;
-//! * [`bounded`] — a finite-capacity channel whose [`Sender::send`] applies
-//!   backpressure by waiting for space (this is how the RapiLog virtual disk
-//!   models a full dependable buffer);
-//! * [`oneshot`] — a single-value rendezvous used for request/response IPC.
-//!
-//! All channels are `!Send`: the executor is single-threaded, so state lives
+//! The channel is `!Send`: the executor is single-threaded, so state lives
 //! in `Rc<RefCell<..>>`. Wakeups are "wake all then re-check", which makes
 //! them robust against tasks being destroyed by crash injection while they
 //! wait (a lost waiter can never strand a wakeup).
@@ -24,9 +18,7 @@ use crate::sched::push_waker_deduped;
 
 struct ChanState<T> {
     queue: VecDeque<T>,
-    capacity: Option<usize>,
     recv_wakers: Vec<Waker>,
-    send_wakers: Vec<Waker>,
     senders: usize,
     receiver_alive: bool,
 }
@@ -37,22 +29,9 @@ impl<T> ChanState<T> {
             w.wake();
         }
     }
-
-    fn wake_senders(&mut self) {
-        for w in self.send_wakers.drain(..) {
-            w.wake();
-        }
-    }
-
-    fn has_space(&self) -> bool {
-        match self.capacity {
-            Some(c) => self.queue.len() < c,
-            None => true,
-        }
-    }
 }
 
-/// Error returned by [`Sender::send`] when the receiver is gone.
+/// Error returned by [`Sender::try_send`] when the receiver is gone.
 #[derive(Debug, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
@@ -60,15 +39,6 @@ impl<T> fmt::Display for SendError<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "receiver dropped")
     }
-}
-
-/// Error returned by [`Sender::try_send`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The channel is at capacity.
-    Full(T),
-    /// The receiver was dropped.
-    Closed(T),
 }
 
 /// Sending half of a channel. Cloneable (multi-producer).
@@ -83,26 +53,9 @@ pub struct Receiver<T> {
 
 /// Creates an unbounded multi-producer channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    make_channel(None)
-}
-
-/// Creates a bounded channel with space for `capacity` queued values.
-///
-/// # Panics
-///
-/// Panics if `capacity` is zero (a rendezvous channel is not supported; use
-/// [`oneshot`] for request/response patterns).
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    assert!(capacity > 0, "bounded channel capacity must be non-zero");
-    make_channel(Some(capacity))
-}
-
-fn make_channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let state = Rc::new(RefCell::new(ChanState {
         queue: VecDeque::new(),
-        capacity,
         recv_wakers: Vec::new(),
-        send_wakers: Vec::new(),
         senders: 1,
         receiver_alive: true,
     }));
@@ -115,51 +68,15 @@ fn make_channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
 }
 
 impl<T> Sender<T> {
-    /// Enqueues `value` without waiting.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+    /// Enqueues `value`; fails only once the receiver is gone.
+    pub fn try_send(&self, value: T) -> Result<(), SendError<T>> {
         let mut s = self.state.borrow_mut();
         if !s.receiver_alive {
-            return Err(TrySendError::Closed(value));
-        }
-        if !s.has_space() {
-            return Err(TrySendError::Full(value));
+            return Err(SendError(value));
         }
         s.queue.push_back(value);
         s.wake_receivers();
         Ok(())
-    }
-
-    /// Enqueues `value`, waiting (in virtual time) for space if the channel
-    /// is bounded and full.
-    pub async fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut slot = Some(value);
-        poll_fn(|cx| {
-            let mut s = self.state.borrow_mut();
-            if !s.receiver_alive {
-                return Poll::Ready(Err(SendError(
-                    slot.take().expect("send polled after completion"),
-                )));
-            }
-            if s.has_space() {
-                s.queue
-                    .push_back(slot.take().expect("send polled after completion"));
-                s.wake_receivers();
-                return Poll::Ready(Ok(()));
-            }
-            push_waker_deduped(&mut s.send_wakers, cx.waker());
-            Poll::Pending
-        })
-        .await
-    }
-
-    /// Number of values currently queued.
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// True if no values are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -186,12 +103,7 @@ impl<T> Receiver<T> {
     /// Dequeues a value without waiting. Returns `None` if the queue is
     /// empty (regardless of whether senders remain).
     pub fn try_recv(&self) -> Option<T> {
-        let mut s = self.state.borrow_mut();
-        let v = s.queue.pop_front();
-        if v.is_some() {
-            s.wake_senders();
-        }
-        v
+        self.state.borrow_mut().queue.pop_front()
     }
 
     /// Waits for the next value. Resolves to `None` once every sender has
@@ -200,7 +112,6 @@ impl<T> Receiver<T> {
         poll_fn(|cx| {
             let mut s = self.state.borrow_mut();
             if let Some(v) = s.queue.pop_front() {
-                s.wake_senders();
                 return Poll::Ready(Some(v));
             }
             if s.senders == 0 {
@@ -211,96 +122,11 @@ impl<T> Receiver<T> {
         })
         .await
     }
-
-    /// Number of values currently queued.
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// True if no values are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut s = self.state.borrow_mut();
-        s.receiver_alive = false;
-        s.wake_senders();
-    }
-}
-
-struct OnceState<T> {
-    value: Option<T>,
-    sender_alive: bool,
-    waker: Option<Waker>,
-}
-
-/// Sending half of a [`oneshot`] channel.
-pub struct OnceSender<T> {
-    state: Rc<RefCell<OnceState<T>>>,
-}
-
-/// Receiving half of a [`oneshot`] channel.
-pub struct OnceReceiver<T> {
-    state: Rc<RefCell<OnceState<T>>>,
-}
-
-/// Creates a single-value rendezvous channel.
-pub fn oneshot<T>() -> (OnceSender<T>, OnceReceiver<T>) {
-    let state = Rc::new(RefCell::new(OnceState {
-        value: None,
-        sender_alive: true,
-        waker: None,
-    }));
-    (
-        OnceSender {
-            state: Rc::clone(&state),
-        },
-        OnceReceiver { state },
-    )
-}
-
-impl<T> OnceSender<T> {
-    /// Delivers the value, consuming the sender.
-    pub fn send(self, value: T) {
-        let mut s = self.state.borrow_mut();
-        s.value = Some(value);
-        if let Some(w) = s.waker.take() {
-            drop(s);
-            w.wake();
-        }
-    }
-}
-
-impl<T> Drop for OnceSender<T> {
-    fn drop(&mut self) {
-        let mut s = self.state.borrow_mut();
-        s.sender_alive = false;
-        if let Some(w) = s.waker.take() {
-            drop(s);
-            w.wake();
-        }
-    }
-}
-
-impl<T> OnceReceiver<T> {
-    /// Waits for the value; `None` if the sender was dropped without sending
-    /// (e.g. destroyed by crash injection).
-    pub async fn recv(self) -> Option<T> {
-        poll_fn(|cx| {
-            let mut s = self.state.borrow_mut();
-            if let Some(v) = s.value.take() {
-                return Poll::Ready(Some(v));
-            }
-            if !s.sender_alive {
-                return Poll::Ready(None);
-            }
-            s.waker = Some(cx.waker().clone());
-            Poll::Pending
-        })
-        .await
+        self.state.borrow_mut().receiver_alive = false;
     }
 }
 
@@ -354,97 +180,12 @@ mod tests {
     }
 
     #[test]
-    fn bounded_send_applies_backpressure() {
-        let mut sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let (tx, rx) = bounded::<u32>(2);
-        let sent_at = Rc::new(RefCell::new(Vec::new()));
-        let sa = Rc::clone(&sent_at);
-        let c2 = ctx.clone();
-        sim.spawn(async move {
-            for i in 0..4 {
-                tx.send(i).await.unwrap();
-                sa.borrow_mut().push((i, c2.now().as_millis()));
-            }
-        });
-        sim.spawn({
-            let ctx = ctx.clone();
-            async move {
-                ctx.sleep(SimDuration::from_millis(10)).await;
-                assert_eq!(rx.recv().await, Some(0));
-                ctx.sleep(SimDuration::from_millis(10)).await;
-                assert_eq!(rx.recv().await, Some(1));
-                assert_eq!(rx.recv().await, Some(2));
-                assert_eq!(rx.recv().await, Some(3));
-            }
-        });
-        sim.run();
-        let v = sent_at.borrow();
-        assert_eq!(v[0], (0, 0));
-        assert_eq!(v[1], (1, 0));
-        assert_eq!(v[2], (2, 10), "third send waited for a slot");
-        assert_eq!(v[3], (3, 20), "fourth send waited for a slot");
-    }
-
-    #[test]
-    fn try_send_full_and_closed() {
-        let mut sim = Sim::new(0);
-        let (tx, rx) = bounded::<u32>(1);
-        sim.spawn(async move {
-            tx.try_send(1).unwrap();
-            assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
-            assert_eq!(rx.try_recv(), Some(1));
-            drop(rx);
-            assert_eq!(tx.try_send(3), Err(TrySendError::Closed(3)));
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn send_fails_when_receiver_dropped_while_waiting() {
-        let mut sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let (tx, rx) = bounded::<u32>(1);
-        let failed = Rc::new(Cell::new(false));
-        let f2 = Rc::clone(&failed);
-        sim.spawn(async move {
-            tx.try_send(0).unwrap();
-            // This send blocks (channel full) until the receiver dies.
-            assert_eq!(tx.send(1).await, Err(SendError(1)));
-            f2.set(true);
-        });
-        sim.spawn(async move {
-            ctx.sleep(SimDuration::from_millis(1)).await;
-            drop(rx);
-        });
-        sim.run();
-        assert!(failed.get());
-    }
-
-    #[test]
-    fn oneshot_roundtrip_and_drop() {
-        let mut sim = Sim::new(0);
-        let done = Rc::new(Cell::new(0));
-        let (tx, rx) = oneshot::<&str>();
-        let d = Rc::clone(&done);
-        sim.spawn(async move {
-            assert_eq!(rx.recv().await, Some("hello"));
-            d.set(d.get() + 1);
-        });
-        sim.spawn(async move {
-            tx.send("hello");
-        });
-        let (tx2, rx2) = oneshot::<&str>();
-        let d = Rc::clone(&done);
-        sim.spawn(async move {
-            assert_eq!(rx2.recv().await, None);
-            d.set(d.get() + 1);
-        });
-        sim.spawn(async move {
-            drop(tx2);
-        });
-        sim.run();
-        assert_eq!(done.get(), 2);
+    fn try_send_fails_once_the_receiver_is_gone() {
+        let (tx, rx) = unbounded::<u32>();
+        tx.try_send(1).unwrap();
+        assert_eq!(rx.try_recv(), Some(1));
+        drop(rx);
+        assert_eq!(tx.try_send(3), Err(SendError(3)));
     }
 
     /// Re-polling a blocked `recv` (as `timeout`/select races do on every

@@ -262,31 +262,21 @@ impl SimCtx {
             state: Rc::clone(&state),
         };
         let guard = CompletionGuard { state };
+        let rc = self.upgrade();
         // Dropped unpolled if the domain is dead: the guard marks the state
         // finished either way, and wakes any joiner.
-        self.spawn_detached_in(domain, async move {
-            let _guard = guard;
-            let v = fut.await;
-            _guard.state.borrow_mut().value = Some(v);
-        });
-        handle
-    }
-
-    /// Spawns a task in `domain` that nobody will join: there is no
-    /// [`JoinHandle`], so none of its bookkeeping either (one allocation
-    /// and a second copy of the future's state less than
-    /// [`spawn_in`](Self::spawn_in)). For a task whose result travels by
-    /// other means — a completion queue, a reply channel. Scheduled exactly
-    /// as `spawn_in` would; dropped at once if the domain is already dead.
-    pub fn spawn_detached_in<F>(&self, domain: DomainId, fut: F)
-    where
-        F: Future<Output = ()> + 'static,
-    {
-        let rc = self.upgrade();
         if rc.borrow().dead_domains.contains(&domain) {
-            return;
+            return handle;
         }
-        rc.borrow_mut().sched.spawn(domain, Box::pin(fut));
+        rc.borrow_mut().sched.spawn(
+            domain,
+            Box::pin(async move {
+                let _guard = guard;
+                let v = fut.await;
+                _guard.state.borrow_mut().value = Some(v);
+            }),
+        );
+        handle
     }
 
     /// Creates a fresh cancellation domain.

@@ -29,9 +29,8 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::rng::SimRng;
 use rapilog_simcore::sync::Semaphore;
 use rapilog_simcore::trace::{Layer, Payload, Tracer};
-use rapilog_simcore::{DomainId, SimCtx, SimDuration, SimTime};
+use rapilog_simcore::{SimCtx, SimDuration, SimTime};
 
-use crate::queue::IoQueue;
 use crate::spec::DiskSpec;
 use crate::store::SectorStore;
 use crate::timing::{ServiceParts, TimingModel};
@@ -150,8 +149,6 @@ struct DiskInner {
     /// cleared — models a drive in an error burst / firmware reset storm.
     sick: Cell<bool>,
     stats: RefCell<DiskStats>,
-    /// Completion bookkeeping for the queued interface.
-    queue: IoQueue,
     tracer: Rc<Tracer>,
 }
 
@@ -315,7 +312,6 @@ impl Disk {
             bad_sectors: RefCell::new(BTreeSet::new()),
             sick: Cell::new(false),
             stats: RefCell::new(DiskStats::default()),
-            queue: IoQueue::new(),
             tracer: ctx.tracer(),
             spec,
         });
@@ -327,14 +323,9 @@ impl Disk {
         &self.inner.spec
     }
 
-    /// Snapshot of cumulative statistics. The queued-interface gauges
-    /// (`outstanding`, `max_outstanding`) are folded in from the live
-    /// submission queue.
+    /// Snapshot of cumulative statistics.
     pub fn stats(&self) -> DiskStats {
-        let mut stats = *self.inner.stats.borrow();
-        stats.outstanding = self.inner.queue.outstanding();
-        stats.max_outstanding = self.inner.queue.max_outstanding();
-        stats
+        *self.inner.stats.borrow()
     }
 
     /// True if the device has lost power.
@@ -453,12 +444,8 @@ impl Disk {
             IoReq::Write {
                 sector, segments, ..
             } => {
-                let len: usize = segments.iter().map(SectorBuf::len).sum();
-                if len == 0 || !len.is_multiple_of(SECTOR_SIZE) {
-                    return Err(IoError::Misaligned { len });
-                }
-                let count = (len / SECTOR_SIZE) as u64;
-                self.inner.geometry.check(sector, count)?;
+                let len = segments.iter().map(SectorBuf::len).sum();
+                let count = self.inner.geometry.check_bytes(sector, len)?;
                 if let Some(seg) = segments
                     .iter()
                     .find(|s| s.is_empty() || !s.len().is_multiple_of(SECTOR_SIZE))
@@ -657,13 +644,19 @@ impl BlockDevice for Disk {
         Box::pin(self.exec(req))
     }
 
-    /// The disk meters its own queue (`queued_requests`, `max_outstanding`,
-    /// the `disk_queue_depth` instant), so it spells the queued form out
-    /// instead of calling [`IoQueue::submit`]. A request that reaches the
-    /// disk through a wrapper's inline `exec` is not counted here.
+    /// The disk meters its own queue (`queued_requests`, `outstanding`,
+    /// `max_outstanding`, the `disk_queue_depth` instant), so it spells the
+    /// queued form out around [`ReqToken::spawn`]'s task. A request that
+    /// reaches the disk through a wrapper's inline `exec` is not counted
+    /// here.
     fn submit(&self, req: IoReq) -> ReqToken {
-        let token = self.inner.queue.issue();
-        self.inner.stats.borrow_mut().queued_requests += 1;
+        let depth = {
+            let mut stats = self.inner.stats.borrow_mut();
+            stats.queued_requests += 1;
+            stats.outstanding += 1;
+            stats.max_outstanding = stats.max_outstanding.max(stats.outstanding);
+            stats.outstanding
+        };
         // Make the reordering observable: mark every change in queue depth
         // on the disk trace layer.
         self.inner.tracer.instant(
@@ -671,25 +664,15 @@ impl BlockDevice for Disk {
             Layer::Disk,
             "disk_queue_depth",
             Payload::Bytes {
-                bytes: self.inner.queue.outstanding() as u64,
+                bytes: u64::from(depth),
             },
         );
         let disk = self.clone();
-        self.inner
-            .ctx
-            .spawn_detached_in(DomainId::ROOT, async move {
-                let outcome = disk.exec(req).await;
-                disk.inner.queue.finish(token, outcome);
-            });
-        token
-    }
-
-    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-        Box::pin(self.inner.queue.wait(token))
-    }
-
-    fn discard(&self, token: ReqToken) {
-        self.inner.queue.forget(token);
+        ReqToken(self.inner.ctx.spawn(async move {
+            let outcome = disk.exec(req).await;
+            disk.inner.stats.borrow_mut().outstanding -= 1;
+            outcome
+        }))
     }
 }
 
@@ -942,6 +925,63 @@ mod tests {
             assert_eq!(s.outstanding, 0);
             assert!(s.max_outstanding >= 2, "requests overlapped in the queue");
         });
+    }
+
+    /// A device over a disk that keeps a view of every payload it reads,
+    /// so a test can tell whether anything else still holds one.
+    #[derive(Clone)]
+    struct KeepsReads {
+        ctx: SimCtx,
+        disk: Disk,
+        seen: Rc<RefCell<Vec<SectorBuf>>>,
+    }
+
+    impl BlockDevice for KeepsReads {
+        fn geometry(&self) -> Geometry {
+            self.disk.geometry()
+        }
+
+        fn exec(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+            Box::pin(async move {
+                let outcome = self.disk.exec(req).await;
+                if let Ok(Some(data)) = &outcome {
+                    self.seen.borrow_mut().push(data.clone());
+                }
+                outcome
+            })
+        }
+
+        fn submit(&self, req: IoReq) -> ReqToken {
+            ReqToken::spawn(&self.ctx, self.clone(), req)
+        }
+    }
+
+    #[test]
+    fn a_dropped_token_still_reads_and_its_payload_is_freed_when_the_read_finishes() {
+        let mut sim = Sim::new(7);
+        let ctx = sim.ctx();
+        let disk = Disk::new(&ctx, specs::hdd_7200(1 << 20));
+        let dev = KeepsReads {
+            ctx,
+            disk: disk.clone(),
+            seen: Rc::default(),
+        };
+        let read = IoReq::Read {
+            sector: 8,
+            sectors: 4,
+        };
+        let pool = crate::SectorPool::new();
+        drop(dev.submit(read.clone()));
+        assert!(sim.run().now > SimTime::ZERO, "the read took media time");
+        assert_eq!(disk.stats().reads, 1, "the given-up read reached the disk");
+        pool.recycle(dev.seen.borrow_mut().pop().expect("the read finished"));
+        assert_eq!(pool.idle(), 1, "nothing holds the given-up read's payload");
+        // Potency: a token still held keeps its payload alive.
+        let kept = dev.submit(read);
+        sim.run();
+        pool.recycle(dev.seen.borrow_mut().pop().expect("the read finished"));
+        assert_eq!(pool.idle(), 1, "the held token's payload is not freed");
+        drop(kept);
     }
 
     #[test]

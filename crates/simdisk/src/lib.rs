@@ -24,6 +24,12 @@
 //! multi-sector write may be torn. Every modelled device is write-through:
 //! a completed write is on the media.
 //!
+//! Every device, simulated or virtual, is a [`BlockDevice`]: it handles a
+//! request in one method, [`BlockDevice::exec`], in the caller's task. The
+//! queued form runs that in a task of its own: [`BlockDevice::submit`]
+//! returns the task as a [`ReqToken`], [`BlockDevice::wait`] awaits it, and
+//! dropping the token gives the request up.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,13 +50,11 @@
 //! ```
 
 pub mod disk;
-pub mod queue;
 pub mod spec;
 pub mod store;
 pub mod timing;
 
 pub use disk::{Disk, DiskStats};
-pub use queue::IoQueue;
 pub use rapilog_simcore::bytes::{SectorBuf, SectorPool};
 pub use spec::{specs, DiskSpec, FaultProfile, TimingSpec};
 pub use store::SectorStore;
@@ -59,6 +63,8 @@ pub use timing::ServiceParts;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
+
+use rapilog_simcore::{JoinHandle, SimCtx};
 
 /// Sector size used by every device in the suite (bytes).
 pub const SECTOR_SIZE: usize = 512;
@@ -150,6 +156,17 @@ impl Geometry {
         }
         Ok(())
     }
+
+    /// Checks a transfer of `len` bytes at `sector`: whole sectors, at
+    /// least one, else [`IoError::Misaligned`], then [`check`](Self::check)
+    /// on them. Returns the sector count.
+    pub fn check_bytes(&self, sector: u64, len: usize) -> IoResult<u64> {
+        if len == 0 || !len.is_multiple_of(self.sector_size) {
+            return Err(IoError::Misaligned { len });
+        }
+        let count = (len / self.sector_size) as u64;
+        self.check(sector, count).map(|()| count)
+    }
 }
 
 /// One request to a [`BlockDevice`].
@@ -185,7 +202,6 @@ pub enum IoReq {
     /// at `sector`; until it rewrites them they may read as zeros or as
     /// their last contents. Never a durability event, and nothing a device
     /// has to remember: a device that does nothing with it is correct.
-    /// (`Trim`, because [`BlockDevice::discard`] gives up a token.)
     Trim {
         /// First sector no longer needed.
         sector: u64,
@@ -194,12 +210,42 @@ pub enum IoReq {
     },
 }
 
-/// Opaque handle identifying a submitted request.
+/// An owned handle to a submitted request: the task that carries it to
+/// completion.
 ///
-/// Tokens are unique per device instance and must be claimed exactly once,
-/// via [`BlockDevice::wait`] or [`BlockDevice::discard`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ReqToken(pub(crate) u64);
+/// [`BlockDevice::submit`] returns one and [`BlockDevice::wait`] consumes it
+/// for the request's result. Dropping a token gives the request up: it still
+/// runs on the device, and its result (a read's payload) is freed when it
+/// finishes. A token is not `Copy`, so it is claimed at most once; waiting
+/// on one twice does not compile:
+///
+/// ```compile_fail,E0382
+/// use rapilog_simcore::Sim;
+/// use rapilog_simdisk::{specs, BlockDevice, Disk, IoReq};
+///
+/// let mut sim = Sim::new(1);
+/// let disk = Disk::new(&sim.ctx(), specs::instant(1 << 20));
+/// sim.spawn(async move {
+///     let token = disk.submit(IoReq::Flush);
+///     let _ = disk.wait(token).await;
+///     let _ = disk.wait(token).await;
+/// });
+/// ```
+pub struct ReqToken(JoinHandle<IoResult<Option<SectorBuf>>>);
+
+impl ReqToken {
+    /// The queued form of `dev.exec(req)`: carries the request to
+    /// completion in a task of its own and hands out that task. The task
+    /// is in the root domain, so a request outlives the task that submitted
+    /// it, as one a device has accepted does. `dev` is the device's own
+    /// (cheap) clone of itself, which the task keeps alive.
+    pub fn spawn<D>(ctx: &SimCtx, dev: D, req: IoReq) -> ReqToken
+    where
+        D: BlockDevice + 'static,
+    {
+        ReqToken(ctx.spawn(async move { dev.exec(req).await }))
+    }
+}
 
 /// An asynchronous, sector-addressed block device.
 ///
@@ -215,11 +261,11 @@ pub struct ReqToken(pub(crate) u64);
 /// task. Everything else is derived from it, so a request kind is handled
 /// in exactly one place per device:
 ///
-/// * **The queued form.** [`submit`](BlockDevice::submit) hands out a
-///   [`ReqToken`], runs `exec` in a task of its own and files the result
-///   under the token ([`IoQueue::submit`] is that, written once);
-///   [`wait`](BlockDevice::wait) and [`discard`](BlockDevice::discard) go
-///   to the device's [`IoQueue`].
+/// * **The queued form.** [`submit`](BlockDevice::submit) runs `exec` in a
+///   task of its own and returns that task as a [`ReqToken`]
+///   ([`ReqToken::spawn`]: a device's `submit` is that one line, unless it
+///   meters its own queue as the [`Disk`] does); [`wait`](BlockDevice::wait)
+///   awaits the task. Dropping a token gives the request up.
 ///   Multiple requests may be outstanding at once — up to
 ///   [`Geometry::queue_depth`] of them make media progress concurrently —
 ///   which is what lets the RapiLog drain keep several flash channels busy.
@@ -233,8 +279,8 @@ pub struct ReqToken(pub(crate) u64);
 ///
 /// A wrapper (the retry layer, the virtio ring's backend) calls its inner
 /// device's `exec`, so a request crosses the whole stack in the task that
-/// issued it and is counted by the [`IoQueue`] of the device it was
-/// submitted to, not by those underneath.
+/// issued it, or in the one task its `submit` spawned, and only the device
+/// it was submitted to sees it queued.
 ///
 /// Every device answers a malformed request the same way: a write with no
 /// bytes (or no segments) and a zero-sector read are
@@ -249,21 +295,17 @@ pub trait BlockDevice {
     /// yields `Some(data)`. The one place a device handles a request.
     fn exec(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>>;
 
-    /// Enqueues `req` and returns its token. Never blocks: admission
-    /// control beyond [`Geometry::queue_depth`] happens inside the device,
-    /// not at submission.
+    /// Starts `req` in a task of its own and returns that task. Never
+    /// blocks: admission control beyond [`Geometry::queue_depth`] happens
+    /// inside the device, not at submission.
     fn submit(&self, req: IoReq) -> ReqToken;
 
-    /// Waits for one specific request and takes its result; a completed
-    /// read yields `Some(data)`.
-    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>>;
-
-    /// Gives up the claim on `token` without waiting: the request still
-    /// runs on the device, but its result (and a read's payload) is dropped
-    /// on arrival instead of being held for a `wait` that never comes
-    /// ([`IoQueue::forget`]). This is how a reader abandons read-ahead it
-    /// turned out not to need. Counts as the token's one claim.
-    fn discard(&self, token: ReqToken);
+    /// Waits for a submitted request and takes its result; a completed
+    /// read yields `Some(data)`. Never panics: a request whose task did not
+    /// finish reads as [`IoError::PowerLoss`].
+    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+        Box::pin(async move { token.0.await.unwrap_or(Err(IoError::PowerLoss)) })
+    }
 
     /// Reads `buf.len() / sector_size` sectors starting at `sector`.
     /// The buffer length must be a positive multiple of the sector size.

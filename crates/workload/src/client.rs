@@ -3,7 +3,7 @@
 //!
 //! Clients are external to the machine under test (they live in the root
 //! domain, like the paper's load generators on a separate box) and submit
-//! whole transactions over [`session`](crate::session) connections.
+//! whole transactions to the [`session`](crate::session) server.
 //! Latency is recorded only inside the measurement window; tpmC counts
 //! committed New-Orders per minute.
 
@@ -124,7 +124,7 @@ pub async fn run(
     let end = measure_start + cfg.measure;
     let mut handles = Vec::new();
     for client in 0..cfg.clients as u64 {
-        let conn = server.connect();
+        let server = server.clone();
         let ctx2 = ctx.clone();
         let mut rng = ctx.fork_rng();
         let stats = Rc::clone(&stats);
@@ -138,7 +138,7 @@ pub async fn run(
                 let (job, kind) = source.next_job(client, seq, &mut rng);
                 seq += 1;
                 let t0 = ctx2.now();
-                let outcome = conn.submit(job).await;
+                let outcome = server.submit(job).await;
                 let t1 = ctx2.now();
                 if t1 >= measure_start && t0 < end {
                     let mut s = stats.borrow_mut();

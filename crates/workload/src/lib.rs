@@ -14,7 +14,7 @@
 //! * [`micro`] — a commit storm: minimal transactions that isolate the
 //!   commit path, used for the latency-anatomy figure.
 //! * [`session`] — the client/server boundary: clients submit whole
-//!   transactions to *connection workers that run inside the database's
+//!   transactions, each of which runs as a task *inside the database's
 //!   cancellation domain*, so a guest crash kills transactions mid-flight
 //!   exactly like a real kernel panic under a DBMS.
 //! * [`client`] — the measurement driver: N clients, warmup, steady-state
@@ -31,4 +31,4 @@ pub mod tpcc;
 
 pub use client::{RunConfig, RunStats};
 pub use fleet::{run_fleet, FleetConfig, FleetStats};
-pub use session::{Connection, DbServer, JobOutcome};
+pub use session::{DbServer, JobOutcome};

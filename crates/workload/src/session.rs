@@ -1,12 +1,12 @@
 //! Client/server session boundary.
 //!
 //! In the paper's setup, benchmark clients live outside the machine under
-//! test; the DBMS threads live inside it. We reproduce that split: a
-//! [`DbServer`] spawns one *connection worker per client* inside the
-//! database's cancellation domain, and clients submit whole transactions as
-//! jobs. When the guest OS crashes, the workers die mid-transaction — the
-//! client observes a dropped connection ([`JobOutcome::ConnectionLost`]),
-//! never a fabricated result. Only transactions that returned
+//! test; the DBMS threads live inside it. We reproduce that split: a client
+//! submits a whole transaction as a job to the [`DbServer`], and the job
+//! runs as a task of its own inside the database's cancellation domain.
+//! When the guest OS crashes, that task dies mid-transaction — the client
+//! observes a dropped connection ([`JobOutcome::ConnectionLost`]), never a
+//! fabricated result. Only transactions that returned
 //! [`JobOutcome::Committed`] count as acknowledged, and those are exactly
 //! the ones the durability auditor demands back after recovery.
 
@@ -14,7 +14,6 @@ use std::future::Future;
 use std::pin::Pin;
 
 use rapilog_dbengine::{Database, DbError};
-use rapilog_simcore::chan::{self, OnceSender, Sender};
 use rapilog_simcore::{DomainId, SimCtx};
 
 /// Result of one submitted transaction.
@@ -29,15 +28,10 @@ pub enum JobOutcome {
 }
 
 type JobFuture = Pin<Box<dyn Future<Output = JobOutcome>>>;
-/// A whole transaction, shipped to a connection worker.
+/// A whole transaction, shipped to the server.
 pub type Job = Box<dyn FnOnce(Database) -> JobFuture>;
 
-struct Request {
-    job: Job,
-    reply: OnceSender<JobOutcome>,
-}
-
-/// Server side: owns the database handle, accepts connections.
+/// Server side: owns the database handle and runs the clients' jobs.
 #[derive(Clone)]
 pub struct DbServer {
     ctx: SimCtx,
@@ -46,8 +40,8 @@ pub struct DbServer {
 }
 
 impl DbServer {
-    /// Creates a server for `db`, whose workers will live in `domain`
-    /// (the guest's domain: they must die with the guest).
+    /// Creates a server for `db`, whose jobs will run in `domain` (the
+    /// guest's domain: they must die with the guest).
     pub fn new(ctx: &SimCtx, db: Database, domain: DomainId) -> DbServer {
         DbServer {
             ctx: ctx.clone(),
@@ -56,35 +50,15 @@ impl DbServer {
         }
     }
 
-    /// Opens a connection: spawns a dedicated worker task.
-    pub fn connect(&self) -> Connection {
-        let (tx, rx) = chan::bounded::<Request>(1);
-        let db = self.db.clone();
-        self.ctx.spawn_in(self.domain, async move {
-            while let Some(Request { job, reply }) = rx.recv().await {
-                let outcome = job(db.clone()).await;
-                reply.send(outcome);
-            }
-        });
-        Connection { tx }
-    }
-}
-
-/// Client side of one connection.
-#[derive(Clone)]
-pub struct Connection {
-    tx: Sender<Request>,
-}
-
-impl Connection {
-    /// Submits a transaction and waits for its outcome. A dead worker
-    /// (guest crash) yields [`JobOutcome::ConnectionLost`].
+    /// Runs a transaction as a task in the server's domain and waits for
+    /// its outcome. A task the guest crash destroyed, or that could not
+    /// start because the guest is already gone, yields
+    /// [`JobOutcome::ConnectionLost`].
     pub async fn submit(&self, job: Job) -> JobOutcome {
-        let (rtx, rrx) = chan::oneshot();
-        if self.tx.send(Request { job, reply: rtx }).await.is_err() {
-            return JobOutcome::ConnectionLost;
-        }
-        rrx.recv().await.unwrap_or(JobOutcome::ConnectionLost)
+        self.ctx
+            .spawn_in(self.domain, job(self.db.clone()))
+            .await
+            .unwrap_or(JobOutcome::ConnectionLost)
     }
 }
 
@@ -146,8 +120,7 @@ mod tests {
         sim.spawn(async move {
             let db = make_db(&c2, DomainId::ROOT).await;
             let server = DbServer::new(&c2, db.clone(), DomainId::ROOT);
-            let conn = server.connect();
-            let outcome = conn
+            let outcome = server
                 .submit(job(|db: Database| async move {
                     let t = db.table("kv").unwrap();
                     let txn = match db.begin().await {
@@ -184,10 +157,9 @@ mod tests {
             let domain = c2.create_domain();
             let db = make_db(&c2, domain).await;
             let server = DbServer::new(&c2, db.clone(), domain);
-            let conn = server.connect();
             // A transaction that stalls forever (simulating long work).
             let killer_ctx = c2.clone();
-            let submit = conn.submit(job(move |db: Database| async move {
+            let submit = server.submit(job(move |db: Database| async move {
                 let t = db.table("kv").unwrap();
                 let txn = db.begin().await.unwrap();
                 db.insert(txn, t, 9, b"never").await.unwrap();
@@ -206,5 +178,32 @@ mod tests {
         });
         sim.run_until(SimTime::from_secs(1));
         assert!(done.get());
+    }
+
+    #[test]
+    fn a_submit_after_the_guest_died_is_connection_lost_at_once() {
+        let mut sim = Sim::new(4);
+        let ctx = sim.ctx();
+        let ran = Rc::new(StdCell::new(false));
+        let (c2, r2) = (ctx.clone(), Rc::clone(&ran));
+        let task = sim.spawn(async move {
+            let domain = c2.create_domain();
+            let db = make_db(&c2, domain).await;
+            let server = DbServer::new(&c2, db, domain);
+            c2.kill_domain(domain);
+            let t0 = c2.now();
+            let outcome = server
+                .submit(job(move |_db: Database| async move {
+                    r2.set(true);
+                    JobOutcome::Committed
+                }))
+                .await;
+            (outcome, c2.now() - t0)
+        });
+        sim.run_until(SimTime::from_secs(1));
+        let (outcome, took) = task.try_take().expect("the submit returned");
+        assert_eq!(outcome, JobOutcome::ConnectionLost);
+        assert_eq!(took, SimDuration::ZERO, "no simulated time passed");
+        assert!(!ran.get(), "the job never ran");
     }
 }

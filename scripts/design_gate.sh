@@ -6,8 +6,9 @@
 # (a) One request path. A device implements a request once, in
 #     `BlockDevice::exec`; `read`, `write`, `flush` and `write_buf` are
 #     provided by the trait and derive from it, and a queued request is
-#     claimed by `wait` or `discard`. Fails if a non-test
-#     `impl BlockDevice for` block defines one of the four again; if a
+#     claimed by the provided `wait` on its token (check (t)). Fails if a
+#     non-test `impl BlockDevice for` block defines one of those five
+#     again (a `wait` of its own would be a second completion path); if a
 #     non-test `impl Disk` block has a `pub fn read`, `write`,
 #     `write_segments` or `flush` (the disk's one public request entry is
 #     `exec`, which carries a read or a write through one media operation);
@@ -143,6 +144,14 @@
 #     when the instance is built, tenants share the cap and the drain's
 #     quantum evenly, and every instance, one tenant or many, audits
 #     through one section per shard.
+# (t) A request's result comes back through its task's JoinHandle. Fails if
+#     `IoQueue`, `fn discard`, `fn oneshot`, `OnceSender` or `fn bounded`
+#     reappears in the non-test part of any `crates/*/src` file, or `fn
+#     abandon` in crates/dbengine/src/wal.rs: a submitted request (its
+#     `ReqToken` owns the task), a virtio ring request and a session's job
+#     each run in a task of their own and answer through its handle, so no
+#     token mailbox, discard, reply channel or bounded channel stands beside
+#     it, and a log reader gives its read-ahead up by being dropped.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -161,10 +170,10 @@ while IFS= read -r f; do
     hits=$(non_test "$f" | awk '
         /^impl.* BlockDevice for / { inside = 1 }
         inside && /^}/             { inside = 0 }
-        inside && /^[[:space:]]*fn (read|write|flush|write_buf)[<(]/ { print FNR ": " $0 }
+        inside && /^[[:space:]]*fn (read|write|flush|write_buf|wait)[<(]/ { print FNR ": " $0 }
     ')
     if [[ -n "$hits" ]]; then
-        echo "design_gate: FAIL  $f implements a derived method itself (handle the request in exec):" >&2
+        echo "design_gate: FAIL  $f implements a provided method itself (handle the request in exec, claim it with the provided wait):" >&2
         echo "$hits" >&2
         fail=1
     fi
@@ -180,7 +189,7 @@ while IFS= read -r f; do
     fi
     hits=$(non_test "$f" | grep -nE '\bfn completions\b|\bstruct Completion\b' || true)
     if [[ -n "$hits" ]]; then
-        echo "design_gate: FAIL  $f claims tokens a second way (a queued request is claimed by wait or discard):" >&2
+        echo "design_gate: FAIL  $f claims tokens a second way (a queued request is claimed by wait on its token):" >&2
         echo "$hits" >&2
         fail=1
     fi
@@ -706,11 +715,25 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+# ---- (t) a request's result comes back through its JoinHandle -------------------
+while IFS= read -r f; do
+    pat='\bIoQueue\b|\bfn discard\b|\bfn oneshot\b|\bOnceSender\b|\bfn bounded\b'
+    if [[ "$f" == crates/dbengine/src/wal.rs ]]; then
+        pat+='|\bfn abandon\b'
+    fi
+    hits=$(non_test "$f" | grep -nE "$pat" || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f brings back a second way to hand a result over (a request, a ring request and a session job answer through their task's JoinHandle):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates -path '*/src/*' -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
 echo "design_gate: ok    every crate within its budget in $BUDGET"
-echo "design_gate: ok    one request path (no derived method re-implemented, no inherent Disk read/write/write_segments/flush, no completions, no BlkReq, no service.rs/ipc.rs)"
+echo "design_gate: ok    one request path (no provided read/write/flush/write_buf/wait re-implemented, no inherent Disk read/write/write_segments/flush, no completions, no BlkReq, no service.rs/ipc.rs)"
 echo "design_gate: ok    one recovery pipeline, one checkpoint (no RecoveryMode, fuzzy_checkpoints or flush_all)"
 echo "design_gate: ok    bytes move by the run (no enum Held, no per-sector FastMap<u64, Box<[u8; SECTOR_SIZE]>>)"
 echo "design_gate: ok    the buffer is the log's read cache (no reads_hold_disk, stand_aside, defer_to_reads, read_defers or const KEPT)"
@@ -728,3 +751,4 @@ echo "design_gate: ok    one audited guest writer (no slot_payload, tenant_fill,
 echo "design_gate: ok    the superblock lives in the catalog page (no Superblock::read or .write(..log_dev..) in crates/dbengine/src, no RecoverySweep::superblock)"
 echo "design_gate: ok    the power budget is one rule in time (no max_buffer_bytes, aggregate_fits or DRAIN_STARTUP in crates/*/src, src/ or examples/)"
 echo "design_gate: ok    the trusted path keeps only what runs (no window_widens/window_narrows, parked permits, tenant weight, has_sections or separate fn record_commit( in crates/*/src)"
+echo "design_gate: ok    a request's result comes back through its JoinHandle (no IoQueue, fn discard, fn oneshot, OnceSender or fn bounded in crates/*/src, no fn abandon in wal.rs)"
