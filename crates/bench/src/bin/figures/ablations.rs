@@ -4,7 +4,6 @@
 
 use super::*;
 
-use std::cell::Cell as StdCell;
 use std::future::Future;
 
 use rapilog::{AdaptiveBatchConfig, BatchPolicy, OrderingMode};
@@ -207,7 +206,6 @@ fn build(ctx: &SimCtx, capacity: u64, adaptive: bool) -> RapiLog {
 /// how long the drain takes to land them all.
 struct SatCell {
     bandwidth_mib_s: f64,
-    final_target: u64,
     final_depth: u64,
     guarantee_held: bool,
 }
@@ -219,7 +217,6 @@ fn run_saturated(seed: u64, adaptive: bool, total: u64) -> SatCell {
     let drain = rl.snapshot().drain;
     SatCell {
         bandwidth_mib_s,
-        final_target: drain.batch_target,
         final_depth: drain.window_depth,
         guarantee_held: rl.audit_report().guarantee_held(),
     }
@@ -277,7 +274,7 @@ struct BpCell {
     ack_p90_us: f64,
     ack_p999_us: f64,
     media_ops_per_extent: f64,
-    /// The run bound in force when the first writer finished (0 = off).
+    /// The run bound, fixed when the instance is built (0 = none).
     run_bound: u64,
     guarantee_held: bool,
 }
@@ -295,12 +292,10 @@ fn run_back_pressured(seed: u64, adaptive: bool, extents_per_writer: u64) -> BpC
     let (builder, disk) = trusted_rapilog(&ctx, nvme, BP_CAPACITY, drain);
     let rl = builder.build();
     let acks = Rc::new(RefCell::new(Vec::new()));
-    let run_bound = Rc::new(StdCell::new(None));
     let region = disk.geometry().sectors / BP_WRITERS;
     let writers: Vec<_> = (0..BP_WRITERS)
         .map(|w| {
-            let (dev, rl, ctx) = (rl.device(), rl.clone(), ctx.clone());
-            let (acks, run_bound) = (Rc::clone(&acks), Rc::clone(&run_bound));
+            let (dev, ctx, acks) = (rl.device(), ctx.clone(), Rc::clone(&acks));
             let mut rng = SimRng::seed_from_u64(seed ^ (w + 1));
             sim.spawn(async move {
                 let mut at = w * region;
@@ -314,11 +309,6 @@ fn run_back_pressured(seed: u64, adaptive: bool, extents_per_writer: u64) -> BpC
                     dev.write(at, &data, true).await.unwrap();
                     acks.borrow_mut().push((ctx.now() - t0).as_nanos());
                     at += sectors;
-                }
-                // Sampled while the other writers still push: the steady
-                // state.
-                if run_bound.get().is_none() {
-                    run_bound.set(Some(rl.snapshot().drain.run_bound_bytes));
                 }
             })
         })
@@ -344,7 +334,7 @@ fn run_back_pressured(seed: u64, adaptive: bool, extents_per_writer: u64) -> BpC
         ack_p90_us: pct(90.0),
         ack_p999_us: pct(99.9),
         media_ops_per_extent: disk.stats().media_ops as f64 / extents as f64,
-        run_bound: run_bound.get().unwrap_or(0),
+        run_bound: rl.snapshot().drain.run_bound_bytes,
         guarantee_held: rl.audit_report().guarantee_held(),
     }
 }
@@ -355,20 +345,21 @@ enum CellResult {
     Bp(BpCell),
 }
 
-/// Ablation E: adaptive group-commit batching vs the fixed policy. The
-/// adaptive controller must win on both ends of the load curve or it isn't
-/// worth its complexity. Three cells per policy, on an `ssd-nvme` with 4
-/// channels (DESIGN.md §15):
+/// Ablation E: adaptive group-commit batching vs the fixed policy. Both pop
+/// 2 MiB batches; adaptive bounds each run to what the disk retires in
+/// 100 µs after one positioning, a closed form of its spec (176 KiB here),
+/// and runs a window as deep as the device queues. It must win on both ends
+/// of the load curve or it isn't worth its complexity. Three cells per
+/// policy, on an `ssd-nvme` with 4 channels (DESIGN.md §15):
 ///
-/// * **Saturation**: a pre-filled buffer drained flat out. The controller
-///   starts at its 64 KiB floor and must walk its target up the knee fast
-///   enough to match (or beat) the fixed 2 MiB policy: the gate is
-///   adaptive ≥ 95% of fixed's bandwidth.
+/// * **Saturation**: a pre-filled buffer drained flat out. Bounded runs
+///   across all four channels must match (or beat) the fixed policy's
+///   2 MiB runs over its window of two: the gate is adaptive ≥ 95% of
+///   fixed's bandwidth.
 /// * **1/10th load**: 1 MiB bursts arriving at a tenth of the saturated
 ///   bandwidth. Fixed pops the whole burst as one fat run, so every commit
-///   waits for it; adaptive decays to small runs and widens the window
-///   across the idle channels: the gate is fixed p99 commit latency ≥ 2×
-///   adaptive's.
+///   waits for it; adaptive cuts it into bounded runs across the idle
+///   channels: the gate is fixed p99 commit latency ≥ 2× adaptive's.
 /// * **Back-pressured, 4 interleaved writers**: four closed-loop writers
 ///   append 32–96 KiB extents to private regions through a buffer far
 ///   smaller than the run, so every ack waits for the drain's next release
@@ -421,7 +412,6 @@ pub(super) fn abl_adaptive_batching() -> bool {
     let mut t = TextTable::new(&[
         "policy",
         "saturated MiB/s",
-        "final target KiB",
         "final depth",
         "low-load p50 us",
         "low-load p99 us",
@@ -433,15 +423,14 @@ pub(super) fn abl_adaptive_batching() -> bool {
         t.row(&[
             name.to_string(),
             f1(sat.bandwidth_mib_s),
-            format!("{}", sat.final_target >> 10),
             format!("{}", sat.final_depth),
             f1(low.p50_us),
             f1(low.p99_us),
         ]);
     }
     println!("{}", t.render());
-    println!("Expected shape: adaptive matches fixed at saturation (it walks its target");
-    println!("up the knee) and beats it at 1/10th load (small runs across idle channels).\n");
+    println!("Expected shape: adaptive matches fixed at saturation (bounded runs on every");
+    println!("channel) and beats it at 1/10th load (small runs across idle channels).\n");
 
     let mut t = TextTable::new(&[
         "back-pressured",

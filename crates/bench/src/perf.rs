@@ -3,6 +3,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use crate::alloc::{self, AllocSnapshot};
 use rapilog::BufferStats;
 use rapilog_dbengine::wal::WalStats;
 use rapilog_faultsim::{Machine, MachineConfig};
@@ -58,6 +59,9 @@ pub struct PerfOutcome {
     /// Per-layer busy time per committed transaction (all zero unless
     /// `PerfConfig::trace` was set).
     pub attribution: LatencyAttribution,
+    /// Allocations from the end of the warm-up to the last client's return
+    /// (zero unless [`alloc::CountingAlloc`] is the global allocator).
+    pub window_allocs: AllocSnapshot,
 }
 
 /// Runs the configuration in its own deterministic simulation and returns
@@ -109,7 +113,13 @@ pub fn run_perf(cfg: PerfConfig) -> PerfOutcome {
             }
         };
         let server = machine.server();
+        let (ctx, warmup) = (c2.clone(), cfg.run.warmup);
+        let window_start = c2.spawn(async move {
+            ctx.sleep(warmup).await;
+            alloc::snapshot()
+        });
         let stats = client::run(&c2, &server, source, cfg.run).await;
+        let window_allocs = alloc::snapshot().since(window_start.await.expect("window began"));
         if let Some(held) = machine.rapilog_guarantee_held() {
             assert!(held, "RapiLog invariant violated during a perf run");
         }
@@ -125,6 +135,7 @@ pub fn run_perf(cfg: PerfConfig) -> PerfOutcome {
             wal,
             trace,
             attribution,
+            window_allocs,
         });
     });
     sim.run_until(SimTime::from_secs(3600));

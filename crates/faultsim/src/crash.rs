@@ -298,6 +298,37 @@ mod tests {
     }
 
     #[test]
+    fn a_register_row_recovery_lost_is_a_violation_not_a_panic() {
+        // Six tenants under Strict, a power cut at 370 ms: the recovered
+        // database has no register row for client 0. The seed is the
+        // thirteenth of ROADMAP's tenant-count grid (base 0xC0FFEE, stride
+        // 0x9E3779B97F4A7C15), its first to lose the row at this instant.
+        let cfg = ExplorerConfig {
+            tenants: 6,
+            ordering: OrderingMode::Strict,
+            ..ExplorerConfig::multi_tenant()
+        };
+        let seed = 0xC0FFEE_u64.wrapping_add(12u64.wrapping_mul(0x9E3779B97F4A7C15));
+        let r = run_trial(
+            seed,
+            cfg.trial(seed, FaultKind::PowerCut, SimDuration::from_millis(370)),
+        );
+        assert!(!r.ok);
+        assert!(
+            r.violations
+                .iter()
+                .any(|v| v.starts_with("client 0: register row unreadable after recovery")),
+            "violations: {:?}",
+            r.violations
+        );
+        assert_eq!(
+            r.recovered.len(),
+            r.journals.len(),
+            "one row pair per client"
+        );
+    }
+
+    #[test]
     fn broken_drain_yields_a_replayable_counterexample() {
         let mut cfg = ExplorerConfig::broken_drain();
         cfg.seeds = vec![0x5EED];

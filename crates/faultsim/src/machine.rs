@@ -324,15 +324,17 @@ impl Machine {
         DbServer::new(&self.inner.ctx, db, domain)
     }
 
+    /// Marks a machine event in the trace (`Layer::Fault`).
+    fn mark(&self, name: &'static str) {
+        let ctx = &self.inner.ctx;
+        ctx.tracer()
+            .instant(ctx.now(), Layer::Fault, name, Payload::None);
+    }
+
     /// Crashes the guest OS (kernel panic): all engine tasks die now.
     /// Returns the number of tasks destroyed.
     pub fn crash_guest(&self) -> usize {
-        self.inner.ctx.tracer().instant(
-            self.inner.ctx.now(),
-            Layer::Fault,
-            "crash_guest",
-            Payload::None,
-        );
+        self.mark("crash_guest");
         let n = self.inner.vm.crash();
         if let Some(db) = self.inner.db.borrow_mut().take() {
             // External waiters (clients) observe the connection reset.
@@ -348,12 +350,7 @@ impl Machine {
     ///
     /// Panics if the machine has no supply configured.
     pub fn cut_power(&self) {
-        self.inner.ctx.tracer().instant(
-            self.inner.ctx.now(),
-            Layer::Fault,
-            "cut_power",
-            Payload::None,
-        );
+        self.mark("cut_power");
         self.inner
             .psu
             .as_ref()
@@ -363,12 +360,7 @@ impl Machine {
 
     /// Restores mains power and brings the disks back online.
     pub fn restore_power(&self) {
-        self.inner.ctx.tracer().instant(
-            self.inner.ctx.now(),
-            Layer::Fault,
-            "restore_power",
-            Payload::None,
-        );
+        self.mark("restore_power");
         if let Some(psu) = &self.inner.psu {
             psu.restore();
         }

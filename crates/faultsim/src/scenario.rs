@@ -156,7 +156,8 @@ pub struct TrialResult {
     pub violations: Vec<String>,
     /// Per-client journals at the fault.
     pub journals: Vec<ClientJournal>,
-    /// Per-client `(row_a, row_b)` after recovery.
+    /// Per-client `(row_a, row_b)` after recovery; `(0, 0)` for a client
+    /// whose rows could not be read back (a violation names it).
     pub recovered: Vec<(u64, u64)>,
     /// Transactions acknowledged before the fault, summed over clients.
     pub total_acked: u64,
@@ -226,16 +227,13 @@ fn trial(
                 .expect("init registers");
         }
         // Clients: external, keep their own journals.
-        let journals: Rc<RefCell<Vec<ClientJournal>>> =
-            Rc::new(RefCell::new(vec![ClientJournal::default(); cfg.clients]));
-        let commit_latency: Rc<RefCell<Histogram>> = Rc::new(RefCell::new(Histogram::new()));
+        let journals = Rc::new(RefCell::new(vec![ClientJournal::default(); cfg.clients]));
+        let commit_latency = Rc::new(RefCell::new(Histogram::new()));
         let server = machine.server();
         let mut client_handles = Vec::new();
         for client in 0..cfg.clients as u64 {
-            let server = server.clone();
-            let ctx3 = c2.clone();
-            let journals = Rc::clone(&journals);
-            let lat = Rc::clone(&commit_latency);
+            let (server, ctx3) = (server.clone(), c2.clone());
+            let (journals, lat) = (Rc::clone(&journals), Rc::clone(&commit_latency));
             let think = cfg.think_time;
             client_handles.push(c2.spawn(async move {
                 let mut seq = 0u64;
@@ -245,10 +243,6 @@ fn trial(
                     let t0 = ctx3.now();
                     let outcome = server
                         .submit(job(move |db| async move {
-                            let table = match micro::registers_table(&db) {
-                                Ok(t) => t,
-                                Err(e) => return JobOutcome::Aborted(e),
-                            };
                             outcome_from(micro::write_pair(&db, table, client, seq).await)
                         }))
                         .await;
@@ -342,21 +336,23 @@ fn trial(
         // co-tenant writers were acknowledged for (a frozen instance
         // already ran its emergency drain). Single-tenant trials skip this
         // await entirely so their event sequence stays bit-identical.
-        if n_tenants > 1 {
-            if let Some(rl) = machine.rapilog() {
-                if !rl.device_frozen() {
-                    rl.quiesce().await;
-                }
-            }
+        if let Some(rl) = machine
+            .rapilog()
+            .filter(|rl| n_tenants > 1 && !rl.device_frozen())
+        {
+            rl.quiesce().await;
         }
         let journals = journals.borrow().clone();
-        // Reboot and recover.
-        let (db, recovery) = machine
-            .reboot_and_recover()
-            .await
-            .expect("recovery must succeed");
-        let table = micro::registers_table(&db).expect("registers table");
+        // Reboot and recover. What recovery cannot give back is a violation
+        // of the trial (a client's rows then read as 0), never a panic.
         let mut violations = Vec::new();
+        let (db, recovery) = match machine.reboot_and_recover().await {
+            Ok((db, recovery)) => (Some(db), recovery),
+            Err(e) => {
+                violations.push(format!("recovery failed: {e:?}"));
+                (None, RecoveryReport::default())
+            }
+        };
         // Sector 0 lies outside the log region; the log starts in sector 1.
         if n_tenants > 1 && 1 + recovery.log_end.0 / SECTOR_SIZE as u64 >= TENANT_BASE {
             violations.push(format!(
@@ -366,9 +362,19 @@ fn trial(
         }
         let mut recovered = Vec::new();
         for (client, j) in journals.iter().enumerate() {
-            let (a, b) = micro::read_pair(&db, table, client as u64)
-                .await
-                .expect("read registers after recovery");
+            let (a, b) = match &db {
+                Some(db) => {
+                    async { micro::read_pair(db, micro::registers_table(db)?, client as u64).await }
+                        .await
+                }
+                None => Ok((0, 0)),
+            }
+            .unwrap_or_else(|e| {
+                violations.push(format!(
+                    "client {client}: register row unreadable after recovery: {e:?}"
+                ));
+                (0, 0)
+            });
             recovered.push((a, b));
             if a != b {
                 violations.push(format!(
@@ -402,7 +408,7 @@ fn trial(
         }
         let fault_stats = FaultStats::collect(&machine);
         let total_acked = journals.iter().map(|j| j.acked).sum();
-        db.stop();
+        db.iter().for_each(|db| db.stop());
         // The attribution covers the trace up to this instant; what follows
         // it is the machine winding down after the verdict.
         c2.tracer().instant(

@@ -149,9 +149,6 @@ struct BufSt {
     queue: VecDeque<Extent>,
     /// Extents popped by the drain, oldest first, awaiting completion.
     inflight: VecDeque<InflightExtent>,
-    /// Bytes in `queue` only (occupancy minus in-flight) — the adaptive
-    /// batching controller's backlog signal.
-    queued_bytes: u64,
     /// Stamps `Extent::admit_ns`; attached by the builder.
     clock: Option<SimCtx>,
     occupancy: u64,
@@ -180,11 +177,6 @@ struct BufSt {
     /// reads as zeros. Volatile, like the kept runs: a rebuilt instance
     /// starts with none and reads the media.
     trims: Vec<(u64, u64)>,
-    /// Set when a `push` goes to sleep for want of space, cleared by
-    /// [`DependableBuffer::take_stalled`]: while it keeps coming back set,
-    /// every ack is gated by the drain's next release. A plain flag, so a
-    /// push future dropped mid-wait (guest crash) leaves nothing to undo.
-    stalled: bool,
     stats: BufferStats,
 }
 
@@ -410,7 +402,6 @@ impl DependableBuffer {
             st: Rc::new(RefCell::new(BufSt {
                 queue: VecDeque::new(),
                 inflight: VecDeque::new(),
-                queued_bytes: 0,
                 clock: None,
                 occupancy: 0,
                 capacity,
@@ -422,7 +413,6 @@ impl DependableBuffer {
                 ledger: Rc::clone(ledger),
                 keeps: true,
                 trims: Vec::new(),
-                stalled: false,
                 stats: BufferStats::default(),
             })),
             ledger: Rc::clone(ledger),
@@ -433,18 +423,6 @@ impl DependableBuffer {
     /// True if at least one extent is queued (not counting in-flight ones).
     pub(crate) fn has_queued(&self) -> bool {
         !self.st.borrow().queue.is_empty()
-    }
-
-    /// Bytes queued and not yet popped by the drain — the backlog the
-    /// adaptive batching controller reacts to.
-    pub(crate) fn queued_bytes(&self) -> u64 {
-        self.st.borrow().queued_bytes
-    }
-
-    /// True if a writer has had to wait for space since the previous call
-    /// — the drain asks at every pop whether it is the commit path.
-    pub(crate) fn take_stalled(&self) -> bool {
-        std::mem::take(&mut self.st.borrow_mut().stalled)
     }
 
     /// Attaches the sim clock, so admissions are stamped with `admit_ns`.
@@ -563,7 +541,6 @@ impl DependableBuffer {
                     // Kept bytes never cost an admission its room.
                     let idle = st.capacity - st.occupancy;
                     st.evict_to(idle);
-                    st.queued_bytes += len;
                     let admit_ns = st
                         .clock
                         .as_ref()
@@ -581,7 +558,6 @@ impl DependableBuffer {
                 }
             }
             waited = true;
-            self.st.borrow_mut().stalled = true;
             self.ledger.space.notified().await;
         }
     }
@@ -603,7 +579,6 @@ impl DependableBuffer {
             }
             let e = st.queue.pop_front().expect("peeked head vanished");
             total += e.data.len();
-            st.queued_bytes -= e.data.len() as u64;
             st.inflight.push_back(InflightExtent {
                 seq: e.seq,
                 sector: e.sector,
@@ -677,7 +652,6 @@ impl DependableBuffer {
                 }
                 if hit(seq) {
                     let e = st.queue.remove(i).expect("indexed entry vanished");
-                    st.queued_bytes -= e.data.len() as u64;
                     st.release(e.seq, e.sector, e.data.len() as u64, landing, exact);
                 } else {
                     i += 1;
@@ -1386,29 +1360,6 @@ mod tests {
             assert_eq!(b2.stats().kept_bytes, 2 * SECTOR_SIZE as u64);
         });
         sim.run();
-    }
-
-    #[test]
-    fn take_stalled_reports_a_blocked_writer_once_and_survives_its_cancellation() {
-        let mut sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let buf = DependableBuffer::new(SECTOR_SIZE as u64);
-        let b2 = buf.clone();
-        let guest = ctx.create_domain();
-        let blocked = ctx.spawn_in(guest, async move {
-            b2.push(0, sector_data(1, 1)).await.unwrap();
-            b2.push(1, sector_data(2, 1)).await.unwrap();
-        });
-        sim.run();
-        assert!(!blocked.is_finished(), "the second push waits for space");
-        assert!(buf.take_stalled(), "a writer went to sleep for space");
-        assert!(!buf.take_stalled(), "and is reported once");
-        // The waiter is cancelled mid-push (guest crash): nothing to undo.
-        assert_eq!(ctx.kill_domain(guest), 1);
-        buf.pop_batch(usize::MAX);
-        buf.complete_seqs(0, 0);
-        assert!(!buf.take_stalled());
-        assert_eq!(buf.occupancy(), 0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ use rapilog_simcore::stats::Histogram;
 use rapilog_simcore::sync::{Event, SemPermit, Semaphore};
 use rapilog_simcore::trace::{Layer, Payload};
 use rapilog_simcore::{SimCtx, SimDuration};
-use rapilog_simdisk::{BlockDevice, Disk, IoError, IoReq, IoRun, SECTOR_SIZE};
+use rapilog_simdisk::{BlockDevice, Disk, DiskSpec, IoError, IoReq, IoRun, SECTOR_SIZE};
 use rapilog_simpower::PowerSupply;
 
 use crate::audit::Audit;
@@ -93,8 +93,8 @@ pub(crate) type SeqRanges = Vec<(u64, u64)>;
 /// its run from the newest run backwards:
 ///
 /// * an extent starting exactly at a run's end extends it — unless that
-///   would take the run past `run_bound` bytes (see
-///   [`DrainController::run_bound`]; `usize::MAX` is "no bound");
+///   would take the run past `run_bound` bytes (see [`run_bound_of`];
+///   `usize::MAX` is "no bound");
 /// * a *tail rewrite* — an extent overlapping a run's tail and reaching at
 ///   least its end — truncates the superseded tail views and extends the
 ///   run, so the group-commit hot pattern still yields one run;
@@ -211,9 +211,6 @@ const MAX_REMAPS: u32 = 64;
 /// toward the exit threshold. `rng` is the drain's one jitter stream,
 /// shared the same way and borrowed only to draw a delay.
 ///
-/// Returns the run's service time, entry to landing: the controller's
-/// sensor ([`DrainController::observe_run`]).
-///
 /// With `queued`, each attempt rides the queued device interface
 /// ([`BlockDevice::submit`] + [`BlockDevice::wait`]) so the device's
 /// outstanding-request accounting sees the drain window; without it — a
@@ -230,11 +227,10 @@ async fn write_run_resilient(
     mode: &ModeState,
     consecutive_ok: &StdCell<u32>,
     queued: bool,
-) -> Result<SimDuration, RunFatal> {
+) -> Result<(), RunFatal> {
     let tracer = ctx.tracer();
     let mut attempt: u32 = 0;
     let mut remaps: u32 = 0;
-    let started = ctx.now();
     loop {
         // One vectored zero-copy write either way: the disk views the run's
         // segments until they land on the media store; segment clones are
@@ -265,7 +261,7 @@ async fn write_run_resilient(
                         },
                     );
                 }
-                return Ok(ctx.now() - started);
+                return Ok(());
             }
             Err(IoError::Transient) if policy.enabled => {
                 consecutive_ok.set(0);
@@ -342,8 +338,6 @@ struct BatchEntry {
     remaining: u64,
     retired: bool,
     payload: Payload,
-    /// Total payload bytes — the controller's bandwidth numerator.
-    bytes: u64,
     /// When the batch was popped, for the service-time EWMA.
     dispatched_ns: u64,
     /// Per-extent admission stamps, consumed for commit-latency samples
@@ -381,12 +375,10 @@ impl BatchLedger {
     /// whether that retirement jumped ahead of an older still-pending
     /// batch.
     ///
-    /// Batch retirement is also the controller's sensor: the batch's
-    /// dispatch → retirement service time feeds
-    /// [`DrainController::observe_batch`] (with `backlog`, the bytes still
-    /// queued behind it), and every extent reaching the contiguous durable
-    /// prefix records its admission → commit latency.
-    #[allow(clippy::too_many_arguments)]
+    /// Batch retirement also feeds the controller's statistics: the
+    /// batch's dispatch → retirement service time
+    /// ([`DrainController::observe_batch`]), and every extent reaching the
+    /// contiguous durable prefix records its admission → commit latency.
     fn run_done(
         &mut self,
         id: u64,
@@ -395,7 +387,6 @@ impl BatchLedger {
         audit: &Audit,
         ctrl: &DrainController,
         now_ns: u64,
-        backlog: u64,
     ) -> (Option<Payload>, bool) {
         self.buffer.land(seqs, exact);
         let idx = self
@@ -410,7 +401,7 @@ impl BatchLedger {
         }
         entry.retired = true;
         let payload = entry.payload;
-        ctrl.observe_batch(entry.bytes, entry.dispatched_ns, now_ns, backlog);
+        ctrl.observe_batch(entry.dispatched_ns, now_ns);
         let jumped = idx != 0;
         if jumped {
             audit.record_ooo_retirement();
@@ -429,94 +420,58 @@ impl BatchLedger {
     }
 }
 
-/// Floor for the adaptive batch target: the size the controller decays to
-/// under light load, so a small commit never rides a giant run.
+/// Floor for the adaptive run bound: a disk whose positioning alone takes
+/// [`MAX_HOLD`] or longer (a seek and a rotation on every HDD preset) still
+/// gets runs this long.
 const MIN_BATCH: usize = 64 * 1024;
-/// Ceiling on one adaptive batch's acceptable drain service time. The target
-/// grows only while the service-time EWMA sits well below this budget (and
-/// marginal bandwidth still improves), and shrinks as soon as the EWMA
-/// exceeds it.
-const LATENCY_BUDGET: SimDuration = SimDuration::from_millis(2);
 /// Longest the adaptive drain may delay bytes in order to coalesce them:
-/// while writers are blocked on buffer space — the drain is then the commit
-/// path, and space comes back a run at a time — no run is built longer than
-/// the device retires in this time (never below [`MIN_BATCH`]). Nothing else
-/// holds bytes back: a batch is cut the moment a window slot is free to
-/// write it, so a lone commit never waits at all.
+/// no run is built longer than the device retires in this time. Nothing
+/// else holds bytes back: a batch is cut the moment a window slot is free
+/// to write it, so a lone commit never waits at all.
 const MAX_HOLD: SimDuration = SimDuration::from_micros(100);
+/// Granularity of the run bound.
+const RUN_BOUND_STEP: usize = 8 * SECTOR_SIZE;
 
-/// The adaptive group-commit controller: one per instance, shared by the
-/// drain loop, every run task, and [`RapiLog::snapshot`](crate::RapiLog).
+/// The adaptive run bound of `spec`: the bytes a run may carry and still
+/// retire within [`MAX_HOLD`] — one positioning, then the transfer at the
+/// media's sequential bandwidth:
+/// `max(MIN_BATCH, (MAX_HOLD − positioning_bound) × sequential_bandwidth)`,
+/// rounded down to [`RUN_BOUND_STEP`]. The same two numbers of the spec
+/// price the emergency drain in `simpower::budget::drainable_bytes`.
+fn run_bound_of(spec: &DiskSpec) -> usize {
+    let transfer = MAX_HOLD.saturating_sub(spec.positioning_bound());
+    let held = transfer.as_nanos() as u128 * spec.sequential_bandwidth() as u128 / 1_000_000_000;
+    let held = usize::try_from(held).unwrap_or(usize::MAX);
+    (held - held % RUN_BOUND_STEP).max(MIN_BATCH)
+}
+
+/// The drain's batching parameters and measurements: one per instance,
+/// shared by the drain loop, every run task, and
+/// [`RapiLog::snapshot`](crate::RapiLog).
 ///
-/// The controller owns the in-flight window semaphore and the batch-size
-/// target the drain pops with, and this is the one place that reads
-/// [`OrderingMode`] and [`BatchPolicy`]: to the drain loop they are a window
-/// depth and a target. Under [`BatchPolicy::Fixed`] (or
-/// [`OrderingMode::Strict`], which pins batching regardless of policy) the
-/// controller is inert: the target stays at `max_batch` and `observe_batch`
-/// only updates the EWMAs and commit-latency histogram for observability:
-/// no decision, no trace event.
-///
-/// Under [`BatchPolicy::Adaptive`] + `PartiallyConstrained`, each batch
-/// retirement updates an integer EWMA (α = ¼) of per-batch service time
-/// and achieved bandwidth, then walks the target toward the
-/// latency/bandwidth knee (see DESIGN.md §15):
-///
-/// * **shrink** (halve) when the service-time EWMA exceeds the latency
-///   budget — the batch is too big for the device's current behaviour;
-/// * **decay** (to [`MIN_BATCH`]) when the queue behind the retiring batch
-///   is empty — light load, so the next lone commit rides a small run;
-/// * **grow** (double) when the backlog would fill ≥ 4 targets, the
-///   service EWMA sits below half the budget, *and* the bandwidth EWMA
-///   improved ≥ 2% since the last grow — past the knee, marginal
-///   bandwidth gain vanishes and growth stops on its own.
-///
-/// A bandwidth sample belongs to the regime it was dispatched in: a shrink
-/// or decay restarts the bandwidth EWMA, and batches popped before it —
-/// still retiring, at the old target's bandwidth — no longer feed it, so
-/// the first grow afterwards captures a reference the new regime can beat.
-///
-/// The window is fixed when the instance is built: one run under Strict,
-/// [`DrainConfig::window_depth`] under Fixed, and under Adaptive the larger
-/// of that and the device's [`Geometry::queue_depth`], from the first pop.
-///
-/// A second sensor, each run's own submit → complete time
-/// ([`observe_run`](Self::observe_run)), feeds the **run bound** — see
-/// [`run_bound`](Self::run_bound).
+/// It owns the in-flight window semaphore, and it is the one place that
+/// reads [`OrderingMode`] and [`BatchPolicy`]: to the drain loop they are a
+/// window depth, a pop target and a run bound, all fixed when the instance
+/// is built. Every pop aims for [`DrainConfig::max_batch`]. The window holds
+/// one run under Strict, [`DrainConfig::window_depth`] under Fixed, and
+/// under Adaptive the larger of that and the device's
+/// [`Geometry::queue_depth`]. Only [`BatchPolicy::Adaptive`] +
+/// `PartiallyConstrained` bounds a run, by [`run_bound_of`] the disk's spec
+/// (DESIGN.md §15); nothing the drain observes changes any of it. The
+/// service-time EWMA and the commit-latency histogram are statistics.
 ///
 /// [`Geometry::queue_depth`]: rapilog_simdisk::Geometry
 pub(crate) struct DrainController {
-    ctx: SimCtx,
-    adaptive: bool,
     max_batch: usize,
-    min_batch: usize,
-    target: StdCell<usize>,
     /// Runs the window holds in flight at once.
     depth: usize,
     window: Rc<Semaphore>,
+    /// The longest run a batch is consolidated into; `None` under Fixed and
+    /// Strict.
+    run_bound: Option<usize>,
     ewma_service_ns: StdCell<u64>,
-    ewma_bps: StdCell<u64>,
-    /// Bandwidth EWMA captured at the last grow — the marginal-gain
-    /// reference; 0 means "no reference, first grow is free".
-    grow_ref_bps: StdCell<u64>,
-    /// When the target last shrank or decayed: batches dispatched before
-    /// this belong to the previous regime and stay out of `ewma_bps`.
-    regime_start_ns: StdCell<u64>,
-    /// EWMA of per-run device bandwidth (run bytes over the run's own
-    /// submit → complete time — no window queueing in it).
-    ewma_run_bps: StdCell<u64>,
-    /// The run-length bound the last pop consolidated under; 0 = off.
-    run_bound: StdCell<usize>,
-    /// The bound last reported by a `run_bound` trace instant.
-    run_bound_traced: StdCell<usize>,
-    batch_grows: StdCell<u64>,
-    batch_shrinks: StdCell<u64>,
     latency: RefCell<Histogram>,
 }
-
-/// Granularity of the run bound: it moves in 4 KiB steps, so EWMA jitter
-/// does not reshape every batch (or flood the trace).
-const RUN_BOUND_STEP: usize = 8 * SECTOR_SIZE;
 
 /// Integer EWMA with α = ¼: `e + (x − e)/4`, seeding from the first
 /// sample. Signed arithmetic so the estimate tracks downward too.
@@ -530,12 +485,12 @@ fn ewma_update(e: u64, x: u64) -> u64 {
 
 impl DrainController {
     /// Builds the controller for one instance. `disk` supplies the queue
-    /// depth an adaptive window runs at; the drain config supplies
-    /// everything else. Always constructed (a Fixed/Strict/write-through
-    /// instance just never moves), so `snapshot().drain` is uniform.
-    pub(crate) fn new(ctx: &SimCtx, cfg: &DrainConfig, disk: &Disk) -> Rc<DrainController> {
-        // Strict pins the batch target: it is the paper's serial drain, one
-        // batch size, whatever policy was asked for beside it.
+    /// depth and the spec an adaptive drain runs at; the drain config
+    /// supplies everything else. Always constructed, so `snapshot().drain`
+    /// is uniform.
+    pub(crate) fn new(cfg: &DrainConfig, disk: &Disk) -> Rc<DrainController> {
+        // Strict is the paper's serial drain: one slot and no run bound,
+        // whatever policy was asked for beside it.
         let adaptive = matches!(
             (cfg.ordering, cfg.batch),
             (OrderingMode::PartiallyConstrained, BatchPolicy::Adaptive(_))
@@ -544,31 +499,18 @@ impl DrainController {
             OrderingMode::Strict => 1,
             OrderingMode::PartiallyConstrained => cfg.window_depth.max(1),
         };
-        // Adaptive starts small and earns its way up, with a window as deep
-        // as the device queues; Fixed starts (and stays) at max_batch.
-        let (min_batch, depth) = if adaptive {
+        let (run_bound, depth) = if adaptive {
             let queue_depth = disk.geometry().queue_depth as usize;
-            (MIN_BATCH.min(cfg.max_batch), queue_depth.max(depth))
+            (Some(run_bound_of(disk.spec())), queue_depth.max(depth))
         } else {
-            (cfg.max_batch, depth)
+            (None, depth)
         };
         Rc::new(DrainController {
-            ctx: ctx.clone(),
-            adaptive,
             max_batch: cfg.max_batch,
-            min_batch,
-            target: StdCell::new(min_batch),
             depth,
             window: Rc::new(Semaphore::new(depth)),
+            run_bound,
             ewma_service_ns: StdCell::new(0),
-            ewma_bps: StdCell::new(0),
-            grow_ref_bps: StdCell::new(0),
-            regime_start_ns: StdCell::new(0),
-            ewma_run_bps: StdCell::new(0),
-            run_bound: StdCell::new(0),
-            run_bound_traced: StdCell::new(0),
-            batch_grows: StdCell::new(0),
-            batch_shrinks: StdCell::new(0),
             latency: RefCell::new(Histogram::new()),
         })
     }
@@ -578,9 +520,9 @@ impl DrainController {
         Rc::clone(&self.window)
     }
 
-    /// Bytes the next `pop_batch` should aim for.
+    /// Bytes every `pop_batch` aims for.
     pub(crate) fn pop_target(&self) -> usize {
-        self.target.get()
+        self.max_batch
     }
 
     /// True if the window can never hold more than one run. Nothing can
@@ -594,119 +536,18 @@ impl DrainController {
         self.depth == 1
     }
 
-    /// Feeds one landed run's device-side service time (submit → complete)
-    /// into the per-run bandwidth EWMA behind [`run_bound`](Self::run_bound).
-    pub(crate) fn observe_run(&self, bytes: u64, service_ns: u64) {
-        let bps = bytes.saturating_mul(1_000_000_000) / service_ns.max(1);
-        self.ewma_run_bps
-            .set(ewma_update(self.ewma_run_bps.get(), bps));
+    /// The longest run a batch may be consolidated into ([`consolidate`]'s
+    /// `run_bound`; `usize::MAX` is "no bound").
+    pub(crate) fn run_bound(&self) -> usize {
+        self.run_bound.unwrap_or(usize::MAX)
     }
 
-    /// The longest run the next batch may be consolidated into, asked at
-    /// every pop. `stalled` says a writer has had to wait for space since
-    /// the previous pop: the drain is then the commit path — every ack is
-    /// gated by the next release, and space comes back a run at a time — so
-    /// a run may not take longer to retire than [`MAX_HOLD`], the longest
-    /// the drain may delay bytes in order to coalesce them:
-    /// `max(MIN_BATCH, ewma_run_bytes_per_sec × MAX_HOLD)`, rounded down to
-    /// [`RUN_BOUND_STEP`]. With no stalled writer (and under Fixed or
-    /// Strict, always) the bound is off and runs grow to the batch target.
-    pub(crate) fn run_bound(&self, stalled: bool) -> usize {
-        let bound = if self.adaptive && stalled {
-            let held =
-                self.ewma_run_bps.get() as u128 * MAX_HOLD.as_nanos() as u128 / 1_000_000_000;
-            let held = usize::try_from(held).unwrap_or(usize::MAX);
-            (held - held % RUN_BOUND_STEP).max(self.min_batch)
-        } else {
-            0
-        };
-        self.run_bound.set(bound);
-        // Traced when the bound engages, disengages, or has drifted more
-        // than a step from the value last reported.
-        let traced = self.run_bound_traced.get();
-        if (bound == 0) != (traced == 0) || bound.abs_diff(traced) > RUN_BOUND_STEP {
-            self.run_bound_traced.set(bound);
-            self.ctx.tracer().instant(
-                self.ctx.now(),
-                Layer::Drain,
-                "run_bound",
-                Payload::Mark {
-                    value: bound as u64,
-                },
-            );
-        }
-        if bound == 0 {
-            usize::MAX
-        } else {
-            bound
-        }
-    }
-
-    /// Feeds one batch retirement into the EWMAs and, when adaptive, walks
-    /// the batch target (see the type-level doc for the control law). The
-    /// service time spans `dispatched_ns` (pop) to `now_ns` (last run
-    /// landed); `backlog` is the bytes still queued at retirement.
-    pub(crate) fn observe_batch(&self, bytes: u64, dispatched_ns: u64, now_ns: u64, backlog: u64) {
+    /// Feeds one batch's service time, `dispatched_ns` (pop) to `now_ns`
+    /// (last run landed), into the service-time EWMA.
+    pub(crate) fn observe_batch(&self, dispatched_ns: u64, now_ns: u64) {
         let service_ns = now_ns.saturating_sub(dispatched_ns).max(1);
-        let svc = ewma_update(self.ewma_service_ns.get(), service_ns);
-        self.ewma_service_ns.set(svc);
-        // Bandwidth is a property of the regime the batch was popped in.
-        if dispatched_ns >= self.regime_start_ns.get() {
-            let bps = bytes.saturating_mul(1_000_000_000) / service_ns;
-            self.ewma_bps.set(ewma_update(self.ewma_bps.get(), bps));
-        }
-        let ebps = self.ewma_bps.get();
-        if !self.adaptive {
-            return;
-        }
-        let budget = LATENCY_BUDGET.as_nanos();
-        let tgt = self.target.get();
-        if svc > budget && tgt > self.min_batch {
-            // Over budget: the batch is too big for what the device is
-            // currently delivering. Halve and re-reference marginal gain.
-            self.retarget(tgt / 2, false);
-        } else if backlog == 0 && tgt > self.min_batch {
-            // Light load: nothing waiting behind the batch that just
-            // landed. Decay to the floor so the next lone commit rides a
-            // small, fast run instead of a saturation-sized one.
-            self.retarget(self.min_batch, false);
-        } else if tgt < self.max_batch && backlog >= 4 * tgt as u64 && svc <= budget / 2 && ebps > 0
-        {
-            // Saturation headroom: only grow while the bandwidth EWMA — of
-            // this regime's batches — says the last grow actually bought
-            // throughput (≥ 2% — the knee).
-            let marginal_ok = match self.grow_ref_bps.get() {
-                0 => true,
-                r => ebps > r + r / 50,
-            };
-            if marginal_ok {
-                self.grow_ref_bps.set(ebps);
-                self.retarget((tgt * 2).min(self.max_batch), true);
-            }
-        }
-    }
-
-    /// Applies a new batch target, counting and tracing the move.
-    fn retarget(&self, new_target: usize, grew: bool) {
-        self.target.set(new_target);
-        if grew {
-            self.batch_grows.set(self.batch_grows.get() + 1);
-        } else {
-            self.batch_shrinks.set(self.batch_shrinks.get() + 1);
-            // A new regime: no marginal-gain reference, and no bandwidth
-            // estimate until a batch popped from here on retires.
-            self.grow_ref_bps.set(0);
-            self.ewma_bps.set(0);
-            self.regime_start_ns.set(self.ctx.now().as_nanos());
-        }
-        self.ctx.tracer().instant(
-            self.ctx.now(),
-            Layer::Drain,
-            "batch_target",
-            Payload::Mark {
-                value: new_target as u64,
-            },
-        );
+        self.ewma_service_ns
+            .set(ewma_update(self.ewma_service_ns.get(), service_ns));
     }
 
     /// Records one extent's admission → durable-prefix-commit latency.
@@ -718,15 +559,13 @@ impl DrainController {
     pub(crate) fn stats(&self) -> DrainStats {
         let lat = self.latency.borrow();
         DrainStats {
-            batch_target: self.target.get() as u64,
+            batch_target: self.max_batch as u64,
             window_depth: self.depth as u64,
             ewma_service_ns: self.ewma_service_ns.get(),
-            ewma_bytes_per_sec: self.ewma_bps.get(),
-            batch_grows: self.batch_grows.get(),
-            batch_shrinks: self.batch_shrinks.get(),
+            batch_grows: 0,
+            batch_shrinks: 0,
             hold_fires: 0,
-            run_bound_bytes: self.run_bound.get() as u64,
-            ewma_run_bytes_per_sec: self.ewma_run_bps.get(),
+            run_bound_bytes: self.run_bound.unwrap_or(0) as u64,
             commit_p50_ns: lat.percentile(50.0),
             commit_p99_ns: lat.percentile(99.0),
             commits_measured: lat.count(),
@@ -751,8 +590,7 @@ struct WindowedDrain {
     audit: Audit,
     mode: Rc<ModeState>,
     ctrl: Rc<DrainController>,
-    /// Everything the drain empties. The run tasks read the controller's
-    /// backlog signal from it, and a fatal device error acts on all of it
+    /// Everything the drain empties: a fatal device error acts on all of it
     /// at once.
     shards: ShardedBuffer,
     /// The drain's one jitter stream, forked once when the drain starts, so
@@ -782,9 +620,7 @@ impl WindowedDrain {
         batch: Vec<Extent>,
         ledger: &Rc<RefCell<BatchLedger>>,
     ) -> bool {
-        let stalled = ledger.borrow().buffer.take_stalled();
-        let run_bound = self.ctrl.run_bound(stalled);
-        let (runs, seqs) = consolidate(&batch, run_bound);
+        let (runs, seqs) = consolidate(&batch, self.ctrl.run_bound());
         let bytes: u64 = runs.iter().map(|r| r.bytes() as u64).sum();
         let payload = Payload::Batch {
             extents: batch.len() as u64,
@@ -802,7 +638,6 @@ impl WindowedDrain {
             remaining: runs.len() as u64,
             retired: false,
             payload,
-            bytes,
             dispatched_ns: self.ctx.now().as_nanos(),
             // The runs view the bytes now; the stamps take over the
             // batch's allocation.
@@ -897,9 +732,7 @@ impl WindowedDrain {
             done.set();
             this.inflight.borrow_mut().retain(|f| f.id != run_id);
             match result {
-                Some(Ok(service)) if !this.failed.get() => {
-                    this.ctrl
-                        .observe_run((run_hi - run_lo) * SECTOR_SIZE as u64, service.as_nanos());
+                Some(Ok(())) if !this.failed.get() => {
                     let exact = this.disk.stats().corrupt_sectors == corrupt;
                     let (retired, jumped) = ledger.borrow_mut().run_done(
                         batch_id,
@@ -908,7 +741,6 @@ impl WindowedDrain {
                         &this.audit,
                         &this.ctrl,
                         ctx.now().as_nanos(),
-                        this.shards.total_queued_bytes(),
                     );
                     if let Some(payload) = retired {
                         tracer.end(ctx.now(), Layer::Drain, "drain_batch", payload);
@@ -955,8 +787,8 @@ impl WindowedDrain {
 /// when the instance has one tenant, and then simply "drain the buffer".
 /// Each cycle visits every shard once (the start position rotates so no
 /// shard gets a standing head-of-line advantage); a shard with bytes queued
-/// is granted one batch of up to the controller's target, the same quantum
-/// for every shard. **The loop takes a window slot first and pops
+/// is granted one batch of up to `max_batch`, the same quantum for every
+/// shard. **The loop takes a window slot first and pops
 /// second.** With one slot that is the paper's serial drain: the next batch
 /// is decided when the previous write has landed, so it holds everything
 /// admitted meanwhile, and each shard's batches go in its own sequence
@@ -968,9 +800,8 @@ impl WindowedDrain {
 /// (one disk, one newest-wins media order), but retirement bookkeeping is
 /// **per tenant**: each shard has its own [`BatchLedger`], so a slow tenant
 /// never holds back another tenant's space release or commit ledger. All
-/// ledgers feed the **one shared** [`DrainController`] — one disk, one
-/// latency/bandwidth operating point — which sees the *aggregate* backlog
-/// and whose target is every shard's quantum.
+/// ledgers share the **one** [`DrainController`] — one disk, one window,
+/// one run bound.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn start(
     ctx: &SimCtx,
@@ -1896,6 +1727,181 @@ mod window_tests {
         assert_eq!(buf, vec![0xBB; SECTOR_SIZE]);
         disk.peek_media(0, &mut buf);
         assert_eq!(buf, vec![0xAA; SECTOR_SIZE]);
+        // And not only for this one pair: in any retirement order at all.
+        any_retirement_order_keeps_the_prefix_and_the_space();
+    }
+
+    /// Property behind the ledger: batches of 1 to 8 sectors popped from
+    /// three interleaved streams, consolidated into multi-run batches, then
+    /// retired run by run in ANY order, must (a) hand back exactly the
+    /// landed run's extents at each step — occupancy drops by their bytes,
+    /// no more, no less, and ends at zero; (b) feed the audit only a
+    /// contiguous, monotonic durable prefix — one commit per batch, in
+    /// sequence order; and (c) keep `wait_completed` on its oldest-pending
+    /// semantics: a waiter on seq s wakes only once every extent up to s
+    /// has been released, however the runs interleave.
+    fn any_retirement_order_keeps_the_prefix_and_the_space() {
+        for seed in 0..12u64 {
+            let mut sim = Sim::new(seed);
+            let ctx = sim.ctx();
+            let disk = Disk::new(&ctx, rapilog_simdisk::specs::hdd_7200(1 << 30));
+            let cfg = DrainConfig::new()
+                .ordering(OrderingMode::PartiallyConstrained)
+                .window_depth(2);
+            let ctrl = DrainController::new(&cfg, &disk);
+            let audit = Audit::new(&ctx);
+            let buffer = DependableBuffer::new(64 << 20);
+            buffer.attach(&ctx);
+            let batches_seen = Rc::new(StdCell::new(0u64));
+            let multi_run_batches = Rc::new(StdCell::new(0u64));
+            let done = Rc::new(StdCell::new(false));
+            let t_buffer = buffer.clone();
+            let t_audit = audit.clone();
+            let t_ctrl = Rc::clone(&ctrl);
+            let t_batches = Rc::clone(&batches_seen);
+            let t_multi = Rc::clone(&multi_run_batches);
+            let t_done = Rc::clone(&done);
+            let t_ctx = ctx.clone();
+            sim.spawn(async move {
+                let mut rng = SimRng::seed_from_u64(0xADA7 + seed);
+                let ledger = BatchLedger::new(&t_buffer, TenantId::DEFAULT);
+                // Bytes per seq, and the seqs not yet released — the model
+                // the buffer is checked against.
+                let mut len_of: Vec<u64> = Vec::new();
+                let mut unreleased: std::collections::BTreeSet<u64> = Default::default();
+                // Three interleaved sequential streams, far apart.
+                let mut cursor = [0u64; 3];
+                let mut next_batch_id = 0u64;
+                // Several push/pop rounds so pops interleave with arrivals,
+                // as they do mid-stream in the real drain. The sleep moves
+                // the clock off zero so admission stamps are
+                // distinguishable from "no clock attached".
+                for _round in 0..6 {
+                    t_ctx.sleep(SimDuration::from_micros(10)).await;
+                    for _ in 0..(8 + rng.next_u64() % 12) {
+                        let stream = (rng.next_u64() % 3) as usize;
+                        let sectors = 1 + rng.next_u64() % 3;
+                        let data = SectorBuf::from_vec(vec![7u8; sectors as usize * SECTOR_SIZE]);
+                        let sector = stream as u64 * 1_000_000 + cursor[stream];
+                        cursor[stream] += sectors;
+                        let seq = t_buffer.push(sector, data).await.unwrap();
+                        assert_eq!(seq as usize, len_of.len());
+                        len_of.push(sectors * SECTOR_SIZE as u64);
+                        unreleased.insert(seq);
+                    }
+                    // (batch id, seqs of one run) for the random scheduler.
+                    let mut pending: Vec<(u64, SeqRanges)> = Vec::new();
+                    loop {
+                        // Batch shapes vary: every pop uses a fresh random
+                        // target between 1 and 8 sectors.
+                        let target = SECTOR_SIZE * (1 + (rng.next_u64() % 8) as usize);
+                        let batch = t_buffer.pop_batch(target);
+                        if batch.is_empty() {
+                            break;
+                        }
+                        let (runs, seqs) = consolidate(&batch, usize::MAX);
+                        if runs.len() > 1 {
+                            t_multi.set(t_multi.get() + 1);
+                        }
+                        let bytes = runs.iter().map(|r| r.bytes() as u64).sum();
+                        ledger.borrow_mut().batches.push_back(BatchEntry {
+                            id: next_batch_id,
+                            hi: batch.last().unwrap().seq,
+                            remaining: runs.len() as u64,
+                            retired: false,
+                            payload: Payload::Batch {
+                                extents: batch.len() as u64,
+                                runs: runs.len() as u64,
+                                bytes,
+                            },
+                            dispatched_ns: t_ctx.now().as_nanos(),
+                            admits: batch.iter().map(|e| e.admit_ns).collect(),
+                        });
+                        pending.extend(seqs.into_iter().map(|s| (next_batch_id, s)));
+                        next_batch_id += 1;
+                    }
+                    // A degraded-mode ack waiting on a seq in the middle of
+                    // what is in flight.
+                    let probe = {
+                        let all: Vec<u64> = unreleased.iter().copied().collect();
+                        all[all.len() / 2]
+                    };
+                    let woke = Rc::new(StdCell::new(false));
+                    {
+                        let (buffer, woke) = (t_buffer.clone(), Rc::clone(&woke));
+                        t_ctx.spawn(async move {
+                            assert!(buffer.wait_completed(probe).await);
+                            woke.set(true);
+                        });
+                    }
+                    // Retire this round's runs in a random global order.
+                    while !pending.is_empty() {
+                        let pick = (rng.next_u64() as usize) % pending.len();
+                        let (id, seqs) = pending.swap_remove(pick);
+                        let before = t_buffer.occupancy();
+                        let _ = ledger.borrow_mut().run_done(
+                            id,
+                            &seqs,
+                            true,
+                            &t_audit,
+                            &t_ctrl,
+                            t_ctx.now().as_nanos(),
+                        );
+                        let seqs: Vec<u64> = seqs.iter().flat_map(|&(lo, hi)| lo..=hi).collect();
+                        let landed: u64 = seqs.iter().map(|&s| len_of[s as usize]).sum();
+                        assert_eq!(
+                            before - t_buffer.occupancy(),
+                            landed,
+                            "seed {seed}: a landed run releases exactly its own extents"
+                        );
+                        for s in &seqs {
+                            assert!(unreleased.remove(s), "seed {seed}: seq {s} released twice");
+                        }
+                        // Let the waiter observe the release.
+                        t_ctx.sleep(SimDuration::from_nanos(1)).await;
+                        let prefix_done = unreleased.first().is_none_or(|&s| s > probe);
+                        assert_eq!(
+                            woke.get(),
+                            prefix_done,
+                            "seed {seed}: wait_completed({probe}) vs oldest pending {:?}",
+                            unreleased.first()
+                        );
+                    }
+                }
+                assert!(
+                    ledger.borrow().batches.is_empty(),
+                    "every batch must retire"
+                );
+                t_batches.set(next_batch_id);
+                t_done.set(true);
+            });
+            sim.run();
+            assert!(done.get(), "seed {seed}: scenario must complete");
+            assert!(
+                multi_run_batches.get() > 0,
+                "seed {seed}: the scenario must produce multi-run batches"
+            );
+            assert_eq!(
+                buffer.occupancy(),
+                0,
+                "seed {seed}: complete_run leaked space"
+            );
+            let report = audit.report();
+            let section = &report.tenants[0];
+            assert!(
+                !section.order_violated,
+                "seed {seed}: durable prefix went non-contiguous"
+            );
+            assert_eq!(
+                section.commits,
+                batches_seen.get(),
+                "seed {seed}: exactly one prefix commit per batch"
+            );
+            assert!(
+                ctrl.stats().commits_measured > 0,
+                "seed {seed}: admission stamps must feed the latency histogram"
+            );
+        }
     }
 
     #[test]
@@ -2115,276 +2121,42 @@ mod window_tests {
         );
     }
 
-    // ---- adaptive-resize ledger property test ----
+    // ---- the run bound ----
 
     #[test]
-    fn adaptive_resizing_never_breaks_the_durable_prefix_or_leaks_space() {
-        // Property: popping with a batch target that shrinks and grows
-        // mid-stream (what the adaptive controller does), consolidating the
-        // interleaved streams into multi-run batches, then retiring those
-        // runs one by one in ANY order, must (a) hand back exactly the
-        // landed run's extents at each step — occupancy drops by their
-        // bytes, no more, no less, and ends at zero; (b) feed the audit
-        // only a contiguous, monotonic durable prefix — one commit per
-        // batch, in sequence order; and (c) keep `wait_completed` on its
-        // oldest-pending semantics: a waiter on seq s wakes only once every
-        // extent up to s has been released, however the runs interleave.
-        for seed in 0..12u64 {
-            let mut sim = Sim::new(seed);
-            let ctx = sim.ctx();
-            let disk = Disk::new(&ctx, rapilog_simdisk::specs::hdd_7200(1 << 30));
-            let cfg = DrainConfig::new()
-                .ordering(OrderingMode::PartiallyConstrained)
-                .window_depth(2)
-                .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig));
-            let ctrl = DrainController::new(&ctx, &cfg, &disk);
-            let audit = Audit::new(&ctx);
-            let buffer = DependableBuffer::new(64 << 20);
-            buffer.attach(&ctx);
-            let batches_seen = Rc::new(StdCell::new(0u64));
-            let multi_run_batches = Rc::new(StdCell::new(0u64));
-            let done = Rc::new(StdCell::new(false));
-            let t_buffer = buffer.clone();
-            let t_audit = audit.clone();
-            let t_ctrl = Rc::clone(&ctrl);
-            let t_batches = Rc::clone(&batches_seen);
-            let t_multi = Rc::clone(&multi_run_batches);
-            let t_done = Rc::clone(&done);
-            let t_ctx = ctx.clone();
-            sim.spawn(async move {
-                let mut rng = SimRng::seed_from_u64(0xADA7 + seed);
-                let ledger = BatchLedger::new(&t_buffer, TenantId::DEFAULT);
-                // Bytes per seq, and the seqs not yet released — the model
-                // the buffer is checked against.
-                let mut len_of: Vec<u64> = Vec::new();
-                let mut unreleased: std::collections::BTreeSet<u64> = Default::default();
-                // Three interleaved sequential streams, far apart.
-                let mut cursor = [0u64; 3];
-                let mut next_batch_id = 0u64;
-                // Several push/pop rounds so resized pops interleave with
-                // arrivals, as they do mid-stream in the real drain. The
-                // sleep moves the clock off zero so admission stamps are
-                // distinguishable from "no clock attached".
-                for _round in 0..6 {
-                    t_ctx.sleep(SimDuration::from_micros(10)).await;
-                    for _ in 0..(8 + rng.next_u64() % 12) {
-                        let stream = (rng.next_u64() % 3) as usize;
-                        let sectors = 1 + rng.next_u64() % 3;
-                        let data = SectorBuf::from_vec(vec![7u8; sectors as usize * SECTOR_SIZE]);
-                        let sector = stream as u64 * 1_000_000 + cursor[stream];
-                        cursor[stream] += sectors;
-                        let seq = t_buffer.push(sector, data).await.unwrap();
-                        assert_eq!(seq as usize, len_of.len());
-                        len_of.push(sectors * SECTOR_SIZE as u64);
-                        unreleased.insert(seq);
-                    }
-                    // (batch id, seqs of one run) for the random scheduler.
-                    let mut pending: Vec<(u64, SeqRanges)> = Vec::new();
-                    loop {
-                        // The resizing under test: every pop uses a fresh
-                        // random target between 1 and 8 sectors.
-                        let target = SECTOR_SIZE * (1 + (rng.next_u64() % 8) as usize);
-                        let batch = t_buffer.pop_batch(target);
-                        if batch.is_empty() {
-                            break;
-                        }
-                        let (runs, seqs) = consolidate(&batch, usize::MAX);
-                        if runs.len() > 1 {
-                            t_multi.set(t_multi.get() + 1);
-                        }
-                        let bytes = runs.iter().map(|r| r.bytes() as u64).sum();
-                        ledger.borrow_mut().batches.push_back(BatchEntry {
-                            id: next_batch_id,
-                            hi: batch.last().unwrap().seq,
-                            remaining: runs.len() as u64,
-                            retired: false,
-                            payload: Payload::Batch {
-                                extents: batch.len() as u64,
-                                runs: runs.len() as u64,
-                                bytes,
-                            },
-                            bytes,
-                            dispatched_ns: t_ctx.now().as_nanos(),
-                            admits: batch.iter().map(|e| e.admit_ns).collect(),
-                        });
-                        pending.extend(seqs.into_iter().map(|s| (next_batch_id, s)));
-                        next_batch_id += 1;
-                    }
-                    // A degraded-mode ack waiting on a seq in the middle of
-                    // what is in flight.
-                    let probe = {
-                        let all: Vec<u64> = unreleased.iter().copied().collect();
-                        all[all.len() / 2]
-                    };
-                    let woke = Rc::new(StdCell::new(false));
-                    {
-                        let (buffer, woke) = (t_buffer.clone(), Rc::clone(&woke));
-                        t_ctx.spawn(async move {
-                            assert!(buffer.wait_completed(probe).await);
-                            woke.set(true);
-                        });
-                    }
-                    // Retire this round's runs in a random global order.
-                    while !pending.is_empty() {
-                        let pick = (rng.next_u64() as usize) % pending.len();
-                        let (id, seqs) = pending.swap_remove(pick);
-                        let before = t_buffer.occupancy();
-                        let _ = ledger.borrow_mut().run_done(
-                            id,
-                            &seqs,
-                            true,
-                            &t_audit,
-                            &t_ctrl,
-                            t_ctx.now().as_nanos(),
-                            t_buffer.queued_bytes(),
-                        );
-                        let seqs: Vec<u64> = seqs.iter().flat_map(|&(lo, hi)| lo..=hi).collect();
-                        let landed: u64 = seqs.iter().map(|&s| len_of[s as usize]).sum();
-                        assert_eq!(
-                            before - t_buffer.occupancy(),
-                            landed,
-                            "seed {seed}: a landed run releases exactly its own extents"
-                        );
-                        for s in &seqs {
-                            assert!(unreleased.remove(s), "seed {seed}: seq {s} released twice");
-                        }
-                        // Let the waiter observe the release.
-                        t_ctx.sleep(SimDuration::from_nanos(1)).await;
-                        let prefix_done = unreleased.first().is_none_or(|&s| s > probe);
-                        assert_eq!(
-                            woke.get(),
-                            prefix_done,
-                            "seed {seed}: wait_completed({probe}) vs oldest pending {:?}",
-                            unreleased.first()
-                        );
-                    }
-                }
-                assert!(
-                    ledger.borrow().batches.is_empty(),
-                    "every batch must retire"
-                );
-                t_batches.set(next_batch_id);
-                t_done.set(true);
-            });
-            sim.run();
-            assert!(done.get(), "seed {seed}: scenario must complete");
-            assert!(
-                multi_run_batches.get() > 0,
-                "seed {seed}: the scenario must produce multi-run batches"
-            );
-            assert_eq!(
-                buffer.occupancy(),
-                0,
-                "seed {seed}: complete_run leaked space"
-            );
-            let report = audit.report();
-            let section = &report.tenants[0];
-            assert!(
-                !section.order_violated,
-                "seed {seed}: durable prefix went non-contiguous"
-            );
-            assert_eq!(
-                section.commits,
-                batches_seen.get(),
-                "seed {seed}: exactly one prefix commit per batch"
-            );
-            assert!(
-                ctrl.stats().commits_measured > 0,
-                "seed {seed}: admission stamps must feed the latency histogram"
-            );
+    fn the_run_bound_is_what_transfers_within_max_hold_after_positioning() {
+        // ssd_nvme: (100 − 15) µs × 2 GiB/s = 182 536 B, down to 176 KiB.
+        // ssd_sata's 70 µs command leaves 7 864 B, and an HDD's seek plus
+        // rotation alone outlasts MAX_HOLD: both get the 64 KiB floor.
+        let gib = 1 << 30;
+        assert_eq!(super::run_bound_of(&specs::ssd_nvme(gib)), 176 << 10);
+        for spec in [
+            specs::ssd_sata(gib),
+            specs::hdd_7200(gib),
+            specs::hdd_15k(gib),
+        ] {
+            assert_eq!(super::run_bound_of(&spec), 64 << 10, "{}", spec.name);
         }
     }
 
-    // ---- controller: regime rule and run bound ----
-
     #[test]
-    fn the_target_regrows_after_a_decay_with_old_regime_batches_in_flight() {
-        // The wedge: the controller has climbed to 2 MiB batches at
-        // 2.4 GB/s, the queue empties once (decay to 64 KiB), and load
-        // comes straight back. Batches popped at 2 MiB are still retiring;
-        // if they feed the bandwidth EWMA, the first grow captures a
-        // reference (≈ 2.4 GB/s) the small-batch regime can never beat and
-        // the target sticks at 128 KiB. A sample belongs to the regime it
-        // was dispatched in, so the target must climb again.
-        let mut sim = Sim::new(7);
-        let ctx = sim.ctx();
-        let disk = Disk::new(&ctx, specs::ssd_nvme(1 << 30).with_channels(4));
-        let cfg = DrainConfig::new()
-            .ordering(OrderingMode::PartiallyConstrained)
-            .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig));
-        let ctrl = DrainController::new(&ctx, &cfg, &disk);
-        let t_ctrl = Rc::clone(&ctrl);
-        let t_ctx = ctx.clone();
-        sim.spawn(async move {
-            let backlog = 32u64 << 20;
-            // A batch of `bytes` popped now, retiring at `bps`.
-            let retire = |bytes: u64, dispatched_ns: u64, bps: u64| {
-                let service_ns = bytes * 1_000_000_000 / bps;
-                (dispatched_ns, dispatched_ns + service_ns)
-            };
-            // Climb: each doubling buys bandwidth, up to 2 MiB at 2.4 GB/s.
-            let mut bps = 1_000_000_000u64;
-            while t_ctrl.pop_target() < 2 << 20 {
-                let bytes = t_ctrl.pop_target() as u64;
-                let (d, n) = retire(bytes, t_ctx.now().as_nanos(), bps);
-                t_ctx.sleep(SimDuration::from_nanos(n - d)).await;
-                t_ctrl.observe_batch(bytes, d, n, backlog);
-                bps = (bps + bps / 5).min(2_400_000_000);
-            }
-            // Three more 2 MiB batches are popped and in flight...
-            let old_regime: Vec<u64> = (0..3).map(|_| t_ctx.now().as_nanos()).collect();
-            t_ctx.sleep(SimDuration::from_micros(900)).await;
-            // ...when one batch retires onto an empty queue: decay.
-            t_ctrl.observe_batch(2 << 20, old_regime[0] - 1, t_ctx.now().as_nanos(), 0);
-            assert_eq!(t_ctrl.pop_target(), 64 << 10, "decayed to the floor");
-            // Load is back. The old-regime stragglers retire at 2.4 GB/s
-            // while the new regime's small batches deliver less — but more
-            // with every doubling: 1.2, 1.5, 1.8 GB/s ...
-            for d in old_regime {
-                t_ctx.sleep(SimDuration::from_micros(50)).await;
-                t_ctrl.observe_batch(2 << 20, d, t_ctx.now().as_nanos(), backlog);
-            }
-            for _ in 0..40 {
-                let bytes = t_ctrl.pop_target() as u64;
-                let bps = 1_200_000_000 + 300_000_000 * (bytes >> 16).ilog2() as u64;
-                let (d, n) = retire(bytes, t_ctx.now().as_nanos(), bps.min(2_400_000_000));
-                t_ctx.sleep(SimDuration::from_nanos(n - d)).await;
-                t_ctrl.observe_batch(bytes, d, n, backlog);
-            }
-        });
-        sim.run();
-        assert!(
-            ctrl.pop_target() > 128 << 10,
-            "the grow gate wedged at {} KiB",
-            ctrl.pop_target() >> 10
-        );
-    }
-
-    /// Four writers append 32–96 KiB extents to private regions as fast
-    /// as the device acks. Returns the instance, the controller's view in
-    /// mid-run and, from there to the end, the mean media-op service time
-    /// and bytes per media op.
-    fn four_writers(capacity: u64, adaptive: bool) -> (RapiLog, DrainStats, SimDuration, u64) {
+    fn blocked_writers_bound_the_run_to_what_retires_within_max_hold() {
+        // Four writers append 32–96 KiB extents to private regions of a
+        // 4-channel NVMe through 4 MiB of buffer, as fast as the device
+        // acks: ≈ 6 GB/s of demand, so they block on space for the whole
+        // run and the drain is the commit path.
         let mut sim = Sim::new(41);
         let ctx = sim.ctx();
-        let hv = Hypervisor::new(&ctx);
-        let cell = hv.create_cell("rapilog", Trust::Trusted);
-        let disk = Disk::new(&ctx, specs::ssd_nvme(1 << 30).with_channels(4));
-        let batch = match adaptive {
-            true => BatchPolicy::Adaptive(AdaptiveBatchConfig),
-            false => BatchPolicy::Fixed,
-        };
-        let rl = RapiLog::builder(&ctx)
-            .cell(&cell)
-            .disk(disk.clone())
-            .capacity(CapacitySpec::Fixed(capacity))
-            .drain_config(
-                DrainConfig::new()
-                    .ordering(OrderingMode::PartiallyConstrained)
-                    .batch_policy(batch),
-            )
-            .build();
-        std::mem::forget(cell);
+        ctx.tracer().set_capacity(1 << 18);
+        ctx.tracer().set_enabled(true);
+        let spec = specs::ssd_nvme(1 << 30).with_channels(4);
+        let (rl, disk) = setup(
+            &mut sim,
+            spec.clone(),
+            DrainConfig::new()
+                .ordering(OrderingMode::PartiallyConstrained)
+                .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig)),
+        );
         for w in 0..4u64 {
             let dev = rl.device();
             let mut rng = SimRng::seed_from_u64(w);
@@ -2398,73 +2170,32 @@ mod window_tests {
                 }
             });
         }
-        // Saturated, the device moves ≈ 6 GB/s: 6 000 × 64 KiB takes
-        // ≈ 60 ms. Sample the steady state from 20 ms on.
-        sim.run_until(SimTime::from_millis(20));
-        let (mid, drain) = (disk.stats(), rl.snapshot().drain);
         sim.run_until(SimTime::from_secs(5));
-        let end = disk.stats();
         assert_eq!(rl.occupancy(), 0, "everything drained");
         assert!(rl.audit_report().guarantee_held());
-        let ops = end.media_ops - mid.media_ops;
-        let service = SimDuration::from_nanos((end.busy - mid.busy).as_nanos() / ops);
-        let bytes_per_op = (end.sectors_written - mid.sectors_written) * SECTOR_SIZE as u64 / ops;
-        (rl, drain, service, bytes_per_op)
-    }
-
-    #[test]
-    fn blocked_writers_bound_the_run_to_what_retires_within_max_hold() {
-        let max_hold = super::MAX_HOLD;
-        // 4 MiB of buffer under ≈ 6 GB/s of demand: writers block on space
-        // for the whole run, so the drain is the commit path.
-        let (rl, drain, service, bytes_per_op) = four_writers(4 << 20, true);
         assert!(
             rl.stats().backpressure_events > 1000,
             "writers were blocked"
         );
-        assert!(
-            drain.ewma_run_bytes_per_sec > 0,
-            "runs feed the second sensor"
-        );
-        // What the bound converged to, priced at the run EWMA, and what the
-        // device actually spent per media op: both within MAX_HOLD + 10 %.
-        let settled = SimDuration::from_nanos(
-            (drain.run_bound_bytes as u128 * 1_000_000_000 / drain.ewma_run_bytes_per_sec as u128)
-                as u64,
-        );
-        let limit = max_hold + max_hold / 10;
-        assert!(
-            drain.run_bound_bytes >= super::MIN_BATCH as u64,
-            "the bound engaged (and never below MIN_BATCH)"
-        );
-        assert!(
-            settled <= limit,
-            "run bound priced at {settled}, over {limit}"
-        );
-        assert!(service <= limit, "media ops took {service}, over {limit}");
+        let bound = rl.snapshot().drain.run_bound_bytes;
+        assert_eq!(bound, super::run_bound_of(&spec) as u64);
+        let snap = ctx.tracer().snapshot();
+        assert_eq!(snap.dropped, 0, "the ring must hold the whole run");
+        // Every run: at most the bound, and retired within MAX_HOLD + 10 %.
+        let limit = super::MAX_HOLD + super::MAX_HOLD / 10;
+        let mut ops = 0u64;
+        for op in snap.media_ops(true) {
+            ops += 1;
+            assert!(op.sectors * SECTOR_SIZE as u64 <= bound, "{op:?}");
+            let service = op.seek + op.rotation + op.transfer;
+            assert!(service <= limit, "a run took {service}, over {limit}");
+        }
+        assert_eq!(ops, disk.stats().media_ops, "every write was traced");
+        let bytes_per_op = disk.stats().sectors_written * SECTOR_SIZE as u64 / ops;
         assert!(
             bytes_per_op > 100 << 10,
             "interleaved streams still coalesce under the bound ({bytes_per_op} B/op)"
         );
-    }
-
-    #[test]
-    fn without_blocked_writers_the_run_bound_is_off() {
-        // Same writers, but the buffer holds the whole run: nobody waits
-        // for space, the drain is off the commit path, and runs grow to
-        // what the batch target gives each of the four streams.
-        let (rl, drain, _, bytes_per_op) = four_writers(1 << 30, true);
-        assert_eq!(rl.stats().backpressure_events, 0);
-        assert_eq!(drain.run_bound_bytes, 0, "no stalled writer, no bound");
-        assert!(drain.batch_target >= 1 << 20, "the target climbed");
-        assert!(
-            bytes_per_op > 256 << 10,
-            "runs reach the batch target's share ({bytes_per_op} B/op)"
-        );
-        // Fixed never bounds, blocked writers or not.
-        let (rl, drain, _, _) = four_writers(4 << 20, false);
-        assert!(rl.stats().backpressure_events > 1000);
-        assert_eq!(drain.run_bound_bytes, 0);
     }
 
     #[test]

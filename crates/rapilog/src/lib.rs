@@ -151,8 +151,8 @@ impl Default for RetryPolicy {
 pub enum OrderingMode {
     /// A window of one: one run on media at a time, in exact sequence
     /// order, the next batch decided when the previous write has landed —
-    /// the paper's original serial drain. Also pins the batch size (see
-    /// [`BatchPolicy::Adaptive`]).
+    /// the paper's original serial drain. No run is bounded under it,
+    /// whatever the [`BatchPolicy`].
     #[default]
     Strict,
     /// A window of [`DrainConfig::window_depth`] (of at least the device's
@@ -165,31 +165,31 @@ pub enum OrderingMode {
     PartiallyConstrained,
 }
 
-/// The marker [`BatchPolicy::Adaptive`] carries. The controller it selects
-/// has fixed bounds (see DESIGN.md §15 for the control law): a 64 KiB
-/// batch floor, a 2 ms latency budget per batch and a 100 µs longest hold.
+/// The marker [`BatchPolicy::Adaptive`] carries. It has no knobs: the run
+/// bound it selects is a closed form of the disk spec, a 100 µs longest
+/// hold and a 64 KiB floor (DESIGN.md §15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdaptiveBatchConfig;
 
 /// How the drain sizes its group-commit batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchPolicy {
-    /// Every pop takes up to [`DrainConfig::max_batch`] bytes: the
-    /// controller with its target pinned there and its window at
-    /// [`DrainConfig::window_depth`]. It still measures (see [`DrainStats`]).
+    /// Every pop takes up to [`DrainConfig::max_batch`] bytes, runs are
+    /// unbounded and the window is [`DrainConfig::window_depth`]. It still
+    /// measures (see [`DrainStats`]).
     #[default]
     Fixed,
-    /// An EWMA controller tracks per-batch drain service time and achieved
-    /// bandwidth from batch-retirement events and resizes the next pop to
-    /// sit at the latency/bandwidth knee: growing while marginal bandwidth
-    /// gain holds and the latency budget allows, decaying to its 64 KiB
-    /// floor under light load. Under
-    /// [`OrderingMode::PartiallyConstrained`] its window is the larger of
-    /// [`DrainConfig::window_depth`] and the device's
-    /// [`Geometry::queue_depth`](rapilog_simdisk::Geometry), from the first
-    /// pop. [`OrderingMode::Strict`] pins the batch target to `max_batch` and
-    /// the window to one whatever the policy: Strict + Adaptive is
-    /// Strict + Fixed.
+    /// Every pop takes up to [`DrainConfig::max_batch`] bytes, as under
+    /// `Fixed`, but no run is built longer than the disk transfers in what
+    /// is left of a 100 µs hold after one positioning:
+    /// `max(64 KiB, (100 µs − positioning_bound) × sequential_bandwidth)`
+    /// of its [`DiskSpec`](rapilog_simdisk::DiskSpec), rounded down to
+    /// 4 KiB (176 KiB on `ssd_nvme`, the 64 KiB floor on `ssd_sata` and the
+    /// HDDs). Under [`OrderingMode::PartiallyConstrained`] its window is the
+    /// larger of [`DrainConfig::window_depth`] and the device's
+    /// [`Geometry::queue_depth`](rapilog_simdisk::Geometry).
+    /// [`OrderingMode::Strict`] bounds no run and pins the window to one
+    /// whatever the policy: Strict + Adaptive is Strict + Fixed.
     Adaptive(AdaptiveBatchConfig),
 }
 
@@ -344,43 +344,39 @@ pub struct RapiLogSnapshot {
     pub tenants: Vec<TenantSnapshot>,
     /// The log shipper's status, when replication is enabled.
     pub replication: Option<replicate::ReplicationReport>,
-    /// The batching controller's state: current batch target, window
-    /// depth, EWMAs and commit-latency percentiles.
+    /// The drain's batching parameters, service-time EWMA and
+    /// commit-latency percentiles.
     pub drain: DrainStats,
 }
 
-/// The drain controller's point-in-time view: what the batching policy is
-/// currently doing and what it has observed. Every buffered instance runs
-/// the one drain engine, so every one measures: under [`BatchPolicy::Fixed`]
-/// or [`OrderingMode::Strict`] — the default configuration included — the
-/// target never moves, but the EWMAs and the commit-latency
-/// percentiles (how long an acknowledged byte lives only in RAM) are fed by
-/// every retirement all the same.
+/// The drain's point-in-time view: the batching parameters it was built
+/// with and what it has measured. Every buffered instance runs the one
+/// drain engine, so every one measures: the service-time EWMA and the
+/// commit-latency percentiles (how long an acknowledged byte lives only in
+/// RAM) are fed by every retirement. `batch_target`, `window_depth` and
+/// `run_bound_bytes` are fixed when the instance is built;
+/// `batch_grows`, `batch_shrinks` and `hold_fires` are always 0 and stay
+/// because the benchmark reads them.
 #[derive(Debug, Clone, Default)]
 pub struct DrainStats {
-    /// Bytes the next `pop_batch` will aim for.
+    /// Bytes every `pop_batch` aims for: [`DrainConfig::max_batch`].
     pub batch_target: u64,
     /// In-flight window depth (permits the drain may hold), fixed when the
     /// instance is built.
     pub window_depth: u64,
     /// EWMA of per-batch drain service time (dispatch → retirement), ns.
     pub ewma_service_ns: u64,
-    /// EWMA of achieved drain bandwidth, bytes per second.
-    pub ewma_bytes_per_sec: u64,
-    /// Times the controller doubled the batch target.
+    /// Always 0: the batch target does not move.
     pub batch_grows: u64,
-    /// Times the controller halved the batch target.
+    /// Always 0: the batch target does not move.
     pub batch_shrinks: u64,
     /// Always 0: there is no hold timer since the drain takes its window
-    /// slot before it pops (bytes coalesce while none is free). The field
-    /// stays because the benchmark reads it.
+    /// slot before it pops (bytes coalesce while none is free).
     pub hold_fires: u64,
-    /// The run-length bound the last pop consolidated under, bytes; 0 means
-    /// off (no writer was blocked on the drain, or the policy is Fixed).
+    /// The longest run a batch is consolidated into, bytes: the disk spec's
+    /// closed form under [`BatchPolicy::Adaptive`] +
+    /// [`OrderingMode::PartiallyConstrained`], 0 (no bound) otherwise.
     pub run_bound_bytes: u64,
-    /// EWMA of per-run device bandwidth (run bytes over the run's own
-    /// submit → complete time), bytes per second.
-    pub ewma_run_bytes_per_sec: u64,
     /// Median commit latency (admission → contiguous durable prefix), ns.
     pub commit_p50_ns: u64,
     /// 99th-percentile commit latency, ns.
@@ -586,7 +582,7 @@ impl<'a> RapiLogBuilder<'a> {
             audit.register_tenant(spec.id.0);
         }
         let mode = Rc::<ModeState>::default();
-        let drain_ctrl = drain::DrainController::new(ctx, &cfg.drain, &disk);
+        let drain_ctrl = drain::DrainController::new(&cfg.drain, &disk);
         let repl = self.repl;
         if buffered {
             if let Some(r) = &repl {
@@ -1062,8 +1058,8 @@ mod builder_tests {
 
     #[test]
     fn a_default_instance_measures_its_drain() {
-        // Stock configuration, Strict + Fixed: the controller decides
-        // nothing, and still says how long an acked byte lived only in RAM.
+        // Stock configuration, Strict + Fixed: the drain still says how
+        // long an acked byte lived only in RAM.
         let (mut sim, ctx, hv, disk) = fixture(13);
         let cell = hv.create_cell("rapilog", Trust::Trusted);
         let rl = RapiLog::builder(&ctx).cell(&cell).disk(disk).build();

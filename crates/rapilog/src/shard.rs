@@ -119,12 +119,6 @@ impl ShardedBuffer {
         self.ledger.bytes.get()
     }
 
-    /// Sum of queued (not yet popped) bytes across shards — the aggregate
-    /// backlog the shared adaptive batching controller reacts to.
-    pub(crate) fn total_queued_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.buf.queued_bytes()).sum()
-    }
-
     /// Every shard's counters, summed. Each shard's `peak_occupancy` is the
     /// highest it ever held, but shards peak at different instants, so with
     /// more than one shard the sum is an upper bound on the instance's

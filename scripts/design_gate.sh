@@ -152,6 +152,13 @@
 #     each run in a task of their own and answer through its handle, so no
 #     token mailbox, discard, reply channel or bounded channel stands beside
 #     it, and a log reader gives its read-ahead up by being dropped.
+# (u) The drain learns nothing. Fails if `LATENCY_BUDGET`, `fn retarget`,
+#     `take_stalled`, `grow_ref_bps`, `regime_start_ns` or `ewma_run_bps`
+#     reappears in the non-test part of any `crates/rapilog/src` file: the
+#     pop target is `max_batch` and the adaptive run bound is one closed
+#     form of the disk spec (`drain::run_bound_of`), fixed when the instance
+#     is built, so no batch-size walk, latency budget, stall signal or
+#     bandwidth estimate stands beside it.
 #
 # Usage:
 #   scripts/design_gate.sh            # check
@@ -729,6 +736,16 @@ while IFS= read -r f; do
     fi
 done < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
+# ---- (u) the drain learns nothing ------------------------------------------------
+while IFS= read -r f; do
+    hits=$(non_test "$f" | grep -nE '\bLATENCY_BUDGET\b|\bfn retarget\b|\btake_stalled\b|\bgrow_ref_bps\b|\bregime_start_ns\b|\bewma_run_bps\b' || true)
+    if [[ -n "$hits" ]]; then
+        echo "design_gate: FAIL  $f brings back a learned batch size or run bound (the run bound is a closed form of the disk spec, drain::run_bound_of):" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(find crates/rapilog/src -name '*.rs' | sort)
+
 if ((fail)); then
     exit 1
 fi
@@ -752,3 +769,4 @@ echo "design_gate: ok    the superblock lives in the catalog page (no Superblock
 echo "design_gate: ok    the power budget is one rule in time (no max_buffer_bytes, aggregate_fits or DRAIN_STARTUP in crates/*/src, src/ or examples/)"
 echo "design_gate: ok    the trusted path keeps only what runs (no window_widens/window_narrows, parked permits, tenant weight, has_sections or separate fn record_commit( in crates/*/src)"
 echo "design_gate: ok    a request's result comes back through its JoinHandle (no IoQueue, fn discard, fn oneshot, OnceSender or fn bounded in crates/*/src, no fn abandon in wal.rs)"
+echo "design_gate: ok    the drain learns nothing (no LATENCY_BUDGET, fn retarget, take_stalled, grow_ref_bps, regime_start_ns or ewma_run_bps in crates/rapilog/src)"

@@ -163,9 +163,9 @@ fn sharded_fixed_traces_match_pre_controller_golden() {
 
 #[test]
 fn strict_mode_pins_batch_target_even_under_adaptive() {
-    // Strict makes the controller inert whatever policy was asked for
-    // (`DrainController::new`), so the trace must equal Strict + Fixed byte
-    // for byte — no "batch_target" instants, no resized pops.
+    // Strict is a window of one with no run bound whatever policy was
+    // asked for (`DrainController::new`), so the trace must equal
+    // Strict + Fixed byte for byte.
     let strict_adaptive = run_scenario(
         0x9A12,
         OrderingMode::Strict,

@@ -403,8 +403,11 @@ fn sync_commit_stages_sum_to_the_commit_and_the_apply_is_an_admission() {
 
 /// Four writers appending 64 KiB extents to private regions through a
 /// 2 MiB buffer on a 4-channel NVMe: blocked on space almost from the
-/// start. Returns the `run_bound` instants' values, in order.
-fn run_bound_instants(policy: BatchPolicy) -> Vec<u64> {
+/// start. Returns `snapshot().drain.run_bound_bytes` at idle (before the
+/// first write), under back-pressure (when the first writer is done and the
+/// others still push) and at the end, with the names of the drain's trace
+/// instants.
+fn run_bounds(policy: BatchPolicy) -> ([u64; 3], Vec<&'static str>) {
     let mut sim = Sim::new(0xB0B);
     let ctx = sim.ctx();
     ctx.tracer().set_capacity(1 << 18);
@@ -422,13 +425,18 @@ fn run_bound_instants(policy: BatchPolicy) -> Vec<u64> {
         )
         .build();
     std::mem::forget(cell);
+    let idle = rl.snapshot().drain.run_bound_bytes;
+    let loaded = Rc::new(RefCell::new(None));
     for w in 0..4u64 {
-        let dev = rl.device();
+        let (dev, rl, loaded) = (rl.device(), rl.clone(), Rc::clone(&loaded));
         sim.spawn(async move {
             for i in 0..200u64 {
                 let data = vec![(i % 251 + 1) as u8; 64 << 10];
                 dev.write((w << 18) + i * 128, &data, true).await.unwrap();
             }
+            loaded
+                .borrow_mut()
+                .get_or_insert(rl.snapshot().drain.run_bound_bytes);
         });
     }
     sim.run_until(SimTime::from_secs(2));
@@ -436,33 +444,38 @@ fn run_bound_instants(policy: BatchPolicy) -> Vec<u64> {
     assert!(rl.stats().backpressure_events > 100, "writers were blocked");
     let snap = ctx.tracer().snapshot();
     assert_eq!(snap.dropped, 0, "the ring must hold the whole run");
-    snap.events
+    let mut instants: Vec<&'static str> = snap
+        .events
         .iter()
-        .filter(|e| e.layer == Layer::Drain && e.name == "run_bound")
-        .map(|e| match e.payload {
-            Payload::Mark { value } => value,
-            other => panic!("run_bound carries a Mark, got {other:?}"),
-        })
-        .collect()
+        .filter(|e| e.layer == Layer::Drain && e.phase == Phase::Instant)
+        .map(|e| e.name)
+        .collect();
+    instants.sort_unstable();
+    instants.dedup();
+    let loaded = loaded.borrow().expect("a writer finished");
+    (
+        [idle, loaded, rl.snapshot().drain.run_bound_bytes],
+        instants,
+    )
 }
 
 #[test]
-fn run_bound_is_traced_under_back_pressure_and_never_under_fixed() {
-    let adaptive = BatchPolicy::Adaptive(AdaptiveBatchConfig);
-    let bounds = run_bound_instants(adaptive);
-    // Engages (a byte count of at least the 64 KiB floor) once writers
-    // block, and the last instant is the disengage when the writers are
-    // done.
-    assert!(bounds.len() >= 2, "engage and disengage: {bounds:?}");
-    assert!(bounds[0] >= 64 << 10, "first instant engages: {bounds:?}");
-    assert_eq!(bounds.last(), Some(&0), "last instant disengages");
-    assert!(
-        bounds.len() < 100,
-        "only moves of more than a step are reported, got {}",
-        bounds.len()
+fn the_run_bound_is_the_disk_specs_closed_form_at_idle_and_under_back_pressure() {
+    // ssd_nvme: (100 µs hold − 15 µs command) × 2 GiB/s, down to 4 KiB.
+    let (bounds, instants) = run_bounds(BatchPolicy::Adaptive(AdaptiveBatchConfig));
+    assert_eq!(
+        bounds,
+        [176 << 10; 3],
+        "learned nothing, from the first pop"
     );
-    assert_eq!(bounds, run_bound_instants(adaptive), "seed-deterministic");
-    // Fixed: same blocked writers, no bound, no instant — its traces stay
-    // bit-identical to releases that never had one.
-    assert_eq!(run_bound_instants(BatchPolicy::Fixed), Vec::<u64>::new());
+    // Nothing moves, so nothing is traced: no batch target, no run bound.
+    for gone in ["batch_target", "run_bound"] {
+        assert!(!instants.contains(&gone), "{gone} in {instants:?}");
+    }
+    // Fixed bounds no run, blocked writers or not.
+    let (bounds, instants) = run_bounds(BatchPolicy::Fixed);
+    assert_eq!(bounds, [0; 3]);
+    for gone in ["batch_target", "run_bound"] {
+        assert!(!instants.contains(&gone), "{gone} in {instants:?}");
+    }
 }
